@@ -174,24 +174,31 @@ func (m *sharerMask) clear(g int) { m[g>>6] &^= 1 << (g & 63) }
 type level struct {
 	cfg     Config
 	sets    [][]line
-	sharers [][]sharerMask // parallel to sets; non-nil only on directory (L2) levels
-	setMask uint64         // len(sets)-1; Sets() guarantees a power of two
+	sharers []sharerMask // one per way, set-major like sets; non-nil only on directory (L2) levels
+	setMask uint64       // len(sets)-1; Sets() guarantees a power of two
 	tick    uint64
 }
 
+// newLevel carves every set out of one slab: a machine builds thousands of
+// sets, and one make per set was nearly all of sim.New's allocation count.
+// The capped three-index slice keeps an append on one set from running
+// into its neighbour.
 func newLevel(cfg Config, directory bool) *level {
-	l := &level{cfg: cfg, sets: make([][]line, cfg.Sets())}
-	l.setMask = uint64(len(l.sets) - 1)
+	sets, assoc := cfg.Sets(), cfg.Assoc
+	l := &level{cfg: cfg, sets: make([][]line, sets), setMask: uint64(sets - 1)}
+	slab := make([]line, sets*assoc)
 	for i := range l.sets {
-		l.sets[i] = make([]line, cfg.Assoc)
+		l.sets[i] = slab[i*assoc : (i+1)*assoc : (i+1)*assoc]
 	}
 	if directory {
-		l.sharers = make([][]sharerMask, len(l.sets))
-		for i := range l.sharers {
-			l.sharers[i] = make([]sharerMask, cfg.Assoc)
-		}
+		l.sharers = make([]sharerMask, sets*assoc)
 	}
 	return l
+}
+
+// dirEntry returns the directory entry of way i of set si.
+func (l *level) dirEntry(si uint64, i int) *sharerMask {
+	return &l.sharers[int(si)*l.cfg.Assoc+i]
 }
 
 func (l *level) setIdx(lineAddr uint64) uint64 {
@@ -221,7 +228,7 @@ func (l *level) lookupDir(lineAddr uint64) (*line, *sharerMask) {
 	set := l.sets[si]
 	for i := range set {
 		if w := &set[i]; w.st != invalid && w.tag == lineAddr {
-			return w, &l.sharers[si][i]
+			return w, l.dirEntry(si, i)
 		}
 	}
 	return nil, nil
@@ -254,13 +261,13 @@ func (l *level) victimDir(lineAddr uint64) (*line, *sharerMask) {
 	for i := range set {
 		w := &set[i]
 		if w.st == invalid {
-			return w, &l.sharers[si][i]
+			return w, l.dirEntry(si, i)
 		}
 		if w.lru < set[best].lru {
 			best = i
 		}
 	}
-	return &set[best], &l.sharers[si][best]
+	return &set[best], l.dirEntry(si, best)
 }
 
 func (l *level) touch(w *line) {

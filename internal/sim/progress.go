@@ -12,13 +12,15 @@ import (
 // simulated-cycle watchdogs (commit-progress window, per-run cycle
 // budget), the host-side deadlock detector, and panic containment at the
 // grant boundary. The design constraint throughout is that exactly one
-// core executes at any time — the scheduler's channel handshakes serialise
-// grants — so any state written only while holding a grant can be read by
-// a later grant holder without synchronisation, via the happens-before
-// chain release -> scheduler -> next grant. Host code *between* grants
-// runs concurrently with other cores' grants, which is why NoteCommit and
-// SetStatus write core-local pending fields that progressDuties publishes
-// at the next grant.
+// core executes at any time — core programs are coroutines the scheduler
+// loop switches between — so machine state needs no synchronisation among
+// cores; the atomics and the mutex below exist only for the host stall
+// detector, whose Run goroutine gives up on a scheduler loop that may
+// still be running. Host code *between* grants runs outside the (clock,
+// id) grant order (after giving a lease up, a program runs on to its next
+// acquire before it yields), which is why NoteCommit and SetStatus write
+// core-local pending fields that progressDuties publishes at the next
+// grant, a deterministic point of that order.
 
 // stopRun is the internal panic value that unwinds a core's program after
 // the machine has failed (watchdog trip or a sibling core's fault). It is
@@ -43,8 +45,9 @@ const (
 	// KindCycleBudget: a core's clock passed the hard CycleBudget cap.
 	KindCycleBudget = "cycle-budget"
 	// KindHostDeadlock: no architectural operation was granted for
-	// StallTimeout host time — every core goroutine is blocked in host
-	// code (a true deadlock, not a simulated-contention condition).
+	// StallTimeout host time — the granted core is blocked in host code,
+	// and with it the machine (a true deadlock, not a simulated-contention
+	// condition).
 	KindHostDeadlock = "host-deadlock"
 )
 
@@ -125,7 +128,7 @@ func (v *ProgressViolation) String() string {
 	return b.String()
 }
 
-// CoreFault reports a panic recovered from a core's program goroutine.
+// CoreFault reports a panic recovered from a core's program coroutine.
 type CoreFault struct {
 	Core  int
 	Clock uint64
@@ -260,59 +263,37 @@ func (m *Machine) recordFault(c *Ctx, r interface{}) {
 	m.failed.Store(true)
 }
 
-// noteFinished is the scheduler's bookkeeping for a completed core.
-func (m *Machine) noteFinished(core int) {
-	m.doneCores[core] = true
-}
-
-// grantTo hands the grant to core c, or detects that no core can accept
-// one (host deadlock while the target is blocked before its next acquire).
-// Returns false when the run stalled.
-func (m *Machine) grantTo(c *Ctx) bool {
-	if m.stallC == nil {
-		c.resume <- struct{}{}
-		return true
-	}
+// driveWatched runs the scheduler loop under the host-deadlock detector
+// and reports whether it ran to completion. A program blocked in host code
+// never switches back, so the loop gets its own goroutine and Run waits
+// for whichever comes first: the loop finishing or the grant heartbeat
+// stagnating. On a stall it records the host-deadlock violation, fails the
+// machine and abandons the loop. The granted core is marked unresponsive
+// and its volatile fields left unread — it may still be running host code.
+func (m *Machine) driveWatched(running int, active []bool) bool {
+	done, stalled, stop := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	defer close(stop)
+	go m.stallMonitor(stalled, stop)
+	go func() {
+		defer close(done)
+		m.drive(running, active)
+	}()
 	select {
-	case c.resume <- struct{}{}:
+	case <-done:
 		return true
-	case <-m.stallC:
-		m.onStall(c.id)
+	case <-stalled:
+		if m.violation == nil {
+			m.violation = m.buildViolation(KindHostDeadlock, int(m.granted.Load()), 0, true)
+		}
+		m.failed.Store(true)
 		return false
 	}
 }
 
-// awaitEvent waits for the granted core to complete its operation (or its
-// whole lease), or detects that it never will. Returns ok=false when the
-// run stalled.
-func (m *Machine) awaitEvent(granted int) (event, bool) {
-	if m.stallC == nil {
-		return <-m.events, true
-	}
-	select {
-	case ev := <-m.events:
-		return ev, true
-	case <-m.stallC:
-		m.onStall(granted)
-		return event{}, false
-	}
-}
-
-// onStall runs on the scheduler (Run) goroutine after the heartbeat
-// stagnated: record the host-deadlock violation, fail the machine, and
-// have Run return early. The granted core is marked unresponsive and its
-// volatile fields left unread — it may still be running host code.
-func (m *Machine) onStall(granted int) {
-	if m.violation == nil {
-		m.violation = m.buildViolation(KindHostDeadlock, granted, 0, true)
-	}
-	m.failed.Store(true)
-	m.stalled = true
-}
-
 // stallMonitor watches the grant heartbeat from its own goroutine and
-// closes stallC when it stagnates for the configured host-time window.
-func (m *Machine) stallMonitor() {
+// closes stalled when it stagnates for the configured host-time window;
+// Run closes stop to retire it.
+func (m *Machine) stallMonitor(stalled chan<- struct{}, stop <-chan struct{}) {
 	interval := m.cfg.StallTimeout / 8
 	if interval < time.Millisecond {
 		interval = time.Millisecond
@@ -323,7 +304,7 @@ func (m *Machine) stallMonitor() {
 	lastChange := time.Now()
 	for {
 		select {
-		case <-m.stopMon:
+		case <-stop:
 			return
 		case <-ticker.C:
 			now := m.beat.Load()
@@ -333,7 +314,7 @@ func (m *Machine) stallMonitor() {
 				continue
 			}
 			if time.Since(lastChange) >= m.cfg.StallTimeout {
-				close(m.stallC)
+				close(stalled)
 				return
 			}
 		}

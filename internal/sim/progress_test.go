@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -162,46 +164,163 @@ func TestCorePanicContainedWithoutWatchdogs(t *testing.T) {
 
 // A program that blocks forever in host code (not on simulated work) is a
 // host deadlock: the stall monitor must cut the run short with a
-// host-deadlock violation instead of hanging the process.
+// host-deadlock violation instead of hanging the process, and the report
+// must name the blocked core — whether it blocks before its first acquire,
+// between operations, or after its last one on the way to completion.
 func TestHostDeadlockDetected(t *testing.T) {
-	cfg := tinyConfig(2)
-	cfg.StallTimeout = 100 * time.Millisecond
-	m := New(cfg)
-	block := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		m.Run(func(c *Ctx) {
-			c.Exec(10)
-			<-block // never closed: a real host-side deadlock
-		}, func(c *Ctx) {
-			for i := 0; i < 1_000_000; i++ {
-				c.Exec(1)
-			}
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return: host deadlock not detected")
-	}
-	v := m.Violation()
-	if v == nil {
-		t.Fatal("no host-deadlock violation recorded")
-	}
-	if v.Kind != KindHostDeadlock {
-		t.Fatalf("violation kind = %q, want %q", v.Kind, KindHostDeadlock)
-	}
-	found := false
-	for _, s := range v.Cores {
-		if s.Unresponsive {
-			found = true
+	spin := func(c *Ctx) {
+		for i := 0; i < 1_000_000; i++ {
+			c.Exec(1)
 		}
 	}
-	if !found {
-		t.Error("no core marked unresponsive in the host-deadlock report")
+	cases := []struct {
+		name    string
+		blocked int
+		prog    func(block <-chan struct{}) Program // the blocking core's program
+	}{
+		{"prologue", 1, func(block <-chan struct{}) Program {
+			return func(c *Ctx) { <-block; c.Exec(10) }
+		}},
+		{"mid-run", 0, func(block <-chan struct{}) Program {
+			return func(c *Ctx) { c.Exec(10); <-block; c.Exec(10) }
+		}},
+		{"completion", 1, func(block <-chan struct{}) Program {
+			return func(c *Ctx) { c.Exec(10); <-block }
+		}},
 	}
-	close(block) // release the leaked goroutine
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			cfg := tinyConfig(2)
+			cfg.StallTimeout = 100 * time.Millisecond
+			m := New(cfg)
+			block := make(chan struct{}) // closed only after the verdict: a real host-side deadlock
+			progs := []Program{spin, spin}
+			progs[tc.blocked] = tc.prog(block)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				m.Run(progs...)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run did not return: host deadlock not detected")
+			}
+			v := m.Violation()
+			if v == nil {
+				t.Fatal("no host-deadlock violation recorded")
+			}
+			if v.Kind != KindHostDeadlock {
+				t.Fatalf("violation kind = %q, want %q", v.Kind, KindHostDeadlock)
+			}
+			if v.TripCore != tc.blocked {
+				t.Errorf("trip core = %d, want the blocked core %d", v.TripCore, tc.blocked)
+			}
+			for _, s := range v.Cores {
+				if s.Unresponsive != (s.Core == tc.blocked) {
+					t.Errorf("core %d unresponsive = %v, blocked core is %d", s.Core, s.Unresponsive, tc.blocked)
+				}
+			}
+			// Unblocked, the abandoned scheduler loop stops every core at its
+			// next grant and drains: nothing stays parked at a yield.
+			close(block)
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// waitGoroutines waits for the goroutine count to fall back to base: the
+// scheduler loop, the stall monitor and every core coroutine have exited.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still alive, baseline %d: a core coroutine was abandoned",
+				runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// Every way a run can end must leave no goroutine behind: each parked
+// coroutine is driven to completion, never abandoned at a yield.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	spin := func(c *Ctx) {
+		for i := 0; i < 50_000; i++ {
+			c.Exec(1)
+		}
+	}
+	cases := []struct {
+		name  string
+		arm   func(cfg *Config)
+		first Program // core 0; the other three spin
+		check func(t *testing.T, m *Machine)
+	}{
+		{"clean", func(*Config) {}, spin, func(t *testing.T, m *Machine) {
+			if err := m.CheckHealth(); err != nil {
+				t.Errorf("clean run unhealthy: %v", err)
+			}
+		}},
+		{"commit-stall", func(cfg *Config) { cfg.WatchdogWindow = 5_000 }, spin, wantViolation(KindCommitStall)},
+		{"cycle-budget", func(cfg *Config) { cfg.CycleBudget = 5_000 }, spin, wantViolation(KindCycleBudget)},
+		{"core-panic", func(cfg *Config) { cfg.WatchdogWindow = 1 << 40 },
+			func(c *Ctx) { c.Exec(100); panic("injected core fault") },
+			wantOneFault},
+		{"core-panic-unwatched", func(*Config) {},
+			func(c *Ctx) { panic("prologue fault") },
+			wantOneFault},
+	}
+	for _, reference := range []bool{false, true} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/reference=%v", tc.name, reference), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				cfg := tinyConfig(4)
+				cfg.ReferenceScheduler = reference
+				tc.arm(&cfg)
+				m := New(cfg)
+				m.Run(tc.first, spin, spin, spin)
+				tc.check(t, m)
+				waitGoroutines(t, base)
+			})
+		}
+	}
+}
+
+func wantOneFault(t *testing.T, m *Machine) {
+	if n := len(m.Faults()); n != 1 {
+		t.Errorf("faults = %d, want 1", n)
+	}
+}
+
+func wantViolation(kind string) func(*testing.T, *Machine) {
+	return func(t *testing.T, m *Machine) {
+		if v := m.Violation(); v == nil || v.Kind != kind {
+			t.Errorf("violation = %v, want kind %q", v, kind)
+		}
+	}
+}
+
+// The host cost of building and running a machine is pinned: the cache
+// levels allocate one slab each (not one slice per set), and a core's
+// coroutine costs about a dozen allocations. Ceilings carry ~20% headroom
+// over the measured 38 (1 core) and 90 (4 cores) for toolchain drift; the
+// per-set layout this replaced measured 2140 and 2352.
+func TestNewRunAllocationCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		cores   int
+		ceiling float64
+	}{{1, 46}, {4, 108}} {
+		progs := make([]Program, tc.cores)
+		for i := range progs {
+			progs[i] = func(c *Ctx) { c.Exec(1); c.Exec(1) }
+		}
+		got := testing.AllocsPerRun(10, func() { New(DefaultConfig(tc.cores)).Run(progs...) })
+		if got > tc.ceiling {
+			t.Errorf("New+Run at %d cores = %.0f allocations, ceiling %.0f", tc.cores, got, tc.ceiling)
+		}
+	}
 }
 
 // Violations carry the tail of the diagnostic trace when one is attached.

@@ -257,4 +257,43 @@ func TestSchedCounters(t *testing.T) {
 	if ref.HandoffsAvoided() != 0 {
 		t.Errorf("reference handoffs avoided = %d, want 0", ref.HandoffsAvoided())
 	}
+
+	// Host code is not a lease: a program's prologue runs under its first
+	// lease and its epilogue under its last, so a program with no
+	// operations at all costs exactly its completion grant, and contended
+	// cores under the reference scheduler still pay one lease per grant.
+	for _, reference := range []bool{false, true} {
+		cfg := sim.DefaultConfig(4)
+		cfg.ReferenceScheduler = reference
+		m := sim.New(cfg)
+		hostSections := 0
+		m.Run(func(c *sim.Ctx) { hostSections++ })
+		if got := m.Sched(); got != (sim.SchedCounters{Grants: 1, Leases: 1}) {
+			t.Errorf("reference=%v: empty program = %+v, want 1 grant under 1 lease", reference, got)
+		}
+
+		m = sim.New(cfg)
+		addr := m.Mem.AllocLines(1)
+		prog := func(c *sim.Ctx) {
+			hostSections++
+			for i := 0; i < ops; i++ {
+				c.Load(addr)
+			}
+			hostSections++
+		}
+		m.Run(prog, prog, prog, prog)
+		got := m.Sched()
+		if want := uint64(4 * (ops + 1)); got.Grants != want {
+			t.Errorf("reference=%v: 4-core grants = %d, want %d", reference, got.Grants, want)
+		}
+		if reference && got.Leases != got.Grants {
+			t.Errorf("reference 4-core leases = %d, want %d (one per grant)", got.Leases, got.Grants)
+		}
+		if !reference && got.Leases > got.Grants {
+			t.Errorf("lease count %d exceeds grants %d", got.Leases, got.Grants)
+		}
+		if hostSections != 9 {
+			t.Errorf("reference=%v: host sections ran %d times, want 9", reference, hostSections)
+		}
+	}
 }

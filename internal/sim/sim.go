@@ -7,19 +7,27 @@
 // smallest local clock executes the next operation (ties broken by core id),
 // so runs are deterministic and the interleaving IS the timing model.
 //
-// Two host-side schedulers realise that one ordering. The reference
-// scheduler (Config.ReferenceScheduler) hands every operation through a
-// channel round-trip: grant, execute, hand back. The default grant-lease
-// scheduler instead grants the min-clock core a *lease*: the right to
-// execute operations inline on its own goroutine for as long as its
-// pre-operation clock stays strictly below the horizon (the minimum clock
-// of the other runnable cores, maintained in a min-heap). While the clock
+// Each core program is a coroutine (iter.Pull) driven by the scheduler loop
+// itself, so core programs run strictly one at a time on the scheduler's
+// thread — Ctx methods may only be called from the program's own coroutine,
+// and a program that blocks in host code blocks the whole machine. A grant
+// is a direct switch into the granted core's coroutine; the switch back
+// happens when that core next asks for an operation it holds no grant for
+// (Ctx.acquire yields) or when its program returns.
+//
+// There is one such transport and three pick loops over it. The reference
+// loop (Config.ReferenceScheduler) scans for the min-clock core and grants
+// it exactly one operation. The default grant-lease loop instead grants the
+// min-clock core a *lease*: the right to execute operations inline for as
+// long as its pre-operation clock stays strictly below the horizon (the
+// minimum clock of the other runnable cores, maintained in a min-heap); the
+// multi-socket loop is the same with one heap per socket. While the clock
 // is strictly below the horizon this core is the unique minimum, so the
 // serial scheduler would have granted it every one of those operations
 // anyway; on a tie the core conservatively hands back so the lowest-id
 // tie-break is decided by the scheduler, never assumed. Grant order — and
-// therefore every simulated result — is identical under both schedulers;
-// only the number of host context switches changes. A single runnable core
+// therefore every simulated result — is identical under all three loops;
+// only the number of coroutine switches changes. A single runnable core
 // (every 1-core cell, and the tail of every multi-core run) executes with
 // zero handoffs.
 //
@@ -33,6 +41,8 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,10 +129,15 @@ func (t Topology) String() string {
 // ParseTopology parses the CLI "SxC" form, e.g. "4x16" = 4 sockets × 16
 // cores.
 func ParseTopology(s string) (Topology, error) {
-	var t Topology
-	if n, err := fmt.Sscanf(s, "%dx%d", &t.Sockets, &t.CoresPerSocket); n != 2 || err != nil {
+	// ParseUint, not Sscanf: "%dx%d" accepts signs, inner spaces and
+	// trailing garbage ("4x16x2" scans as 4x16).
+	sockets, cps, ok := strings.Cut(s, "x")
+	ns, errS := strconv.ParseUint(sockets, 10, 31)
+	nc, errC := strconv.ParseUint(cps, 10, 31)
+	if !ok || errS != nil || errC != nil {
 		return Topology{}, fmt.Errorf("sim: topology %q is not SxC (e.g. 4x16)", s)
 	}
+	t := Topology{Sockets: int(ns), CoresPerSocket: int(nc)}
 	if t.Sockets <= 0 || t.CoresPerSocket <= 0 {
 		return Topology{}, fmt.Errorf("sim: topology %q needs positive sockets and cores per socket", s)
 	}
@@ -186,9 +201,10 @@ type Config struct {
 	// not directly related to the transaction size".
 	SpecRFOEvery uint64
 
-	// ReferenceScheduler selects the original per-operation handoff
-	// scheduler (two goroutine context switches per architectural op)
-	// instead of the grant-lease scheduler. Both produce byte-identical
+	// ReferenceScheduler selects the original per-operation pick loop (a
+	// lease of length one, i.e. one coroutine switch into the core and one
+	// back, per architectural op) instead of the grant-lease loop. Both
+	// ride the same coroutine transport and produce byte-identical
 	// simulated results — the differential test suite proves it — so this
 	// switch exists as the executable specification the fast path is
 	// checked against, not as a user-facing mode.
@@ -207,7 +223,7 @@ type Config struct {
 
 	// StallTimeout, if non-zero, arms the host-side deadlock detector: if
 	// no architectural operation is granted for this much host (wall) time,
-	// the run is declared stalled — all core goroutines are blocked in host
+	// the run is declared stalled — the granted core is blocked in host
 	// code — and fails with a ProgressViolation instead of hanging. This is
 	// the only watchdog keyed to host time, so it fires only on true host
 	// deadlocks, never at a simulated-cycle-deterministic point.
@@ -265,7 +281,6 @@ type Machine struct {
 	Telem  *telemetry.Machine
 
 	cores    []*Ctx
-	events   chan event
 	ran      bool
 	sched    SchedCounters
 	trace    *TraceBuffer
@@ -277,30 +292,28 @@ type Machine struct {
 	// unarmed machines (micro-benchmarks) pay nothing on the hot path.
 	watch      bool
 	failed     atomic.Bool
-	violation  *ProgressViolation // written once, under the grant (or by the scheduler on stall)
+	violation  *ProgressViolation // written once, under the grant (or by Run on stall)
 	lastCommit uint64             // clock of the most recently published commit; grant-holder only
 	doneCores  []bool             // scheduler-maintained completion map
-	stalled    bool               // host-deadlock detector fired; skip the post-run core scan
 	beat       atomic.Uint64      // grant heartbeat for the host stall monitor
-	stallC     chan struct{}      // closed by the stall monitor on heartbeat stagnation
-	stopMon    chan struct{}      // closed by Run to retire the stall monitor
+	granted    atomic.Int32       // core the scheduler last switched into, for the stall report
 	faultsMu   sync.Mutex
 	faults     []CoreFault
 }
 
 // SchedCounters is the scheduler's observability block: how many
 // architectural operations were granted and how many host-side handoffs
-// (channel round-trips, i.e. leases) were paid for them. Both values are
-// pure functions of the simulated schedule, so they are deterministic for
-// a given configuration — but they differ by design between the lease and
-// reference schedulers, which is why they live here and not in the
-// telemetry counter blocks the differential suite compares.
+// (coroutine switches into a core and back, i.e. leases) were paid for
+// them. Both values are pure functions of the simulated schedule, so they
+// are deterministic for a given configuration — but they differ by design
+// between the lease and reference schedulers, which is why they live here
+// and not in the telemetry counter blocks the differential suite compares.
 type SchedCounters struct {
 	// Grants counts granted architectural operations, including the one
 	// completion grant each program consumes to report termination.
 	Grants uint64
-	// Leases counts scheduler handoffs: channel round-trips from the
-	// scheduler goroutine to a core and back. Under the reference
+	// Leases counts scheduler handoffs: one switch from the scheduler
+	// loop into a core's coroutine and one back. Under the reference
 	// scheduler every grant is its own lease of length one; under the
 	// grant-lease scheduler one lease covers a maximal run of consecutive
 	// grants to the same core.
@@ -308,7 +321,7 @@ type SchedCounters struct {
 }
 
 // HandoffsAvoided returns how many grants executed inline under a lease
-// without paying a goroutine round-trip.
+// without paying a coroutine round-trip.
 func (s SchedCounters) HandoffsAvoided() uint64 { return s.Grants - s.Leases }
 
 // Sched returns the scheduler counters. Stable only after Run returns.
@@ -316,7 +329,7 @@ func (m *Machine) Sched() SchedCounters { return m.sched }
 
 // FaultHook observes every scheduler grant and may perturb the machine —
 // suspend the granted core, evict or back-invalidate cache lines, doom a
-// hardware transaction. OnGrant runs on the granted core's goroutine while
+// hardware transaction. OnGrant runs on the granted core's coroutine while
 // it holds the grant, so the hook has exclusive access to all machine
 // state and fires at a deterministic point of the global operation order.
 type FaultHook interface {
@@ -330,11 +343,6 @@ func (m *Machine) SetFaultHook(h FaultHook) {
 		panic("sim: SetFaultHook after Run")
 	}
 	m.fault = h
-}
-
-type event struct {
-	core     int
-	finished bool
 }
 
 // New builds a machine. The returned machine's Mem can be used directly
@@ -361,20 +369,18 @@ func New(cfg Config) *Machine {
 			L2:             cfg.L2,
 			Prefetch:       cfg.Prefetch,
 		}),
-		Stats:  stats.NewMachine(cfg.Cores),
-		Telem:  telemetry.NewMachine(cfg.Cores),
-		events: make(chan event),
+		Stats: stats.NewMachine(cfg.Cores),
+		Telem: telemetry.NewMachine(cfg.Cores),
 	}
 	m.Mem.SetPlacement(top.Sockets, cfg.Placement)
 	m.watch = cfg.WatchdogWindow > 0 || cfg.CycleBudget > 0 || cfg.StallTimeout > 0
 	m.doneCores = make([]bool, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		m.cores = append(m.cores, &Ctx{
-			m:      m,
-			id:     i,
-			resume: make(chan struct{}),
-			cat:    stats.App,
-			telem:  m.Telem.Block(i),
+			m:     m,
+			id:    i,
+			cat:   stats.App,
+			telem: m.Telem.Block(i),
 		})
 	}
 	m.Caches.AddDropListener(markDropper{m})
@@ -423,53 +429,13 @@ func (m *Machine) Run(progs ...Program) uint64 {
 		}
 		running++
 		active[i] = true
-		go func(c *Ctx, p Program) {
-			// Panic containment: anything the program panics with — except
-			// the internal stop signal that unwinds cores after a watchdog
-			// trip — becomes a CoreFault report, and the core still runs
-			// its completion protocol so the scheduler never hangs.
-			defer func() {
-				if r := recover(); r != nil && !IsStop(r) {
-					m.recordFault(c, r)
-				}
-				// One final grant to report completion deterministically. A
-				// core still holding a lease is strictly below the horizon,
-				// so it IS the unique min-clock core and the completion
-				// grant is already its — consume it inline.
-				if !c.leased {
-					<-c.resume
-				}
-				c.leased = false
-				if m.watch {
-					// Publish final per-core progress under the completion
-					// grant, so watchdog snapshots see it race-free.
-					c.publishProgress()
-				}
-				m.sched.Grants++
-				m.events <- event{core: c.id, finished: true}
-			}()
-			p(c)
-		}(m.cores[i], p)
+		m.cores[i].start(p)
 	}
 
-	if m.cfg.StallTimeout > 0 {
-		m.stallC = make(chan struct{})
-		m.stopMon = make(chan struct{})
-		go m.stallMonitor()
-		defer close(m.stopMon)
-	}
-
-	switch {
-	case m.cfg.ReferenceScheduler:
-		m.runReference(running, active)
-	case m.top.Sockets > 1:
-		m.runLeaseSockets(running, active)
-	default:
-		m.runLease(running, active)
-	}
-
-	if m.stalled {
-		// Core goroutines are blocked in host code; their clocks are not
+	if m.cfg.StallTimeout == 0 {
+		m.drive(running, active)
+	} else if !m.driveWatched(running, active) {
+		// The granted core is blocked in host code; core clocks are not
 		// safely readable. The violation report carries the snapshot.
 		return 0
 	}
@@ -480,6 +446,33 @@ func (m *Machine) Run(progs ...Program) uint64 {
 		}
 	}
 	return wall
+}
+
+// drive runs the configured pick loop until every program has finished.
+func (m *Machine) drive(running int, active []bool) {
+	switch {
+	case m.cfg.ReferenceScheduler:
+		m.runReference(running, active)
+	case m.top.Sockets > 1:
+		m.runLeaseSockets(running, active)
+	default:
+		m.runLease(running, active)
+	}
+}
+
+// grant leases core c up to horizon and switches into its coroutine. The
+// switch back comes when c next needs a grant it does not hold (see
+// Ctx.acquire) or when its program has returned, which is the completion
+// event: grant then reports false.
+func (m *Machine) grant(c *Ctx, horizon uint64) (unfinished bool) {
+	m.sched.Leases++
+	c.horizon = horizon
+	c.leased = true
+	if m.cfg.StallTimeout > 0 {
+		m.granted.Store(int32(c.id))
+	}
+	_, unfinished = c.next()
+	return
 }
 
 // runReference is the original per-operation scheduler, kept verbatim as
@@ -497,17 +490,10 @@ func (m *Machine) runReference(running int, active []bool) {
 				pick = i
 			}
 		}
-		m.sched.Leases++
-		if !m.grantTo(m.cores[pick]) {
-			return // host deadlock: no core can accept a grant
-		}
-		ev, ok := m.awaitEvent(pick)
-		if !ok {
-			return // host deadlock: the granted core never completed its op
-		}
-		if ev.finished {
-			active[ev.core] = false
-			m.noteFinished(ev.core)
+		// Horizon 0: release always hands back, a lease of length one.
+		if !m.grant(m.cores[pick], 0) {
+			active[pick] = false
+			m.doneCores[pick] = true
 			running--
 		}
 	}
@@ -531,24 +517,15 @@ func (m *Machine) runLease(running int, active []bool) {
 	for running > 0 {
 		e := h.pop()
 		c := m.cores[e.id]
+		horizon := ^uint64(0) // alone: run to completion, zero handoffs
 		if h.len() > 0 {
-			c.horizon = h.min().clock
+			horizon = h.min().clock
+		}
+		if m.grant(c, horizon) {
+			h.push(heapEntry{clock: c.clock, id: e.id})
 		} else {
-			c.horizon = ^uint64(0) // alone: run to completion, zero handoffs
-		}
-		m.sched.Leases++
-		if !m.grantTo(c) {
-			return // host deadlock: no core can accept a grant
-		}
-		ev, ok := m.awaitEvent(e.id)
-		if !ok {
-			return // host deadlock: the granted core never completed its op
-		}
-		if ev.finished {
-			m.noteFinished(ev.core)
+			m.doneCores[e.id] = true
 			running--
-		} else {
-			h.push(heapEntry{clock: m.cores[ev.core].clock, id: ev.core})
 		}
 	}
 }
@@ -603,22 +580,13 @@ func (m *Machine) runLeaseSockets(running int, active []bool) {
 				horizon = frontier[s]
 			}
 		}
-		c.horizon = horizon.clock // idle.clock == ^0: alone, run to completion
-		m.sched.Leases++
-		if !m.grantTo(c) {
-			return // host deadlock: no core can accept a grant
-		}
-		ev, ok := m.awaitEvent(e.id)
-		if !ok {
-			return // host deadlock: the granted core never completed its op
-		}
-		if ev.finished {
-			m.noteFinished(ev.core)
-			running--
+		// idle.clock == ^0: alone, run to completion
+		if m.grant(c, horizon.clock) {
+			groups[best].push(heapEntry{clock: c.clock, id: e.id})
+			frontier[best] = groups[best].min()
 		} else {
-			s := ev.core / cps
-			groups[s].push(heapEntry{clock: m.cores[ev.core].clock, id: ev.core})
-			frontier[s] = groups[s].min()
+			m.doneCores[e.id] = true
+			running--
 		}
 	}
 }
@@ -686,16 +654,20 @@ func (h *schedHeap) pop() heapEntry {
 }
 
 // Ctx is one core's architectural interface. All methods must be called
-// only from that core's program goroutine.
+// only from that core's program coroutine.
 type Ctx struct {
-	m      *Machine
-	id     int
-	resume chan struct{}
-	clock  uint64
+	m     *Machine
+	id    int
+	clock uint64
+
+	// The coroutine transport: the scheduler switches into the program
+	// with next, the program switches back with yield.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// Lease state. leased is true while this core holds a grant it may
 	// extend inline; horizon is the minimum clock of the other runnable
-	// cores, set by the scheduler when the lease was issued. Under the
+	// cores; the scheduler sets both when it issues the lease. Under the
 	// reference scheduler horizon stays 0, so release always hands back.
 	leased  bool
 	horizon uint64
@@ -738,7 +710,7 @@ func (c *Ctx) Clock() uint64 { return c.clock }
 func (c *Ctx) Machine() *Machine { return c.m }
 
 // Telem returns this core's telemetry block. Only this core's program
-// goroutine may write to it (one simulated core, one writer), which is what
+// coroutine may write to it (one simulated core, one writer), which is what
 // lets the block use plain, non-atomic increments.
 func (c *Ctx) Telem() *telemetry.Block { return c.telem }
 
@@ -760,15 +732,15 @@ func (c *Ctx) charge(cycles uint64) {
 }
 
 // acquire obtains the grant for the next architectural operation — inline
-// when this core holds a live lease, otherwise by blocking until the
-// scheduler hands one over — then applies any pending ring transition and
-// runs the fault hook. The per-operation duties run on every grant path,
-// so ring transitions and fault injections fire at the same deterministic
-// points of the global operation order under both schedulers.
+// when this core holds a live lease, otherwise by switching back to the
+// scheduler until it leases this core again — then applies any pending
+// ring transition and runs the fault hook. The per-operation duties run on
+// every grant path, so ring transitions and fault injections fire at the
+// same deterministic points of the global operation order under every
+// scheduler.
 func (c *Ctx) acquire() {
 	if !c.leased {
-		<-c.resume
-		c.leased = true
+		c.yield(struct{}{})
 	}
 	c.m.sched.Grants++
 	if c.m.watch {
@@ -798,9 +770,9 @@ func (c *Ctx) ringTransitionNow() {
 	c.charge(c.m.cfg.Lat.RingTransition)
 }
 
-// InjectSuspend suspends and resumes this core as a context switch would,
-// from inside a FaultHook (the caller already holds the grant): marks are
-// discarded, counters bumped, the ring-transition cost paid. The §5
+// InjectSuspend takes this core through a suspension as a context switch
+// would, from inside a FaultHook (the caller already holds the grant): marks
+// are discarded, counters bumped, the ring-transition cost paid. The §5
 // contract is that this never aborts a transaction — HASTM merely falls
 // back to full software validation.
 func (c *Ctx) InjectSuspend() { c.ringTransitionNow() }
@@ -813,15 +785,15 @@ func (c *Ctx) Cat() stats.Category { return c.cat }
 // release ends the granted operation. While the post-operation clock is
 // strictly below the horizon this core is still the unique min-clock core,
 // so the lease extends and the next acquire proceeds inline with no host
-// handoff. At or above the horizon the core conservatively hands back:
-// another core has caught up (or a tie must be broken by id), and the
-// scheduler decides the next grant exactly as the reference scan would.
+// handoff. At or above the horizon the core conservatively gives the lease
+// up: another core has caught up (or a tie must be broken by id), so the
+// next acquire yields and the scheduler decides the next grant exactly as
+// the reference scan would. The program's host code up to that acquire
+// still runs before the switch.
 func (c *Ctx) release() {
-	if c.clock < c.horizon {
-		return
+	if c.clock >= c.horizon {
+		c.leased = false
 	}
-	c.leased = false
-	c.m.events <- event{core: c.id}
 }
 
 func (c *Ctx) bumpMarkCounter(plane int) {

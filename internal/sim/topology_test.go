@@ -25,7 +25,9 @@ func TestParseTopology(t *testing.T) {
 			t.Errorf("Topology.String() = %q, want %q", got.String(), s)
 		}
 	}
-	for _, s := range []string{"", "4", "4x", "x16", "0x16", "4x0", "-2x8", "axb"} {
+	for _, s := range []string{"", "4", "4x", "x16", "0x16", "4x0", "-2x8", "axb",
+		// Sscanf("%dx%d") took all of these for 4x16.
+		"4x16x2", "4x16abc", "4x 16", " 4x16", "4x16 ", "+4x+16", "4X16", "99999999999x1"} {
 		if _, err := sim.ParseTopology(s); err == nil {
 			t.Errorf("ParseTopology(%q) accepted malformed topology", s)
 		}
