@@ -596,9 +596,9 @@ func numaTotals(m RunMetrics) (cross, dirty, inval float64) {
 // fetches. Which side wins depends on the scheme's sharing intensity and
 // the structure's footprint — the measured crossing is the figure's point.
 func planExtNUMA(o Options) *Plan {
-	top64 := sim.Topology{Sockets: 4, CoresPerSocket: 16}   // 64-core machine
-	top256 := sim.Topology{Sockets: 4, CoresPerSocket: 64}  // 256-core machine
-	threads := []int{8, 16, 32}                             // below 64-core capacity
+	top64 := sim.Topology{Sockets: 4, CoresPerSocket: 16}  // 64-core machine
+	top256 := sim.Topology{Sockets: 4, CoresPerSocket: 64} // 256-core machine
+	threads := []int{8, 16, 32}                            // below 64-core capacity
 	schemes := []string{SchemeSTM, SchemeHASTM, SchemeLazy, SchemeMVCC}
 	structures := []string{WorkloadHash, WorkloadBST}
 	mappings := []string{MapCompact, MapScatter}

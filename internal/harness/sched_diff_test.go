@@ -2,10 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"hastm.dev/hastm/internal/faults"
+	"hastm.dev/hastm/internal/mem"
+	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 )
 
@@ -14,7 +18,10 @@ import (
 // transaction traces attached — under both simulator schedulers and
 // demands identical simulated results. It complements the randomized
 // program-level suite in internal/sim by covering the actual workloads the
-// figures are built from.
+// figures are built from. The reference scheduler grants every operation,
+// Exec included, while the lease scheduler absorbs each Exec without a
+// grant, so agreement here is also the proof that Exec commutes under real
+// barrier traffic.
 
 // runBoth executes one configuration under the lease and reference
 // schedulers and returns both metric sets.
@@ -45,6 +52,41 @@ func txnTraceBytes(t *testing.T, tb *telemetry.TraceBuffer) []byte {
 	return buf.Bytes()
 }
 
+// compareSchedulers asserts a lease and a reference run of one cell agree
+// on every simulated result and differ only in what a lease saves.
+func compareSchedulers(t *testing.T, lease, ref RunMetrics) {
+	t.Helper()
+	if lease.WallCycles != ref.WallCycles {
+		t.Errorf("wall cycles: lease %d, reference %d", lease.WallCycles, ref.WallCycles)
+	}
+	if !reflect.DeepEqual(lease.Stats.Totals(), ref.Stats.Totals()) {
+		t.Errorf("stats totals diverge:\nlease: %+v\nreference: %+v",
+			lease.Stats.Totals(), ref.Stats.Totals())
+	}
+	for i := range lease.Stats.Cores {
+		if l, r := lease.Stats.Cores[i].Cycles, ref.Stats.Cores[i].Cycles; l != r {
+			t.Errorf("core %d cycles by category: lease %v, reference %v", i, l, r)
+		}
+	}
+	if !reflect.DeepEqual(lease.Telem.Totals(), ref.Telem.Totals()) {
+		t.Errorf("telemetry totals diverge:\nlease: %+v\nreference: %+v",
+			lease.Telem.Totals(), ref.Telem.Totals())
+	}
+	lb, rb := txnTraceBytes(t, lease.TxnTrace), txnTraceBytes(t, ref.TxnTrace)
+	if !bytes.Equal(lb, rb) {
+		t.Errorf("transaction trace bytes diverge (%d vs %d bytes)", len(lb), len(rb))
+	}
+	if !reflect.DeepEqual(lease.Service, ref.Service) {
+		t.Errorf("service records diverge:\nlease: %+v\nreference: %+v", lease.Service, ref.Service)
+	}
+	if lease.Sched.Grants != ref.Sched.Grants {
+		t.Errorf("grants: lease %d, reference %d", lease.Sched.Grants, ref.Sched.Grants)
+	}
+	if ref.Sched.HandoffsAvoided() != 0 {
+		t.Errorf("reference scheduler avoided %d handoffs, want 0", ref.Sched.HandoffsAvoided())
+	}
+}
+
 func TestSchedulerDifferentialHarness(t *testing.T) {
 	cases := []struct {
 		scheme, workload string
@@ -56,34 +98,95 @@ func TestSchedulerDifferentialHarness(t *testing.T) {
 		{SchemeLock, WorkloadHash, 4},
 		{SchemeHyTM, WorkloadBST, 2},
 		{SchemeSeq, WorkloadBTree, 1},
+		// The deferred-update schemes and the hardware baseline, whose
+		// commit paths are Exec-heavy in different places.
+		{SchemeLazy, WorkloadBST, 4},
+		{SchemeLazy, WorkloadHash, 8},
+		{SchemeMVCC, WorkloadBTree, 4},
+		{SchemeMVCC, WorkloadBST, 8},
+		{SchemeHTM, WorkloadHash, 4},
+		{SchemeHTM, WorkloadBST, 8},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.scheme+"/"+tc.workload, func(t *testing.T) {
 			t.Parallel()
 			lease, ref := runBoth(t, tc.scheme, tc.workload, tc.cores)
-			if lease.WallCycles != ref.WallCycles {
-				t.Errorf("wall cycles: lease %d, reference %d", lease.WallCycles, ref.WallCycles)
-			}
-			if !reflect.DeepEqual(lease.Stats.Totals(), ref.Stats.Totals()) {
-				t.Errorf("stats totals diverge:\nlease: %+v\nreference: %+v",
-					lease.Stats.Totals(), ref.Stats.Totals())
-			}
-			if !reflect.DeepEqual(lease.Telem.Totals(), ref.Telem.Totals()) {
-				t.Errorf("telemetry totals diverge:\nlease: %+v\nreference: %+v",
-					lease.Telem.Totals(), ref.Telem.Totals())
-			}
-			lb, rb := txnTraceBytes(t, lease.TxnTrace), txnTraceBytes(t, ref.TxnTrace)
-			if !bytes.Equal(lb, rb) {
-				t.Errorf("transaction trace bytes diverge (%d vs %d bytes)", len(lb), len(rb))
-			}
-			if lease.Sched.Grants != ref.Sched.Grants {
-				t.Errorf("grants: lease %d, reference %d", lease.Sched.Grants, ref.Sched.Grants)
-			}
-			if ref.Sched.HandoffsAvoided() != 0 {
-				t.Errorf("reference scheduler avoided %d handoffs, want 0", ref.Sched.HandoffsAvoided())
-			}
+			compareSchedulers(t, lease, ref)
 		})
+	}
+	// One open-loop service cell: arrivals, admission and latency all key
+	// off the core clocks Exec advances.
+	t.Run("service/stm", func(t *testing.T) {
+		t.Parallel()
+		o := quick()
+		o.TxnTraceMax = 1 << 15
+		sc := ServiceConfig(o, ServiceCores, 256, 0.9, DefaultAdmission())
+		lease, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
+		if err != nil {
+			t.Fatalf("lease run: %v", err)
+		}
+		o.ReferenceScheduler = true
+		ref, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
+		if err != nil {
+			t.Fatalf("reference run: %v", err)
+		}
+		compareSchedulers(t, lease, ref)
+	})
+}
+
+// TestBarrierResetHazard pins the one place Exec was not core-private: core
+// 0 resets the per-core cycle counters in a Step while the other cores wait
+// in the barrier. A waiter spinning on Exec would charge — in host order —
+// before a reset its clock is after, and lose that charge under the lease
+// scheduler only; the barrier's granted spin keeps both schedulers exact.
+func TestBarrierResetHazard(t *testing.T) {
+	const cores = 4
+	run := func(reference bool) string {
+		cfg := sim.DefaultConfig(cores)
+		cfg.ReferenceScheduler = reference
+		m := sim.New(cfg)
+		arrived, goFlag := m.Mem.AllocLines(1), m.Mem.AllocLines(1)
+		line := m.Mem.AllocLines(cores)
+		prog := func(c *sim.Ctx) {
+			// Staggered arrivals, so every waiter spins across the reset at
+			// a different phase of its Load/spin pair.
+			for i := 0; i < 40+17*c.ID(); i++ {
+				c.Exec(uint64(1 + (i+c.ID())%3))
+				c.Load(line + uint64(c.ID())*mem.LineSize)
+			}
+			barrier(c, arrived, goFlag, cores, func(m *sim.Machine) { m.Stats.Reset() })
+			c.SetCat(stats.Commit)
+			for i := 0; i < 20; i++ {
+				c.Exec(2)
+				c.Store(line+uint64(c.ID())*mem.LineSize, uint64(i))
+			}
+		}
+		m.Run(prog, prog, prog, prog)
+		var out string
+		for i := range m.Stats.Cores {
+			out += fmt.Sprintln("core", i, m.Stats.Cores[i].Cycles)
+		}
+		return out
+	}
+	if lease, ref := run(false), run(true); lease != ref {
+		t.Errorf("per-category cycles after the barrier reset:\nlease:\n%sreference:\n%s", lease, ref)
+	}
+}
+
+// TestLeaseRatioGate is the deterministic form of the handoff cliff's gate:
+// on the repo benchmark's stm/bst/4c cell at most 45 % of grants may begin
+// a lease (measured 0.384; 0.753 while every Exec still took a grant).
+func TestLeaseRatioGate(t *testing.T) {
+	o := DefaultOptions()
+	o.Ops, o.Warmup = 256, 64
+	m, err := RunOne(SchemeSTM, WorkloadBST, 4, o, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(m.Sched.Leases) / float64(m.Sched.Grants); ratio > 0.45 {
+		t.Errorf("stm/bst/4c: %d leases for %d grants = %.3f, want <= 0.45",
+			m.Sched.Leases, m.Sched.Grants, ratio)
 	}
 }
 

@@ -439,36 +439,7 @@ func RunOne(scheme, workload string, cores int, o Options, updatePct int) (RunMe
 			if err := workloads.RunThread(th, ds, wcfg); err != nil {
 				panic(fmt.Sprintf("harness warmup: %s/%s: %v", scheme, workload, err))
 			}
-			// Barrier: everyone checks in; core 0 resets the statistics
-			// (warmup excluded) and releases the measured phase.
-			for {
-				old := c.Load(arrived)
-				if ok, _ := c.CAS(arrived, old, old+1); ok {
-					break
-				}
-			}
-			if c.ID() == 0 {
-				for c.Load(arrived) != uint64(cores) {
-					c.Exec(1)
-				}
-				c.Step(func(m *sim.Machine) uint64 {
-					// Warmup excluded from the counter stores and the
-					// transaction trace so reports describe steady state
-					// only — and so the trace's abort events tally exactly
-					// with the abort counters.
-					m.Stats.Reset()
-					m.Telem.Reset()
-					if tb := m.TxnTrace(); tb != nil {
-						tb.Reset()
-					}
-					return 1
-				})
-				c.Store(goFlag, 1)
-			} else {
-				for c.Load(goFlag) != 1 {
-					c.Exec(1)
-				}
-			}
+			barrier(c, arrived, goFlag, cores, resetMeasurement)
 
 			starts[id] = c.Clock()
 			mcfg := workloads.DriverConfig{Ops: per, UpdatePercent: updatePct, Seed: o.Seed}
@@ -507,6 +478,46 @@ func RunOne(scheme, workload string, cores int, o Options, updatePct int) (RunMe
 		return metrics, err
 	}
 	return metrics, nil
+}
+
+// barrier is the warm-up barrier of every multi-core pipeline: each core
+// checks in on arrived; core 0 waits for all of them, runs release as one
+// granted Step and raises goFlag, which the others wait for. A waiter's
+// spin is a granted Step charging Lat.ALU rather than Exec(1) — same
+// cycles, grants and category — because Exec is core-private and takes no
+// grant: in host order a waiter's Exec charge could land before core 0's
+// release (which resets the cycle counters Exec charges) although its clock
+// is after it. Core 0's own Exec precedes its release in program order.
+func barrier(c *sim.Ctx, arrived, goFlag uint64, cores int, release func(*sim.Machine)) {
+	for {
+		old := c.Load(arrived)
+		if ok, _ := c.CAS(arrived, old, old+1); ok {
+			break
+		}
+	}
+	if c.ID() != 0 {
+		alu := c.Machine().Config().Lat.ALU
+		for c.Load(goFlag) != 1 {
+			c.Step(func(*sim.Machine) uint64 { return alu })
+		}
+		return
+	}
+	for c.Load(arrived) != uint64(cores) {
+		c.Exec(1)
+	}
+	c.Step(func(m *sim.Machine) uint64 { release(m); return 1 })
+	c.Store(goFlag, 1)
+}
+
+// resetMeasurement excludes the warmup from the counter stores and the
+// transaction trace so reports describe steady state only — and so the
+// trace's abort events tally exactly with the abort counters.
+func resetMeasurement(m *sim.Machine) {
+	m.Stats.Reset()
+	m.Telem.Reset()
+	if tb := m.TxnTrace(); tb != nil {
+		tb.Reset()
+	}
 }
 
 // mustHealthy panics with the machine's contained failure report, if any.
@@ -548,14 +559,7 @@ func runMicro(scheme string, loadPct, loadReuse int, o Options) RunMetrics {
 			}
 		}
 		runTxns(4) // warmup: fill caches, settle the mode controller
-		c.Step(func(m *sim.Machine) uint64 {
-			m.Stats.Reset()
-			m.Telem.Reset()
-			if tb := m.TxnTrace(); tb != nil {
-				tb.Reset()
-			}
-			return 1
-		})
+		c.Step(func(m *sim.Machine) uint64 { resetMeasurement(m); return 1 })
 		start := c.Clock()
 		runTxns(o.MicroTxns)
 		wall = c.Clock() - start

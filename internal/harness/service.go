@@ -202,32 +202,7 @@ func RunOneServiceScheme(scheme string, cores int, sc service.Config, o Options)
 			if err := service.RunWarmup(th, bank, sc); err != nil {
 				panic(fmt.Sprintf("harness service warmup: %v", err))
 			}
-			// Barrier: everyone checks in; core 0 resets the statistics
-			// (warmup excluded) and releases the measured phase.
-			for {
-				old := c.Load(arrived)
-				if ok, _ := c.CAS(arrived, old, old+1); ok {
-					break
-				}
-			}
-			if c.ID() == 0 {
-				for c.Load(arrived) != uint64(cores) {
-					c.Exec(1)
-				}
-				c.Step(func(m *sim.Machine) uint64 {
-					m.Stats.Reset()
-					m.Telem.Reset()
-					if tb := m.TxnTrace(); tb != nil {
-						tb.Reset()
-					}
-					return 1
-				})
-				c.Store(goFlag, 1)
-			} else {
-				for c.Load(goFlag) != 1 {
-					c.Exec(1)
-				}
-			}
+			barrier(c, arrived, goFlag, cores, resetMeasurement)
 
 			starts[id] = c.Clock()
 			if err := service.RunCoreSim(c, th, bank, sc, &perCore[id], log); err != nil {

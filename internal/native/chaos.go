@@ -61,10 +61,10 @@ func (p chaosPoint) String() string {
 type chaosKind uint8
 
 const (
-	kindStall chaosKind = iota // sleep at a drawn point with locks held
-	kindPreempt                // Gosched burst: simulate an OS preemption
-	kindAbort                  // spurious conflict abort mid-commit
-	kindWakeDelay              // delay a retry waiter's wakeup processing
+	kindStall     chaosKind = iota // sleep at a drawn point with locks held
+	kindPreempt                    // Gosched burst: simulate an OS preemption
+	kindAbort                      // spurious conflict abort mid-commit
+	kindWakeDelay                  // delay a retry waiter's wakeup processing
 	numChaosKinds
 )
 

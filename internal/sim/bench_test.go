@@ -18,7 +18,11 @@ import (
 //
 // 1-core runs exercise the lease fast path at its best (horizon = +inf,
 // zero handoffs after the first grant); 4-core runs interleave cores in
-// cycle order and measure the mixed grant/hand-back regime.
+// cycle order and measure the mixed grant/hand-back regime. Exec is
+// core-private and takes no grant, so Exec/4core costs what Exec/1core
+// does; ExecLoad alternates Exec(2) with a private-line Load — the shape of
+// a barrier's instruction sequence, one op = the pair — where an Exec that
+// took a grant would double the handoffs.
 
 // benchOps runs one op-kind benchmark at the given core count. Each core
 // executes its share of b.N ops against a private cache-resident line.
@@ -55,6 +59,7 @@ func BenchmarkSimOps(b *testing.B) {
 		{"Store", func(c *sim.Ctx, addr uint64) { c.Store(addr, 1) }},
 		{"CAS", func(c *sim.Ctx, addr uint64) { c.CAS(addr, 0, 0) }},
 		{"Exec", func(c *sim.Ctx, addr uint64) { c.Exec(1) }},
+		{"ExecLoad", func(c *sim.Ctx, addr uint64) { c.Exec(2); c.Load(addr) }},
 	}
 	for _, k := range kinds {
 		for _, cores := range []int{1, 4} {

@@ -23,10 +23,12 @@ func (c *Ctx) start(p Program) {
 				m.recordFault(c, r)
 			}
 			// One final grant to report completion deterministically. A
-			// core still holding a lease is strictly below the horizon,
-			// so it IS the unique min-clock core and the completion
-			// grant is already its — consume it inline.
-			if !c.leased {
+			// core still holding a lease is below the horizon, so it IS
+			// the (clock, id)-minimum core and the completion grant is
+			// already its — consume it inline. With no per-operation duty
+			// armed nothing reads the completion order, so completion is
+			// core-private like Exec: counted, not waited for.
+			if !c.leased && m.perOpDuties {
 				yield(struct{}{})
 			}
 			c.leased = false

@@ -8,6 +8,7 @@ import (
 
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/stats"
 )
 
 // The scheduler differential suite is the executable form of the lease
@@ -15,10 +16,11 @@ import (
 // the reference per-op handoff scheduler must produce byte-identical
 // simulated results — identical per-core clocks, statistics, memory
 // contents and trace bytes. The lease only continues while the leased
-// core's pre-op clock is strictly below every other active core's clock,
-// so the reference scheduler would have granted the same core anyway;
-// ties are conservatively handed back so the (clock, id) tie-break
-// decides them identically.
+// core's pre-op (clock, id) is below every other active core's, so the
+// reference scheduler would have granted the same core anyway. The
+// reference grants every operation, Exec included; the lease loops absorb
+// each Exec without a grant, so the same comparison proves that Exec
+// commutes with every other core's operations.
 
 // splitMix is a tiny deterministic PRNG for generating random programs.
 type splitMix struct{ s uint64 }
@@ -92,23 +94,35 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 		progs[i] = func(c *sim.Ctx) {
 			r := splitMix{s: seed*1000003 + uint64(id)}
 			ops := 400 + int(r.next()%200)
+			cats := stats.Categories()
 			for n := 0; n < ops; n++ {
-				switch r.next() % 10 {
-				case 0, 1, 2:
+				// 40 % Exec with the category changing between them, as in
+				// real barrier traffic (register-only work is 40–50 % of all
+				// operations on every scheme); the rest as before.
+				switch k := r.next() % 20; {
+				case k < 8:
+					if k < 3 {
+						c.SetCat(cats[r.next()%uint64(len(cats))])
+					}
+					c.Exec(1 + r.next()%7)
+					if k == 0 {
+						// Host code after an Exec: appended at a different
+						// host position per scheduler, canonical on render.
+						c.TraceEvent("exec", fmt.Sprintf("op%d", n))
+					}
+				case k < 12:
 					c.Load(shared + (r.next()%64)*8)
-				case 3:
+				case k < 14:
 					c.Store(shared+(r.next()%64)*8, r.next())
-				case 4:
+				case k < 15:
 					old := c.Load(shared)
 					c.CAS(shared, old, old+1)
-				case 5, 6:
+				case k < 18:
 					a := private[id] + (r.next()%32)*8
 					c.Store(a, c.Load(a)+1)
-				case 7:
-					c.Exec(1 + r.next()%7)
-				case 8:
+				case k < 19:
 					c.LoadSetMark(private[id], mem.LineSize)
-				case 9:
+				default:
 					if _, marked := c.LoadTestMark(private[id], mem.LineSize); marked {
 						c.TraceEvent("marked", fmt.Sprintf("op%d", n))
 					}
@@ -118,9 +132,10 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 	}
 	wall := m.Run(progs...)
 
-	out := diffOutcome{wall: wall, stats: m.Stats.String(), grants: m.Sched().Grants}
+	out := diffOutcome{wall: wall, grants: m.Sched().Grants}
 	for i := 0; i < cores; i++ {
 		out.clocks = append(out.clocks, m.Core(i).Clock())
+		out.stats += fmt.Sprintln(i, m.Stats.Cores[i].Cycles) // exact, per core and category
 	}
 	var buf bytes.Buffer
 	tb.Render(&buf, 0)
@@ -295,5 +310,157 @@ func TestSchedCounters(t *testing.T) {
 		if hostSections != 9 {
 			t.Errorf("reference=%v: host sections ran %d times, want 9", reference, hostSections)
 		}
+	}
+
+	// Exec is core-private: an Exec-only program never waits for a grant,
+	// so each core runs start to finish — completion included — under the
+	// one lease that first switched into it. The reference scheduler still
+	// grants every Exec.
+	for _, reference := range []bool{false, true} {
+		cfg := sim.DefaultConfig(4)
+		cfg.ReferenceScheduler = reference
+		m := sim.New(cfg)
+		prog := func(c *sim.Ctx) {
+			for i := 0; i < ops; i++ {
+				c.Exec(uint64(1 + i%3))
+			}
+		}
+		m.Run(prog, prog, prog, prog)
+		want := sim.SchedCounters{Grants: 4 * (ops + 1), Leases: 4}
+		if reference {
+			want.Leases = want.Grants
+		}
+		if got := m.Sched(); got != want {
+			t.Errorf("reference=%v: Exec-only 4-core program = %+v, want %+v", reference, got, want)
+		}
+	}
+
+	// A clock tie belongs to the lower id. short reaches clock 2 in two
+	// steps while long gets there in one: when short runs on core 0 its
+	// second step ties (2,0) against (2,1) and keeps the lease for the third
+	// (4 leases; 5 if the tie were handed back); on core 1 the tie (2,1)
+	// against (2,0) must be handed back so long's second step is granted
+	// first (4 leases and that order; 3 if the tie were kept).
+	step := func(c *sim.Ctx, cycles uint64, order *[]string, name string) {
+		c.Step(func(*sim.Machine) uint64 { *order = append(*order, name); return cycles })
+	}
+	for _, shortOnZero := range []bool{true, false} {
+		var order []string
+		short := func(c *sim.Ctx) {
+			step(c, 1, &order, "s1")
+			step(c, 1, &order, "s2")
+			step(c, 1, &order, "s3")
+		}
+		long := func(c *sim.Ctx) {
+			step(c, 2, &order, "l1")
+			step(c, 5, &order, "l2")
+		}
+		m := sim.New(sim.DefaultConfig(2))
+		wantOrder := "[s1 l1 s2 s3 l2]"
+		if shortOnZero {
+			m.Run(short, long)
+		} else {
+			m.Run(long, short)
+			wantOrder = "[l1 s1 s2 l2 s3]"
+		}
+		if got := m.Sched(); got != (sim.SchedCounters{Grants: 7, Leases: 4}) {
+			t.Errorf("shortOnZero=%v: clock tie = %+v, want 7 grants under 4 leases", shortOnZero, got)
+		}
+		if got := fmt.Sprint(order); got != wantOrder {
+			t.Errorf("shortOnZero=%v: grant order %s, want %s", shortOnZero, got, wantOrder)
+		}
+	}
+}
+
+// TestArmedMachinesGrantEveryExec pins the other half of the Exec contract:
+// a machine with a per-operation duty — interrupt cadence, a fault hook, a
+// watchdog — defines its ring transitions, OnGrant schedule and trip points
+// per grant, so it keeps granting every Exec under the lease scheduler too,
+// and the reference scheduler agrees with it on all of them.
+func TestArmedMachinesGrantEveryExec(t *testing.T) {
+	const cores = 3
+	type outcome struct {
+		sched     sim.SchedCounters
+		clocks    [cores]uint64
+		onGrant   uint64
+		ringAt    string // "core@clock" of every Exec that absorbed a ring transition
+		violation *sim.ProgressViolation
+	}
+	arms := []struct {
+		name string
+		arm  func(*sim.Config)
+		hook bool
+		trip string
+	}{
+		{name: "interrupt-every", arm: func(c *sim.Config) { c.InterruptEvery = 300 }},
+		{name: "fault-hook", arm: func(*sim.Config) {}, hook: true},
+		{name: "watchdog-window", arm: func(c *sim.Config) { c.WatchdogWindow = 900 }, trip: sim.KindCommitStall},
+		{name: "cycle-budget", arm: func(c *sim.Config) { c.CycleBudget = 700 }, trip: sim.KindCycleBudget},
+	}
+	for _, a := range arms {
+		t.Run(a.name, func(t *testing.T) {
+			run := func(reference bool) outcome {
+				cfg := sim.DefaultConfig(cores)
+				cfg.ReferenceScheduler = reference
+				a.arm(&cfg)
+				m := sim.New(cfg)
+				hook := suspendEveryHook{n: ^uint64(0)} // never fires: counts OnGrant only
+				if a.hook {
+					m.SetFaultHook(&hook)
+				}
+				line := m.Mem.AllocLines(cores)
+				var out outcome
+				prog := func(c *sim.Ctx) {
+					// Exec-dominated, so trip points and ring transitions
+					// land on Execs — which a grant-free Exec would skip.
+					for i := 0; i < 400; i++ {
+						before := c.Clock()
+						n := uint64(1 + (i+c.ID())%4)
+						c.Exec(n)
+						if c.Clock()-before > n {
+							out.ringAt += fmt.Sprintf(" %d@%d", c.ID(), before)
+						}
+						if i%5 == 0 {
+							c.Load(line + uint64(c.ID())*mem.LineSize)
+						}
+					}
+				}
+				m.Run(prog, prog, prog)
+				out.sched, out.onGrant, out.violation = m.Sched(), hook.grants, m.Violation()
+				for i := range out.clocks {
+					out.clocks[i] = m.Core(i).Clock()
+				}
+				return out
+			}
+			lease, ref := run(false), run(true)
+			if !reflect.DeepEqual(lease.violation, ref.violation) {
+				t.Errorf("violation reports diverge:\nlease:     %+v\nreference: %+v", lease.violation, ref.violation)
+			}
+			tripped, refSched := lease.violation, ref.sched
+			lease.violation, ref.violation = nil, nil
+			lease.sched.Leases, ref.sched.Leases = 0, 0
+			if lease != ref {
+				t.Errorf("armed run diverges:\nlease:     %+v\nreference: %+v", lease, ref)
+			}
+			// (A trip unwinds each core under the grant it already holds.)
+			if a.trip == "" && refSched.Leases != refSched.Grants {
+				t.Errorf("reference leases = %d, want %d (one per grant)", refSched.Leases, refSched.Grants)
+			}
+			switch {
+			case a.trip != "":
+				if tripped == nil || tripped.Kind != a.trip {
+					t.Errorf("violation = %+v, want a %s trip", tripped, a.trip)
+				}
+			case a.hook:
+				// Every operation but the per-core completion grants.
+				if want := refSched.Grants - cores; lease.onGrant != want {
+					t.Errorf("OnGrant ran %d times, want %d (every Exec granted)", lease.onGrant, want)
+				}
+			default:
+				if lease.ringAt == "" {
+					t.Error("no Exec absorbed a ring transition: Exec took no grant on an armed machine")
+				}
+			}
+		})
 	}
 }

@@ -19,17 +19,26 @@
 // loop (Config.ReferenceScheduler) scans for the min-clock core and grants
 // it exactly one operation. The default grant-lease loop instead grants the
 // min-clock core a *lease*: the right to execute operations inline for as
-// long as its pre-operation clock stays strictly below the horizon (the
-// minimum clock of the other runnable cores, maintained in a min-heap); the
-// multi-socket loop is the same with one heap per socket. While the clock
-// is strictly below the horizon this core is the unique minimum, so the
-// serial scheduler would have granted it every one of those operations
-// anyway; on a tie the core conservatively hands back so the lowest-id
-// tie-break is decided by the scheduler, never assumed. Grant order — and
-// therefore every simulated result — is identical under all three loops;
-// only the number of coroutine switches changes. A single runnable core
-// (every 1-core cell, and the tail of every multi-core run) executes with
-// zero handoffs.
+// long as its pre-operation (clock, id) stays below the horizon (the
+// (clock, id) minimum of the other runnable cores, maintained in a
+// min-heap); the multi-socket loop is the same with one heap per socket.
+// Below the horizon this core is the minimum, so the serial scheduler would
+// have granted it every one of those operations anyway — a clock tie
+// included, when this core's id is the lower. Grant order — and therefore
+// every simulated result — is identical under all three loops; only the
+// number of coroutine switches changes. A single runnable core (every
+// 1-core cell, and the tail of every multi-core run) executes with zero
+// handoffs.
+//
+// Only operations on shared state need that order. Exec is core-private —
+// it adds to this core's clock and cycle counters and nothing else — so it
+// takes no grant unless a per-operation duty is armed (Machine.perOpDuties):
+// absorbing it early only moves the core to the clock it would have reached
+// anyway, and every shared operation is still granted at the same
+// (pre-operation clock, id) key. The corollary for harness authors: host
+// code after an Exec runs at the position of the preceding shared
+// operation, so poll host state another core writes inside a Step with a
+// granted operation (as the harness barrier does), never with Exec.
 //
 // The Ctx exposes ordinary loads/stores/CAS, an Exec(n) charge for ALU
 // work, and the paper's six ISA extensions (loadsetmark, loadresetmark,
@@ -287,9 +296,15 @@ type Machine struct {
 	txnTrace *telemetry.TraceBuffer
 	fault    FaultHook
 
+	// perOpDuties, fixed at Run, is true when every operation — Exec
+	// included — must be individually granted: a watchdog, interrupt cadence
+	// or fault hook is armed (their trip points, ring transitions and OnGrant
+	// schedules are defined per grant), or this is the reference scheduler.
+	// It is the one branch unarmed machines pay on the hot path.
+	perOpDuties bool
+
 	// Progress-guarantee state (see progress.go). watch is true when any
-	// watchdog is armed; it gates all per-grant duties behind one branch so
-	// unarmed machines (micro-benchmarks) pay nothing on the hot path.
+	// watchdog is armed.
 	watch      bool
 	failed     atomic.Bool
 	violation  *ProgressViolation // written once, under the grant (or by Run on stall)
@@ -302,26 +317,29 @@ type Machine struct {
 }
 
 // SchedCounters is the scheduler's observability block: how many
-// architectural operations were granted and how many host-side handoffs
-// (coroutine switches into a core and back, i.e. leases) were paid for
-// them. Both values are pure functions of the simulated schedule, so they
-// are deterministic for a given configuration — but they differ by design
+// architectural operations ran and how many host-side handoffs (coroutine
+// switches into a core and back, i.e. leases) were paid for them. Both
+// values are pure functions of the simulated schedule, so they are
+// deterministic for a given configuration — but Leases differs by design
 // between the lease and reference schedulers, which is why they live here
 // and not in the telemetry counter blocks the differential suite compares.
 type SchedCounters struct {
-	// Grants counts granted architectural operations, including the one
-	// completion grant each program consumes to report termination.
+	// Grants counts architectural operations, including the one completion
+	// grant each program consumes to report termination. An Exec counts
+	// whether or not it had to be granted, so Grants is the same under
+	// every scheduler.
 	Grants uint64
 	// Leases counts scheduler handoffs: one switch from the scheduler
 	// loop into a core's coroutine and one back. Under the reference
 	// scheduler every grant is its own lease of length one; under the
 	// grant-lease scheduler one lease covers a maximal run of consecutive
-	// grants to the same core.
+	// grants to the same core plus the Execs that follow it.
 	Leases uint64
 }
 
-// HandoffsAvoided returns how many grants executed inline under a lease
-// without paying a coroutine round-trip.
+// HandoffsAvoided returns how many grants executed inline under a lease —
+// or, for a core-private Exec, under no lease at all — without paying a
+// coroutine round-trip.
 func (s SchedCounters) HandoffsAvoided() uint64 { return s.Grants - s.Leases }
 
 // Sched returns the scheduler counters. Stable only after Run returns.
@@ -418,6 +436,7 @@ func (m *Machine) Run(progs ...Program) uint64 {
 		panic("sim: Machine.Run called twice; build a fresh machine per run")
 	}
 	m.ran = true
+	m.perOpDuties = m.watch || m.cfg.InterruptEvery > 0 || m.fault != nil || m.cfg.ReferenceScheduler
 	if len(progs) > m.cfg.Cores {
 		panic(fmt.Sprintf("sim: %d programs for %d cores", len(progs), m.cfg.Cores))
 	}
@@ -464,7 +483,7 @@ func (m *Machine) drive(running int, active []bool) {
 // switch back comes when c next needs a grant it does not hold (see
 // Ctx.acquire) or when its program has returned, which is the completion
 // event: grant then reports false.
-func (m *Machine) grant(c *Ctx, horizon uint64) (unfinished bool) {
+func (m *Machine) grant(c *Ctx, horizon heapEntry) (unfinished bool) {
 	m.sched.Leases++
 	c.horizon = horizon
 	c.leased = true
@@ -490,8 +509,8 @@ func (m *Machine) runReference(running int, active []bool) {
 				pick = i
 			}
 		}
-		// Horizon 0: release always hands back, a lease of length one.
-		if !m.grant(m.cores[pick], 0) {
+		// Zero horizon: release always hands back, a lease of length one.
+		if !m.grant(m.cores[pick], heapEntry{}) {
 			active[pick] = false
 			m.doneCores[pick] = true
 			running--
@@ -503,10 +522,10 @@ func (m *Machine) runReference(running int, active []bool) {
 // (clock, id); the popped core receives the heap minimum that remains as
 // its horizon and executes inline until an operation would start at or
 // above it (see Ctx.release). Because no other core's clock can change
-// while the lease is out, the horizon is exact, and the strict-inequality
-// continuation rule means every inline grant went to the unique min-clock
-// core — exactly what runReference would have done. Clock ties hand back
-// so the heap's lowest-id tie-break decides, matching the reference scan.
+// while the lease is out, the horizon is exact, and the continuation rule
+// — (clock, id) below the horizon entry — means every inline grant went to
+// the core this loop would have popped next, which is the one runReference
+// would have picked: a clock tie stays with the lower id, as in its scan.
 func (m *Machine) runLease(running int, active []bool) {
 	h := newSchedHeap(m.cfg.Cores)
 	for i := 0; i < m.cfg.Cores; i++ {
@@ -517,9 +536,9 @@ func (m *Machine) runLease(running int, active []bool) {
 	for running > 0 {
 		e := h.pop()
 		c := m.cores[e.id]
-		horizon := ^uint64(0) // alone: run to completion, zero handoffs
+		horizon := idleEntry // alone: run to completion, zero handoffs
 		if h.len() > 0 {
-			horizon = h.min().clock
+			horizon = h.min()
 		}
 		if m.grant(c, horizon) {
 			h.push(heapEntry{clock: c.clock, id: e.id})
@@ -543,12 +562,11 @@ func (m *Machine) runLease(running int, active []bool) {
 func (m *Machine) runLeaseSockets(running int, active []bool) {
 	nsock := m.top.Sockets
 	cps := m.top.CoresPerSocket
-	idle := heapEntry{clock: ^uint64(0), id: int(^uint(0) >> 1)}
 	groups := make([]*schedHeap, nsock)
-	frontier := make([]heapEntry, nsock) // mirror of groups[s].min(); idle when empty
+	frontier := make([]heapEntry, nsock) // mirror of groups[s].min(); idleEntry when empty
 	for s := range groups {
 		groups[s] = newSchedHeap(cps)
-		frontier[s] = idle
+		frontier[s] = idleEntry
 	}
 	for i := 0; i < m.cfg.Cores; i++ {
 		if active[i] {
@@ -571,17 +589,17 @@ func (m *Machine) runLeaseSockets(running int, active []bool) {
 		if groups[best].len() > 0 {
 			frontier[best] = groups[best].min()
 		} else {
-			frontier[best] = idle
+			frontier[best] = idleEntry
 		}
 		c := m.cores[e.id]
-		horizon := idle
+		horizon := idleEntry
 		for s := 0; s < nsock; s++ {
 			if frontier[s].less(horizon) {
 				horizon = frontier[s]
 			}
 		}
-		// idle.clock == ^0: alone, run to completion
-		if m.grant(c, horizon.clock) {
+		// still idle: alone, run to completion
+		if m.grant(c, horizon) {
 			groups[best].push(heapEntry{clock: c.clock, id: e.id})
 			frontier[best] = groups[best].min()
 		} else {
@@ -599,6 +617,10 @@ type heapEntry struct {
 	clock uint64
 	id    int
 }
+
+// idleEntry sorts after every runnable core: the horizon of a core running
+// alone, and an empty socket's frontier slot.
+var idleEntry = heapEntry{clock: ^uint64(0), id: int(^uint(0) >> 1)}
 
 func (a heapEntry) less(b heapEntry) bool {
 	return a.clock < b.clock || (a.clock == b.clock && a.id < b.id)
@@ -666,11 +688,12 @@ type Ctx struct {
 	yield func(struct{}) bool
 
 	// Lease state. leased is true while this core holds a grant it may
-	// extend inline; horizon is the minimum clock of the other runnable
-	// cores; the scheduler sets both when it issues the lease. Under the
-	// reference scheduler horizon stays 0, so release always hands back.
+	// extend inline; horizon is the (clock, id) minimum of the other
+	// runnable cores; the scheduler sets both when it issues the lease.
+	// Under the reference scheduler horizon stays zero, so release always
+	// hands back.
 	leased  bool
-	horizon uint64
+	horizon heapEntry
 
 	markCounter   [cache.NumMarkPlanes]uint64
 	lastInterrupt uint64
@@ -733,16 +756,23 @@ func (c *Ctx) charge(cycles uint64) {
 
 // acquire obtains the grant for the next architectural operation — inline
 // when this core holds a live lease, otherwise by switching back to the
-// scheduler until it leases this core again — then applies any pending
-// ring transition and runs the fault hook. The per-operation duties run on
-// every grant path, so ring transitions and fault injections fire at the
-// same deterministic points of the global operation order under every
-// scheduler.
+// scheduler until it leases this core again — then runs the per-operation
+// duties, if the machine has any.
 func (c *Ctx) acquire() {
 	if !c.leased {
 		c.yield(struct{}{})
 	}
 	c.m.sched.Grants++
+	if c.m.perOpDuties {
+		c.opDuties()
+	}
+}
+
+// opDuties runs the watchdogs, applies any pending ring transition and
+// runs the fault hook. An armed machine grants every operation, Exec
+// included, so these fire at the same deterministic points of the global
+// operation order under every scheduler.
+func (c *Ctx) opDuties() {
 	if c.m.watch {
 		c.progressDuties()
 	}
@@ -782,16 +812,15 @@ func (c *Ctx) InjectSuspend() { c.ringTransitionNow() }
 // the core is validating).
 func (c *Ctx) Cat() stats.Category { return c.cat }
 
-// release ends the granted operation. While the post-operation clock is
-// strictly below the horizon this core is still the unique min-clock core,
-// so the lease extends and the next acquire proceeds inline with no host
-// handoff. At or above the horizon the core conservatively gives the lease
-// up: another core has caught up (or a tie must be broken by id), so the
-// next acquire yields and the scheduler decides the next grant exactly as
-// the reference scan would. The program's host code up to that acquire
-// still runs before the switch.
+// release ends the operation. While the post-operation (clock, id) is
+// below the horizon entry this core is still the one the pick loop would
+// choose — on a clock tie too, when its id is the lower — so the lease
+// extends and the next acquire proceeds inline with no host handoff.
+// Otherwise another core has caught up and the lease is given up: the next
+// acquire yields and the scheduler picks. The program's host code (and any
+// core-private Exec) up to that acquire still runs before the switch.
 func (c *Ctx) release() {
-	if c.clock >= c.horizon {
+	if !(heapEntry{clock: c.clock, id: c.id}).less(c.horizon) {
 		c.leased = false
 	}
 }
@@ -881,12 +910,22 @@ func (m *Machine) chargeAccess(core int, addr uint64, res cache.AccessResult) ui
 	}
 }
 
-// Exec charges n ALU instructions.
+// Exec charges n ALU instructions. It is core-private: nothing it touches
+// is visible to another core, so unless a per-operation duty is armed it
+// takes no grant — it is counted, charged and tested against the horizon
+// where it stands, with no switch even when the lease is gone. Shared
+// operations keep their (pre-operation clock, id) grant keys, so the
+// simulated schedule is the one that grants every Exec. Host code after an
+// Exec must not read host state another core's Step writes; see Step.
 func (c *Ctx) Exec(n uint64) {
 	if n == 0 {
 		return
 	}
-	c.acquire()
+	if c.m.perOpDuties {
+		c.acquire()
+	} else {
+		c.m.sched.Grants++
+	}
 	c.charge(n * c.m.cfg.Lat.ALU)
 	c.release()
 }
@@ -947,7 +986,9 @@ func (c *Ctx) Alloc(size, align uint64) uint64 {
 // composite operations (speculative access + set tracking, atomic commit)
 // out of Steps so that all of its state changes stay inside granted
 // sections and runs remain deterministic. f must not call other Ctx
-// methods.
+// methods. A Step is always granted, so a Step with an empty f is how a
+// program spins on host state another core's Step writes (Exec would not
+// be ordered against that write).
 func (c *Ctx) Step(f func(m *Machine) uint64) {
 	c.acquire()
 	c.charge(f(c.m))

@@ -19,11 +19,16 @@ type TraceEvent struct {
 	Detail string
 }
 
-// TraceBuffer collects events from all cores. Appends are mutex-protected
-// (goroutines emit between grants, so two cores' appends can race in host
-// time); Events() canonicalises into (cycle, core) order, which depends
+// TraceBuffer collects events from all cores. Core programs are coroutines
+// on one thread, so appends are single-threaded and deterministic for a
+// given scheduler, but raw append order differs between the lease and
+// reference loops: host code after a core-private Exec runs at the position
+// of the preceding shared operation in one and at the Exec's own grant in
+// the other. Events() canonicalises into (cycle, core) order, which depends
 // only on simulated state, so rendered traces are byte-identical across
-// runs, worker counts and host schedulers.
+// runs, worker counts and schedulers — unless the buffer overflowed: which
+// events were dropped follows append order, so an overflowed buffer is not
+// comparable across -sched.
 type TraceBuffer struct {
 	mu     sync.Mutex
 	events []TraceEvent
@@ -51,7 +56,7 @@ func (b *TraceBuffer) add(ev TraceEvent) {
 // ties within one core broken by that core's emission order. A core's
 // clock never decreases and the stable sort keeps equal-keyed events in
 // append order — which within one core IS program order — so the result
-// is fully deterministic even though raw cross-core append order is not.
+// does not depend on the scheduler-specific cross-core append order.
 func (b *TraceBuffer) Events() []TraceEvent {
 	b.mu.Lock()
 	defer b.mu.Unlock()

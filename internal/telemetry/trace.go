@@ -79,10 +79,11 @@ const (
 )
 
 // TraceBuffer collects transaction events from every core of one machine.
-// Appends are mutex-protected: core goroutines emit between scheduler
-// grants, so two cores' emissions can race in host time even though
-// simulated time is serialised. When full, further events are dropped and
-// counted, bounding memory on long runs.
+// Core programs are coroutines that run one at a time on the scheduler's
+// thread, so appends are single-threaded and their order is deterministic
+// for a given scheduler; the mutex only keeps the type safe to share. When
+// full, further events are dropped and counted, bounding memory on long
+// runs.
 type TraceBuffer struct {
 	mu      sync.Mutex
 	events  []TxnEvent
@@ -114,16 +115,19 @@ func (b *TraceBuffer) Add(ev TxnEvent) {
 
 // Events returns the collected events in canonical order: ascending
 // (cycle, core), ties broken by per-core emission order. Raw append order
-// is host-scheduling dependent — core goroutines emit between simulator
-// grants, so two cores' appends can race in host time even though each
-// core's event CONTENT (clocks, causes, set sizes) is fully deterministic.
-// A stable sort on the deterministic content therefore yields the same
-// sequence on every run and every worker count. Per-core program order is
+// is deterministic but scheduler-dependent: cores emit from host code
+// between grants, which runs on past a given-up lease, and host code after
+// a core-private Exec runs at the position of the preceding shared
+// operation under the lease scheduler but at the Exec's own grant under the
+// reference scheduler. Each event's CONTENT (clocks, causes, set sizes) is
+// the same under both, so a stable sort on it yields the same sequence on
+// every run, worker count and scheduler. Per-core program order is
 // preserved: a core's clock never decreases, and the stable sort keeps
 // equal-keyed events in append order, which is program order within one
-// core. (If the buffer overflowed, WHICH events were dropped is
-// host-dependent; keep the cap above the workload's event count when
-// byte-stable output matters.)
+// core. (If the buffer overflowed, WHICH events were dropped follows raw
+// append order, so an overflowed trace is not comparable across -sched;
+// keep the cap above the workload's event count when byte-stable output
+// matters.)
 func (b *TraceBuffer) Events() []TxnEvent {
 	b.mu.Lock()
 	defer b.mu.Unlock()
