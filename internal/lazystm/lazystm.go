@@ -46,10 +46,11 @@
 // can never go stale and a writer restart is impossible — the serial
 // attempt keeps its no-abort guarantee.
 //
-// Both schemes implement the full tm contract (closed nesting with partial
-// write-buffer rollback, retry/orElse wait sets, explicit abort) and ride
-// the shared tm.AttemptFSM, so the escalation ladder, fault plane and
-// trace/telemetry planes work unchanged.
+// Both schemes are a tm.Protocol under the shared tm.Engine (thread.go), so
+// closed nesting, retry/orElse, explicit abort, the escalation ladder and
+// the trace/telemetry planes are the eager STM's own code; stm.Base
+// supplies the read log and the rest of the version-management-independent
+// half.
 package lazystm
 
 import (
@@ -58,21 +59,6 @@ import (
 	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/tm"
 )
-
-// Descriptor layout (simulated memory): two log pointers, padded to a cache
-// line. As in package stm the descriptor address is word-aligned, hence
-// even, which is what distinguishes an owner pointer from an odd version in
-// a transaction record.
-const (
-	descRdLog = 0 // read-set log pointer
-	descWbLog = 8 // write-buffer log pointer
-	descSize  = 64
-)
-
-// logCap is the per-thread log capacity in entries (two words each).
-const logCap = 1 << 15
-
-const entryBytes = 16
 
 // histDepth is how many displaced versions the MVCC variant retains per
 // location. A snapshot older than the history's reach takes a prune-miss
@@ -165,24 +151,10 @@ func (s *System) Machine() *sim.Machine { return s.machine }
 // cost, exactly as in the eager engine.
 func (s *System) Thread(ctx *sim.Ctx) tm.Thread {
 	t := &Thread{
-		sys:     s,
-		ctx:     ctx,
-		wbIdx:   make(map[uint64]int, 64),
-		acqVer:  make(map[uint64]uint64, 64),
-		backoff: tm.NewBackoff(ctx.ID()),
-		ladder:  tm.NewBackoff(ctx.ID()),
-		fsm:     tm.AttemptFSM{RetryBudget: s.cfg.Progress.RetryBudget},
+		sys:    s,
+		wbIdx:  make(map[uint64]int, 64),
+		acqVer: make(map[uint64]uint64, 64),
 	}
-	// The allocator is shared machine state: reserve the thread's
-	// descriptor and logs inside one architectural step so concurrent
-	// thread creation stays deterministic and race-free.
-	ctx.Step(func(m *sim.Machine) uint64 {
-		t.desc = m.Mem.Alloc(descSize, mem.LineSize)
-		t.tls = m.Mem.Alloc(mem.LineSize, mem.LineSize)
-		t.rdLog = m.Mem.Alloc(logCap*entryBytes, mem.LineSize)
-		t.wbLog = m.Mem.Alloc(logCap*entryBytes, mem.LineSize)
-		m.Mem.Store(t.tls, t.desc)
-		return 16
-	})
+	t.Init(t, ctx, &s.cfg, s.table, s.name, 2)
 	return t
 }

@@ -10,6 +10,9 @@ import (
 	"hastm.dev/hastm/internal/tm"
 )
 
+// logWb is the write buffer's slot among the Base's simulated logs.
+const logWb = 1
+
 // wbEntry is one write-buffer entry: the buffered (address, value) pair,
 // the address's transaction record (precomputed so object-granularity
 // stores keep their header record), and the index of the previous buffered
@@ -22,36 +25,25 @@ type wbEntry struct {
 	Prev int
 }
 
-// savepoint marks a nested transaction's rollback point. Deferred updates
-// need no undo positions — only the log lengths and the snapshot-read flag.
-type savepoint struct {
-	reads      int
-	wb         int
-	histServed bool
+// writerRestart is the MVCC restart signal thrown when a snapshot attempt's
+// first store finds the snapshot stale: the reads cannot carry over into
+// writer mode, so the attempt restarts pinned to the lazy protocol. Boxed
+// once so throwing it allocates nothing.
+var writerRestart interface{} = tm.RestartSignal{
+	Event:  telemetry.EvWriterRestart,
+	Cause:  "snapshot-stale",
+	Detail: "snapshot stale at first store",
 }
 
-// writerRestart is the MVCC control-flow signal thrown when a snapshot
-// attempt's first store finds the snapshot stale: the attempt restarts
-// pinned to writer mode. Like tm.RetrySignal it unwinds the body without
-// being an abort.
-type writerRestart struct{}
-
-// Thread is one core's deferred-update transactional thread. It implements
-// both tm.Thread and tm.Txn.
+// Thread is one core's deferred-update transactional thread: the lazy
+// write-buffer protocol (and its MVCC snapshot variant) under the shared
+// tm.Engine. It implements tm.Thread, tm.Txn and tm.Protocol.
 type Thread struct {
+	stm.Base
 	sys *System
-	ctx *sim.Ctx
 
-	desc  uint64 // descriptor in simulated memory
-	tls   uint64 // simulated TLS slot holding the descriptor pointer
-	rdLog uint64 // log array base addresses in simulated memory
-	wbLog uint64
-
-	// Go-side mirrors of the simulated logs (identical contents; the
-	// simulated stores above charge the real cache/cycle costs).
-	reads []stm.RecEntry
+	// Go-side mirror of the simulated write buffer.
 	wb    []wbEntry
-
 	wbIdx map[uint64]int // addr -> index of its latest wb entry
 
 	// Commit-protocol state: records acquired this commit in acquisition
@@ -60,21 +52,6 @@ type Thread struct {
 	acq        []stm.RecEntry
 	acqVer     map[uint64]uint64
 	recScratch []uint64
-
-	watch []stm.RecEntry // retry wait-set accumulated across rollbacks
-	saves []savepoint
-
-	backoff            *tm.Backoff
-	readsSinceValidate int
-	txnSeq             uint64
-	inTxn              bool
-
-	fsm         tm.AttemptFSM
-	ladder      *tm.Backoff
-	irrevocable bool
-	irrevStart  uint64
-
-	serializeNext bool
 
 	// MVCC per-attempt state. snapshot is true while the attempt has not
 	// stored: reads validate against the begin-time snapTS instead of being
@@ -90,349 +67,56 @@ type Thread struct {
 }
 
 var (
-	_ tm.Thread = (*Thread)(nil)
-	_ tm.Txn    = (*Thread)(nil)
+	_ tm.Thread   = (*Thread)(nil)
+	_ tm.Protocol = (*Thread)(nil)
 )
-
-// Ctx returns the core context this thread runs on.
-func (t *Thread) Ctx() *sim.Ctx { return t.ctx }
-
-// ID returns the core id (the backend-neutral thread index).
-func (t *Thread) ID() int { return t.ctx.ID() }
-
-// Stamp returns the simulated clock, the serialization stamp of the most
-// recently completed atomic block on the cycle-ordered simulator.
-func (t *Thread) Stamp() uint64 { return t.ctx.Clock() }
-
-// Stats returns the per-core statistics record.
-func (t *Thread) Stats() *stats.Core {
-	return &t.ctx.Machine().Stats.Cores[t.ctx.ID()]
-}
-
-// Config returns the TM configuration.
-func (t *Thread) Config() tm.Config { return t.sys.cfg }
-
-// Attempt returns the current attempt number (0 = first execution).
-func (t *Thread) Attempt() int { return t.fsm.Attempt() }
-
-// TxnSeq returns the per-thread id of the current (or most recent)
-// top-level transaction; it stays stable across that transaction's retries.
-func (t *Thread) TxnSeq() uint64 { return t.txnSeq }
-
-// Desc returns the simulated address of the transaction descriptor.
-func (t *Thread) Desc() uint64 { return t.desc }
 
 // Snapshot reports whether the current attempt is still on the MVCC
 // snapshot read path (read-only so far).
 func (t *Thread) Snapshot() bool { return t.snapshot }
 
-// ReadSetSize returns the current number of read-set entries.
-func (t *Thread) ReadSetSize() int { return len(t.reads) }
+// --- tm.Protocol: deferred version management ---------------------------------
 
-// WriteBufferSize returns the current number of write-buffer entries
-// (including superseded ones).
-func (t *Thread) WriteBufferSize() int { return len(t.wb) }
-
-func (t *Thread) requireTxn() {
-	if !t.inTxn {
-		panic("lazystm: transactional access outside an atomic block")
+// BeginAttempt rewinds the logs and, under MVCC, fixes the attempt's
+// snapshot timestamp with one clock load.
+func (t *Thread) BeginAttempt(attempt int) {
+	if attempt == 0 {
+		t.writerPinned = false
 	}
-}
-
-// --- Atomic engine ---------------------------------------------------------
-
-// Atomic runs body as a transaction. At top level it retries conflict
-// aborts until commit; inside a transaction it is a closed-nested
-// transaction with partial rollback.
-func (t *Thread) Atomic(body func(tm.Txn) error) error {
-	if t.inTxn {
-		return t.nestedAtomic(body)
-	}
-	t.fsm.BeginTxn()
-	if t.serializeNext {
-		t.serializeNext = false
-		t.fsm.ForceEscalate()
-	}
-	t.watch = t.watch[:0]
-	t.writerPinned = false
-	t.txnSeq++
-	for {
-		t.enterLadder()
-		t.begin()
-		err, sig := t.runBody(body)
-		switch s := sig.(type) {
-		case nil:
-			if err != nil {
-				// Body failure: terminal trace event, not an abort (abort
-				// counters and traced abort events stay in one-to-one
-				// correspondence, as in the eager engine).
-				t.ctx.TraceEvent("error", err.Error())
-				t.abandonAttempt(telemetry.EvError, stm.BodyErrorCause)
-				return err
-			}
-			committed, cause := t.commitTxn()
-			if committed {
-				t.finish(true)
-				return nil
-			}
-			t.afterAbort(cause)
-		case tm.UserAbortSignal:
-			t.abandonAttempt(telemetry.EvAbort, stats.AbortExplicit.String())
-			t.Stats().Aborts[stats.AbortExplicit]++
-			return tm.ErrUserAbort
-		case tm.RetrySignal:
-			t.ctx.TraceEvent("retry", fmt.Sprintf("watching %d records", len(t.watch)+len(t.reads)))
-			// The wait set must capture the read set before the rollback
-			// truncates it.
-			t.watchReadsFrom(0)
-			served := t.histServed
-			t.abandonAttempt(telemetry.EvRetry, "")
-			t.Stats().Retries++
-			if !served {
-				// A history-served read means a watched location already
-				// changed since the snapshot: waiting for a change that has
-				// happened would deadlock, so take the (permitted) spurious
-				// wakeup instead.
-				t.waitForChange()
-			}
-			t.fsm.OnRetryWait()
-		case writerRestart:
-			// The snapshot went stale before the attempt's first store: the
-			// reads cannot carry over into writer mode, so the attempt
-			// restarts pinned to the lazy protocol. A strategy switch, not a
-			// conflict loss — the attempt index advances but no strike is
-			// charged and no abort is counted.
-			t.ctx.TraceEvent("writer-restart", "snapshot stale at first store")
-			t.abandonAttempt(telemetry.EvWriterRestart, "snapshot-stale")
-			t.ctx.Telem().Inc(telemetry.MVCCWriterRestarts)
-			t.writerPinned = true
-			t.fsm.OnRetryWait()
-		case tm.AbortSignal:
-			t.afterAbort(s.Cause)
-		}
-	}
-}
-
-// AtomicSerialized runs body as a transaction that escalates to serial
-// irrevocable mode on its first attempt (admission control's "serialize"
-// action). Without a configured ladder it degrades to a plain Atomic.
-func (t *Thread) AtomicSerialized(body func(tm.Txn) error) error {
-	if !t.inTxn {
-		t.serializeNext = true
-	}
-	return t.Atomic(body)
-}
-
-// finish closes out a transaction after commit.
-func (t *Thread) finish(committed bool) {
-	t.exitLadder()
-	if committed {
-		t.backoff.Reset()
-	}
-	t.inTxn = false
-}
-
-// enterLadder and exitLadder are the escalation-ladder handshake, identical
-// in shape to the eager engine's: revocable attempts announce themselves
-// and wait out an irrevocable owner; past the retry budget the attempt
-// acquires the global token and runs serially with no abort path.
-func (t *Thread) enterLadder() {
-	tok := t.sys.cfg.Progress.Token
-	if tok == nil {
-		return
-	}
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.Lock)
-	if t.fsm.ShouldEscalate() {
-		ctx.TraceEvent("escalate", "retry budget exhausted")
-		ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(),
-			Kind: telemetry.EvEscalate, Cause: "retry-budget"})
-		ctx.Telem().Inc(telemetry.Escalations)
-		tok.Acquire(ctx, t.ladder)
-		t.irrevocable = true
-		t.irrevStart = ctx.Clock()
-		ctx.Telem().Inc(telemetry.IrrevocableEntries)
-	} else {
-		tok.EnterShared(ctx, t.ladder)
-	}
-	ctx.SetCat(prev)
-	t.ladder.Reset()
-}
-
-func (t *Thread) exitLadder() {
-	tok := t.sys.cfg.Progress.Token
-	if tok == nil {
-		return
-	}
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.Lock)
-	if t.irrevocable {
-		ctx.Telem().Add(telemetry.IrrevocableCyclesHeld, ctx.Clock()-t.irrevStart)
-		tok.Release(ctx)
-		t.irrevocable = false
-	} else {
-		tok.ExitShared(ctx)
-	}
-	ctx.SetCat(prev)
-}
-
-// Irrevocable reports whether the current attempt holds the irrevocable
-// token.
-func (t *Thread) Irrevocable() bool { return t.irrevocable }
-
-// observeSetSizes raises the log-pressure high-water marks to the current
-// set sizes; called at transaction end points. Deferred updates have no
-// undo log; the write buffer has its own gauge.
-func (t *Thread) observeSetSizes() {
-	b := t.ctx.Telem()
-	b.ObserveMax(telemetry.ReadSetHWM, uint64(len(t.reads)))
-	b.ObserveMax(telemetry.WriteBufferHWM, uint64(len(t.wb)))
-}
-
-// abandonAttempt is the single exit path for every non-committing end of a
-// top-level attempt: conflict abort, explicit abort, retry-wait, writer
-// restart, body error. Every exit records the attempt's footprint and
-// emits a terminal trace event, so begins always pair with terminals.
-func (t *Thread) abandonAttempt(kind, cause string) {
-	t.observeSetSizes()
-	t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(),
-		Kind: kind, Cause: cause,
-		Reads: len(t.reads), Writes: len(t.wb)})
-	t.rollbackAll()
-	t.exitLadder()
-	t.inTxn = false
-}
-
-// afterAbort rolls back and prepares the next attempt.
-func (t *Thread) afterAbort(cause stats.AbortCause) {
-	t.ctx.TraceEvent("abort", cause.String())
-	if t.snapshot {
-		// An abort of a still-read-only MVCC attempt: the only possible
-		// cause is a version-history prune miss. Counted so tests can
-		// assert the read-only never-abort guarantee as "this stays zero".
-		t.ctx.Telem().Inc(telemetry.SnapshotAborts)
-	}
-	t.abandonAttempt(telemetry.EvAbort, cause.String())
-	t.Stats().Aborts[cause]++
-	t.fsm.OnAbort()
-	if cause.IsConflict() {
-		t.backoff.Wait(t.ctx)
-	}
-}
-
-// runBody executes the user body, converting engine panics into signals.
-// A foreign panic is re-raised unless the read set no longer validates, in
-// which case the body was a zombie executing on inconsistent data and the
-// panic is converted into a conflict abort.
-func (t *Thread) runBody(body func(tm.Txn) error) (err error, sig interface{}) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if tm.IsEngineSignal(r) {
-			sig = r
-			return
-		}
-		if _, ok := r.(writerRestart); ok {
-			sig = r
-			return
-		}
-		if sim.IsStop(r) {
-			panic(r)
-		}
-		if !t.readsConsistent() {
-			sig = tm.AbortSignal{Cause: stats.AbortValidation}
-			return
-		}
-		panic(r)
-	}()
-	err = body(t)
-	return err, nil
-}
-
-// readsConsistent re-checks the read set directly against memory at zero
-// simulated cost; used only to classify foreign panics as zombie effects.
-// Snapshot-mode reads are consistent by construction (each was served from
-// a single committed snapshot), so a snapshot attempt's panic is always
-// genuinely foreign. The body never holds records, so a changed version is
-// never self-inflicted.
-func (t *Thread) readsConsistent() bool {
-	if t.snapshot {
-		return true
-	}
-	m := t.ctx.Machine().Mem
-	for _, e := range t.reads {
-		if m.Load(e.Rec) != e.Ver {
-			return false
-		}
-	}
-	return true
-}
-
-func (t *Thread) begin() {
-	t.inTxn = true
-	t.reads = t.reads[:0]
 	t.wb = t.wb[:0]
 	clear(t.wbIdx)
 	t.acq = t.acq[:0]
 	clear(t.acqVer)
-	t.saves = t.saves[:0]
-	t.readsSinceValidate = 0
 	t.histServed = false
 	t.snapshot = t.sys.mvcc && !t.writerPinned
-
-	ctx := t.ctx
-	ctx.TraceEvent("begin", fmt.Sprintf("attempt=%d", t.fsm.Attempt()))
-	ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(), Kind: telemetry.EvBegin})
-	prev := ctx.SetCat(stats.TLS)
-	ctx.Load(t.tls) // gettxndesc
-	ctx.SetCat(stats.Commit)
-	ctx.Exec(4) // descriptor setup
-	ctx.Store(t.desc+descRdLog, t.rdLog)
-	ctx.Store(t.desc+descWbLog, t.wbLog)
+	t.BeginLogs(attempt)
 	if t.snapshot {
-		// One clock load fixes the attempt's snapshot timestamp.
+		ctx := t.Ctx()
+		prev := ctx.SetCat(stats.Commit)
 		t.snapTS = ctx.Load(t.sys.clock)
 		ctx.Exec(1)
-	}
-	ctx.SetCat(prev)
-
-	if t.irrevocable {
-		ctx.TraceEvent("irrevocable", "serial attempt, no abort path")
-		ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(), Kind: telemetry.EvIrrevocable})
-		ctx.SetStatus("irrevocable", t.fsm.Attempt())
-	} else {
-		ctx.SetStatus(t.sys.name, t.fsm.Attempt())
+		ctx.SetCat(prev)
 	}
 }
 
-// --- Commit protocol --------------------------------------------------------
-
-func (t *Thread) commitTxn() (bool, stats.AbortCause) {
-	ctx := t.ctx
+// Commit runs the three-phase commit protocol of the package comment. An
+// MVCC read-only commit skips all of it: every read was served from one
+// committed snapshot, so the attempt is already serialized at its
+// begin-time timestamp — no validation, no clock traffic, no abort path.
+func (t *Thread) Commit() (bool, stats.AbortCause) {
+	ctx := t.Ctx()
 	if t.snapshot {
-		// MVCC read-only commit: every read was served from one committed
-		// snapshot, so the attempt is already serialized at its begin-time
-		// timestamp. No validation, no clock traffic, no abort path.
 		prev := ctx.SetCat(stats.Commit)
 		ctx.Exec(8) // commit bookkeeping
-		t.Stats().Commits++
-		ctx.NoteCommit()
-		ctx.TraceEvent("commit", fmt.Sprintf("read-only snapshot reads=%d", len(t.reads)))
-		t.observeSetSizes()
-		ctx.Telem().ObserveMax(telemetry.RetryDepthHWM, uint64(t.fsm.Attempt()))
-		ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(),
-			Kind: telemetry.EvCommit, Reads: len(t.reads)})
 		ctx.SetCat(prev)
 		return true, 0
 	}
 
 	// Phase 1: acquire every written record, ascending.
 	prev := ctx.SetCat(stats.WrBar)
+	defer ctx.SetCat(prev)
 	if !t.acquireWriteRecs() {
 		t.releaseAcquired(false)
-		ctx.SetCat(prev)
 		return false, stats.AbortLockConflict
 	}
 	ctx.Telem().ObserveMax(telemetry.WriteSetHWM, uint64(len(t.acq)))
@@ -441,7 +125,6 @@ func (t *Thread) commitTxn() (bool, stats.AbortCause) {
 	ctx.SetCat(stats.Validate)
 	if !t.validate(true) {
 		t.releaseAcquired(false)
-		ctx.SetCat(prev)
 		return false, stats.AbortValidation
 	}
 
@@ -454,17 +137,42 @@ func (t *Thread) commitTxn() (bool, stats.AbortCause) {
 	t.writeBack(wv)
 	t.releaseAcquired(true)
 	ctx.Exec(8) // commit bookkeeping
-	t.Stats().Commits++
-	ctx.NoteCommit()
-	ctx.TraceEvent("commit", fmt.Sprintf("reads=%d buffered=%d recs=%d",
-		len(t.reads), len(t.wb), len(t.acqVer)))
-	t.observeSetSizes()
-	ctx.Telem().ObserveMax(telemetry.RetryDepthHWM, uint64(t.fsm.Attempt()))
-	ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(),
-		Kind:  telemetry.EvCommit,
-		Reads: len(t.reads), Writes: len(t.wb)})
-	ctx.SetCat(prev)
 	return true, 0
+}
+
+// CommitDetail renders the commit text-trace detail.
+func (t *Thread) CommitDetail() string {
+	if t.snapshot {
+		return fmt.Sprintf("read-only snapshot reads=%d", len(t.Reads))
+	}
+	return fmt.Sprintf("reads=%d buffered=%d recs=%d", len(t.Reads), len(t.wb), len(t.acqVer))
+}
+
+// ObserveSetSizes raises the log-pressure high-water marks. Deferred
+// updates have no undo log; the write buffer has its own gauge.
+func (t *Thread) ObserveSetSizes() (reads, writes, undo int) {
+	b := t.Ctx().Telem()
+	b.ObserveMax(telemetry.ReadSetHWM, uint64(len(t.Reads)))
+	b.ObserveMax(telemetry.WriteBufferHWM, uint64(len(t.wb)))
+	return len(t.Reads), len(t.wb), 0
+}
+
+// ReadsConsistent: snapshot-mode reads are consistent by construction (each
+// was served from a single committed snapshot), so a snapshot attempt's
+// panic is always genuinely foreign. A lazy reader can be a zombie between
+// validations; the body never holds records, so a changed version is never
+// self-inflicted.
+func (t *Thread) ReadsConsistent() bool {
+	return t.snapshot || t.ReadsConsistentWith(t.acqVer)
+}
+
+// WaitForChange skips the wait after a history-served read: a watched
+// location already changed since the snapshot, and waiting for a change
+// that has happened would deadlock, so take the (permitted) spurious wakeup.
+func (t *Thread) WaitForChange() {
+	if !t.histServed {
+		t.Base.WaitForChange()
+	}
 }
 
 // acquireWriteRecs CASes every buffered address's record from shared to
@@ -473,7 +181,7 @@ func (t *Thread) commitTxn() (bool, stats.AbortCause) {
 // contention policy's bound fails the acquisition; the caller releases
 // whatever was acquired.
 func (t *Thread) acquireWriteRecs() bool {
-	ctx := t.ctx
+	ctx := t.Ctx()
 	t.recScratch = t.recScratch[:0]
 	for _, e := range t.wb {
 		t.recScratch = append(t.recScratch, e.Rec)
@@ -496,18 +204,20 @@ func (t *Thread) acquireWriteRecs() bool {
 }
 
 func (t *Thread) acquireRec(rec uint64) bool {
-	ctx := t.ctx
+	ctx := t.Ctx()
 	v := ctx.Load(rec)
 	ctx.Exec(2) // test versionmask + jz
 	for {
 		if !stm.IsVersion(v) {
+			// Not HandleContention: a failed commit-time acquisition must
+			// first release the records it already holds (restoring their
+			// original versions), which a panic would skip.
 			var ok bool
-			v, ok = t.waitShared(rec)
-			if !ok {
+			if v, ok = t.WaitShared(rec); !ok {
 				return false
 			}
 		}
-		ok, cur := ctx.CAS(rec, v, t.desc)
+		ok, cur := ctx.CAS(rec, v, t.Desc())
 		if ok {
 			break
 		}
@@ -519,78 +229,29 @@ func (t *Thread) acquireRec(rec uint64) bool {
 	return true
 }
 
-// waitShared is the contention policy's bounded wait for a foreign-owned
-// record, shaped like the eager engine's handleContention but returning
-// failure instead of panicking: a failed commit-time acquisition must first
-// release the records it already holds (restoring their original
-// versions), which a panic would skip.
-func (t *Thread) waitShared(rec uint64) (uint64, bool) {
-	var limit int
-	switch t.sys.cfg.Policy {
-	case tm.AbortSelf:
-		limit = 0
-	case tm.PoliteBackoff:
-		limit = 16
-	case tm.Wait:
-		limit = 256
-	}
-	ctx := t.ctx
-	wait := tm.NewBackoff(ctx.ID())
-	for spin := 0; spin < limit; spin++ {
-		wait.Wait(ctx)
-		v := ctx.Load(rec)
-		ctx.Exec(2)
-		if stm.IsVersion(v) {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// validate checks the read set: every logged record must still hold its
-// logged version, or be owned by this commit having displaced exactly that
-// version. During the body acqVer is empty, so the self-owned arm never
-// fires — the body holds no records.
+// validate checks the read set (stm.Base.ValidateReads). During the body
+// acqVer is empty, so the self-owned arm never fires — the body holds no
+// records.
 func (t *Thread) validate(atCommit bool) bool {
 	t.Stats().FullValidations++
-	ctx := t.ctx
-	if atCommit {
-		ctx.TraceEvent("validate", fmt.Sprintf("commit sandbox (%d reads)", len(t.reads)))
-	} else {
-		ctx.TraceEvent("validate", fmt.Sprintf("full (%d reads)", len(t.reads)))
-	}
-	ctx.Exec(2) // loop setup
-	for _, e := range t.reads {
-		cur := ctx.Load(e.Rec)
-		ctx.Exec(2) // compare + branch
-		if cur == e.Ver {
-			continue
+	if ctx := t.Ctx(); ctx.Tracing() {
+		kind := "full"
+		if atCommit {
+			kind = "commit sandbox"
 		}
-		if cur == t.desc {
-			ctx.Exec(2)
-			if t.acqVer[e.Rec] == e.Ver {
-				continue
-			}
-		}
-		return false
+		ctx.TraceEvent("validate", fmt.Sprintf("%s (%d reads)", kind, len(t.Reads)))
 	}
-	return true
+	return t.ValidateReads(t.acqVer)
 }
 
 // periodicValidate bounds zombie execution on the lazy read path: every
 // ValidateEvery read barriers the read set is re-validated. Snapshot reads
 // are consistent by construction and never come here.
 func (t *Thread) periodicValidate() {
-	every := t.sys.cfg.ValidateEvery
-	if every <= 0 {
+	if !t.ValidationDue() {
 		return
 	}
-	t.readsSinceValidate++
-	if t.readsSinceValidate < every {
-		return
-	}
-	t.readsSinceValidate = 0
-	ctx := t.ctx
+	ctx := t.Ctx()
 	prev := ctx.SetCat(stats.Validate)
 	ok := t.validate(false)
 	ctx.SetCat(prev)
@@ -602,7 +263,7 @@ func (t *Thread) periodicValidate() {
 // advanceClock CAS-increments the global commit clock, returning this
 // commit's timestamp.
 func (t *Thread) advanceClock() uint64 {
-	ctx := t.ctx
+	ctx := t.Ctx()
 	for {
 		s := ctx.Load(t.sys.clock)
 		if ok, _ := ctx.CAS(t.sys.clock, s, s+1); ok {
@@ -619,14 +280,15 @@ func (t *Thread) advanceClock() uint64 {
 // architectural step BEFORE the data store, so a concurrent snapshot read
 // that sees the new value is guaranteed to also see the new timestamp.
 func (t *Thread) writeBack(wv uint64) {
-	ctx := t.ctx
+	ctx := t.Ctx()
 	sys := t.sys
+	wbLog := t.LogAddr(logWb)
 	for i, e := range t.wb {
 		if t.wbIdx[e.Addr] != i {
 			continue // superseded by a later buffered write
 		}
-		ctx.Load(t.wbLog + uint64(i)*entryBytes)     // entry addr word
-		ctx.Load(t.wbLog + uint64(i)*entryBytes + 8) // entry value word
+		ctx.Load(wbLog + uint64(i)*stm.EntryBytes)     // entry addr word
+		ctx.Load(wbLog + uint64(i)*stm.EntryBytes + 8) // entry value word
 		if sys.mvcc {
 			addr := e.Addr
 			ctx.Step(func(m *sim.Machine) uint64 {
@@ -651,7 +313,7 @@ func (t *Thread) writeBack(wv uint64) {
 // data changed under the record, so readers that validated against it stay
 // valid, and nobody can have logged the record while it was owned.
 func (t *Thread) releaseAcquired(committed bool) {
-	ctx := t.ctx
+	ctx := t.Ctx()
 	for i := len(t.acq) - 1; i >= 0; i-- {
 		e := t.acq[i]
 		if committed {
@@ -665,122 +327,34 @@ func (t *Thread) releaseAcquired(committed bool) {
 	clear(t.acqVer)
 }
 
-// rollbackAll abandons the attempt's private state. Nothing reached shared
+// RollbackAll abandons the attempt's private state. Nothing reached shared
 // memory (any commit-time acquisitions were already released by the failed
 // commit itself), so rollback is pure log truncation.
-func (t *Thread) rollbackAll() {
-	t.reads = t.reads[:0]
+func (t *Thread) RollbackAll() {
+	t.Reads = t.Reads[:0]
 	t.wb = t.wb[:0]
 	clear(t.wbIdx)
-	ctx := t.ctx
+}
+
+// Savepoint marks a nested transaction's rollback point. Deferred updates
+// need no undo positions — only the log lengths and the snapshot-read flag.
+func (t *Thread) Savepoint() tm.Savepoint {
+	return tm.Savepoint{Reads: len(t.Reads), Writes: len(t.wb), Served: t.histServed}
+}
+
+// RollbackTo reverts the logs to a nested transaction's entry point. The
+// write buffer unwinds newest-first, restoring each address's latest-write
+// index via the Prev chain. An in-place snapshot->writer upgrade that
+// happened inside the nested block is deliberately NOT reverted: staying in
+// writer mode is always correct (it validates at commit), merely less
+// optimistic.
+func (t *Thread) RollbackTo(sp tm.Savepoint) {
+	ctx := t.Ctx()
 	prev := ctx.SetCat(stats.Commit)
-	ctx.Exec(8) // abort bookkeeping
-	ctx.SetCat(prev)
-}
-
-// watchReadsFrom appends read-set entries at index >= n to the retry watch
-// set.
-func (t *Thread) watchReadsFrom(n int) {
-	t.watch = append(t.watch, t.reads[n:]...)
-}
-
-// waitForChange blocks (in simulated time) until some watched record's
-// version changes; an empty watch set or a long wait returns anyway (a
-// spurious wakeup, which retry semantics permit).
-func (t *Thread) waitForChange() {
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.Validate)
-	defer ctx.SetCat(prev)
-	if len(t.watch) == 0 {
-		t.backoff.Wait(ctx)
-		return
-	}
-	for poll := 0; poll < 1000; poll++ {
-		for _, e := range t.watch {
-			cur := ctx.Load(e.Rec)
-			ctx.Exec(2)
-			if cur != e.Ver {
-				return
-			}
-		}
-		t.backoff.Wait(ctx)
-	}
-}
-
-// --- Nesting, retry, orElse ------------------------------------------------
-
-func (t *Thread) nestedAtomic(body func(tm.Txn) error) error {
-	sp := t.savepointNow()
-	t.saves = append(t.saves, sp)
-	t.ctx.Exec(4) // nested begin
-	err, sig := t.runBody(body)
-	t.saves = t.saves[:len(t.saves)-1]
-	switch sig.(type) {
-	case nil:
-		if err != nil {
-			t.rollbackToSavepoint(sp)
-			return err
-		}
-		t.ctx.Exec(2) // nested commit merges into the parent
-		return nil
-	case tm.RetrySignal:
-		t.watchReadsFrom(sp.reads)
-		t.rollbackToSavepoint(sp)
-		panic(tm.RetrySignal{})
-	default:
-		panic(sig) // conflict/user aborts and writer restarts unwind fully
-	}
-}
-
-// OrElse implements composable blocking: alternatives run as nested
-// transactions; one that calls Retry is rolled back and the next is tried;
-// if all retry, the retry propagates with the union of their read sets as
-// the wait set.
-func (t *Thread) OrElse(alternatives ...func(tm.Txn) error) error {
-	if !t.inTxn {
-		return t.Atomic(func(tx tm.Txn) error { return tx.OrElse(alternatives...) })
-	}
-	for _, alt := range alternatives {
-		sp := t.savepointNow()
-		t.saves = append(t.saves, sp)
-		t.ctx.Exec(4)
-		err, sig := t.runBody(alt)
-		t.saves = t.saves[:len(t.saves)-1]
-		switch sig.(type) {
-		case nil:
-			if err != nil {
-				t.rollbackToSavepoint(sp)
-				return err
-			}
-			t.ctx.Exec(2)
-			return nil
-		case tm.RetrySignal:
-			t.watchReadsFrom(sp.reads)
-			t.rollbackToSavepoint(sp)
-			continue
-		default:
-			panic(sig)
-		}
-	}
-	panic(tm.RetrySignal{})
-}
-
-func (t *Thread) savepointNow() savepoint {
-	return savepoint{reads: len(t.reads), wb: len(t.wb), histServed: t.histServed}
-}
-
-// rollbackToSavepoint reverts the logs to a nested transaction's entry
-// point. The write buffer unwinds newest-first, restoring each address's
-// latest-write index via the Prev chain. An in-place snapshot->writer
-// upgrade that happened inside the nested block is deliberately NOT
-// reverted: staying in writer mode is always correct (it validates at
-// commit), merely less optimistic.
-func (t *Thread) rollbackToSavepoint(sp savepoint) {
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.Commit)
-	for i := len(t.wb) - 1; i >= sp.wb; i-- {
+	wbLog := t.LogAddr(logWb)
+	for i := len(t.wb) - 1; i >= sp.Writes; i-- {
 		e := t.wb[i]
-		ctx.Load(t.wbLog + uint64(i)*entryBytes)
+		ctx.Load(wbLog + uint64(i)*stm.EntryBytes)
 		ctx.Exec(2)
 		if e.Prev >= 0 {
 			t.wbIdx[e.Addr] = e.Prev
@@ -788,86 +362,29 @@ func (t *Thread) rollbackToSavepoint(sp savepoint) {
 			delete(t.wbIdx, e.Addr)
 		}
 	}
-	t.wb = t.wb[:sp.wb]
-	t.reads = t.reads[:sp.reads]
-	t.histServed = sp.histServed
+	t.wb = t.wb[:sp.Writes]
+	t.Reads = t.Reads[:sp.Reads]
+	t.histServed = sp.Served
 	ctx.SetCat(prev)
-}
-
-// Exec charges application compute to the simulated clock.
-func (t *Thread) Exec(n uint64) { t.ctx.Exec(n) }
-
-// Alloc reserves memory for a new object; aborts leak it (GC semantics).
-func (t *Thread) Alloc(size, align uint64) uint64 { return t.ctx.Alloc(size, align) }
-
-// StoreInit initialises not-yet-published memory without barriers.
-func (t *Thread) StoreInit(addr, val uint64) { t.ctx.Store(addr, val) }
-
-// Retry aborts the innermost alternative and blocks re-execution until a
-// previously read location may have changed.
-func (t *Thread) Retry() {
-	t.requireTxn()
-	if t.irrevocable {
-		panic("lazystm: Retry inside an irrevocable transaction")
-	}
-	panic(tm.RetrySignal{})
-}
-
-// Abort abandons the transaction; the enclosing Atomic returns
-// tm.ErrUserAbort.
-func (t *Thread) Abort() {
-	t.requireTxn()
-	if t.irrevocable {
-		panic("lazystm: Abort inside an irrevocable transaction")
-	}
-	panic(tm.UserAbortSignal{})
-}
-
-// AbortConflictForTest forces a conflict-style abort (failure injection in
-// tests).
-func (t *Thread) AbortConflictForTest() {
-	t.requireTxn()
-	panic(tm.AbortSignal{Cause: stats.AbortValidation})
 }
 
 // --- Barriers ---------------------------------------------------------------
 
-// chargeAddrCompute charges the record-address computation to the given
-// category.
-func (t *Thread) chargeAddrCompute(cat stats.Category) {
-	prev := t.ctx.SetCat(cat)
-	t.ctx.Exec(3)
-	t.ctx.SetCat(prev)
-}
-
-func (t *Thread) appLoad(addr uint64) uint64 {
-	prev := t.ctx.SetCat(stats.App)
-	v := t.ctx.Load(addr)
-	t.ctx.SetCat(prev)
-	return v
-}
-
 // Load transactionally reads the word at addr (line-granularity record).
 func (t *Thread) Load(addr uint64) uint64 {
-	t.requireTxn()
+	t.RequireTxn()
 	if v, ok := t.bufferLookup(addr); ok {
 		return v
 	}
-	t.chargeAddrCompute(stats.RdBar)
-	rec := t.sys.table.RecordFor(addr)
-	return t.loadShared(rec, addr)
+	return t.loadShared(t.RecordFor(addr, stats.RdBar), addr)
 }
 
 // LoadObj transactionally reads the field at offset off of the object
-// whose header record is at base; under line granularity it degenerates to
-// a plain transactional load.
+// whose header record is at base (see stm.Base.ObjectField).
 func (t *Thread) LoadObj(base, off uint64) uint64 {
-	t.requireTxn()
-	if t.sys.cfg.Granularity != tm.ObjectGranularity {
+	t.RequireTxn()
+	if !t.ObjectField("LoadObj", off) {
 		return t.Load(base + off)
-	}
-	if off < 8 {
-		panic(fmt.Sprintf("lazystm: LoadObj offset %d overlaps the header", off))
 	}
 	if v, ok := t.bufferLookup(base + off); ok {
 		return v
@@ -879,17 +396,17 @@ func (t *Thread) LoadObj(base, off uint64) uint64 {
 // address has a buffered store returns the latest buffered value without
 // touching the record.
 func (t *Thread) bufferLookup(addr uint64) (uint64, bool) {
-	prev := t.ctx.SetCat(stats.RdBar)
-	t.ctx.Exec(2) // buffer-index hash + branch
+	ctx := t.Ctx()
+	prev := ctx.SetCat(stats.RdBar)
+	ctx.Exec(2) // buffer-index hash + branch
 	i, ok := t.wbIdx[addr]
-	if !ok {
-		t.ctx.SetCat(prev)
-		return 0, false
+	var v uint64
+	if ok {
+		v = ctx.Load(t.LogAddr(logWb) + uint64(i)*stm.EntryBytes + 8)
+		ctx.Telem().Inc(telemetry.WriteBufferHits)
 	}
-	v := t.ctx.Load(t.wbLog + uint64(i)*entryBytes + 8)
-	t.ctx.SetCat(prev)
-	t.ctx.Telem().Inc(telemetry.WriteBufferHits)
-	return v, true
+	ctx.SetCat(prev)
+	return v, ok
 }
 
 // loadShared is the shared-memory read barrier: snapshot-validated under
@@ -898,18 +415,18 @@ func (t *Thread) loadShared(rec, addr uint64) uint64 {
 	if t.snapshot {
 		return t.snapshotLoad(rec, addr)
 	}
-	ctx := t.ctx
+	ctx := t.Ctx()
 	prev := ctx.SetCat(stats.RdBar)
 	v := ctx.Load(rec)
 	ctx.Exec(2) // test versionmask + jz
 	if !stm.IsVersion(v) {
-		v = t.handleContention(rec)
+		v = t.HandleContention(rec)
 	}
 	t.Stats().UnfilteredReads++
-	t.logRead(rec, v)
+	t.LogRead(rec, v)
 	t.periodicValidate()
 	ctx.SetCat(prev)
-	return t.appLoad(addr)
+	return t.AppLoad(addr)
 }
 
 // snapshotLoad is the MVCC snapshot read barrier. It never aborts on
@@ -920,7 +437,7 @@ func (t *Thread) loadShared(rec, addr uint64) uint64 {
 // (and logged, keeping an in-place upgrade possible); past the snapshot
 // the read is served from the version history instead.
 func (t *Thread) snapshotLoad(rec, addr uint64) uint64 {
-	ctx := t.ctx
+	ctx := t.Ctx()
 	prev := ctx.SetCat(stats.RdBar)
 	v := ctx.Load(rec)
 	ctx.Exec(2)
@@ -933,7 +450,7 @@ func (t *Thread) snapshotLoad(rec, addr uint64) uint64 {
 		}
 	}
 	ctx.SetCat(prev)
-	val := t.appLoad(addr)
+	val := t.AppLoad(addr)
 
 	sys := t.sys
 	snapTS := t.snapTS
@@ -961,7 +478,9 @@ func (t *Thread) snapshotLoad(rec, addr uint64) uint64 {
 	b.Inc(telemetry.SnapshotReads)
 	if miss {
 		// The version this snapshot needs was pruned from the history: the
-		// one abort a snapshot attempt can take.
+		// one abort a snapshot attempt can take. Counted so tests can
+		// assert the read-only never-abort guarantee as "this stays zero".
+		b.Inc(telemetry.SnapshotAborts)
 		panic(tm.AbortSignal{Cause: stats.AbortValidation})
 	}
 	if served {
@@ -970,42 +489,23 @@ func (t *Thread) snapshotLoad(rec, addr uint64) uint64 {
 		return val
 	}
 	t.Stats().UnfilteredReads++
-	t.logRead(rec, v)
+	t.LogRead(rec, v)
 	return val
-}
-
-func (t *Thread) logRead(rec, ver uint64) {
-	if len(t.reads) >= logCap {
-		panic("lazystm: read-set log overflow; raise logCap or shorten the transaction")
-	}
-	ctx := t.ctx
-	logPtr := ctx.Load(t.desc + descRdLog)
-	ctx.Exec(3) // overflow test, branch, pointer add
-	ctx.Store(t.desc+descRdLog, logPtr+entryBytes)
-	ctx.Store(logPtr, rec)
-	ctx.Store(logPtr+8, ver)
-	t.reads = append(t.reads, stm.RecEntry{Rec: rec, Ver: ver})
-	t.Stats().ReadsLogged++
 }
 
 // Store transactionally writes the word at addr (deferred: buffered until
 // commit).
 func (t *Thread) Store(addr, val uint64) {
-	t.requireTxn()
-	t.chargeAddrCompute(stats.WrBar)
-	rec := t.sys.table.RecordFor(addr)
-	t.bufferWrite(rec, addr, val)
+	t.RequireTxn()
+	t.bufferWrite(t.RecordFor(addr, stats.WrBar), addr, val)
 }
 
 // StoreObj transactionally writes a field of the object at base.
 func (t *Thread) StoreObj(base, off, val uint64) {
-	t.requireTxn()
-	if t.sys.cfg.Granularity != tm.ObjectGranularity {
+	t.RequireTxn()
+	if !t.ObjectField("StoreObj", off) {
 		t.Store(base+off, val)
 		return
-	}
-	if off < 8 {
-		panic(fmt.Sprintf("lazystm: StoreObj offset %d overlaps the header", off))
 	}
 	t.bufferWrite(base, base+off, val)
 }
@@ -1018,16 +518,12 @@ func (t *Thread) bufferWrite(rec, addr, val uint64) {
 	if t.snapshot {
 		t.upgradeToWriter()
 	}
-	if len(t.wb) >= logCap {
-		panic("lazystm: write-buffer overflow; raise logCap or shorten the transaction")
+	if len(t.wb) >= stm.LogCap {
+		panic("lazystm: write-buffer overflow; raise stm.LogCap or shorten the transaction")
 	}
-	ctx := t.ctx
+	ctx := t.Ctx()
 	prev := ctx.SetCat(stats.WrBar)
-	logPtr := ctx.Load(t.desc + descWbLog)
-	ctx.Exec(3)
-	ctx.Store(t.desc+descWbLog, logPtr+entryBytes)
-	ctx.Store(logPtr, addr)
-	ctx.Store(logPtr+8, val)
+	t.AppendLog(logWb, addr, val)
 	prevIdx := -1
 	if i, ok := t.wbIdx[addr]; ok {
 		prevIdx = i
@@ -1044,12 +540,12 @@ func (t *Thread) bufferWrite(rec, addr, val uint64) {
 // present, and the logged reads carry over as an ordinary lazy read set.
 // Otherwise the attempt restarts pinned to writer mode.
 func (t *Thread) upgradeToWriter() {
-	ctx := t.ctx
+	ctx := t.Ctx()
 	prev := ctx.SetCat(stats.Validate)
 	ok := !t.histServed
 	if ok {
 		ctx.Exec(2)
-		for _, e := range t.reads {
+		for _, e := range t.Reads {
 			cur := ctx.Load(e.Rec)
 			ctx.Exec(2)
 			if cur != e.Ver {
@@ -1060,39 +556,17 @@ func (t *Thread) upgradeToWriter() {
 	}
 	ctx.SetCat(prev)
 	if !ok {
-		panic(writerRestart{})
+		t.writerPinned = true
+		ctx.Telem().Inc(telemetry.MVCCWriterRestarts)
+		panic(writerRestart)
 	}
 	t.snapshot = false
 	ctx.Telem().Inc(telemetry.MVCCUpgrades)
-	ctx.TraceEvent("upgrade", fmt.Sprintf("snapshot -> writer (%d reads revalidated)", len(t.reads)))
-	ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(),
-		Kind: telemetry.EvUpgrade, Reads: len(t.reads)})
-}
-
-// handleContention resolves a foreign-owned record met by a lazy-mode read
-// per the configured policy, returning the version once shared again or
-// aborting (by panic). Identical bounds to the eager engine's.
-func (t *Thread) handleContention(rec uint64) uint64 {
-	var limit int
-	switch t.sys.cfg.Policy {
-	case tm.AbortSelf:
-		limit = 0
-	case tm.PoliteBackoff:
-		limit = 16
-	case tm.Wait:
-		limit = 256
+	if ctx.Tracing() {
+		ctx.TraceEvent("upgrade", fmt.Sprintf("snapshot -> writer (%d reads revalidated)", len(t.Reads)))
 	}
-	ctx := t.ctx
-	wait := tm.NewBackoff(ctx.ID())
-	for spin := 0; spin < limit; spin++ {
-		wait.Wait(ctx)
-		v := ctx.Load(rec)
-		ctx.Exec(2)
-		if stm.IsVersion(v) {
-			return v
-		}
-	}
-	panic(tm.AbortSignal{Cause: stats.AbortLockConflict})
+	ctx.EmitTxn(telemetry.TxnEvent{Txn: t.TxnSeq(), Retry: t.Attempt(),
+		Kind: telemetry.EvUpgrade, Reads: len(t.Reads)})
 }
 
 // sortU64 is an allocation-free insertion sort for the commit-time record

@@ -123,7 +123,7 @@ func BenchmarkNativeHotCounter(b *testing.B) {
 var benchSink uint64
 
 // BenchmarkHostBackoffJitter is the per-step cost of the seeded xorshift64
-// stream that jitters hostBackoff's sleep window — it sits on the retry
+// stream that jitters Backoff's sleep window — it sits on the retry
 // path of every conflicted transaction, so it must stay allocation-free
 // and a few nanoseconds.
 func BenchmarkHostBackoffJitter(b *testing.B) {

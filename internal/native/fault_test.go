@@ -98,7 +98,7 @@ func TestTxnFaultContainsIrrevocablePanic(t *testing.T) {
 	// attempt (the ladder is armed), so the body runs holding the serial
 	// lock with eager stores under the undo log.
 	err := th.AtomicSerialized(func(tx tm.Txn) error {
-		if !th.irrevocable {
+		if !th.Irrevocable() {
 			t.Error("serialized attempt did not escalate")
 		}
 		tx.Store(slot, 999) // eager store under the undo log

@@ -1,11 +1,11 @@
 // Package native is the host-goroutine STM backend: real threads, real
-// memory, real time. It implements the same tm.Txn contract as the
-// simulator schemes — Load/Store, closed nesting with partial rollback,
-// retry/orElse, explicit abort, and the retry-budget irrevocable
-// escalation ladder — with a TL2-style algorithm (global version clock,
-// per-stripe versioned write-locks, commit-time lock acquisition,
-// read-set revalidation) so the reproduction can report multicore
-// throughput in transactions per second beside simulated cycles.
+// memory, real time. It runs the same tm.Engine as the simulator schemes —
+// closed nesting with partial rollback, retry/orElse, explicit abort, and
+// the retry-budget irrevocable escalation ladder — over a TL2-style
+// protocol (global version clock, per-stripe versioned write-locks,
+// commit-time lock acquisition, read-set revalidation) so the reproduction
+// can report multicore throughput in transactions per second beside
+// simulated cycles.
 //
 // The simulator remains the conformance oracle: the differential suite in
 // internal/workloads runs identical workload cells on both backends and
@@ -192,8 +192,8 @@ func (s *System) Thread(id int) tm.Thread {
 			tb:       s.telem.Block(id),
 			windex:   make(map[uint64]int, 64),
 			owned:    make(map[int]uint64, 16),
-			fsm:      tm.AttemptFSM{RetryBudget: s.cfg.TM.Progress.RetryBudget},
 		}
+		t.Bind(t, nil, t.st, t.tb, "", s.cfg.TM.Progress.RetryBudget, s.armed)
 		t.boRng = chaosMix(0x626b6f666668a5a5, uint64(id))
 		if s.cfg.Chaos.Enabled() {
 			t.chaos = newChaosThread(s.cfg.Chaos, id)

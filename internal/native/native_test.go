@@ -77,77 +77,6 @@ func TestBodyErrorRollsBack(t *testing.T) {
 	}
 }
 
-func TestExplicitAbort(t *testing.T) {
-	sys, m, words := newSys(t, 1, tm.Config{})
-	th := sys.Thread(0)
-	err := th.Atomic(func(tx tm.Txn) error {
-		tx.Store(words, 99)
-		tx.Abort()
-		return nil
-	})
-	if !errors.Is(err, tm.ErrUserAbort) {
-		t.Fatalf("err = %v, want ErrUserAbort", err)
-	}
-	if got := m.Load(words); got != 0 {
-		t.Fatalf("user-aborted store leaked: %d", got)
-	}
-	if a := sys.Stats().Aborts(stats.AbortExplicit); a != 1 {
-		t.Fatalf("explicit aborts = %d, want 1", a)
-	}
-}
-
-func TestNestedPartialRollback(t *testing.T) {
-	sys, m, words := newSys(t, 1, tm.Config{})
-	th := sys.Thread(0)
-	boom := errors.New("inner")
-	err := th.Atomic(func(tx tm.Txn) error {
-		tx.Store(words, 1)
-		inner := tx.Atomic(func(nx tm.Txn) error {
-			nx.Store(words, 2)
-			nx.Store(words+8, 3)
-			return boom
-		})
-		if !errors.Is(inner, boom) {
-			t.Errorf("nested err = %v", inner)
-		}
-		// The nested store must be invisible, the outer one intact.
-		if v := tx.Load(words); v != 1 {
-			t.Errorf("after nested rollback Load = %d, want 1", v)
-		}
-		if v := tx.Load(words + 8); v != 0 {
-			t.Errorf("nested side store survived: %d", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Load(words); got != 1 {
-		t.Fatalf("committed %d, want 1", got)
-	}
-	if got := m.Load(words + 8); got != 0 {
-		t.Fatalf("rolled-back word = %d, want 0", got)
-	}
-}
-
-func TestNestedCommitMerges(t *testing.T) {
-	sys, m, words := newSys(t, 1, tm.Config{})
-	th := sys.Thread(0)
-	err := th.Atomic(func(tx tm.Txn) error {
-		tx.Store(words, 1)
-		return tx.Atomic(func(nx tm.Txn) error {
-			nx.Store(words, nx.Load(words)+10)
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Load(words); got != 11 {
-		t.Fatalf("committed %d, want 11", got)
-	}
-}
-
 func TestCounterConcurrent(t *testing.T) {
 	const threads, incs = 8, 500
 	sys, m, words := newSys(t, threads, tm.Config{})
@@ -251,61 +180,65 @@ func TestOrElseFallsThrough(t *testing.T) {
 	}
 }
 
+// The ladder, driven deterministically: with a budget of 2 the first strike
+// is a chaos-plane spurious abort at a commit point (stripes locked, then
+// restored), the second an injected conflict abort in the body; the third
+// attempt must run irrevocably and commit. No host contention is needed, so
+// nothing here can skip.
 func TestEscalationLadder(t *testing.T) {
-	const threads = 4
-	cfg := tm.Config{Progress: tm.Progress{RetryBudget: 2}}
-	sys, m, words := newSys(t, threads, cfg)
-	// Force escalations: every thread hammers one word with a tiny budget.
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := sys.Thread(id)
-			for n := 0; n < 300; n++ {
-				if err := th.Atomic(func(tx tm.Txn) error {
-					tx.Store(words, tx.Load(words)+1)
-					return nil
-				}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(i)
+	m := mem.New()
+	word := m.Alloc(mem.WordSize, mem.LineSize)
+	sys := New(m, Config{
+		TM:      tm.Config{Progress: tm.Progress{RetryBudget: 2}},
+		Threads: 1,
+		Chaos:   ChaosSpec{Abort: 1, Seed: 1}, // one spurious abort per transaction
+	})
+	th := sys.Thread(0).(*Thread)
+	attempts := 0
+	if err := th.Atomic(func(tx tm.Txn) error {
+		attempts++
+		if attempts == 2 {
+			th.AbortConflictForTest()
+		}
+		if th.Irrevocable() != (attempts == 3) {
+			t.Errorf("attempt %d: irrevocable = %v", attempts, th.Irrevocable())
+		}
+		tx.Store(word, tx.Load(word)+1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if got := m.Load(words); got != threads*300 {
-		t.Fatalf("counter = %d, want %d", got, threads*300)
+	if th.Irrevocable() {
+		t.Error("serial lock still held after the terminal commit")
 	}
-	// With contention this high and a budget of 2 at least one transaction
-	// must have climbed the ladder; every escalation must have entered.
-	esc := sys.Telemetry().Count(telemetry.Escalations)
-	ent := sys.Telemetry().Count(telemetry.IrrevocableEntries)
-	if esc == 0 {
-		t.Skip("no escalation occurred on this host (low contention); counters untested")
+	if got := m.Load(word); got != 1 {
+		t.Fatalf("counter = %d, want 1", got)
 	}
-	if ent != esc {
-		t.Fatalf("escalations=%d irrevocable entries=%d, want equal", esc, ent)
+	tel := sys.Telemetry()
+	if esc, ent := tel.Count(telemetry.Escalations), tel.Count(telemetry.IrrevocableEntries); esc != 1 || ent != 1 {
+		t.Fatalf("escalations=%d irrevocable entries=%d, want 1/1", esc, ent)
+	}
+	if fired := sys.ChaosReport().Fired["abort"]; fired != 1 {
+		t.Fatalf("chaos aborts fired = %d, want 1", fired)
+	}
+	if got := sys.Stats().Commits(); got != 1 {
+		t.Fatalf("commits = %d, want 1", got)
+	}
+	// The ladder is free again: an ordinary transaction commits revocably.
+	if err := th.Atomic(func(tx tm.Txn) error { _ = tx.Load(word); return nil }); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestIrrevocableNestedRollback(t *testing.T) {
-	// Budget 0 with an armed ladder escalates immediately (a documented
-	// FSM edge) — wait: budget 0 means the ladder is NOT armed. Arm with
-	// budget 1 and pre-strike via a conflict-free path instead: simplest
-	// is to drive the FSM by running the body irrevocably from the start
-	// using a system whose only thread always escalates.
+	// AtomicSerialized escalates on the first attempt when the ladder is
+	// armed, so the body — and its nested rollback — run on the eager
+	// undo-logged irrevocable path.
 	cfg := tm.Config{Progress: tm.Progress{RetryBudget: 1}}
 	sys, m, words := newSys(t, 1, cfg)
 	th := sys.Thread(0).(*Thread)
-	// Force the first attempt over budget so Atomic escalates.
-	th.fsm.BeginTxn()
-	th.fsm.OnAbort()
-	if !th.fsm.ShouldEscalate() {
-		t.Fatal("precondition: FSM should escalate")
-	}
 	boom := errors.New("inner")
-	err := th.atomicPreStruck(func(tx tm.Txn) error {
+	err := th.AtomicSerialized(func(tx tm.Txn) error {
 		tx.Store(words, 1)
 		if inner := tx.Atomic(func(nx tm.Txn) error {
 			nx.Store(words, 2)
@@ -327,15 +260,6 @@ func TestIrrevocableNestedRollback(t *testing.T) {
 	if sys.Telemetry().Count(telemetry.IrrevocableEntries) != 1 {
 		t.Fatal("irrevocable path did not run")
 	}
-}
-
-// atomicPreStruck runs Atomic without resetting the FSM, so a test can
-// pre-load strikes and exercise the escalated path deterministically.
-func (t *Thread) atomicPreStruck(body func(tm.Txn) error) error {
-	if t.sys.armed && t.fsm.ShouldEscalate() {
-		return t.runIrrevocable(body)
-	}
-	return t.Atomic(body)
 }
 
 func TestAllocStoreInitPublish(t *testing.T) {

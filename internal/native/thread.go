@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
@@ -36,27 +35,26 @@ type undoEntry struct {
 	old  uint64
 }
 
-// Thread is a host goroutine's transaction handle. It implements both
-// tm.Thread and tm.Txn; one handle must never be shared by two goroutines
-// at the same time.
+// Thread is a host goroutine's transaction handle: the TL2 protocol under
+// the shared tm.Engine, plus the native-only containment, chaos and
+// watchdog wrapper around the engine call. It implements tm.Thread, tm.Txn
+// and tm.Protocol; one handle must never be shared by two goroutines at the
+// same time.
 type Thread struct {
+	tm.Engine
 	sys      *System
 	id       int
 	lockWord uint64 // id<<1 | 1: this thread's stripe write-lock value
 	st       *stats.Core
 	tb       *telemetry.Block
-	fsm      tm.AttemptFSM
 
-	inTxn       bool
-	irrevocable bool
-	rv          uint64 // read version: clock sample at attempt begin
-	lastStamp   uint64 // serialization stamp of the last committed block
+	rv        uint64 // read version: clock sample at attempt begin
+	lastStamp uint64 // serialization stamp of the last committed block
 
 	reads  []readEntry
 	writes []writeEntry
 	windex map[uint64]int // addr -> newest writes entry
-	saves  []tm.Savepoint
-	watch  []readEntry // retry wait set, accumulated across alternatives
+	watch  []readEntry    // retry wait set, accumulated across alternatives
 
 	// Commit-time scratch, reused across commits.
 	owned      map[int]uint64 // acquired stripe -> pre-lock version
@@ -67,24 +65,18 @@ type Thread struct {
 	undo    []undoEntry
 	touched []int
 
-	// serializeNext makes the next top-level Atomic force-escalate on its
-	// first attempt (admission control routing a hot-key transaction
-	// straight onto the serial path). Consumed by Atomic; inert when the
-	// ladder is not armed.
-	serializeNext bool
-
 	// opSeq is odd while the thread is inside a top-level Atomic; the
 	// watchdog reads it to tell a stuck transaction from an idle thread.
 	opSeq atomic.Uint64
-	// boRng seeds hostBackoff's jitter; chaos is the thread's fault
+	// boRng seeds Backoff's jitter; chaos is the thread's fault
 	// stream (nil when the plane is disabled).
 	boRng uint64
 	chaos *chaosThread
 }
 
 var (
-	_ tm.Thread = (*Thread)(nil)
-	_ tm.Txn    = (*Thread)(nil)
+	_ tm.Thread   = (*Thread)(nil)
+	_ tm.Protocol = (*Thread)(nil)
 )
 
 // ID returns the goroutine slot this handle was created for.
@@ -94,15 +86,6 @@ func (t *Thread) ID() int { return t.id }
 // atomic block: its TL2 write version, or its read version if it wrote
 // nothing (a read-only transaction serializes at its snapshot).
 func (t *Thread) Stamp() uint64 { return t.lastStamp }
-
-// Ctx returns nil: there is no simulated core underneath a native thread.
-func (t *Thread) Ctx() *sim.Ctx { return nil }
-
-func (t *Thread) requireTxn() {
-	if !t.inTxn {
-		panic("native: transactional operation outside an atomic block")
-	}
-}
 
 // spinLimit bounds how long a read or a commit-time acquire waits on a
 // locked stripe before aborting, per the contention policy.
@@ -120,19 +103,19 @@ func (t *Thread) spinLimit() int {
 	}
 }
 
-// backoffCapShift caps hostBackoff's exponential window at
+// backoffCapShift caps Backoff's exponential window at
 // 1µs << 6 = 64µs: long enough to drain any commit section, short enough
 // that a transiently unlucky thread recovers quickly.
 const backoffCapShift = 6
 
-// hostBackoff yields between failed attempts; real time replaces the
+// Backoff yields between failed attempts; real time replaces the
 // simulator's charged backoff cycles. Past the Gosched grace strikes the
 // sleep is drawn uniformly from the upper half of a capped exponential
 // window — the seeded per-thread jitter keeps two threads that aborted on
 // the same stripe from re-colliding in lockstep, the same reason
 // tm.Backoff jitters the simulated schemes.
-func (t *Thread) hostBackoff() {
-	n := t.fsm.Strikes()
+func (t *Thread) Backoff() {
+	n := t.Strikes()
 	if n < 4 {
 		runtime.Gosched()
 		return
@@ -171,10 +154,11 @@ func (t *Thread) spinYield(spins int) {
 	runtime.Gosched()
 }
 
-// --- Atomic: the attempt loop ----------------------------------------------
+// --- Atomic: the native wrapper around the engine -----------------------------
 
-// Atomic runs body as a transaction, re-executing on conflict aborts and
-// escalating to serial irrevocable mode once the retry budget is spent.
+// Atomic runs body as a transaction on the shared engine (re-executing on
+// conflict aborts, escalating to serial irrevocable mode once the retry
+// budget is spent) inside the native containment rail.
 //
 // Foreign panics do not escape: contain restores any stripe locks and the
 // serial lock the transaction held, resets the thread, and returns the
@@ -182,41 +166,13 @@ func (t *Thread) spinYield(spins int) {
 // watchdog trip as the NativeProgressViolation), matching the simulator's
 // PR 5 containment rule.
 func (t *Thread) Atomic(body func(tm.Txn) error) (err error) {
-	if t.inTxn {
-		return t.nestedAtomic(body)
+	if t.InTxn() {
+		return t.Engine.Atomic(body)
 	}
 	t.opSeq.Add(1)
 	defer t.opSeq.Add(1)
 	defer t.contain(&err)
-	if t.chaos != nil {
-		t.chaos.beginTxn()
-	}
-	t.fsm.BeginTxn()
-	if t.serializeNext {
-		t.serializeNext = false
-		t.fsm.ForceEscalate()
-	}
-	t.watch = t.watch[:0]
-	for {
-		if t.sys.failed.Load() != nil {
-			panic(stopSignal{})
-		}
-		if t.sys.armed && t.fsm.ShouldEscalate() {
-			return t.runIrrevocable(body)
-		}
-		done, retryWait, result := t.attemptOnce(body)
-		if done {
-			return result
-		}
-		if retryWait {
-			t.st.Retries++
-			t.fsm.OnRetryWait()
-			t.chaosAt(pointWait)
-			t.sys.waitForChange(t, t.watch)
-		} else {
-			t.hostBackoff()
-		}
-	}
+	return t.Engine.Atomic(body)
 }
 
 // chaosAt fires the thread's pending injections for point p, if any;
@@ -233,25 +189,18 @@ func (t *Thread) chaosAt(p chaosPoint) bool {
 }
 
 // contain is Atomic's recovery rail: it intercepts everything except
-// engine signals (which never escape the attempt machinery — one here is
-// an engine bug and re-panics), repairs shared state — stripe locks back
-// to pre-lock versions, the irrevocable undo log replayed and the serial
-// lock released — and converts the panic into the transaction's error.
+// engine signals (which never escape the engine — one here is an engine bug
+// and re-panics), repairs shared state — stripe locks back to pre-lock
+// versions, the irrevocable undo log replayed and the serial lock released
+// (Engine.Unwind) — and converts the panic into the transaction's error.
 func (t *Thread) contain(err *error) {
 	r := recover()
 	if r == nil {
 		return
 	}
 	t.releaseOwnedIfHeld()
-	wasIrrevocable := t.irrevocable
-	if wasIrrevocable {
-		for i := len(t.undo) - 1; i >= 0; i-- {
-			t.sys.m.StoreAtomic(t.undo[i].addr, t.undo[i].old)
-		}
-		t.undo = t.undo[:0]
-		t.sys.serial.Unlock()
-	}
-	t.inTxn, t.irrevocable = false, false
+	wasIrrevocable := t.Irrevocable()
+	t.Unwind()
 	switch v := r.(type) {
 	case stopSignal:
 		if *err = t.sys.CheckHealth(); *err == nil {
@@ -285,95 +234,94 @@ func (t *Thread) releaseOwnedIfHeld() {
 	}
 }
 
-// AtomicSerialized runs body as a transaction that takes the serial
-// irrevocable path on its first attempt: admission control's "serialize"
-// action for transactions known to target a hot key. When the ladder is
-// not armed (retry budget 0) it degrades to a plain Atomic. Inside a
-// transaction it is an ordinary closed-nested block.
-func (t *Thread) AtomicSerialized(body func(tm.Txn) error) error {
-	if !t.inTxn {
-		t.serializeNext = true
-	}
-	return t.Atomic(body)
-}
+// --- tm.Protocol: TL2 ---------------------------------------------------------
 
-// attemptOnce runs one revocable attempt under the ladder's shared side.
-// It returns done=true with the transaction's result, or retryWait=true
-// (the caller must block on the watch set — after the shared lock is
-// released, or an escalated transaction could never drain us), or neither
-// (a conflict abort: back off and re-attempt).
-func (t *Thread) attemptOnce(body func(tm.Txn) error) (done, retryWait bool, result error) {
-	if t.sys.armed {
-		t.sys.serial.RLock()
-		defer t.sys.serial.RUnlock()
+// BeginAttempt clears the attempt's logs and, for a revocable attempt,
+// samples the read version. An irrevocable attempt (invariant 5) holds the
+// serial lock exclusively and runs with eager stores, an undo log for
+// nested rollback, and no conflict abort path.
+func (t *Thread) BeginAttempt(attempt int) {
+	if attempt == 0 {
+		t.watch = t.watch[:0]
+		if t.chaos != nil {
+			t.chaos.beginTxn()
+		}
 	}
-	t.beginAttempt()
-	err, sig := t.runBody(body)
-	switch s := sig.(type) {
-	case nil:
-		if err != nil {
-			t.endAttempt()
-			return true, false, err
-		}
-		cause, ok := t.commit()
-		if !ok {
-			t.afterAbort(cause)
-			return false, false, nil
-		}
-		t.endAttempt()
-		return true, false, nil
-	case tm.UserAbortSignal:
-		t.st.Aborts[stats.AbortExplicit]++
-		t.endAttempt()
-		return true, false, tm.ErrUserAbort
-	case tm.RetrySignal:
-		// Union the attempt's reads into the wait set; earlier orElse
-		// alternatives already parked theirs there.
-		t.watch = append(t.watch, t.reads...)
-		t.endAttempt()
-		return false, true, nil
-	case tm.AbortSignal:
-		t.afterAbort(s.Cause)
-		return false, false, nil
-	default:
-		panic(sig)
-	}
-}
-
-// runBody executes body, converting engine signals into a return value and
-// letting foreign panics escape.
-func (t *Thread) runBody(body func(tm.Txn) error) (err error, sig interface{}) {
-	defer func() {
-		if r := recover(); r != nil {
-			if tm.IsEngineSignal(r) {
-				sig = r
-				return
-			}
-			panic(r)
-		}
-	}()
-	return body(t), nil
-}
-
-// beginAttempt samples the read version and clears the attempt's logs.
-func (t *Thread) beginAttempt() {
-	t.inTxn = true
-	t.rv = t.sys.clock.Load()
 	t.reads = t.reads[:0]
 	t.writes = t.writes[:0]
-	t.saves = t.saves[:0]
-	for k := range t.windex {
-		delete(t.windex, k)
+	t.undo = t.undo[:0]
+	if t.sys.failed.Load() != nil {
+		panic(stopSignal{})
 	}
+	if t.Irrevocable() {
+		t.touched = t.touched[:0]
+		// Chaos point: the serial lock is held exclusively — a stall here
+		// drains every revocable attempt against the irrevocable window.
+		t.chaosAt(pointIrrevocable)
+		return
+	}
+	t.rv = t.sys.clock.Load()
+	clear(t.windex)
 	t.tb.Inc(telemetry.CautiousAttempts)
 }
 
-func (t *Thread) endAttempt() { t.inTxn = false }
+// CommitDetail is never asked for: the host backend has no text trace.
+func (t *Thread) CommitDetail() string { return "" }
 
-func (t *Thread) afterAbort(cause stats.AbortCause) {
-	t.st.Aborts[cause]++
-	t.fsm.OnAbort()
-	t.inTxn = false
+// EndAttempt counts the commit for the watchdog; the logs are reset at the
+// next begin.
+func (t *Thread) EndAttempt(committed bool) {
+	if committed {
+		t.sys.commitSeq.Add(1)
+	}
+}
+
+// ObserveSetSizes raises the log-pressure high-water marks.
+func (t *Thread) ObserveSetSizes() (reads, writes, undo int) {
+	reads, writes, undo = len(t.reads), len(t.writes), len(t.undo)
+	t.tb.ObserveMax(telemetry.ReadSetHWM, uint64(reads))
+	t.tb.ObserveMax(telemetry.WriteSetHWM, uint64(writes))
+	t.tb.ObserveMax(telemetry.UndoLogHWM, uint64(undo))
+	return reads, writes, undo
+}
+
+// ReadsConsistent is always true: TL2 reads are opaque — validated against
+// rv the moment they happen (invariant 2) — so a body never runs on an
+// inconsistent read set and a foreign panic is never a zombie effect. It
+// propagates to contain, which turns it into a *TxnFault.
+func (t *Thread) ReadsConsistent() bool { return true }
+
+// WatchReadsFrom parks reads[n:] in the retry wait set.
+func (t *Thread) WatchReadsFrom(n int) int {
+	t.watch = append(t.watch, t.reads[n:]...)
+	return len(t.watch)
+}
+
+// WaitForChange blocks on the wait set. The engine calls it after the
+// shared lock is released, or an escalated transaction could never drain
+// the waiter.
+func (t *Thread) WaitForChange() {
+	t.chaosAt(pointWait)
+	t.sys.waitForChange(t, t.watch)
+}
+
+// EnterLadder takes the serial RWMutex: shared for a revocable attempt,
+// exclusive — draining every revocable attempt — for an irrevocable one.
+func (t *Thread) EnterLadder(irrevocable bool) {
+	if irrevocable {
+		t.sys.serial.Lock()
+	} else {
+		t.sys.serial.RLock()
+	}
+}
+
+// ExitLadder releases the side EnterLadder took.
+func (t *Thread) ExitLadder(irrevocable bool) {
+	if irrevocable {
+		t.sys.serial.Unlock()
+	} else {
+		t.sys.serial.RUnlock()
+	}
 }
 
 // --- The TL2 data path ------------------------------------------------------
@@ -381,8 +329,8 @@ func (t *Thread) afterAbort(cause stats.AbortCause) {
 // Load transactionally reads the word at addr: own buffered write if any,
 // else a version-stable read no newer than rv (invariant 2).
 func (t *Thread) Load(addr uint64) uint64 {
-	t.requireTxn()
-	if t.irrevocable {
+	t.RequireTxn()
+	if t.Irrevocable() {
 		return t.sys.m.LoadAtomic(addr)
 	}
 	if i, ok := t.windex[addr]; ok {
@@ -421,8 +369,8 @@ func (t *Thread) Load(addr uint64) uint64 {
 
 // Store buffers the write; it becomes visible only at commit.
 func (t *Thread) Store(addr, val uint64) {
-	t.requireTxn()
-	if t.irrevocable {
+	t.RequireTxn()
+	if t.Irrevocable() {
 		t.undo = append(t.undo, undoEntry{addr: addr, old: t.sys.m.LoadAtomic(addr)})
 		t.touched = append(t.touched, t.sys.stripeIndex(addr))
 		t.sys.m.StoreAtomic(addr, val)
@@ -459,7 +407,7 @@ func (t *Thread) Exec(n uint64) {}
 // Alloc reserves memory from the system's concurrency-safe arena. An
 // aborted transaction merely leaks the allocation, as a GC would reclaim.
 func (t *Thread) Alloc(size, align uint64) uint64 {
-	t.requireTxn()
+	t.RequireTxn()
 	return t.sys.alloc(size, align)
 }
 
@@ -467,27 +415,26 @@ func (t *Thread) Alloc(size, align uint64) uint64 {
 // concurrency control. The store is atomic so a later transactional read
 // of the published word is race-clean.
 func (t *Thread) StoreInit(addr, val uint64) {
-	t.requireTxn()
+	t.RequireTxn()
 	t.sys.m.StoreAtomic(addr, val)
 }
 
 // --- Commit ----------------------------------------------------------------
 
-// commit finishes a revocable attempt (invariant 3). Returns ok=false with
-// the abort cause if the attempt must be re-run.
-func (t *Thread) commit() (stats.AbortCause, bool) {
-	t.tb.ObserveMax(telemetry.ReadSetHWM, uint64(len(t.reads)))
-	t.tb.ObserveMax(telemetry.WriteSetHWM, uint64(len(t.writes)))
-	t.tb.ObserveMax(telemetry.RetryDepthHWM, uint64(t.fsm.Attempt()))
-
+// Commit finishes the attempt: the TL2 commit of a revocable one (invariant
+// 3), or the stamp-and-bump of an irrevocable one. Returns false with the
+// abort cause if the attempt must be re-run.
+func (t *Thread) Commit() (bool, stats.AbortCause) {
+	if t.Irrevocable() {
+		t.commitIrrevocable()
+		return true, 0
+	}
 	if len(t.writes) == 0 {
 		// Read-only: every read was valid at <= rv when it happened
 		// (invariant 2), so the snapshot is exactly the committed state
 		// at rv and serializes there.
 		t.lastStamp = t.rv
-		t.st.Commits++
-		t.sys.commitSeq.Add(1)
-		return 0, true
+		return true, 0
 	}
 
 	// Acquire the write set's stripes in ascending index order.
@@ -508,7 +455,7 @@ func (t *Thread) commit() (stats.AbortCause, bool) {
 		old, ok := t.acquireStripe(ix)
 		if !ok {
 			t.releaseOwned(0) // restore pre-lock versions
-			return stats.AbortLockConflict, false
+			return false, stats.AbortLockConflict
 		}
 		t.owned[ix] = old
 	}
@@ -517,14 +464,14 @@ func (t *Thread) commit() (stats.AbortCause, bool) {
 	// stall here is exactly a descheduled committer.
 	if t.chaosAt(pointPostLock) {
 		t.releaseOwned(0)
-		return stats.AbortLockConflict, false
+		return false, stats.AbortLockConflict
 	}
 
 	wv := t.sys.clock.Add(2)
 
 	if t.chaosAt(pointPreValidate) {
 		t.releaseOwned(0)
-		return stats.AbortLockConflict, false
+		return false, stats.AbortLockConflict
 	}
 
 	// Revalidate the read set unless nothing committed since our snapshot
@@ -541,13 +488,13 @@ func (t *Thread) commit() (stats.AbortCause, bool) {
 				}
 			}
 			t.releaseOwned(0)
-			return stats.AbortValidation, false
+			return false, stats.AbortValidation
 		}
 	}
 
 	if t.chaosAt(pointPreWriteBack) {
 		t.releaseOwned(0)
-		return stats.AbortLockConflict, false
+		return false, stats.AbortLockConflict
 	}
 
 	// Publish the newest buffered value of every address, then release the
@@ -558,10 +505,8 @@ func (t *Thread) commit() (stats.AbortCause, bool) {
 	t.releaseOwned(wv)
 
 	t.lastStamp = wv
-	t.st.Commits++
-	t.sys.commitSeq.Add(1)
 	t.sys.notifyCommit()
-	return 0, true
+	return true, 0
 }
 
 // acquireStripe write-locks one stripe, spinning per the contention
@@ -598,68 +543,27 @@ func (t *Thread) releaseOwned(wv uint64) {
 	}
 }
 
-// --- Nesting, retry, orElse -------------------------------------------------
+// --- Savepoints and rollback ------------------------------------------------
 
-func (t *Thread) nestedAtomic(body func(tm.Txn) error) error {
-	sp := tm.Savepoint{Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)}
-	t.saves = append(t.saves, sp)
-	err, sig := t.runBody(body)
-	t.saves = t.saves[:len(t.saves)-1]
-	switch sig.(type) {
-	case nil:
-		if err != nil {
-			// Partial rollback: only the nested transaction's effects.
-			t.rollbackTo(sp)
-			return err
-		}
-		return nil // nested commit merges into the parent
-	case tm.RetrySignal:
-		// Park the nested reads in the wait set before dropping them, so
-		// the waiter observes everything the alternative read.
-		t.watch = append(t.watch, t.reads[sp.Reads:]...)
-		t.rollbackTo(sp)
-		panic(tm.RetrySignal{})
-	default:
-		panic(sig) // conflict/user aborts unwind the whole transaction
+// Savepoint marks the logs at nested-transaction entry.
+func (t *Thread) Savepoint() tm.Savepoint {
+	return tm.Savepoint{Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)}
+}
+
+// RollbackAll undoes the attempt. Only an irrevocable attempt has anything
+// in memory to undo (a body error, or a contained panic); a revocable
+// attempt's buffers are simply reset by the next begin.
+func (t *Thread) RollbackAll() {
+	if t.Irrevocable() {
+		t.RollbackTo(tm.Savepoint{})
 	}
 }
 
-// OrElse implements composable blocking: alternatives run as nested
-// transactions; one that calls Retry is rolled back and the next is tried;
-// if all retry, the retry propagates with the union of their read sets as
-// the wait set.
-func (t *Thread) OrElse(alternatives ...func(tm.Txn) error) error {
-	if !t.inTxn {
-		return t.Atomic(func(tx tm.Txn) error { return tx.OrElse(alternatives...) })
-	}
-	for _, alt := range alternatives {
-		sp := tm.Savepoint{Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)}
-		t.saves = append(t.saves, sp)
-		err, sig := t.runBody(alt)
-		t.saves = t.saves[:len(t.saves)-1]
-		switch sig.(type) {
-		case nil:
-			if err != nil {
-				t.rollbackTo(sp)
-				return err
-			}
-			return nil
-		case tm.RetrySignal:
-			t.watch = append(t.watch, t.reads[sp.Reads:]...)
-			t.rollbackTo(sp)
-			continue
-		default:
-			panic(sig)
-		}
-	}
-	panic(tm.RetrySignal{})
-}
-
-// rollbackTo reverts the attempt's logs to a savepoint. Revocable
+// RollbackTo reverts the attempt's logs to a savepoint. Revocable
 // transactions truncate the buffers and restore the write index via the
 // prev chain; irrevocable transactions replay the undo log, newest first.
-func (t *Thread) rollbackTo(sp tm.Savepoint) {
-	if t.irrevocable {
+func (t *Thread) RollbackTo(sp tm.Savepoint) {
+	if t.Irrevocable() {
 		for i := len(t.undo) - 1; i >= sp.Undo; i-- {
 			t.sys.m.StoreAtomic(t.undo[i].addr, t.undo[i].old)
 		}
@@ -678,83 +582,6 @@ func (t *Thread) rollbackTo(sp tm.Savepoint) {
 	t.reads = t.reads[:sp.Reads]
 }
 
-// Retry aborts the innermost alternative and blocks re-execution until a
-// previously read location may have changed.
-func (t *Thread) Retry() {
-	t.requireTxn()
-	if t.irrevocable {
-		// An irrevocable transaction holds the serial lock exclusively:
-		// blocking it on a change nobody can make is a guaranteed
-		// deadlock, and the ladder invariant forbids the rollback.
-		panic("native: Retry inside an irrevocable transaction")
-	}
-	panic(tm.RetrySignal{})
-}
-
-// Abort abandons the transaction; the enclosing Atomic returns
-// tm.ErrUserAbort.
-func (t *Thread) Abort() {
-	t.requireTxn()
-	if t.irrevocable {
-		panic("native: Abort inside an irrevocable transaction")
-	}
-	panic(tm.UserAbortSignal{})
-}
-
-// --- Irrevocable escalation ---------------------------------------------------
-
-// runIrrevocable is the ladder's last rung (invariant 5): the transaction
-// takes the serial lock exclusively — draining every revocable attempt —
-// and runs with eager stores, an undo log for nested rollback, and no
-// conflict abort path.
-func (t *Thread) runIrrevocable(body func(tm.Txn) error) error {
-	t.tb.Inc(telemetry.Escalations)
-	t.sys.serial.Lock()
-	t.tb.Inc(telemetry.IrrevocableEntries)
-	t.inTxn, t.irrevocable = true, true
-	t.undo = t.undo[:0]
-	t.touched = t.touched[:0]
-	t.reads = t.reads[:0]
-	t.writes = t.writes[:0]
-	t.saves = t.saves[:0]
-	// Chaos point: the serial lock is held exclusively — a stall here
-	// drains every revocable attempt against the irrevocable window. A
-	// foreign panic from the body unwinds to Atomic's contain, which
-	// replays the undo log and releases the serial lock.
-	t.chaosAt(pointIrrevocable)
-
-	var result error
-	var escaped interface{}
-	err, sig := t.runBody(body)
-	switch sig.(type) {
-	case nil:
-		if err != nil {
-			// The body failed: replay the undo log and return the error,
-			// exactly as a revocable attempt would roll back.
-			for i := len(t.undo) - 1; i >= 0; i-- {
-				t.sys.m.StoreAtomic(t.undo[i].addr, t.undo[i].old)
-			}
-			result = err
-		} else {
-			t.commitIrrevocable()
-		}
-	default:
-		// Retry/Abort already panic with plain strings in irrevocable
-		// mode, so an engine signal here is an engine bug: re-panic once
-		// the locks and mode flags are sane again.
-		escaped = sig
-	}
-	t.inTxn, t.irrevocable = false, false
-	t.sys.serial.Unlock()
-	if escaped != nil {
-		panic(escaped)
-	}
-	if result == nil && len(t.touched) > 0 {
-		t.sys.notifyCommit()
-	}
-	return result
-}
-
 // commitIrrevocable stamps the transaction and bumps every touched stripe
 // so retry waiters and later snapshots observe the in-place writes.
 func (t *Thread) commitIrrevocable() {
@@ -769,8 +596,7 @@ func (t *Thread) commitIrrevocable() {
 		t.sys.stripes[ix].v.Store(wv)
 	}
 	t.lastStamp = wv
-	t.st.Commits++
-	t.sys.commitSeq.Add(1)
-	t.tb.ObserveMax(telemetry.UndoLogHWM, uint64(len(t.undo)))
-	t.tb.ObserveMax(telemetry.RetryDepthHWM, uint64(t.fsm.Attempt()))
+	if len(t.touched) > 0 {
+		t.sys.notifyCommit()
+	}
 }

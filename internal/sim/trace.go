@@ -107,6 +107,11 @@ func (c *Ctx) TraceEvent(kind, detail string) {
 	b.add(TraceEvent{Cycle: c.clock, Core: c.id, Kind: kind, Detail: detail})
 }
 
+// Tracing reports whether a trace buffer is attached. Emitters whose detail
+// string costs a format (and so an allocation) test it first, so an
+// untraced run never builds a string TraceEvent would drop.
+func (c *Ctx) Tracing() bool { return c.m.trace != nil }
+
 // SetTxnTrace attaches a per-transaction JSONL event buffer to the machine
 // (hastm-bench -trace); nil detaches it. Attach before Run.
 func (m *Machine) SetTxnTrace(b *telemetry.TraceBuffer) { m.txnTrace = b }

@@ -165,7 +165,7 @@ func TestReadLogOverflowPanics(t *testing.T) {
 	s := New(machine, tm.Config{Granularity: tm.LineGranularity}) // no periodic validation
 	// Distinct records per read: walk distinct lines; the table has 4096
 	// entries but duplicates in the read set are allowed, so any addresses
-	// will do — the log fills after logCap appends.
+	// will do — the log fills after LogCap appends.
 	base := machine.Mem.Alloc(8*mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {
 		th := s.Thread(c)
@@ -175,7 +175,7 @@ func TestReadLogOverflowPanics(t *testing.T) {
 			}
 		}()
 		_ = th.Atomic(func(tx tm.Txn) error {
-			for i := 0; i <= logCap; i++ {
+			for i := 0; i <= LogCap; i++ {
 				tx.Load(base + uint64(i%8)*mem.LineSize)
 			}
 			return nil

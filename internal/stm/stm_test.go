@@ -263,67 +263,6 @@ func TestWriteAfterReadUpgrade(t *testing.T) {
 	}
 }
 
-func TestNestedCommitMerges(t *testing.T) {
-	machine := testMachine(1)
-	s := New(machine, lineCfg())
-	a := machine.Mem.Alloc(64, 8)
-	machine.Run(func(c *sim.Ctx) {
-		th := s.Thread(c)
-		err := th.Atomic(func(tx tm.Txn) error {
-			tx.Store(a, 1)
-			return tx.Atomic(func(in tm.Txn) error {
-				in.Store(a+8, 2)
-				return nil
-			})
-		})
-		if err != nil {
-			t.Errorf("Atomic: %v", err)
-		}
-	})
-	if machine.Mem.Load(a) != 1 || machine.Mem.Load(a+8) != 2 {
-		t.Fatal("nested writes not committed with parent")
-	}
-}
-
-func TestNestedPartialRollback(t *testing.T) {
-	machine := testMachine(1)
-	s := New(machine, lineCfg())
-	a := machine.Mem.Alloc(128, 8)
-	boom := errors.New("inner fails")
-	machine.Run(func(c *sim.Ctx) {
-		th := s.Thread(c)
-		err := th.Atomic(func(tx tm.Txn) error {
-			tx.Store(a, 1)
-			if err := tx.Atomic(func(in tm.Txn) error {
-				in.Store(a+64, 2) // a different record (next line)
-				in.Store(a, 99)   // overwrite the outer value
-				return boom
-			}); !errors.Is(err, boom) {
-				t.Errorf("nested err = %v", err)
-			}
-			// Partial rollback: outer write survives, inner undone.
-			if got := tx.Load(a); got != 1 {
-				t.Errorf("outer value after partial rollback = %d", got)
-			}
-			if got := tx.Load(a + 64); got != 0 {
-				t.Errorf("inner value not rolled back: %d", got)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Errorf("Atomic: %v", err)
-		}
-	})
-	if machine.Mem.Load(a) != 1 || machine.Mem.Load(a+64) != 0 {
-		t.Fatal("memory after partial rollback wrong")
-	}
-	// The inner record must have been released.
-	rec := s.Table().RecordFor(a + 64)
-	if v := machine.Mem.Load(rec); !IsVersion(v) {
-		t.Fatalf("inner record still owned: %#x", v)
-	}
-}
-
 func TestDeepNesting(t *testing.T) {
 	machine := testMachine(1)
 	s := New(machine, lineCfg())

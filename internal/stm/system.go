@@ -1,7 +1,6 @@
 package stm
 
 import (
-	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -63,31 +62,11 @@ func (s *System) Table() *RecordTable { return s.table }
 // Machine returns the machine this system runs on.
 func (s *System) Machine() *sim.Machine { return s.machine }
 
-// Thread binds the STM to one core. The descriptor, TLS slot and the
-// read/write/undo logs are allocated in simulated memory so that logging
-// has real cache cost — log stores can evict marked lines, one of the
-// effects HASTM's aggressive mode removes.
+// Thread binds the STM to one core (see Base.Init for what is reserved in
+// simulated memory).
 func (s *System) Thread(ctx *sim.Ctx) tm.Thread {
-	t := &Thread{
-		sys:      s,
-		ctx:      ctx,
-		writeVer: make(map[uint64]uint64, 64),
-		backoff:  tm.NewBackoff(ctx.ID()),
-		ladder:   tm.NewBackoff(ctx.ID()),
-		fsm:      tm.AttemptFSM{RetryBudget: s.cfg.Progress.RetryBudget},
-	}
-	// The allocator is shared machine state: reserve the thread's
-	// descriptor and logs inside one architectural step so concurrent
-	// thread creation stays deterministic and race-free.
-	ctx.Step(func(m *sim.Machine) uint64 {
-		t.desc = m.Mem.Alloc(descSize, mem.LineSize)
-		t.tls = m.Mem.Alloc(mem.LineSize, mem.LineSize)
-		t.rdLog = m.Mem.Alloc(logCap*entryBytes, mem.LineSize)
-		t.wrLog = m.Mem.Alloc(logCap*entryBytes, mem.LineSize)
-		t.undoLog = m.Mem.Alloc(logCap*entryBytes, mem.LineSize)
-		m.Mem.Store(t.tls, t.desc)
-		return 16
-	})
+	t := &Thread{writeVer: make(map[uint64]uint64, 64)}
+	t.Init(t, ctx, &s.cfg, s.table, "stm", 3)
 	if s.accel != nil {
 		t.accel = s.accel(t)
 	}

@@ -3,35 +3,16 @@ package stm
 import (
 	"fmt"
 
-	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
 
-// Descriptor layout (simulated memory). The descriptor address is always
-// word-aligned, hence even, which is what distinguishes an owner pointer
-// from an odd version number in a transaction record.
+// The eager protocol's logs in the Base's descriptor.
 const (
-	descRdLog   = 0  // read-set log pointer
-	descWrLog   = 8  // write-set log pointer
-	descUndoLog = 16 // undo log pointer
-	descMode    = 24 // mode word (aggressive flag, used by HASTM)
-	descSize    = 64 // one cache line, avoids false sharing
+	logWrites = 1 // write set: records owned, with the version displaced
+	logUndo   = 2 // undo log: data words overwritten in place
 )
-
-// logCap is the capacity of each per-thread log in entries. Each entry is
-// two words (16 bytes).
-const logCap = 1 << 15
-
-const entryBytes = 16
-
-// RecEntry is one read- or write-set entry: a transaction-record address
-// and the version it held when logged.
-type RecEntry struct {
-	Rec uint64
-	Ver uint64
-}
 
 // UndoEntry records a data word's old value for rollback.
 type UndoEntry struct {
@@ -39,379 +20,88 @@ type UndoEntry struct {
 	Old  uint64
 }
 
-// The control-flow signals thrown through the user body with panic, the
-// nested-transaction savepoints, and the attempt/strike/escalation
-// bookkeeping are the backend-neutral state machine shared with the
-// host-native backend: tm.AbortSignal / tm.RetrySignal / tm.UserAbortSignal,
-// tm.Savepoint and tm.AttemptFSM.
-
-// Thread is one core's software-transactional thread. It implements both
-// tm.Thread and tm.Txn.
+// Thread is one core's software-transactional thread: the eager-undo
+// protocol (strict two-phase locking for writes, in-place updates behind an
+// undo log) under the shared tm.Engine. It implements tm.Thread, tm.Txn and
+// tm.Protocol.
 type Thread struct {
-	sys   *System
-	ctx   *sim.Ctx
+	Base
 	accel Accel
 
-	desc    uint64 // descriptor in simulated memory
-	tls     uint64 // simulated TLS slot holding the descriptor pointer
-	rdLog   uint64 // log array base addresses in simulated memory
-	wrLog   uint64
-	undoLog uint64
-
-	// Go-side mirrors of the simulated logs (identical contents; the
-	// simulated stores above charge the real cache/cycle costs).
-	reads  []RecEntry
+	// Go-side mirrors of the simulated write set and undo log.
 	writes []RecEntry
 	undo   []UndoEntry
 
 	writeVer map[uint64]uint64 // rec -> version at acquire, for validation
-	watch    []RecEntry        // retry wait-set accumulated across rollbacks
-
-	saves []tm.Savepoint
-
-	backoff            *tm.Backoff
-	readsSinceValidate int
-	txnSeq             uint64 // per-thread transaction id, stable across retries
-	inTxn              bool
-
-	// fsm is the shared attempt/strike/escalation state machine: aborted
-	// attempts strike towards the retry budget, retry-waits do not, and at
-	// the budget the thread acquires the irrevocable token so the next
-	// attempt runs serially with no abort path. ladder is a dedicated
-	// backoff for token waits so they never perturb the contention
-	// backoff's state.
-	fsm         tm.AttemptFSM
-	ladder      *tm.Backoff
-	irrevocable bool
-	irrevStart  uint64 // clock at token acquisition, for cycles-held accounting
-
-	// serializeNext makes the next top-level Atomic force-escalate on its
-	// first attempt (admission control routing a hot-key transaction
-	// straight through the irrevocable ladder). Consumed by Atomic.
-	serializeNext bool
 }
 
 var (
-	_ tm.Thread = (*Thread)(nil)
-	_ tm.Txn    = (*Thread)(nil)
+	_ tm.Thread   = (*Thread)(nil)
+	_ tm.Protocol = (*Thread)(nil)
 )
-
-// Ctx returns the core context this thread runs on.
-func (t *Thread) Ctx() *sim.Ctx { return t.ctx }
-
-// ID returns the core id (the backend-neutral thread index).
-func (t *Thread) ID() int { return t.ctx.ID() }
-
-// Stamp returns the simulated clock, the serialization stamp of the most
-// recently completed atomic block on the cycle-ordered simulator.
-func (t *Thread) Stamp() uint64 { return t.ctx.Clock() }
-
-// Stats returns the per-core statistics record.
-func (t *Thread) Stats() *stats.Core {
-	return &t.ctx.Machine().Stats.Cores[t.ctx.ID()]
-}
-
-// Config returns the TM configuration.
-func (t *Thread) Config() tm.Config { return t.sys.cfg }
-
-// Attempt returns the current attempt number (0 = first execution).
-func (t *Thread) Attempt() int { return t.fsm.Attempt() }
-
-// TxnSeq returns the per-thread id of the current (or most recent)
-// top-level transaction; it stays stable across that transaction's retries.
-func (t *Thread) TxnSeq() uint64 { return t.txnSeq }
-
-// Desc returns the simulated address of the transaction descriptor.
-func (t *Thread) Desc() uint64 { return t.desc }
 
 // ModeAddr returns the simulated address of the descriptor's mode word,
 // which the HASTM barriers test ("test [txndesc + mode], #aggressive").
 func (t *Thread) ModeAddr() uint64 { return t.desc + descMode }
 
-func (t *Thread) requireTxn() {
-	if !t.inTxn {
-		panic("stm: transactional access outside an atomic block")
-	}
-}
+// --- tm.Protocol: eager version management ------------------------------------
 
-// --- Atomic engine ---------------------------------------------------------
-
-// Atomic runs body as a transaction. At top level it retries conflict
-// aborts until commit; inside a transaction it is a closed-nested
-// transaction with partial rollback.
-func (t *Thread) Atomic(body func(tm.Txn) error) error {
-	if t.inTxn {
-		return t.nestedAtomic(body)
-	}
-	t.fsm.BeginTxn()
-	if t.serializeNext {
-		t.serializeNext = false
-		t.fsm.ForceEscalate()
-	}
-	t.watch = t.watch[:0]
-	t.txnSeq++
-	for {
-		t.enterLadder()
-		t.begin()
-		err, sig := t.runBody(body)
-		switch s := sig.(type) {
-		case nil:
-			if err != nil {
-				// Body failure: the trace needs a terminal event (a
-				// dangling begin breaks per-transaction accounting), but
-				// the failure is not an abort — no conflict occurred and
-				// the abort counters must keep summing to the traced
-				// abort events.
-				t.ctx.TraceEvent("error", err.Error())
-				t.abandonAttempt(telemetry.EvError, BodyErrorCause)
-				return err
-			}
-			committed, cause := t.commitTxn()
-			if committed {
-				t.finish(true)
-				return nil
-			}
-			t.afterAbort(cause)
-		case tm.UserAbortSignal:
-			t.abandonAttempt(telemetry.EvAbort, stats.AbortExplicit.String())
-			t.Stats().Aborts[stats.AbortExplicit]++
-			return tm.ErrUserAbort
-		case tm.RetrySignal:
-			t.ctx.TraceEvent("retry", fmt.Sprintf("watching %d records", len(t.watch)+len(t.reads)))
-			// The wait set must capture the read set before the rollback
-			// truncates it.
-			t.watchReadsFrom(0)
-			t.abandonAttempt(telemetry.EvRetry, "")
-			t.Stats().Retries++
-			t.waitForChange()
-			t.fsm.OnRetryWait()
-		case tm.AbortSignal:
-			t.afterAbort(s.Cause)
-		}
-	}
-}
-
-// AtomicSerialized runs body as a transaction that escalates to serial
-// irrevocable mode on its first attempt: admission control's "serialize"
-// action for transactions known to target a hot key. When the escalation
-// ladder is not configured (Progress.Token nil) it degrades to a plain
-// Atomic — the forced flag is never consulted. Inside a transaction it is
-// an ordinary closed-nested block.
-func (t *Thread) AtomicSerialized(body func(tm.Txn) error) error {
-	if !t.inTxn {
-		t.serializeNext = true
-	}
-	return t.Atomic(body)
-}
-
-// BodyErrorCause is the cause string carried by the EvError trace event a
-// failed (error-returning) transaction body emits.
-const BodyErrorCause = "body-error"
-
-// finish closes out a transaction after commit or a terminal abort.
-func (t *Thread) finish(committed bool) {
-	if t.accel != nil {
-		t.accel.End(t, committed)
-	}
-	t.exitLadder()
-	if committed {
-		t.backoff.Reset()
-	}
-	t.inTxn = false
-}
-
-// enterLadder runs before every top-level attempt when the escalation
-// ladder is configured. Within the retry budget the attempt announces
-// itself as revocable (and waits out any irrevocable owner); past the
-// budget it escalates: acquire the global token, drain every other core's
-// in-flight attempt, and run serially with no abort path. Token traffic is
-// real simulated memory traffic, charged to the lock category, so the
-// ladder's cost shows up honestly in figures.
-func (t *Thread) enterLadder() {
-	tok := t.sys.cfg.Progress.Token
-	if tok == nil {
-		return
-	}
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.Lock)
-	if t.fsm.ShouldEscalate() {
-		ctx.TraceEvent("escalate", "retry budget exhausted")
-		ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(),
-			Kind: telemetry.EvEscalate, Cause: "retry-budget"})
-		ctx.Telem().Inc(telemetry.Escalations)
-		tok.Acquire(ctx, t.ladder)
-		t.irrevocable = true
-		t.irrevStart = ctx.Clock()
-		ctx.Telem().Inc(telemetry.IrrevocableEntries)
-	} else {
-		tok.EnterShared(ctx, t.ladder)
-	}
-	ctx.SetCat(prev)
-	t.ladder.Reset()
-}
-
-// exitLadder ends the attempt's participation in the ladder handshake:
-// release the token (accounting the cycles it was held) after an
-// irrevocable attempt, withdraw the active flag after a revocable one.
-func (t *Thread) exitLadder() {
-	tok := t.sys.cfg.Progress.Token
-	if tok == nil {
-		return
-	}
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.Lock)
-	if t.irrevocable {
-		ctx.Telem().Add(telemetry.IrrevocableCyclesHeld, ctx.Clock()-t.irrevStart)
-		tok.Release(ctx)
-		t.irrevocable = false
-	} else {
-		tok.ExitShared(ctx)
-	}
-	ctx.SetCat(prev)
-}
-
-// Irrevocable reports whether the current attempt holds the irrevocable
-// token (for tests and fault hooks).
-func (t *Thread) Irrevocable() bool { return t.irrevocable }
-
-// observeSetSizes raises the log-pressure high-water marks to the current
-// set sizes; called at transaction end points, where the sets have reached
-// their peak for the attempt.
-func (t *Thread) observeSetSizes() {
-	b := t.ctx.Telem()
-	b.ObserveMax(telemetry.ReadSetHWM, uint64(len(t.reads)))
-	b.ObserveMax(telemetry.WriteSetHWM, uint64(len(t.writes)))
-	b.ObserveMax(telemetry.UndoLogHWM, uint64(len(t.undo)))
-}
-
-// abandonAttempt is the single exit path for every non-committing end of
-// a top-level attempt: conflict abort, explicit abort, retry-wait, body
-// error. Centralising it keeps the paths from diverging again — every
-// exit records the attempt's footprint in the set-size high-water marks
-// and emits a terminal trace event carrying the full (reads, writes,
-// undo) sizes, so begins always pair with terminals and the log-pressure
-// gauges cannot silently skip retry or error attempts.
-func (t *Thread) abandonAttempt(kind, cause string) {
-	t.observeSetSizes()
-	t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(),
-		Kind: kind, Cause: cause,
-		Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)})
-	t.rollbackAll()
-	if t.accel != nil {
-		t.accel.End(t, false)
-	}
-	t.exitLadder()
-	t.inTxn = false
-}
-
-// afterAbort rolls back and prepares the next attempt.
-func (t *Thread) afterAbort(cause stats.AbortCause) {
-	t.ctx.TraceEvent("abort", cause.String())
-	t.abandonAttempt(telemetry.EvAbort, cause.String())
-	t.Stats().Aborts[cause]++
-	t.fsm.OnAbort()
-	if cause.IsConflict() {
-		t.backoff.Wait(t.ctx)
-	}
-}
-
-// runBody executes the user body, converting engine panics into signals.
-// A foreign panic is re-raised unless the read set no longer validates, in
-// which case the body was a zombie executing on inconsistent data and the
-// panic is converted into a conflict abort.
-func (t *Thread) runBody(body func(tm.Txn) error) (err error, sig interface{}) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if tm.IsEngineSignal(r) {
-			sig = r
-			return
-		}
-		if sim.IsStop(r) {
-			// Watchdog stop-unwinding: must propagate to the grant
-			// boundary, never be misread as a zombie abort.
-			panic(r)
-		}
-		if !t.readsConsistent() {
-			sig = tm.AbortSignal{Cause: stats.AbortValidation}
-			return
-		}
-		panic(r)
-	}()
-	err = body(t)
-	return err, nil
-}
-
-// readsConsistent re-checks the read set directly against memory at zero
-// simulated cost; used only to classify foreign panics as zombie effects.
-func (t *Thread) readsConsistent() bool {
-	m := t.ctx.Machine().Mem
-	for _, e := range t.reads {
-		cur := m.Load(e.Rec)
-		if cur != e.Ver && !(cur == t.desc && t.writeVer[e.Rec] == e.Ver) {
-			return false
-		}
-	}
-	return true
-}
-
-func (t *Thread) begin() {
-	t.inTxn = true
-	t.reads = t.reads[:0]
+// BeginAttempt rewinds the three logs and runs the acceleration hook.
+func (t *Thread) BeginAttempt(attempt int) {
 	t.writes = t.writes[:0]
 	t.undo = t.undo[:0]
-	t.saves = t.saves[:0]
-	t.readsSinceValidate = 0
 	clear(t.writeVer)
-
-	ctx := t.ctx
-	ctx.TraceEvent("begin", fmt.Sprintf("attempt=%d", t.fsm.Attempt()))
-	ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(), Kind: telemetry.EvBegin})
-	// The inlined barriers keep the descriptor in a register (Fig 4), so
-	// TLS is charged once per transaction, at begin.
-	prev := ctx.SetCat(stats.TLS)
-	ctx.Load(t.tls) // gettxndesc
-	ctx.SetCat(stats.Commit)
-	ctx.Exec(4) // descriptor setup
-	ctx.Store(t.desc+descRdLog, t.rdLog)
-	ctx.Store(t.desc+descWrLog, t.wrLog)
-	ctx.Store(t.desc+descUndoLog, t.undoLog)
-	ctx.SetCat(prev)
-
+	t.BeginLogs(attempt)
 	if t.accel != nil {
-		t.accel.Begin(t, t.fsm.Attempt())
-	}
-	if t.irrevocable {
-		ctx.TraceEvent("irrevocable", "serial attempt, no abort path")
-		ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(), Kind: telemetry.EvIrrevocable})
-		ctx.SetStatus("irrevocable", t.fsm.Attempt())
-	} else {
-		ctx.SetStatus("stm", t.fsm.Attempt())
+		t.accel.Begin(t, attempt)
 	}
 }
 
-func (t *Thread) commitTxn() (bool, stats.AbortCause) {
+// Commit validates the read set and, if it holds, releases every owned
+// record at its next version — the in-place updates are already public.
+func (t *Thread) Commit() (bool, stats.AbortCause) {
 	ctx := t.ctx
 	prev := ctx.SetCat(stats.Validate)
 	ok, cause := t.validate(true)
 	ctx.SetCat(stats.Commit)
 	if ok {
-		t.releaseWrites()
+		for _, w := range t.writes {
+			ctx.Store(w.Rec, NextVersion(w.Ver))
+			ctx.Exec(2)
+		}
 		ctx.Exec(8) // commit bookkeeping
-		t.Stats().Commits++
-		ctx.NoteCommit()
-		ctx.TraceEvent("commit", fmt.Sprintf("reads=%d writes=%d", len(t.reads), len(t.writes)))
-		t.observeSetSizes()
-		ctx.Telem().ObserveMax(telemetry.RetryDepthHWM, uint64(t.fsm.Attempt()))
-		ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.fsm.Attempt(),
-			Kind:  telemetry.EvCommit,
-			Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)})
 	}
 	ctx.SetCat(prev)
 	return ok, cause
 }
+
+// CommitDetail renders the commit text-trace detail.
+func (t *Thread) CommitDetail() string {
+	return fmt.Sprintf("reads=%d writes=%d", len(t.Reads), len(t.writes))
+}
+
+// EndAttempt closes the acceleration hook's view of the attempt.
+func (t *Thread) EndAttempt(committed bool) {
+	if t.accel != nil {
+		t.accel.End(t, committed)
+	}
+	t.Base.EndAttempt(committed)
+}
+
+// ObserveSetSizes raises the log-pressure high-water marks to the current
+// set sizes, which have reached their peak at an attempt's end.
+func (t *Thread) ObserveSetSizes() (reads, writes, undo int) {
+	reads, writes, undo = len(t.Reads), len(t.writes), len(t.undo)
+	b := t.ctx.Telem()
+	b.ObserveMax(telemetry.ReadSetHWM, uint64(reads))
+	b.ObserveMax(telemetry.WriteSetHWM, uint64(writes))
+	b.ObserveMax(telemetry.UndoLogHWM, uint64(undo))
+	return reads, writes, undo
+}
+
+// ReadsConsistent: an eager reader can be a zombie between validations, so
+// the engine's sandbox rule applies to the real read set.
+func (t *Thread) ReadsConsistent() bool { return t.ReadsConsistentWith(t.writeVer) }
 
 // validate checks the read set. With acceleration, the mark counter can
 // prove the read set intact without touching it (Fig 6). On failure the
@@ -419,6 +109,7 @@ func (t *Thread) commitTxn() (bool, stats.AbortCause) {
 // transaction that merely lost the ability to validate (no read set to
 // fall back on).
 func (t *Thread) validate(atCommit bool) (bool, stats.AbortCause) {
+	ctx := t.ctx
 	if t.accel != nil {
 		skipFull, ok := t.accel.PreValidate(t, atCommit)
 		if !ok {
@@ -426,26 +117,15 @@ func (t *Thread) validate(atCommit bool) (bool, stats.AbortCause) {
 		}
 		if skipFull {
 			t.Stats().FastValidations++
-			t.ctx.TraceEvent("validate", "fast (mark counter zero)")
+			ctx.TraceEvent("validate", "fast (mark counter zero)")
 			return true, 0
 		}
 	}
 	t.Stats().FullValidations++
-	t.ctx.TraceEvent("validate", fmt.Sprintf("full (%d reads)", len(t.reads)))
-	ctx := t.ctx
-	ctx.Exec(2) // loop setup
-	for _, e := range t.reads {
-		cur := ctx.Load(e.Rec)
-		ctx.Exec(2) // compare + branch
-		if cur == e.Ver {
-			continue
-		}
-		if cur == t.desc {
-			ctx.Exec(2)
-			if t.writeVer[e.Rec] == e.Ver {
-				continue // we own it and acquired it at the version we read
-			}
-		}
+	if ctx.Tracing() {
+		ctx.TraceEvent("validate", fmt.Sprintf("full (%d reads)", len(t.Reads)))
+	}
+	if !t.ValidateReads(t.writeVer) {
 		return false, stats.AbortValidation
 	}
 	return true, 0
@@ -454,52 +134,37 @@ func (t *Thread) validate(atCommit bool) (bool, stats.AbortCause) {
 // periodicValidate bounds zombie execution: every ValidateEvery read
 // barriers the read set is re-validated; a failure aborts immediately.
 func (t *Thread) periodicValidate() {
-	every := t.sys.cfg.ValidateEvery
-	if every <= 0 {
+	if !t.ValidationDue() {
 		return
 	}
-	t.readsSinceValidate++
-	if t.readsSinceValidate < every {
-		return
-	}
-	t.readsSinceValidate = 0
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.Validate)
+	prev := t.ctx.SetCat(stats.Validate)
 	ok, cause := t.validate(false)
-	ctx.SetCat(prev)
+	t.ctx.SetCat(prev)
 	if !ok {
 		panic(tm.AbortSignal{Cause: cause})
 	}
 }
 
-func (t *Thread) releaseWrites() {
-	ctx := t.ctx
-	for _, w := range t.writes {
-		ctx.Store(w.Rec, NextVersion(w.Ver))
-		ctx.Exec(2)
-	}
+// Savepoint marks the three logs at nested-transaction entry.
+func (t *Thread) Savepoint() tm.Savepoint {
+	return tm.Savepoint{Reads: len(t.Reads), Writes: len(t.writes), Undo: len(t.undo)}
 }
 
-// rollbackAll undoes every effect of the current attempt.
-func (t *Thread) rollbackAll() {
-	t.rollbackTo(tm.Savepoint{})
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.Commit)
-	ctx.Exec(8) // abort bookkeeping
-	ctx.SetCat(prev)
-}
+// RollbackAll undoes every effect of the current attempt.
+func (t *Thread) RollbackAll() { t.RollbackTo(tm.Savepoint{}) }
 
-// rollbackTo reverts data and ownership to a savepoint (partial rollback
+// RollbackTo reverts data and ownership to a savepoint (partial rollback
 // for nested transactions, full rollback for sp == zero).
-func (t *Thread) rollbackTo(sp tm.Savepoint) {
+func (t *Thread) RollbackTo(sp tm.Savepoint) {
 	ctx := t.ctx
 	prev := ctx.SetCat(stats.Commit)
 
 	// Restore data from the undo log, newest first.
+	undoLog := t.LogAddr(logUndo)
 	for i := len(t.undo) - 1; i >= sp.Undo; i-- {
 		e := t.undo[i]
-		ctx.Load(t.undoLog + uint64(i)*entryBytes)     // entry addr word
-		ctx.Load(t.undoLog + uint64(i)*entryBytes + 8) // entry value word
+		ctx.Load(undoLog + uint64(i)*EntryBytes)     // entry addr word
+		ctx.Load(undoLog + uint64(i)*EntryBytes + 8) // entry value word
 		ctx.Store(e.Addr, e.Old)
 		ctx.Exec(2)
 	}
@@ -514,144 +179,11 @@ func (t *Thread) rollbackTo(sp tm.Savepoint) {
 	}
 	t.writes = t.writes[:sp.Writes]
 
-	t.reads = t.reads[:sp.Reads]
+	t.Reads = t.Reads[:sp.Reads]
 	if t.accel != nil {
 		t.accel.OnPartialRollback(t)
 	}
 	ctx.SetCat(prev)
-}
-
-// watchReadsFrom appends read-set entries at index >= n to the retry watch
-// set.
-func (t *Thread) watchReadsFrom(n int) {
-	t.watch = append(t.watch, t.reads[n:]...)
-}
-
-// waitForChange blocks (in simulated time) until some watched record's
-// version changes. An empty watch set, or a long wait, returns anyway — a
-// spurious wakeup, which retry semantics permit.
-func (t *Thread) waitForChange() {
-	ctx := t.ctx
-	prev := ctx.SetCat(stats.Validate)
-	defer ctx.SetCat(prev)
-	if len(t.watch) == 0 {
-		t.backoff.Wait(ctx)
-		return
-	}
-	for poll := 0; poll < 1000; poll++ {
-		for _, e := range t.watch {
-			cur := ctx.Load(e.Rec)
-			ctx.Exec(2)
-			if cur != e.Ver {
-				return
-			}
-		}
-		t.backoff.Wait(ctx)
-	}
-}
-
-// --- Nesting, retry, orElse ------------------------------------------------
-
-func (t *Thread) nestedAtomic(body func(tm.Txn) error) error {
-	sp := tm.Savepoint{Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)}
-	t.saves = append(t.saves, sp)
-	t.ctx.Exec(4) // nested begin
-	err, sig := t.runBody(body)
-	t.saves = t.saves[:len(t.saves)-1]
-	switch sig.(type) {
-	case nil:
-		if err != nil {
-			// Partial rollback: only the nested transaction's effects.
-			t.rollbackTo(sp)
-			return err
-		}
-		t.ctx.Exec(2) // nested commit merges into the parent
-		return nil
-	case tm.RetrySignal:
-		// Roll back progressively and propagate; the watch set keeps the
-		// nested reads so the waiter observes them.
-		t.watchReadsFrom(sp.Reads)
-		t.rollbackTo(sp)
-		panic(tm.RetrySignal{})
-	default:
-		panic(sig) // conflict/user aborts unwind the whole transaction
-	}
-}
-
-// OrElse implements composable blocking (§2, [11]): alternatives run as
-// nested transactions; one that calls Retry is rolled back and the next is
-// tried; if all retry, the retry propagates with the union of their read
-// sets as the wait set.
-func (t *Thread) OrElse(alternatives ...func(tm.Txn) error) error {
-	if !t.inTxn {
-		return t.Atomic(func(tx tm.Txn) error { return tx.OrElse(alternatives...) })
-	}
-	for _, alt := range alternatives {
-		sp := tm.Savepoint{Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)}
-		t.saves = append(t.saves, sp)
-		t.ctx.Exec(4)
-		err, sig := t.runBody(alt)
-		t.saves = t.saves[:len(t.saves)-1]
-		switch sig.(type) {
-		case nil:
-			if err != nil {
-				t.rollbackTo(sp)
-				return err
-			}
-			t.ctx.Exec(2)
-			return nil
-		case tm.RetrySignal:
-			t.watchReadsFrom(sp.Reads)
-			t.rollbackTo(sp)
-			continue
-		default:
-			panic(sig)
-		}
-	}
-	panic(tm.RetrySignal{})
-}
-
-// Exec charges application compute to the simulated clock (attributed to
-// the App category, since the body runs at that category).
-func (t *Thread) Exec(n uint64) { t.ctx.Exec(n) }
-
-// Alloc reserves memory for a new object; aborts leak it (GC semantics).
-func (t *Thread) Alloc(size, align uint64) uint64 { return t.ctx.Alloc(size, align) }
-
-// StoreInit initialises not-yet-published memory without barriers.
-func (t *Thread) StoreInit(addr, val uint64) { t.ctx.Store(addr, val) }
-
-// Retry aborts the innermost alternative and blocks re-execution until a
-// previously read location may have changed.
-func (t *Thread) Retry() {
-	t.requireTxn()
-	if t.irrevocable {
-		// An irrevocable attempt holds the global token and has drained
-		// every other core: blocking it on a change nobody can make is a
-		// guaranteed deadlock, and the ladder invariant (irrevocable is
-		// terminal-commit-only) forbids the rollback. Fail loudly; the
-		// simulator contains the panic as a CoreFault.
-		panic("stm: Retry inside an irrevocable transaction")
-	}
-	panic(tm.RetrySignal{})
-}
-
-// Abort abandons the transaction; the enclosing Atomic returns
-// tm.ErrUserAbort.
-func (t *Thread) Abort() {
-	t.requireTxn()
-	if t.irrevocable {
-		// Same invariant as Retry: irrevocable attempts have no abort path.
-		panic("stm: Abort inside an irrevocable transaction")
-	}
-	panic(tm.UserAbortSignal{})
-}
-
-// AbortConflictForTest forces a conflict-style abort (used by failure
-// injection in tests).
-func (t *Thread) AbortConflictForTest() {
-	t.requireTxn()
-	panic(tm.AbortSignal{Cause: stats.AbortValidation})
 }
 
 // --- Introspection / suspension ---------------------------------------------
@@ -663,74 +195,44 @@ func (t *Thread) AbortConflictForTest() {
 // discarded and the mark counter bumps, so the transaction merely falls
 // back to full software validation at commit.
 func (t *Thread) GCPause(inspect func(reads, writes []RecEntry, undo []UndoEntry)) {
-	t.requireTxn()
+	t.RequireTxn()
 	if inspect != nil {
-		inspect(t.reads, t.writes, t.undo)
+		inspect(t.Reads, t.writes, t.undo)
 	}
 	t.ctx.RingTransition()
 }
 
-// ReadSetSize returns the current number of read-set entries.
-func (t *Thread) ReadSetSize() int { return len(t.reads) }
-
-// WriteSetSize returns the current number of write-set entries.
-func (t *Thread) WriteSetSize() int { return len(t.writes) }
-
-// UndoLogSize returns the current number of undo entries.
-func (t *Thread) UndoLogSize() int { return len(t.undo) }
-
 // --- Barriers ---------------------------------------------------------------
-
-// chargeAddrCompute charges the record-address computation
-// (mov/and/add, Fig 7) to the given category.
-func (t *Thread) chargeAddrCompute(cat stats.Category) {
-	prev := t.ctx.SetCat(cat)
-	t.ctx.Exec(3)
-	t.ctx.SetCat(prev)
-}
-
-func (t *Thread) appLoad(addr uint64) uint64 {
-	prev := t.ctx.SetCat(stats.App)
-	v := t.ctx.Load(addr)
-	t.ctx.SetCat(prev)
-	return v
-}
 
 // Load transactionally reads the word at addr using the global record
 // table (cache-line-granularity conflict detection).
 func (t *Thread) Load(addr uint64) uint64 {
-	t.requireTxn()
-	if t.accel != nil && t.sys.cfg.Granularity == tm.LineGranularity {
+	t.RequireTxn()
+	lineAccel := t.accel != nil && t.cfg.Granularity == tm.LineGranularity
+	if lineAccel {
 		if v, ok := t.accel.FilterData(t, addr); ok {
 			t.Stats().FilteredReads++
 			return v
 		}
 	}
-	t.chargeAddrCompute(stats.RdBar)
-	rec := t.sys.table.RecordFor(addr)
-	t.recordReadBarrier(rec)
-	if t.accel != nil && t.sys.cfg.Granularity == tm.LineGranularity {
+	t.recordReadBarrier(t.RecordFor(addr, stats.RdBar))
+	if lineAccel {
 		// Trailing loadsetmark_granularity64 both marks the data line and
 		// performs the data load (Fig 7).
 		return t.accel.MarkData(t, addr)
 	}
-	return t.appLoad(addr)
+	return t.AppLoad(addr)
 }
 
 // LoadObj transactionally reads the field at offset off of the object
-// whose header record is at base. Under object granularity the header is
-// the transaction record (managed-environment style); under line
-// granularity it degenerates to a plain transactional load of base+off.
+// whose header record is at base (see Base.ObjectField).
 func (t *Thread) LoadObj(base, off uint64) uint64 {
-	t.requireTxn()
-	if t.sys.cfg.Granularity != tm.ObjectGranularity {
+	t.RequireTxn()
+	if !t.ObjectField("LoadObj", off) {
 		return t.Load(base + off)
 	}
-	if off < 8 {
-		panic(fmt.Sprintf("stm: LoadObj offset %d overlaps the header", off))
-	}
 	t.recordReadBarrier(base)
-	return t.appLoad(base + off)
+	return t.AppLoad(base + off)
 }
 
 // recordReadBarrier is stmRdBar (Fig 3/4) with the HASTM fast paths
@@ -767,50 +269,31 @@ func (t *Thread) recordReadBarrier(rec uint64) {
 		if v == t.desc {
 			return // recursion: we already own it exclusively
 		}
-		v = t.handleContention(rec)
+		v = t.HandleContention(rec)
 	}
 
 	t.Stats().UnfilteredReads++
 	if t.accel == nil || t.accel.ShouldLogRead(t) {
-		t.logRead(rec, v)
+		t.LogRead(rec, v)
 	} else {
 		t.Stats().ReadLogsSkipped++
 	}
 	t.periodicValidate()
 }
 
-func (t *Thread) logRead(rec, ver uint64) {
-	if len(t.reads) >= logCap {
-		panic("stm: read-set log overflow; raise logCap or shorten the transaction")
-	}
-	ctx := t.ctx
-	logPtr := ctx.Load(t.desc + descRdLog)
-	ctx.Exec(3) // overflow test, branch, pointer add
-	ctx.Store(t.desc+descRdLog, logPtr+entryBytes)
-	ctx.Store(logPtr, rec)
-	ctx.Store(logPtr+8, ver)
-	t.reads = append(t.reads, RecEntry{rec, ver})
-	t.Stats().ReadsLogged++
-}
-
 // Store transactionally writes the word at addr (line-granularity record).
 func (t *Thread) Store(addr, val uint64) {
-	t.requireTxn()
-	t.chargeAddrCompute(stats.WrBar)
-	rec := t.sys.table.RecordFor(addr)
-	t.recordWriteBarrier(rec)
+	t.RequireTxn()
+	t.recordWriteBarrier(t.RecordFor(addr, stats.WrBar))
 	t.undoLogAndStore(addr, val)
 }
 
 // StoreObj transactionally writes a field of the object at base.
 func (t *Thread) StoreObj(base, off, val uint64) {
-	t.requireTxn()
-	if t.sys.cfg.Granularity != tm.ObjectGranularity {
+	t.RequireTxn()
+	if !t.ObjectField("StoreObj", off) {
 		t.Store(base+off, val)
 		return
-	}
-	if off < 8 {
-		panic(fmt.Sprintf("stm: StoreObj offset %d overlaps the header", off))
 	}
 	t.recordWriteBarrier(base)
 	t.undoLogAndStore(base+off, val)
@@ -836,7 +319,7 @@ func (t *Thread) recordWriteBarrier(rec uint64) {
 	}
 	ctx.Exec(2)
 	if !IsVersion(v) {
-		v = t.handleContention(rec)
+		v = t.HandleContention(rec)
 	}
 	for {
 		ok, cur := ctx.CAS(rec, v, t.desc)
@@ -848,27 +331,18 @@ func (t *Thread) recordWriteBarrier(rec uint64) {
 			v = cur // raced with a release; retry at the new version
 			continue
 		}
-		v = t.handleContention(rec)
+		v = t.HandleContention(rec)
 	}
-	t.logWrite(rec, v)
+	if len(t.writes) >= LogCap {
+		panic("stm: write-set log overflow; raise LogCap or shorten the transaction")
+	}
+	t.AppendLog(logWrites, rec, v)
+	t.writes = append(t.writes, RecEntry{rec, v})
+	t.writeVer[rec] = v
 	if t.accel != nil {
 		t.accel.MarkRecordOnWrite(t, rec)
 		t.accel.MarkWriteOwned(t, rec)
 	}
-}
-
-func (t *Thread) logWrite(rec, ver uint64) {
-	if len(t.writes) >= logCap {
-		panic("stm: write-set log overflow; raise logCap or shorten the transaction")
-	}
-	ctx := t.ctx
-	logPtr := ctx.Load(t.desc + descWrLog)
-	ctx.Exec(3)
-	ctx.Store(t.desc+descWrLog, logPtr+entryBytes)
-	ctx.Store(logPtr, rec)
-	ctx.Store(logPtr+8, ver)
-	t.writes = append(t.writes, RecEntry{rec, ver})
-	t.writeVer[rec] = ver
 }
 
 // undoLogAndStore logs the old value of addr and performs the in-place
@@ -876,8 +350,8 @@ func (t *Thread) logWrite(rec, ver uint64) {
 // extension active, logging happens once per 16-byte sub-block (both
 // words captured) and plane-1 marks elide the duplicates.
 func (t *Thread) undoLogAndStore(addr, val uint64) {
-	if len(t.undo) >= logCap-1 {
-		panic("stm: undo log overflow; raise logCap or shorten the transaction")
+	if len(t.undo) >= LogCap-1 {
+		panic("stm: undo log overflow; raise LogCap or shorten the transaction")
 	}
 	ctx := t.ctx
 	prev := ctx.SetCat(stats.WrBar)
@@ -910,39 +384,6 @@ func (t *Thread) undoLogAndStore(addr, val uint64) {
 
 // appendUndo writes one undo entry to the simulated log and the mirror.
 func (t *Thread) appendUndo(addr, old uint64) {
-	ctx := t.ctx
-	logPtr := ctx.Load(t.desc + descUndoLog)
-	ctx.Exec(3)
-	ctx.Store(t.desc+descUndoLog, logPtr+entryBytes)
-	ctx.Store(logPtr, addr)
-	ctx.Store(logPtr+8, old)
+	t.AppendLog(logUndo, addr, old)
 	t.undo = append(t.undo, UndoEntry{addr, old})
-}
-
-// handleContention resolves an ownership conflict per the configured
-// policy, returning the record's version once it is shared again, or
-// aborting the transaction (by panic).
-func (t *Thread) handleContention(rec uint64) uint64 {
-	var limit int
-	switch t.sys.cfg.Policy {
-	case tm.AbortSelf:
-		limit = 0
-	case tm.PoliteBackoff:
-		limit = 16
-	case tm.Wait:
-		// Even "wait" must bound spinning in simulation: two waiters can
-		// own records the other needs. A long bound keeps the spirit.
-		limit = 256
-	}
-	ctx := t.ctx
-	wait := tm.NewBackoff(ctx.ID())
-	for spin := 0; spin < limit; spin++ {
-		wait.Wait(ctx)
-		v := ctx.Load(rec)
-		ctx.Exec(2)
-		if IsVersion(v) {
-			return v
-		}
-	}
-	panic(tm.AbortSignal{Cause: stats.AbortLockConflict})
 }

@@ -2,16 +2,10 @@ package tm
 
 import "hastm.dev/hastm/internal/stats"
 
-// This file holds the backend-neutral transaction state machine shared by
-// the simulator STM engine (internal/stm, and through it HASTM) and the
-// host-native TL2 backend (internal/native). Both backends run the same
-// control flow — attempt, abort-and-re-execute, retry-wait, escalate to
-// serial irrevocable mode past the retry budget — and differ only in how
-// an attempt reads, writes, validates and charges cost. Keeping the
-// attempt/strike/escalation bookkeeping and the panic-signal grammar here
-// guarantees the two backends cannot drift apart on retry or escalation
-// semantics: the differential suite then only has to prove the data paths
-// agree.
+// This file holds the signal grammar and the attempt/strike bookkeeping of
+// the transaction engine (engine.go): the panic values a body or a protocol
+// may throw through the engine, the savepoint a nested transaction rolls
+// back to, and the counter that decides when the escalation ladder fires.
 
 // AbortSignal is thrown (with panic) through a transaction body when the
 // engine must abort the current attempt for the carried cause; the engine
@@ -27,11 +21,18 @@ type RetrySignal struct{}
 // transaction rolls back and Atomic returns ErrUserAbort.
 type UserAbortSignal struct{}
 
+// RestartSignal is thrown by a protocol that must re-execute the attempt
+// under a different strategy (MVCC's stale-snapshot writer restart). Like a
+// retry it is a terminal that is NOT an abort — no strike, no abort count —
+// and unlike a retry nothing is waited for. Event names the terminal trace
+// event, Cause and Detail its transaction-trace cause and text-trace detail.
+type RestartSignal struct{ Event, Cause, Detail string }
+
 // IsEngineSignal reports whether a recovered panic value belongs to the
 // shared signal grammar (as opposed to a foreign panic escaping the body).
 func IsEngineSignal(r interface{}) bool {
 	switch r.(type) {
-	case AbortSignal, RetrySignal, UserAbortSignal:
+	case AbortSignal, RetrySignal, UserAbortSignal, RestartSignal:
 		return true
 	}
 	return false
@@ -39,10 +40,13 @@ func IsEngineSignal(r interface{}) bool {
 
 // Savepoint marks the transactional log sizes at nested-transaction entry.
 // Rolling back to a savepoint truncates the logs to these sizes — partial
-// rollback for closed nesting and orElse alternatives. Backends without an
-// undo log (the deferred-update native backend) leave Undo zero.
+// rollback for closed nesting and orElse alternatives. Writes counts the
+// write set or the write buffer, Undo is zero for a protocol without an
+// undo log, and Served carries MVCC's "a read came from the version
+// history" flag, which a partial rollback must also restore.
 type Savepoint struct {
 	Reads, Writes, Undo int
+	Served              bool
 }
 
 // AttemptFSM tracks one top-level transaction's attempt history and decides

@@ -2,7 +2,9 @@
 // concurrency-control scheme in this repository implements: the base STM,
 // HASTM (the paper's contribution), the HTM/HyTM baselines, the coarse lock
 // baseline and the sequential baseline. Workloads are written once against
-// these interfaces and run unchanged under every scheme.
+// these interfaces and run unchanged under every scheme. It also holds the
+// one transaction engine the software schemes share (engine.go): each of
+// them is a Protocol bound to an Engine.
 package tm
 
 import (
@@ -83,18 +85,13 @@ type Thread interface {
 	//   - body calls Retry  -> roll back, wait for a change, re-execute
 	Atomic(body func(Txn) error) error
 	// ID returns the thread's stable index: the simulated core id, or the
-	// goroutine slot on the host-native backend. Backend-neutral code
-	// (workload drivers, op logs) must use this instead of Ctx().ID().
+	// goroutine slot on the host-native backend.
 	ID() int
 	// Stamp returns the serialization stamp of the most recently completed
 	// atomic block: the simulated core clock on the simulator backends, or
 	// the TL2 commit timestamp on the native backend. Committed-op logs
 	// sorted by stamp reproduce the run's equivalent serial order.
 	Stamp() uint64
-	// Ctx returns the underlying simulated core context, or nil on
-	// host-native backends — simulator-only tooling (GC-pause inspection,
-	// cycle accounting) must check before dereferencing.
-	Ctx() *sim.Ctx
 }
 
 // Txn is the access interface the body of an atomic block uses.
