@@ -68,6 +68,16 @@ func newTxnState() *txnState {
 	}
 }
 
+// reset empties the state for the next hardware transaction, keeping the
+// maps' and slices' storage.
+func (t *txnState) reset() {
+	clear(t.reads)
+	clear(t.writes)
+	clear(t.buf)
+	t.order, t.verIncs = t.order[:0], t.verIncs[:0]
+	t.aborted, t.cause = false, 0
+}
+
 func (t *txnState) doom(cause stats.AbortCause) {
 	if !t.aborted {
 		t.aborted = true
@@ -169,7 +179,7 @@ func (s *System) Name() string { return s.name }
 
 // Thread binds the scheme to a core.
 func (s *System) Thread(ctx *sim.Ctx) tm.Thread {
-	t := &Thread{sys: s, ctx: ctx, backoff: tm.NewBackoff(ctx.ID())}
+	t := &Thread{sys: s, ctx: ctx, state: newTxnState(), backoff: tm.NewBackoff(ctx.ID())}
 	if s.fallback != nil {
 		t.sw = s.fallback.Thread(ctx)
 		// The hardware path shares the software fallback's irrevocable
@@ -192,7 +202,8 @@ type Thread struct {
 	sys     *System
 	ctx     *sim.Ctx
 	sw      tm.Thread // HyTM software fallback
-	cur     *txnState
+	state   *txnState // the thread's one transaction state, reused
+	cur     *txnState // state while a hardware transaction is in flight, else nil
 	backoff *tm.Backoff
 	depth   int
 	txnSeq  uint64 // per-thread transaction id, stable across retries
@@ -376,7 +387,8 @@ func (t *Thread) emitAbort(cause stats.AbortCause) {
 type retryUnsupported struct{}
 
 func (t *Thread) begin() {
-	txn := newTxnState()
+	txn := t.state
+	txn.reset()
 	t.cur = txn
 	t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.attempt, Kind: telemetry.EvBegin})
 	prev := t.ctx.SetCat(stats.HTM)

@@ -32,6 +32,10 @@
 //     writes eagerly with an undo log (so nesting still rolls back
 //     partially), and bumps the stripes it touched at commit so retry
 //     waiters observe the change.
+//  6. A commit wakes retry waiters only when there are some: a waiter raises
+//     System.waiters BEFORE it snapshots the wake channel and checks its
+//     stripes, a committer reads it AFTER storing its stripe releases, so
+//     one of them sees the other (the full argument is in DESIGN.md).
 package native
 
 import (
@@ -88,44 +92,49 @@ type Config struct {
 	Watchdog Watchdog
 }
 
-// System is one native TL2 instance over a memory.
+// System is one native TL2 instance over a memory. Field order is the
+// layout rule of DESIGN.md: what every Load reads and nothing writes after
+// New comes first, clock and arenaNext get a cache line each, and what only
+// the ladder, retry waiters and the watchdog write comes last.
 type System struct {
-	m   *mem.Memory
-	cfg Config
+	m        *mem.Memory
+	stripes  []stripe
+	mask     uint64
+	arenaEnd uint64
+	armed    bool
+	// failed holds the first watchdog violation (see watchdog.go).
+	failed  atomic.Pointer[NativeProgressViolation]
+	stats   *stats.Machine
+	telem   *telemetry.Machine
+	threads []*Thread
+	cfg     Config
 
-	clock   atomic.Uint64 // global version clock, always even
-	stripes []stripe
-	mask    uint64
+	_         linePad
+	clock     atomic.Uint64 // global version clock, always even
+	_         linePad
+	arenaNext atomic.Uint64
+	_         linePad
 
 	// serial is the escalation ladder: revocable attempts run under the
 	// shared side, an escalated transaction takes the exclusive side and
 	// so drains and excludes every other attempt. Only used when armed.
 	serial sync.RWMutex
-	armed  bool
 
-	// wakeMu/wakeCh implement Txn.Retry wakeup as a generation channel:
-	// every writer commit closes the current channel and installs a fresh
-	// one; waiters snapshot the channel before re-checking their watched
-	// stripes, so a change can never slip between the check and the wait.
-	// Unlike a sync.Cond this supports the bounded wake deadline.
-	wakeMu sync.Mutex
-	wakeCh chan struct{}
+	// waiters/wakeMu/wakeCh implement Txn.Retry wakeup as a generation
+	// channel: a commit that finds a waiter (invariant 6) closes the current
+	// channel and installs a fresh one. Unlike a sync.Cond this supports the
+	// bounded wake deadline.
+	waiters atomic.Int32
+	wakeMu  sync.Mutex
+	wakeCh  chan struct{}
 
-	arenaNext atomic.Uint64
-	arenaEnd  uint64
-
-	// commitSeq counts every commit (revocable or irrevocable); failed
-	// holds the first watchdog violation. Together they are the watchdog
-	// plane's shared state (see watchdog.go).
-	commitSeq atomic.Uint64
-	failed    atomic.Pointer[NativeProgressViolation]
-	wdStop    chan struct{}
-	wdDone    chan struct{}
-
-	stats   *stats.Machine
-	telem   *telemetry.Machine
-	threads []*Thread
+	wdStop chan struct{}
+	wdDone chan struct{}
 }
+
+// linePad either side of an 8-byte word keeps every other field off its
+// cache line, whatever 8-byte alignment the struct lands on.
+type linePad [56]byte
 
 // New builds a native system over m. Call after the workload's structures
 // are populated: New pre-materialises the allocation arena so the page
@@ -190,8 +199,7 @@ func (s *System) Thread(id int) tm.Thread {
 			lockWord: uint64(id)<<1 | 1,
 			st:       &s.stats.Cores[id],
 			tb:       s.telem.Block(id),
-			windex:   make(map[uint64]int, 64),
-			owned:    make(map[int]uint64, 16),
+			windex:   newWriteIndex(),
 		}
 		t.Bind(t, nil, t.st, t.tb, "", s.cfg.TM.Progress.RetryBudget, s.armed)
 		t.boRng = chaosMix(0x626b6f666668a5a5, uint64(id))
@@ -234,12 +242,13 @@ func (s *System) alloc(size, align uint64) uint64 {
 	}
 }
 
-// notifyCommit wakes every retry waiter to re-check its watch set by
-// retiring the current wake-channel generation. The committer's stripe
-// releases happen before the close, and waiters snapshot the channel
-// before checking their stripes, so a change can never slip between a
-// waiter's check and its wait.
+// notifyCommit wakes the retry waiters, if there are any, to re-check their
+// watch sets by retiring the current wake-channel generation. Callers have
+// already stored what the waiters are to observe (invariant 6).
 func (s *System) notifyCommit() {
+	if s.waiters.Load() == 0 {
+		return
+	}
 	s.wakeMu.Lock()
 	close(s.wakeCh)
 	s.wakeCh = make(chan struct{})
@@ -265,6 +274,8 @@ func (s *System) waitForChange(t *Thread, watch []readEntry) {
 		}
 		return false
 	}
+	s.waiters.Add(1) // before the first snapshot and check: invariant 6
+	defer s.waiters.Add(-1)
 	deadline := s.cfg.Watchdog.WakeDeadline
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -14,7 +14,8 @@ import (
 )
 
 // readEntry is one validated read: the stripe it hit and the (even)
-// version observed. Doubles as a retry watch-set entry.
+// version observed. Doubles as a retry watch-set entry and as a stripe a
+// commit has write-locked with the version to restore if it aborts.
 type readEntry struct {
 	ix  int
 	ver uint64
@@ -22,7 +23,7 @@ type readEntry struct {
 
 // writeEntry is one buffered store. prev chains to the previous entry for
 // the same address (or -1), so rolling a nested transaction back can
-// restore the write-buffer index exactly.
+// point the write index back at it.
 type writeEntry struct {
 	addr uint64
 	val  uint64
@@ -53,12 +54,13 @@ type Thread struct {
 
 	reads  []readEntry
 	writes []writeEntry
-	windex map[uint64]int // addr -> newest writes entry
-	watch  []readEntry    // retry wait set, accumulated across alternatives
+	windex writeIndex  // addr -> newest writes entry
+	watch  []readEntry // retry wait set, accumulated across alternatives
 
-	// Commit-time scratch, reused across commits.
-	owned      map[int]uint64 // acquired stripe -> pre-lock version
+	// Commit-time scratch, reused across commits: the write set's stripes
+	// sorted, then the distinct ones as acquired (so ascending by ix).
 	stripeIdxs []int
+	owned      []readEntry
 
 	// Irrevocable mode writes eagerly; undo supports nested rollback and
 	// the body-error path, touched collects stripes to bump at commit.
@@ -66,8 +68,11 @@ type Thread struct {
 	touched []int
 
 	// opSeq is odd while the thread is inside a top-level Atomic; the
-	// watchdog reads it to tell a stuck transaction from an idle thread.
-	opSeq atomic.Uint64
+	// watchdog reads it to tell a stuck transaction from an idle thread,
+	// and sums commits (this thread's, revocable or irrevocable) so that no
+	// commit writes a line another thread reads.
+	opSeq   atomic.Uint64
+	commits atomic.Uint64
 	// boRng seeds Backoff's jitter; chaos is the thread's fault
 	// stream (nil when the plane is disabled).
 	boRng uint64
@@ -226,10 +231,10 @@ func (t *Thread) contain(err *error) {
 // thread still holds. After a completed commit or abort the stripes no
 // longer carry the thread's lock word, so stale owned entries are inert.
 func (t *Thread) releaseOwnedIfHeld() {
-	for ix, old := range t.owned {
-		sp := &t.sys.stripes[ix]
+	for _, o := range t.owned {
+		sp := &t.sys.stripes[o.ix]
 		if sp.v.Load() == t.lockWord {
-			sp.v.Store(old)
+			sp.v.Store(o.ver)
 		}
 	}
 }
@@ -261,7 +266,7 @@ func (t *Thread) BeginAttempt(attempt int) {
 		return
 	}
 	t.rv = t.sys.clock.Load()
-	clear(t.windex)
+	t.windex.reset()
 	t.tb.Inc(telemetry.CautiousAttempts)
 }
 
@@ -272,7 +277,7 @@ func (t *Thread) CommitDetail() string { return "" }
 // next begin.
 func (t *Thread) EndAttempt(committed bool) {
 	if committed {
-		t.sys.commitSeq.Add(1)
+		t.commits.Add(1)
 	}
 }
 
@@ -333,8 +338,10 @@ func (t *Thread) Load(addr uint64) uint64 {
 	if t.Irrevocable() {
 		return t.sys.m.LoadAtomic(addr)
 	}
-	if i, ok := t.windex[addr]; ok {
-		return t.writes[i].val
+	if len(t.writes) != 0 {
+		if i := t.windex.lookup(t.writes, addr); i >= 0 {
+			return t.writes[i].val
+		}
 	}
 	ix := t.sys.stripeIndex(addr)
 	sp := &t.sys.stripes[ix]
@@ -376,11 +383,7 @@ func (t *Thread) Store(addr, val uint64) {
 		t.sys.m.StoreAtomic(addr, val)
 		return
 	}
-	prev := -1
-	if i, ok := t.windex[addr]; ok {
-		prev = i
-	}
-	t.windex[addr] = len(t.writes)
+	prev := t.windex.set(t.writes, addr, len(t.writes))
 	t.writes = append(t.writes, writeEntry{addr: addr, val: val, prev: prev})
 }
 
@@ -439,13 +442,11 @@ func (t *Thread) Commit() (bool, stats.AbortCause) {
 
 	// Acquire the write set's stripes in ascending index order.
 	t.stripeIdxs = t.stripeIdxs[:0]
-	for addr := range t.windex {
-		t.stripeIdxs = append(t.stripeIdxs, t.sys.stripeIndex(addr))
+	for _, w := range t.writes {
+		t.stripeIdxs = append(t.stripeIdxs, t.sys.stripeIndex(w.addr))
 	}
-	sort.Ints(t.stripeIdxs)
-	for k := range t.owned {
-		delete(t.owned, k)
-	}
+	slices.Sort(t.stripeIdxs)
+	t.owned = t.owned[:0]
 	last := -1
 	for _, ix := range t.stripeIdxs {
 		if ix == last {
@@ -457,7 +458,7 @@ func (t *Thread) Commit() (bool, stats.AbortCause) {
 			t.releaseOwned(0) // restore pre-lock versions
 			return false, stats.AbortLockConflict
 		}
-		t.owned[ix] = old
+		t.owned = append(t.owned, readEntry{ix: ix, ver: old})
 	}
 
 	// Chaos point: the full write set is locked, wv not yet taken — a
@@ -483,7 +484,8 @@ func (t *Thread) Commit() (bool, stats.AbortCause) {
 				continue
 			}
 			if cur == t.lockWord {
-				if old, mine := t.owned[re.ix]; mine && old == re.ver {
+				k, mine := slices.BinarySearchFunc(t.owned, re.ix, func(o readEntry, ix int) int { return o.ix - ix })
+				if mine && t.owned[k].ver == re.ver {
 					continue // we locked it ourselves; it was unchanged
 				}
 			}
@@ -497,10 +499,11 @@ func (t *Thread) Commit() (bool, stats.AbortCause) {
 		return false, stats.AbortLockConflict
 	}
 
-	// Publish the newest buffered value of every address, then release the
-	// stripes to wv: the new versions become visible only after the data.
-	for addr, i := range t.windex {
-		t.sys.m.StoreAtomic(addr, t.writes[i].val)
+	// Publish the buffered values in program order (the newest store to an
+	// address lands last), then release the stripes to wv: the new versions
+	// become visible only after the data.
+	for _, w := range t.writes {
+		t.sys.m.StoreAtomic(w.addr, w.val)
 	}
 	t.releaseOwned(wv)
 
@@ -534,11 +537,11 @@ func (t *Thread) acquireStripe(ix int) (old uint64, ok bool) {
 // releaseOwned releases every acquired stripe: to wv after a successful
 // publish, or back to its pre-lock version (wv == 0) on an aborted commit.
 func (t *Thread) releaseOwned(wv uint64) {
-	for ix, old := range t.owned {
+	for _, o := range t.owned {
 		if wv != 0 {
-			t.sys.stripes[ix].v.Store(wv)
+			t.sys.stripes[o.ix].v.Store(wv)
 		} else {
-			t.sys.stripes[ix].v.Store(old)
+			t.sys.stripes[o.ix].v.Store(o.ver)
 		}
 	}
 }
@@ -560,8 +563,9 @@ func (t *Thread) RollbackAll() {
 }
 
 // RollbackTo reverts the attempt's logs to a savepoint. Revocable
-// transactions truncate the buffers and restore the write index via the
-// prev chain; irrevocable transactions replay the undo log, newest first.
+// transactions point the write index of every address that keeps an older
+// entry back at it, newest first, then truncate the buffers; irrevocable
+// transactions replay the undo log, newest first.
 func (t *Thread) RollbackTo(sp tm.Savepoint) {
 	if t.Irrevocable() {
 		for i := len(t.undo) - 1; i >= sp.Undo; i-- {
@@ -571,11 +575,8 @@ func (t *Thread) RollbackTo(sp tm.Savepoint) {
 		return
 	}
 	for i := len(t.writes) - 1; i >= sp.Writes; i-- {
-		w := t.writes[i]
-		if w.prev >= 0 {
-			t.windex[w.addr] = w.prev
-		} else {
-			delete(t.windex, w.addr)
+		if w := t.writes[i]; w.prev >= 0 {
+			t.windex.set(t.writes, w.addr, w.prev)
 		}
 	}
 	t.writes = t.writes[:sp.Writes]
@@ -587,7 +588,7 @@ func (t *Thread) RollbackTo(sp tm.Savepoint) {
 func (t *Thread) commitIrrevocable() {
 	wv := t.sys.clock.Add(2)
 	last := -1
-	sort.Ints(t.touched)
+	slices.Sort(t.touched)
 	for _, ix := range t.touched {
 		if ix == last {
 			continue

@@ -129,7 +129,7 @@ func (s *System) watchdogLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	wd := s.cfg.Watchdog
 	held := make([]stripeHold, len(s.stripes))
-	lastSeq := s.commitSeq.Load()
+	lastSeq := s.commitSeq()
 	windowStart := time.Now()
 	opSnap := make([]uint64, len(s.threads))
 	s.sampleOpSeqs(opSnap)
@@ -162,7 +162,7 @@ func (s *System) watchdogLoop(stop <-chan struct{}, done chan<- struct{}) {
 					Holder:    int(w >> 1),
 					Stripe:    ix,
 					Held:      d,
-					CommitSeq: s.commitSeq.Load(),
+					CommitSeq: s.commitSeq(),
 					Window:    wd.StripeHeldFor,
 				})
 				return
@@ -173,7 +173,7 @@ func (s *System) watchdogLoop(stop <-chan struct{}, done chan<- struct{}) {
 		// only a stall if some thread has been inside one transaction the
 		// whole window (its opSeq odd and unchanged); an idle system
 		// resets the window instead of tripping.
-		if seq := s.commitSeq.Load(); seq != lastSeq {
+		if seq := s.commitSeq(); seq != lastSeq {
 			lastSeq = seq
 			windowStart = now
 			s.sampleOpSeqs(opSnap)
@@ -203,6 +203,17 @@ func (s *System) watchdogLoop(stop <-chan struct{}, done chan<- struct{}) {
 			s.sampleOpSeqs(opSnap)
 		}
 	}
+}
+
+// commitSeq is the global commit sequence, the sum of the threads' counts;
+// each only grows, so it changes iff someone committed.
+func (s *System) commitSeq() (seq uint64) {
+	for _, t := range s.threads {
+		if t != nil {
+			seq += t.commits.Load()
+		}
+	}
+	return seq
 }
 
 func (s *System) sampleOpSeqs(into []uint64) {

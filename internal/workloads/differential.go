@@ -104,13 +104,15 @@ func RunDiffThread(th tm.Thread, ds DataStructure, cfg DriverConfig, log *OpLog)
 func RunDiffThreadAs(th tm.Thread, id int, ds DataStructure, cfg DriverConfig, log *OpLog) error {
 	base := cfg.Seed + uint64(id)*0x9e3779b9 + 1
 	decide := NewRand(base)
+	var (
+		update bool
+		opSeed uint64
+	)
+	body := func(tx tm.Txn) error { return DiffOp(ds, tx, opSeed, update) }
 	for i := 0; i < cfg.Ops; i++ {
-		update := decide.Percent(cfg.UpdatePercent)
-		opSeed := base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
-		err := th.Atomic(func(tx tm.Txn) error {
-			return DiffOp(ds, tx, opSeed, update)
-		})
-		if err != nil {
+		update = decide.Percent(cfg.UpdatePercent)
+		opSeed = base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
+		if err := th.Atomic(body); err != nil {
 			return fmt.Errorf("diff op %d on %s: %w", i, ds.Name(), err)
 		}
 		log.add(OpRecord{Thread: id, Index: i, Seed: opSeed, Update: update, Stamp: th.Stamp()})

@@ -125,12 +125,13 @@ type DriverConfig struct {
 // coarse-grained locking would synchronise on).
 func RunThread(th tm.Thread, ds DataStructure, cfg DriverConfig) error {
 	r := NewRand(cfg.Seed + uint64(th.ID())*0x9e3779b9 + 1)
+	// One body for the whole run: a closure built per operation is a heap
+	// allocation per transaction.
+	var update bool
+	body := func(tx tm.Txn) error { return ds.Op(tx, r, update) }
 	for i := 0; i < cfg.Ops; i++ {
-		update := r.Percent(cfg.UpdatePercent)
-		err := th.Atomic(func(tx tm.Txn) error {
-			return ds.Op(tx, r, update)
-		})
-		if err != nil {
+		update = r.Percent(cfg.UpdatePercent)
+		if err := th.Atomic(body); err != nil {
 			return fmt.Errorf("op %d on %s: %w", i, ds.Name(), err)
 		}
 	}
@@ -148,13 +149,15 @@ func RunThread(th tm.Thread, ds DataStructure, cfg DriverConfig) error {
 func RunThreadStable(th tm.Thread, ds DataStructure, cfg DriverConfig) error {
 	base := cfg.Seed + uint64(th.ID())*0x9e3779b9 + 1
 	decide := NewRand(base)
+	var (
+		update bool
+		opSeed uint64
+	)
+	body := func(tx tm.Txn) error { return ds.Op(tx, NewRand(opSeed), update) }
 	for i := 0; i < cfg.Ops; i++ {
-		update := decide.Percent(cfg.UpdatePercent)
-		opSeed := base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
-		err := th.Atomic(func(tx tm.Txn) error {
-			return ds.Op(tx, NewRand(opSeed), update)
-		})
-		if err != nil {
+		update = decide.Percent(cfg.UpdatePercent)
+		opSeed = base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
+		if err := th.Atomic(body); err != nil {
 			return fmt.Errorf("op %d on %s: %w", i, ds.Name(), err)
 		}
 	}
