@@ -6,8 +6,11 @@
 //   - it fails (exit 1) when the geometric-mean ns/op ratio across all
 //     baseline benchmarks exceeds -max-ratio (default 1.15, i.e. >15%
 //     slower), and
-//   - it fails when ANY benchmark's allocs/op rises above its baseline —
-//     the barrier fast paths are required to stay allocation-flat.
+//   - it fails when ANY benchmark's allocs/op rises above its baseline, or
+//     its B/op rises by more than 2% (B/op is a mean over b.N, so a cell
+//     benchmark's moves by a few bytes between runs; a 0 B/op baseline
+//     still admits nothing) — the barrier fast paths are required to stay
+//     allocation-flat, and a cell's host memory to stay what it touches.
 //
 // Usage:
 //
@@ -381,8 +384,8 @@ func writeBaseline(path string, current map[string]BaselineEntry) error {
 }
 
 // compare fails on a >maxRatio geomean ns/op regression across the
-// baseline's benchmarks, on any allocs/op increase, or on a baseline
-// benchmark missing from the current run.
+// baseline's benchmarks, on any allocs/op increase, on a B/op increase
+// beyond 2%, or on a baseline benchmark missing from the current run.
 func compare(base *Baseline, current map[string]BaselineEntry, maxRatio float64) error {
 	keys := make([]string, 0, len(base.Benchmarks))
 	for k := range base.Benchmarks {
@@ -408,6 +411,10 @@ func compare(base *Baseline, current map[string]BaselineEntry, maxRatio float64)
 			problems = append(problems,
 				fmt.Sprintf("%s: allocs/op rose %d -> %d (fast paths must stay allocation-flat)",
 					k, b.AllocsPerOp, c.AllocsPerOp))
+		}
+		if c.BytesPerOp > b.BytesPerOp+b.BytesPerOp/50 {
+			problems = append(problems,
+				fmt.Sprintf("%s: B/op rose %d -> %d (more than 2%%)", k, b.BytesPerOp, c.BytesPerOp))
 		}
 	}
 	for k := range current {

@@ -84,6 +84,29 @@ func TestCompareGates(t *testing.T) {
 		t.Errorf("unexpected error: %v", err)
 	}
 
+	// B/op may wander 2% (it is a mean over b.N) but no further, and a
+	// 0 B/op baseline admits no bytes at all.
+	sized := map[string]BaselineEntry{
+		"internal/harness/CellSetup": {NsPerOp: 100, AllocsPerOp: 80, BytesPerOp: 600_000},
+		"internal/stm/ReadBarrier":   {NsPerOp: 100},
+	}
+	for _, tc := range []struct {
+		cell, barrier uint64
+		fails         bool
+	}{{611_000, 0, false}, {613_000, 0, true}, {600_000, 8, true}} {
+		cur := map[string]BaselineEntry{
+			"internal/harness/CellSetup": {NsPerOp: 100, AllocsPerOp: 80, BytesPerOp: tc.cell},
+			"internal/stm/ReadBarrier":   {NsPerOp: 100, BytesPerOp: tc.barrier},
+		}
+		err := compare(baselineFor(sized), cur, 1.15)
+		if tc.fails && (err == nil || !strings.Contains(err.Error(), "B/op")) {
+			t.Errorf("B/op %d, %d: want a B/op failure, got %v", tc.cell, tc.barrier, err)
+		}
+		if !tc.fails && err != nil {
+			t.Errorf("B/op %d, %d within tolerance rejected: %v", tc.cell, tc.barrier, err)
+		}
+	}
+
 	// A baseline benchmark missing from the run fails (coverage loss).
 	missing := map[string]BaselineEntry{
 		"internal/stm/ReadBarrier": {NsPerOp: 100, AllocsPerOp: 3},

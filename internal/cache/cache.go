@@ -71,8 +71,7 @@ func (r DropReason) String() string {
 // MaxSMT is the maximum number of hardware threads sharing one L1.
 const MaxSMT = 2
 
-// MaxGroupsPerSocket bounds the L1 groups one socket's directory can name:
-// the sharer set is a fixed 256-bit mask.
+// MaxGroupsPerSocket bounds the L1 groups one socket's directory can name.
 const MaxGroupsPerSocket = 256
 
 // NumMarkPlanes is how many independent mark-bit filters each line
@@ -164,41 +163,47 @@ type line struct {
 }
 
 // sharerMask is a directory entry's sharer set: one bit per L1 group of
-// the owning socket. Kept out of the line struct so L1 probe loops stay
-// compact; L2 levels carry one mask per way in a parallel array.
-type sharerMask [MaxGroupsPerSocket / 64]uint64
+// the owning socket, in as many words as the socket's group count needs.
+// Kept out of the line struct so L1 probe loops stay compact; L2 levels
+// carry one mask per way in a parallel flat array. A walk ranges over the
+// words in place: the drop it causes clears only the bit just visited.
+type sharerMask []uint64
 
-func (m *sharerMask) set(g int)   { m[g>>6] |= 1 << (g & 63) }
-func (m *sharerMask) clear(g int) { m[g>>6] &^= 1 << (g & 63) }
+func (m sharerMask) set(g int)   { m[g>>6] |= 1 << (g & 63) }
+func (m sharerMask) clear(g int) { m[g>>6] &^= 1 << (g & 63) }
 
 type level struct {
 	cfg     Config
 	sets    [][]line
-	sharers []sharerMask // one per way, set-major like sets; non-nil only on directory (L2) levels
-	setMask uint64       // len(sets)-1; Sets() guarantees a power of two
+	sharers []uint64 // stride words per way, set-major like sets; non-nil only on directory (L2) levels
+	stride  int      // words per directory entry: ceil(groups per socket / 64)
+	setMask uint64   // len(sets)-1; Sets() guarantees a power of two
 	tick    uint64
 }
 
 // newLevel carves every set out of one slab: a machine builds thousands of
 // sets, and one make per set was nearly all of sim.New's allocation count.
 // The capped three-index slice keeps an append on one set from running
-// into its neighbour.
-func newLevel(cfg Config, directory bool) *level {
+// into its neighbour. dirGroups > 0 makes the level a directory naming that
+// many L1 groups.
+func newLevel(cfg Config, dirGroups int) *level {
 	sets, assoc := cfg.Sets(), cfg.Assoc
 	l := &level{cfg: cfg, sets: make([][]line, sets), setMask: uint64(sets - 1)}
 	slab := make([]line, sets*assoc)
 	for i := range l.sets {
 		l.sets[i] = slab[i*assoc : (i+1)*assoc : (i+1)*assoc]
 	}
-	if directory {
-		l.sharers = make([]sharerMask, sets*assoc)
+	if dirGroups > 0 {
+		l.stride = (dirGroups + 63) / 64
+		l.sharers = make([]uint64, sets*assoc*l.stride)
 	}
 	return l
 }
 
 // dirEntry returns the directory entry of way i of set si.
-func (l *level) dirEntry(si uint64, i int) *sharerMask {
-	return &l.sharers[int(si)*l.cfg.Assoc+i]
+func (l *level) dirEntry(si uint64, i int) sharerMask {
+	at := (int(si)*l.cfg.Assoc + i) * l.stride
+	return l.sharers[at : at+l.stride]
 }
 
 func (l *level) setIdx(lineAddr uint64) uint64 {
@@ -223,7 +228,7 @@ func (l *level) lookup(lineAddr uint64) *line {
 
 // lookupDir is lookup plus the way's directory entry (directory levels
 // only).
-func (l *level) lookupDir(lineAddr uint64) (*line, *sharerMask) {
+func (l *level) lookupDir(lineAddr uint64) (*line, sharerMask) {
 	si := l.setIdx(lineAddr)
 	set := l.sets[si]
 	for i := range set {
@@ -254,7 +259,7 @@ func (l *level) victim(lineAddr uint64) *line {
 
 // victimDir is victim plus the chosen way's directory entry (directory
 // levels only).
-func (l *level) victimDir(lineAddr uint64) (*line, *sharerMask) {
+func (l *level) victimDir(lineAddr uint64) (*line, sharerMask) {
 	si := l.setIdx(lineAddr)
 	set := l.sets[si]
 	best := 0
@@ -396,10 +401,10 @@ func New(cfg HierarchyConfig) *Hierarchy {
 		Socket:   make([]SocketCounters, sockets),
 	}
 	for i := 0; i < groups; i++ {
-		h.l1 = append(h.l1, newLevel(cfg.L1, false))
+		h.l1 = append(h.l1, newLevel(cfg.L1, 0))
 	}
 	for s := 0; s < sockets; s++ {
-		h.l2 = append(h.l2, newLevel(cfg.L2, true))
+		h.l2 = append(h.l2, newLevel(cfg.L2, h.gps))
 	}
 	return h
 }
@@ -616,8 +621,7 @@ func (h *Hierarchy) downgradeModified(thread int, la uint64) bool {
 		if m == nil {
 			continue
 		}
-		mask := *m
-		for wi, word := range mask {
+		for wi, word := range m {
 			for word != 0 {
 				g := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
@@ -655,8 +659,7 @@ func (h *Hierarchy) probeRemote(thread, ownSock int, la uint64, write, readSawDi
 		res.RemoteL2 = true
 		dirty := readSawDirty
 		if write && !dirty {
-			mask := *m
-			for wi, word := range mask {
+			for wi, word := range m {
 				for word != 0 {
 					g := wi<<6 + bits.TrailingZeros64(word)
 					word &= word - 1
@@ -710,8 +713,7 @@ func (h *Hierarchy) fillL2(sock int, la uint64) {
 	v, vm := l2.victimDir(la)
 	if v.st != invalid {
 		evicted := v.tag
-		mask := *vm
-		for wi, word := range mask {
+		for wi, word := range vm {
 			for word != 0 {
 				g := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
@@ -725,7 +727,7 @@ func (h *Hierarchy) fillL2(sock int, la uint64) {
 	v.tag = la
 	v.st = shared
 	v.mark = [MaxSMT]MarkMasks{}
-	*vm = sharerMask{}
+	clear(vm)
 	l2.touch(v)
 }
 
@@ -769,8 +771,7 @@ func (h *Hierarchy) BackInvalidateLine(addr uint64) int {
 		if w2 == nil {
 			continue
 		}
-		mask := *m
-		for wi, word := range mask {
+		for wi, word := range m {
 			for word != 0 {
 				g := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
@@ -783,7 +784,7 @@ func (h *Hierarchy) BackInvalidateLine(addr uint64) int {
 		}
 		w2.st = invalid
 		w2.mark = [MaxSMT]MarkMasks{}
-		*m = sharerMask{}
+		clear(m)
 	}
 	return n
 }
@@ -798,8 +799,7 @@ func (h *Hierarchy) invalidateOthers(writer int, la uint64) {
 	own := writer / h.tpc
 	ownSock := own / h.gps
 	if _, m := h.l2[ownSock].lookupDir(la); m != nil {
-		mask := *m
-		for wi, word := range mask {
+		for wi, word := range m {
 			for word != 0 {
 				g := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
@@ -825,8 +825,7 @@ func (h *Hierarchy) invalidateOthers(writer int, la uint64) {
 		if w2 == nil {
 			continue
 		}
-		mask := *m
-		for wi, word := range mask {
+		for wi, word := range m {
 			for word != 0 {
 				g := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
@@ -839,7 +838,7 @@ func (h *Hierarchy) invalidateOthers(writer int, la uint64) {
 		}
 		w2.st = invalid
 		w2.mark = [MaxSMT]MarkMasks{}
-		*m = sharerMask{}
+		clear(m)
 		sc.DirectoryInvalidations++
 	}
 }

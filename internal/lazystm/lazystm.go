@@ -65,6 +65,9 @@ import (
 // abort — the one abort a snapshot attempt can suffer.
 const histDepth = 16
 
+// histChunk is how many histories one slab allocation holds.
+const histChunk = 32
+
 // histVersion is one retained version: val was the location's value until
 // some writer displaced it, and ts is the commit timestamp of the write
 // that MADE val current — so val serves any snapshot taken in [ts, next
@@ -72,6 +75,28 @@ const histDepth = 16
 type histVersion struct {
 	ts  uint64
 	val uint64
+}
+
+// history is one location's multi-version state: the commit timestamp of
+// its newest write and the displaced older versions in a fixed ring, so
+// recording a version allocates nothing once the location has one.
+// at(0) is the oldest retained version.
+type history struct {
+	lastTS  uint64
+	n, head int // retained count; ring index of the oldest
+	v       [histDepth]histVersion
+}
+
+func (h *history) at(i int) histVersion { return h.v[(h.head+i)%histDepth] }
+
+// push retains x as the newest version, displacing the oldest once full.
+func (h *history) push(x histVersion) {
+	h.v[(h.head+h.n)%histDepth] = x // the oldest's slot once full
+	if h.n < histDepth {
+		h.n++
+	} else {
+		h.head = (h.head + 1) % histDepth
+	}
 }
 
 // System is a deferred-update TM instantiated on a machine.
@@ -87,13 +112,27 @@ type System struct {
 	// attempt at begin.
 	clock uint64
 
-	// lastTS and hist are the multi-version store (MVCC only): the commit
-	// timestamp of each location's newest write, and the displaced older
-	// versions. They are Go-side model state mutated and read ONLY inside
-	// ctx.Step closures, so the machine's one-op-at-a-time grant order
-	// serialises all access (same discipline as the allocator).
-	lastTS map[uint64]uint64
-	hist   map[uint64][]histVersion
+	// hist is the multi-version store (MVCC only), keyed by location. It is
+	// Go-side model state mutated and read ONLY inside ctx.Step closures,
+	// so the machine's one-op-at-a-time grant order serialises all access
+	// (same discipline as the allocator). Histories are carved from
+	// histChunk-sized slabs: a run overwrites hundreds of distinct words and
+	// one allocation each was most of an MVCC cell's allocation count.
+	hist     map[uint64]*history
+	histSlab []history
+}
+
+// historyOf returns addr's history, creating it on the first overwrite.
+func (s *System) historyOf(addr uint64) *history {
+	h := s.hist[addr]
+	if h == nil {
+		if len(s.histSlab) == 0 {
+			s.histSlab = make([]history, histChunk)
+		}
+		h, s.histSlab = &s.histSlab[0], s.histSlab[1:]
+		s.hist[addr] = h
+	}
+	return h
 }
 
 var _ tm.System = (*System)(nil)
@@ -127,8 +166,7 @@ func newSystem(name string, machine *sim.Machine, cfg tm.Config, mvcc bool) *Sys
 		// conflicts into the figures.
 		s.clock = machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 		machine.Mem.Store(s.clock, 0)
-		s.lastTS = make(map[uint64]uint64)
-		s.hist = make(map[uint64][]histVersion)
+		s.hist = make(map[uint64]*history)
 	}
 	return s
 }

@@ -292,13 +292,9 @@ func (t *Thread) writeBack(wv uint64) {
 		if sys.mvcc {
 			addr := e.Addr
 			ctx.Step(func(m *sim.Machine) uint64 {
-				old := m.Mem.Load(addr)
-				h := append(sys.hist[addr], histVersion{ts: sys.lastTS[addr], val: old})
-				if len(h) > histDepth {
-					h = h[len(h)-histDepth:]
-				}
-				sys.hist[addr] = h
-				sys.lastTS[addr] = wv
+				h := sys.historyOf(addr)
+				h.push(histVersion{ts: h.lastTS, val: m.Mem.Load(addr)})
+				h.lastTS = wv
 				return 2
 			})
 		}
@@ -457,20 +453,19 @@ func (t *Thread) snapshotLoad(rec, addr uint64) uint64 {
 	served, miss := false, false
 	vprev := ctx.SetCat(stats.Validate)
 	ctx.Step(func(m *sim.Machine) uint64 {
-		ts := sys.lastTS[addr]
-		if ts <= snapTS {
+		h := sys.hist[addr]
+		if h == nil || h.lastTS <= snapTS {
 			return 4
 		}
-		h := sys.hist[addr]
-		for i := len(h) - 1; i >= 0; i-- {
-			if h[i].ts <= snapTS {
-				val = h[i].val
+		for i := h.n - 1; i >= 0; i-- {
+			if v := h.at(i); v.ts <= snapTS {
+				val = v.val
 				served = true
-				return uint64(4 + 2*(len(h)-i))
+				return uint64(4 + 2*(h.n-i))
 			}
 		}
 		miss = true
-		return uint64(4 + 2*len(h))
+		return uint64(4 + 2*h.n)
 	})
 	ctx.SetCat(vprev)
 

@@ -5,6 +5,8 @@
 // lives here; caches track only metadata (tags, coherence state, mark bits).
 // Because the simulator serialises all memory operations in cycle order,
 // keeping a single authoritative copy of the data is exact.
+// An allocation costs host memory only where it has been stored to; see the
+// page-table constants and Materialize.
 package mem
 
 import (
@@ -26,22 +28,34 @@ const LineMask = LineSize - 1
 const base = 0x10000
 
 // The backing store is a dense page table over the bump allocator's
-// contiguous range: pages[addr>>pageShift][(addr&pageMask)/WordSize].
-// Pages covering allocated space are materialised eagerly by Alloc, so
-// Load and Store are two array indexes with no nil checks, no hashing and
-// no per-access branches — this is the simulator's hottest data path.
+// contiguous range: pages[addr>>pageShift][addr/WordSize%pageWords] — the
+// simulator's hottest data path, two indexes with no hashing (the second,
+// into a fixed-size page, needs no bounds check). Alloc points every page
+// it newly covers at the one shared zeroPage, and the first Store to a page
+// gives it private backing (one pointer compare on the store path, nothing
+// on Load), carved from chunkPages-page chunks so the host allocation count
+// stays that of 64 KiB pages.
 const (
-	pageShift = 16 // 64 KiB pages
-	pageBytes = 1 << pageShift
-	pageMask  = pageBytes - 1
-	pageWords = pageBytes / WordSize
+	pageShift  = 12 // 4 KiB pages
+	pageBytes  = 1 << pageShift
+	pageMask   = pageBytes - 1
+	pageWords  = pageBytes / WordSize
+	chunkPages = 16
 )
+
+type page [pageWords]uint64
+
+// zeroPage backs every allocated page no store has reached yet. It is
+// shared by every Memory and never written.
+var zeroPage page
 
 // Memory is a flat simulated address space with a bump allocator.
 //
 // Memory is not safe for concurrent use; the simulator serialises access.
 type Memory struct {
-	pages [][]uint64
+	pages []*page
+	spare []page // pages of the current chunk not yet handed out
+	eager bool   // latched by Materialize: grow backs pages itself
 	next  uint64 // next free address (bump pointer)
 	// allocated tracks the extent of every allocation so out-of-bounds
 	// accesses can be detected in tests.
@@ -60,17 +74,49 @@ func New() *Memory {
 	return m
 }
 
-// grow extends the page table to cover every allocated address. Go zeroes
-// new pages, preserving Alloc's "memory is zeroed" contract. Pages below
-// base stay nil: check rejects those addresses before any indexing.
+// grow extends the page table to cover every allocated address, in one
+// resize however many pages an Alloc spans. New pages read as zero — the
+// zeroPage, or fresh backing once eager — which is Alloc's "memory is
+// zeroed" contract. Pages below base stay nil: check rejects those
+// addresses before any indexing.
 func (m *Memory) grow() {
 	want := int((m.limit + pageMask) >> pageShift)
-	for len(m.pages) < want {
-		var pg []uint64
-		if len(m.pages) >= base>>pageShift {
-			pg = make([]uint64, pageWords)
+	if want > cap(m.pages) {
+		pages := make([]*page, len(m.pages), max(want, 2*cap(m.pages)))
+		copy(pages, m.pages)
+		m.pages = pages
+	}
+	for i := len(m.pages); i < want; i++ {
+		var pg *page
+		if i >= base>>pageShift {
+			pg = &zeroPage
+			if m.eager {
+				pg = m.newPage()
+			}
 		}
 		m.pages = append(m.pages, pg)
+	}
+}
+
+// newPage carves one zeroed private page out of the current chunk.
+func (m *Memory) newPage() *page {
+	if len(m.spare) == 0 {
+		m.spare = make([]page, chunkPages)
+	}
+	pg := &m.spare[0]
+	m.spare = m.spare[1:]
+	return pg
+}
+
+// Materialize gives every allocated page private backing and makes all
+// later growth do the same, for good: after it no access allocates and no
+// page is shared, which concurrent users of the atomic accessors need.
+func (m *Memory) Materialize() {
+	m.eager = true
+	for i, pg := range m.pages {
+		if pg == &zeroPage {
+			m.pages[i] = m.newPage()
+		}
 	}
 }
 
@@ -105,35 +151,45 @@ func (m *Memory) AllocLines(n uint64) uint64 {
 // allocation.
 func (m *Memory) Load(addr uint64) uint64 {
 	m.check(addr)
-	return m.pages[addr>>pageShift][(addr&pageMask)/WordSize]
+	return m.pages[addr>>pageShift][addr/WordSize%pageWords]
 }
 
-// Store writes the word at addr.
+// Store writes the word at addr, backing its page on the first store to it.
 func (m *Memory) Store(addr, val uint64) {
 	m.check(addr)
-	m.pages[addr>>pageShift][(addr&pageMask)/WordSize] = val
+	pg := m.pages[addr>>pageShift]
+	if pg == &zeroPage {
+		pg = m.newPage()
+		m.pages[addr>>pageShift] = pg
+	}
+	pg[addr/WordSize%pageWords] = val
 }
 
 // LoadAtomic returns the word at addr with an atomic load. The host-native
 // backend uses these accessors for every transactional word so concurrent
-// goroutines are race-clean; the page table itself must not grow while
-// atomic accessors are in use (see Preallocate).
+// goroutines are race-clean; every page must have private backing
+// (Materialize) and the page table itself must not grow (Preallocate) while
+// atomic accessors are in use.
 func (m *Memory) LoadAtomic(addr uint64) uint64 {
 	m.check(addr)
-	return atomic.LoadUint64(&m.pages[addr>>pageShift][(addr&pageMask)/WordSize])
+	return atomic.LoadUint64(&m.pages[addr>>pageShift][addr/WordSize%pageWords])
 }
 
 // StoreAtomic writes the word at addr with an atomic store.
 func (m *Memory) StoreAtomic(addr, val uint64) {
 	m.check(addr)
-	atomic.StoreUint64(&m.pages[addr>>pageShift][(addr&pageMask)/WordSize], val)
+	pg := m.pages[addr>>pageShift]
+	if pg == &zeroPage {
+		panic(fmt.Sprintf("mem: StoreAtomic at %#x before Materialize", addr))
+	}
+	atomic.StoreUint64(&pg[addr/WordSize%pageWords], val)
 }
 
-// Preallocate reserves size bytes and materialises every backing page, then
-// returns the base of the reserved range. The host-native backend carves a
-// fixed arena out of the address space up front: once the arena exists the
-// page table never grows during a run, so concurrent LoadAtomic/StoreAtomic
-// never race with the append in grow().
+// Preallocate reserves size bytes and returns the base of the reserved
+// range. The host-native backend carves a fixed arena out of the address
+// space up front, after Materialize: once the arena exists neither the page
+// table nor its backing grows during a run, so concurrent
+// LoadAtomic/StoreAtomic never race with grow() or with a first store.
 func (m *Memory) Preallocate(size uint64) uint64 {
 	return m.Alloc(size, LineSize)
 }
@@ -146,13 +202,19 @@ func (m *Memory) Allocated(addr uint64) bool {
 // Footprint returns the number of bytes handed out so far.
 func (m *Memory) Footprint() uint64 { return m.limit - base }
 
+// check is small enough to inline into the four accessors, so an access is
+// one call deep; fault holds the cold half.
 func (m *Memory) check(addr uint64) {
+	if addr%WordSize != 0 || !m.Allocated(addr) {
+		m.fault(addr)
+	}
+}
+
+func (m *Memory) fault(addr uint64) {
 	if addr%WordSize != 0 {
 		panic(fmt.Sprintf("mem: unaligned access at %#x", addr))
 	}
-	if !m.Allocated(addr) {
-		panic(fmt.Sprintf("mem: access to unallocated address %#x (limit %#x)", addr, m.limit))
-	}
+	panic(fmt.Sprintf("mem: access to unallocated address %#x (limit %#x)", addr, m.limit))
 }
 
 // Placement selects how pages are assigned a home socket on a
@@ -196,7 +258,7 @@ func ParsePlacement(s string) (Placement, error) {
 }
 
 // PlacementPageShift sets the NUMA placement granularity: 4 KiB pages,
-// independent of the coarser backing page table.
+// independent of the backing page table.
 const PlacementPageShift = 12
 
 // SetPlacement arms NUMA page-to-socket homing for a machine with the

@@ -137,8 +137,9 @@ type System struct {
 type linePad [56]byte
 
 // New builds a native system over m. Call after the workload's structures
-// are populated: New pre-materialises the allocation arena so the page
-// table never grows once concurrent transactions run.
+// are populated: New gives every page of m private backing and reserves
+// the allocation arena, so neither the page table nor its backing grows
+// once concurrent transactions run.
 func New(m *mem.Memory, cfg Config) *System {
 	if cfg.Threads <= 0 {
 		panic("native: Config.Threads must be positive")
@@ -164,6 +165,7 @@ func New(m *mem.Memory, cfg Config) *System {
 		threads: make([]*Thread, cfg.Threads),
 	}
 	s.wakeCh = make(chan struct{})
+	m.Materialize()
 	arena := m.Preallocate(cfg.ArenaBytes)
 	s.arenaNext.Store(arena)
 	s.arenaEnd = arena + cfg.ArenaBytes

@@ -179,6 +179,23 @@ func opSeed(base uint64, i int) uint64 { return base ^ (uint64(i+1) * 0x9e3779b9
 // seedBase derives one core's seed stream base from the cell seed.
 func seedBase(seed uint64, id int) uint64 { return seed + uint64(id)*0x9e3779b9 + 1 }
 
+// request is the one transaction body a core's run reuses. The loop assigns
+// seed and writes before each Atomic, so a request costs no closure, no
+// boxed attempt counter and no Rand.
+type request struct {
+	b        *Bank
+	seed     uint64
+	writes   bool
+	attempts int // executions of the body for the current request
+	rand     workloads.Rand
+}
+
+func (q *request) run(tx tm.Txn) error {
+	q.attempts++
+	q.rand.Seed(q.seed)
+	return q.b.Op(tx, &q.rand, q.writes)
+}
+
 // RunCoreSim drives one simulator core's open-loop request stream over the
 // measured phase. Arrivals are scheduled on the core's own simulated
 // clock: the i-th request arrives at start + Σ gaps, the core idles
@@ -192,6 +209,8 @@ func RunCoreSim(c *sim.Ctx, th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, 
 	adm := newAdmission(cfg.Admission)
 	deg := newDegrade(cfg.Degrade, cfg.Degrade.SLOCycles)
 	defer deg.fold(cm)
+	req := request{b: b}
+	body := req.run
 	arrival := c.Clock()
 	for i := 0; i < cfg.Requests; i++ {
 		arrival += drawGap(gaps, cfg.MeanGap)
@@ -200,9 +219,9 @@ func RunCoreSim(c *sim.Ctx, th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, 
 		}
 		cm.Offered++
 		adm.tick()
-		seed := opSeed(base, i)
-		key, class := b.classify(seed)
-		writes := class == ClassTransfer
+		req.seed, req.attempts = opSeed(base, i), 0
+		key, class := b.classify(req.seed)
+		req.writes = class == ClassTransfer
 		if cfg.Admission.ShedAfterCycles > 0 && c.Clock()-arrival > cfg.Admission.ShedAfterCycles {
 			cm.Shed++
 			c.EmitTxn(telemetry.TxnEvent{Txn: uint64(i), Kind: telemetry.EvShed, Cause: "queue-delay"})
@@ -215,7 +234,7 @@ func RunCoreSim(c *sim.Ctx, th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, 
 			continue
 		}
 		serialize := false
-		if writes && adm.hot(key) {
+		if req.writes && adm.hot(key) {
 			switch {
 			case deg.circuitOpen():
 				// Degraded: the hot-key circuit is open, shed instead of
@@ -231,11 +250,6 @@ func RunCoreSim(c *sim.Ctx, th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, 
 				continue
 			}
 		}
-		attempts := 0
-		body := func(tx tm.Txn) error {
-			attempts++
-			return b.Op(tx, workloads.NewRand(seed), writes)
-		}
 		var err error
 		if sz, ok := th.(serializer); serialize && ok {
 			cm.Serialized++
@@ -247,8 +261,8 @@ func RunCoreSim(c *sim.Ctx, th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, 
 		if err != nil {
 			return fmt.Errorf("service request %d: %w", i, err)
 		}
-		if attempts > 1 {
-			adm.noteAborts(key, attempts-1)
+		if req.attempts > 1 {
+			adm.noteAborts(key, req.attempts-1)
 		}
 		cm.Committed++
 		lat := c.Clock() - arrival
@@ -257,7 +271,7 @@ func RunCoreSim(c *sim.Ctx, th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, 
 			c.EmitTxn(telemetry.TxnEvent{Txn: uint64(i), Kind: telemetry.EvDegrade, Cause: cause})
 		}
 		if log != nil {
-			log.Add(workloads.OpRecord{Thread: c.ID(), Index: i, Seed: seed, Update: writes, Stamp: th.Stamp()})
+			log.Add(workloads.OpRecord{Thread: c.ID(), Index: i, Seed: req.seed, Update: req.writes, Stamp: th.Stamp()})
 		}
 	}
 	return nil
@@ -274,6 +288,8 @@ func RunCoreNative(th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, log *work
 	adm := newAdmission(cfg.Admission)
 	deg := newDegrade(cfg.Degrade, cfg.Degrade.SLONS)
 	defer deg.fold(cm)
+	req := request{b: b}
+	body := req.run
 	start := time.Now()
 	var arrival time.Duration
 	for i := 0; i < cfg.Requests; i++ {
@@ -283,9 +299,9 @@ func RunCoreNative(th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, log *work
 		}
 		cm.Offered++
 		adm.tick()
-		seed := opSeed(base, i)
-		key, class := b.classify(seed)
-		writes := class == ClassTransfer
+		req.seed, req.attempts = opSeed(base, i), 0
+		key, class := b.classify(req.seed)
+		req.writes = class == ClassTransfer
 		if wait := time.Since(start) - arrival; cfg.Admission.ShedAfterNS > 0 && wait > time.Duration(cfg.Admission.ShedAfterNS) {
 			cm.Shed++
 			continue
@@ -296,7 +312,7 @@ func RunCoreNative(th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, log *work
 			continue
 		}
 		serialize := false
-		if writes && adm.hot(key) {
+		if req.writes && adm.hot(key) {
 			switch {
 			case deg.circuitOpen():
 				cm.Shed++
@@ -308,11 +324,6 @@ func RunCoreNative(th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, log *work
 				continue
 			}
 		}
-		attempts := 0
-		body := func(tx tm.Txn) error {
-			attempts++
-			return b.Op(tx, workloads.NewRand(seed), writes)
-		}
 		var err error
 		if sz, ok := th.(serializer); serialize && ok {
 			cm.Serialized++
@@ -323,15 +334,15 @@ func RunCoreNative(th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, log *work
 		if err != nil {
 			return fmt.Errorf("service request %d: %w", i, err)
 		}
-		if attempts > 1 {
-			adm.noteAborts(key, attempts-1)
+		if req.attempts > 1 {
+			adm.noteAborts(key, req.attempts-1)
 		}
 		cm.Committed++
 		lat := uint64(time.Since(start) - arrival)
 		cm.Hist.Record(lat)
 		deg.observe(lat)
 		if log != nil {
-			log.Add(workloads.OpRecord{Thread: th.ID(), Index: i, Seed: seed, Update: writes, Stamp: th.Stamp()})
+			log.Add(workloads.OpRecord{Thread: th.ID(), Index: i, Seed: req.seed, Update: req.writes, Stamp: th.Stamp()})
 		}
 	}
 	return nil
@@ -342,8 +353,9 @@ func RunCoreNative(th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, log *work
 // leaving the measured phase's op log as the complete mutation history.
 func RunWarmup(th tm.Thread, b *Bank, cfg Config) error {
 	r := workloads.NewRand(seedBase(cfg.Seed+7777, th.ID()))
+	body := func(tx tm.Txn) error { return b.WarmupOp(tx, r) }
 	for i := 0; i < cfg.Warmup; i++ {
-		if err := th.Atomic(func(tx tm.Txn) error { return b.WarmupOp(tx, r) }); err != nil {
+		if err := th.Atomic(body); err != nil {
 			return fmt.Errorf("service warmup %d: %w", i, err)
 		}
 	}

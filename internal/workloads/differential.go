@@ -46,7 +46,8 @@ func DiffValue(key uint64) uint64 { return key*0x9e3779b97f4a7c15 | 1 }
 // DiffValue in the bottom quarter, or a delete in the top half (structures
 // without Delete — the B-tree — substitute a lookup).
 func DiffOp(ds DataStructure, tx tm.Txn, seed uint64, update bool) error {
-	r := NewRand(seed)
+	var r Rand
+	r.Seed(seed)
 	ks := ds.KeySpace()
 	l, ok := ds.(Lookuper)
 	if !ok {

@@ -88,8 +88,12 @@ func RunThreadRecorded(th tm.Thread, ds DataStructure, cfg DriverConfig, log *Op
 	var (
 		update bool
 		opSeed uint64
+		opRand Rand
 	)
-	body := func(tx tm.Txn) error { return ds.Op(tx, NewRand(opSeed), update) }
+	body := func(tx tm.Txn) error {
+		opRand.Seed(opSeed)
+		return ds.Op(tx, &opRand, update)
+	}
 	for i := 0; i < cfg.Ops; i++ {
 		update = decide.Percent(cfg.UpdatePercent)
 		opSeed = base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
@@ -136,8 +140,10 @@ func VerifyOracle(ds DataStructure, m *mem.Memory, build func(*mem.Memory) DataS
 	ds2 := build(m2)
 	ds2.Populate(m2, NewRand(populateSeed))
 	d2 := Direct{M: m2}
+	var opRand Rand
 	for _, r := range log.Serialized() {
-		if err := ds2.Op(d2, NewRand(r.Seed), r.Update); err != nil {
+		opRand.Seed(r.Seed)
+		if err := ds2.Op(d2, &opRand, r.Update); err != nil {
 			return rep, fmt.Errorf("oracle replay of op (thread %d, index %d): %w", r.Thread, r.Index, err)
 		}
 	}

@@ -24,10 +24,18 @@ type Rand struct{ s uint64 }
 
 // NewRand returns a generator for the given seed (0 is remapped).
 func NewRand(seed uint64) *Rand {
+	r := new(Rand)
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts r as NewRand(seed) would start a fresh generator; drivers
+// that reseed per operation keep one Rand instead of allocating each time.
+func (r *Rand) Seed(seed uint64) {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
-	return &Rand{s: seed}
+	r.s = seed
 }
 
 // Next returns the next pseudo-random 64-bit value.
@@ -152,8 +160,12 @@ func RunThreadStable(th tm.Thread, ds DataStructure, cfg DriverConfig) error {
 	var (
 		update bool
 		opSeed uint64
+		opRand Rand
 	)
-	body := func(tx tm.Txn) error { return ds.Op(tx, NewRand(opSeed), update) }
+	body := func(tx tm.Txn) error {
+		opRand.Seed(opSeed)
+		return ds.Op(tx, &opRand, update)
+	}
 	for i := 0; i < cfg.Ops; i++ {
 		update = decide.Percent(cfg.UpdatePercent)
 		opSeed = base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
