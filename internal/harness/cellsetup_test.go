@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -44,6 +45,70 @@ func TestCellAllocBytesCeiling(t *testing.T) {
 			t.Errorf("%s: %d bytes allocated, ceiling %d", tc.name, got, tc.ceilingBytes)
 		}
 	}
+}
+
+// The repository benchmark bounds host_allocs_per_txn at 2 %, which is one or
+// two heap allocations per cell, so the count each bench-shaped cell makes is
+// an exact ceiling here: a runner that boxes one more closure fails go test
+// before it fails the benchmark. Counts are testing.AllocsPerRun at the
+// commit that introduced the cell runner's parent.
+func TestCellAllocCounts(t *testing.T) {
+	check := func(name string, ceiling float64, run func() error) {
+		t.Helper()
+		// A collection inside the measured runs empties the runtime's
+		// free lists (coroutine goroutines among them) and shows up as extra
+		// allocations; collect first, then hold the collector off.
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		got := testing.AllocsPerRun(5, func() {
+			if err := run(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		})
+		if got > ceiling {
+			t.Errorf("%s: %v allocations per cell, ceiling %v", name, got, ceiling)
+		}
+	}
+	one := DefaultOptions()
+	one.Ops, one.Warmup = 1024, 64
+	for _, tc := range []struct {
+		scheme  string
+		ceiling float64
+	}{
+		{SchemeSeq, 57}, {SchemeLock, 58}, {SchemeSTM, 82}, {SchemeHASTM, 83},
+		{SchemeHyTM, 100}, {SchemeLazy, 89}, {SchemeMVCC, 109},
+	} {
+		check(tc.scheme+"/bst/1c", tc.ceiling, func() error {
+			_, err := RunOne(tc.scheme, WorkloadBST, 1, one, 20)
+			return err
+		})
+	}
+	for _, tc := range []struct {
+		scheme  string
+		ceiling float64
+	}{
+		{SchemeSTM, 205}, {SchemeHASTM, 206}, {SchemeLazy, 226},
+	} {
+		check(tc.scheme+"/bst/4c", tc.ceiling, func() error {
+			_, err := RunOne(tc.scheme, WorkloadBST, 4, benchCell(256), 20)
+			return err
+		})
+	}
+	nat := DefaultOptions()
+	nat.Ops = 20_000
+	for threads, ceiling := range map[int]float64{1: 115, 2: 137} {
+		check(fmt.Sprintf("native/hashtable/%dg", threads), ceiling, func() error {
+			_, err := RunOneNative(WorkloadHash, threads, nat, 5)
+			return err
+		})
+	}
+	svc := DefaultOptions()
+	svc.Ops = 2048
+	sc := ServiceConfig(svc, 4, 1024, 0.9, DefaultAdmission())
+	check("service/stm/4c", 225, func() error {
+		_, err := RunOneServiceScheme(SchemeSTM, 4, sc, svc)
+		return err
+	})
 }
 
 // BenchmarkCellSetup is the fixed cost of one cell — machine, scheme,
