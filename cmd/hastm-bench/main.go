@@ -7,7 +7,7 @@
 //	hastm-bench -quick        # reduced sizes (seconds instead of minutes)
 //	hastm-bench -ops 4096     # override the total operation count
 //	hastm-bench -j 8          # run independent experiment cells on 8 workers
-//	hastm-bench -json         # machine-readable report (schema hastm-bench/3)
+//	hastm-bench -json         # machine-readable report (schema hastm-bench/9)
 //	hastm-bench -progress     # per-cell progress on stderr
 //	hastm-bench -trace t.jsonl  # per-transaction JSONL event trace
 //	hastm-bench -list         # list experiment ids
@@ -109,6 +109,100 @@ const faultCores = 4
 // cores colliding, and four keeps the suite deterministic and fast.
 const adversarialCores = 4
 
+// execute runs the plans' cells on the worker pool — per-cell completion
+// lines to progress when it is non-nil — and times the run.
+func execute(plans []*harness.Plan, workers int, progress *telemetry.SyncWriter) ([]*harness.Report, time.Duration) {
+	start := time.Now()
+	reports := harness.Execute(plans, harness.ExecConfig{Workers: workers, ProgressSync: progress})
+	return reports, time.Since(start)
+}
+
+// progressWriter is the -progress destination: stderr, or nil when off.
+func progressWriter(on bool) *telemetry.SyncWriter {
+	if !on {
+		return nil
+	}
+	return telemetry.NewSyncWriter(os.Stderr)
+}
+
+// emit writes the reports to stdout in the selected format and returns the
+// exit status of doing so.
+func emit(o harness.Options, workers int, plans []*harness.Plan, reports []*harness.Report, elapsed time.Duration, jsonF, csvF bool) int {
+	switch {
+	case jsonF:
+		if err := harness.NewBenchJSON(o, workers, plans, reports, elapsed).Write(os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "hastm-bench: json: %v\n", err)
+			return 1
+		}
+	case csvF:
+		for _, rep := range reports {
+			if err := rep.RenderCSV(os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "hastm-bench: csv: %v\n", err)
+				return 1
+			}
+		}
+	default:
+		for _, rep := range reports {
+			rep.Render(os.Stdout)
+		}
+	}
+	return 0
+}
+
+// writeTrace dumps every cell's transaction trace to the -trace destination
+// ('-' shares stderr's mutex-guarded writer with the progress lines, so the
+// two can never interleave mid-line) and returns the exit status.
+func writeTrace(dest string, plans []*harness.Plan, stderrSync *telemetry.SyncWriter) int {
+	tw := stderrSync
+	var f *os.File
+	if dest != "-" {
+		var err error
+		if f, err = os.Create(dest); err != nil {
+			fmt.Fprintf(os.Stderr, "hastm-bench: trace: %v\n", err)
+			return 1
+		}
+		tw = telemetry.NewSyncWriter(f)
+	}
+	written, dropped, err := harness.WriteTxnTraces(plans, tw)
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hastm-bench: trace: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(os.Stderr, "hastm-bench: trace: %d events written, %d dropped\n", written, dropped)
+	return 0
+}
+
+// reportFailed prints every failed cell's diagnosis and returns how many
+// there were. A cell that tripped a watchdog or contained a core panic
+// carries its diagnosis in Cell.Err (and in the JSON report); the run must
+// fail loudly rather than publish figures with silently missing cells.
+func reportFailed(plans []*harness.Plan) int {
+	failed := harness.FailedCells(plans)
+	for _, c := range failed {
+		fmt.Fprintf(os.Stderr, "hastm-bench: cell %s/%s FAILED:\n%s\n", c.Figure, c.Label, c.Err)
+	}
+	return len(failed)
+}
+
+// finishSweep closes a verdict suite (-faults, -adversarial, -chaos): the
+// cells/failed footer after the table, the host time on stderr, exit status
+// 1 if any cell failed its verdict.
+func finishSweep(name string, cells, failures int, table bool, elapsed time.Duration, how string) int {
+	if table {
+		fmt.Printf("\n%s: %d cells, %d failed\n", name, cells, failures)
+	}
+	fmt.Fprintf(os.Stderr, "hastm-bench: %s %d cells in %v (%s)\n", name, cells, elapsed.Round(time.Millisecond), how)
+	if failures > 0 {
+		return 1
+	}
+	return 0
+}
+
 // runAdversarial runs the progress-guarantee suite: adversarial cells
 // that livelock or starve unless the irrevocable escalation ladder is
 // armed. With the ladder on (the default), every cell must complete and
@@ -129,13 +223,7 @@ func runAdversarial(filter string, ladder bool, o harness.Options, workers int, 
 		return 2
 	}
 	plan, reports := harness.ProgressPlan(o, adversarialCores, ladder, filter)
-	cfg := harness.ExecConfig{Workers: workers}
-	if progress {
-		cfg.ProgressSync = telemetry.NewSyncWriter(os.Stderr)
-	}
-	start := time.Now()
-	harness.Execute([]*harness.Plan{plan}, cfg)
-	elapsed := time.Since(start)
+	_, elapsed := execute([]*harness.Plan{plan}, workers, progressWriter(progress))
 
 	mode := "ladder armed (budget " + fmt.Sprint(harness.AdversarialRetryBudget) + ")"
 	if !ladder {
@@ -153,20 +241,12 @@ func runAdversarial(filter string, ladder bool, o harness.Options, workers int, 
 		fmt.Printf("%-22s %12d %9d %6d %7d %12d  %s\n",
 			rep.Scheme+"/"+rep.Workload, rep.WallCycles, rep.Commits,
 			rep.Escalations, rep.IrrevocableEntries, rep.IrrevocableCycles, rep.Verdict())
-	}
-	fmt.Printf("\nadversarial: %d cells, %d failed\n", len(reports), failures)
-	for _, rep := range reports {
 		if rep.Detail != "" {
 			fmt.Fprintf(os.Stderr, "hastm-bench: %s/%s diagnosis:\n%s\n",
 				rep.Scheme, rep.Workload, rep.Detail)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "hastm-bench: adversarial %d cells in %v (-j %d)\n",
-		len(reports), elapsed.Round(time.Millisecond), workers)
-	if failures > 0 {
-		return 1
-	}
-	return 0
+	return finishSweep("adversarial", len(reports), failures, true, elapsed, fmt.Sprintf("-j %d", workers))
 }
 
 // runFaultstorm runs the fault-injection conformance sweep and prints one
@@ -175,13 +255,7 @@ func runAdversarial(filter string, ladder bool, o harness.Options, workers int, 
 // code is 1 if any cell failed its invariants or the sequential oracle.
 func runFaultstorm(spec faults.Spec, o harness.Options, workers int, progress bool) int {
 	plan, reports := harness.FaultPlan(spec, o, faultCores)
-	cfg := harness.ExecConfig{Workers: workers}
-	if progress {
-		cfg.ProgressSync = telemetry.NewSyncWriter(os.Stderr)
-	}
-	start := time.Now()
-	harness.Execute([]*harness.Plan{plan}, cfg)
-	elapsed := time.Since(start)
+	_, elapsed := execute([]*harness.Plan{plan}, workers, progressWriter(progress))
 
 	fmt.Printf("faultstorm: %s (cores %d, ops %d, workload seed %d)\n\n", spec, faultCores, o.Ops, o.Seed)
 	fmt.Printf("%-25s %9s %9s %-40s %16s  %s\n",
@@ -195,13 +269,7 @@ func runFaultstorm(spec faults.Spec, o harness.Options, workers int, progress bo
 			rep.Scheme+"/"+rep.Workload, rep.Committed, rep.ScheduleLen,
 			rep.InjectedString(), rep.ScheduleHash, rep.Verdict())
 	}
-	fmt.Printf("\nfaultstorm: %d cells, %d failed\n", len(reports), failures)
-	fmt.Fprintf(os.Stderr, "hastm-bench: faultstorm %d cells in %v (-j %d)\n",
-		len(reports), elapsed.Round(time.Millisecond), workers)
-	if failures > 0 {
-		return 1
-	}
-	return 0
+	return finishSweep("faultstorm", len(reports), failures, true, elapsed, fmt.Sprintf("-j %d", workers))
 }
 
 // chaosThreads is the goroutine count of every -chaos storm cell: enough
@@ -239,58 +307,37 @@ func chaosToFaults(c native.ChaosSpec) faults.Spec {
 // the twin fingerprint comparison.
 func runChaosStorm(spec native.ChaosSpec, o harness.Options, jsonF, progress bool) int {
 	plan, reports := harness.ChaosStormPlan(spec, o, chaosThreads)
-	cfg := harness.ExecConfig{Workers: 1}
-	if progress {
-		cfg.ProgressSync = telemetry.NewSyncWriter(os.Stderr)
-	}
-	start := time.Now()
-	figs := harness.Execute([]*harness.Plan{plan}, cfg)
-	elapsed := time.Since(start)
+	plans := []*harness.Plan{plan}
+	_, elapsed := execute(plans, 1, progressWriter(progress))
 
 	if jsonF {
-		var nonNil []*harness.Report
-		for _, r := range figs {
-			if r != nil {
-				nonNil = append(nonNil, r)
-			}
-		}
-		doc := harness.NewBenchJSON(o, 1, []*harness.Plan{plan}, nonNil, elapsed)
-		if err := doc.Write(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: json: %v\n", err)
-			return 1
+		// A verdict plan assembles no figure: the document is its cells.
+		if code := emit(o, 1, plans, nil, elapsed, true, false); code != 0 {
+			return code
 		}
 	} else {
 		fmt.Printf("chaosstorm: native tl2, %s (threads %d, ops %d, seed %d)\n\n",
 			spec, chaosThreads, o.Ops, o.Seed)
 		fmt.Printf("%-18s %9s %9s %-36s %16s  %s\n",
 			"cell", "committed", "planned", "injected", "schedule-hash", "verdict")
-		for _, rep := range reports {
-			sched, hash, injected := 0, "-", "none"
-			if rep.Chaos != nil {
-				sched = rep.Chaos.ScheduleLen
-				hash = rep.Chaos.ScheduleHash
-				injected = rep.Chaos.InjectedString()
-			}
-			fmt.Printf("%-18s %9d %9d %-36s %16s  %s\n",
-				"native/"+rep.Workload, rep.Committed, sched, injected, hash, rep.Verdict())
-		}
 	}
 	failures := 0
 	for _, rep := range reports {
+		if !jsonF {
+			sched, hash := 0, "-"
+			if rep.Chaos != nil {
+				sched, hash = rep.Chaos.ScheduleLen, rep.Chaos.ScheduleHash
+			}
+			fmt.Printf("%-18s %9d %9d %-36s %16s  %s\n",
+				"native/"+rep.Workload, rep.Committed, sched, rep.Chaos.InjectedString(), hash, rep.Verdict())
+		}
 		if rep.Err != "" {
 			failures++
 			fmt.Fprintf(os.Stderr, "hastm-bench: chaos cell native/%s FAILED: %s\n", rep.Workload, rep.Err)
 		}
 	}
-	if !jsonF {
-		fmt.Printf("\nchaosstorm: %d cells, %d failed\n", len(reports), failures)
-	}
-	fmt.Fprintf(os.Stderr, "hastm-bench: chaosstorm %d cells in %v (cells serial, %d goroutines each)\n",
-		len(reports), elapsed.Round(time.Millisecond), chaosThreads)
-	if failures > 0 {
-		return 1
-	}
-	return 0
+	return finishSweep("chaosstorm", len(reports), failures, !jsonF, elapsed,
+		fmt.Sprintf("cells serial, %d goroutines each", chaosThreads))
 }
 
 // runNative runs the host-native TL2 throughput suite: every standard
@@ -300,41 +347,15 @@ func runChaosStorm(spec native.ChaosSpec, o harness.Options, jsonF, progress boo
 // and corrupt the throughput numbers. Output is host-dependent; nothing
 // here participates in the byte-identity guarantees of the simulator path.
 func runNative(o harness.Options, progress, jsonF, csvF bool) int {
-	plan := harness.NativePlan(o, harness.NativeThreadCounts)
-	cfg := harness.ExecConfig{Workers: 1}
-	if progress {
-		cfg.ProgressSync = telemetry.NewSyncWriter(os.Stderr)
-	}
-	start := time.Now()
-	reports := harness.Execute([]*harness.Plan{plan}, cfg)
-	elapsed := time.Since(start)
-
-	switch {
-	case jsonF:
-		doc := harness.NewBenchJSON(o, 1, []*harness.Plan{plan}, reports, elapsed)
-		if err := doc.Write(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: json: %v\n", err)
-			return 1
-		}
-	case csvF:
-		for _, rep := range reports {
-			if err := rep.RenderCSV(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "hastm-bench: csv: %v\n", err)
-				return 1
-			}
-		}
-	default:
-		for _, rep := range reports {
-			rep.Render(os.Stdout)
-		}
+	plans := []*harness.Plan{harness.NativePlan(o, harness.NativeThreadCounts)}
+	reports, elapsed := execute(plans, 1, progressWriter(progress))
+	if code := emit(o, 1, plans, reports, elapsed, jsonF, csvF); code != 0 {
+		return code
 	}
 	fmt.Fprintf(os.Stderr, "hastm-bench: native backend, %d cells in %v (cells serial, up to %d goroutines each)\n",
-		len(plan.Cells), elapsed.Round(time.Millisecond),
+		len(plans[0].Cells), elapsed.Round(time.Millisecond),
 		harness.NativeThreadCounts[len(harness.NativeThreadCounts)-1])
-	if failed := harness.FailedCells([]*harness.Plan{plan}); len(failed) > 0 {
-		for _, c := range failed {
-			fmt.Fprintf(os.Stderr, "hastm-bench: cell %s/%s FAILED:\n%s\n", c.Figure, c.Label, c.Err)
-		}
+	if reportFailed(plans) > 0 {
 		return 1
 	}
 	return 0
@@ -349,77 +370,29 @@ func runNative(o harness.Options, progress, jsonF, csvF bool) int {
 // replayed through the sequential oracle inside the run; a divergence
 // fails the cell.
 func runService(o harness.Options, nativeBackend bool, workers int, progress, jsonF, csvF bool, traceF string) int {
-	var plan *harness.Plan
+	plan, backend := harness.ServicePlan(o), "sim"
 	if nativeBackend {
-		plan = harness.ServiceNativePlan(o)
-		workers = 1
-	} else {
-		plan = harness.ServicePlan(o)
+		plan, backend, workers = harness.ServiceNativePlan(o), "native", 1
 	}
 	plans := []*harness.Plan{plan}
 	stderrSync := telemetry.NewSyncWriter(os.Stderr)
-	cfg := harness.ExecConfig{Workers: workers}
+	var pw *telemetry.SyncWriter
 	if progress {
-		cfg.ProgressSync = stderrSync
+		pw = stderrSync
 	}
-	start := time.Now()
-	reports := harness.Execute(plans, cfg)
-	elapsed := time.Since(start)
+	reports, elapsed := execute(plans, workers, pw)
 
 	if traceF != "" && !nativeBackend {
-		tw := stderrSync
-		var f *os.File
-		if traceF != "-" {
-			var err error
-			f, err = os.Create(traceF)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hastm-bench: trace: %v\n", err)
-				return 1
-			}
-			tw = telemetry.NewSyncWriter(f)
-		}
-		written, dropped, err := harness.WriteTxnTraces(plans, tw)
-		if f != nil {
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: trace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "hastm-bench: trace: %d events written, %d dropped\n", written, dropped)
-	}
-
-	switch {
-	case jsonF:
-		doc := harness.NewBenchJSON(o, workers, plans, reports, elapsed)
-		if err := doc.Write(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: json: %v\n", err)
-			return 1
-		}
-	case csvF:
-		for _, rep := range reports {
-			if err := rep.RenderCSV(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "hastm-bench: csv: %v\n", err)
-				return 1
-			}
-		}
-	default:
-		for _, rep := range reports {
-			rep.Render(os.Stdout)
+		if code := writeTrace(traceF, plans, stderrSync); code != 0 {
+			return code
 		}
 	}
-	backend := "sim"
-	if nativeBackend {
-		backend = "native"
+	if code := emit(o, workers, plans, reports, elapsed, jsonF, csvF); code != 0 {
+		return code
 	}
 	fmt.Fprintf(os.Stderr, "hastm-bench: service (%s backend), %d cells in %v (-j %d)\n",
 		backend, len(plan.Cells), elapsed.Round(time.Millisecond), workers)
-	if failed := harness.FailedCells(plans); len(failed) > 0 {
-		for _, c := range failed {
-			fmt.Fprintf(os.Stderr, "hastm-bench: cell %s/%s FAILED:\n%s\n", c.Figure, c.Label, c.Err)
-		}
+	if reportFailed(plans) > 0 {
 		return 1
 	}
 	return 0
@@ -646,69 +619,25 @@ func realMain() int {
 	// one mutex-guarded writer, so concurrent workers can never interleave
 	// them mid-line.
 	stderrSync := telemetry.NewSyncWriter(os.Stderr)
-	cfg := harness.ExecConfig{Workers: *workers}
+	var pw *telemetry.SyncWriter
 	if *progress {
-		cfg.ProgressSync = stderrSync
+		pw = stderrSync
 	}
-	start := time.Now()
-	reports := harness.Execute(plans, cfg)
-	elapsed := time.Since(start)
+	reports, elapsed := execute(plans, *workers, pw)
 
 	if *traceF != "" {
-		tw := stderrSync
-		var f *os.File
-		if *traceF != "-" {
-			var err error
-			f, err = os.Create(*traceF)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hastm-bench: trace: %v\n", err)
-				return 1
-			}
-			tw = telemetry.NewSyncWriter(f)
+		if code := writeTrace(*traceF, plans, stderrSync); code != 0 {
+			return code
 		}
-		written, dropped, err := harness.WriteTxnTraces(plans, tw)
-		if f != nil {
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: trace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "hastm-bench: trace: %d events written, %d dropped\n", written, dropped)
 	}
-
-	switch {
-	case *jsonF:
-		doc := harness.NewBenchJSON(o, *workers, plans, reports, elapsed)
-		if err := doc.Write(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: json: %v\n", err)
-			return 1
-		}
-	case *csvF:
-		for _, rep := range reports {
-			if err := rep.RenderCSV(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "hastm-bench: csv: %v\n", err)
-				return 1
-			}
-		}
-	default:
-		for _, rep := range reports {
-			rep.Render(os.Stdout)
-		}
+	if code := emit(o, *workers, plans, reports, elapsed, *jsonF, *csvF); code != 0 {
+		return code
 	}
 	throughputSummary(plans)
 	fmt.Fprintf(os.Stderr, "hastm-bench: %d experiments, %d cells in %v (-j %d, -sched %s)\n",
 		len(specs), cellCount, elapsed.Round(time.Millisecond), *workers, *schedF)
-	// A cell that tripped a watchdog or contained a core panic carries its
-	// diagnosis in Cell.Err (and in the JSON report); the run must fail
-	// loudly rather than publish figures with silently missing cells.
-	if failed := harness.FailedCells(plans); len(failed) > 0 {
-		for _, c := range failed {
-			fmt.Fprintf(os.Stderr, "hastm-bench: cell %s/%s FAILED:\n%s\n", c.Figure, c.Label, c.Err)
-		}
-		fmt.Fprintf(os.Stderr, "hastm-bench: %d of %d cells failed\n", len(failed), cellCount)
+	if failed := reportFailed(plans); failed > 0 {
+		fmt.Fprintf(os.Stderr, "hastm-bench: %d of %d cells failed\n", failed, cellCount)
 		return 1
 	}
 	return 0

@@ -12,24 +12,35 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"hastm.dev/hastm/internal/harness"
 	"hastm.dev/hastm/internal/stats"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: exit status 2 for a configuration the harness
+// rejects (unknown -scheme or -workload, -ops that cannot be split over
+// -cores), with the harness's message on stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tmsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scheme   = flag.String("scheme", "hastm", "seq|lock|stm|hastm|hastm-cautious|hastm-noreuse|naive-aggressive|hytm|htm|hastm-wfilter|hastm-interatomic|hastm-object|stm-object|hastm-watermark")
-		workload = flag.String("workload", "btree", "hashtable|bst|btree|objbst")
-		cores    = flag.Int("cores", 1, "number of cores")
-		ops      = flag.Int("ops", 2048, "total operations (split across cores)")
-		updates  = flag.Int("updates", 20, "percent of operations that mutate")
-		seed     = flag.Uint64("seed", 1, "deterministic seed")
-		keys     = flag.Uint64("keys", 8192, "initial tree keys / half the hash key space")
-		trace    = flag.Int("trace", 0, "print the first N transaction-level trace events")
+		scheme   = fs.String("scheme", "hastm", strings.Join(harness.Schemes(), "|"))
+		workload = fs.String("workload", "btree", strings.Join(harness.StructureNames(), "|"))
+		cores    = fs.Int("cores", 1, "number of cores")
+		ops      = fs.Int("ops", 2048, "total operations (split across cores)")
+		updates  = fs.Int("updates", 20, "percent of operations that mutate")
+		seed     = fs.Uint64("seed", 1, "deterministic seed")
+		keys     = fs.Uint64("keys", 8192, "initial tree keys / half the hash key space")
+		trace    = fs.Int("trace", 0, "print the first N transaction-level trace events")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	m, err := harness.RunOne(*scheme, *workload, *cores, harness.Options{
 		Ops:       *ops,
@@ -39,30 +50,30 @@ func main() {
 		TraceMax:  *trace,
 	}, *updates)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tmsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tmsim: %v\n", err)
+		return 2
 	}
 
-	fmt.Printf("scheme=%s workload=%s cores=%d ops=%d updates=%d%%\n",
+	fmt.Fprintf(stdout, "scheme=%s workload=%s cores=%d ops=%d updates=%d%%\n",
 		*scheme, *workload, *cores, *ops, *updates)
-	fmt.Printf("wall cycles: %d   (%.1f cycles/op)\n",
+	fmt.Fprintf(stdout, "wall cycles: %d   (%.1f cycles/op)\n",
 		m.WallCycles, float64(m.WallCycles)/float64(*ops))
-	fmt.Printf("commits: %d  aborts: %d  retries waited: %d\n",
+	fmt.Fprintf(stdout, "commits: %d  aborts: %d  retries waited: %d\n",
 		m.Stats.Commits(), m.Stats.TotalAborts(), sumRetries(m.Stats))
 
-	fmt.Println("\ncycle breakdown:")
+	fmt.Fprintln(stdout, "\ncycle breakdown:")
 	for _, s := range m.Stats.Breakdown() {
-		fmt.Printf("  %-10s %8.1f%%  (%d cycles)\n", s.Category, s.Share*100, s.Cycles)
+		fmt.Fprintf(stdout, "  %-10s %8.1f%%  (%d cycles)\n", s.Category, s.Share*100, s.Cycles)
 	}
 
-	fmt.Println("\nabort causes:")
+	fmt.Fprintln(stdout, "\nabort causes:")
 	for _, c := range stats.AbortCauses() {
 		if n := m.Stats.Aborts(c); n > 0 {
-			fmt.Printf("  %-20s %d\n", c, n)
+			fmt.Fprintf(stdout, "  %-20s %d\n", c, n)
 		}
 	}
 
-	fmt.Println("\nTM event counters (summed over cores):")
+	fmt.Fprintln(stdout, "\nTM event counters (summed over cores):")
 	var agg stats.Core
 	for i := range m.Stats.Cores {
 		c := &m.Stats.Cores[i]
@@ -76,26 +87,27 @@ func main() {
 		agg.CautiousCommits += c.CautiousCommits
 		agg.HTMFallbacks += c.HTMFallbacks
 	}
-	fmt.Printf("  filtered reads:     %d\n", agg.FilteredReads)
-	fmt.Printf("  unfiltered reads:   %d\n", agg.UnfilteredReads)
-	fmt.Printf("  reads logged:       %d\n", agg.ReadsLogged)
-	fmt.Printf("  read logs skipped:  %d\n", agg.ReadLogsSkipped)
-	fmt.Printf("  fast validations:   %d\n", agg.FastValidations)
-	fmt.Printf("  full validations:   %d\n", agg.FullValidations)
-	fmt.Printf("  aggressive commits: %d\n", agg.AggressiveCommits)
-	fmt.Printf("  cautious commits:   %d\n", agg.CautiousCommits)
-	fmt.Printf("  hytm sw fallbacks:  %d\n", agg.HTMFallbacks)
+	fmt.Fprintf(stdout, "  filtered reads:     %d\n", agg.FilteredReads)
+	fmt.Fprintf(stdout, "  unfiltered reads:   %d\n", agg.UnfilteredReads)
+	fmt.Fprintf(stdout, "  reads logged:       %d\n", agg.ReadsLogged)
+	fmt.Fprintf(stdout, "  read logs skipped:  %d\n", agg.ReadLogsSkipped)
+	fmt.Fprintf(stdout, "  fast validations:   %d\n", agg.FastValidations)
+	fmt.Fprintf(stdout, "  full validations:   %d\n", agg.FullValidations)
+	fmt.Fprintf(stdout, "  aggressive commits: %d\n", agg.AggressiveCommits)
+	fmt.Fprintf(stdout, "  cautious commits:   %d\n", agg.CautiousCommits)
+	fmt.Fprintf(stdout, "  hytm sw fallbacks:  %d\n", agg.HTMFallbacks)
 
 	if *trace > 0 && m.Trace != nil {
-		fmt.Printf("\nfirst %d trace events:\n", *trace)
-		m.Trace.Render(os.Stdout, *trace)
+		fmt.Fprintf(stdout, "\nfirst %d trace events:\n", *trace)
+		m.Trace.Render(stdout, *trace)
 	}
 
 	h := m.CacheStats
-	fmt.Println("\ncache:")
-	fmt.Printf("  L1 hits/misses: %d/%d   L2 hits/misses: %d/%d\n", h.L1Hits, h.L1Misses, h.L2Hits, h.L2Misses)
-	fmt.Printf("  invalidations: %d  back-invalidations: %d  evictions: %d  marked drops: %d  prefetch fills: %d\n",
+	fmt.Fprintln(stdout, "\ncache:")
+	fmt.Fprintf(stdout, "  L1 hits/misses: %d/%d   L2 hits/misses: %d/%d\n", h.L1Hits, h.L1Misses, h.L2Hits, h.L2Misses)
+	fmt.Fprintf(stdout, "  invalidations: %d  back-invalidations: %d  evictions: %d  marked drops: %d  prefetch fills: %d\n",
 		h.Invalidations, h.BackInvalidations, h.Evictions, h.MarkedDrops, h.PrefetchFills)
+	return 0
 }
 
 func sumRetries(m *stats.Machine) uint64 {

@@ -2,9 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
-	"sync"
-	"time"
 
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/native"
@@ -42,22 +39,12 @@ type ChaosRecord struct {
 	Violation string `json:"violation,omitempty"`
 }
 
-// InjectedString renders the fired counts in fixed kind order
-// (deterministic, unlike iterating the Fired map).
+// InjectedString renders the fired counts in fixed kind order.
 func (r *ChaosRecord) InjectedString() string {
 	if r == nil {
 		return "none"
 	}
-	var parts []string
-	for _, k := range []string{"stall", "preempt", "abort", "wakedelay"} {
-		if n := r.Fired[k]; n > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, " ")
+	return countsString(r.Fired, "stall", "preempt", "abort", "wakedelay")
 }
 
 // chaosRecord converts the native plane's report into the JSON block; nil
@@ -98,74 +85,34 @@ type ChaosStormReport struct {
 }
 
 // Verdict renders the cell outcome for tables.
-func (r ChaosStormReport) Verdict() string {
-	if r.Err == "" {
-		return "ok"
-	}
-	return "FAIL: " + r.Err
-}
+func (r ChaosStormReport) Verdict() string { return verdictString(r.Err) }
 
-// runNativeDiff drives one native differential cell — chaos per spec,
-// watchdogs armed — and returns its metrics, content fingerprint and
-// committed-op count. The returned error covers watchdog trips, thread
-// failures, invariant violations and oracle mismatches.
+// runNativeDiff drives one native differential cell — chaos per spec, ladder
+// and watchdogs armed, no warm-up — and returns its metrics, content
+// fingerprint and committed-op count. The returned error covers watchdog
+// trips, thread failures, invariant violations and oracle mismatches.
 func runNativeDiff(workload string, threads int, o Options, spec native.ChaosSpec) (RunMetrics, uint64, int, error) {
-	m := mem.New()
-	ds := buildStructure(workload, m, o)
-	ds.Populate(m, workloads.NewRand(o.Seed))
-	rb := o.RetryBudget
-	if rb == 0 {
-		rb = IrrevocableDefaultBudget
+	o = o.armed()
+	o.Chaos = spec
+	c, err := newNativeCell(nativeSpec{workload: workload, threads: threads, o: o})
+	if err != nil {
+		return RunMetrics{}, 0, 0, err
 	}
-	sys := native.New(m, native.Config{
-		TM:      tm.Config{Progress: tm.Progress{RetryBudget: rb}},
-		Threads: threads,
-		Chaos:   spec,
-	})
-	for g := 0; g < threads; g++ {
-		sys.Thread(g)
-	}
-	sys.StartWatchdog()
-
-	per := o.Ops / threads
-	if per == 0 {
-		per = 1
-	}
+	ds := c.structure()
 	log := workloads.NewOpLog()
-	errs := make([]error, threads)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < threads; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			cfg := workloads.DriverConfig{Ops: per, UpdatePercent: 50, Seed: o.Seed}
-			errs[id] = workloads.RunDiffThread(sys.Thread(id), ds, cfg, log)
-		}(g)
-	}
-	wg.Wait()
-	hostNS := time.Since(start).Nanoseconds()
-	sys.StopWatchdog()
-
-	metrics := RunMetrics{
-		Stats:   sys.Stats(),
-		Telem:   sys.Telemetry(),
-		HostNS:  hostNS,
-		Backend: sys.Name(),
-		Chaos:   chaosRecord(sys.ChaosReport(), sys.CheckHealth()),
-	}
-	if err := sys.CheckHealth(); err != nil {
-		return metrics, 0, log.Len(), err
-	}
-	for id, err := range errs {
-		if err != nil {
-			return metrics, 0, log.Len(), fmt.Errorf("thread %d: %w", id, err)
-		}
-	}
-	rep, err := workloads.VerifyDiffOracle(ds, m, func(m2 *mem.Memory) workloads.DataStructure {
-		return buildStructure(workload, m2, o)
-	}, o.Seed, log)
-	return metrics, rep.RunFingerprint, log.Len(), err
+	cfg := workloads.DriverConfig{Ops: c.ops, UpdatePercent: 50, Seed: o.Seed}
+	metrics, res := c.run(nil, func(th tm.Thread, _ int) error {
+		return workloads.RunDiffThread(th, ds, cfg, log)
+	})
+	var fingerprint uint64
+	err = res.verdict(func() error {
+		rep, err := workloads.VerifyDiffOracle(ds, c.mem, func(m2 *mem.Memory) workloads.DataStructure {
+			return buildStructure(workload, m2, o)
+		}, o.Seed, log)
+		fingerprint = rep.RunFingerprint
+		return err
+	})
+	return metrics, fingerprint, log.Len(), err
 }
 
 // ChaosStormRun executes one chaos-storm cell: a chaos-free twin first
@@ -175,13 +122,10 @@ func runNativeDiff(workload string, threads int, o Options, spec native.ChaosSpe
 // every verdict.
 func ChaosStormRun(workload string, threads int, o Options, spec native.ChaosSpec) (ChaosStormReport, RunMetrics, error) {
 	rep := ChaosStormReport{Workload: workload, Threads: threads}
-	if threads < 1 {
-		return rep, RunMetrics{}, fmt.Errorf("threads must be >= 1, got %d", threads)
-	}
-	switch workload {
-	case WorkloadHash, WorkloadBST, WorkloadBTree:
-	default:
-		return rep, RunMetrics{}, fmt.Errorf("unknown workload %q", workload)
+	// A description the runner would reject is a configuration error, not
+	// a verdict.
+	if _, err := (nativeSpec{workload: workload, threads: threads, o: o}).validate(); err != nil {
+		return rep, RunMetrics{}, err
 	}
 	_, base, _, err := runNativeDiff(workload, threads, o, native.ChaosSpec{})
 	if err != nil {
@@ -205,25 +149,18 @@ func ChaosStormRun(workload string, threads int, o Options, spec native.ChaosSpe
 }
 
 // ChaosStormPlan builds the chaos-storm sweep — every §7.1 structure under
-// spec on `threads` goroutines — as a Plan whose cells run on the standard
-// worker pool. Verdicts land in the returned slots in cell declaration
-// order; the Plan's Assemble produces no figure report.
+// spec on `threads` goroutines — as a verdict plan (see verdictPlan).
 func ChaosStormPlan(spec native.ChaosSpec, o Options, threads int) (*Plan, []*ChaosStormReport) {
-	p := newPlan("chaosstorm")
+	p := verdictPlan("chaosstorm")
 	var reports []*ChaosStormReport
 	for _, workload := range Workloads() {
-		slot := &ChaosStormReport{}
-		reports = append(reports, slot)
-		w := workload
-		p.cell(fmt.Sprintf("chaos/%s/%d", w, threads), func() RunMetrics {
-			rep, m, err := ChaosStormRun(w, threads, o, spec)
+		reports = append(reports, slotCell(p, fmt.Sprintf("chaos/%s/%d", workload, threads), func() (ChaosStormReport, RunMetrics) {
+			rep, m, err := ChaosStormRun(workload, threads, o, spec)
 			if err != nil {
 				rep.Err = err.Error()
 			}
-			*slot = rep
-			return m
-		})
+			return rep, m
+		}))
 	}
-	p.Assemble = func() *Report { return nil }
 	return p, reports
 }

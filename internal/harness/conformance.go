@@ -1,9 +1,8 @@
 package harness
 
 import (
-	"fmt"
-
 	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/tm"
 	"hastm.dev/hastm/internal/workloads"
 )
 
@@ -16,30 +15,17 @@ import (
 // deterministic per scheme (the simulator's interleaving is), but schemes
 // may legitimately differ because commit order differs.
 func FinalStateHash(scheme, workload string, cores int, o Options, updatePct int) (uint64, error) {
-	if err := validateConfig(scheme, workload, cores, o); err != nil {
+	c, err := newSimCell(simSpec{scheme: scheme, workload: workload, threads: cores, o: o})
+	if err != nil {
 		return 0, err
 	}
-	machine := machineFor(cores, o)
-	sys := buildExtScheme(scheme, machine, cores, o)
-	ds := buildStructure(workload, machine.Mem, o)
-	ds.Populate(machine.Mem, workloads.NewRand(o.Seed))
-
-	per := o.Ops / cores
-	if per == 0 {
-		per = 1
-	}
-	progs := make([]sim.Program, cores)
-	for i := range progs {
-		progs[i] = func(c *sim.Ctx) {
-			cfg := workloads.DriverConfig{Ops: per, UpdatePercent: updatePct, Seed: o.Seed}
-			if err := workloads.RunThreadStable(sys.Thread(c), ds, cfg); err != nil {
-				panic(fmt.Sprintf("harness conformance: %s/%s: %v", scheme, workload, err))
-			}
-		}
-	}
-	machine.Run(progs...)
-	if err := machine.CheckHealth(); err != nil {
+	ds := c.structure()
+	cfg := workloads.DriverConfig{Ops: c.ops, UpdatePercent: updatePct, Seed: o.Seed}
+	_, res := c.run(warmKept, nil, func(_ *sim.Ctx, th tm.Thread, _ int) error {
+		return workloads.RunThreadStable(th, ds, cfg)
+	})
+	if err := res.verdict(nil); err != nil {
 		return 0, err
 	}
-	return workloads.Fingerprint(ds, workloads.Direct{M: machine.Mem}), nil
+	return workloads.Fingerprint(ds, workloads.Direct{M: c.m.Mem}), nil
 }

@@ -10,7 +10,7 @@ import "testing"
 // applies an op twice shows up as a fingerprint mismatch.
 func TestCrossSchemeConformance(t *testing.T) {
 	o := QuickOptions()
-	schemes := []string{SchemeSTM, SchemeLazy, SchemeMVCC, SchemeHASTM, SchemeHyTM, SchemeHTM, SchemeLock}
+	schemes := conformancePaper
 	for _, wl := range Workloads() {
 		ref, err := FinalStateHash(SchemeSeq, wl, 1, o, 20)
 		if err != nil {
@@ -36,7 +36,7 @@ func TestExtensionSchemeConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []string{SchemeCautious, SchemeNoReuse, SchemeNaive, SchemeWFilter, SchemeInterAtomic, SchemeWatermark} {
+	for _, scheme := range conformanceLine {
 		got, err := FinalStateHash(scheme, WorkloadBST, 1, o, 20)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
@@ -50,13 +50,60 @@ func TestExtensionSchemeConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []string{SchemeObjSTM, SchemeObjHASTM} {
+	for _, scheme := range conformanceObject {
 		got, err := FinalStateHash(scheme, WorkloadObjBST, 1, o, 20)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
 		if got != objRef {
 			t.Errorf("objbst: %s final contents %#x != seq %#x", scheme, got, objRef)
+		}
+	}
+}
+
+// The conformance lists, grouped by what each group is checked on. Every
+// scheme in the table must be in exactly one of them (or be the sequential
+// reference), so a scheme cannot be added unchecked.
+var (
+	// Every §7 structure, against seq (TestCrossSchemeConformance).
+	conformancePaper = []string{SchemeSTM, SchemeLazy, SchemeMVCC, SchemeHASTM, SchemeHyTM, SchemeHTM, SchemeLock}
+	// Line-granularity ablations and extensions, on the BST.
+	conformanceLine = []string{SchemeCautious, SchemeNoReuse, SchemeNaive, SchemeWFilter, SchemeInterAtomic, SchemeWatermark, SchemeIrrevocable}
+	// Object granularity, on the object-layout BST.
+	conformanceObject = []string{SchemeObjSTM, SchemeObjHASTM}
+)
+
+func TestConformanceCoversSchemeTable(t *testing.T) {
+	checked := map[string]int{SchemeSeq: 1}
+	for _, list := range [][]string{conformancePaper, conformanceLine, conformanceObject} {
+		for _, scheme := range list {
+			checked[scheme]++
+		}
+	}
+	for _, scheme := range Schemes() {
+		if checked[scheme] != 1 {
+			t.Errorf("scheme %q is in %d conformance lists, want exactly 1", scheme, checked[scheme])
+		}
+		delete(checked, scheme)
+	}
+	for scheme := range checked {
+		t.Errorf("conformance lists name %q, which is not in the scheme table", scheme)
+	}
+}
+
+// Every scheme the table names must build and run: one quick single-core
+// cell each, through the same entry point as tmsim.
+func TestSchemeTableEntriesRun(t *testing.T) {
+	for _, scheme := range Schemes() {
+		workload := WorkloadBST
+		if scheme == SchemeObjSTM || scheme == SchemeObjHASTM {
+			workload = WorkloadObjBST
+		}
+		m, err := RunOne(scheme, workload, 1, QuickOptions(), 20)
+		if err != nil {
+			t.Errorf("%s: %v", scheme, err)
+		} else if m.WallCycles == 0 || m.Stats.Commits() == 0 {
+			t.Errorf("%s: empty run (%d cycles, %d commits)", scheme, m.WallCycles, m.Stats.Commits())
 		}
 	}
 }

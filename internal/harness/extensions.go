@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"hastm.dev/hastm/internal/core"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/telemetry"
@@ -14,15 +13,6 @@ import (
 // Extension experiments: ablations for the design choices the paper
 // proposes but does not evaluate (DESIGN.md calls these out). They live in
 // the same registry as the figures, prefixed "ext-".
-
-// Extra scheme names used only by the extension experiments.
-const (
-	SchemeWFilter     = "hastm-wfilter"     // §5 write/undo-log filtering (plane 1)
-	SchemeInterAtomic = "hastm-interatomic" // Fig 10 inter-atomic reuse
-	SchemeObjHASTM    = "hastm-object"      // object-granularity HASTM
-	SchemeObjSTM      = "stm-object"        // object-granularity base STM
-	SchemeWatermark   = "hastm-watermark"   // watermark controller even single-threaded
-)
 
 // Extensions returns the extension-experiment registry.
 func Extensions() []Spec {
@@ -35,40 +25,6 @@ func Extensions() []Spec {
 		{"ext-irrevocable", "Escalation-ladder cost when budgets never trip", planExtIrrevocable},
 		{"ext-lazy", "Eager vs deferred-update vs MVCC across the read-pct axis", planExtLazy},
 		{"ext-numa", "NUMA machine: thread mapping × scheme × structure at 64-256 cores", planExtNUMA},
-	}
-}
-
-func buildExtScheme(name string, m *sim.Machine, threads int, o Options) tm.System {
-	hastmCfg := core.DefaultConfig(tm.LineGranularity)
-	hastmCfg.SingleThread = threads == 1
-	hastmCfg.TM.Progress.RetryBudget = o.RetryBudget
-	switch name {
-	case SchemeWFilter:
-		hastmCfg.FilterWrites = true
-		return core.NewNamed(SchemeWFilter, m, hastmCfg)
-	case SchemeInterAtomic:
-		hastmCfg.InterAtomic = true
-		return core.NewNamed(SchemeInterAtomic, m, hastmCfg)
-	case SchemeObjHASTM:
-		objCfg := core.DefaultConfig(tm.ObjectGranularity)
-		objCfg.SingleThread = threads == 1
-		return core.NewNamed(SchemeObjHASTM, m, objCfg)
-	case SchemeObjSTM:
-		return stmObject(m)
-	case SchemeWatermark:
-		hastmCfg.SingleThread = false // force the adaptive controller
-		return core.NewNamed(SchemeWatermark, m, hastmCfg)
-	case SchemeIrrevocable:
-		// HASTM with the escalation ladder always armed: same hardware,
-		// same policy, plus a bounded retry budget. On uncontended figure
-		// workloads the budget never trips, so this must cost ~nothing —
-		// the ext-irrevocable ablation's claim.
-		if hastmCfg.TM.Progress.RetryBudget == 0 {
-			hastmCfg.TM.Progress.RetryBudget = IrrevocableDefaultBudget
-		}
-		return core.NewNamed(SchemeIrrevocable, m, hastmCfg)
-	default:
-		return buildScheme(name, m, threads, o)
 	}
 }
 
@@ -106,71 +62,24 @@ func planExtWFilter(o Options) *Plan {
 	return p
 }
 
-// ExtWFilter regenerates the write-filtering ablation serially.
-func ExtWFilter(o Options) *Report { return runSerial(planExtWFilter(o)) }
-
-// runMicroExt is runMicro with an explicit store-reuse rate and access to
-// the extension schemes.
-func runMicroExt(scheme string, loadPct, loadReuse, storeReuse int, o Options) RunMetrics {
-	machine := machineFor(1, o)
-	sys := buildExtScheme(scheme, machine, 1, o)
-	mi := workloads.NewMicro(machine.Mem, 256)
-	mi.LoadPercent = loadPct
-	mi.LoadReuse = loadReuse
-	mi.StoreReuse = storeReuse
-
-	var wall uint64
-	machine.Run(func(c *sim.Ctx) {
-		th := sys.Thread(c)
-		r := workloads.NewRand(o.Seed)
-		runTxns := func(n int) {
-			for i := 0; i < n; i++ {
-				if err := th.Atomic(func(tx tm.Txn) error {
-					return mi.Op(tx, r, false)
-				}); err != nil {
-					panic(err)
-				}
-			}
-		}
-		runTxns(4)
-		start := c.Clock()
-		runTxns(o.MicroTxns)
-		wall = c.Clock() - start
-	})
-	mustHealthy(machine)
-	return RunMetrics{WallCycles: wall, Stats: machine.Stats, Sched: machine.Sched()}
-}
-
 // runInterAtomic executes the Fig 10 kernel: many short read-only atomic
-// blocks over one small, stable working set. The machine's stats ride
-// along in the metrics so assembly can count cross-block filtered reads.
-func runInterAtomic(scheme string, lines uint64, o Options) RunMetrics {
-	machine := machineFor(1, o)
-	sys := buildExtScheme(scheme, machine, 1, o)
-	base := machine.Mem.Alloc(lines*64, 64)
-	var wall uint64
-	machine.Run(func(c *sim.Ctx) {
-		th := sys.Thread(c)
-		warm := func(n int) {
-			for t := 0; t < n; t++ {
-				if err := th.Atomic(func(tx tm.Txn) error {
-					for i := uint64(0); i < lines; i++ {
-						tx.Load(base + i*64)
-						tx.Exec(3)
-					}
-					return nil
-				}); err != nil {
-					panic(err)
-				}
-			}
+// blocks over one small, stable working set. The warm-up's counters are
+// kept, so assembly counts every cross-block filtered read.
+func runInterAtomic(scheme string, lines uint64, o Options) (RunMetrics, error) {
+	c, err := newSimCell(simSpec{scheme: scheme, threads: 1, o: o})
+	if err != nil {
+		return RunMetrics{}, err
+	}
+	base := c.m.Mem.Alloc(lines*64, 64)
+	body := func(tx tm.Txn) error {
+		for i := uint64(0); i < lines; i++ {
+			tx.Load(base + i*64)
+			tx.Exec(3)
 		}
-		warm(4)
-		start := c.Clock()
-		warm(o.MicroTxns * 4)
-		wall = c.Clock() - start
-	})
-	mustHealthy(machine)
-	return RunMetrics{WallCycles: wall, Stats: machine.Stats, Sched: machine.Sched()}
+		return nil
+	}
+	metrics, res := c.run(warmKept, repeatAtomic(4, body), repeatAtomic(o.MicroTxns*4, body))
+	return metrics, res.verdict(nil)
 }
 
 func filteredReads(m RunMetrics) uint64 {
@@ -189,7 +98,7 @@ func planExtInterAtomic(o Options) *Plan {
 	p := newPlan("ext-interatomic")
 	ia := func(scheme string) *Cell {
 		return p.cell(fmt.Sprintf("interatomic/%s", scheme), func() RunMetrics {
-			return runInterAtomic(scheme, lines, o)
+			return must(runInterAtomic(scheme, lines, o))
 		})
 	}
 	base := ia(SchemeSTM)
@@ -223,9 +132,6 @@ func planExtInterAtomic(o Options) *Plan {
 	}
 	return p
 }
-
-// ExtInterAtomic regenerates the Fig 10 quantification serially.
-func ExtInterAtomic(o Options) *Report { return runSerial(planExtInterAtomic(o)) }
 
 // planExtDefaultISA verifies the Section 3.3 deployment story
 // quantitatively: on a processor implementing only the default behaviour
@@ -275,9 +181,6 @@ func planExtDefaultISA(o Options) *Plan {
 	return p
 }
 
-// ExtDefaultISA regenerates the §3.3 quantification serially.
-func ExtDefaultISA(o Options) *Report { return runSerial(planExtDefaultISA(o)) }
-
 // planExtGranularity compares conflict-detection granularities on the BST:
 // object-granularity (per-node records in headers, Fig 5 barriers) vs the
 // global line-granularity table (Fig 7 barriers).
@@ -320,40 +223,26 @@ func planExtGranularity(o Options) *Plan {
 	return p
 }
 
-// ExtGranularity regenerates the granularity comparison serially.
-func ExtGranularity(o Options) *Report { return runSerial(planExtGranularity(o)) }
-
 // runSMT executes the §3.1 provision: four hardware threads run the B-tree
-// either as four full cores or as two cores with two SMT threads each.
-func runSMT(scheme string, smt bool, o Options) RunMetrics {
-	cfg := sim.DefaultConfig(4)
-	cfg.ReferenceScheduler = o.ReferenceScheduler
-	cfg.WatchdogWindow = o.WatchdogWindow
-	cfg.CycleBudget = o.CycleBudget
-	cfg.StallTimeout = o.StallTimeout
-	cfg.L2 = cacheConfig256K()
-	cfg.Prefetch = true
-	cfg.SpecRFOEvery = 32
+// either as four full cores or as two cores with two SMT threads each. The
+// cell fixes its own geometry — four hardware threads on a flat machine —
+// so a Topology meant for the figure cells does not apply to it.
+func runSMT(scheme string, smt bool, o Options) (RunMetrics, error) {
+	o.Topology = sim.Topology{}
+	spec := simSpec{scheme: scheme, workload: WorkloadBTree, threads: 4, o: o}
 	if smt {
-		cfg.ThreadsPerCore = 2
+		spec.geometry = func(cfg *sim.Config) { cfg.ThreadsPerCore = 2 }
 	}
-	machine := sim.New(cfg)
-	sys := buildExtScheme(scheme, machine, 4, o)
-	ds := buildStructure(WorkloadBTree, machine.Mem, o)
-	ds.Populate(machine.Mem, workloads.NewRand(o.Seed))
-	per := o.Ops / 4
-	progs := make([]sim.Program, 4)
-	for i := range progs {
-		progs[i] = func(c *sim.Ctx) {
-			cfg := workloads.DriverConfig{Ops: per, UpdatePercent: 20, Seed: o.Seed}
-			if err := workloads.RunThread(sys.Thread(c), ds, cfg); err != nil {
-				panic(err)
-			}
-		}
+	c, err := newSimCell(spec)
+	if err != nil {
+		return RunMetrics{}, err
 	}
-	wall := machine.Run(progs...)
-	mustHealthy(machine)
-	return RunMetrics{WallCycles: wall, Stats: machine.Stats, Sched: machine.Sched()}
+	ds := c.structure()
+	cfg := workloads.DriverConfig{Ops: c.ops, UpdatePercent: 20, Seed: o.Seed}
+	metrics, res := c.run(warmKept, nil, func(_ *sim.Ctx, th tm.Thread, _ int) error {
+		return workloads.RunThread(th, ds, cfg)
+	})
+	return metrics, res.verdict(nil)
 }
 
 // fastValidationShare returns the percentage of validations answered by
@@ -381,7 +270,7 @@ func planExtSMT(o Options) *Plan {
 		if smt {
 			label = fmt.Sprintf("smt/%s/2c2t", scheme)
 		}
-		return p.cell(label, func() RunMetrics { return runSMT(scheme, smt, o) })
+		return p.cell(label, func() RunMetrics { return must(runSMT(scheme, smt, o)) })
 	}
 	base := smtCell(SchemeLock, false)
 	schemes := []string{SchemeHASTM, SchemeSTM, SchemeLock}
@@ -421,9 +310,6 @@ func planExtSMT(o Options) *Plan {
 	}
 	return p
 }
-
-// ExtSMT regenerates the SMT provision measurement serially.
-func ExtSMT(o Options) *Report { return runSerial(planExtSMT(o)) }
 
 // escalations sums the ladder's escalation counter across cores.
 func escalations(m RunMetrics) float64 {
@@ -478,9 +364,6 @@ func planExtIrrevocable(o Options) *Plan {
 	return p
 }
 
-// ExtIrrevocable regenerates the ladder-cost ablation serially.
-func ExtIrrevocable(o Options) *Report { return runSerial(planExtIrrevocable(o)) }
-
 // telemCount reads one telemetry counter out of a run's merged totals.
 func telemCount(m RunMetrics, c telemetry.Counter) float64 {
 	if m.Telem == nil {
@@ -508,11 +391,7 @@ func planExtLazy(o Options) *Plan {
 	p := newPlan("ext-lazy")
 	mk := func(scheme string, rp int) *Cell {
 		return p.cell(fmt.Sprintf("%s/hashtable/%dc/read%d", scheme, cores, rp), func() RunMetrics {
-			m, err := RunOne(scheme, WorkloadHash, cores, o, 100-rp)
-			if err != nil {
-				panic(err)
-			}
-			return m
+			return must(RunOne(scheme, WorkloadHash, cores, o, 100-rp))
 		})
 	}
 	cells := make(map[string][]*Cell)
@@ -567,9 +446,6 @@ func planExtLazy(o Options) *Plan {
 	}
 	return p
 }
-
-// ExtLazy regenerates the version-management sweep serially.
-func ExtLazy(o Options) *Report { return runSerial(planExtLazy(o)) }
 
 // numaTotals sums a run's per-socket traffic counters.
 func numaTotals(m RunMetrics) (cross, dirty, inval float64) {
@@ -719,6 +595,3 @@ func planExtNUMA(o Options) *Plan {
 	}
 	return p
 }
-
-// ExtNUMA regenerates the NUMA mapping/placement sweep serially.
-func ExtNUMA(o Options) *Report { return runSerial(planExtNUMA(o)) }

@@ -5,10 +5,10 @@ import (
 	"strings"
 
 	"hastm.dev/hastm/internal/faults"
-	"hastm.dev/hastm/internal/htm"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/tm"
 	"hastm.dev/hastm/internal/workloads"
 )
 
@@ -36,19 +36,27 @@ type FaultReport struct {
 }
 
 // Verdict renders the oracle outcome for tables.
-func (r FaultReport) Verdict() string {
-	if r.Err == "" {
-		return "ok"
-	}
-	return "FAIL: " + r.Err
+func (r FaultReport) Verdict() string { return verdictString(r.Err) }
+
+// InjectedString renders the injected-fault counts in fixed kind order.
+func (r FaultReport) InjectedString() string {
+	return countsString(r.Injected, "suspend", "evict", "snoop", "htmabort")
 }
 
-// InjectedString renders the injected-fault counts in fixed kind order
-// (deterministic, unlike iterating the Injected map).
-func (r FaultReport) InjectedString() string {
+// verdictString renders a report's Err for tables.
+func verdictString(err string) string {
+	if err == "" {
+		return "ok"
+	}
+	return "FAIL: " + err
+}
+
+// countsString renders the non-zero counts of the named kinds, in the order
+// given (deterministic, unlike iterating the map).
+func countsString(counts map[string]uint64, kinds ...string) string {
 	var parts []string
-	for _, k := range []string{"suspend", "evict", "snoop", "htmabort"} {
-		if n := r.Injected[k]; n > 0 {
+	for _, k := range kinds {
+		if n := counts[k]; n > 0 {
 			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
 		}
 	}
@@ -73,88 +81,50 @@ func FaultSchemes() []string {
 // sweep can collect all verdicts.
 func FaultedRun(scheme, workload string, cores int, o Options, spec faults.Spec, updatePct int) (FaultReport, error) {
 	rep := FaultReport{Scheme: scheme, Workload: workload, Cores: cores}
-	if err := validateConfig(scheme, workload, cores, o); err != nil {
+	c, err := newSimCell(simSpec{scheme: scheme, workload: workload, threads: cores, o: o, faults: &spec})
+	if err != nil {
 		return rep, err
 	}
-
-	machine := machineFor(cores, o)
-	plane := faults.Attach(machine, spec)
-	sys := buildExtScheme(scheme, machine, cores, o)
-	if hs, ok := sys.(*htm.System); ok {
-		plane.RegisterHTMAborter(hs.Manager().InjectSpuriousAbort)
-	}
-	ds := buildStructure(workload, machine.Mem, o)
-	ds.Populate(machine.Mem, workloads.NewRand(o.Seed))
-
-	per := o.Ops / cores
-	if per == 0 {
-		per = 1
-	}
+	ds := c.structure()
 	log := workloads.NewOpLog()
-	runErrs := make([]error, cores)
-	progs := make([]sim.Program, cores)
-	for i := range progs {
-		id := i
-		progs[i] = func(c *sim.Ctx) {
-			th := sys.Thread(c)
-			cfg := workloads.DriverConfig{Ops: per, UpdatePercent: updatePct, Seed: o.Seed}
-			runErrs[id] = workloads.RunThreadRecorded(th, ds, cfg, log)
-		}
-	}
-	machine.Run(progs...)
+	cfg := workloads.DriverConfig{Ops: c.ops, UpdatePercent: updatePct, Seed: o.Seed}
+	_, res := c.run(warmKept, nil, func(_ *sim.Ctx, th tm.Thread, _ int) error {
+		return workloads.RunThreadRecorded(th, ds, cfg, log)
+	})
 
 	rep.Committed = log.Len()
-	rep.Injected = plane.Counts()
-	rep.Skipped = plane.Skipped()
-	rep.ScheduleLen = len(plane.Events())
-	rep.ScheduleHash = plane.ScheduleHash()
-	rep.Totals = machine.Stats.Totals()
-
-	// Contained core panics and watchdog trips fail the verdict first:
-	// they mean the run itself is unsound, so the oracle result would be
-	// meaningless.
-	if err := machine.CheckHealth(); err != nil {
-		rep.Err = err.Error()
-		return rep, nil
-	}
-	for id, err := range runErrs {
-		if err != nil {
-			rep.Err = fmt.Sprintf("thread %d: %v", id, err)
-			return rep, nil
-		}
-	}
-	orep, err := workloads.VerifyOracle(ds, machine.Mem,
-		func(m2 *mem.Memory) workloads.DataStructure { return buildStructure(workload, m2, o) },
-		o.Seed, log)
-	rep.RunFingerprint = orep.RunFingerprint
-	if err != nil {
+	rep.Injected = c.plane.Counts()
+	rep.Skipped = c.plane.Skipped()
+	rep.ScheduleLen = len(c.plane.Events())
+	rep.ScheduleHash = c.plane.ScheduleHash()
+	rep.Totals = c.m.Stats.Totals()
+	if err := res.verdict(func() error {
+		orep, err := workloads.VerifyOracle(ds, c.m.Mem,
+			func(m2 *mem.Memory) workloads.DataStructure { return buildStructure(workload, m2, o) },
+			o.Seed, log)
+		rep.RunFingerprint = orep.RunFingerprint
+		return err
+	}); err != nil {
 		rep.Err = err.Error()
 	}
 	return rep, nil
 }
 
 // FaultPlan builds the faultstorm sweep — every FaultSchemes scheme × the
-// three §7.1 structures under spec — as a Plan whose cells run on the
-// standard worker pool. Verdicts land in the returned slots, in cell
-// declaration order; the Plan's Assemble produces no figure report.
+// three §7.1 structures under spec — as a verdict plan (see verdictPlan).
 func FaultPlan(spec faults.Spec, o Options, cores int) (*Plan, []*FaultReport) {
-	p := newPlan("faultstorm")
+	p := verdictPlan("faultstorm")
 	var reports []*FaultReport
 	for _, scheme := range FaultSchemes() {
 		for _, workload := range Workloads() {
-			slot := &FaultReport{}
-			reports = append(reports, slot)
-			s, w := scheme, workload
-			p.cell(fmt.Sprintf("%s/%s/%d", s, w, cores), func() RunMetrics {
-				rep, err := FaultedRun(s, w, cores, o, spec, 20)
+			reports = append(reports, slotCell(p, fmt.Sprintf("%s/%s/%d", scheme, workload, cores), func() (FaultReport, RunMetrics) {
+				rep, err := FaultedRun(scheme, workload, cores, o, spec, 20)
 				if err != nil {
 					rep.Err = err.Error()
 				}
-				*slot = rep
-				return RunMetrics{}
-			})
+				return rep, RunMetrics{}
+			}))
 		}
 	}
-	p.Assemble = func() *Report { return nil }
 	return p, reports
 }

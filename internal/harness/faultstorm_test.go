@@ -113,7 +113,7 @@ func TestHASTMSuspensionNeverAborts(t *testing.T) {
 // suspending cores: a consumer parked on a watch set still observes the
 // producer's store and completes.
 func TestRetryWakeupUnderSuspension(t *testing.T) {
-	machine := machineFor(2, QuickOptions())
+	machine := machineFor(2, QuickOptions(), nil)
 	plane := faults.Attach(machine, faults.Spec{SuspendEvery: 40, Seed: 11})
 	sys := buildScheme(SchemeSTM, machine, 2, QuickOptions())
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 
 	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/workloads/traces"
@@ -100,9 +99,6 @@ func planFig11(o Options) *Plan {
 	return p
 }
 
-// Fig11 regenerates Figure 11 serially.
-func Fig11(o Options) *Report { return runSerial(planFig11(o)) }
-
 // planFig12 declares Figure 12: where single-thread STM time goes.
 func planFig12(o Options) *Plan {
 	p := newPlan("fig12")
@@ -136,9 +132,6 @@ func planFig12(o Options) *Plan {
 	return p
 }
 
-// Fig12 regenerates Figure 12 serially.
-func Fig12(o Options) *Report { return runSerial(planFig12(o)) }
-
 // planFig13 declares Figure 13: the workload-analysis chart. The trace
 // analysis is not a machine simulation, so the plan has no cells and the
 // work happens at assembly time.
@@ -167,9 +160,6 @@ func planFig13(o Options) *Plan {
 	}
 	return p
 }
-
-// Fig13 regenerates Figure 13 serially.
-func Fig13(o Options) *Report { return runSerial(planFig13(o)) }
 
 // planFig15 declares Figure 15: the microbenchmark sweep over load fraction
 // (60–90%) and cache reuse (40–60%), for cautious HASTM, full HASTM and
@@ -223,9 +213,6 @@ func planFig15(o Options) *Plan {
 	}
 	return p
 }
-
-// Fig15 regenerates Figure 15 serially.
-func Fig15(o Options) *Report { return runSerial(planFig15(o)) }
 
 // abortCauseTable summarises why transactions aborted, per scheme row:
 // one column per cause of the taxonomy plus a total that the causes sum
@@ -297,9 +284,6 @@ func planFig16(o Options) *Plan {
 		"single-thread", []string{SchemeHASTM, SchemeHyTM, SchemeSTM, SchemeLock}, o)
 }
 
-// Fig16 regenerates Figure 16 serially.
-func Fig16(o Options) *Report { return runSerial(planFig16(o)) }
-
 // planFig17 declares Figure 17: the HASTM ablation — full HASTM, cautious
 // only (no read-log elimination), no-reuse (no barrier filtering) and the
 // base STM, relative to sequential execution.
@@ -308,9 +292,6 @@ func planFig17(o Options) *Plan {
 		"single thread; sequential = 1.0; Cautious = no read-log elimination, NoReuse = no barrier filtering",
 		"ablation", []string{SchemeHASTM, SchemeCautious, SchemeNoReuse, SchemeSTM}, o)
 }
-
-// Fig17 regenerates Figure 17 serially.
-func Fig17(o Options) *Report { return runSerial(planFig17(o)) }
 
 // planMulticore covers Figures 18–22: fixed total work split over 1/2/4
 // cores, times relative to the single-core lock run.
@@ -350,49 +331,25 @@ func planFig18(o Options) *Plan {
 		[]string{SchemeHASTM, SchemeSTM, SchemeLock}, o)
 }
 
-// Fig18 regenerates Figure 18 (BST: HASTM vs STM vs lock).
-func Fig18(o Options) *Report { return runSerial(planFig18(o)) }
-
 func planFig19(o Options) *Plan {
 	return planMulticore("fig19", "Multi-core scaling for Btree", WorkloadBTree,
 		[]string{SchemeHASTM, SchemeSTM, SchemeLock}, o)
 }
-
-// Fig19 regenerates Figure 19 (Btree).
-func Fig19(o Options) *Report { return runSerial(planFig19(o)) }
 
 func planFig20(o Options) *Plan {
 	return planMulticore("fig20", "Multi-core scaling for hash table", WorkloadHash,
 		[]string{SchemeHASTM, SchemeSTM, SchemeLock}, o)
 }
 
-// Fig20 regenerates Figure 20 (hash table).
-func Fig20(o Options) *Report { return runSerial(planFig20(o)) }
-
+// planFig21 declares Figure 21, the spurious-abort study: BST under HASTM,
+// the naive always-aggressive strawman and STM (Figure 22: the same on the
+// B-tree).
 func planFig21(o Options) *Plan {
 	return planMulticore("fig21", "BST scaling (different TM schemes)", WorkloadBST,
 		[]string{SchemeHASTM, SchemeNaive, SchemeSTM}, o)
 }
 
-// Fig21 regenerates Figure 21 (BST: HASTM vs the naive always-aggressive
-// strawman vs STM — the spurious-abort study).
-func Fig21(o Options) *Report { return runSerial(planFig21(o)) }
-
 func planFig22(o Options) *Plan {
 	return planMulticore("fig22", "Btree scaling (different TM schemes)", WorkloadBTree,
 		[]string{SchemeHASTM, SchemeNaive, SchemeSTM}, o)
-}
-
-// Fig22 regenerates Figure 22 (Btree, same schemes).
-func Fig22(o Options) *Report { return runSerial(planFig22(o)) }
-
-// RunAll executes every experiment serially and returns the reports sorted
-// by id. For parallel execution build the plans and call Execute.
-func RunAll(o Options) []*Report {
-	var out []*Report
-	for _, s := range All() {
-		out = append(out, s.Run(o))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"hastm.dev/hastm/internal/native"
 )
 
 // The harness tests verify the SHAPES the paper reports — who wins, by
@@ -10,6 +12,15 @@ import (
 // so the suite stays fast. EXPERIMENTS.md records the full-size numbers.
 
 func quick() Options { return QuickOptions() }
+
+// figure regenerates one registered experiment serially.
+func figure(id string, o Options) *Report {
+	s, ok := ByID(id)
+	if !ok {
+		panic("unknown experiment " + id)
+	}
+	return s.Run(o)
+}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig11", "fig12", "fig13", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22"}
@@ -42,6 +53,55 @@ func TestRunOneValidation(t *testing.T) {
 	}
 }
 
+// A total that cannot be split over the threads is a named configuration
+// error in every cell kind that splits one — not a silent zero-work cell, and
+// not a silent clamp to one operation per thread.
+func TestUnsplittableOpsRejected(t *testing.T) {
+	o := quick()
+	o.Ops = 3
+	const want = "ops 3 cannot be split over 4 threads"
+	check := func(name string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming %q", name, err, want)
+		}
+	}
+	_, err := RunOne(SchemeSTM, WorkloadBST, 4, o, 20)
+	check("RunOne", err)
+	_, err = FaultedRun(SchemeSTM, WorkloadBST, 4, o, stormSpec(), 20)
+	check("FaultedRun", err)
+	_, err = FinalStateHash(SchemeSTM, WorkloadBST, 4, o, 20)
+	check("FinalStateHash", err)
+	_, _, err = ChaosStormRun(WorkloadBST, 4, o, native.ChaosSpec{Abort: 10})
+	check("ChaosStormRun", err)
+	_, err = RunOneService(4, ServiceConfig(o, 4, 256, 0.9, DefaultAdmission()), o)
+	if err == nil {
+		t.Error("RunOneService accepted a config with no requests per core")
+	}
+	// One op per thread is the smallest cell, and it must do its work.
+	o.Ops = 4
+	m, err := RunOne(SchemeSTM, WorkloadBST, 4, o, 20)
+	if err != nil || m.Stats.Commits() != 4 {
+		t.Errorf("ops 4 on 4 threads: err %v, commits %d, want 4", err, m.Stats.Commits())
+	}
+
+	// hastm-bench -quick -ops 8 -fig fig11: the 16-processor column used
+	// to print 0.000; its cells now fail, which the CLI turns into exit 1.
+	o.Ops = 8
+	spec, _ := ByID("fig11")
+	plan := spec.Plan(o)
+	Execute([]*Plan{plan}, ExecConfig{})
+	failed := FailedCells([]*Plan{plan})
+	if len(failed) != 6 {
+		t.Errorf("fig11 at 8 ops: %d failed cells, want the six 16-processor cells", len(failed))
+	}
+	for _, c := range failed {
+		if !strings.HasSuffix(c.Label, "/16") || !strings.Contains(c.Err, "ops 8 cannot be split over 16 threads") {
+			t.Errorf("unexpected failed cell %s: %s", c.Label, c.Err)
+		}
+	}
+}
+
 func TestRunOneDeterministic(t *testing.T) {
 	a, err := RunOne(SchemeHASTM, WorkloadBTree, 2, quick(), 20)
 	if err != nil {
@@ -62,7 +122,7 @@ func TestRunOneDeterministic(t *testing.T) {
 // Fig 11 shape: STM has single-thread overhead but scales; the coarse lock
 // does not scale; STM undercuts the lock by 16 processors.
 func TestFig11Shape(t *testing.T) {
-	rep := Fig11(quick())
+	rep := figure("fig11", quick())
 	for _, wl := range Workloads() {
 		stm1 := rep.MustGet(wl, "stm", "1")
 		stm16 := rep.MustGet(wl, "stm", "16")
@@ -84,7 +144,7 @@ func TestFig11Shape(t *testing.T) {
 
 // Fig 12 shape: read barrier + validation dominate the STM's time.
 func TestFig12Shape(t *testing.T) {
-	rep := Fig12(quick())
+	rep := figure("fig12", quick())
 	for _, wl := range Workloads() {
 		rd := rep.MustGet("breakdown", wl, "rdbar")
 		val := rep.MustGet("breakdown", wl, "validate")
@@ -100,7 +160,7 @@ func TestFig12Shape(t *testing.T) {
 
 // Fig 13 shape: loads >= ~70% and load reuse >= ~50% for most workloads.
 func TestFig13Shape(t *testing.T) {
-	rep := Fig13(quick())
+	rep := figure("fig13", quick())
 	tbl := rep.Tables[0]
 	highLoads, highReuse := 0, 0
 	for _, row := range tbl.Rows {
@@ -122,7 +182,7 @@ func TestFig13Shape(t *testing.T) {
 // Fig 15 shape: every accelerated scheme beats the STM; HASTM beats
 // cautious; HASTM's gap to Hybrid narrows as load fraction and reuse grow.
 func TestFig15Shape(t *testing.T) {
-	rep := Fig15(quick())
+	rep := figure("fig15", quick())
 	for _, tbl := range rep.Tables {
 		for _, row := range tbl.Rows {
 			for i, v := range row.Cells {
@@ -149,7 +209,7 @@ func TestFig15Shape(t *testing.T) {
 // Fig 16 shape: HASTM comparable to HyTM (within ~35% at quick sizes),
 // both clearly faster than the STM on the trees; lock close to sequential.
 func TestFig16Shape(t *testing.T) {
-	rep := Fig16(quick())
+	rep := figure("fig16", quick())
 	for _, wl := range Workloads() {
 		hastm := rep.MustGet("single-thread", "hastm", wl)
 		hytm := rep.MustGet("single-thread", "hytm", wl)
@@ -182,7 +242,7 @@ func TestFig16Shape(t *testing.T) {
 // elimination (and on the hashtable is no better than the STM); no-reuse
 // still beats the STM on trees via validation elimination.
 func TestFig17Shape(t *testing.T) {
-	rep := Fig17(quick())
+	rep := figure("fig17", quick())
 	for _, wl := range Workloads() {
 		full := rep.MustGet("ablation", "hastm", wl)
 		caut := rep.MustGet("ablation", "hastm-cautious", wl)
@@ -206,10 +266,10 @@ func TestFig17Shape(t *testing.T) {
 // Figs 18–20 shape: lock flat; STM and HASTM scale; HASTM best TM.
 func TestMulticoreScalingShapes(t *testing.T) {
 	for _, tc := range []struct {
-		fig func(Options) *Report
+		fig string
 		wl  string
-	}{{Fig18, WorkloadBST}, {Fig19, WorkloadBTree}, {Fig20, WorkloadHash}} {
-		rep := tc.fig(quick())
+	}{{"fig18", WorkloadBST}, {"fig19", WorkloadBTree}, {"fig20", WorkloadHash}} {
+		rep := figure(tc.fig, quick())
 		h1 := rep.MustGet(tc.wl, "hastm", "1")
 		h4 := rep.MustGet(tc.wl, "hastm", "4")
 		s1 := rep.MustGet(tc.wl, "stm", "1")
@@ -235,10 +295,10 @@ func TestMulticoreScalingShapes(t *testing.T) {
 // cautious under interference) remains the best.
 func TestNaiveAggressiveCollapses(t *testing.T) {
 	for _, tc := range []struct {
-		fig func(Options) *Report
+		fig string
 		wl  string
-	}{{Fig21, WorkloadBST}, {Fig22, WorkloadBTree}} {
-		rep := tc.fig(quick())
+	}{{"fig21", WorkloadBST}, {"fig22", WorkloadBTree}} {
+		rep := figure(tc.fig, quick())
 		n4 := rep.MustGet(tc.wl, "naive-aggressive", "4")
 		s4 := rep.MustGet(tc.wl, "stm", "4")
 		h4 := rep.MustGet(tc.wl, "hastm", "4")
@@ -297,7 +357,7 @@ func TestExtensionRegistry(t *testing.T) {
 // ext-interatomic: carrying marks across atomic blocks must produce
 // cross-block filtered reads and a clear speedup on block-repetitive code.
 func TestExtInterAtomicShape(t *testing.T) {
-	rep := ExtInterAtomic(quick())
+	rep := figure("ext-interatomic", quick())
 	plain := rep.MustGet("repeated 16-line read-only blocks", "hastm", "rel time")
 	ia := rep.MustGet("repeated 16-line read-only blocks", "hastm-interatomic", "rel time")
 	filtered := rep.MustGet("repeated 16-line read-only blocks", "hastm-interatomic", "filtered reads")
@@ -312,7 +372,7 @@ func TestExtInterAtomicShape(t *testing.T) {
 // ext-defaultisa: HASTM on the default ISA must stay correct and close to
 // STM speed under the adaptive controller, while the full ISA accelerates.
 func TestExtDefaultISAShape(t *testing.T) {
-	rep := ExtDefaultISA(quick())
+	rep := figure("ext-defaultisa", quick())
 	if v := rep.MustGet("btree", "hastm", "full ISA"); v >= 0.95 {
 		t.Errorf("full-ISA HASTM (%.2f) should clearly beat STM", v)
 	}
@@ -324,7 +384,7 @@ func TestExtDefaultISAShape(t *testing.T) {
 // ext-granularity: object granularity avoids the record-table traffic and
 // should beat line granularity for both HASTM and the STM on the BST.
 func TestExtGranularityShape(t *testing.T) {
-	rep := ExtGranularity(quick())
+	rep := figure("ext-granularity", quick())
 	if obj, line := rep.MustGet("bst", "hastm/object", "1 core"), rep.MustGet("bst", "hastm/line", "1 core"); obj >= line {
 		t.Errorf("object-granularity HASTM (%.2f) should beat line granularity (%.2f)", obj, line)
 	}
@@ -337,7 +397,7 @@ func TestExtGranularityShape(t *testing.T) {
 // approaches profitability at extreme store locality; the overhead must at
 // least shrink monotonically with store reuse.
 func TestExtWFilterShape(t *testing.T) {
-	rep := ExtWFilter(quick())
+	rep := figure("ext-wfilter", quick())
 	lo := rep.MustGet("write-heavy micro", "hastm-wfilter", "40%")
 	hi := rep.MustGet("write-heavy micro", "hastm-wfilter", "95%")
 	if hi >= lo {
@@ -349,7 +409,7 @@ func TestExtWFilterShape(t *testing.T) {
 // of the separate-core configuration (constructive L1 sharing offsets the
 // §3.1 sibling-store mark invalidations at a 20% update mix).
 func TestExtSMTShape(t *testing.T) {
-	rep := ExtSMT(quick())
+	rep := figure("ext-smt", quick())
 	h4 := rep.MustGet("btree, 4 hardware threads", "hastm", "4 cores")
 	hS := rep.MustGet("btree, 4 hardware threads", "hastm", "2c x 2 SMT")
 	if hS > h4*1.5 || h4 > hS*1.5 {

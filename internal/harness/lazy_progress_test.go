@@ -70,8 +70,8 @@ func TestLazyFamilyWithoutLadder(t *testing.T) {
 func TestMVCCStarvationImmune(t *testing.T) {
 	const cores = 4
 	o := AdversarialOptions(QuickOptions(), false) // deliberately disarmed
-	machine := machineFor(cores, o)
-	sys := buildExtScheme(SchemeMVCC, machine, cores, o)
+	machine := machineFor(cores, o, nil)
+	sys := buildScheme(SchemeMVCC, machine, cores, o)
 
 	writers := cores - 1
 	base := machine.Mem.Alloc(uint64(writers)*mem.LineSize, mem.LineSize)

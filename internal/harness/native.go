@@ -3,11 +3,7 @@ package harness
 import (
 	"fmt"
 	"strconv"
-	"sync"
-	"time"
 
-	"hastm.dev/hastm/internal/mem"
-	"hastm.dev/hastm/internal/native"
 	"hastm.dev/hastm/internal/tm"
 	"hastm.dev/hastm/internal/workloads"
 )
@@ -32,92 +28,18 @@ var NativeThreadCounts = []int{1, 2, 4, 8, 16, 32}
 // goroutine runs the full o.Ops, because the subject here is throughput
 // scaling and per-thread work must not shrink as the sweep widens.
 func RunOneNative(workload string, threads int, o Options, updatePct int) (RunMetrics, error) {
-	if threads < 1 {
-		return RunMetrics{}, fmt.Errorf("threads must be >= 1, got %d", threads)
+	c, err := newNativeCell(nativeSpec{workload: workload, threads: threads, o: o, perThread: true})
+	if err != nil {
+		return RunMetrics{}, err
 	}
-	switch workload {
-	case WorkloadHash, WorkloadBST, WorkloadBTree, WorkloadObjBST:
-	default:
-		return RunMetrics{}, fmt.Errorf("unknown workload %q", workload)
-	}
-
-	m := mem.New()
-	ds := buildStructure(workload, m, o)
-	ds.Populate(m, workloads.NewRand(o.Seed))
-	sys := native.New(m, native.Config{
-		TM:      tm.Config{Progress: tm.Progress{RetryBudget: o.RetryBudget}},
-		Threads: threads,
-		Chaos:   o.Chaos,
-	})
-	// Pre-create every thread handle before any goroutine (the watchdog
-	// included) runs: the watchdog scans the handle table, and lazy
-	// creation inside the workers would race with it.
-	for g := 0; g < threads; g++ {
-		sys.Thread(g)
-	}
-	sys.StartWatchdog()
-
-	warm := o.Warmup
-	if warm == 0 {
-		warm = o.Ops / 4
-		if warm < 64 {
-			warm = 64
-		}
-	}
-	perWarm := warm / threads
-	if perWarm == 0 {
-		perWarm = 1
-	}
-
-	// Warmup, then a barrier: the coordinator resets the counters so the
-	// report describes steady state only, stamps the measured phase's wall
-	// time, and releases every goroutine at once.
-	var ready, wg sync.WaitGroup
-	goCh := make(chan struct{})
-	errs := make([]error, threads)
-	ready.Add(threads)
-	wg.Add(threads)
-	for g := 0; g < threads; g++ {
-		go func(id int) {
-			defer wg.Done()
-			th := sys.Thread(id)
-			wcfg := workloads.DriverConfig{Ops: perWarm, UpdatePercent: updatePct, Seed: o.Seed + 7777}
-			err := workloads.RunThread(th, ds, wcfg)
-			ready.Done() // always check in, or the coordinator deadlocks
-			if err != nil {
-				errs[id] = fmt.Errorf("warmup: %w", err)
-				return
-			}
-			<-goCh
-			mcfg := workloads.DriverConfig{Ops: o.Ops, UpdatePercent: updatePct, Seed: o.Seed}
-			errs[id] = workloads.RunThread(th, ds, mcfg)
-		}(g)
-	}
-	ready.Wait()
-	sys.Stats().Reset()
-	sys.Telemetry().Reset()
-	start := time.Now()
-	close(goCh)
-	wg.Wait()
-	hostNS := time.Since(start).Nanoseconds()
-	sys.StopWatchdog()
-
-	metrics := RunMetrics{
-		Stats:   sys.Stats(),
-		Telem:   sys.Telemetry(),
-		HostNS:  hostNS,
-		Backend: sys.Name(),
-		Chaos:   chaosRecord(sys.ChaosReport(), sys.CheckHealth()),
-	}
-	// A watchdog trip outranks the per-thread errors it caused: report the
-	// structured violation, not the unwound transactions' view of it.
-	if err := sys.CheckHealth(); err != nil {
+	ds := c.structure()
+	warmCfg := workloads.DriverConfig{Ops: o.warmupPerThread(threads), UpdatePercent: updatePct, Seed: o.Seed + 7777}
+	cfg := workloads.DriverConfig{Ops: c.ops, UpdatePercent: updatePct, Seed: o.Seed}
+	metrics, res := c.run(
+		func(th tm.Thread, _ int) error { return workloads.RunThread(th, ds, warmCfg) },
+		func(th tm.Thread, _ int) error { return workloads.RunThread(th, ds, cfg) })
+	if err := res.verdict(nil); err != nil {
 		return metrics, fmt.Errorf("native %s: %w", workload, err)
-	}
-	for id, err := range errs {
-		if err != nil {
-			return metrics, fmt.Errorf("native %s thread %d: %w", workload, id, err)
-		}
 	}
 	return metrics, nil
 }
@@ -129,18 +51,11 @@ func NativePlan(o Options, threadCounts []int) *Plan {
 	p := newPlan("native")
 	var rows []cellRow
 	for _, w := range Workloads() {
-		w := w
 		row := cellRow{name: w}
 		for _, n := range threadCounts {
-			n := n
-			c := p.cell(fmt.Sprintf("native/%s/%d", w, n), func() RunMetrics {
-				m, err := RunOneNative(w, n, o, 20)
-				if err != nil {
-					panic(fmt.Sprintf("harness: %v", err))
-				}
-				return m
-			})
-			row.cells = append(row.cells, c)
+			row.cells = append(row.cells, p.cell(fmt.Sprintf("native/%s/%d", w, n), func() RunMetrics {
+				return must(RunOneNative(w, n, o, 20))
+			}))
 		}
 		rows = append(rows, row)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"hastm.dev/hastm/internal/faults"
 	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/stats"
 )
 
 // The 1-socket equivalence suite: expressing today's flat machine as
@@ -153,7 +154,11 @@ func TestTopologyConfigErrors(t *testing.T) {
 }
 
 // TestScatterDeterminismAndRecord pins that a multi-socket scatter run is
-// deterministic and that its metrics carry a fully-labelled NUMA block.
+// deterministic and that its metrics carry a fully-labelled NUMA block —
+// for the figure cells and, since placement is done once in the cell
+// runner, for service and fault-injected cells too: each honours the
+// mapping (scatter differs from compact), is identical across two runs and
+// both schedulers, passes its oracle, and reports the mapping it ran with.
 func TestScatterDeterminismAndRecord(t *testing.T) {
 	o := QuickOptions()
 	o.Topology = sim.Topology{Sockets: 2, CoresPerSocket: 4}
@@ -184,6 +189,63 @@ func TestScatterDeterminismAndRecord(t *testing.T) {
 	}
 	if rec.Total.CrossSocketMisses == 0 || rec.Total.DirectoryInvalidations == 0 {
 		t.Errorf("scatter hashtable run recorded no cross-socket traffic: %+v", rec.Total)
+	}
+
+	// The non-figure cells, on a 2x8 machine. Each case returns everything
+	// simulated about one run, for DeepEqual.
+	type observed struct {
+		Wall    uint64
+		Totals  stats.Totals
+		Service *ServiceRecord
+		Fault   FaultReport
+		Mapping string
+	}
+	spec, err := faults.ParseSpec("suspend=900,evict=600,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func(Options) observed{
+		"service": func(o Options) observed {
+			sc := ServiceConfig(o, 4, 256, 0.9, DefaultAdmission())
+			m, err := RunOneServiceScheme(SchemeSTM, 4, sc, o) // a nil error is the oracle passing
+			if err != nil {
+				t.Fatalf("service cell (%s): %v", o.Mapping, err)
+			}
+			if nr := numaRecord(m); nr == nil || nr.Topology != "2x8" || nr.Mapping != o.Mapping {
+				t.Errorf("service cell (%s): NUMA record %+v", o.Mapping, nr)
+			}
+			return observed{Wall: m.WallCycles, Totals: m.Stats.Totals(), Service: m.Service, Mapping: m.Mapping}
+		},
+		"faulted": func(o Options) observed {
+			rep, err := FaultedRun(SchemeSTM, WorkloadHash, 4, o, spec, 20)
+			if err != nil {
+				t.Fatalf("faulted cell (%s): %v", o.Mapping, err)
+			}
+			if rep.Err != "" {
+				t.Errorf("faulted cell (%s) failed its oracle: %s", o.Mapping, rep.Err)
+			}
+			return observed{Fault: rep}
+		},
+	}
+	for name, cell := range cases {
+		byMapping := map[string]observed{}
+		for _, mapping := range []string{MapCompact, MapScatter} {
+			om := QuickOptions()
+			om.Topology = sim.Topology{Sockets: 2, CoresPerSocket: 8}
+			om.Mapping = mapping
+			first := cell(om)
+			if again := cell(om); !reflect.DeepEqual(first, again) {
+				t.Errorf("%s/%s: not deterministic across two runs", name, mapping)
+			}
+			om.ReferenceScheduler = true
+			if ref := cell(om); !reflect.DeepEqual(first, ref) {
+				t.Errorf("%s/%s: reference scheduler diverges from the lease scheduler", name, mapping)
+			}
+			byMapping[mapping] = first
+		}
+		if reflect.DeepEqual(byMapping[MapCompact], byMapping[MapScatter]) {
+			t.Errorf("%s: scatter ran exactly as compact — the mapping was dropped", name)
+		}
 	}
 }
 

@@ -76,7 +76,7 @@ func TestExecuteDefaultWorkers(t *testing.T) {
 	if len(reps) != 1 || reps[0].ID != "fig12" {
 		t.Fatalf("unexpected reports: %+v", reps)
 	}
-	want := Fig12(o)
+	want := figure("fig12", o)
 	if !reflect.DeepEqual(reps[0], want) {
 		t.Error("default-worker execution differs from serial Fig12")
 	}
@@ -95,7 +95,7 @@ func TestExecuteProgress(t *testing.T) {
 	if !strings.Contains(sb.String(), "fig18") {
 		t.Errorf("progress lines lack the figure id:\n%s", sb.String())
 	}
-	if !reflect.DeepEqual(reps[0], Fig18(o)) {
+	if !reflect.DeepEqual(reps[0], figure("fig18", o)) {
 		t.Error("progress-enabled run differs from serial Fig18")
 	}
 }

@@ -51,7 +51,7 @@ func (c *Cell) WallCycles() uint64 { return c.Metrics().WallCycles }
 func (c *Cell) execute() {
 	start := time.Now()
 	// Contain cell failures (the simulator already turns core panics and
-	// watchdog trips into structured errors; runStructure re-panics them)
+	// watchdog trips into structured errors; must re-panics them)
 	// so one bad cell fails its own slot instead of killing the whole
 	// sweep's worker pool.
 	func() {
@@ -101,6 +101,27 @@ func (p *Plan) cell(label string, fn func() RunMetrics) *Cell {
 	return c
 }
 
+// verdictPlan starts a sweep whose cells each fill a report of the suite's
+// own kind (slotCell) instead of contributing to a figure: the faultstorm,
+// the adversarial suite and the chaos storm. Its Assemble produces no report.
+func verdictPlan(id string) *Plan {
+	p := newPlan(id)
+	p.Assemble = func() *Report { return nil }
+	return p
+}
+
+// slotCell declares a cell of a verdict plan and returns the slot its report
+// lands in when the cell executes; the sweep collects the slots in
+// declaration order.
+func slotCell[R any](p *Plan, label string, run func() (R, RunMetrics)) *R {
+	slot := new(R)
+	p.cell(label, func() (m RunMetrics) {
+		*slot, m = run()
+		return m
+	})
+	return slot
+}
+
 // structure declares a standard data-structure benchmark cell.
 func (p *Plan) structure(scheme, workload string, cores int, o Options) *Cell {
 	return p.cell(fmt.Sprintf("%s/%s/%d", scheme, workload, cores), func() RunMetrics {
@@ -108,17 +129,19 @@ func (p *Plan) structure(scheme, workload string, cores int, o Options) *Cell {
 	})
 }
 
-// micro declares a Fig 15 microbenchmark cell.
+// micro declares a Fig 15 microbenchmark cell (store reuse held at 40, as in
+// the paper; warm-up counters discarded).
 func (p *Plan) micro(scheme string, loadPct, loadReuse int, o Options) *Cell {
 	return p.cell(fmt.Sprintf("micro/%s/%d/%d", scheme, loadPct, loadReuse), func() RunMetrics {
-		return runMicro(scheme, loadPct, loadReuse, o)
+		return must(runMicroKernel(scheme, loadPct, loadReuse, 40, warmStep, o))
 	})
 }
 
-// microExt declares an extended microbenchmark cell with explicit store reuse.
+// microExt declares an extension microbenchmark cell with explicit store
+// reuse, whose counters keep the warm-up.
 func (p *Plan) microExt(scheme string, loadPct, loadReuse, storeReuse int, o Options) *Cell {
 	return p.cell(fmt.Sprintf("micro/%s/%d/%d/s%d", scheme, loadPct, loadReuse, storeReuse), func() RunMetrics {
-		return runMicroExt(scheme, loadPct, loadReuse, storeReuse, o)
+		return must(runMicroKernel(scheme, loadPct, loadReuse, storeReuse, warmKept, o))
 	})
 }
 

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"hastm.dev/hastm/internal/faults"
-	"hastm.dev/hastm/internal/htm"
 	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/telemetry"
+	"hastm.dev/hastm/internal/tm"
 	"hastm.dev/hastm/internal/workloads"
 )
 
@@ -104,17 +104,13 @@ type ProgressReport struct {
 }
 
 // Verdict renders the outcome for tables.
-func (r ProgressReport) Verdict() string {
-	if r.Err == "" {
-		return "ok"
-	}
-	return "FAIL: " + r.Err
-}
+func (r ProgressReport) Verdict() string { return verdictString(r.Err) }
 
-// ProgressRun executes one adversarial cell: build the machine with the
-// watchdogs from o, run the workload's asymmetric per-core programs, then
-// check health and verify the structure invariant. Watchdog trips and
-// contained panics land in the report, never as a hang or a raw panic.
+// ProgressRun executes one adversarial cell: the machine carries the
+// watchdogs from o, the workload's asymmetric per-thread programs run with
+// no warm-up, and the structure invariant is the cell's check. Watchdog
+// trips and contained panics land in the report, never as a hang or a raw
+// panic.
 func ProgressRun(scheme, workload string, cores int, o Options) ProgressReport {
 	return progressRun(scheme, workload, cores, o, nil)
 }
@@ -126,77 +122,57 @@ func ProgressRunFaulted(scheme, workload string, cores int, o Options, spec faul
 	return progressRun(scheme, workload, cores, o, &spec)
 }
 
+// progressTraceEvents sizes the diagnostic trace every adversarial cell
+// carries, so a violation report shows the last events before the stall —
+// the "what was everyone doing" evidence.
+const progressTraceEvents = 1 << 11
+
 func progressRun(scheme, workload string, cores int, o Options, spec *faults.Spec) ProgressReport {
 	rep := ProgressReport{
 		Scheme: scheme, Workload: workload, Cores: cores,
 		Ladder: o.RetryBudget > 0,
 	}
-	machine := machineFor(cores, o)
-	// Attach a diagnostic trace so a violation report carries the last
-	// events before the stall — the "what was everyone doing" evidence.
-	machine.SetTrace(sim.NewTraceBuffer(1 << 15))
-	var plane *faults.Plane
-	if spec != nil {
-		plane = faults.Attach(machine, *spec)
+	o.TraceMax = progressTraceEvents
+	c, err := newSimCell(simSpec{scheme: scheme, threads: cores, o: o, faults: spec})
+	if err != nil {
+		rep.Err = err.Error()
+		return rep
 	}
-	sys := buildExtScheme(scheme, machine, cores, o)
-	if plane != nil {
-		if hs, ok := sys.(*htm.System); ok {
-			plane.RegisterHTMAborter(hs.Manager().InjectSpuriousAbort)
-		}
-	}
-
-	runErrs := make([]error, cores)
-	progs := make([]sim.Program, cores)
+	var measure simThreadFunc
 	var verify func() error
 	switch workload {
 	case AdversarialStorm:
-		st := workloads.NewWriterStorm(machine.Mem, stormLines, stormOps, stormPad)
-		for i := range progs {
-			id := i
-			progs[i] = func(c *sim.Ctx) { runErrs[id] = st.RunThread(sys.Thread(c), id) }
-		}
-		verify = func() error { return st.Verify(machine.Mem, cores) }
+		st := workloads.NewWriterStorm(c.m.Mem, stormLines, stormOps, stormPad)
+		measure = func(_ *sim.Ctx, th tm.Thread, id int) error { return st.RunThread(th, id) }
+		verify = func() error { return st.Verify(c.m.Mem, cores) }
 	case AdversarialStarve:
-		sv := workloads.NewStarvation(machine.Mem, cores-1, starvePad)
-		for i := range progs {
-			id := i
+		sv := workloads.NewStarvation(c.m.Mem, cores-1, starvePad)
+		measure = func(_ *sim.Ctx, th tm.Thread, id int) error {
 			if id == 0 {
-				progs[i] = func(c *sim.Ctx) { runErrs[0] = sv.RunReader(sys.Thread(c)) }
-			} else {
-				progs[i] = func(c *sim.Ctx) { runErrs[id] = sv.RunWriter(sys.Thread(c), id) }
+				return sv.RunReader(th)
 			}
+			return sv.RunWriter(th, id)
 		}
-		verify = func() error { return sv.Verify(machine.Mem) }
+		verify = func() error { return sv.Verify(c.m.Mem) }
 	default:
 		rep.Err = fmt.Sprintf("unknown adversarial workload %q", workload)
 		return rep
 	}
 
-	rep.WallCycles = machine.Run(progs...)
-	tot := machine.Telem.Totals()
+	metrics, res := c.run(warmKept, nil, measure)
+	rep.WallCycles = metrics.WallCycles
+	tot := metrics.Telem.Totals()
 	rep.Escalations = tot.Counters[telemetry.Escalations.String()]
 	rep.IrrevocableEntries = tot.Counters[telemetry.IrrevocableEntries.String()]
 	rep.IrrevocableCycles = tot.Counters[telemetry.IrrevocableCyclesHeld.String()]
-	rep.Commits = machine.Stats.Totals().Commits
-
-	if err := machine.CheckHealth(); err != nil {
+	rep.Commits = metrics.Stats.Totals().Commits
+	if err := res.verdict(verify); err != nil {
 		rep.Err = err.Error()
-		if v := machine.Violation(); v != nil {
+		if v := c.m.Violation(); v != nil {
 			rep.Detail = v.String()
-		} else if fs := machine.Faults(); len(fs) > 0 {
+		} else if fs := c.m.Faults(); len(fs) > 0 {
 			rep.Detail = renderFault(fs[0])
 		}
-		return rep
-	}
-	for id, err := range runErrs {
-		if err != nil {
-			rep.Err = fmt.Sprintf("thread %d: %v", id, err)
-			return rep
-		}
-	}
-	if err := verify(); err != nil {
-		rep.Err = err.Error()
 	}
 	return rep
 }
@@ -209,26 +185,21 @@ func renderFault(f sim.CoreFault) string {
 
 // ProgressPlan builds the adversarial sweep — every ProgressPlanSchemes
 // scheme × the adversarial workloads (or just the one named by filter) —
-// as a Plan for the standard worker pool, with verdicts in the returned
-// slots in cell declaration order.
+// as a verdict plan (see verdictPlan).
 func ProgressPlan(base Options, cores int, ladder bool, filter string) (*Plan, []*ProgressReport) {
 	o := AdversarialOptions(base, ladder)
-	p := newPlan("adversarial")
+	p := verdictPlan("adversarial")
 	var reports []*ProgressReport
 	for _, scheme := range ProgressPlanSchemes() {
 		for _, workload := range AdversarialWorkloads() {
 			if filter != "" && workload != filter {
 				continue
 			}
-			slot := &ProgressReport{}
-			reports = append(reports, slot)
-			s, w := scheme, workload
-			p.cell(fmt.Sprintf("%s/%s/%d", s, w, cores), func() RunMetrics {
-				*slot = ProgressRun(s, w, cores, o)
-				return RunMetrics{WallCycles: slot.WallCycles}
-			})
+			reports = append(reports, slotCell(p, fmt.Sprintf("%s/%s/%d", scheme, workload, cores), func() (ProgressReport, RunMetrics) {
+				rep := ProgressRun(scheme, workload, cores, o)
+				return rep, RunMetrics{WallCycles: rep.WallCycles}
+			}))
 		}
 	}
-	p.Assemble = func() *Report { return nil }
 	return p, reports
 }

@@ -163,8 +163,9 @@ func QuickOptions() Options {
 // 32 KB 8-way private L1s, a 512 KB 8-way shared inclusive L2, and the
 // next-line prefetcher that §7.4 identifies as a source of destructive
 // interference between cores. o contributes only host-side and ISA-mode
-// switches (DefaultISA, ReferenceScheduler), never sizes.
-func machineFor(cores int, o Options) *sim.Machine {
+// switches (DefaultISA, ReferenceScheduler), never sizes. geometry, when
+// non-nil, adjusts the configuration before the machine is built.
+func machineFor(cores int, o Options, geometry func(*sim.Config)) *sim.Machine {
 	cfg := sim.DefaultConfig(o.machineCores(cores))
 	if o.Topology != (sim.Topology{}) {
 		if cores > cfg.Cores {
@@ -185,17 +186,17 @@ func machineFor(cores int, o Options) *sim.Machine {
 	// §7.4 destructive interference (one core's misses and prefetches
 	// back-invalidating another core's marked lines) requires L2
 	// replacement pressure to exist at all.
-	cfg.L2 = cacheConfig256K()
+	cfg.L2 = cache.Config{SizeBytes: 256 << 10, Assoc: 8}
 	// The machine is identical at every core count — baselines must not
 	// run on different hardware. The speculation noise (§7.4) only
 	// disturbs OTHER cores, so it is naturally inert single-threaded.
 	cfg.Prefetch = true
 	cfg.SpecRFOEvery = 32
+	if geometry != nil {
+		geometry(&cfg)
+	}
 	return sim.New(cfg)
 }
-
-// cacheConfig256K is the evaluation's shared-L2 geometry.
-func cacheConfig256K() cache.Config { return cache.Config{SizeBytes: 256 << 10, Assoc: 8} }
 
 // Scheme names used throughout the harness.
 const (
@@ -216,58 +217,135 @@ const (
 	// and per-location version history give read-only transactions an
 	// abort-free snapshot read path.
 	SchemeMVCC = "mvcc"
+
+	// Schemes used only by the extension experiments.
+	SchemeWFilter     = "hastm-wfilter"     // §5 write/undo-log filtering (plane 1)
+	SchemeInterAtomic = "hastm-interatomic" // Fig 10 inter-atomic reuse
+	SchemeObjHASTM    = "hastm-object"      // object-granularity HASTM
+	SchemeObjSTM      = "stm-object"        // object-granularity base STM
+	SchemeWatermark   = "hastm-watermark"   // watermark controller even single-threaded
+	// SchemeIrrevocable is HASTM with the escalation ladder armed at a fixed
+	// retry budget — the ext-irrevocable ablation's subject. On the standard
+	// figure workloads the budget never trips, so it must match plain HASTM.
+	SchemeIrrevocable = "hastm-irrevocable"
 )
 
-// SchemeIrrevocable is HASTM with the escalation ladder armed at a fixed
-// retry budget — the ext-irrevocable ablation's subject. On the standard
-// figure workloads the budget never trips, so it must match plain HASTM.
-const SchemeIrrevocable = "hastm-irrevocable"
-
 // IrrevocableDefaultBudget is the ladder budget the hastm-irrevocable
-// scheme (and the adversarial suite) uses when Options.RetryBudget is 0.
+// scheme (and every cell that arms the ladder, Options.armed) uses when
+// Options.RetryBudget is 0.
 const IrrevocableDefaultBudget = 8
 
-// buildScheme instantiates a scheme on a machine. threads is the number of
-// worker threads the run will use (the HASTM watermark controller treats
-// single-threaded runs specially, §6). o contributes only the escalation
-// ladder's retry budget, never sizes.
-// stmObject builds the base STM at object granularity.
-func stmObject(m *sim.Machine) tm.System {
-	return stm.New(m, tm.Config{Granularity: tm.ObjectGranularity, ValidateEvery: 128})
+// named is one row of a name → constructor table: the only place a scheme's
+// or a structure's name is bound to how it is built. Validation, the name
+// lists and both CLIs read the tables.
+type named[B any] struct {
+	name  string
+	build B
 }
 
+// names lists a table's names in table order.
+func names[B any](table []named[B]) []string {
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.name
+	}
+	return out
+}
+
+// lookup returns the constructor a table binds to name.
+func lookup[B any](table []named[B], name string) (B, bool) {
+	for _, e := range table {
+		if e.name == name {
+			return e.build, true
+		}
+	}
+	var none B
+	return none, false
+}
+
+// schemeBuilder instantiates a scheme on a machine. threads is the number of
+// worker threads the run will use (the HASTM watermark controller treats
+// single-threaded runs specially, §6); o contributes only the escalation
+// ladder's retry budget, never sizes.
+type schemeBuilder func(m *sim.Machine, threads int, o Options) tm.System
+
+// stmConfig is the line-granularity software-TM configuration.
+func stmConfig(o Options) tm.Config {
+	cfg := tm.Config{Granularity: tm.LineGranularity, ValidateEvery: 128}
+	cfg.Progress.RetryBudget = o.RetryBudget
+	return cfg
+}
+
+// hastmConfig is the line-granularity HASTM configuration.
+func hastmConfig(threads int, o Options) core.Config {
+	cfg := core.DefaultConfig(tm.LineGranularity)
+	cfg.SingleThread = threads == 1
+	cfg.TM.Progress.RetryBudget = o.RetryBudget
+	return cfg
+}
+
+var schemeTable = []named[schemeBuilder]{
+	{SchemeSeq, func(m *sim.Machine, _ int, _ Options) tm.System { return locksync.NewSeq(m) }},
+	{SchemeLock, func(m *sim.Machine, _ int, _ Options) tm.System { return locksync.NewLock(m) }},
+	{SchemeSTM, func(m *sim.Machine, _ int, o Options) tm.System { return stm.New(m, stmConfig(o)) }},
+	{SchemeHASTM, func(m *sim.Machine, threads int, o Options) tm.System {
+		return core.New(m, hastmConfig(threads, o))
+	}},
+	{SchemeCautious, func(m *sim.Machine, threads int, o Options) tm.System {
+		return core.NewCautious(m, hastmConfig(threads, o))
+	}},
+	{SchemeNoReuse, func(m *sim.Machine, threads int, o Options) tm.System {
+		return core.NewNoReuse(m, hastmConfig(threads, o))
+	}},
+	{SchemeNaive, func(m *sim.Machine, threads int, o Options) tm.System {
+		return core.NewNaiveAggressive(m, hastmConfig(threads, o))
+	}},
+	{SchemeHyTM, func(m *sim.Machine, _ int, o Options) tm.System { return htm.NewHyTM(m, stmConfig(o), 4) }},
+	{SchemeHTM, func(m *sim.Machine, _ int, _ Options) tm.System { return htm.NewHTM(m) }},
+	{SchemeLazy, func(m *sim.Machine, _ int, o Options) tm.System { return lazystm.New(m, stmConfig(o)) }},
+	{SchemeMVCC, func(m *sim.Machine, _ int, o Options) tm.System { return lazystm.NewMVCC(m, stmConfig(o)) }},
+	{SchemeWFilter, func(m *sim.Machine, threads int, o Options) tm.System {
+		cfg := hastmConfig(threads, o)
+		cfg.FilterWrites = true
+		return core.NewNamed(SchemeWFilter, m, cfg)
+	}},
+	{SchemeInterAtomic, func(m *sim.Machine, threads int, o Options) tm.System {
+		cfg := hastmConfig(threads, o)
+		cfg.InterAtomic = true
+		return core.NewNamed(SchemeInterAtomic, m, cfg)
+	}},
+	{SchemeObjHASTM, func(m *sim.Machine, threads int, _ Options) tm.System {
+		cfg := core.DefaultConfig(tm.ObjectGranularity)
+		cfg.SingleThread = threads == 1
+		return core.NewNamed(SchemeObjHASTM, m, cfg)
+	}},
+	{SchemeObjSTM, func(m *sim.Machine, _ int, _ Options) tm.System {
+		return stm.New(m, tm.Config{Granularity: tm.ObjectGranularity, ValidateEvery: 128})
+	}},
+	{SchemeWatermark, func(m *sim.Machine, threads int, o Options) tm.System {
+		cfg := hastmConfig(threads, o)
+		cfg.SingleThread = false // force the adaptive controller
+		return core.NewNamed(SchemeWatermark, m, cfg)
+	}},
+	// Same hardware and policy as hastm plus a bounded retry budget; on
+	// uncontended figure workloads the budget never trips, so this must cost
+	// ~nothing — the ext-irrevocable ablation's claim.
+	{SchemeIrrevocable, func(m *sim.Machine, threads int, o Options) tm.System {
+		return core.NewNamed(SchemeIrrevocable, m, hastmConfig(threads, o.armed()))
+	}},
+}
+
+// Schemes lists every scheme name, in table order.
+func Schemes() []string { return names(schemeTable) }
+
+// buildScheme instantiates a named scheme; an unknown name is a caller bug,
+// since cells validate theirs first.
 func buildScheme(name string, m *sim.Machine, threads int, o Options) tm.System {
-	stmCfg := tm.Config{Granularity: tm.LineGranularity, ValidateEvery: 128}
-	stmCfg.Progress.RetryBudget = o.RetryBudget
-	hastmCfg := core.DefaultConfig(tm.LineGranularity)
-	hastmCfg.SingleThread = threads == 1
-	hastmCfg.TM.Progress.RetryBudget = o.RetryBudget
-	switch name {
-	case SchemeSeq:
-		return locksync.NewSeq(m)
-	case SchemeLock:
-		return locksync.NewLock(m)
-	case SchemeSTM:
-		return stm.New(m, stmCfg)
-	case SchemeHASTM:
-		return core.New(m, hastmCfg)
-	case SchemeCautious:
-		return core.NewCautious(m, hastmCfg)
-	case SchemeNoReuse:
-		return core.NewNoReuse(m, hastmCfg)
-	case SchemeNaive:
-		return core.NewNaiveAggressive(m, hastmCfg)
-	case SchemeHyTM:
-		return htm.NewHyTM(m, stmCfg, 4)
-	case SchemeHTM:
-		return htm.NewHTM(m)
-	case SchemeLazy:
-		return lazystm.New(m, stmCfg)
-	case SchemeMVCC:
-		return lazystm.NewMVCC(m, stmCfg)
-	default:
+	build, ok := lookup(schemeTable, name)
+	if !ok {
 		panic(fmt.Sprintf("harness: unknown scheme %q", name))
 	}
+	return build(m, threads, o)
 }
 
 // Structure names.
@@ -278,22 +356,41 @@ const (
 	WorkloadObjBST = "objbst"
 )
 
-// Workloads lists the three §7.1 data structures.
-func Workloads() []string { return []string{WorkloadBST, WorkloadHash, WorkloadBTree} }
+// structureBuilder lays a structure out on m, sized by o.
+type structureBuilder func(m *mem.Memory, o Options) workloads.DataStructure
 
+// structureTable: the §7.1 three, then the object-layout BST of the
+// granularity extension.
+var structureTable = []named[structureBuilder]{
+	{WorkloadBST, func(m *mem.Memory, o Options) workloads.DataStructure { return workloads.NewBST(m, o.TreeKeys) }},
+	{WorkloadHash, func(m *mem.Memory, o Options) workloads.DataStructure { return workloads.NewHashtable(m, o.HashSlots) }},
+	{WorkloadBTree, func(m *mem.Memory, o Options) workloads.DataStructure { return workloads.NewBTree(m, o.TreeKeys) }},
+	{WorkloadObjBST, func(m *mem.Memory, o Options) workloads.DataStructure { return workloads.NewObjBST(m, o.TreeKeys) }},
+}
+
+// StructureNames lists every structure a cell can name, in table order.
+func StructureNames() []string { return names(structureTable) }
+
+// Workloads lists the three §7.1 data structures.
+func Workloads() []string { return StructureNames()[:3] }
+
+// buildStructure lays a named structure out on m; an unknown name is a
+// caller bug, since cells validate theirs first.
 func buildStructure(name string, m *mem.Memory, o Options) workloads.DataStructure {
-	switch name {
-	case WorkloadHash:
-		return workloads.NewHashtable(m, o.HashSlots)
-	case WorkloadBST:
-		return workloads.NewBST(m, o.TreeKeys)
-	case WorkloadBTree:
-		return workloads.NewBTree(m, o.TreeKeys)
-	case WorkloadObjBST:
-		return workloads.NewObjBST(m, o.TreeKeys)
-	default:
+	build, ok := lookup(structureTable, name)
+	if !ok {
 		panic(fmt.Sprintf("harness: unknown workload %q", name))
 	}
+	return build(m, o)
+}
+
+// populated is buildStructure followed by the pre-run fill every cell starts
+// from ("all the data structures were populated before the experimental
+// run").
+func populated(name string, m *mem.Memory, o Options) workloads.DataStructure {
+	ds := buildStructure(name, m, o)
+	ds.Populate(m, workloads.NewRand(o.Seed))
+	return ds
 }
 
 // RunMetrics is the outcome of one measured run.
@@ -334,54 +431,11 @@ type RunMetrics struct {
 	Chaos *ChaosRecord
 }
 
-// validateConfig rejects unknown schemes/workloads and bad core counts,
-// shared by RunOne and FinalStateHash.
-func validateConfig(scheme, workload string, cores int, o Options) error {
-	if cores < 1 {
-		return fmt.Errorf("cores must be >= 1, got %d", cores)
-	}
-	known := false
-	for _, s := range []string{
-		SchemeSeq, SchemeLock, SchemeSTM, SchemeHASTM, SchemeCautious,
-		SchemeNoReuse, SchemeNaive, SchemeHyTM, SchemeHTM,
-		SchemeWFilter, SchemeInterAtomic, SchemeObjHASTM, SchemeObjSTM, SchemeWatermark,
-		SchemeIrrevocable, SchemeLazy, SchemeMVCC,
-	} {
-		if scheme == s {
-			known = true
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown scheme %q", scheme)
-	}
-	switch workload {
-	case WorkloadHash, WorkloadBST, WorkloadBTree, WorkloadObjBST:
-	default:
-		return fmt.Errorf("unknown workload %q", workload)
-	}
-	if _, err := ParseMapping(o.Mapping); err != nil {
-		return err
-	}
-	if o.Topology != (sim.Topology{}) {
-		if o.Topology.Sockets <= 0 || o.Topology.CoresPerSocket <= 0 {
-			return fmt.Errorf("topology %s needs positive sockets and cores per socket", o.Topology)
-		}
-		if total := o.machineCores(cores); cores > total {
-			return fmt.Errorf("topology %s has %d cores, run needs %d threads", o.Topology, total, cores)
-		}
-	}
-	return nil
-}
-
 // runStructure executes the standard data-structure benchmark: populate,
 // then `o.Ops` operations (20% updates, as in the paper) split across
 // `cores` threads under the named scheme.
 func runStructure(scheme, workload string, cores int, o Options) RunMetrics {
-	m, err := RunOne(scheme, workload, cores, o, 20)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	return m
+	return must(RunOne(scheme, workload, cores, o, 20))
 }
 
 // RunOne runs a single configuration — the programmatic form of the tmsim
@@ -390,180 +444,60 @@ func runStructure(scheme, workload string, cores int, o Options) RunMetrics {
 // barrier; only steady-state cycles are reported, as a long benchmark run
 // on real hardware would.
 func RunOne(scheme, workload string, cores int, o Options, updatePct int) (RunMetrics, error) {
-	if err := validateConfig(scheme, workload, cores, o); err != nil {
+	c, err := newSimCell(simSpec{scheme: scheme, workload: workload, threads: cores, o: o})
+	if err != nil {
 		return RunMetrics{}, err
 	}
-
-	machine := machineFor(cores, o)
-	var tb *sim.TraceBuffer
-	if o.TraceMax > 0 {
-		tb = sim.NewTraceBuffer(o.TraceMax * 16)
-		machine.SetTrace(tb)
-	}
-	var xb *telemetry.TraceBuffer
-	if o.TxnTraceMax > 0 {
-		xb = telemetry.NewTraceBuffer(o.TxnTraceMax)
-		machine.SetTxnTrace(xb)
-	}
-	sys := buildExtScheme(scheme, machine, cores, o)
-	ds := buildStructure(workload, machine.Mem, o)
-	ds.Populate(machine.Mem, workloads.NewRand(o.Seed))
-
-	warm := o.Warmup
-	if warm == 0 {
-		warm = o.Ops / 4
-		if warm < 64 {
-			warm = 64
-		}
-	}
-	perWarm := warm / cores
-	if perWarm == 0 {
-		perWarm = 1
-	}
-	per := o.Ops / cores
-
-	arrived := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	goFlag := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	starts := make([]uint64, cores)
-	ends := make([]uint64, cores)
-
-	// One program per thread, placed on its machine core by the mapping
-	// policy; on a flat machine threads and cores coincide and the slice has
-	// no gaps.
-	progs := make([]sim.Program, machine.Topology().Sockets*machine.Topology().CoresPerSocket)
-	for i := 0; i < cores; i++ {
-		id := i
-		progs[o.threadCore(i)] = func(c *sim.Ctx) {
-			th := sys.Thread(c)
-			wcfg := workloads.DriverConfig{Ops: perWarm, UpdatePercent: updatePct, Seed: o.Seed + 7777}
-			if err := workloads.RunThread(th, ds, wcfg); err != nil {
-				panic(fmt.Sprintf("harness warmup: %s/%s: %v", scheme, workload, err))
-			}
-			barrier(c, arrived, goFlag, cores, resetMeasurement)
-
-			starts[id] = c.Clock()
-			mcfg := workloads.DriverConfig{Ops: per, UpdatePercent: updatePct, Seed: o.Seed}
-			if err := workloads.RunThread(th, ds, mcfg); err != nil {
-				panic(fmt.Sprintf("harness: %s/%s: %v", scheme, workload, err))
-			}
-			ends[id] = c.Clock()
-		}
-	}
-	machine.Run(progs...)
-
-	var wall uint64
-	for i := range starts {
-		if d := ends[i] - starts[i]; d > wall {
-			wall = d
-		}
-	}
-	metrics := RunMetrics{
-		WallCycles: wall,
-		Stats:      machine.Stats,
-		CacheStats: machine.Caches,
-		Telem:      machine.Telem,
-		Trace:      tb,
-		TxnTrace:   xb,
-		Sched:      machine.Sched(),
-	}
-	if !machine.Topology().IsFlat() {
-		metrics.Topology = machine.Topology()
-		metrics.Placement = o.Placement
-		metrics.Mapping, _ = ParseMapping(o.Mapping)
-	}
-	// A core panic (contained at the grant boundary) or a tripped watchdog
-	// fails the run with its structured report rather than surfacing a raw
-	// panic or a partial, silently wrong result.
-	if err := machine.CheckHealth(); err != nil {
-		return metrics, err
-	}
-	return metrics, nil
+	ds := c.structure()
+	warmCfg := workloads.DriverConfig{Ops: o.warmupPerThread(cores), UpdatePercent: updatePct, Seed: o.Seed + 7777}
+	cfg := workloads.DriverConfig{Ops: c.ops, UpdatePercent: updatePct, Seed: o.Seed}
+	metrics, res := c.run(warmBarrier,
+		func(_ *sim.Ctx, th tm.Thread, _ int) error { return workloads.RunThread(th, ds, warmCfg) },
+		func(_ *sim.Ctx, th tm.Thread, _ int) error { return workloads.RunThread(th, ds, cfg) })
+	return metrics, res.verdict(nil)
 }
 
-// barrier is the warm-up barrier of every multi-core pipeline: each core
-// checks in on arrived; core 0 waits for all of them, runs release as one
-// granted Step and raises goFlag, which the others wait for. A waiter's
-// spin is a granted Step charging Lat.ALU rather than Exec(1) — same
-// cycles, grants and category — because Exec is core-private and takes no
-// grant: in host order a waiter's Exec charge could land before core 0's
-// release (which resets the cycle counters Exec charges) although its clock
-// is after it. Core 0's own Exec precedes its release in program order.
-func barrier(c *sim.Ctx, arrived, goFlag uint64, cores int, release func(*sim.Machine)) {
-	for {
-		old := c.Load(arrived)
-		if ok, _ := c.CAS(arrived, old, old+1); ok {
-			break
-		}
-	}
-	if c.ID() != 0 {
-		alu := c.Machine().Config().Lat.ALU
-		for c.Load(goFlag) != 1 {
-			c.Step(func(*sim.Machine) uint64 { return alu })
-		}
-		return
-	}
-	for c.Load(arrived) != uint64(cores) {
-		c.Exec(1)
-	}
-	c.Step(func(m *sim.Machine) uint64 { release(m); return 1 })
-	c.Store(goFlag, 1)
-}
-
-// resetMeasurement excludes the warmup from the counter stores and the
-// transaction trace so reports describe steady state only — and so the
-// trace's abort events tally exactly with the abort counters.
-func resetMeasurement(m *sim.Machine) {
-	m.Stats.Reset()
-	m.Telem.Reset()
-	if tb := m.TxnTrace(); tb != nil {
-		tb.Reset()
-	}
-}
-
-// mustHealthy panics with the machine's contained failure report, if any.
-// Run call sites that cannot return an error use it so a contained core
-// panic or watchdog trip still fails the cell loudly instead of yielding
-// a silently truncated result.
-func mustHealthy(m *sim.Machine) {
-	if err := m.CheckHealth(); err != nil {
+// must panics with a cell's failure. Figure cells that cannot return an
+// error use it so a contained core panic or watchdog trip still fails the
+// cell loudly (Cell.execute records it) instead of yielding a silently
+// truncated result.
+func must(m RunMetrics, err error) RunMetrics {
+	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
+	return m
 }
 
-// runMicro executes the Fig 15 microbenchmark kernel single-threaded. A
-// warmup pass brings the working region into the cache hierarchy before
-// the measured transactions, as in the paper's long-running critical
-// regions, so the comparison isolates barrier and validation overheads
-// rather than compulsory misses.
-func runMicro(scheme string, loadPct, loadReuse int, o Options) RunMetrics {
-	machine := machineFor(1, o)
-	sys := buildScheme(scheme, machine, 1, o)
+// runMicroKernel executes the Fig 15 microbenchmark kernel single-threaded:
+// four warm-up transactions bring the working region into the cache
+// hierarchy and settle the mode controller, as in the paper's long-running
+// critical regions, so the measured o.MicroTxns isolate barrier and
+// validation overheads rather than compulsory misses. Fig 15 discards the
+// warm-up's counters (warmStep); the extension kernels keep them (warmKept)
+// and vary the store-reuse rate the paper holds at 40.
+func runMicroKernel(scheme string, loadPct, loadReuse, storeReuse int, end warmEnd, o Options) (RunMetrics, error) {
+	c, err := newSimCell(simSpec{scheme: scheme, threads: 1, o: o})
+	if err != nil {
+		return RunMetrics{}, err
+	}
 	// A region small enough to stay L1-resident: the paper's kernel
 	// models intra-transaction locality, not capacity misses.
-	mi := workloads.NewMicro(machine.Mem, 256)
-	mi.LoadPercent = loadPct
-	mi.LoadReuse = loadReuse
-	mi.StoreReuse = 40 // held constant in the paper
+	mi := workloads.NewMicro(c.m.Mem, 256)
+	mi.LoadPercent, mi.LoadReuse, mi.StoreReuse = loadPct, loadReuse, storeReuse
+	r := workloads.NewRand(o.Seed)
+	body := func(tx tm.Txn) error { return mi.Op(tx, r, false) }
+	metrics, res := c.run(end, repeatAtomic(4, body), repeatAtomic(o.MicroTxns, body))
+	return metrics, res.verdict(nil)
+}
 
-	var wall uint64
-	machine.Run(func(c *sim.Ctx) {
-		th := sys.Thread(c)
-		r := workloads.NewRand(o.Seed)
-		runTxns := func(n int) {
-			for i := 0; i < n; i++ {
-				if err := th.Atomic(func(tx tm.Txn) error {
-					return mi.Op(tx, r, false)
-				}); err != nil {
-					panic(err)
-				}
+// repeatAtomic is a single-thread phase of n transactions over one body.
+func repeatAtomic(n int, body func(tm.Txn) error) simThreadFunc {
+	return func(_ *sim.Ctx, th tm.Thread, _ int) error {
+		for i := 0; i < n; i++ {
+			if err := th.Atomic(body); err != nil {
+				return err
 			}
 		}
-		runTxns(4) // warmup: fill caches, settle the mode controller
-		c.Step(func(m *sim.Machine) uint64 { resetMeasurement(m); return 1 })
-		start := c.Clock()
-		runTxns(o.MicroTxns)
-		wall = c.Clock() - start
-	})
-	mustHealthy(machine)
-	return RunMetrics{WallCycles: wall, Stats: machine.Stats, Telem: machine.Telem, Sched: machine.Sched()}
+		return nil
+	}
 }

@@ -2,15 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"strconv"
-	"sync"
-	"time"
 
 	"hastm.dev/hastm/internal/mem"
-	"hastm.dev/hastm/internal/native"
 	"hastm.dev/hastm/internal/service"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 	"hastm.dev/hastm/internal/workloads"
 )
@@ -93,28 +88,12 @@ func DefaultDegrade() service.DegradeConfig {
 // harness options: accounts sized from HashSlots at 4× headroom, the
 // total request count split across cores like every simulator cell.
 func ServiceConfig(o Options, cores int, meanGap uint64, zipfS float64, adm service.AdmissionConfig) service.Config {
-	keys := o.HashSlots / 4
-	if keys < 16 {
-		keys = 16
-	}
-	per := o.Ops / cores
-	if per < 1 {
-		per = 1
-	}
-	warm := o.Warmup
-	if warm == 0 {
-		warm = o.Ops / 4
-		if warm < 64 {
-			warm = 64
-		}
-	}
-	perWarm := warm / cores
-	if perWarm == 0 {
-		perWarm = 1
-	}
+	// A total that cannot be split leaves Requests 0, which the service
+	// runners reject by name.
+	per, _ := splitOps(o.Ops, cores)
 	return service.Config{
 		Bank: service.BankConfig{
-			Keys:        keys,
+			Keys:        max(o.HashSlots/4, 16),
 			Slots:       o.HashSlots,
 			ZipfS:       zipfS,
 			ReadPct:     50,
@@ -122,7 +101,7 @@ func ServiceConfig(o Options, cores int, meanGap uint64, zipfS float64, adm serv
 			ScanLen:     8,
 		},
 		Requests:  per,
-		Warmup:    perWarm,
+		Warmup:    o.warmupPerThread(cores),
 		MeanGap:   meanGap,
 		Seed:      o.Seed,
 		Admission: adm,
@@ -130,10 +109,35 @@ func ServiceConfig(o Options, cores int, meanGap uint64, zipfS float64, adm serv
 	}
 }
 
-// serviceRecord folds merged cell metrics into the JSON block. scale is
-// the rate denominator: wall cycles (reported per Mcycle) on sim, host
-// seconds on native.
-func serviceRecord(cm *service.CellMetrics, rate func(count uint64) float64) *ServiceRecord {
+// serviceSubject is what both service runners share: the populated bank,
+// the per-thread observations and the committed-op log every cell replays.
+type serviceSubject struct {
+	bank    *service.Bank
+	perCore []service.CellMetrics
+	log     *workloads.OpLog
+}
+
+func newServiceSubject(m *mem.Memory, threads int, sc service.Config) (serviceSubject, error) {
+	if sc.Requests < 1 {
+		return serviceSubject{}, fmt.Errorf("service config has no requests per thread: ops cannot be split over %d threads", threads)
+	}
+	s := serviceSubject{
+		bank:    service.NewBank(m, sc.Bank),
+		perCore: make([]service.CellMetrics, threads),
+		log:     workloads.NewOpLog(),
+	}
+	s.bank.Populate(m, workloads.NewRand(sc.Seed))
+	return s, nil
+}
+
+// record folds the per-thread observations into the JSON block. rate turns
+// a count into the backend's rate unit: per million wall cycles on the
+// simulator, per host second on native.
+func (s serviceSubject) record(rate func(count uint64) float64) *ServiceRecord {
+	cm := &service.CellMetrics{}
+	for i := range s.perCore {
+		cm.Merge(&s.perCore[i])
+	}
 	return &ServiceRecord{
 		OfferedRate:      rate(cm.Offered),
 		Goodput:          rate(cm.Committed),
@@ -152,6 +156,20 @@ func serviceRecord(cm *service.CellMetrics, rate func(count uint64) float64) *Se
 	}
 }
 
+// oracle is the service cells' check: the committed-op log applied serially
+// in stamp order to a freshly populated bank must reproduce the run's exact
+// final state (TL2 write versions are valid stamps, so this holds on the
+// native backend too).
+func (s serviceSubject) oracle(m *mem.Memory, sc service.Config) error {
+	_, err := workloads.VerifyOracle(s.bank, m, func(m2 *mem.Memory) workloads.DataStructure {
+		return service.NewBank(m2, sc.Bank)
+	}, sc.Seed, s.log)
+	if err != nil {
+		return fmt.Errorf("oracle: %w", err)
+	}
+	return nil
+}
+
 // RunOneService runs one simulator service cell under the default STM
 // scheme. See RunOneServiceScheme.
 func RunOneService(cores int, sc service.Config, o Options) (RunMetrics, error) {
@@ -165,182 +183,56 @@ func RunOneService(cores int, sc service.Config, o Options) (RunMetrics, error) 
 // is replayed through the sequential oracle before the metrics are
 // returned.
 func RunOneServiceScheme(scheme string, cores int, sc service.Config, o Options) (RunMetrics, error) {
-	if cores < 1 {
-		return RunMetrics{}, fmt.Errorf("cores must be >= 1, got %d", cores)
+	c, err := newSimCell(simSpec{scheme: scheme, threads: cores, o: o.armed()})
+	if err != nil {
+		return RunMetrics{}, err
 	}
-	machine := machineFor(cores, o)
-	var tb *sim.TraceBuffer
-	if o.TraceMax > 0 {
-		tb = sim.NewTraceBuffer(o.TraceMax * 16)
-		machine.SetTrace(tb)
+	s, err := newServiceSubject(c.m.Mem, cores, sc)
+	if err != nil {
+		return RunMetrics{}, err
 	}
-	var xb *telemetry.TraceBuffer
-	if o.TxnTraceMax > 0 {
-		xb = telemetry.NewTraceBuffer(o.TxnTraceMax)
-		machine.SetTxnTrace(xb)
-	}
-	oArmed := o
-	if oArmed.RetryBudget == 0 {
-		oArmed.RetryBudget = IrrevocableDefaultBudget
-	}
-	sys := buildScheme(scheme, machine, cores, oArmed)
-	bank := service.NewBank(machine.Mem, sc.Bank)
-	bank.Populate(machine.Mem, workloads.NewRand(sc.Seed))
-
-	arrived := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	goFlag := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	starts := make([]uint64, cores)
-	ends := make([]uint64, cores)
-	perCore := make([]service.CellMetrics, cores)
-	log := workloads.NewOpLog()
-
-	progs := make([]sim.Program, cores)
-	for i := range progs {
-		id := i
-		progs[i] = func(c *sim.Ctx) {
-			th := sys.Thread(c)
-			if err := service.RunWarmup(th, bank, sc); err != nil {
-				panic(fmt.Sprintf("harness service warmup: %v", err))
-			}
-			barrier(c, arrived, goFlag, cores, resetMeasurement)
-
-			starts[id] = c.Clock()
-			if err := service.RunCoreSim(c, th, bank, sc, &perCore[id], log); err != nil {
-				panic(fmt.Sprintf("harness service: %v", err))
-			}
-			ends[id] = c.Clock()
+	metrics, res := c.run(warmBarrier,
+		func(_ *sim.Ctx, th tm.Thread, _ int) error { return service.RunWarmup(th, s.bank, sc) },
+		func(ctx *sim.Ctx, th tm.Thread, id int) error {
+			return service.RunCoreSim(ctx, th, s.bank, sc, &s.perCore[id], s.log)
+		})
+	metrics.Service = s.record(func(n uint64) float64 {
+		if metrics.WallCycles == 0 {
+			return 0
 		}
-	}
-	machine.Run(progs...)
-
-	var wall uint64
-	for i := range starts {
-		if d := ends[i] - starts[i]; d > wall {
-			wall = d
-		}
-	}
-	merged := &service.CellMetrics{}
-	for i := range perCore {
-		merged.Merge(&perCore[i])
-	}
-	metrics := RunMetrics{
-		WallCycles: wall,
-		Stats:      machine.Stats,
-		CacheStats: machine.Caches,
-		Telem:      machine.Telem,
-		Trace:      tb,
-		TxnTrace:   xb,
-		Sched:      machine.Sched(),
-		Service: serviceRecord(merged, func(n uint64) float64 {
-			if wall == 0 {
-				return 0
-			}
-			return float64(n) * 1e6 / float64(wall)
-		}),
-	}
-	if err := machine.CheckHealth(); err != nil {
-		return metrics, err
-	}
-	// Every service cell must replay clean through the sequential oracle:
-	// the committed-op log applied serially in stamp order to a freshly
-	// populated bank must reproduce the run's exact final state.
-	bcfg := sc.Bank
-	if _, err := workloads.VerifyOracle(bank, machine.Mem, func(m2 *mem.Memory) workloads.DataStructure {
-		return service.NewBank(m2, bcfg)
-	}, sc.Seed, log); err != nil {
-		return metrics, fmt.Errorf("service oracle: %w", err)
+		return float64(n) * 1e6 / float64(metrics.WallCycles)
+	})
+	if err := res.verdict(func() error { return s.oracle(c.m.Mem, sc) }); err != nil {
+		return metrics, fmt.Errorf("service: %w", err)
 	}
 	return metrics, nil
 }
 
 // RunOneServiceNative runs one native-backend service cell: the same
-// bank and admission control, arrivals paced on the host clock, latency
-// in host nanoseconds. The op log is oracle-replayed — TL2 write versions
-// are valid serialization stamps — so the native service path gets the
-// same end-to-end correctness check as the simulator.
+// bank, admission control and oracle replay, arrivals paced on the host
+// clock, latency in host nanoseconds.
 func RunOneServiceNative(threads int, sc service.Config, o Options) (RunMetrics, error) {
-	if threads < 1 {
-		return RunMetrics{}, fmt.Errorf("threads must be >= 1, got %d", threads)
+	c, err := newNativeCell(nativeSpec{threads: threads, o: o.armed()})
+	if err != nil {
+		return RunMetrics{}, err
 	}
-	m := mem.New()
-	bank := service.NewBank(m, sc.Bank)
-	bank.Populate(m, workloads.NewRand(sc.Seed))
-	rb := o.RetryBudget
-	if rb == 0 {
-		rb = IrrevocableDefaultBudget
+	s, err := newServiceSubject(c.mem, threads, sc)
+	if err != nil {
+		return RunMetrics{}, err
 	}
-	sys := native.New(m, native.Config{
-		TM:      tm.Config{Progress: tm.Progress{RetryBudget: rb}},
-		Threads: threads,
-		Chaos:   o.Chaos,
-	})
-	// Pre-create the handles so the watchdog's handle-table scan never
-	// races with lazy creation inside the workers.
-	for g := 0; g < threads; g++ {
-		sys.Thread(g)
-	}
-	sys.StartWatchdog()
-
-	var ready, wg sync.WaitGroup
-	goCh := make(chan struct{})
-	errs := make([]error, threads)
-	perCore := make([]service.CellMetrics, threads)
-	log := workloads.NewOpLog()
-	ready.Add(threads)
-	wg.Add(threads)
-	for g := 0; g < threads; g++ {
-		go func(id int) {
-			defer wg.Done()
-			th := sys.Thread(id)
-			err := service.RunWarmup(th, bank, sc)
-			ready.Done() // always check in, or the coordinator deadlocks
-			if err != nil {
-				errs[id] = fmt.Errorf("warmup: %w", err)
-				return
-			}
-			<-goCh
-			errs[id] = service.RunCoreNative(th, bank, sc, &perCore[id], log)
-		}(g)
-	}
-	ready.Wait()
-	sys.Stats().Reset()
-	sys.Telemetry().Reset()
-	start := time.Now()
-	close(goCh)
-	wg.Wait()
-	hostNS := time.Since(start).Nanoseconds()
-	sys.StopWatchdog()
-
-	merged := &service.CellMetrics{}
-	for i := range perCore {
-		merged.Merge(&perCore[i])
-	}
-	metrics := RunMetrics{
-		Stats:   sys.Stats(),
-		Telem:   sys.Telemetry(),
-		HostNS:  hostNS,
-		Backend: sys.Name(),
-		Chaos:   chaosRecord(sys.ChaosReport(), sys.CheckHealth()),
-		Service: serviceRecord(merged, func(n uint64) float64 {
-			if hostNS <= 0 {
-				return 0
-			}
-			return float64(n) / (float64(hostNS) / 1e9)
-		}),
-	}
-	if err := sys.CheckHealth(); err != nil {
-		return metrics, fmt.Errorf("native service: %w", err)
-	}
-	for id, err := range errs {
-		if err != nil {
-			return metrics, fmt.Errorf("native service thread %d: %w", id, err)
+	metrics, res := c.run(
+		func(th tm.Thread, _ int) error { return service.RunWarmup(th, s.bank, sc) },
+		func(th tm.Thread, id int) error {
+			return service.RunCoreNative(th, s.bank, sc, &s.perCore[id], s.log)
+		})
+	metrics.Service = s.record(func(n uint64) float64 {
+		if metrics.HostNS <= 0 {
+			return 0
 		}
-	}
-	bcfg := sc.Bank
-	if _, err := workloads.VerifyOracle(bank, m, func(m2 *mem.Memory) workloads.DataStructure {
-		return service.NewBank(m2, bcfg)
-	}, sc.Seed, log); err != nil {
-		return metrics, fmt.Errorf("native service oracle: %w", err)
+		return float64(n) / (float64(metrics.HostNS) / 1e9)
+	})
+	if err := res.verdict(func() error { return s.oracle(c.mem, sc) }); err != nil {
+		return metrics, fmt.Errorf("native service: %w", err)
 	}
 	return metrics, nil
 }
@@ -406,54 +298,43 @@ func serviceTables(name, colHeader, latUnit, rateUnit string, cols []string, cel
 	return []Table{lat, thr}
 }
 
+// serviceSweep declares one cell of p per value of a sweep axis and returns
+// the column labels with the cells.
+func serviceSweep[T any](p *Plan, axis, prefix string, vals []T, run func(T) (RunMetrics, error)) ([]string, []*Cell) {
+	var cols []string
+	var cells []*Cell
+	for _, v := range vals {
+		col := fmt.Sprint(v)
+		cols = append(cols, col)
+		cells = append(cells, p.cell(fmt.Sprintf("%s/%s/%s%s", p.ID, axis, prefix, col), func() RunMetrics {
+			return must(run(v))
+		}))
+	}
+	return cols, cells
+}
+
+// serviceLoadSkew is the fixed moderate key skew of the load sweep.
+const serviceLoadSkew = 0.9
+
 // ServicePlan builds the simulator service figure: a latency-vs-load
-// sweep (fixed moderate skew) and a skew sweep (fixed moderate load),
-// both on ServiceCores cores with default admission control. All cell
-// values derive from deterministic simulated state, so the figure is
-// byte-identical across worker counts and schedulers.
+// sweep (fixed moderate skew), a skew sweep (fixed moderate load) and the
+// scheme comparison, all on ServiceCores cores with default admission
+// control. All cell values derive from deterministic simulated state, so
+// the figure is byte-identical across worker counts and schedulers.
 func ServicePlan(o Options) *Plan {
 	p := newPlan("service")
-	adm := DefaultAdmission()
-	const loadSkew = 0.9
-
-	var loadCells []*Cell
-	loadCols := make([]string, len(ServiceLoadGaps))
-	for i, gap := range ServiceLoadGaps {
-		gap := gap
-		loadCols[i] = strconv.FormatUint(gap, 10)
-		loadCells = append(loadCells, p.cell(fmt.Sprintf("service/load/gap%d", gap), func() RunMetrics {
-			m, err := RunOneService(ServiceCores, ServiceConfig(o, ServiceCores, gap, loadSkew, adm), o)
-			if err != nil {
-				panic(fmt.Sprintf("harness: %v", err))
-			}
-			return m
-		}))
+	cell := func(scheme string, gap uint64, skew float64) (RunMetrics, error) {
+		return RunOneServiceScheme(scheme, ServiceCores, ServiceConfig(o, ServiceCores, gap, skew, DefaultAdmission()), o)
 	}
-	var skewCells []*Cell
-	skewCols := make([]string, len(ServiceSkewS))
-	for i, s := range ServiceSkewS {
-		s := s
-		skewCols[i] = strconv.FormatFloat(s, 'g', -1, 64)
-		skewCells = append(skewCells, p.cell(fmt.Sprintf("service/skew/s%g", s), func() RunMetrics {
-			m, err := RunOneService(ServiceCores, ServiceConfig(o, ServiceCores, ServiceSkewGap, s, adm), o)
-			if err != nil {
-				panic(fmt.Sprintf("harness: %v", err))
-			}
-			return m
-		}))
-	}
-	var schemeCells []*Cell
-	schemeCols := ServiceSchemes()
-	for _, scheme := range ServiceSchemes() {
-		scheme := scheme
-		schemeCells = append(schemeCells, p.cell(fmt.Sprintf("service/scheme/%s", scheme), func() RunMetrics {
-			m, err := RunOneServiceScheme(scheme, ServiceCores, ServiceConfig(o, ServiceCores, ServiceSkewGap, loadSkew, adm), o)
-			if err != nil {
-				panic(fmt.Sprintf("harness: %v", err))
-			}
-			return m
-		}))
-	}
+	loadCols, loadCells := serviceSweep(p, "load", "gap", ServiceLoadGaps, func(gap uint64) (RunMetrics, error) {
+		return cell(SchemeSTM, gap, serviceLoadSkew)
+	})
+	skewCols, skewCells := serviceSweep(p, "skew", "s", ServiceSkewS, func(s float64) (RunMetrics, error) {
+		return cell(SchemeSTM, ServiceSkewGap, s)
+	})
+	schemeCols, schemeCells := serviceSweep(p, "scheme", "", ServiceSchemes(), func(scheme string) (RunMetrics, error) {
+		return cell(scheme, ServiceSkewGap, serviceLoadSkew)
+	})
 	p.Assemble = func() *Report {
 		tables := serviceTables("load", "mean gap (cycles)", "cycles", "req/Mcycle", loadCols, loadCells)
 		tables = append(tables, serviceTables("skew", "zipf s", "cycles", "req/Mcycle", skewCols, skewCells)...)
@@ -473,35 +354,15 @@ func ServicePlan(o Options) *Plan {
 // every native number.
 func ServiceNativePlan(o Options) *Plan {
 	p := newPlan("service-native")
-	adm := DefaultAdmission()
-	const loadSkew = 0.9
-
-	var loadCells []*Cell
-	loadCols := make([]string, len(ServiceLoadGaps))
-	for i, gap := range ServiceLoadGaps {
-		gap := gap
-		loadCols[i] = strconv.FormatUint(gap, 10)
-		loadCells = append(loadCells, p.cell(fmt.Sprintf("service-native/load/gap%d", gap), func() RunMetrics {
-			m, err := RunOneServiceNative(ServiceCores, ServiceConfig(o, ServiceCores, gap, loadSkew, adm), o)
-			if err != nil {
-				panic(fmt.Sprintf("harness: %v", err))
-			}
-			return m
-		}))
+	cell := func(gap uint64, skew float64) (RunMetrics, error) {
+		return RunOneServiceNative(ServiceCores, ServiceConfig(o, ServiceCores, gap, skew, DefaultAdmission()), o)
 	}
-	var skewCells []*Cell
-	skewCols := make([]string, len(ServiceSkewS))
-	for i, s := range ServiceSkewS {
-		s := s
-		skewCols[i] = strconv.FormatFloat(s, 'g', -1, 64)
-		skewCells = append(skewCells, p.cell(fmt.Sprintf("service-native/skew/s%g", s), func() RunMetrics {
-			m, err := RunOneServiceNative(ServiceCores, ServiceConfig(o, ServiceCores, ServiceSkewGap, s, adm), o)
-			if err != nil {
-				panic(fmt.Sprintf("harness: %v", err))
-			}
-			return m
-		}))
-	}
+	loadCols, loadCells := serviceSweep(p, "load", "gap", ServiceLoadGaps, func(gap uint64) (RunMetrics, error) {
+		return cell(gap, serviceLoadSkew)
+	})
+	skewCols, skewCells := serviceSweep(p, "skew", "s", ServiceSkewS, func(s float64) (RunMetrics, error) {
+		return cell(ServiceSkewGap, s)
+	})
 	p.Assemble = func() *Report {
 		tables := serviceTables("load", "mean gap (ns)", "ns", "req/s", loadCols, loadCells)
 		tables = append(tables, serviceTables("skew", "zipf s", "ns", "req/s", skewCols, skewCells)...)

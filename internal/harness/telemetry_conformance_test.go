@@ -61,7 +61,7 @@ func (e errTest) Error() string { return string(e) }
 // footprint, and the set-size high-water marks observe retry attempts —
 // historically both silently skipped the retry case.
 func TestRetryEventsCarryFootprint(t *testing.T) {
-	machine := machineFor(2, QuickOptions())
+	machine := machineFor(2, QuickOptions(), nil)
 	xb := telemetry.NewTraceBuffer(0)
 	machine.SetTxnTrace(xb)
 	sys := buildScheme(SchemeSTM, machine, 2, QuickOptions())
@@ -126,7 +126,7 @@ func TestRetryEventsCarryFootprint(t *testing.T) {
 // trace: the begin pairs with an EvError terminal (not an abort — the
 // abort counters and traced abort events stay in 1:1 correspondence).
 func TestBodyErrorEmitsTerminalEvent(t *testing.T) {
-	machine := machineFor(1, QuickOptions())
+	machine := machineFor(1, QuickOptions(), nil)
 	xb := telemetry.NewTraceBuffer(0)
 	machine.SetTxnTrace(xb)
 	sys := buildScheme(SchemeSTM, machine, 1, QuickOptions())
