@@ -23,23 +23,6 @@
 // geomean margin absorbs the rest. Regenerate the baseline with -write
 // after an intentional performance change and commit the result.
 //
-// With -native, benchgate instead gates the native-TL2 backend's
-// service throughput: the input is a `hastm-bench -service -backend
-// native -json` document, and the gated metric is each cell's
-// txns_per_sec. Host throughput on shared CI runners is far noisier
-// than a microbenchmark, so the tolerance is wide (default 30%) and
-// only slowdowns fail — the geometric mean of current/baseline across
-// all baseline cells must stay above 1 - tolerance:
-//
-//	go run ./cmd/hastm-bench -quick -service -backend native -json > svc.json
-//	benchgate -native svc.json           # compare against BENCH_native_baseline.json
-//	benchgate -native -write svc.json    # regenerate the native baseline
-//
-// Regenerate the native baseline the same way as the microbenchmark
-// one: rerun the command above on the reference machine after an
-// intentional performance change and commit the rewritten
-// BENCH_native_baseline.json.
-//
 // -scale from:to:max adds a host-independent RELATIVE gate within one
 // bench run: the median ns/op of benchmark `to` must stay within
 // `max`× the median ns/op of benchmark `from`. Both names match by
@@ -87,33 +70,24 @@ type Baseline struct {
 	Benchmarks map[string]BaselineEntry `json:"benchmarks"`
 }
 
-const (
-	baselineSchema       = "benchgate/1"
-	nativeBaselineSchema = "benchgate/native/1"
-)
+const baselineSchema = "benchgate/1"
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "", "baseline file to compare against (or write); defaults to BENCH_baseline.json, or BENCH_native_baseline.json with -native")
+		baselinePath = flag.String("baseline", "", "baseline file to compare against (or write); defaults to BENCH_baseline.json")
 		write        = flag.Bool("write", false, "regenerate the baseline from the bench output instead of comparing")
 		maxRatio     = flag.Float64("max-ratio", 1.15, "maximum allowed geomean ns/op ratio (current/baseline)")
-		nativeMode   = flag.Bool("native", false, "gate native-backend service txns_per_sec from hastm-bench JSON instead of bench text")
-		tolerance    = flag.Float64("tolerance", 0.30, "-native: allowed geomean throughput drop (0.30 = 30% slower fails)")
 		scales       scaleFlags
 	)
 	flag.Var(&scales, "scale", "relative gate `from:to:max` within this run: ns/op of `to` must be <= max * ns/op of `from` (repeatable; suffix-matches benchmark names; skips the baseline compare unless -baseline is set explicitly)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate [-write] [-baseline file] [-max-ratio r] [-scale from:to:max]... bench.txt|-\n       benchgate -native [-write] [-baseline file] [-tolerance t] svc.json|-")
+		fmt.Fprintln(os.Stderr, "usage: benchgate [-write] [-baseline file] [-max-ratio r] [-scale from:to:max]... bench.txt|-")
 		os.Exit(2)
 	}
-	scaleOnly := len(scales) > 0 && *baselinePath == "" && !*write && !*nativeMode
+	scaleOnly := len(scales) > 0 && *baselinePath == "" && !*write
 	if *baselinePath == "" {
-		if *nativeMode {
-			*baselinePath = "BENCH_native_baseline.json"
-		} else {
-			*baselinePath = "BENCH_baseline.json"
-		}
+		*baselinePath = "BENCH_baseline.json"
 	}
 
 	var in io.Reader = os.Stdin
@@ -124,11 +98,6 @@ func main() {
 		}
 		defer f.Close()
 		in = f
-	}
-
-	if *nativeMode {
-		runNativeGate(in, *baselinePath, *write, *tolerance)
-		return
 	}
 
 	current, err := parseBench(in)

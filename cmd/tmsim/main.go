@@ -17,7 +17,7 @@ import (
 	"strings"
 
 	"hastm.dev/hastm/internal/harness"
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "wall cycles: %d   (%.1f cycles/op)\n",
 		m.WallCycles, float64(m.WallCycles)/float64(*ops))
 	fmt.Fprintf(stdout, "commits: %d  aborts: %d  retries waited: %d\n",
-		m.Stats.Commits(), m.Stats.TotalAborts(), sumRetries(m.Stats))
+		m.Stats.Commits(), m.Stats.TotalAborts(), m.Stats.Count(telemetry.Retries))
 
 	fmt.Fprintln(stdout, "\ncycle breakdown:")
 	for _, s := range m.Stats.Breakdown() {
@@ -67,35 +67,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintln(stdout, "\nabort causes:")
-	for _, c := range stats.AbortCauses() {
+	for _, c := range telemetry.AbortCauses() {
 		if n := m.Stats.Aborts(c); n > 0 {
 			fmt.Fprintf(stdout, "  %-20s %d\n", c, n)
 		}
 	}
 
 	fmt.Fprintln(stdout, "\nTM event counters (summed over cores):")
-	var agg stats.Core
-	for i := range m.Stats.Cores {
-		c := &m.Stats.Cores[i]
-		agg.FilteredReads += c.FilteredReads
-		agg.UnfilteredReads += c.UnfilteredReads
-		agg.FastValidations += c.FastValidations
-		agg.FullValidations += c.FullValidations
-		agg.ReadsLogged += c.ReadsLogged
-		agg.ReadLogsSkipped += c.ReadLogsSkipped
-		agg.AggressiveCommits += c.AggressiveCommits
-		agg.CautiousCommits += c.CautiousCommits
-		agg.HTMFallbacks += c.HTMFallbacks
+	// Each label is the counter's registered name, spaces for underscores.
+	for _, c := range []telemetry.Counter{telemetry.FilteredReads, telemetry.UnfilteredReads, telemetry.ReadsLogged,
+		telemetry.ReadLogsSkipped, telemetry.FastValidations, telemetry.FullValidations,
+		telemetry.AggressiveCommits, telemetry.CautiousCommits} {
+		fmt.Fprintf(stdout, "  %-19s %d\n", strings.ReplaceAll(c.String(), "_", " ")+":", m.Stats.Count(c))
 	}
-	fmt.Fprintf(stdout, "  filtered reads:     %d\n", agg.FilteredReads)
-	fmt.Fprintf(stdout, "  unfiltered reads:   %d\n", agg.UnfilteredReads)
-	fmt.Fprintf(stdout, "  reads logged:       %d\n", agg.ReadsLogged)
-	fmt.Fprintf(stdout, "  read logs skipped:  %d\n", agg.ReadLogsSkipped)
-	fmt.Fprintf(stdout, "  fast validations:   %d\n", agg.FastValidations)
-	fmt.Fprintf(stdout, "  full validations:   %d\n", agg.FullValidations)
-	fmt.Fprintf(stdout, "  aggressive commits: %d\n", agg.AggressiveCommits)
-	fmt.Fprintf(stdout, "  cautious commits:   %d\n", agg.CautiousCommits)
-	fmt.Fprintf(stdout, "  hytm sw fallbacks:  %d\n", agg.HTMFallbacks)
+	fmt.Fprintf(stdout, "  hytm sw fallbacks:  %d\n", m.Stats.Count(telemetry.HTMFallbacks))
 
 	if *trace > 0 && m.Trace != nil {
 		fmt.Fprintf(stdout, "\nfirst %d trace events:\n", *trace)
@@ -108,12 +93,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  invalidations: %d  back-invalidations: %d  evictions: %d  marked drops: %d  prefetch fills: %d\n",
 		h.Invalidations, h.BackInvalidations, h.Evictions, h.MarkedDrops, h.PrefetchFills)
 	return 0
-}
-
-func sumRetries(m *stats.Machine) uint64 {
-	var t uint64
-	for i := range m.Cores {
-		t += m.Cores[i].Retries
-	}
-	return t
 }

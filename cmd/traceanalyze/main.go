@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -243,13 +244,7 @@ func analyzeJSONL(path string, top int, strict bool) error {
 		if err := dec.Decode(&ev); err != nil {
 			return fmt.Errorf("%s:%d: malformed event: %v", path, lineNo, err)
 		}
-		switch ev.Kind {
-		case telemetry.EvBegin, telemetry.EvCommit, telemetry.EvAbort,
-			telemetry.EvRetry, telemetry.EvFallback, telemetry.EvMode,
-			telemetry.EvError, telemetry.EvEscalate, telemetry.EvIrrevocable,
-			telemetry.EvShed, telemetry.EvSerialize, telemetry.EvUpgrade,
-			telemetry.EvWriterRestart, telemetry.EvDegrade:
-		default:
+		if !slices.Contains(telemetry.EventKinds, ev.Kind) {
 			return fmt.Errorf("%s:%d: unknown event kind %q", path, lineNo, ev.Kind)
 		}
 		if ev.Retry < 0 {
@@ -307,11 +302,7 @@ func analyzeJSONL(path string, top int, strict bool) error {
 	fmt.Printf("%s: %d events across %d cells\n\n", path, total, len(cells))
 
 	fmt.Println("event kinds:")
-	for _, k := range []string{telemetry.EvBegin, telemetry.EvCommit, telemetry.EvAbort,
-		telemetry.EvRetry, telemetry.EvFallback, telemetry.EvMode, telemetry.EvError,
-		telemetry.EvEscalate, telemetry.EvIrrevocable, telemetry.EvShed,
-		telemetry.EvSerialize, telemetry.EvUpgrade, telemetry.EvWriterRestart,
-		telemetry.EvDegrade} {
+	for _, k := range telemetry.EventKinds {
 		if n := kinds[k]; n > 0 {
 			fmt.Printf("  %-10s %8d\n", k, n)
 		}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"hastm.dev/hastm"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 func main() {
@@ -63,11 +64,11 @@ func main() {
 		}
 	})
 
-	st := &machine.Stats.Cores[0]
+	st := machine.Stats
 	fmt.Printf("\nafter resume: objs[2] = %d (expected %d)\n",
 		machine.Mem.Load(objs[2]), 100+101+1)
 	fmt.Printf("commits: %d, aborts: %d  — the pause did NOT abort the transaction\n",
-		st.Commits, st.TotalAborts())
+		st.Commits(), st.TotalAborts())
 	fmt.Printf("validations: %d full / %d fast — the lost mark bits forced one software validation\n",
-		st.FullValidations, st.FastValidations)
+		st.Count(telemetry.FullValidations), st.Count(telemetry.FastValidations))
 }

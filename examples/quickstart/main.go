@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"hastm.dev/hastm"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 const (
@@ -78,15 +79,9 @@ func main() {
 		total, accounts*initialBalance, okMark(total == accounts*initialBalance))
 	fmt.Printf("commits: %d, aborts: %d\n", machine.Stats.Commits(), machine.Stats.TotalAborts())
 
-	var filtered, fastVal, logSkips uint64
-	for i := range machine.Stats.Cores {
-		s := &machine.Stats.Cores[i]
-		filtered += s.FilteredReads
-		fastVal += s.FastValidations
-		logSkips += s.ReadLogsSkipped
-	}
+	st := machine.Stats
 	fmt.Printf("hardware acceleration: %d filtered read barriers, %d mark-counter validations, %d read-log appends elided\n",
-		filtered, fastVal, logSkips)
+		st.Count(telemetry.FilteredReads), st.Count(telemetry.FastValidations), st.Count(telemetry.ReadLogsSkipped))
 	fmt.Printf("cycle breakdown: %s\n", machine.Stats)
 }
 

@@ -18,7 +18,6 @@ package core
 
 import (
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
@@ -223,7 +222,7 @@ func (a *accel) Begin(t *stm.Thread, attempt int) {
 		a.lastMode = a.aggressive
 		a.lastModeSet = true
 	}
-	prev := ctx.SetCat(stats.Commit)
+	prev := ctx.SetCat(telemetry.Commit)
 	if a.cfg.InterAtomic && !a.aggressive {
 		// Carried-over marks are only sound under aggressive commit
 		// (which re-checks the counter); cautious filtering must not
@@ -246,7 +245,7 @@ func (a *accel) FilterData(t *stm.Thread, addr uint64) (uint64, bool) {
 		return 0, false
 	}
 	ctx := t.Ctx()
-	prev := ctx.SetCat(stats.RdBar)
+	prev := ctx.SetCat(telemetry.RdBar)
 	v, marked := ctx.LoadTestMark(addr, 64)
 	ctx.Exec(1) // jnae complete
 	ctx.SetCat(prev)
@@ -298,7 +297,7 @@ func (a *accel) ShouldLogRead(t *stm.Thread) bool {
 // (Fig 7/9): it marks the data line and performs the data load.
 func (a *accel) MarkData(t *stm.Thread, addr uint64) uint64 {
 	ctx := t.Ctx()
-	prev := ctx.SetCat(stats.RdBar)
+	prev := ctx.SetCat(telemetry.RdBar)
 	v := ctx.LoadSetMark(addr, 64)
 	ctx.SetCat(prev)
 	return v
@@ -348,7 +347,7 @@ func (a *accel) PreValidate(t *stm.Thread, atCommit bool) (skipFull, ok bool) {
 // clears the hardware state between transactions.
 func (a *accel) End(t *stm.Thread, committed bool) {
 	ctx := t.Ctx()
-	prev := ctx.SetCat(stats.Commit)
+	prev := ctx.SetCat(telemetry.Commit)
 	if !a.cfg.InterAtomic {
 		ctx.ResetMarkAll()
 	}
@@ -358,13 +357,12 @@ func (a *accel) End(t *stm.Thread, committed bool) {
 	}
 	ctx.SetCat(prev)
 
-	st := t.Stats()
 	if committed {
 		a.committedOnce = true
 		if a.aggressive {
-			st.AggressiveCommits++
+			ctx.Telem().Inc(telemetry.AggressiveCommits)
 		} else {
-			st.CautiousCommits++
+			ctx.Telem().Inc(telemetry.CautiousCommits)
 		}
 	}
 	// An outcome is aggressive-unfriendly if the attempt aborted or lost

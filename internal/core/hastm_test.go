@@ -6,8 +6,8 @@ import (
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/stm"
+	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
 
@@ -68,12 +68,12 @@ func TestFilteringReducesBarrierWork(t *testing.T) {
 		}
 		return nil
 	})
-	st := &machine.Stats.Cores[0]
-	if st.FilteredReads < 19 {
-		t.Fatalf("FilteredReads = %d, want >= 19", st.FilteredReads)
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.FilteredReads) < 19 {
+		t.Fatalf("FilteredReads = %d, want >= 19", st.Count(telemetry.FilteredReads))
 	}
-	if st.UnfilteredReads != 1 {
-		t.Fatalf("UnfilteredReads = %d, want 1", st.UnfilteredReads)
+	if st.Count(telemetry.UnfilteredReads) != 1 {
+		t.Fatalf("UnfilteredReads = %d, want 1", st.Count(telemetry.UnfilteredReads))
 	}
 }
 
@@ -117,12 +117,12 @@ func TestFastValidationWhenUndisturbed(t *testing.T) {
 		}
 		return nil
 	})
-	st := &machine.Stats.Cores[0]
-	if st.FastValidations != 5 {
-		t.Fatalf("FastValidations = %d, want 5", st.FastValidations)
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.FastValidations) != 5 {
+		t.Fatalf("FastValidations = %d, want 5", st.Count(telemetry.FastValidations))
 	}
-	if st.FullValidations != 0 {
-		t.Fatalf("FullValidations = %d, want 0", st.FullValidations)
+	if st.Count(telemetry.FullValidations) != 0 {
+		t.Fatalf("FullValidations = %d, want 0", st.Count(telemetry.FullValidations))
 	}
 }
 
@@ -135,15 +135,15 @@ func TestSingleThreadGoesAggressive(t *testing.T) {
 		tx.Load(addr + 8)
 		return nil
 	})
-	st := &machine.Stats.Cores[0]
+	st := machine.Stats.Block(0)
 	// First txn commits cautiously, then the controller flips aggressive.
-	if st.CautiousCommits != 1 {
-		t.Fatalf("CautiousCommits = %d, want 1", st.CautiousCommits)
+	if st.Count(telemetry.CautiousCommits) != 1 {
+		t.Fatalf("CautiousCommits = %d, want 1", st.Count(telemetry.CautiousCommits))
 	}
-	if st.AggressiveCommits != 9 {
-		t.Fatalf("AggressiveCommits = %d, want 9", st.AggressiveCommits)
+	if st.Count(telemetry.AggressiveCommits) != 9 {
+		t.Fatalf("AggressiveCommits = %d, want 9", st.Count(telemetry.AggressiveCommits))
 	}
-	if st.ReadLogsSkipped == 0 {
+	if st.Count(telemetry.ReadLogsSkipped) == 0 {
 		t.Fatal("aggressive mode never skipped read logging")
 	}
 }
@@ -157,11 +157,11 @@ func TestCautiousOnlyNeverAggressive(t *testing.T) {
 		tx.Load(addr)
 		return nil
 	})
-	st := &machine.Stats.Cores[0]
-	if st.AggressiveCommits != 0 {
-		t.Fatalf("cautious-only committed aggressively %d times", st.AggressiveCommits)
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.AggressiveCommits) != 0 {
+		t.Fatalf("cautious-only committed aggressively %d times", st.Count(telemetry.AggressiveCommits))
 	}
-	if st.ReadLogsSkipped != 0 {
+	if st.Count(telemetry.ReadLogsSkipped) != 0 {
 		t.Fatal("cautious mode must always log reads")
 	}
 }
@@ -176,12 +176,12 @@ func TestNoReuseNeverFilters(t *testing.T) {
 		}
 		return nil
 	})
-	st := &machine.Stats.Cores[0]
-	if st.FilteredReads != 0 {
-		t.Fatalf("NoReuse filtered %d reads", st.FilteredReads)
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.FilteredReads) != 0 {
+		t.Fatalf("NoReuse filtered %d reads", st.Count(telemetry.FilteredReads))
 	}
 	// It must still get fast validation (marks are set, counter stays 0).
-	if st.FastValidations == 0 {
+	if st.Count(telemetry.FastValidations) == 0 {
 		t.Fatal("NoReuse lost mark-counter validation")
 	}
 }
@@ -211,7 +211,7 @@ func TestAggressiveAbortFallsBackToCautious(t *testing.T) {
 	if got := machine.Mem.Load(ctr); got != 2*per {
 		t.Fatalf("counter = %d, want %d", got, 2*per)
 	}
-	if machine.Stats.Aborts(stats.AbortAggressive) == 0 {
+	if machine.Stats.Aborts(telemetry.AbortAggressive) == 0 {
 		t.Fatal("expected aggressive-mode aborts under contention")
 	}
 }
@@ -237,7 +237,7 @@ func TestWatermarkStaysCautiousUnderContention(t *testing.T) {
 	// The watermark controller must hold aggressive mode back when most
 	// transactions see interference, keeping aggressive aborts rare
 	// compared with the naive policy.
-	if ag := st.Aborts(stats.AbortAggressive); ag > st.Commits()/4 {
+	if ag := st.Aborts(telemetry.AbortAggressive); ag > st.Commits()/4 {
 		t.Fatalf("watermark controller allowed %d aggressive aborts for %d commits", ag, st.Commits())
 	}
 }
@@ -318,12 +318,12 @@ func TestGCPauseForcesFullValidation(t *testing.T) {
 			t.Errorf("Atomic: %v", err)
 		}
 	})
-	st := &machine.Stats.Cores[0]
-	if st.FullValidations == 0 {
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.FullValidations) == 0 {
 		t.Fatal("commit after a GC pause must fall back to full validation")
 	}
-	if st.Commits != 1 || st.TotalAborts() != 0 {
-		t.Fatalf("GC pause must not abort: commits=%d aborts=%d", st.Commits, st.TotalAborts())
+	if st.Count(telemetry.Commits) != 1 || st.TotalAborts() != 0 {
+		t.Fatalf("GC pause must not abort: commits=%d aborts=%d", st.Count(telemetry.Commits), st.TotalAborts())
 	}
 }
 
@@ -355,8 +355,8 @@ func TestAggressiveCommitFailsAfterInterruption(t *testing.T) {
 	if got := machine.Mem.Load(addr); got != 30 {
 		t.Fatalf("counter = %d, want 30", got)
 	}
-	st := &machine.Stats.Cores[0]
-	if st.Aborts[stats.AbortAggressive] == 0 && st.FullValidations == 0 {
+	st := machine.Stats.Block(0)
+	if st.Aborts(telemetry.AbortAggressive) == 0 && st.Count(telemetry.FullValidations) == 0 {
 		t.Fatal("interrupts never forced a software fallback — the model is not exercising virtualization")
 	}
 }
@@ -388,11 +388,11 @@ func TestHASTMOnDefaultISA(t *testing.T) {
 	if got := machine.Mem.Load(ctr); got != 2*per {
 		t.Fatalf("counter = %d, want %d", got, 2*per)
 	}
-	st := &machine.Stats.Cores[0]
-	if st.FilteredReads != 0 {
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.FilteredReads) != 0 {
 		t.Fatal("default ISA must never report a marked line")
 	}
-	if st.FastValidations != 0 {
+	if st.Count(telemetry.FastValidations) != 0 {
 		t.Fatal("default ISA must never skip validation (loadsetmark bumps the counter)")
 	}
 }
@@ -416,8 +416,8 @@ func TestInterAtomicReuseFiltersAcrossBlocks(t *testing.T) {
 			}
 		}
 	})
-	st := &machine.Stats.Cores[0]
-	if st.FilteredReads == 0 {
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.FilteredReads) == 0 {
 		t.Fatal("inter-atomic reuse never filtered across blocks")
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
 
@@ -13,7 +13,7 @@ import (
 // precisely inside a transaction phase (e.g. the commit-time validation
 // loop or the retry wait), not just between operations of the body.
 type phaseSuspender struct {
-	target stats.Category
+	target telemetry.Category
 	skip   int // category grants to let pass before each injection
 	every  int // inject on every Nth matching grant after skip
 	limit  int
@@ -39,7 +39,7 @@ func (s *phaseSuspender) OnGrant(c *sim.Ctx) {
 // record reads. §5 requires re-validation to succeed — no abort.
 func TestSuspensionDuringCommitValidation(t *testing.T) {
 	machine := testMachine(1)
-	hook := &phaseSuspender{target: stats.Validate, skip: 2, every: 5, limit: 3}
+	hook := &phaseSuspender{target: telemetry.Validate, skip: 2, every: 5, limit: 3}
 	machine.SetFaultHook(hook)
 	sys := NewCautious(machine, singleThreadCfg(tm.LineGranularity))
 
@@ -65,12 +65,12 @@ func TestSuspensionDuringCommitValidation(t *testing.T) {
 	if hook.fired == 0 {
 		t.Fatal("no suspensions landed inside the validation phase")
 	}
-	st := &machine.Stats.Cores[0]
-	if st.Commits != 1 || st.TotalAborts() != 0 {
-		t.Errorf("commits=%d aborts=%d (causes %v); suspension during validation must re-validate, not abort",
-			st.Commits, st.TotalAborts(), st.Aborts)
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.Commits) != 1 || st.TotalAborts() != 0 {
+		t.Errorf("commits=%d aborts=%d (%s); suspension during validation must re-validate, not abort",
+			st.Count(telemetry.Commits), st.TotalAborts(), st.Report().Stats)
 	}
-	if st.FullValidations == 0 {
+	if st.Count(telemetry.FullValidations) == 0 {
 		t.Error("full validation never ran; the test did not exercise the target phase")
 	}
 	if machine.Mem.Load(addr) != 1 {
@@ -79,11 +79,11 @@ func TestSuspensionDuringCommitValidation(t *testing.T) {
 }
 
 // Suspension while a transaction is parked in waitForChange (the retry
-// wait-set poll loop, attributed to stats.Validate): the waiter must
+// wait-set poll loop, attributed to telemetry.Validate): the waiter must
 // still observe the producer's store and complete.
 func TestSuspensionDuringRetryWait(t *testing.T) {
 	machine := testMachine(2)
-	hook := &phaseSuspender{target: stats.Validate, skip: 4, every: 8, limit: 10}
+	hook := &phaseSuspender{target: telemetry.Validate, skip: 4, every: 8, limit: 10}
 	machine.SetFaultHook(hook)
 	sys := New(machine, DefaultConfig(tm.LineGranularity))
 
@@ -116,7 +116,7 @@ func TestSuspensionDuringRetryWait(t *testing.T) {
 	if machine.Mem.Load(ack) != 1 {
 		t.Error("consumer never completed: wakeup lost to suspension during waitForChange")
 	}
-	if machine.Stats.Cores[0].Retries == 0 {
+	if machine.Stats.Block(0).Count(telemetry.Retries) == 0 {
 		t.Error("consumer never waited; the test did not exercise the target phase")
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
 
@@ -42,13 +42,13 @@ func TestTransactionLargerThanL1Commits(t *testing.T) {
 			}
 		}
 	})
-	st := &machine.Stats.Cores[0]
-	if st.Commits != 3 {
-		t.Fatalf("commits = %d, want 3", st.Commits)
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.Commits) != 3 {
+		t.Fatalf("commits = %d, want 3", st.Count(telemetry.Commits))
 	}
 	// The overflowing footprint must have forced software validation at
 	// least once (marks evicted -> counter non-zero).
-	if st.FullValidations == 0 && st.Aborts[stats.AbortAggressive] == 0 {
+	if st.Count(telemetry.FullValidations) == 0 && st.Aborts(telemetry.AbortAggressive) == 0 {
 		t.Fatal("an L1-overflowing transaction should have lost marks")
 	}
 }
@@ -78,14 +78,14 @@ func TestLongTransactionSpansSchedulingQuanta(t *testing.T) {
 			t.Errorf("long transaction: %v", err)
 		}
 	})
-	st := &machine.Stats.Cores[0]
-	if st.Commits != 1 {
-		t.Fatalf("commits = %d, want 1", st.Commits)
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.Commits) != 1 {
+		t.Fatalf("commits = %d, want 1", st.Count(telemetry.Commits))
 	}
-	if st.Aborts[stats.AbortValidation] != 0 || st.Aborts[stats.AbortLockConflict] != 0 {
+	if st.Aborts(telemetry.AbortValidation) != 0 || st.Aborts(telemetry.AbortLockConflict) != 0 {
 		t.Fatal("interrupts caused conflict aborts on an uncontended transaction")
 	}
-	if st.FullValidations == 0 {
+	if st.Count(telemetry.FullValidations) == 0 {
 		t.Fatal("interrupts should have forced software validation")
 	}
 }
@@ -105,10 +105,10 @@ func TestResumedTransactionStillFilters(t *testing.T) {
 			tx.Load(addr) // marks
 			tx.Load(addr) // filtered
 			c.RingTransition()
-			before := machine.Stats.Cores[0].FilteredReads
+			before := machine.Stats.Block(0).Count(telemetry.FilteredReads)
 			tx.Load(addr) // slow path again (marks gone) — re-marks
 			tx.Load(addr) // filtered again
-			after := machine.Stats.Cores[0].FilteredReads
+			after := machine.Stats.Block(0).Count(telemetry.FilteredReads)
 			if after != before+1 {
 				t.Errorf("post-resume filtering: filtered %d -> %d, want +1", before, after)
 			}
@@ -193,8 +193,8 @@ func TestTwoLevelFilterCorrectAndHelpful(t *testing.T) {
 				t.Errorf("Atomic: %v", err)
 			}
 		})
-		st := &machine.Stats.Cores[0]
-		return st.Cycles[stats.RdBar], st.FilteredReads
+		st := machine.Stats.Block(0)
+		return st.Cycles(telemetry.RdBar), st.Count(telemetry.FilteredReads)
 	}
 	plainBar, plainFiltered := run(false)
 	twoBar, twoFiltered := run(true)

@@ -7,6 +7,7 @@ import (
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/stm"
+	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
 
@@ -32,12 +33,12 @@ func TestWriteFilterSkipsRedundantWork(t *testing.T) {
 			t.Errorf("Atomic: %v", err)
 		}
 	})
-	st := &machine.Stats.Cores[0]
-	if st.FilteredWrites < 9 {
-		t.Errorf("FilteredWrites = %d, want >= 9 (record re-acquisition elided)", st.FilteredWrites)
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.FilteredWrites) < 9 {
+		t.Errorf("FilteredWrites = %d, want >= 9 (record re-acquisition elided)", st.Count(telemetry.FilteredWrites))
 	}
-	if st.UndoLogsSkipped < 9 {
-		t.Errorf("UndoLogsSkipped = %d, want >= 9 (duplicate old-value logging elided)", st.UndoLogsSkipped)
+	if st.Count(telemetry.UndoLogsSkipped) < 9 {
+		t.Errorf("UndoLogsSkipped = %d, want >= 9 (duplicate old-value logging elided)", st.Count(telemetry.UndoLogsSkipped))
 	}
 	if machine.Mem.Load(addr) != 9 {
 		t.Fatalf("final value = %d", machine.Mem.Load(addr))
@@ -193,7 +194,7 @@ func TestWriteFilterOnDefaultISAStillCorrect(t *testing.T) {
 	if machine.Mem.Load(addr) != 10 {
 		t.Fatalf("counter = %d, want 10", machine.Mem.Load(addr))
 	}
-	if machine.Stats.Cores[0].FilteredWrites != 0 {
+	if machine.Stats.Block(0).Count(telemetry.FilteredWrites) != 0 {
 		t.Fatal("default ISA must never filter")
 	}
 }

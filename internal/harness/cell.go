@@ -248,7 +248,6 @@ func (c *simCell) run(end warmEnd, warm, measure simThreadFunc) (RunMetrics, out
 		WallCycles: wall,
 		Stats:      m.Stats,
 		CacheStats: m.Caches,
-		Telem:      m.Telem,
 		Trace:      m.Trace(),
 		TxnTrace:   m.TxnTrace(),
 		Sched:      m.Sched(),
@@ -290,12 +289,11 @@ func barrier(c *sim.Ctx, arrived, goFlag uint64, cores int, release func(*sim.Ma
 	c.Store(goFlag, 1)
 }
 
-// resetMeasurement excludes the warmup from the counter stores and the
+// resetMeasurement excludes the warmup from the metrics store and the
 // transaction trace so reports describe steady state only — and so the
 // trace's abort events tally exactly with the abort counters.
 func resetMeasurement(m *sim.Machine) {
 	m.Stats.Reset()
-	m.Telem.Reset()
 	if tb := m.TxnTrace(); tb != nil {
 		tb.Reset()
 	}
@@ -401,7 +399,6 @@ func (c *nativeCell) run(warm, measure nativeThreadFunc) (RunMetrics, outcome) {
 	}
 	gate.ready.Wait()
 	sys.Stats().Reset()
-	sys.Telemetry().Reset()
 	start := time.Now()
 	gate.start.Done()
 	gate.done.Wait()
@@ -417,7 +414,6 @@ func (c *nativeCell) run(warm, measure nativeThreadFunc) (RunMetrics, outcome) {
 	}
 	return RunMetrics{
 		Stats:   sys.Stats(),
-		Telem:   sys.Telemetry(),
 		HostNS:  hostNS,
 		Backend: sys.Name(),
 		Chaos:   chaosRecord(sys.ChaosReport(), res.health),

@@ -51,7 +51,8 @@ func TestCellAllocBytesCeiling(t *testing.T) {
 // two heap allocations per cell, so the count each bench-shaped cell makes is
 // an exact ceiling here: a runner that boxes one more closure fails go test
 // before it fails the benchmark. Counts are testing.AllocsPerRun at the
-// commit that introduced the cell runner's parent.
+// commit that introduced the cell runner's parent, less the two allocations
+// of the second metrics store every machine used to carry.
 func TestCellAllocCounts(t *testing.T) {
 	check := func(name string, ceiling float64, run func() error) {
 		t.Helper()
@@ -75,8 +76,8 @@ func TestCellAllocCounts(t *testing.T) {
 		scheme  string
 		ceiling float64
 	}{
-		{SchemeSeq, 57}, {SchemeLock, 58}, {SchemeSTM, 82}, {SchemeHASTM, 83},
-		{SchemeHyTM, 100}, {SchemeLazy, 89}, {SchemeMVCC, 109},
+		{SchemeSeq, 55}, {SchemeLock, 56}, {SchemeSTM, 80}, {SchemeHASTM, 81},
+		{SchemeHyTM, 98}, {SchemeLazy, 87}, {SchemeMVCC, 107},
 	} {
 		check(tc.scheme+"/bst/1c", tc.ceiling, func() error {
 			_, err := RunOne(tc.scheme, WorkloadBST, 1, one, 20)
@@ -87,7 +88,7 @@ func TestCellAllocCounts(t *testing.T) {
 		scheme  string
 		ceiling float64
 	}{
-		{SchemeSTM, 205}, {SchemeHASTM, 206}, {SchemeLazy, 226},
+		{SchemeSTM, 203}, {SchemeHASTM, 204}, {SchemeLazy, 224},
 	} {
 		check(tc.scheme+"/bst/4c", tc.ceiling, func() error {
 			_, err := RunOne(tc.scheme, WorkloadBST, 4, benchCell(256), 20)
@@ -96,7 +97,7 @@ func TestCellAllocCounts(t *testing.T) {
 	}
 	nat := DefaultOptions()
 	nat.Ops = 20_000
-	for threads, ceiling := range map[int]float64{1: 115, 2: 137} {
+	for threads, ceiling := range map[int]float64{1: 113, 2: 135} {
 		check(fmt.Sprintf("native/hashtable/%dg", threads), ceiling, func() error {
 			_, err := RunOneNative(WorkloadHash, threads, nat, 5)
 			return err
@@ -105,7 +106,7 @@ func TestCellAllocCounts(t *testing.T) {
 	svc := DefaultOptions()
 	svc.Ops = 2048
 	sc := ServiceConfig(svc, 4, 1024, 0.9, DefaultAdmission())
-	check("service/stm/4c", 225, func() error {
+	check("service/stm/4c", 223, func() error {
 		_, err := RunOneServiceScheme(SchemeSTM, 4, sc, svc)
 		return err
 	})

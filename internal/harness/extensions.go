@@ -82,14 +82,6 @@ func runInterAtomic(scheme string, lines uint64, o Options) (RunMetrics, error) 
 	return metrics, res.verdict(nil)
 }
 
-func filteredReads(m RunMetrics) uint64 {
-	var filtered uint64
-	for i := range m.Stats.Cores {
-		filtered += m.Stats.Cores[i].FilteredReads
-	}
-	return filtered
-}
-
 // planExtInterAtomic measures Fig 10's cross-transaction redundancy
 // elimination: the second atomic block's reads of the same lines take the
 // fast path when marks survive between blocks.
@@ -124,7 +116,7 @@ func planExtInterAtomic(o Options) *Plan {
 			m := cells[scheme].Metrics()
 			tbl.Rows = append(tbl.Rows, Row{
 				Name:  scheme,
-				Cells: []float64{float64(m.WallCycles) / float64(baseWall), float64(filteredReads(m))},
+				Cells: []float64{float64(m.WallCycles) / float64(baseWall), float64(m.Stats.Count(telemetry.FilteredReads))},
 			})
 		}
 		rep.Tables = append(rep.Tables, tbl)
@@ -248,11 +240,7 @@ func runSMT(scheme string, smt bool, o Options) (RunMetrics, error) {
 // fastValidationShare returns the percentage of validations answered by
 // the markCounter==0 fast path.
 func fastValidationShare(m RunMetrics) float64 {
-	var fast, full uint64
-	for i := range m.Stats.Cores {
-		fast += m.Stats.Cores[i].FastValidations
-		full += m.Stats.Cores[i].FullValidations
-	}
+	fast, full := m.Stats.Count(telemetry.FastValidations), m.Stats.Count(telemetry.FullValidations)
 	if fast+full == 0 {
 		return 0
 	}
@@ -311,14 +299,6 @@ func planExtSMT(o Options) *Plan {
 	return p
 }
 
-// escalations sums the ladder's escalation counter across cores.
-func escalations(m RunMetrics) float64 {
-	if m.Telem == nil {
-		return 0
-	}
-	return float64(m.Telem.Totals().Counters[telemetry.Escalations.String()])
-}
-
 // planExtIrrevocable quantifies the escalation ladder's standing cost: the
 // hastm-irrevocable scheme runs the standard structures with a finite
 // retry budget that the figure workloads never exhaust, so its time must
@@ -345,7 +325,7 @@ func planExtIrrevocable(o Options) *Plan {
 		tbl := Table{
 			Name:      "ladder armed vs off",
 			ColHeader: "workload",
-			Cols:      []string{"rel time", "escalations"},
+			Cols:      []string{"rel time", telemetry.Escalations.String()},
 			Unit:      "x of hastm / count",
 		}
 		for _, w := range Workloads() {
@@ -354,7 +334,7 @@ func planExtIrrevocable(o Options) *Plan {
 				Name: w,
 				Cells: []float64{
 					float64(c.ladder.WallCycles()) / float64(c.base.WallCycles()),
-					escalations(c.ladder.Metrics()),
+					float64(c.ladder.Metrics().Stats.Count(telemetry.Escalations)),
 				},
 			})
 		}
@@ -362,14 +342,6 @@ func planExtIrrevocable(o Options) *Plan {
 		return rep
 	}
 	return p
-}
-
-// telemCount reads one telemetry counter out of a run's merged totals.
-func telemCount(m RunMetrics, c telemetry.Counter) float64 {
-	if m.Telem == nil {
-		return 0
-	}
-	return float64(m.Telem.Totals().Counters[c.String()])
 }
 
 // planExtLazy compares version-management policies along the axis that
@@ -433,11 +405,11 @@ func planExtLazy(o Options) *Plan {
 			snapTbl.Rows = append(snapTbl.Rows, Row{
 				Name: fmt.Sprintf("%d%%", rp),
 				Cells: []float64{
-					telemCount(m, telemetry.SnapshotReads),
-					telemCount(m, telemetry.VersionHistoryReads),
-					telemCount(m, telemetry.MVCCUpgrades),
-					telemCount(m, telemetry.MVCCWriterRestarts),
-					telemCount(m, telemetry.SnapshotAborts),
+					float64(m.Stats.Count(telemetry.SnapshotReads)),
+					float64(m.Stats.Count(telemetry.VersionHistoryReads)),
+					float64(m.Stats.Count(telemetry.MVCCUpgrades)),
+					float64(m.Stats.Count(telemetry.MVCCWriterRestarts)),
+					float64(m.Stats.Count(telemetry.SnapshotAborts)),
 				},
 			})
 		}

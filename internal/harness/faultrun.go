@@ -7,7 +7,7 @@ import (
 	"hastm.dev/hastm/internal/faults"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 	"hastm.dev/hastm/internal/workloads"
 )
@@ -30,7 +30,7 @@ type FaultReport struct {
 	ScheduleHash uint64
 
 	RunFingerprint uint64
-	Totals         stats.Totals
+	Totals         telemetry.Block
 
 	Err string // "" = invariants and oracle both passed
 }

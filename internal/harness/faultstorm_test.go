@@ -6,7 +6,7 @@ import (
 
 	"hastm.dev/hastm/internal/faults"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
 
@@ -85,10 +85,10 @@ func TestHASTMSuspensionNeverAborts(t *testing.T) {
 		t.Fatal("no suspensions were injected; the test exercised nothing")
 	}
 	if got := rep.Totals.TotalAborts(); got != 0 {
-		t.Errorf("suspensions caused %d aborts (causes %v); §5 requires re-validation, not abort",
-			got, rep.Totals.Aborts)
+		t.Errorf("suspensions caused %d aborts (%s); §5 requires re-validation, not abort",
+			got, rep.Totals.Report().Stats)
 	}
-	if rep.Totals.FullValidations == 0 {
+	if rep.Totals.Count(telemetry.FullValidations) == 0 {
 		t.Errorf("no full validations recorded; suspensions should force the software validation path")
 	}
 
@@ -102,8 +102,8 @@ func TestHASTMSuspensionNeverAborts(t *testing.T) {
 	if wrep.Err != "" {
 		t.Fatalf("watermark oracle: %s", wrep.Err)
 	}
-	for _, cause := range []stats.AbortCause{stats.AbortValidation, stats.AbortLockConflict} {
-		if n := wrep.Totals.Aborts[cause.String()]; n != 0 {
+	for _, cause := range []telemetry.AbortCause{telemetry.AbortValidation, telemetry.AbortLockConflict} {
+		if n := wrep.Totals.Aborts(cause); n != 0 {
 			t.Errorf("watermark hastm: %d %s aborts in a single-threaded run", n, cause)
 		}
 	}
@@ -179,7 +179,7 @@ func TestRetryWakeupUnderSuspension(t *testing.T) {
 	if machine.Mem.Load(ackOrElse) != 1 {
 		t.Error("orElse consumer never completed: wakeup lost under suspension")
 	}
-	if machine.Stats.Cores[0].Retries == 0 {
+	if machine.Stats.Block(0).Count(telemetry.Retries) == 0 {
 		t.Error("consumer never actually waited (retry path untested)")
 	}
 }

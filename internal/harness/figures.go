@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/workloads/traces"
 )
 
@@ -112,7 +112,7 @@ func planFig12(o Options) *Plan {
 			Title: "STM execution time breakdown",
 			Notes: "percent of total cycles per category, single thread",
 		}
-		cats := []stats.Category{stats.App, stats.TLS, stats.RdBar, stats.WrBar, stats.Validate, stats.Commit}
+		cats := []telemetry.Category{telemetry.App, telemetry.TLS, telemetry.RdBar, telemetry.WrBar, telemetry.Validate, telemetry.Commit}
 		tbl := Table{Name: "breakdown", ColHeader: "workload", Unit: "% of cycles"}
 		for _, c := range cats {
 			tbl.Cols = append(tbl.Cols, c.String())
@@ -221,7 +221,7 @@ func planFig15(o Options) *Plan {
 // counts.
 func abortCauseTable(rows []cellRow) Table {
 	tbl := Table{Name: "abort causes", ColHeader: "scheme \\ cause", Unit: "aborts (sum over row's cells)"}
-	causes := stats.AbortCauses()
+	causes := telemetry.AbortCauses()
 	for _, cause := range causes {
 		tbl.Cols = append(tbl.Cols, cause.String())
 	}

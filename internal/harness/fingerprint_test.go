@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hastm.dev/hastm/internal/faults"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 // The golden tests assert shapes; this one pins bytes. Every deterministic
@@ -73,6 +74,61 @@ var fingerprintSchemes = []string{
 	SchemeWFilter, SchemeInterAtomic, SchemeWatermark, SchemeObjHASTM, SchemeObjSTM,
 }
 
+// faultReportRow renders a FaultReport the way `%+v` did when the
+// "faultstorm" fingerprint was recorded: with Totals as the name-keyed
+// summary struct of the former stats store rather than a telemetry.Block,
+// so the table keeps pinning the same simulated values.
+func faultReportRow(r *FaultReport) string {
+	named := func(n int, name func(int) string, val func(int) uint64) map[string]uint64 {
+		var m map[string]uint64
+		for i := 0; i < n; i++ {
+			if v := val(i); v > 0 {
+				if m == nil {
+					m = map[string]uint64{}
+				}
+				m[name(i)] = v
+			}
+		}
+		return m
+	}
+	t := r.Totals
+	cats, causes := telemetry.Categories(), telemetry.AbortCauses()
+	type totals struct {
+		Cycles  map[string]uint64
+		Commits uint64
+		Aborts  map[string]uint64
+		Retries uint64
+
+		FilteredReads, UnfilteredReads, FastValidations, FullValidations uint64
+		ReadsLogged, ReadLogsSkipped, FilteredWrites, UndoLogsSkipped    uint64
+		AggressiveCommits, CautiousCommits, HTMFallbacks, WaitCycles     uint64
+	}
+	return fmt.Sprintf("%+v\n", struct {
+		Scheme, Workload string
+		Cores, Committed int
+		Injected         map[string]uint64
+		Skipped          uint64
+		ScheduleLen      int
+		ScheduleHash     uint64
+		RunFingerprint   uint64
+		Totals           totals
+		Err              string
+	}{r.Scheme, r.Workload, r.Cores, r.Committed, r.Injected, r.Skipped, r.ScheduleLen, r.ScheduleHash, r.RunFingerprint,
+		totals{
+			Cycles:  named(len(cats), func(i int) string { return cats[i].String() }, func(i int) uint64 { return t.Cycles(cats[i]) }),
+			Commits: t.Count(telemetry.Commits),
+			Aborts:  named(len(causes), func(i int) string { return causes[i].String() }, func(i int) uint64 { return t.Aborts(causes[i]) }),
+			Retries: t.Count(telemetry.Retries),
+
+			FilteredReads: t.Count(telemetry.FilteredReads), UnfilteredReads: t.Count(telemetry.UnfilteredReads),
+			FastValidations: t.Count(telemetry.FastValidations), FullValidations: t.Count(telemetry.FullValidations),
+			ReadsLogged: t.Count(telemetry.ReadsLogged), ReadLogsSkipped: t.Count(telemetry.ReadLogsSkipped),
+			FilteredWrites: t.Count(telemetry.FilteredWrites), UndoLogsSkipped: t.Count(telemetry.UndoLogsSkipped),
+			AggressiveCommits: t.Count(telemetry.AggressiveCommits), CautiousCommits: t.Count(telemetry.CautiousCommits),
+			HTMFallbacks: t.Count(telemetry.HTMFallbacks), WaitCycles: t.Count(telemetry.WaitCycles),
+		}, r.Err})
+}
+
 func fnvOf(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
@@ -116,7 +172,7 @@ func TestOutputFingerprints(t *testing.T) {
 		}
 		rows := ""
 		for _, r := range faultReports {
-			rows += fmt.Sprintf("%+v\n", *r)
+			rows += faultReportRow(r)
 		}
 		got["faultstorm"] = fnvOf(rows)
 		rows = ""

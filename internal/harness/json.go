@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 )
 
@@ -108,10 +107,10 @@ type CellRecord struct {
 	TxnsPerSec float64 `json:"txns_per_sec,omitempty"`
 	// CyclesPerHostSec is the cell's simulation throughput: simulated
 	// cycles advanced per host second. Host-dependent, like HostMS.
-	CyclesPerHostSec float64           `json:"cycles_per_host_sec"`
-	Stats            stats.Totals      `json:"stats,omitempty"`
-	Telemetry        *telemetry.Totals `json:"telemetry,omitempty"`
-	Sched            *SchedRecord      `json:"sched,omitempty"`
+	CyclesPerHostSec float64 `json:"cycles_per_host_sec"`
+	// The stats and telemetry blocks of the cell's metrics store.
+	telemetry.Report
+	Sched *SchedRecord `json:"sched,omitempty"`
 	// Service is the open-loop service block (latency percentiles, offered
 	// rate, goodput, shed counts); only on `-service` cells.
 	Service *ServiceRecord `json:"service,omitempty"`
@@ -163,33 +162,27 @@ func NewBenchJSON(o Options, workers int, plans []*Plan, reports []*Report, elap
 	}
 	for _, p := range plans {
 		for _, c := range p.Cells {
+			met := c.Metrics()
 			rec := CellRecord{
 				Figure:     c.Figure,
 				Label:      c.Label,
-				WallCycles: c.Metrics().WallCycles,
+				WallCycles: met.WallCycles,
 				HostMS:     float64(c.HostNS) / 1e6,
 				HostNS:     c.HostNS,
+				Report:     met.Stats.Totals().Report(),
+				Service:    met.Service,
+				NUMA:       numaRecord(met),
+				Chaos:      met.Chaos,
 				Error:      c.Err,
 			}
-			if met := c.Metrics(); met.Backend != "" {
+			if met.Backend != "" {
 				b.Backend = met.Backend
 				rec.Backend = met.Backend
 				rec.TxnsPerSec = met.TxnsPerSec()
 			} else if c.HostNS > 0 {
-				rec.CyclesPerHostSec = float64(c.Metrics().WallCycles) / (float64(c.HostNS) / 1e9)
+				rec.CyclesPerHostSec = float64(met.WallCycles) / (float64(c.HostNS) / 1e9)
 			}
-			if s := c.Metrics().Stats; s != nil {
-				rec.Stats = s.Totals()
-			}
-			if tm := c.Metrics().Telem; tm != nil {
-				if tot := tm.Totals(); tot.Counters != nil || tot.Gauges != nil {
-					rec.Telemetry = &tot
-				}
-			}
-			rec.Service = c.Metrics().Service
-			rec.NUMA = numaRecord(c.Metrics())
-			rec.Chaos = c.Metrics().Chaos
-			if sc := c.Metrics().Sched; sc.Grants > 0 {
+			if sc := met.Sched; sc.Grants > 0 {
 				rec.Sched = &SchedRecord{
 					Grants:          sc.Grants,
 					Leases:          sc.Leases,

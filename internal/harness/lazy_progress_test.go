@@ -134,14 +134,14 @@ func TestMVCCStarvationImmune(t *testing.T) {
 	if scanAttempts != 1 {
 		t.Errorf("read-only scan took %d attempts, want 1 — the snapshot path must not retry", scanAttempts)
 	}
-	if got := machine.Stats.Cores[0].TotalAborts(); got != 0 {
+	if got := machine.Stats.Block(0).TotalAborts(); got != 0 {
 		t.Errorf("reader core aborted %d times, want 0", got)
 	}
-	tot := machine.Telem.Totals()
-	if got := tot.Counters[telemetry.SnapshotAborts.String()]; got != 0 {
+	tot := machine.Stats.Totals()
+	if got := tot.Count(telemetry.SnapshotAborts); got != 0 {
 		t.Errorf("snapshot_aborts = %d, want 0", got)
 	}
-	if got := tot.Counters[telemetry.SnapshotReads.String()]; got == 0 {
+	if got := tot.Count(telemetry.SnapshotReads); got == 0 {
 		t.Error("snapshot_reads = 0 — the scan never took the snapshot path")
 	}
 	if got := machine.Mem.Load(done); got != 1 {
@@ -162,11 +162,11 @@ func TestMVCCReadOnlyZeroAborts(t *testing.T) {
 		if got := m.Stats.TotalAborts(); got != 0 {
 			t.Errorf("%s: read-only mvcc run aborted %d times, want 0", wl, got)
 		}
-		tot := m.Telem.Totals()
-		if got := tot.Counters[telemetry.SnapshotAborts.String()]; got != 0 {
+		tot := m.Stats.Totals()
+		if got := tot.Count(telemetry.SnapshotAborts); got != 0 {
 			t.Errorf("%s: snapshot_aborts = %d, want 0", wl, got)
 		}
-		if got := tot.Counters[telemetry.SnapshotReads.String()]; got == 0 {
+		if got := tot.Count(telemetry.SnapshotReads); got == 0 {
 			t.Errorf("%s: snapshot_reads = 0 — lookups never used the snapshot path", wl)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 	"hastm.dev/hastm/internal/faults"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 // The 1-socket equivalence suite: expressing today's flat machine as
@@ -60,10 +60,7 @@ func TestOneSocketEquivalenceRuns(t *testing.T) {
 					t.Errorf("wall cycles: flat %d, 1-socket %d", flat.WallCycles, topo.WallCycles)
 				}
 				if !reflect.DeepEqual(flat.Stats.Totals(), topo.Stats.Totals()) {
-					t.Errorf("stats totals diverge")
-				}
-				if !reflect.DeepEqual(flat.Telem.Totals(), topo.Telem.Totals()) {
-					t.Errorf("telemetry totals diverge")
+					t.Errorf("stats and telemetry totals diverge")
 				}
 				var fb, sb bytes.Buffer
 				flat.Trace.Render(&fb, 0)
@@ -195,7 +192,7 @@ func TestScatterDeterminismAndRecord(t *testing.T) {
 	// simulated about one run, for DeepEqual.
 	type observed struct {
 		Wall    uint64
-		Totals  stats.Totals
+		Totals  telemetry.Block
 		Service *ServiceRecord
 		Fault   FaultReport
 		Mapping string

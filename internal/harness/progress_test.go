@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hastm.dev/hastm/internal/faults"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 // With the escalation ladder armed, every adversarial cell must complete
@@ -111,7 +112,7 @@ func TestIrrevocableSchemeZeroCostWhenIdle(t *testing.T) {
 	o := QuickOptions()
 	base := runStructure(SchemeHASTM, WorkloadBTree, 4, o)
 	ladder := runStructure(SchemeIrrevocable, WorkloadBTree, 4, o)
-	if esc := escalations(ladder); esc != 0 {
+	if esc := ladder.Stats.Count(telemetry.Escalations); esc != 0 {
 		t.Errorf("figure workload escalated %v times with default budget", esc)
 	}
 	// The handshake is 3 L1 operations per transaction (announce, token

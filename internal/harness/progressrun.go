@@ -161,11 +161,10 @@ func progressRun(scheme, workload string, cores int, o Options, spec *faults.Spe
 
 	metrics, res := c.run(warmKept, nil, measure)
 	rep.WallCycles = metrics.WallCycles
-	tot := metrics.Telem.Totals()
-	rep.Escalations = tot.Counters[telemetry.Escalations.String()]
-	rep.IrrevocableEntries = tot.Counters[telemetry.IrrevocableEntries.String()]
-	rep.IrrevocableCycles = tot.Counters[telemetry.IrrevocableCyclesHeld.String()]
-	rep.Commits = metrics.Stats.Totals().Commits
+	rep.Escalations = metrics.Stats.Count(telemetry.Escalations)
+	rep.IrrevocableEntries = metrics.Stats.Count(telemetry.IrrevocableEntries)
+	rep.IrrevocableCycles = metrics.Stats.Count(telemetry.IrrevocableCyclesHeld)
+	rep.Commits = metrics.Stats.Commits()
 	if err := res.verdict(verify); err != nil {
 		rep.Err = err.Error()
 		if v := c.m.Violation(); v != nil {

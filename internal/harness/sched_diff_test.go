@@ -9,7 +9,6 @@ import (
 	"hastm.dev/hastm/internal/faults"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 )
 
@@ -63,14 +62,8 @@ func compareSchedulers(t *testing.T, lease, ref RunMetrics) {
 		t.Errorf("stats totals diverge:\nlease: %+v\nreference: %+v",
 			lease.Stats.Totals(), ref.Stats.Totals())
 	}
-	for i := range lease.Stats.Cores {
-		if l, r := lease.Stats.Cores[i].Cycles, ref.Stats.Cores[i].Cycles; l != r {
-			t.Errorf("core %d cycles by category: lease %v, reference %v", i, l, r)
-		}
-	}
-	if !reflect.DeepEqual(lease.Telem.Totals(), ref.Telem.Totals()) {
-		t.Errorf("telemetry totals diverge:\nlease: %+v\nreference: %+v",
-			lease.Telem.Totals(), ref.Telem.Totals())
+	if !reflect.DeepEqual(lease.Stats, ref.Stats) {
+		t.Errorf("per-core accounting blocks diverge:\nlease: %+v\nreference: %+v", lease.Stats, ref.Stats)
 	}
 	lb, rb := txnTraceBytes(t, lease.TxnTrace), txnTraceBytes(t, ref.TxnTrace)
 	if !bytes.Equal(lb, rb) {
@@ -156,7 +149,7 @@ func TestBarrierResetHazard(t *testing.T) {
 				c.Load(line + uint64(c.ID())*mem.LineSize)
 			}
 			barrier(c, arrived, goFlag, cores, func(m *sim.Machine) { m.Stats.Reset() })
-			c.SetCat(stats.Commit)
+			c.SetCat(telemetry.Commit)
 			for i := 0; i < 20; i++ {
 				c.Exec(2)
 				c.Store(line+uint64(c.ID())*mem.LineSize, uint64(i))
@@ -164,8 +157,8 @@ func TestBarrierResetHazard(t *testing.T) {
 		}
 		m.Run(prog, prog, prog, prog)
 		var out string
-		for i := range m.Stats.Cores {
-			out += fmt.Sprintln("core", i, m.Stats.Cores[i].Cycles)
+		for i := 0; i < cores; i++ {
+			out += fmt.Sprintln("core", i, *m.Stats.Block(i))
 		}
 		return out
 	}

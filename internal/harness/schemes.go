@@ -12,7 +12,6 @@ import (
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/native"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
@@ -396,14 +395,13 @@ func populated(name string, m *mem.Memory, o Options) workloads.DataStructure {
 // RunMetrics is the outcome of one measured run.
 type RunMetrics struct {
 	WallCycles uint64
-	Stats      *stats.Machine
+	Stats      *telemetry.Machine // nil when the cell never ran
 	CacheStats *cache.Hierarchy
-	Telem      *telemetry.Machine
 	Trace      *sim.TraceBuffer       // non-nil when Options.TraceMax > 0
 	TxnTrace   *telemetry.TraceBuffer // non-nil when Options.TxnTraceMax > 0
 	// Sched counts how the simulator scheduled the run's architectural
 	// operations (granted ops vs channel handoffs). Host-side observability
-	// only: deliberately outside Stats/Telem, because it legitimately
+	// only: deliberately outside Stats, because it legitimately
 	// differs between the lease and reference schedulers while every
 	// simulated result stays identical.
 	Sched sim.SchedCounters

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -33,12 +32,9 @@ func TestTelemetryIdenticalAcrossWorkerCounts(t *testing.T) {
 			pc := pp.Cells[ci]
 			id := sc.Figure + "/" + sc.Label
 			st, pt := sc.Metrics(), pc.Metrics()
-			if !reflect.DeepEqual(st.Telem.Totals(), pt.Telem.Totals()) {
-				t.Errorf("%s: telemetry totals differ:\n-j1: %+v\n-j8: %+v",
-					id, st.Telem.Totals(), pt.Telem.Totals())
-			}
 			if !reflect.DeepEqual(st.Stats.Totals(), pt.Stats.Totals()) {
-				t.Errorf("%s: stats totals differ", id)
+				t.Errorf("%s: stats and telemetry totals differ:\n-j1: %+v\n-j8: %+v",
+					id, st.Stats.Totals(), pt.Stats.Totals())
 			}
 			if !reflect.DeepEqual(st.TxnTrace.Events(), pt.TxnTrace.Events()) {
 				t.Errorf("%s: transaction event traces differ (-j1: %d events, -j8: %d events)",
@@ -114,10 +110,10 @@ func TestRetryEventsCarryFootprint(t *testing.T) {
 	if retries == 0 {
 		t.Fatal("no retry events traced; the consumer never waited")
 	}
-	if hwm := machine.Telem.GaugeMax(telemetry.WriteSetHWM); hwm < 2 {
+	if hwm := machine.Stats.GaugeMax(telemetry.WriteSetHWM); hwm < 2 {
 		t.Errorf("WriteSetHWM = %d; the retrying attempt's 2-record write set was not observed", hwm)
 	}
-	if hwm := machine.Telem.GaugeMax(telemetry.UndoLogHWM); hwm < 2 {
+	if hwm := machine.Stats.GaugeMax(telemetry.UndoLogHWM); hwm < 2 {
 		t.Errorf("UndoLogHWM = %d; the retrying attempt's 2-entry undo log was not observed", hwm)
 	}
 }
@@ -174,7 +170,7 @@ func TestBodyErrorEmitsTerminalEvent(t *testing.T) {
 // cause name.
 func TestAbortCausesSumToTotalAborts(t *testing.T) {
 	known := map[string]bool{}
-	for _, c := range stats.AbortCauses() {
+	for _, c := range telemetry.AbortCauses() {
 		known[c.String()] = true
 	}
 
@@ -206,11 +202,8 @@ func TestAbortCausesSumToTotalAborts(t *testing.T) {
 
 		tot := m.Stats.Totals()
 		var byCause uint64
-		for cause, n := range tot.Aborts {
-			if !known[cause] {
-				t.Errorf("%s: stats report unknown abort cause %q", tc.scheme, cause)
-			}
-			byCause += n
+		for _, cause := range telemetry.AbortCauses() {
+			byCause += tot.Aborts(cause)
 		}
 		if byCause != tot.TotalAborts() {
 			t.Errorf("%s: per-cause aborts sum to %d, TotalAborts = %d",

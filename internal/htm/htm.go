@@ -20,7 +20,6 @@ import (
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
@@ -57,7 +56,7 @@ type txnState struct {
 	verIncs []stm.RecEntry // HyTM: records whose version bumps at commit
 
 	aborted bool
-	cause   stats.AbortCause
+	cause   telemetry.AbortCause
 }
 
 func newTxnState() *txnState {
@@ -78,7 +77,7 @@ func (t *txnState) reset() {
 	t.aborted, t.cause = false, 0
 }
 
-func (t *txnState) doom(cause stats.AbortCause) {
+func (t *txnState) doom(cause telemetry.AbortCause) {
 	if !t.aborted {
 		t.aborted = true
 		t.cause = cause
@@ -94,9 +93,9 @@ func (m *Manager) LineDropped(core int, lineAddr uint64, marks cache.MarkMasks, 
 		return
 	}
 	if reason == cache.DropInvalidate || reason == cache.DropSiblingStore {
-		t.doom(stats.AbortHTMConflict)
+		t.doom(telemetry.AbortHTMConflict)
 	} else {
-		t.doom(stats.AbortCapacity)
+		t.doom(telemetry.AbortCapacity)
 	}
 }
 
@@ -111,7 +110,7 @@ func (m *Manager) InjectSpuriousAbort(core int) bool {
 	if t == nil || t.aborted {
 		return false
 	}
-	t.doom(stats.AbortCapacity)
+	t.doom(telemetry.AbortCapacity)
 	return true
 }
 
@@ -124,7 +123,7 @@ func (m *Manager) LineRead(reader int, lineAddr uint64) {
 			continue
 		}
 		if t.writes[lineAddr] {
-			t.doom(stats.AbortHTMConflict)
+			t.doom(telemetry.AbortHTMConflict)
 		}
 	}
 }
@@ -193,7 +192,7 @@ func (s *System) Thread(ctx *sim.Ctx) tm.Thread {
 }
 
 // Control-flow signals.
-type hwAbort struct{ cause stats.AbortCause }
+type hwAbort struct{ cause telemetry.AbortCause }
 type hwUserAbort struct{}
 
 // Thread is one core's hardware-transactional handle. It implements both
@@ -230,10 +229,6 @@ func (t *Thread) ID() int { return t.ctx.ID() }
 // recently committed atomic block on simulator backends.
 func (t *Thread) Stamp() uint64 { return t.ctx.Clock() }
 
-func (t *Thread) stats() *stats.Core {
-	return &t.ctx.Machine().Stats.Cores[t.ctx.ID()]
-}
-
 // Atomic runs body as a hardware transaction, retrying on aborts; a HyTM
 // falls back to its software transaction after repeated hardware failures.
 func (t *Thread) Atomic(body func(tm.Txn) error) error {
@@ -247,7 +242,6 @@ func (t *Thread) Atomic(body func(tm.Txn) error) error {
 	for attempt := 0; ; attempt++ {
 		t.attempt = attempt
 		if t.sw != nil && attempt >= t.sys.maxAttempts {
-			t.stats().HTMFallbacks++
 			t.ctx.Telem().Inc(telemetry.HTMFallbacks)
 			t.ctx.TraceEvent("fallback", "hardware attempts exhausted; software transaction")
 			t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: attempt,
@@ -266,7 +260,6 @@ func (t *Thread) Atomic(body func(tm.Txn) error) error {
 			return err
 		case outcomeRetrySW:
 			// Retry/orElse need software semantics immediately.
-			t.stats().HTMFallbacks++
 			t.ctx.Telem().Inc(telemetry.HTMFallbacks)
 			t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: attempt,
 				Kind: telemetry.EvFallback, Cause: "retry-semantics"})
@@ -296,12 +289,12 @@ const (
 // panic containment at that point.)
 func (t *Thread) try(tok *tm.IrrevocableToken, body func(tm.Txn) error) (err error, out outcome) {
 	if tok != nil {
-		prev := t.ctx.SetCat(stats.Lock)
+		prev := t.ctx.SetCat(telemetry.Lock)
 		tok.EnterShared(t.ctx, t.ladder)
 		t.ctx.SetCat(prev)
 		t.ladder.Reset()
 		defer func() {
-			prev := t.ctx.SetCat(stats.Lock)
+			prev := t.ctx.SetCat(telemetry.Lock)
 			tok.ExitShared(t.ctx)
 			t.ctx.SetCat(prev)
 		}()
@@ -317,12 +310,12 @@ func (t *Thread) try(tok *tm.IrrevocableToken, body func(tm.Txn) error) (err err
 		case hwAbort:
 			t.emitAbort(a.cause)
 			t.end()
-			t.stats().Aborts[a.cause]++
+			t.ctx.Telem().Abort(a.cause)
 			err, out = nil, outcomeAborted
 		case hwUserAbort:
-			t.emitAbort(stats.AbortExplicit)
+			t.emitAbort(telemetry.AbortExplicit)
 			t.end()
-			t.stats().Aborts[stats.AbortExplicit]++
+			t.ctx.Telem().Abort(telemetry.AbortExplicit)
 			err, out = nil, outcomeUserAbort
 		case retryUnsupported:
 			t.end()
@@ -339,16 +332,16 @@ func (t *Thread) try(tok *tm.IrrevocableToken, body func(tm.Txn) error) (err err
 	err = body(t)
 	if err != nil {
 		// Roll back by discarding the speculative buffer.
-		t.emitAbort(stats.AbortExplicit)
+		t.emitAbort(telemetry.AbortExplicit)
 		t.end()
-		t.stats().Aborts[stats.AbortExplicit]++
+		t.ctx.Telem().Abort(telemetry.AbortExplicit)
 		return err, outcomeBodyErr
 	}
 	if !t.commit() {
 		cause := t.cur.cause
 		t.emitAbort(cause)
 		t.end()
-		t.stats().Aborts[cause]++
+		t.ctx.Telem().Abort(cause)
 		return nil, outcomeAborted
 	}
 	t.observeSetSizes()
@@ -356,7 +349,7 @@ func (t *Thread) try(tok *tm.IrrevocableToken, body func(tm.Txn) error) (err err
 	t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.attempt,
 		Kind: telemetry.EvCommit, Reads: len(t.cur.reads), Writes: len(t.cur.writes)})
 	t.endCommitted()
-	t.stats().Commits++
+	t.ctx.Telem().Inc(telemetry.Commits)
 	t.ctx.NoteCommit()
 	return nil, outcomeCommit
 }
@@ -374,7 +367,7 @@ func (t *Thread) observeSetSizes() {
 
 // emitAbort records an abort event (with the doomed attempt's footprint)
 // before end() discards the speculative state.
-func (t *Thread) emitAbort(cause stats.AbortCause) {
+func (t *Thread) emitAbort(cause telemetry.AbortCause) {
 	t.observeSetSizes()
 	var r, w int
 	if t.cur != nil {
@@ -391,7 +384,7 @@ func (t *Thread) begin() {
 	txn.reset()
 	t.cur = txn
 	t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.attempt, Kind: telemetry.EvBegin})
-	prev := t.ctx.SetCat(stats.HTM)
+	prev := t.ctx.SetCat(telemetry.HTM)
 	t.ctx.Step(func(m *sim.Machine) uint64 {
 		t.sys.mgr.active[t.ctx.ID()] = txn
 		return 10 // transaction-begin checkpoint (register state, fences)
@@ -401,7 +394,7 @@ func (t *Thread) begin() {
 
 // end deregisters after an abort, discarding all speculative state.
 func (t *Thread) end() {
-	prev := t.ctx.SetCat(stats.HTM)
+	prev := t.ctx.SetCat(telemetry.HTM)
 	t.ctx.Step(func(m *sim.Machine) uint64 {
 		t.sys.mgr.active[t.ctx.ID()] = nil
 		return 10 // abort/restore cost
@@ -419,7 +412,7 @@ func (t *Thread) endCommitted() { t.cur = nil }
 func (t *Thread) commit() bool {
 	txn := t.cur
 	ok := false
-	prev := t.ctx.SetCat(stats.HTM)
+	prev := t.ctx.SetCat(telemetry.HTM)
 	t.ctx.Step(func(m *sim.Machine) uint64 {
 		cycles := uint64(14) // commit arbitration + checkpoint release
 		if txn.aborted {
@@ -458,7 +451,7 @@ func (t *Thread) Load(addr uint64) uint64 {
 	txn := t.cur
 	var v uint64
 	doomed := false
-	prev := t.ctx.SetCat(stats.App)
+	prev := t.ctx.SetCat(telemetry.App)
 	t.ctx.Step(func(m *sim.Machine) uint64 {
 		if txn.aborted {
 			doomed = true
@@ -494,7 +487,7 @@ func (t *Thread) Load(addr uint64) uint64 {
 func (t *Thread) Store(addr, val uint64) {
 	txn := t.cur
 	doomed := false
-	prev := t.ctx.SetCat(stats.App)
+	prev := t.ctx.SetCat(telemetry.App)
 	t.ctx.Step(func(m *sim.Machine) uint64 {
 		if txn.aborted {
 			doomed = true
@@ -549,14 +542,14 @@ func (t *Thread) hybridRecCheck(m *sim.Machine, addr uint64) (cycles uint64, con
 	cycles += 2 // isShared test + branch
 	t.cur.reads[mem.LineAddr(rec)] = true
 	if !stm.IsVersion(v) {
-		t.cur.doom(stats.AbortHTMConflict)
+		t.cur.doom(telemetry.AbortHTMConflict)
 		return cycles, true
 	}
 	return cycles, false
 }
 
 func (t *Thread) raiseDoom() {
-	cause := stats.AbortHTMConflict
+	cause := telemetry.AbortHTMConflict
 	if t.cur != nil && t.cur.aborted {
 		cause = t.cur.cause
 	}

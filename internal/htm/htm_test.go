@@ -7,7 +7,7 @@ import (
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
 
@@ -123,7 +123,7 @@ func TestConflictingHTMTransactionsSerialize(t *testing.T) {
 	if got := machine.Mem.Load(ctr); got != 2*per {
 		t.Fatalf("counter = %d, want %d", got, 2*per)
 	}
-	if machine.Stats.Aborts(stats.AbortHTMConflict) == 0 {
+	if machine.Stats.Aborts(telemetry.AbortHTMConflict) == 0 {
 		t.Fatal("expected HTM conflict aborts under contention")
 	}
 }
@@ -149,10 +149,10 @@ func TestCapacityAbort(t *testing.T) {
 			t.Errorf("Atomic: %v", err)
 		}
 	})
-	if machine.Stats.Aborts(stats.AbortCapacity) == 0 {
+	if machine.Stats.Aborts(telemetry.AbortCapacity) == 0 {
 		t.Fatal("expected capacity aborts for an L1-overflowing transaction")
 	}
-	if machine.Stats.Cores[0].HTMFallbacks == 0 {
+	if machine.Stats.Block(0).Count(telemetry.HTMFallbacks) == 0 {
 		t.Fatal("HyTM did not fall back to software")
 	}
 	for i := uint64(0); i < 64; i++ {
@@ -217,7 +217,7 @@ func TestHyTMBarrierDetectsSoftwareOwner(t *testing.T) {
 		done := false
 		for !done {
 			_ = th.Atomic(func(tx tm.Txn) error {
-				if machine.Stats.Aborts(stats.AbortHTMConflict) > 0 && c.Load(flag) == 1 {
+				if machine.Stats.Aborts(telemetry.AbortHTMConflict) > 0 && c.Load(flag) == 1 {
 					c.Store(flag, 2) // let the SW txn finish
 				}
 				tx.Load(addr)
@@ -227,7 +227,7 @@ func TestHyTMBarrierDetectsSoftwareOwner(t *testing.T) {
 		}
 	}
 	machine.Run(swProg, hwProg)
-	if machine.Stats.Aborts(stats.AbortHTMConflict) == 0 {
+	if machine.Stats.Aborts(telemetry.AbortHTMConflict) == 0 {
 		t.Fatal("hardware transaction never observed the software owner")
 	}
 	if machine.Mem.Load(addr) != 7 {
@@ -301,7 +301,7 @@ func TestHyTMRetryFallsBackToSoftware(t *testing.T) {
 	if machine.Mem.Load(out) != 6 {
 		t.Fatalf("out = %d, want 6", machine.Mem.Load(out))
 	}
-	if machine.Stats.Cores[0].HTMFallbacks == 0 {
+	if machine.Stats.Block(0).Count(telemetry.HTMFallbacks) == 0 {
 		t.Fatal("retry should have forced a software fallback")
 	}
 }
@@ -390,15 +390,15 @@ func TestHyTMFallbackCounting(t *testing.T) {
 			}
 		}
 	})
-	st := &machine.Stats.Cores[0]
-	if st.HTMFallbacks != 4 {
-		t.Fatalf("HTMFallbacks = %d, want 4 (one per oversized transaction)", st.HTMFallbacks)
+	st := machine.Stats.Block(0)
+	if st.Count(telemetry.HTMFallbacks) != 4 {
+		t.Fatalf("HTMFallbacks = %d, want 4 (one per oversized transaction)", st.Count(telemetry.HTMFallbacks))
 	}
-	if st.Commits != 4 {
-		t.Fatalf("commits = %d", st.Commits)
+	if st.Count(telemetry.Commits) != 4 {
+		t.Fatalf("commits = %d", st.Count(telemetry.Commits))
 	}
-	if st.Aborts[stats.AbortCapacity] < 4 {
-		t.Fatalf("capacity aborts = %d, want >= 4", st.Aborts[stats.AbortCapacity])
+	if st.Aborts(telemetry.AbortCapacity) < 4 {
+		t.Fatalf("capacity aborts = %d, want >= 4", st.Aborts(telemetry.AbortCapacity))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
@@ -116,7 +115,7 @@ func TestFailedCommitIsSandboxed(t *testing.T) {
 	if got := machine.Mem.Load(out); got != 200 {
 		t.Fatalf("out = %d, want 200 — the failed attempt's 100 must never be visible", got)
 	}
-	if got := machine.Stats.Aborts(stats.AbortValidation); got != 1 {
+	if got := machine.Stats.Aborts(telemetry.AbortValidation); got != 1 {
 		t.Fatalf("validation aborts = %d, want 1", got)
 	}
 	// The failed commit acquired outRec and must have released it at its
@@ -153,7 +152,7 @@ func TestReadThroughOwnWrites(t *testing.T) {
 	if got := machine.Mem.Load(addr); got != 41 {
 		t.Fatalf("committed %d, want the latest buffered value 41", got)
 	}
-	if hits := machine.Telem.Count(telemetry.WriteBufferHits); hits != 2 {
+	if hits := machine.Stats.Count(telemetry.WriteBufferHits); hits != 2 {
 		t.Fatalf("write_buffer_hits = %d, want 2", hits)
 	}
 }
@@ -244,13 +243,13 @@ func TestMVCCReadOnlyNeverAborts(t *testing.T) {
 	if err := machine.CheckHealth(); err != nil {
 		t.Fatal(err)
 	}
-	if got := machine.Stats.Cores[1].TotalAborts(); got != 0 {
+	if got := machine.Stats.Block(1).TotalAborts(); got != 0 {
 		t.Fatalf("read-only core aborted %d times; MVCC snapshot reads must never abort", got)
 	}
-	if got := machine.Telem.Count(telemetry.SnapshotAborts); got != 0 {
+	if got := machine.Stats.Count(telemetry.SnapshotAborts); got != 0 {
 		t.Fatalf("snapshot_aborts = %d, want 0", got)
 	}
-	if got := machine.Telem.Count(telemetry.SnapshotReads); got == 0 {
+	if got := machine.Stats.Count(telemetry.SnapshotReads); got == 0 {
 		t.Fatal("snapshot_reads = 0; the reader never took the snapshot path")
 	}
 }
@@ -292,10 +291,10 @@ func TestMVCCUpgradeAndWriterRestart(t *testing.T) {
 			t.Errorf("attempts = %d, want 2 (restart re-executes once)", attempt)
 		}
 	})
-	if got := machine.Telem.Count(telemetry.MVCCUpgrades); got != 1 {
+	if got := machine.Stats.Count(telemetry.MVCCUpgrades); got != 1 {
 		t.Fatalf("mvcc_upgrades = %d, want 1", got)
 	}
-	if got := machine.Telem.Count(telemetry.MVCCWriterRestarts); got != 1 {
+	if got := machine.Stats.Count(telemetry.MVCCWriterRestarts); got != 1 {
 		t.Fatalf("mvcc_writer_restarts = %d, want 1", got)
 	}
 	if got := machine.Stats.TotalAborts(); got != 0 {

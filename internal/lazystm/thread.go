@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
@@ -92,7 +91,7 @@ func (t *Thread) BeginAttempt(attempt int) {
 	t.BeginLogs(attempt)
 	if t.snapshot {
 		ctx := t.Ctx()
-		prev := ctx.SetCat(stats.Commit)
+		prev := ctx.SetCat(telemetry.Commit)
 		t.snapTS = ctx.Load(t.sys.clock)
 		ctx.Exec(1)
 		ctx.SetCat(prev)
@@ -103,33 +102,33 @@ func (t *Thread) BeginAttempt(attempt int) {
 // MVCC read-only commit skips all of it: every read was served from one
 // committed snapshot, so the attempt is already serialized at its
 // begin-time timestamp — no validation, no clock traffic, no abort path.
-func (t *Thread) Commit() (bool, stats.AbortCause) {
+func (t *Thread) Commit() (bool, telemetry.AbortCause) {
 	ctx := t.Ctx()
 	if t.snapshot {
-		prev := ctx.SetCat(stats.Commit)
+		prev := ctx.SetCat(telemetry.Commit)
 		ctx.Exec(8) // commit bookkeeping
 		ctx.SetCat(prev)
 		return true, 0
 	}
 
 	// Phase 1: acquire every written record, ascending.
-	prev := ctx.SetCat(stats.WrBar)
+	prev := ctx.SetCat(telemetry.WrBar)
 	defer ctx.SetCat(prev)
 	if !t.acquireWriteRecs() {
 		t.releaseAcquired(false)
-		return false, stats.AbortLockConflict
+		return false, telemetry.AbortLockConflict
 	}
 	ctx.Telem().ObserveMax(telemetry.WriteSetHWM, uint64(len(t.acq)))
 
 	// Phase 2: sandboxed validation, before any data word changes.
-	ctx.SetCat(stats.Validate)
+	ctx.SetCat(telemetry.Validate)
 	if !t.validate(true) {
 		t.releaseAcquired(false)
-		return false, stats.AbortValidation
+		return false, telemetry.AbortValidation
 	}
 
 	// Phase 3: write back and release.
-	ctx.SetCat(stats.Commit)
+	ctx.SetCat(telemetry.Commit)
 	var wv uint64
 	if t.sys.mvcc && len(t.wb) > 0 {
 		wv = t.advanceClock()
@@ -233,7 +232,7 @@ func (t *Thread) acquireRec(rec uint64) bool {
 // acqVer is empty, so the self-owned arm never fires — the body holds no
 // records.
 func (t *Thread) validate(atCommit bool) bool {
-	t.Stats().FullValidations++
+	t.Ctx().Telem().Inc(telemetry.FullValidations)
 	if ctx := t.Ctx(); ctx.Tracing() {
 		kind := "full"
 		if atCommit {
@@ -252,11 +251,11 @@ func (t *Thread) periodicValidate() {
 		return
 	}
 	ctx := t.Ctx()
-	prev := ctx.SetCat(stats.Validate)
+	prev := ctx.SetCat(telemetry.Validate)
 	ok := t.validate(false)
 	ctx.SetCat(prev)
 	if !ok {
-		panic(tm.AbortSignal{Cause: stats.AbortValidation})
+		panic(tm.AbortSignal{Cause: telemetry.AbortValidation})
 	}
 }
 
@@ -346,7 +345,7 @@ func (t *Thread) Savepoint() tm.Savepoint {
 // optimistic.
 func (t *Thread) RollbackTo(sp tm.Savepoint) {
 	ctx := t.Ctx()
-	prev := ctx.SetCat(stats.Commit)
+	prev := ctx.SetCat(telemetry.Commit)
 	wbLog := t.LogAddr(logWb)
 	for i := len(t.wb) - 1; i >= sp.Writes; i-- {
 		e := t.wb[i]
@@ -372,7 +371,7 @@ func (t *Thread) Load(addr uint64) uint64 {
 	if v, ok := t.bufferLookup(addr); ok {
 		return v
 	}
-	return t.loadShared(t.RecordFor(addr, stats.RdBar), addr)
+	return t.loadShared(t.RecordFor(addr, telemetry.RdBar), addr)
 }
 
 // LoadObj transactionally reads the field at offset off of the object
@@ -393,7 +392,7 @@ func (t *Thread) LoadObj(base, off uint64) uint64 {
 // touching the record.
 func (t *Thread) bufferLookup(addr uint64) (uint64, bool) {
 	ctx := t.Ctx()
-	prev := ctx.SetCat(stats.RdBar)
+	prev := ctx.SetCat(telemetry.RdBar)
 	ctx.Exec(2) // buffer-index hash + branch
 	i, ok := t.wbIdx[addr]
 	var v uint64
@@ -412,13 +411,13 @@ func (t *Thread) loadShared(rec, addr uint64) uint64 {
 		return t.snapshotLoad(rec, addr)
 	}
 	ctx := t.Ctx()
-	prev := ctx.SetCat(stats.RdBar)
+	prev := ctx.SetCat(telemetry.RdBar)
 	v := ctx.Load(rec)
 	ctx.Exec(2) // test versionmask + jz
 	if !stm.IsVersion(v) {
 		v = t.HandleContention(rec)
 	}
-	t.Stats().UnfilteredReads++
+	t.Ctx().Telem().Inc(telemetry.UnfilteredReads)
 	t.LogRead(rec, v)
 	t.periodicValidate()
 	ctx.SetCat(prev)
@@ -434,7 +433,7 @@ func (t *Thread) loadShared(rec, addr uint64) uint64 {
 // the read is served from the version history instead.
 func (t *Thread) snapshotLoad(rec, addr uint64) uint64 {
 	ctx := t.Ctx()
-	prev := ctx.SetCat(stats.RdBar)
+	prev := ctx.SetCat(telemetry.RdBar)
 	v := ctx.Load(rec)
 	ctx.Exec(2)
 	if !stm.IsVersion(v) {
@@ -451,7 +450,7 @@ func (t *Thread) snapshotLoad(rec, addr uint64) uint64 {
 	sys := t.sys
 	snapTS := t.snapTS
 	served, miss := false, false
-	vprev := ctx.SetCat(stats.Validate)
+	vprev := ctx.SetCat(telemetry.Validate)
 	ctx.Step(func(m *sim.Machine) uint64 {
 		h := sys.hist[addr]
 		if h == nil || h.lastTS <= snapTS {
@@ -476,14 +475,14 @@ func (t *Thread) snapshotLoad(rec, addr uint64) uint64 {
 		// one abort a snapshot attempt can take. Counted so tests can
 		// assert the read-only never-abort guarantee as "this stays zero".
 		b.Inc(telemetry.SnapshotAborts)
-		panic(tm.AbortSignal{Cause: stats.AbortValidation})
+		panic(tm.AbortSignal{Cause: telemetry.AbortValidation})
 	}
 	if served {
 		b.Inc(telemetry.VersionHistoryReads)
 		t.histServed = true
 		return val
 	}
-	t.Stats().UnfilteredReads++
+	t.Ctx().Telem().Inc(telemetry.UnfilteredReads)
 	t.LogRead(rec, v)
 	return val
 }
@@ -492,7 +491,7 @@ func (t *Thread) snapshotLoad(rec, addr uint64) uint64 {
 // commit).
 func (t *Thread) Store(addr, val uint64) {
 	t.RequireTxn()
-	t.bufferWrite(t.RecordFor(addr, stats.WrBar), addr, val)
+	t.bufferWrite(t.RecordFor(addr, telemetry.WrBar), addr, val)
 }
 
 // StoreObj transactionally writes a field of the object at base.
@@ -517,7 +516,7 @@ func (t *Thread) bufferWrite(rec, addr, val uint64) {
 		panic("lazystm: write-buffer overflow; raise stm.LogCap or shorten the transaction")
 	}
 	ctx := t.Ctx()
-	prev := ctx.SetCat(stats.WrBar)
+	prev := ctx.SetCat(telemetry.WrBar)
 	t.AppendLog(logWb, addr, val)
 	prevIdx := -1
 	if i, ok := t.wbIdx[addr]; ok {
@@ -536,7 +535,7 @@ func (t *Thread) bufferWrite(rec, addr, val uint64) {
 // Otherwise the attempt restarts pinned to writer mode.
 func (t *Thread) upgradeToWriter() {
 	ctx := t.Ctx()
-	prev := ctx.SetCat(stats.Validate)
+	prev := ctx.SetCat(telemetry.Validate)
 	ok := !t.histServed
 	if ok {
 		ctx.Exec(2)

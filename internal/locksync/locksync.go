@@ -12,7 +12,6 @@ package locksync
 import (
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -74,7 +73,7 @@ func (t *lockThread) Atomic(body func(tm.Txn) error) error {
 	defer func() {
 		t.held = false
 		t.release()
-		t.ctx.Machine().Stats.Cores[t.ctx.ID()].Commits++
+		t.ctx.Telem().Inc(telemetry.Commits)
 		// A lock-based critical section always completes, so the escalation
 		// ladder's retry budget can never trip; the commit note alone keeps
 		// the progress watchdog fed.
@@ -85,7 +84,7 @@ func (t *lockThread) Atomic(body func(tm.Txn) error) error {
 
 func (t *lockThread) acquire() {
 	ctx := t.ctx
-	prev := ctx.SetCat(stats.Lock)
+	prev := ctx.SetCat(telemetry.Lock)
 	defer ctx.SetCat(prev)
 	for {
 		// Test-and-test-and-set: spin on a read before attempting the CAS.
@@ -104,7 +103,7 @@ func (t *lockThread) acquire() {
 
 func (t *lockThread) release() {
 	ctx := t.ctx
-	prev := ctx.SetCat(stats.Lock)
+	prev := ctx.SetCat(telemetry.Lock)
 	ctx.Store(t.sys.lock, 0)
 	ctx.SetCat(prev)
 }
@@ -195,7 +194,7 @@ func (t *seqThread) Atomic(body func(tm.Txn) error) error {
 	t.in = true
 	defer func() {
 		t.in = false
-		t.ctx.Machine().Stats.Cores[t.ctx.ID()].Commits++
+		t.ctx.Telem().Inc(telemetry.Commits)
 		t.ctx.NoteCommit()
 	}()
 	return body(t)

@@ -6,7 +6,7 @@ import (
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
 
@@ -37,7 +37,7 @@ func TestLockMutualExclusion(t *testing.T) {
 	if got := machine.Mem.Load(ctr); got != 4*per {
 		t.Fatalf("counter = %d, want %d (lock failed to serialise)", got, 4*per)
 	}
-	if machine.Stats.CategoryCycles(stats.Lock) == 0 {
+	if machine.Stats.CategoryCycles(telemetry.Lock) == 0 {
 		t.Fatal("lock cycles not attributed")
 	}
 }

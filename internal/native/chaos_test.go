@@ -132,7 +132,7 @@ func TestChaosSpuriousAborts(t *testing.T) {
 	if rep.Fired["abort"] == 0 {
 		t.Fatal("no spurious aborts fired — the commit path never consumed a plan")
 	}
-	if n := sys.Telemetry().Count(telemetry.ChaosInjected); n == 0 {
+	if n := sys.Stats().Count(telemetry.ChaosInjected); n == 0 {
 		t.Fatal("chaos_injected telemetry counter is zero despite fired injections")
 	}
 }
@@ -179,7 +179,7 @@ func TestWakeupTimeoutBoundsLostWakeup(t *testing.T) {
 	if got := m.Load(slot); got != 0 {
 		t.Fatalf("slot = %d, want 0", got)
 	}
-	if n := sys.Telemetry().Count(telemetry.WakeupTimeouts); n == 0 {
+	if n := sys.Stats().Count(telemetry.WakeupTimeouts); n == 0 {
 		t.Fatal("wakeup_timeouts is zero after 50ms of waiting on a 1ms deadline")
 	}
 }
@@ -254,5 +254,5 @@ func TestLostWakeupSoak(t *testing.T) {
 		t.Fatalf("matched-totals queue left slot = %d, want 0", got)
 	}
 	t.Logf("soak: %d wakeup timeouts, %d injections",
-		sys.Telemetry().Count(telemetry.WakeupTimeouts), sys.Telemetry().Count(telemetry.ChaosInjected))
+		sys.Stats().Count(telemetry.WakeupTimeouts), sys.Stats().Count(telemetry.ChaosInjected))
 }

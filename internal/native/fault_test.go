@@ -65,7 +65,7 @@ func TestTxnFaultContainsBodyPanic(t *testing.T) {
 	if got := m.Load(slot); got != 0 {
 		t.Fatalf("buffered store of a faulted transaction leaked: slot = %d", got)
 	}
-	if n := sys.Telemetry().Count(telemetry.ContainedFaults); n != 1 {
+	if n := sys.Stats().Count(telemetry.ContainedFaults); n != 1 {
 		t.Fatalf("contained_faults = %d, want 1", n)
 	}
 	// Both threads still commit.

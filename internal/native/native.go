@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"hastm.dev/hastm/internal/mem"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -73,7 +72,7 @@ type Config struct {
 	// serial RWMutex).
 	TM tm.Config
 	// Threads is the number of Thread handles the system will hand out
-	// (sizes the per-thread stats and telemetry blocks).
+	// (sizes the per-thread accounting blocks).
 	Threads int
 	// ArenaBytes sizes the transactional allocation arena carved out of
 	// the address space at creation; 0 means 4 MiB. Transactions must
@@ -104,8 +103,7 @@ type System struct {
 	armed    bool
 	// failed holds the first watchdog violation (see watchdog.go).
 	failed  atomic.Pointer[NativeProgressViolation]
-	stats   *stats.Machine
-	telem   *telemetry.Machine
+	stats   *telemetry.Machine
 	threads []*Thread
 	cfg     Config
 
@@ -160,8 +158,7 @@ func New(m *mem.Memory, cfg Config) *System {
 		stripes: make([]stripe, cfg.Stripes),
 		mask:    uint64(cfg.Stripes - 1),
 		armed:   cfg.TM.Progress.RetryBudget > 0,
-		stats:   stats.NewMachine(cfg.Threads),
-		telem:   telemetry.NewMachine(cfg.Threads),
+		stats:   telemetry.NewMachine(cfg.Threads),
 		threads: make([]*Thread, cfg.Threads),
 	}
 	s.wakeCh = make(chan struct{})
@@ -178,11 +175,8 @@ func (s *System) Name() string { return "native-tl2" }
 // Memory returns the backing address space.
 func (s *System) Memory() *mem.Memory { return s.m }
 
-// Stats returns the per-thread stats store.
-func (s *System) Stats() *stats.Machine { return s.stats }
-
-// Telemetry returns the per-thread telemetry store.
-func (s *System) Telemetry() *telemetry.Machine { return s.telem }
+// Stats returns the per-thread metrics store.
+func (s *System) Stats() *telemetry.Machine { return s.stats }
 
 // Clock returns the current global version (even; 0 before any commit).
 func (s *System) Clock() uint64 { return s.clock.Load() }
@@ -199,11 +193,10 @@ func (s *System) Thread(id int) tm.Thread {
 			sys:      s,
 			id:       id,
 			lockWord: uint64(id)<<1 | 1,
-			st:       &s.stats.Cores[id],
-			tb:       s.telem.Block(id),
+			tb:       s.stats.Block(id),
 			windex:   newWriteIndex(),
 		}
-		t.Bind(t, nil, t.st, t.tb, "", s.cfg.TM.Progress.RetryBudget, s.armed)
+		t.Bind(t, nil, t.tb, "", s.cfg.TM.Progress.RetryBudget, s.armed)
 		t.boRng = chaosMix(0x626b6f666668a5a5, uint64(id))
 		if s.cfg.Chaos.Enabled() {
 			t.chaos = newChaosThread(s.cfg.Chaos, id)

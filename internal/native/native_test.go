@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hastm.dev/hastm/internal/mem"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -150,7 +149,7 @@ func TestRetryWakeup(t *testing.T) {
 	if got := <-done; got != 1234 {
 		t.Fatalf("consumer read %d, want 1234", got)
 	}
-	if r := sys.Stats().Cores[0].Retries; r == 0 {
+	if r := sys.Stats().Block(0).Count(telemetry.Retries); r == 0 {
 		t.Fatal("consumer never counted a retry wait")
 	}
 }
@@ -214,7 +213,7 @@ func TestEscalationLadder(t *testing.T) {
 	if got := m.Load(word); got != 1 {
 		t.Fatalf("counter = %d, want 1", got)
 	}
-	tel := sys.Telemetry()
+	tel := sys.Stats()
 	if esc, ent := tel.Count(telemetry.Escalations), tel.Count(telemetry.IrrevocableEntries); esc != 1 || ent != 1 {
 		t.Fatalf("escalations=%d irrevocable entries=%d, want 1/1", esc, ent)
 	}
@@ -257,7 +256,7 @@ func TestIrrevocableNestedRollback(t *testing.T) {
 	if got := m.Load(words); got != 1 {
 		t.Fatalf("committed %d, want 1", got)
 	}
-	if sys.Telemetry().Count(telemetry.IrrevocableEntries) != 1 {
+	if sys.Stats().Count(telemetry.IrrevocableEntries) != 1 {
 		t.Fatal("irrevocable path did not run")
 	}
 }
@@ -313,10 +312,10 @@ func TestStaleSnapshotAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a := sys.Stats().Aborts(stats.AbortValidation); a != 1 {
+	if a := sys.Stats().Aborts(telemetry.AbortValidation); a != 1 {
 		t.Fatalf("validation aborts = %d, want exactly 1 (first attempt)", a)
 	}
-	if c := sys.Stats().Cores[0].Commits; c != 1 {
+	if c := sys.Stats().Block(0).Count(telemetry.Commits); c != 1 {
 		t.Fatalf("reader commits = %d, want 1", c)
 	}
 }
@@ -350,8 +349,8 @@ func TestCommitRevalidationAbortsOnInterleavedWrite(t *testing.T) {
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (abort then clean re-run)", attempts)
 	}
-	if sys.Stats().Aborts(stats.AbortValidation) != 1 {
-		t.Fatalf("validation aborts = %d, want 1", sys.Stats().Aborts(stats.AbortValidation))
+	if sys.Stats().Aborts(telemetry.AbortValidation) != 1 {
+		t.Fatalf("validation aborts = %d, want 1", sys.Stats().Aborts(telemetry.AbortValidation))
 	}
 	if got := m.Load(b); got != 101 {
 		t.Fatalf("b = %d, want 101 (read must see the interleaved commit)", got)

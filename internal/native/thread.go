@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -46,7 +45,6 @@ type Thread struct {
 	sys      *System
 	id       int
 	lockWord uint64 // id<<1 | 1: this thread's stripe write-lock value
-	st       *stats.Core
 	tb       *telemetry.Block
 
 	rv        uint64 // read version: clock sample at attempt begin
@@ -353,7 +351,7 @@ func (t *Thread) Load(addr uint64) uint64 {
 			// buffered until commit). Wait per policy, then give up.
 			spins++
 			if spins > t.spinLimit() {
-				panic(tm.AbortSignal{Cause: stats.AbortLockConflict})
+				panic(tm.AbortSignal{Cause: telemetry.AbortLockConflict})
 			}
 			t.spinYield(spins)
 			continue
@@ -361,15 +359,15 @@ func (t *Thread) Load(addr uint64) uint64 {
 		if v1 > t.rv {
 			// The stripe committed past our snapshot: reading it would
 			// tear the read set. TL2 aborts and re-runs with a fresh rv.
-			panic(tm.AbortSignal{Cause: stats.AbortValidation})
+			panic(tm.AbortSignal{Cause: telemetry.AbortValidation})
 		}
 		val := t.sys.m.LoadAtomic(addr)
 		if sp.v.Load() != v1 {
 			continue // changed underneath the data load; re-sample
 		}
 		t.reads = append(t.reads, readEntry{ix: ix, ver: v1})
-		t.st.ReadsLogged++
-		t.st.UnfilteredReads++
+		t.tb.Inc(telemetry.ReadsLogged)
+		t.tb.Inc(telemetry.UnfilteredReads)
 		return val
 	}
 }
@@ -427,7 +425,7 @@ func (t *Thread) StoreInit(addr, val uint64) {
 // Commit finishes the attempt: the TL2 commit of a revocable one (invariant
 // 3), or the stamp-and-bump of an irrevocable one. Returns false with the
 // abort cause if the attempt must be re-run.
-func (t *Thread) Commit() (bool, stats.AbortCause) {
+func (t *Thread) Commit() (bool, telemetry.AbortCause) {
 	if t.Irrevocable() {
 		t.commitIrrevocable()
 		return true, 0
@@ -456,7 +454,7 @@ func (t *Thread) Commit() (bool, stats.AbortCause) {
 		old, ok := t.acquireStripe(ix)
 		if !ok {
 			t.releaseOwned(0) // restore pre-lock versions
-			return false, stats.AbortLockConflict
+			return false, telemetry.AbortLockConflict
 		}
 		t.owned = append(t.owned, readEntry{ix: ix, ver: old})
 	}
@@ -465,14 +463,14 @@ func (t *Thread) Commit() (bool, stats.AbortCause) {
 	// stall here is exactly a descheduled committer.
 	if t.chaosAt(pointPostLock) {
 		t.releaseOwned(0)
-		return false, stats.AbortLockConflict
+		return false, telemetry.AbortLockConflict
 	}
 
 	wv := t.sys.clock.Add(2)
 
 	if t.chaosAt(pointPreValidate) {
 		t.releaseOwned(0)
-		return false, stats.AbortLockConflict
+		return false, telemetry.AbortLockConflict
 	}
 
 	// Revalidate the read set unless nothing committed since our snapshot
@@ -490,13 +488,13 @@ func (t *Thread) Commit() (bool, stats.AbortCause) {
 				}
 			}
 			t.releaseOwned(0)
-			return false, stats.AbortValidation
+			return false, telemetry.AbortValidation
 		}
 	}
 
 	if t.chaosAt(pointPreWriteBack) {
 		t.releaseOwned(0)
-		return false, stats.AbortLockConflict
+		return false, telemetry.AbortLockConflict
 	}
 
 	// Publish the buffered values in program order (the newest store to an

@@ -220,8 +220,8 @@ func TestNoLostWakeupStress(t *testing.T) {
 
 	var retries, timeouts uint64
 	for i := 0; i < waiters+2; i++ {
-		retries += sys.Stats().Cores[i].Retries
-		timeouts += sys.Telemetry().Block(i).Count(telemetry.WakeupTimeouts)
+		retries += sys.Stats().Block(i).Count(telemetry.Retries)
+		timeouts += sys.Stats().Block(i).Count(telemetry.WakeupTimeouts)
 	}
 	if timeouts != 0 {
 		t.Fatalf("%d wakeups were lost and rescued by the deadline", timeouts)
@@ -265,7 +265,7 @@ func TestRetryWaiterAnnouncesBeforeSnapshot(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if n := sys.Telemetry().Block(0).Count(telemetry.WakeupTimeouts); n != 0 {
+	if n := sys.Stats().Block(0).Count(telemetry.WakeupTimeouts); n != 0 {
 		t.Fatalf("waiter needed %d deadline rescues", n)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 // The scheduler differential suite is the executable form of the lease
@@ -94,7 +94,7 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 		progs[i] = func(c *sim.Ctx) {
 			r := splitMix{s: seed*1000003 + uint64(id)}
 			ops := 400 + int(r.next()%200)
-			cats := stats.Categories()
+			cats := telemetry.Categories()
 			for n := 0; n < ops; n++ {
 				// 40 % Exec with the category changing between them, as in
 				// real barrier traffic (register-only work is 40–50 % of all
@@ -135,7 +135,7 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 	out := diffOutcome{wall: wall, grants: m.Sched().Grants}
 	for i := 0; i < cores; i++ {
 		out.clocks = append(out.clocks, m.Core(i).Clock())
-		out.stats += fmt.Sprintln(i, m.Stats.Cores[i].Cycles) // exact, per core and category
+		out.stats += fmt.Sprintln(i, *m.Stats.Block(i)) // exact, per core and category
 	}
 	var buf bytes.Buffer
 	tb.Render(&buf, 0)

@@ -58,7 +58,6 @@ import (
 
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/mem"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 )
 
@@ -286,8 +285,7 @@ type Machine struct {
 	top    Topology // resolved (never zero): cfg.Topology or {1, Cores}
 	Mem    *mem.Memory
 	Caches *cache.Hierarchy
-	Stats  *stats.Machine
-	Telem  *telemetry.Machine
+	Stats  *telemetry.Machine
 
 	cores    []*Ctx
 	ran      bool
@@ -387,8 +385,7 @@ func New(cfg Config) *Machine {
 			L2:             cfg.L2,
 			Prefetch:       cfg.Prefetch,
 		}),
-		Stats: stats.NewMachine(cfg.Cores),
-		Telem: telemetry.NewMachine(cfg.Cores),
+		Stats: telemetry.NewMachine(cfg.Cores),
 	}
 	m.Mem.SetPlacement(top.Sockets, cfg.Placement)
 	m.watch = cfg.WatchdogWindow > 0 || cfg.CycleBudget > 0 || cfg.StallTimeout > 0
@@ -397,8 +394,8 @@ func New(cfg Config) *Machine {
 		m.cores = append(m.cores, &Ctx{
 			m:     m,
 			id:    i,
-			cat:   stats.App,
-			telem: m.Telem.Block(i),
+			cat:   telemetry.App,
+			telem: m.Stats.Block(i),
 		})
 	}
 	m.Caches.AddDropListener(markDropper{m})
@@ -705,7 +702,7 @@ type Ctx struct {
 	accessTick uint64
 	rfoRng     uint64
 
-	cat   stats.Category
+	cat   telemetry.Category
 	telem *telemetry.Block
 
 	// Progress-reporting state (see progress.go). NoteCommit/SetStatus run
@@ -732,26 +729,24 @@ func (c *Ctx) Clock() uint64 { return c.clock }
 // Machine returns the owning machine.
 func (c *Ctx) Machine() *Machine { return c.m }
 
-// Telem returns this core's telemetry block. Only this core's program
+// Telem returns this core's accounting block. Only this core's program
 // coroutine may write to it (one simulated core, one writer), which is what
 // lets the block use plain, non-atomic increments.
 func (c *Ctx) Telem() *telemetry.Block { return c.telem }
 
-// SetCat switches the stats category subsequent cycles are attributed to
-// and returns the previous category, enabling the push/pop idiom:
+// SetCat switches the category subsequent cycles are attributed to and
+// returns the previous category, enabling the push/pop idiom:
 //
-//	defer c.SetCat(c.SetCat(stats.RdBar))
-func (c *Ctx) SetCat(cat stats.Category) stats.Category {
+//	defer c.SetCat(c.SetCat(telemetry.RdBar))
+func (c *Ctx) SetCat(cat telemetry.Category) telemetry.Category {
 	old := c.cat
 	c.cat = cat
 	return old
 }
 
-func (c *Ctx) stats() *stats.Core { return &c.m.Stats.Cores[c.id] }
-
 func (c *Ctx) charge(cycles uint64) {
 	c.clock += cycles
-	c.stats().Cycles[c.cat] += cycles
+	c.telem.Charge(c.cat, cycles)
 }
 
 // acquire obtains the grant for the next architectural operation — inline
@@ -807,10 +802,10 @@ func (c *Ctx) ringTransitionNow() {
 // back to full software validation.
 func (c *Ctx) InjectSuspend() { c.ringTransitionNow() }
 
-// Cat returns the stats category cycles are currently attributed to —
+// Cat returns the category cycles are currently attributed to —
 // letting a FaultHook target a transaction phase (e.g. inject only while
 // the core is validating).
-func (c *Ctx) Cat() stats.Category { return c.cat }
+func (c *Ctx) Cat() telemetry.Category { return c.cat }
 
 // release ends the operation. While the post-operation (clock, id) is
 // below the horizon entry this core is still the one the pick loop would

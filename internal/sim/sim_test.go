@@ -5,7 +5,7 @@ import (
 
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/mem"
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 func tinyConfig(cores int) Config {
@@ -273,16 +273,16 @@ func TestCategoryAttribution(t *testing.T) {
 	addr := m.Mem.Alloc(mem.LineSize, mem.LineSize)
 	m.Run(func(c *Ctx) {
 		c.Exec(10) // App by default
-		prev := c.SetCat(stats.RdBar)
+		prev := c.SetCat(telemetry.RdBar)
 		c.Load(addr)
 		c.SetCat(prev)
 	})
-	st := &m.Stats.Cores[0]
-	if st.Cycles[stats.App] != 10 {
-		t.Errorf("App cycles = %d, want 10", st.Cycles[stats.App])
+	st := m.Stats.Block(0)
+	if st.Cycles(telemetry.App) != 10 {
+		t.Errorf("App cycles = %d, want 10", st.Cycles(telemetry.App))
 	}
-	if st.Cycles[stats.RdBar] != 200 {
-		t.Errorf("RdBar cycles = %d, want 200 (cold miss)", st.Cycles[stats.RdBar])
+	if st.Cycles(telemetry.RdBar) != 200 {
+		t.Errorf("RdBar cycles = %d, want 200 (cold miss)", st.Cycles(telemetry.RdBar))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -44,7 +43,6 @@ type RecEntry struct {
 type Base struct {
 	tm.Engine
 	ctx   *sim.Ctx
-	st    *stats.Core
 	cfg   *tm.Config
 	table *RecordTable
 
@@ -71,9 +69,8 @@ type Base struct {
 // HASTM's aggressive mode removes. label is the watchdog status label.
 func (b *Base) Init(p tm.Protocol, ctx *sim.Ctx, cfg *tm.Config, table *RecordTable, label string, nLogs int) {
 	b.ctx, b.cfg, b.table, b.used = ctx, cfg, table, nLogs
-	b.st = &ctx.Machine().Stats.Cores[ctx.ID()]
 	b.backoff, b.ladder = tm.NewBackoff(ctx.ID()), tm.NewBackoff(ctx.ID())
-	b.Bind(p, ctx, b.st, ctx.Telem(), label, cfg.Progress.RetryBudget, cfg.Progress.Token != nil)
+	b.Bind(p, ctx, ctx.Telem(), label, cfg.Progress.RetryBudget, cfg.Progress.Token != nil)
 	// The allocator is shared machine state: reserve everything inside one
 	// architectural step so concurrent thread creation stays deterministic
 	// and race-free.
@@ -97,9 +94,6 @@ func (b *Base) ID() int { return b.ctx.ID() }
 // Stamp returns the simulated clock, the serialization stamp of the most
 // recently completed atomic block on the cycle-ordered simulator.
 func (b *Base) Stamp() uint64 { return b.ctx.Clock() }
-
-// Stats returns the per-core statistics record.
-func (b *Base) Stats() *stats.Core { return b.st }
 
 // Config returns the TM configuration.
 func (b *Base) Config() tm.Config { return *b.cfg }
@@ -135,9 +129,9 @@ func (b *Base) BeginLogs(attempt int) {
 	b.readsSinceValidate = 0
 
 	ctx := b.ctx
-	prev := ctx.SetCat(stats.TLS)
+	prev := ctx.SetCat(telemetry.TLS)
 	ctx.Load(b.tls) // gettxndesc
-	ctx.SetCat(stats.Commit)
+	ctx.SetCat(telemetry.Commit)
 	ctx.Exec(4) // descriptor setup
 	for i := 0; i < b.used; i++ {
 		ctx.Store(b.desc+uint64(i)*8, b.logs[i])
@@ -164,12 +158,12 @@ func (b *Base) LogRead(rec, ver uint64) {
 	}
 	b.AppendLog(logReads, rec, ver)
 	b.Reads = append(b.Reads, RecEntry{rec, ver})
-	b.Stats().ReadsLogged++
+	b.ctx.Telem().Inc(telemetry.ReadsLogged)
 }
 
 // RecordFor maps a data address to its transaction record, charging the
 // record-address computation (mov/and/add, Fig 7) to the given category.
-func (b *Base) RecordFor(addr uint64, cat stats.Category) uint64 {
+func (b *Base) RecordFor(addr uint64, cat telemetry.Category) uint64 {
 	prev := b.ctx.SetCat(cat)
 	b.ctx.Exec(3)
 	b.ctx.SetCat(prev)
@@ -178,7 +172,7 @@ func (b *Base) RecordFor(addr uint64, cat stats.Category) uint64 {
 
 // AppLoad performs the data load of a read barrier at the App category.
 func (b *Base) AppLoad(addr uint64) uint64 {
-	prev := b.ctx.SetCat(stats.App)
+	prev := b.ctx.SetCat(telemetry.App)
 	v := b.ctx.Load(addr)
 	b.ctx.SetCat(prev)
 	return v
@@ -234,7 +228,7 @@ func (b *Base) WaitShared(rec uint64) (uint64, bool) {
 func (b *Base) HandleContention(rec uint64) uint64 {
 	v, ok := b.WaitShared(rec)
 	if !ok {
-		panic(tm.AbortSignal{Cause: stats.AbortLockConflict})
+		panic(tm.AbortSignal{Cause: telemetry.AbortLockConflict})
 	}
 	return v
 }
@@ -306,7 +300,7 @@ func (b *Base) WatchReadsFrom(n int) int {
 // spurious wakeup, which retry semantics permit.
 func (b *Base) WaitForChange() {
 	ctx := b.ctx
-	prev := ctx.SetCat(stats.Validate)
+	prev := ctx.SetCat(telemetry.Validate)
 	defer ctx.SetCat(prev)
 	if len(b.watch) == 0 {
 		b.backoff.Wait(ctx)
@@ -343,7 +337,7 @@ func (b *Base) EndAttempt(committed bool) {
 // figures.
 func (b *Base) EnterLadder(irrevocable bool) {
 	tok, ctx := b.cfg.Progress.Token, b.ctx
-	prev := ctx.SetCat(stats.Lock)
+	prev := ctx.SetCat(telemetry.Lock)
 	if irrevocable {
 		tok.Acquire(ctx, b.ladder)
 		b.irrevStart = ctx.Clock()
@@ -359,7 +353,7 @@ func (b *Base) EnterLadder(irrevocable bool) {
 // one.
 func (b *Base) ExitLadder(irrevocable bool) {
 	tok, ctx := b.cfg.Progress.Token, b.ctx
-	prev := ctx.SetCat(stats.Lock)
+	prev := ctx.SetCat(telemetry.Lock)
 	if irrevocable {
 		ctx.Telem().Add(telemetry.IrrevocableCyclesHeld, ctx.Clock()-b.irrevStart)
 		tok.Release(ctx)

@@ -37,14 +37,14 @@ func TestLadderEscalatesToTerminalCommit(t *testing.T) {
 	if got := machine.Mem.Load(ctr); got != 1 {
 		t.Fatalf("counter = %d, want 1", got)
 	}
-	tot := machine.Telem.Totals().Counters
-	if tot[telemetry.Escalations.String()] != 1 {
-		t.Errorf("escalations = %d, want 1", tot[telemetry.Escalations.String()])
+	tot := machine.Stats
+	if tot.Count(telemetry.Escalations) != 1 {
+		t.Errorf("escalations = %d, want 1", tot.Count(telemetry.Escalations))
 	}
-	if tot[telemetry.IrrevocableEntries.String()] != 1 {
-		t.Errorf("irrevocable entries = %d, want 1", tot[telemetry.IrrevocableEntries.String()])
+	if tot.Count(telemetry.IrrevocableEntries) != 1 {
+		t.Errorf("irrevocable entries = %d, want 1", tot.Count(telemetry.IrrevocableEntries))
 	}
-	if tot[telemetry.IrrevocableCyclesHeld.String()] == 0 {
+	if tot.Count(telemetry.IrrevocableCyclesHeld) == 0 {
 		t.Error("irrevocable entry held the token for zero cycles")
 	}
 }
@@ -157,7 +157,7 @@ func TestWaitPolicyDefersToIrrevocableOwner(t *testing.T) {
 	if got := machine.Mem.Load(ctr); got != cores*rounds {
 		t.Fatalf("counter = %d, want %d", got, cores*rounds)
 	}
-	if ownerAborts := machine.Stats.Cores[0].TotalAborts(); ownerAborts != 0 {
+	if ownerAborts := machine.Stats.Block(0).TotalAborts(); ownerAborts != 0 {
 		t.Errorf("irrevocable owner aborted %d times; irrevocable means never", ownerAborts)
 	}
 }
@@ -209,7 +209,7 @@ func TestSuspensionDuringIrrevocableCommits(t *testing.T) {
 		t.Fatalf("counter = %d, want 10", got)
 	}
 	for core := 0; core < 2; core++ {
-		if aborts := machine.Stats.Cores[core].TotalAborts(); aborts != 0 {
+		if aborts := machine.Stats.Block(core).TotalAborts(); aborts != 0 {
 			t.Errorf("core %d aborted %d times despite running irrevocably", core, aborts)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
 
@@ -220,7 +221,7 @@ func TestValidationDetectsStaleRead(t *testing.T) {
 	if attempts < 2 {
 		t.Fatalf("stale read committed without re-execution (attempts=%d)", attempts)
 	}
-	if machine.Stats.ConflictAborts() == 0 {
+	if machine.Stats.Aborts(telemetry.AbortValidation)+machine.Stats.Aborts(telemetry.AbortLockConflict) == 0 {
 		t.Fatal("no conflict abort recorded")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
 
@@ -517,7 +517,7 @@ func TestPeriodicValidationAborts(t *testing.T) {
 		c.Store(sync, 2)
 	}
 	machine.Run(reader, writer)
-	if machine.Stats.ConflictAborts() == 0 {
+	if machine.Stats.Aborts(telemetry.AbortValidation)+machine.Stats.Aborts(telemetry.AbortLockConflict) == 0 {
 		t.Fatal("expected at least one conflict abort from periodic validation")
 	}
 	if machine.Stats.Commits() < 2 {
@@ -540,7 +540,7 @@ func TestStatsBreakdownHasBarrierCosts(t *testing.T) {
 		})
 	})
 	st := machine.Stats
-	for _, cat := range []stats.Category{stats.RdBar, stats.WrBar, stats.Validate, stats.Commit, stats.TLS, stats.App} {
+	for _, cat := range []telemetry.Category{telemetry.RdBar, telemetry.WrBar, telemetry.Validate, telemetry.Commit, telemetry.TLS, telemetry.App} {
 		if st.CategoryCycles(cat) == 0 {
 			t.Errorf("category %v has zero cycles", cat)
 		}

@@ -3,7 +3,6 @@ package stm
 import (
 	"fmt"
 
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -59,11 +58,11 @@ func (t *Thread) BeginAttempt(attempt int) {
 
 // Commit validates the read set and, if it holds, releases every owned
 // record at its next version — the in-place updates are already public.
-func (t *Thread) Commit() (bool, stats.AbortCause) {
+func (t *Thread) Commit() (bool, telemetry.AbortCause) {
 	ctx := t.ctx
-	prev := ctx.SetCat(stats.Validate)
+	prev := ctx.SetCat(telemetry.Validate)
 	ok, cause := t.validate(true)
-	ctx.SetCat(stats.Commit)
+	ctx.SetCat(telemetry.Commit)
 	if ok {
 		for _, w := range t.writes {
 			ctx.Store(w.Rec, NextVersion(w.Ver))
@@ -108,25 +107,25 @@ func (t *Thread) ReadsConsistent() bool { return t.ReadsConsistentWith(t.writeVe
 // returned cause distinguishes a real conflict from an aggressive-mode
 // transaction that merely lost the ability to validate (no read set to
 // fall back on).
-func (t *Thread) validate(atCommit bool) (bool, stats.AbortCause) {
+func (t *Thread) validate(atCommit bool) (bool, telemetry.AbortCause) {
 	ctx := t.ctx
 	if t.accel != nil {
 		skipFull, ok := t.accel.PreValidate(t, atCommit)
 		if !ok {
-			return false, stats.AbortAggressive
+			return false, telemetry.AbortAggressive
 		}
 		if skipFull {
-			t.Stats().FastValidations++
+			t.ctx.Telem().Inc(telemetry.FastValidations)
 			ctx.TraceEvent("validate", "fast (mark counter zero)")
 			return true, 0
 		}
 	}
-	t.Stats().FullValidations++
+	t.ctx.Telem().Inc(telemetry.FullValidations)
 	if ctx.Tracing() {
 		ctx.TraceEvent("validate", fmt.Sprintf("full (%d reads)", len(t.Reads)))
 	}
 	if !t.ValidateReads(t.writeVer) {
-		return false, stats.AbortValidation
+		return false, telemetry.AbortValidation
 	}
 	return true, 0
 }
@@ -137,7 +136,7 @@ func (t *Thread) periodicValidate() {
 	if !t.ValidationDue() {
 		return
 	}
-	prev := t.ctx.SetCat(stats.Validate)
+	prev := t.ctx.SetCat(telemetry.Validate)
 	ok, cause := t.validate(false)
 	t.ctx.SetCat(prev)
 	if !ok {
@@ -157,7 +156,7 @@ func (t *Thread) RollbackAll() { t.RollbackTo(tm.Savepoint{}) }
 // for nested transactions, full rollback for sp == zero).
 func (t *Thread) RollbackTo(sp tm.Savepoint) {
 	ctx := t.ctx
-	prev := ctx.SetCat(stats.Commit)
+	prev := ctx.SetCat(telemetry.Commit)
 
 	// Restore data from the undo log, newest first.
 	undoLog := t.LogAddr(logUndo)
@@ -211,11 +210,11 @@ func (t *Thread) Load(addr uint64) uint64 {
 	lineAccel := t.accel != nil && t.cfg.Granularity == tm.LineGranularity
 	if lineAccel {
 		if v, ok := t.accel.FilterData(t, addr); ok {
-			t.Stats().FilteredReads++
+			t.ctx.Telem().Inc(telemetry.FilteredReads)
 			return v
 		}
 	}
-	t.recordReadBarrier(t.RecordFor(addr, stats.RdBar))
+	t.recordReadBarrier(t.RecordFor(addr, telemetry.RdBar))
 	if lineAccel {
 		// Trailing loadsetmark_granularity64 both marks the data line and
 		// performs the data load (Fig 7).
@@ -239,7 +238,7 @@ func (t *Thread) LoadObj(base, off uint64) uint64 {
 // (Fig 5/8) plugged in via the accel hooks.
 func (t *Thread) recordReadBarrier(rec uint64) {
 	ctx := t.ctx
-	prev := ctx.SetCat(stats.RdBar)
+	prev := ctx.SetCat(telemetry.RdBar)
 	defer ctx.SetCat(prev)
 
 	var v uint64
@@ -251,7 +250,7 @@ func (t *Thread) recordReadBarrier(rec uint64) {
 		// knows which applies.
 		if t.accel.FilterRecord(t, rec) {
 			ctx.Exec(1) // jnae done
-			t.Stats().FilteredReads++
+			t.ctx.Telem().Inc(telemetry.FilteredReads)
 			return
 		}
 		v = t.accel.LoadRecordForRead(t, rec)
@@ -272,11 +271,11 @@ func (t *Thread) recordReadBarrier(rec uint64) {
 		v = t.HandleContention(rec)
 	}
 
-	t.Stats().UnfilteredReads++
+	t.ctx.Telem().Inc(telemetry.UnfilteredReads)
 	if t.accel == nil || t.accel.ShouldLogRead(t) {
 		t.LogRead(rec, v)
 	} else {
-		t.Stats().ReadLogsSkipped++
+		t.ctx.Telem().Inc(telemetry.ReadLogsSkipped)
 	}
 	t.periodicValidate()
 }
@@ -284,7 +283,7 @@ func (t *Thread) recordReadBarrier(rec uint64) {
 // Store transactionally writes the word at addr (line-granularity record).
 func (t *Thread) Store(addr, val uint64) {
 	t.RequireTxn()
-	t.recordWriteBarrier(t.RecordFor(addr, stats.WrBar))
+	t.recordWriteBarrier(t.RecordFor(addr, telemetry.WrBar))
 	t.undoLogAndStore(addr, val)
 }
 
@@ -303,12 +302,12 @@ func (t *Thread) StoreObj(base, off, val uint64) {
 // with a CAS, logging the displaced version in the write set.
 func (t *Thread) recordWriteBarrier(rec uint64) {
 	ctx := t.ctx
-	prev := ctx.SetCat(stats.WrBar)
+	prev := ctx.SetCat(telemetry.WrBar)
 	defer ctx.SetCat(prev)
 
 	if t.accel != nil && t.accel.FilterWriteOwned(t, rec) {
 		// Plane-1 mark intact: the record is still exclusively ours.
-		t.Stats().FilteredWrites++
+		t.ctx.Telem().Inc(telemetry.FilteredWrites)
 		return
 	}
 
@@ -354,11 +353,11 @@ func (t *Thread) undoLogAndStore(addr, val uint64) {
 		panic("stm: undo log overflow; raise LogCap or shorten the transaction")
 	}
 	ctx := t.ctx
-	prev := ctx.SetCat(stats.WrBar)
+	prev := ctx.SetCat(telemetry.WrBar)
 
 	if t.accel != nil && t.accel.UndoFilterEnabled() {
 		if t.accel.FilterUndo(t, addr) {
-			t.Stats().UndoLogsSkipped++
+			t.ctx.Telem().Inc(telemetry.UndoLogsSkipped)
 		} else {
 			// First store to this sub-block: capture both of its words so
 			// later (filtered) stores to either are covered by replay.
@@ -377,7 +376,7 @@ func (t *Thread) undoLogAndStore(addr, val uint64) {
 		t.appendUndo(addr, ctx.Load(addr))
 	}
 
-	ctx.SetCat(stats.App)
+	ctx.SetCat(telemetry.App)
 	ctx.Store(addr, val)
 	ctx.SetCat(prev)
 }

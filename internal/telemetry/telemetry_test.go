@@ -9,68 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 )
-
-// Blocks must start on distinct cache lines inside a Machine's slice, or
-// two cores' hot-path increments would false-share.
-func TestBlockIsCacheLineMultiple(t *testing.T) {
-	if s := unsafe.Sizeof(Block{}); s%64 != 0 {
-		t.Fatalf("Block size %d is not a multiple of 64 bytes", s)
-	}
-}
-
-func TestCountersAndGaugesMerge(t *testing.T) {
-	m := NewMachine(3)
-	m.Block(0).Inc(ModeSwitchAggressive)
-	m.Block(0).Add(ModeSwitchAggressive, 2)
-	m.Block(2).Inc(ModeSwitchAggressive)
-	m.Block(1).ObserveMax(ReadSetHWM, 40)
-	m.Block(2).ObserveMax(ReadSetHWM, 17)
-	m.Block(2).ObserveMax(ReadSetHWM, 5) // lower: must not shrink
-
-	if got := m.Count(ModeSwitchAggressive); got != 4 {
-		t.Fatalf("Count = %d, want 4", got)
-	}
-	if got := m.GaugeMax(ReadSetHWM); got != 40 {
-		t.Fatalf("GaugeMax = %d, want 40", got)
-	}
-	if got := m.Block(2).GaugeValue(ReadSetHWM); got != 17 {
-		t.Fatalf("per-block gauge = %d, want 17", got)
-	}
-
-	tot := m.Totals()
-	if tot.Counters["mode_switch_aggressive"] != 4 {
-		t.Fatalf("Totals counters = %v", tot.Counters)
-	}
-	if tot.Gauges["read_set_hwm"] != 40 {
-		t.Fatalf("Totals gauges = %v", tot.Gauges)
-	}
-	if _, ok := tot.Counters["lock_acquires"]; ok {
-		t.Fatal("zero counters must be omitted from Totals")
-	}
-
-	m.Reset()
-	if got := m.Count(ModeSwitchAggressive); got != 0 {
-		t.Fatalf("Count after Reset = %d", got)
-	}
-}
-
-func TestNamesAreStable(t *testing.T) {
-	for c := Counter(0); c < numCounters; c++ {
-		if s := c.String(); s == "" || strings.HasPrefix(s, "Counter(") {
-			t.Errorf("counter %d has no name", c)
-		}
-	}
-	for g := Gauge(0); g < numGauges; g++ {
-		if s := g.String(); s == "" || strings.HasPrefix(s, "Gauge(") {
-			t.Errorf("gauge %d has no name", g)
-		}
-	}
-	if Counter(99).String() != "Counter(99)" || Gauge(99).String() != "Gauge(99)" {
-		t.Error("out-of-range names should be diagnostic")
-	}
-}
 
 func TestTraceBufferCapAndDrops(t *testing.T) {
 	b := NewTraceBuffer(2)

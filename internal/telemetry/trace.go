@@ -20,7 +20,7 @@ type TxnEvent struct {
 	Cycle  uint64 `json:"cycle"`
 	Txn    uint64 `json:"txn"`   // per-core transaction sequence number
 	Retry  int    `json:"retry"` // attempt index, 0 = first execution
-	Kind   string `json:"ev"`    // "begin", "commit", "abort", "retry", "fallback", "mode", "error", "escalate", "irrevocable"
+	Kind   string `json:"ev"`    // one of EventKinds
 	Cause  string `json:"cause,omitempty"`
 	Reads  int    `json:"reads,omitempty"`
 	Writes int    `json:"writes,omitempty"`
@@ -77,6 +77,11 @@ const (
 	// slo-scan/slo-transfer/hot-key-open causes.
 	EvDegrade = "degrade"
 )
+
+// EventKinds is the trace vocabulary in display order: every kind a
+// well-formed trace may carry.
+var EventKinds = []string{EvBegin, EvCommit, EvAbort, EvRetry, EvFallback, EvMode, EvError, EvEscalate,
+	EvIrrevocable, EvShed, EvSerialize, EvUpgrade, EvWriterRestart, EvDegrade}
 
 // TraceBuffer collects transaction events from every core of one machine.
 // Core programs are coroutines that run one at a time on the scheduler's

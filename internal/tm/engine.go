@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/telemetry"
 )
 
@@ -24,7 +23,7 @@ type Protocol interface {
 	// Commit validates and publishes the attempt. On failure it has already
 	// released whatever the commit itself acquired and returns the cause;
 	// the engine then rolls the attempt back as an abort.
-	Commit() (ok bool, cause stats.AbortCause)
+	Commit() (ok bool, cause telemetry.AbortCause)
 	// CommitDetail renders the text-trace detail of the commit just made.
 	// Only called with a trace attached.
 	CommitDetail() string
@@ -80,7 +79,6 @@ type Engine struct {
 	p     Protocol
 	txn   Txn      // p as the body's argument, converted once
 	ctx   *sim.Ctx // nil on the host backend: no simulated charges, no trace
-	st    *stats.Core
 	tb    *telemetry.Block
 	label string // watchdog status label of a revocable attempt
 	armed bool   // the escalation ladder is configured
@@ -95,12 +93,12 @@ type Engine struct {
 	serializeNext bool
 }
 
-// Bind wires the engine to its protocol and accounting sinks. ctx is nil on
+// Bind wires the engine to its protocol and accounting block. ctx is nil on
 // the host backend. armed says whether the ladder exists at all (a token on
 // the simulator, a positive budget on the host); a zero retryBudget with an
 // armed ladder escalates every transaction on its first attempt.
-func (e *Engine) Bind(p Protocol, ctx *sim.Ctx, st *stats.Core, tb *telemetry.Block, label string, retryBudget int, armed bool) {
-	e.p, e.txn, e.ctx, e.st, e.tb, e.label, e.armed = p, p, ctx, st, tb, label, armed
+func (e *Engine) Bind(p Protocol, ctx *sim.Ctx, tb *telemetry.Block, label string, retryBudget int, armed bool) {
+	e.p, e.txn, e.ctx, e.tb, e.label, e.armed = p, p, ctx, tb, label, armed
 	e.fsm.RetryBudget = retryBudget
 }
 
@@ -171,8 +169,8 @@ func (e *Engine) Atomic(body func(Txn) error) error {
 			}
 			e.abort(cause)
 		case UserAbortSignal:
-			e.abandon(telemetry.EvAbort, stats.AbortExplicit.String())
-			e.st.Aborts[stats.AbortExplicit]++
+			e.abandon(telemetry.EvAbort, telemetry.AbortExplicit.String())
+			e.tb.Abort(telemetry.AbortExplicit)
 			return ErrUserAbort
 		case RetrySignal:
 			// The wait set must capture the read set before the rollback
@@ -183,7 +181,7 @@ func (e *Engine) Atomic(body func(Txn) error) error {
 				e.trace("retry", fmt.Sprintf("watching %d records", watched))
 			}
 			e.abandon(telemetry.EvRetry, "")
-			e.st.Retries++
+			e.tb.Inc(telemetry.Retries)
 			e.p.WaitForChange()
 			e.fsm.OnRetryWait()
 		case RestartSignal:
@@ -256,7 +254,7 @@ func (e *Engine) Abort() {
 // (failure injection in tests).
 func (e *Engine) AbortConflictForTest() {
 	e.RequireTxn()
-	panic(AbortSignal{Cause: stats.AbortValidation})
+	panic(AbortSignal{Cause: telemetry.AbortValidation})
 }
 
 // Unwind restores the engine after a panic escaped Atomic mid-attempt: the
@@ -320,7 +318,7 @@ func (e *Engine) runBody(body func(Txn) error) (sig interface{}, err error) {
 			panic(r)
 		}
 		if !e.p.ReadsConsistent() {
-			sig = AbortSignal{Cause: stats.AbortValidation}
+			sig = AbortSignal{Cause: telemetry.AbortValidation}
 			return
 		}
 		panic(r)
@@ -350,7 +348,7 @@ func (e *Engine) begin() {
 
 // committed closes out an attempt whose Commit succeeded.
 func (e *Engine) committed() {
-	e.st.Commits++
+	e.tb.Inc(telemetry.Commits)
 	if e.ctx != nil {
 		e.ctx.NoteCommit()
 		if e.ctx.Tracing() {
@@ -374,7 +372,7 @@ func (e *Engine) abandon(kind, cause string) {
 	e.emit(kind, cause, reads, writes, undo)
 	e.p.RollbackAll()
 	if e.ctx != nil {
-		prev := e.ctx.SetCat(stats.Commit)
+		prev := e.ctx.SetCat(telemetry.Commit)
 		e.ctx.Exec(8) // abort bookkeeping
 		e.ctx.SetCat(prev)
 	}
@@ -384,10 +382,10 @@ func (e *Engine) abandon(kind, cause string) {
 // abort rolls a conflict-aborted attempt back and prepares the next: a
 // strike towards the retry budget, and contention backoff for true data
 // conflicts.
-func (e *Engine) abort(cause stats.AbortCause) {
+func (e *Engine) abort(cause telemetry.AbortCause) {
 	e.trace("abort", cause.String())
 	e.abandon(telemetry.EvAbort, cause.String())
-	e.st.Aborts[cause]++
+	e.tb.Abort(cause)
 	e.fsm.OnAbort()
 	if cause.IsConflict() {
 		e.p.Backoff()

@@ -20,7 +20,6 @@ import (
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/native"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/stats"
 	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
@@ -49,8 +48,7 @@ type fixture struct {
 	words uint64
 	load  func(addr uint64) uint64 // final memory, after run
 	run   func(progs ...func(w worker))
-	count func(telemetry.Counter) uint64
-	stats func() *stats.Machine
+	stats func() *telemetry.Machine
 	// Simulator only (nil on the host backend): a thread's final clock, and
 	// the text trace.
 	simTime func(thread int) uint64
@@ -81,8 +79,7 @@ func simBackend(name string, mk func(*sim.Machine, tm.Config) tm.System) backend
 		return &fixture{
 			words: m.Mem.Alloc(16*mem.LineSize, mem.LineSize),
 			load:  m.Mem.Load,
-			count: m.Telem.Count,
-			stats: func() *stats.Machine { return m.Stats },
+			stats: func() *telemetry.Machine { return m.Stats },
 			run: func(progs ...func(w worker)) {
 				ps := make([]sim.Program, len(progs))
 				for i, p := range progs {
@@ -120,7 +117,6 @@ var backends = []backend{
 		return &fixture{
 			words: words,
 			load:  m.Load,
-			count: sys.Telemetry().Count,
 			stats: sys.Stats,
 			run: func(progs ...func(w worker)) {
 				var wg sync.WaitGroup
@@ -230,7 +226,7 @@ func TestEngineUserAbort(t *testing.T) {
 		if f.load(f.word(0)) != 0 {
 			t.Fatal("user abort did not roll back")
 		}
-		if got := f.stats().Cores[0].Aborts[stats.AbortExplicit]; got != 1 {
+		if got := f.stats().Block(0).Aborts(telemetry.AbortExplicit); got != 1 {
 			t.Fatalf("explicit aborts = %d, want 1", got)
 		}
 	})
@@ -376,7 +372,7 @@ func TestEngineOrElseTakesLaterAlternative(t *testing.T) {
 				if got := f.load(out); got != 9 {
 					t.Fatalf("orElse result = %d, want 9", got)
 				}
-				if got := f.stats().Cores[0].Retries; got != 0 {
+				if got := f.stats().Block(0).Count(telemetry.Retries); got != 0 {
 					t.Fatalf("retry-waits = %d: a later alternative ran, nothing should wait", got)
 				}
 			})
@@ -528,7 +524,7 @@ func TestEngineLadderEscalatesAtBudget(t *testing.T) {
 		if got := f.load(f.word(0)); got != 2 {
 			t.Fatalf("counter = %d, want 2", got)
 		}
-		if esc, ent := f.count(telemetry.Escalations), f.count(telemetry.IrrevocableEntries); esc != 1 || ent != 1 {
+		if esc, ent := f.stats().Count(telemetry.Escalations), f.stats().Count(telemetry.IrrevocableEntries); esc != 1 || ent != 1 {
 			t.Fatalf("escalations=%d irrevocable entries=%d, want 1/1", esc, ent)
 		}
 		if st := f.stats(); st.Commits() != 2 || st.TotalAborts() != 2 {
@@ -574,7 +570,7 @@ func TestEngineSerializedRunsIrrevocable(t *testing.T) {
 				if armed {
 					want = 1
 				}
-				if esc, ent := f.count(telemetry.Escalations), f.count(telemetry.IrrevocableEntries); esc != want || ent != want {
+				if esc, ent := f.stats().Count(telemetry.Escalations), f.stats().Count(telemetry.IrrevocableEntries); esc != want || ent != want {
 					t.Fatalf("escalations=%d irrevocable entries=%d, want %d/%d", esc, ent, want, want)
 				}
 				if got := f.load(f.word(0)); got != 1 {
@@ -713,7 +709,7 @@ func TestEngineZombiePanicBecomesAbort(t *testing.T) {
 		if got := f.load(mine); got != 77 {
 			t.Fatalf("reader committed %d, want 77 (the re-execution's read)", got)
 		}
-		if got := f.stats().Cores[0].Aborts[stats.AbortValidation]; got != 1 {
+		if got := f.stats().Block(0).Aborts(telemetry.AbortValidation); got != 1 {
 			t.Fatalf("reader validation aborts = %d, want 1", got)
 		}
 	})

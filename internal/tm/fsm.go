@@ -1,6 +1,6 @@
 package tm
 
-import "hastm.dev/hastm/internal/stats"
+import "hastm.dev/hastm/internal/telemetry"
 
 // This file holds the signal grammar and the attempt/strike bookkeeping of
 // the transaction engine (engine.go): the panic values a body or a protocol
@@ -10,7 +10,7 @@ import "hastm.dev/hastm/internal/stats"
 // AbortSignal is thrown (with panic) through a transaction body when the
 // engine must abort the current attempt for the carried cause; the engine
 // rolls back and re-executes.
-type AbortSignal struct{ Cause stats.AbortCause }
+type AbortSignal struct{ Cause telemetry.AbortCause }
 
 // RetrySignal is thrown when the body called Txn.Retry: the innermost
 // alternative rolls back and the transaction blocks until a previously

@@ -3,7 +3,7 @@ package tm
 import (
 	"testing"
 
-	"hastm.dev/hastm/internal/stats"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 // The AttemptFSM is shared by the simulator STM engine and the host-native
@@ -82,7 +82,7 @@ func TestFSMZeroBudgetEscalatesImmediately(t *testing.T) {
 
 func TestEngineSignalGrammar(t *testing.T) {
 	for _, sig := range []interface{}{
-		AbortSignal{Cause: stats.AbortValidation},
+		AbortSignal{Cause: telemetry.AbortValidation},
 		RetrySignal{},
 		UserAbortSignal{},
 	} {
