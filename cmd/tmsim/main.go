@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		updates  = fs.Int("updates", 20, "percent of operations that mutate")
 		seed     = fs.Uint64("seed", 1, "deterministic seed")
 		keys     = fs.Uint64("keys", 8192, "initial tree keys / half the hash key space")
-		trace    = fs.Int("trace", 0, "print the first N transaction-level trace events")
+		trace    = fs.Int("trace", 0, "print the first N trace events of the measured phase")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -47,7 +47,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		HashSlots: *keys,
 		TreeKeys:  *keys,
 		Seed:      *seed,
-		TraceMax:  *trace,
+		// Slack over N: the buffer fills in append order but renders in
+		// canonical (cycle, core) order.
+		TxnTraceMax: *trace * 16,
 	}, *updates)
 	if err != nil {
 		fmt.Fprintf(stderr, "tmsim: %v\n", err)
@@ -82,9 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "  hytm sw fallbacks:  %d\n", m.Stats.Count(telemetry.HTMFallbacks))
 
-	if *trace > 0 && m.Trace != nil {
+	if m.TxnTrace != nil {
 		fmt.Fprintf(stdout, "\nfirst %d trace events:\n", *trace)
-		m.Trace.Render(stdout, *trace)
+		m.TxnTrace.Render(stdout, *trace)
 	}
 
 	h := m.CacheStats

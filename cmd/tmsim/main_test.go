@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,5 +41,45 @@ func TestRunPrintsReport(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "commits: 64") {
 		t.Errorf("report does not show the 64 committed operations:\n%s", stdout.String())
+	}
+}
+
+// -trace shows the measured phase, the window the counters describe: every
+// counted commit is a rendered commit line, and no core's events reach back
+// past the warm-up barrier (each core's span fits in the measured wall
+// cycles).
+func TestTraceCoversTheMeasuredWindow(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scheme", "hastm", "-workload", "btree", "-cores", "2", "-ops", "64", "-trace", "100000"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit status %d: %s", code, stderr.String())
+	}
+	var wall, commits, rendered uint64
+	first, last := map[string]uint64{}, map[string]uint64{}
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		fmt.Sscanf(line, "wall cycles: %d", &wall)
+		fmt.Sscanf(line, "commits: %d", &commits)
+		var cycle uint64
+		var core, kind string
+		if n, _ := fmt.Sscanf(line, "%d %s %s", &cycle, &core, &kind); n != 3 || !strings.HasPrefix(core, "core") {
+			continue
+		}
+		if kind == "commit" {
+			rendered++
+		}
+		if _, seen := first[core]; !seen {
+			first[core] = cycle
+		}
+		last[core] = cycle
+	}
+	if commits == 0 || rendered != commits {
+		t.Errorf("%d rendered commit lines, report counts %d commits", rendered, commits)
+	}
+	if len(first) != 2 {
+		t.Fatalf("trace names cores %v, want 2", first)
+	}
+	for core := range first {
+		if span := last[core] - first[core]; span > wall {
+			t.Errorf("%s events span %d cycles, the measured phase is %d: the trace reaches before the barrier", core, span, wall)
+		}
 	}
 }

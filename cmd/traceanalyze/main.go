@@ -173,7 +173,7 @@ func (s *strictChecker) observe(ev *telemetry.TxnEvent, path string, lineNo int)
 					path, lineNo, at, ev.Cell, ev.Core))
 		}
 	case telemetry.EvMode, telemetry.EvEscalate, telemetry.EvSerialize,
-		telemetry.EvUpgrade, telemetry.EvDegrade:
+		telemetry.EvUpgrade, telemetry.EvDegrade, telemetry.EvValidate:
 		// Informational; not part of the attempt life-cycle. (Escalation
 		// is announced before the irrevocable attempt begins; serialize
 		// announces that admission control forced the next transaction
@@ -182,7 +182,8 @@ func (s *strictChecker) observe(ev *telemetry.TxnEvent, path string, lineNo int)
 		// mid-attempt — its own commit or abort still terminates it;
 		// degrade announces a service core's graceful-degradation ladder
 		// transition between requests — the shed requests themselves appear
-		// as shed events.)
+		// as shed events; validate reports a read-set check inside an
+		// attempt, whose outcome the attempt's own terminal carries.)
 	}
 }
 

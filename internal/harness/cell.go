@@ -79,8 +79,9 @@ func (r outcome) verdict(verify func() error) error {
 }
 
 // simSpec describes a simulator cell. What differs between cells is data
-// here (and in o: a fault-free cell has a nil faults, a diagnostic trace is
-// o.TraceMax, an armed ladder is o.armed()), never a fork in the runner.
+// here (and in o: a fault-free cell has a nil faults, a traced cell a
+// positive o.TxnTraceMax, an armed ladder is o.armed()), never a fork in the
+// runner.
 type simSpec struct {
 	scheme string
 	// workload names the §7.1 structure the cell builds with structure(),
@@ -135,16 +136,13 @@ func (s simSpec) validate() (ops int, err error) {
 }
 
 // newSimCell validates the description, then builds in the order every
-// simulated byte depends on: machine, traces, fault plane, scheme.
+// simulated byte depends on: machine, trace, fault plane, scheme.
 func newSimCell(s simSpec) (simCell, error) {
 	ops, err := s.validate()
 	if err != nil {
 		return simCell{}, err
 	}
 	c := simCell{simSpec: s, ops: ops, m: machineFor(s.threads, s.o, s.geometry)}
-	if s.o.TraceMax > 0 {
-		c.m.SetTrace(sim.NewTraceBuffer(s.o.TraceMax * 16))
-	}
 	if s.o.TxnTraceMax > 0 {
 		c.m.SetTxnTrace(telemetry.NewTraceBuffer(s.o.TxnTraceMax))
 	}
@@ -248,7 +246,6 @@ func (c *simCell) run(end warmEnd, warm, measure simThreadFunc) (RunMetrics, out
 		WallCycles: wall,
 		Stats:      m.Stats,
 		CacheStats: m.Caches,
-		Trace:      m.Trace(),
 		TxnTrace:   m.TxnTrace(),
 		Sched:      m.Sched(),
 	}

@@ -423,15 +423,15 @@ func TestExtSMTShape(t *testing.T) {
 
 func TestRunOneTraceCapture(t *testing.T) {
 	o := quick()
-	o.TraceMax = 16
+	o.TxnTraceMax = 256
 	m, err := RunOne(SchemeHASTM, WorkloadBST, 1, o, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Trace == nil || m.Trace.Len() == 0 {
+	if m.TxnTrace == nil || m.TxnTrace.Len() == 0 {
 		t.Fatal("trace requested but empty")
 	}
-	evs := m.Trace.Events()
+	evs := m.TxnTrace.Events()
 	kinds := map[string]bool{}
 	for _, e := range evs {
 		kinds[e.Kind] = true

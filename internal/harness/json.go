@@ -54,7 +54,9 @@ import (
 // tripped); the telemetry block gains chaos_injected, wakeup_timeouts and
 // contained_faults; the service block gains the graceful-degradation
 // fields (shed_scans, shed_transfers, degrade_engaged, degrade_recovered,
-// degrade_level_max). Cells without chaos armed carry no chaos block.
+// degrade_level_max). Cells without chaos armed carry no chaos block. (The
+// options dump lost its always-zero TraceMax key when the text trace folded
+// into TxnTraceMax; no consumer-visible field moved, so the version stands.)
 const BenchSchema = "hastm-bench/9"
 
 // SchedRecord is the host-side scheduler-efficiency block of a cell: how

@@ -44,7 +44,7 @@ func TestOneSocketEquivalenceRuns(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				o := QuickOptions()
 				o.ReferenceScheduler = ref
-				o.TraceMax = 4096
+				o.TxnTraceMax = 1 << 16
 				flat, err := RunOne(tc.scheme, tc.workload, tc.cores, o, 20)
 				if err != nil {
 					t.Fatalf("flat run: %v", err)
@@ -63,8 +63,8 @@ func TestOneSocketEquivalenceRuns(t *testing.T) {
 					t.Errorf("stats and telemetry totals diverge")
 				}
 				var fb, sb bytes.Buffer
-				flat.Trace.Render(&fb, 0)
-				topo.Trace.Render(&sb, 0)
+				flat.TxnTrace.Render(&fb, 0)
+				topo.TxnTrace.Render(&sb, 0)
 				if !bytes.Equal(fb.Bytes(), sb.Bytes()) {
 					t.Errorf("trace bytes diverge (%d vs %d bytes)", fb.Len(), sb.Len())
 				}

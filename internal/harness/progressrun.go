@@ -122,17 +122,19 @@ func ProgressRunFaulted(scheme, workload string, cores int, o Options, spec faul
 	return progressRun(scheme, workload, cores, o, &spec)
 }
 
-// progressTraceEvents sizes the diagnostic trace every adversarial cell
-// carries, so a violation report shows the last events before the stall —
-// the "what was everyone doing" evidence.
-const progressTraceEvents = 1 << 11
+// progressTraceCap sizes the event trace every adversarial cell carries
+// unless -trace already attached one, so a violation report shows the last
+// events before the stall — the "what was everyone doing" evidence.
+const progressTraceCap = 1 << 15
 
 func progressRun(scheme, workload string, cores int, o Options, spec *faults.Spec) ProgressReport {
 	rep := ProgressReport{
 		Scheme: scheme, Workload: workload, Cores: cores,
 		Ladder: o.RetryBudget > 0,
 	}
-	o.TraceMax = progressTraceEvents
+	if o.TxnTraceMax == 0 {
+		o.TxnTraceMax = progressTraceCap
+	}
 	c, err := newSimCell(simSpec{scheme: scheme, threads: cores, o: o, faults: spec})
 	if err != nil {
 		rep.Err = err.Error()

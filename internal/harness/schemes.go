@@ -35,13 +35,10 @@ type Options struct {
 	// DefaultISA runs the experiment on a machine implementing only the
 	// Section 3.3 default behaviour of the mark instructions.
 	DefaultISA bool
-	// TraceMax, if positive, attaches a transaction-level event trace to
-	// the run (RunMetrics.Trace).
-	TraceMax int
-	// TxnTraceMax, if positive, attaches a per-transaction JSONL event
-	// buffer (begin/commit/abort-with-cause, txn id, retry index) holding
-	// at most this many events to every run (RunMetrics.TxnTrace); the
-	// hastm-bench -trace flag sets it.
+	// TxnTraceMax, if positive, attaches the event trace (begin/commit/
+	// abort-with-cause, txn id, retry index) holding at most this many
+	// events to every run (RunMetrics.TxnTrace); hastm-bench -trace and
+	// tmsim -trace set it.
 	TxnTraceMax int
 	// ReferenceScheduler runs every cell on the simulator's original
 	// per-operation handoff scheduler instead of the grant-lease scheduler.
@@ -397,7 +394,6 @@ type RunMetrics struct {
 	WallCycles uint64
 	Stats      *telemetry.Machine // nil when the cell never ran
 	CacheStats *cache.Hierarchy
-	Trace      *sim.TraceBuffer       // non-nil when Options.TraceMax > 0
 	TxnTrace   *telemetry.TraceBuffer // non-nil when Options.TxnTraceMax > 0
 	// Sched counts how the simulator scheduled the run's architectural
 	// operations (granted ops vs channel handoffs). Host-side observability

@@ -243,7 +243,6 @@ func (t *Thread) Atomic(body func(tm.Txn) error) error {
 		t.attempt = attempt
 		if t.sw != nil && attempt >= t.sys.maxAttempts {
 			t.ctx.Telem().Inc(telemetry.HTMFallbacks)
-			t.ctx.TraceEvent("fallback", "hardware attempts exhausted; software transaction")
 			t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: attempt,
 				Kind: telemetry.EvFallback, Cause: "attempts-exhausted"})
 			return t.sw.Atomic(body)
@@ -265,7 +264,6 @@ func (t *Thread) Atomic(body func(tm.Txn) error) error {
 				Kind: telemetry.EvFallback, Cause: "retry-semantics"})
 			return t.sw.Atomic(body)
 		case outcomeAborted:
-			t.ctx.TraceEvent("htm-abort", "")
 			t.backoff.Wait(t.ctx)
 		}
 	}

@@ -1,8 +1,6 @@
 package lazystm
 
 import (
-	"fmt"
-
 	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/telemetry"
@@ -29,9 +27,8 @@ type wbEntry struct {
 // writer mode, so the attempt restarts pinned to the lazy protocol. Boxed
 // once so throwing it allocates nothing.
 var writerRestart interface{} = tm.RestartSignal{
-	Event:  telemetry.EvWriterRestart,
-	Cause:  "snapshot-stale",
-	Detail: "snapshot stale at first store",
+	Event: telemetry.EvWriterRestart,
+	Cause: "snapshot-stale",
 }
 
 // Thread is one core's deferred-update transactional thread: the lazy
@@ -122,7 +119,7 @@ func (t *Thread) Commit() (bool, telemetry.AbortCause) {
 
 	// Phase 2: sandboxed validation, before any data word changes.
 	ctx.SetCat(telemetry.Validate)
-	if !t.validate(true) {
+	if !t.ValidateReads(t.acqVer) {
 		t.releaseAcquired(false)
 		return false, telemetry.AbortValidation
 	}
@@ -137,14 +134,6 @@ func (t *Thread) Commit() (bool, telemetry.AbortCause) {
 	t.releaseAcquired(true)
 	ctx.Exec(8) // commit bookkeeping
 	return true, 0
-}
-
-// CommitDetail renders the commit text-trace detail.
-func (t *Thread) CommitDetail() string {
-	if t.snapshot {
-		return fmt.Sprintf("read-only snapshot reads=%d", len(t.Reads))
-	}
-	return fmt.Sprintf("reads=%d buffered=%d recs=%d", len(t.Reads), len(t.wb), len(t.acqVer))
 }
 
 // ObserveSetSizes raises the log-pressure high-water marks. Deferred
@@ -228,21 +217,6 @@ func (t *Thread) acquireRec(rec uint64) bool {
 	return true
 }
 
-// validate checks the read set (stm.Base.ValidateReads). During the body
-// acqVer is empty, so the self-owned arm never fires — the body holds no
-// records.
-func (t *Thread) validate(atCommit bool) bool {
-	t.Ctx().Telem().Inc(telemetry.FullValidations)
-	if ctx := t.Ctx(); ctx.Tracing() {
-		kind := "full"
-		if atCommit {
-			kind = "commit sandbox"
-		}
-		ctx.TraceEvent("validate", fmt.Sprintf("%s (%d reads)", kind, len(t.Reads)))
-	}
-	return t.ValidateReads(t.acqVer)
-}
-
 // periodicValidate bounds zombie execution on the lazy read path: every
 // ValidateEvery read barriers the read set is re-validated. Snapshot reads
 // are consistent by construction and never come here.
@@ -252,7 +226,7 @@ func (t *Thread) periodicValidate() {
 	}
 	ctx := t.Ctx()
 	prev := ctx.SetCat(telemetry.Validate)
-	ok := t.validate(false)
+	ok := t.ValidateReads(t.acqVer) // acqVer is empty during the body: it holds no records
 	ctx.SetCat(prev)
 	if !ok {
 		panic(tm.AbortSignal{Cause: telemetry.AbortValidation})
@@ -556,9 +530,6 @@ func (t *Thread) upgradeToWriter() {
 	}
 	t.snapshot = false
 	ctx.Telem().Inc(telemetry.MVCCUpgrades)
-	if ctx.Tracing() {
-		ctx.TraceEvent("upgrade", fmt.Sprintf("snapshot -> writer (%d reads revalidated)", len(t.Reads)))
-	}
 	ctx.EmitTxn(telemetry.TxnEvent{Txn: t.TxnSeq(), Retry: t.Attempt(),
 		Kind: telemetry.EvUpgrade, Reads: len(t.Reads)})
 }

@@ -268,9 +268,6 @@ func (t *Thread) BeginAttempt(attempt int) {
 	t.tb.Inc(telemetry.CautiousAttempts)
 }
 
-// CommitDetail is never asked for: the host backend has no text trace.
-func (t *Thread) CommitDetail() string { return "" }
-
 // EndAttempt counts the commit for the watchdog; the logs are reset at the
 // next begin.
 func (t *Thread) EndAttempt(committed bool) {

@@ -196,6 +196,39 @@ func (q *request) run(tx tm.Txn) error {
 	return q.b.Op(tx, &q.rand, q.writes)
 }
 
+// clock is the seam between the two backends' request loops: a time axis
+// (simulated cycles, or host nanoseconds since the stream began), a way to
+// idle on it, and the trace sink. runCore is generic over it so neither
+// implementation is boxed.
+type clock interface {
+	now() uint64
+	idleUntil(t uint64)
+	emit(i int, kind, cause string)
+}
+
+type simClock struct{ c *sim.Ctx }
+
+func (s simClock) now() uint64 { return s.c.Clock() }
+func (s simClock) idleUntil(t uint64) {
+	if now := s.c.Clock(); now < t {
+		s.c.Exec(t - now)
+	}
+}
+func (s simClock) emit(i int, kind, cause string) {
+	s.c.EmitTxn(telemetry.TxnEvent{Txn: uint64(i), Kind: kind, Cause: cause})
+}
+
+// hostClock has no trace sink: the native backend emits nothing.
+type hostClock struct{ start time.Time }
+
+func (h hostClock) now() uint64 { return uint64(time.Since(h.start)) }
+func (h hostClock) idleUntil(t uint64) {
+	if now := h.now(); now < t {
+		time.Sleep(time.Duration(t - now))
+	}
+}
+func (hostClock) emit(int, string, string) {}
+
 // RunCoreSim drives one simulator core's open-loop request stream over the
 // measured phase. Arrivals are scheduled on the core's own simulated
 // clock: the i-th request arrives at start + Σ gaps, the core idles
@@ -204,77 +237,7 @@ func (q *request) run(tx tm.Txn) error {
 // Committed requests are appended to log (stamped with the commit clock)
 // for sequential-oracle replay.
 func RunCoreSim(c *sim.Ctx, th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, log *workloads.OpLog) error {
-	base := seedBase(cfg.Seed, c.ID())
-	gaps := workloads.NewRand(base ^ 0xa5a5a5a55a5a5a5a)
-	adm := newAdmission(cfg.Admission)
-	deg := newDegrade(cfg.Degrade, cfg.Degrade.SLOCycles)
-	defer deg.fold(cm)
-	req := request{b: b}
-	body := req.run
-	arrival := c.Clock()
-	for i := 0; i < cfg.Requests; i++ {
-		arrival += drawGap(gaps, cfg.MeanGap)
-		if c.Clock() < arrival {
-			c.Exec(arrival - c.Clock())
-		}
-		cm.Offered++
-		adm.tick()
-		req.seed, req.attempts = opSeed(base, i), 0
-		key, class := b.classify(req.seed)
-		req.writes = class == ClassTransfer
-		if cfg.Admission.ShedAfterCycles > 0 && c.Clock()-arrival > cfg.Admission.ShedAfterCycles {
-			cm.Shed++
-			c.EmitTxn(telemetry.TxnEvent{Txn: uint64(i), Kind: telemetry.EvShed, Cause: "queue-delay"})
-			continue
-		}
-		if shed, cause := deg.shouldShed(class); shed {
-			cm.Shed++
-			cm.noteClassShed(cause)
-			c.EmitTxn(telemetry.TxnEvent{Txn: uint64(i), Kind: telemetry.EvShed, Cause: cause})
-			continue
-		}
-		serialize := false
-		if req.writes && adm.hot(key) {
-			switch {
-			case deg.circuitOpen():
-				// Degraded: the hot-key circuit is open, shed instead of
-				// feeding the serial path during an overload.
-				cm.Shed++
-				c.EmitTxn(telemetry.TxnEvent{Txn: uint64(i), Kind: telemetry.EvShed, Cause: "hot-key-open"})
-				continue
-			case cfg.Admission.Serialize:
-				serialize = true
-			default:
-				cm.Shed++
-				c.EmitTxn(telemetry.TxnEvent{Txn: uint64(i), Kind: telemetry.EvShed, Cause: "hot-key"})
-				continue
-			}
-		}
-		var err error
-		if sz, ok := th.(serializer); serialize && ok {
-			cm.Serialized++
-			c.EmitTxn(telemetry.TxnEvent{Txn: uint64(i), Kind: telemetry.EvSerialize, Cause: "hot-key"})
-			err = sz.AtomicSerialized(body)
-		} else {
-			err = th.Atomic(body)
-		}
-		if err != nil {
-			return fmt.Errorf("service request %d: %w", i, err)
-		}
-		if req.attempts > 1 {
-			adm.noteAborts(key, req.attempts-1)
-		}
-		cm.Committed++
-		lat := c.Clock() - arrival
-		cm.Hist.Record(lat)
-		if cause := deg.observe(lat); cause != "" {
-			c.EmitTxn(telemetry.TxnEvent{Txn: uint64(i), Kind: telemetry.EvDegrade, Cause: cause})
-		}
-		if log != nil {
-			log.Add(workloads.OpRecord{Thread: c.ID(), Index: i, Seed: req.seed, Update: req.writes, Stamp: th.Stamp()})
-		}
-	}
-	return nil
+	return runCore(simClock{c}, th, b, cfg, cfg.Admission.ShedAfterCycles, cfg.Degrade.SLOCycles, cm, log)
 }
 
 // RunCoreNative is RunCoreSim for the native TL2 backend: arrivals are
@@ -283,50 +246,54 @@ func RunCoreSim(c *sim.Ctx, th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, 
 // service numbers live on the same axis as every other host measurement.
 // Commit stamps are TL2 write versions, so the log still oracle-replays.
 func RunCoreNative(th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, log *workloads.OpLog) error {
+	return runCore(hostClock{time.Now()}, th, b, cfg, cfg.Admission.ShedAfterNS, cfg.Degrade.SLONS, cm, log)
+}
+
+// runCore is the one request loop: admission → shed → serialize → commit →
+// record. shedAfter (0 = off) and slo are the queue-delay budget and the
+// degradation ladder's SLO on clk's axis.
+func runCore[C clock](clk C, th tm.Thread, b *Bank, cfg Config, shedAfter, slo uint64, cm *CellMetrics, log *workloads.OpLog) error {
 	base := seedBase(cfg.Seed, th.ID())
 	gaps := workloads.NewRand(base ^ 0xa5a5a5a55a5a5a5a)
 	adm := newAdmission(cfg.Admission)
-	deg := newDegrade(cfg.Degrade, cfg.Degrade.SLONS)
+	deg := newDegrade(cfg.Degrade, slo)
 	defer deg.fold(cm)
 	req := request{b: b}
 	body := req.run
-	start := time.Now()
-	var arrival time.Duration
+	sz, canSerialize := th.(serializer)
+	arrival := clk.now()
 	for i := 0; i < cfg.Requests; i++ {
-		arrival += time.Duration(drawGap(gaps, cfg.MeanGap))
-		if now := time.Since(start); now < arrival {
-			time.Sleep(arrival - now)
-		}
+		arrival += drawGap(gaps, cfg.MeanGap)
+		clk.idleUntil(arrival)
 		cm.Offered++
 		adm.tick()
 		req.seed, req.attempts = opSeed(base, i), 0
 		key, class := b.classify(req.seed)
 		req.writes = class == ClassTransfer
-		if wait := time.Since(start) - arrival; cfg.Admission.ShedAfterNS > 0 && wait > time.Duration(cfg.Admission.ShedAfterNS) {
-			cm.Shed++
-			continue
+		// Why the request is shed, "" when it is admitted. Degraded, the
+		// hot-key circuit is open: a hot write is shed instead of feeding
+		// the serial path during an overload.
+		cause := ""
+		hot := req.writes && adm.hot(key)
+		if shedAfter > 0 && clk.now()-arrival > shedAfter {
+			cause = "queue-delay"
+		} else if shed, why := deg.shouldShed(class); shed {
+			cause = why
+		} else if hot && deg.circuitOpen() {
+			cause = "hot-key-open"
+		} else if hot && !cfg.Admission.Serialize {
+			cause = "hot-key"
 		}
-		if shed, cause := deg.shouldShed(class); shed {
+		if cause != "" {
 			cm.Shed++
 			cm.noteClassShed(cause)
+			clk.emit(i, telemetry.EvShed, cause)
 			continue
 		}
-		serialize := false
-		if req.writes && adm.hot(key) {
-			switch {
-			case deg.circuitOpen():
-				cm.Shed++
-				continue
-			case cfg.Admission.Serialize:
-				serialize = true
-			default:
-				cm.Shed++
-				continue
-			}
-		}
 		var err error
-		if sz, ok := th.(serializer); serialize && ok {
+		if hot && canSerialize {
 			cm.Serialized++
+			clk.emit(i, telemetry.EvSerialize, "hot-key")
 			err = sz.AtomicSerialized(body)
 		} else {
 			err = th.Atomic(body)
@@ -338,9 +305,11 @@ func RunCoreNative(th tm.Thread, b *Bank, cfg Config, cm *CellMetrics, log *work
 			adm.noteAborts(key, req.attempts-1)
 		}
 		cm.Committed++
-		lat := uint64(time.Since(start) - arrival)
+		lat := clk.now() - arrival
 		cm.Hist.Record(lat)
-		deg.observe(lat)
+		if cause := deg.observe(lat); cause != "" {
+			clk.emit(i, telemetry.EvDegrade, cause)
+		}
 		if log != nil {
 			log.Add(workloads.OpRecord{Thread: th.ID(), Index: i, Seed: req.seed, Update: req.writes, Stamp: th.Stamp()})
 		}

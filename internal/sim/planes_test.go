@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hastm.dev/hastm/internal/mem"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 // Tests for the multi-filter extension (§3.1: "one could support multiple
@@ -176,13 +177,13 @@ func TestStepExclusiveAccess(t *testing.T) {
 
 func TestTraceBufferCollectsAndSorts(t *testing.T) {
 	m := New(tinyConfig(2))
-	tb := NewTraceBuffer(100)
-	m.SetTrace(tb)
+	tb := telemetry.NewTraceBuffer(100)
+	m.SetTxnTrace(tb)
 	addr := m.Mem.Alloc(mem.LineSize, mem.LineSize)
 	prog := func(c *Ctx) {
 		for i := 0; i < 3; i++ {
 			c.Load(addr)
-			c.TraceEvent("tick", "")
+			c.EmitTxn(telemetry.TxnEvent{Kind: "tick"})
 		}
 	}
 	m.Run(prog, prog)
@@ -197,25 +198,10 @@ func TestTraceBufferCollectsAndSorts(t *testing.T) {
 	}
 }
 
-func TestTraceBufferLimit(t *testing.T) {
-	m := New(tinyConfig(1))
-	tb := NewTraceBuffer(2)
-	m.SetTrace(tb)
-	m.Run(func(c *Ctx) {
-		for i := 0; i < 5; i++ {
-			c.TraceEvent("e", "")
-			c.Exec(1)
-		}
-	})
-	if tb.Len() != 2 {
-		t.Fatalf("limit not enforced: %d", tb.Len())
-	}
-}
-
 func TestTraceDisabledIsFree(t *testing.T) {
 	m := New(tinyConfig(1))
 	wall := m.Run(func(c *Ctx) {
-		c.TraceEvent("ignored", "no buffer attached")
+		c.EmitTxn(telemetry.TxnEvent{Kind: "ignored", Cause: "no buffer attached"})
 		c.Exec(5)
 	})
 	if wall != 5 {

@@ -6,6 +6,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"time"
+
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 // This file is the simulator's progress-guarantee layer: the
@@ -75,7 +77,7 @@ type ProgressViolation struct {
 	CycleBudget     uint64
 	LastCommitClock uint64
 	Cores           []CoreSnapshot
-	RecentTrace     []TraceEvent // tail of the diagnostic trace, if attached
+	RecentTrace     []telemetry.TxnEvent // tail of the event trace, if attached
 }
 
 func (v *ProgressViolation) Error() string {
@@ -115,7 +117,7 @@ func (v *ProgressViolation) Render(w io.Writer) {
 	if len(v.RecentTrace) > 0 {
 		fmt.Fprintf(w, "  last %d trace events:\n", len(v.RecentTrace))
 		for _, e := range v.RecentTrace {
-			fmt.Fprintf(w, "    %10d  core%-2d %-10s %s\n", e.Cycle, e.Core, e.Kind, e.Detail)
+			fmt.Fprintf(w, "    %s\n", e.Text())
 		}
 	}
 }
@@ -212,7 +214,7 @@ func (m *Machine) failProgress(c *Ctx, kind string) {
 	panic(stopRun{})
 }
 
-// recentTraceTail is how many diagnostic trace events a violation carries.
+// recentTraceTail is how many trace events a violation carries.
 const recentTraceTail = 16
 
 // buildViolation snapshots every core. When skipTrip is true (host
@@ -238,8 +240,8 @@ func (m *Machine) buildViolation(kind string, tripCore int, tripClock uint64, sk
 		}
 		v.Cores = append(v.Cores, s)
 	}
-	if m.trace != nil {
-		evs := m.trace.Events()
+	if m.txnTrace != nil {
+		evs := m.txnTrace.Events()
 		if len(evs) > recentTraceTail {
 			evs = evs[len(evs)-recentTraceTail:]
 		}

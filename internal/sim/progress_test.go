@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hastm.dev/hastm/internal/mem"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 // A run where no core ever reports a commit must trip the commit-progress
@@ -323,16 +324,15 @@ func TestNewRunAllocationCeiling(t *testing.T) {
 	}
 }
 
-// Violations carry the tail of the diagnostic trace when one is attached.
+// Violations carry the tail of the event trace when one is attached.
 func TestViolationCarriesRecentTrace(t *testing.T) {
 	cfg := tinyConfig(1)
 	cfg.WatchdogWindow = 5_000
 	m := New(cfg)
-	tb := NewTraceBuffer(1 << 12)
-	m.SetTrace(tb)
+	m.SetTxnTrace(telemetry.NewTraceBuffer(1 << 12))
 	m.Run(func(c *Ctx) {
 		for i := 0; i < 100; i++ {
-			c.TraceEvent("spin", "round")
+			c.EmitTxn(telemetry.TxnEvent{Kind: "spin", Cause: "round"})
 			c.Exec(1_000)
 		}
 	})

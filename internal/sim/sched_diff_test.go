@@ -71,8 +71,8 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 	cfg.InterruptEvery = interruptEvery
 	cfg.ReferenceScheduler = reference
 	m := sim.New(cfg)
-	tb := sim.NewTraceBuffer(1 << 14)
-	m.SetTrace(tb)
+	tb := telemetry.NewTraceBuffer(1 << 14)
+	m.SetTxnTrace(tb)
 	var hook *suspendEveryHook
 	if hookEvery > 0 {
 		hook = &suspendEveryHook{n: hookEvery}
@@ -108,7 +108,7 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 					if k == 0 {
 						// Host code after an Exec: appended at a different
 						// host position per scheduler, canonical on render.
-						c.TraceEvent("exec", fmt.Sprintf("op%d", n))
+						c.EmitTxn(telemetry.TxnEvent{Kind: "exec", Cause: fmt.Sprintf("op%d", n)})
 					}
 				case k < 12:
 					c.Load(shared + (r.next()%64)*8)
@@ -124,7 +124,7 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 					c.LoadSetMark(private[id], mem.LineSize)
 				default:
 					if _, marked := c.LoadTestMark(private[id], mem.LineSize); marked {
-						c.TraceEvent("marked", fmt.Sprintf("op%d", n))
+						c.EmitTxn(telemetry.TxnEvent{Kind: "marked", Cause: fmt.Sprintf("op%d", n)})
 					}
 				}
 			}

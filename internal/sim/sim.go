@@ -290,7 +290,6 @@ type Machine struct {
 	cores    []*Ctx
 	ran      bool
 	sched    SchedCounters
-	trace    *TraceBuffer
 	txnTrace *telemetry.TraceBuffer
 	fault    FaultHook
 

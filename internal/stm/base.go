@@ -238,6 +238,8 @@ func (b *Base) HandleContention(rec uint64) uint64 {
 // displaced exactly that version (owned maps record -> displaced version).
 func (b *Base) ValidateReads(owned map[uint64]uint64) bool {
 	ctx := b.ctx
+	ctx.Telem().Inc(telemetry.FullValidations)
+	b.emitValidate("full")
 	ctx.Exec(2) // loop setup
 	for _, e := range b.Reads {
 		cur := ctx.Load(e.Rec)
@@ -254,6 +256,13 @@ func (b *Base) ValidateReads(owned map[uint64]uint64) bool {
 		return false
 	}
 	return true
+}
+
+// emitValidate records a read-set validation on the trace: cause "fast"
+// (the mark counter proved the read set intact) or "full" (it was walked).
+func (b *Base) emitValidate(cause string) {
+	b.ctx.EmitTxn(telemetry.TxnEvent{Txn: b.TxnSeq(), Retry: b.Attempt(),
+		Kind: telemetry.EvValidate, Cause: cause, Reads: len(b.Reads)})
 }
 
 // ReadsConsistentWith re-checks the read set directly against memory at

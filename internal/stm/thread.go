@@ -1,8 +1,6 @@
 package stm
 
 import (
-	"fmt"
-
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -74,11 +72,6 @@ func (t *Thread) Commit() (bool, telemetry.AbortCause) {
 	return ok, cause
 }
 
-// CommitDetail renders the commit text-trace detail.
-func (t *Thread) CommitDetail() string {
-	return fmt.Sprintf("reads=%d writes=%d", len(t.Reads), len(t.writes))
-}
-
 // EndAttempt closes the acceleration hook's view of the attempt.
 func (t *Thread) EndAttempt(committed bool) {
 	if t.accel != nil {
@@ -108,7 +101,6 @@ func (t *Thread) ReadsConsistent() bool { return t.ReadsConsistentWith(t.writeVe
 // transaction that merely lost the ability to validate (no read set to
 // fall back on).
 func (t *Thread) validate(atCommit bool) (bool, telemetry.AbortCause) {
-	ctx := t.ctx
 	if t.accel != nil {
 		skipFull, ok := t.accel.PreValidate(t, atCommit)
 		if !ok {
@@ -116,13 +108,9 @@ func (t *Thread) validate(atCommit bool) (bool, telemetry.AbortCause) {
 		}
 		if skipFull {
 			t.ctx.Telem().Inc(telemetry.FastValidations)
-			ctx.TraceEvent("validate", "fast (mark counter zero)")
+			t.emitValidate("fast")
 			return true, 0
 		}
-	}
-	t.ctx.Telem().Inc(telemetry.FullValidations)
-	if ctx.Tracing() {
-		ctx.TraceEvent("validate", fmt.Sprintf("full (%d reads)", len(t.Reads)))
 	}
 	if !t.ValidateReads(t.writeVer) {
 		return false, telemetry.AbortValidation

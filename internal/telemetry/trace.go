@@ -9,11 +9,13 @@ import (
 	"sync"
 )
 
-// TxnEvent is one line of the per-transaction JSONL event trace: the
+// TxnEvent is the one event record of the simulator's trace plane: the
 // transactional life-cycle (begin, abort with cause, commit, retry-wait,
 // software fallback, mode switch) stamped with the emitting core's clock,
 // a per-thread transaction id and the attempt (retry) index. Set sizes are
-// carried on terminal events so analysis can bucket by footprint.
+// carried on terminal events so analysis can bucket by footprint. It has
+// two renderings, both derived from these fields alone: one JSON object
+// per line (WriteJSONL) and one text line (Text).
 type TxnEvent struct {
 	Cell   string `json:"cell,omitempty"` // experiment cell label (added by the harness)
 	Core   int    `json:"core"`
@@ -25,6 +27,7 @@ type TxnEvent struct {
 	Reads  int    `json:"reads,omitempty"`
 	Writes int    `json:"writes,omitempty"`
 	Undo   int    `json:"undo,omitempty"`
+	Watch  int    `json:"watch,omitempty"` // EvRetry: size of the wait set the thread blocks on
 }
 
 // Trace event kinds.
@@ -76,12 +79,16 @@ const (
 	// the shed requests themselves appear as EvShed events with
 	// slo-scan/slo-transfer/hot-key-open causes.
 	EvDegrade = "degrade"
+	// EvValidate marks a read-set validation: cause "fast" when the mark
+	// counter proved the read set intact without walking it (Fig 6), "full"
+	// when it was walked; reads is the read-set size. Informational.
+	EvValidate = "validate"
 )
 
 // EventKinds is the trace vocabulary in display order: every kind a
 // well-formed trace may carry.
 var EventKinds = []string{EvBegin, EvCommit, EvAbort, EvRetry, EvFallback, EvMode, EvError, EvEscalate,
-	EvIrrevocable, EvShed, EvSerialize, EvUpgrade, EvWriterRestart, EvDegrade}
+	EvIrrevocable, EvShed, EvSerialize, EvUpgrade, EvWriterRestart, EvDegrade, EvValidate}
 
 // TraceBuffer collects transaction events from every core of one machine.
 // Core programs are coroutines that run one at a time on the scheduler's
@@ -169,6 +176,42 @@ func (b *TraceBuffer) Dropped() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.dropped
+}
+
+// Text renders the event as one text line (tmsim -trace, the watchdog's
+// recent-event tail): clock, core, kind, then attempt=<retry> for a begin
+// and the cause and non-zero sizes for every other kind.
+func (e TxnEvent) Text() string {
+	var d []byte
+	if e.Kind == EvBegin {
+		d = fmt.Appendf(d, "attempt=%d", e.Retry)
+	} else {
+		d = append(d, e.Cause...)
+		for _, f := range [...]struct {
+			name string
+			n    int
+		}{{"reads", e.Reads}, {"writes", e.Writes}, {"undo", e.Undo}, {"watch", e.Watch}} {
+			if f.n != 0 {
+				if len(d) > 0 {
+					d = append(d, ' ')
+				}
+				d = fmt.Appendf(d, "%s=%d", f.name, f.n)
+			}
+		}
+	}
+	return fmt.Sprintf("%10d  core%-2d %-10s %s", e.Cycle, e.Core, e.Kind, d)
+}
+
+// Render writes the first n events (0 = all), in canonical order, as text
+// lines.
+func (b *TraceBuffer) Render(w io.Writer, n int) {
+	evs := b.Events()
+	if n > 0 && len(evs) > n {
+		evs = evs[:n]
+	}
+	for _, e := range evs {
+		fmt.Fprintln(w, e.Text())
+	}
 }
 
 // WriteJSONL writes every collected event as one JSON object per line,

@@ -1,8 +1,6 @@
 package tm
 
 import (
-	"fmt"
-
 	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/telemetry"
 )
@@ -24,9 +22,6 @@ type Protocol interface {
 	// released whatever the commit itself acquired and returns the cause;
 	// the engine then rolls the attempt back as an abort.
 	Commit() (ok bool, cause telemetry.AbortCause)
-	// CommitDetail renders the text-trace detail of the commit just made.
-	// Only called with a trace attached.
-	CommitDetail() string
 	// EndAttempt runs after the attempt's terminal event — commit, or
 	// RollbackAll on every other exit — and before the ladder is left.
 	EndAttempt(committed bool)
@@ -156,10 +151,7 @@ func (e *Engine) Atomic(body func(Txn) error) error {
 				// dangling begin breaks per-transaction accounting), but
 				// nothing conflicted, so it is not an abort — the abort
 				// counters keep summing to the traced abort events.
-				if e.tracing() {
-					e.trace("error", err.Error())
-				}
-				e.abandon(telemetry.EvError, BodyErrorCause)
+				e.abandon(telemetry.EvError, BodyErrorCause, 0)
 				return err
 			}
 			ok, cause := e.p.Commit()
@@ -169,26 +161,21 @@ func (e *Engine) Atomic(body func(Txn) error) error {
 			}
 			e.abort(cause)
 		case UserAbortSignal:
-			e.abandon(telemetry.EvAbort, telemetry.AbortExplicit.String())
+			e.abandon(telemetry.EvAbort, telemetry.AbortExplicit.String(), 0)
 			e.tb.Abort(telemetry.AbortExplicit)
 			return ErrUserAbort
 		case RetrySignal:
 			// The wait set must capture the read set before the rollback
 			// truncates it; earlier orElse alternatives already parked
 			// theirs there.
-			watched := e.p.WatchReadsFrom(0)
-			if e.tracing() {
-				e.trace("retry", fmt.Sprintf("watching %d records", watched))
-			}
-			e.abandon(telemetry.EvRetry, "")
+			e.abandon(telemetry.EvRetry, "", e.p.WatchReadsFrom(0))
 			e.tb.Inc(telemetry.Retries)
 			e.p.WaitForChange()
 			e.fsm.OnRetryWait()
 		case RestartSignal:
 			// A strategy switch: the attempt index advances but no strike
 			// is charged and no abort is counted.
-			e.trace(s.Event, s.Detail)
-			e.abandon(s.Event, s.Cause)
+			e.abandon(s.Event, s.Cause, 0)
 			e.fsm.OnRetryWait()
 		case AbortSignal:
 			e.abort(s.Cause)
@@ -329,17 +316,13 @@ func (e *Engine) runBody(body func(Txn) error) (sig interface{}, err error) {
 func (e *Engine) begin() {
 	e.inTxn = true
 	attempt := e.fsm.Attempt()
-	if e.tracing() {
-		e.trace("begin", fmt.Sprintf("attempt=%d", attempt))
-	}
-	e.emit(telemetry.EvBegin, "", 0, 0, 0)
+	e.emit(telemetry.TxnEvent{Kind: telemetry.EvBegin})
 	e.p.BeginAttempt(attempt)
 	if e.ctx == nil {
 		return
 	}
 	if e.irrevocable {
-		e.trace("irrevocable", "serial attempt, no abort path")
-		e.emit(telemetry.EvIrrevocable, "", 0, 0, 0)
+		e.emit(telemetry.TxnEvent{Kind: telemetry.EvIrrevocable})
 		e.ctx.SetStatus("irrevocable", attempt)
 	} else {
 		e.ctx.SetStatus(e.label, attempt)
@@ -351,13 +334,10 @@ func (e *Engine) committed() {
 	e.tb.Inc(telemetry.Commits)
 	if e.ctx != nil {
 		e.ctx.NoteCommit()
-		if e.ctx.Tracing() {
-			e.trace("commit", e.p.CommitDetail())
-		}
 	}
 	reads, writes, undo := e.p.ObserveSetSizes()
 	e.tb.ObserveMax(telemetry.RetryDepthHWM, uint64(e.fsm.Attempt()))
-	e.emit(telemetry.EvCommit, "", reads, writes, undo)
+	e.emit(telemetry.TxnEvent{Kind: telemetry.EvCommit, Reads: reads, Writes: writes, Undo: undo})
 	e.end(true)
 }
 
@@ -366,10 +346,11 @@ func (e *Engine) committed() {
 // restart, body error. Every exit records the attempt's footprint in the
 // set-size high-water marks and emits a terminal trace event carrying the
 // full set sizes, so begins always pair with terminals and the
-// log-pressure gauges cannot silently skip retry or error attempts.
-func (e *Engine) abandon(kind, cause string) {
+// log-pressure gauges cannot silently skip retry or error attempts. watch
+// is the wait-set size of a retry-wait, 0 on every other exit.
+func (e *Engine) abandon(kind, cause string, watch int) {
 	reads, writes, undo := e.p.ObserveSetSizes()
-	e.emit(kind, cause, reads, writes, undo)
+	e.emit(telemetry.TxnEvent{Kind: kind, Cause: cause, Reads: reads, Writes: writes, Undo: undo, Watch: watch})
 	e.p.RollbackAll()
 	if e.ctx != nil {
 		prev := e.ctx.SetCat(telemetry.Commit)
@@ -383,8 +364,7 @@ func (e *Engine) abandon(kind, cause string) {
 // strike towards the retry budget, and contention backoff for true data
 // conflicts.
 func (e *Engine) abort(cause telemetry.AbortCause) {
-	e.trace("abort", cause.String())
-	e.abandon(telemetry.EvAbort, cause.String())
+	e.abandon(telemetry.EvAbort, cause.String(), 0)
 	e.tb.Abort(cause)
 	e.fsm.OnAbort()
 	if cause.IsConflict() {
@@ -409,8 +389,7 @@ func (e *Engine) enterLadder() {
 	}
 	escalate := e.fsm.ShouldEscalate()
 	if escalate {
-		e.trace("escalate", "retry budget exhausted")
-		e.emit(telemetry.EvEscalate, "retry-budget", 0, 0, 0)
+		e.emit(telemetry.TxnEvent{Kind: telemetry.EvEscalate, Cause: "retry-budget"})
 		e.tb.Inc(telemetry.Escalations)
 	}
 	e.p.EnterLadder(escalate)
@@ -428,21 +407,12 @@ func (e *Engine) exitLadder() {
 	e.irrevocable = false
 }
 
-func (e *Engine) tracing() bool { return e.ctx != nil && e.ctx.Tracing() }
-
-// trace emits a text-trace event whose detail costs nothing to build;
-// formatted details are guarded by tracing() at the call site.
-func (e *Engine) trace(kind, detail string) {
+// emit records one life-cycle event on the machine's trace, stamped with
+// the transaction id and attempt index: the one place the engine emits.
+func (e *Engine) emit(ev telemetry.TxnEvent) {
 	if e.ctx != nil {
-		e.ctx.TraceEvent(kind, detail)
-	}
-}
-
-// emit records one life-cycle event on the per-transaction trace.
-func (e *Engine) emit(kind, cause string, reads, writes, undo int) {
-	if e.ctx != nil {
-		e.ctx.EmitTxn(telemetry.TxnEvent{Txn: e.txnSeq, Retry: e.fsm.Attempt(),
-			Kind: kind, Cause: cause, Reads: reads, Writes: writes, Undo: undo})
+		ev.Txn, ev.Retry = e.txnSeq, e.fsm.Attempt()
+		e.ctx.EmitTxn(ev)
 	}
 }
 

@@ -50,9 +50,9 @@ type fixture struct {
 	run   func(progs ...func(w worker))
 	stats func() *telemetry.Machine
 	// Simulator only (nil on the host backend): a thread's final clock, and
-	// the text trace.
+	// the event trace.
 	simTime func(thread int) uint64
-	trace   func() []sim.TraceEvent
+	trace   func() []telemetry.TxnEvent
 }
 
 func (f *fixture) word(i uint64) uint64 { return f.words + i*mem.LineSize }
@@ -72,7 +72,7 @@ func simBackend(name string, mk func(*sim.Machine, tm.Config) tm.System) backend
 		mc.L1 = cache.Config{SizeBytes: 8 << 10, Assoc: 4}
 		mc.L2 = cache.Config{SizeBytes: 64 << 10, Assoc: 8}
 		m := sim.New(mc)
-		m.SetTrace(sim.NewTraceBuffer(0))
+		m.SetTxnTrace(telemetry.NewTraceBuffer(0))
 		cfg.Granularity, cfg.ValidateEvery = tm.LineGranularity, 64
 		sys := mk(m, cfg)
 		clocks := make([]uint64, threads)
@@ -96,7 +96,7 @@ func simBackend(name string, mk func(*sim.Machine, tm.Config) tm.System) backend
 				m.Run(ps...)
 			},
 			simTime: func(thread int) uint64 { return clocks[thread] },
-			trace:   m.Trace().Events,
+			trace:   m.TxnTrace().Events,
 		}
 	}}
 }
@@ -428,9 +428,9 @@ func TestEngineOrElseAllRetryWaitsOnUnion(t *testing.T) {
 					return
 				}
 				for _, ev := range f.trace() {
-					if ev.Core == 0 && ev.Kind == "retry" {
-						if ev.Detail != "watching 2 records" {
-							t.Fatalf("first retry-wait was %q, want both alternatives' reads", ev.Detail)
+					if ev.Core == 0 && ev.Kind == telemetry.EvRetry {
+						if ev.Watch != 2 {
+							t.Fatalf("first retry-wait watched %d records, want both alternatives' reads", ev.Watch)
 						}
 						return
 					}

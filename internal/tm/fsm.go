@@ -25,8 +25,8 @@ type UserAbortSignal struct{}
 // under a different strategy (MVCC's stale-snapshot writer restart). Like a
 // retry it is a terminal that is NOT an abort — no strike, no abort count —
 // and unlike a retry nothing is waited for. Event names the terminal trace
-// event, Cause and Detail its transaction-trace cause and text-trace detail.
-type RestartSignal struct{ Event, Cause, Detail string }
+// event, Cause its cause.
+type RestartSignal struct{ Event, Cause string }
 
 // IsEngineSignal reports whether a recovered panic value belongs to the
 // shared signal grammar (as opposed to a foreign panic escaping the body).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hastm.dev/hastm/internal/mem"
+	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/tm"
 )
 
@@ -16,13 +17,24 @@ import (
 // lock — the paper's locking algorithm "locks the root to handle tree
 // rotations; thus the locking approach does not scale at all" (Fig 18) —
 // while the TM versions conflict only on the records they actually touch.
+//
+// The tree has two layouts. NewBST packs bare nodes for line-granularity
+// conflict detection. NewObjBST lays it out for OBJECT granularity, the
+// managed-environment style of §4: every node (and the root holder) is a
+// transactional object whose header word is its transaction record, and
+// all field accesses go through LoadObj/StoreObj against that header.
+// Under an object-granularity TM, conflicts are per node — no false
+// sharing with neighbours, and the compiler-friendly barriers of Fig 5/8
+// apply. Under a line-granularity TM the same code degenerates to plain
+// transactional accesses, so the structure runs under every scheme.
 type BST struct {
-	root     uint64 // address of the root pointer cell
+	root     uint64 // the root holder: a node-shaped cell whose first field is the root pointer
+	hdr      uint64 // bytes of object header before a node's fields: 0, or 8 in the object layout
 	keySpace uint64
 	initial  uint64
 }
 
-// BST node field offsets.
+// BST node field offsets, past the layout's header.
 const (
 	bstKey   = 0
 	bstVal   = 8
@@ -51,35 +63,69 @@ func NewBST(m *mem.Memory, initial uint64) *BST {
 	}
 }
 
+// NewObjBST allocates the object-layout tree.
+func NewObjBST(m *mem.Memory, initial uint64) *BST {
+	return &BST{
+		root:     stm.AllocObject(m, mem.LineSize-8), // root holder object, own line
+		hdr:      8,
+		keySpace: initial * 2,
+		initial:  initial,
+	}
+}
+
 // Name identifies the workload.
-func (b *BST) Name() string { return "bst" }
+func (b *BST) Name() string {
+	if b.hdr != 0 {
+		return "objbst"
+	}
+	return "bst"
+}
 
 // KeySpace returns the key universe size.
 func (b *BST) KeySpace() uint64 { return b.keySpace }
 
-func newBSTNode(tx tm.Txn, key, val uint64) uint64 {
+// load and store access field off of node n through the layout's barrier.
+func (b *BST) load(tx tm.Txn, n, off uint64) uint64 {
+	if b.hdr != 0 {
+		return tx.LoadObj(n, b.hdr+off)
+	}
+	return tx.Load(n + off)
+}
+
+func (b *BST) store(tx tm.Txn, n, off, val uint64) {
+	if b.hdr != 0 {
+		tx.StoreObj(n, b.hdr+off, val)
+	} else {
+		tx.Store(n+off, val)
+	}
+}
+
+func (b *BST) newNode(tx tm.Txn, key, val uint64) uint64 {
 	// One node per cache line: with line-granularity conflict detection,
 	// co-located nodes would share a transaction record and generate
 	// false conflicts on every sibling update.
-	n := tx.Alloc(bstSize, mem.LineSize)
-	tx.StoreInit(n+bstKey, key)
-	tx.StoreInit(n+bstVal, val)
+	n := tx.Alloc(b.hdr+bstSize, mem.LineSize)
+	if b.hdr != 0 {
+		tx.StoreInit(n, stm.VersionInit) // header record starts shared
+	}
+	tx.StoreInit(n+b.hdr+bstKey, key)
+	tx.StoreInit(n+b.hdr+bstVal, val)
 	return n
 }
 
 // Lookup returns the value stored for key.
 func (b *BST) Lookup(tx tm.Txn, key uint64) (uint64, bool) {
-	cur := tx.Load(b.root)
+	cur := b.load(tx, b.root, bstKey)
 	for steps := 0; cur != 0 && steps < maxTreeSteps; steps++ {
 		tx.Exec(visitCost)
-		k := tx.Load(cur + bstKey)
+		k := b.load(tx, cur, bstKey)
 		switch {
 		case key == k:
-			return tx.Load(cur + bstVal), true
+			return b.load(tx, cur, bstVal), true
 		case key < k:
-			cur = tx.Load(cur + bstLeft)
+			cur = b.load(tx, cur, bstLeft)
 		default:
-			cur = tx.Load(cur + bstRight)
+			cur = b.load(tx, cur, bstRight)
 		}
 	}
 	return 0, false
@@ -92,27 +138,27 @@ func (b *BST) Lookup(tx tm.Txn, key uint64) (uint64, bool) {
 func (b *BST) Insert(tx tm.Txn, key, val uint64) bool {
 	parent := uint64(0)
 	parentField := uint64(0)
-	cur := tx.Load(b.root)
+	cur := b.load(tx, b.root, bstKey)
 	for steps := 0; cur != 0 && steps < maxTreeSteps; steps++ {
 		tx.Exec(visitCost)
-		k := tx.Load(cur + bstKey)
+		k := b.load(tx, cur, bstKey)
 		switch {
 		case key == k:
-			tx.Store(cur+bstVal, val)
+			b.store(tx, cur, bstVal, val)
 			return false
 		case key < k:
 			parent, parentField = cur, bstLeft
-			cur = tx.Load(cur + bstLeft)
+			cur = b.load(tx, cur, bstLeft)
 		default:
 			parent, parentField = cur, bstRight
-			cur = tx.Load(cur + bstRight)
+			cur = b.load(tx, cur, bstRight)
 		}
 	}
-	n := newBSTNode(tx, key, val)
+	n := b.newNode(tx, key, val)
 	if parent == 0 {
-		tx.Store(b.root, n)
+		b.store(tx, b.root, bstKey, n)
 	} else {
-		tx.Store(parent+parentField, n)
+		b.store(tx, parent, parentField, n)
 	}
 	return true
 }
@@ -123,45 +169,45 @@ func (b *BST) Insert(tx tm.Txn, key, val uint64) bool {
 func (b *BST) Delete(tx tm.Txn, key uint64) bool {
 	parent := uint64(0)
 	parentField := uint64(0)
-	cur := tx.Load(b.root)
+	cur := b.load(tx, b.root, bstKey)
 	steps := 0
 	for cur != 0 && steps < maxTreeSteps {
 		steps++
 		tx.Exec(visitCost)
-		k := tx.Load(cur + bstKey)
+		k := b.load(tx, cur, bstKey)
 		if key == k {
 			break
 		}
 		if key < k {
 			parent, parentField = cur, bstLeft
-			cur = tx.Load(cur + bstLeft)
+			cur = b.load(tx, cur, bstLeft)
 		} else {
 			parent, parentField = cur, bstRight
-			cur = tx.Load(cur + bstRight)
+			cur = b.load(tx, cur, bstRight)
 		}
 	}
 	if cur == 0 {
 		return false
 	}
 
-	left := tx.Load(cur + bstLeft)
-	right := tx.Load(cur + bstRight)
+	left := b.load(tx, cur, bstLeft)
+	right := b.load(tx, cur, bstRight)
 	if left != 0 && right != 0 {
 		// Two children: find the in-order successor (leftmost of the
 		// right subtree), copy it into cur, then splice it out.
 		sParent, sField := cur, uint64(bstRight)
 		s := right
 		for steps = 0; steps < maxTreeSteps; steps++ {
-			l := tx.Load(s + bstLeft)
+			l := b.load(tx, s, bstLeft)
 			if l == 0 {
 				break
 			}
 			sParent, sField = s, bstLeft
 			s = l
 		}
-		tx.Store(cur+bstKey, tx.Load(s+bstKey))
-		tx.Store(cur+bstVal, tx.Load(s+bstVal))
-		tx.Store(sParent+sField, tx.Load(s+bstRight))
+		b.store(tx, cur, bstKey, b.load(tx, s, bstKey))
+		b.store(tx, cur, bstVal, b.load(tx, s, bstVal))
+		b.store(tx, sParent, sField, b.load(tx, s, bstRight))
 		return true
 	}
 
@@ -170,9 +216,9 @@ func (b *BST) Delete(tx tm.Txn, key uint64) bool {
 		child = right
 	}
 	if parent == 0 {
-		tx.Store(b.root, child)
+		b.store(tx, b.root, bstKey, child)
 	} else {
-		tx.Store(parent+parentField, child)
+		b.store(tx, parent, parentField, child)
 	}
 	return true
 }
@@ -204,7 +250,7 @@ func (b *BST) CheckInvariants(m *mem.Memory) error {
 		if visited > maxTreeSteps {
 			return fmt.Errorf("bst: walk exceeded %d nodes (cycle or corruption)", maxTreeSteps)
 		}
-		k := d.Load(node + bstKey)
+		k := b.load(d, node, bstKey)
 		if k >= b.keySpace {
 			return fmt.Errorf("bst: node %#x holds key %d outside key space %d", node, k, b.keySpace)
 		}
@@ -214,12 +260,12 @@ func (b *BST) CheckInvariants(m *mem.Memory) error {
 		if hasHi && k >= hi {
 			return fmt.Errorf("bst: ordering violated at node %#x: key %d >= ancestor bound %d", node, k, hi)
 		}
-		if err := walk(d.Load(node+bstLeft), lo, k, hasLo, true); err != nil {
+		if err := walk(b.load(d, node, bstLeft), lo, k, hasLo, true); err != nil {
 			return err
 		}
-		return walk(d.Load(node+bstRight), k, hi, true, hasHi)
+		return walk(b.load(d, node, bstRight), k, hi, true, hasHi)
 	}
-	return walk(d.Load(b.root), 0, 0, false, false)
+	return walk(b.load(d, b.root, bstKey), 0, 0, false, false)
 }
 
 // Op performs one BST operation.

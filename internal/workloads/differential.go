@@ -42,12 +42,10 @@ import (
 func DiffValue(key uint64) uint64 { return key*0x9e3779b97f4a7c15 | 1 }
 
 // DiffOp performs one differential-cell operation, fully determined by
-// (seed, update): a lookup anywhere in the key space, an insert of
+// (r's seed, update): a lookup anywhere in the key space, an insert of
 // DiffValue in the bottom quarter, or a delete in the top half (structures
 // without Delete — the B-tree — substitute a lookup).
-func DiffOp(ds DataStructure, tx tm.Txn, seed uint64, update bool) error {
-	var r Rand
-	r.Seed(seed)
+func DiffOp(ds DataStructure, tx tm.Txn, r *Rand, update bool) error {
 	ks := ds.KeySpace()
 	l, ok := ds.(Lookuper)
 	if !ok {
@@ -67,8 +65,6 @@ func DiffOp(ds DataStructure, tx tm.Txn, seed uint64, update bool) error {
 			return err
 		case *BTree:
 			s.Insert(tx, key, DiffValue(key))
-		case *ObjBST:
-			s.Insert(tx, key, DiffValue(key))
 		default:
 			return fmt.Errorf("workloads: no differential insert for %s", ds.Name())
 		}
@@ -82,8 +78,6 @@ func DiffOp(ds DataStructure, tx tm.Txn, seed uint64, update bool) error {
 		s.Delete(tx, key)
 	case *BTree:
 		s.Lookup(tx, key)
-	case *ObjBST:
-		s.Delete(tx, key)
 	default:
 		return fmt.Errorf("workloads: no differential delete for %s", ds.Name())
 	}
@@ -103,22 +97,7 @@ func RunDiffThread(th tm.Thread, ds DataStructure, cfg DriverConfig, log *OpLog)
 // thread's op stream back to back and still commit the exact multiset of
 // operations a concurrent cell commits.
 func RunDiffThreadAs(th tm.Thread, id int, ds DataStructure, cfg DriverConfig, log *OpLog) error {
-	base := cfg.Seed + uint64(id)*0x9e3779b9 + 1
-	decide := NewRand(base)
-	var (
-		update bool
-		opSeed uint64
-	)
-	body := func(tx tm.Txn) error { return DiffOp(ds, tx, opSeed, update) }
-	for i := 0; i < cfg.Ops; i++ {
-		update = decide.Percent(cfg.UpdatePercent)
-		opSeed = base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
-		if err := th.Atomic(body); err != nil {
-			return fmt.Errorf("diff op %d on %s: %w", i, ds.Name(), err)
-		}
-		log.add(OpRecord{Thread: id, Index: i, Seed: opSeed, Update: update, Stamp: th.Stamp()})
-	}
-	return nil
+	return runStable(th, id, ds, cfg, log, DiffOp)
 }
 
 // VerifyDiffOracle checks a differential run the way VerifyOracle checks a
@@ -129,32 +108,5 @@ func RunDiffThreadAs(th tm.Thread, id int, ds DataStructure, cfg DriverConfig, l
 // fingerprints across backends.
 func VerifyDiffOracle(ds DataStructure, m *mem.Memory, build func(*mem.Memory) DataStructure,
 	populateSeed uint64, log *OpLog) (OracleReport, error) {
-	rep := OracleReport{Committed: log.Len()}
-	if ic, ok := ds.(InvariantChecker); ok {
-		if err := ic.CheckInvariants(m); err != nil {
-			return rep, fmt.Errorf("structure invariant violated after run: %w", err)
-		}
-	}
-	rep.RunFingerprint = Fingerprint(ds, Direct{M: m})
-
-	m2 := mem.New()
-	ds2 := build(m2)
-	ds2.Populate(m2, NewRand(populateSeed))
-	d2 := Direct{M: m2}
-	for _, r := range log.Serialized() {
-		if err := DiffOp(ds2, d2, r.Seed, r.Update); err != nil {
-			return rep, fmt.Errorf("oracle replay of diff op (thread %d, index %d): %w", r.Thread, r.Index, err)
-		}
-	}
-	if ic, ok := ds2.(InvariantChecker); ok {
-		if err := ic.CheckInvariants(m2); err != nil {
-			return rep, fmt.Errorf("oracle replay violated invariants (replay bug): %w", err)
-		}
-	}
-	rep.OracleFingerprint = Fingerprint(ds2, d2)
-	if rep.RunFingerprint != rep.OracleFingerprint {
-		return rep, fmt.Errorf("final state diverges from sequential oracle after %d committed ops: run %016x, oracle %016x",
-			rep.Committed, rep.RunFingerprint, rep.OracleFingerprint)
-	}
-	return rep, nil
+	return verifyOracle(ds, m, build, populateSeed, log, DiffOp)
 }

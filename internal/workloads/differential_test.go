@@ -211,7 +211,7 @@ func TestDifferentialOpsCommute(t *testing.T) {
 				ds.Populate(m, NewRand(diffSeed))
 				d := Direct{M: m}
 				for _, o := range seq {
-					if err := DiffOp(ds, d, o.seed, o.update); err != nil {
+					if err := DiffOp(ds, d, NewRand(o.seed), o.update); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -82,27 +82,7 @@ func (l *OpLog) Serialized() []OpRecord {
 // core's clock at commit. The fault-injection conformance suite replays
 // the log serially against a sequential oracle.
 func RunThreadRecorded(th tm.Thread, ds DataStructure, cfg DriverConfig, log *OpLog) error {
-	id := th.ID()
-	base := cfg.Seed + uint64(id)*0x9e3779b9 + 1
-	decide := NewRand(base)
-	var (
-		update bool
-		opSeed uint64
-		opRand Rand
-	)
-	body := func(tx tm.Txn) error {
-		opRand.Seed(opSeed)
-		return ds.Op(tx, &opRand, update)
-	}
-	for i := 0; i < cfg.Ops; i++ {
-		update = decide.Percent(cfg.UpdatePercent)
-		opSeed = base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
-		if err := th.Atomic(body); err != nil {
-			return fmt.Errorf("op %d on %s: %w", i, ds.Name(), err)
-		}
-		log.add(OpRecord{Thread: id, Index: i, Seed: opSeed, Update: update, Stamp: th.Stamp()})
-	}
-	return nil
+	return runStable(th, th.ID(), ds, cfg, log, DataStructure.Op)
 }
 
 // InvariantChecker is implemented by structures that can verify their own
@@ -128,6 +108,12 @@ type OracleReport struct {
 // configuration in the given memory that ds was built with.
 func VerifyOracle(ds DataStructure, m *mem.Memory, build func(*mem.Memory) DataStructure,
 	populateSeed uint64, log *OpLog) (OracleReport, error) {
+	return verifyOracle(ds, m, build, populateSeed, log, DataStructure.Op)
+}
+
+// verifyOracle is the one replay: op is what the run's driver applied.
+func verifyOracle(ds DataStructure, m *mem.Memory, build func(*mem.Memory) DataStructure,
+	populateSeed uint64, log *OpLog, op opFunc) (OracleReport, error) {
 	rep := OracleReport{Committed: log.Len()}
 	if ic, ok := ds.(InvariantChecker); ok {
 		if err := ic.CheckInvariants(m); err != nil {
@@ -143,7 +129,7 @@ func VerifyOracle(ds DataStructure, m *mem.Memory, build func(*mem.Memory) DataS
 	var opRand Rand
 	for _, r := range log.Serialized() {
 		opRand.Seed(r.Seed)
-		if err := ds2.Op(d2, &opRand, r.Update); err != nil {
+		if err := op(ds2, d2, &opRand, r.Update); err != nil {
 			return rep, fmt.Errorf("oracle replay of op (thread %d, index %d): %w", r.Thread, r.Index, err)
 		}
 	}

@@ -147,7 +147,7 @@ func RunThread(th tm.Thread, ds DataStructure, cfg DriverConfig) error {
 }
 
 // RunThreadStable is RunThread with retry-stable randomness: every
-// operation draws from a generator derived from (seed, op index), created
+// operation draws from a generator derived from (seed, op index), seeded
 // inside the atomic block, so an aborted and re-executed transaction
 // replays exactly the same operation instead of advancing the stream.
 // Schemes that re-execute transactions (aggressive HASTM commits, HTM
@@ -155,22 +155,38 @@ func RunThread(th tm.Thread, ds DataStructure, cfg DriverConfig) error {
 // operation sequence as schemes that never abort — the property the
 // cross-scheme conformance tests check.
 func RunThreadStable(th tm.Thread, ds DataStructure, cfg DriverConfig) error {
-	base := cfg.Seed + uint64(th.ID())*0x9e3779b9 + 1
+	return runStable(th, th.ID(), ds, cfg, nil, DataStructure.Op)
+}
+
+// opFunc applies one operation to ds, drawing its keys and values from r.
+type opFunc func(ds DataStructure, tx tm.Txn, r *Rand, update bool) error
+
+// runStable is the one retry-stable driver: logical thread id's op stream
+// (update decisions from one generator, per-op seed base ^ (i+1)·φ) applied
+// through op, each committed operation appended to log when there is one,
+// stamped with the thread's serialization stamp.
+func runStable(th tm.Thread, id int, ds DataStructure, cfg DriverConfig, log *OpLog, op opFunc) error {
+	base := cfg.Seed + uint64(id)*0x9e3779b9 + 1
 	decide := NewRand(base)
-	var (
+	// One body and one block of per-op state for the whole run: a closure
+	// built per operation is a heap allocation per transaction.
+	var cur struct {
 		update bool
-		opSeed uint64
-		opRand Rand
-	)
+		seed   uint64
+		rand   Rand
+	}
 	body := func(tx tm.Txn) error {
-		opRand.Seed(opSeed)
-		return ds.Op(tx, &opRand, update)
+		cur.rand.Seed(cur.seed)
+		return op(ds, tx, &cur.rand, cur.update)
 	}
 	for i := 0; i < cfg.Ops; i++ {
-		update = decide.Percent(cfg.UpdatePercent)
-		opSeed = base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
+		cur.update = decide.Percent(cfg.UpdatePercent)
+		cur.seed = base ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
 		if err := th.Atomic(body); err != nil {
 			return fmt.Errorf("op %d on %s: %w", i, ds.Name(), err)
+		}
+		if log != nil {
+			log.add(OpRecord{Thread: id, Index: i, Seed: cur.seed, Update: cur.update, Stamp: th.Stamp()})
 		}
 	}
 	return nil

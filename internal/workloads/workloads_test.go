@@ -392,6 +392,16 @@ func TestObjBSTAgainstOracle(t *testing.T) {
 			}
 		}
 	}
+	// The object layout shares the bare tree's invariant walk, so the
+	// oracle replay checks ordering and cycles on objbst cells too.
+	if err := InvariantChecker(b).CheckInvariants(m); err != nil {
+		t.Fatalf("invariants after a correct run: %v", err)
+	}
+	key := b.load(d, b.load(d, b.root, bstKey), bstKey)
+	b.store(d, b.load(d, b.root, bstKey), bstKey, b.keySpace)
+	if err := b.CheckInvariants(m); err == nil {
+		t.Fatalf("invariant walk missed root key %d rewritten outside the key space", key)
+	}
 }
 
 // TestObjBSTUnderObjectGranularitySTM runs the object-layout tree under an

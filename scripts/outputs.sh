@@ -42,4 +42,5 @@ PY
 bench service.txt -quick -service
 bench faults.txt -quick -faults suspend=900,evict=600,snoop=1100,htmabort=1700,seed=3
 bench adversarial.txt -adversarial all
+"$bin/hastm-bench" -quick -fig fig18 "${extra[@]}" -trace "$dir/trace.jsonl" > /dev/null 2>&1
 "$bin/tmsim" -scheme hastm -workload btree -cores 2 -trace 20 > "$dir/tmsim.txt"
