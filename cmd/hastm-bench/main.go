@@ -1,401 +1,298 @@
-// Command hastm-bench regenerates the paper's evaluation figures.
+// Command hastm-bench regenerates the paper's evaluation and runs the
+// suites built beside it (suites.go holds the table; -h and -list print it).
 //
-// Usage:
+//	hastm-bench [-quick] [-fig ID] [-ext] [-json|-csv]   the paper's figures
+//	hastm-bench -service | -faults SPEC | -adversarial SET | -chaos SPEC
+//	hastm-bench -backend native [-service | -chaos SPEC]
 //
-//	hastm-bench               # run every figure at full size
-//	hastm-bench -fig fig16    # one figure
-//	hastm-bench -quick        # reduced sizes (seconds instead of minutes)
-//	hastm-bench -ops 4096     # override the total operation count
-//	hastm-bench -j 8          # run independent experiment cells on 8 workers
-//	hastm-bench -json         # machine-readable report (schema hastm-bench/9)
-//	hastm-bench -progress     # per-cell progress on stderr
-//	hastm-bench -trace t.jsonl  # per-transaction JSONL event trace
-//	hastm-bench -list         # list experiment ids
-//	hastm-bench -sched reference
-//	                          # run on the simulator's per-op handoff
-//	                          # scheduler instead of the grant lease
-//	                          # (identical reports, slower host time)
-//	hastm-bench -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	                          # write pprof profiles of the run
-//	hastm-bench -faults suspend=900,evict=600,seed=3
-//	                          # fault-injection conformance sweep instead
-//	                          # of figures: every scheme × structure runs
-//	                          # under the injected fault mix and is checked
-//	                          # against the sequential oracle (exit 1 on
-//	                          # any violation)
-//	hastm-bench -adversarial all
-//	                          # progress-guarantee suite instead of figures:
-//	                          # livelock/starvation cells that require the
-//	                          # irrevocable escalation ladder to finish
-//	hastm-bench -adversarial storm -no-ladder
-//	                          # prove the pathology: same cells with the
-//	                          # ladder disarmed; the watchdog reports a
-//	                          # ProgressViolation and the exit code is 1
-//	hastm-bench -cycle-budget 2000000000 -watchdog-window 50000000
-//	                          # progress watchdogs for figure runs: a hard
-//	                          # per-run cycle budget and a commit-progress
-//	                          # window (0 disables either); a trip fails the
-//	                          # cell with a structured diagnosis instead of
-//	                          # hanging the harness
-//	hastm-bench -backend native -chaos stall=200,abort=150,wakedelay=100,seed=3
-//	                          # native chaos storm: every structure runs the
-//	                          # content-commutative differential mix on host
-//	                          # goroutines while the chaos plane injects
-//	                          # stalls, preemptions, spurious commit aborts
-//	                          # and delayed wakeups at commit-protocol
-//	                          # points, with the host watchdogs scanning;
-//	                          # each cell oracle-replays its committed ops
-//	                          # and must fingerprint-match a chaos-free twin
-//	                          # (exit 1 on any violation). The planned
-//	                          # schedule hash is deterministic per spec.
-//	                          # On the sim backend -chaos maps onto the
-//	                          # simulator fault plane (stall→suspend,
-//	                          # preempt→evict, wakedelay→snoop,
-//	                          # abort→htmabort) and runs the faultstorm
-//	hastm-bench -backend native
-//	                          # run the host-native TL2 backend instead of
-//	                          # the simulator: every workload swept over
-//	                          # 1..32 host goroutines on real memory,
-//	                          # reporting committed txns/sec (host numbers,
-//	                          # NOT deterministic, never comparable to the
-//	                          # simulated figures); cells run serially so
-//	                          # they don't steal each other's cores
-//	hastm-bench -service
-//	                          # open-loop service suite instead of figures:
-//	                          # the bank/KV service cell under a seeded
-//	                          # Zipfian arrival process, swept over offered
-//	                          # load and key skew; reports sojourn-latency
-//	                          # percentiles, goodput and admission-control
-//	                          # shed counts. On the sim backend arrivals are
-//	                          # scheduled in simulated cycles (byte-identical
-//	                          # across -j and -sched); with -backend native
-//	                          # arrivals are paced on the host clock and
-//	                          # latencies are host nanoseconds
-//
-// Reports go to stdout, diagnostics (progress, timing, the per-figure
-// simulation-throughput summary) to stderr. Every simulation cell runs on
-// its own private simulated machine, so reports are bit-identical for
-// every -j value and for both -sched settings: parallelism and scheduling
-// strategy change only the host wall-clock, never the science. The -trace
-// file is written after all cells complete, in cell declaration order, so
-// it too is byte-identical for every -j value; analyse it with
-// cmd/traceanalyze.
+// Reports go to stdout, diagnostics to stderr. Every simulation cell runs on
+// its own private machine, so stdout and the -trace file are byte-identical
+// for every -j value and both -sched settings. Exit status: 0 every cell
+// passed, 1 a cell failed, 2 the command line was rejected.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
+	"slices"
 	"time"
 
-	"hastm.dev/hastm/internal/faults"
 	"hastm.dev/hastm/internal/harness"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/native"
 	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/spec"
 	"hastm.dev/hastm/internal/telemetry"
 )
 
-// faultCores is the simulated core count of every cell in the -faults
-// sweep: enough for real contention, small enough that the full scheme ×
-// structure matrix stays quick.
-const faultCores = 4
+// config is the parsed command line: the options every cell runs under, the
+// switches of the suites, and the names of the flags the user set.
+type config struct {
+	o       harness.Options
+	set     []string // flags given a non-default value (a -chaos that arms nothing is default), sorted
+	backend string   // "sim" or "native"
+	sched   string
+	workers int
 
-// adversarialCores is the core count of the -adversarial progress suite:
-// the pathologies (mutual-abort storms, reader starvation) need several
-// cores colliding, and four keeps the suite deterministic and fast.
-const adversarialCores = 4
-
-// execute runs the plans' cells on the worker pool — per-cell completion
-// lines to progress when it is non-nil — and times the run.
-func execute(plans []*harness.Plan, workers int, progress *telemetry.SyncWriter) ([]*harness.Report, time.Duration) {
-	start := time.Now()
-	reports := harness.Execute(plans, harness.ExecConfig{Workers: workers, ProgressSync: progress})
-	return reports, time.Since(start)
+	fig, faults, adversarial, trace, cpuProfile, memProfile string
+	ext, noLadder, json, csv, progress, list                bool
 }
 
-// progressWriter is the -progress destination: stderr, or nil when off.
-func progressWriter(on bool) *telemetry.SyncWriter {
-	if !on {
-		return nil
-	}
-	return telemetry.NewSyncWriter(os.Stderr)
+func (c *config) has(flag string) bool { return slices.Contains(c.set, flag) }
+
+// usageError is a rejected command line: exit status 2.
+type usageError struct{ error }
+
+// flagErr rejects the command line over one flag: "-flag: reason".
+func flagErr(flag, format string, args ...any) error {
+	return usageError{fmt.Errorf("-%s: %s", flag, fmt.Sprintf(format, args...))}
 }
 
-// emit writes the reports to stdout in the selected format and returns the
-// exit status of doing so.
-func emit(o harness.Options, workers int, plans []*harness.Plan, reports []*harness.Report, elapsed time.Duration, jsonF, csvF bool) int {
+// parseFlags declares the flags, parses the command line and checks every
+// value that can be checked without knowing the suite.
+func parseFlags() (*config, error) {
+	c := &config{o: harness.DefaultOptions()}
+	var topology, mapping, placement, chaos string
+	var quick bool
+	var ops, traceMax int
+	var seed, cycleBudget, watchdogWindow uint64
+	flag.BoolVar(&quick, "quick", false, "use reduced experiment sizes")
+	flag.IntVar(&ops, "ops", 0, "override total data-structure operations per run")
+	flag.Uint64Var(&seed, "seed", 1, "deterministic seed")
+	flag.IntVar(&c.workers, "j", runtime.GOMAXPROCS(0), "worker count for experiment cells (1 = serial); host cells always run serially")
+	flag.BoolVar(&c.progress, "progress", false, "print per-cell completion lines to stderr")
+	flag.StringVar(&c.trace, "trace", "", "write a per-transaction JSONL event trace to this file ('-' = stderr); analyse it with cmd/traceanalyze")
+	flag.IntVar(&traceMax, "trace-max", telemetry.DefaultTraceLimit, "per-cell transaction-event cap for -trace")
+	flag.BoolVar(&c.list, "list", false, "list experiment ids and suites, then exit")
+	flag.StringVar(&c.backend, "backend", "sim", "execution backend: sim (cycle-ordered simulator) or native (host-goroutine TL2 on real memory)")
+	flag.StringVar(&c.sched, "sched", "lease", "simulator scheduler: lease (grant-lease fast path) or reference (per-op handoff; identical reports, slower)")
+	flag.StringVar(&topology, "topology", "", "machine topology SxC (e.g. 4x16 = 4 sockets × 16 cores); empty = flat machine sized per cell")
+	flag.StringVar(&mapping, "mapping", "", "thread mapping on a multi-socket -topology: compact (default) or scatter")
+	flag.StringVar(&placement, "placement", "interleave", "page→home-socket policy on a multi-socket -topology: interleave or first-touch")
+	flag.Uint64Var(&cycleBudget, "cycle-budget", 2_000_000_000, "hard per-run simulated-cycle budget (0 = unlimited); a trip fails the cell with a diagnosis")
+	flag.Uint64Var(&watchdogWindow, "watchdog-window", 50_000_000, "commit-progress watchdog window in cycles (0 = off)")
+	flag.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	flag.StringVar(&c.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
+	flag.StringVar(&c.fig, "fig", "", "figures: run a single experiment (e.g. fig16)")
+	flag.BoolVar(&c.ext, "ext", false, "figures: also run the extension experiments (ext-*)")
+	flag.BoolVar(&c.csv, "csv", false, "emit CSV (long format) instead of text tables")
+	flag.BoolVar(&c.json, "json", false, "emit a JSON report with per-cell host timings (schema "+harness.BenchSchema+")")
+	flag.Bool("service", false, "select the service suite") // read back through c.has, like every selector
+	flag.StringVar(&c.faults, "faults", "", "select the faultstorm suite; spec e.g. suspend=900,evict=600,seed=3")
+	flag.StringVar(&chaos, "chaos", "", "chaos spec, e.g. stall=200,abort=150,wakedelay=100,seed=3: selects the chaosstorm suite (native) or the faultstorm suite (sim)")
+	flag.StringVar(&c.adversarial, "adversarial", "", "select the adversarial suite: all, storm or starve")
+	flag.BoolVar(&c.noLadder, "no-ladder", false, "adversarial: disarm the escalation ladder (the watchdog must then trip)")
+	// The flag package reports nothing itself: a rejected command line is
+	// one "hastm-bench:" line from realMain, and -h is usage.
+	flag.CommandLine.Init("hastm-bench", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	err := flag.CommandLine.Parse(os.Args[1:])
+	flag.CommandLine.SetOutput(os.Stderr)
 	switch {
-	case jsonF:
-		if err := harness.NewBenchJSON(o, workers, plans, reports, elapsed).Write(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: json: %v\n", err)
-			return 1
+	case errors.Is(err, flag.ErrHelp):
+		usage()
+		return nil, err
+	case err != nil:
+		return nil, usageError{err}
+	case flag.NArg() > 0:
+		return nil, usageError{fmt.Errorf("unexpected argument %q", flag.Arg(0))}
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Value.String() != f.DefValue {
+			c.set = append(c.set, f.Name)
 		}
-	case csvF:
-		for _, rep := range reports {
-			if err := rep.RenderCSV(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "hastm-bench: csv: %v\n", err)
-				return 1
-			}
+	})
+	if quick {
+		c.o = harness.QuickOptions()
+	}
+	// The watchdogs observe host-side progress fields only — they never
+	// touch simulated memory — so arming them by default keeps every report
+	// bit-identical while turning a hung or livelocked cell into a
+	// structured failure with a nonzero exit.
+	c.o.Seed, c.o.CycleBudget, c.o.WatchdogWindow, c.o.StallTimeout = seed, cycleBudget, watchdogWindow, 2*time.Minute
+	switch {
+	case ops < 0:
+		return nil, flagErr("ops", "must be positive, got %d", ops)
+	case c.workers < 1:
+		return nil, flagErr("j", "must be at least 1, got %d", c.workers)
+	case traceMax < 0:
+		return nil, flagErr("trace-max", "must not be negative, got %d", traceMax)
+	case ops > 0:
+		c.o.Ops = ops
+	}
+	if c.trace != "" {
+		c.o.TxnTraceMax = traceMax
+	}
+	if !slices.Contains([]string{"sim", "native"}, c.backend) {
+		return nil, flagErr("backend", "%v", spec.Unknown("backend", c.backend, "sim", "native"))
+	}
+	if !slices.Contains([]string{"lease", "reference"}, c.sched) {
+		return nil, flagErr("sched", "%v", spec.Unknown("scheduler", c.sched, "lease", "reference"))
+	}
+	c.o.ReferenceScheduler = c.sched == "reference"
+	if topology != "" {
+		if c.o.Topology, err = sim.ParseTopology(topology); err != nil {
+			return nil, flagErr("topology", "%v", err)
 		}
+	}
+	if c.o.Mapping, err = harness.ParseMapping(mapping); err != nil {
+		return nil, flagErr("mapping", "%v", err)
+	}
+	if c.o.Placement, err = mem.ParsePlacement(placement); err != nil {
+		return nil, flagErr("placement", "%v", err)
+	}
+	if c.o.Chaos, err = native.ParseChaosSpec(chaos); err != nil {
+		return nil, flagErr("chaos", "%v", err)
+	}
+	if !c.o.Chaos.Enabled() {
+		// "off" and a bare seed arm no kind: the disabled spec is the flag's
+		// default in other words, so it selects no suite.
+		c.set = slices.DeleteFunc(c.set, func(name string) bool { return name == "chaos" })
+	}
+	return c, nil
+}
+
+// usage is -h: the synopsis, the suites, the flags.
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: hastm-bench [flags]    (exit 0: every cell passed; 1: a cell failed; 2: command line rejected)")
+	printSuites(os.Stderr)
+	fmt.Fprintln(os.Stderr, "\nflags:")
+	flag.PrintDefaults()
+}
+
+// printSuites lists the suite table: name, how to select it, what it does.
+func printSuites(w io.Writer) {
+	fmt.Fprintln(w, "\nsuites:")
+	for _, s := range suites {
+		fmt.Fprintf(w, "  %-12s %-28s %s\n", s.name, s.how, s.help)
+	}
+}
+
+// runSuite is the one path every suite takes: pick and validate before any
+// machine is built, execute the cells, write the trace, render the reports
+// or the verdict table, then the footer and the failed cells. It returns a
+// usageError for a rejected command line and a plain error for a run that
+// did not pass.
+func runSuite(c *config) error {
+	s := pick(c)
+	if err := s.validate(c); err != nil {
+		return err
+	}
+	plans, banner, err := s.plan(s, c)
+	if err != nil {
+		return err
+	}
+	stop, err := startProfiles(c)
+	if err != nil {
+		return err
+	}
+	defer stop()
+
+	// Host cells run serially whatever -j says: each already fills the
+	// machine with goroutines, and concurrent cells would steal each
+	// other's cores. Progress lines and a -trace to stderr share one
+	// mutex-guarded writer, so they never interleave mid-line.
+	workers, how := c.workers, fmt.Sprintf("-j %d, -sched %s", c.workers, c.sched)
+	if c.backend == "native" {
+		workers, how = 1, fmt.Sprintf("cells serial, up to %d goroutines each", s.threads)
+	}
+	stderr := telemetry.NewSyncWriter(os.Stderr)
+	exec := harness.ExecConfig{Workers: workers}
+	if c.progress {
+		exec.ProgressSync = stderr
+	}
+	start := time.Now()
+	reports := harness.Execute(plans, exec)
+	elapsed := time.Since(start)
+
+	var cells []*harness.Cell
+	for _, p := range plans {
+		cells = append(cells, p.Cells...)
+	}
+	verdicts := banner != ""
+	if c.trace != "" && c.backend == "sim" && !verdicts {
+		if err := writeTrace(c.trace, plans, stderr); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+	}
+	switch {
+	case c.json:
+		err = harness.NewBenchJSON(c.o, workers, plans, reports, elapsed).Write(os.Stdout)
+	case verdicts:
+		printVerdicts(s.name, banner, cells)
 	default:
 		for _, rep := range reports {
-			rep.Render(os.Stdout)
+			if c.csv {
+				err = errors.Join(err, rep.RenderCSV(os.Stdout))
+			} else {
+				rep.Render(os.Stdout)
+			}
 		}
 	}
-	return 0
+	if err != nil {
+		return fmt.Errorf("report: %w", err)
+	}
+
+	if c.backend == "sim" && !verdicts {
+		throughputSummary(plans)
+	}
+	fmt.Fprintf(os.Stderr, "hastm-bench: %s suite, %s backend: %d cells in %v (%s)\n",
+		s.name, c.backend, len(cells), elapsed.Round(time.Millisecond), how)
+	// A failed cell carries its diagnosis — a watchdog trip, a contained
+	// core panic, a failed verdict — in Cell.Err (and in the JSON report);
+	// the run fails loudly rather than publish tables with missing cells.
+	failed := harness.FailedCells(plans)
+	for _, cell := range failed {
+		fmt.Fprintf(os.Stderr, "hastm-bench: cell %s/%s FAILED:\n%s\n", cell.Figure, cell.Label, cell.Err)
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("%d of %d cells failed", len(failed), len(cells))
+	}
+	return nil
 }
 
-// writeTrace dumps every cell's transaction trace to the -trace destination
-// ('-' shares stderr's mutex-guarded writer with the progress lines, so the
-// two can never interleave mid-line) and returns the exit status.
-func writeTrace(dest string, plans []*harness.Plan, stderrSync *telemetry.SyncWriter) int {
-	tw := stderrSync
+// printVerdicts renders a verdict suite's stdout: the banner, one row per
+// cell under the suite's column header, and the cells/failed footer. All of
+// it derives from simulated state (or, on the host, from the spec), so it is
+// byte-identical across -j values and both schedulers.
+func printVerdicts(name, banner string, cells []*harness.Cell) {
+	fmt.Printf("%s\n\n%s\n", banner, cells[0].Verdict.Header())
+	failures := 0
+	for _, c := range cells {
+		fmt.Println(c.Verdict.Row())
+		if c.Err != "" {
+			failures++
+		}
+	}
+	fmt.Printf("\n%s: %d cells, %d failed\n", name, len(cells), failures)
+}
+
+// writeTrace dumps every cell's transaction trace, in cell declaration
+// order, to the -trace destination ('-' is stderr's shared writer).
+func writeTrace(dest string, plans []*harness.Plan, stderr *telemetry.SyncWriter) error {
+	tw := stderr
 	var f *os.File
 	if dest != "-" {
 		var err error
 		if f, err = os.Create(dest); err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: trace: %v\n", err)
-			return 1
+			return err
 		}
 		tw = telemetry.NewSyncWriter(f)
 	}
 	written, dropped, err := harness.WriteTxnTraces(plans, tw)
 	if f != nil {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		err = errors.Join(err, f.Close())
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hastm-bench: trace: %v\n", err)
-		return 1
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "hastm-bench: trace: %d events written, %d dropped\n", written, dropped)
-	return 0
-}
-
-// reportFailed prints every failed cell's diagnosis and returns how many
-// there were. A cell that tripped a watchdog or contained a core panic
-// carries its diagnosis in Cell.Err (and in the JSON report); the run must
-// fail loudly rather than publish figures with silently missing cells.
-func reportFailed(plans []*harness.Plan) int {
-	failed := harness.FailedCells(plans)
-	for _, c := range failed {
-		fmt.Fprintf(os.Stderr, "hastm-bench: cell %s/%s FAILED:\n%s\n", c.Figure, c.Label, c.Err)
-	}
-	return len(failed)
-}
-
-// finishSweep closes a verdict suite (-faults, -adversarial, -chaos): the
-// cells/failed footer after the table, the host time on stderr, exit status
-// 1 if any cell failed its verdict.
-func finishSweep(name string, cells, failures int, table bool, elapsed time.Duration, how string) int {
-	if table {
-		fmt.Printf("\n%s: %d cells, %d failed\n", name, cells, failures)
-	}
-	fmt.Fprintf(os.Stderr, "hastm-bench: %s %d cells in %v (%s)\n", name, cells, elapsed.Round(time.Millisecond), how)
-	if failures > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runAdversarial runs the progress-guarantee suite: adversarial cells
-// that livelock or starve unless the irrevocable escalation ladder is
-// armed. With the ladder on (the default), every cell must complete and
-// verify; with -no-ladder the watchdogs turn the pathologies into
-// structured ProgressViolation reports and a nonzero exit instead of a
-// hang. Stdout is derived entirely from simulated state, so it is
-// byte-identical across -j values and both schedulers.
-func runAdversarial(filter string, ladder bool, o harness.Options, workers int, progress bool) int {
-	switch filter {
-	case "all":
-		filter = ""
-	case "storm":
-		filter = harness.AdversarialStorm
-	case "starve":
-		filter = harness.AdversarialStarve
-	default:
-		fmt.Fprintf(os.Stderr, "hastm-bench: -adversarial must be all, storm or starve, got %q\n", filter)
-		return 2
-	}
-	plan, reports := harness.ProgressPlan(o, adversarialCores, ladder, filter)
-	_, elapsed := execute([]*harness.Plan{plan}, workers, progressWriter(progress))
-
-	mode := "ladder armed (budget " + fmt.Sprint(harness.AdversarialRetryBudget) + ")"
-	if !ladder {
-		mode = "ladder disarmed"
-	}
-	fmt.Printf("adversarial: %s, cores %d, cycle budget %d, watchdog window %d\n\n",
-		mode, adversarialCores, harness.AdversarialCycleBudget, harness.AdversarialWatchdogWindow)
-	fmt.Printf("%-22s %12s %9s %6s %7s %12s  %s\n",
-		"cell", "cycles", "commits", "esc", "irrev", "irrev-cyc", "verdict")
-	failures := 0
-	for _, rep := range reports {
-		if rep.Err != "" {
-			failures++
-		}
-		fmt.Printf("%-22s %12d %9d %6d %7d %12d  %s\n",
-			rep.Scheme+"/"+rep.Workload, rep.WallCycles, rep.Commits,
-			rep.Escalations, rep.IrrevocableEntries, rep.IrrevocableCycles, rep.Verdict())
-		if rep.Detail != "" {
-			fmt.Fprintf(os.Stderr, "hastm-bench: %s/%s diagnosis:\n%s\n",
-				rep.Scheme, rep.Workload, rep.Detail)
-		}
-	}
-	return finishSweep("adversarial", len(reports), failures, true, elapsed, fmt.Sprintf("-j %d", workers))
-}
-
-// runFaultstorm runs the fault-injection conformance sweep and prints one
-// verdict row per scheme/structure cell. Stdout is derived entirely from
-// simulated state, so it is byte-identical for every -j value; the exit
-// code is 1 if any cell failed its invariants or the sequential oracle.
-func runFaultstorm(spec faults.Spec, o harness.Options, workers int, progress bool) int {
-	plan, reports := harness.FaultPlan(spec, o, faultCores)
-	_, elapsed := execute([]*harness.Plan{plan}, workers, progressWriter(progress))
-
-	fmt.Printf("faultstorm: %s (cores %d, ops %d, workload seed %d)\n\n", spec, faultCores, o.Ops, o.Seed)
-	fmt.Printf("%-25s %9s %9s %-40s %16s  %s\n",
-		"cell", "committed", "injected", "faults", "schedule-hash", "verdict")
-	failures := 0
-	for _, rep := range reports {
-		if rep.Err != "" {
-			failures++
-		}
-		fmt.Printf("%-25s %9d %9d %-40s %016x  %s\n",
-			rep.Scheme+"/"+rep.Workload, rep.Committed, rep.ScheduleLen,
-			rep.InjectedString(), rep.ScheduleHash, rep.Verdict())
-	}
-	return finishSweep("faultstorm", len(reports), failures, true, elapsed, fmt.Sprintf("-j %d", workers))
-}
-
-// chaosThreads is the goroutine count of every -chaos storm cell: enough
-// oversubscription pressure for the injections to land in real conflict
-// windows, small enough that the suite stays quick under -race.
-const chaosThreads = 8
-
-// chaosSimCyclesPerTxn converts the native chaos spec's per-transaction
-// injection periods onto the simulator fault plane's per-cycle axis: a
-// structure transaction costs a few hundred simulated cycles, so one
-// native "every N transactions" period becomes N×512 cycles — the same
-// order-of-magnitude cadence on the other backend.
-const chaosSimCyclesPerTxn = 512
-
-// chaosToFaults maps a native chaos spec onto the simulator fault plane:
-// stall→suspend (a core stops mid-transaction), preempt→evict (its lines
-// are stolen), wakedelay→snoop (watch lines are probed), abort→htmabort,
-// seed→seed.
-func chaosToFaults(c native.ChaosSpec) faults.Spec {
-	return faults.Spec{
-		SuspendEvery:  c.Stall * chaosSimCyclesPerTxn,
-		EvictEvery:    c.Preempt * chaosSimCyclesPerTxn,
-		SnoopEvery:    c.WakeDelay * chaosSimCyclesPerTxn,
-		HTMAbortEvery: c.Abort * chaosSimCyclesPerTxn,
-		Seed:          c.Seed,
-	}
-}
-
-// runChaosStorm runs the native chaos-storm suite and prints one verdict
-// row per structure cell. Cells run serially (each uses chaosThreads
-// goroutines plus its chaos-free twin). The schedule-hash column is
-// deterministic for a given spec — CI runs the storm twice and asserts the
-// hashes match byte-for-byte — while committed/injected counts are
-// host-dependent. Exit 1 if any cell failed its invariants, the oracle, or
-// the twin fingerprint comparison.
-func runChaosStorm(spec native.ChaosSpec, o harness.Options, jsonF, progress bool) int {
-	plan, reports := harness.ChaosStormPlan(spec, o, chaosThreads)
-	plans := []*harness.Plan{plan}
-	_, elapsed := execute(plans, 1, progressWriter(progress))
-
-	if jsonF {
-		// A verdict plan assembles no figure: the document is its cells.
-		if code := emit(o, 1, plans, nil, elapsed, true, false); code != 0 {
-			return code
-		}
-	} else {
-		fmt.Printf("chaosstorm: native tl2, %s (threads %d, ops %d, seed %d)\n\n",
-			spec, chaosThreads, o.Ops, o.Seed)
-		fmt.Printf("%-18s %9s %9s %-36s %16s  %s\n",
-			"cell", "committed", "planned", "injected", "schedule-hash", "verdict")
-	}
-	failures := 0
-	for _, rep := range reports {
-		if !jsonF {
-			sched, hash := 0, "-"
-			if rep.Chaos != nil {
-				sched, hash = rep.Chaos.ScheduleLen, rep.Chaos.ScheduleHash
-			}
-			fmt.Printf("%-18s %9d %9d %-36s %16s  %s\n",
-				"native/"+rep.Workload, rep.Committed, sched, rep.Chaos.InjectedString(), hash, rep.Verdict())
-		}
-		if rep.Err != "" {
-			failures++
-			fmt.Fprintf(os.Stderr, "hastm-bench: chaos cell native/%s FAILED: %s\n", rep.Workload, rep.Err)
-		}
-	}
-	return finishSweep("chaosstorm", len(reports), failures, !jsonF, elapsed,
-		fmt.Sprintf("cells serial, %d goroutines each", chaosThreads))
-}
-
-// runNative runs the host-native TL2 throughput suite: every standard
-// workload swept over harness.NativeThreadCounts host goroutines on real
-// memory. Cells execute serially regardless of -j — each cell already uses
-// up to 32 goroutines, and concurrent cells would steal each other's cores
-// and corrupt the throughput numbers. Output is host-dependent; nothing
-// here participates in the byte-identity guarantees of the simulator path.
-func runNative(o harness.Options, progress, jsonF, csvF bool) int {
-	plans := []*harness.Plan{harness.NativePlan(o, harness.NativeThreadCounts)}
-	reports, elapsed := execute(plans, 1, progressWriter(progress))
-	if code := emit(o, 1, plans, reports, elapsed, jsonF, csvF); code != 0 {
-		return code
-	}
-	fmt.Fprintf(os.Stderr, "hastm-bench: native backend, %d cells in %v (cells serial, up to %d goroutines each)\n",
-		len(plans[0].Cells), elapsed.Round(time.Millisecond),
-		harness.NativeThreadCounts[len(harness.NativeThreadCounts)-1])
-	if reportFailed(plans) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runService runs the open-loop service suite: latency-vs-load and skew
-// sweeps of the bank/KV service cell. On the simulator backend stdout is
-// derived entirely from deterministic simulated state (byte-identical
-// across -j and schedulers) and cells run on the -j worker pool; on the
-// native backend cells run serially — each already uses 8 goroutines —
-// and every number is host-dependent. Each cell's committed-op log is
-// replayed through the sequential oracle inside the run; a divergence
-// fails the cell.
-func runService(o harness.Options, nativeBackend bool, workers int, progress, jsonF, csvF bool, traceF string) int {
-	plan, backend := harness.ServicePlan(o), "sim"
-	if nativeBackend {
-		plan, backend, workers = harness.ServiceNativePlan(o), "native", 1
-	}
-	plans := []*harness.Plan{plan}
-	stderrSync := telemetry.NewSyncWriter(os.Stderr)
-	var pw *telemetry.SyncWriter
-	if progress {
-		pw = stderrSync
-	}
-	reports, elapsed := execute(plans, workers, pw)
-
-	if traceF != "" && !nativeBackend {
-		if code := writeTrace(traceF, plans, stderrSync); code != 0 {
-			return code
-		}
-	}
-	if code := emit(o, workers, plans, reports, elapsed, jsonF, csvF); code != 0 {
-		return code
-	}
-	fmt.Fprintf(os.Stderr, "hastm-bench: service (%s backend), %d cells in %v (-j %d)\n",
-		backend, len(plan.Cells), elapsed.Round(time.Millisecond), workers)
-	if reportFailed(plans) > 0 {
-		return 1
-	}
-	return 0
+	return nil
 }
 
 // throughputSummary prints one stderr line per figure: total simulated
@@ -406,239 +303,76 @@ func runService(o harness.Options, nativeBackend bool, workers int, progress, js
 func throughputSummary(plans []*harness.Plan) {
 	fmt.Fprintf(os.Stderr, "hastm-bench: throughput (simulated cycles / host second, per figure)\n")
 	for _, p := range plans {
-		var cycles uint64
-		var hostNS int64
+		var cycles, hostNS float64
 		for _, c := range p.Cells {
-			cycles += c.Metrics().WallCycles
-			hostNS += c.HostNS
+			cycles += float64(c.Metrics().WallCycles)
+			hostNS += float64(c.HostNS)
 		}
-		rate := 0.0
-		if hostNS > 0 {
-			rate = float64(cycles) / (float64(hostNS) / 1e9)
-		}
-		fmt.Fprintf(os.Stderr, "  %-16s %12d cycles %10.1fms host %14.0f cyc/s\n",
-			p.ID, cycles, float64(hostNS)/1e6, rate)
+		fmt.Fprintf(os.Stderr, "  %-16s %12.0f cycles %10.1fms host %14.0f cyc/s\n",
+			p.ID, cycles, hostNS/1e6, cycles/max(hostNS, 1)*1e9)
 	}
+}
+
+// startProfiles starts the -cpuprofile and arranges the -memprofile; the
+// returned function finishes both.
+func startProfiles(c *config) (stop func(), err error) {
+	var cpu *os.File
+	if c.cpuProfile != "" {
+		if cpu, err = os.Create(c.cpuProfile); err == nil {
+			err = pprof.StartCPUProfile(cpu)
+		}
+		if err != nil {
+			return nil, usageError{fmt.Errorf("-cpuprofile: %w", err)}
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			cpu.Close()
+		}
+		if c.memProfile == "" {
+			return
+		}
+		f, err := os.Create(c.memProfile)
+		if err == nil {
+			runtime.GC() // materialise final live-heap numbers
+			err = errors.Join(pprof.WriteHeapProfile(f), f.Close())
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hastm-bench: memprofile: %v\n", err)
+		}
+	}, nil
+}
+
+// run is the whole command.
+func run() error {
+	c, err := parseFlags()
+	if err != nil {
+		return err
+	}
+	if c.list {
+		for _, s := range append(harness.All(), harness.Extensions()...) {
+			fmt.Printf("%-16s %s\n", s.ID, s.Title)
+		}
+		printSuites(os.Stdout)
+		return nil
+	}
+	return runSuite(c)
 }
 
 func main() { os.Exit(realMain()) }
 
-// realMain holds the whole run so deferred cleanups (profile writers) run
-// before the process exits; main wraps it in os.Exit.
+// realMain turns run's outcome into the exit status, after run's deferred
+// cleanups (the profile writers) have finished: 2 for a rejected command
+// line, 1 for a run that did not pass.
 func realMain() int {
-	var (
-		fig      = flag.String("fig", "", "run a single figure (e.g. fig16); empty = all")
-		quick    = flag.Bool("quick", false, "use reduced experiment sizes")
-		ops      = flag.Int("ops", 0, "override total data-structure operations per run")
-		seed     = flag.Uint64("seed", 1, "deterministic seed")
-		ext      = flag.Bool("ext", false, "also run the extension experiments (ext-*)")
-		csvF     = flag.Bool("csv", false, "emit CSV (long format) instead of text tables")
-		jsonF    = flag.Bool("json", false, "emit a JSON report with per-cell host timings")
-		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "worker count for experiment cells (1 = serial)")
-		progress = flag.Bool("progress", false, "print per-cell completion lines to stderr")
-		traceF   = flag.String("trace", "", "write a per-transaction JSONL event trace to this file ('-' = stderr)")
-		traceMax = flag.Int("trace-max", telemetry.DefaultTraceLimit, "per-cell transaction-event cap for -trace")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		faultsF  = flag.String("faults", "", "run the fault-injection conformance sweep with this spec (e.g. suspend=900,evict=600,seed=3)")
-		chaosF   = flag.String("chaos", "", "chaos spec (e.g. stall=200,abort=150,wakedelay=100,seed=3): with -backend native, run the chaos-storm suite (or arm the plane on -service cells); on sim, map onto the fault plane and run the faultstorm")
-		svcF     = flag.Bool("service", false, "run the open-loop service suite instead of figures (latency vs load and skew sweeps; honours -backend)")
-		advF     = flag.String("adversarial", "", "run the progress-guarantee suite instead of figures: all, storm or starve")
-		noLadder = flag.Bool("no-ladder", false, "disarm the escalation ladder in the -adversarial suite (the watchdog must then trip)")
-		cycleBud = flag.Uint64("cycle-budget", 2_000_000_000, "hard per-run simulated-cycle budget for figure cells (0 = unlimited)")
-		watchWin = flag.Uint64("watchdog-window", 50_000_000, "commit-progress watchdog window in cycles for figure cells (0 = off)")
-		schedF   = flag.String("sched", "lease", "simulator scheduler: lease (grant-lease fast path) or reference (per-op handoff)")
-		topoF    = flag.String("topology", "", "machine topology SxC (e.g. 4x16 = 4 sockets × 16 cores); empty = flat machine sized per cell")
-		mapF     = flag.String("mapping", "", "thread mapping on a multi-socket -topology: compact (default) or scatter")
-		placeF   = flag.String("placement", "interleave", "page→home-socket policy on a multi-socket -topology: interleave or first-touch")
-		backendF = flag.String("backend", "sim", "execution backend: sim (cycle-ordered simulator) or native (host-goroutine TL2 on real memory)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	)
-	flag.Parse()
-
-	if *list {
-		for _, s := range harness.All() {
-			fmt.Printf("%-16s %s\n", s.ID, s.Title)
-		}
-		for _, s := range harness.Extensions() {
-			fmt.Printf("%-16s %s\n", s.ID, s.Title)
-		}
+	err := run()
+	if err == nil || errors.Is(err, flag.ErrHelp) {
 		return 0
 	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: cpuprofile: %v\n", err)
-			return 2
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: cpuprofile: %v\n", err)
-			return 2
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hastm-bench: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialise final live-heap numbers
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "hastm-bench: memprofile: %v\n", err)
-			}
-		}()
-	}
-
-	o := harness.DefaultOptions()
-	if *quick {
-		o = harness.QuickOptions()
-	}
-	if *ops > 0 {
-		o.Ops = *ops
-	}
-	o.Seed = *seed
-	if *traceF != "" {
-		o.TxnTraceMax = *traceMax
-	}
-	// The watchdogs observe host-side progress fields only — they never
-	// touch simulated memory — so arming them by default keeps figure
-	// output bit-identical while turning a hung or livelocked cell into a
-	// structured failure with a nonzero exit.
-	o.CycleBudget = *cycleBud
-	o.WatchdogWindow = *watchWin
-	o.StallTimeout = 2 * time.Minute
-	switch *schedF {
-	case "lease":
-	case "reference":
-		o.ReferenceScheduler = true
-	default:
-		fmt.Fprintf(os.Stderr, "hastm-bench: -sched must be lease or reference, got %q\n", *schedF)
+	fmt.Fprintf(os.Stderr, "hastm-bench: %v\n", err)
+	if errors.As(err, new(usageError)) {
 		return 2
 	}
-	// NUMA knobs are validated here, before any machine is built, so a bad
-	// topology or an over-subscribed cell fails with a flag error instead of
-	// a panic deep in the simulator.
-	if *topoF != "" {
-		top, err := sim.ParseTopology(*topoF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: -topology: %v\n", err)
-			return 2
-		}
-		if total := top.Sockets * top.CoresPerSocket; total < harness.MaxFigureThreads {
-			fmt.Fprintf(os.Stderr, "hastm-bench: -topology %s has %d cores, but experiment cells use up to %d threads\n",
-				top, total, harness.MaxFigureThreads)
-			return 2
-		}
-		o.Topology = top
-	}
-	mapping, err := harness.ParseMapping(*mapF)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hastm-bench: -mapping: %v\n", err)
-		return 2
-	}
-	o.Mapping = mapping
-	placement, err := mem.ParsePlacement(*placeF)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hastm-bench: -placement: %v\n", err)
-		return 2
-	}
-	o.Placement = placement
-	chaosSpec, err := native.ParseChaosSpec(*chaosF)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hastm-bench: -chaos: %v\n", err)
-		return 2
-	}
-	o.Chaos = chaosSpec
-
-	switch *backendF {
-	case "sim":
-	case "native":
-		if *svcF {
-			// o.Chaos flows into the native service cells: the degradation
-			// ladder and watchdogs run with the plane armed.
-			return runService(o, true, *workers, *progress, *jsonF, *csvF, *traceF)
-		}
-		if chaosSpec.Enabled() {
-			return runChaosStorm(chaosSpec, o, *jsonF, *progress)
-		}
-		return runNative(o, *progress, *jsonF, *csvF)
-	default:
-		fmt.Fprintf(os.Stderr, "hastm-bench: -backend must be sim or native, got %q\n", *backendF)
-		return 2
-	}
-
-	if *svcF {
-		return runService(o, false, *workers, *progress, *jsonF, *csvF, *traceF)
-	}
-
-	if *faultsF != "" {
-		spec, err := faults.ParseSpec(*faultsF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: -faults: %v\n", err)
-			return 2
-		}
-		return runFaultstorm(spec, o, *workers, *progress)
-	}
-	if chaosSpec.Enabled() {
-		// Simulator backend: reinterpret the chaos spec on the simulator's
-		// own fault plane and run the existing conformance storm.
-		return runFaultstorm(chaosToFaults(chaosSpec), o, *workers, *progress)
-	}
-	if *advF != "" {
-		return runAdversarial(*advF, !*noLadder, o, *workers, *progress)
-	}
-
-	specs := harness.All()
-	if *ext {
-		specs = append(specs, harness.Extensions()...)
-	}
-	if *fig != "" {
-		s, ok := harness.ByID(strings.ToLower(*fig))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "hastm-bench: unknown figure %q (try -list)\n", *fig)
-			return 2
-		}
-		specs = []harness.Spec{s}
-	}
-
-	plans := make([]*harness.Plan, len(specs))
-	cellCount := 0
-	for i, s := range specs {
-		plans[i] = s.Plan(o)
-		cellCount += len(plans[i].Cells)
-	}
-
-	// Progress lines and (when -trace targets stderr) trace output share
-	// one mutex-guarded writer, so concurrent workers can never interleave
-	// them mid-line.
-	stderrSync := telemetry.NewSyncWriter(os.Stderr)
-	var pw *telemetry.SyncWriter
-	if *progress {
-		pw = stderrSync
-	}
-	reports, elapsed := execute(plans, *workers, pw)
-
-	if *traceF != "" {
-		if code := writeTrace(*traceF, plans, stderrSync); code != 0 {
-			return code
-		}
-	}
-	if code := emit(o, *workers, plans, reports, elapsed, *jsonF, *csvF); code != 0 {
-		return code
-	}
-	throughputSummary(plans)
-	fmt.Fprintf(os.Stderr, "hastm-bench: %d experiments, %d cells in %v (-j %d, -sched %s)\n",
-		len(specs), cellCount, elapsed.Round(time.Millisecond), *workers, *schedF)
-	if failed := reportFailed(plans); failed > 0 {
-		fmt.Fprintf(os.Stderr, "hastm-bench: %d of %d cells failed\n", failed, cellCount)
-		return 1
-	}
-	return 0
+	return 1
 }

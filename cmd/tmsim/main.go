@@ -22,9 +22,9 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the whole command: exit status 2 for a configuration the harness
-// rejects (unknown -scheme or -workload, -ops that cannot be split over
-// -cores), with the harness's message on stderr.
+// run is the whole command: exit status 2, with one "tmsim:" line on stderr,
+// for a flag value out of range or a configuration the harness rejects
+// (unknown -scheme or -workload, -ops that cannot be split over -cores).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tmsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -41,6 +41,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	reject := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "tmsim: "+format+"\n", a...)
+		return 2
+	}
+	// What the harness cannot name is named here; the rest (scheme, workload,
+	// cores, the ops split) is the harness's to reject.
+	switch {
+	case fs.NArg() > 0:
+		return reject("unexpected argument %q", fs.Arg(0))
+	case *keys < 1:
+		return reject("-keys: must be at least 1, got %d", *keys)
+	case *updates < 0 || *updates > 100:
+		return reject("-updates: a percentage, 0 to 100, got %d", *updates)
+	case *trace < 0:
+		return reject("-trace: must not be negative, got %d", *trace)
+	}
 
 	m, err := harness.RunOne(*scheme, *workload, *cores, harness.Options{
 		Ops:       *ops,
@@ -52,8 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		TxnTraceMax: *trace * 16,
 	}, *updates)
 	if err != nil {
-		fmt.Fprintf(stderr, "tmsim: %v\n", err)
-		return 2
+		return reject("%v", err)
 	}
 
 	fmt.Fprintf(stdout, "scheme=%s workload=%s cores=%d ops=%d updates=%d%%\n",

@@ -83,3 +83,33 @@ func TestTraceCoversTheMeasuredWindow(t *testing.T) {
 		}
 	}
 }
+
+// Every rejected invocation: exit 2, one "tmsim:" line naming the problem,
+// no report — never a core panic from deep inside the run or a silently
+// accepted nonsense value.
+func TestRejectedInvocations(t *testing.T) {
+	for _, tc := range []struct {
+		names string
+		args  []string
+	}{
+		{"-keys:", []string{"-keys", "0"}},
+		{"-updates:", []string{"-updates", "150"}},
+		{"-updates:", []string{"-updates", "-1"}},
+		{"-trace:", []string{"-trace", "-1"}},
+		{`unexpected argument "btree"`, []string{"-scheme", "stm", "btree"}},
+		{"ops 3 cannot be split over 4 threads", []string{"-cores", "4", "-ops", "3"}},
+		{"ops 0 cannot be split", []string{"-ops", "0"}},
+		{"cores must be >= 1", []string{"-cores", "0"}},
+		{`unknown scheme "tl3"`, []string{"-scheme", "tl3"}},
+		{`unknown workload "list"`, []string{"-workload", "list"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+			t.Errorf("%v: exit status %d, %d bytes of report; want 2 and none", tc.args, code, stdout.Len())
+		}
+		got := stderr.String()
+		if !strings.HasPrefix(got, "tmsim: ") || strings.Count(got, "\n") != 1 || !strings.Contains(got, tc.names) {
+			t.Errorf("%v: stderr is not one tmsim: line naming %q:\n%s", tc.args, tc.names, got)
+		}
+	}
+}

@@ -7,9 +7,8 @@ import (
 	"hastm.dev/hastm/internal/tm"
 )
 
-// HASTM barrier fast-path benchmarks, gated by CI's bench-regression job
-// against BENCH_baseline.json (see internal/stm/bench_test.go for the
-// contract). The interesting fast path here is the filtered read barrier:
+// HASTM barrier fast-path benchmarks (see internal/stm/bench_test.go for
+// what holds them). The interesting fast path here is the filtered read barrier:
 // a loadtestmark hit skips version checking and read logging entirely, so
 // any allocation or telemetry cost added to it shows up immediately.
 

@@ -25,10 +25,9 @@ package faults
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/spec"
 )
 
 // Kind identifies one fault class.
@@ -76,60 +75,25 @@ func (s Spec) Enabled() bool {
 	return s.SuspendEvery != 0 || s.EvictEvery != 0 || s.SnoopEvery != 0 || s.HTMAbortEvery != 0
 }
 
-func (s Spec) rate(k Kind) uint64 {
-	switch k {
-	case KindSuspend:
-		return s.SuspendEvery
-	case KindEvict:
-		return s.EvictEvery
-	case KindSnoop:
-		return s.SnoopEvery
-	case KindHTMAbort:
-		return s.HTMAbortEvery
-	}
-	return 0
+// specKeys are the grammar's keys in Spec field order: the kinds, then the seed.
+var specKeys = append(kindNames[:], "seed")
+
+func (s *Spec) fields() []*uint64 {
+	return []*uint64{&s.SuspendEvery, &s.EvictEvery, &s.SnoopEvery, &s.HTMAbortEvery, &s.Seed}
 }
 
 // String renders the spec in the grammar ParseSpec accepts, with every
 // field explicit — the canonical form used in reports.
-func (s Spec) String() string {
-	return fmt.Sprintf("suspend=%d,evict=%d,snoop=%d,htmabort=%d,seed=%d",
-		s.SuspendEvery, s.EvictEvery, s.SnoopEvery, s.HTMAbortEvery, s.Seed)
-}
+func (s Spec) String() string { return spec.Format(specKeys, s.fields(), false) }
 
-// ParseSpec parses "key=value" pairs separated by commas, e.g.
+// ParseSpec parses the internal/spec grammar, e.g.
 // "suspend=600,evict=900,snoop=1300,htmabort=1500,seed=3". Keys are the
 // four fault kinds (value = mean grants between injections, 0 = off) and
 // "seed"; omitted keys default to zero, unknown keys are errors.
 func ParseSpec(text string) (Spec, error) {
 	var s Spec
-	for _, part := range strings.Split(text, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return Spec{}, fmt.Errorf("faults: %q is not key=value", part)
-		}
-		v, err := strconv.ParseUint(strings.TrimSpace(kv[1]), 10, 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("faults: bad value in %q: %v", part, err)
-		}
-		switch strings.TrimSpace(kv[0]) {
-		case "suspend":
-			s.SuspendEvery = v
-		case "evict":
-			s.EvictEvery = v
-		case "snoop":
-			s.SnoopEvery = v
-		case "htmabort":
-			s.HTMAbortEvery = v
-		case "seed":
-			s.Seed = v
-		default:
-			return Spec{}, fmt.Errorf("faults: unknown key %q (want suspend, evict, snoop, htmabort or seed)", kv[0])
-		}
+	if err := spec.Parse(text, specKeys, s.fields()); err != nil {
+		return Spec{}, fmt.Errorf("faults: %w", err)
 	}
 	return s, nil
 }
@@ -187,11 +151,12 @@ func Attach(m *sim.Machine, spec Spec) *Plane {
 		spec:  spec,
 		cores: make([]coreState, m.Config().Cores),
 	}
+	periods := spec.fields() // indexed by Kind
 	for i := range p.cores {
 		cs := &p.cores[i]
 		cs.rng = mix(spec.Seed, uint64(i))
 		for k := Kind(0); k < numKinds; k++ {
-			if period := spec.rate(k); period > 0 {
+			if period := *periods[k]; period > 0 {
 				cs.schedule(k, period)
 			}
 		}
@@ -297,21 +262,6 @@ func (p *Plane) Counts() map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// CountsString renders the per-kind counts as "suspend=3 evict=7 ..." in
-// a fixed kind order (deterministic, unlike map iteration).
-func (p *Plane) CountsString() string {
-	var parts []string
-	for k := Kind(0); k < numKinds; k++ {
-		if p.counts[k] > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, p.counts[k]))
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, " ")
 }
 
 // ScheduleHash is an FNV-1a digest of the full fault schedule — two runs

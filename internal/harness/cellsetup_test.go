@@ -114,8 +114,8 @@ func TestCellAllocCounts(t *testing.T) {
 
 // BenchmarkCellSetup is the fixed cost of one cell — machine, scheme,
 // populate, warm-up, barrier — with the measured phase cut to one operation
-// per thread. Its B/op is gated (cmd/benchgate), so eagerly backing the
-// simulated memory again fails CI.
+// per thread. TestCellAllocBytesCeiling holds its B/op: eagerly backing the
+// simulated memory again fails go test.
 func BenchmarkCellSetup(b *testing.B) {
 	for _, cores := range []int{1, 4} {
 		b.Run(fmt.Sprintf("%dcore", cores), func(b *testing.B) {

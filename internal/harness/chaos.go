@@ -39,14 +39,6 @@ type ChaosRecord struct {
 	Violation string `json:"violation,omitempty"`
 }
 
-// InjectedString renders the fired counts in fixed kind order.
-func (r *ChaosRecord) InjectedString() string {
-	if r == nil {
-		return "none"
-	}
-	return countsString(r.Fired, "stall", "preempt", "abort", "wakedelay")
-}
-
 // chaosRecord converts the native plane's report into the JSON block; nil
 // in, nil out (chaos not armed).
 func chaosRecord(rep *native.ChaosReport, health error) *ChaosRecord {
@@ -84,8 +76,23 @@ type ChaosStormReport struct {
 	Err string // "" = invariants, oracle and twin comparison all passed
 }
 
-// Verdict renders the cell outcome for tables.
-func (r ChaosStormReport) Verdict() string { return verdictString(r.Err) }
+// ChaosStormReport is a VerdictRow of the chaos-storm table. A cell that
+// failed before its chaos run has no plane report: nothing planned, nothing
+// fired, no hash.
+func (ChaosStormReport) Header() string {
+	return fmt.Sprintf("%-18s %9s %9s %-36s %16s  %s", "cell", "committed", "planned", "injected", "schedule-hash", "verdict")
+}
+
+func (r ChaosStormReport) Row() string {
+	chaos := r.Chaos
+	if chaos == nil {
+		chaos = &ChaosRecord{ScheduleHash: "-"}
+	}
+	return fmt.Sprintf("%-18s %9d %9d %-36s %16s  %s", "native/"+r.Workload, r.Committed, chaos.ScheduleLen,
+		countsString(chaos.Fired, "stall", "preempt", "abort", "wakedelay"), chaos.ScheduleHash, verdictString(r.Err))
+}
+
+func (r ChaosStormReport) Failure() string { return r.Err }
 
 // runNativeDiff drives one native differential cell — chaos per spec, ladder
 // and watchdogs armed, no warm-up — and returns its metrics, content
@@ -150,17 +157,16 @@ func ChaosStormRun(workload string, threads int, o Options, spec native.ChaosSpe
 
 // ChaosStormPlan builds the chaos-storm sweep — every §7.1 structure under
 // spec on `threads` goroutines — as a verdict plan (see verdictPlan).
-func ChaosStormPlan(spec native.ChaosSpec, o Options, threads int) (*Plan, []*ChaosStormReport) {
+func ChaosStormPlan(spec native.ChaosSpec, o Options, threads int) *Plan {
 	p := verdictPlan("chaosstorm")
-	var reports []*ChaosStormReport
 	for _, workload := range Workloads() {
-		reports = append(reports, slotCell(p, fmt.Sprintf("chaos/%s/%d", workload, threads), func() (ChaosStormReport, RunMetrics) {
+		verdictCell(p, fmt.Sprintf("chaos/%s/%d", workload, threads), func() (ChaosStormReport, RunMetrics) {
 			rep, m, err := ChaosStormRun(workload, threads, o, spec)
 			if err != nil {
 				rep.Err = err.Error()
 			}
 			return rep, m
-		}))
+		})
 	}
-	return p, reports
+	return p
 }

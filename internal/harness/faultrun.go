@@ -35,13 +35,17 @@ type FaultReport struct {
 	Err string // "" = invariants and oracle both passed
 }
 
-// Verdict renders the oracle outcome for tables.
-func (r FaultReport) Verdict() string { return verdictString(r.Err) }
-
-// InjectedString renders the injected-fault counts in fixed kind order.
-func (r FaultReport) InjectedString() string {
-	return countsString(r.Injected, "suspend", "evict", "snoop", "htmabort")
+// FaultReport is a VerdictRow of the faultstorm table.
+func (FaultReport) Header() string {
+	return fmt.Sprintf("%-25s %9s %9s %-40s %16s  %s", "cell", "committed", "injected", "faults", "schedule-hash", "verdict")
 }
+
+func (r FaultReport) Row() string {
+	return fmt.Sprintf("%-25s %9d %9d %-40s %016x  %s", r.Scheme+"/"+r.Workload, r.Committed, r.ScheduleLen,
+		countsString(r.Injected, "suspend", "evict", "snoop", "htmabort"), r.ScheduleHash, verdictString(r.Err))
+}
+
+func (r FaultReport) Failure() string { return r.Err }
 
 // verdictString renders a report's Err for tables.
 func verdictString(err string) string {
@@ -112,19 +116,18 @@ func FaultedRun(scheme, workload string, cores int, o Options, spec faults.Spec,
 
 // FaultPlan builds the faultstorm sweep — every FaultSchemes scheme × the
 // three §7.1 structures under spec — as a verdict plan (see verdictPlan).
-func FaultPlan(spec faults.Spec, o Options, cores int) (*Plan, []*FaultReport) {
+func FaultPlan(spec faults.Spec, o Options, cores int) *Plan {
 	p := verdictPlan("faultstorm")
-	var reports []*FaultReport
 	for _, scheme := range FaultSchemes() {
 		for _, workload := range Workloads() {
-			reports = append(reports, slotCell(p, fmt.Sprintf("%s/%s/%d", scheme, workload, cores), func() (FaultReport, RunMetrics) {
+			verdictCell(p, fmt.Sprintf("%s/%s/%d", scheme, workload, cores), func() (FaultReport, RunMetrics) {
 				rep, err := FaultedRun(scheme, workload, cores, o, spec, 20)
 				if err != nil {
 					rep.Err = err.Error()
 				}
 				return rep, RunMetrics{}
-			}))
+			})
 		}
 	}
-	return p, reports
+	return p
 }

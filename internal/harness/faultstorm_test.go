@@ -17,13 +17,44 @@ func stormSpec() faults.Spec {
 	return faults.Spec{SuspendEvery: 900, EvictEvery: 600, SnoopEvery: 1100, HTMAbortEvery: 1700, Seed: 3}
 }
 
+// verdicts returns an executed verdict plan's rows as the suite's own report
+// type, in cell order.
+func verdicts[R VerdictRow](t *testing.T, p *Plan) []*R {
+	t.Helper()
+	var out []*R
+	for _, c := range p.Cells {
+		rep, ok := c.Verdict.(R)
+		if !ok {
+			t.Fatalf("cell %s/%s produced no report: %s", c.Figure, c.Label, c.Err)
+		}
+		out = append(out, &rep)
+	}
+	return out
+}
+
+// A verdict cell whose function panics is a failed cell with a FAIL row under
+// the suite's header, not a nil row for the renderer to trip over.
+func TestCrashedVerdictCellHasARow(t *testing.T) {
+	p := verdictPlan("faultstorm")
+	verdictCell(p, "stm/bst/4", func() (FaultReport, RunMetrics) { panic("boom") })
+	Execute([]*Plan{p}, ExecConfig{Workers: 1})
+	c := p.Cells[0]
+	if len(FailedCells([]*Plan{p})) != 1 || c.Err != "boom" || c.Verdict.Failure() != "boom" {
+		t.Errorf("the cell did not fail with the panic value: Err %q", c.Err)
+	}
+	if got := c.Verdict.Row(); got != "stm/bst/4  FAIL: boom" || c.Verdict.Header() != (FaultReport{}).Header() {
+		t.Errorf("row %q under header %q", got, c.Verdict.Header())
+	}
+}
+
 // Faultstorm: every scheme × structure must commit its full operation
 // count under injected suspensions, evictions, snoops and spurious HTM
 // aborts, with zero invariant violations and a final state identical to
 // the sequential oracle's.
 func TestFaultstormMatrixOracle(t *testing.T) {
-	plan, reports := FaultPlan(stormSpec(), QuickOptions(), 2)
+	plan := FaultPlan(stormSpec(), QuickOptions(), 2)
 	Execute([]*Plan{plan}, ExecConfig{Workers: 4})
+	reports := verdicts[FaultReport](t, plan)
 
 	var suspend, evict, snoop, htmabort uint64
 	for _, rep := range reports {
@@ -52,9 +83,9 @@ func TestFaultstormMatrixOracle(t *testing.T) {
 // determinism guarantee.
 func TestFaultPlanDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []*FaultReport {
-		plan, reports := FaultPlan(stormSpec(), QuickOptions(), 2)
+		plan := FaultPlan(stormSpec(), QuickOptions(), 2)
 		Execute([]*Plan{plan}, ExecConfig{Workers: workers})
-		return reports
+		return verdicts[FaultReport](t, plan)
 	}
 	serial, parallel := run(1), run(8)
 	if len(serial) != len(parallel) {

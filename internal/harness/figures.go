@@ -17,12 +17,9 @@ type Spec struct {
 
 // Run executes the spec's cells in declaration order on the calling
 // goroutine — the serial reference behaviour.
-func (s Spec) Run(o Options) *Report { return runSerial(s.Plan(o)) }
-
-// MaxFigureThreads is the largest thread count any registered figure cell
-// uses (the Fig 11 sweep); a machine Topology passed to the whole registry
-// must have at least this many cores.
-const MaxFigureThreads = 16
+func (s Spec) Run(o Options) *Report {
+	return Execute([]*Plan{s.Plan(o)}, ExecConfig{Workers: 1})[0]
+}
 
 // All returns the experiment registry in paper order.
 func All() []Spec {

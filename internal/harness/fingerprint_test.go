@@ -158,8 +158,7 @@ func TestOutputFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		faultPlan, faultReports := FaultPlan(spec, o, 4)
-		progressPlan, progressReports := ProgressPlan(o, 4, true, "")
+		faultPlan, progressPlan := FaultPlan(spec, o, 4), ProgressPlan(o, 4, true, "")
 		plans = append(plans, faultPlan, progressPlan, ServicePlan(o))
 		reports := Execute(plans, ExecConfig{})
 		for i, rep := range reports {
@@ -171,12 +170,12 @@ func TestOutputFingerprints(t *testing.T) {
 			t.Fatalf("cell %s/%s failed: %s", failed[0].Figure, failed[0].Label, failed[0].Err)
 		}
 		rows := ""
-		for _, r := range faultReports {
+		for _, r := range verdicts[FaultReport](t, faultPlan) {
 			rows += faultReportRow(r)
 		}
 		got["faultstorm"] = fnvOf(rows)
 		rows = ""
-		for _, r := range progressReports {
+		for _, r := range verdicts[ProgressReport](t, progressPlan) {
 			rows += fmt.Sprintf("%+v\n", *r)
 		}
 		got["adversarial"] = fnvOf(rows)

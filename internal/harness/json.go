@@ -146,8 +146,8 @@ type BenchJSON struct {
 	Cells       []CellRecord `json:"cells"`
 }
 
-// NewBenchJSON assembles the document from executed plans. plans and
-// reports must be parallel slices as returned by Execute.
+// NewBenchJSON assembles the document from executed plans and the reports
+// Execute returned for them; a verdict plan's nil report is left out.
 func NewBenchJSON(o Options, workers int, plans []*Plan, reports []*Report, elapsed time.Duration) *BenchJSON {
 	b := &BenchJSON{
 		Schema:      BenchSchema,
@@ -160,7 +160,11 @@ func NewBenchJSON(o Options, workers int, plans []*Plan, reports []*Report, elap
 		Seed:        o.Seed,
 		Options:     o,
 		HostSeconds: elapsed.Seconds(),
-		Figures:     reports,
+	}
+	for _, r := range reports {
+		if r != nil {
+			b.Figures = append(b.Figures, r)
+		}
 	}
 	for _, p := range plans {
 		for _, c := range p.Cells {

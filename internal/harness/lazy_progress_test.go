@@ -17,7 +17,7 @@ func TestLazyFamilyAdversarialLadderCompletes(t *testing.T) {
 	o := AdversarialOptions(QuickOptions(), true)
 	for _, scheme := range []string{SchemeLazy, SchemeMVCC} {
 		for _, workload := range AdversarialWorkloads() {
-			rep := ProgressRun(scheme, workload, 4, o)
+			rep := ProgressRun(scheme, workload, 4, o, nil)
 			if rep.Err != "" {
 				t.Errorf("%s/%s: %s\n%s", scheme, workload, rep.Err, rep.Detail)
 				continue
@@ -46,11 +46,11 @@ func TestLazyFamilyAdversarialLadderCompletes(t *testing.T) {
 func TestLazyFamilyWithoutLadder(t *testing.T) {
 	o := AdversarialOptions(QuickOptions(), false)
 	for _, scheme := range []string{SchemeLazy, SchemeMVCC} {
-		storm := ProgressRun(scheme, AdversarialStorm, 4, o)
+		storm := ProgressRun(scheme, AdversarialStorm, 4, o, nil)
 		if storm.Err != "" {
 			t.Errorf("%s/%s without ladder: %s — finite commit sections should drain the storm", scheme, AdversarialStorm, storm.Err)
 		}
-		starve := ProgressRun(scheme, AdversarialStarve, 4, o)
+		starve := ProgressRun(scheme, AdversarialStarve, 4, o, nil)
 		if starve.Err == "" {
 			t.Errorf("%s/%s without ladder completed — the writing reader should starve", scheme, AdversarialStarve)
 		} else if !strings.Contains(starve.Err, "ProgressViolation") {

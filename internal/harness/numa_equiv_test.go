@@ -256,8 +256,8 @@ func TestOneSocketEquivalenceFigure(t *testing.T) {
 
 	planFlat := planFig16(o)
 	planTopo := planFig16(ot)
-	repFlat := runSerial(planFlat)
-	repTopo := runSerial(planTopo)
+	reps := Execute([]*Plan{planFlat, planTopo}, ExecConfig{Workers: 1})
+	repFlat, repTopo := reps[0], reps[1]
 
 	var bf, bt bytes.Buffer
 	repFlat.Render(&bf)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 // reportCache memoises full report sets per worker count so the
@@ -88,7 +90,7 @@ func TestExecuteProgress(t *testing.T) {
 	var sb strings.Builder
 	p := planFig18(o)
 	n := len(p.Cells)
-	reps := Execute([]*Plan{p}, ExecConfig{Workers: 2, Progress: &sb})
+	reps := Execute([]*Plan{p}, ExecConfig{Workers: 2, ProgressSync: telemetry.NewSyncWriter(&sb)})
 	if got := strings.Count(sb.String(), "\n"); got != n {
 		t.Errorf("progress wrote %d lines, want %d:\n%s", got, n, sb.String())
 	}

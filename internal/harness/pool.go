@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -29,6 +28,9 @@ type Cell struct {
 	// are whatever the run produced before failing, often zero), so
 	// assembly proceeds and the caller decides how loudly to fail.
 	Err string
+	// Verdict is the cell's table row when it belongs to a verdict plan
+	// (verdictCell); nil on figure cells.
+	Verdict VerdictRow
 
 	fn      func() RunMetrics
 	metrics RunMetrics
@@ -101,26 +103,45 @@ func (p *Plan) cell(label string, fn func() RunMetrics) *Cell {
 	return c
 }
 
-// verdictPlan starts a sweep whose cells each fill a report of the suite's
-// own kind (slotCell) instead of contributing to a figure: the faultstorm,
-// the adversarial suite and the chaos storm. Its Assemble produces no report.
+// VerdictRow is a cell's line in the table of a verdict suite (the
+// faultstorm, the adversarial suite, the chaos storm): the column header the
+// suite prints once, the cell's own row, and its failure ("" = passed).
+type VerdictRow interface {
+	Header() string
+	Row() string
+	Failure() string
+}
+
+// verdictPlan starts a sweep whose cells each yield a report of the suite's
+// own kind (verdictCell) instead of contributing to a figure. Its Assemble
+// produces no report.
 func verdictPlan(id string) *Plan {
 	p := newPlan(id)
 	p.Assemble = func() *Report { return nil }
 	return p
 }
 
-// slotCell declares a cell of a verdict plan and returns the slot its report
-// lands in when the cell executes; the sweep collects the slots in
-// declaration order.
-func slotCell[R any](p *Plan, label string, run func() (R, RunMetrics)) *R {
-	slot := new(R)
-	p.cell(label, func() (m RunMetrics) {
-		*slot, m = run()
+// verdictCell declares a cell of a verdict plan. The report run returns
+// becomes the cell's Verdict and its failure the cell's Err, so a failed
+// verdict is a failed cell. Until then the Verdict is a crashedRow, so a cell
+// whose function panicked still has a row.
+func verdictCell[R VerdictRow](p *Plan, label string, run func() (R, RunMetrics)) {
+	var c *Cell
+	c = p.cell(label, func() RunMetrics {
+		rep, m := run()
+		c.Verdict, c.Err = rep, rep.Failure()
 		return m
 	})
-	return slot
+	c.Verdict = crashedRow[R]{c}
 }
+
+// crashedRow is the row of a verdict cell that produced no report of kind R:
+// its label and whatever Cell.execute contained, under R's header.
+type crashedRow[R VerdictRow] struct{ c *Cell }
+
+func (crashedRow[R]) Header() string    { return (*new(R)).Header() }
+func (r crashedRow[R]) Row() string     { return r.c.Label + "  " + verdictString(r.c.Err) }
+func (r crashedRow[R]) Failure() string { return r.c.Err }
 
 // structure declares a standard data-structure benchmark cell.
 func (p *Plan) structure(scheme, workload string, cores int, o Options) *Cell {
@@ -166,27 +187,15 @@ func ratioTable(name, colHeader, unit string, cols []string, rows []cellRow, bas
 	return tbl
 }
 
-// runSerial executes a single plan's cells in declaration order on the
-// calling goroutine and assembles its report — the exact behaviour of the
-// original serial figure functions.
-func runSerial(p *Plan) *Report {
-	for _, c := range p.Cells {
-		c.execute()
-	}
-	return p.Assemble()
-}
-
 // ExecConfig controls parallel cell execution.
 type ExecConfig struct {
 	// Workers is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
 	// 1 runs every cell in declaration order on the calling goroutine.
 	Workers int
-	// Progress, when non-nil, receives one line per completed cell.
-	Progress io.Writer
-	// ProgressSync, when non-nil, takes precedence over Progress: progress
-	// lines go through this mutex-guarded writer, so a caller that also
-	// routes other output (e.g. -trace JSONL) through the same SyncWriter
-	// can never interleave the two mid-line.
+	// ProgressSync, when non-nil, receives one line per completed cell. It is
+	// mutex-guarded, so workers finishing at the same host instant never tear
+	// a line, and a caller that routes other output (e.g. -trace JSONL)
+	// through the same writer can never interleave the two mid-line.
 	ProgressSync *telemetry.SyncWriter
 }
 
@@ -213,13 +222,7 @@ func Execute(plans []*Plan, cfg ExecConfig) []*Report {
 	if workers > len(cells) {
 		workers = len(cells)
 	}
-	// All progress lines go through one mutex-guarded writer: concurrent
-	// workers finishing cells at the same host instant must never tear or
-	// interleave lines.
 	pw := cfg.ProgressSync
-	if pw == nil && cfg.Progress != nil {
-		pw = telemetry.NewSyncWriter(cfg.Progress)
-	}
 	var completed atomic.Int64
 	report := func(c *Cell) {
 		if pw == nil {

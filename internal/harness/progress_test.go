@@ -17,7 +17,7 @@ func TestAdversarialLadderCompletes(t *testing.T) {
 	o := AdversarialOptions(QuickOptions(), true)
 	for _, scheme := range AdversarialSchemes() {
 		for _, workload := range AdversarialWorkloads() {
-			rep := ProgressRun(scheme, workload, 4, o)
+			rep := ProgressRun(scheme, workload, 4, o, nil)
 			if rep.Err != "" {
 				t.Errorf("%s/%s: %s\n%s", scheme, workload, rep.Err, rep.Detail)
 				continue
@@ -43,7 +43,7 @@ func TestAdversarialWithoutLadderTrips(t *testing.T) {
 	o := AdversarialOptions(QuickOptions(), false)
 	for _, scheme := range AdversarialSchemes() {
 		for _, workload := range AdversarialWorkloads() {
-			rep := ProgressRun(scheme, workload, 4, o)
+			rep := ProgressRun(scheme, workload, 4, o, nil)
 			if rep.Err == "" {
 				t.Errorf("%s/%s: completed without the ladder — not adversarial", scheme, workload)
 				continue
@@ -70,9 +70,9 @@ func TestAdversarialDeterminism(t *testing.T) {
 		base.ReferenceScheduler = reference
 		var out [][]*ProgressReport
 		for _, ladder := range []bool{true, false} {
-			plan, reports := ProgressPlan(base, 4, ladder, "")
+			plan := ProgressPlan(base, 4, ladder, "")
 			Execute([]*Plan{plan}, ExecConfig{Workers: workers})
-			out = append(out, reports)
+			out = append(out, verdicts[ProgressReport](t, plan))
 		}
 		return out
 	}
@@ -95,7 +95,7 @@ func TestAdversarialUnderFaultPlane(t *testing.T) {
 	spec := faults.Spec{SuspendEvery: 900, EvictEvery: 600, SnoopEvery: 1100, HTMAbortEvery: 1700, Seed: 3}
 	for _, scheme := range AdversarialSchemes() {
 		for _, workload := range AdversarialWorkloads() {
-			rep := ProgressRunFaulted(scheme, workload, 4, o, spec)
+			rep := ProgressRun(scheme, workload, 4, o, &spec)
 			if rep.Err != "" {
 				t.Errorf("%s/%s under faults: %s\n%s", scheme, workload, rep.Err, rep.Detail)
 			}

@@ -103,23 +103,22 @@ type ProgressReport struct {
 	Detail string
 }
 
-// Verdict renders the outcome for tables.
-func (r ProgressReport) Verdict() string { return verdictString(r.Err) }
-
-// ProgressRun executes one adversarial cell: the machine carries the
-// watchdogs from o, the workload's asymmetric per-thread programs run with
-// no warm-up, and the structure invariant is the cell's check. Watchdog
-// trips and contained panics land in the report, never as a hang or a raw
-// panic.
-func ProgressRun(scheme, workload string, cores int, o Options) ProgressReport {
-	return progressRun(scheme, workload, cores, o, nil)
+// ProgressReport is a VerdictRow of the adversarial table; its failure is the
+// full diagnosis when the run left one.
+func (ProgressReport) Header() string {
+	return fmt.Sprintf("%-22s %12s %9s %6s %7s %12s  %s", "cell", "cycles", "commits", "esc", "irrev", "irrev-cyc", "verdict")
 }
 
-// ProgressRunFaulted is ProgressRun with the fault-injection plane
-// attached: the escalation ladder must keep its guarantees while cores
-// are suspended, lines evicted and snoops injected underneath it.
-func ProgressRunFaulted(scheme, workload string, cores int, o Options, spec faults.Spec) ProgressReport {
-	return progressRun(scheme, workload, cores, o, &spec)
+func (r ProgressReport) Row() string {
+	return fmt.Sprintf("%-22s %12d %9d %6d %7d %12d  %s", r.Scheme+"/"+r.Workload, r.WallCycles, r.Commits,
+		r.Escalations, r.IrrevocableEntries, r.IrrevocableCycles, verdictString(r.Err))
+}
+
+func (r ProgressReport) Failure() string {
+	if r.Detail != "" {
+		return r.Detail
+	}
+	return r.Err
 }
 
 // progressTraceCap sizes the event trace every adversarial cell carries
@@ -127,7 +126,14 @@ func ProgressRunFaulted(scheme, workload string, cores int, o Options, spec faul
 // events before the stall — the "what was everyone doing" evidence.
 const progressTraceCap = 1 << 15
 
-func progressRun(scheme, workload string, cores int, o Options, spec *faults.Spec) ProgressReport {
+// ProgressRun executes one adversarial cell: the machine carries the
+// watchdogs from o, the workload's asymmetric per-thread programs run with
+// no warm-up, and the structure invariant is the cell's check. Watchdog
+// trips and contained panics land in the report, never as a hang or a raw
+// panic. A non-nil spec attaches the fault-injection plane: the escalation
+// ladder must keep its guarantees while cores are suspended, lines evicted
+// and snoops injected underneath it.
+func ProgressRun(scheme, workload string, cores int, o Options, spec *faults.Spec) ProgressReport {
 	rep := ProgressReport{
 		Scheme: scheme, Workload: workload, Cores: cores,
 		Ladder: o.RetryBudget > 0,
@@ -187,20 +193,19 @@ func renderFault(f sim.CoreFault) string {
 // ProgressPlan builds the adversarial sweep — every ProgressPlanSchemes
 // scheme × the adversarial workloads (or just the one named by filter) —
 // as a verdict plan (see verdictPlan).
-func ProgressPlan(base Options, cores int, ladder bool, filter string) (*Plan, []*ProgressReport) {
+func ProgressPlan(base Options, cores int, ladder bool, filter string) *Plan {
 	o := AdversarialOptions(base, ladder)
 	p := verdictPlan("adversarial")
-	var reports []*ProgressReport
 	for _, scheme := range ProgressPlanSchemes() {
 		for _, workload := range AdversarialWorkloads() {
 			if filter != "" && workload != filter {
 				continue
 			}
-			reports = append(reports, slotCell(p, fmt.Sprintf("%s/%s/%d", scheme, workload, cores), func() (ProgressReport, RunMetrics) {
-				rep := ProgressRun(scheme, workload, cores, o)
+			verdictCell(p, fmt.Sprintf("%s/%s/%d", scheme, workload, cores), func() (ProgressReport, RunMetrics) {
+				rep := ProgressRun(scheme, workload, cores, o, nil)
 				return rep, RunMetrics{WallCycles: rep.WallCycles}
-			}))
+			})
 		}
 	}
-	return p, reports
+	return p
 }

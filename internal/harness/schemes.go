@@ -12,6 +12,7 @@ import (
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/native"
 	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/spec"
 	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
@@ -106,7 +107,7 @@ func ParseMapping(s string) (string, error) {
 	case MapScatter:
 		return MapScatter, nil
 	default:
-		return "", fmt.Errorf("unknown thread mapping %q (want compact or scatter)", s)
+		return "", spec.Unknown("thread mapping", s, MapCompact, MapScatter)
 	}
 }
 

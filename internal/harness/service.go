@@ -260,47 +260,42 @@ const ServiceSkewGap uint64 = 1024
 func ServiceSchemes() []string { return []string{SchemeSTM, SchemeLazy, SchemeMVCC} }
 
 // serviceTables assembles the two-table group (latency percentiles;
-// offered/goodput/shed counts) for one sweep.
+// offered/goodput/shed counts) for one sweep. A failed cell left no service
+// block and renders as zeros, like a failed cell of any figure.
 func serviceTables(name, colHeader, latUnit, rateUnit string, cols []string, cells []*Cell) []Table {
-	lat := Table{Name: name + "-latency", ColHeader: colHeader, Unit: latUnit, Cols: cols}
-	thr := Table{Name: name + "-throughput", ColHeader: colHeader, Unit: rateUnit, Cols: cols}
-	latRows := []struct {
-		name string
-		get  func(*ServiceRecord) float64
-	}{
-		{"p50", func(s *ServiceRecord) float64 { return float64(s.LatencyP50) }},
-		{"p99", func(s *ServiceRecord) float64 { return float64(s.LatencyP99) }},
-		{"p999", func(s *ServiceRecord) float64 { return float64(s.LatencyP999) }},
+	tables := []Table{
+		{Name: name + "-latency", ColHeader: colHeader, Unit: latUnit, Cols: cols},
+		{Name: name + "-throughput", ColHeader: colHeader, Unit: rateUnit, Cols: cols},
 	}
-	thrRows := []struct {
-		name string
-		get  func(*ServiceRecord) float64
+	for _, r := range []struct {
+		table int
+		name  string
+		get   func(*ServiceRecord) float64
 	}{
-		{"offered", func(s *ServiceRecord) float64 { return s.OfferedRate }},
-		{"goodput", func(s *ServiceRecord) float64 { return s.Goodput }},
-		{"shed", func(s *ServiceRecord) float64 { return float64(s.Shed) }},
-		{"serialized", func(s *ServiceRecord) float64 { return float64(s.Serialized) }},
-	}
-	for _, r := range latRows {
+		{0, "p50", func(s *ServiceRecord) float64 { return float64(s.LatencyP50) }},
+		{0, "p99", func(s *ServiceRecord) float64 { return float64(s.LatencyP99) }},
+		{0, "p999", func(s *ServiceRecord) float64 { return float64(s.LatencyP999) }},
+		{1, "offered", func(s *ServiceRecord) float64 { return s.OfferedRate }},
+		{1, "goodput", func(s *ServiceRecord) float64 { return s.Goodput }},
+		{1, "shed", func(s *ServiceRecord) float64 { return float64(s.Shed) }},
+		{1, "serialized", func(s *ServiceRecord) float64 { return float64(s.Serialized) }},
+	} {
 		row := Row{Name: r.name}
 		for _, c := range cells {
-			row.Cells = append(row.Cells, r.get(c.Metrics().Service))
+			svc := c.Metrics().Service
+			if svc == nil {
+				svc = &ServiceRecord{}
+			}
+			row.Cells = append(row.Cells, r.get(svc))
 		}
-		lat.Rows = append(lat.Rows, row)
+		tables[r.table].Rows = append(tables[r.table].Rows, row)
 	}
-	for _, r := range thrRows {
-		row := Row{Name: r.name}
-		for _, c := range cells {
-			row.Cells = append(row.Cells, r.get(c.Metrics().Service))
-		}
-		thr.Rows = append(thr.Rows, row)
-	}
-	return []Table{lat, thr}
+	return tables
 }
 
 // serviceSweep declares one cell of p per value of a sweep axis and returns
-// the column labels with the cells.
-func serviceSweep[T any](p *Plan, axis, prefix string, vals []T, run func(T) (RunMetrics, error)) ([]string, []*Cell) {
+// the assembly of the sweep's two tables.
+func serviceSweep[T any](p *Plan, axis, colHeader, prefix, latUnit, rateUnit string, vals []T, run func(T) (RunMetrics, error)) func() []Table {
 	var cols []string
 	var cells []*Cell
 	for _, v := range vals {
@@ -310,68 +305,66 @@ func serviceSweep[T any](p *Plan, axis, prefix string, vals []T, run func(T) (Ru
 			return must(run(v))
 		}))
 	}
-	return cols, cells
+	return func() []Table { return serviceTables(axis, colHeader, latUnit, rateUnit, cols, cells) }
 }
 
 // serviceLoadSkew is the fixed moderate key skew of the load sweep.
 const serviceLoadSkew = 0.9
 
-// ServicePlan builds the simulator service figure: a latency-vs-load
-// sweep (fixed moderate skew), a skew sweep (fixed moderate load) and the
-// scheme comparison, all on ServiceCores cores with default admission
-// control. All cell values derive from deterministic simulated state, so
-// the figure is byte-identical across worker counts and schedulers.
-func ServicePlan(o Options) *Plan {
-	p := newPlan("service")
+// servicePlan builds a service figure on ServiceCores threads with default
+// admission control: a latency-vs-load sweep (fixed moderate skew), a skew
+// sweep (fixed moderate load) and, for the schemes named, their comparison at
+// that operating point. rep carries the figure's id, title and notes.
+func servicePlan(rep Report, latUnit, rateUnit string, schemes []string, o Options, run func(scheme string, sc service.Config) (RunMetrics, error)) *Plan {
+	p := newPlan(rep.ID)
 	cell := func(scheme string, gap uint64, skew float64) (RunMetrics, error) {
-		return RunOneServiceScheme(scheme, ServiceCores, ServiceConfig(o, ServiceCores, gap, skew, DefaultAdmission()), o)
+		return run(scheme, ServiceConfig(o, ServiceCores, gap, skew, DefaultAdmission()))
 	}
-	loadCols, loadCells := serviceSweep(p, "load", "gap", ServiceLoadGaps, func(gap uint64) (RunMetrics, error) {
-		return cell(SchemeSTM, gap, serviceLoadSkew)
-	})
-	skewCols, skewCells := serviceSweep(p, "skew", "s", ServiceSkewS, func(s float64) (RunMetrics, error) {
-		return cell(SchemeSTM, ServiceSkewGap, s)
-	})
-	schemeCols, schemeCells := serviceSweep(p, "scheme", "", ServiceSchemes(), func(scheme string) (RunMetrics, error) {
-		return cell(scheme, ServiceSkewGap, serviceLoadSkew)
-	})
+	sweeps := []func() []Table{
+		serviceSweep(p, "load", "mean gap ("+latUnit+")", "gap", latUnit, rateUnit, ServiceLoadGaps, func(gap uint64) (RunMetrics, error) {
+			return cell(SchemeSTM, gap, serviceLoadSkew)
+		}),
+		serviceSweep(p, "skew", "zipf s", "s", latUnit, rateUnit, ServiceSkewS, func(s float64) (RunMetrics, error) {
+			return cell(SchemeSTM, ServiceSkewGap, s)
+		}),
+	}
+	if len(schemes) > 0 {
+		sweeps = append(sweeps, serviceSweep(p, "scheme", "scheme", "", latUnit, rateUnit, schemes, func(scheme string) (RunMetrics, error) {
+			return cell(scheme, ServiceSkewGap, serviceLoadSkew)
+		}))
+	}
 	p.Assemble = func() *Report {
-		tables := serviceTables("load", "mean gap (cycles)", "cycles", "req/Mcycle", loadCols, loadCells)
-		tables = append(tables, serviceTables("skew", "zipf s", "cycles", "req/Mcycle", skewCols, skewCells)...)
-		tables = append(tables, serviceTables("scheme", "scheme", "cycles", "req/Mcycle", schemeCols, schemeCells)...)
-		return &Report{
-			ID:     "service",
-			Title:  "Open-loop transactional service: latency vs load and key skew",
-			Notes:  "sojourn latency percentiles (queueing + execution) in simulated cycles; offered/goodput in requests per million cycles; shed/serialized are admission-control counts; the scheme tables compare eager stm against the deferred-update family at the moderate-load operating point",
-			Tables: tables,
+		out := rep
+		for _, tables := range sweeps {
+			out.Tables = append(out.Tables, tables()...)
 		}
+		return &out
 	}
 	return p
 }
 
-// ServiceNativePlan is the native-backend service figure: the same two
-// sweeps with arrivals paced in host nanoseconds. Host-dependent, like
-// every native number.
+// ServicePlan is the simulator service figure. All cell values derive from
+// deterministic simulated state, so the figure is byte-identical across
+// worker counts and schedulers.
+func ServicePlan(o Options) *Plan {
+	return servicePlan(Report{
+		ID:    "service",
+		Title: "Open-loop transactional service: latency vs load and key skew",
+		Notes: "sojourn latency percentiles (queueing + execution) in simulated cycles; offered/goodput in requests per million cycles; shed/serialized are admission-control counts; the scheme tables compare eager stm against the deferred-update family at the moderate-load operating point",
+	}, "cycles", "req/Mcycle", ServiceSchemes(), o, func(scheme string, sc service.Config) (RunMetrics, error) {
+		return RunOneServiceScheme(scheme, ServiceCores, sc, o)
+	})
+}
+
+// ServiceNativePlan is the native-backend service figure: the load and skew
+// sweeps with arrivals paced in host nanoseconds. Host-dependent, like every
+// native number.
 func ServiceNativePlan(o Options) *Plan {
-	p := newPlan("service-native")
-	cell := func(gap uint64, skew float64) (RunMetrics, error) {
-		return RunOneServiceNative(ServiceCores, ServiceConfig(o, ServiceCores, gap, skew, DefaultAdmission()), o)
-	}
-	loadCols, loadCells := serviceSweep(p, "load", "gap", ServiceLoadGaps, func(gap uint64) (RunMetrics, error) {
-		return cell(gap, serviceLoadSkew)
+	return servicePlan(Report{
+		ID:    "service-native",
+		Title: "Open-loop transactional service on the native TL2 backend",
+		Notes: "sojourn latency percentiles in host nanoseconds; offered/goodput in requests per second; host-dependent, not comparable to simulated figures",
+	}, "ns", "req/s", nil, o, func(_ string, sc service.Config) (RunMetrics, error) {
+		return RunOneServiceNative(ServiceCores, sc, o)
 	})
-	skewCols, skewCells := serviceSweep(p, "skew", "s", ServiceSkewS, func(s float64) (RunMetrics, error) {
-		return cell(ServiceSkewGap, s)
-	})
-	p.Assemble = func() *Report {
-		tables := serviceTables("load", "mean gap (ns)", "ns", "req/s", loadCols, loadCells)
-		tables = append(tables, serviceTables("skew", "zipf s", "ns", "req/s", skewCols, skewCells)...)
-		return &Report{
-			ID:     "service-native",
-			Title:  "Open-loop transactional service on the native TL2 backend",
-			Notes:  "sojourn latency percentiles in host nanoseconds; offered/goodput in requests per second; host-dependent, not comparable to simulated figures",
-			Tables: tables,
-		}
-	}
-	return p
 }

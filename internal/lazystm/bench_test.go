@@ -7,11 +7,9 @@ import (
 	"hastm.dev/hastm/internal/tm"
 )
 
-// Deferred-update barrier benchmarks, mirroring internal/stm's set so the
-// committed BENCH_baseline.json gates both version-management schemes the
-// same way: cmd/benchgate fails the build on a >15% geomean ns/op
-// regression or any allocs/op increase. The extra lazy-specific costs these
-// pin down are the write-buffer lookup on every read barrier and the
+// Deferred-update barrier benchmarks, mirroring internal/stm's set. The
+// extra lazy-specific costs these price are the write-buffer lookup on every
+// read barrier and the
 // commit-time acquire/validate/write-back walk; the MVCC benchmarks price
 // the snapshot read path (no read log, no validation) against them.
 //

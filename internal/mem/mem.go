@@ -12,6 +12,8 @@ package mem
 import (
 	"fmt"
 	"sync/atomic"
+
+	"hastm.dev/hastm/internal/spec"
 )
 
 // WordSize is the size in bytes of the addressable unit.
@@ -253,7 +255,7 @@ func ParsePlacement(s string) (Placement, error) {
 	case "first-touch", "firsttouch":
 		return PlaceFirstTouch, nil
 	default:
-		return 0, fmt.Errorf("mem: unknown placement policy %q (want interleave or first-touch)", s)
+		return 0, fmt.Errorf("mem: %w", spec.Unknown("placement policy", s, "interleave", "first-touch"))
 	}
 }
 

@@ -13,9 +13,8 @@ import (
 // goroutine counts. Unlike the simulator benchmarks (which measure charged
 // cycles deterministically), these measure real wall-clock transaction
 // throughput; ns/op is per committed transaction and the txn/s metric is
-// the aggregate commit rate. The 1-goroutine numbers feed the benchgate
-// regression baseline; the sweep exists to eyeball scaling on wider hosts
-// (counts above the machine's core count just oversubscribe).
+// the aggregate commit rate. The sweep exists to eyeball scaling on wider
+// hosts (counts above the machine's core count just oversubscribe).
 
 var benchThreadCounts = []int{1, 2, 4, 8, 16, 32}
 
@@ -121,8 +120,8 @@ func BenchmarkNativeHotCounter(b *testing.B) {
 
 // benchWriterTxn times one goroutine committing a transaction of `stores`
 // stores, `stride` bytes apart, with the body built once so allocs/op is the
-// backend's own. The two gated writer-path benchmarks below are its two
-// shapes; benchgate fails either on any allocs/op above the committed 0.
+// backend's own. The two writer-path benchmarks below are its two shapes;
+// both read 0 allocs/op, which TestSteadyStateAllocs holds.
 func benchWriterTxn(b *testing.B, stores, stride uint64) {
 	m := mem.New()
 	base := m.Alloc(stores*stride, mem.LineSize)

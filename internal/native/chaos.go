@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
+
+	"hastm.dev/hastm/internal/spec"
 )
 
 // The native chaos plane mirrors internal/faults for the host backend:
@@ -101,72 +102,39 @@ func (s ChaosSpec) Enabled() bool {
 	return s.Stall > 0 || s.Preempt > 0 || s.Abort > 0 || s.WakeDelay > 0
 }
 
-// String renders the spec in the canonical key=value form ParseChaosSpec
-// accepts; "off" when nothing is armed.
+// chaosKeys are the -chaos grammar's keys, in ChaosSpec field order.
+var chaosKeys = []string{"stall", "stallns", "preempt", "abort", "wakedelay", "wakedelayns", "seed"}
+
+func (s *ChaosSpec) fields() []*uint64 {
+	return []*uint64{&s.Stall, &s.StallNS, &s.Preempt, &s.Abort, &s.WakeDelay, &s.WakeDelayNS, &s.Seed}
+}
+
+// String renders the spec in the canonical form ParseChaosSpec accepts:
+// armed kinds only, a duration only beside its rate; "off" when nothing is
+// armed.
 func (s ChaosSpec) String() string {
 	if !s.Enabled() {
 		return "off"
 	}
-	var parts []string
-	add := func(k string, v uint64) {
-		if v > 0 {
-			parts = append(parts, k+"="+strconv.FormatUint(v, 10))
-		}
+	if s.Stall == 0 {
+		s.StallNS = 0
 	}
-	add("stall", s.Stall)
-	if s.Stall > 0 {
-		add("stallns", s.StallNS)
+	if s.WakeDelay == 0 {
+		s.WakeDelayNS = 0
 	}
-	add("preempt", s.Preempt)
-	add("abort", s.Abort)
-	add("wakedelay", s.WakeDelay)
-	if s.WakeDelay > 0 {
-		add("wakedelayns", s.WakeDelayNS)
-	}
-	add("seed", s.Seed)
-	return strings.Join(parts, ",")
+	return spec.Format(chaosKeys, s.fields(), true)
 }
 
-// ParseChaosSpec parses the comma-separated key=value grammar shared with
-// the CLI's -chaos flag: stall, stallns, preempt, abort, wakedelay,
-// wakedelayns, seed. "" and "off" yield a disabled spec.
+// ParseChaosSpec parses the -chaos flag in the internal/spec grammar:
+// stall, stallns, preempt, abort, wakedelay, wakedelayns, seed. "" and
+// "off" yield a disabled spec.
 func ParseChaosSpec(text string) (ChaosSpec, error) {
 	var s ChaosSpec
-	text = strings.TrimSpace(text)
-	if text == "" || text == "off" {
+	if text = strings.TrimSpace(text); text == "" || text == "off" {
 		return s, nil
 	}
-	for _, field := range strings.Split(text, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return s, fmt.Errorf("chaos spec field %q is not key=value", field)
-		}
-		n, err := strconv.ParseUint(strings.TrimSpace(val), 10, 64)
-		if err != nil {
-			return s, fmt.Errorf("chaos spec field %q: %v", field, err)
-		}
-		switch strings.TrimSpace(key) {
-		case "stall":
-			s.Stall = n
-		case "stallns":
-			s.StallNS = n
-		case "preempt":
-			s.Preempt = n
-		case "abort":
-			s.Abort = n
-		case "wakedelay":
-			s.WakeDelay = n
-		case "wakedelayns":
-			s.WakeDelayNS = n
-		case "seed":
-			s.Seed = n
-		default:
-			return s, fmt.Errorf("chaos spec key %q unknown (want stall|stallns|preempt|abort|wakedelay|wakedelayns|seed)", key)
-		}
+	if err := spec.Parse(text, chaosKeys, s.fields()); err != nil {
+		return ChaosSpec{}, fmt.Errorf("chaos: %w", err)
 	}
 	return s, nil
 }
@@ -349,20 +317,6 @@ type ChaosReport struct {
 	ScheduleLen  int
 	Planned      map[string]uint64
 	Fired        map[string]uint64
-}
-
-// InjectedString renders fired counts in fixed kind order.
-func (r *ChaosReport) InjectedString() string {
-	var parts []string
-	for k := chaosKind(0); k < numChaosKinds; k++ {
-		if n := r.Fired[k.String()]; n > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, n))
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, " ")
 }
 
 // ChaosReport merges the per-thread schedules, in thread-id order, into

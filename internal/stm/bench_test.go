@@ -7,12 +7,10 @@ import (
 	"hastm.dev/hastm/internal/tm"
 )
 
-// Barrier fast-path benchmarks. These are the perf gates behind CI's
-// bench-regression job: the committed BENCH_baseline.json records their
-// ns/op and allocs/op, and cmd/benchgate fails the build on a >15% geomean
-// ns/op regression or any allocs/op increase. The telemetry subsystem's
-// disabled-path cost (a nil check per event) lives inside these numbers,
-// which is how the ≤2% overhead acceptance criterion is enforced.
+// Barrier fast-path benchmarks: the rungs under the repository benchmark
+// (bench/), whose host_allocs_per_txn bound on sim-1core and sim-4core is
+// what fails a change that allocates in a barrier. The telemetry subsystem's
+// disabled-path cost (a nil check per event) lives inside these numbers.
 //
 // Each benchmark builds one machine and runs all b.N transactions inside a
 // single machine.Run program (Run panics if called twice), resetting the
