@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hastm.dev/hastm/internal/mem"
 )
@@ -191,6 +192,105 @@ func TestClearAllMarks(t *testing.T) {
 	}
 }
 
+// ClearAllMarks is an epoch increment that walks the L1 only when the
+// 4-bit epoch wraps. Through two and a half wraps, no mark the cleared
+// (thread, plane) wrote in an earlier epoch may read as live, the other
+// three pairs' marks must survive every increment, and dropping a line
+// whose only marks are dead reports no mask and counts no marked drop.
+func TestMarksDoNotReviveAcrossEpochWrap(t *testing.T) {
+	h := smtHierarchy(2)
+	rec := &dropRecorder{}
+	h.AddDropListener(rec)
+	lines := []uint64{base, base + mem.LineSize, base + 2*mem.LineSize}
+	for _, a := range lines {
+		h.Access(0, a, false)
+	}
+	const th, pl = 0, 0 // the pair ClearAllMarks is called on
+	// Every pair marks lines 1 and 2; only (th, pl) marks line 0.
+	for thread := 0; thread < 2; thread++ {
+		for plane := 0; plane < NumMarkPlanes; plane++ {
+			for i, a := range lines {
+				if i > 0 || thread == th && plane == pl {
+					h.SetMark(thread, plane, a, mem.LineSize)
+				}
+			}
+		}
+	}
+	for step := 1; step <= 40; step++ {
+		h.ClearAllMarks(th, pl)
+		for _, a := range lines {
+			if h.TestMark(th, pl, a, mem.LineSize) {
+				t.Fatalf("step %d: a mark on %#x revived", step, a)
+			}
+		}
+		if got := h.MarkedLines(th, pl); got != 0 {
+			t.Fatalf("step %d: MarkedLines = %d after ClearAllMarks, want 0", step, got)
+		}
+		for thread := 0; thread < 2; thread++ {
+			for plane := 0; plane < NumMarkPlanes; plane++ {
+				if thread == th && plane == pl {
+					continue
+				}
+				if got := h.MarkedLines(thread, plane); got != 2 {
+					t.Fatalf("step %d: thread %d plane %d has %d marked lines, want 2", step, thread, plane, got)
+				}
+				if !h.TestMark(thread, plane, lines[1], mem.LineSize) || !h.TestMark(thread, plane, lines[2], mem.LineSize) {
+					t.Fatalf("step %d: thread %d plane %d lost a mark to another pair's clear", step, thread, plane)
+				}
+			}
+		}
+		if step%3 == 0 {
+			// Marks written in many different epochs, each killed by the
+			// next increment, must stay dead when their epoch comes round.
+			a := lines[1+step%2]
+			h.SetMark(th, pl, a, mem.LineSize)
+			if !h.TestMark(th, pl, a, mem.LineSize) {
+				t.Fatalf("step %d: fresh mark on %#x not set", step, a)
+			}
+		}
+	}
+
+	marked := h.MarkedDrops
+	rec.events = nil
+	if !h.EvictLine(0, lines[0]) {
+		t.Fatal("line 0 is not resident")
+	}
+	if len(rec.events) != 2 {
+		t.Fatalf("want one drop event per SMT thread, got %+v", rec.events)
+	}
+	for _, e := range rec.events {
+		if e.mark.Any() {
+			t.Fatalf("drop reported a stale mask: %+v", e)
+		}
+	}
+	if h.MarkedDrops != marked {
+		t.Fatalf("MarkedDrops %d -> %d for a line whose marks were all dead", marked, h.MarkedDrops)
+	}
+
+	// Line 1 still carries the other pairs' marks; its drop reports exactly
+	// those.
+	rec.events = nil
+	h.EvictLine(0, lines[1])
+	want := map[int]MarkMasks{0: {0, 0b1111}, 1: {0b1111, 0b1111}}
+	for _, e := range rec.events {
+		if e.mark != want[e.core] {
+			t.Fatalf("thread %d dropped with marks %v, want %v", e.core, e.mark, want[e.core])
+		}
+	}
+	if h.MarkedDrops != marked+1 {
+		t.Fatalf("MarkedDrops %d -> %d for one marked line", marked, h.MarkedDrops)
+	}
+}
+
+// TestLineIs24Bytes pins the host bytes per simulated way: the recorded L2
+// way sits in padding the line already had; one more field would pad it to
+// 32 bytes, a third more host memory for every cache of every machine.
+func TestLineIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(line{}) = %d, want 24", got)
+	}
+}
+
 func TestInclusiveBackInvalidation(t *testing.T) {
 	// L2: 16 sets * 64 = 1024B stride, assoc 4. Fill one L2 set with 5
 	// lines; the first line must be back-invalidated out of L1 too.
@@ -337,15 +437,10 @@ func TestQuickInclusionInvariant(t *testing.T) {
 			la := base + uint64(o%256)*mem.LineSize
 			h.Access(thread, la, o%5 == 0)
 		}
-		for c := range h.l1 {
-			for _, set := range h.l1[c].sets {
-				for _, w := range set {
-					if w.st == invalid {
-						continue
-					}
-					if h.l2[0].lookup(w.tag) == nil {
-						return false
-					}
+		for _, l1 := range h.l1 {
+			for _, w := range l1.ways {
+				if w.st != invalid && h.l2[0].lookup(w.tag) == nil {
+					return false
 				}
 			}
 		}
@@ -367,12 +462,10 @@ func TestQuickSingleWriterInvariant(t *testing.T) {
 			h.Access(thread, la, o%3 == 0)
 		}
 		lines := map[uint64][]state{}
-		for c := range h.l1 {
-			for _, set := range h.l1[c].sets {
-				for _, w := range set {
-					if w.st != invalid {
-						lines[w.tag] = append(lines[w.tag], w.st)
-					}
+		for _, l1 := range h.l1 {
+			for _, w := range l1.ways {
+				if w.st != invalid {
+					lines[w.tag] = append(lines[w.tag], w.st)
 				}
 			}
 		}

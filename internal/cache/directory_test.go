@@ -24,10 +24,11 @@ func numaHierarchy(sockets, perSocket int) *Hierarchy {
 // Sets panic path the masked set-index lookup depends on).
 func TestValidateNamedError(t *testing.T) {
 	bad := []Config{
-		{SizeBytes: 3 << 10, Assoc: 2},  // 24 sets
-		{SizeBytes: 32 << 10, Assoc: 3}, // non-power-of-two ways
-		{SizeBytes: 0, Assoc: 8},        // zero sets
-		{SizeBytes: 100, Assoc: 1},      // not a multiple of the line size
+		{SizeBytes: 3 << 10, Assoc: 2},              // 24 sets
+		{SizeBytes: 32 << 10, Assoc: 3},             // non-power-of-two ways
+		{SizeBytes: 0, Assoc: 8},                    // zero sets
+		{SizeBytes: 100, Assoc: 1},                  // not a multiple of the line size
+		{SizeBytes: 512 * mem.LineSize, Assoc: 512}, // more ways than an L1 line can record
 	}
 	for _, cfg := range bad {
 		err := cfg.Validate()

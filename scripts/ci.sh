@@ -40,6 +40,7 @@ FuzzParseChaosSpec ./internal/native
 FuzzParseTopology ./internal/sim
 FuzzParsePlacement ./internal/mem
 FuzzParseMapping ./internal/harness
+FuzzHierarchy ./internal/cache
 EOF
     ;;
 bench)
@@ -49,13 +50,16 @@ bench)
     # per lease) within 16x of the 1-core op, which hands off to nobody (the
     # channel transport sat at 32x, the coroutine transport near 12x); and Exec
     # core-private — no grant, so the same cost on four contended cores as on
-    # one (27x while it took one).
-    go test -run '^$' -bench 'SimOps|DirCoherence' -count=5 -benchtime 300ms ./internal/sim | tee "$out/bench.txt"
+    # one (27x while it took one); and resetmarkall an epoch increment, not a
+    # walk of the L1 (a 32 KB cache cost 20x a 1 KB one while it walked, 2.5x
+    # since).
+    go test -run '^$' -bench 'SimOps|DirCoherence|ClearAllMarks' -count=5 -benchtime 300ms ./internal/sim ./internal/cache | tee "$out/bench.txt"
     "$bin/benchgate" \
         -scale SimOpsScale/16core:SimOpsScale/256core:2.0 \
         -scale SimOps/Load/1core:SimOps/Load/4core:16 \
         -scale SimOps/Exec/1core:SimOps/Exec/4core:3 \
         -scale DirCoherence/16core:DirCoherence/256core:2.0 \
+        -scale ClearAllMarks/1KB:ClearAllMarks/32KB:10 \
         "$out/bench.txt"
     ;;
 faultstorm)
