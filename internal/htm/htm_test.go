@@ -369,12 +369,15 @@ func TestCommitPublishesAtomically(t *testing.T) {
 }
 
 // TestHyTMFallbackCounting: forcing repeated hardware aborts (capacity)
-// must increment the fallback counter exactly once per software retry.
+// must increment the fallback counter exactly once per software retry, and
+// the first oversized transaction's trace must read: three hardware
+// attempts, the attempts-exhausted fallback, then the software attempt.
 func TestHyTMFallbackCounting(t *testing.T) {
 	cfg := sim.DefaultConfig(1)
 	cfg.L1 = cache.Config{SizeBytes: 1 << 10, Assoc: 2}
 	cfg.L2 = cache.Config{SizeBytes: 64 << 10, Assoc: 8}
 	machine := sim.New(cfg)
+	machine.SetTxnTrace(telemetry.NewTraceBuffer(0))
 	sys := NewHyTM(machine, tm.Config{Granularity: tm.LineGranularity}, 3)
 	base := machine.Mem.Alloc(64*mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {
@@ -399,6 +402,29 @@ func TestHyTMFallbackCounting(t *testing.T) {
 	}
 	if st.Aborts(telemetry.AbortCapacity) < 4 {
 		t.Fatalf("capacity aborts = %d, want >= 4", st.Aborts(telemetry.AbortCapacity))
+	}
+
+	type step struct {
+		kind  string
+		retry int
+		cause string
+	}
+	capacity := telemetry.AbortCapacity.String()
+	want := []step{
+		{telemetry.EvBegin, 0, ""}, {telemetry.EvAbort, 0, capacity},
+		{telemetry.EvBegin, 1, ""}, {telemetry.EvAbort, 1, capacity},
+		{telemetry.EvBegin, 2, ""}, {telemetry.EvAbort, 2, capacity},
+		{telemetry.EvFallback, 3, "attempts-exhausted"},
+		{telemetry.EvBegin, 0, ""}, {telemetry.EvValidate, 0, "full"}, {telemetry.EvCommit, 0, ""},
+	}
+	evs := machine.TxnTrace().Events()
+	if len(evs) < len(want) {
+		t.Fatalf("trace has %d events, want at least %d", len(evs), len(want))
+	}
+	for i, w := range want {
+		if got := (step{evs[i].Kind, evs[i].Retry, evs[i].Cause}); got != w {
+			t.Fatalf("event %d = %v, want %v", i, got, w)
+		}
 	}
 }
 
