@@ -11,12 +11,17 @@
 //     through the shared transaction-record table, falling back to the
 //     pure STM after repeated hardware aborts.
 //
+// A hardware attempt is a tm.Protocol under the shared tm.Engine, so it is
+// begun, committed, rolled back, nested and traced like a software one.
 // Like real best-effort HTMs, the restricted semantics show through the
-// API: nesting is flattened and retry/orElse are unsupported in pure
-// hardware mode (HyTM supports them by falling back to software).
+// API: Retry, OrElse and a nested block's partial rollback need software,
+// so HyTM re-runs such a transaction on its software thread and pure HTM
+// panics.
 package htm
 
 import (
+	"errors"
+
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
@@ -131,7 +136,6 @@ func (m *Manager) LineRead(reader int, lineAddr uint64) {
 // System is a pure-HTM or hybrid TM scheme.
 type System struct {
 	name        string
-	machine     *sim.Machine
 	mgr         *Manager
 	table       *stm.RecordTable // non-nil for HyTM
 	fallback    *stm.System      // non-nil for HyTM
@@ -149,7 +153,6 @@ func (s *System) Manager() *Manager { return s.mgr }
 func NewHTM(machine *sim.Machine) *System {
 	return &System{
 		name:        "htm",
-		machine:     machine,
 		mgr:         NewManager(machine),
 		maxAttempts: 1 << 30,
 	}
@@ -165,7 +168,6 @@ func NewHyTM(machine *sim.Machine, cfg tm.Config, maxAttempts int) *System {
 	table := stm.NewRecordTable(machine.Mem)
 	return &System{
 		name:        "hytm",
-		machine:     machine,
 		mgr:         NewManager(machine),
 		table:       table,
 		fallback:    stm.NewWithTable("hytm-sw", machine, cfg, nil, table),
@@ -178,49 +180,49 @@ func (s *System) Name() string { return s.name }
 
 // Thread binds the scheme to a core.
 func (s *System) Thread(ctx *sim.Ctx) tm.Thread {
-	t := &Thread{sys: s, ctx: ctx, state: newTxnState(), backoff: tm.NewBackoff(ctx.ID())}
+	t := &Thread{sys: s, ctx: ctx, txn: newTxnState(), backoff: *tm.NewBackoff(ctx.ID())}
 	if s.fallback != nil {
-		t.sw = s.fallback.Thread(ctx)
+		t.sw = s.fallback.Thread(ctx).(*stm.Thread)
 		// The hardware path shares the software fallback's irrevocable
 		// token (nil when the ladder is disabled): hardware attempts are
 		// revocable participants in the same handshake, so an escalated
 		// software transaction drains them too.
 		t.tok = s.fallback.Progress().Token
-		t.ladder = tm.NewBackoff(ctx.ID())
+		t.ladder = *tm.NewBackoff(ctx.ID())
 	}
+	// The budget never binds: Backoff hands HyTM to software first.
+	t.Bind(t, ctx, ctx.Telem(), "htm", s.maxAttempts, t.tok != nil)
 	return t
 }
 
-// Control-flow signals.
-type hwAbort struct{ cause telemetry.AbortCause }
-type hwUserAbort struct{}
-
-// Thread is one core's hardware-transactional handle. It implements both
-// tm.Thread and tm.Txn.
+// Thread is one core's hardware-transactional handle: the hardware
+// protocol under the shared tm.Engine, with HyTM's software thread behind
+// it. It implements tm.Thread, tm.Txn and tm.Protocol.
 type Thread struct {
+	tm.Engine
 	sys     *System
 	ctx     *sim.Ctx
-	sw      tm.Thread // HyTM software fallback
-	state   *txnState // the thread's one transaction state, reused
-	cur     *txnState // state while a hardware transaction is in flight, else nil
-	backoff *tm.Backoff
-	depth   int
-	txnSeq  uint64 // per-thread transaction id, stable across retries
-	attempt int
+	sw      *stm.Thread // HyTM software fallback, nil for pure HTM
+	txn     *txnState   // the thread's one transaction state, reused
+	backoff tm.Backoff
 
 	// Escalation-ladder handshake, shared with the software fallback (nil
 	// when Progress is disabled).
 	tok    *tm.IrrevocableToken
-	ladder *tm.Backoff
+	ladder tm.Backoff
 }
 
-var (
-	_ tm.Thread = (*Thread)(nil)
-	_ tm.Txn    = (*Thread)(nil)
-)
+var _ tm.Protocol = (*Thread)(nil)
 
-// Ctx returns the core context.
-func (t *Thread) Ctx() *sim.Ctx { return t.ctx }
+// How a HyTM transaction leaves the hardware path for its software thread:
+// Backoff's error after maxAttempts hardware aborts, or a restart when the
+// body needs software semantics. The restart is boxed once so throwing it
+// allocates nothing.
+var (
+	errAttemptsExhausted             = errors.New("htm: hardware attempts exhausted")
+	errNeedsSoftware                 = errors.New("htm: software semantics needed")
+	needsSoftware        interface{} = tm.RestartSignal{Event: telemetry.EvFallback, Cause: "retry-semantics", Err: errNeedsSoftware}
+)
 
 // ID returns the simulated core id.
 func (t *Thread) ID() int { return t.ctx.ID() }
@@ -229,186 +231,122 @@ func (t *Thread) ID() int { return t.ctx.ID() }
 // recently committed atomic block on simulator backends.
 func (t *Thread) Stamp() uint64 { return t.ctx.Clock() }
 
-// Atomic runs body as a hardware transaction, retrying on aborts; a HyTM
-// falls back to its software transaction after repeated hardware failures.
+// Atomic runs body as a hardware transaction on the engine, re-executing
+// aborted attempts. A HyTM transaction the hardware cannot finish runs on
+// the software thread instead.
 func (t *Thread) Atomic(body func(tm.Txn) error) error {
-	if t.depth > 0 {
-		// Best-effort HTMs flatten nested transactions (§2).
-		t.depth++
-		defer func() { t.depth-- }()
-		return body(t)
+	switch err := t.Engine.Atomic(body); err {
+	case errAttemptsExhausted:
+		t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.TxnSeq(), Retry: t.Attempt(),
+			Kind: telemetry.EvFallback, Cause: "attempts-exhausted"})
+	case errNeedsSoftware:
+	default:
+		return err
 	}
-	t.txnSeq++
-	for attempt := 0; ; attempt++ {
-		t.attempt = attempt
-		if t.sw != nil && attempt >= t.sys.maxAttempts {
-			t.ctx.Telem().Inc(telemetry.HTMFallbacks)
-			t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: attempt,
-				Kind: telemetry.EvFallback, Cause: "attempts-exhausted"})
-			return t.sw.Atomic(body)
-		}
-		t.ctx.SetStatus("htm", attempt)
-		err, outcome := t.try(t.tok, body)
-		switch outcome {
-		case outcomeCommit:
-			t.backoff.Reset()
-			return err
-		case outcomeUserAbort:
-			return tm.ErrUserAbort
-		case outcomeBodyErr:
-			return err
-		case outcomeRetrySW:
-			// Retry/orElse need software semantics immediately.
-			t.ctx.Telem().Inc(telemetry.HTMFallbacks)
-			t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: attempt,
-				Kind: telemetry.EvFallback, Cause: "retry-semantics"})
-			return t.sw.Atomic(body)
-		case outcomeAborted:
-			t.backoff.Wait(t.ctx)
-		}
-	}
+	t.ctx.Telem().Inc(telemetry.HTMFallbacks)
+	return t.sw.Atomic(body)
 }
 
-type outcome int
-
-const (
-	outcomeCommit outcome = iota
-	outcomeAborted
-	outcomeUserAbort
-	outcomeBodyErr
-	outcomeRetrySW
-)
-
-// try runs one hardware attempt. When the ladder is active (tok non-nil)
-// the attempt is bracketed as a revocable participant of the irrevocable
-// handshake: announce before beginning, withdraw on every outcome path —
-// so an escalated software transaction's drain covers hardware attempts
-// too. (A foreign panic skips the withdrawal; the run is failing into
-// panic containment at that point.)
-func (t *Thread) try(tok *tm.IrrevocableToken, body func(tm.Txn) error) (err error, out outcome) {
-	if tok != nil {
-		prev := t.ctx.SetCat(telemetry.Lock)
-		tok.EnterShared(t.ctx, t.ladder)
-		t.ctx.SetCat(prev)
-		t.ladder.Reset()
-		defer func() {
-			prev := t.ctx.SetCat(telemetry.Lock)
-			tok.ExitShared(t.ctx)
-			t.ctx.SetCat(prev)
-		}()
+// AtomicSerialized hands a HyTM transaction to the software thread, whose
+// ladder can run it irrevocably; the hardware half never escalates.
+func (t *Thread) AtomicSerialized(body func(tm.Txn) error) error {
+	if t.sw == nil || t.InTxn() {
+		return t.Engine.AtomicSerialized(body)
 	}
-	t.begin()
-	t.depth = 1
-	defer func() { t.depth = 0 }()
-
-	defer func() {
-		r := recover()
-		switch a := r.(type) {
-		case nil:
-		case hwAbort:
-			t.emitAbort(a.cause)
-			t.end()
-			t.ctx.Telem().Abort(a.cause)
-			err, out = nil, outcomeAborted
-		case hwUserAbort:
-			t.emitAbort(telemetry.AbortExplicit)
-			t.end()
-			t.ctx.Telem().Abort(telemetry.AbortExplicit)
-			err, out = nil, outcomeUserAbort
-		case retryUnsupported:
-			t.end()
-			if t.sw == nil {
-				panic("htm: retry/orElse not supported by the pure hardware TM (restricted semantics, §1)")
-			}
-			err, out = nil, outcomeRetrySW
-		default:
-			t.end()
-			panic(r)
-		}
-	}()
-
-	err = body(t)
-	if err != nil {
-		// Roll back by discarding the speculative buffer.
-		t.emitAbort(telemetry.AbortExplicit)
-		t.end()
-		t.ctx.Telem().Abort(telemetry.AbortExplicit)
-		return err, outcomeBodyErr
-	}
-	if !t.commit() {
-		cause := t.cur.cause
-		t.emitAbort(cause)
-		t.end()
-		t.ctx.Telem().Abort(cause)
-		return nil, outcomeAborted
-	}
-	t.observeSetSizes()
-	t.ctx.Telem().ObserveMax(telemetry.RetryDepthHWM, uint64(t.attempt))
-	t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.attempt,
-		Kind: telemetry.EvCommit, Reads: len(t.cur.reads), Writes: len(t.cur.writes)})
-	t.endCommitted()
-	t.ctx.Telem().Inc(telemetry.Commits)
-	t.ctx.NoteCommit()
-	return nil, outcomeCommit
+	return t.sw.AtomicSerialized(body)
 }
 
-// observeSetSizes raises the hardware read/write-set high-water marks to
-// the current transaction's footprint.
-func (t *Thread) observeSetSizes() {
-	if t.cur == nil {
-		return
-	}
-	b := t.ctx.Telem()
-	b.ObserveMax(telemetry.ReadSetHWM, uint64(len(t.cur.reads)))
-	b.ObserveMax(telemetry.WriteSetHWM, uint64(len(t.cur.writes)))
+// Irrevocable reports whether the current attempt runs serially, which only
+// a HyTM software attempt ever does.
+func (t *Thread) Irrevocable() bool { return t.sw != nil && t.sw.Irrevocable() }
+
+// --- tm.Protocol: the hardware attempt ---------------------------------------
+
+// BeginAttempt takes the begin checkpoint and registers the attempt, so
+// coherence events can doom it.
+func (t *Thread) BeginAttempt(int) {
+	t.txn.reset()
+	t.checkpoint(t.txn)
 }
 
-// emitAbort records an abort event (with the doomed attempt's footprint)
-// before end() discards the speculative state.
-func (t *Thread) emitAbort(cause telemetry.AbortCause) {
-	t.observeSetSizes()
-	var r, w int
-	if t.cur != nil {
-		r, w = len(t.cur.reads), len(t.cur.writes)
-	}
-	t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.attempt,
-		Kind: telemetry.EvAbort, Cause: cause.String(), Reads: r, Writes: w})
-}
+// RollbackAll discards the speculative state: the abort's restore step.
+func (t *Thread) RollbackAll() { t.checkpoint(nil) }
 
-type retryUnsupported struct{}
-
-func (t *Thread) begin() {
-	txn := t.state
-	txn.reset()
-	t.cur = txn
-	t.ctx.EmitTxn(telemetry.TxnEvent{Txn: t.txnSeq, Retry: t.attempt, Kind: telemetry.EvBegin})
+// checkpoint registers txn as the core's active hardware transaction (the
+// begin checkpoint: register state, fences) or, with nil, restores.
+func (t *Thread) checkpoint(txn *txnState) {
 	prev := t.ctx.SetCat(telemetry.HTM)
 	t.ctx.Step(func(m *sim.Machine) uint64 {
 		t.sys.mgr.active[t.ctx.ID()] = txn
-		return 10 // transaction-begin checkpoint (register state, fences)
+		return 10
 	})
 	t.ctx.SetCat(prev)
 }
 
-// end deregisters after an abort, discarding all speculative state.
-func (t *Thread) end() {
-	prev := t.ctx.SetCat(telemetry.HTM)
-	t.ctx.Step(func(m *sim.Machine) uint64 {
-		t.sys.mgr.active[t.ctx.ID()] = nil
-		return 10 // abort/restore cost
-	})
-	t.ctx.SetCat(prev)
-	t.cur = nil
+// EndAttempt resets the contention backoff after a commit.
+func (t *Thread) EndAttempt(committed bool) {
+	if committed {
+		t.backoff.Reset()
+	}
 }
 
-// endCommitted deregisters after commit (already done inside the commit
-// step; kept for symmetry of the bookkeeping).
-func (t *Thread) endCommitted() { t.cur = nil }
+// Savepoint marks nothing: the speculative buffer cannot roll back in part.
+func (t *Thread) Savepoint() tm.Savepoint { return tm.Savepoint{} }
 
-// commit atomically publishes the write buffer and the HyTM version
-// increments, provided the transaction was not doomed.
-func (t *Thread) commit() bool {
-	txn := t.cur
+// RollbackTo is a nested block's partial rollback, which needs software.
+func (t *Thread) RollbackTo(tm.Savepoint) { t.softwareOnly() }
+
+// ObserveSetSizes raises the hardware read/write-set high-water marks to
+// the attempt's footprint in lines.
+func (t *Thread) ObserveSetSizes() (reads, writes, undo int) {
+	reads, writes = len(t.txn.reads), len(t.txn.writes)
+	b := t.ctx.Telem()
+	b.ObserveMax(telemetry.ReadSetHWM, uint64(reads))
+	b.ObserveMax(telemetry.WriteSetHWM, uint64(writes))
+	return reads, writes, 0
+}
+
+// ReadsConsistent: every read of an attempt that is not doomed is still
+// current, since a remote store to a read line dooms it. A doomed attempt
+// can never commit, so a panic out of it is a zombie effect.
+func (t *Thread) ReadsConsistent() bool { return !t.txn.aborted }
+
+// WatchReadsFrom and WaitForChange are unreachable: Retry never reaches the
+// engine from a hardware attempt.
+func (t *Thread) WatchReadsFrom(int) int { return 0 }
+func (t *Thread) WaitForChange()         {}
+
+// Backoff waits after every hardware abort, whatever the cause: a capacity
+// or spurious abort recurs on an immediate re-execution too. A HyTM
+// transaction gives up on hardware after maxAttempts aborts.
+func (t *Thread) Backoff(telemetry.AbortCause) error {
+	t.backoff.Wait(t.ctx)
+	if t.sw != nil && t.Strikes() >= t.sys.maxAttempts {
+		return errAttemptsExhausted
+	}
+	return nil
+}
+
+// EnterLadder announces the attempt as a revocable participant of the
+// software thread's irrevocable handshake (the hardware never escalates).
+func (t *Thread) EnterLadder(bool) {
+	prev := t.ctx.SetCat(telemetry.Lock)
+	t.tok.EnterShared(t.ctx, &t.ladder)
+	t.ctx.SetCat(prev)
+	t.ladder.Reset()
+}
+
+// ExitLadder withdraws the announcement.
+func (t *Thread) ExitLadder(bool) {
+	prev := t.ctx.SetCat(telemetry.Lock)
+	t.tok.ExitShared(t.ctx)
+	t.ctx.SetCat(prev)
+}
+
+// Commit atomically publishes the write buffer and the HyTM version
+// increments, provided no coherence event doomed the attempt.
+func (t *Thread) Commit() (bool, telemetry.AbortCause) {
+	txn := t.txn
 	ok := false
 	prev := t.ctx.SetCat(telemetry.HTM)
 	t.ctx.Step(func(m *sim.Machine) uint64 {
@@ -433,20 +371,15 @@ func (t *Thread) commit() bool {
 		return cycles
 	})
 	t.ctx.SetCat(prev)
-	return ok
+	return ok, txn.cause
 }
 
-// checkDoomed panics out of the body if the transaction was aborted by a
-// remote event. Must be called inside a granted step.
-func (t *Thread) raiseIfDoomed() {
-	if t.cur.aborted {
-		panic(hwAbort{t.cur.cause})
-	}
-}
+// --- Barriers ---------------------------------------------------------------
 
 // Load transactionally reads addr.
 func (t *Thread) Load(addr uint64) uint64 {
-	txn := t.cur
+	t.RequireTxn()
+	txn := t.txn
 	var v uint64
 	doomed := false
 	prev := t.ctx.SetCat(telemetry.App)
@@ -475,7 +408,7 @@ func (t *Thread) Load(addr uint64) uint64 {
 	})
 	t.ctx.SetCat(prev)
 	if doomed {
-		t.raiseDoom()
+		panic(tm.AbortSignal{Cause: txn.cause})
 	}
 	return v
 }
@@ -483,7 +416,8 @@ func (t *Thread) Load(addr uint64) uint64 {
 // Store transactionally writes addr into the speculative buffer; the line
 // is taken for writing so conflicts are detected eagerly.
 func (t *Thread) Store(addr, val uint64) {
-	txn := t.cur
+	t.RequireTxn()
+	txn := t.txn
 	doomed := false
 	prev := t.ctx.SetCat(telemetry.App)
 	t.ctx.Step(func(m *sim.Machine) uint64 {
@@ -524,7 +458,7 @@ func (t *Thread) Store(addr, val uint64) {
 	})
 	t.ctx.SetCat(prev)
 	if doomed {
-		t.raiseDoom()
+		panic(tm.AbortSignal{Cause: txn.cause})
 	}
 }
 
@@ -538,20 +472,12 @@ func (t *Thread) hybridRecCheck(m *sim.Machine, addr uint64) (cycles uint64, con
 	cycles += m.AccessCost(t.ctx.ID(), rec, false)
 	v := m.Mem.Load(rec)
 	cycles += 2 // isShared test + branch
-	t.cur.reads[mem.LineAddr(rec)] = true
+	t.txn.reads[mem.LineAddr(rec)] = true
 	if !stm.IsVersion(v) {
-		t.cur.doom(telemetry.AbortHTMConflict)
+		t.txn.doom(telemetry.AbortHTMConflict)
 		return cycles, true
 	}
 	return cycles, false
-}
-
-func (t *Thread) raiseDoom() {
-	cause := telemetry.AbortHTMConflict
-	if t.cur != nil && t.cur.aborted {
-		cause = t.cur.cause
-	}
-	panic(hwAbort{cause})
 }
 
 // LoadObj reads a field of the object at base; conflict detection stays at
@@ -561,16 +487,23 @@ func (t *Thread) LoadObj(base, off uint64) uint64 { return t.Load(base + off) }
 // StoreObj writes a field of the object at base.
 func (t *Thread) StoreObj(base, off, val uint64) { t.Store(base+off, val) }
 
-// OrElse is unsupported in hardware; HyTM falls back to software.
-func (t *Thread) OrElse(alternatives ...func(tm.Txn) error) error {
-	panic(retryUnsupported{})
+// OrElse needs software: see softwareOnly.
+func (t *Thread) OrElse(...func(tm.Txn) error) error { return t.softwareOnly() }
+
+// Retry needs software: see softwareOnly.
+func (t *Thread) Retry() { t.softwareOnly() }
+
+// softwareOnly ends a hardware attempt that needs software semantics
+// (Retry, OrElse, a nested rollback): HyTM restarts the transaction on its
+// software thread; pure HTM has none and refuses (restricted semantics, §1).
+// It never returns.
+func (t *Thread) softwareOnly() error {
+	t.RequireTxn()
+	if t.sw == nil {
+		panic("htm: retry, orElse and nested rollback are not supported by the pure hardware TM (restricted semantics, §1)")
+	}
+	panic(needsSoftware)
 }
-
-// Retry is unsupported in hardware; HyTM falls back to software.
-func (t *Thread) Retry() { panic(retryUnsupported{}) }
-
-// Abort discards the hardware transaction.
-func (t *Thread) Abort() { panic(hwUserAbort{}) }
 
 // Exec charges application compute to the simulated clock.
 func (t *Thread) Exec(n uint64) { t.ctx.Exec(n) }

@@ -298,11 +298,12 @@ func (t *Thread) releaseAcquired(committed bool) {
 
 // RollbackAll abandons the attempt's private state. Nothing reached shared
 // memory (any commit-time acquisitions were already released by the failed
-// commit itself), so rollback is pure log truncation.
+// commit itself), so rollback is log truncation plus the abort bookkeeping.
 func (t *Thread) RollbackAll() {
 	t.Reads = t.Reads[:0]
 	t.wb = t.wb[:0]
 	clear(t.wbIdx)
+	t.ChargeAbort()
 }
 
 // Savepoint marks a nested transaction's rollback point. Deferred updates

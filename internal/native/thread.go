@@ -116,19 +116,17 @@ const backoffCapShift = 6
 // sleep is drawn uniformly from the upper half of a capped exponential
 // window — the seeded per-thread jitter keeps two threads that aborted on
 // the same stripe from re-colliding in lockstep, the same reason
-// tm.Backoff jitters the simulated schemes.
-func (t *Thread) Backoff() {
-	n := t.Strikes()
-	if n < 4 {
+// tm.Backoff jitters the simulated schemes. Only true data conflicts wait.
+func (t *Thread) Backoff(cause telemetry.AbortCause) error {
+	switch n := t.Strikes(); {
+	case !cause.IsConflict():
+	case n < 4:
 		runtime.Gosched()
-		return
+	default:
+		window := uint64(time.Microsecond) << min(n-4, backoffCapShift)
+		time.Sleep(time.Duration(window/2 + t.backoffRand()%(window/2+1)))
 	}
-	shift := n - 4
-	if shift > backoffCapShift {
-		shift = backoffCapShift
-	}
-	window := uint64(time.Microsecond) << shift
-	time.Sleep(time.Duration(window/2 + t.backoffRand()%(window/2+1)))
+	return nil
 }
 
 // backoffRand steps the thread's xorshift64 jitter stream.

@@ -327,9 +327,22 @@ func (b *Base) WaitForChange() {
 	}
 }
 
-// Backoff charges the contention backoff between a conflict abort and the
-// re-execution.
-func (b *Base) Backoff() { b.backoff.Wait(b.ctx) }
+// Backoff charges the contention backoff between a true data conflict and
+// the re-execution; other causes re-execute at once.
+func (b *Base) Backoff(cause telemetry.AbortCause) error {
+	if cause.IsConflict() {
+		b.backoff.Wait(b.ctx)
+	}
+	return nil
+}
+
+// ChargeAbort charges the bookkeeping of an abandoned attempt, the last
+// step of the eager and the lazy RollbackAll.
+func (b *Base) ChargeAbort() {
+	prev := b.ctx.SetCat(telemetry.Commit)
+	b.ctx.Exec(8)
+	b.ctx.SetCat(prev)
+}
 
 // EndAttempt clears the contention backoff after a commit.
 func (b *Base) EndAttempt(committed bool) {

@@ -138,7 +138,10 @@ func (t *Thread) Savepoint() tm.Savepoint {
 }
 
 // RollbackAll undoes every effect of the current attempt.
-func (t *Thread) RollbackAll() { t.RollbackTo(tm.Savepoint{}) }
+func (t *Thread) RollbackAll() {
+	t.RollbackTo(tm.Savepoint{})
+	t.ChargeAbort()
+}
 
 // RollbackTo reverts data and ownership to a savepoint (partial rollback
 // for nested transactions, full rollback for sp == zero).

@@ -28,7 +28,7 @@ type Protocol interface {
 
 	// Savepoint marks the logs at nested-transaction entry; RollbackTo
 	// reverts data and logs to a mark (partial rollback); RollbackAll
-	// undoes the whole attempt.
+	// undoes the whole attempt and charges the abort bookkeeping.
 	Savepoint() Savepoint
 	RollbackTo(sp Savepoint)
 	RollbackAll()
@@ -48,9 +48,10 @@ type Protocol interface {
 	// WaitForChange blocks until a watched location may have changed; a
 	// spurious wakeup is permitted. Called outside the ladder.
 	WaitForChange()
-	// Backoff is contention management between a conflict abort and the
-	// re-execution.
-	Backoff()
+	// Backoff is contention management between an abort and the
+	// re-execution; the protocol decides which causes wait. A non-nil error
+	// ends the top-level Atomic with that error instead of re-executing.
+	Backoff(cause telemetry.AbortCause) error
 
 	// EnterLadder and ExitLadder bracket every attempt when the ladder is
 	// armed: the shared side for a revocable attempt (waiting out any
@@ -64,12 +65,13 @@ type Protocol interface {
 // (error-returning) transaction body emits.
 const BodyErrorCause = "body-error"
 
-// Engine is the control plane every software TM in this repository runs:
-// the top-level attempt loop, closed nesting, orElse, retry/abort
-// signalling, foreign-panic sandboxing, the escalation ladder and the
-// life-cycle trace and telemetry emission. A scheme's thread embeds one and
-// binds it to its Protocol; the eager-undo STM (and through it HASTM), the
-// lazy/MVCC STM and the host-native TL2 differ only in the protocol.
+// Engine is the control plane every TM in this repository runs: the
+// top-level attempt loop, closed nesting, orElse, retry/abort signalling,
+// foreign-panic sandboxing, the escalation ladder and the life-cycle trace
+// and telemetry emission. A scheme's thread embeds one and binds it to its
+// Protocol; the eager-undo STM (and through it HASTM), the lazy/MVCC STM,
+// the host-native TL2 and the HTM/HyTM hardware path differ only in the
+// protocol.
 type Engine struct {
 	p     Protocol
 	txn   Txn      // p as the body's argument, converted once
@@ -124,8 +126,9 @@ func (e *Engine) RequireTxn() {
 
 // Atomic runs body as a transaction. At top level it re-executes aborted
 // attempts until commit — escalating to serial irrevocable mode once the
-// retry budget is spent — or until the body fails; inside a transaction it
-// is a closed-nested transaction with partial rollback.
+// retry budget is spent — or until the body fails or the protocol ends the
+// transaction with an error (Backoff, RestartSignal.Err); inside a
+// transaction it is a closed-nested transaction with partial rollback.
 func (e *Engine) Atomic(body func(Txn) error) error {
 	if e.inTxn {
 		retried, err := e.nested(body)
@@ -159,7 +162,7 @@ func (e *Engine) Atomic(body func(Txn) error) error {
 				e.committed()
 				return nil
 			}
-			e.abort(cause)
+			err = e.abort(cause)
 		case UserAbortSignal:
 			e.abandon(telemetry.EvAbort, telemetry.AbortExplicit.String(), 0)
 			e.tb.Abort(telemetry.AbortExplicit)
@@ -174,11 +177,16 @@ func (e *Engine) Atomic(body func(Txn) error) error {
 			e.fsm.OnRetryWait()
 		case RestartSignal:
 			// A strategy switch: the attempt index advances but no strike
-			// is charged and no abort is counted.
+			// is charged and no abort is counted. With Err set the switch
+			// leaves the engine: Atomic returns it.
 			e.abandon(s.Event, s.Cause, 0)
 			e.fsm.OnRetryWait()
+			err = s.Err
 		case AbortSignal:
-			e.abort(s.Cause)
+			err = e.abort(s.Cause)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -352,24 +360,17 @@ func (e *Engine) abandon(kind, cause string, watch int) {
 	reads, writes, undo := e.p.ObserveSetSizes()
 	e.emit(telemetry.TxnEvent{Kind: kind, Cause: cause, Reads: reads, Writes: writes, Undo: undo, Watch: watch})
 	e.p.RollbackAll()
-	if e.ctx != nil {
-		prev := e.ctx.SetCat(telemetry.Commit)
-		e.ctx.Exec(8) // abort bookkeeping
-		e.ctx.SetCat(prev)
-	}
 	e.end(false)
 }
 
-// abort rolls a conflict-aborted attempt back and prepares the next: a
-// strike towards the retry budget, and contention backoff for true data
-// conflicts.
-func (e *Engine) abort(cause telemetry.AbortCause) {
+// abort rolls an aborted attempt back and prepares the next: a strike
+// towards the retry budget, then the protocol's backoff, whose error (if
+// any) ends the transaction.
+func (e *Engine) abort(cause telemetry.AbortCause) error {
 	e.abandon(telemetry.EvAbort, cause.String(), 0)
 	e.tb.Abort(cause)
 	e.fsm.OnAbort()
-	if cause.IsConflict() {
-		e.p.Backoff()
-	}
+	return e.p.Backoff(cause)
 }
 
 func (e *Engine) end(committed bool) {

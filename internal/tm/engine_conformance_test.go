@@ -2,9 +2,11 @@ package tm_test
 
 // The engine conformance suite: one set of control-plane cases — commit,
 // rollback, nesting, orElse/retry, the escalation ladder, sandboxing — run
-// against every protocol bound to tm.Engine. Protocol-specific behaviour
-// (validation, sandboxed commit, MVCC upgrade, stamps, chaos, watchdog) is
-// tested in the protocol's own package.
+// against every protocol bound to tm.Engine, the hardware path included; a
+// case a backend cannot run is skipped through its capability field.
+// Protocol-specific behaviour (validation, sandboxed commit, MVCC upgrade,
+// stamps, chaos, watchdog, hardware conflicts) is tested in the protocol's
+// own package.
 
 import (
 	"errors"
@@ -16,6 +18,7 @@ import (
 
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/core"
+	"hastm.dev/hastm/internal/htm"
 	"hastm.dev/hastm/internal/lazystm"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/native"
@@ -57,17 +60,30 @@ type fixture struct {
 
 func (f *fixture) word(i uint64) uint64 { return f.words + i*mem.LineSize }
 
+// capability is a control-plane feature a case may need beyond commit,
+// abort, nested commit and sandboxing. The hardware path lacks some; a
+// case skips on a backend that lacks what it needs.
+type capability uint8
+
+const (
+	retry           capability = 1 << iota // Txn.Retry and OrElse
+	partialRollback                        // a failed nested block undoes only its own effects
+	escalation                             // the ladder escalates the thread's own starved attempts
+	serialization                          // AtomicSerialized runs irrevocably on an armed ladder
+)
+
 type backend struct {
 	name string
 	// opaque protocols never expose an inconsistent read set to a body, so
 	// the engine's zombie rule cannot fire; the backend contains foreign
 	// panics as errors instead of letting them propagate.
 	opaque bool
+	lacks  capability
 	build  func(threads int, cfg tm.Config) *fixture
 }
 
-func simBackend(name string, mk func(*sim.Machine, tm.Config) tm.System) backend {
-	return backend{name: name, build: func(threads int, cfg tm.Config) *fixture {
+func simBackend(name string, lacks capability, mk func(*sim.Machine, tm.Config) tm.System) backend {
+	return backend{name: name, lacks: lacks, build: func(threads int, cfg tm.Config) *fixture {
 		mc := sim.DefaultConfig(threads)
 		mc.L1 = cache.Config{SizeBytes: 8 << 10, Assoc: 4}
 		mc.L2 = cache.Config{SizeBytes: 64 << 10, Assoc: 8}
@@ -102,14 +118,20 @@ func simBackend(name string, mk func(*sim.Machine, tm.Config) tm.System) backend
 }
 
 var backends = []backend{
-	simBackend("stm", func(m *sim.Machine, c tm.Config) tm.System { return stm.New(m, c) }),
-	simBackend("hastm", func(m *sim.Machine, c tm.Config) tm.System {
+	simBackend("stm", 0, func(m *sim.Machine, c tm.Config) tm.System { return stm.New(m, c) }),
+	simBackend("hastm", 0, func(m *sim.Machine, c tm.Config) tm.System {
 		hc := core.DefaultConfig(tm.LineGranularity)
 		hc.TM = c
 		return core.New(m, hc)
 	}),
-	simBackend("lazy", func(m *sim.Machine, c tm.Config) tm.System { return lazystm.New(m, c) }),
-	simBackend("mvcc", func(m *sim.Machine, c tm.Config) tm.System { return lazystm.NewMVCC(m, c) }),
+	simBackend("lazy", 0, func(m *sim.Machine, c tm.Config) tm.System { return lazystm.New(m, c) }),
+	simBackend("mvcc", 0, func(m *sim.Machine, c tm.Config) tm.System { return lazystm.NewMVCC(m, c) }),
+	// Pure HTM has no ladder, no retry and no partial rollback.
+	simBackend("htm", retry|partialRollback|escalation|serialization,
+		func(m *sim.Machine, _ tm.Config) tm.System { return htm.NewHTM(m) }),
+	// HyTM runs what its hardware half cannot on its software thread,
+	// AtomicSerialized included, but the hardware half never escalates.
+	simBackend("hytm", escalation, func(m *sim.Machine, c tm.Config) tm.System { return htm.NewHyTM(m, c, 4) }),
 	{name: "native", opaque: true, build: func(threads int, cfg tm.Config) *fixture {
 		m := mem.New()
 		words := m.Alloc(16*mem.LineSize, mem.LineSize)
@@ -138,11 +160,17 @@ var backends = []backend{
 	}},
 }
 
-// forEachBackend runs the case once per protocol.
-func forEachBackend(t *testing.T, threads int, cfg tm.Config, body func(t *testing.T, b backend, f *fixture)) {
+// forEachBackend runs the case once per protocol, skipping a backend that
+// lacks a capability the case needs.
+func forEachBackend(t *testing.T, threads int, cfg tm.Config, needs capability, body func(t *testing.T, b backend, f *fixture)) {
 	for _, b := range backends {
 		b := b
-		t.Run(b.name, func(t *testing.T) { body(t, b, b.build(threads, cfg)) })
+		t.Run(b.name, func(t *testing.T) {
+			if b.lacks&needs != 0 {
+				t.Skipf("%s lacks capability %#x", b.name, b.lacks&needs)
+			}
+			body(t, b, b.build(threads, cfg))
+		})
 	}
 }
 
@@ -160,7 +188,7 @@ func recovered(f func()) (msg string) {
 }
 
 func TestEngineCommitPublishes(t *testing.T) {
-	forEachBackend(t, 1, tm.Config{}, func(t *testing.T, _ backend, f *fixture) {
+	forEachBackend(t, 1, tm.Config{}, 0, func(t *testing.T, _ backend, f *fixture) {
 		f.run(func(w worker) {
 			if err := w.Atomic(func(tx tm.Txn) error {
 				tx.Store(f.word(0), 11)
@@ -183,7 +211,7 @@ func TestEngineCommitPublishes(t *testing.T) {
 }
 
 func TestEngineBodyErrorRollsBack(t *testing.T) {
-	forEachBackend(t, 1, tm.Config{}, func(t *testing.T, _ backend, f *fixture) {
+	forEachBackend(t, 1, tm.Config{}, 0, func(t *testing.T, _ backend, f *fixture) {
 		boom := errors.New("boom")
 		f.run(func(w worker) {
 			_ = w.Atomic(func(tx tm.Txn) error { tx.Store(f.word(0), 5); return nil })
@@ -211,7 +239,7 @@ func TestEngineBodyErrorRollsBack(t *testing.T) {
 }
 
 func TestEngineUserAbort(t *testing.T) {
-	forEachBackend(t, 1, tm.Config{}, func(t *testing.T, _ backend, f *fixture) {
+	forEachBackend(t, 1, tm.Config{}, 0, func(t *testing.T, _ backend, f *fixture) {
 		f.run(func(w worker) {
 			err := w.Atomic(func(tx tm.Txn) error {
 				tx.Store(f.word(0), 1)
@@ -233,7 +261,7 @@ func TestEngineUserAbort(t *testing.T) {
 }
 
 func TestEngineNestedPartialRollback(t *testing.T) {
-	forEachBackend(t, 1, tm.Config{}, func(t *testing.T, _ backend, f *fixture) {
+	forEachBackend(t, 1, tm.Config{}, partialRollback, func(t *testing.T, _ backend, f *fixture) {
 		boom := errors.New("inner fails")
 		a, b := f.word(0), f.word(1)
 		f.run(func(w worker) {
@@ -269,7 +297,7 @@ func TestEngineNestedPartialRollback(t *testing.T) {
 }
 
 func TestEngineNestedCommitMerges(t *testing.T) {
-	forEachBackend(t, 1, tm.Config{}, func(t *testing.T, _ backend, f *fixture) {
+	forEachBackend(t, 1, tm.Config{}, 0, func(t *testing.T, _ backend, f *fixture) {
 		f.run(func(w worker) {
 			if err := w.Atomic(func(tx tm.Txn) error {
 				tx.Store(f.word(0), 1)
@@ -295,7 +323,7 @@ func TestEngineNestedCommitMerges(t *testing.T) {
 // committed into it, so words 5..8 roll back together; level 4 swallows the
 // error and levels 1..4 commit.
 func TestEngineDeepNesting(t *testing.T) {
-	forEachBackend(t, 1, tm.Config{}, func(t *testing.T, _ backend, f *fixture) {
+	forEachBackend(t, 1, tm.Config{}, partialRollback, func(t *testing.T, _ backend, f *fixture) {
 		boom := errors.New("level 5 fails")
 		f.run(func(w worker) {
 			var level func(tx tm.Txn, n uint64) error
@@ -361,7 +389,7 @@ func TestEngineOrElseTakesLaterAlternative(t *testing.T) {
 	for _, filled := range []uint64{1, 2} { // the second, then the third alternative
 		filled := filled
 		t.Run(fmt.Sprintf("alt%d", filled+1), func(t *testing.T) {
-			forEachBackend(t, 1, tm.Config{}, func(t *testing.T, _ backend, f *fixture) {
+			forEachBackend(t, 1, tm.Config{}, retry, func(t *testing.T, _ backend, f *fixture) {
 				out := f.word(8)
 				f.run(func(w worker) {
 					_ = w.Atomic(func(tx tm.Txn) error { tx.Store(f.word(filled), 9); return nil })
@@ -381,7 +409,7 @@ func TestEngineOrElseTakesLaterAlternative(t *testing.T) {
 }
 
 func TestEngineNestedOrElseInsideNestedAtomic(t *testing.T) {
-	forEachBackend(t, 1, tm.Config{}, func(t *testing.T, _ backend, f *fixture) {
+	forEachBackend(t, 1, tm.Config{}, retry, func(t *testing.T, _ backend, f *fixture) {
 		out := f.word(8)
 		f.run(func(w worker) {
 			_ = w.Atomic(func(tx tm.Txn) error { tx.Store(f.word(1), 4); return nil })
@@ -405,7 +433,7 @@ func TestEngineOrElseAllRetryWaitsOnUnion(t *testing.T) {
 	for _, filled := range []uint64{0, 1} {
 		filled := filled
 		t.Run(fmt.Sprintf("wake-on-q%d", filled), func(t *testing.T) {
-			forEachBackend(t, 2, tm.Config{}, func(t *testing.T, _ backend, f *fixture) {
+			forEachBackend(t, 2, tm.Config{}, retry, func(t *testing.T, _ backend, f *fixture) {
 				out := f.word(8)
 				f.run(func(w worker) {
 					if err := w.Atomic(orElseOver(f, out, f.word(0), f.word(1))); err != nil {
@@ -442,7 +470,7 @@ func TestEngineOrElseAllRetryWaitsOnUnion(t *testing.T) {
 }
 
 func TestEngineRetryWakesOnChange(t *testing.T) {
-	forEachBackend(t, 2, tm.Config{}, func(t *testing.T, _ backend, f *fixture) {
+	forEachBackend(t, 2, tm.Config{}, retry, func(t *testing.T, _ backend, f *fixture) {
 		flag, out := f.word(0), f.word(1)
 		f.run(func(w worker) {
 			if err := w.Atomic(func(tx tm.Txn) error {
@@ -470,7 +498,7 @@ func TestEngineRetryWakesOnChange(t *testing.T) {
 }
 
 func TestEngineAccessOutsideAtomicPanics(t *testing.T) {
-	forEachBackend(t, 1, tm.Config{}, func(t *testing.T, _ backend, f *fixture) {
+	forEachBackend(t, 1, tm.Config{}, 0, func(t *testing.T, _ backend, f *fixture) {
 		f.run(func(w worker) {
 			for name, access := range map[string]func(){
 				"Load":  func() { w.Load(f.word(0)) },
@@ -491,7 +519,7 @@ func TestEngineAccessOutsideAtomicPanics(t *testing.T) {
 // — the terminal commit the progress guarantee promises. The strikes are
 // injected, so the case needs no contention and cannot skip.
 func TestEngineLadderEscalatesAtBudget(t *testing.T) {
-	forEachBackend(t, 1, ladder2, func(t *testing.T, _ backend, f *fixture) {
+	forEachBackend(t, 1, ladder2, escalation, func(t *testing.T, _ backend, f *fixture) {
 		f.run(func(w worker) {
 			attempts := 0
 			if err := w.Atomic(func(tx tm.Txn) error {
@@ -538,12 +566,12 @@ func TestEngineLadderEscalatesAtBudget(t *testing.T) {
 func TestEngineSerializedRunsIrrevocable(t *testing.T) {
 	for _, armed := range []bool{true, false} {
 		armed := armed
-		cfg := tm.Config{}
+		cfg, needs := tm.Config{}, partialRollback
 		if armed {
-			cfg = ladder2
+			cfg, needs = ladder2, partialRollback|serialization
 		}
 		t.Run(fmt.Sprintf("armed=%v", armed), func(t *testing.T) {
-			forEachBackend(t, 1, cfg, func(t *testing.T, _ backend, f *fixture) {
+			forEachBackend(t, 1, cfg, needs, func(t *testing.T, _ backend, f *fixture) {
 				f.run(func(w worker) {
 					boom := errors.New("inner")
 					if err := w.AtomicSerialized(func(tx tm.Txn) error {
@@ -589,7 +617,7 @@ func TestEngineIrrevocableForbidsRetryAndAbort(t *testing.T) {
 	for _, call := range []string{"Retry", "Abort"} {
 		call := call
 		t.Run(call, func(t *testing.T) {
-			forEachBackend(t, 1, ladder2, func(t *testing.T, b backend, f *fixture) {
+			forEachBackend(t, 1, ladder2, serialization, func(t *testing.T, b backend, f *fixture) {
 				f.run(func(w worker) {
 					var err error
 					msg := recovered(func() {
@@ -623,7 +651,7 @@ func TestEngineIrrevocableForbidsRetryAndAbort(t *testing.T) {
 // propagate; the host backend contains it as a *TxnFault, restoring the
 // stripe locks and the serial lock so the system stays usable.
 func TestEngineForeignPanicPropagates(t *testing.T) {
-	forEachBackend(t, 1, ladder2, func(t *testing.T, b backend, f *fixture) {
+	forEachBackend(t, 1, ladder2, 0, func(t *testing.T, b backend, f *fixture) {
 		f.run(func(w worker) {
 			for _, serialized := range []bool{false, true} {
 				var err error
@@ -668,7 +696,7 @@ func TestEngineForeignPanicPropagates(t *testing.T) {
 // engine turns it into a validation abort and re-executes. An opaque
 // protocol never exposes such a read set; its reader sees a clean fault.
 func TestEngineZombiePanicBecomesAbort(t *testing.T) {
-	forEachBackend(t, 2, tm.Config{}, func(t *testing.T, b backend, f *fixture) {
+	forEachBackend(t, 2, tm.Config{}, 0, func(t *testing.T, b backend, f *fixture) {
 		data, mine, sync := f.word(0), f.word(1), f.word(2)
 		var readerErr error
 		f.run(func(w worker) {

@@ -25,8 +25,13 @@ type UserAbortSignal struct{}
 // under a different strategy (MVCC's stale-snapshot writer restart). Like a
 // retry it is a terminal that is NOT an abort — no strike, no abort count —
 // and unlike a retry nothing is waited for. Event names the terminal trace
-// event, Cause its cause.
-type RestartSignal struct{ Event, Cause string }
+// event, Cause its cause. A non-nil Err moves the re-execution out of the
+// engine: the top-level Atomic returns Err after the rollback (HyTM's
+// hardware attempt handing a transaction to its software thread).
+type RestartSignal struct {
+	Event, Cause string
+	Err          error
+}
 
 // IsEngineSignal reports whether a recovered panic value belongs to the
 // shared signal grammar (as opposed to a foreign panic escaping the body).

@@ -3,8 +3,8 @@
 // HASTM (the paper's contribution), the HTM/HyTM baselines, the coarse lock
 // baseline and the sequential baseline. Workloads are written once against
 // these interfaces and run unchanged under every scheme. It also holds the
-// one transaction engine the software schemes share (engine.go): each of
-// them is a Protocol bound to an Engine.
+// one transaction engine (engine.go) that every transactional scheme, the
+// HTM/HyTM hardware path included, runs as a Protocol bound to an Engine.
 package tm
 
 import (

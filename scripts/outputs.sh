@@ -43,4 +43,9 @@ bench service.txt -quick -service
 bench faults.txt -quick -faults suspend=900,evict=600,snoop=1100,htmabort=1700,seed=3
 bench adversarial.txt -adversarial all
 "$bin/hastm-bench" -quick -fig fig18 "${extra[@]}" -trace "$dir/trace.jsonl" > /dev/null 2>&1
+# fig16 runs hytm, so its trace covers the hardware path's begin/abort/fallback events.
+"$bin/hastm-bench" -quick -fig fig16 "${extra[@]}" -trace "$dir/trace-fig16.jsonl" > /dev/null 2>&1
 "$bin/tmsim" -scheme hastm -workload btree -cores 2 -trace 20 > "$dir/tmsim.txt"
+for scheme in htm hytm; do
+    "$bin/tmsim" -scheme "$scheme" -workload btree -cores 2 -trace 2000 > "$dir/tmsim-$scheme.txt"
+done
