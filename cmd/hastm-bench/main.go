@@ -146,6 +146,11 @@ func parseFlags() (*config, error) {
 	if c.o.Placement, err = mem.ParsePlacement(placement); err != nil {
 		return nil, flagErr("placement", "%v", err)
 	}
+	for _, name := range []string{"mapping", "placement"} {
+		if c.o.Topology.IsFlat() && slices.Contains(c.set, name) {
+			return nil, flagErr(name, "applies only on a multi-socket -topology")
+		}
+	}
 	if c.o.Chaos, err = native.ParseChaosSpec(chaos); err != nil {
 		return nil, flagErr("chaos", "%v", err)
 	}

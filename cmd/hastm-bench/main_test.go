@@ -171,6 +171,9 @@ func TestRejectedCommandLines(t *testing.T) {
 		{"-topology:", []string{"-backend", "native", "-topology", "2x8"}},
 		{"-sched:", []string{"-backend", "native", "-service", "-sched", "reference"}},
 		{"-watchdog-window:", []string{"-backend", "native", "-watchdog-window", "0"}},
+		// a multi-socket knob on a flat machine
+		{"-mapping: applies only on a multi-socket -topology", []string{"-quick", "-fig", "fig16", "-mapping", "scatter"}},
+		{"-placement: applies only on a multi-socket -topology", []string{"-quick", "-topology", "1x8", "-placement", "first-touch"}},
 	} {
 		code, stdout, stderr := runMain(t, tc.args...)
 		if code != 2 || stdout != "" {
@@ -257,7 +260,7 @@ func TestSuiteTableIsTheDocumentation(t *testing.T) {
 			}
 		}
 	}
-	if n := strings.Count(commands, "\n| `"); n != len(suites)+3 {
-		t.Errorf("README \"Commands\" has %d rows, want the %d suites and the three other commands", n, len(suites))
+	if n := strings.Count(commands, "\n| `"); n != len(suites)+2 {
+		t.Errorf("README \"Commands\" has %d rows, want the %d suites and the two other commands", n, len(suites))
 	}
 }

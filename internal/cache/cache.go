@@ -343,6 +343,10 @@ type Hierarchy struct {
 
 	prefetch bool // next-line prefetch into L1 on L1 miss
 
+	// invalProbes counts the remote-L1 lookups invalidateOthers makes, one
+	// per sharer its directory walk visits. Read by tests only.
+	invalProbes uint64
+
 	dropListeners []DropListener
 	readListeners []RemoteReadListener
 
@@ -842,6 +846,7 @@ func (h *Hierarchy) invalidateOthers(l1 *level, writer int, la uint64, local int
 				if other == l1 {
 					continue
 				}
+				h.invalProbes++
 				if w := other.lookup(la); w != nil {
 					h.drop(other, w, DropInvalidate, writer)
 				}
@@ -866,6 +871,7 @@ func (h *Hierarchy) invalidateOthers(l1 *level, writer int, la uint64, local int
 				g := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
 				other := h.l1[s*h.gps+g]
+				h.invalProbes++
 				if w := other.lookup(la); w != nil {
 					h.drop(other, w, DropInvalidate, writer)
 					sc.DirectoryInvalidations++

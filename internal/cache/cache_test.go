@@ -193,10 +193,12 @@ func TestClearAllMarks(t *testing.T) {
 }
 
 // ClearAllMarks is an epoch increment that walks the L1 only when the
-// 4-bit epoch wraps. Through two and a half wraps, no mark the cleared
-// (thread, plane) wrote in an earlier epoch may read as live, the other
-// three pairs' marks must survive every increment, and dropping a line
-// whose only marks are dead reports no mask and counts no marked drop.
+// 4-bit epoch wraps: fifteen calls in sixteen leave every stored mark byte
+// as it was, and the sixteenth zeroes the cleared (thread, plane)'s byte in
+// every way and nothing else. Through two and a half wraps, no mark the
+// cleared pair wrote in an earlier epoch may read as live, the other three
+// pairs' marks must survive every increment, and dropping a line whose
+// only marks are dead reports no mask and counts no marked drop.
 func TestMarksDoNotReviveAcrossEpochWrap(t *testing.T) {
 	h := smtHierarchy(2)
 	rec := &dropRecorder{}
@@ -216,8 +218,22 @@ func TestMarksDoNotReviveAcrossEpochWrap(t *testing.T) {
 			}
 		}
 	}
+	l1, slot := h.l1Of(th), h.slotOf(th)
+	before := make([][MaxSMT]MarkMasks, len(l1.ways))
 	for step := 1; step <= 40; step++ {
+		for i := range l1.ways {
+			before[i] = l1.ways[i].mark
+		}
 		h.ClearAllMarks(th, pl)
+		for i := range l1.ways {
+			want := before[i]
+			if step%16 == 0 {
+				want[slot][pl] = 0
+			}
+			if got := l1.ways[i].mark; got != want {
+				t.Fatalf("step %d: way %d mark bytes %v -> %v, want %v", step, i, before[i], got, want)
+			}
+		}
 		for _, a := range lines {
 			if h.TestMark(th, pl, a, mem.LineSize) {
 				t.Fatalf("step %d: a mark on %#x revived", step, a)

@@ -175,3 +175,33 @@ func TestFlatHierarchyNoSocketTraffic(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidationProbesOnlySharers holds a store's invalidation to the
+// line's sharers: cores 2i and 2i+1 ping-pong line i (the odd core loads
+// what the even core stores), so every store finds one sharer and looks up
+// exactly one remote L1 — at 16 cores on one socket as at 4×16 and 4×64. A
+// walk of every L1 in the socket would look up 15, 15 and 63.
+func TestInvalidationProbesOnlySharers(t *testing.T) {
+	for _, tc := range []struct{ sockets, perSocket int }{{1, 16}, {4, 16}, {4, 64}} {
+		h := New(HierarchyConfig{
+			Cores:   tc.sockets * tc.perSocket,
+			Sockets: tc.sockets,
+			L1:      Config{SizeBytes: 32 << 10, Assoc: 8},
+			L2:      Config{SizeBytes: 512 << 10, Assoc: 8},
+		})
+		pairs := tc.sockets * tc.perSocket / 2
+		const rounds = 8
+		for r := 0; r < rounds; r++ {
+			for p := 0; p < pairs; p++ {
+				a := base + uint64(p)*mem.LineSize
+				h.Access(2*p+1, a, false)
+				h.Access(2*p, a, true)
+			}
+		}
+		stores := uint64(rounds * pairs)
+		if h.invalProbes != stores || h.Invalidations != stores {
+			t.Errorf("%dx%d: %d stores made %d remote-L1 lookups and %d invalidations, want one each per store",
+				tc.sockets, tc.perSocket, stores, h.invalProbes, h.Invalidations)
+		}
+	}
+}

@@ -157,47 +157,6 @@ func TestReadThroughOwnWrites(t *testing.T) {
 	}
 }
 
-// Closed nesting: a failed nested transaction unwinds only its own
-// buffered writes (restoring the outer value for the shared address), and
-// OrElse falls through a retrying alternative.
-func TestNestedRollbackAndOrElse(t *testing.T) {
-	machine := testMachine(1)
-	s := New(machine, lineCfg())
-	addr := machine.Mem.Alloc(64, 8)
-	boom := errors.New("inner boom")
-	machine.Run(func(c *sim.Ctx) {
-		th := s.Thread(c)
-		if err := th.Atomic(func(tx tm.Txn) error {
-			tx.Store(addr, 1)
-			if err := tx.Atomic(func(tx tm.Txn) error {
-				tx.Store(addr, 2)
-				tx.Store(addr+8, 3)
-				return boom
-			}); !errors.Is(err, boom) {
-				t.Errorf("nested err = %v", err)
-			}
-			if v := tx.Load(addr); v != 1 {
-				t.Errorf("after nested rollback addr reads %d, want the outer 1", v)
-			}
-			return tx.OrElse(
-				func(tx tm.Txn) error { tx.Store(addr+16, 9); tx.Retry(); return nil },
-				func(tx tm.Txn) error { tx.Store(addr+16, 10); return nil },
-			)
-		}); err != nil {
-			t.Errorf("Atomic: %v", err)
-		}
-	})
-	if got := machine.Mem.Load(addr); got != 1 {
-		t.Fatalf("addr = %d, want 1", got)
-	}
-	if got := machine.Mem.Load(addr + 8); got != 0 {
-		t.Fatalf("nested-only store leaked: %d", got)
-	}
-	if got := machine.Mem.Load(addr + 16); got != 10 {
-		t.Fatalf("orElse committed %d, want the second alternative's 10", got)
-	}
-}
-
 // MVCC: read-only transactions never abort. A writer core continuously
 // displaces versions under a reader core; every reader transaction must
 // commit on its first attempt with zero aborts of any cause, the snapshot

@@ -60,22 +60,6 @@ func TestReadOnlyStampIsSnapshot(t *testing.T) {
 	}
 }
 
-func TestBodyErrorRollsBack(t *testing.T) {
-	sys, m, words := newSys(t, 1, tm.Config{})
-	th := sys.Thread(0)
-	boom := errors.New("boom")
-	err := th.Atomic(func(tx tm.Txn) error {
-		tx.Store(words, 99)
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if got := m.Load(words); got != 0 {
-		t.Fatalf("aborted store leaked: %d", got)
-	}
-}
-
 func TestCounterConcurrent(t *testing.T) {
 	const threads, incs = 8, 500
 	sys, m, words := newSys(t, threads, tm.Config{})
@@ -108,74 +92,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 	if c := sys.Stats().Commits(); c != threads*incs {
 		t.Fatalf("commits = %d, want %d", c, threads*incs)
-	}
-}
-
-func TestRetryWakeup(t *testing.T) {
-	sys, _, words := newSys(t, 2, tm.Config{})
-	flag, slot := words, words+8
-	done := make(chan uint64, 1)
-	waiting := make(chan struct{}, 1)
-	go func() {
-		th := sys.Thread(0)
-		var got uint64
-		err := th.Atomic(func(tx tm.Txn) error {
-			if tx.Load(flag) == 0 {
-				select {
-				case waiting <- struct{}{}:
-				default:
-				}
-				tx.Retry()
-			}
-			got = tx.Load(slot)
-			return nil
-		})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- got
-	}()
-	// Only produce once the consumer has observed flag==0 and gone into a
-	// retry wait, so the retry counter below is deterministic.
-	<-waiting
-	th := sys.Thread(1)
-	if err := th.Atomic(func(tx tm.Txn) error {
-		tx.Store(slot, 1234)
-		tx.Store(flag, 1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-done; got != 1234 {
-		t.Fatalf("consumer read %d, want 1234", got)
-	}
-	if r := sys.Stats().Block(0).Count(telemetry.Retries); r == 0 {
-		t.Fatal("consumer never counted a retry wait")
-	}
-}
-
-func TestOrElseFallsThrough(t *testing.T) {
-	sys, _, words := newSys(t, 1, tm.Config{})
-	th := sys.Thread(0)
-	var path string
-	err := th.Atomic(func(tx tm.Txn) error {
-		return tx.OrElse(
-			func(ax tm.Txn) error {
-				if ax.Load(words) == 0 {
-					ax.Retry()
-				}
-				path = "first"
-				return nil
-			},
-			func(bx tm.Txn) error {
-				path = "second"
-				bx.Store(words+8, 5)
-				return nil
-			},
-		)
-	})
-	if err != nil || path != "second" {
-		t.Fatalf("err=%v path=%q, want nil/second", err, path)
 	}
 }
 

@@ -103,96 +103,6 @@ func BenchmarkSimOpsReference(b *testing.B) {
 	}
 }
 
-// scaleTopologies are the machine shapes benchgate's scale gate compares:
-// per-op host cost at 256 cores must stay within 2× of 16 cores, i.e.
-// simulated cycles-per-host-second must not collapse as the machine grows.
-var scaleTopologies = []struct {
-	cores int
-	top   sim.Topology
-}{
-	{16, sim.Topology{}},
-	{64, sim.Topology{Sockets: 4, CoresPerSocket: 16}},
-	{256, sim.Topology{Sockets: 4, CoresPerSocket: 64}},
-}
-
-// BenchmarkSimOpsScale measures the private-line load path as the core
-// count grows 16→64→256. Every access is an L1 hit, so the number measures
-// pure scheduler cost: the per-socket lease groups must keep it flat while
-// a global O(cores) structure would not.
-func BenchmarkSimOpsScale(b *testing.B) {
-	for _, tc := range scaleTopologies {
-		b.Run(fmt.Sprintf("%dcore", tc.cores), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := sim.DefaultConfig(tc.cores)
-			cfg.Topology = tc.top
-			m := sim.New(cfg)
-			addrs := make([]uint64, tc.cores)
-			for i := range addrs {
-				addrs[i] = m.Mem.AllocLines(1)
-			}
-			per := b.N / tc.cores
-			if per == 0 {
-				per = 1
-			}
-			progs := make([]sim.Program, tc.cores)
-			for i := range progs {
-				addr := addrs[i]
-				progs[i] = func(c *sim.Ctx) {
-					for n := 0; n < per; n++ {
-						c.Load(addr)
-					}
-				}
-			}
-			b.ResetTimer()
-			m.Run(progs...)
-		})
-	}
-}
-
-// BenchmarkDirCoherence measures invalidation cost under the directory:
-// cores 2i and 2i+1 ping-pong a shared line (the odd core loads what the
-// even core stores), so every store invalidates exactly one sharer. With
-// per-line sharer sets the walk visits that one copy regardless of machine
-// size; the old broadcast snoop scanned every L1 and would scale with the
-// core count.
-func BenchmarkDirCoherence(b *testing.B) {
-	for _, tc := range scaleTopologies {
-		b.Run(fmt.Sprintf("%dcore", tc.cores), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := sim.DefaultConfig(tc.cores)
-			cfg.Topology = tc.top
-			m := sim.New(cfg)
-			lines := make([]uint64, tc.cores/2)
-			for i := range lines {
-				lines[i] = m.Mem.AllocLines(1)
-			}
-			per := b.N / tc.cores
-			if per == 0 {
-				per = 1
-			}
-			progs := make([]sim.Program, tc.cores)
-			for i := range progs {
-				addr := lines[i/2]
-				if i%2 == 0 {
-					progs[i] = func(c *sim.Ctx) {
-						for n := 0; n < per; n++ {
-							c.Store(addr, uint64(n))
-						}
-					}
-				} else {
-					progs[i] = func(c *sim.Ctx) {
-						for n := 0; n < per; n++ {
-							c.Load(addr)
-						}
-					}
-				}
-			}
-			b.ResetTimer()
-			m.Run(progs...)
-		})
-	}
-}
-
 // BenchmarkMemAccess measures the paged backing store alone (no simulated
 // machine): the two-array-index Load/Store fast path.
 func BenchmarkMemAccess(b *testing.B) {

@@ -301,11 +301,16 @@ func TestSchedCounters(t *testing.T) {
 		if want := uint64(4 * (ops + 1)); got.Grants != want {
 			t.Errorf("reference=%v: 4-core grants = %d, want %d", reference, got.Grants, want)
 		}
-		if reference && got.Leases != got.Grants {
-			t.Errorf("reference 4-core leases = %d, want %d (one per grant)", got.Leases, got.Grants)
+		// Four cores contending for one line hand the lease back on three
+		// loads in four: the host cost of this program is 302 coroutine
+		// round trips, and a pick-loop change that moves it moves the
+		// per-op handoff cost the 4-core benchmark prices.
+		wantLeases := uint64(3*ops + 2)
+		if reference {
+			wantLeases = got.Grants
 		}
-		if !reference && got.Leases > got.Grants {
-			t.Errorf("lease count %d exceeds grants %d", got.Leases, got.Grants)
+		if got.Leases != wantLeases {
+			t.Errorf("reference=%v: 4-core leases = %d, want %d", reference, got.Leases, wantLeases)
 		}
 		if hostSections != 9 {
 			t.Errorf("reference=%v: host sections ran %d times, want 9", reference, hostSections)

@@ -293,6 +293,10 @@ type Machine struct {
 	txnTrace *telemetry.TraceBuffer
 	fault    FaultHook
 
+	// schedWork counts the lease loops' host work: heap sift steps plus
+	// frontier slots scanned. Read by tests only.
+	schedWork uint64
+
 	// perOpDuties, fixed at Run, is true when every operation — Exec
 	// included — must be individually granted: a watchdog, interrupt cadence
 	// or fault hook is armed (their trip points, ring transitions and OnGrant
@@ -523,7 +527,7 @@ func (m *Machine) runReference(running int, active []bool) {
 // the core this loop would have popped next, which is the one runReference
 // would have picked: a clock tie stays with the lower id, as in its scan.
 func (m *Machine) runLease(running int, active []bool) {
-	h := newSchedHeap(m.cfg.Cores)
+	h := newSchedHeap(m.cfg.Cores, &m.schedWork)
 	for i := 0; i < m.cfg.Cores; i++ {
 		if active[i] {
 			h.push(heapEntry{clock: m.cores[i].clock, id: i})
@@ -561,7 +565,7 @@ func (m *Machine) runLeaseSockets(running int, active []bool) {
 	groups := make([]*schedHeap, nsock)
 	frontier := make([]heapEntry, nsock) // mirror of groups[s].min(); idleEntry when empty
 	for s := range groups {
-		groups[s] = newSchedHeap(cps)
+		groups[s] = newSchedHeap(cps, &m.schedWork)
 		frontier[s] = idleEntry
 	}
 	for i := 0; i < m.cfg.Cores; i++ {
@@ -577,6 +581,7 @@ func (m *Machine) runLeaseSockets(running int, active []bool) {
 	for running > 0 {
 		best := 0
 		for s := 1; s < nsock; s++ {
+			m.schedWork++
 			if frontier[s].less(frontier[best]) {
 				best = s
 			}
@@ -590,6 +595,7 @@ func (m *Machine) runLeaseSockets(running int, active []bool) {
 		c := m.cores[e.id]
 		horizon := idleEntry
 		for s := 0; s < nsock; s++ {
+			m.schedWork++
 			if frontier[s].less(horizon) {
 				horizon = frontier[s]
 			}
@@ -624,11 +630,15 @@ func (a heapEntry) less(b heapEntry) bool {
 
 // schedHeap is a hand-rolled binary min-heap on (clock, id). It replaces
 // the reference scheduler's O(cores) scan per grant and stays
-// allocation-free after construction (at most one entry per core).
-type schedHeap struct{ e []heapEntry }
+// allocation-free after construction (at most one entry per core). Each
+// sift step adds one to *work.
+type schedHeap struct {
+	e    []heapEntry
+	work *uint64
+}
 
-func newSchedHeap(capacity int) *schedHeap {
-	return &schedHeap{e: make([]heapEntry, 0, capacity)}
+func newSchedHeap(capacity int, work *uint64) *schedHeap {
+	return &schedHeap{e: make([]heapEntry, 0, capacity), work: work}
 }
 
 func (h *schedHeap) len() int       { return len(h.e) }
@@ -643,6 +653,7 @@ func (h *schedHeap) push(x heapEntry) {
 			break
 		}
 		h.e[i], h.e[parent] = h.e[parent], h.e[i]
+		*h.work++
 		i = parent
 	}
 }
@@ -666,6 +677,7 @@ func (h *schedHeap) pop() heapEntry {
 			break
 		}
 		h.e[i], h.e[smallest] = h.e[smallest], h.e[i]
+		*h.work++
 		i = smallest
 	}
 	return top

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"testing"
 
 	"hastm.dev/hastm/internal/cache"
@@ -320,5 +321,35 @@ func TestWallClockIsMaxCoreClock(t *testing.T) {
 	)
 	if wall != 5000 {
 		t.Fatalf("wall = %d, want 5000", wall)
+	}
+}
+
+// TestLeaseWorkIsLogarithmic holds the lease scheduler's host cost per
+// lease to its data structures' bound as the machine grows: at most one
+// sift step per heap level on the push and on the pop, plus the 2·Sockets
+// frontier slots the multi-socket loop scans. Each core loads its own line,
+// so every access hits L1 and the counter sees only scheduling. Measured
+// work per lease: 2.98 at 16 cores, 9.98 at 4×16 and 11.98 at 4×64; a scan
+// of every core would add about 256 per lease at 256 cores.
+func TestLeaseWorkIsLogarithmic(t *testing.T) {
+	for _, top := range []Topology{{1, 16}, {4, 16}, {4, 64}} {
+		cfg := DefaultConfig(top.Sockets * top.CoresPerSocket)
+		cfg.Topology = top
+		m := New(cfg)
+		progs := make([]Program, cfg.Cores)
+		for i := range progs {
+			addr := m.Mem.AllocLines(1)
+			progs[i] = func(c *Ctx) {
+				for n := 0; n < 64; n++ {
+					c.Load(addr)
+				}
+			}
+		}
+		m.Run(progs...)
+		bound := uint64(2*bits.Len(uint(top.CoresPerSocket-1)) + 2*top.Sockets)
+		if leases := m.Sched().Leases; m.schedWork > bound*leases {
+			t.Errorf("%s: %d sift steps and frontier slots over %d leases, want at most %d per lease",
+				top, m.schedWork, leases, bound)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package stm
 
 import (
-	"errors"
 	"testing"
 
 	"hastm.dev/hastm/internal/cache"
@@ -88,50 +87,6 @@ func TestCommitPublishes(t *testing.T) {
 	rec := s.Table().RecordFor(addr)
 	if v := machine.Mem.Load(rec); !IsVersion(v) || v == VersionInit {
 		t.Fatalf("record after commit = %#x, want an incremented version", v)
-	}
-}
-
-func TestBodyErrorRollsBack(t *testing.T) {
-	machine := testMachine(1)
-	s := New(machine, lineCfg())
-	addr := machine.Mem.Alloc(64, 8)
-	machine.Mem.Store(addr, 5)
-	boom := errors.New("boom")
-	machine.Run(func(c *sim.Ctx) {
-		th := s.Thread(c)
-		if err := th.Atomic(func(tx tm.Txn) error {
-			tx.Store(addr, 99)
-			return boom
-		}); !errors.Is(err, boom) {
-			t.Errorf("err = %v", err)
-		}
-	})
-	if got := machine.Mem.Load(addr); got != 5 {
-		t.Fatalf("value after rollback = %d, want 5", got)
-	}
-	rec := s.Table().RecordFor(addr)
-	if v := machine.Mem.Load(rec); !IsVersion(v) {
-		t.Fatalf("record still owned after rollback: %#x", v)
-	}
-}
-
-func TestUserAbort(t *testing.T) {
-	machine := testMachine(1)
-	s := New(machine, lineCfg())
-	addr := machine.Mem.Alloc(64, 8)
-	machine.Run(func(c *sim.Ctx) {
-		th := s.Thread(c)
-		err := th.Atomic(func(tx tm.Txn) error {
-			tx.Store(addr, 1)
-			tx.Abort()
-			return nil
-		})
-		if !errors.Is(err, tm.ErrUserAbort) {
-			t.Errorf("err = %v, want ErrUserAbort", err)
-		}
-	})
-	if machine.Mem.Load(addr) != 0 {
-		t.Fatal("user abort did not roll back")
 	}
 }
 
@@ -263,145 +218,6 @@ func TestWriteAfterReadUpgrade(t *testing.T) {
 	}
 }
 
-func TestDeepNesting(t *testing.T) {
-	machine := testMachine(1)
-	s := New(machine, lineCfg())
-	a := machine.Mem.Alloc(64, 8)
-	machine.Run(func(c *sim.Ctx) {
-		th := s.Thread(c)
-		var depth func(tx tm.Txn, n uint64) error
-		depth = func(tx tm.Txn, n uint64) error {
-			if n == 0 {
-				tx.Store(a, tx.Load(a)+1)
-				return nil
-			}
-			return tx.Atomic(func(in tm.Txn) error { return depth(in, n-1) })
-		}
-		if err := th.Atomic(func(tx tm.Txn) error { return depth(tx, 8) }); err != nil {
-			t.Errorf("deep nesting: %v", err)
-		}
-	})
-	if machine.Mem.Load(a) != 1 {
-		t.Fatal("deeply nested write lost")
-	}
-}
-
-func TestRetryWakesOnChange(t *testing.T) {
-	machine := testMachine(2)
-	s := New(machine, lineCfg())
-	flag := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	out := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	consumer := func(c *sim.Ctx) {
-		th := s.Thread(c)
-		err := th.Atomic(func(tx tm.Txn) error {
-			if tx.Load(flag) == 0 {
-				tx.Retry()
-			}
-			tx.Store(out, tx.Load(flag))
-			return nil
-		})
-		if err != nil {
-			t.Errorf("consumer: %v", err)
-		}
-	}
-	producer := func(c *sim.Ctx) {
-		th := s.Thread(c)
-		c.Exec(5000) // let the consumer block first
-		if err := th.Atomic(func(tx tm.Txn) error {
-			tx.Store(flag, 42)
-			return nil
-		}); err != nil {
-			t.Errorf("producer: %v", err)
-		}
-	}
-	machine.Run(consumer, producer)
-	if machine.Mem.Load(out) != 42 {
-		t.Fatalf("consumer saw %d, want 42", machine.Mem.Load(out))
-	}
-}
-
-func TestOrElseTakesSecondAlternative(t *testing.T) {
-	machine := testMachine(1)
-	s := New(machine, lineCfg())
-	q1 := machine.Mem.Alloc(mem.LineSize, mem.LineSize) // empty queue
-	q2 := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	machine.Mem.Store(q2, 9)
-	var got uint64
-	machine.Run(func(c *sim.Ctx) {
-		th := s.Thread(c)
-		err := th.Atomic(func(tx tm.Txn) error {
-			return tx.OrElse(
-				func(a tm.Txn) error {
-					v := a.Load(q1)
-					if v == 0 {
-						a.Retry()
-					}
-					got = v
-					return nil
-				},
-				func(a tm.Txn) error {
-					v := a.Load(q2)
-					if v == 0 {
-						a.Retry()
-					}
-					got = v
-					return nil
-				},
-			)
-		})
-		if err != nil {
-			t.Errorf("orElse: %v", err)
-		}
-	})
-	if got != 9 {
-		t.Fatalf("orElse result = %d, want 9", got)
-	}
-}
-
-func TestOrElseAllRetryPropagates(t *testing.T) {
-	machine := testMachine(2)
-	s := New(machine, lineCfg())
-	q1 := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	q2 := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	out := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	consumer := func(c *sim.Ctx) {
-		th := s.Thread(c)
-		err := th.Atomic(func(tx tm.Txn) error {
-			return tx.OrElse(
-				func(a tm.Txn) error {
-					if a.Load(q1) == 0 {
-						a.Retry()
-					}
-					a.Store(out, a.Load(q1))
-					return nil
-				},
-				func(a tm.Txn) error {
-					if a.Load(q2) == 0 {
-						a.Retry()
-					}
-					a.Store(out, a.Load(q2))
-					return nil
-				},
-			)
-		})
-		if err != nil {
-			t.Errorf("consumer: %v", err)
-		}
-	}
-	producer := func(c *sim.Ctx) {
-		th := s.Thread(c)
-		c.Exec(8000)
-		_ = th.Atomic(func(tx tm.Txn) error {
-			tx.Store(q2, 5)
-			return nil
-		})
-	}
-	machine.Run(consumer, producer)
-	if machine.Mem.Load(out) != 5 {
-		t.Fatalf("out = %d, want 5", machine.Mem.Load(out))
-	}
-}
-
 func TestGCPauseDoesNotAbort(t *testing.T) {
 	machine := testMachine(1)
 	s := New(machine, lineCfg())
@@ -431,21 +247,6 @@ func TestGCPauseDoesNotAbort(t *testing.T) {
 	if machine.Stats.TotalAborts() != 0 {
 		t.Fatal("GC pause must not abort the transaction")
 	}
-}
-
-func TestAccessOutsideAtomicPanics(t *testing.T) {
-	machine := testMachine(1)
-	s := New(machine, lineCfg())
-	addr := machine.Mem.Alloc(64, 8)
-	machine.Run(func(c *sim.Ctx) {
-		th := s.Thread(c).(*Thread)
-		defer func() {
-			if recover() == nil {
-				t.Error("Load outside Atomic must panic")
-			}
-		}()
-		th.Load(addr)
-	})
 }
 
 func TestContentionPolicies(t *testing.T) {

@@ -211,25 +211,36 @@ func TestEngineCommitPublishes(t *testing.T) {
 }
 
 func TestEngineBodyErrorRollsBack(t *testing.T) {
-	forEachBackend(t, 1, tm.Config{}, 0, func(t *testing.T, _ backend, f *fixture) {
-		boom := errors.New("boom")
+	forEachBackend(t, 2, tm.Config{}, 0, func(t *testing.T, _ backend, f *fixture) {
+		boom, owned := errors.New("boom"), errors.New("the rolled-back word is still owned")
+		word, sync := f.word(0), f.word(1)
 		f.run(func(w worker) {
-			_ = w.Atomic(func(tx tm.Txn) error { tx.Store(f.word(0), 5); return nil })
+			_ = w.Atomic(func(tx tm.Txn) error { tx.Store(word, 5); return nil })
 			if err := w.Atomic(func(tx tm.Txn) error {
-				tx.Store(f.word(0), 99)
+				tx.Store(word, 99)
 				return boom
 			}); !errors.Is(err, boom) {
 				t.Errorf("err = %v, want boom", err)
 			}
-			// Nothing stayed owned: the same word is writable again.
+			w.rawStore(sync, 1)
+		}, func(w worker) {
+			for w.rawLoad(sync) != 1 {
+				w.pause()
+			}
+			// Nothing stayed owned: another thread takes the word on its
+			// first attempt.
+			attempts := 0
 			if err := w.Atomic(func(tx tm.Txn) error {
-				tx.Store(f.word(0), tx.Load(f.word(0))+1)
+				if attempts++; attempts > 1 {
+					return owned
+				}
+				tx.Store(word, tx.Load(word)+1)
 				return nil
 			}); err != nil {
 				t.Errorf("Atomic after rollback: %v", err)
 			}
 		})
-		if got := f.load(f.word(0)); got != 6 {
+		if got := f.load(word); got != 6 {
 			t.Fatalf("value = %d, want 6 (5 kept by the rollback, then +1)", got)
 		}
 		if st := f.stats(); st.TotalAborts() != 0 || st.Commits() != 2 {
@@ -284,6 +295,10 @@ func TestEngineNestedPartialRollback(t *testing.T) {
 				return nil
 			}); err != nil {
 				t.Errorf("Atomic: %v", err)
+			}
+			// The outer commit published none of the inner block's stores.
+			if got := w.rawLoad(b); got != 0 {
+				t.Errorf("inner value published by the outer commit: %d", got)
 			}
 			// The inner record was released: another transaction takes it.
 			if err := w.Atomic(func(tx tm.Txn) error { tx.Store(b, 7); return nil }); err != nil {
@@ -471,10 +486,11 @@ func TestEngineOrElseAllRetryWaitsOnUnion(t *testing.T) {
 
 func TestEngineRetryWakesOnChange(t *testing.T) {
 	forEachBackend(t, 2, tm.Config{}, retry, func(t *testing.T, _ backend, f *fixture) {
-		flag, out := f.word(0), f.word(1)
+		flag, out, sync := f.word(0), f.word(1), f.word(2)
 		f.run(func(w worker) {
 			if err := w.Atomic(func(tx tm.Txn) error {
 				if tx.Load(flag) == 0 {
+					w.rawStore(sync, 1)
 					tx.Retry()
 				}
 				tx.Store(out, tx.Load(flag))
@@ -483,6 +499,11 @@ func TestEngineRetryWakesOnChange(t *testing.T) {
 				t.Errorf("consumer: %v", err)
 			}
 		}, func(w worker) {
+			// Produce once the consumer has seen no flag, and late enough that
+			// HyTM's software re-execution parks too.
+			for w.rawLoad(sync) != 1 {
+				w.pause()
+			}
 			_ = w.Atomic(func(tx tm.Txn) error { tx.Exec(5000); return nil })
 			if err := w.Atomic(func(tx tm.Txn) error { tx.Store(flag, 42); return nil }); err != nil {
 				t.Errorf("producer: %v", err)
@@ -490,6 +511,9 @@ func TestEngineRetryWakesOnChange(t *testing.T) {
 		})
 		if got := f.load(out); got != 42 {
 			t.Fatalf("consumer saw %d, want 42", got)
+		}
+		if got := f.stats().Block(0).Count(telemetry.Retries); got == 0 {
+			t.Fatal("consumer never counted a retry-wait")
 		}
 		if f.simTime != nil && f.simTime(0) > 1_000_000 {
 			t.Fatalf("consumer finished at cycle %d: woken by timeout, not by the change", f.simTime(0))

@@ -2,7 +2,7 @@
 # One CI suite's command-line smoke and byte-identity steps, exactly as the
 # workflow job of the same name runs them:
 #
-#   scripts/ci.sh <suite>   # fuzz bench faultstorm smoke native service progress scale chaos
+#   scripts/ci.sh <suite>   # fuzz faultstorm smoke native service progress scale chaos
 #
 # Reports and traces are left in ./ci-out (gitignored) for the job to upload.
 # The unit tests behind each suite are not repeated here: they run in
@@ -15,7 +15,7 @@ out="$root/ci-out"
 mkdir -p "$out"
 bin="$(mktemp -d)"
 trap 'rm -rf "$bin"' EXIT
-go build -o "$bin" ./cmd/hastm-bench ./cmd/traceanalyze ./cmd/benchgate
+go build -o "$bin" ./cmd/hastm-bench ./cmd/traceanalyze
 
 bench() { "$bin/hastm-bench" "$@"; }
 json_has() { # json_has <file> <substring…>: well-formed and carries every substring
@@ -42,25 +42,6 @@ FuzzParsePlacement ./internal/mem
 FuzzParseMapping ./internal/harness
 FuzzHierarchy ./internal/cache
 EOF
-    ;;
-bench)
-    # Same-run ratios, host-independent: per-op scheduler cost at 256 simulated
-    # cores within 2x of 16 (SimOpsScale); no O(cores) broadcast walk in the
-    # directory (DirCoherence); a contended 4-core op (one coroutine round trip
-    # per lease) within 16x of the 1-core op, which hands off to nobody (the
-    # channel transport sat at 32x, the coroutine transport near 12x); and Exec
-    # core-private — no grant, so the same cost on four contended cores as on
-    # one (27x while it took one); and resetmarkall an epoch increment, not a
-    # walk of the L1 (a 32 KB cache cost 20x a 1 KB one while it walked, 2.5x
-    # since).
-    go test -run '^$' -bench 'SimOps|DirCoherence|ClearAllMarks' -count=5 -benchtime 300ms ./internal/sim ./internal/cache | tee "$out/bench.txt"
-    "$bin/benchgate" \
-        -scale SimOpsScale/16core:SimOpsScale/256core:2.0 \
-        -scale SimOps/Load/1core:SimOps/Load/4core:16 \
-        -scale SimOps/Exec/1core:SimOps/Exec/4core:3 \
-        -scale DirCoherence/16core:DirCoherence/256core:2.0 \
-        -scale ClearAllMarks/1KB:ClearAllMarks/32KB:10 \
-        "$out/bench.txt"
     ;;
 faultstorm)
     # Every scheme x structure under injected suspensions, evictions, snoops
