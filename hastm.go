@@ -183,12 +183,14 @@ type NativeConfig = native.Config
 
 // NewMemory builds a standalone memory for the native backend. Build and
 // populate data structures through it (zero concurrency) BEFORE calling
-// NewNative: the system preallocates its transactional-allocation arena at
+// NewNative: the system reserves its transactional-allocation arena at
 // creation so the page table never grows during a run.
 func NewMemory() *Memory { return mem.New() }
 
 // NewNative creates the native TL2 backend on m. Thread(id) — one id per
-// goroutine, 0 <= id < cfg.Threads — hands out the transaction handles.
+// goroutine, 0 <= id < cfg.Threads — hands out the transaction handles;
+// each backs the arena a 64 KiB chunk at a time as its transactions
+// allocate (NativeConfig.ArenaBytes).
 func NewNative(m *Memory, cfg NativeConfig) *Native { return native.New(m, cfg) }
 
 // AllocObject allocates a transactional object (header record + payload)

@@ -6,7 +6,7 @@
 // Because the simulator serialises all memory operations in cycle order,
 // keeping a single authoritative copy of the data is exact.
 // An allocation costs host memory only where it has been stored to; see the
-// page-table constants and Materialize.
+// page-table constants, Materialize and Back.
 package mem
 
 import (
@@ -57,7 +57,7 @@ var zeroPage page
 type Memory struct {
 	pages []*page
 	spare []page // pages of the current chunk not yet handed out
-	eager bool   // latched by Materialize: grow backs pages itself
+	eager bool   // latched by Materialize: Alloc backs pages itself
 	next  uint64 // next free address (bump pointer)
 	// allocated tracks the extent of every allocation so out-of-bounds
 	// accesses can be detected in tests.
@@ -72,16 +72,16 @@ type Memory struct {
 // New returns an empty address space.
 func New() *Memory {
 	m := &Memory{next: base, limit: base}
-	m.grow()
+	m.grow(false)
 	return m
 }
 
 // grow extends the page table to cover every allocated address, in one
 // resize however many pages an Alloc spans. New pages read as zero — the
-// zeroPage, or fresh backing once eager — which is Alloc's "memory is
+// zeroPage, or fresh backing when back is set — which is Alloc's "memory is
 // zeroed" contract. Pages below base stay nil: check rejects those
 // addresses before any indexing.
-func (m *Memory) grow() {
+func (m *Memory) grow(back bool) {
 	want := int((m.limit + pageMask) >> pageShift)
 	if want > cap(m.pages) {
 		pages := make([]*page, len(m.pages), max(want, 2*cap(m.pages)))
@@ -92,7 +92,7 @@ func (m *Memory) grow() {
 		var pg *page
 		if i >= base>>pageShift {
 			pg = &zeroPage
-			if m.eager {
+			if back {
 				pg = m.newPage()
 			}
 		}
@@ -110,9 +110,10 @@ func (m *Memory) newPage() *page {
 	return pg
 }
 
-// Materialize gives every allocated page private backing and makes all
-// later growth do the same, for good: after it no access allocates and no
-// page is shared, which concurrent users of the atomic accessors need.
+// Materialize gives every allocated page private backing and makes every
+// later Alloc do the same, for good: after it no access to that memory
+// allocates and no page of it is shared, which concurrent users of the
+// atomic accessors need. Reserve is the one exception.
 func (m *Memory) Materialize() {
 	m.eager = true
 	for i, pg := range m.pages {
@@ -131,13 +132,26 @@ func (m *Memory) Alloc(size, align uint64) uint64 {
 	if align&(align-1) != 0 {
 		panic(fmt.Sprintf("mem: alignment %d is not a power of two", align))
 	}
+	addr := m.bump(size, align, WordSize)
+	m.grow(m.eager)
+	return addr
+}
+
+// bump moves the allocator past size bytes, rounded up to a multiple of
+// unit and aligned to align (both powers of two), and returns the base. A
+// range that would wrap the address space panics rather than alias the
+// next allocation.
+func (m *Memory) bump(size, align, unit uint64) uint64 {
 	if size == 0 {
 		size = WordSize
 	}
 	addr := (m.next + align - 1) &^ (align - 1)
-	m.next = addr + ((size + WordSize - 1) &^ (WordSize - 1))
+	span := (size + unit - 1) &^ (unit - 1)
+	if addr < m.next || span < size || addr+span < addr {
+		panic(fmt.Sprintf("mem: allocation of %d bytes overflows the address space", size))
+	}
+	m.next = addr + span
 	m.limit = m.next
-	m.grow()
 	return addr
 }
 
@@ -169,9 +183,9 @@ func (m *Memory) Store(addr, val uint64) {
 
 // LoadAtomic returns the word at addr with an atomic load. The host-native
 // backend uses these accessors for every transactional word so concurrent
-// goroutines are race-clean; every page must have private backing
-// (Materialize) and the page table itself must not grow (Preallocate) while
-// atomic accessors are in use.
+// goroutines are race-clean. While they are in use the page table must not
+// grow (Reserve the range up front), and a page is stored to only once it
+// has private backing (Materialize, Back).
 func (m *Memory) LoadAtomic(addr uint64) uint64 {
 	m.check(addr)
 	return atomic.LoadUint64(&m.pages[addr>>pageShift][addr/WordSize%pageWords])
@@ -182,18 +196,51 @@ func (m *Memory) StoreAtomic(addr, val uint64) {
 	m.check(addr)
 	pg := m.pages[addr>>pageShift]
 	if pg == &zeroPage {
-		panic(fmt.Sprintf("mem: StoreAtomic at %#x before Materialize", addr))
+		panic(fmt.Sprintf("mem: StoreAtomic at %#x: page has no private backing", addr))
 	}
 	atomic.StoreUint64(&pg[addr/WordSize%pageWords], val)
 }
 
-// Preallocate reserves size bytes and returns the base of the reserved
-// range. The host-native backend carves a fixed arena out of the address
-// space up front, after Materialize: once the arena exists neither the page
-// table nor its backing grows during a run, so concurrent
-// LoadAtomic/StoreAtomic never race with grow() or with a first store.
-func (m *Memory) Preallocate(size uint64) uint64 {
-	return m.Alloc(size, LineSize)
+// Reserve allocates size bytes, rounded up to whole pages and page-aligned,
+// and returns the base. Every page of the range shares the zero page, even
+// after Materialize: the host-native backend reserves its arena here once,
+// so the page table never grows during a run, and Backs each piece as a
+// thread takes it.
+func (m *Memory) Reserve(size uint64) uint64 {
+	addr := m.bump(size, pageBytes, pageBytes)
+	m.grow(false)
+	return addr
+}
+
+// Back gives private backing, in one host allocation, to every page of
+// [addr, addr+size) that still shares the zero page. It writes only those
+// pages' table slots — not the table itself, nor the chunk Store carves
+// pages from — so calls on disjoint pages may run concurrently with each
+// other and with LoadAtomic/StoreAtomic on other pages.
+func (m *Memory) Back(addr, size uint64) {
+	if size == 0 {
+		return
+	}
+	last := (addr + size - 1) &^ (WordSize - 1)
+	m.check(addr)
+	m.check(last)
+	first, end := addr>>pageShift, last>>pageShift+1
+	n := 0
+	for _, pg := range m.pages[first:end] {
+		if pg == &zeroPage {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	fresh := make([]page, n)
+	for i := first; i < end; i++ {
+		if m.pages[i] == &zeroPage {
+			m.pages[i] = &fresh[0]
+			fresh = fresh[1:]
+		}
+	}
 }
 
 // Allocated reports whether addr falls inside some allocation.

@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -211,9 +213,12 @@ func TestLazyBackingMatchesEagerModel(t *testing.T) {
 	}
 }
 
-// After Materialize no page is shared and growth is eager, so the atomic
-// accessors may run concurrently on plain Alloc-ed memory — allocated
-// before or after the call — without allocating or racing. Run under -race.
+// After Materialize no allocated page is shared and Alloc backs eagerly, so
+// the atomic accessors may run concurrently on plain Alloc-ed memory —
+// allocated before or after the call — without allocating or racing. A
+// Reserved range stays on the zero page until Back: each worker backs its
+// own pages of it while the others store and load elsewhere. Run under
+// -race.
 func TestMaterializeThenConcurrentAtomics(t *testing.T) {
 	m := New()
 	const words = 4 * pageWords
@@ -228,11 +233,27 @@ func TestMaterializeThenConcurrentAtomics(t *testing.T) {
 	}
 
 	const workers = 4
+	m.Alloc(WordSize, WordSize) // leave the bump pointer mid-page
+	private, spare := privatePages(m), len(m.spare)
+	reserved := m.Reserve(workers*words*WordSize - WordSize)
+	if reserved%pageBytes != 0 || !m.Allocated(reserved+workers*words*WordSize-WordSize) ||
+		m.Allocated(reserved+workers*words*WordSize) {
+		t.Fatalf("Reserve = %#x (limit %#x): not whole pages from a page boundary", reserved, m.limit)
+	}
+	if got := privatePages(m); got != private {
+		t.Fatalf("Reserve after Materialize backed %d pages", got-private)
+	}
+
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w uint64) {
 			defer wg.Done()
+			own := reserved + w*words*WordSize
+			m.Back(own, words*WordSize)
+			for i := uint64(0); i < words; i++ {
+				m.StoreAtomic(own+i*WordSize, i+1)
+			}
 			for _, region := range []uint64{early, late} {
 				for i := w; i < words; i += workers {
 					m.StoreAtomic(region+i*WordSize, i+1)
@@ -247,15 +268,40 @@ func TestMaterializeThenConcurrentAtomics(t *testing.T) {
 		}(uint64(w))
 	}
 	wg.Wait()
-	for _, region := range []uint64{early, late} {
+	for _, region := range []uint64{early, late, reserved} {
 		for i := uint64(0); i < words; i++ {
 			if v := m.LoadAtomic(region + i*WordSize); v != i+1 {
 				t.Fatalf("word %d of region %#x reads %d, want %d", i, region, v, i+1)
 			}
 		}
 	}
+	m.Back(reserved, workers*words*WordSize) // every page already backed: a no-op
+	if got, want := privatePages(m), private+workers*words/pageWords; got != want {
+		t.Fatalf("%d private pages after backing the reserve, want %d", got, want)
+	}
+	if len(m.spare) != spare {
+		t.Fatal("Back carved pages from Store's chunk")
+	}
 	if zeroPage != (page{}) {
 		t.Fatal("the shared zero page was written")
+	}
+}
+
+// An allocation whose size wraps the address arithmetic must panic naming
+// the size, not return the address the next allocation gets too: one size
+// wraps when rounded to words, the other when added to the base.
+func TestAllocOverflowPanics(t *testing.T) {
+	for _, size := range []uint64{^uint64(0) - 3, ^uint64(0) - 0xffff} {
+		m := New()
+		m.Alloc(WordSize, WordSize)
+		func() {
+			defer func() {
+				if r := fmt.Sprint(recover()); !strings.Contains(r, fmt.Sprint(size)) {
+					t.Errorf("Alloc(%d) panicked with %q, want the size named", size, r)
+				}
+			}()
+			m.Alloc(size, WordSize)
+		}()
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // never as a process panic. Match with errors.Is.
 var ErrArenaExhausted = errors.New("native: arena exhausted; raise Config.ArenaBytes")
 
-// arenaExhausted is the internal panic value alloc raises; Atomic's
+// arenaExhausted is the internal panic value Thread.Alloc raises; Atomic's
 // containment converts it into an ErrArenaExhausted-wrapping error.
 type arenaExhausted struct {
 	need  uint64 // bytes the failing allocation asked for

@@ -74,10 +74,13 @@ type Config struct {
 	// Threads is the number of Thread handles the system will hand out
 	// (sizes the per-thread accounting blocks).
 	Threads int
-	// ArenaBytes sizes the transactional allocation arena carved out of
-	// the address space at creation; 0 means 4 MiB. Transactions must
-	// allocate only from this arena (Txn.Alloc), never via mem.Alloc,
-	// so the page table cannot grow — and race — during a run.
+	// ArenaBytes sizes the transactional allocation arena reserved in the
+	// address space at creation; 0 means 4 MiB. Transactions must allocate
+	// only from this arena (Txn.Alloc), never via mem.Alloc, so the page
+	// table cannot grow — and race — during a run. Each thread takes the
+	// arena a 64 KiB chunk at a time and gets host memory only for the
+	// chunks it takes, so exhaustion can come up to one partly used chunk
+	// per thread before ArenaBytes are handed out.
 	ArenaBytes uint64
 	// Stripes is the size of the versioned-write-lock table; 0 means
 	// 1<<14. Must be a power of two.
@@ -93,8 +96,9 @@ type Config struct {
 
 // System is one native TL2 instance over a memory. Field order is the
 // layout rule of DESIGN.md: what every Load reads and nothing writes after
-// New comes first, clock and arenaNext get a cache line each, and what only
-// the ladder, retry waiters and the watchdog write comes last.
+// New comes first, clock and arenaNext (written once per arena chunk) get a
+// cache line each, and what only the ladder, retry waiters and the watchdog
+// write comes last.
 type System struct {
 	m        *mem.Memory
 	stripes  []stripe
@@ -135,9 +139,10 @@ type System struct {
 type linePad [56]byte
 
 // New builds a native system over m. Call after the workload's structures
-// are populated: New gives every page of m private backing and reserves
-// the allocation arena, so neither the page table nor its backing grows
-// once concurrent transactions run.
+// are populated: New gives every populated page private backing and reserves
+// the allocation arena, so the page table never grows once concurrent
+// transactions run and the only backing added is the arena chunks threads
+// take (Thread.Alloc).
 func New(m *mem.Memory, cfg Config) *System {
 	if cfg.Threads <= 0 {
 		panic("native: Config.Threads must be positive")
@@ -163,7 +168,7 @@ func New(m *mem.Memory, cfg Config) *System {
 	}
 	s.wakeCh = make(chan struct{})
 	m.Materialize()
-	arena := m.Preallocate(cfg.ArenaBytes)
+	arena := m.Reserve(cfg.ArenaBytes)
 	s.arenaNext.Store(arena)
 	s.arenaEnd = arena + cfg.ArenaBytes
 	return s
@@ -209,32 +214,6 @@ func (s *System) Thread(id int) tm.Thread {
 // stripeIndex maps an address to its versioned-write-lock slot.
 func (s *System) stripeIndex(addr uint64) int {
 	return int((addr >> stripeShift) & s.mask)
-}
-
-// alloc carves a transactional allocation out of the arena with an atomic
-// bump; concurrency-safe. Exhaustion raises an arenaExhausted panic that
-// the enclosing Atomic's containment turns into ErrArenaExhausted.
-func (s *System) alloc(size, align uint64) uint64 {
-	if align < mem.WordSize {
-		align = mem.WordSize
-	}
-	if align&(align-1) != 0 {
-		panic(fmt.Sprintf("native: alignment %d is not a power of two", align))
-	}
-	if size == 0 {
-		size = mem.WordSize
-	}
-	for {
-		cur := s.arenaNext.Load()
-		addr := (cur + align - 1) &^ (align - 1)
-		next := addr + ((size + mem.WordSize - 1) &^ (mem.WordSize - 1))
-		if next > s.arenaEnd {
-			panic(arenaExhausted{need: size, arena: s.cfg.ArenaBytes})
-		}
-		if s.arenaNext.CompareAndSwap(cur, next) {
-			return addr
-		}
-	}
 }
 
 // notifyCommit wakes the retry waiters, if there are any, to re-check their

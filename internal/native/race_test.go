@@ -228,6 +228,68 @@ func TestStructureTortureSoak(t *testing.T) {
 	}
 }
 
+// TestAllocPublishSoak is the arena's race argument under -race: goroutines
+// allocate nodes from their own chunks — each backing its pages while the
+// others read theirs — publish them onto one shared list and read every
+// field of every node the others published. Nodes are a line each and the
+// run spans several chunks per goroutine.
+func TestAllocPublishSoak(t *testing.T) {
+	const (
+		goroutines = 4
+		nodes      = 1500
+		// node fields: owner, sequence number, next
+		owner, seq, next = 8, 16, 24
+	)
+	m := mem.New()
+	head := m.Alloc(mem.WordSize, mem.LineSize)
+	sys := New(m, Config{Threads: goroutines})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(id uint64) {
+			defer wg.Done()
+			th := sys.Thread(int(id))
+			for n := uint64(1); n <= nodes; n++ {
+				err := th.Atomic(func(tx tm.Txn) error {
+					p := tx.Alloc(mem.LineSize, mem.LineSize)
+					tx.StoreInit(p+owner, id)
+					tx.StoreInit(p+seq, n)
+					tx.StoreInit(p+next, tx.Load(head))
+					tx.Store(head, p)
+					return nil
+				})
+				if err != nil {
+					t.Errorf("goroutine %d node %d: %v", id, n, err)
+					return
+				}
+				if n%100 != 0 {
+					continue
+				}
+				err = th.Atomic(func(tx tm.Txn) error {
+					for p := tx.Load(head); p != 0; p = tx.Load(p + next) {
+						if o, s := tx.Load(p+owner), tx.Load(p+seq); o >= goroutines || s == 0 || s > nodes {
+							t.Errorf("node %#x reads owner %d seq %d", p, o, s)
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Errorf("goroutine %d traversal: %v", id, err)
+					return
+				}
+			}
+		}(uint64(g))
+	}
+	wg.Wait()
+	seen := map[[2]uint64]bool{}
+	for p := m.Load(head); p != 0; p = m.Load(p + next) {
+		seen[[2]uint64{m.Load(p + owner), m.Load(p + seq)}] = true
+	}
+	if len(seen) != goroutines*nodes {
+		t.Fatalf("list holds %d distinct nodes, want %d", len(seen), goroutines*nodes)
+	}
+}
+
 // TestNestedOrElseUnderLoad exercises partial rollback and orElse
 // fallthrough concurrently: each transaction tries to claim a random slot,
 // and on finding it occupied falls through to an alternative that proves

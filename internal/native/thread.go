@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -64,6 +65,9 @@ type Thread struct {
 	// the body-error path, touched collects stripes to bump at commit.
 	undo    []undoEntry
 	touched []int
+
+	// cur and end bound what is left of the thread's arena chunk (Alloc).
+	cur, end uint64
 
 	// opSeq is odd while the thread is inside a top-level Atomic; the
 	// watchdog reads it to tell a stuck transaction from an idle thread,
@@ -400,11 +404,65 @@ func (t *Thread) StoreObj(base, off, val uint64) {
 // Exec is free on the native backend: host compute is real compute.
 func (t *Thread) Exec(n uint64) {}
 
-// Alloc reserves memory from the system's concurrency-safe arena. An
-// aborted transaction merely leaks the allocation, as a GC would reclaim.
+// arenaChunk is the share of the arena a thread takes at a time: mem's
+// 64 KiB host allocation unit, so backing a chunk is one allocation.
+const arenaChunk = 64 << 10
+
+// Alloc bump-allocates from the thread's own arena chunk, taking the next
+// chunk when the request does not fit. An aborted transaction merely leaks
+// the allocation, as a GC would reclaim. Exhaustion raises an
+// arenaExhausted panic that the enclosing Atomic's containment turns into
+// ErrArenaExhausted.
 func (t *Thread) Alloc(size, align uint64) uint64 {
 	t.RequireTxn()
-	return t.sys.alloc(size, align)
+	if align < mem.WordSize {
+		align = mem.WordSize
+	}
+	if align&(align-1) != 0 {
+		panic(fmt.Sprintf("native: alignment %d is not a power of two", align))
+	}
+	if size == 0 {
+		size = mem.WordSize
+	}
+	if size > t.sys.cfg.ArenaBytes {
+		panic(arenaExhausted{need: size, arena: t.sys.cfg.ArenaBytes})
+	}
+	span := (size + mem.WordSize - 1) &^ (mem.WordSize - 1)
+	addr, ok := fit(t.cur, t.end, span, align)
+	if !ok {
+		addr = t.takeChunk(size, span, align)
+	}
+	t.cur = addr + span
+	return addr
+}
+
+// fit places span bytes aligned to align in [cur, end), if they fit.
+func fit(cur, end, span, align uint64) (uint64, bool) {
+	addr := (cur + align - 1) &^ (align - 1)
+	return addr, addr >= cur && addr <= end && end-addr >= span
+}
+
+// takeChunk claims the next whole chunks of the arena that hold the
+// allocation — capped at the arena end — with one CAS on arenaNext, backs
+// them, and makes them the thread's chunk. Its pages are backed before any
+// address in them can leave this thread, which is what lets other threads
+// read them without synchronising with Back (DESIGN.md "Arena chunks").
+func (t *Thread) takeChunk(size, span, align uint64) uint64 {
+	s := t.sys
+	for {
+		start := s.arenaNext.Load()
+		addr, ok := fit(start, s.arenaEnd, span, align)
+		if !ok {
+			panic(arenaExhausted{need: size, arena: s.cfg.ArenaBytes})
+		}
+		chunks := (addr + span - start + arenaChunk - 1) / arenaChunk
+		end := min(start+chunks*arenaChunk, s.arenaEnd)
+		if s.arenaNext.CompareAndSwap(start, end) {
+			s.m.Back(start, end-start)
+			t.end = end
+			return addr
+		}
+	}
 }
 
 // StoreInit initialises freshly allocated, still-private memory without

@@ -272,11 +272,18 @@ func TestRetryWaiterAnnouncesBeforeSnapshot(t *testing.T) {
 
 // TestSteadyStateAllocs: once its logs have grown to size, a transaction
 // allocates nothing — not the writer path (write index, stripe scratch,
-// commit notification) and not the read-only one.
+// commit notification), not the read-only one, and not one that allocates
+// and publishes a node while its arena chunk has room.
 func TestSteadyStateAllocs(t *testing.T) {
 	sys, _, words := newSys(t, 1, tm.Config{})
 	th := sys.Thread(0)
 	for name, body := range map[string]func(tm.Txn) error{
+		"allocating writer": func(tx tm.Txn) error {
+			p := tx.Alloc(mem.LineSize, mem.LineSize)
+			tx.StoreInit(p+mem.WordSize, 1)
+			tx.Store(words, p)
+			return nil
+		},
 		"4-store writer": func(tx tm.Txn) error {
 			for i := uint64(0); i < 4; i++ {
 				tx.Store(words+i*mem.LineSize, tx.Load(words+i*mem.LineSize)+1)

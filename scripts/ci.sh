@@ -66,9 +66,11 @@ smoke)
 native)
     # Real goroutines on real memory, so -race is the point and the repetition
     # too. internal/tm is the engine conformance suite, which runs native TL2
-    # beside the simulator protocols; internal/mem holds the Materialize
-    # contract the backend stands on and internal/service its request loop.
-    go test -race -count=2 ./internal/native ./internal/tm ./internal/mem ./internal/service
+    # beside the simulator protocols; internal/mem holds the reserve/back
+    # contract the backend's arena stands on, internal/workloads the
+    # differential suite whose goroutines allocate and publish nodes, and
+    # internal/service the request loop.
+    go test -race -count=2 ./internal/native ./internal/tm ./internal/mem ./internal/workloads ./internal/service
     bench -backend native -quick -progress
     ;;
 service)
