@@ -11,9 +11,9 @@ import "iter"
 // until the first grant. Panic containment: anything the program panics
 // with — except the internal stop signal that unwinds cores after a watchdog
 // trip — becomes a CoreFault report, and the core still runs its completion
-// protocol, so the scheduler loop drives every coroutine to its end and
-// needs no stop function: none is left parked at a yield (short of a host
-// deadlock, where Run abandons the loop itself).
+// protocol, so the handoffs drive every coroutine to its end and need no
+// stop function: none is left parked at a yield (short of a host deadlock,
+// where Run abandons the machine itself).
 func (c *Ctx) start(p Program) {
 	m := c.m
 	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {
@@ -29,7 +29,7 @@ func (c *Ctx) start(p Program) {
 			// armed nothing reads the completion order, so completion is
 			// core-private like Exec: counted, not waited for.
 			if !c.leased && m.perOpDuties {
-				yield(struct{}{})
+				m.handoff(c)
 			}
 			c.leased = false
 			if m.watch {

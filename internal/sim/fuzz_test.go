@@ -33,3 +33,29 @@ func FuzzParseTopology(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSchedulerDifferential is the randomized scheduler differential over
+// generated machines: a program seed, 1–8 cores, a flat or a 2×k topology,
+// an interrupt cadence and a fault-hook cadence. Both schedulers must agree
+// on every simulated result (diffCompare), and neither may pay more than
+// two coroutine switches per lease.
+func FuzzSchedulerDifferential(f *testing.F) {
+	for _, tc := range diffCases() {
+		f.Add(tc.seed, uint8(tc.cores-1), false, uint16(tc.ie), uint16(tc.hook))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, cores uint8, twoSockets bool, ie, hook uint16) {
+		n := 1 + int(cores%8)
+		var top sim.Topology
+		if twoSockets && n%2 == 0 {
+			top = sim.Topology{Sockets: 2, CoresPerSocket: n / 2}
+		}
+		lease := runRandom(t, seed, n, top, uint64(ie), uint64(hook), false)
+		ref := runRandom(t, seed, n, top, uint64(ie), uint64(hook), true)
+		diffCompare(t, lease, ref)
+		for name, s := range map[string]sim.SchedCounters{"lease": lease.sched, "reference": ref.sched} {
+			if s.Switches > 2*s.Leases {
+				t.Errorf("%s: %d switches for %d leases, want at most two per lease", name, s.Switches, s.Leases)
+			}
+		}
+	})
+}

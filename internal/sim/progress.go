@@ -14,13 +14,13 @@ import (
 // simulated-cycle watchdogs (commit-progress window, per-run cycle
 // budget), the host-side deadlock detector, and panic containment at the
 // grant boundary. The design constraint throughout is that exactly one
-// core executes at any time — core programs are coroutines the scheduler
-// loop switches between — so machine state needs no synchronisation among
+// core executes at any time — core programs are coroutines that hand the
+// grant to one another — so machine state needs no synchronisation among
 // cores; the atomics and the mutex below exist only for the host stall
-// detector, whose Run goroutine gives up on a scheduler loop that may
-// still be running. Host code *between* grants runs outside the (clock,
-// id) grant order (after giving a lease up, a program runs on to its next
-// acquire before it yields), which is why NoteCommit and SetStatus write
+// detector, whose Run goroutine gives up on a machine that may still be
+// running. Host code *between* grants runs outside the (clock, id) grant
+// order (after giving a lease up, a program runs on to its next acquire
+// before it hands the grant on), which is why NoteCommit and SetStatus write
 // core-local pending fields that progressDuties publishes at the next
 // grant, a deterministic point of that order.
 
@@ -229,7 +229,7 @@ func (m *Machine) buildViolation(kind string, tripCore int, tripClock uint64, sk
 		LastCommitClock: m.lastCommit,
 	}
 	for i, c := range m.cores {
-		s := CoreSnapshot{Core: i, Done: m.doneCores[i]}
+		s := CoreSnapshot{Core: i, Done: c.done}
 		if skipTrip && i == tripCore {
 			s.Unresponsive = true
 		} else {
@@ -265,20 +265,21 @@ func (m *Machine) recordFault(c *Ctx, r interface{}) {
 	m.failed.Store(true)
 }
 
-// driveWatched runs the scheduler loop under the host-deadlock detector
-// and reports whether it ran to completion. A program blocked in host code
-// never switches back, so the loop gets its own goroutine and Run waits
-// for whichever comes first: the loop finishing or the grant heartbeat
-// stagnating. On a stall it records the host-deadlock violation, fails the
-// machine and abandons the loop. The granted core is marked unresponsive
-// and its volatile fields left unread — it may still be running host code.
-func (m *Machine) driveWatched(running int, active []bool) bool {
+// driveWatched runs the machine under the host-deadlock detector and
+// reports whether it ran to completion. A program blocked in host code
+// never hands the grant on, so the machine gets its own goroutine and Run
+// waits for whichever comes first: the last program returning or the grant
+// heartbeat stagnating. On a stall it records the host-deadlock violation,
+// fails the machine and abandons it. The last leased core is marked
+// unresponsive and its volatile fields left unread — it may still be
+// running host code.
+func (m *Machine) driveWatched() bool {
 	done, stalled, stop := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	defer close(stop)
 	go m.stallMonitor(stalled, stop)
 	go func() {
 		defer close(done)
-		m.drive(running, active)
+		m.handoff(nil)
 	}()
 	select {
 	case <-done:

@@ -167,36 +167,47 @@ func TestCorePanicContainedWithoutWatchdogs(t *testing.T) {
 // host deadlock: the stall monitor must cut the run short with a
 // host-deadlock violation instead of hanging the process, and the report
 // must name the blocked core — whether it blocks before its first acquire,
-// between operations, or after its last one on the way to completion.
+// between operations, or after its last one on the way to completion. On
+// four cores spinning in step each core's lease ends after one Exec and it
+// enters the next core itself, so the blocked core of the 4-core rows sits
+// at the top of a chain of coroutines three (mid-run) or four (prologue)
+// deep, and every core below it is parked inside a next.
 func TestHostDeadlockDetected(t *testing.T) {
 	spin := func(c *Ctx) {
 		for i := 0; i < 1_000_000; i++ {
 			c.Exec(1)
 		}
 	}
+	prologue := func(block <-chan struct{}) Program {
+		return func(c *Ctx) { <-block; c.Exec(10) }
+	}
+	midRun := func(block <-chan struct{}) Program {
+		return func(c *Ctx) { c.Exec(10); <-block; c.Exec(10) }
+	}
 	cases := []struct {
-		name    string
-		blocked int
-		prog    func(block <-chan struct{}) Program // the blocking core's program
+		name           string
+		cores, blocked int
+		prog           func(block <-chan struct{}) Program // the blocking core's program
 	}{
-		{"prologue", 1, func(block <-chan struct{}) Program {
-			return func(c *Ctx) { <-block; c.Exec(10) }
-		}},
-		{"mid-run", 0, func(block <-chan struct{}) Program {
-			return func(c *Ctx) { c.Exec(10); <-block; c.Exec(10) }
-		}},
-		{"completion", 1, func(block <-chan struct{}) Program {
+		{"prologue", 2, 1, prologue},
+		{"mid-run", 2, 0, midRun},
+		{"completion", 2, 1, func(block <-chan struct{}) Program {
 			return func(c *Ctx) { c.Exec(10); <-block }
 		}},
+		{"prologue-4core", 4, 3, prologue},
+		{"mid-run-4core", 4, 2, midRun},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			cfg := tinyConfig(2)
+			cfg := tinyConfig(tc.cores)
 			cfg.StallTimeout = 100 * time.Millisecond
 			m := New(cfg)
 			block := make(chan struct{}) // closed only after the verdict: a real host-side deadlock
-			progs := []Program{spin, spin}
+			progs := make([]Program, tc.cores)
+			for i := range progs {
+				progs[i] = spin
+			}
 			progs[tc.blocked] = tc.prog(block)
 			done := make(chan struct{})
 			go func() {
@@ -223,7 +234,7 @@ func TestHostDeadlockDetected(t *testing.T) {
 					t.Errorf("core %d unresponsive = %v, blocked core is %d", s.Core, s.Unresponsive, tc.blocked)
 				}
 			}
-			// Unblocked, the abandoned scheduler loop stops every core at its
+			// Unblocked, the abandoned machine stops every core at its
 			// next grant and drains: nothing stays parked at a yield.
 			close(block)
 			waitGoroutines(t, base)
@@ -232,7 +243,7 @@ func TestHostDeadlockDetected(t *testing.T) {
 }
 
 // waitGoroutines waits for the goroutine count to fall back to base: the
-// scheduler loop, the stall monitor and every core coroutine have exited.
+// machine's goroutine, the stall monitor and every core coroutine have exited.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -253,24 +264,42 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			c.Exec(1)
 		}
 	}
+	// Cores contending for one line hand the grant to one another, so a
+	// core is mostly entered by another core's handoff, deep in a chain.
+	load := func(line uint64) Program {
+		return func(c *Ctx) {
+			for i := 0; i < 2_000; i++ {
+				c.Load(line)
+				if c.ID() == 2 && i == 1_000 {
+					panic("nested core fault")
+				}
+			}
+		}
+	}
+	firstThenSpin := func(first Program) func(uint64) []Program {
+		return func(uint64) []Program { return []Program{first, spin, spin, spin} }
+	}
 	cases := []struct {
 		name  string
 		arm   func(cfg *Config)
-		first Program // core 0; the other three spin
+		progs func(line uint64) []Program
 		check func(t *testing.T, m *Machine)
 	}{
-		{"clean", func(*Config) {}, spin, func(t *testing.T, m *Machine) {
+		{"clean", func(*Config) {}, firstThenSpin(spin), func(t *testing.T, m *Machine) {
 			if err := m.CheckHealth(); err != nil {
 				t.Errorf("clean run unhealthy: %v", err)
 			}
 		}},
-		{"commit-stall", func(cfg *Config) { cfg.WatchdogWindow = 5_000 }, spin, wantViolation(KindCommitStall)},
-		{"cycle-budget", func(cfg *Config) { cfg.CycleBudget = 5_000 }, spin, wantViolation(KindCycleBudget)},
+		{"commit-stall", func(cfg *Config) { cfg.WatchdogWindow = 5_000 }, firstThenSpin(spin), wantViolation(KindCommitStall)},
+		{"cycle-budget", func(cfg *Config) { cfg.CycleBudget = 5_000 }, firstThenSpin(spin), wantViolation(KindCycleBudget)},
 		{"core-panic", func(cfg *Config) { cfg.WatchdogWindow = 1 << 40 },
-			func(c *Ctx) { c.Exec(100); panic("injected core fault") },
+			firstThenSpin(func(c *Ctx) { c.Exec(100); panic("injected core fault") }),
 			wantOneFault},
 		{"core-panic-unwatched", func(*Config) {},
-			func(c *Ctx) { panic("prologue fault") },
+			firstThenSpin(func(c *Ctx) { panic("prologue fault") }),
+			wantOneFault},
+		{"core-panic-nested", func(*Config) {},
+			func(line uint64) []Program { return []Program{load(line), load(line), load(line), load(line)} },
 			wantOneFault},
 	}
 	for _, reference := range []bool{false, true} {
@@ -281,7 +310,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				cfg.ReferenceScheduler = reference
 				tc.arm(&cfg)
 				m := New(cfg)
-				m.Run(tc.first, spin, spin, spin)
+				m.Run(tc.progs(m.Mem.AllocLines(1))...)
 				tc.check(t, m)
 				waitGoroutines(t, base)
 			})

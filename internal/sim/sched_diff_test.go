@@ -18,7 +18,7 @@ import (
 // contents and trace bytes. The lease only continues while the leased
 // core's pre-op (clock, id) is below every other active core's, so the
 // reference scheduler would have granted the same core anyway. The
-// reference grants every operation, Exec included; the lease loops absorb
+// reference grants every operation, Exec included; the lease policy absorbs
 // each Exec without a grant, so the same comparison proves that Exec
 // commutes with every other core's operations.
 
@@ -58,7 +58,7 @@ type diffOutcome struct {
 	stats     string
 	trace     []byte
 	memory    []uint64
-	grants    uint64
+	sched     sim.SchedCounters
 	hookFired uint64
 }
 
@@ -132,7 +132,7 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 	}
 	wall := m.Run(progs...)
 
-	out := diffOutcome{wall: wall, grants: m.Sched().Grants}
+	out := diffOutcome{wall: wall, sched: m.Sched()}
 	for i := 0; i < cores; i++ {
 		out.clocks = append(out.clocks, m.Core(i).Clock())
 		out.stats += fmt.Sprintln(i, *m.Stats.Block(i)) // exact, per core and category
@@ -149,24 +149,42 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 	return out
 }
 
-// TestSchedulerDifferential sweeps seeds × core counts × interrupt cadence
-// × fault-hook cadence and demands identical outcomes from both
-// schedulers, including equal grant counts (the lease reorders nothing and
-// consumes exactly the same grants, just cheaper).
-func TestSchedulerDifferential(t *testing.T) {
+// diffCase is one flat-machine row of the scheduler differential.
+type diffCase struct {
+	seed     uint64
+	cores    int
+	ie, hook uint64
+}
+
+// diffCases sweeps seeds × core counts × interrupt cadence × fault-hook
+// cadence; it is TestSchedulerDifferential's table and
+// FuzzSchedulerDifferential's seed corpus.
+func diffCases() []diffCase {
+	var cases []diffCase
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, cores := range []int{1, 2, 3, 4} {
 			for _, ie := range []uint64{0, 700} {
 				for _, hook := range []uint64{0, 97} {
-					name := fmt.Sprintf("seed%d/%dcore/ie%d/hook%d", seed, cores, ie, hook)
-					t.Run(name, func(t *testing.T) {
-						lease := runRandom(t, seed, cores, sim.Topology{}, ie, hook, false)
-						ref := runRandom(t, seed, cores, sim.Topology{}, ie, hook, true)
-						diffCompare(t, lease, ref)
-					})
+					cases = append(cases, diffCase{seed, cores, ie, hook})
 				}
 			}
 		}
+	}
+	return cases
+}
+
+// TestSchedulerDifferential demands identical outcomes from both
+// schedulers on every diffCases row, including equal grant counts (the
+// lease reorders nothing and consumes exactly the same grants, just
+// cheaper).
+func TestSchedulerDifferential(t *testing.T) {
+	for _, tc := range diffCases() {
+		name := fmt.Sprintf("seed%d/%dcore/ie%d/hook%d", tc.seed, tc.cores, tc.ie, tc.hook)
+		t.Run(name, func(t *testing.T) {
+			lease := runRandom(t, tc.seed, tc.cores, sim.Topology{}, tc.ie, tc.hook, false)
+			ref := runRandom(t, tc.seed, tc.cores, sim.Topology{}, tc.ie, tc.hook, true)
+			diffCompare(t, lease, ref)
+		})
 	}
 }
 
@@ -189,8 +207,8 @@ func diffCompare(t *testing.T, lease, ref diffOutcome) {
 	if !reflect.DeepEqual(lease.memory, ref.memory) {
 		t.Errorf("final memory contents diverge")
 	}
-	if lease.grants != ref.grants {
-		t.Errorf("grants: lease %d, reference %d", lease.grants, ref.grants)
+	if lease.sched.Grants != ref.sched.Grants {
+		t.Errorf("grants: lease %d, reference %d", lease.sched.Grants, ref.sched.Grants)
 	}
 	if lease.hookFired != ref.hookFired {
 		t.Errorf("fault hook firings: lease %d, reference %d", lease.hookFired, ref.hookFired)
@@ -198,9 +216,9 @@ func diffCompare(t *testing.T, lease, ref diffOutcome) {
 }
 
 // TestSchedulerDifferentialScale extends the differential to the per-socket
-// lease scheduler at 64/128/256 cores. A multi-socket Topology routes Run
-// through runLeaseSockets (per-socket heaps plus a cross-socket clock
-// frontier); the reference scheduler on the same machine is still the
+// lease scheduler at 64/128/256 cores. A multi-socket Topology gives the
+// lease policy one heap per socket plus a cross-socket clock frontier; the
+// reference scheduler on the same machine is still the
 // executable spec, so identical outcomes prove the frontier composition
 // selects exactly the global (clock, id) minimum on every grant.
 func TestSchedulerDifferentialScale(t *testing.T) {
@@ -231,8 +249,9 @@ func TestSchedulerDifferentialScale(t *testing.T) {
 }
 
 // TestSchedCounters pins the counter semantics: single-core lease runs pay
-// exactly one handoff for the whole program (plus the completion grant's),
-// while the reference scheduler pays one per grant.
+// exactly one lease for the whole program (plus the completion grant's),
+// while the reference scheduler pays one per grant — and, re-picking the
+// core already running, no coroutine switch for any of them.
 func TestSchedCounters(t *testing.T) {
 	const ops = 100
 	run := func(reference bool) sim.SchedCounters {
@@ -272,6 +291,12 @@ func TestSchedCounters(t *testing.T) {
 	if ref.HandoffsAvoided() != 0 {
 		t.Errorf("reference handoffs avoided = %d, want 0", ref.HandoffsAvoided())
 	}
+	// The one core is entered once and returns once under both schedulers
+	// (202 switches, two per lease, while every lease went through the Run
+	// goroutine).
+	if lease.Switches != 2 || ref.Switches != 2 {
+		t.Errorf("1-core switches: lease %d, reference %d, want 2 and 2", lease.Switches, ref.Switches)
+	}
 
 	// Host code is not a lease: a program's prologue runs under its first
 	// lease and its epilogue under its last, so a program with no
@@ -283,8 +308,8 @@ func TestSchedCounters(t *testing.T) {
 		m := sim.New(cfg)
 		hostSections := 0
 		m.Run(func(c *sim.Ctx) { hostSections++ })
-		if got := m.Sched(); got != (sim.SchedCounters{Grants: 1, Leases: 1}) {
-			t.Errorf("reference=%v: empty program = %+v, want 1 grant under 1 lease", reference, got)
+		if got := m.Sched(); got != (sim.SchedCounters{Grants: 1, Leases: 1, Switches: 2}) {
+			t.Errorf("reference=%v: empty program = %+v, want 1 grant under 1 lease, 2 switches", reference, got)
 		}
 
 		m = sim.New(cfg)
@@ -301,16 +326,17 @@ func TestSchedCounters(t *testing.T) {
 		if want := uint64(4 * (ops + 1)); got.Grants != want {
 			t.Errorf("reference=%v: 4-core grants = %d, want %d", reference, got.Grants, want)
 		}
-		// Four cores contending for one line hand the lease back on three
-		// loads in four: the host cost of this program is 302 coroutine
-		// round trips, and a pick-loop change that moves it moves the
-		// per-op handoff cost the 4-core benchmark prices.
-		wantLeases := uint64(3*ops + 2)
+		// Four cores contending for one line hand the lease on at three
+		// loads in four: 302 leases. Each core hands the grant straight to
+		// the next, 404 switches in all, 4 of them the returns; through
+		// the Run goroutine it was 604, two per lease. A change that moves
+		// either moves the per-op handoff cost the 4-core benchmark prices.
+		want := sim.SchedCounters{Grants: got.Grants, Leases: 3*ops + 2, Switches: 404}
 		if reference {
-			wantLeases = got.Grants
+			want.Leases, want.Switches = got.Grants, 408
 		}
-		if got.Leases != wantLeases {
-			t.Errorf("reference=%v: 4-core leases = %d, want %d", reference, got.Leases, wantLeases)
+		if got != want {
+			t.Errorf("reference=%v: contended 4-core program = %+v, want %+v", reference, got, want)
 		}
 		if hostSections != 9 {
 			t.Errorf("reference=%v: host sections ran %d times, want 9", reference, hostSections)
@@ -319,8 +345,8 @@ func TestSchedCounters(t *testing.T) {
 
 	// Exec is core-private: an Exec-only program never waits for a grant,
 	// so each core runs start to finish — completion included — under the
-	// one lease that first switched into it. The reference scheduler still
-	// grants every Exec.
+	// one lease that first switched into it: a next and a return each. The
+	// reference scheduler still grants every Exec.
 	for _, reference := range []bool{false, true} {
 		cfg := sim.DefaultConfig(4)
 		cfg.ReferenceScheduler = reference
@@ -331,9 +357,9 @@ func TestSchedCounters(t *testing.T) {
 			}
 		}
 		m.Run(prog, prog, prog, prog)
-		want := sim.SchedCounters{Grants: 4 * (ops + 1), Leases: 4}
+		want := sim.SchedCounters{Grants: 4 * (ops + 1), Leases: 4, Switches: 8}
 		if reference {
-			want.Leases = want.Grants
+			want.Leases, want.Switches = want.Grants, 608
 		}
 		if got := m.Sched(); got != want {
 			t.Errorf("reference=%v: Exec-only 4-core program = %+v, want %+v", reference, got, want)
@@ -368,8 +394,8 @@ func TestSchedCounters(t *testing.T) {
 			m.Run(long, short)
 			wantOrder = "[l1 s1 s2 l2 s3]"
 		}
-		if got := m.Sched(); got != (sim.SchedCounters{Grants: 7, Leases: 4}) {
-			t.Errorf("shortOnZero=%v: clock tie = %+v, want 7 grants under 4 leases", shortOnZero, got)
+		if got := m.Sched(); got != (sim.SchedCounters{Grants: 7, Leases: 4, Switches: 6}) {
+			t.Errorf("shortOnZero=%v: clock tie = %+v, want 7 grants under 4 leases, 6 switches", shortOnZero, got)
 		}
 		if got := fmt.Sprint(order); got != wantOrder {
 			t.Errorf("shortOnZero=%v: grant order %s, want %s", shortOnZero, got, wantOrder)
@@ -444,6 +470,7 @@ func TestArmedMachinesGrantEveryExec(t *testing.T) {
 			tripped, refSched := lease.violation, ref.sched
 			lease.violation, ref.violation = nil, nil
 			lease.sched.Leases, ref.sched.Leases = 0, 0
+			lease.sched.Switches, ref.sched.Switches = 0, 0
 			if lease != ref {
 				t.Errorf("armed run diverges:\nlease:     %+v\nreference: %+v", lease, ref)
 			}

@@ -7,28 +7,27 @@
 // smallest local clock executes the next operation (ties broken by core id),
 // so runs are deterministic and the interleaving IS the timing model.
 //
-// Each core program is a coroutine (iter.Pull) driven by the scheduler loop
-// itself, so core programs run strictly one at a time on the scheduler's
-// thread — Ctx methods may only be called from the program's own coroutine,
-// and a program that blocks in host code blocks the whole machine. A grant
-// is a direct switch into the granted core's coroutine; the switch back
-// happens when that core next asks for an operation it holds no grant for
-// (Ctx.acquire yields) or when its program returns.
+// Each core program is a coroutine (iter.Pull), so core programs run
+// strictly one at a time — Ctx methods may only be called from the
+// program's own coroutine, and a program that blocks in host code blocks
+// the whole machine. Whoever holds the grant passes it on (Machine.handoff):
+// a core that needs an operation it holds no grant for (Ctx.acquire)
+// requeues itself, picks the next core and switches straight to it, and a
+// program's return lands in the core that entered it, which picks in turn.
+// The Run goroutine only starts the machine and sees the last return.
 //
-// There is one such transport and three pick loops over it. The reference
-// loop (Config.ReferenceScheduler) scans for the min-clock core and grants
-// it exactly one operation. The default grant-lease loop instead grants the
-// min-clock core a *lease*: the right to execute operations inline for as
-// long as its pre-operation (clock, id) stays below the horizon (the
-// (clock, id) minimum of the other runnable cores, maintained in a
-// min-heap); the multi-socket loop is the same with one heap per socket.
-// Below the horizon this core is the minimum, so the serial scheduler would
-// have granted it every one of those operations anyway — a clock tie
-// included, when this core's id is the lower. Grant order — and therefore
-// every simulated result — is identical under all three loops; only the
-// number of coroutine switches changes. A single runnable core (every
-// 1-core cell, and the tail of every multi-core run) executes with zero
-// handoffs.
+// There is one such transport and two pick policies over it. The reference
+// policy (Config.ReferenceScheduler) scans for the min-clock core and grants
+// it exactly one operation. The default grant-lease policy instead grants
+// the min-clock core a *lease*: the right to execute operations inline for
+// as long as its pre-operation (clock, id) stays below the horizon (the
+// (clock, id) minimum of the other runnable cores, kept in one min-heap per
+// socket). Below the horizon this core is the minimum, so the serial
+// scheduler would have granted it every one of those operations anyway — a
+// clock tie included, when this core's id is the lower. Grant order — and
+// therefore every simulated result — is identical under both; only the
+// number of leases changes. A single runnable core (every 1-core cell, and
+// the tail of every multi-core run) executes with zero handoffs.
 //
 // Only operations on shared state need that order. Exec is core-private —
 // it adds to this core's clock and cycle counters and nothing else — so it
@@ -209,13 +208,12 @@ type Config struct {
 	// not directly related to the transaction size".
 	SpecRFOEvery uint64
 
-	// ReferenceScheduler selects the original per-operation pick loop (a
-	// lease of length one, i.e. one coroutine switch into the core and one
-	// back, per architectural op) instead of the grant-lease loop. Both
-	// ride the same coroutine transport and produce byte-identical
-	// simulated results — the differential test suite proves it — so this
-	// switch exists as the executable specification the fast path is
-	// checked against, not as a user-facing mode.
+	// ReferenceScheduler selects the original per-operation pick policy (a
+	// lease of length one per architectural op) instead of the grant-lease
+	// policy. Both ride the same coroutine transport and produce
+	// byte-identical simulated results — the differential test suite
+	// proves it — so this switch exists as the executable specification the
+	// fast path is checked against, not as a user-facing mode.
 	ReferenceScheduler bool
 
 	// WatchdogWindow, if non-zero, arms the commit-progress watchdog: when
@@ -293,7 +291,7 @@ type Machine struct {
 	txnTrace *telemetry.TraceBuffer
 	fault    FaultHook
 
-	// schedWork counts the lease loops' host work: heap sift steps plus
+	// schedWork counts the lease policy's host work: heap sift steps plus
 	// frontier slots scanned. Read by tests only.
 	schedWork uint64
 
@@ -310,37 +308,46 @@ type Machine struct {
 	failed     atomic.Bool
 	violation  *ProgressViolation // written once, under the grant (or by Run on stall)
 	lastCommit uint64             // clock of the most recently published commit; grant-holder only
-	doneCores  []bool             // scheduler-maintained completion map
 	beat       atomic.Uint64      // grant heartbeat for the host stall monitor
-	granted    atomic.Int32       // core the scheduler last switched into, for the stall report
+	granted    atomic.Int32       // core last leased, for the stall report
 	faultsMu   sync.Mutex
 	faults     []CoreFault
+
+	// The lease policy's run queue (see pick and requeue): one (clock, id)
+	// min-heap per socket and the frontier, each heap's minimum (idleEntry
+	// when empty). Unused by the reference policy, which scans the cores.
+	groups   []schedHeap
+	frontier []heapEntry
 }
 
 // SchedCounters is the scheduler's observability block: how many
-// architectural operations ran and how many host-side handoffs (coroutine
-// switches into a core and back, i.e. leases) were paid for them. Both
-// values are pure functions of the simulated schedule, so they are
-// deterministic for a given configuration — but Leases differs by design
-// between the lease and reference schedulers, which is why they live here
-// and not in the telemetry counter blocks the differential suite compares.
+// architectural operations ran, how many leases they were granted under and
+// how many coroutine switches those leases cost the host. All are pure
+// functions of the simulated schedule, so they are deterministic for a
+// given configuration — but Leases and Switches differ by design between
+// the lease and reference schedulers, which is why they live here and not
+// in the telemetry counter blocks the differential suite compares.
 type SchedCounters struct {
 	// Grants counts architectural operations, including the one completion
 	// grant each program consumes to report termination. An Exec counts
 	// whether or not it had to be granted, so Grants is the same under
 	// every scheduler.
 	Grants uint64
-	// Leases counts scheduler handoffs: one switch from the scheduler
-	// loop into a core's coroutine and one back. Under the reference
-	// scheduler every grant is its own lease of length one; under the
-	// grant-lease scheduler one lease covers a maximal run of consecutive
-	// grants to the same core plus the Execs that follow it.
+	// Leases counts pick decisions. Under the reference scheduler every
+	// grant is its own lease of length one; under the grant-lease
+	// scheduler one lease covers a maximal run of consecutive grants to the
+	// same core plus the Execs that follow it.
 	Leases uint64
+	// Switches counts coroutine switches: every next, every yield and every
+	// program return. A lease that re-picks the core already running costs
+	// none, and one that enters a core costs its next plus, later, the
+	// yield or return that leaves it, so Switches ≤ 2·Leases.
+	Switches uint64
 }
 
 // HandoffsAvoided returns how many grants executed inline under a lease —
-// or, for a core-private Exec, under no lease at all — without paying a
-// coroutine round-trip.
+// or, for a core-private Exec, under no lease at all — without a pick of
+// their own.
 func (s SchedCounters) HandoffsAvoided() uint64 { return s.Grants - s.Leases }
 
 // Sched returns the scheduler counters. Stable only after Run returns.
@@ -392,7 +399,6 @@ func New(cfg Config) *Machine {
 	}
 	m.Mem.SetPlacement(top.Sockets, cfg.Placement)
 	m.watch = cfg.WatchdogWindow > 0 || cfg.CycleBudget > 0 || cfg.StallTimeout > 0
-	m.doneCores = make([]bool, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		m.cores = append(m.cores, &Ctx{
 			m:     m,
@@ -440,20 +446,28 @@ func (m *Machine) Run(progs ...Program) uint64 {
 	if len(progs) > m.cfg.Cores {
 		panic(fmt.Sprintf("sim: %d programs for %d cores", len(progs), m.cfg.Cores))
 	}
-	running := 0
-	active := make([]bool, m.cfg.Cores)
-	for i, p := range progs {
-		if p == nil {
-			continue
+	if !m.cfg.ReferenceScheduler {
+		// One allocation for every heap's slots and the frontier: at most
+		// CoresPerSocket entries per heap, so no push reallocates.
+		cps := m.top.CoresPerSocket
+		slots := make([]heapEntry, m.cfg.Cores+m.top.Sockets)
+		m.frontier = slots[m.cfg.Cores:]
+		m.groups = make([]schedHeap, m.top.Sockets)
+		for s := range m.groups {
+			m.groups[s] = schedHeap{e: slots[s*cps : s*cps : (s+1)*cps], work: &m.schedWork}
+			m.frontier[s] = idleEntry
 		}
-		running++
-		active[i] = true
-		m.cores[i].start(p)
+	}
+	for i, p := range progs {
+		if p != nil {
+			m.cores[i].start(p)
+			m.requeue(m.cores[i])
+		}
 	}
 
 	if m.cfg.StallTimeout == 0 {
-		m.drive(running, active)
-	} else if !m.driveWatched(running, active) {
+		m.handoff(nil)
+	} else if !m.driveWatched() {
 		// The granted core is blocked in host code; core clocks are not
 		// safely readable. The violation report carries the snapshot.
 		return 0
@@ -467,152 +481,135 @@ func (m *Machine) Run(progs ...Program) uint64 {
 	return wall
 }
 
-// drive runs the configured pick loop until every program has finished.
-func (m *Machine) drive(running int, active []bool) {
-	switch {
-	case m.cfg.ReferenceScheduler:
-		m.runReference(running, active)
-	case m.top.Sockets > 1:
-		m.runLeaseSockets(running, active)
-	default:
-		m.runLease(running, active)
+// handoff passes the grant on from self, whose lease has ended: it requeues
+// self, picks the next core and switches straight to it, and returns once
+// self holds a lease again. self == nil is the Run goroutine, which starts
+// the machine and returns once every program has finished.
+//
+// The coroutines form a chain: each next pushes the entered core onto it,
+// each yield or program return pops one. A picked core that is not on the
+// chain is entered with its next; one lower on the chain — parked inside a
+// next of its own — is reached by yielding, and every core the yield
+// resumes that is not the one picked yields on. A program's return lands in
+// the core that entered it, which marks it done and picks. So only the
+// goroutine holding the grant ever calls a next, and a core's yield is
+// called only by its own coroutine, as iter.Pull requires. Every next
+// follows a lease of its own and every other switch pops a next, so
+// Switches ≤ 2·Leases.
+func (m *Machine) handoff(self *Ctx) {
+	if self != nil {
+		m.requeue(self)
+	}
+	for {
+		c := m.pick()
+		switch {
+		case c == self: // the same core again, or (nil) every program returned
+			return
+		case c.entered:
+			m.sched.Switches++
+			self.yield(struct{}{})
+			return
+		}
+		c.entered = true
+		m.sched.Switches++
+		_, live := c.next()
+		c.entered = false
+		if !live {
+			m.sched.Switches++
+			c.done = true
+			continue
+		}
+		// c yielded: the grant went down the chain, to self or below it.
+		if !self.leased {
+			m.sched.Switches++
+			self.yield(struct{}{})
+		}
+		return
 	}
 }
 
-// grant leases core c up to horizon and switches into its coroutine. The
-// switch back comes when c next needs a grant it does not hold (see
-// Ctx.acquire) or when its program has returned, which is the completion
-// event: grant then reports false.
-func (m *Machine) grant(c *Ctx, horizon heapEntry) (unfinished bool) {
+// pick chooses the core the grant goes to next and leases it — nil when no
+// core is runnable. The reference policy scans for the min-clock core (ties
+// to the lowest id) and leases it with the zero horizon, so release always
+// ends it: a lease of length one. The lease policy pops the
+// (clock, id)-least core, whose horizon is the minimum that remains (see
+// popMin and Ctx.release).
+func (m *Machine) pick() *Ctx {
+	var c *Ctx
+	var horizon heapEntry
+	if m.cfg.ReferenceScheduler {
+		for _, k := range m.cores {
+			if k.next != nil && !k.done && (c == nil || k.clock < c.clock) {
+				c = k
+			}
+		}
+	} else {
+		c, horizon = m.popMin()
+	}
+	if c == nil {
+		return nil
+	}
 	m.sched.Leases++
-	c.horizon = horizon
-	c.leased = true
+	c.horizon, c.leased = horizon, true
 	if m.cfg.StallTimeout > 0 {
 		m.granted.Store(int32(c.id))
 	}
-	_, unfinished = c.next()
-	return
+	return c
 }
 
-// runReference is the original per-operation scheduler, kept verbatim as
-// the executable specification of the grant order: scan for the
-// non-finished active core with the smallest clock (ties to the lowest
-// id), grant it exactly one operation, repeat.
-func (m *Machine) runReference(running int, active []bool) {
-	for running > 0 {
-		pick := -1
-		for i := 0; i < m.cfg.Cores; i++ {
-			if !active[i] {
-				continue
-			}
-			if pick < 0 || m.cores[i].clock < m.cores[pick].clock {
-				pick = i
-			}
-		}
-		// Zero horizon: release always hands back, a lease of length one.
-		if !m.grant(m.cores[pick], heapEntry{}) {
-			active[pick] = false
-			m.doneCores[pick] = true
-			running--
-		}
+// requeue puts c, whose lease has ended, back in the lease policy's run
+// queue; the reference policy's scan needs no queue.
+func (m *Machine) requeue(c *Ctx) {
+	if m.cfg.ReferenceScheduler {
+		return
 	}
+	s := 0
+	if len(m.groups) > 1 { // spare a flat machine the division
+		s = c.id / m.top.CoresPerSocket
+	}
+	m.groups[s].push(heapEntry{clock: c.clock, id: c.id})
+	m.frontier[s] = m.groups[s].min()
 }
 
-// runLease is the grant-lease scheduler. The run queue is a min-heap on
-// (clock, id); the popped core receives the heap minimum that remains as
-// its horizon and executes inline until an operation would start at or
-// above it (see Ctx.release). Because no other core's clock can change
-// while the lease is out, the horizon is exact, and the continuation rule
-// — (clock, id) below the horizon entry — means every inline grant went to
-// the core this loop would have popped next, which is the one runReference
-// would have picked: a clock tie stays with the lower id, as in its scan.
-func (m *Machine) runLease(running int, active []bool) {
-	h := newSchedHeap(m.cfg.Cores, &m.schedWork)
-	for i := 0; i < m.cfg.Cores; i++ {
-		if active[i] {
-			h.push(heapEntry{clock: m.cores[i].clock, id: i})
+// popMin pops the (clock, id)-least runnable core and returns its horizon:
+// the least entry left. The frontier's smallest socket holds it, so heap
+// work stays O(log CoresPerSocket) and the cross-socket step is a scan of
+// Sockets entries; because every per-socket minimum is the (clock,
+// id)-least of its group and the comparator is total, the frontier minimum
+// IS the global minimum, which the randomized scheduler differential proves
+// at 64–256 cores. No other core's clock changes while the lease is out, so
+// the horizon is exact, and a core that stays below it is the one the
+// reference scan would have picked — a clock tie stays with the lower id,
+// as in its scan. A core alone gets idleEntry and runs to completion.
+func (m *Machine) popMin() (*Ctx, heapEntry) {
+	best := 0
+	for s := 1; s < len(m.frontier); s++ {
+		m.schedWork++
+		if m.frontier[s].less(m.frontier[best]) {
+			best = s
 		}
 	}
-	for running > 0 {
-		e := h.pop()
-		c := m.cores[e.id]
-		horizon := idleEntry // alone: run to completion, zero handoffs
-		if h.len() > 0 {
-			horizon = h.min()
-		}
-		if m.grant(c, horizon) {
-			h.push(heapEntry{clock: c.clock, id: e.id})
-		} else {
-			m.doneCores[e.id] = true
-			running--
+	g := &m.groups[best]
+	if g.len() == 0 {
+		return nil, idleEntry
+	}
+	e := g.pop()
+	m.frontier[best] = idleEntry
+	if g.len() > 0 {
+		m.frontier[best] = g.min()
+	}
+	horizon := idleEntry
+	for _, f := range m.frontier {
+		m.schedWork++
+		if f.less(horizon) {
+			horizon = f
 		}
 	}
-}
-
-// runLeaseSockets is the grant-lease scheduler for multi-socket machines:
-// one min-heap per socket's lease group plus a cross-group clock frontier
-// — an array holding each group's (clock, id) minimum. A grant picks the
-// frontier's (clock, id)-smallest socket, pops that socket's heap, and
-// computes the horizon from the remaining frontier, so heap operations
-// stay O(log CoresPerSocket) and the cross-socket step is a scan of
-// Sockets entries. Because every per-socket minimum is the
-// (clock, id)-least of its group and the comparator is total, the frontier
-// minimum IS the global minimum — the grant order is exactly runLease's,
-// which the randomized scheduler differential proves at 64–256 cores.
-func (m *Machine) runLeaseSockets(running int, active []bool) {
-	nsock := m.top.Sockets
-	cps := m.top.CoresPerSocket
-	groups := make([]*schedHeap, nsock)
-	frontier := make([]heapEntry, nsock) // mirror of groups[s].min(); idleEntry when empty
-	for s := range groups {
-		groups[s] = newSchedHeap(cps, &m.schedWork)
-		frontier[s] = idleEntry
-	}
-	for i := 0; i < m.cfg.Cores; i++ {
-		if active[i] {
-			groups[i/cps].push(heapEntry{clock: m.cores[i].clock, id: i})
-		}
-	}
-	for s := range groups {
-		if groups[s].len() > 0 {
-			frontier[s] = groups[s].min()
-		}
-	}
-	for running > 0 {
-		best := 0
-		for s := 1; s < nsock; s++ {
-			m.schedWork++
-			if frontier[s].less(frontier[best]) {
-				best = s
-			}
-		}
-		e := groups[best].pop()
-		if groups[best].len() > 0 {
-			frontier[best] = groups[best].min()
-		} else {
-			frontier[best] = idleEntry
-		}
-		c := m.cores[e.id]
-		horizon := idleEntry
-		for s := 0; s < nsock; s++ {
-			m.schedWork++
-			if frontier[s].less(horizon) {
-				horizon = frontier[s]
-			}
-		}
-		// still idle: alone, run to completion
-		if m.grant(c, horizon) {
-			groups[best].push(heapEntry{clock: c.clock, id: e.id})
-			frontier[best] = groups[best].min()
-		} else {
-			m.doneCores[e.id] = true
-			running--
-		}
-	}
+	return m.cores[e.id], horizon
 }
 
 // heapEntry is one runnable core in the lease scheduler's run queue. The
-// clock is a snapshot taken at hand-back; it cannot go stale because a
+// clock is a snapshot taken at requeue; it cannot go stale because a
 // core's clock only advances while the core holds the grant, and a core in
 // the heap does not.
 type heapEntry struct {
@@ -629,16 +626,12 @@ func (a heapEntry) less(b heapEntry) bool {
 }
 
 // schedHeap is a hand-rolled binary min-heap on (clock, id). It replaces
-// the reference scheduler's O(cores) scan per grant and stays
-// allocation-free after construction (at most one entry per core). Each
-// sift step adds one to *work.
+// the reference scheduler's O(cores) scan per grant and never allocates:
+// Run gives it room for every core of its socket. Each sift step adds one
+// to *work.
 type schedHeap struct {
 	e    []heapEntry
 	work *uint64
-}
-
-func newSchedHeap(capacity int, work *uint64) *schedHeap {
-	return &schedHeap{e: make([]heapEntry, 0, capacity), work: work}
 }
 
 func (h *schedHeap) len() int       { return len(h.e) }
@@ -690,17 +683,22 @@ type Ctx struct {
 	id    int
 	clock uint64
 
-	// The coroutine transport: the scheduler switches into the program
-	// with next, the program switches back with yield.
+	// The coroutine transport (see Machine.handoff): the grant holder
+	// enters the program with next, the program leaves with yield or by
+	// returning.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
 	// Lease state. leased is true while this core holds a grant it may
 	// extend inline; horizon is the (clock, id) minimum of the other
-	// runnable cores; the scheduler sets both when it issues the lease.
-	// Under the reference scheduler horizon stays zero, so release always
-	// hands back.
+	// runnable cores; pick sets both when it issues the lease. Under the
+	// reference scheduler horizon stays zero, so release always hands back.
+	// Beside them, in what would be padding, the chain state handoff
+	// reads: entered is true while a next of this core's is in progress,
+	// done once its program has returned.
 	leased  bool
+	entered bool
+	done    bool
 	horizon heapEntry
 
 	markCounter   [cache.NumMarkPlanes]uint64
@@ -761,12 +759,12 @@ func (c *Ctx) charge(cycles uint64) {
 }
 
 // acquire obtains the grant for the next architectural operation — inline
-// when this core holds a live lease, otherwise by switching back to the
-// scheduler until it leases this core again — then runs the per-operation
+// when this core holds a live lease, otherwise by handing the grant on
+// until a pick leases this core again — then runs the per-operation
 // duties, if the machine has any.
 func (c *Ctx) acquire() {
 	if !c.leased {
-		c.yield(struct{}{})
+		c.m.handoff(c)
 	}
 	c.m.sched.Grants++
 	if c.m.perOpDuties {
@@ -819,12 +817,12 @@ func (c *Ctx) InjectSuspend() { c.ringTransitionNow() }
 func (c *Ctx) Cat() telemetry.Category { return c.cat }
 
 // release ends the operation. While the post-operation (clock, id) is
-// below the horizon entry this core is still the one the pick loop would
-// choose — on a clock tie too, when its id is the lower — so the lease
-// extends and the next acquire proceeds inline with no host handoff.
-// Otherwise another core has caught up and the lease is given up: the next
-// acquire yields and the scheduler picks. The program's host code (and any
-// core-private Exec) up to that acquire still runs before the switch.
+// below the horizon entry this core is still the one pick would choose —
+// on a clock tie too, when its id is the lower — so the lease extends and
+// the next acquire proceeds inline with no host handoff. Otherwise another
+// core has caught up and the lease is given up: the next acquire hands the
+// grant on. The program's host code (and any core-private Exec) up to that
+// acquire still runs before the switch.
 func (c *Ctx) release() {
 	if !(heapEntry{clock: c.clock, id: c.id}).less(c.horizon) {
 		c.leased = false

@@ -327,9 +327,9 @@ func TestWallClockIsMaxCoreClock(t *testing.T) {
 // TestLeaseWorkIsLogarithmic holds the lease scheduler's host cost per
 // lease to its data structures' bound as the machine grows: at most one
 // sift step per heap level on the push and on the pop, plus the 2·Sockets
-// frontier slots the multi-socket loop scans. Each core loads its own line,
-// so every access hits L1 and the counter sees only scheduling. Measured
-// work per lease: 2.98 at 16 cores, 9.98 at 4×16 and 11.98 at 4×64; a scan
+// frontier slots popMin scans. Each core loads its own line, so every
+// access hits L1 and the counter sees only scheduling. Measured work per
+// lease: 3.98 at 16 cores, 9.98 at 4×16 and 11.98 at 4×64; a scan
 // of every core would add about 256 per lease at 256 cores.
 func TestLeaseWorkIsLogarithmic(t *testing.T) {
 	for _, top := range []Topology{{1, 16}, {4, 16}, {4, 64}} {

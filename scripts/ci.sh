@@ -38,6 +38,7 @@ fuzz)
 FuzzParseSpec ./internal/faults
 FuzzParseChaosSpec ./internal/native
 FuzzParseTopology ./internal/sim
+FuzzSchedulerDifferential ./internal/sim
 FuzzParsePlacement ./internal/mem
 FuzzParseMapping ./internal/harness
 FuzzHierarchy ./internal/cache
