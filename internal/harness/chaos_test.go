@@ -76,7 +76,7 @@ func TestShedBudgetsArePerBackend(t *testing.T) {
 	// because ShedAfterNS means nothing in simulated cycles.
 	sc := ServiceConfig(o, ServiceCores, 64, 0.9, service.AdmissionConfig{ShedAfterNS: 1})
 	sc.Degrade = service.DegradeConfig{}
-	m, err := RunOneService(ServiceCores, sc, o)
+	m, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestServiceDegradeLadderEngages(t *testing.T) {
 	o := quick()
 	sc := ServiceConfig(o, ServiceCores, 64, 0.9, service.AdmissionConfig{})
 	sc.Degrade = service.DegradeConfig{SLOCycles: 500, Window: 32, EngageAfter: 1}
-	m, err := RunOneService(ServiceCores, sc, o)
+	m, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestServiceDegradeLadderDisabled(t *testing.T) {
 	o := quick()
 	sc := ServiceConfig(o, ServiceCores, 64, 0.9, service.AdmissionConfig{})
 	sc.Degrade = service.DegradeConfig{}
-	m, err := RunOneService(ServiceCores, sc, o)
+	m, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,9 +74,9 @@ func TestUnsplittableOpsRejected(t *testing.T) {
 	check("FinalStateHash", err)
 	_, _, err = ChaosStormRun(WorkloadBST, 4, o, native.ChaosSpec{Abort: 10})
 	check("ChaosStormRun", err)
-	_, err = RunOneService(4, ServiceConfig(o, 4, 256, 0.9, DefaultAdmission()), o)
+	_, err = RunOneServiceScheme(SchemeSTM, 4, ServiceConfig(o, 4, 256, 0.9, DefaultAdmission()), o)
 	if err == nil {
-		t.Error("RunOneService accepted a config with no requests per core")
+		t.Error("RunOneServiceScheme accepted a config with no requests per core")
 	}
 	// One op per thread is the smallest cell, and it must do its work.
 	o.Ops = 4

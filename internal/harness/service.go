@@ -170,12 +170,6 @@ func (s serviceSubject) oracle(m *mem.Memory, sc service.Config) error {
 	return nil
 }
 
-// RunOneService runs one simulator service cell under the default STM
-// scheme. See RunOneServiceScheme.
-func RunOneService(cores int, sc service.Config, o Options) (RunMetrics, error) {
-	return RunOneServiceScheme(SchemeSTM, cores, sc, o)
-}
-
 // RunOneServiceScheme runs one simulator service cell: populate the bank,
 // run the read-only warmup, then drive every core's open-loop arrival
 // stream under the named scheme with the escalation ladder armed (the

@@ -7,7 +7,7 @@ import (
 	"hastm.dev/hastm/internal/service"
 )
 
-// Every RunOneService call replays its committed-op log through the
+// Every RunOneServiceScheme call replays its committed-op log through the
 // sequential oracle before returning, so a nil error here is the oracle
 // passing — including at overload and heavy skew, where admission
 // control sheds and serializes requests.
@@ -23,7 +23,7 @@ func TestServiceOracleAcrossLoadAndSkew(t *testing.T) {
 		{"skewed", 256, 1.5},
 	} {
 		sc := ServiceConfig(o, ServiceCores, tc.gap, tc.skew, DefaultAdmission())
-		m, err := RunOneService(ServiceCores, sc, o)
+		m, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -53,11 +53,11 @@ func TestServiceOracleAcrossLoadAndSkew(t *testing.T) {
 func TestServiceDeterministic(t *testing.T) {
 	o := quick()
 	sc := ServiceConfig(o, ServiceCores, 256, 1.2, DefaultAdmission())
-	a, err := RunOneService(ServiceCores, sc, o)
+	a, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOneService(ServiceCores, sc, o)
+	b, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestServiceAdmissionEngages(t *testing.T) {
 	o := quick()
 	adm := service.AdmissionConfig{ShedAfterCycles: 500, HotThreshold: 1, HotWindow: 32, Serialize: true}
 	sc := ServiceConfig(o, ServiceCores, 64, 1.5, adm)
-	m, err := RunOneService(ServiceCores, sc, o)
+	m, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestServiceAdmissionDisabled(t *testing.T) {
 	o := quick()
 	sc := ServiceConfig(o, ServiceCores, 64, 1.5, service.AdmissionConfig{})
 	sc.Degrade = service.DegradeConfig{}
-	m, err := RunOneService(ServiceCores, sc, o)
+	m, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,10 +67,6 @@ var (
 	_ tm.Protocol = (*Thread)(nil)
 )
 
-// Snapshot reports whether the current attempt is still on the MVCC
-// snapshot read path (read-only so far).
-func (t *Thread) Snapshot() bool { return t.snapshot }
-
 // --- tm.Protocol: deferred version management ---------------------------------
 
 // BeginAttempt rewinds the logs and, under MVCC, fixes the attempt's

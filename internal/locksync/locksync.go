@@ -3,10 +3,11 @@
 // lines of Fig 11, the "Lock" bars of Fig 16/18-20) and plain sequential
 // execution (the Fig 16/17 normalisation baseline).
 //
-// Both implement tm.System so workloads run unchanged. Their Txn handles
-// execute accesses directly — no barriers, no rollback. Retry and Abort
-// are unsupported: those semantics are exactly what locks cannot compose
-// (§1), and calling them panics with a clear message.
+// Both are one tm.System, with and without the lock, so workloads run
+// unchanged. Its Txn handle executes accesses directly — no barriers, no
+// rollback. Retry and Abort are unsupported: those semantics are exactly
+// what locks cannot compose (§1), and calling them panics with a clear
+// message.
 package locksync
 
 import (
@@ -16,62 +17,69 @@ import (
 	"hastm.dev/hastm/internal/tm"
 )
 
-// LockSystem is a single coarse-grained test-and-test-and-set spinlock in
-// simulated memory: the same structure-wide lock the paper's lock versions
-// take around each operation (e.g. the BST root lock that serialises all
-// operations because of rotations).
-type LockSystem struct {
-	machine *sim.Machine
-	lock    uint64
+// System is one non-transactional baseline. With a lock it is a single
+// coarse-grained test-and-test-and-set spinlock in simulated memory: the
+// same structure-wide lock the paper's lock versions take around each
+// operation (e.g. the BST root lock that serialises all operations because
+// of rotations). Without one (seq) it executes atomic blocks directly with
+// no synchronization at all — the fastest possible single-thread
+// execution, the normalisation baseline of Fig 16/17, which must only be
+// run on one core.
+type System struct {
+	name string
+	lock uint64 // the lock word's address; 0 for seq
 }
 
-var _ tm.System = (*LockSystem)(nil)
+var _ tm.System = (*System)(nil)
 
 // NewLock creates the lock baseline with one global lock.
-func NewLock(machine *sim.Machine) *LockSystem {
+func NewLock(machine *sim.Machine) *System {
 	l := machine.Mem.Alloc(mem.LineSize, mem.LineSize) // own line: no false sharing
-	return &LockSystem{machine: machine, lock: l}
+	return &System{name: "lock", lock: l}
 }
+
+// NewSeq creates the sequential baseline.
+func NewSeq(machine *sim.Machine) *System { return &System{name: "seq"} }
 
 // Name identifies the scheme.
-func (s *LockSystem) Name() string { return "lock" }
+func (s *System) Name() string { return s.name }
 
-// Thread binds the lock baseline to a core.
-func (s *LockSystem) Thread(ctx *sim.Ctx) tm.Thread {
-	return &lockThread{sys: s, ctx: ctx, backoff: tm.NewBackoff(ctx.ID())}
+// Thread binds the baseline to a core.
+func (s *System) Thread(ctx *sim.Ctx) tm.Thread {
+	return &thread{lock: s.lock, ctx: ctx, backoff: *tm.NewBackoff(ctx.ID())}
 }
 
-type lockThread struct {
-	sys     *LockSystem
+type thread struct {
+	lock    uint64
 	ctx     *sim.Ctx
-	backoff *tm.Backoff
-	held    bool
+	backoff tm.Backoff
+	in      bool
 }
 
 var (
-	_ tm.Thread = (*lockThread)(nil)
-	_ tm.Txn    = (*lockThread)(nil)
+	_ tm.Thread = (*thread)(nil)
+	_ tm.Txn    = (*thread)(nil)
 )
 
-func (t *lockThread) Ctx() *sim.Ctx { return t.ctx }
+func (t *thread) Ctx() *sim.Ctx { return t.ctx }
 
 // ID returns the simulated core id.
-func (t *lockThread) ID() int { return t.ctx.ID() }
+func (t *thread) ID() int { return t.ctx.ID() }
 
 // Stamp returns the core clock, the serialization stamp of the most
 // recently committed atomic block on simulator backends.
-func (t *lockThread) Stamp() uint64 { return t.ctx.Clock() }
+func (t *thread) Stamp() uint64 { return t.ctx.Clock() }
 
-// Atomic acquires the global lock, runs body once, and releases. Nested
-// calls are flattened (the lock is already held).
-func (t *lockThread) Atomic(body func(tm.Txn) error) error {
-	if t.held {
-		return body(t) // flat nesting under one lock
+// Atomic runs body once, under the global lock if there is one. Nested
+// calls are flattened into the enclosing block.
+func (t *thread) Atomic(body func(tm.Txn) error) error {
+	if t.in {
+		return body(t) // flat nesting
 	}
 	t.acquire()
-	t.held = true
+	t.in = true
 	defer func() {
-		t.held = false
+		t.in = false
 		t.release()
 		t.ctx.Telem().Inc(telemetry.Commits)
 		// A lock-based critical section always completes, so the escalation
@@ -82,18 +90,21 @@ func (t *lockThread) Atomic(body func(tm.Txn) error) error {
 	return body(t)
 }
 
-func (t *lockThread) acquire() {
+func (t *thread) acquire() {
+	if t.lock == 0 {
+		return
+	}
 	ctx := t.ctx
 	prev := ctx.SetCat(telemetry.Lock)
 	defer ctx.SetCat(prev)
 	for {
 		// Test-and-test-and-set: spin on a read before attempting the CAS.
-		for ctx.Load(t.sys.lock) != 0 {
+		for ctx.Load(t.lock) != 0 {
 			ctx.Exec(2)
 			t.backoff.Wait(ctx)
 		}
 		ctx.Exec(2)
-		if ok, _ := ctx.CAS(t.sys.lock, 0, 1); ok {
+		if ok, _ := ctx.CAS(t.lock, 0, 1); ok {
 			ctx.Telem().Inc(telemetry.LockAcquires)
 			t.backoff.Reset()
 			return
@@ -101,121 +112,53 @@ func (t *lockThread) acquire() {
 	}
 }
 
-func (t *lockThread) release() {
+func (t *thread) release() {
+	if t.lock == 0 {
+		return
+	}
 	ctx := t.ctx
 	prev := ctx.SetCat(telemetry.Lock)
-	ctx.Store(t.sys.lock, 0)
+	ctx.Store(t.lock, 0)
 	ctx.SetCat(prev)
 }
 
-func (t *lockThread) require() {
-	if !t.held {
-		panic("locksync: access outside the lock-protected block")
+func (t *thread) require() {
+	if !t.in {
+		panic("locksync: access outside the atomic block")
 	}
 }
 
-func (t *lockThread) Load(addr uint64) uint64 {
+func (t *thread) Load(addr uint64) uint64 {
 	t.require()
 	return t.ctx.Load(addr)
 }
 
-func (t *lockThread) Store(addr, val uint64) {
+func (t *thread) Store(addr, val uint64) {
 	t.require()
 	t.ctx.Store(addr, val)
 }
 
-func (t *lockThread) LoadObj(base, off uint64) uint64 { return t.Load(base + off) }
+func (t *thread) LoadObj(base, off uint64) uint64 { return t.Load(base + off) }
 
-func (t *lockThread) StoreObj(base, off, val uint64) { t.Store(base+off, val) }
+func (t *thread) StoreObj(base, off, val uint64) { t.Store(base+off, val) }
 
-func (t *lockThread) OrElse(alternatives ...func(tm.Txn) error) error {
+func (t *thread) OrElse(alternatives ...func(tm.Txn) error) error {
 	panic("locksync: orElse requires a transactional system")
 }
 
-func (t *lockThread) Retry() {
+func (t *thread) Retry() {
 	panic("locksync: retry requires a transactional system")
 }
 
-func (t *lockThread) Abort() {
+func (t *thread) Abort() {
 	panic("locksync: abort requires a transactional system")
 }
 
 // Exec charges application compute to the simulated clock.
-func (t *lockThread) Exec(n uint64) { t.ctx.Exec(n) }
+func (t *thread) Exec(n uint64) { t.ctx.Exec(n) }
 
 // Alloc reserves memory for a new object.
-func (t *lockThread) Alloc(size, align uint64) uint64 { return t.ctx.Alloc(size, align) }
+func (t *thread) Alloc(size, align uint64) uint64 { return t.ctx.Alloc(size, align) }
 
 // StoreInit initialises not-yet-published memory.
-func (t *lockThread) StoreInit(addr, val uint64) { t.ctx.Store(addr, val) }
-
-// SeqSystem executes atomic blocks directly with no synchronization at
-// all — the fastest possible single-thread execution, used as the
-// normalisation baseline of Fig 16/17. It must only be run on one core.
-type SeqSystem struct {
-	machine *sim.Machine
-}
-
-var _ tm.System = (*SeqSystem)(nil)
-
-// NewSeq creates the sequential baseline.
-func NewSeq(machine *sim.Machine) *SeqSystem {
-	return &SeqSystem{machine: machine}
-}
-
-// Name identifies the scheme.
-func (s *SeqSystem) Name() string { return "seq" }
-
-// Thread binds the sequential baseline to a core.
-func (s *SeqSystem) Thread(ctx *sim.Ctx) tm.Thread {
-	return &seqThread{ctx: ctx}
-}
-
-type seqThread struct {
-	ctx *sim.Ctx
-	in  bool
-}
-
-var (
-	_ tm.Thread = (*seqThread)(nil)
-	_ tm.Txn    = (*seqThread)(nil)
-)
-
-func (t *seqThread) Ctx() *sim.Ctx { return t.ctx }
-
-// ID returns the simulated core id.
-func (t *seqThread) ID() int { return t.ctx.ID() }
-
-// Stamp returns the core clock, the serialization stamp of the most
-// recently committed atomic block on simulator backends.
-func (t *seqThread) Stamp() uint64 { return t.ctx.Clock() }
-
-func (t *seqThread) Atomic(body func(tm.Txn) error) error {
-	t.in = true
-	defer func() {
-		t.in = false
-		t.ctx.Telem().Inc(telemetry.Commits)
-		t.ctx.NoteCommit()
-	}()
-	return body(t)
-}
-
-func (t *seqThread) Load(addr uint64) uint64      { return t.ctx.Load(addr) }
-func (t *seqThread) Store(addr, val uint64)       { t.ctx.Store(addr, val) }
-func (t *seqThread) LoadObj(b, off uint64) uint64 { return t.ctx.Load(b + off) }
-func (t *seqThread) StoreObj(b, off, val uint64)  { t.ctx.Store(b+off, val) }
-
-func (t *seqThread) OrElse(...func(tm.Txn) error) error {
-	panic("locksync: orElse requires a transactional system")
-}
-func (t *seqThread) Retry() { panic("locksync: retry requires a transactional system") }
-func (t *seqThread) Abort() { panic("locksync: abort requires a transactional system") }
-
-// Exec charges application compute to the simulated clock.
-func (t *seqThread) Exec(n uint64) { t.ctx.Exec(n) }
-
-// Alloc reserves memory for a new object.
-func (t *seqThread) Alloc(size, align uint64) uint64 { return t.ctx.Alloc(size, align) }
-
-// StoreInit initialises not-yet-published memory.
-func (t *seqThread) StoreInit(addr, val uint64) { t.ctx.Store(addr, val) }
+func (t *thread) StoreInit(addr, val uint64) { t.ctx.Store(addr, val) }

@@ -40,26 +40,36 @@ func TestLockMutualExclusion(t *testing.T) {
 	if machine.Stats.CategoryCycles(telemetry.Lock) == 0 {
 		t.Fatal("lock cycles not attributed")
 	}
+	if n := machine.Stats.Count(telemetry.LockAcquires); n != 4*per {
+		t.Fatalf("lock acquires = %d, want %d", n, 4*per)
+	}
 }
 
+// A nested block flattens into the enclosing one under either baseline:
+// both writes land and the pair counts one commit.
 func TestLockNestingFlattens(t *testing.T) {
-	machine := testMachine(1)
-	sys := NewLock(machine)
-	addr := machine.Mem.Alloc(64, 8)
-	machine.Run(func(c *sim.Ctx) {
-		th := sys.Thread(c)
-		if err := th.Atomic(func(tx tm.Txn) error {
-			tx.Store(addr, 1)
-			return tx.Atomic(func(in tm.Txn) error {
-				in.Store(addr+8, 2)
-				return nil
-			})
-		}); err != nil {
-			t.Errorf("Atomic: %v", err)
+	for _, mk := range []func(*sim.Machine) *System{NewLock, NewSeq} {
+		machine := testMachine(1)
+		sys := mk(machine)
+		addr := machine.Mem.Alloc(64, 8)
+		machine.Run(func(c *sim.Ctx) {
+			th := sys.Thread(c)
+			if err := th.Atomic(func(tx tm.Txn) error {
+				tx.Store(addr, 1)
+				return tx.Atomic(func(in tm.Txn) error {
+					in.Store(addr+8, 2)
+					return nil
+				})
+			}); err != nil {
+				t.Errorf("%s: Atomic: %v", sys.Name(), err)
+			}
+		})
+		if machine.Mem.Load(addr) != 1 || machine.Mem.Load(addr+8) != 2 {
+			t.Fatalf("%s: nested block lost writes", sys.Name())
 		}
-	})
-	if machine.Mem.Load(addr) != 1 || machine.Mem.Load(addr+8) != 2 {
-		t.Fatal("nested lock block lost writes")
+		if n := machine.Stats.Commits(); n != 1 {
+			t.Errorf("%s: nested block counted %d commits, want 1", sys.Name(), n)
+		}
 	}
 }
 
@@ -81,18 +91,20 @@ func TestLockRejectsRetry(t *testing.T) {
 }
 
 func TestLockAccessOutsideBlockPanics(t *testing.T) {
-	machine := testMachine(1)
-	sys := NewLock(machine)
-	addr := machine.Mem.Alloc(64, 8)
-	machine.Run(func(c *sim.Ctx) {
-		th := sys.Thread(c).(*lockThread)
-		defer func() {
-			if recover() == nil {
-				t.Error("access outside the lock must panic")
-			}
-		}()
-		th.Load(addr)
-	})
+	for _, mk := range []func(*sim.Machine) *System{NewLock, NewSeq} {
+		machine := testMachine(1)
+		sys := mk(machine)
+		addr := machine.Mem.Alloc(64, 8)
+		machine.Run(func(c *sim.Ctx) {
+			th := sys.Thread(c).(*thread)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: access outside the atomic block must panic", sys.Name())
+				}
+			}()
+			th.Load(addr)
+		})
+	}
 }
 
 func TestSeqBaseline(t *testing.T) {
@@ -112,6 +124,9 @@ func TestSeqBaseline(t *testing.T) {
 	})
 	if machine.Mem.Load(addr) != 10 {
 		t.Fatal("sequential execution wrong")
+	}
+	if n := machine.Stats.Count(telemetry.LockAcquires); n != 0 {
+		t.Errorf("sequential baseline counted %d lock acquires", n)
 	}
 	// Sequential = just the raw accesses: one cold miss + hits.
 	if wall > 1000 {

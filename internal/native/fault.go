@@ -26,10 +26,9 @@ type stopSignal struct{}
 // TxnFault is a foreign panic contained inside an atomic block — the
 // native analogue of the simulator's CoreFault. Containment runs before
 // the fault surfaces: owned stripe locks are restored to their pre-lock
-// versions, an irrevocable transaction's undo log is replayed and the
-// serial lock released, and the thread's mode flags are reset, so the
-// system stays usable and the fault is a per-transaction error, not a
-// process poison.
+// versions, the buffered writes are discarded, the serial lock is released
+// and the thread's mode flags are reset, so the system stays usable and the
+// fault is a per-transaction error, not a process poison.
 type TxnFault struct {
 	Thread      int    // goroutine slot the fault occurred on
 	Irrevocable bool   // whether the body was running in the serial section

@@ -79,10 +79,10 @@ func TestTxnFaultContainsBodyPanic(t *testing.T) {
 	}
 }
 
-// A foreign panic inside the serial irrevocable section is the worst
-// case: eager stores are already in memory and the serial lock is held
-// exclusively. Containment must replay the undo log, release the lock and
-// report an irrevocable TxnFault — other threads must not deadlock.
+// A foreign panic inside the serial irrevocable section, which holds the
+// serial lock exclusively: containment must discard the buffered store,
+// release the lock and report an irrevocable TxnFault — other threads must
+// not deadlock.
 func TestTxnFaultContainsIrrevocablePanic(t *testing.T) {
 	m := mem.New()
 	slot := m.Alloc(mem.WordSize, mem.LineSize)
@@ -96,12 +96,12 @@ func TestTxnFaultContainsIrrevocablePanic(t *testing.T) {
 
 	// AtomicSerialized takes the serial irrevocable path on its first
 	// attempt (the ladder is armed), so the body runs holding the serial
-	// lock with eager stores under the undo log.
+	// lock.
 	err := th.AtomicSerialized(func(tx tm.Txn) error {
 		if !th.Irrevocable() {
 			t.Error("serialized attempt did not escalate")
 		}
-		tx.Store(slot, 999) // eager store under the undo log
+		tx.Store(slot, 999)
 		panic("boom")
 	})
 	var fault *TxnFault
@@ -112,7 +112,7 @@ func TestTxnFaultContainsIrrevocablePanic(t *testing.T) {
 		t.Fatal("fault not marked irrevocable")
 	}
 	if got := m.Load(slot); got != 7 {
-		t.Fatalf("undo log not replayed: slot = %d, want 7", got)
+		t.Fatalf("the panicking body's store reached memory: slot = %d, want 7", got)
 	}
 	// The serial lock must be free: a transaction on the other thread —
 	// including one that escalates itself — completes.

@@ -29,9 +29,9 @@
 //     wv. Committed-op logs sorted by stamp replay the run serially.
 //  5. An escalated (irrevocable) transaction holds the serial lock
 //     exclusively — every revocable attempt runs under the shared side —
-//     writes eagerly with an undo log (so nesting still rolls back
-//     partially), and bumps the stripes it touched at commit so retry
-//     waiters observe the change.
+//     and runs the same buffered path and commit: with every other attempt
+//     drained no stripe is locked and nothing else commits, so its commit
+//     cannot fail. No transaction's write reaches memory before its commit.
 //  6. A commit wakes retry waiters only when there are some: a waiter raises
 //     System.waiters BEFORE it snapshots the wake channel and checks its
 //     stripes, a committer reads it AFTER storing its stripe releases, so

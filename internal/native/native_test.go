@@ -145,10 +145,43 @@ func TestEscalationLadder(t *testing.T) {
 	}
 }
 
+// An irrevocable commit has no abort path, so a chaos abort planned at one
+// of its commit points lapses: planned, never fired, and the transaction
+// commits on its one attempt.
+func TestIrrevocableCommitSkipsChaosAborts(t *testing.T) {
+	m := mem.New()
+	word := m.Alloc(mem.WordSize, mem.LineSize)
+	sys := New(m, Config{
+		TM:      tm.Config{Progress: tm.Progress{RetryBudget: 1}},
+		Threads: 1,
+		Chaos:   ChaosSpec{Abort: 1, Seed: 1}, // one spurious abort per transaction
+	})
+	th := sys.Thread(0).(*Thread)
+	if err := th.AtomicSerialized(func(tx tm.Txn) error {
+		tx.Store(word, tx.Load(word)+1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Load(word); got != 1 {
+		t.Fatalf("counter = %d, want 1", got)
+	}
+	tel := sys.Stats()
+	if commits, aborts := tel.Commits(), tel.TotalAborts(); commits != 1 || aborts != 0 {
+		t.Fatalf("commits=%d aborts=%d, want 1/0", commits, aborts)
+	}
+	if n := tel.Count(telemetry.IrrevocableEntries); n != 1 {
+		t.Fatalf("irrevocable entries = %d, want 1", n)
+	}
+	rep := sys.ChaosReport()
+	if planned, fired := rep.Planned["abort"], rep.Fired["abort"]; planned != 1 || fired != 0 {
+		t.Fatalf("chaos aborts planned=%d fired=%d, want 1/0", planned, fired)
+	}
+}
+
 func TestIrrevocableNestedRollback(t *testing.T) {
 	// AtomicSerialized escalates on the first attempt when the ladder is
-	// armed, so the body — and its nested rollback — run on the eager
-	// undo-logged irrevocable path.
+	// armed, so the body — and its nested rollback — run irrevocably.
 	cfg := tm.Config{Progress: tm.Progress{RetryBudget: 1}}
 	sys, m, words := newSys(t, 1, cfg)
 	th := sys.Thread(0).(*Thread)

@@ -30,12 +30,6 @@ type writeEntry struct {
 	prev int
 }
 
-// undoEntry is one eager store by an irrevocable transaction.
-type undoEntry struct {
-	addr uint64
-	old  uint64
-}
-
 // Thread is a host goroutine's transaction handle: the TL2 protocol under
 // the shared tm.Engine, plus the native-only containment, chaos and
 // watchdog wrapper around the engine call. It implements tm.Thread, tm.Txn
@@ -60,11 +54,6 @@ type Thread struct {
 	// sorted, then the distinct ones as acquired (so ascending by ix).
 	stripeIdxs []int
 	owned      []readEntry
-
-	// Irrevocable mode writes eagerly; undo supports nested rollback and
-	// the body-error path, touched collects stripes to bump at commit.
-	undo    []undoEntry
-	touched []int
 
 	// cur and end bound what is left of the thread's arena chunk (Alloc).
 	cur, end uint64
@@ -166,10 +155,10 @@ func (t *Thread) spinYield(spins int) {
 // budget is spent) inside the native containment rail.
 //
 // Foreign panics do not escape: contain restores any stripe locks and the
-// serial lock the transaction held, resets the thread, and returns the
-// panic as a *TxnFault error (arena exhaustion as ErrArenaExhausted, a
-// watchdog trip as the NativeProgressViolation), matching the simulator's
-// PR 5 containment rule.
+// serial lock the transaction held, discards its buffered writes, and
+// returns the panic as a *TxnFault error (arena exhaustion as
+// ErrArenaExhausted, a watchdog trip as the NativeProgressViolation),
+// matching the simulator's containment rule.
 func (t *Thread) Atomic(body func(tm.Txn) error) (err error) {
 	if t.InTxn() {
 		return t.Engine.Atomic(body)
@@ -196,8 +185,9 @@ func (t *Thread) chaosAt(p chaosPoint) bool {
 // contain is Atomic's recovery rail: it intercepts everything except
 // engine signals (which never escape the engine — one here is an engine bug
 // and re-panics), repairs shared state — stripe locks back to pre-lock
-// versions, the irrevocable undo log replayed and the serial lock released
-// (Engine.Unwind) — and converts the panic into the transaction's error.
+// versions and the serial lock released (Engine.Unwind) — and converts the
+// panic into the transaction's error. Nothing the transaction wrote reached
+// memory, irrevocable or not, so its buffer is simply discarded.
 func (t *Thread) contain(err *error) {
 	r := recover()
 	if r == nil {
@@ -241,10 +231,9 @@ func (t *Thread) releaseOwnedIfHeld() {
 
 // --- tm.Protocol: TL2 ---------------------------------------------------------
 
-// BeginAttempt clears the attempt's logs and, for a revocable attempt,
-// samples the read version. An irrevocable attempt (invariant 5) holds the
-// serial lock exclusively and runs with eager stores, an undo log for
-// nested rollback, and no conflict abort path.
+// BeginAttempt clears the attempt's logs and samples the read version. An
+// irrevocable attempt (invariant 5) runs the same buffered path while
+// holding the serial lock exclusively.
 func (t *Thread) BeginAttempt(attempt int) {
 	if attempt == 0 {
 		t.watch = t.watch[:0]
@@ -254,19 +243,17 @@ func (t *Thread) BeginAttempt(attempt int) {
 	}
 	t.reads = t.reads[:0]
 	t.writes = t.writes[:0]
-	t.undo = t.undo[:0]
 	if t.sys.failed.Load() != nil {
 		panic(stopSignal{})
 	}
+	t.rv = t.sys.clock.Load()
+	t.windex.reset()
 	if t.Irrevocable() {
-		t.touched = t.touched[:0]
 		// Chaos point: the serial lock is held exclusively — a stall here
 		// drains every revocable attempt against the irrevocable window.
 		t.chaosAt(pointIrrevocable)
 		return
 	}
-	t.rv = t.sys.clock.Load()
-	t.windex.reset()
 	t.tb.Inc(telemetry.CautiousAttempts)
 }
 
@@ -278,13 +265,13 @@ func (t *Thread) EndAttempt(committed bool) {
 	}
 }
 
-// ObserveSetSizes raises the log-pressure high-water marks.
-func (t *Thread) ObserveSetSizes() (reads, writes, undo int) {
-	reads, writes, undo = len(t.reads), len(t.writes), len(t.undo)
+// ObserveSetSizes raises the log-pressure high-water marks. The third size
+// is zero: TL2 buffers its writes and logs no old values.
+func (t *Thread) ObserveSetSizes() (reads, writes, _ int) {
+	reads, writes = len(t.reads), len(t.writes)
 	t.tb.ObserveMax(telemetry.ReadSetHWM, uint64(reads))
 	t.tb.ObserveMax(telemetry.WriteSetHWM, uint64(writes))
-	t.tb.ObserveMax(telemetry.UndoLogHWM, uint64(undo))
-	return reads, writes, undo
+	return reads, writes, 0
 }
 
 // ReadsConsistent is always true: TL2 reads are opaque — validated against
@@ -332,9 +319,6 @@ func (t *Thread) ExitLadder(irrevocable bool) {
 // else a version-stable read no newer than rv (invariant 2).
 func (t *Thread) Load(addr uint64) uint64 {
 	t.RequireTxn()
-	if t.Irrevocable() {
-		return t.sys.m.LoadAtomic(addr)
-	}
 	if len(t.writes) != 0 {
 		if i := t.windex.lookup(t.writes, addr); i >= 0 {
 			return t.writes[i].val
@@ -374,12 +358,6 @@ func (t *Thread) Load(addr uint64) uint64 {
 // Store buffers the write; it becomes visible only at commit.
 func (t *Thread) Store(addr, val uint64) {
 	t.RequireTxn()
-	if t.Irrevocable() {
-		t.undo = append(t.undo, undoEntry{addr: addr, old: t.sys.m.LoadAtomic(addr)})
-		t.touched = append(t.touched, t.sys.stripeIndex(addr))
-		t.sys.m.StoreAtomic(addr, val)
-		return
-	}
 	prev := t.windex.set(t.writes, addr, len(t.writes))
 	t.writes = append(t.writes, writeEntry{addr: addr, val: val, prev: prev})
 }
@@ -475,14 +453,13 @@ func (t *Thread) StoreInit(addr, val uint64) {
 
 // --- Commit ----------------------------------------------------------------
 
-// Commit finishes the attempt: the TL2 commit of a revocable one (invariant
-// 3), or the stamp-and-bump of an irrevocable one. Returns false with the
-// abort cause if the attempt must be re-run.
+// Commit finishes the attempt with the TL2 commit (invariant 3). Returns
+// false with the abort cause if the attempt must be re-run — never for an
+// irrevocable attempt, which holds the serial lock exclusively: no stripe
+// is locked and nothing commits beside it, so it takes every stripe on the
+// first try, validation is skipped (rv+2 == wv) and the chaos abort points
+// are skipped too (chaosAbortAt).
 func (t *Thread) Commit() (bool, telemetry.AbortCause) {
-	if t.Irrevocable() {
-		t.commitIrrevocable()
-		return true, 0
-	}
 	if len(t.writes) == 0 {
 		// Read-only: every read was valid at <= rv when it happened
 		// (invariant 2), so the snapshot is exactly the committed state
@@ -514,14 +491,14 @@ func (t *Thread) Commit() (bool, telemetry.AbortCause) {
 
 	// Chaos point: the full write set is locked, wv not yet taken — a
 	// stall here is exactly a descheduled committer.
-	if t.chaosAt(pointPostLock) {
+	if t.chaosAbortAt(pointPostLock) {
 		t.releaseOwned(0)
 		return false, telemetry.AbortLockConflict
 	}
 
 	wv := t.sys.clock.Add(2)
 
-	if t.chaosAt(pointPreValidate) {
+	if t.chaosAbortAt(pointPreValidate) {
 		t.releaseOwned(0)
 		return false, telemetry.AbortLockConflict
 	}
@@ -545,7 +522,7 @@ func (t *Thread) Commit() (bool, telemetry.AbortCause) {
 		}
 	}
 
-	if t.chaosAt(pointPreWriteBack) {
+	if t.chaosAbortAt(pointPreWriteBack) {
 		t.releaseOwned(0)
 		return false, telemetry.AbortLockConflict
 	}
@@ -561,6 +538,13 @@ func (t *Thread) Commit() (bool, telemetry.AbortCause) {
 	t.lastStamp = wv
 	t.sys.notifyCommit()
 	return true, 0
+}
+
+// chaosAbortAt fires the commit's chaos injections planned for point p and
+// reports whether one of them is a spurious abort. An irrevocable commit
+// has no abort path, so it skips the points and its plans there lapse.
+func (t *Thread) chaosAbortAt(p chaosPoint) bool {
+	return !t.Irrevocable() && t.chaosAt(p)
 }
 
 // acquireStripe write-locks one stripe, spinning per the contention
@@ -601,30 +585,17 @@ func (t *Thread) releaseOwned(wv uint64) {
 
 // Savepoint marks the logs at nested-transaction entry.
 func (t *Thread) Savepoint() tm.Savepoint {
-	return tm.Savepoint{Reads: len(t.reads), Writes: len(t.writes), Undo: len(t.undo)}
+	return tm.Savepoint{Reads: len(t.reads), Writes: len(t.writes)}
 }
 
-// RollbackAll undoes the attempt. Only an irrevocable attempt has anything
-// in memory to undo (a body error, or a contained panic); a revocable
-// attempt's buffers are simply reset by the next begin.
-func (t *Thread) RollbackAll() {
-	if t.Irrevocable() {
-		t.RollbackTo(tm.Savepoint{})
-	}
-}
+// RollbackAll has nothing to revert: no write reaches memory before commit,
+// and the next begin resets the buffers.
+func (t *Thread) RollbackAll() {}
 
-// RollbackTo reverts the attempt's logs to a savepoint. Revocable
-// transactions point the write index of every address that keeps an older
-// entry back at it, newest first, then truncate the buffers; irrevocable
-// transactions replay the undo log, newest first.
+// RollbackTo reverts the attempt's logs to a savepoint: it points the write
+// index of every address that keeps an older entry back at it, newest
+// first, then truncates the buffers.
 func (t *Thread) RollbackTo(sp tm.Savepoint) {
-	if t.Irrevocable() {
-		for i := len(t.undo) - 1; i >= sp.Undo; i-- {
-			t.sys.m.StoreAtomic(t.undo[i].addr, t.undo[i].old)
-		}
-		t.undo = t.undo[:sp.Undo]
-		return
-	}
 	for i := len(t.writes) - 1; i >= sp.Writes; i-- {
 		if w := t.writes[i]; w.prev >= 0 {
 			t.windex.set(t.writes, w.addr, w.prev)
@@ -632,23 +603,4 @@ func (t *Thread) RollbackTo(sp tm.Savepoint) {
 	}
 	t.writes = t.writes[:sp.Writes]
 	t.reads = t.reads[:sp.Reads]
-}
-
-// commitIrrevocable stamps the transaction and bumps every touched stripe
-// so retry waiters and later snapshots observe the in-place writes.
-func (t *Thread) commitIrrevocable() {
-	wv := t.sys.clock.Add(2)
-	last := -1
-	slices.Sort(t.touched)
-	for _, ix := range t.touched {
-		if ix == last {
-			continue
-		}
-		last = ix
-		t.sys.stripes[ix].v.Store(wv)
-	}
-	t.lastStamp = wv
-	if len(t.touched) > 0 {
-		t.sys.notifyCommit()
-	}
 }

@@ -270,6 +270,55 @@ func TestRetryWaiterAnnouncesBeforeSnapshot(t *testing.T) {
 	}
 }
 
+// TestIrrevocableCommitWakesRetryWaiter: an irrevocable commit releases its
+// stripes and notifies retry waiters like any other writer. The wake
+// deadline is far longer than the test, so only that notification can wake
+// the waiter in time.
+func TestIrrevocableCommitWakesRetryWaiter(t *testing.T) {
+	m := mem.New()
+	flag := m.Alloc(mem.WordSize, mem.LineSize)
+	sys := New(m, Config{
+		TM:       tm.Config{Progress: tm.Progress{RetryBudget: 1}},
+		Threads:  2,
+		Watchdog: Watchdog{WakeDeadline: 20 * time.Second},
+	})
+	done := make(chan error, 1)
+	go func() {
+		done <- sys.Thread(0).Atomic(func(tx tm.Txn) error {
+			if tx.Load(flag) == 0 {
+				tx.Retry()
+			}
+			return nil
+		})
+	}()
+	for start := time.Now(); sys.waiters.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the waiter never blocked in Retry")
+		}
+	}
+	// Let the waiter pass its stripe check and park on the wake channel:
+	// a commit landing before that check is seen without any notification.
+	time.Sleep(10 * time.Millisecond)
+	writer := sys.Thread(1).(*Thread)
+	if err := writer.AtomicSerialized(func(tx tm.Txn) error { tx.Store(flag, 1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the irrevocable commit did not wake the retry waiter")
+	}
+	if n := sys.Stats().Count(telemetry.IrrevocableEntries); n != 1 {
+		t.Fatalf("irrevocable entries = %d, want 1", n)
+	}
+	if n := sys.Stats().Block(0).Count(telemetry.WakeupTimeouts); n != 0 {
+		t.Fatalf("waiter needed %d deadline rescues", n)
+	}
+}
+
 // TestSteadyStateAllocs: once its logs have grown to size, a transaction
 // allocates nothing — not the writer path (write index, stripe scratch,
 // commit notification), not the read-only one, and not one that allocates

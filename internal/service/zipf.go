@@ -28,7 +28,6 @@ import (
 // the sequential oracle.
 type Zipf struct {
 	n   uint64
-	s   float64
 	cum []float64 // cum[i] = P(X <= i); cum[n-1] == 1
 }
 
@@ -37,7 +36,7 @@ func NewZipf(n uint64, s float64) *Zipf {
 	if n == 0 {
 		panic("service: Zipf over an empty key space")
 	}
-	z := &Zipf{n: n, s: s, cum: make([]float64, n)}
+	z := &Zipf{n: n, cum: make([]float64, n)}
 	total := 0.0
 	for i := uint64(0); i < n; i++ {
 		total += math.Pow(float64(i+1), -s)
@@ -52,9 +51,6 @@ func NewZipf(n uint64, s float64) *Zipf {
 
 // N returns the key-space size.
 func (z *Zipf) N() uint64 { return z.n }
-
-// S returns the skew exponent.
-func (z *Zipf) S() float64 { return z.s }
 
 // Next draws one key, consuming one value from r.
 func (z *Zipf) Next(r *workloads.Rand) uint64 {

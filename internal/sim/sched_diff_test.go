@@ -215,12 +215,11 @@ func diffCompare(t *testing.T, lease, ref diffOutcome) {
 	}
 }
 
-// TestSchedulerDifferentialScale extends the differential to the per-socket
-// lease scheduler at 64/128/256 cores. A multi-socket Topology gives the
-// lease policy one heap per socket plus a cross-socket clock frontier; the
-// reference scheduler on the same machine is still the
-// executable spec, so identical outcomes prove the frontier composition
-// selects exactly the global (clock, id) minimum on every grant.
+// TestSchedulerDifferentialScale extends the differential to multi-socket
+// machines of 64/128/256 cores. The lease policy's one run-queue heap spans
+// every socket; the reference scheduler on the same machine is still the
+// executable spec, so identical outcomes prove the heap selects exactly the
+// global (clock, id) minimum on every grant at that scale.
 func TestSchedulerDifferentialScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-core differential is slow under -short")

@@ -21,10 +21,10 @@
 // it exactly one operation. The default grant-lease policy instead grants
 // the min-clock core a *lease*: the right to execute operations inline for
 // as long as its pre-operation (clock, id) stays below the horizon (the
-// (clock, id) minimum of the other runnable cores, kept in one min-heap per
-// socket). Below the horizon this core is the minimum, so the serial
-// scheduler would have granted it every one of those operations anyway — a
-// clock tie included, when this core's id is the lower. Grant order — and
+// (clock, id) minimum of the other runnable cores, kept in one min-heap).
+// Below the horizon this core is the minimum, so the serial scheduler would
+// have granted it every one of those operations anyway — a clock tie
+// included, when this core's id is the lower. Grant order — and
 // therefore every simulated result — is identical under both; only the
 // number of leases changes. A single runnable core (every 1-core cell, and
 // the tail of every multi-core run) executes with zero handoffs.
@@ -291,10 +291,6 @@ type Machine struct {
 	txnTrace *telemetry.TraceBuffer
 	fault    FaultHook
 
-	// schedWork counts the lease policy's host work: heap sift steps plus
-	// frontier slots scanned. Read by tests only.
-	schedWork uint64
-
 	// perOpDuties, fixed at Run, is true when every operation — Exec
 	// included — must be individually granted: a watchdog, interrupt cadence
 	// or fault hook is armed (their trip points, ring transitions and OnGrant
@@ -314,10 +310,9 @@ type Machine struct {
 	faults     []CoreFault
 
 	// The lease policy's run queue (see pick and requeue): one (clock, id)
-	// min-heap per socket and the frontier, each heap's minimum (idleEntry
-	// when empty). Unused by the reference policy, which scans the cores.
-	groups   []schedHeap
-	frontier []heapEntry
+	// min-heap of the runnable cores. Unused by the reference policy, which
+	// scans the cores.
+	runq schedHeap
 }
 
 // SchedCounters is the scheduler's observability block: how many
@@ -447,16 +442,7 @@ func (m *Machine) Run(progs ...Program) uint64 {
 		panic(fmt.Sprintf("sim: %d programs for %d cores", len(progs), m.cfg.Cores))
 	}
 	if !m.cfg.ReferenceScheduler {
-		// One allocation for every heap's slots and the frontier: at most
-		// CoresPerSocket entries per heap, so no push reallocates.
-		cps := m.top.CoresPerSocket
-		slots := make([]heapEntry, m.cfg.Cores+m.top.Sockets)
-		m.frontier = slots[m.cfg.Cores:]
-		m.groups = make([]schedHeap, m.top.Sockets)
-		for s := range m.groups {
-			m.groups[s] = schedHeap{e: slots[s*cps : s*cps : (s+1)*cps], work: &m.schedWork}
-			m.frontier[s] = idleEntry
-		}
+		m.runq.e = make([]heapEntry, 0, m.cfg.Cores) // room for every core: no push reallocates
 	}
 	for i, p := range progs {
 		if p != nil {
@@ -531,9 +517,12 @@ func (m *Machine) handoff(self *Ctx) {
 // pick chooses the core the grant goes to next and leases it — nil when no
 // core is runnable. The reference policy scans for the min-clock core (ties
 // to the lowest id) and leases it with the zero horizon, so release always
-// ends it: a lease of length one. The lease policy pops the
-// (clock, id)-least core, whose horizon is the minimum that remains (see
-// popMin and Ctx.release).
+// ends it: a lease of length one. The lease policy pops the (clock, id)-least
+// core; its horizon is the least entry left, idleEntry when it runs alone
+// (see Ctx.release). No other core's clock changes while the lease is out,
+// so the horizon is exact, and a core that stays below it is the one the
+// reference scan would have picked — a clock tie stays with the lower id,
+// as in its scan.
 func (m *Machine) pick() *Ctx {
 	var c *Ctx
 	var horizon heapEntry
@@ -543,8 +532,9 @@ func (m *Machine) pick() *Ctx {
 				c = k
 			}
 		}
-	} else {
-		c, horizon = m.popMin()
+	} else if m.runq.len() > 0 {
+		c = m.cores[m.runq.pop().id]
+		horizon = m.runq.min()
 	}
 	if c == nil {
 		return nil
@@ -560,52 +550,9 @@ func (m *Machine) pick() *Ctx {
 // requeue puts c, whose lease has ended, back in the lease policy's run
 // queue; the reference policy's scan needs no queue.
 func (m *Machine) requeue(c *Ctx) {
-	if m.cfg.ReferenceScheduler {
-		return
+	if !m.cfg.ReferenceScheduler {
+		m.runq.push(heapEntry{clock: c.clock, id: c.id})
 	}
-	s := 0
-	if len(m.groups) > 1 { // spare a flat machine the division
-		s = c.id / m.top.CoresPerSocket
-	}
-	m.groups[s].push(heapEntry{clock: c.clock, id: c.id})
-	m.frontier[s] = m.groups[s].min()
-}
-
-// popMin pops the (clock, id)-least runnable core and returns its horizon:
-// the least entry left. The frontier's smallest socket holds it, so heap
-// work stays O(log CoresPerSocket) and the cross-socket step is a scan of
-// Sockets entries; because every per-socket minimum is the (clock,
-// id)-least of its group and the comparator is total, the frontier minimum
-// IS the global minimum, which the randomized scheduler differential proves
-// at 64–256 cores. No other core's clock changes while the lease is out, so
-// the horizon is exact, and a core that stays below it is the one the
-// reference scan would have picked — a clock tie stays with the lower id,
-// as in its scan. A core alone gets idleEntry and runs to completion.
-func (m *Machine) popMin() (*Ctx, heapEntry) {
-	best := 0
-	for s := 1; s < len(m.frontier); s++ {
-		m.schedWork++
-		if m.frontier[s].less(m.frontier[best]) {
-			best = s
-		}
-	}
-	g := &m.groups[best]
-	if g.len() == 0 {
-		return nil, idleEntry
-	}
-	e := g.pop()
-	m.frontier[best] = idleEntry
-	if g.len() > 0 {
-		m.frontier[best] = g.min()
-	}
-	horizon := idleEntry
-	for _, f := range m.frontier {
-		m.schedWork++
-		if f.less(horizon) {
-			horizon = f
-		}
-	}
-	return m.cores[e.id], horizon
 }
 
 // heapEntry is one runnable core in the lease scheduler's run queue. The
@@ -618,7 +565,7 @@ type heapEntry struct {
 }
 
 // idleEntry sorts after every runnable core: the horizon of a core running
-// alone, and an empty socket's frontier slot.
+// alone.
 var idleEntry = heapEntry{clock: ^uint64(0), id: int(^uint(0) >> 1)}
 
 func (a heapEntry) less(b heapEntry) bool {
@@ -626,16 +573,23 @@ func (a heapEntry) less(b heapEntry) bool {
 }
 
 // schedHeap is a hand-rolled binary min-heap on (clock, id). It replaces
-// the reference scheduler's O(cores) scan per grant and never allocates:
-// Run gives it room for every core of its socket. Each sift step adds one
-// to *work.
+// the reference scheduler's O(cores) scan per grant with O(log cores) sift
+// steps and never allocates: Run gives it room for every core. work counts
+// the sift steps, for tests.
 type schedHeap struct {
 	e    []heapEntry
-	work *uint64
+	work uint64
 }
 
-func (h *schedHeap) len() int       { return len(h.e) }
-func (h *schedHeap) min() heapEntry { return h.e[0] }
+func (h *schedHeap) len() int { return len(h.e) }
+
+// min returns the least entry, or idleEntry when the heap is empty.
+func (h *schedHeap) min() heapEntry {
+	if len(h.e) == 0 {
+		return idleEntry
+	}
+	return h.e[0]
+}
 
 func (h *schedHeap) push(x heapEntry) {
 	h.e = append(h.e, x)
@@ -646,7 +600,7 @@ func (h *schedHeap) push(x heapEntry) {
 			break
 		}
 		h.e[i], h.e[parent] = h.e[parent], h.e[i]
-		*h.work++
+		h.work++
 		i = parent
 	}
 }
@@ -670,7 +624,7 @@ func (h *schedHeap) pop() heapEntry {
 			break
 		}
 		h.e[i], h.e[smallest] = h.e[smallest], h.e[i]
-		*h.work++
+		h.work++
 		i = smallest
 	}
 	return top

@@ -325,14 +325,14 @@ func TestWallClockIsMaxCoreClock(t *testing.T) {
 }
 
 // TestLeaseWorkIsLogarithmic holds the lease scheduler's host cost per
-// lease to its data structures' bound as the machine grows: at most one
-// sift step per heap level on the push and on the pop, plus the 2·Sockets
-// frontier slots popMin scans. Each core loads its own line, so every
-// access hits L1 and the counter sees only scheduling. Measured work per
-// lease: 3.98 at 16 cores, 9.98 at 4×16 and 11.98 at 4×64; a scan
-// of every core would add about 256 per lease at 256 cores.
+// lease to its run queue's bound as the machine grows: at most one sift
+// step per heap level on the push and on the pop, 2·⌈log2 cores⌉. Each
+// core loads its own line, so every access hits L1 and the counter sees
+// only scheduling. Measured sift steps per lease: 0.99 at 1×4, 2.98 at
+// 1×16, 4.44 at 4×16 and 6.97 at 4×64; a scan of every core would add
+// about 256 per lease at 256 cores.
 func TestLeaseWorkIsLogarithmic(t *testing.T) {
-	for _, top := range []Topology{{1, 16}, {4, 16}, {4, 64}} {
+	for _, top := range []Topology{{1, 4}, {1, 16}, {4, 16}, {4, 64}} {
 		cfg := DefaultConfig(top.Sockets * top.CoresPerSocket)
 		cfg.Topology = top
 		m := New(cfg)
@@ -346,10 +346,10 @@ func TestLeaseWorkIsLogarithmic(t *testing.T) {
 			}
 		}
 		m.Run(progs...)
-		bound := uint64(2*bits.Len(uint(top.CoresPerSocket-1)) + 2*top.Sockets)
-		if leases := m.Sched().Leases; m.schedWork > bound*leases {
-			t.Errorf("%s: %d sift steps and frontier slots over %d leases, want at most %d per lease",
-				top, m.schedWork, leases, bound)
+		bound := uint64(2 * bits.Len(uint(cfg.Cores-1)))
+		if leases := m.Sched().Leases; m.runq.work > bound*leases {
+			t.Errorf("%s: %d sift steps over %d leases, want at most %d per lease",
+				top, m.runq.work, leases, bound)
 		}
 	}
 }

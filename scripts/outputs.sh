@@ -45,6 +45,9 @@ bench adversarial.txt -adversarial all
 "$bin/hastm-bench" -quick -fig fig18 "${extra[@]}" -trace "$dir/trace.jsonl" > /dev/null 2>&1
 # fig16 runs hytm, so its trace covers the hardware path's begin/abort/fallback events.
 "$bin/hastm-bench" -quick -fig fig16 "${extra[@]}" -trace "$dir/trace-fig16.jsonl" > /dev/null 2>&1
+# ext-numa runs the 4x16 and 4x64 machines, so the lease scheduler's cross-socket order is covered.
+bench numa.txt -quick -fig ext-numa
+"$bin/hastm-bench" -quick -fig ext-numa "${extra[@]}" -trace "$dir/trace-numa.jsonl" > /dev/null 2>&1
 "$bin/tmsim" -scheme hastm -workload btree -cores 2 -trace 20 > "$dir/tmsim.txt"
 for scheme in htm hytm; do
     "$bin/tmsim" -scheme "$scheme" -workload btree -cores 2 -trace 2000 > "$dir/tmsim-$scheme.txt"
