@@ -14,6 +14,13 @@ func benchCell(ops int) Options {
 	return o
 }
 
+// oneCoreCell is the single-core cell size the allocation gates measure.
+func oneCoreCell() Options {
+	o := DefaultOptions()
+	o.Ops, o.Warmup = 1024, 64
+	return o
+}
+
 // allocBytes returns the host bytes f allocates.
 func allocBytes(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -77,8 +84,7 @@ func TestCellAllocCounts(t *testing.T) {
 			t.Errorf("%s: %v allocations per cell, ceiling %v", name, got, ceiling)
 		}
 	}
-	one := DefaultOptions()
-	one.Ops, one.Warmup = 1024, 64
+	one := oneCoreCell()
 	for _, tc := range []struct {
 		scheme  string
 		ceiling float64
@@ -117,6 +123,38 @@ func TestCellAllocCounts(t *testing.T) {
 		_, err := RunOneServiceScheme(SchemeSTM, 4, sc, svc)
 		return err
 	})
+}
+
+// The host bytes of the bench-shaped stm cells, held as TestCellAllocCounts
+// holds their counts: a second run with the collector off. The record
+// table's whole pages share one head page until a run writes a record on
+// them (mem.AllocLinesHeaded); storing every record at construction again
+// adds ~128 KB per cell and fails both ceilings.
+func TestCellAllocBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		ceiling uint64
+		cores   int
+		o       Options
+	}{
+		{"stm/bst/1c", 520_000, 1, oneCoreCell()},
+		{"stm/bst/4c", 610_000, 4, benchCell(256)},
+	} {
+		run := func() {
+			if _, err := RunOne(SchemeSTM, WorkloadBST, tc.cores, tc.o, 20); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		run() // fills the runtime's free lists
+		runtime.GC()
+		gc := debug.SetGCPercent(-1)
+		got := allocBytes(run)
+		debug.SetGCPercent(gc)
+		t.Logf("%s: %d bytes", tc.name, got)
+		if got > tc.ceiling {
+			t.Errorf("%s: %d bytes allocated, ceiling %d", tc.name, got, tc.ceiling)
+		}
+	}
 }
 
 // BenchmarkCellSetup is the fixed cost of one cell — machine, scheme,

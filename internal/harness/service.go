@@ -124,7 +124,7 @@ func newServiceSubject(m *mem.Memory, threads int, sc service.Config) (serviceSu
 	s := serviceSubject{
 		bank:    service.NewBank(m, sc.Bank),
 		perCore: make([]service.CellMetrics, threads),
-		log:     workloads.NewOpLog(),
+		log:     workloads.NewOpLogCap(sc.Requests * threads), // every request may commit
 	}
 	s.bank.Populate(m, workloads.NewRand(sc.Seed))
 	return s, nil

@@ -5,8 +5,9 @@
 // lives here; caches track only metadata (tags, coherence state, mark bits).
 // Because the simulator serialises all memory operations in cycle order,
 // keeping a single authoritative copy of the data is exact.
-// An allocation costs host memory only where it has been stored to; see the
-// page-table constants, Materialize and Back.
+// An allocation costs host memory only where it has been stored to: its
+// pages share read-only pages until a store copies them; see the page-table
+// constants, AllocLinesHeaded, Materialize and Back.
 package mem
 
 import (
@@ -32,16 +33,18 @@ const base = 0x10000
 // The backing store is a dense page table over the bump allocator's
 // contiguous range: pages[addr>>pageShift][addr/WordSize%pageWords] — the
 // simulator's hottest data path, two indexes with no hashing (the second,
-// into a fixed-size page, needs no bounds check). Alloc points every page
-// it newly covers at the one shared zeroPage, and the first Store to a page
-// gives it private backing (one pointer compare on the store path, nothing
-// on Load), carved from chunkPages-page chunks so the host allocation count
-// stays that of 64 KiB pages.
+// into a fixed-size page, needs no bounds check). A slot may point at a
+// shared, read-only page: Alloc points every page it newly covers at the
+// one zeroPage, AllocLinesHeaded at the Memory's head page. The first Store
+// to a shared page gives it a private copy (two pointer compares on the
+// store path, nothing on Load), carved from chunkPages-page chunks so the
+// host allocation count stays that of 64 KiB pages.
 const (
 	pageShift  = 12 // 4 KiB pages
 	pageBytes  = 1 << pageShift
 	pageMask   = pageBytes - 1
 	pageWords  = pageBytes / WordSize
+	lineWords  = LineSize / WordSize
 	chunkPages = 16
 )
 
@@ -57,6 +60,9 @@ var zeroPage page
 type Memory struct {
 	pages []*page
 	spare []page // pages of the current chunk not yet handed out
+	// head is the shared page whose every line starts with one word, built
+	// by the first AllocLinesHeaded that covers a whole page. Never written.
+	head  *page
 	eager bool   // latched by Materialize: Alloc backs pages itself
 	next  uint64 // next free address (bump pointer)
 	// allocated tracks the extent of every allocation so out-of-bounds
@@ -110,6 +116,21 @@ func (m *Memory) newPage() *page {
 	return pg
 }
 
+// shared reports whether pg is a read-only page other slots may point at:
+// the zero page or this Memory's head page. A store must copy it first.
+func (m *Memory) shared(pg *page) bool { return pg == &zeroPage || pg == m.head }
+
+// privatise points slot i, which holds a shared page, at a private copy
+// carved by newPage; the copy of the zero page is the fresh page itself.
+func (m *Memory) privatise(i uint64) *page {
+	pg := m.newPage()
+	if src := m.pages[i]; src != &zeroPage {
+		*pg = *src
+	}
+	m.pages[i] = pg
+	return pg
+}
+
 // Materialize gives every allocated page private backing and makes every
 // later Alloc do the same, for good: after it no access to that memory
 // allocates and no page of it is shared, which concurrent users of the
@@ -117,8 +138,8 @@ func (m *Memory) newPage() *page {
 func (m *Memory) Materialize() {
 	m.eager = true
 	for i, pg := range m.pages {
-		if pg == &zeroPage {
-			m.pages[i] = m.newPage()
+		if pg != nil && m.shared(pg) {
+			m.privatise(uint64(i))
 		}
 	}
 }
@@ -163,6 +184,43 @@ func (m *Memory) AllocLines(n uint64) uint64 {
 	return m.Alloc(n*LineSize, LineSize)
 }
 
+// AllocLinesHeaded is AllocLines with the first word of every line set to
+// head and the rest zero. Every whole page of the range points at the
+// Memory's shared head page, so the range costs host memory only where it
+// is later stored to; the partial first and last pages are stored to here.
+// A Memory keeps one head page, for the first head word it is given; a
+// call with another word, or after Materialize, stores every line.
+func (m *Memory) AllocLinesHeaded(n, head uint64) uint64 {
+	addr := m.AllocLines(n)
+	end := addr + n*LineSize
+	lo, hi := (addr+pageMask)&^pageMask, end&^pageMask // the whole pages
+	if lo >= hi || m.eager || !m.headPage(head) {
+		lo, hi = end, end
+	}
+	for a := addr; a < lo; a += LineSize {
+		m.Store(a, head)
+	}
+	for p := lo; p < hi; p += pageBytes {
+		m.pages[p>>pageShift] = m.head
+	}
+	for a := hi; a < end; a += LineSize {
+		m.Store(a, head)
+	}
+	return addr
+}
+
+// headPage reports whether the head page starts its lines with head,
+// building it for head on first use.
+func (m *Memory) headPage(head uint64) bool {
+	if m.head == nil {
+		m.head = new(page)
+		for w := 0; w < pageWords; w += lineWords {
+			m.head[w] = head
+		}
+	}
+	return m.head[0] == head
+}
+
 // Load returns the word at addr. addr must be word-aligned and inside an
 // allocation.
 func (m *Memory) Load(addr uint64) uint64 {
@@ -170,13 +228,13 @@ func (m *Memory) Load(addr uint64) uint64 {
 	return m.pages[addr>>pageShift][addr/WordSize%pageWords]
 }
 
-// Store writes the word at addr, backing its page on the first store to it.
+// Store writes the word at addr, giving its page a private copy on the
+// first store to it.
 func (m *Memory) Store(addr, val uint64) {
 	m.check(addr)
 	pg := m.pages[addr>>pageShift]
-	if pg == &zeroPage {
-		pg = m.newPage()
-		m.pages[addr>>pageShift] = pg
+	if m.shared(pg) {
+		pg = m.privatise(addr >> pageShift)
 	}
 	pg[addr/WordSize%pageWords] = val
 }
@@ -195,7 +253,7 @@ func (m *Memory) LoadAtomic(addr uint64) uint64 {
 func (m *Memory) StoreAtomic(addr, val uint64) {
 	m.check(addr)
 	pg := m.pages[addr>>pageShift]
-	if pg == &zeroPage {
+	if m.shared(pg) {
 		panic(fmt.Sprintf("mem: StoreAtomic at %#x: page has no private backing", addr))
 	}
 	atomic.StoreUint64(&pg[addr/WordSize%pageWords], val)
@@ -213,10 +271,10 @@ func (m *Memory) Reserve(size uint64) uint64 {
 }
 
 // Back gives private backing, in one host allocation, to every page of
-// [addr, addr+size) that still shares the zero page. It writes only those
-// pages' table slots — not the table itself, nor the chunk Store carves
-// pages from — so calls on disjoint pages may run concurrently with each
-// other and with LoadAtomic/StoreAtomic on other pages.
+// [addr, addr+size) that is still shared, copying its contents. It writes
+// only those pages' table slots — not the table itself, nor the chunk Store
+// carves pages from — so calls on disjoint pages may run concurrently with
+// each other and with LoadAtomic/StoreAtomic on other pages.
 func (m *Memory) Back(addr, size uint64) {
 	if size == 0 {
 		return
@@ -227,7 +285,7 @@ func (m *Memory) Back(addr, size uint64) {
 	first, end := addr>>pageShift, last>>pageShift+1
 	n := 0
 	for _, pg := range m.pages[first:end] {
-		if pg == &zeroPage {
+		if m.shared(pg) {
 			n++
 		}
 	}
@@ -236,7 +294,10 @@ func (m *Memory) Back(addr, size uint64) {
 	}
 	fresh := make([]page, n)
 	for i := first; i < end; i++ {
-		if m.pages[i] == &zeroPage {
+		if pg := m.pages[i]; m.shared(pg) {
+			if pg != &zeroPage {
+				fresh[0] = *pg
+			}
 			m.pages[i] = &fresh[0]
 			fresh = fresh[1:]
 		}

@@ -146,71 +146,157 @@ func TestFootprintGrows(t *testing.T) {
 func privatePages(m *Memory) int {
 	n := 0
 	for _, pg := range m.pages {
-		if pg != nil && pg != &zeroPage {
+		if pg != nil && !m.shared(pg) {
 			n++
 		}
 	}
 	return n
 }
 
-// Property: lazily backed memory is indistinguishable from an eagerly
-// backed model — every word reads what was last stored (zero if nothing
-// was), Footprint and Allocated agree — while the shared zero page stays
-// zero and memory nobody stored to costs no private page.
-func TestLazyBackingMatchesEagerModel(t *testing.T) {
-	type alloc struct{ base, words uint64 }
-	r := rand.New(rand.NewSource(7))
-	m := New()
-	model := map[uint64]uint64{} // addr -> last stored value
-	var allocs []alloc
-	var limit uint64
-	for step := 0; step < 20000; step++ {
-		switch k := r.Intn(10); {
-		case k == 0 || len(allocs) == 0:
-			words := uint64(1 + r.Intn(3*pageWords))
-			align := uint64(8) << r.Intn(4)
-			a := alloc{m.Alloc(words*WordSize, align), words}
-			allocs = append(allocs, a)
-			limit = a.base + words*WordSize
-			if got := m.Footprint(); got != limit-base {
-				t.Fatalf("step %d: Footprint %d, want %d", step, got, limit-base)
+// checkMemoryModel runs the operations ops encodes on two Memorys and holds
+// each to a model that backs every word eagerly. An operation is one byte —
+// the high bit picks the Memory, the low four bits the operation — and its
+// arguments follow; a stream that runs out reads zeros. It checks that
+//   - every Load reads the model: the last value stored, else the line's
+//     head word in an AllocLinesHeaded range, else zero; Footprint and
+//     Allocated end where the last range does;
+//   - a never-stored Alloc or Reserve adds no private page, nor a headed
+//     range beyond its two partial pages while its word is the head page's;
+//   - Back and Materialize leave no page of their range shared;
+//   - the zero page and the head pages are never written, and the two
+//     Memorys share no other page.
+func checkMemoryModel(t *testing.T, ops []byte) {
+	type space struct {
+		m      *Memory
+		model  map[uint64]uint64 // addr -> last stored (or head) word
+		ranges [][2]uint64       // [base, end) of every allocation
+	}
+	spaces := [2]space{{m: New(), model: map[uint64]uint64{}}, {m: New(), model: map[uint64]uint64{}}}
+	next := func() uint64 {
+		if len(ops) == 0 {
+			return 0
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return uint64(b)
+	}
+	for step := 0; len(ops) > 0; step++ {
+		op := next()
+		s := &spaces[op>>7]
+		m := s.m
+		word := func() (uint64, bool) { // a word of some allocation
+			if len(s.ranges) == 0 {
+				return 0, false
 			}
-			if !m.Allocated(limit-WordSize) || m.Allocated(limit) {
-				t.Fatalf("step %d: Allocated disagrees with limit %#x", step, limit)
+			r := s.ranges[next()%uint64(len(s.ranges))]
+			return r[0] + (next()<<8|next())%((r[1]-r[0])/WordSize)*WordSize, true
+		}
+		added := func(addr, end uint64) {
+			s.ranges = append(s.ranges, [2]uint64{addr, end})
+			if m.Footprint() != end-base || !m.Allocated(end-WordSize) || m.Allocated(end) {
+				t.Fatalf("step %d: Footprint and Allocated disagree with the range [%#x, %#x)", step, addr, end)
 			}
-		case k < 5:
-			a := allocs[r.Intn(len(allocs))]
-			addr := a.base + uint64(r.Intn(int(a.words)))*WordSize
-			val := r.Uint64()
-			m.Store(addr, val)
-			model[addr] = val
-		default:
-			a := allocs[r.Intn(len(allocs))]
-			addr := a.base + uint64(r.Intn(int(a.words)))*WordSize
-			if got := m.Load(addr); got != model[addr] {
-				t.Fatalf("step %d: Load(%#x) = %d, want %d", step, addr, got, model[addr])
+		}
+		switch op & 15 {
+		case 0:
+			before, words := privatePages(m), 1+(next()<<8|next())%(3*pageWords)
+			a := m.Alloc(words*WordSize, WordSize<<(next()%4))
+			added(a, a+words*WordSize)
+			if got := privatePages(m); got != before && !m.eager {
+				t.Fatalf("step %d: a never-stored Alloc added %d private pages", step, got-before)
+			}
+		case 1:
+			before := privatePages(m)
+			n, head := 1+(next()<<8|next())%(3*pageBytes/LineSize), next()%4
+			a := m.AllocLinesHeaded(n, head)
+			added(a, a+n*LineSize)
+			for l := a; l < a+n*LineSize; l += LineSize {
+				s.model[l] = head
+			}
+			if got := privatePages(m); got > before+2 && !m.eager && m.head[0] == head {
+				t.Fatalf("step %d: a headed range of %d lines added %d private pages", step, n, got-before)
+			}
+		case 2, 3, 4, 5, 6:
+			if addr, ok := word(); ok {
+				v := next()<<8 | next()
+				m.Store(addr, v)
+				s.model[addr] = v
+			}
+		case 7, 8, 9, 10, 11:
+			if addr, ok := word(); ok {
+				if got := m.Load(addr); got != s.model[addr] {
+					t.Fatalf("step %d: Load(%#x) = %d, want %d", step, addr, got, s.model[addr])
+				}
+			}
+		case 12:
+			before, size := privatePages(m), (1+next())*LineSize
+			a := m.Reserve(size)
+			added(a, a+(size+pageMask)&^pageMask)
+			if got := privatePages(m); got != before {
+				t.Fatalf("step %d: Reserve added %d private pages", step, got-before)
+			}
+		case 13, 14:
+			if addr, ok := word(); ok {
+				size := min((1+next())*16*WordSize, m.limit-addr)
+				m.Back(addr, size)
+				for p := addr >> pageShift; p <= (addr+size-1)>>pageShift; p++ {
+					if m.shared(m.pages[p]) {
+						t.Fatalf("step %d: page %d is still shared after Back", step, p)
+					}
+				}
+			}
+		case 15:
+			if next() == 0 { // rarely: a Materialized Memory is eager for good
+				m.Materialize()
+				for i, pg := range m.pages {
+					if pg != nil && m.shared(pg) {
+						t.Fatalf("step %d: page %d is still shared after Materialize", step, i)
+					}
+				}
 			}
 		}
 	}
-	for addr := uint64(base); addr < limit; addr += WordSize {
-		if got := m.Load(addr); got != model[addr] {
-			t.Fatalf("final sweep: Load(%#x) = %d, want %d", addr, got, model[addr])
+	for i := range spaces {
+		s := &spaces[i]
+		for _, r := range s.ranges {
+			for a := r[0]; a < r[1]; a += WordSize {
+				if got := s.m.Load(a); got != s.model[a] {
+					t.Fatalf("final sweep: Load(%#x) = %d, want %d", a, got, s.model[a])
+				}
+			}
 		}
-	}
-
-	before := privatePages(m)
-	quiet := m.Alloc(1<<20, LineSize)
-	for addr := quiet; addr < quiet+1<<20; addr += pageBytes {
-		if m.Load(addr) != 0 {
-			t.Fatalf("fresh allocation reads nonzero at %#x", addr)
+		if hp := s.m.head; hp != nil {
+			for w := range hp {
+				want := uint64(0)
+				if w%lineWords == 0 {
+					want = hp[0]
+				}
+				if hp[w] != want {
+					t.Fatalf("head page word %d = %d, want %d: the head page was written", w, hp[w], want)
+				}
+			}
 		}
-	}
-	if got := privatePages(m); got != before {
-		t.Errorf("a never-stored 1 MiB allocation added %d private pages", got-before)
 	}
 	if zeroPage != (page{}) {
 		t.Fatal("the shared zero page was written")
 	}
+	first := map[*page]bool{}
+	for _, pg := range spaces[0].m.pages {
+		first[pg] = pg != nil && pg != &zeroPage
+	}
+	for i, pg := range spaces[1].m.pages {
+		if first[pg] {
+			t.Fatalf("page %d of the second Memory is a page of the first", i)
+		}
+	}
+}
+
+// FuzzMemoryModel's check over one long seeded stream, which go test runs
+// without -fuzz.
+func TestLazyBackingMatchesEagerModel(t *testing.T) {
+	ops := make([]byte, 20_000)
+	rand.New(rand.NewSource(7)).Read(ops)
+	checkMemoryModel(t, ops)
 }
 
 // After Materialize no allocated page is shared and Alloc backs eagerly, so
@@ -224,12 +310,17 @@ func TestMaterializeThenConcurrentAtomics(t *testing.T) {
 	const words = 4 * pageWords
 	early := m.Alloc(words*WordSize, LineSize)
 	m.Store(early, 1) // one page already private, the rest shared
+	headed := m.AllocLinesHeaded(words*WordSize/LineSize, 5)
 	m.Materialize()
 	late := m.Alloc(words*WordSize, LineSize)
 	for i, pg := range m.pages {
-		if pg == &zeroPage {
-			t.Fatalf("page %d still shares the zero page after Materialize", i)
+		if pg != nil && m.shared(pg) {
+			t.Fatalf("page %d is still shared after Materialize", i)
 		}
+	}
+	m.StoreAtomic(headed, 6) // the head page's copies are private too
+	if m.LoadAtomic(headed) != 6 || m.LoadAtomic(headed+LineSize) != 5 || m.head[lineWords] != 5 {
+		t.Fatal("a headed range lost its words, or its head page was written")
 	}
 
 	const workers = 4
@@ -307,11 +398,16 @@ func TestAllocOverflowPanics(t *testing.T) {
 
 func TestStoreAtomicBeforeMaterializePanics(t *testing.T) {
 	m := New()
-	addr := m.Alloc(64, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StoreAtomic on a shared zero page did not panic")
-		}
-	}()
-	m.StoreAtomic(addr, 1)
+	headed := m.AllocLinesHeaded(pageBytes/LineSize, 1) // one whole page
+	zeroed := m.Alloc(64, 8)
+	for _, addr := range []uint64{zeroed, headed} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("StoreAtomic at %#x, on a shared page, did not panic", addr)
+				}
+			}()
+			m.StoreAtomic(addr, 1)
+		}()
+	}
 }

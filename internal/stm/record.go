@@ -43,13 +43,12 @@ type RecordTable struct {
 	base uint64
 }
 
-// NewRecordTable allocates and initialises the table in simulated memory.
+// NewRecordTable allocates the table in simulated memory with every record
+// at VersionInit. Its whole pages share mem's head page until a record on
+// them is first written, so the table costs host memory only where a run
+// acquires or releases records.
 func NewRecordTable(m *mem.Memory) *RecordTable {
-	t := &RecordTable{base: m.AllocLines(TableEntries)}
-	for i := uint64(0); i < TableEntries; i++ {
-		m.Store(t.base+i*mem.LineSize, VersionInit)
-	}
-	return t
+	return &RecordTable{base: m.AllocLinesHeaded(TableEntries, VersionInit)}
 }
 
 // RecordFor maps a data address to its transaction record's address:

@@ -37,9 +37,9 @@ type Protocol interface {
 	// current set sizes and returns them for the terminal trace event.
 	ObserveSetSizes() (reads, writes, undo int)
 	// ReadsConsistent re-checks the read set at zero simulated cost. It
-	// states the protocol's sandboxing rule for foreign panics (see
-	// runBody): a protocol whose reads are opaque — never observed
-	// inconsistent — returns true.
+	// states the protocol's sandboxing rule for foreign panics and body
+	// errors (see runBody): a protocol whose reads are opaque — never
+	// observed inconsistent — returns true.
 	ReadsConsistent() bool
 
 	// WatchReadsFrom appends read-set entries at index >= n to the retry
@@ -292,11 +292,11 @@ func (e *Engine) nested(body func(Txn) error) (retried bool, err error) {
 }
 
 // runBody executes a body, converting engine signals into a return value.
-// This is the one statement of the sandboxing policy for foreign panics: a
-// panic out of a body that ran on an inconsistent read set is a zombie
+// This is the one statement of the sandboxing policy: a foreign panic or an
+// error out of a body that ran on an inconsistent read set is a zombie
 // effect and becomes a validation abort; out of a consistent one it is the
-// program's own bug and propagates. A protocol whose reads are opaque
-// (native TL2) therefore always propagates, and contains the panic itself.
+// program's own and propagates. A protocol whose reads are opaque (native
+// TL2) therefore always propagates, and contains a panic itself.
 func (e *Engine) runBody(body func(Txn) error) (sig interface{}, err error) {
 	defer func() {
 		r := recover()
@@ -318,7 +318,10 @@ func (e *Engine) runBody(body func(Txn) error) (sig interface{}, err error) {
 		}
 		panic(r)
 	}()
-	return nil, body(e.txn)
+	if err = body(e.txn); err != nil && !e.p.ReadsConsistent() {
+		return AbortSignal{Cause: telemetry.AbortValidation}, nil
+	}
+	return nil, err
 }
 
 func (e *Engine) begin() {

@@ -766,3 +766,63 @@ func TestEngineZombiePanicBecomesAbort(t *testing.T) {
 		}
 	})
 }
+
+// The zombie half covers a body's error as it covers a foreign panic: a
+// reader that saw x and y from different commits and says so is a zombie,
+// so the engine re-executes it instead of returning its error — at top
+// level, and from a nested block, whose error would otherwise steer the
+// parent. An opaque protocol never shows the reader a torn pair.
+func TestEngineZombieErrorBecomesAbort(t *testing.T) {
+	for _, nested := range []bool{false, true} {
+		nested := nested
+		needs := capability(0)
+		if nested {
+			needs = partialRollback
+		}
+		t.Run(fmt.Sprintf("nested=%v", nested), func(t *testing.T) {
+			forEachBackend(t, 2, tm.Config{}, needs, func(t *testing.T, _ backend, f *fixture) {
+				x, y, sync := f.word(0), f.word(1), f.word(2)
+				torn := errors.New("x and y disagree")
+				var readerErr error
+				f.run(func(w worker) {
+					attempts := 0
+					read := func(tx tm.Txn) error {
+						attempts++
+						vx := tx.Load(x)
+						if attempts == 1 {
+							w.rawStore(sync, 1)
+							for w.rawLoad(sync) != 2 {
+								w.pause()
+							}
+						}
+						if tx.Load(y) != vx {
+							return torn
+						}
+						return nil
+					}
+					readerErr = w.Atomic(func(tx tm.Txn) error {
+						if nested {
+							return tx.Atomic(read)
+						}
+						return read(tx)
+					})
+				}, func(w worker) {
+					for w.rawLoad(sync) != 1 {
+						w.pause()
+					}
+					if err := w.Atomic(func(tx tm.Txn) error {
+						tx.Store(x, 1)
+						tx.Store(y, 1)
+						return nil
+					}); err != nil {
+						t.Errorf("writer: %v", err)
+					}
+					w.rawStore(sync, 2)
+				})
+				if readerErr != nil {
+					t.Fatalf("reader err = %v, want the torn read re-executed to commit", readerErr)
+				}
+			})
+		})
+	}
+}

@@ -34,6 +34,10 @@ type OpLog struct {
 // NewOpLog returns an empty log.
 func NewOpLog() *OpLog { return &OpLog{} }
 
+// NewOpLogCap returns an empty log with room for n records, so a driver
+// that knows how many operations can commit never grows it.
+func NewOpLogCap(n int) *OpLog { return &OpLog{ops: make([]OpRecord, 0, n)} }
+
 func (l *OpLog) add(r OpRecord) {
 	l.mu.Lock()
 	l.ops = append(l.ops, r)

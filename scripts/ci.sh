@@ -40,6 +40,7 @@ FuzzParseChaosSpec ./internal/native
 FuzzParseTopology ./internal/sim
 FuzzSchedulerDifferential ./internal/sim
 FuzzParsePlacement ./internal/mem
+FuzzMemoryModel ./internal/mem
 FuzzParseMapping ./internal/harness
 FuzzHierarchy ./internal/cache
 EOF
