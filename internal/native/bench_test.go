@@ -216,3 +216,14 @@ func BenchmarkNativeSpuriousAbortRetry(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkNativeSystemNew is the native set-up rung: New over a fresh
+// memory at the default stripe count, then StartWatchdog and StopWatchdog.
+func BenchmarkNativeSystemNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys := New(mem.New(), Config{Threads: 2})
+		sys.StartWatchdog()
+		sys.StopWatchdog()
+	}
+}

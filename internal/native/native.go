@@ -54,11 +54,10 @@ import (
 // unmanaged-environment record table does (bits 6..).
 const stripeShift = 6
 
-// stripe is one versioned write-lock, padded to a cache line so adjacent
-// stripes never false-share under real coherence traffic.
+// stripe is one versioned write-lock word. The table is dense, as in TL2:
+// eight stripes share a host cache line (DESIGN.md §4, "Layout rule").
 type stripe struct {
 	v atomic.Uint64
-	_ [7]uint64
 }
 
 // Config parameterises one native System.
@@ -153,7 +152,7 @@ func New(m *mem.Memory, cfg Config) *System {
 	if cfg.Stripes == 0 {
 		cfg.Stripes = 1 << 14
 	}
-	if cfg.Stripes&(cfg.Stripes-1) != 0 {
+	if cfg.Stripes < 0 || cfg.Stripes&(cfg.Stripes-1) != 0 {
 		panic(fmt.Sprintf("native: Config.Stripes %d is not a power of two", cfg.Stripes))
 	}
 	cfg.Watchdog = cfg.Watchdog.withDefaults()

@@ -3,8 +3,11 @@ package native
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/telemetry"
@@ -361,5 +364,34 @@ func TestStampOrdersConflictingWriters(t *testing.T) {
 		if s.val != uint64(i+1) {
 			t.Fatalf("stamp order position %d has value %d; wv order is not the serialization order", i, s.val)
 		}
+	}
+}
+
+// New rejects a malformed Config in the caller with a message naming the
+// field, rather than failing later in make or on the watchdog goroutine.
+func TestNewRejectsMalformedConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"no threads", Config{}, "Config.Threads"},
+		{"stripes not a power of two", Config{Threads: 1, Stripes: 3}, "Config.Stripes"},
+		{"most negative stripes", Config{Threads: 1, Stripes: math.MinInt}, "Config.Stripes"},
+		{"StripeHeldFor below 8ns", Config{Threads: 1, Watchdog: Watchdog{StripeHeldFor: 7}}, "Config.Watchdog.StripeHeldFor"},
+		{"negative CommitWindow", Config{Threads: 1, Watchdog: Watchdog{CommitWindow: -time.Second}}, "Config.Watchdog.CommitWindow"},
+		{"negative StripeHeldFor", Config{Threads: 1, Watchdog: Watchdog{StripeHeldFor: -1}}, "Config.Watchdog.StripeHeldFor"},
+		{"negative WakeDeadline", Config{Threads: 1, Watchdog: Watchdog{WakeDeadline: -time.Millisecond}}, "Config.Watchdog.WakeDeadline"},
+		{"negative Poll", Config{Threads: 1, Watchdog: Watchdog{Poll: -time.Millisecond}}, "Config.Watchdog.Poll"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "native: ") || !strings.Contains(msg, tc.want) {
+					t.Fatalf("New panicked with %q, want a native: message naming %s", msg, tc.want)
+				}
+			}()
+			New(mem.New(), tc.cfg)
+		})
 	}
 }

@@ -10,15 +10,17 @@ import (
 // terms: a commit-progress window over the global commit sequence, and a
 // stuck-stripe-lock detector that scans the versioned-write-lock table
 // for a lock word that has not changed for longer than any healthy commit
-// section could hold it. A trip publishes a structured
+// section could hold it, keeping state only for the stripes locked at the
+// last scan. A trip publishes a structured
 // NativeProgressViolation and raises the system's failed flag; spinning
 // and waiting threads observe the flag and unwind their transactions with
 // the violation as the error, so a wedged run terminates with a per-cell
 // error (exit 1) instead of hanging the process.
 
 // Watchdog configures the host watchdog plane. Zero values select the
-// defaults noted on each field; the bounded wake deadline is always
-// active, the scanning goroutine only once StartWatchdog is called.
+// defaults noted on each field, and New rejects negative ones; the bounded
+// wake deadline is always active, the scanning goroutine only once
+// StartWatchdog is called.
 type Watchdog struct {
 	// CommitWindow is how long the global commit sequence may sit still
 	// while some thread is mid-transaction before the plane declares a
@@ -38,7 +40,24 @@ type Watchdog struct {
 	Poll time.Duration
 }
 
+// withDefaults fills in the zero fields. It panics, naming the field, on a
+// negative duration or a Poll that comes out zero (StripeHeldFor below
+// 8ns): the scanner's time.NewTicker would otherwise panic on its own
+// goroutine, out of the caller's reach.
 func (w Watchdog) withDefaults() Watchdog {
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"CommitWindow", w.CommitWindow},
+		{"StripeHeldFor", w.StripeHeldFor},
+		{"WakeDeadline", w.WakeDeadline},
+		{"Poll", w.Poll},
+	} {
+		if f.d < 0 {
+			panic(fmt.Sprintf("native: Config.Watchdog.%s %v is negative", f.name, f.d))
+		}
+	}
 	if w.CommitWindow == 0 {
 		w.CommitWindow = 10 * time.Second
 	}
@@ -50,6 +69,9 @@ func (w Watchdog) withDefaults() Watchdog {
 	}
 	if w.Poll == 0 {
 		w.Poll = w.StripeHeldFor / 8
+		if w.Poll == 0 {
+			panic(fmt.Sprintf("native: Config.Watchdog.StripeHeldFor %v is below 8ns, so the default Poll (StripeHeldFor/8) is zero", w.StripeHeldFor))
+		}
 	}
 	return w
 }
@@ -119,16 +141,51 @@ func (s *System) StopWatchdog() {
 	s.wdStop, s.wdDone = nil, nil
 }
 
-// stripeHold tracks one stripe's lock word across scans.
+// stripeHold is a stripe that was locked at the last scan: its index, the
+// lock word seen, and when that word was first seen there.
 type stripeHold struct {
+	ix    int
 	word  uint64
 	since time.Time
+}
+
+// scanStripes is one pass of the stuck-stripe detector. prev holds the
+// stripes locked at the last scan, ascending; the result, appended to dst,
+// holds those locked now, ascending, and a stripe keeps its since only if
+// the same word held it last time (an unlock or a new owner in between
+// restarts the clock). The lowest stripe whose word has held it longer
+// than budget is returned as a violation without CommitSeq.
+func scanStripes(dst []stripeHold, stripes []stripe, prev []stripeHold, now time.Time, budget time.Duration) ([]stripeHold, *NativeProgressViolation) {
+	for ix := range stripes {
+		w := stripes[ix].v.Load()
+		if w&1 == 0 {
+			continue
+		}
+		for len(prev) > 0 && prev[0].ix < ix {
+			prev = prev[1:]
+		}
+		h := stripeHold{ix: ix, word: w, since: now}
+		if len(prev) > 0 && prev[0].ix == ix && prev[0].word == w {
+			h.since = prev[0].since
+			if d := now.Sub(h.since); d > budget {
+				return dst, &NativeProgressViolation{
+					Kind:   "stuck-stripe-lock",
+					Holder: int(w >> 1),
+					Stripe: ix,
+					Held:   d,
+					Window: budget,
+				}
+			}
+		}
+		dst = append(dst, h)
+	}
+	return dst, nil
 }
 
 func (s *System) watchdogLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	wd := s.cfg.Watchdog
-	held := make([]stripeHold, len(s.stripes))
+	var holds, spare []stripeHold
 	lastSeq := s.commitSeq()
 	windowStart := time.Now()
 	opSnap := make([]uint64, len(s.threads))
@@ -145,29 +202,14 @@ func (s *System) watchdogLoop(stop <-chan struct{}, done chan<- struct{}) {
 
 		// Stuck-stripe-lock scan: a lock word (odd) unchanged across
 		// scans for longer than the budget means its holder is wedged
-		// mid-commit — record who and where.
-		for ix := range s.stripes {
-			w := s.stripes[ix].v.Load()
-			if w&1 == 0 {
-				held[ix].word = 0
-				continue
-			}
-			if held[ix].word != w {
-				held[ix] = stripeHold{word: w, since: now}
-				continue
-			}
-			if d := now.Sub(held[ix].since); d > wd.StripeHeldFor {
-				s.trip(&NativeProgressViolation{
-					Kind:      "stuck-stripe-lock",
-					Holder:    int(w >> 1),
-					Stripe:    ix,
-					Held:      d,
-					CommitSeq: s.commitSeq(),
-					Window:    wd.StripeHeldFor,
-				})
-				return
-			}
+		// mid-commit.
+		next, v := scanStripes(spare[:0], s.stripes, holds, now, wd.StripeHeldFor)
+		if v != nil {
+			v.CommitSeq = s.commitSeq()
+			s.trip(v)
+			return
 		}
+		holds, spare = next, holds
 
 		// Commit-progress window: the commit sequence sitting still is
 		// only a stall if some thread has been inside one transaction the

@@ -41,6 +41,7 @@ FuzzParseTopology ./internal/sim
 FuzzSchedulerDifferential ./internal/sim
 FuzzParsePlacement ./internal/mem
 FuzzMemoryModel ./internal/mem
+FuzzStripeScan ./internal/native
 FuzzParseMapping ./internal/harness
 FuzzHierarchy ./internal/cache
 EOF
