@@ -173,80 +173,95 @@ const (
 	modified       // exclusive to one L1, written
 )
 
-// noTag is the tag of every invalid way: line addresses are multiples of
-// 64, so a probe matches on the tag alone.
-const noTag = ^uint64(0)
+// AddrLimit is one past the highest address the cache accepts. A tag is
+// the 32-bit line number, ^uint32(0) marks an invalid way, and the
+// prefetcher reaches two lines past an access, so the last line an access
+// may name is 2³² − 4. mem's allocator stops below this (mem.AddrLimit).
+const AddrLimit = (1<<32 - 3) * mem.LineSize
 
-type line struct {
-	tag uint64 // line address (addr &^ 63); noTag iff st == invalid (and then lru is 0)
-	st  state
-	// mark holds each hardware thread's private filter bits: per plane, per
-	// SMT thread sharing this L1, a 4-bit mask (one bit per 16B sub-block)
-	// under the epoch it was written in (see maskBits).
-	mark [MaxSMT]MarkMasks
-	// l2way is, on a valid L1 line, the way of its copy in the socket's
-	// inclusive L2.
-	l2way uint8
-	lru   uint64
+// mem's allocator stays below AddrLimit, so no run reaches the panic; this
+// constant does not compile if that ever stops being true.
+const _ = uint64(AddrLimit - mem.AddrLimit)
+
+// ErrAddrRange is the named panic of an exported entry point given an
+// address at or beyond AddrLimit.
+var ErrAddrRange = errors.New("cache: address beyond the 32-bit line-number range")
+
+// noTag is the tag of every invalid way.
+const noTag = ^uint32(0)
+
+// lineOf returns addr's line number, the tag.
+func lineOf(addr uint64) uint32 {
+	if addr >= AddrLimit {
+		badAddr(addr)
+	}
+	return uint32(addr / mem.LineSize)
 }
 
-func (w *line) invalidate() {
-	*w = line{tag: noTag}
+// badAddr is the cold half of lineOf, kept out of line so lineOf inlines.
+//
+//go:noinline
+func badAddr(addr uint64) {
+	panic(fmt.Errorf("%w: %#x (limit %#x)", ErrAddrRange, addr, uint64(AddrLimit)))
+}
+
+// addrOf returns the address of line number t.
+func addrOf(t uint32) uint64 { return uint64(t) * mem.LineSize }
+
+// way is what a probe reads, 8 bytes, so find and victim scan 64 bytes of
+// an 8-way set. The tag is noTag iff the way is invalid, and then lru is 0.
+type way struct {
+	tag, lru uint32
+}
+
+// lineState is the rest of an L1 way, 6 bytes in an array parallel to the
+// ways; an L2 way needs none of it.
+type lineState struct {
+	st state
+	// l2way is, on a valid line, the way of its copy in the socket's
+	// inclusive L2.
+	l2way uint8
+	// mark holds each hardware thread's private filter bits: per SMT thread
+	// sharing this L1, per plane, a 4-bit mask (one bit per 16B sub-block)
+	// under the epoch it was written in (see maskBits).
+	mark [MaxSMT]MarkMasks
 }
 
 // sharerMask is a directory entry's sharer set: one bit per L1 group of
 // the owning socket, in as many words as the socket's group count needs.
-// Kept out of the line struct so L1 probe loops stay compact; L2 levels
-// carry one mask per way in a parallel flat array. A walk ranges over the
-// words in place: the drop it causes clears only the bit just visited.
+// An L2 level keeps one per way in a flat array parallel to its ways, and
+// nothing else beside them. A walk ranges over the words in place: the
+// drop it causes clears only the bit just visited.
 type sharerMask []uint64
 
 func (m sharerMask) set(g int)   { m[g>>6] |= 1 << (g & 63) }
 func (m sharerMask) clear(g int) { m[g>>6] &^= 1 << (g & 63) }
 
-// level is one cache: its ways, set-major in one slab (a machine builds
-// thousands of sets, and one make per set was nearly all of sim.New's
-// allocation count), addressed by index everywhere. The fields a probe
-// reads come first, so they share one host cache line.
+// level is one cache, its arrays set-major and addressed by way index
+// everywhere. New carves every level's arrays out of one allocation per
+// kind. The fields a probe reads come first.
 type level struct {
-	ways    []line
-	setMask uint64 // sets-1; Sets() guarantees a power of two
-	assoc   int    // ways per set
-	sock    int    // the socket the level belongs to
+	ways    []way
+	setMask uint32 // sets-1; Sets() guarantees a power of two
+	tick    uint32
+	assoc   int // ways per set
+	sock    int // the socket the level belongs to
 
-	tick    uint64
-	sharers []uint64 // stride words per way, indexed like ways; non-nil only on directory (L2) levels
-	stride  int      // words per directory entry: ceil(groups per socket / 64)
-
-	// On L1 levels: the group's index in the machine, its sharer bit in the
-	// socket's directory, and each (thread slot, plane)'s current mark
-	// epoch, shifted like the mark bytes.
+	// On L1 levels: the state of each way, the group's index in the
+	// machine, its sharer bit in the socket's directory, and each (thread
+	// slot, plane)'s current mark epoch, shifted like the mark bytes.
+	state   []lineState
 	id, bit int
 	epoch   [MaxSMT]MarkMasks
+
+	// On L2 levels: stride directory words per way, indexed like ways.
+	sharers []uint64
+	stride  int // ceil(groups per socket / 64)
 }
 
-// newLevel builds an empty level; dirGroups > 0 makes it a directory
-// naming that many L1 groups.
-func newLevel(cfg Config, dirGroups int) *level {
-	sets := cfg.Sets()
-	l := &level{
-		ways:    make([]line, sets*cfg.Assoc),
-		setMask: uint64(sets - 1),
-		assoc:   cfg.Assoc,
-	}
-	for i := range l.ways {
-		l.ways[i].tag = noTag
-	}
-	if dirGroups > 0 {
-		l.stride = (dirGroups + 63) / 64
-		l.sharers = make([]uint64, len(l.ways)*l.stride)
-	}
-	return l
-}
-
-// base returns the index of the first way of lineAddr's set.
-func (l *level) base(lineAddr uint64) int {
-	return int((lineAddr/mem.LineSize)&l.setMask) * l.assoc
+// base returns the index of the first way of line t's set.
+func (l *level) base(t uint32) int {
+	return int(t&l.setMask) * l.assoc
 }
 
 // dirEntry returns the directory entry of way i.
@@ -255,53 +270,75 @@ func (l *level) dirEntry(i int) sharerMask {
 	return l.sharers[at : at+l.stride]
 }
 
-// find returns the index of the way holding lineAddr, or -1, in one tag
+// find returns the index of the way holding line t, or -1, in one tag
 // compare per way.
-func (l *level) find(lineAddr uint64) int {
-	b := l.base(lineAddr)
+func (l *level) find(t uint32) int {
+	b := l.base(t)
 	set := l.ways[b : b+l.assoc]
 	for i := range set {
-		if set[i].tag == lineAddr {
+		if set[i].tag == t {
 			return b + i
 		}
 	}
 	return -1
 }
 
-// lookup returns the way holding lineAddr, or nil.
-func (l *level) lookup(lineAddr uint64) *line {
-	if i := l.find(lineAddr); i >= 0 {
-		return &l.ways[i]
-	}
-	return nil
-}
-
-// victim returns the index of the way to fill for lineAddr: the first
+// victim returns the index of the way to fill for line t: the first
 // invalid way if one exists, else the LRU way — in one comparison per way,
 // because an invalid way's lru is 0 and a valid one's is at least 1. The
 // way may hold a valid line that the caller must handle (eviction).
-func (l *level) victim(lineAddr uint64) int {
-	b := l.base(lineAddr)
+func (l *level) victim(t uint32) int {
+	b := l.base(t)
 	set := l.ways[b : b+l.assoc]
-	best := 0
-	for i := range set {
-		if set[i].lru < set[best].lru {
-			best = i
+	best, oldest := 0, set[0].lru
+	for i, w := range set {
+		if w.lru < oldest {
+			best, oldest = i, w.lru
 		}
 	}
 	return b + best
 }
 
-func (l *level) touch(w *line) {
+// touch makes way i its set's most recently used.
+func (l *level) touch(i int) {
+	if l.tick == ^uint32(0) {
+		l.renumber()
+	}
 	l.tick++
-	w.lru = l.tick
+	l.ways[i].lru = l.tick
 }
 
-// marks returns the live mark masks of w for one thread slot: a byte
+// renumber replaces each valid way's stamp by its rank in its set (1 for
+// the least recently used; invalid ways keep 0) and restarts the tick
+// above every rank, so the tick can wrap without changing any set's order
+// and with it any victim choice.
+func (l *level) renumber() {
+	var rank [maxAssoc]uint32
+	for b := 0; b < len(l.ways); b += l.assoc {
+		set := l.ways[b : b+l.assoc]
+		for i := range set {
+			rank[i] = 0
+			if set[i].lru == 0 {
+				continue
+			}
+			for j := range set {
+				if set[j].lru != 0 && set[j].lru <= set[i].lru {
+					rank[i]++
+				}
+			}
+		}
+		for i := range set {
+			set[i].lru = rank[i]
+		}
+	}
+	l.tick = uint32(l.assoc)
+}
+
+// marks returns the live mark masks of way i for one thread slot: a byte
 // written in an earlier epoch of its (slot, plane) reads as clear.
-func (l *level) marks(w *line, slot int) MarkMasks {
+func (l *level) marks(i, slot int) MarkMasks {
 	var m MarkMasks
-	for p, b := range w.mark[slot] {
+	for p, b := range l.state[i].mark[slot] {
 		if b&epochBits == l.epoch[slot][p] {
 			m[p] = b & maskBits
 		}
@@ -334,11 +371,11 @@ type SocketCounters struct {
 // inclusive L2 per socket, kept coherent by per-line directory sharer
 // sets.
 type Hierarchy struct {
-	l1       []*level
-	l2       []*level // one per socket
-	tpc      int      // hardware threads per core (per L1): 1 or 2
-	tpcShift uint     // log2(tpc)
-	gps      int      // L1 groups per socket
+	l1       []level
+	l2       []level // one per socket
+	tpc      int     // hardware threads per core (per L1): 1 or 2
+	tpcShift uint    // log2(tpc)
+	gps      int     // L1 groups per socket
 	sockets  int
 
 	prefetch bool // next-line prefetch into L1 on L1 miss
@@ -346,6 +383,8 @@ type Hierarchy struct {
 	// invalProbes counts the remote-L1 lookups invalidateOthers makes, one
 	// per sharer its directory walk visits. Read by tests only.
 	invalProbes uint64
+	// staleStores and staleMarked are StaleStores' counts (see noteStale).
+	staleStores, staleMarked uint64
 
 	dropListeners []DropListener
 	readListeners []RemoteReadListener
@@ -427,29 +466,53 @@ func New(cfg HierarchyConfig) *Hierarchy {
 		sockets = 1
 	}
 	groups := cfg.Cores / tpc
+	gps := groups / sockets
+	stride := (gps + 63) / 64
+	sets1, sets2 := cfg.L1.Sets(), cfg.L2.Sets()
+	n1, n2 := sets1*cfg.L1.Assoc, sets2*cfg.L2.Assoc
+
+	// One allocation per array kind; every level carves its slice.
+	levels := make([]level, groups+sockets)
+	ways := make([]way, groups*n1+sockets*n2)
+	for i := range ways {
+		ways[i].tag = noTag
+	}
+	states := make([]lineState, groups*n1)
+	sharers := make([]uint64, sockets*n2*stride)
 	h := &Hierarchy{
+		l1:       levels[:groups:groups],
+		l2:       levels[groups:],
 		tpc:      tpc,
 		tpcShift: uint(bits.TrailingZeros(uint(tpc))),
-		gps:      groups / sockets,
+		gps:      gps,
 		sockets:  sockets,
 		prefetch: cfg.Prefetch,
 		Socket:   make([]SocketCounters, sockets),
 	}
-	for i := 0; i < groups; i++ {
-		l := newLevel(cfg.L1, 0)
-		l.id, l.sock, l.bit = i, i/h.gps, i%h.gps
-		h.l1 = append(h.l1, l)
+	for g := range h.l1 {
+		h.l1[g] = level{
+			ways: carve(&ways, n1), setMask: uint32(sets1 - 1), assoc: cfg.L1.Assoc,
+			sock: g / gps, state: carve(&states, n1), id: g, bit: g % gps,
+		}
 	}
-	for s := 0; s < sockets; s++ {
-		l := newLevel(cfg.L2, h.gps)
-		l.sock = s
-		h.l2 = append(h.l2, l)
+	for s := range h.l2 {
+		h.l2[s] = level{
+			ways: carve(&ways, n2), setMask: uint32(sets2 - 1), assoc: cfg.L2.Assoc,
+			sock: s, sharers: carve(&sharers, n2*stride), stride: stride,
+		}
 	}
 	return h
 }
 
+// carve returns the first n elements of *a and advances *a past them.
+func carve[T any](a *[]T, n int) []T {
+	s := (*a)[:n:n]
+	*a = (*a)[n:]
+	return s
+}
+
 // l1Of maps a hardware thread to its (possibly shared) L1.
-func (h *Hierarchy) l1Of(thread int) *level { return h.l1[thread>>h.tpcShift] }
+func (h *Hierarchy) l1Of(thread int) *level { return &h.l1[thread>>h.tpcShift] }
 
 // slotOf maps a hardware thread to its mark slot within a shared L1.
 func (h *Hierarchy) slotOf(thread int) int { return thread & (h.tpc - 1) }
@@ -467,6 +530,13 @@ func (h *Hierarchy) NoteRemoteMemory(thread int) {
 	h.Socket[h.SocketOf(thread)].CrossSocketMisses++
 }
 
+// StaleStores returns how many store hits found their Modified line also
+// held by another L1 group of the socket, and how many of those other
+// copies carried a live mark. Both stay 0 with the prefetcher off.
+func (h *Hierarchy) StaleStores() (stores, marked uint64) {
+	return h.staleStores, h.staleMarked
+}
+
 // AddDropListener registers a listener for L1 line drops.
 func (h *Hierarchy) AddDropListener(l DropListener) {
 	h.dropListeners = append(h.dropListeners, l)
@@ -477,27 +547,29 @@ func (h *Hierarchy) AddRemoteReadListener(l RemoteReadListener) {
 	h.readListeners = append(h.readListeners, l)
 }
 
-// drop invalidates a line of l1, notifying every hardware thread that
+// drop invalidates way i of l1, notifying every hardware thread that
 // shares the L1 with its own live marks, and clears the group's bit in the
 // directory entry of the L2 way the line recorded (the sharer sets stay
 // precise).
-func (h *Hierarchy) drop(l1 *level, w *line, reason DropReason, byThread int) {
-	if w.st == invalid {
+func (h *Hierarchy) drop(l1 *level, i int, reason DropReason, byThread int) {
+	t := l1.ways[i].tag
+	if t == noTag {
 		return
 	}
-	addr := w.tag
+	s := &l1.state[i]
 	var marks [MaxSMT]MarkMasks
-	if w.mark != marks { // most lines never carried a mark: no epoch to check
-		for t := 0; t < h.tpc; t++ {
-			marks[t] = l1.marks(w, t)
+	if s.mark[0] != (MarkMasks{}) || s.mark[1] != (MarkMasks{}) { // most lines never carried a mark: no epoch to check
+		for slot := 0; slot < h.tpc; slot++ {
+			marks[slot] = l1.marks(i, slot)
 		}
 		if marks != [MaxSMT]MarkMasks{} {
 			h.MarkedDrops++
 		}
 	}
-	l2 := h.l2[l1.sock]
-	l2.dirEntry(l2.base(addr) + int(w.l2way)).clear(l1.bit)
-	w.invalidate()
+	l2 := &h.l2[l1.sock]
+	l2.dirEntry(l2.base(t) + int(s.l2way)).clear(l1.bit)
+	l1.ways[i] = way{tag: noTag}
+	*s = lineState{}
 	switch reason {
 	case DropEvict:
 		h.Evictions++
@@ -506,35 +578,37 @@ func (h *Hierarchy) drop(l1 *level, w *line, reason DropReason, byThread int) {
 	case DropBackInvalidate:
 		h.BackInvalidations++
 	}
-	for t := 0; t < h.tpc; t++ {
-		thread := l1.id<<h.tpcShift + t
+	addr := addrOf(t)
+	for slot := 0; slot < h.tpc; slot++ {
+		thread := l1.id<<h.tpcShift + slot
 		for _, l := range h.dropListeners {
-			l.LineDropped(thread, addr, marks[t], reason, byThread)
+			l.LineDropped(thread, addr, marks[slot], reason, byThread)
 		}
 	}
 }
 
-// siblingStore clears the other SMT threads' marks on a line the storing
-// thread just wrote; the line stays resident for them (same L1), but the
-// marks — and for a hardware transaction, the tracked line — are gone.
-// Every sibling is notified, marked or not: an HTM sibling tracks unmarked
-// lines too.
-func (h *Hierarchy) siblingStore(l1 *level, thread int, w *line) {
+// siblingStore clears the other SMT threads' marks on way i, which the
+// storing thread just wrote; the line stays resident for them (same L1),
+// but the marks — and for a hardware transaction, the tracked line — are
+// gone. Every sibling is notified, marked or not: an HTM sibling tracks
+// unmarked lines too.
+func (h *Hierarchy) siblingStore(l1 *level, thread, i int) {
 	if h.tpc == 1 {
 		return
 	}
-	for t := 0; t < h.tpc; t++ {
-		sib := l1.id<<h.tpcShift + t
+	addr := addrOf(l1.ways[i].tag)
+	for slot := 0; slot < h.tpc; slot++ {
+		sib := l1.id<<h.tpcShift + slot
 		if sib == thread {
 			continue
 		}
-		mark := l1.marks(w, t)
+		mark := l1.marks(i, slot)
 		if mark.Any() {
-			w.mark[t] = MarkMasks{}
+			l1.state[i].mark[slot] = MarkMasks{}
 			h.MarkedDrops++
 		}
 		for _, l := range h.dropListeners {
-			l.LineDropped(sib, w.tag, mark, DropSiblingStore, thread)
+			l.LineDropped(sib, addr, mark, DropSiblingStore, thread)
 		}
 	}
 }
@@ -556,36 +630,67 @@ type AccessResult struct {
 // updating residency, coherence and inclusion. It returns where the access
 // hit so the caller can charge latency.
 func (h *Hierarchy) Access(thread int, addr uint64, write bool) AccessResult {
-	la := mem.LineAddr(addr)
+	t := lineOf(addr)
 	l1 := h.l1Of(thread)
-	i := l1.find(la)
+	i := l1.find(t)
 	if i < 0 {
-		return h.miss(l1, thread, la, write)
+		return h.miss(l1, thread, t, write)
 	}
-	w := &l1.ways[i]
-	l1.touch(w)
+	l1.touch(i)
 	h.L1Hits++
 	if !write {
-		h.notifyRemoteRead(thread, la)
+		h.notifyRemoteRead(thread, t)
 		return AccessResult{L1Hit: true}
 	}
-	if w.st != modified {
+	if s := &l1.state[i]; s.st != modified {
 		// Upgrade: invalidate every other copy in the machine.
-		h.invalidateOthers(l1, thread, la, h.l2[l1.sock].base(la)+int(w.l2way))
-		w.st = modified
+		h.invalidateOthers(l1, thread, t, h.l2[l1.sock].base(t)+int(s.l2way))
+		s.st = modified
+	} else if h.prefetch { // only a read prefetch leaves a copy beside a Modified one
+		h.noteStale(l1, t, h.l2[l1.sock].base(t)+int(s.l2way))
 	}
-	h.siblingStore(l1, thread, w)
+	h.siblingStore(l1, thread, i)
 	return AccessResult{L1Hit: true}
 }
 
+// noteStale counts a store hit on a Modified line of l1 whose directory
+// entry (way l2i of the socket's L2) names another group — a read
+// prefetch filled that copy without downgrading this one (see miss), so
+// the store invalidates nobody — and the other copies that carry a live
+// mark.
+func (h *Hierarchy) noteStale(l1 *level, t uint32, l2i int) {
+	stale := false
+	for wi, word := range h.l2[l1.sock].dirEntry(l2i) {
+		for word != 0 {
+			g := wi<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if g == l1.bit {
+				continue
+			}
+			stale = true
+			other := &h.l1[l1.sock*h.gps+g]
+			j := other.find(t)
+			for slot := 0; slot < h.tpc; slot++ {
+				if other.marks(j, slot).Any() {
+					h.staleMarked++
+					break
+				}
+			}
+		}
+	}
+	if stale {
+		h.staleStores++
+	}
+}
+
 // miss is Access for a line l1 does not hold.
-func (h *Hierarchy) miss(l1 *level, thread int, la uint64, write bool) AccessResult {
+func (h *Hierarchy) miss(l1 *level, thread int, t uint32, write bool) AccessResult {
 	h.L1Misses++
 	res := AccessResult{}
-	l2 := h.l2[l1.sock]
+	l2 := &h.l2[l1.sock]
 	// The one probe of the local L2 set; nothing below moves the line
 	// between ways before fillL1 records it.
-	w2 := l2.find(la)
+	w2 := l2.find(t)
 
 	remoteDirty := false
 	if !write {
@@ -593,25 +698,25 @@ func (h *Hierarchy) miss(l1 *level, thread int, la uint64, write bool) AccessRes
 		// old owner's next store is forced to re-invalidate us. The
 		// directory walk visits actual sharers in ascending group order —
 		// the same copies, in the same order, the broadcast snoop scanned.
-		remoteDirty = h.downgradeModified(l1, la, w2)
+		remoteDirty = h.downgradeModified(l1, t, w2)
 	}
 
 	// Ensure the line is in the local socket's L2 (inclusive).
 	if w2 >= 0 {
-		l2.touch(&l2.ways[w2])
+		l2.touch(w2)
 		h.L2Hits++
 		res.L2Hit = true
 	} else {
 		h.L2Misses++
 		if h.sockets > 1 {
-			h.probeRemote(l1.sock, la, write, remoteDirty, &res)
+			h.probeRemote(l1.sock, t, write, remoteDirty, &res)
 		}
-		w2 = h.fillL2(l2, la)
+		w2 = h.fillL2(l2, t)
 	}
 
-	h.fillL1(l1, thread, la, write, w2)
+	h.fillL1(l1, thread, t, write, w2)
 	if !write {
-		h.notifyRemoteRead(thread, la)
+		h.notifyRemoteRead(thread, t)
 	}
 
 	if h.prefetch {
@@ -622,19 +727,19 @@ func (h *Hierarchy) miss(l1 *level, thread int, la uint64, write bool) AccessRes
 		// line, which — like the demand store — invalidates every other
 		// core's copy, marked or not. Prefetches consume no requester
 		// latency; their cost is pure pollution.
-		degree := uint64(2)
+		degree := uint32(2)
 		if write {
 			degree = 1
 		}
-		for d := uint64(1); d <= degree; d++ {
-			next := la + d*mem.LineSize
+		for d := uint32(1); d <= degree; d++ {
+			next := t + d
 			n2 := l2.find(next)
 			if write {
 				h.invalidateOthers(l1, thread, next, n2)
 			}
-			if w := l1.lookup(next); w != nil {
+			if j := l1.find(next); j >= 0 {
 				if write {
-					w.st = modified
+					l1.state[j].st = modified
 				}
 				continue
 			}
@@ -648,16 +753,17 @@ func (h *Hierarchy) miss(l1 *level, thread int, la uint64, write bool) AccessRes
 	return res
 }
 
-// downgradeModified walks every socket's directory entry for la and
+// downgradeModified walks every socket's directory entry for line t and
 // downgrades a Modified copy to Shared, returning whether that copy lived
 // on a different socket than the accessor (a dirty-remote source). local
-// is la's way in the accessor's L2, or -1.
-func (h *Hierarchy) downgradeModified(l1 *level, la uint64, local int) bool {
+// is t's way in the accessor's L2, or -1.
+func (h *Hierarchy) downgradeModified(l1 *level, t uint32, local int) bool {
 	remoteDirty := false
-	for s, l2 := range h.l2 {
+	for s := range h.l2 {
+		l2 := &h.l2[s]
 		i := local
 		if s != l1.sock {
-			i = l2.find(la)
+			i = l2.find(t)
 		}
 		if i < 0 {
 			continue
@@ -670,8 +776,9 @@ func (h *Hierarchy) downgradeModified(l1 *level, la uint64, local int) bool {
 				if grp == l1.id {
 					continue
 				}
-				if w := h.l1[grp].lookup(la); w != nil && w.st == modified {
-					w.st = shared
+				other := &h.l1[grp]
+				if j := other.find(t); j >= 0 && other.state[j].st == modified {
+					other.state[j].st = shared
 					if s != l1.sock {
 						remoteDirty = true
 					}
@@ -688,12 +795,13 @@ func (h *Hierarchy) downgradeModified(l1 *level, la uint64, local int) bool {
 // the miss falls through to memory. Counters land on the accessor's
 // socket; the remote copies themselves are left alone (a write invalidates
 // them moments later through invalidateOthers).
-func (h *Hierarchy) probeRemote(ownSock int, la uint64, write, readSawDirty bool, res *AccessResult) {
-	for s, l2 := range h.l2 {
+func (h *Hierarchy) probeRemote(ownSock int, t uint32, write, readSawDirty bool, res *AccessResult) {
+	for s := range h.l2 {
 		if s == ownSock {
 			continue
 		}
-		i := l2.find(la)
+		l2 := &h.l2[s]
+		i := l2.find(t)
 		if i < 0 {
 			continue
 		}
@@ -704,7 +812,8 @@ func (h *Hierarchy) probeRemote(ownSock int, la uint64, write, readSawDirty bool
 				for word != 0 {
 					g := wi<<6 + bits.TrailingZeros64(word)
 					word &= word - 1
-					if w := h.l1[s*h.gps+g].lookup(la); w != nil && w.st == modified {
+					other := &h.l1[s*h.gps+g]
+					if j := other.find(t); j >= 0 && other.state[j].st == modified {
 						dirty = true
 					}
 				}
@@ -720,54 +829,50 @@ func (h *Hierarchy) probeRemote(ownSock int, la uint64, write, readSawDirty bool
 	}
 }
 
-// fillL1 installs la into l1, evicting as needed and invalidating other
-// copies when the fill is for a write. New fills always start with a clear
-// mark mask ("when the processor brings a line into the cache, it clears
-// all the mark bits for the new line"). l2i is la's way in the socket's L2:
-// the line records it, and its directory entry gains the group's sharer
-// bit.
-func (h *Hierarchy) fillL1(l1 *level, thread int, la uint64, write bool, l2i int) {
-	v := &l1.ways[l1.victim(la)]
-	h.drop(l1, v, DropEvict, thread)
+// fillL1 installs line t into l1, evicting as needed and invalidating
+// other copies when the fill is for a write. New fills always start with a
+// clear mark mask ("when the processor brings a line into the cache, it
+// clears all the mark bits for the new line"). l2i is t's way in the
+// socket's L2: the line records it, and its directory entry gains the
+// group's sharer bit.
+func (h *Hierarchy) fillL1(l1 *level, thread int, t uint32, write bool, l2i int) {
+	vi := l1.victim(t)
+	h.drop(l1, vi, DropEvict, thread)
 	if write {
-		h.invalidateOthers(l1, thread, la, l2i)
+		h.invalidateOthers(l1, thread, t, l2i)
 	}
-	v.tag = la
-	v.mark = [MaxSMT]MarkMasks{}
+	st := shared
 	if write {
-		v.st = modified
-	} else {
-		v.st = shared
+		st = modified
 	}
-	l2 := h.l2[l1.sock]
-	v.l2way = uint8(l2i & (l2.assoc - 1))
-	l1.touch(v)
+	l2 := &h.l2[l1.sock]
+	l1.ways[vi].tag = t
+	l1.state[vi] = lineState{st: st, l2way: uint8(l2i & (l2.assoc - 1))}
+	l1.touch(vi)
 	l2.dirEntry(l2i).set(l1.bit)
 }
 
-// fillL2 installs la into l2 and returns the way it filled; the victim, if
-// any, is back-invalidated out of the socket's L1s — exactly the sharers
-// its directory entry names — to preserve inclusion.
-func (h *Hierarchy) fillL2(l2 *level, la uint64) int {
-	vi := l2.victim(la)
-	v, vm := &l2.ways[vi], l2.dirEntry(vi)
-	if v.st != invalid {
-		evicted := v.tag
+// fillL2 installs line t into l2 and returns the way it filled; the
+// victim, if any, is back-invalidated out of the socket's L1s — exactly
+// the sharers its directory entry names — to preserve inclusion.
+func (h *Hierarchy) fillL2(l2 *level, t uint32) int {
+	vi := l2.victim(t)
+	vm := l2.dirEntry(vi)
+	if evicted := l2.ways[vi].tag; evicted != noTag {
 		for wi, word := range vm {
 			for word != 0 {
 				g := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				l1 := h.l1[l2.sock*h.gps+g]
-				if w := l1.lookup(evicted); w != nil {
-					h.drop(l1, w, DropBackInvalidate, -1)
+				l1 := &h.l1[l2.sock*h.gps+g]
+				if j := l1.find(evicted); j >= 0 {
+					h.drop(l1, j, DropBackInvalidate, -1)
 				}
 			}
 		}
 	}
-	v.tag = la
-	v.st = shared
+	l2.ways[vi].tag = t
 	clear(vm)
-	l2.touch(v)
+	l2.touch(vi)
 	return vi
 }
 
@@ -778,8 +883,9 @@ func (h *Hierarchy) fillL2(l2 *level, la uint64) int {
 // §7.4. The requesting core gains nothing; the request is off its critical
 // path.
 func (h *Hierarchy) SpeculativeRFO(thread int, lineAddr uint64) {
+	t := lineOf(lineAddr)
 	l1 := h.l1Of(thread)
-	h.invalidateOthers(l1, thread, lineAddr, h.l2[l1.sock].find(lineAddr))
+	h.invalidateOthers(l1, thread, t, h.l2[l1.sock].find(t))
 }
 
 // EvictLine forces the line containing addr out of the thread's L1, as a
@@ -788,12 +894,13 @@ func (h *Hierarchy) SpeculativeRFO(thread int, lineAddr uint64) {
 // models associativity pressure, not data loss), so a re-access hits L2.
 // Fault injection uses this to exercise mark-bit loss at chosen points.
 func (h *Hierarchy) EvictLine(thread int, addr uint64) bool {
+	t := lineOf(addr)
 	l1 := h.l1Of(thread)
-	w := l1.lookup(mem.LineAddr(addr))
-	if w == nil {
+	i := l1.find(t)
+	if i < 0 {
 		return false
 	}
-	h.drop(l1, w, DropEvict, thread)
+	h.drop(l1, i, DropEvict, thread)
 	return true
 }
 
@@ -804,10 +911,11 @@ func (h *Hierarchy) EvictLine(thread int, addr uint64) bool {
 // dropped. Fault injection uses this as an on-demand snoop/back-
 // invalidation.
 func (h *Hierarchy) BackInvalidateLine(addr uint64) int {
-	la := mem.LineAddr(addr)
+	t := lineOf(addr)
 	n := 0
-	for s, l2 := range h.l2 {
-		i := l2.find(la)
+	for s := range h.l2 {
+		l2 := &h.l2[s]
+		i := l2.find(t)
 		if i < 0 {
 			continue
 		}
@@ -816,39 +924,39 @@ func (h *Hierarchy) BackInvalidateLine(addr uint64) int {
 			for word != 0 {
 				g := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				l1 := h.l1[s*h.gps+g]
-				if w := l1.lookup(la); w != nil {
-					h.drop(l1, w, DropBackInvalidate, -1)
+				l1 := &h.l1[s*h.gps+g]
+				if j := l1.find(t); j >= 0 {
+					h.drop(l1, j, DropBackInvalidate, -1)
 					n++
 				}
 			}
 		}
-		l2.ways[i].invalidate()
+		l2.ways[i] = way{tag: noTag}
 		clear(m)
 	}
 	return n
 }
 
-// invalidateOthers removes la from every L1 except the writer's, walking
-// directory sharer sets instead of probing each L1: the writer's own
-// socket drops exactly its sharers (ascending group order — the broadcast
-// snoop's order), and any other socket holding the line drops its sharers
-// and gives up its L2 copy (exclusive ownership moves to the writer's
-// socket). local is la's way in the writer's L2, or -1.
-func (h *Hierarchy) invalidateOthers(l1 *level, writer int, la uint64, local int) {
+// invalidateOthers removes line t from every L1 except the writer's,
+// walking directory sharer sets instead of probing each L1: the writer's
+// own socket drops exactly its sharers (ascending group order — the
+// broadcast snoop's order), and any other socket holding the line drops
+// its sharers and gives up its L2 copy (exclusive ownership moves to the
+// writer's socket). local is t's way in the writer's L2, or -1.
+func (h *Hierarchy) invalidateOthers(l1 *level, writer int, t uint32, local int) {
 	sock := l1.sock
 	if local >= 0 {
 		for wi, word := range h.l2[sock].dirEntry(local) {
 			for word != 0 {
 				g := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				other := h.l1[sock*h.gps+g]
+				other := &h.l1[sock*h.gps+g]
 				if other == l1 {
 					continue
 				}
 				h.invalProbes++
-				if w := other.lookup(la); w != nil {
-					h.drop(other, w, DropInvalidate, writer)
+				if j := other.find(t); j >= 0 {
+					h.drop(other, j, DropInvalidate, writer)
 				}
 			}
 		}
@@ -857,11 +965,12 @@ func (h *Hierarchy) invalidateOthers(l1 *level, writer int, la uint64, local int
 		return
 	}
 	sc := &h.Socket[sock]
-	for s, l2 := range h.l2 {
+	for s := range h.l2 {
 		if s == sock {
 			continue
 		}
-		i := l2.find(la)
+		l2 := &h.l2[s]
+		i := l2.find(t)
 		if i < 0 {
 			continue
 		}
@@ -870,23 +979,23 @@ func (h *Hierarchy) invalidateOthers(l1 *level, writer int, la uint64, local int
 			for word != 0 {
 				g := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				other := h.l1[s*h.gps+g]
+				other := &h.l1[s*h.gps+g]
 				h.invalProbes++
-				if w := other.lookup(la); w != nil {
-					h.drop(other, w, DropInvalidate, writer)
+				if j := other.find(t); j >= 0 {
+					h.drop(other, j, DropInvalidate, writer)
 					sc.DirectoryInvalidations++
 				}
 			}
 		}
-		l2.ways[i].invalidate()
+		l2.ways[i] = way{tag: noTag}
 		clear(m)
 		sc.DirectoryInvalidations++
 	}
 }
 
-func (h *Hierarchy) notifyRemoteRead(reader int, la uint64) {
+func (h *Hierarchy) notifyRemoteRead(reader int, t uint32) {
 	for _, l := range h.readListeners {
-		l.LineRead(reader, la)
+		l.LineRead(reader, addrOf(t))
 	}
 }
 
@@ -920,9 +1029,9 @@ func markSpan(addr, gran uint64) uint8 {
 // no-op, matching hardware that simply loses the mark.
 func (h *Hierarchy) SetMark(thread, plane int, addr, size uint64) {
 	l1 := h.l1Of(thread)
-	if w := l1.lookup(mem.LineAddr(addr)); w != nil {
+	if i := l1.find(lineOf(addr)); i >= 0 {
 		slot := h.slotOf(thread)
-		b, e := &w.mark[slot][plane], l1.epoch[slot][plane]
+		b, e := &l1.state[i].mark[slot][plane], l1.epoch[slot][plane]
 		if *b&epochBits != e {
 			*b = e
 		}
@@ -933,9 +1042,9 @@ func (h *Hierarchy) SetMark(thread, plane int, addr, size uint64) {
 // ClearMark clears plane's mark bits covering [addr, addr+size).
 func (h *Hierarchy) ClearMark(thread, plane int, addr, size uint64) {
 	l1 := h.l1Of(thread)
-	if w := l1.lookup(mem.LineAddr(addr)); w != nil {
+	if i := l1.find(lineOf(addr)); i >= 0 {
 		slot := h.slotOf(thread)
-		if b := &w.mark[slot][plane]; *b&epochBits == l1.epoch[slot][plane] {
+		if b := &l1.state[i].mark[slot][plane]; *b&epochBits == l1.epoch[slot][plane] {
 			*b &^= markSpan(addr, size)
 		}
 	}
@@ -946,12 +1055,12 @@ func (h *Hierarchy) ClearMark(thread, plane int, addr, size uint64) {
 // covered bits in the carry flag).
 func (h *Hierarchy) TestMark(thread, plane int, addr, size uint64) bool {
 	l1 := h.l1Of(thread)
-	w := l1.lookup(mem.LineAddr(addr))
-	if w == nil {
+	i := l1.find(lineOf(addr))
+	if i < 0 {
 		return false
 	}
 	span := markSpan(addr, size)
-	return l1.marks(w, h.slotOf(thread))[plane]&span == span
+	return l1.marks(i, h.slotOf(thread))[plane]&span == span
 }
 
 // ClearAllMarks clears every mark bit of one plane in core's L1
@@ -965,9 +1074,8 @@ func (h *Hierarchy) ClearAllMarks(thread, plane int) {
 	if *e += epochStep; *e != 0 {
 		return
 	}
-	ways := l1.ways
-	for i := range ways {
-		ways[i].mark[slot][plane] = 0
+	for i := range l1.state {
+		l1.state[i].mark[slot][plane] = 0
 	}
 }
 
@@ -977,7 +1085,7 @@ func (h *Hierarchy) MarkedLines(thread, plane int) int {
 	l1, slot := h.l1Of(thread), h.slotOf(thread)
 	n := 0
 	for i := range l1.ways {
-		if w := &l1.ways[i]; w.st != invalid && l1.marks(w, slot)[plane] != 0 {
+		if l1.ways[i].tag != noTag && l1.marks(i, slot)[plane] != 0 {
 			n++
 		}
 	}
@@ -986,7 +1094,7 @@ func (h *Hierarchy) MarkedLines(thread, plane int) int {
 
 // Resident reports whether the line containing addr is in the thread's L1.
 func (h *Hierarchy) Resident(thread int, addr uint64) bool {
-	return h.l1Of(thread).lookup(mem.LineAddr(addr)) != nil
+	return h.l1Of(thread).find(lineOf(addr)) >= 0
 }
 
 // FlushCore invalidates every line in the thread's L1 (used to model a
@@ -995,6 +1103,6 @@ func (h *Hierarchy) Resident(thread int, addr uint64) bool {
 func (h *Hierarchy) FlushCore(thread int) {
 	l1 := h.l1Of(thread)
 	for i := range l1.ways {
-		h.drop(l1, &l1.ways[i], DropEvict, thread)
+		h.drop(l1, i, DropEvict, thread)
 	}
 }

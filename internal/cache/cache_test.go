@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"errors"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -219,18 +222,18 @@ func TestMarksDoNotReviveAcrossEpochWrap(t *testing.T) {
 		}
 	}
 	l1, slot := h.l1Of(th), h.slotOf(th)
-	before := make([][MaxSMT]MarkMasks, len(l1.ways))
+	before := make([][MaxSMT]MarkMasks, len(l1.state))
 	for step := 1; step <= 40; step++ {
-		for i := range l1.ways {
-			before[i] = l1.ways[i].mark
+		for i := range l1.state {
+			before[i] = l1.state[i].mark
 		}
 		h.ClearAllMarks(th, pl)
-		for i := range l1.ways {
+		for i := range l1.state {
 			want := before[i]
 			if step%16 == 0 {
 				want[slot][pl] = 0
 			}
-			if got := l1.ways[i].mark; got != want {
+			if got := l1.state[i].mark; got != want {
 				t.Fatalf("step %d: way %d mark bytes %v -> %v, want %v", step, i, before[i], got, want)
 			}
 		}
@@ -298,12 +301,68 @@ func TestMarksDoNotReviveAcrossEpochWrap(t *testing.T) {
 	}
 }
 
-// TestLineIs24Bytes pins the host bytes per simulated way: the recorded L2
-// way sits in padding the line already had; one more field would pad it to
-// 32 bytes, a third more host memory for every cache of every machine.
-func TestLineIs24Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(line{}); got != 24 {
-		t.Fatalf("unsafe.Sizeof(line{}) = %d, want 24", got)
+// TestWayAndStateSizes pins the host bytes per simulated way: 8 for the
+// tag and LRU stamp every level scans, plus 6 of state on an L1 way. A
+// wider field pads the way to 16 bytes or the state to 8.
+func TestWayAndStateSizes(t *testing.T) {
+	if got := unsafe.Sizeof(way{}); got != 8 {
+		t.Errorf("unsafe.Sizeof(way{}) = %d, want 8", got)
+	}
+	if got := unsafe.Sizeof(lineState{}); got != 6 {
+		t.Errorf("unsafe.Sizeof(lineState{}) = %d, want 6", got)
+	}
+}
+
+// TestHierarchyHostBytes holds the host memory of the 4-core evaluation
+// hierarchy, built once per simulated cell, to 100 KiB: 8 bytes per way,
+// 6 more per L1 way and a directory word per L2 way read 95 232 B, where
+// 24-byte ways read 181 152 B.
+func TestHierarchyHostBytes(t *testing.T) {
+	const ceiling = 100 << 10
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := New(evalConfig(4))
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(h)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("4-core hierarchy host bytes: %d", got)
+	if got > ceiling {
+		t.Fatalf("New allocated %d B, ceiling %d B", got, ceiling)
+	}
+}
+
+// Every exported entry point that takes an address panics with
+// ErrAddrRange at AddrLimit. The last line below it works, prefetching the
+// two lines past it.
+func TestAddrLimitPanics(t *testing.T) {
+	h := New(evalConfig(2))
+	last := uint64(AddrLimit - mem.LineSize)
+	h.Access(0, last, false)
+	h.Access(1, last, true)
+	h.SetMark(1, 0, last, 64)
+	if !h.TestMark(1, 0, last, 64) || h.Resident(0, last) {
+		t.Fatal("the last line below AddrLimit is not cached like any other")
+	}
+	checkDirectory(t, h)
+	for name, call := range map[string]func(addr uint64){
+		"Access":             func(a uint64) { h.Access(0, a, true) },
+		"SpeculativeRFO":     func(a uint64) { h.SpeculativeRFO(0, a) },
+		"EvictLine":          func(a uint64) { h.EvictLine(0, a) },
+		"BackInvalidateLine": func(a uint64) { h.BackInvalidateLine(a) },
+		"SetMark":            func(a uint64) { h.SetMark(0, 0, a, 16) },
+		"ClearMark":          func(a uint64) { h.ClearMark(0, 0, a, 16) },
+		"TestMark":           func(a uint64) { h.TestMark(0, 0, a, 16) },
+		"Resident":           func(a uint64) { h.Resident(0, a) },
+	} {
+		func() {
+			defer func() {
+				if err, _ := recover().(error); !errors.Is(err, ErrAddrRange) {
+					t.Errorf("%s(AddrLimit) panicked with %v, want ErrAddrRange", name, err)
+				}
+			}()
+			call(AddrLimit)
+		}()
 	}
 }
 
@@ -369,6 +428,37 @@ func TestPrefetchFillsNextLine(t *testing.T) {
 	}
 	if h.PrefetchFills == 0 {
 		t.Fatal("prefetch stat not counted")
+	}
+}
+
+// A read prefetch fills its lines Shared without downgrading a Modified
+// owner (the gap checkDirectory exempts), so the owner's next store hits
+// its Modified copy and invalidates nobody: StaleStores counts each such
+// store, and the other copies that carry a live mark, which survives it.
+func TestStaleStoreAfterReadPrefetch(t *testing.T) {
+	h := New(HierarchyConfig{
+		Cores:    2,
+		L1:       Config{SizeBytes: 1 << 10, Assoc: 2},
+		L2:       Config{SizeBytes: 4 << 10, Assoc: 4},
+		Prefetch: true,
+	})
+	x := base + 4*mem.LineSize
+	h.Access(0, x, true)               // core 0 holds X Modified
+	h.Access(1, x-mem.LineSize, false) // core 1's read prefetch fills X Shared
+	if !h.Resident(1, x) {
+		t.Fatal("the read prefetch did not fill X")
+	}
+	h.Access(0, x, true)
+	if stores, marked := h.StaleStores(); stores != 1 || marked != 0 {
+		t.Fatalf("StaleStores = %d, %d after one stale store, want 1, 0", stores, marked)
+	}
+	h.SetMark(1, 0, x, 64)
+	h.Access(0, x, true)
+	if stores, marked := h.StaleStores(); stores != 2 || marked != 1 {
+		t.Fatalf("StaleStores = %d, %d after a stale store to a marked copy, want 2, 1", stores, marked)
+	}
+	if !h.TestMark(1, 0, x, 64) {
+		t.Fatal("core 1's mark did not survive the stale store")
 	}
 }
 
@@ -455,7 +545,7 @@ func TestQuickInclusionInvariant(t *testing.T) {
 		}
 		for _, l1 := range h.l1 {
 			for _, w := range l1.ways {
-				if w.st != invalid && h.l2[0].lookup(w.tag) == nil {
+				if w.tag != noTag && h.l2[0].find(w.tag) < 0 {
 					return false
 				}
 			}
@@ -477,11 +567,11 @@ func TestQuickSingleWriterInvariant(t *testing.T) {
 			la := base + uint64(o%128)*mem.LineSize
 			h.Access(thread, la, o%3 == 0)
 		}
-		lines := map[uint64][]state{}
+		lines := map[uint32][]state{}
 		for _, l1 := range h.l1 {
-			for _, w := range l1.ways {
-				if w.st != invalid {
-					lines[w.tag] = append(lines[w.tag], w.st)
+			for i, w := range l1.ways {
+				if w.tag != noTag {
+					lines[w.tag] = append(lines[w.tag], l1.state[i].st)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -177,5 +178,53 @@ func TestAccessStreamFingerprint(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestLRUStampWrap runs the fingerprint's operation mix on each geometry,
+// prefetcher off and on, twice: on a fresh hierarchy, and on one whose
+// levels' 32-bit ticks start just below the wrap. Renumbering at the wrap
+// keeps every set's LRU order, so the two fingerprints must agree.
+func TestLRUStampWrap(t *testing.T) {
+	for _, g := range streamGeometries {
+		for _, prefetch := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/prefetch=%v", g.name, prefetch), func(t *testing.T) {
+				var sums [2]uint64
+				for pass := range sums {
+					h := g.build(prefetch)
+					if pass == 1 {
+						eachLevel(h, func(l *level) { l.tick = ^uint32(0) - 20 })
+					}
+					f := newFingerprint()
+					h.AddDropListener(f)
+					h.AddRemoteReadListener(f)
+					r := rand.New(rand.NewSource(int64(g.threads)))
+					for i := 0; i < 20000; i++ {
+						streamOp{r.Intn(streamKinds * streamPlanes), r.Intn(g.threads), r.Intn(96), r.Intn(256)}.apply(h, f)
+					}
+					f.counters(h)
+					checkDirectory(t, h)
+					eachLevel(h, func(l *level) {
+						if pass == 1 && l.tick > 1<<31 {
+							t.Fatalf("a level's tick %d never wrapped", l.tick)
+						}
+					})
+					sums[pass] = f.sum
+				}
+				if sums[0] != sums[1] {
+					t.Errorf("fingerprint %#x across the wrap, %#x fresh", sums[1], sums[0])
+				}
+			})
+		}
+	}
+}
+
+// eachLevel calls fn on every level of h.
+func eachLevel(h *Hierarchy, fn func(*level)) {
+	for i := range h.l1 {
+		fn(&h.l1[i])
+	}
+	for i := range h.l2 {
+		fn(&h.l2[i])
 	}
 }

@@ -18,20 +18,24 @@ func (m sharerMask) has(g int) bool { return m[g>>6]&(1<<(g&63)) != 0 }
 // invalid ways (tag noTag, lru 0, no live mark).
 func checkDirectory(t *testing.T, h *Hierarchy) {
 	t.Helper()
-	holders := map[uint64][]state{}
-	for g, l1 := range h.l1 {
+	holders := map[uint32][]state{}
+	for g := range h.l1 {
+		l1 := &h.l1[g]
 		if l1.id != g || l1.sock != g/h.gps || l1.bit != g%h.gps {
 			t.Fatalf("group %d is labelled id %d, socket %d, bit %d", g, l1.id, l1.sock, l1.bit)
 		}
-		l2 := h.l2[l1.sock]
+		l2 := &h.l2[l1.sock]
 		for i := range l1.ways {
-			w := &l1.ways[i]
-			if w.st == invalid {
-				if w.tag != noTag || w.lru != 0 {
-					t.Fatalf("group %d: invalid way %d holds tag %#x, lru %d", g, i, w.tag, w.lru)
+			w, s := l1.ways[i], l1.state[i]
+			if (w.tag == noTag) != (s.st == invalid) {
+				t.Fatalf("group %d: way %d has tag %#x in state %d", g, i, w.tag, s.st)
+			}
+			if w.tag == noTag {
+				if w.lru != 0 {
+					t.Fatalf("group %d: invalid way %d has lru %d", g, i, w.lru)
 				}
 				for slot := 0; slot < MaxSMT; slot++ {
-					if m := l1.marks(w, slot); m.Any() {
+					if m := l1.marks(i, slot); m.Any() {
 						t.Fatalf("group %d: invalid way %d carries live marks %v for slot %d", g, i, m, slot)
 					}
 				}
@@ -40,10 +44,10 @@ func checkDirectory(t *testing.T, h *Hierarchy) {
 			if j := l1.find(w.tag); j != i {
 				t.Fatalf("group %d holds %#x in ways %d and %d", g, w.tag, i, j)
 			}
-			holders[w.tag] = append(holders[w.tag], w.st)
-			at := l2.base(w.tag) + int(w.l2way)
-			if l2.ways[at].tag != w.tag || l2.ways[at].st == invalid {
-				t.Fatalf("group %d holds %#x but its recorded L2 way %d holds %#x (inclusion)", g, w.tag, w.l2way, l2.ways[at].tag)
+			holders[w.tag] = append(holders[w.tag], s.st)
+			at := l2.base(w.tag) + int(s.l2way)
+			if l2.ways[at].tag != w.tag {
+				t.Fatalf("group %d holds %#x but its recorded L2 way %d holds %#x (inclusion)", g, w.tag, s.l2way, l2.ways[at].tag)
 			}
 			if !l2.dirEntry(at).has(l1.bit) {
 				t.Fatalf("group %d holds %#x but its sharer bit is clear", g, w.tag)
@@ -65,24 +69,24 @@ func checkDirectory(t *testing.T, h *Hierarchy) {
 			t.Fatalf("line %#x is modified in %d L1s and held by %d", la, owners, len(states))
 		}
 	}
-	for s, l2 := range h.l2 {
-		if l2.sock != s {
-			t.Fatalf("socket %d's L2 is labelled socket %d", s, l2.sock)
+	for s := range h.l2 {
+		l2 := &h.l2[s]
+		if l2.sock != s || l2.state != nil {
+			t.Fatalf("socket %d's L2 is labelled socket %d, or carries L1 state", s, l2.sock)
 		}
 		if want := (h.gps + 63) / 64; l2.stride != want {
 			t.Fatalf("socket %d: directory stride %d, want %d for %d groups", s, l2.stride, want, h.gps)
 		}
-		for i := range l2.ways {
-			w := &l2.ways[i]
-			if (w.st == invalid) != (w.tag == noTag) || w.st == invalid && w.lru != 0 {
-				t.Fatalf("socket %d: way %d has state %d, tag %#x, lru %d", s, i, w.st, w.tag, w.lru)
+		for i, w := range l2.ways {
+			if w.tag == noTag && w.lru != 0 || w.tag != noTag && w.lru == 0 {
+				t.Fatalf("socket %d: way %d has tag %#x, lru %d", s, i, w.tag, w.lru)
 			}
 			m := l2.dirEntry(i)
 			for g := 0; g < 64*l2.stride; g++ {
 				if !m.has(g) {
 					continue
 				}
-				if w.st == invalid || g >= h.gps || h.l1[s*h.gps+g].lookup(w.tag) == nil {
+				if w.tag == noTag || g >= h.gps || h.l1[s*h.gps+g].find(w.tag) < 0 {
 					t.Fatalf("socket %d: stale sharer bit %d on way holding %#x", s, g, w.tag)
 				}
 			}

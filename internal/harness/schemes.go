@@ -157,7 +157,7 @@ func QuickOptions() Options {
 }
 
 // machineFor builds the standard simulated machine of the evaluation:
-// 32 KB 8-way private L1s, a 512 KB 8-way shared inclusive L2, and the
+// 32 KB 8-way private L1s, a 256 KB 8-way shared inclusive L2, and the
 // next-line prefetcher that §7.4 identifies as a source of destructive
 // interference between cores. o contributes only host-side and ISA-mode
 // switches (DefaultISA, ReferenceScheduler), never sizes. geometry, when

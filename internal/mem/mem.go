@@ -11,6 +11,7 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -29,6 +30,15 @@ const LineMask = LineSize - 1
 // base is the first address handed out by the allocator. Address 0 is kept
 // unmapped so that a zero value read through a stray pointer faults loudly.
 const base = 0x10000
+
+// AddrLimit is one past the highest address the allocator hands out: 2³⁸
+// bytes less one page, so every line number fits the cache's 32-bit tags
+// with room for the prefetcher's next lines (cache.AddrLimit).
+const AddrLimit = 1<<38 - pageBytes
+
+// ErrAddressSpace is the named panic of an allocation that would reach
+// past AddrLimit or wrap the address arithmetic.
+var ErrAddressSpace = errors.New("mem: allocation overflows the address space")
 
 // The backing store is a dense page table over the bump allocator's
 // contiguous range: pages[addr>>pageShift][addr/WordSize%pageWords] — the
@@ -160,16 +170,16 @@ func (m *Memory) Alloc(size, align uint64) uint64 {
 
 // bump moves the allocator past size bytes, rounded up to a multiple of
 // unit and aligned to align (both powers of two), and returns the base. A
-// range that would wrap the address space panics rather than alias the
-// next allocation.
+// range that would reach past AddrLimit, or wrap, panics with
+// ErrAddressSpace rather than alias the next allocation.
 func (m *Memory) bump(size, align, unit uint64) uint64 {
 	if size == 0 {
 		size = WordSize
 	}
 	addr := (m.next + align - 1) &^ (align - 1)
 	span := (size + unit - 1) &^ (unit - 1)
-	if addr < m.next || span < size || addr+span < addr {
-		panic(fmt.Sprintf("mem: allocation of %d bytes overflows the address space", size))
+	if addr < m.next || span < size || addr+span < addr || addr+span > AddrLimit {
+		panic(fmt.Errorf("%w: %d bytes at %#x", ErrAddressSpace, size, addr))
 	}
 	m.next = addr + span
 	m.limit = m.next

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -392,6 +393,26 @@ func TestAllocOverflowPanics(t *testing.T) {
 				}
 			}()
 			m.Alloc(size, WordSize)
+		}()
+	}
+}
+
+// No allocation reaches AddrLimit: Alloc and Reserve both refuse with
+// ErrAddressSpace before the page table grows.
+func TestAllocPastAddrLimitPanics(t *testing.T) {
+	for name, alloc := range map[string]func(m *Memory){
+		"Alloc":   func(m *Memory) { m.Alloc(AddrLimit-base, WordSize) },
+		"Reserve": func(m *Memory) { m.Reserve(AddrLimit) },
+	} {
+		m := New()
+		m.Alloc(WordSize, WordSize)
+		func() {
+			defer func() {
+				if err, _ := recover().(error); !errors.Is(err, ErrAddressSpace) {
+					t.Errorf("%s past AddrLimit panicked with %v, want ErrAddressSpace", name, err)
+				}
+			}()
+			alloc(m)
 		}()
 	}
 }

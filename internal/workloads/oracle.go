@@ -1,8 +1,9 @@
 package workloads
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"hastm.dev/hastm/internal/mem"
@@ -56,29 +57,23 @@ func (l *OpLog) Len() int {
 	return len(l.ops)
 }
 
-// Serialized returns the committed operations in their equivalent serial
-// order: ascending commit stamp, ties broken by (thread, index). The
-// simulator grants operations in ascending clock order (ties to the lower
-// core id), so a later grant never carries a smaller clock — two
-// committed transactions that conflicted are therefore ordered by their
-// stamps exactly as conflict detection serialized them, and transactions
-// with equal stamps or no ordering constraint commuted on the structure.
-// Replaying in this order reproduces the concurrent run's final state.
+// Serialized sorts the log into its equivalent serial order and returns
+// it, without a copy: ascending commit stamp, ties broken by (thread,
+// index), a key no two records share. The simulator grants operations in
+// ascending clock order (ties to the lower core id), so a later grant
+// never carries a smaller clock — two committed transactions that
+// conflicted are therefore ordered by their stamps exactly as conflict
+// detection serialized them, and transactions with equal stamps or no
+// ordering constraint commuted on the structure. Replaying in this order
+// reproduces the concurrent run's final state. Call it once the run is
+// over; a later Add appends after the sorted records.
 func (l *OpLog) Serialized() []OpRecord {
 	l.mu.Lock()
-	out := make([]OpRecord, len(l.ops))
-	copy(out, l.ops)
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stamp != out[j].Stamp {
-			return out[i].Stamp < out[j].Stamp
-		}
-		if out[i].Thread != out[j].Thread {
-			return out[i].Thread < out[j].Thread
-		}
-		return out[i].Index < out[j].Index
+	defer l.mu.Unlock()
+	slices.SortFunc(l.ops, func(a, b OpRecord) int {
+		return cmp.Or(cmp.Compare(a.Stamp, b.Stamp), cmp.Compare(a.Thread, b.Thread), cmp.Compare(a.Index, b.Index))
 	})
-	return out
+	return l.ops
 }
 
 // RunThreadRecorded is RunThreadStable plus committed-operation logging:
