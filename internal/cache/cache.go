@@ -230,8 +230,7 @@ type lineState struct {
 // sharerMask is a directory entry's sharer set: one bit per L1 group of
 // the owning socket, in as many words as the socket's group count needs.
 // An L2 level keeps one per way in a flat array parallel to its ways, and
-// nothing else beside them. A walk ranges over the words in place: the
-// drop it causes clears only the bit just visited.
+// nothing else beside them. eachSharer is the one walk over them.
 type sharerMask []uint64
 
 func (m sharerMask) set(g int)   { m[g>>6] |= 1 << (g & 63) }
@@ -380,9 +379,9 @@ type Hierarchy struct {
 
 	prefetch bool // next-line prefetch into L1 on L1 miss
 
-	// invalProbes counts the remote-L1 lookups invalidateOthers makes, one
-	// per sharer its directory walk visits. Read by tests only.
-	invalProbes uint64
+	// sharerProbes counts the L1 lookups walkSharers makes, one per
+	// sharer bit it visits, found or not. Read by tests only.
+	sharerProbes uint64
 	// staleStores and staleMarked are StaleStores' counts (see noteStale).
 	staleStores, staleMarked uint64
 
@@ -660,24 +659,15 @@ func (h *Hierarchy) Access(thread int, addr uint64, write bool) AccessResult {
 // mark.
 func (h *Hierarchy) noteStale(l1 *level, t uint32, l2i int) {
 	stale := false
-	for wi, word := range h.l2[l1.sock].dirEntry(l2i) {
-		for word != 0 {
-			g := wi<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if g == l1.bit {
-				continue
-			}
-			stale = true
-			other := &h.l1[l1.sock*h.gps+g]
-			j := other.find(t)
-			for slot := 0; slot < h.tpc; slot++ {
-				if other.marks(j, slot).Any() {
-					h.staleMarked++
-					break
-				}
+	h.eachSharer(h.l2[l1.sock].dirEntry(l2i), l1.sock, t, l1, func(other *level, j int) {
+		stale = true
+		for slot := 0; slot < h.tpc; slot++ {
+			if other.marks(j, slot).Any() {
+				h.staleMarked++
+				break
 			}
 		}
-	}
+	})
 	if stale {
 		h.staleStores++
 	}
@@ -753,6 +743,35 @@ func (h *Hierarchy) miss(l1 *level, thread int, t uint32, write bool) AccessResu
 	return res
 }
 
+// eachSharer calls fn with the L1 and way of every copy of line t that the
+// directory entry m of socket s names, skipping the L1 skip, in ascending
+// group order: the order the broadcast snoop the directory replaced
+// scanned. fn may drop the copy, which clears only the bit just visited.
+// It stays small enough to inline, so an empty entry, the common case,
+// costs no call.
+func (h *Hierarchy) eachSharer(m sharerMask, s int, t uint32, skip *level, fn func(l1 *level, j int)) {
+	if m[0] != 0 || len(m) > 1 {
+		h.walkSharers(m, s, t, skip, fn)
+	}
+}
+
+// walkSharers is eachSharer's walk.
+func (h *Hierarchy) walkSharers(m sharerMask, s int, t uint32, skip *level, fn func(l1 *level, j int)) {
+	for wi, word := range m {
+		for word != 0 {
+			l1 := &h.l1[s*h.gps+wi<<6+bits.TrailingZeros64(word)]
+			word &= word - 1
+			if l1 == skip {
+				continue
+			}
+			h.sharerProbes++
+			if j := l1.find(t); j >= 0 {
+				fn(l1, j)
+			}
+		}
+	}
+}
+
 // downgradeModified walks every socket's directory entry for line t and
 // downgrades a Modified copy to Shared, returning whether that copy lived
 // on a different socket than the accessor (a dirty-remote source). local
@@ -768,23 +787,14 @@ func (h *Hierarchy) downgradeModified(l1 *level, t uint32, local int) bool {
 		if i < 0 {
 			continue
 		}
-		for wi, word := range l2.dirEntry(i) {
-			for word != 0 {
-				g := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				grp := s*h.gps + g
-				if grp == l1.id {
-					continue
-				}
-				other := &h.l1[grp]
-				if j := other.find(t); j >= 0 && other.state[j].st == modified {
-					other.state[j].st = shared
-					if s != l1.sock {
-						remoteDirty = true
-					}
+		h.eachSharer(l2.dirEntry(i), s, t, l1, func(other *level, j int) {
+			if other.state[j].st == modified {
+				other.state[j].st = shared
+				if s != l1.sock {
+					remoteDirty = true
 				}
 			}
-		}
+		})
 	}
 	return remoteDirty
 }
@@ -808,16 +818,9 @@ func (h *Hierarchy) probeRemote(ownSock int, t uint32, write, readSawDirty bool,
 		res.RemoteL2 = true
 		dirty := readSawDirty
 		if write && !dirty {
-			for wi, word := range l2.dirEntry(i) {
-				for word != 0 {
-					g := wi<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					other := &h.l1[s*h.gps+g]
-					if j := other.find(t); j >= 0 && other.state[j].st == modified {
-						dirty = true
-					}
-				}
-			}
+			h.eachSharer(l2.dirEntry(i), s, t, nil, func(other *level, j int) {
+				dirty = dirty || other.state[j].st == modified
+			})
 		}
 		res.RemoteDirty = dirty
 		sc := &h.Socket[ownSock]
@@ -859,16 +862,9 @@ func (h *Hierarchy) fillL2(l2 *level, t uint32) int {
 	vi := l2.victim(t)
 	vm := l2.dirEntry(vi)
 	if evicted := l2.ways[vi].tag; evicted != noTag {
-		for wi, word := range vm {
-			for word != 0 {
-				g := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				l1 := &h.l1[l2.sock*h.gps+g]
-				if j := l1.find(evicted); j >= 0 {
-					h.drop(l1, j, DropBackInvalidate, -1)
-				}
-			}
-		}
+		h.eachSharer(vm, l2.sock, evicted, nil, func(l1 *level, j int) {
+			h.drop(l1, j, DropBackInvalidate, -1)
+		})
 	}
 	l2.ways[vi].tag = t
 	clear(vm)
@@ -920,17 +916,10 @@ func (h *Hierarchy) BackInvalidateLine(addr uint64) int {
 			continue
 		}
 		m := l2.dirEntry(i)
-		for wi, word := range m {
-			for word != 0 {
-				g := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				l1 := &h.l1[s*h.gps+g]
-				if j := l1.find(t); j >= 0 {
-					h.drop(l1, j, DropBackInvalidate, -1)
-					n++
-				}
-			}
-		}
+		h.eachSharer(m, s, t, nil, func(l1 *level, j int) {
+			h.drop(l1, j, DropBackInvalidate, -1)
+			n++
+		})
 		l2.ways[i] = way{tag: noTag}
 		clear(m)
 	}
@@ -946,20 +935,9 @@ func (h *Hierarchy) BackInvalidateLine(addr uint64) int {
 func (h *Hierarchy) invalidateOthers(l1 *level, writer int, t uint32, local int) {
 	sock := l1.sock
 	if local >= 0 {
-		for wi, word := range h.l2[sock].dirEntry(local) {
-			for word != 0 {
-				g := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				other := &h.l1[sock*h.gps+g]
-				if other == l1 {
-					continue
-				}
-				h.invalProbes++
-				if j := other.find(t); j >= 0 {
-					h.drop(other, j, DropInvalidate, writer)
-				}
-			}
-		}
+		h.eachSharer(h.l2[sock].dirEntry(local), sock, t, l1, func(other *level, j int) {
+			h.drop(other, j, DropInvalidate, writer)
+		})
 	}
 	if h.sockets == 1 {
 		return
@@ -975,18 +953,10 @@ func (h *Hierarchy) invalidateOthers(l1 *level, writer int, t uint32, local int)
 			continue
 		}
 		m := l2.dirEntry(i)
-		for wi, word := range m {
-			for word != 0 {
-				g := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				other := &h.l1[s*h.gps+g]
-				h.invalProbes++
-				if j := other.find(t); j >= 0 {
-					h.drop(other, j, DropInvalidate, writer)
-					sc.DirectoryInvalidations++
-				}
-			}
-		}
+		h.eachSharer(m, s, t, nil, func(other *level, j int) {
+			h.drop(other, j, DropInvalidate, writer)
+			sc.DirectoryInvalidations++
+		})
 		l2.ways[i] = way{tag: noTag}
 		clear(m)
 		sc.DirectoryInvalidations++

@@ -176,11 +176,13 @@ func TestFlatHierarchyNoSocketTraffic(t *testing.T) {
 	}
 }
 
-// TestInvalidationProbesOnlySharers holds a store's invalidation to the
-// line's sharers: cores 2i and 2i+1 ping-pong line i (the odd core loads
-// what the even core stores), so every store finds one sharer and looks up
-// exactly one remote L1 — at 16 cores on one socket as at 4×16 and 4×64. A
-// walk of every L1 in the socket would look up 15, 15 and 63.
+// TestInvalidationProbesOnlySharers holds every sharer walk to the line's
+// sharers: cores 2i and 2i+1 ping-pong line i (the odd core loads what the
+// even core stores), so every store finds one sharer to invalidate and
+// every load after the first round one owner to downgrade, and each looks
+// up exactly one other L1 — at 16 cores on one socket as at 4×16 and 4×64.
+// A walk of every L1 in the socket, or a stale sharer bit, would look up
+// more: lookups are counted before the tag match, found or not.
 func TestInvalidationProbesOnlySharers(t *testing.T) {
 	for _, tc := range []struct{ sockets, perSocket int }{{1, 16}, {4, 16}, {4, 64}} {
 		h := New(HierarchyConfig{
@@ -191,17 +193,26 @@ func TestInvalidationProbesOnlySharers(t *testing.T) {
 		})
 		pairs := tc.sockets * tc.perSocket / 2
 		const rounds = 8
+		var loadProbes, storeProbes uint64
 		for r := 0; r < rounds; r++ {
 			for p := 0; p < pairs; p++ {
 				a := base + uint64(p)*mem.LineSize
+				n := h.sharerProbes
 				h.Access(2*p+1, a, false)
+				loadProbes += h.sharerProbes - n
+				n = h.sharerProbes
 				h.Access(2*p, a, true)
+				storeProbes += h.sharerProbes - n
 			}
 		}
 		stores := uint64(rounds * pairs)
-		if h.invalProbes != stores || h.Invalidations != stores {
-			t.Errorf("%dx%d: %d stores made %d remote-L1 lookups and %d invalidations, want one each per store",
-				tc.sockets, tc.perSocket, stores, h.invalProbes, h.Invalidations)
+		if storeProbes != stores || h.Invalidations != stores {
+			t.Errorf("%dx%d: %d stores made %d L1 lookups and %d invalidations, want one each per store",
+				tc.sockets, tc.perSocket, stores, storeProbes, h.Invalidations)
+		}
+		if want := uint64((rounds - 1) * pairs); loadProbes != want {
+			t.Errorf("%dx%d: loads made %d L1 lookups, want %d (one per load of a Modified line)",
+				tc.sockets, tc.perSocket, loadProbes, want)
 		}
 	}
 }
