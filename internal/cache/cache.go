@@ -236,6 +236,10 @@ type sharerMask []uint64
 func (m sharerMask) set(g int)   { m[g>>6] |= 1 << (g & 63) }
 func (m sharerMask) clear(g int) { m[g>>6] &^= 1 << (g & 63) }
 
+// empty is the cheap test for no sharers: a one-word entry that is zero. A
+// wider entry counts as non-empty; walking it finds out.
+func (m sharerMask) empty() bool { return m[0] == 0 && len(m) == 1 }
+
 // level is one cache, its arrays set-major and addressed by way index
 // everywhere. New carves every level's arrays out of one allocation per
 // kind. The fields a probe reads come first.
@@ -351,16 +355,18 @@ func (l *level) marks(i, slot int) MarkMasks {
 // report time. All three counters measure cross-socket interconnect
 // traffic, so a 1-socket machine leaves them structurally zero.
 type SocketCounters struct {
-	// CrossSocketMisses counts this socket's misses that left the socket:
-	// served by a remote socket's L2 (clean or dirty) or by a memory page
-	// whose home is another socket.
+	// CrossSocketMisses counts this socket's demand misses that left the
+	// socket: served by a remote socket's L2 (clean or dirty) or by a
+	// memory page whose home is another socket. A prefetch, which charges
+	// no latency, is not counted.
 	CrossSocketMisses uint64
-	// RemoteDirtyFetches counts this socket's misses served from a line
-	// another socket's core held modified (dirty-remote transfer).
+	// RemoteDirtyFetches counts this socket's demand misses served from a
+	// line another socket's core held modified (dirty-remote transfer).
 	RemoteDirtyFetches uint64
 	// DirectoryInvalidations counts invalidation messages this socket's
-	// writers sent across the interconnect: one per remote L1 copy dropped
-	// plus one per remote L2 line invalidated.
+	// writers sent across the interconnect, write prefetches and
+	// speculative RFOs included: one per remote L1 copy dropped plus one
+	// per remote L2 line invalidated.
 	DirectoryInvalidations uint64
 
 	_ [5]uint64 // pad to one host cache line
@@ -382,8 +388,6 @@ type Hierarchy struct {
 	// sharerProbes counts the L1 lookups walkSharers makes, one per
 	// sharer bit it visits, found or not. Read by tests only.
 	sharerProbes uint64
-	// staleStores and staleMarked are StaleStores' counts (see noteStale).
-	staleStores, staleMarked uint64
 
 	dropListeners []DropListener
 	readListeners []RemoteReadListener
@@ -529,13 +533,6 @@ func (h *Hierarchy) NoteRemoteMemory(thread int) {
 	h.Socket[h.SocketOf(thread)].CrossSocketMisses++
 }
 
-// StaleStores returns how many store hits found their Modified line also
-// held by another L1 group of the socket, and how many of those other
-// copies carried a live mark. Both stay 0 with the prefetcher off.
-func (h *Hierarchy) StaleStores() (stores, marked uint64) {
-	return h.staleStores, h.staleMarked
-}
-
 // AddDropListener registers a listener for L1 line drops.
 func (h *Hierarchy) AddDropListener(l DropListener) {
 	h.dropListeners = append(h.dropListeners, l)
@@ -641,70 +638,43 @@ func (h *Hierarchy) Access(thread int, addr uint64, write bool) AccessResult {
 		h.notifyRemoteRead(thread, t)
 		return AccessResult{L1Hit: true}
 	}
-	if s := &l1.state[i]; s.st != modified {
-		// Upgrade: invalidate every other copy in the machine.
-		h.invalidateOthers(l1, thread, t, h.l2[l1.sock].base(t)+int(s.l2way))
-		s.st = modified
-	} else if h.prefetch { // only a read prefetch leaves a copy beside a Modified one
-		h.noteStale(l1, t, h.l2[l1.sock].base(t)+int(s.l2way))
+	if l1.state[i].st != modified {
+		h.upgrade(l1, thread, t, i)
 	}
 	h.siblingStore(l1, thread, i)
 	return AccessResult{L1Hit: true}
 }
 
-// noteStale counts a store hit on a Modified line of l1 whose directory
-// entry (way l2i of the socket's L2) names another group — a read
-// prefetch filled that copy without downgrading this one (see miss), so
-// the store invalidates nobody — and the other copies that carry a live
-// mark.
-func (h *Hierarchy) noteStale(l1 *level, t uint32, l2i int) {
-	stale := false
-	h.eachSharer(h.l2[l1.sock].dirEntry(l2i), l1.sock, t, l1, func(other *level, j int) {
-		stale = true
-		for slot := 0; slot < h.tpc; slot++ {
-			if other.marks(j, slot).Any() {
-				h.staleMarked++
-				break
-			}
-		}
-	})
-	if stale {
-		h.staleStores++
-	}
+// upgrade makes way i of l1, a Shared copy of line t, Modified: every
+// other copy in the machine is invalidated.
+func (h *Hierarchy) upgrade(l1 *level, thread int, t uint32, i int) {
+	s := &l1.state[i]
+	h.invalidateOthers(l1, thread, t, h.l2[l1.sock].base(t)+int(s.l2way))
+	s.st = modified
 }
 
-// miss is Access for a line l1 does not hold.
+// miss is Access for a line l1 does not hold: the demand fill and its
+// counts, then the next-line prefetches.
 func (h *Hierarchy) miss(l1 *level, thread int, t uint32, write bool) AccessResult {
 	h.L1Misses++
-	res := AccessResult{}
 	l2 := &h.l2[l1.sock]
-	// The one probe of the local L2 set; nothing below moves the line
-	// between ways before fillL1 records it.
+	// The one probe of the local L2 set; nothing moves the line between
+	// ways before fill records it.
 	w2 := l2.find(t)
-
-	remoteDirty := false
-	if !write {
-		// A read miss downgrades any remote Modified copy to Shared so the
-		// old owner's next store is forced to re-invalidate us. The
-		// directory walk visits actual sharers in ascending group order —
-		// the same copies, in the same order, the broadcast snoop scanned.
-		remoteDirty = h.downgradeModified(l1, t, w2)
-	}
-
-	// Ensure the line is in the local socket's L2 (inclusive).
 	if w2 >= 0 {
 		l2.touch(w2)
 		h.L2Hits++
-		res.L2Hit = true
 	} else {
 		h.L2Misses++
-		if h.sockets > 1 {
-			h.probeRemote(l1.sock, t, write, remoteDirty, &res)
-		}
-		w2 = h.fillL2(l2, t)
 	}
-
-	h.fillL1(l1, thread, t, write, w2)
+	res := h.fill(l1, thread, t, write, w2)
+	if res.RemoteL2 {
+		sc := &h.Socket[l1.sock]
+		sc.CrossSocketMisses++
+		if res.RemoteDirty {
+			sc.RemoteDirtyFetches++
+		}
+	}
 	if !write {
 		h.notifyRemoteRead(thread, t)
 	}
@@ -713,33 +683,61 @@ func (h *Hierarchy) miss(l1 *level, thread int, t uint32, write bool) AccessResu
 		// Next-line prefetcher, the §7.4 interference source ("prefetches
 		// and speculative accesses from one core kick out marked cache
 		// lines from another core"). Loads prefetch the next two lines for
-		// reading; stores issue a read-for-ownership prefetch of the next
-		// line, which — like the demand store — invalidates every other
-		// core's copy, marked or not. Prefetches consume no requester
-		// latency; their cost is pure pollution.
+		// reading; stores prefetch the next line for ownership, upgrading
+		// it if already held. A prefetch is the demand fill — it downgrades
+		// or invalidates other copies exactly as a demand miss does — but
+		// it costs the requester no latency, tells no remote-read listener
+		// and counts in PrefetchFills, not as a hit or (cross-socket)
+		// miss: its cost is pure pollution.
 		degree := uint32(2)
 		if write {
 			degree = 1
 		}
-		for d := uint32(1); d <= degree; d++ {
-			next := t + d
-			n2 := l2.find(next)
-			if write {
-				h.invalidateOthers(l1, thread, next, n2)
-			}
+		for next := t + 1; next <= t+degree; next++ {
 			if j := l1.find(next); j >= 0 {
-				if write {
-					l1.state[j].st = modified
+				if write && l1.state[j].st != modified {
+					h.upgrade(l1, thread, next, j)
 				}
 				continue
 			}
-			if n2 < 0 {
-				n2 = h.fillL2(l2, next)
-			}
-			h.fillL1(l1, thread, next, write, n2)
+			h.fill(l1, thread, next, write, l2.find(next))
 			h.PrefetchFills++
 		}
 	}
+	return res
+}
+
+// fill installs line t, which l1 does not hold, Shared for a read and
+// Modified for a write; w2 is t's way in the socket's inclusive L2, or -1
+// and the L2 fills it first. A read downgrades any Modified copy to
+// Shared, so the old owner's next store must invalidate this one; a write
+// invalidates every other copy. The new line's marks start clear ("when
+// the processor brings a line into the cache, it clears all the mark bits
+// for the new line"). Demand misses and prefetches share this one path.
+func (h *Hierarchy) fill(l1 *level, thread int, t uint32, write bool, w2 int) AccessResult {
+	res := AccessResult{L2Hit: w2 >= 0}
+	l2 := &h.l2[l1.sock]
+	// On one socket only the local directory entry can name a copy to
+	// downgrade, and by inclusion there is none when the L2 missed.
+	remoteDirty := !write && (h.sockets > 1 || w2 >= 0 && !l2.dirEntry(w2).empty()) &&
+		h.downgradeModified(l1, t, w2)
+	if w2 < 0 {
+		if h.sockets > 1 {
+			h.probeRemote(l1.sock, t, write, remoteDirty, &res)
+		}
+		w2 = h.fillL2(l2, t)
+	}
+	vi := l1.victim(t)
+	h.drop(l1, vi, DropEvict, thread)
+	st := shared
+	if write {
+		h.invalidateOthers(l1, thread, t, w2)
+		st = modified
+	}
+	l1.ways[vi].tag = t
+	l1.state[vi] = lineState{st: st, l2way: uint8(w2 & (l2.assoc - 1))}
+	l1.touch(vi)
+	l2.dirEntry(w2).set(l1.bit)
 	return res
 }
 
@@ -750,7 +748,7 @@ func (h *Hierarchy) miss(l1 *level, thread int, t uint32, write bool) AccessResu
 // It stays small enough to inline, so an empty entry, the common case,
 // costs no call.
 func (h *Hierarchy) eachSharer(m sharerMask, s int, t uint32, skip *level, fn func(l1 *level, j int)) {
-	if m[0] != 0 || len(m) > 1 {
+	if !m.empty() {
 		h.walkSharers(m, s, t, skip, fn)
 	}
 }
@@ -802,9 +800,8 @@ func (h *Hierarchy) downgradeModified(l1 *level, t uint32, local int) bool {
 // probeRemote resolves a local-L2 miss against the other sockets: if any
 // remote L2 holds the line the transfer is cross-socket (dirty when a
 // remote core holds — or, for a read, just held — the line modified), else
-// the miss falls through to memory. Counters land on the accessor's
-// socket; the remote copies themselves are left alone (a write invalidates
-// them moments later through invalidateOthers).
+// the miss falls through to memory. The remote copies themselves are left
+// alone (a write invalidates them moments later through invalidateOthers).
 func (h *Hierarchy) probeRemote(ownSock int, t uint32, write, readSawDirty bool, res *AccessResult) {
 	for s := range h.l2 {
 		if s == ownSock {
@@ -823,36 +820,8 @@ func (h *Hierarchy) probeRemote(ownSock int, t uint32, write, readSawDirty bool,
 			})
 		}
 		res.RemoteDirty = dirty
-		sc := &h.Socket[ownSock]
-		sc.CrossSocketMisses++
-		if dirty {
-			sc.RemoteDirtyFetches++
-		}
 		return
 	}
-}
-
-// fillL1 installs line t into l1, evicting as needed and invalidating
-// other copies when the fill is for a write. New fills always start with a
-// clear mark mask ("when the processor brings a line into the cache, it
-// clears all the mark bits for the new line"). l2i is t's way in the
-// socket's L2: the line records it, and its directory entry gains the
-// group's sharer bit.
-func (h *Hierarchy) fillL1(l1 *level, thread int, t uint32, write bool, l2i int) {
-	vi := l1.victim(t)
-	h.drop(l1, vi, DropEvict, thread)
-	if write {
-		h.invalidateOthers(l1, thread, t, l2i)
-	}
-	st := shared
-	if write {
-		st = modified
-	}
-	l2 := &h.l2[l1.sock]
-	l1.ways[vi].tag = t
-	l1.state[vi] = lineState{st: st, l2way: uint8(l2i & (l2.assoc - 1))}
-	l1.touch(vi)
-	l2.dirEntry(l2i).set(l1.bit)
 }
 
 // fillL2 installs line t into l2 and returns the way it filled; the
@@ -928,10 +897,10 @@ func (h *Hierarchy) BackInvalidateLine(addr uint64) int {
 
 // invalidateOthers removes line t from every L1 except the writer's,
 // walking directory sharer sets instead of probing each L1: the writer's
-// own socket drops exactly its sharers (ascending group order — the
-// broadcast snoop's order), and any other socket holding the line drops
-// its sharers and gives up its L2 copy (exclusive ownership moves to the
-// writer's socket). local is t's way in the writer's L2, or -1.
+// own socket drops exactly its sharers, and any other socket holding the
+// line drops its sharers and gives up its L2 copy (exclusive ownership
+// moves to the writer's socket). local is t's way in the writer's L2, or
+// -1.
 func (h *Hierarchy) invalidateOthers(l1 *level, writer int, t uint32, local int) {
 	sock := l1.sock
 	if local >= 0 {

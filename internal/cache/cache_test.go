@@ -431,35 +431,41 @@ func TestPrefetchFillsNextLine(t *testing.T) {
 	}
 }
 
-// A read prefetch fills its lines Shared without downgrading a Modified
-// owner (the gap checkDirectory exempts), so the owner's next store hits
-// its Modified copy and invalidates nobody: StaleStores counts each such
-// store, and the other copies that carry a live mark, which survives it.
-func TestStaleStoreAfterReadPrefetch(t *testing.T) {
+// A read prefetch is a demand read fill: it downgrades a Modified owner to
+// Shared, so the owner's next store invalidates the prefetched copy and
+// the marks set on it, which the drop event carries and MarkedDrops counts.
+func TestReadPrefetchDowngradesOwner(t *testing.T) {
 	h := New(HierarchyConfig{
 		Cores:    2,
 		L1:       Config{SizeBytes: 1 << 10, Assoc: 2},
 		L2:       Config{SizeBytes: 4 << 10, Assoc: 4},
 		Prefetch: true,
 	})
+	rec := &dropRecorder{}
+	h.AddDropListener(rec)
 	x := base + 4*mem.LineSize
 	h.Access(0, x, true)               // core 0 holds X Modified
-	h.Access(1, x-mem.LineSize, false) // core 1's read prefetch fills X Shared
+	h.Access(1, x-mem.LineSize, false) // core 1's read prefetch fills X
 	if !h.Resident(1, x) {
 		t.Fatal("the read prefetch did not fill X")
 	}
-	h.Access(0, x, true)
-	if stores, marked := h.StaleStores(); stores != 1 || marked != 0 {
-		t.Fatalf("StaleStores = %d, %d after one stale store, want 1, 0", stores, marked)
+	if l1 := &h.l1[0]; l1.state[l1.find(lineOf(x))].st != shared {
+		t.Fatal("the read prefetch left core 0's copy of X Modified")
 	}
 	h.SetMark(1, 0, x, 64)
+	rec.events = nil
 	h.Access(0, x, true)
-	if stores, marked := h.StaleStores(); stores != 2 || marked != 1 {
-		t.Fatalf("StaleStores = %d, %d after a stale store to a marked copy, want 2, 1", stores, marked)
+	want := dropEvent{core: 1, line: x, mark: MarkMasks{0b1111, 0}, reason: DropInvalidate, by: 0}
+	if len(rec.events) != 1 || rec.events[0] != want {
+		t.Fatalf("core 0's store dropped %+v, want just %+v", rec.events, want)
 	}
-	if !h.TestMark(1, 0, x, 64) {
-		t.Fatal("core 1's mark did not survive the stale store")
+	if h.MarkedDrops != 1 {
+		t.Fatalf("MarkedDrops = %d, want 1", h.MarkedDrops)
 	}
+	if h.TestMark(1, 0, x, 64) {
+		t.Fatal("core 1's mark survived core 0's store")
+	}
+	checkDirectory(t, h)
 }
 
 func TestMarkSpanClampsAtLineEnd(t *testing.T) {

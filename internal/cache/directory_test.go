@@ -145,6 +145,44 @@ func TestRemoteReadDowngradesModified(t *testing.T) {
 	}
 }
 
+// TestRemotePrefetchIsNoCrossSocketMiss pins what the socket counters
+// count: demand misses. Core 2's read prefetches pull X and X+64 out of
+// socket 0, where core 0 holds both Modified; they downgrade the owner as
+// a demand read would, but charge no latency and count in neither
+// CrossSocketMisses nor RemoteDirtyFetches. A demand read of a line core 0
+// still owns counts in both.
+func TestRemotePrefetchIsNoCrossSocketMiss(t *testing.T) {
+	h := New(HierarchyConfig{
+		Cores:    4,
+		Sockets:  2,
+		L1:       Config{SizeBytes: 1 << 10, Assoc: 2},
+		L2:       Config{SizeBytes: 4 << 10, Assoc: 4},
+		Prefetch: true,
+	})
+	x := base + 4*mem.LineSize
+	h.Access(0, x, true) // X Modified; the write prefetch owns X+64
+	h.Access(0, x+3*mem.LineSize, true)
+	h.Access(2, x-mem.LineSize, false) // from memory; prefetches X, X+64
+	for _, a := range []uint64{x, x + mem.LineSize} {
+		if !h.Resident(2, a) {
+			t.Fatalf("core 2's read prefetch did not fill %#x", a)
+		}
+		if l1 := &h.l1[0]; l1.state[l1.find(lineOf(a))].st != shared {
+			t.Fatalf("the remote read prefetch left core 0's copy of %#x Modified", a)
+		}
+	}
+	if s := h.Socket[1]; s.CrossSocketMisses != 0 || s.RemoteDirtyFetches != 0 {
+		t.Fatalf("prefetches counted as cross-socket misses: %+v", s)
+	}
+	if res := h.Access(2, x+3*mem.LineSize, false); !res.RemoteDirty {
+		t.Fatalf("demand read of core 0's Modified line: got %+v, want RemoteDirty", res)
+	}
+	if s := h.Socket[1]; s.CrossSocketMisses != 1 || s.RemoteDirtyFetches != 1 {
+		t.Fatalf("one dirty demand miss counted %+v, want one of each", s)
+	}
+	checkDirectory(t, h)
+}
+
 // TestSocketOfLayout pins the thread→socket mapping (contiguous blocks of
 // CoresPerSocket threads, honouring SMT grouping).
 func TestSocketOfLayout(t *testing.T) {

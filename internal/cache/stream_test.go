@@ -134,11 +134,11 @@ func b2u(b bool) uint64 {
 func TestAccessStreamFingerprint(t *testing.T) {
 	want := map[string]uint64{
 		"flat":          0x1483210677e4416d,
-		"flat-prefetch": 0x7ac037515c24f2c8,
+		"flat-prefetch": 0xfebadc8598d4c1b9,
 		"smt":           0xe3dfb66055689f56,
-		"smt-prefetch":  0x4d5eb22f12c6ee2b,
+		"smt-prefetch":  0xb45f98321dec69bb,
 		"2x65":          0x7c4182060ffb184c,
-		"2x65-prefetch": 0x3c13cd5ea66bcc47,
+		"2x65-prefetch": 0x80e1156a1ef24600,
 	}
 	for _, g := range streamGeometries {
 		for _, prefetch := range []bool{false, true} {

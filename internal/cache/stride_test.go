@@ -12,10 +12,9 @@ func (m sharerMask) has(g int) bool { return m[g>>6]&(1<<(g&63)) != 0 }
 // checkDirectory asserts the invariants the directory and the host-side
 // data path stand on, on whatever state h is in: inclusion (an L1 line is
 // in its socket's L2, in the way the line recorded), single writer (a
-// modified line has no other modified copy, and with the prefetcher off no
-// other copy at all), precision (an L2 way's sharer bit g is set exactly
-// when group g of that socket holds the line), one way per line, and clean
-// invalid ways (tag noTag, lru 0, no live mark).
+// modified line has no other copy), precision (an L2 way's sharer bit g
+// is set exactly when group g of that socket holds the line), one way per
+// line, and clean invalid ways (tag noTag, lru 0, no live mark).
 func checkDirectory(t *testing.T, h *Hierarchy) {
 	t.Helper()
 	holders := map[uint32][]state{}
@@ -54,10 +53,6 @@ func checkDirectory(t *testing.T, h *Hierarchy) {
 			}
 		}
 	}
-	// The next-line prefetcher fills for reading without downgrading a
-	// remote modified copy — a known gap in the model, kept so every
-	// prefetch-on figure stays as produced — so with it on a modified copy
-	// may sit beside shared ones. Two modified copies are never allowed.
 	for la, states := range holders {
 		owners := 0
 		for _, st := range states {
@@ -65,7 +60,7 @@ func checkDirectory(t *testing.T, h *Hierarchy) {
 				owners++
 			}
 		}
-		if owners > 1 || owners == 1 && len(states) > 1 && !h.prefetch {
+		if owners > 1 || owners == 1 && len(states) > 1 {
 			t.Fatalf("line %#x is modified in %d L1s and held by %d", la, owners, len(states))
 		}
 	}

@@ -440,24 +440,3 @@ func TestRunOneTraceCapture(t *testing.T) {
 		t.Fatalf("trace lacks begin/commit events: %v", kinds)
 	}
 }
-
-// TestPrefetchHoleInFigs21And22 prints, for every Figs 21–22 cell at quick
-// size (whole run, warm-up included), the stores that hit a Modified line
-// while a read prefetch had left another core a Shared copy — stores that
-// invalidate nobody — and how many of those copies carried a live mark.
-// A 1-core cell has nobody to leave a copy to.
-func TestPrefetchHoleInFigs21And22(t *testing.T) {
-	t.Logf("%-5s %-16s %5s %12s %12s", "fig", "scheme", "cores", "stale stores", "marked")
-	for fig, wl := range []string{WorkloadBST, WorkloadBTree} {
-		fig += 21
-		for _, s := range []string{SchemeHASTM, SchemeNaive, SchemeSTM} {
-			for _, cores := range []int{1, 2, 4} {
-				stores, marked := runStructure(s, wl, cores, quick()).CacheStats.StaleStores()
-				t.Logf("%-5d %-16s %5d %12d %12d", fig, s, cores, stores, marked)
-				if cores == 1 && stores+marked != 0 {
-					t.Errorf("fig %d %s 1-core: %d stale stores, %d marked", fig, s, stores, marked)
-				}
-			}
-		}
-	}
-}
