@@ -170,7 +170,7 @@ func NewHyTM(machine *sim.Machine, cfg tm.Config, maxAttempts int) *System {
 		name:        "hytm",
 		mgr:         NewManager(machine),
 		table:       table,
-		fallback:    stm.NewWithTable("hytm-sw", machine, cfg, nil, table),
+		fallback:    stm.NewWithTable("hytm-sw", machine, cfg, table),
 		maxAttempts: maxAttempts,
 	}
 }

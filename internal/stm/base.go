@@ -95,9 +95,6 @@ func (b *Base) ID() int { return b.ctx.ID() }
 // recently completed atomic block on the cycle-ordered simulator.
 func (b *Base) Stamp() uint64 { return b.ctx.Clock() }
 
-// Config returns the TM configuration.
-func (b *Base) Config() tm.Config { return *b.cfg }
-
 // Desc returns the simulated address of the transaction descriptor.
 func (b *Base) Desc() uint64 { return b.desc }
 

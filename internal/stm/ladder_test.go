@@ -123,7 +123,7 @@ func TestWaitPolicyDefersToIrrevocableOwner(t *testing.T) {
 	waiterCfg.Policy = tm.Wait
 	waiterCfg.Progress.Token = tok
 	waiterCfg.Progress.RetryBudget = 1 << 20 // revocable forever
-	waiter := NewWithTable("stm-waiter", machine, waiterCfg, nil, owner.Table())
+	waiter := NewWithTable("stm-waiter", machine, waiterCfg, owner.Table())
 
 	ctr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	progs := make([]sim.Program, cores)

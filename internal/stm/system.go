@@ -5,38 +5,30 @@ import (
 	"hastm.dev/hastm/internal/tm"
 )
 
-// System is a software TM instantiated on a machine. The zero Accel
-// factory gives the base STM of §4; package core supplies the HASTM
-// factory.
+// System is a software TM instantiated on a machine: the base STM of §4,
+// or HASTM when its hastm configuration is set (NewHASTM).
 type System struct {
 	name    string
 	machine *sim.Machine
 	cfg     tm.Config
 	table   *RecordTable
-	accel   func(*Thread) Accel
+	hastm   *HASTMConfig
 }
 
 var _ tm.System = (*System)(nil)
 
 // New creates the base STM on machine.
 func New(machine *sim.Machine, cfg tm.Config) *System {
-	return NewWithAccel("stm", machine, cfg, nil)
+	return NewWithTable("stm", machine, cfg, NewRecordTable(machine.Mem))
 }
 
-// NewWithAccel creates a software TM whose threads are accelerated by the
-// Accel returned by factory (nil factory = base STM). This is the seam the
-// HASTM implementation plugs into.
-func NewWithAccel(name string, machine *sim.Machine, cfg tm.Config, factory func(*Thread) Accel) *System {
-	return NewWithTable(name, machine, cfg, factory, NewRecordTable(machine.Mem))
-}
-
-// NewWithTable is NewWithAccel with an externally owned record table, so a
-// hybrid scheme's hardware path and its software fallback can detect
+// NewWithTable creates the base STM over an externally owned record table,
+// so a hybrid scheme's hardware path and its software fallback can detect
 // conflicts against the same records. When the escalation ladder is
 // enabled (Progress.RetryBudget > 0) and no token was supplied, one is
 // allocated here; schemes sharing a record table should also share a token
 // (pass it in Config.Progress.Token).
-func NewWithTable(name string, machine *sim.Machine, cfg tm.Config, factory func(*Thread) Accel, table *RecordTable) *System {
+func NewWithTable(name string, machine *sim.Machine, cfg tm.Config, table *RecordTable) *System {
 	if cfg.Progress.RetryBudget > 0 && cfg.Progress.Token == nil {
 		cfg.Progress.Token = tm.NewIrrevocableToken(machine.Mem, machine.Config().Cores)
 	}
@@ -45,7 +37,6 @@ func NewWithTable(name string, machine *sim.Machine, cfg tm.Config, factory func
 		machine: machine,
 		cfg:     cfg,
 		table:   table,
-		accel:   factory,
 	}
 }
 
@@ -67,8 +58,8 @@ func (s *System) Machine() *sim.Machine { return s.machine }
 func (s *System) Thread(ctx *sim.Ctx) tm.Thread {
 	t := &Thread{writeVer: make(map[uint64]uint64, 64)}
 	t.Init(t, ctx, &s.cfg, s.table, "stm", 3)
-	if s.accel != nil {
-		t.accel = s.accel(t)
+	if s.hastm != nil {
+		t.hw = newHASTM(s.hastm, s.cfg.Granularity)
 	}
 	return t
 }

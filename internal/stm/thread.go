@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -23,7 +24,7 @@ type UndoEntry struct {
 // tm.Protocol.
 type Thread struct {
 	Base
-	accel Accel
+	hw *hastm // HASTM's per-thread state; nil for the base STM
 
 	// Go-side mirrors of the simulated write set and undo log.
 	writes []RecEntry
@@ -37,21 +38,36 @@ var (
 	_ tm.Protocol = (*Thread)(nil)
 )
 
-// ModeAddr returns the simulated address of the descriptor's mode word,
-// which the HASTM barriers test ("test [txndesc + mode], #aggressive").
-func (t *Thread) ModeAddr() uint64 { return t.desc + descMode }
-
 // --- tm.Protocol: eager version management ------------------------------------
 
-// BeginAttempt rewinds the three logs and runs the acceleration hook.
+// BeginAttempt rewinds the three logs. HASTM then picks the attempt's
+// mode, clears the mark counter and publishes the mode in the descriptor
+// word its read barrier tests ("test [txndesc + mode], #aggressive").
 func (t *Thread) BeginAttempt(attempt int) {
 	t.writes = t.writes[:0]
 	t.undo = t.undo[:0]
 	clear(t.writeVer)
 	t.BeginLogs(attempt)
-	if t.accel != nil {
-		t.accel.Begin(t, attempt)
+	hw := t.hw
+	if hw == nil {
+		return
 	}
+	hw.chooseMode(t, attempt)
+	ctx := t.ctx
+	prev := ctx.SetCat(telemetry.Commit)
+	if hw.InterAtomic && !hw.aggressive {
+		// Carried-over marks are only sound under aggressive commit
+		// (which re-checks the counter); cautious filtering must not
+		// trust marks it did not set itself.
+		ctx.ResetMarkAll()
+	}
+	ctx.ResetMarkCounter()
+	var mode uint64
+	if hw.aggressive {
+		mode = modeAggressiveBit
+	}
+	ctx.Store(t.desc+descMode, mode)
+	ctx.SetCat(prev)
 }
 
 // Commit validates the read set and, if it holds, releases every owned
@@ -72,10 +88,21 @@ func (t *Thread) Commit() (bool, telemetry.AbortCause) {
 	return ok, cause
 }
 
-// EndAttempt closes the acceleration hook's view of the attempt.
+// EndAttempt clears HASTM's marks between transactions (read marks unless
+// InterAtomic carries them over; write-plane facts always) and feeds the
+// outcome to its mode controller.
 func (t *Thread) EndAttempt(committed bool) {
-	if t.accel != nil {
-		t.accel.End(t, committed)
+	if hw := t.hw; hw != nil {
+		ctx := t.ctx
+		prev := ctx.SetCat(telemetry.Commit)
+		if !hw.InterAtomic {
+			ctx.ResetMarkAll()
+		}
+		if hw.FilterWrites {
+			ctx.ResetMarkAllP(writePlane)
+		}
+		ctx.SetCat(prev)
+		hw.recordOutcome(ctx.Telem(), committed)
 	}
 	t.Base.EndAttempt(committed)
 }
@@ -95,21 +122,30 @@ func (t *Thread) ObserveSetSizes() (reads, writes, undo int) {
 // the engine's sandbox rule applies to the real read set.
 func (t *Thread) ReadsConsistent() bool { return t.ReadsConsistentWith(t.writeVer) }
 
-// validate checks the read set. With acceleration, the mark counter can
-// prove the read set intact without touching it (Fig 6). On failure the
-// returned cause distinguishes a real conflict from an aggressive-mode
-// transaction that merely lost the ability to validate (no read set to
-// fall back on).
+// validate checks the read set. Under HASTM a zero mark counter proves no
+// marked line was evicted or snooped, so the read set is intact without
+// touching it (Fig 6). On failure the returned cause distinguishes a real
+// conflict from an aggressive-mode transaction that merely lost the
+// ability to validate (no read set to fall back on).
 func (t *Thread) validate(atCommit bool) (bool, telemetry.AbortCause) {
-	if t.accel != nil {
-		skipFull, ok := t.accel.PreValidate(t, atCommit)
-		if !ok {
-			return false, telemetry.AbortAggressive
+	if hw := t.hw; hw != nil {
+		ctx := t.ctx
+		markCount := ctx.ReadMarkCounter()
+		if atCommit && !hw.InterAtomic {
+			// Fig 6 clears the marks at the validation point; with
+			// InterAtomic they are deliberately kept for the next block.
+			ctx.ResetMarkAll()
 		}
-		if skipFull {
-			t.ctx.Telem().Inc(telemetry.FastValidations)
+		ctx.Exec(2) // compare + branch
+		if markCount == 0 {
+			ctx.Telem().Inc(telemetry.FastValidations)
 			t.emitValidate("fast")
 			return true, 0
+		}
+		ctx.Telem().Inc(telemetry.MarkCounterNonZero)
+		hw.sawMarkLoss = true
+		if hw.aggressive {
+			return false, telemetry.AbortAggressive
 		}
 	}
 	if !t.ValidateReads(t.writeVer) {
@@ -170,8 +206,10 @@ func (t *Thread) RollbackTo(sp tm.Savepoint) {
 	t.writes = t.writes[:sp.Writes]
 
 	t.Reads = t.Reads[:sp.Reads]
-	if t.accel != nil {
-		t.accel.OnPartialRollback(t)
+	if t.hw != nil && t.hw.FilterWrites {
+		// The released records and popped undo entries void every
+		// write-plane fact; discard them all, conservatively.
+		ctx.ResetMarkAllP(writePlane)
 	}
 	ctx.SetCat(prev)
 }
@@ -195,23 +233,33 @@ func (t *Thread) GCPause(inspect func(reads, writes []RecEntry, undo []UndoEntry
 // --- Barriers ---------------------------------------------------------------
 
 // Load transactionally reads the word at addr using the global record
-// table (cache-line-granularity conflict detection).
+// table (cache-line-granularity conflict detection). Line-granularity
+// HASTM wraps the record barrier in the data line's mark (Fig 7/9):
+// loadtestmark_granularity64 filters the whole barrier, and the slow path
+// ends with loadsetmark_granularity64, which marks the line and loads the
+// datum.
 func (t *Thread) Load(addr uint64) uint64 {
 	t.RequireTxn()
-	lineAccel := t.accel != nil && t.cfg.Granularity == tm.LineGranularity
-	if lineAccel {
-		if v, ok := t.accel.FilterData(t, addr); ok {
-			t.ctx.Telem().Inc(telemetry.FilteredReads)
+	hw, ctx := t.hw, t.ctx
+	if hw == nil || !hw.line() {
+		t.recordReadBarrier(t.RecordFor(addr, telemetry.RdBar))
+		return t.AppLoad(addr)
+	}
+	if hw.Filter {
+		prev := ctx.SetCat(telemetry.RdBar)
+		v, marked := ctx.LoadTestMark(addr, mem.LineSize)
+		ctx.Exec(1) // jnae complete
+		ctx.SetCat(prev)
+		if marked {
+			ctx.Telem().Inc(telemetry.FilteredReads)
 			return v
 		}
 	}
 	t.recordReadBarrier(t.RecordFor(addr, telemetry.RdBar))
-	if lineAccel {
-		// Trailing loadsetmark_granularity64 both marks the data line and
-		// performs the data load (Fig 7).
-		return t.accel.MarkData(t, addr)
-	}
-	return t.AppLoad(addr)
+	prev := ctx.SetCat(telemetry.RdBar)
+	v := ctx.LoadSetMark(addr, mem.LineSize)
+	ctx.SetCat(prev)
+	return v
 }
 
 // LoadObj transactionally reads the field at offset off of the object
@@ -225,35 +273,42 @@ func (t *Thread) LoadObj(base, off uint64) uint64 {
 	return t.AppLoad(base + off)
 }
 
-// recordReadBarrier is stmRdBar (Fig 3/4) with the HASTM fast paths
-// (Fig 5/8) plugged in via the accel hooks.
+// recordReadBarrier is stmRdBar (Fig 3/4) with HASTM's record steps
+// (Fig 5/8): a marked record filters the barrier, the slow path marks the
+// record, and aggressive mode skips the read-set append.
 func (t *Thread) recordReadBarrier(rec uint64) {
-	ctx := t.ctx
+	hw, ctx := t.hw, t.ctx
 	prev := ctx.SetCat(telemetry.RdBar)
 	defer ctx.SetCat(prev)
 
 	var v uint64
-	if t.accel != nil {
-		// Object granularity filters on the record (Fig 5/8); line
-		// granularity does so only under the §5 two-level option ("the
-		// read barrier slow path checks whether the transaction record is
-		// marked before executing the rest of the slow path") — the hook
-		// knows which applies.
-		if t.accel.FilterRecord(t, rec) {
-			ctx.Exec(1) // jnae done
-			t.ctx.Telem().Inc(telemetry.FilteredReads)
-			return
-		}
-		v = t.accel.LoadRecordForRead(t, rec)
-		ctx.Exec(2) // test versionmask + jz
-	} else {
+	switch {
+	case hw == nil:
 		v = ctx.Load(rec)
 		ctx.Exec(2) // cmp txndesc + jeq
 		if v == t.desc {
 			return
 		}
-		ctx.Exec(2) // test versionmask + jz
+	case hw.line() && !hw.aggressive && !hw.TwoLevelFilter:
+		v = ctx.Load(rec) // Fig 7's plain mov; the data line carries the mark
+	default:
+		// Line granularity tests the record only under the §5 two-level
+		// option ("the read barrier slow path checks whether the
+		// transaction record is marked before executing the rest").
+		if hw.Filter && (!hw.line() || hw.TwoLevelFilter) {
+			_, marked := ctx.LoadTestMark(rec, hw.gran)
+			if hw.line() {
+				ctx.Exec(1)
+			}
+			if marked {
+				ctx.Exec(1) // jnae done
+				ctx.Telem().Inc(telemetry.FilteredReads)
+				return
+			}
+		}
+		v = ctx.LoadSetMark(rec, hw.gran)
 	}
+	ctx.Exec(2) // test versionmask + jz
 
 	if !IsVersion(v) {
 		if v == t.desc {
@@ -262,11 +317,14 @@ func (t *Thread) recordReadBarrier(rec uint64) {
 		v = t.HandleContention(rec)
 	}
 
-	t.ctx.Telem().Inc(telemetry.UnfilteredReads)
-	if t.accel == nil || t.accel.ShouldLogRead(t) {
-		t.LogRead(rec, v)
+	ctx.Telem().Inc(telemetry.UnfilteredReads)
+	if hw != nil {
+		ctx.Exec(2) // test [txndesc + mode], #aggressive; jnz done (Fig 8)
+	}
+	if hw != nil && hw.aggressive {
+		ctx.Telem().Inc(telemetry.ReadLogsSkipped)
 	} else {
-		t.ctx.Telem().Inc(telemetry.ReadLogsSkipped)
+		t.LogRead(rec, v)
 	}
 	t.periodicValidate()
 }
@@ -290,16 +348,22 @@ func (t *Thread) StoreObj(base, off, val uint64) {
 }
 
 // recordWriteBarrier is stmWrBar (Fig 3): acquire the record exclusively
-// with a CAS, logging the displaced version in the write set.
+// with a CAS, logging the displaced version in the write set. HASTM marks
+// the acquired record so later read barriers filter (§5: "The HASTM write
+// barrier also sets the mark bit on the transaction record"), and with
+// FilterWrites a write-plane mark proves a record still owned.
 func (t *Thread) recordWriteBarrier(rec uint64) {
-	ctx := t.ctx
+	hw, ctx := t.hw, t.ctx
 	prev := ctx.SetCat(telemetry.WrBar)
 	defer ctx.SetCat(prev)
 
-	if t.accel != nil && t.accel.FilterWriteOwned(t, rec) {
-		// Plane-1 mark intact: the record is still exclusively ours.
-		t.ctx.Telem().Inc(telemetry.FilteredWrites)
-		return
+	if hw != nil && hw.FilterWrites {
+		_, marked := ctx.LoadTestMarkP(writePlane, rec, subBlock)
+		ctx.Exec(1) // branch
+		if marked {
+			ctx.Telem().Inc(telemetry.FilteredWrites)
+			return
+		}
 	}
 
 	v := ctx.Load(rec)
@@ -329,16 +393,18 @@ func (t *Thread) recordWriteBarrier(rec uint64) {
 	t.AppendLog(logWrites, rec, v)
 	t.writes = append(t.writes, RecEntry{rec, v})
 	t.writeVer[rec] = v
-	if t.accel != nil {
-		t.accel.MarkRecordOnWrite(t, rec)
-		t.accel.MarkWriteOwned(t, rec)
+	if hw != nil && hw.Filter {
+		ctx.LoadSetMark(rec, hw.gran)
+	}
+	if hw != nil && hw.FilterWrites {
+		ctx.LoadSetMarkP(writePlane, rec, subBlock)
 	}
 }
 
 // undoLogAndStore logs the old value of addr and performs the in-place
-// update (eager version management, §4). With the write-filtering
-// extension active, logging happens once per 16-byte sub-block (both
-// words captured) and plane-1 marks elide the duplicates.
+// update (eager version management, §4). With FilterWrites, logging
+// happens once per 16-byte sub-block (both words captured) and a
+// write-plane mark on the sub-block elides the duplicates.
 func (t *Thread) undoLogAndStore(addr, val uint64) {
 	if len(t.undo) >= LogCap-1 {
 		panic("stm: undo log overflow; raise LogCap or shorten the transaction")
@@ -346,22 +412,24 @@ func (t *Thread) undoLogAndStore(addr, val uint64) {
 	ctx := t.ctx
 	prev := ctx.SetCat(telemetry.WrBar)
 
-	if t.accel != nil && t.accel.UndoFilterEnabled() {
-		if t.accel.FilterUndo(t, addr) {
-			t.ctx.Telem().Inc(telemetry.UndoLogsSkipped)
+	if t.hw != nil && t.hw.FilterWrites {
+		_, logged := ctx.LoadTestMarkP(writePlane, addr, subBlock)
+		ctx.Exec(1)
+		if logged {
+			ctx.Telem().Inc(telemetry.UndoLogsSkipped)
 		} else {
 			// First store to this sub-block: capture both of its words so
 			// later (filtered) stores to either are covered by replay.
-			sub := addr &^ 15
+			sub := addr &^ (subBlock - 1)
 			m := ctx.Machine().Mem
-			for off := uint64(0); off < 16; off += 8 {
+			for off := uint64(0); off < subBlock; off += 8 {
 				w := sub + off
 				if !m.Allocated(w) {
 					continue // padding word outside any allocation
 				}
 				t.appendUndo(w, ctx.Load(w))
 			}
-			t.accel.MarkUndo(t, addr)
+			ctx.LoadSetMarkP(writePlane, addr, subBlock)
 		}
 	} else {
 		t.appendUndo(addr, ctx.Load(addr))
