@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"hastm.dev/hastm/internal/faults"
+	"hastm.dev/hastm/internal/mem"
+	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/telemetry"
+	"hastm.dev/hastm/internal/tm"
 )
 
 // With the escalation ladder armed, every adversarial cell must complete
@@ -121,5 +124,71 @@ func TestIrrevocableSchemeZeroCostWhenIdle(t *testing.T) {
 	ratio := float64(ladder.WallCycles) / float64(base.WallCycles)
 	if ratio < 0.95 || ratio > 1.10 {
 		t.Errorf("idle ladder cost ratio = %.4f, want ~1.0", ratio)
+	}
+}
+
+// A zombie whose inconsistent snapshot sends it into a loop that neither
+// reads nor writes shared state is outside what validation can contain:
+// no barrier runs, so neither the periodic validation nor the engine's
+// sandbox rule ever sees the torn read set. Only the commit-progress
+// watchdog ends it, as a commit-stall ProgressViolation rather than a
+// hang. The MVCC snapshot reader never sees the torn pair and commits.
+func TestReadFreeZombieLoopEndsInWatchdog(t *testing.T) {
+	const window = 200_000
+	for _, scheme := range []string{SchemeSTM, SchemeHASTM, SchemeNaive, SchemeLazy, SchemeMVCC} {
+		o := DefaultOptions()
+		o.WatchdogWindow = window
+		m := machineFor(2, o, nil)
+		sys := buildScheme(scheme, m, 2, o)
+		x := m.Mem.Alloc(3*mem.LineSize, mem.LineSize)
+		y, sync := x+mem.LineSize, x+2*mem.LineSize
+		readerDone := false
+		m.Run(func(c *sim.Ctx) {
+			th, attempts := sys.Thread(c), 0
+			if err := th.Atomic(func(tx tm.Txn) error {
+				attempts++
+				vx := tx.Load(x)
+				if attempts == 1 {
+					c.Store(sync, 1)
+					for c.Load(sync) != 2 {
+						c.Exec(1)
+					}
+				}
+				if tx.Load(y) != vx {
+					for {
+						tx.Exec(1) // read-free: no barrier can notice the tear
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Errorf("%s: reader: %v", scheme, err)
+			}
+			readerDone = true
+		}, func(c *sim.Ctx) {
+			th := sys.Thread(c)
+			for c.Load(sync) != 1 {
+				c.Exec(1)
+			}
+			if err := th.Atomic(func(tx tm.Txn) error {
+				tx.Store(x, 1)
+				tx.Store(y, 1)
+				return nil
+			}); err != nil {
+				t.Errorf("%s: writer: %v", scheme, err)
+			}
+			c.Store(sync, 2)
+		})
+		v := m.Violation()
+		if scheme == SchemeMVCC {
+			if v != nil || !readerDone {
+				t.Errorf("%s: snapshot reader did not commit (violation %v)", scheme, v)
+			}
+			continue
+		}
+		if v == nil || v.Kind != sim.KindCommitStall || readerDone {
+			t.Errorf("%s: violation %v (reader done %v), want the zombie loop to end in a commit-stall", scheme, v, readerDone)
+			continue
+		}
+		t.Logf("%s: commit-stall at %d cycles", scheme, v.TripClock)
 	}
 }
