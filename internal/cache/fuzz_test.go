@@ -7,6 +7,9 @@ import (
 	"hastm.dev/hastm/internal/mem"
 )
 
+// maxFuzzOps caps the operations FuzzHierarchy decodes from one input.
+const maxFuzzOps = 128
+
 // FuzzHierarchy decodes bytes into the operation mix of
 // TestAccessStreamFingerprint — the first byte picks the geometry (low
 // bits), the last 256 lines below AddrLimit instead of the first 256 above
@@ -65,6 +68,11 @@ func FuzzHierarchy(f *testing.F) {
 		}
 		fp := newFingerprint()
 		m := newMarkModel(h)
+		// Every op is followed by a full directory check, so a long input
+		// costs the fuzzer its throughput; twice the longest seed is enough.
+		if len(data) > 1+4*maxFuzzOps {
+			data = data[:1+4*maxFuzzOps]
+		}
 		for data = data[1:]; len(data) >= 4; data = data[4:] {
 			m.step(t, streamOp{int(data[0]), int(data[1]) % g.threads, first + int(data[2]), int(data[3])}, fp)
 			checkDirectory(t, h)
