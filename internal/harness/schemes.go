@@ -179,10 +179,11 @@ func machineFor(cores int, o Options, geometry func(*sim.Config)) *sim.Machine {
 	cfg.StallTimeout = o.StallTimeout
 	cfg.L1 = cache.Config{SizeBytes: 32 << 10, Assoc: 8}
 	// The shared inclusive L2 is deliberately smaller than the combined
-	// footprint of the structures and the transaction-record table: the
-	// §7.4 destructive interference (one core's misses and prefetches
-	// back-invalidating another core's marked lines) requires L2
-	// replacement pressure to exist at all.
+	// footprint of the structures and the transaction-record table, so
+	// misses back-invalidate marked lines. The §7.4 destructive
+	// interference that collapses naive-aggressive does not need that
+	// pressure, though: an ablation puts it on the speculative RFOs
+	// (SpecRFOEvery, below), which invalidate other cores' marked lines.
 	cfg.L2 = cache.Config{SizeBytes: 256 << 10, Assoc: 8}
 	// The machine is identical at every core count — baselines must not
 	// run on different hardware. The speculation noise (§7.4) only
