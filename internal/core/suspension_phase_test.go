@@ -22,7 +22,9 @@ type phaseSuspender struct {
 }
 
 func (s *phaseSuspender) OnGrant(c *sim.Ctx) {
-	if c.Cat() != s.target || s.fired >= s.limit {
+	cat := c.SetCat(s.target) // read the category: set, then restore
+	c.SetCat(cat)
+	if cat != s.target || s.fired >= s.limit {
 		return
 	}
 	s.seen++

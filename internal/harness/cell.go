@@ -259,12 +259,9 @@ func (c *simCell) run(end warmEnd, warm, measure simThreadFunc) (RunMetrics, out
 
 // barrier is the warm-up barrier of every multi-core pipeline: each core
 // checks in on arrived; core 0 waits for all of them, runs release as one
-// granted Step and raises goFlag, which the others wait for. A waiter's
-// spin is a granted Step charging Lat.ALU rather than Exec(1) — same
-// cycles, grants and category — because Exec is core-private and takes no
-// grant: in host order a waiter's Exec charge could land before core 0's
-// release (which resets the cycle counters Exec charges) although its clock
-// is after it. Core 0's own Exec precedes its release in program order.
+// granted Step and raises goFlag, which the others wait for. Both waits are
+// SpinUntil, whose granted step between polls keeps a waiter's charges
+// ordered against release (which resets the cycle counters).
 func barrier(c *sim.Ctx, arrived, goFlag uint64, cores int, release func(*sim.Machine)) {
 	for {
 		old := c.Load(arrived)
@@ -273,15 +270,10 @@ func barrier(c *sim.Ctx, arrived, goFlag uint64, cores int, release func(*sim.Ma
 		}
 	}
 	if c.ID() != 0 {
-		alu := c.Machine().Config().Lat.ALU
-		for c.Load(goFlag) != 1 {
-			c.Step(func(*sim.Machine) uint64 { return alu })
-		}
+		c.SpinUntil(goFlag, 1)
 		return
 	}
-	for c.Load(arrived) != uint64(cores) {
-		c.Exec(1)
-	}
+	c.SpinUntil(arrived, uint64(cores))
 	c.Step(func(m *sim.Machine) uint64 { release(m); return 1 })
 	c.Store(goFlag, 1)
 }

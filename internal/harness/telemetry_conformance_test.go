@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -110,12 +111,23 @@ func TestRetryEventsCarryFootprint(t *testing.T) {
 	if retries == 0 {
 		t.Fatal("no retry events traced; the consumer never waited")
 	}
-	if hwm := machine.Stats.GaugeMax(telemetry.WriteSetHWM); hwm < 2 {
+	if hwm := gaugeMax(t, machine.Stats, telemetry.WriteSetHWM); hwm < 2 {
 		t.Errorf("WriteSetHWM = %d; the retrying attempt's 2-record write set was not observed", hwm)
 	}
-	if hwm := machine.Stats.GaugeMax(telemetry.UndoLogHWM); hwm < 2 {
+	if hwm := gaugeMax(t, machine.Stats, telemetry.UndoLogHWM); hwm < 2 {
 		t.Errorf("UndoLogHWM = %d; the retrying attempt's 2-entry undo log was not observed", hwm)
 	}
+}
+
+// gaugeMax reads one gauge's maximum over every core from the machine's
+// telemetry report, where gauges merge by maximum.
+func gaugeMax(t *testing.T, m *telemetry.Machine, g telemetry.Gauge) uint64 {
+	t.Helper()
+	var rep struct{ Gauges map[string]uint64 }
+	if err := json.Unmarshal(m.Totals().Report().Telemetry, &rep); err != nil {
+		t.Fatalf("telemetry report: %v", err)
+	}
+	return rep.Gauges[g.String()]
 }
 
 // A transaction body that fails with an error must still terminate its

@@ -319,9 +319,6 @@ func (m *Memory) Allocated(addr uint64) bool {
 	return addr >= base && addr < m.limit
 }
 
-// Footprint returns the number of bytes handed out so far.
-func (m *Memory) Footprint() uint64 { return m.limit - base }
-
 // check is small enough to inline into the four accessors, so an access is
 // one call deep; fault holds the cold half.
 func (m *Memory) check(addr uint64) {

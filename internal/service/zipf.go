@@ -13,7 +13,6 @@
 package service
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -57,16 +56,4 @@ func (z *Zipf) Next(r *workloads.Rand) uint64 {
 	// 53 uniform bits, the full precision of a float64 in [0, 1).
 	u := float64(r.Next()>>11) / (1 << 53)
 	return uint64(sort.SearchFloat64s(z.cum, u))
-}
-
-// Mass returns the theoretical probability of key k (for tests comparing
-// empirical frequencies against the distribution).
-func (z *Zipf) Mass(k uint64) float64 {
-	if k >= z.n {
-		panic(fmt.Sprintf("service: Zipf mass of key %d outside [0,%d)", k, z.n))
-	}
-	if k == 0 {
-		return z.cum[0]
-	}
-	return z.cum[k] - z.cum[k-1]
 }

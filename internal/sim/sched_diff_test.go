@@ -87,6 +87,11 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 	for i := range private {
 		private[i] = m.Mem.AllocLines(4)
 	}
+	// Spin-wait flags: core j raises word s of line j at op
+	// (s+1)·ops/(5·cores) of its program — sooner on wider machines, so
+	// waits stay short — and a core spins only on higher cores' words. The
+	// highest core never waits, so every spin has a setter that gets there.
+	flags := m.Mem.AllocLines(uint64(cores))
 
 	progs := make([]sim.Program, cores)
 	for i := range progs {
@@ -96,10 +101,13 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 			ops := 400 + int(r.next()%200)
 			cats := telemetry.Categories()
 			for n := 0; n < ops; n++ {
+				if gap := max(1, ops/(5*cores)); n%gap == 0 && n > 0 && n/gap <= 4 {
+					c.Store(flags+uint64(id)*mem.LineSize+uint64(n/gap-1)*8, 1)
+				}
 				// 40 % Exec with the category changing between them, as in
 				// real barrier traffic (register-only work is 40–50 % of all
 				// operations on every scheme); the rest as before.
-				switch k := r.next() % 20; {
+				switch k := r.next() % 21; {
 				case k < 8:
 					if k < 3 {
 						c.SetCat(cats[r.next()%uint64(len(cats))])
@@ -122,15 +130,23 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 					c.Store(a, c.Load(a)+1)
 				case k < 19:
 					c.LoadSetMark(private[id], mem.LineSize)
-				default:
+				case k < 20:
 					if _, marked := c.LoadTestMark(private[id], mem.LineSize); marked {
 						c.EmitTxn(telemetry.TxnEvent{Kind: "marked", Cause: fmt.Sprintf("op%d", n)})
 					}
+				case id < cores-1:
+					j := uint64(id) + 1 + r.next()%uint64(cores-1-id)
+					c.SpinUntil(flags+j*mem.LineSize+r.next()%4*8, 1)
+				default: // word 4 is never raised: the first poll matches
+					c.SpinUntil(flags+uint64(id)*mem.LineSize+32, 0)
 				}
 			}
 		}
 	}
 	wall := m.Run(progs...)
+	if err := m.CheckHealth(); err != nil {
+		t.Fatal(err)
+	}
 
 	out := diffOutcome{wall: wall, sched: m.Sched()}
 	for i := 0; i < cores; i++ {
@@ -140,7 +156,7 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 	var buf bytes.Buffer
 	tb.Render(&buf, 0)
 	out.trace = buf.Bytes()
-	for addr := shared; addr < m.Mem.Footprint()+0x10000; addr += 8 {
+	for addr := shared; m.Mem.Allocated(addr); addr += 8 {
 		out.memory = append(out.memory, m.Mem.Load(addr))
 	}
 	if hook != nil {
@@ -400,6 +416,72 @@ func TestSchedCounters(t *testing.T) {
 			t.Errorf("shortOnZero=%v: grant order %s, want %s", shortOnZero, got, wantOrder)
 		}
 	}
+
+	t.Run("spin-wait", spinCounters)
+}
+
+// spinCounters is TestSchedCounters' spin-wait case. It pins what a parked
+// spin-wait saves (Ctx.SpinUntil): a parked waiter's polls and steps are
+// grants pick runs inline, with no lease and no switch. A spin whose first
+// poll already reads its value costs exactly the Load it is, so a 1-core
+// run's counters do not move.
+func spinCounters(t *testing.T) {
+	load := func(c *sim.Ctx, addr, _ uint64) { c.Load(addr) }
+	spinUntil := (*sim.Ctx).SpinUntil
+	// A barrier-shaped program: staggered private loads, a CAS check-in on
+	// arrived, core 0 waiting for every core and the others for its goFlag.
+	// The lockstep private loads take a lease each under every wait; the
+	// parked waiters save the rest: 215 leases and 226 switches of the
+	// literal loop's.
+	run := func(cores int, reference bool, spin func(c *sim.Ctx, addr, want uint64)) sim.SchedCounters {
+		cfg := sim.DefaultConfig(cores)
+		cfg.ReferenceScheduler = reference
+		m := sim.New(cfg)
+		arrived, goFlag := m.Mem.AllocLines(1), m.Mem.AllocLines(1)
+		private := m.Mem.AllocLines(uint64(cores))
+		prog := func(c *sim.Ctx) {
+			id := uint64(c.ID())
+			for i := uint64(0); i < 20+30*id; i++ {
+				c.Load(private + id*mem.LineSize)
+			}
+			for {
+				old := c.Load(arrived)
+				if ok, _ := c.CAS(arrived, old, old+1); ok {
+					break
+				}
+			}
+			if id != 0 {
+				spin(c, goFlag, 1)
+				return
+			}
+			spin(c, arrived, uint64(cores))
+			c.Store(goFlag, 1)
+		}
+		progs := make([]sim.Program, cores)
+		for i := range progs {
+			progs[i] = prog
+		}
+		m.Run(progs...)
+		return m.Sched()
+	}
+	for _, tc := range []struct {
+		name      string
+		reference bool
+		spin      func(c *sim.Ctx, addr, want uint64)
+		want      sim.SchedCounters
+	}{
+		{"parked", false, spinUntil, sim.SchedCounters{Grants: 523, Leases: 247, Switches: 318}},
+		{"literal loop", false, spinLoop, sim.SchedCounters{Grants: 523, Leases: 462, Switches: 544}},
+		{"reference", true, spinUntil, sim.SchedCounters{Grants: 523, Leases: 523, Switches: 548}},
+	} {
+		if got := run(4, tc.reference, tc.spin); got != tc.want {
+			t.Errorf("4-core barrier, %s: %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	// 1 core: each spin reads its value on the first poll.
+	if got, want := run(1, false, spinUntil), run(1, false, load); got != want {
+		t.Errorf("1-core barrier: SpinUntil %+v, a Load %+v", got, want)
+	}
 }
 
 // TestArmedMachinesGrantEveryExec pins the other half of the Exec contract:
@@ -491,6 +573,123 @@ func TestArmedMachinesGrantEveryExec(t *testing.T) {
 				if lease.ringAt == "" {
 					t.Error("no Exec absorbed a ring transition: Exec took no grant on an armed machine")
 				}
+			}
+		})
+	}
+}
+
+// spinLoop is SpinUntil's specification: the loop it stands for.
+func spinLoop(c *sim.Ctx, addr, want uint64) {
+	for c.Load(addr) != want {
+		c.Step(func(m *sim.Machine) uint64 { return m.Config().Lat.ALU })
+	}
+}
+
+// spinOutcome is everything TestSpinUntilMatchesLoop judges a run on.
+type spinOutcome struct {
+	clocks, memory []uint64
+	stats, caches  string
+	sched          sim.SchedCounters
+}
+
+// runSpinners runs four staggered cores that spin on flags the others
+// write: core 1 waits for core 0, core 0 for core 1, and cores 2 and 3 —
+// arriving first, core 3 after storing to the polled line — across the
+// Stats.Reset Step core 0 runs mid-spin. spin is the wait under test.
+// Every charge is a granted Step: an Exec that crosses the reset is out of
+// contract (see Ctx.Exec).
+func runSpinners(cfg sim.Config, spin func(c *sim.Ctx, addr, want uint64)) spinOutcome {
+	m := sim.New(cfg)
+	alu := func(c *sim.Ctx, n uint64) { c.Step(func(*sim.Machine) uint64 { return n }) }
+	flags := m.Mem.AllocLines(2)
+	a, b, rel := flags, flags+8, flags+mem.LineSize
+	private := m.Mem.AllocLines(4)
+	prog := func(c *sim.Ctx) {
+		id := uint64(c.ID())
+		own := private + id*mem.LineSize
+		for i := uint64(0); i < 30+23*(3-id); i++ {
+			alu(c, 1+(i+id)%3)
+			c.Load(own + i%8*8)
+		}
+		c.SetCat(telemetry.Validate)
+		switch id {
+		case 0:
+			c.Store(a, 1)
+			spin(c, b, 2)
+			c.Step(func(m *sim.Machine) uint64 { m.Stats.Reset(); return 1 })
+			alu(c, 40)
+			c.Store(rel, 3)
+		case 1:
+			spin(c, a, 1)
+			alu(c, 25)
+			c.Store(b, 2)
+			spin(c, rel, 3)
+		case 2:
+			c.SetCat(telemetry.RdBar)
+			spin(c, rel, 3)
+		default:
+			for i := uint64(0); i < 40; i++ {
+				c.Store(rel+8, i) // the polled line, another word
+				alu(c, 7)
+			}
+			spin(c, rel, 3)
+		}
+		c.SetCat(telemetry.Commit)
+		for i := uint64(0); i < 10; i++ {
+			alu(c, 2)
+			c.Store(own, i)
+		}
+	}
+	m.Run(prog, prog, prog, prog)
+	out := spinOutcome{sched: m.Sched()}
+	for i := 0; i < cfg.Cores; i++ {
+		out.clocks = append(out.clocks, m.Core(i).Clock())
+		out.stats += fmt.Sprintln(i, *m.Stats.Block(i))
+	}
+	h := m.Caches
+	out.caches = fmt.Sprint(h.L1Hits, h.L1Misses, h.L2Hits, h.L2Misses, h.Invalidations,
+		h.BackInvalidations, h.Evictions, h.MarkedDrops, h.PrefetchFills, h.Socket)
+	for addr := flags; m.Mem.Allocated(addr); addr += 8 {
+		out.memory = append(out.memory, m.Mem.Load(addr))
+	}
+	return out
+}
+
+// TestSpinUntilMatchesLoop holds SpinUntil to the loop it is specified as.
+// On an unarmed lease machine its waiters park and pick runs their polls
+// and steps inline; that run must equal the reference scheduler's and the
+// literal loop's on clocks, per-core per-category cycles, cache counters,
+// memory and grants, and spend fewer switches than the literal loop. The
+// speculative-RFO and two-socket machines make an inline poll's access and
+// noteAccess observable.
+func TestSpinUntilMatchesLoop(t *testing.T) {
+	spinUntil := (*sim.Ctx).SpinUntil
+	machines := map[string]func(*sim.Config){
+		"flat":     func(*sim.Config) {},
+		"spec-rfo": func(c *sim.Config) { c.SpecRFOEvery = 3 },
+		"2x2":      func(c *sim.Config) { c.Topology = sim.Topology{Sockets: 2, CoresPerSocket: 2} },
+	}
+	for name, arm := range machines {
+		t.Run(name, func(t *testing.T) {
+			cfg := sim.DefaultConfig(4)
+			arm(&cfg)
+			parked := runSpinners(cfg, spinUntil)
+			loop := runSpinners(cfg, spinLoop)
+			cfg.ReferenceScheduler = true
+			ref := runSpinners(cfg, spinUntil)
+			for other, o := range map[string]spinOutcome{"reference": ref, "literal loop": loop} {
+				got, want := parked, o
+				got.sched, want.sched = sim.SchedCounters{}, sim.SchedCounters{}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("parked spin vs %s:\n%+v\n%+v", other, got, want)
+				}
+				if parked.sched.Grants != o.sched.Grants {
+					t.Errorf("grants: parked spin %d, %s %d", parked.sched.Grants, other, o.sched.Grants)
+				}
+			}
+			if parked.sched.Switches >= loop.sched.Switches {
+				t.Errorf("parked spin paid %d switches, literal loop %d: nothing parked",
+					parked.sched.Switches, loop.sched.Switches)
 			}
 		})
 	}

@@ -29,6 +29,11 @@
 // number of leases changes. A single runnable core (every 1-core cell, and
 // the tail of every multi-core run) executes with zero handoffs.
 //
+// A spin-wait (Ctx.SpinUntil) on an unarmed machine takes no lease per
+// poll either: its core parks in the run queue, and pick runs each due
+// poll or step inline as a grant, waking the core only for the poll that
+// ends the spin.
+//
 // Only operations on shared state need that order. Exec is core-private —
 // it adds to this core's clock and cycle counters and nothing else — so it
 // takes no grant unless a per-operation duty is armed (Machine.perOpDuties):
@@ -325,13 +330,15 @@ type Machine struct {
 type SchedCounters struct {
 	// Grants counts architectural operations, including the one completion
 	// grant each program consumes to report termination. An Exec counts
-	// whether or not it had to be granted, so Grants is the same under
+	// whether or not it had to be granted, and a parked spin's poll or
+	// step that pick runs inline counts too, so Grants is the same under
 	// every scheduler.
 	Grants uint64
-	// Leases counts pick decisions. Under the reference scheduler every
-	// grant is its own lease of length one; under the grant-lease
-	// scheduler one lease covers a maximal run of consecutive grants to the
-	// same core plus the Execs that follow it.
+	// Leases counts pick decisions that lease a core. Under the reference
+	// scheduler every grant is its own lease of length one; under the
+	// grant-lease scheduler one lease covers a maximal run of consecutive
+	// grants to the same core plus the Execs that follow it, and a parked
+	// spin's inline operation is a grant, not a lease.
 	Leases uint64
 	// Switches counts coroutine switches: every next, every yield and every
 	// program return. A lease that re-picks the core already running costs
@@ -341,8 +348,8 @@ type SchedCounters struct {
 }
 
 // HandoffsAvoided returns how many grants executed inline under a lease —
-// or, for a core-private Exec, under no lease at all — without a pick of
-// their own.
+// or, for a core-private Exec or a parked spin's operation, under no lease
+// at all — without a lease of their own.
 func (s SchedCounters) HandoffsAvoided() uint64 { return s.Grants - s.Leases }
 
 // Sched returns the scheduler counters. Stable only after Run returns.
@@ -534,6 +541,10 @@ func (m *Machine) pick() *Ctx {
 		}
 	} else if m.runq.len() > 0 {
 		c = m.cores[m.runq.pop().id]
+		for c.parked && !c.spinOp() {
+			m.requeue(c)
+			c = m.cores[m.runq.pop().id]
+		}
 		horizon = m.runq.min()
 	}
 	if c == nil {
@@ -681,6 +692,13 @@ type Ctx struct {
 	pubCommits     uint64 // published under the grant
 	statLabel      string
 	statAttempt    int
+
+	// Parked spin-wait state (see SpinUntil), kept off the hot header above:
+	// parked is true while pick runs this core's spin inline; spinPoll says
+	// its due operation is a poll of spinAddr rather than the ALU step.
+	parked             bool
+	spinPoll           bool
+	spinAddr, spinWant uint64
 }
 
 // ID returns the core number.
@@ -764,11 +782,6 @@ func (c *Ctx) ringTransitionNow() {
 // contract is that this never aborts a transaction — HASTM merely falls
 // back to full software validation.
 func (c *Ctx) InjectSuspend() { c.ringTransitionNow() }
-
-// Cat returns the category cycles are currently attributed to —
-// letting a FaultHook target a transaction phase (e.g. inject only while
-// the core is validating).
-func (c *Ctx) Cat() telemetry.Category { return c.cat }
 
 // release ends the operation. While the post-operation (clock, id) is
 // below the horizon entry this core is still the one pick would choose —
@@ -899,6 +912,60 @@ func (c *Ctx) Load(addr uint64) uint64 {
 	return v
 }
 
+// SpinUntil waits until the word at addr reads want. It is the loop
+//
+//	for c.Load(addr) != want {
+//		c.Step(func(m *Machine) uint64 { return m.Config().Lat.ALU })
+//	}
+//
+// with every grant, cycle and cache effect of it. The step between polls is
+// granted rather than an Exec because Exec is core-private and takes no
+// grant: in host order an Exec charge could land before another core's Step
+// (a Stats.Reset, say) although this core's clock is after it. An armed
+// machine and the reference scheduler run the loop as written. Otherwise a
+// core that loses its lease mid-spin parks in the run queue at the key of
+// its due poll or step, and pick runs each one inline on whichever
+// coroutine holds the grant — a grant, but no lease and no switch — until
+// a poll is due whose word already reads want. Only that last poll is
+// leased; it is this core's own Load.
+func (c *Ctx) SpinUntil(addr, want uint64) {
+	for poll := true; ; poll = !poll {
+		if !c.leased && !c.m.perOpDuties {
+			c.parked, c.spinPoll, c.spinAddr, c.spinWant = true, poll, addr, want
+			c.m.handoff(c)
+			poll = true // woken: the due poll reads want
+		}
+		if !poll {
+			c.Step(aluStep)
+		} else if c.Load(addr) == want {
+			return
+		}
+	}
+}
+
+func aluStep(m *Machine) uint64 { return m.cfg.Lat.ALU }
+
+// spinOp runs parked core c's due operation inline, as the grant holder,
+// and reports false — unless it is a poll whose word reads spinWant: then c
+// unparks and spinOp reports true, for pick to lease c and c to poll
+// itself. Either way the operation is granted at the (clock, id) c was
+// popped at, where the literal loop's would be.
+func (c *Ctx) spinOp() bool {
+	if c.spinPoll && c.m.Mem.Load(c.spinAddr) == c.spinWant {
+		c.parked = false
+		return true
+	}
+	c.m.sched.Grants++
+	if c.spinPoll {
+		c.noteAccess(c.spinAddr)
+		c.charge(c.accessCost(c.spinAddr, c.m.Caches.Access(c.id, c.spinAddr, false)))
+	} else {
+		c.charge(c.m.cfg.Lat.ALU)
+	}
+	c.spinPoll = !c.spinPoll
+	return false
+}
+
 // Store writes the word at addr.
 func (c *Ctx) Store(addr, val uint64) {
 	c.acquire()
@@ -1001,9 +1068,6 @@ func (c *Ctx) LoadResetMarkP(plane int, addr, gran uint64) uint64 {
 	c.release()
 	return v
 }
-
-// LoadResetMark is LoadResetMarkP on filter plane 0.
-func (c *Ctx) LoadResetMark(addr, gran uint64) uint64 { return c.LoadResetMarkP(0, addr, gran) }
 
 // LoadTestMarkP loads the word at addr and returns the AND of the plane's
 // covering mark bits (the carry flag). Under the default ISA the flag is

@@ -423,9 +423,6 @@ func (m *Machine) Totals() Block {
 // Count sums one counter over every block.
 func (m *Machine) Count(c Counter) uint64 { return m.Totals().counts[c] }
 
-// GaugeMax returns the maximum of one gauge over every block.
-func (m *Machine) GaugeMax(g Gauge) uint64 { return m.Totals().gauges[g] }
-
 // Aborts sums aborts of one cause over every block.
 func (m *Machine) Aborts(cause AbortCause) uint64 { return m.Totals().aborts[cause] }
 
