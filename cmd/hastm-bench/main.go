@@ -3,6 +3,7 @@
 //
 //	hastm-bench [-quick] [-fig ID] [-ext] [-json|-csv]   the paper's figures
 //	hastm-bench -service | -faults SPEC | -adversarial SET | -chaos SPEC
+//	hastm-bench -cell SCHEME/WORKLOAD/CORES [-events N]    one figure cell
 //	hastm-bench -backend native [-service | -chaos SPEC]
 //
 // Reports go to stdout, diagnostics to stderr. Every simulation cell runs on
@@ -20,6 +21,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
+	"strings"
 	"time"
 
 	"hastm.dev/hastm/internal/harness"
@@ -38,9 +40,10 @@ type config struct {
 	backend string   // "sim" or "native"
 	sched   string
 	workers int
+	events  int
 
-	fig, faults, adversarial, trace, cpuProfile, memProfile string
-	ext, noLadder, json, csv, progress, list                bool
+	fig, faults, adversarial, cell, trace, cpuProfile, memProfile string
+	ext, noLadder, json, csv, progress, list                      bool
 }
 
 func (c *config) has(flag string) bool { return slices.Contains(c.set, flag) }
@@ -87,6 +90,9 @@ func parseFlags() (*config, error) {
 	flag.StringVar(&chaos, "chaos", "", "chaos spec, e.g. stall=200,abort=150,wakedelay=100,seed=3: selects the chaosstorm suite (native) or the faultstorm suite (sim)")
 	flag.StringVar(&c.adversarial, "adversarial", "", "select the adversarial suite: all, storm or starve")
 	flag.BoolVar(&c.noLadder, "no-ladder", false, "adversarial: disarm the escalation ladder (the watchdog must then trip)")
+	flag.StringVar(&c.cell, "cell", "", "select the cell suite: one figure cell SCHEME/WORKLOAD/CORES, SCHEME "+
+		strings.Join(harness.Schemes(), "|")+", WORKLOAD "+strings.Join(harness.StructureNames(), "|"))
+	flag.IntVar(&c.events, "events", 0, "cell: print the first N trace events of the measured phase")
 	// The flag package reports nothing itself: a rejected command line is
 	// one "hastm-bench:" line from realMain, and -h is usage.
 	flag.CommandLine.Init("hastm-bench", flag.ContinueOnError)
@@ -122,9 +128,14 @@ func parseFlags() (*config, error) {
 		return nil, flagErr("j", "must be at least 1, got %d", c.workers)
 	case traceMax < 0:
 		return nil, flagErr("trace-max", "must not be negative, got %d", traceMax)
+	case c.events < 0:
+		return nil, flagErr("events", "must not be negative, got %d", c.events)
 	case ops > 0:
 		c.o.Ops = ops
 	}
+	// Without -trace, -events sizes the buffer with slack over N: it fills
+	// in append order but renders in canonical (cycle, core) order.
+	c.o.TxnTraceMax = 16 * c.events
 	if c.trace != "" {
 		c.o.TxnTraceMax = traceMax
 	}
@@ -230,6 +241,8 @@ func runSuite(c *config) error {
 		err = harness.NewBenchJSON(c.o, workers, plans, reports, elapsed).Write(os.Stdout)
 	case verdicts:
 		printVerdicts(s.name, banner, cells)
+	case s.render != nil:
+		s.render(c, cells)
 	default:
 		for _, rep := range reports {
 			if c.csv {

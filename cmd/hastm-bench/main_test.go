@@ -1,12 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"hastm.dev/hastm/internal/harness"
 )
 
 // runMain runs the command in-process with the given arguments and returns
@@ -148,6 +152,15 @@ func TestRejectedCommandLines(t *testing.T) {
 		{`-mapping: unknown thread mapping "spread" (want compact or scatter)`, []string{"-mapping", "spread"}},
 		{`-placement: mem: unknown placement policy "striped" (want interleave or first-touch)`, []string{"-placement", "striped"}},
 		{"-fig:", []string{"-fig", "fig99"}},
+		{"-events: must not be negative", []string{"-cell", "stm/bst/2", "-events", "-1"}},
+		// a -cell the figures do not label, or one its machine cannot run
+		{`-cell: "stm/bst" is not SCHEME/WORKLOAD/CORES`, []string{"-cell", "stm/bst"}},
+		{`-cell: "stm/bst/x": cores "x" is not a number`, []string{"-cell", "stm/bst/x"}},
+		{"-cell: cores must be >= 1, got 0", []string{"-cell", "stm/bst/0"}},
+		{`-cell: unknown scheme "tl3"`, []string{"-cell", "tl3/bst/2"}},
+		{`-cell: unknown workload "list"`, []string{"-cell", "stm/list/2"}},
+		{"-cell: ops 3 cannot be split over 4 threads", []string{"-cell", "hastm/btree/4", "-ops", "3"}},
+		{"-cell: topology 2x2 has 4 cores, run needs 8 threads", []string{"-cell", "hastm/btree/8", "-topology", "2x2"}},
 		// two suite selectors at once
 		{"-faults:", []string{"-service", "-faults", "suspend=900,seed=3", "-fig", "fig99"}},
 		{"-adversarial:", []string{"-service", "-adversarial", "all"}},
@@ -167,10 +180,13 @@ func TestRejectedCommandLines(t *testing.T) {
 		{"-csv:", []string{"-adversarial", "all", "-csv"}},
 		{"-csv:", []string{"-backend", "native", "-chaos", "abort=3", "-csv"}},
 		{"-cycle-budget:", []string{"-adversarial", "all", "-cycle-budget", "5"}},
+		{"-events:", []string{"-quick", "-events", "5"}},
+		{"-json:", []string{"-cell", "stm/bst/2", "-json"}},
 		// a simulated-machine knob on the host backend
 		{"-topology:", []string{"-backend", "native", "-topology", "2x8"}},
 		{"-sched:", []string{"-backend", "native", "-service", "-sched", "reference"}},
 		{"-watchdog-window:", []string{"-backend", "native", "-watchdog-window", "0"}},
+		{"-cell:", []string{"-backend", "native", "-cell", "stm/bst/2"}},
 		// a multi-socket knob on a flat machine
 		{"-mapping: applies only on a multi-socket -topology", []string{"-quick", "-fig", "fig16", "-mapping", "scatter"}},
 		{"-placement: applies only on a multi-socket -topology", []string{"-quick", "-topology", "1x8", "-placement", "first-touch"}},
@@ -260,7 +276,101 @@ func TestSuiteTableIsTheDocumentation(t *testing.T) {
 			}
 		}
 	}
-	if n := strings.Count(commands, "\n| `"); n != len(suites)+2 {
-		t.Errorf("README \"Commands\" has %d rows, want the %d suites and the two other commands", n, len(suites))
+	if n := strings.Count(commands, "\n| `"); n != len(suites)+1 {
+		t.Errorf("README \"Commands\" has %d rows, want the %d suites and the one other command", n, len(suites))
+	}
+}
+
+// The cell suite runs the figures' cell: at -quick its wall cycles are those
+// of fig22's quick hastm/btree/2 cell.
+func TestCellIsTheFigureCell(t *testing.T) {
+	code, stdout, stderr := runMain(t, "-quick", "-cell", "hastm/btree/2")
+	if code != 0 {
+		t.Fatalf("exit status %d: %s", code, stderr)
+	}
+	var wall uint64
+	for _, line := range strings.Split(stdout, "\n") {
+		fmt.Sscanf(line, "wall cycles: %d", &wall)
+	}
+	code, report, stderr := runMain(t, "-quick", "-fig", "fig22", "-json")
+	if code != 0 {
+		t.Fatalf("fig22: exit status %d: %s", code, stderr)
+	}
+	type cell struct {
+		Label      string `json:"label"`
+		WallCycles uint64 `json:"wall_cycles"`
+	}
+	var doc struct {
+		Cells []cell `json:"cells"`
+	}
+	if err := json.Unmarshal([]byte(report), &doc); err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(doc.Cells, func(c cell) bool { return c.Label == "hastm/btree/2" })
+	if i < 0 || wall == 0 || doc.Cells[i].WallCycles != wall {
+		t.Errorf("-cell prints %d wall cycles, fig22's hastm/btree/2 cell %+v", wall, doc.Cells)
+	}
+}
+
+func TestCellPrintsReport(t *testing.T) {
+	code, stdout, stderr := runMain(t, "-cell", "mvcc/hashtable/2", "-ops", "64")
+	if code != 0 {
+		t.Fatalf("exit status %d: %s", code, stderr)
+	}
+	for _, want := range []string{"scheme=mvcc workload=hashtable cores=2 ops=64 updates=20%", "commits: 64", "cycle breakdown:", "cache:"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("report lacks %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// The -cell help is generated from the scheme and structure tables, so it
+// lists every name the value accepts.
+func TestCellHelpListsEverySchemeAndStructure(t *testing.T) {
+	_, _, help := runMain(t, "-h")
+	for _, name := range append(harness.Schemes(), harness.StructureNames()...) {
+		if !strings.Contains(help, name+"|") && !strings.Contains(help, "|"+name) {
+			t.Errorf("-cell help omits %q", name)
+		}
+	}
+}
+
+// -events shows the measured phase, the window the counters describe: every
+// counted commit is a rendered commit line, and no core's events reach back
+// past the warm-up barrier (each core's span fits in the measured wall
+// cycles).
+func TestCellEventsCoverTheMeasuredWindow(t *testing.T) {
+	code, stdout, stderr := runMain(t, "-cell", "hastm/btree/2", "-ops", "64", "-events", "100000")
+	if code != 0 {
+		t.Fatalf("exit status %d: %s", code, stderr)
+	}
+	var wall, commits, rendered uint64
+	first, last := map[string]uint64{}, map[string]uint64{}
+	for _, line := range strings.Split(stdout, "\n") {
+		fmt.Sscanf(line, "wall cycles: %d", &wall)
+		fmt.Sscanf(line, "commits: %d", &commits)
+		var cycle uint64
+		var core, kind string
+		if n, _ := fmt.Sscanf(line, "%d %s %s", &cycle, &core, &kind); n != 3 || !strings.HasPrefix(core, "core") {
+			continue
+		}
+		if kind == "commit" {
+			rendered++
+		}
+		if _, seen := first[core]; !seen {
+			first[core] = cycle
+		}
+		last[core] = cycle
+	}
+	if commits == 0 || rendered != commits {
+		t.Errorf("%d rendered commit lines, report counts %d commits", rendered, commits)
+	}
+	if len(first) != 2 {
+		t.Fatalf("trace names cores %v, want 2", first)
+	}
+	for core := range first {
+		if span := last[core] - first[core]; span > wall {
+			t.Errorf("%s events span %d cycles, the measured phase is %d: the trace reaches before the barrier", core, span, wall)
+		}
 	}
 }

@@ -2,12 +2,14 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"strings"
 
 	"hastm.dev/hastm/internal/faults"
 	"hastm.dev/hastm/internal/harness"
 	"hastm.dev/hastm/internal/spec"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 // A suite is one thing hastm-bench can run. What differs between suites is
@@ -32,6 +34,9 @@ type suite struct {
 	// the banner above it. It builds no machine, so a configuration it
 	// rejects costs nothing.
 	plan func(s *suite, c *config) (plans []*harness.Plan, banner string, err error)
+	// render prints stdout for a suite that prints neither report tables nor
+	// a verdict table; nil for the others.
+	render func(c *config, cells []*harness.Cell)
 }
 
 // commonFlags are honoured by every suite (-trace is written by the figure
@@ -70,6 +75,14 @@ var suites = []suite{
 		threads: 4, honours: "adversarial no-ladder",
 		help: "livelock and starvation cells (all, storm or starve) that finish only under the irrevocable ladder; -no-ladder must trip the watchdog",
 		plan: planAdversarial,
+	},
+	{
+		// threads: the -cell value names the cell's thread count, and
+		// harness.CellPlan holds -topology to it.
+		name: "cell", how: "-cell SCHEME/WORKLOAD/CORES", selectors: []string{"cell"}, backends: []string{"sim"},
+		threads: 1, honours: "cell events cycle-budget watchdog-window",
+		help: "one figure cell at the figures' sizes: cycle breakdown, abort causes, TM counters, cache; -events N prints its first N measured-phase trace events",
+		plan: planCell, render: printCell,
 	},
 	{
 		name: "native", how: "-backend native", backends: []string{"native"},
@@ -192,4 +205,60 @@ func planAdversarial(s *suite, c *config) ([]*harness.Plan, string, error) {
 	plan := harness.ProgressPlan(c.o, s.threads, !c.noLadder, filter)
 	return []*harness.Plan{plan}, fmt.Sprintf("adversarial: %s, cores %d, cycle budget %d, watchdog window %d",
 		mode, s.threads, harness.AdversarialCycleBudget, harness.AdversarialWatchdogWindow), nil
+}
+
+func planCell(_ *suite, c *config) ([]*harness.Plan, string, error) {
+	plan, err := harness.CellPlan(c.cell, c.o)
+	if err != nil {
+		return nil, "", flagErr("cell", "%v", err)
+	}
+	return []*harness.Plan{plan}, "", nil
+}
+
+// printCell prints the cell's report: its totals, cycle breakdown, abort
+// causes and TM counters, the first -events trace events, and the cache
+// statistics. A failed cell prints nothing; its diagnosis goes to stderr.
+func printCell(c *config, cells []*harness.Cell) {
+	cell := cells[0]
+	if cell.Err != "" {
+		return
+	}
+	m, label := cell.Metrics(), strings.Split(cell.Label, "/")
+	fmt.Printf("scheme=%s workload=%s cores=%s ops=%d updates=%d%%\n",
+		label[0], label[1], label[2], c.o.Ops, harness.StructureUpdatePct)
+	fmt.Printf("wall cycles: %d   (%.1f cycles/op)\n", m.WallCycles, float64(m.WallCycles)/float64(c.o.Ops))
+	fmt.Printf("commits: %d  aborts: %d  retries waited: %d\n",
+		m.Stats.Commits(), m.Stats.TotalAborts(), m.Stats.Count(telemetry.Retries))
+
+	fmt.Println("\ncycle breakdown:")
+	for _, s := range m.Stats.Breakdown() {
+		fmt.Printf("  %-10s %8.1f%%  (%d cycles)\n", s.Category, s.Share*100, s.Cycles)
+	}
+
+	fmt.Println("\nabort causes:")
+	for _, cause := range telemetry.AbortCauses() {
+		if n := m.Stats.Aborts(cause); n > 0 {
+			fmt.Printf("  %-20s %d\n", cause, n)
+		}
+	}
+
+	fmt.Println("\nTM event counters (summed over cores):")
+	// Each label is the counter's registered name, spaces for underscores.
+	for _, ctr := range []telemetry.Counter{telemetry.FilteredReads, telemetry.UnfilteredReads, telemetry.ReadsLogged,
+		telemetry.ReadLogsSkipped, telemetry.FastValidations, telemetry.FullValidations,
+		telemetry.AggressiveCommits, telemetry.CautiousCommits} {
+		fmt.Printf("  %-19s %d\n", strings.ReplaceAll(ctr.String(), "_", " ")+":", m.Stats.Count(ctr))
+	}
+	fmt.Printf("  hytm sw fallbacks:  %d\n", m.Stats.Count(telemetry.HTMFallbacks))
+
+	if c.events > 0 && m.TxnTrace != nil {
+		fmt.Printf("\nfirst %d trace events:\n", c.events)
+		m.TxnTrace.Render(os.Stdout, c.events)
+	}
+
+	h := m.CacheStats
+	fmt.Println("\ncache:")
+	fmt.Printf("  L1 hits/misses: %d/%d   L2 hits/misses: %d/%d\n", h.L1Hits, h.L1Misses, h.L2Hits, h.L2Misses)
+	fmt.Printf("  invalidations: %d  back-invalidations: %d  evictions: %d  marked drops: %d  prefetch fills: %d\n",
+		h.Invalidations, h.BackInvalidations, h.Evictions, h.MarkedDrops, h.PrefetchFills)
 }

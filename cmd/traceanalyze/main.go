@@ -1,17 +1,10 @@
-// Command traceanalyze analyses transaction behaviour from two sources.
-//
-// With a positional argument it consumes the per-transaction JSONL event
-// trace written by `hastm-bench -trace` and reports abort-cause breakdowns,
-// retry-depth histograms and per-cell commit/abort summaries — the
-// analyses the paper's Figs 5–9 discussion performs on abort behaviour.
-// Malformed input is a hard error (non-zero exit), so CI can use the tool
-// to validate trace artifacts.
-//
-// Without a positional argument it reproduces the paper's §7.2 workload
-// analysis (Fig 13): the fraction of loads and the degree of
-// intra-critical-section cache reuse for the twelve analysed Java/pthreads
-// workloads, plus (with -structures) the same measurement for this
-// repository's transactional data structures.
+// Command traceanalyze analyses the per-transaction JSONL event trace
+// written by `hastm-bench -trace`: abort-cause breakdowns, retry-depth
+// histograms and per-cell commit/abort summaries — the analyses the paper's
+// Figs 5–9 discussion performs on abort behaviour. Malformed input is a
+// hard error (non-zero exit), so CI can use the tool to validate trace
+// artifacts. The paper's Fig 13 workload analysis is `hastm-bench -fig
+// fig13`.
 //
 // Usage:
 //
@@ -19,9 +12,6 @@
 //	traceanalyze -strict t.jsonl # also fail unless every begin is terminated
 //	                             # and every irrevocable attempt commits
 //	traceanalyze -top 5 t.jsonl  # show the 5 most abort-heavy cells
-//	traceanalyze                 # the 12 workload profiles (Fig 13)
-//	traceanalyze -structures     # also measure hashtable/BST/B-tree
-//	traceanalyze -sections 1000  # more sections per workload
 package main
 
 import (
@@ -34,60 +24,27 @@ import (
 	"sort"
 	"strings"
 
-	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/telemetry"
-	"hastm.dev/hastm/internal/workloads"
-	"hastm.dev/hastm/internal/workloads/traces"
 )
 
-func main() {
-	var (
-		sections   = flag.Int("sections", 400, "critical sections generated per workload (Fig 13 mode)")
-		seed       = flag.Uint64("seed", 1, "deterministic seed (Fig 13 mode)")
-		structures = flag.Bool("structures", false, "also measure the TM data structures (Fig 13 mode)")
-		top        = flag.Int("top", 10, "cells shown in the per-cell summary (JSONL mode; 0 = all)")
-		strict     = flag.Bool("strict", false, "JSONL mode: assert trace completeness (every begin reaches a terminal event)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	if flag.NArg() > 1 {
-		fmt.Fprintln(os.Stderr, "traceanalyze: at most one trace file")
-		os.Exit(2)
+// run is the whole command: exit status 2 for a command line that names no
+// single trace file, 1 for a trace that does not pass.
+func run(args []string) int {
+	fs := flag.NewFlagSet("traceanalyze", flag.ExitOnError)
+	top := fs.Int("top", 10, "cells shown in the per-cell summary (0 = all)")
+	strict := fs.Bool("strict", false, "assert trace completeness (every begin reaches a terminal event)")
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "traceanalyze: want one trace file (the Fig 13 workload analysis is hastm-bench -fig fig13)")
+		return 2
 	}
-	if flag.NArg() == 1 {
-		if err := analyzeJSONL(flag.Arg(0), *top, *strict); err != nil {
-			fmt.Fprintf(os.Stderr, "traceanalyze: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if err := analyzeJSONL(fs.Arg(0), *top, *strict); err != nil {
+		fmt.Fprintf(os.Stderr, "traceanalyze: %v\n", err)
+		return 1
 	}
-
-	fmt.Println("workload analysis (Fig 13): memory operations inside critical sections")
-	fmt.Printf("%-14s %10s %14s %15s\n", "workload", "% loads", "load reuse %", "store reuse %")
-	for _, r := range traces.AnalyzeAll(*sections, *seed) {
-		printResult(r)
-	}
-
-	if !*structures {
-		return
-	}
-	fmt.Println("\ntransactional data structures (intra-transaction reuse, §7.3):")
-	fmt.Printf("%-14s %10s %14s %15s\n", "structure", "% loads", "load reuse %", "store reuse %")
-	m := mem.New()
-	h := workloads.NewHashtable(m, 1024)
-	h.Populate(m, workloads.NewRand(*seed))
-	printResult(traces.MeasureStructureReuse(h, m, 1000, 20, *seed))
-	b := workloads.NewBST(m, 512)
-	b.Populate(m, workloads.NewRand(*seed))
-	printResult(traces.MeasureStructureReuse(b, m, 1000, 20, *seed))
-	t := workloads.NewBTree(m, 512)
-	t.Populate(m, workloads.NewRand(*seed))
-	printResult(traces.MeasureStructureReuse(t, m, 1000, 20, *seed))
-}
-
-func printResult(r traces.Result) {
-	fmt.Printf("%-14s %10.1f %14.1f %15.1f\n",
-		r.Name, 100*r.LoadFraction, 100*r.LoadReuse, 100*r.StoreReuse)
+	return 0
 }
 
 // cellStat accumulates one experiment cell's transaction outcomes.

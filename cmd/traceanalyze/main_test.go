@@ -43,3 +43,11 @@ func TestEveryKindRendersAndValidateIsStrictClean(t *testing.T) {
 		t.Errorf("-strict rejects a begin/validate/commit trace: %v", err)
 	}
 }
+
+// The Fig 13 workload analysis is hastm-bench's fig13: with no trace file
+// the command is rejected.
+func TestNoTraceFileExitsTwo(t *testing.T) {
+	if code := run(nil); code != 2 {
+		t.Errorf("exit status %d, want 2", code)
+	}
+}

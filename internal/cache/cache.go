@@ -523,9 +523,6 @@ func (h *Hierarchy) slotOf(thread int) int { return thread & (h.tpc - 1) }
 // SocketOf maps a hardware thread to its socket.
 func (h *Hierarchy) SocketOf(thread int) int { return h.l1Of(thread).sock }
 
-// NumSockets returns the machine's socket count.
-func (h *Hierarchy) NumSockets() int { return h.sockets }
-
 // NoteRemoteMemory records a miss of thread's socket that memory with a
 // remote home socket had to serve. The simulator calls this when the
 // placement policy homes the missed page on another socket.

@@ -24,6 +24,27 @@ func singleThreadCfg(g tm.Granularity) Config {
 	return c
 }
 
+// interruptHook is the §5 interrupt cadence as a sim.FaultHook: at each
+// grant, a core whose clock has moved at least period cycles past its last
+// interrupt takes a ring transition, on which the hardware executes
+// resetmarkall.
+type interruptHook struct {
+	period uint64
+	last   []uint64 // per core: the clock of its last interrupt
+}
+
+func (h *interruptHook) OnGrant(c *sim.Ctx) {
+	if c.Clock()-h.last[c.ID()] >= h.period {
+		h.last[c.ID()] = c.Clock()
+		c.InjectSuspend()
+	}
+}
+
+// interruptEvery arms the interrupt cadence on machine.
+func interruptEvery(machine *sim.Machine, period uint64) {
+	machine.SetFaultHook(&interruptHook{period: period, last: make([]uint64, machine.Config().Cores)})
+}
+
 // runSingle executes body once under the given system on a 1-core machine.
 func runSingle(t *testing.T, machine *sim.Machine, sys tm.System, n int, body func(tm.Txn) error) {
 	t.Helper()
@@ -331,11 +352,8 @@ func TestAggressiveCommitFailsAfterInterruption(t *testing.T) {
 	// With periodic interrupts enabled, aggressive transactions lose their
 	// marks mid-flight and must abort + re-execute cautiously — never
 	// return wrong data.
-	cfg := sim.DefaultConfig(1)
-	cfg.L1 = cache.Config{SizeBytes: 8 << 10, Assoc: 4}
-	cfg.L2 = cache.Config{SizeBytes: 64 << 10, Assoc: 8}
-	cfg.InterruptEvery = 2000
-	machine := sim.New(cfg)
+	machine := testMachine(1)
+	interruptEvery(machine, 2000)
 	sys := New(machine, singleThreadCfg(tm.LineGranularity))
 	addr := machine.Mem.Alloc(8*mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {

@@ -58,9 +58,8 @@ func TestTransactionLargerThanL1Commits(t *testing.T) {
 // §5 claim that an interrupt "does not abort the transaction - it merely
 // causes a full software validation on commit".
 func TestLongTransactionSpansSchedulingQuanta(t *testing.T) {
-	cfg := sim.DefaultConfig(1)
-	cfg.InterruptEvery = 1500
-	machine := sim.New(cfg)
+	machine := sim.New(sim.DefaultConfig(1))
+	interruptEvery(machine, 1500)
 	sys := NewCautious(machine, singleThreadCfg(tm.LineGranularity))
 	base := machine.Mem.Alloc(64*mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {

@@ -1,6 +1,36 @@
 package harness
 
-import "testing"
+import (
+	"testing"
+
+	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/tm"
+	"hastm.dev/hastm/internal/workloads"
+)
+
+// FinalStateHash runs o.Ops retry-stable operations (workloads.
+// RunThreadStable) on the named scheme and workload, split across cores,
+// then fingerprints the structure's final contents. With one core the
+// operation sequence is identical for every scheme — aborts replay the
+// same operation — so every correct scheme must return the same hash: the
+// cross-scheme conformance property. With several cores the hash is still
+// deterministic per scheme (the simulator's interleaving is), but schemes
+// may legitimately differ because commit order differs.
+func FinalStateHash(scheme, workload string, cores int, o Options, updatePct int) (uint64, error) {
+	c, err := newSimCell(simSpec{scheme: scheme, workload: workload, threads: cores, o: o})
+	if err != nil {
+		return 0, err
+	}
+	ds := c.structure()
+	cfg := workloads.DriverConfig{Ops: c.ops, UpdatePercent: updatePct, Seed: o.Seed}
+	_, res := c.run(warmKept, nil, func(_ *sim.Ctx, th tm.Thread, _ int) error {
+		return workloads.RunThreadStable(th, ds, cfg)
+	})
+	if err := res.verdict(nil); err != nil {
+		return 0, err
+	}
+	return workloads.Fingerprint(ds, workloads.Direct{M: c.m.Mem}), nil
+}
 
 // Cross-scheme conformance: for a fixed seed and a single thread, every
 // scheme applies the identical retry-stable operation sequence, so every
@@ -92,7 +122,7 @@ func TestConformanceCoversSchemeTable(t *testing.T) {
 }
 
 // Every scheme the table names must build and run: one quick single-core
-// cell each, through the same entry point as tmsim.
+// cell each, through RunOne, the entry point of every figure cell.
 func TestSchemeTableEntriesRun(t *testing.T) {
 	for _, scheme := range Schemes() {
 		workload := WorkloadBST

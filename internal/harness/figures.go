@@ -3,7 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/telemetry"
+	"hastm.dev/hastm/internal/workloads"
 	"hastm.dev/hastm/internal/workloads/traces"
 )
 
@@ -129,9 +131,10 @@ func planFig12(o Options) *Plan {
 	return p
 }
 
-// planFig13 declares Figure 13: the workload-analysis chart. The trace
-// analysis is not a machine simulation, so the plan has no cells and the
-// work happens at assembly time.
+// planFig13 declares Figure 13: the workload-analysis chart, and beside it
+// the same measurement of the transactional data structures that backs
+// §7.3's reuse claims. The trace analysis is not a machine simulation, so
+// the plan has no cells and the work happens at assembly time.
 func planFig13(o Options) *Plan {
 	p := newPlan("fig13")
 	p.Assemble = func() *Report {
@@ -140,19 +143,27 @@ func planFig13(o Options) *Plan {
 			Title: "Ratio of loads and cache reuse (synthetic traces per the documented substitution)",
 			Notes: "measured from generated critical-section traces; reuse = prior same-kind access to the line in the same section",
 		}
-		tbl := Table{
-			Name:      "workload analysis",
-			ColHeader: "workload",
-			Cols:      []string{"% loads", "load reuse %", "store reuse %"},
-			Unit:      "percent",
+		table := func(name, colHeader string, results []traces.Result) {
+			tbl := Table{Name: name, ColHeader: colHeader, Cols: []string{"% loads", "load reuse %", "store reuse %"}, Unit: "percent"}
+			for _, r := range results {
+				tbl.Rows = append(tbl.Rows, Row{
+					Name:  r.Name,
+					Cells: []float64{100 * r.LoadFraction, 100 * r.LoadReuse, 100 * r.StoreReuse},
+				})
+			}
+			rep.Tables = append(rep.Tables, tbl)
 		}
-		for _, r := range traces.AnalyzeAll(400, o.Seed) {
-			tbl.Rows = append(tbl.Rows, Row{
-				Name:  r.Name,
-				Cells: []float64{100 * r.LoadFraction, 100 * r.LoadReuse, 100 * r.StoreReuse},
-			})
+		table("workload analysis", "workload", traces.AnalyzeAll(400, o.Seed))
+		// 1000 single-threaded operations per structure, the three laid out
+		// in one memory at fixed sizes: a measure of shape, not of cells.
+		m := mem.New()
+		measure := func(ds workloads.DataStructure) traces.Result {
+			ds.Populate(m, workloads.NewRand(o.Seed))
+			return traces.MeasureStructureReuse(ds, m, 1000, StructureUpdatePct, o.Seed)
 		}
-		rep.Tables = append(rep.Tables, tbl)
+		table("transactional data structures (§7.3)", "structure", []traces.Result{
+			measure(workloads.NewHashtable(m, 1024)), measure(workloads.NewBST(m, 512)), measure(workloads.NewBTree(m, 512)),
+		})
 		return rep
 	}
 	return p

@@ -22,7 +22,7 @@ import (
 var outputFingerprints = map[string]uint64{
 	"fig11": 0x7e09905207d47ecd,
 	"fig12": 0x2101e23e9c8daa21,
-	"fig13": 0xeb103f86ca521b66,
+	"fig13": 0x072b7cb51c814885,
 	"fig15": 0x1c2a37282b2c63b6,
 	"fig16": 0x9dad4fb25de88bde,
 	"fig17": 0x485d2d26fbc32e07,

@@ -179,6 +179,23 @@ func TestFig13Shape(t *testing.T) {
 	}
 }
 
+// §7.3 shape, Fig 13's second table: the hashtable's transactions barely
+// reuse a loaded line (paper: < 3 %), the trees' do (paper: BST 38 %,
+// B-tree 68 %).
+func TestFig13StructureReuseShape(t *testing.T) {
+	rep := figure("fig13", quick())
+	const tbl, col = "transactional data structures (§7.3)", "load reuse %"
+	hash := rep.MustGet(tbl, "hashtable", col)
+	if hash >= 3 {
+		t.Errorf("hashtable load reuse %.1f%%, want < 3%%", hash)
+	}
+	for _, tree := range []string{"bst", "btree"} {
+		if r := rep.MustGet(tbl, tree, col); r <= hash {
+			t.Errorf("%s load reuse %.1f%% is not above the hashtable's %.1f%%", tree, r, hash)
+		}
+	}
+}
+
 // Fig 15 shape: every accelerated scheme beats the STM; HASTM beats
 // cautious; HASTM's gap to Hybrid narrows as load fraction and reuse grow.
 func TestFig15Shape(t *testing.T) {

@@ -54,7 +54,7 @@ func NativePlan(o Options, threadCounts []int) *Plan {
 		row := cellRow{name: w}
 		for _, n := range threadCounts {
 			row.cells = append(row.cells, p.cell(fmt.Sprintf("native/%s/%d", w, n), func() RunMetrics {
-				return must(RunOneNative(w, n, o, 20))
+				return must(RunOneNative(w, n, o, StructureUpdatePct))
 			}))
 		}
 		rows = append(rows, row)

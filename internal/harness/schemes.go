@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"hastm.dev/hastm/internal/cache"
@@ -39,7 +41,7 @@ type Options struct {
 	// TxnTraceMax, if positive, attaches the event trace (begin/commit/
 	// abort-with-cause, txn id, retry index) holding at most this many
 	// events to every run (RunMetrics.TxnTrace); hastm-bench -trace and
-	// tmsim -trace set it.
+	// -events set it.
 	TxnTraceMax int
 	// ReferenceScheduler runs every cell on the simulator's original
 	// per-operation handoff scheduler instead of the grant-lease scheduler.
@@ -427,15 +429,41 @@ type RunMetrics struct {
 	Chaos *ChaosRecord
 }
 
+// StructureUpdatePct is the percentage of structure operations that update,
+// in every figure cell and in Fig 13's structure table, as in the paper.
+const StructureUpdatePct = 20
+
 // runStructure executes the standard data-structure benchmark: populate,
-// then `o.Ops` operations (20% updates, as in the paper) split across
-// `cores` threads under the named scheme.
+// then `o.Ops` operations (StructureUpdatePct updates) split across `cores`
+// threads under the named scheme.
 func runStructure(scheme, workload string, cores int, o Options) RunMetrics {
-	return must(RunOne(scheme, workload, cores, o, 20))
+	return must(RunOne(scheme, workload, cores, o, StructureUpdatePct))
 }
 
-// RunOne runs a single configuration — the programmatic form of the tmsim
-// command line. Every run starts with a warmup phase (caches filled, the
+// CellPlan declares the one structure cell a figure labels
+// SCHEME/WORKLOAD/CORES, at o's sizes — the plan of hastm-bench -cell. The
+// label and the cell's configuration are checked here, before any machine
+// is built. The plan assembles no report: the caller reads the cell.
+func CellPlan(label string, o Options) (*Plan, error) {
+	parts := strings.Split(label, "/")
+	if len(parts) != 3 {
+		return nil, fmt.Errorf("%q is not SCHEME/WORKLOAD/CORES", label)
+	}
+	cores, err := strconv.Atoi(parts[2])
+	if err != nil {
+		return nil, fmt.Errorf("%q: cores %q is not a number", label, parts[2])
+	}
+	if _, err := (simSpec{scheme: parts[0], workload: parts[1], threads: cores, o: o}).validate(); err != nil {
+		return nil, err
+	}
+	p := newPlan("cell")
+	p.structure(parts[0], parts[1], cores, o)
+	p.Assemble = func() *Report { return nil }
+	return p, nil
+}
+
+// RunOne runs a single configuration: the run behind every structure cell
+// of the figures. Every run starts with a warmup phase (caches filled, the
 // HASTM mode controller settled) separated from the measured phase by a
 // barrier; only steady-state cycles are reported, as a long benchmark run
 // on real hardware would.

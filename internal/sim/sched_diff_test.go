@@ -33,24 +33,6 @@ func (r *splitMix) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// suspendEveryHook is a deterministic sim.FaultHook: every n-th grant
-// machine-wide injects a ring transition on the granted core. It exercises
-// the requirement that OnGrant fires once per granted op at the same point
-// of the global operation order under both schedulers.
-type suspendEveryHook struct {
-	n      uint64
-	grants uint64
-	fired  uint64
-}
-
-func (h *suspendEveryHook) OnGrant(c *sim.Ctx) {
-	h.grants++
-	if h.grants%h.n == 0 {
-		h.fired++
-		c.InjectSuspend()
-	}
-}
-
 // diffOutcome is everything a scheduler run is judged on.
 type diffOutcome struct {
 	wall      uint64
@@ -68,14 +50,13 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 	t.Helper()
 	cfg := sim.DefaultConfig(cores)
 	cfg.Topology = top
-	cfg.InterruptEvery = interruptEvery
 	cfg.ReferenceScheduler = reference
 	m := sim.New(cfg)
 	tb := telemetry.NewTraceBuffer(1 << 14)
 	m.SetTxnTrace(tb)
-	var hook *suspendEveryHook
-	if hookEvery > 0 {
-		hook = &suspendEveryHook{n: hookEvery}
+	var hook *periodicHook
+	if interruptEvery > 0 || hookEvery > 0 {
+		hook = newPeriodicHook(cores, interruptEvery, hookEvery)
 		m.SetFaultHook(hook)
 	}
 
@@ -485,8 +466,8 @@ func spinCounters(t *testing.T) {
 }
 
 // TestArmedMachinesGrantEveryExec pins the other half of the Exec contract:
-// a machine with a per-operation duty — interrupt cadence, a fault hook, a
-// watchdog — defines its ring transitions, OnGrant schedule and trip points
+// a machine with a per-operation duty — a fault hook (an interrupt cadence
+// is one), a watchdog — defines its ring transitions, OnGrant schedule and trip points
 // per grant, so it keeps granting every Exec under the lease scheduler too,
 // and the reference scheduler agrees with it on all of them.
 func TestArmedMachinesGrantEveryExec(t *testing.T) {
@@ -499,12 +480,13 @@ func TestArmedMachinesGrantEveryExec(t *testing.T) {
 		violation *sim.ProgressViolation
 	}
 	arms := []struct {
-		name string
-		arm  func(*sim.Config)
-		hook bool
-		trip string
+		name   string
+		arm    func(*sim.Config)
+		hook   bool
+		period uint64 // the hook's interrupt cadence
+		trip   string
 	}{
-		{name: "interrupt-every", arm: func(c *sim.Config) { c.InterruptEvery = 300 }},
+		{name: "interrupt-every", arm: func(*sim.Config) {}, hook: true, period: 300},
 		{name: "fault-hook", arm: func(*sim.Config) {}, hook: true},
 		{name: "watchdog-window", arm: func(c *sim.Config) { c.WatchdogWindow = 900 }, trip: sim.KindCommitStall},
 		{name: "cycle-budget", arm: func(c *sim.Config) { c.CycleBudget = 700 }, trip: sim.KindCycleBudget},
@@ -516,9 +498,9 @@ func TestArmedMachinesGrantEveryExec(t *testing.T) {
 				cfg.ReferenceScheduler = reference
 				a.arm(&cfg)
 				m := sim.New(cfg)
-				hook := suspendEveryHook{n: ^uint64(0)} // never fires: counts OnGrant only
+				hook := newPeriodicHook(cores, a.period, 0) // counts OnGrant
 				if a.hook {
-					m.SetFaultHook(&hook)
+					m.SetFaultHook(hook)
 				}
 				line := m.Mem.AllocLines(cores)
 				var out outcome
@@ -564,13 +546,12 @@ func TestArmedMachinesGrantEveryExec(t *testing.T) {
 				if tripped == nil || tripped.Kind != a.trip {
 					t.Errorf("violation = %+v, want a %s trip", tripped, a.trip)
 				}
-			case a.hook:
+			default:
 				// Every operation but the per-core completion grants.
 				if want := refSched.Grants - cores; lease.onGrant != want {
 					t.Errorf("OnGrant ran %d times, want %d (every Exec granted)", lease.onGrant, want)
 				}
-			default:
-				if lease.ringAt == "" {
+				if a.period > 0 && lease.ringAt == "" {
 					t.Error("no Exec absorbed a ring transition: Exec took no grant on an armed machine")
 				}
 			}

@@ -190,15 +190,6 @@ type Config struct {
 	// destructive interference discussed in §7.4).
 	Prefetch bool
 
-	// MarkCounterMax is the saturation value of the per-thread mark
-	// counter. Zero means "use the default" (a 16-bit counter).
-	MarkCounterMax uint64
-
-	// InterruptEvery, if non-zero, injects a ring transition on each core
-	// every so many cycles; the hardware executes resetmarkall on the
-	// transition, exactly as §5 prescribes for interrupts.
-	InterruptEvery uint64
-
 	// ThreadsPerCore groups hardware threads onto shared L1s (SMT, §3.1:
 	// each thread keeps its own mark bits; stores by one thread invalidate
 	// the siblings' marks). 0 or 1 disables SMT.
@@ -252,7 +243,8 @@ func DefaultConfig(cores int) Config {
 	}
 }
 
-const defaultMarkCounterMax = 1<<16 - 1
+// markCounterMax saturates the per-thread mark counter: it is 16 bits wide.
+const markCounterMax = 1<<16 - 1
 
 // Validate checks the configuration without building a machine, so
 // callers (the CLI's -topology flag, the harness) can surface a clear
@@ -297,10 +289,10 @@ type Machine struct {
 	fault    FaultHook
 
 	// perOpDuties, fixed at Run, is true when every operation — Exec
-	// included — must be individually granted: a watchdog, interrupt cadence
-	// or fault hook is armed (their trip points, ring transitions and OnGrant
-	// schedules are defined per grant), or this is the reference scheduler.
-	// It is the one branch unarmed machines pay on the hot path.
+	// included — must be individually granted: a watchdog or fault hook is
+	// armed (their trip points and OnGrant schedules are defined per grant),
+	// or this is the reference scheduler. It is the one branch unarmed
+	// machines pay on the hot path.
 	perOpDuties bool
 
 	// Progress-guarantee state (see progress.go). watch is true when any
@@ -381,9 +373,6 @@ func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.MarkCounterMax == 0 {
-		cfg.MarkCounterMax = defaultMarkCounterMax
-	}
 	top := cfg.Topology.resolve(cfg.Cores)
 	m := &Machine{
 		cfg: cfg,
@@ -444,7 +433,7 @@ func (m *Machine) Run(progs ...Program) uint64 {
 		panic("sim: Machine.Run called twice; build a fresh machine per run")
 	}
 	m.ran = true
-	m.perOpDuties = m.watch || m.cfg.InterruptEvery > 0 || m.fault != nil || m.cfg.ReferenceScheduler
+	m.perOpDuties = m.watch || m.fault != nil || m.cfg.ReferenceScheduler
 	if len(progs) > m.cfg.Cores {
 		panic(fmt.Sprintf("sim: %d programs for %d cores", len(progs), m.cfg.Cores))
 	}
@@ -666,8 +655,7 @@ type Ctx struct {
 	done    bool
 	horizon heapEntry
 
-	markCounter   [cache.NumMarkPlanes]uint64
-	lastInterrupt uint64
+	markCounter [cache.NumMarkPlanes]uint64
 
 	// Wrong-path RFO state: a small ring of recently accessed lines and
 	// a deterministic jitter source.
@@ -744,18 +732,12 @@ func (c *Ctx) acquire() {
 	}
 }
 
-// opDuties runs the watchdogs, applies any pending ring transition and
-// runs the fault hook. An armed machine grants every operation, Exec
-// included, so these fire at the same deterministic points of the global
-// operation order under every scheduler.
+// opDuties runs the watchdogs and the fault hook. An armed machine grants
+// every operation, Exec included, so both fire at the same deterministic
+// points of the global operation order under every scheduler.
 func (c *Ctx) opDuties() {
 	if c.m.watch {
 		c.progressDuties()
-	}
-	if iv := c.m.cfg.InterruptEvery; iv > 0 && (c.clock-c.lastInterrupt) >= iv {
-		c.lastInterrupt = c.clock
-		// The interrupt path executes resetmarkall before resuming (§5).
-		c.ringTransitionNow()
 	}
 	if h := c.m.fault; h != nil {
 		h.OnGrant(c)
@@ -764,8 +746,8 @@ func (c *Ctx) opDuties() {
 
 // ringTransitionNow is the architectural effect of an OS transition,
 // applied while already holding the grant: discard all marks on every
-// plane, bump the mark counters, pay the transition cost. Shared by the
-// InterruptEvery path, RingTransition, and fault-hook suspensions.
+// plane, bump the mark counters, pay the transition cost. Shared by
+// RingTransition and fault-hook suspensions.
 func (c *Ctx) ringTransitionNow() {
 	for plane := 0; plane < cache.NumMarkPlanes; plane++ {
 		if !c.m.cfg.DefaultISA {
@@ -797,7 +779,7 @@ func (c *Ctx) release() {
 }
 
 func (c *Ctx) bumpMarkCounter(plane int) {
-	if c.markCounter[plane] < c.m.cfg.MarkCounterMax {
+	if c.markCounter[plane] < markCounterMax {
 		c.markCounter[plane]++
 	}
 }

@@ -2,8 +2,8 @@ package sim
 
 import "hastm.dev/hastm/internal/telemetry"
 
-// SetTxnTrace attaches the machine's one event buffer (hastm-bench -trace,
-// tmsim -trace, the watchdog's recent-event tail); nil detaches it. Attach
+// SetTxnTrace attaches the machine's one event buffer (hastm-bench -trace
+// and -events, the watchdog's recent-event tail); nil detaches it. Attach
 // before Run.
 func (m *Machine) SetTxnTrace(b *telemetry.TraceBuffer) { m.txnTrace = b }
 

@@ -178,8 +178,8 @@ func (b *TraceBuffer) Dropped() uint64 {
 	return b.dropped
 }
 
-// Text renders the event as one text line (tmsim -trace, the watchdog's
-// recent-event tail): clock, core, kind, then attempt=<retry> for a begin
+// Text renders the event as one text line (hastm-bench -events, the
+// watchdog's recent-event tail): clock, core, kind, then attempt=<retry> for a begin
 // and the cause and non-zero sizes for every other kind.
 func (e TxnEvent) Text() string {
 	var d []byte

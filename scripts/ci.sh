@@ -65,6 +65,10 @@ smoke)
     # Parallelism and the grant-lease fast path change only host time, never
     # the science: identical stdout and transaction trace.
     OUT="$out/figures" scripts/cmp-modes.sh -quick
+    # One figure cell: its report and -events text, and its trace, which the
+    # hybrid scheme's fallbacks make a completeness check worth running.
+    OUT="$out/cell" scripts/cmp-modes.sh -cell hytm/btree/2 -events 200
+    "$bin/traceanalyze" -strict "$out/cell-j1.jsonl"
     ;;
 native)
     # Real goroutines on real memory, so -race is the point and the repetition

@@ -16,7 +16,7 @@ mkdir -p "$dir"
 dir="$(cd "$dir" && pwd)"
 bin="$(mktemp -d)"
 trap 'rm -rf "$bin"' EXIT
-(cd "$root" && go build -o "$bin/hastm-bench" ./cmd/hastm-bench && go build -o "$bin/tmsim" ./cmd/tmsim)
+(cd "$root" && go build -o "$bin/hastm-bench" ./cmd/hastm-bench)
 
 bench() { # bench <file> <args…>
     local file="$1"
@@ -48,7 +48,8 @@ bench adversarial.txt -adversarial all
 # ext-numa runs the 4x16 and 4x64 machines, so the lease scheduler's cross-socket order is covered.
 bench numa.txt -quick -fig ext-numa
 "$bin/hastm-bench" -quick -fig ext-numa "${extra[@]}" -trace "$dir/trace-numa.jsonl" > /dev/null 2>&1
-"$bin/tmsim" -scheme hastm -workload btree -cores 2 -trace 20 > "$dir/tmsim.txt"
+# tmsim*.txt: one figure cell's report, its first events as text.
+bench tmsim.txt -cell hastm/btree/2 -events 20
 for scheme in htm hytm; do
-    "$bin/tmsim" -scheme "$scheme" -workload btree -cores 2 -trace 2000 > "$dir/tmsim-$scheme.txt"
+    bench "tmsim-$scheme.txt" -cell "$scheme/btree/2" -events 2000
 done
