@@ -153,14 +153,10 @@ func TestRejectedCommandLines(t *testing.T) {
 		{`-placement: mem: unknown placement policy "striped" (want interleave or first-touch)`, []string{"-placement", "striped"}},
 		{"-fig:", []string{"-fig", "fig99"}},
 		{"-events: must not be negative", []string{"-cell", "stm/bst/2", "-events", "-1"}},
-		// a -cell the figures do not label, or one its machine cannot run
+		// a -cell the figures do not label (more in TestCellRejectedInvocations)
 		{`-cell: "stm/bst" is not SCHEME/WORKLOAD/CORES`, []string{"-cell", "stm/bst"}},
-		{`-cell: "stm/bst/x": cores "x" is not a number`, []string{"-cell", "stm/bst/x"}},
 		{"-cell: cores must be >= 1, got 0", []string{"-cell", "stm/bst/0"}},
 		{`-cell: unknown scheme "tl3"`, []string{"-cell", "tl3/bst/2"}},
-		{`-cell: unknown workload "list"`, []string{"-cell", "stm/list/2"}},
-		{"-cell: ops 3 cannot be split over 4 threads", []string{"-cell", "hastm/btree/4", "-ops", "3"}},
-		{"-cell: topology 2x2 has 4 cores, run needs 8 threads", []string{"-cell", "hastm/btree/8", "-topology", "2x2"}},
 		// two suite selectors at once
 		{"-faults:", []string{"-service", "-faults", "suspend=900,seed=3", "-fig", "fig99"}},
 		{"-adversarial:", []string{"-service", "-adversarial", "all"}},
@@ -191,14 +187,44 @@ func TestRejectedCommandLines(t *testing.T) {
 		{"-mapping: applies only on a multi-socket -topology", []string{"-quick", "-fig", "fig16", "-mapping", "scatter"}},
 		{"-placement: applies only on a multi-socket -topology", []string{"-quick", "-topology", "1x8", "-placement", "first-touch"}},
 	} {
-		code, stdout, stderr := runMain(t, tc.args...)
-		if code != 2 || stdout != "" {
-			t.Errorf("%v: exit status %d, %d bytes of stdout; want 2 and none\n%s", tc.args, code, len(stdout), stderr)
-		}
-		if !strings.HasPrefix(stderr, "hastm-bench: ") || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, tc.names) {
-			t.Errorf("%v: stderr is not one hastm-bench: line naming %q:\n%s", tc.args, tc.names, stderr)
-		}
+		checkRejected(t, tc.names, tc.args...)
 	}
+}
+
+// checkRejected runs a command line that must be refused: exit 2, no stdout,
+// and one "hastm-bench:" line on stderr naming names.
+func checkRejected(t *testing.T, names string, args ...string) {
+	t.Helper()
+	code, stdout, stderr := runMain(t, args...)
+	if code != 2 || stdout != "" {
+		t.Errorf("%v: exit status %d, %d bytes of stdout; want 2 and none\n%s", args, code, len(stdout), stderr)
+	}
+	if !strings.HasPrefix(stderr, "hastm-bench: ") || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, names) {
+		t.Errorf("%v: stderr is not one hastm-bench: line naming %q:\n%s", args, names, stderr)
+	}
+}
+
+// A -cell the figures do not label, or one its machine cannot run, is
+// refused before any machine is built. TestRejectedCommandLines holds the
+// malformed label, zero cores and an unknown scheme.
+func TestCellRejectedInvocations(t *testing.T) {
+	for _, tc := range []struct {
+		names string // what the one stderr line must name
+		args  []string
+	}{
+		{`unexpected argument "btree"`, []string{"-cell", "stm/bst/2", "btree"}},
+		{`-cell: "stm/bst/x": cores "x" is not a number`, []string{"-cell", "stm/bst/x"}},
+		{`-cell: unknown workload "list"`, []string{"-cell", "stm/list/2"}},
+		{"-cell: topology 2x2 has 4 cores, run needs 8 threads", []string{"-cell", "hastm/btree/8", "-topology", "2x2"}},
+	} {
+		checkRejected(t, tc.names, tc.args...)
+	}
+}
+
+// -ops smaller than the cell's core count cannot be split: the cell suite
+// exits 2 naming the -ops value and the core count, and prints no report.
+func TestCellUnsplittableOpsExitsTwo(t *testing.T) {
+	checkRejected(t, "-cell: ops 3 cannot be split over 4 threads", "-cell", "hastm/btree/4", "-ops", "3")
 }
 
 // A -chaos spec that arms no kind ("off", a bare seed) is the disabled spec:
