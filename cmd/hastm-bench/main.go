@@ -126,8 +126,10 @@ func parseFlags() (*config, error) {
 		return nil, flagErr("ops", "must be positive, got %d", ops)
 	case c.workers < 1:
 		return nil, flagErr("j", "must be at least 1, got %d", c.workers)
-	case traceMax < 0:
-		return nil, flagErr("trace-max", "must not be negative, got %d", traceMax)
+	case traceMax < 1:
+		return nil, flagErr("trace-max", "must be positive, got %d", traceMax)
+	case c.trace == "" && slices.Contains(c.set, "trace-max"):
+		return nil, flagErr("trace-max", "applies only with -trace")
 	case c.events < 0:
 		return nil, flagErr("events", "must not be negative, got %d", c.events)
 	case ops > 0:

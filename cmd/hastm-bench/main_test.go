@@ -140,6 +140,8 @@ func TestRejectedCommandLines(t *testing.T) {
 		{"-j:", []string{"-j", "-2"}},
 		{"flag -j:", []string{"-j", "x"}},
 		{"-trace-max:", []string{"-trace-max", "-5"}},
+		{"-trace-max: must be positive, got 0", []string{"-quick", "-trace", "t.jsonl", "-trace-max", "0"}},
+		{"-trace-max: applies only with -trace", []string{"-quick", "-trace-max", "100"}},
 		{`unexpected argument "stray"`, []string{"stray"}},
 		{`unexpected argument "fig11"`, []string{"-quick", "fig11"}},
 		{"-bogus", []string{"-bogus"}},

@@ -40,6 +40,10 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "traceanalyze: want one trace file (the Fig 13 workload analysis is hastm-bench -fig fig13)")
 		return 2
 	}
+	if *top < 0 {
+		fmt.Fprintf(os.Stderr, "traceanalyze: -top: must not be negative, got %d\n", *top)
+		return 2
+	}
 	if err := analyzeJSONL(fs.Arg(0), *top, *strict); err != nil {
 		fmt.Fprintf(os.Stderr, "traceanalyze: %v\n", err)
 		return 1

@@ -51,3 +51,24 @@ func TestNoTraceFileExitsTwo(t *testing.T) {
 		t.Errorf("exit status %d, want 2", code)
 	}
 }
+
+// A negative -top is refused by name before the trace is read, not taken
+// as "show every cell".
+func TestNegativeTopExitsTwo(t *testing.T) {
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stderr
+	defer func() { os.Stderr = old }()
+	os.Stderr = stderr
+	code := run([]string{"-top", "-3", "t.jsonl"})
+	stderr.Close()
+	msg, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 2 || !strings.Contains(string(msg), "-top:") {
+		t.Errorf("exit status %d, stderr %q; want 2 and a message naming -top", code, msg)
+	}
+}

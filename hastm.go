@@ -96,13 +96,6 @@ const (
 	LineGranularity   = tm.LineGranularity
 )
 
-// Contention-management policies (§2).
-const (
-	PoliteBackoff = tm.PoliteBackoff
-	AbortSelf     = tm.AbortSelf
-	Wait          = tm.Wait
-)
-
 // Mode policies for HASTM's aggressive/cautious controller (§6).
 const (
 	CautiousOnly     = core.CautiousOnly
@@ -176,9 +169,8 @@ type Memory = mem.Memory
 // to measure real host throughput.
 type Native = native.System
 
-// NativeConfig configures the native backend (threads, stripe count,
-// arena size, and the shared TM options — contention policy and the
-// escalation ladder's retry budget).
+// NativeConfig configures the native backend (threads, arena size and
+// the escalation ladder's retry budget).
 type NativeConfig = native.Config
 
 // NewMemory builds a standalone memory for the native backend. Build and

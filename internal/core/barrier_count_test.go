@@ -36,24 +36,22 @@ func TestBarrierInstructionCounts(t *testing.T) {
 		g             tm.Granularity
 		build         func(*sim.Machine, tm.Granularity) tm.System
 		store         bool
-		alias         bool // the repeat reads another line with the same record
 		first, repeat uint64
 	}{
-		{"stm/line/load", line, base, false, false, 16, 16},
-		{"stm/object/load", obj, base, false, false, 13, 13},
-		{"stm/line/store", line, base, true, false, 25, 15},
-		{"stm/object/store", obj, base, true, false, 22, 12},
-		{"hastm-aggressive/line/load", line, hastm(nil), false, false, 11, 2},
-		{"hastm-aggressive/object/load", obj, hastm(nil), false, false, 7, 3},
-		{"hastm-cautious/line/load", line, hastm(cautious), false, false, 18, 2},
-		{"hastm-cautious/object/load", obj, hastm(cautious), false, false, 14, 3},
-		{"hastm-twolevel/line/load", line, hastm(func(c *Config) { c.TwoLevelFilter = true }), false, true, 13, 9},
-		{"hastm-noreuse/line/load", line, hastm(func(c *Config) { c.Filter = false }), false, false, 9, 9},
-		{"hastm/line/store", line, hastm(nil), true, false, 26, 15},
-		{"hastm/object/store", obj, hastm(nil), true, false, 23, 12},
-		{"hastm-wfilter/line/store", line, hastm(func(c *Config) { c.FilterWrites = true }), true, false, 40, 8},
+		{"stm/line/load", line, base, false, 16, 16},
+		{"stm/object/load", obj, base, false, 13, 13},
+		{"stm/line/store", line, base, true, 25, 15},
+		{"stm/object/store", obj, base, true, 22, 12},
+		{"hastm-aggressive/line/load", line, hastm(nil), false, 11, 2},
+		{"hastm-aggressive/object/load", obj, hastm(nil), false, 7, 3},
+		{"hastm-cautious/line/load", line, hastm(cautious), false, 18, 2},
+		{"hastm-cautious/object/load", obj, hastm(cautious), false, 14, 3},
+		{"hastm-noreuse/line/load", line, hastm(func(c *Config) { c.Filter = false }), false, 9, 9},
+		{"hastm/line/store", line, hastm(nil), true, 26, 15},
+		{"hastm/object/store", obj, hastm(nil), true, 23, 12},
+		{"hastm-wfilter/line/store", line, hastm(func(c *Config) { c.FilterWrites = true }), true, 40, 8},
 	} {
-		first, repeat := measureBarrier(t, tc.g, tc.build, tc.store, tc.alias)
+		first, repeat := measureBarrier(t, tc.g, tc.build, tc.store)
 		if first != tc.first || repeat != tc.repeat {
 			t.Errorf("%s: %d/%d instructions (first/repeat), want %d/%d",
 				tc.path, first, repeat, tc.first, tc.repeat)
@@ -62,20 +60,15 @@ func TestBarrierInstructionCounts(t *testing.T) {
 }
 
 // measureBarrier runs warm-up transactions and returns the clock deltas of
-// the last transaction's first and repeated barrier on one word (or, with
-// alias, of the repeat on a word in another line that maps to the same
-// transaction record).
+// the last transaction's first and repeated barrier on one word.
 func measureBarrier(t *testing.T, g tm.Granularity, build func(*sim.Machine, tm.Granularity) tm.System,
-	store, alias bool) (first, repeat uint64) {
+	store bool) (first, repeat uint64) {
 	t.Helper()
 	cfg := sim.DefaultConfig(1)
 	cfg.Lat = sim.Latencies{ALU: 1, L1Hit: 1, L2Hit: 1, Mem: 1}
 	m := sim.New(cfg)
 	sys := build(m, g)
-	// Record-table indices repeat every 256 KiB, so the region's two ends
-	// share a record.
-	const recordPeriod = 1 << 18
-	region := m.Mem.Alloc(recordPeriod+64, 64)
+	word := m.Mem.Alloc(64, 64)
 	object := stm.AllocObject(m.Mem, 16)
 	m.Run(func(c *sim.Ctx) {
 		th := sys.Thread(c)
@@ -93,14 +86,10 @@ func measureBarrier(t *testing.T, g tm.Granularity, build func(*sim.Machine, tm.
 			}
 			return c.Clock() - start
 		}
-		again := region
-		if alias {
-			again += recordPeriod
-		}
 		for i := 0; i < 4; i++ {
 			if err := th.Atomic(func(tx tm.Txn) error {
-				first = barrier(tx, region)
-				repeat = barrier(tx, again)
+				first = barrier(tx, word)
+				repeat = barrier(tx, word)
 				return nil
 			}); err != nil {
 				t.Fatal(err)

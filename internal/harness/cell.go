@@ -350,9 +350,9 @@ type nativeThreadFunc func(th tm.Thread, id int) error
 func (c *nativeCell) run(warm, measure nativeThreadFunc) (RunMetrics, outcome) {
 	threads := c.threads
 	sys := native.New(c.mem, native.Config{
-		TM:      tm.Config{Progress: tm.Progress{RetryBudget: c.o.RetryBudget}},
-		Threads: threads,
-		Chaos:   c.o.Chaos,
+		RetryBudget: c.o.RetryBudget,
+		Threads:     threads,
+		Chaos:       c.o.Chaos,
 	})
 	// Pre-create every thread handle before any goroutine (the watchdog
 	// included) runs: the watchdog scans the handle table, and lazy

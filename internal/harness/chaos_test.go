@@ -113,11 +113,14 @@ func TestShedBudgetsArePerBackend(t *testing.T) {
 
 // The graceful-degradation ladder must engage under overload with a tight
 // SLO — shedding scans (level 1) before transfers — and its accounting
-// must keep the conservation identity intact.
+// must keep the conservation identity intact. Each core offers four
+// 256-request windows, so two breached ones can engage a level and the
+// rest can shed.
 func TestServiceDegradeLadderEngages(t *testing.T) {
 	o := quick()
+	o.Ops = ServiceCores * 4 * 256
 	sc := ServiceConfig(o, ServiceCores, 64, 0.9, service.AdmissionConfig{})
-	sc.Degrade = service.DegradeConfig{SLOCycles: 500, Window: 32, EngageAfter: 1}
+	sc.Degrade = service.DegradeConfig{SLOCycles: 500}
 	m, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,8 @@ type ServiceRecord struct {
 	Offered     uint64 `json:"offered"`
 	Committed   uint64 `json:"committed"`
 	// Shed counts requests rejected by admission control (queue-delay
-	// budget or hot-key policy). Not omitted when zero: the CI schema
-	// asserts grep for it.
+	// budget, degradation ladder or open hot-key circuit). Not omitted
+	// when zero: the CI schema asserts grep for it.
 	Shed uint64 `json:"shed"`
 	// Serialized counts requests routed through the irrevocable ladder by
 	// the hot-key policy.
@@ -67,8 +67,6 @@ func DefaultAdmission() service.AdmissionConfig {
 		ShedAfterCycles: 20_000, // simulated cycles of queueing delay (sim backend)
 		ShedAfterNS:     20_000, // host nanoseconds of queueing delay (native backend)
 		HotThreshold:    6,
-		HotWindow:       64,
-		Serialize:       true,
 	}
 }
 
@@ -93,12 +91,9 @@ func ServiceConfig(o Options, cores int, meanGap uint64, zipfS float64, adm serv
 	per, _ := splitOps(o.Ops, cores)
 	return service.Config{
 		Bank: service.BankConfig{
-			Keys:        max(o.HashSlots/4, 16),
-			Slots:       o.HashSlots,
-			ZipfS:       zipfS,
-			ReadPct:     50,
-			TransferPct: 40,
-			ScanLen:     8,
+			Keys:  max(o.HashSlots/4, 16),
+			Slots: o.HashSlots,
+			ZipfS: zipfS,
 		},
 		Requests:  per,
 		Warmup:    o.warmupPerThread(cores),

@@ -75,7 +75,7 @@ func TestServiceDeterministic(t *testing.T) {
 // ladder — all without breaking the oracle replay.
 func TestServiceAdmissionEngages(t *testing.T) {
 	o := quick()
-	adm := service.AdmissionConfig{ShedAfterCycles: 500, HotThreshold: 1, HotWindow: 32, Serialize: true}
+	adm := service.AdmissionConfig{ShedAfterCycles: 500, HotThreshold: 1}
 	sc := ServiceConfig(o, ServiceCores, 64, 1.5, adm)
 	m, err := RunOneServiceScheme(SchemeSTM, ServiceCores, sc, o)
 	if err != nil {

@@ -11,7 +11,7 @@
 //  1. Acquire the transaction record of every buffered address with a CAS,
 //     in ascending record order. Ascending order means two committers can
 //     never hold records the other needs in a cycle; a bounded
-//     contention-policy wait backstops the proof, failing the commit with
+//     wait (Base.WaitShared) backstops the proof, failing the commit with
 //     a lock-conflict abort.
 //  2. Validate the read set — every logged record must still hold its
 //     logged version (or be self-owned at that version) — BEFORE any data

@@ -161,8 +161,8 @@ func (t *Thread) WaitForChange() {
 
 // acquireWriteRecs CASes every buffered address's record from shared to
 // self-owned, in ascending record order (two committers can never deadlock
-// on each other's records). A record that stays foreign-owned past the
-// contention policy's bound fails the acquisition; the caller releases
+// on each other's records). A record that stays foreign-owned past
+// WaitShared's bound fails the acquisition; the caller releases
 // whatever was acquired.
 func (t *Thread) acquireWriteRecs() bool {
 	ctx := t.Ctx()

@@ -40,10 +40,11 @@ func TestNewBacksNoArena(t *testing.T) {
 	m.Materialize()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sys := New(m, Config{Threads: 2, Stripes: 16})
+	sys := New(m, Config{Threads: 2})
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= arenaChunk {
-		t.Fatalf("New allocated %d bytes for a %d-byte arena; want under one %d-byte chunk",
+	const stripeTable = numStripes * 8 // one word per stripe
+	if got := after.TotalAlloc - before.TotalAlloc - stripeTable; got >= arenaChunk {
+		t.Fatalf("New allocated %d bytes beside the stripe table for a %d-byte arena; want under one %d-byte chunk",
 			got, sys.cfg.ArenaBytes, arenaChunk)
 	}
 }

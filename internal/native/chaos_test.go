@@ -50,10 +50,10 @@ func chaosDiffRun(t *testing.T, threads, ops int, spec ChaosSpec) (*System, *Cha
 	ds := mk(m)
 	ds.Populate(m, workloads.NewRand(7))
 	sys := New(m, Config{
-		TM:         tm.Config{Progress: tm.Progress{RetryBudget: 4}},
-		Threads:    threads,
-		ArenaBytes: 1 << 22,
-		Chaos:      spec,
+		RetryBudget: 4,
+		Threads:     threads,
+		ArenaBytes:  1 << 22,
+		Chaos:       spec,
 	})
 	for g := 0; g < threads; g++ {
 		sys.Thread(g)

@@ -88,8 +88,8 @@ func TestTxnFaultContainsIrrevocablePanic(t *testing.T) {
 	slot := m.Alloc(mem.WordSize, mem.LineSize)
 	m.Store(slot, 7)
 	sys := New(m, Config{
-		TM:      tm.Config{Progress: tm.Progress{RetryBudget: 1}},
-		Threads: 2,
+		RetryBudget: 1,
+		Threads:     2,
 	})
 	th := sys.Thread(0).(*Thread)
 	other := sys.Thread(1)

@@ -54,6 +54,9 @@ import (
 // unmanaged-environment record table does (bits 6..).
 const stripeShift = 6
 
+// numStripes sizes the versioned-write-lock table (a power of two).
+const numStripes = 1 << 14
+
 // stripe is one versioned write-lock word. The table is dense, as in TL2:
 // eight stripes share a host cache line (DESIGN.md §4, "Layout rule").
 type stripe struct {
@@ -62,14 +65,9 @@ type stripe struct {
 
 // Config parameterises one native System.
 type Config struct {
-	// TM carries the shared knobs. Granularity is advisory here: conflict
-	// detection is always per 64-byte stripe (object and line granularity
-	// coincide). ValidateEvery is ignored — TL2 reads are validated the
-	// moment they happen, so there is nothing for a periodic pass to add.
-	// Progress.RetryBudget arms the escalation ladder; Progress.Token is a
-	// simulated-memory construct and is ignored (the native ladder is the
-	// serial RWMutex).
-	TM tm.Config
+	// RetryBudget arms the escalation ladder (the serial RWMutex) after this
+	// many failed attempts of one transaction; 0 disables it.
+	RetryBudget int
 	// Threads is the number of Thread handles the system will hand out
 	// (sizes the per-thread accounting blocks).
 	Threads int
@@ -81,9 +79,6 @@ type Config struct {
 	// chunks it takes, so exhaustion can come up to one partly used chunk
 	// per thread before ArenaBytes are handed out.
 	ArenaBytes uint64
-	// Stripes is the size of the versioned-write-lock table; 0 means
-	// 1<<14. Must be a power of two.
-	Stripes int
 	// Chaos arms the native fault-injection plane (off when zero). See
 	// ChaosSpec and ParseChaosSpec for the spec grammar.
 	Chaos ChaosSpec
@@ -101,7 +96,6 @@ type Config struct {
 type System struct {
 	m        *mem.Memory
 	stripes  []stripe
-	mask     uint64
 	arenaEnd uint64
 	armed    bool
 	// failed holds the first watchdog violation (see watchdog.go).
@@ -149,19 +143,12 @@ func New(m *mem.Memory, cfg Config) *System {
 	if cfg.ArenaBytes == 0 {
 		cfg.ArenaBytes = 4 << 20
 	}
-	if cfg.Stripes == 0 {
-		cfg.Stripes = 1 << 14
-	}
-	if cfg.Stripes < 0 || cfg.Stripes&(cfg.Stripes-1) != 0 {
-		panic(fmt.Sprintf("native: Config.Stripes %d is not a power of two", cfg.Stripes))
-	}
 	cfg.Watchdog = cfg.Watchdog.withDefaults()
 	s := &System{
 		m:       m,
 		cfg:     cfg,
-		stripes: make([]stripe, cfg.Stripes),
-		mask:    uint64(cfg.Stripes - 1),
-		armed:   cfg.TM.Progress.RetryBudget > 0,
+		stripes: make([]stripe, numStripes),
+		armed:   cfg.RetryBudget > 0,
 		stats:   telemetry.NewMachine(cfg.Threads),
 		threads: make([]*Thread, cfg.Threads),
 	}
@@ -200,7 +187,7 @@ func (s *System) Thread(id int) tm.Thread {
 			tb:       s.stats.Block(id),
 			windex:   newWriteIndex(),
 		}
-		t.Bind(t, nil, t.tb, "", s.cfg.TM.Progress.RetryBudget, s.armed)
+		t.Bind(t, nil, t.tb, "", s.cfg.RetryBudget, s.armed)
 		t.boRng = chaosMix(0x626b6f666668a5a5, uint64(id))
 		if s.cfg.Chaos.Enabled() {
 			t.chaos = newChaosThread(s.cfg.Chaos, id)
@@ -212,7 +199,7 @@ func (s *System) Thread(id int) tm.Thread {
 
 // stripeIndex maps an address to its versioned-write-lock slot.
 func (s *System) stripeIndex(addr uint64) int {
-	return int((addr >> stripeShift) & s.mask)
+	return int((addr >> stripeShift) & (numStripes - 1))
 }
 
 // notifyCommit wakes the retry waiters, if there are any, to re-check their

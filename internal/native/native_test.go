@@ -3,7 +3,6 @@ package native
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -14,16 +13,16 @@ import (
 	"hastm.dev/hastm/internal/tm"
 )
 
-func newSys(t *testing.T, threads int, cfg tm.Config) (*System, *mem.Memory, uint64) {
+func newSys(t *testing.T, threads, retryBudget int) (*System, *mem.Memory, uint64) {
 	t.Helper()
 	m := mem.New()
 	words := m.Alloc(64*mem.WordSize, mem.LineSize)
-	sys := New(m, Config{TM: cfg, Threads: threads, ArenaBytes: 1 << 20, Stripes: 1 << 10})
+	sys := New(m, Config{RetryBudget: retryBudget, Threads: threads, ArenaBytes: 1 << 20})
 	return sys, m, words
 }
 
 func TestLoadStoreCommit(t *testing.T) {
-	sys, m, words := newSys(t, 1, tm.Config{})
+	sys, m, words := newSys(t, 1, 0)
 	th := sys.Thread(0)
 	err := th.Atomic(func(tx tm.Txn) error {
 		tx.Store(words, 41)
@@ -45,7 +44,7 @@ func TestLoadStoreCommit(t *testing.T) {
 }
 
 func TestReadOnlyStampIsSnapshot(t *testing.T) {
-	sys, _, words := newSys(t, 1, tm.Config{})
+	sys, _, words := newSys(t, 1, 0)
 	th := sys.Thread(0)
 	if err := th.Atomic(func(tx tm.Txn) error { tx.Store(words, 7); return nil }); err != nil {
 		t.Fatal(err)
@@ -65,7 +64,7 @@ func TestReadOnlyStampIsSnapshot(t *testing.T) {
 
 func TestCounterConcurrent(t *testing.T) {
 	const threads, incs = 8, 500
-	sys, m, words := newSys(t, threads, tm.Config{})
+	sys, m, words := newSys(t, threads, 0)
 	var wg sync.WaitGroup
 	errs := make([]error, threads)
 	for i := 0; i < threads; i++ {
@@ -107,9 +106,9 @@ func TestEscalationLadder(t *testing.T) {
 	m := mem.New()
 	word := m.Alloc(mem.WordSize, mem.LineSize)
 	sys := New(m, Config{
-		TM:      tm.Config{Progress: tm.Progress{RetryBudget: 2}},
-		Threads: 1,
-		Chaos:   ChaosSpec{Abort: 1, Seed: 1}, // one spurious abort per transaction
+		RetryBudget: 2,
+		Threads:     1,
+		Chaos:       ChaosSpec{Abort: 1, Seed: 1}, // one spurious abort per transaction
 	})
 	th := sys.Thread(0).(*Thread)
 	attempts := 0
@@ -155,9 +154,9 @@ func TestIrrevocableCommitSkipsChaosAborts(t *testing.T) {
 	m := mem.New()
 	word := m.Alloc(mem.WordSize, mem.LineSize)
 	sys := New(m, Config{
-		TM:      tm.Config{Progress: tm.Progress{RetryBudget: 1}},
-		Threads: 1,
-		Chaos:   ChaosSpec{Abort: 1, Seed: 1}, // one spurious abort per transaction
+		RetryBudget: 1,
+		Threads:     1,
+		Chaos:       ChaosSpec{Abort: 1, Seed: 1}, // one spurious abort per transaction
 	})
 	th := sys.Thread(0).(*Thread)
 	if err := th.AtomicSerialized(func(tx tm.Txn) error {
@@ -185,8 +184,7 @@ func TestIrrevocableCommitSkipsChaosAborts(t *testing.T) {
 func TestIrrevocableNestedRollback(t *testing.T) {
 	// AtomicSerialized escalates on the first attempt when the ladder is
 	// armed, so the body — and its nested rollback — run irrevocably.
-	cfg := tm.Config{Progress: tm.Progress{RetryBudget: 1}}
-	sys, m, words := newSys(t, 1, cfg)
+	sys, m, words := newSys(t, 1, 1)
 	th := sys.Thread(0).(*Thread)
 	boom := errors.New("inner")
 	err := th.AtomicSerialized(func(tx tm.Txn) error {
@@ -214,7 +212,7 @@ func TestIrrevocableNestedRollback(t *testing.T) {
 }
 
 func TestAllocStoreInitPublish(t *testing.T) {
-	sys, _, words := newSys(t, 1, tm.Config{})
+	sys, _, words := newSys(t, 1, 0)
 	th := sys.Thread(0)
 	err := th.Atomic(func(tx tm.Txn) error {
 		node := tx.Alloc(16, 8)
@@ -243,7 +241,7 @@ func TestStaleSnapshotAborts(t *testing.T) {
 	// Drive the TL2 read-path invariant directly: a transaction whose rv
 	// predates a commit to a stripe it then reads must abort (and the
 	// attempt loop then commits on re-execution with a fresh rv).
-	sys, _, words := newSys(t, 2, tm.Config{})
+	sys, _, words := newSys(t, 2, 0)
 	reader := sys.Thread(0)
 	writer := sys.Thread(1)
 	first := true
@@ -275,7 +273,7 @@ func TestStaleSnapshotAborts(t *testing.T) {
 func TestCommitRevalidationAbortsOnInterleavedWrite(t *testing.T) {
 	// A writer that read a word, then lost an interleaved commit to that
 	// word, must fail commit-time revalidation.
-	sys, m, words := newSys(t, 2, tm.Config{})
+	sys, m, words := newSys(t, 2, 0)
 	a, b := words, words+uint64(mem.LineSize) // distinct stripes
 	tx1 := sys.Thread(0)
 	tx2 := sys.Thread(1)
@@ -311,7 +309,7 @@ func TestCommitRevalidationAbortsOnInterleavedWrite(t *testing.T) {
 
 func TestStampOrdersConflictingWriters(t *testing.T) {
 	const threads, ops = 4, 200
-	sys, _, words := newSys(t, threads, tm.Config{})
+	sys, _, words := newSys(t, threads, 0)
 	type stamped struct{ stamp, val uint64 }
 	out := make([][]stamped, threads)
 	var wg sync.WaitGroup
@@ -376,8 +374,6 @@ func TestNewRejectsMalformedConfig(t *testing.T) {
 		want string
 	}{
 		{"no threads", Config{}, "Config.Threads"},
-		{"stripes not a power of two", Config{Threads: 1, Stripes: 3}, "Config.Stripes"},
-		{"most negative stripes", Config{Threads: 1, Stripes: math.MinInt}, "Config.Stripes"},
 		{"StripeHeldFor below 8ns", Config{Threads: 1, Watchdog: Watchdog{StripeHeldFor: 7}}, "Config.Watchdog.StripeHeldFor"},
 		{"negative CommitWindow", Config{Threads: 1, Watchdog: Watchdog{CommitWindow: -time.Second}}, "Config.Watchdog.CommitWindow"},
 		{"negative StripeHeldFor", Config{Threads: 1, Watchdog: Watchdog{StripeHeldFor: -1}}, "Config.Watchdog.StripeHeldFor"},

@@ -38,8 +38,8 @@ func TestBankTransferSoak(t *testing.T) {
 		m.Store(base+i*mem.WordSize, initial)
 	}
 	sys := New(m, Config{
-		TM:      tm.Config{Progress: tm.Progress{RetryBudget: 3}},
-		Threads: goroutines,
+		RetryBudget: 3,
+		Threads:     goroutines,
 	})
 	addr := func(i uint64) uint64 { return base + (i%accounts)*mem.WordSize }
 
@@ -200,9 +200,9 @@ func TestStructureTortureSoak(t *testing.T) {
 			ds := b.mk(m)
 			ds.Populate(m, workloads.NewRand(7))
 			sys := New(m, Config{
-				TM:         tm.Config{Progress: tm.Progress{RetryBudget: 4}},
-				Threads:    goroutines,
-				ArenaBytes: 1 << 22,
+				RetryBudget: 4,
+				Threads:     goroutines,
+				ArenaBytes:  1 << 22,
 			})
 			log := workloads.NewOpLog()
 			cfg := workloads.DriverConfig{Ops: 150, UpdatePercent: 50, Seed: 7}

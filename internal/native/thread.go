@@ -84,20 +84,8 @@ func (t *Thread) ID() int { return t.id }
 func (t *Thread) Stamp() uint64 { return t.lastStamp }
 
 // spinLimit bounds how long a read or a commit-time acquire waits on a
-// locked stripe before aborting, per the contention policy.
-func (t *Thread) spinLimit() int {
-	switch t.sys.cfg.TM.Policy {
-	case tm.AbortSelf:
-		return 0
-	case tm.Wait:
-		// Commit sections are short and stripes are acquired in sorted
-		// order (no cycles), so a long bound keeps "wait" honest without
-		// risking livelock-forever under a stalled OS thread.
-		return 1 << 20
-	default: // tm.PoliteBackoff
-		return 128
-	}
-}
+// locked stripe before aborting.
+const spinLimit = 128
 
 // backoffCapShift caps Backoff's exponential window at
 // 1µs << 6 = 64µs: long enough to drain any commit section, short enough
@@ -331,9 +319,9 @@ func (t *Thread) Load(addr uint64) uint64 {
 		v1 := sp.v.Load()
 		if v1&1 == 1 {
 			// Write-locked by a committer (never by us: our writes are
-			// buffered until commit). Wait per policy, then give up.
+			// buffered until commit). Wait a bounded while, then give up.
 			spins++
-			if spins > t.spinLimit() {
+			if spins > spinLimit {
 				panic(tm.AbortSignal{Cause: telemetry.AbortLockConflict})
 			}
 			t.spinYield(spins)
@@ -547,11 +535,10 @@ func (t *Thread) chaosAbortAt(p chaosPoint) bool {
 	return !t.Irrevocable() && t.chaosAt(p)
 }
 
-// acquireStripe write-locks one stripe, spinning per the contention
-// policy. Returns the pre-lock version on success.
+// acquireStripe write-locks one stripe, spinning at most spinLimit times.
+// Returns the pre-lock version on success.
 func (t *Thread) acquireStripe(ix int) (old uint64, ok bool) {
 	sp := &t.sys.stripes[ix]
-	limit := t.spinLimit()
 	spins := 0
 	for {
 		v := sp.v.Load()
@@ -562,7 +549,7 @@ func (t *Thread) acquireStripe(ix int) (old uint64, ok bool) {
 			continue // lost the CAS race; re-sample without waiting
 		}
 		spins++
-		if spins > limit {
+		if spins > spinLimit {
 			return 0, false
 		}
 		t.spinYield(spins)

@@ -278,9 +278,9 @@ func TestIrrevocableCommitWakesRetryWaiter(t *testing.T) {
 	m := mem.New()
 	flag := m.Alloc(mem.WordSize, mem.LineSize)
 	sys := New(m, Config{
-		TM:       tm.Config{Progress: tm.Progress{RetryBudget: 1}},
-		Threads:  2,
-		Watchdog: Watchdog{WakeDeadline: 20 * time.Second},
+		RetryBudget: 1,
+		Threads:     2,
+		Watchdog:    Watchdog{WakeDeadline: 20 * time.Second},
 	})
 	done := make(chan error, 1)
 	go func() {
@@ -324,7 +324,7 @@ func TestIrrevocableCommitWakesRetryWaiter(t *testing.T) {
 // commit notification), not the read-only one, and not one that allocates
 // and publishes a node while its arena chunk has room.
 func TestSteadyStateAllocs(t *testing.T) {
-	sys, _, words := newSys(t, 1, tm.Config{})
+	sys, _, words := newSys(t, 1, 0)
 	th := sys.Thread(0)
 	for name, body := range map[string]func(tm.Txn) error{
 		"allocating writer": func(tx tm.Txn) error {

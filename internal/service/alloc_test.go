@@ -16,14 +16,12 @@ import (
 func TestRunCoreSimAllocationsPerRequest(t *testing.T) {
 	const requests = 512
 	cfg := Config{
-		Bank:     BankConfig{Keys: 1024, Slots: 4096, ZipfS: 0.9, ReadPct: 50, TransferPct: 40, ScanLen: 8},
-		Requests: requests,
-		Warmup:   64,
-		MeanGap:  512,
-		Seed:     1,
-		Admission: AdmissionConfig{
-			ShedAfterCycles: 20_000, HotThreshold: 6, HotWindow: 64, Serialize: true,
-		},
+		Bank:      BankConfig{Keys: 1024, Slots: 4096, ZipfS: 0.9},
+		Requests:  requests,
+		Warmup:    64,
+		MeanGap:   512,
+		Seed:      1,
+		Admission: AdmissionConfig{ShedAfterCycles: 20_000, HotThreshold: 6},
 	}
 	machine := sim.New(sim.DefaultConfig(1))
 	sys := stm.New(machine, tm.Config{})

@@ -13,7 +13,7 @@ import (
 // every serialization point — the bank's core invariant.
 const InitialBalance = 1000
 
-// BankConfig sizes the bank and its request mix.
+// BankConfig sizes the bank and its key popularity.
 type BankConfig struct {
 	// Keys is the number of accounts (key space 0..Keys-1, all present).
 	Keys uint64
@@ -22,12 +22,15 @@ type BankConfig struct {
 	Slots uint64
 	// ZipfS is the key-popularity skew exponent (0 = uniform).
 	ZipfS float64
-	// ReadPct and TransferPct split the request mix; the remainder are
-	// range scans.
-	ReadPct, TransferPct int
-	// ScanLen is the number of consecutive accounts a range scan reads.
-	ScanLen int
 }
+
+// The request mix: readPct % reads, transferPct % transfers, and the
+// remainder range scans of scanLen consecutive accounts.
+const (
+	readPct     = 50
+	transferPct = 40
+	scanLen     = 8
+)
 
 // Bank is the service's data structure: accounts in the existing
 // transactional hashtable, every key 0..Keys-1 mapped to a balance. It
@@ -53,17 +56,14 @@ func NewBank(m *mem.Memory, cfg BankConfig) *Bank {
 	if cfg.Keys == 0 {
 		panic("service: bank with zero accounts")
 	}
-	if cfg.TransferPct > 0 && cfg.Keys < 2 {
+	if cfg.Keys < 2 {
 		// A transfer needs a distinct counterparty: decode draws it with
 		// Intn(Keys-1), which is Intn(0) — a division by zero — when only
 		// one account exists. Reject the configuration up front.
-		panic(fmt.Sprintf("service: %d account(s) cannot host transfers (TransferPct=%d); need Keys >= 2", cfg.Keys, cfg.TransferPct))
+		panic(fmt.Sprintf("service: %d account cannot host transfers; need Keys >= 2", cfg.Keys))
 	}
 	if cfg.Slots <= cfg.Keys {
 		panic(fmt.Sprintf("service: %d slots cannot hold %d accounts with headroom", cfg.Slots, cfg.Keys))
-	}
-	if cfg.ScanLen <= 0 {
-		cfg.ScanLen = 8
 	}
 	return &Bank{cfg: cfg, ht: workloads.NewHashtable(m, cfg.Slots), zipf: NewZipf(cfg.Keys, cfg.ZipfS)}
 }
@@ -97,7 +97,7 @@ const (
 	ClassRead opClass = iota
 	// ClassTransfer moves an amount between two distinct accounts.
 	ClassTransfer
-	// ClassScan reads ScanLen consecutive accounts (a statement run).
+	// ClassScan reads scanLen consecutive accounts (a statement run).
 	ClassScan
 )
 
@@ -120,9 +120,9 @@ func (b *Bank) decode(r *workloads.Rand) (class opClass, key, key2, amount uint6
 	c := r.Intn(100)
 	key = b.zipf.Next(r)
 	switch {
-	case c < uint64(b.cfg.ReadPct):
+	case c < readPct:
 		class = ClassRead
-	case c < uint64(b.cfg.ReadPct+b.cfg.TransferPct):
+	case c < readPct+transferPct:
 		class = ClassTransfer
 		key2 = (key + 1 + r.Intn(b.cfg.Keys-1)) % b.cfg.Keys
 		amount = 1 + r.Intn(64)
@@ -177,7 +177,7 @@ func (b *Bank) Op(tx tm.Txn, r *workloads.Rand, update bool) error {
 			return err
 		}
 	case ClassScan:
-		for i := 0; i < b.cfg.ScanLen; i++ {
+		for i := 0; i < scanLen; i++ {
 			k := (key + uint64(i)) % b.cfg.Keys
 			if _, ok := b.ht.Lookup(tx, k); !ok {
 				return fmt.Errorf("bank: account %d missing in scan", k)
@@ -199,7 +199,7 @@ func (b *Bank) WarmupOp(tx tm.Txn, r *workloads.Rand) error {
 		}
 		return nil
 	}
-	for i := 0; i < b.cfg.ScanLen; i++ {
+	for i := 0; i < scanLen; i++ {
 		if _, ok := b.ht.Lookup(tx, (key+uint64(i))%b.cfg.Keys); !ok {
 			return fmt.Errorf("bank: account %d missing in scan", key+uint64(i))
 		}

@@ -23,17 +23,17 @@ type DegradeConfig struct {
 	// SLONS is the native backend's p99 sojourn budget in host
 	// nanoseconds; 0 disables the ladder on the native backend.
 	SLONS uint64
-	// Window is the number of committed requests per evaluation window.
-	// 0 means 256.
-	Window int
-	// EngageAfter is how many consecutive breached windows escalate one
-	// ladder level. 0 means 2.
-	EngageAfter int
-	// RecoverAfter is how many consecutive healthy windows de-escalate
-	// one level — deliberately slower than EngageAfter so the ladder does
-	// not flap around the SLO boundary. 0 means 4.
-	RecoverAfter int
 }
+
+// The ladder's hysteresis: a window is degradeWindow committed requests,
+// engageAfter consecutive breached windows escalate one level, and
+// recoverAfter consecutive healthy windows de-escalate one — deliberately
+// slower than engaging so the ladder does not flap around the SLO boundary.
+const (
+	degradeWindow = 256
+	engageAfter   = 2
+	recoverAfter  = 4
+)
 
 // Ladder levels.
 const (
@@ -44,10 +44,7 @@ const (
 
 // degrade is one core's ladder state.
 type degrade struct {
-	slo          uint64
-	window       int
-	engageAfter  int
-	recoverAfter int
+	slo uint64 // one backend's budget from DegradeConfig; 0 disables the ladder
 
 	level    int
 	maxLevel int
@@ -57,28 +54,6 @@ type degrade struct {
 
 	engaged   uint64
 	recovered uint64
-}
-
-// newDegrade builds a core's ladder for one backend's budget (already
-// selected from DegradeConfig by the caller). A zero budget returns a
-// disabled ladder.
-func newDegrade(cfg DegradeConfig, slo uint64) *degrade {
-	d := &degrade{
-		slo:          slo,
-		window:       cfg.Window,
-		engageAfter:  cfg.EngageAfter,
-		recoverAfter: cfg.RecoverAfter,
-	}
-	if d.window == 0 {
-		d.window = 256
-	}
-	if d.engageAfter == 0 {
-		d.engageAfter = 2
-	}
-	if d.recoverAfter == 0 {
-		d.recoverAfter = 4
-	}
-	return d
 }
 
 func (d *degrade) enabled() bool { return d.slo > 0 }
@@ -123,7 +98,7 @@ func (d *degrade) observe(latency uint64) string {
 		return ""
 	}
 	d.win.Record(latency)
-	if int(d.win.Total()) < d.window {
+	if d.win.Total() < degradeWindow {
 		return ""
 	}
 	p99 := d.win.Percentile(0.99)
@@ -131,7 +106,7 @@ func (d *degrade) observe(latency uint64) string {
 	if p99 > d.slo {
 		d.healthy = 0
 		d.breaches++
-		if d.breaches >= d.engageAfter && d.level < degradeTransfers {
+		if d.breaches >= engageAfter && d.level < degradeTransfers {
 			d.breaches = 0
 			d.level++
 			d.engaged++
@@ -147,7 +122,7 @@ func (d *degrade) observe(latency uint64) string {
 	}
 	d.breaches = 0
 	d.healthy++
-	if d.healthy >= d.recoverAfter && d.level > degradeOff {
+	if d.healthy >= recoverAfter && d.level > degradeOff {
 		d.healthy = 0
 		d.level--
 		d.recovered++

@@ -23,24 +23,18 @@ func mustPanic(t *testing.T, substr string, f func()) {
 	f()
 }
 
-// A one-account bank with transfers in the mix used to survive the
-// constructor and then divide by zero — Intn(Keys-1) — the first time
-// Classify drew a transfer. The constructor must reject it up front, and
-// must keep accepting a single account when the mix cannot draw one.
+// A one-account bank used to survive the constructor and then divide by
+// zero — Intn(Keys-1) — the first time Classify drew a transfer. The
+// constructor must reject it up front.
 func TestBankRejectsSingleAccountTransfers(t *testing.T) {
 	mustPanic(t, "need Keys >= 2", func() {
-		NewBank(mem.New(), BankConfig{Keys: 1, Slots: 8, ReadPct: 50, TransferPct: 50})
+		NewBank(mem.New(), BankConfig{Keys: 1, Slots: 8})
 	})
 	mustPanic(t, "zero accounts", func() {
 		NewBank(mem.New(), BankConfig{Keys: 0, Slots: 8})
 	})
-	// No transfers in the mix: one account is legal (reads + scans only).
-	b := NewBank(mem.New(), BankConfig{Keys: 1, Slots: 8, ReadPct: 100})
-	if b.KeySpace() != 1 {
-		t.Fatalf("KeySpace = %d", b.KeySpace())
-	}
 	// Two accounts host transfers fine.
-	b = NewBank(mem.New(), BankConfig{Keys: 2, Slots: 16, ReadPct: 50, TransferPct: 50})
+	b := NewBank(mem.New(), BankConfig{Keys: 2, Slots: 16})
 	if b.KeySpace() != 2 {
 		t.Fatalf("KeySpace = %d", b.KeySpace())
 	}

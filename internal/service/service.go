@@ -26,17 +26,15 @@ type AdmissionConfig struct {
 	// shedding there.
 	ShedAfterNS uint64
 	// HotThreshold declares a key hot when the core has observed this many
-	// conflict aborts against it within the current decay window. 0
-	// disables hot-key detection.
+	// conflict aborts against it within the current decay window (hotWindow
+	// requests). Writes to a hot key run through the irrevocable escalation
+	// ladder (one at a time, no abort path). 0 disables hot-key detection.
 	HotThreshold int
-	// HotWindow is the number of requests between decay steps (each halves
-	// every key's abort score). 0 means 64.
-	HotWindow int
-	// Serialize routes writes to hot keys through the irrevocable
-	// escalation ladder (one at a time, no abort path) instead of shedding
-	// them.
-	Serialize bool
 }
+
+// hotWindow is the number of requests between decay steps of the hot-key
+// scores (each halves every key's abort score).
+const hotWindow = 64
 
 // Config describes one service cell.
 type Config struct {
@@ -112,9 +110,6 @@ type admission struct {
 }
 
 func newAdmission(cfg AdmissionConfig) *admission {
-	if cfg.HotWindow == 0 {
-		cfg.HotWindow = 64
-	}
 	return &admission{cfg: cfg, score: make(map[uint64]int)}
 }
 
@@ -124,7 +119,7 @@ func (a *admission) tick() {
 		return
 	}
 	a.sinceDecay++
-	if a.sinceDecay >= a.cfg.HotWindow {
+	if a.sinceDecay >= hotWindow {
 		a.sinceDecay = 0
 		for k, s := range a.score {
 			if s >>= 1; s == 0 {
@@ -256,7 +251,7 @@ func runCore[C clock](clk C, th tm.Thread, b *Bank, cfg Config, shedAfter, slo u
 	base := seedBase(cfg.Seed, th.ID())
 	gaps := workloads.NewRand(base ^ 0xa5a5a5a55a5a5a5a)
 	adm := newAdmission(cfg.Admission)
-	deg := newDegrade(cfg.Degrade, slo)
+	deg := &degrade{slo: slo}
 	defer deg.fold(cm)
 	req := request{b: b}
 	body := req.run
@@ -281,8 +276,6 @@ func runCore[C clock](clk C, th tm.Thread, b *Bank, cfg Config, shedAfter, slo u
 			cause = why
 		} else if hot && deg.circuitOpen() {
 			cause = "hot-key-open"
-		} else if hot && !cfg.Admission.Serialize {
-			cause = "hot-key"
 		}
 		if cause != "" {
 			cm.Shed++

@@ -191,24 +191,13 @@ func (b *Base) ObjectField(op string, off uint64) bool {
 
 // --- Contention and validation -------------------------------------------------
 
-// WaitShared is the contention policy's bounded wait for a foreign-owned
-// record: it returns the record's version once it is shared again, or false
-// when the policy gives up.
+// WaitShared is the bounded wait for a foreign-owned record: it returns the
+// record's version once it is shared again, or false after 16 backoff
+// rounds (two waiters can own records the other needs, so it must give up).
 func (b *Base) WaitShared(rec uint64) (uint64, bool) {
-	var limit int
-	switch b.cfg.Policy {
-	case tm.AbortSelf:
-		limit = 0
-	case tm.PoliteBackoff:
-		limit = 16
-	case tm.Wait:
-		// Even "wait" must bound spinning in simulation: two waiters can
-		// own records the other needs. A long bound keeps the spirit.
-		limit = 256
-	}
 	ctx := b.ctx
 	wait := tm.NewBackoff(ctx.ID())
-	for spin := 0; spin < limit; spin++ {
+	for spin := 0; spin < 16; spin++ {
 		wait.Wait(ctx)
 		v := ctx.Load(rec)
 		ctx.Exec(2)
@@ -219,9 +208,9 @@ func (b *Base) WaitShared(rec uint64) (uint64, bool) {
 	return 0, false
 }
 
-// HandleContention resolves an ownership conflict met inside a barrier per
-// the configured policy, returning the record's version once it is shared
-// again, or aborting the transaction (by panic).
+// HandleContention resolves an ownership conflict met inside a barrier,
+// returning the record's version once it is shared again, or aborting the
+// transaction (by panic).
 func (b *Base) HandleContention(rec uint64) uint64 {
 	v, ok := b.WaitShared(rec)
 	if !ok {

@@ -57,14 +57,6 @@ type HASTMConfig struct {
 	// mode after a transaction commits (§6).
 	SingleThread bool
 
-	// TwoLevelFilter enables the §5 two-level option for cache-line
-	// granularity: the slow path marks and tests the transaction RECORD
-	// as well as the data line, so a read whose data line was evicted can
-	// still skip version checking and logging when its record survived.
-	// (Records are aliased — many data lines per record — so they are
-	// hotter than the data under capacity pressure.)
-	TwoLevelFilter bool
-
 	// FilterWrites enables the §5 extension: the second filter plane
 	// marks acquired records (skipping re-acquisition checks) and
 	// undo-logged 16-byte sub-blocks (skipping duplicate old-value

@@ -104,7 +104,7 @@ func sprint(v interface{}) string {
 	return ""
 }
 
-// A Wait-policy transaction racing an irrevocable owner must never abort
+// A revocable transaction racing an irrevocable owner must never abort
 // the owner: the ladder handshake parks revocable attempts while the token
 // is held, so the irrevocable core commits with zero aborts even under
 // sustained write-write contention. The waiters share the owner's record
@@ -120,7 +120,6 @@ func TestWaitPolicyDefersToIrrevocableOwner(t *testing.T) {
 	owner := New(machine, ownerCfg)
 
 	waiterCfg := lineCfg()
-	waiterCfg.Policy = tm.Wait
 	waiterCfg.Progress.Token = tok
 	waiterCfg.Progress.RetryBudget = 1 << 20 // revocable forever
 	waiter := NewWithTable("stm-waiter", machine, waiterCfg, owner.Table())

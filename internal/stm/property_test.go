@@ -112,13 +112,11 @@ func (testErr) Error() string { return "test error" }
 var errTest = testErr{}
 
 // TestQuickConcurrentSumInvariant: concurrent random transfers between
-// slots preserve the total, for every contention policy.
+// slots preserve the total.
 func TestQuickConcurrentSumInvariant(t *testing.T) {
-	f := func(seed uint16, policy uint8) bool {
+	f := func(seed uint16) bool {
 		machine := testMachine(3)
-		cfg := lineCfg()
-		cfg.Policy = tm.Policy(policy % 3)
-		s := New(machine, cfg)
+		s := New(machine, lineCfg())
 		const slots = 6
 		base := machine.Mem.Alloc(slots*mem.LineSize, mem.LineSize)
 		for i := uint64(0); i < slots; i++ {

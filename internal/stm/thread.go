@@ -289,17 +289,12 @@ func (t *Thread) recordReadBarrier(rec uint64) {
 		if v == t.desc {
 			return
 		}
-	case hw.line() && !hw.aggressive && !hw.TwoLevelFilter:
+	case hw.line() && !hw.aggressive:
 		v = ctx.Load(rec) // Fig 7's plain mov; the data line carries the mark
 	default:
-		// Line granularity tests the record only under the §5 two-level
-		// option ("the read barrier slow path checks whether the
-		// transaction record is marked before executing the rest").
-		if hw.Filter && (!hw.line() || hw.TwoLevelFilter) {
+		// Under line granularity Load already tested the data line's mark.
+		if hw.Filter && !hw.line() {
 			_, marked := ctx.LoadTestMark(rec, hw.gran)
-			if hw.line() {
-				ctx.Exec(1)
-			}
 			if marked {
 				ctx.Exec(1) // jnae done
 				ctx.Telem().Inc(telemetry.FilteredReads)

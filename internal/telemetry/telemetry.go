@@ -75,9 +75,8 @@ const (
 	// AbortValidation is a read-set validation failure: a logged
 	// transaction record no longer holds the version recorded at read time.
 	AbortValidation AbortCause = iota
-	// AbortLockConflict is an ownership (write-lock) conflict: the
-	// contention policy exhausted its patience waiting for a record owned
-	// exclusively by another transaction.
+	// AbortLockConflict is an ownership (write-lock) conflict: a bounded
+	// wait gave up on a record owned exclusively by another transaction.
 	AbortLockConflict
 	// AbortAggressive is an aggressive-mode commit failure: the mark
 	// counter was non-zero, so the unlogged read set could not be trusted.

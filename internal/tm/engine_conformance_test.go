@@ -135,7 +135,7 @@ var backends = []backend{
 	{name: "native", opaque: true, build: func(threads int, cfg tm.Config) *fixture {
 		m := mem.New()
 		words := m.Alloc(16*mem.LineSize, mem.LineSize)
-		sys := native.New(m, native.Config{TM: cfg, Threads: threads})
+		sys := native.New(m, native.Config{RetryBudget: cfg.Progress.RetryBudget, Threads: threads})
 		return &fixture{
 			words: words,
 			load:  m.Load,

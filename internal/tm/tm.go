@@ -33,36 +33,6 @@ func (g Granularity) String() string {
 	return "cache-line"
 }
 
-// Policy is the contention-management policy applied when a transaction
-// finds a record owned by another transaction (§2 "flexible contention
-// management").
-type Policy int
-
-const (
-	// PoliteBackoff spins with bounded exponential backoff waiting for the
-	// owner to finish, then aborts itself if the record stays owned.
-	PoliteBackoff Policy = iota
-	// AbortSelf aborts immediately on any ownership conflict.
-	AbortSelf
-	// Wait spins (with backoff) until the record is released, never
-	// aborting on write-write conflicts. Aborts can still come from
-	// validation failures.
-	Wait
-)
-
-func (p Policy) String() string {
-	switch p {
-	case PoliteBackoff:
-		return "polite"
-	case AbortSelf:
-		return "abort-self"
-	case Wait:
-		return "wait"
-	default:
-		return "policy?"
-	}
-}
-
 // ErrUserAbort is returned by Atomic when the body called Txn.Abort.
 var ErrUserAbort = errors.New("tm: transaction aborted by user")
 
@@ -141,7 +111,6 @@ type Txn interface {
 // Config carries the knobs shared by the software TM systems.
 type Config struct {
 	Granularity Granularity
-	Policy      Policy
 	// ValidateEvery triggers a periodic read-set validation after this
 	// many read barriers; 0 validates only at commit.
 	ValidateEvery int

@@ -12,14 +12,6 @@ func TestGranularityStrings(t *testing.T) {
 	}
 }
 
-func TestPolicyStrings(t *testing.T) {
-	for _, p := range []Policy{PoliteBackoff, AbortSelf, Wait} {
-		if p.String() == "policy?" {
-			t.Errorf("policy %d unnamed", int(p))
-		}
-	}
-}
-
 func TestBackoffGrowsAndResets(t *testing.T) {
 	m := sim.New(sim.DefaultConfig(1))
 	var waits []uint64

@@ -136,9 +136,9 @@ func nativeDiffFingerprint(t *testing.T, b diffBuilder, retryBudget int) uint64 
 	ds := b.mk(m)
 	ds.Populate(m, NewRand(diffSeed))
 	sys := native.New(m, native.Config{
-		TM:         tm.Config{Progress: tm.Progress{RetryBudget: retryBudget}},
-		Threads:    diffCores,
-		ArenaBytes: 1 << 21,
+		RetryBudget: retryBudget,
+		Threads:     diffCores,
+		ArenaBytes:  1 << 21,
 	})
 	log := NewOpLog()
 	dcfg := DriverConfig{Ops: diffOps, UpdatePercent: diffUpd, Seed: diffSeed}
