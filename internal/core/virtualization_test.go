@@ -123,29 +123,46 @@ func TestResumedTransactionStillFilters(t *testing.T) {
 
 // TestDeadlockShapedContentionResolves: two threads acquiring two records
 // in opposite orders — the classic deadlock shape — must resolve (bounded
-// spinning aborts one side).
+// spinning aborts one side). The cases differ in the window between the two
+// acquisitions: narrow ("wait"), 200 cycles ("polite"), or longer than the
+// 16 backoff rounds ("abort-self"). At every width the cycle breaks only by
+// a side giving up, and no update is lost.
 func TestDeadlockShapedContentionResolves(t *testing.T) {
-	machine := testMachine(2)
-	sys := New(machine, DefaultConfig(tm.LineGranularity))
-	a := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	b := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	mk := func(first, second uint64) sim.Program {
-		return func(c *sim.Ctx) {
-			th := sys.Thread(c)
-			for i := 0; i < 10; i++ {
-				if err := th.Atomic(func(tx tm.Txn) error {
-					tx.Store(first, tx.Load(first)+1)
-					tx.Exec(200) // widen the window for the cross acquisition
-					tx.Store(second, tx.Load(second)+1)
-					return nil
-				}); err != nil {
-					t.Errorf("Atomic: %v", err)
+	for _, c := range []struct {
+		name   string
+		window uint64 // cycles between the two acquisitions
+	}{
+		{"polite", 200},
+		{"wait", 1},
+		{"abort-self", 1 << 19},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			machine := testMachine(2)
+			sys := New(machine, DefaultConfig(tm.LineGranularity))
+			a := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
+			b := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
+			mk := func(first, second uint64) sim.Program {
+				return func(ctx *sim.Ctx) {
+					th := sys.Thread(ctx)
+					for i := 0; i < 10; i++ {
+						if err := th.Atomic(func(tx tm.Txn) error {
+							tx.Store(first, tx.Load(first)+1)
+							tx.Exec(c.window) // the window for the cross acquisition
+							tx.Store(second, tx.Load(second)+1)
+							return nil
+						}); err != nil {
+							t.Errorf("Atomic: %v", err)
+						}
+					}
 				}
 			}
-		}
-	}
-	machine.Run(mk(a, b), mk(b, a))
-	if got := machine.Mem.Load(a) + machine.Mem.Load(b); got != 40 {
-		t.Fatalf("lost updates: total = %d, want 40", got)
+			machine.Run(mk(a, b), mk(b, a))
+			if got := machine.Mem.Load(a) + machine.Mem.Load(b); got != 40 {
+				t.Fatalf("lost updates: total = %d, want 40", got)
+			}
+			if machine.Stats.Aborts(telemetry.AbortLockConflict) == 0 {
+				t.Fatal("no lock-conflict abort: only a side giving up can break the cycle")
+			}
+		})
 	}
 }

@@ -249,26 +249,50 @@ func TestGCPauseDoesNotAbort(t *testing.T) {
 	}
 }
 
-// Two cores incrementing one counter keep meeting each other's ownership;
-// the bounded wait (Base.WaitShared) and retry must lose no update.
+// TestContentionPolicies: two cores incrementing one counter keep meeting
+// each other's ownership. The bounded wait (Base.WaitShared) has two
+// outcomes, and each case drives one of them: an owner that lets go within
+// the 16 backoff rounds is waited out ("wait"), one that holds the record
+// longer makes the waiter abort itself ("abort-self"); "polite" is the
+// unforced mix. Retry must lose no update in any of them.
 func TestContentionPolicies(t *testing.T) {
-	machine := testMachine(2)
-	s := New(machine, lineCfg())
-	ctr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
-	prog := func(c *sim.Ctx) {
-		th := s.Thread(c)
-		for i := 0; i < 25; i++ {
-			if err := th.Atomic(func(tx tm.Txn) error {
-				tx.Store(ctr, tx.Load(ctr)+1)
-				return nil
-			}); err != nil {
-				t.Errorf("Atomic: %v", err)
+	for _, c := range []struct {
+		name string
+		hold uint64 // cycles the owner keeps the counter's record
+	}{
+		{"polite", 0},
+		{"wait", 200},
+		{"abort-self", 1 << 19},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			machine := testMachine(2)
+			s := New(machine, lineCfg())
+			ctr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
+			prog := func(ctx *sim.Ctx) {
+				th := s.Thread(ctx)
+				for i := 0; i < 25; i++ {
+					if err := th.Atomic(func(tx tm.Txn) error {
+						tx.Store(ctr, tx.Load(ctr)+1)
+						if c.hold > 0 {
+							tx.Exec(c.hold)
+						}
+						return nil
+					}); err != nil {
+						t.Errorf("Atomic: %v", err)
+					}
+				}
 			}
-		}
-	}
-	machine.Run(prog, prog)
-	if got := machine.Mem.Load(ctr); got != 50 {
-		t.Fatalf("counter = %d, want 50", got)
+			machine.Run(prog, prog)
+			if got := machine.Mem.Load(ctr); got != 50 {
+				t.Fatalf("counter = %d, want 50", got)
+			}
+			switch lock := machine.Stats.Aborts(telemetry.AbortLockConflict); {
+			case c.name == "wait" && lock != 0:
+				t.Fatalf("%d lock-conflict aborts, want the short owner waited out", lock)
+			case c.name == "abort-self" && lock == 0:
+				t.Fatal("no lock-conflict abort, want the waiter to give up on the long owner")
+			}
+		})
 	}
 }
 
