@@ -520,6 +520,11 @@ func (h *Hierarchy) l1Of(thread int) *level { return &h.l1[thread>>h.tpcShift] }
 // slotOf maps a hardware thread to its mark slot within a shared L1.
 func (h *Hierarchy) slotOf(thread int) int { return thread & (h.tpc - 1) }
 
+// L1Groups returns how many L1s the hierarchy has: its cores, or its cores
+// over ThreadsPerCore under SMT. With one, a SpeculativeRFO has no other L1
+// to reach and changes nothing.
+func (h *Hierarchy) L1Groups() int { return len(h.l1) }
+
 // SocketOf maps a hardware thread to its socket.
 func (h *Hierarchy) SocketOf(thread int) int { return h.l1Of(thread).sock }
 

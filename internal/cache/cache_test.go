@@ -2,6 +2,8 @@ package cache
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -516,6 +518,54 @@ func TestSpeculativeRFOInvalidatesOthersOnly(t *testing.T) {
 	}
 	if h.Resident(0, base) {
 		t.Fatal("the victim's copy must be invalidated")
+	}
+}
+
+// TestSpeculativeRFOInertOnOneL1 is the premise the simulator skips RFOs
+// on: on a hierarchy with one L1 — one core, or two SMT threads sharing
+// it — a random stream of fills, stores and marks leaves ways, line
+// states, marks, directory words and every counter exactly as a twin that
+// never saw the SpeculativeRFOs interleaved with it.
+func TestSpeculativeRFOInertOnOneL1(t *testing.T) {
+	for _, tpc := range []int{1, 2} {
+		cfg := HierarchyConfig{
+			Cores: tpc, ThreadsPerCore: tpc,
+			L1:       Config{SizeBytes: 1 << 10, Assoc: 2},
+			L2:       Config{SizeBytes: 4 << 10, Assoc: 4},
+			Prefetch: true,
+		}
+		h, twin := New(cfg), New(cfg)
+		if h.L1Groups() != 1 {
+			t.Fatalf("%d threads per core: %d L1 groups, want 1", tpc, h.L1Groups())
+		}
+		r := rand.New(rand.NewSource(int64(tpc)))
+		rfos := 0
+		for i := 0; i < 20_000; i++ {
+			thread, plane, k := r.Intn(tpc), r.Intn(NumMarkPlanes), r.Intn(8)
+			addr := base + uint64(r.Intn(96))*mem.LineSize + uint64(r.Intn(8))*8
+			for _, x := range []*Hierarchy{h, twin} {
+				switch {
+				case k < 3:
+					x.Access(thread, addr, false)
+				case k < 5:
+					x.Access(thread, addr, true)
+				case k < 6:
+					x.SetMark(thread, plane, addr, 16)
+				case k < 7:
+					x.ClearMark(thread, plane, addr, 64)
+				default:
+					x.ClearAllMarks(thread, plane)
+				}
+			}
+			if i%3 == 0 {
+				h.SpeculativeRFO(r.Intn(tpc), mem.LineAddr(base+uint64(r.Intn(96))*mem.LineSize))
+				rfos++
+			}
+		}
+		if !reflect.DeepEqual(h, twin) {
+			t.Errorf("%d threads per core: %d SpeculativeRFOs changed the hierarchy", tpc, rfos)
+		}
+		checkDirectory(t, h)
 	}
 }
 

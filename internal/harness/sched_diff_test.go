@@ -168,11 +168,12 @@ func TestBarrierResetHazard(t *testing.T) {
 }
 
 // TestLeaseRatioGate pins the host cost of the repo benchmark's stm/bst/4c
-// cell exactly: its grants, the leases they take (0.284 per grant; 0.384
-// while the warm-up barrier's waiters took a lease per poll, 0.753 while
-// every Exec still took a grant) and the coroutine switches those leases
-// pay: 1.081 per lease (59 550 before the waiters parked), against two
-// while every handoff went through the Run goroutine.
+// cell exactly: its grants, the leases they take (0.210 per grant; 0.284
+// while a core without a lease waited for one to store, 0.384 while the
+// warm-up barrier's waiters took a lease per poll, 0.753 while every Exec
+// still took a grant) and the coroutine switches those leases pay: 1.054
+// per lease (42 208 before stores were posted, 59 550 before the waiters
+// parked), against two while every handoff went through the Run goroutine.
 func TestLeaseRatioGate(t *testing.T) {
 	o := DefaultOptions()
 	o.Ops, o.Warmup = 256, 64
@@ -180,7 +181,7 @@ func TestLeaseRatioGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sim.SchedCounters{Grants: 137_640, Leases: 39_039, Switches: 42_208}
+	want := sim.SchedCounters{Grants: 137_640, Leases: 28_843, Switches: 30_392}
 	if m.Sched != want {
 		t.Errorf("stm/bst/4c: %+v, want %+v", m.Sched, want)
 	}

@@ -189,7 +189,8 @@ func machineFor(cores int, o Options, geometry func(*sim.Config)) *sim.Machine {
 	cfg.L2 = cache.Config{SizeBytes: 256 << 10, Assoc: 8}
 	// The machine is identical at every core count — baselines must not
 	// run on different hardware. The speculation noise (§7.4) only
-	// disturbs OTHER cores, so it is naturally inert single-threaded.
+	// disturbs OTHER cores, so it is naturally inert single-threaded: a
+	// machine with one L1 issues no speculative RFOs at all.
 	cfg.Prefetch = true
 	cfg.SpecRFOEvery = 32
 	if geometry != nil {

@@ -22,7 +22,9 @@ import (
 // core-private and takes no grant, so Exec/4core costs what Exec/1core
 // does; ExecLoad alternates Exec(2) with a private-line Load — the shape of
 // a barrier's instruction sequence, one op = the pair — where an Exec that
-// took a grant would double the handoffs.
+// took a grant would double the handoffs. StoreRun is a log append, one op
+// = a Load, three Stores and an Exec: a core that loses its lease at the
+// Load posts the rest and retires them at its next Load.
 
 // benchOps runs one op-kind benchmark at the given core count. Each core
 // executes its share of b.N ops against a private cache-resident line.
@@ -60,6 +62,13 @@ func BenchmarkSimOps(b *testing.B) {
 		{"CAS", func(c *sim.Ctx, addr uint64) { c.CAS(addr, 0, 0) }},
 		{"Exec", func(c *sim.Ctx, addr uint64) { c.Exec(1) }},
 		{"ExecLoad", func(c *sim.Ctx, addr uint64) { c.Exec(2); c.Load(addr) }},
+		{"StoreRun", func(c *sim.Ctx, addr uint64) {
+			c.Load(addr)
+			c.Store(addr+8, 1)
+			c.Store(addr+16, 2)
+			c.Store(addr+24, 3)
+			c.Exec(2)
+		}},
 	}
 	for _, k := range kinds {
 		for _, cores := range []int{1, 4} {

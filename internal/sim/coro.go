@@ -27,8 +27,9 @@ func (c *Ctx) start(p Program) {
 			// the (clock, id)-minimum core and the completion grant is
 			// already its — consume it inline. With no per-operation duty
 			// armed nothing reads the completion order, so completion is
-			// core-private like Exec: counted, not waited for.
-			if !c.leased && m.perOpDuties {
+			// core-private like Exec: counted, not waited for — once the
+			// core's posted stores have retired.
+			if !c.leased && (m.perOpDuties || c.postLen != 0) {
 				m.handoff(c)
 			}
 			c.leased = false

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/telemetry"
@@ -160,6 +161,49 @@ func TestCorePanicContainedWithoutWatchdogs(t *testing.T) {
 	})
 	if err := m.CheckHealth(); err == nil || !strings.Contains(err.Error(), "bare panic") {
 		t.Errorf("CheckHealth = %v, want the contained panic", err)
+	}
+}
+
+// A Store from a core without a lease is posted and retired later, maybe on
+// another core's coroutine. One to a misaligned or unallocated address must
+// not be: it still faults on its own core, at the clock its grant would
+// run at — after the valid store posted ahead of it has retired.
+func TestUnleasedBadStoreFaultsItsCore(t *testing.T) {
+	for name, bad := range map[string]func(line uint64) uint64{
+		"misaligned":  func(line uint64) uint64 { return line + 4 },
+		"unallocated": func(uint64) uint64 { return 8 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := New(tinyConfig(2))
+			lines := m.Mem.AllocLines(2)
+			var unleased bool
+			var postedAt uint64
+			m.Run(func(c *Ctx) {
+				for i := 0; i < 40; i++ {
+					c.Load(lines)
+				}
+			}, func(c *Ctx) {
+				own := lines + mem.LineSize
+				for i := 0; i < 10; i++ {
+					c.Load(own)
+				}
+				unleased = !c.leased
+				c.Store(own, 7) // posted
+				postedAt = c.clock
+				c.Store(bad(own), 1)
+				t.Error("a bad store did not fault")
+			})
+			fs := m.Faults()
+			if !unleased || len(fs) != 1 {
+				t.Fatalf("unleased=%v, faults %+v: want one fault of an unleased store", unleased, fs)
+			}
+			if f := fs[0]; f.Core != 1 || !strings.Contains(f.Value, "mem: ") || f.Clock <= postedAt {
+				t.Errorf("fault = %+v, want core 1's mem panic after its posted store (clock %d) retired", f, postedAt)
+			}
+			if got := m.Mem.Load(lines + mem.LineSize); got != 7 {
+				t.Errorf("the store posted ahead of the bad one wrote %d, want 7", got)
+			}
+		})
 	}
 }
 
@@ -350,6 +394,18 @@ func TestNewRunAllocationCeiling(t *testing.T) {
 		if got > tc.ceiling {
 			t.Errorf("New+Run at %d cores = %.0f allocations, ceiling %.0f", tc.cores, got, tc.ceiling)
 		}
+	}
+}
+
+// A Machine and a Ctx per core are allocated per cell, so their sizes are
+// host bytes per cell: the post queue and the RFO switch are packed into
+// the 352 and 448 bytes they took before them (both Go size classes).
+func TestMachineAndCtxSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Ctx{}); got > 352 {
+		t.Errorf("Ctx is %d bytes, want at most 352", got)
+	}
+	if got := unsafe.Sizeof(Machine{}); got > 448 {
+		t.Errorf("Machine is %d bytes, want at most 448", got)
 	}
 }
 

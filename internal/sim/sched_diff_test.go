@@ -73,6 +73,12 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 	// waits stay short — and a core spins only on higher cores' words. The
 	// highest core never waits, so every spin has a setter that gets there.
 	flags := m.Mem.AllocLines(uint64(cores))
+	// A barrier at op resetAt, where core 0 resets the statistics in a
+	// Step. On two or more cores every flag is raised by op 4·599/10 < 300,
+	// so no spin waits across the barrier. A core posts a store on each
+	// side of it.
+	const resetAt = 300
+	arrived, goFlag := m.Mem.AllocLines(1), m.Mem.AllocLines(1)
 
 	progs := make([]sim.Program, cores)
 	for i := range progs {
@@ -85,10 +91,17 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 				if gap := max(1, ops/(5*cores)); n%gap == 0 && n > 0 && n/gap <= 4 {
 					c.Store(flags+uint64(id)*mem.LineSize+uint64(n/gap-1)*8, 1)
 				}
+				if n == resetAt {
+					c.Store(private[id]+8, r.next())
+					resetBarrier(c, arrived, goFlag, cores)
+					c.Store(private[id]+16, r.next())
+				}
 				// 40 % Exec with the category changing between them, as in
 				// real barrier traffic (register-only work is 40–50 % of all
-				// operations on every scheme); the rest as before.
-				switch k := r.next() % 21; {
+				// operations on every scheme); runs of stores and Execs
+				// between loads, which a core without a lease posts; loads,
+				// stores, CAS, marks, Clock reads and spins.
+				switch k := r.next() % 23; {
 				case k < 8:
 					if k < 3 {
 						c.SetCat(cats[r.next()%uint64(len(cats))])
@@ -115,6 +128,26 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 					if _, marked := c.LoadTestMark(private[id], mem.LineSize); marked {
 						c.EmitTxn(telemetry.TxnEvent{Kind: "marked", Cause: fmt.Sprintf("op%d", n)})
 					}
+				case k == 20:
+					// Longer than the post queue, in stores and in Exec
+					// categories, so both overflow.
+					for j := 1 + r.next()%9; j > 0; j-- {
+						if r.next()%3 == 0 {
+							c.Store(shared+(r.next()%64)*8, r.next())
+						} else {
+							c.Store(private[id]+(r.next()%32)*8, r.next())
+						}
+						if r.next()%2 == 0 {
+							c.SetCat(cats[r.next()%uint64(len(cats))])
+							c.Exec(1 + r.next()%5)
+						}
+					}
+				case k == 21:
+					// Clock waits for the posted stores: memory records it.
+					a := private[id] + (r.next()%32)*8
+					c.Store(a, r.next())
+					c.Exec(1 + r.next()%3)
+					c.Store(a+8*(r.next()%2), c.Clock())
 				case id < cores-1:
 					j := uint64(id) + 1 + r.next()%uint64(cores-1-id)
 					c.SpinUntil(flags+j*mem.LineSize+r.next()%4*8, 1)
@@ -122,6 +155,10 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 					c.SpinUntil(flags+uint64(id)*mem.LineSize+32, 0)
 				}
 			}
+			// End with stores, and an Exec, that may still be posted.
+			c.Store(private[id]+24, r.next())
+			c.Store(shared+(r.next()%64)*8, r.next())
+			c.Exec(2)
 		}
 	}
 	wall := m.Run(progs...)
@@ -144,6 +181,26 @@ func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interrupt
 		out.hookFired = hook.fired
 	}
 	return out
+}
+
+// resetBarrier is the harness's warm-up barrier: each core checks in on
+// arrived, core 0 waits for every core, resets the statistics in a Step
+// and raises goFlag, which the others wait for. No core's Exec can land
+// on the wrong side of the reset.
+func resetBarrier(c *sim.Ctx, arrived, goFlag uint64, cores int) {
+	for {
+		old := c.Load(arrived)
+		if ok, _ := c.CAS(arrived, old, old+1); ok {
+			break
+		}
+	}
+	if c.ID() != 0 {
+		c.SpinUntil(goFlag, 1)
+		return
+	}
+	c.SpinUntil(arrived, uint64(cores))
+	c.Step(func(m *sim.Machine) uint64 { m.Stats.Reset(); return 1 })
+	c.Store(goFlag, 1)
 }
 
 // diffCase is one flat-machine row of the scheduler differential.
@@ -412,8 +469,8 @@ func spinCounters(t *testing.T) {
 	// A barrier-shaped program: staggered private loads, a CAS check-in on
 	// arrived, core 0 waiting for every core and the others for its goFlag.
 	// The lockstep private loads take a lease each under every wait; the
-	// parked waiters save the rest: 215 leases and 226 switches of the
-	// literal loop's.
+	// parked waiters save the rest: 215 leases and 224 switches of the
+	// literal loop's, whose last goFlag store is posted.
 	run := func(cores int, reference bool, spin func(c *sim.Ctx, addr, want uint64)) sim.SchedCounters {
 		cfg := sim.DefaultConfig(cores)
 		cfg.ReferenceScheduler = reference
@@ -452,7 +509,7 @@ func spinCounters(t *testing.T) {
 		want      sim.SchedCounters
 	}{
 		{"parked", false, spinUntil, sim.SchedCounters{Grants: 523, Leases: 247, Switches: 318}},
-		{"literal loop", false, spinLoop, sim.SchedCounters{Grants: 523, Leases: 462, Switches: 544}},
+		{"literal loop", false, spinLoop, sim.SchedCounters{Grants: 523, Leases: 462, Switches: 542}},
 		{"reference", true, spinUntil, sim.SchedCounters{Grants: 523, Leases: 523, Switches: 548}},
 	} {
 		if got := run(4, tc.reference, tc.spin); got != tc.want {

@@ -29,10 +29,13 @@
 // number of leases changes. A single runnable core (every 1-core cell, and
 // the tail of every multi-core run) executes with zero handoffs.
 //
-// A spin-wait (Ctx.SpinUntil) on an unarmed machine takes no lease per
-// poll either: its core parks in the run queue, and pick runs each due
-// poll or step inline as a grant, waking the core only for the poll that
-// ends the spin.
+// On an unarmed machine two kinds of operation take no lease of their own
+// either: they are due operations, which pick runs inline as grants while
+// their core is parked in the run queue at the due one's key. A spin-wait
+// (Ctx.SpinUntil) parks its core, and pick runs each due poll or step,
+// waking the core only for the poll that ends the spin. A Store whose core
+// holds no lease is posted (Ctx.Store): the core runs on until it needs a
+// result, and pick retires the store, with the Execs posted after it.
 //
 // Only operations on shared state need that order. Exec is core-private —
 // it adds to this core's clock and cycle counters and nothing else — so it
@@ -40,9 +43,10 @@
 // absorbing it early only moves the core to the clock it would have reached
 // anyway, and every shared operation is still granted at the same
 // (pre-operation clock, id) key. The corollary for harness authors: host
-// code after an Exec runs at the position of the preceding shared
-// operation, so poll host state another core writes inside a Step with a
-// granted operation (as the harness barrier does), never with Exec.
+// code after an Exec (or a posted Store) runs at the position of the last
+// operation that returned a result, so poll host state another core
+// writes inside a Step with a granted operation (as the harness barrier
+// does), never with Exec.
 //
 // The Ctx exposes ordinary loads/stores/CAS, an Exec(n) charge for ALU
 // work, and the paper's six ISA extensions (loadsetmark, loadresetmark,
@@ -201,7 +205,9 @@ type Config struct {
 	// On a shared data structure those lines are hot in other cores too,
 	// so the request invalidates — and unmarks — their copies: §7.4's
 	// "significant spurious aborts in a modern OOO processor", which "are
-	// not directly related to the transaction size".
+	// not directly related to the transaction size". An RFO reaches only
+	// other L1s, so a machine with one L1 (one core, or SMT threads that
+	// share it) issues none: it would change nothing.
 	SpecRFOEvery uint64
 
 	// ReferenceScheduler selects the original per-operation pick policy (a
@@ -295,6 +301,10 @@ type Machine struct {
 	// machines pay on the hot path.
 	perOpDuties bool
 
+	// rfo is true when cores issue speculative RFOs: Config.SpecRFOEvery
+	// is set and the machine has more than one L1 for an RFO to reach.
+	rfo bool
+
 	// Progress-guarantee state (see progress.go). watch is true when any
 	// watchdog is armed.
 	watch      bool
@@ -322,15 +332,15 @@ type Machine struct {
 type SchedCounters struct {
 	// Grants counts architectural operations, including the one completion
 	// grant each program consumes to report termination. An Exec counts
-	// whether or not it had to be granted, and a parked spin's poll or
-	// step that pick runs inline counts too, so Grants is the same under
-	// every scheduler.
+	// whether or not it had to be granted, and a due operation that pick
+	// runs inline counts too, so Grants is the same under every scheduler.
 	Grants uint64
 	// Leases counts pick decisions that lease a core. Under the reference
 	// scheduler every grant is its own lease of length one; under the
 	// grant-lease scheduler one lease covers a maximal run of consecutive
-	// grants to the same core plus the Execs that follow it, and a parked
-	// spin's inline operation is a grant, not a lease.
+	// grants to the same core plus the Execs that follow it, and a due
+	// operation (a parked spin's poll or step, a posted store) is a grant,
+	// not a lease.
 	Leases uint64
 	// Switches counts coroutine switches: every next, every yield and every
 	// program return. A lease that re-picks the core already running costs
@@ -340,8 +350,8 @@ type SchedCounters struct {
 }
 
 // HandoffsAvoided returns how many grants executed inline under a lease —
-// or, for a core-private Exec or a parked spin's operation, under no lease
-// at all — without a lease of their own.
+// or, for a core-private Exec or a due operation, under no lease at all —
+// without a lease of their own.
 func (s SchedCounters) HandoffsAvoided() uint64 { return s.Grants - s.Leases }
 
 // Sched returns the scheduler counters. Stable only after Run returns.
@@ -389,6 +399,7 @@ func New(cfg Config) *Machine {
 		Stats: telemetry.NewMachine(cfg.Cores),
 	}
 	m.Mem.SetPlacement(top.Sockets, cfg.Placement)
+	m.rfo = cfg.SpecRFOEvery > 0 && m.Caches.L1Groups() > 1
 	m.watch = cfg.WatchdogWindow > 0 || cfg.CycleBudget > 0 || cfg.StallTimeout > 0
 	for i := 0; i < cfg.Cores; i++ {
 		m.cores = append(m.cores, &Ctx{
@@ -514,11 +525,12 @@ func (m *Machine) handoff(self *Ctx) {
 // core is runnable. The reference policy scans for the min-clock core (ties
 // to the lowest id) and leases it with the zero horizon, so release always
 // ends it: a lease of length one. The lease policy pops the (clock, id)-least
-// core; its horizon is the least entry left, idleEntry when it runs alone
-// (see Ctx.release). No other core's clock changes while the lease is out,
-// so the horizon is exact, and a core that stays below it is the one the
-// reference scan would have picked — a clock tie stays with the lower id,
-// as in its scan.
+// core, running a parked core's due operations inline until one pops that
+// may run itself; its horizon is the least entry left, idleEntry when it
+// runs alone (see Ctx.release). No other core's clock changes while the
+// lease is out, so the horizon is exact, and a core that stays below it is
+// the one the reference scan would have picked — a clock tie stays with
+// the lower id, as in its scan.
 func (m *Machine) pick() *Ctx {
 	var c *Ctx
 	var horizon heapEntry
@@ -530,7 +542,7 @@ func (m *Machine) pick() *Ctx {
 		}
 	} else if m.runq.len() > 0 {
 		c = m.cores[m.runq.pop().id]
-		for c.parked && !c.spinOp() {
+		for c.parked() && !c.dueOp() {
 			m.requeue(c)
 			c = m.cores[m.runq.pop().id]
 		}
@@ -648,18 +660,25 @@ type Ctx struct {
 	// runnable cores; pick sets both when it issues the lease. Under the
 	// reference scheduler horizon stays zero, so release always hands back.
 	// Beside them, in what would be padding, the chain state handoff
-	// reads: entered is true while a next of this core's is in progress,
-	// done once its program has returned.
-	leased  bool
-	entered bool
-	done    bool
-	horizon heapEntry
+	// reads — entered is true while a next of this core's is in progress,
+	// done once its program has returned — and the due-operation state
+	// (see dueOp): spinning is true while pick runs this core's spin
+	// inline, and spinPoll says its due operation is a poll of spinAddr
+	// rather than the ALU step; posts[postHead:postLen] are the core's
+	// posted stores and the Execs posted after them, oldest first.
+	leased             bool
+	entered            bool
+	done               bool
+	spinning, spinPoll bool
+	postHead, postLen  uint8
+	horizon            heapEntry
 
 	markCounter [cache.NumMarkPlanes]uint64
 
-	// Wrong-path RFO state: a small ring of recently accessed lines and
-	// a deterministic jitter source.
-	recent     [16]uint64
+	// Wrong-path RFO state: a small ring of recently accessed line
+	// numbers (address / mem.LineSize, below 2³² as mem.AddrLimit is 2³⁸)
+	// and a deterministic jitter source.
+	recent     [16]uint32
 	recentPos  int
 	accessTick uint64
 	rfoRng     uint64
@@ -673,27 +692,41 @@ type Ctx struct {
 	// where watchdog snapshots (always taken by a grant holder) can read
 	// them race-free via the scheduler's happens-before chain.
 	commits        uint64 // core-local commit count (host-side)
-	pendingCommit  bool
 	pendingLabel   string
 	pendingAttempt int
-	statusDirty    bool
 	pubCommits     uint64 // published under the grant
 	statLabel      string
 	statAttempt    int
+	pendingCommit  bool
+	statusDirty    bool
 
-	// Parked spin-wait state (see SpinUntil), kept off the hot header above:
-	// parked is true while pick runs this core's spin inline; spinPoll says
-	// its due operation is a poll of spinAddr rather than the ALU step.
-	parked             bool
-	spinPoll           bool
+	// The rest of the due-operation state, packed with the two flags
+	// above: postCat holds the category each posted operation charges.
+	postCat            [postCap]uint8
 	spinAddr, spinWant uint64
+	posts              [postCap]postedOp
 }
+
+// postCap bounds a core's posted operations: the AppendLog shape — three
+// stores and an Exec after the Load that ends a lease — and one more. A
+// Ctx stays in the 352-byte allocation it had before stores were posted.
+const postCap = 5
+
+// postedOp is one posted operation: a store of val to addr, or, with addr
+// 0 (never a valid address), an Exec charge of val cycles.
+type postedOp struct{ addr, val uint64 }
 
 // ID returns the core number.
 func (c *Ctx) ID() int { return c.id }
 
-// Clock returns the core-local cycle count.
-func (c *Ctx) Clock() uint64 { return c.clock }
+// Clock returns the core-local cycle count. It is a result, so it first
+// waits for the core's posted stores to retire.
+func (c *Ctx) Clock() uint64 {
+	if c.postLen != 0 {
+		c.m.handoff(c)
+	}
+	return c.clock
+}
 
 // Machine returns the owning machine.
 func (c *Ctx) Machine() *Machine { return c.m }
@@ -713,9 +746,11 @@ func (c *Ctx) SetCat(cat telemetry.Category) telemetry.Category {
 	return old
 }
 
-func (c *Ctx) charge(cycles uint64) {
+func (c *Ctx) charge(cycles uint64) { c.chargeTo(c.cat, cycles) }
+
+func (c *Ctx) chargeTo(cat telemetry.Category, cycles uint64) {
 	c.clock += cycles
-	c.telem.Charge(c.cat, cycles)
+	c.telem.Charge(cat, cycles)
 }
 
 // acquire obtains the grant for the next architectural operation — inline
@@ -785,23 +820,24 @@ func (c *Ctx) bumpMarkCounter(plane int) {
 }
 
 // noteAccess records a demand access and, at the configured rate, issues
-// the speculative RFO. The recently-accessed ring is also maintained when
+// the speculative RFO — never on a one-L1 machine, where it is inert (see
+// Config.SpecRFOEvery). The recently-accessed ring is also maintained when
 // a fault hook is installed (it targets evictions/snoops at lines the
 // core actually touched); ring upkeep is host-only work and charges
 // nothing, so an all-rates-zero fault plane stays timing-neutral. Must be
 // called while holding the grant.
 func (c *Ctx) noteAccess(addr uint64) {
-	every := c.m.cfg.SpecRFOEvery
-	if every == 0 && c.m.fault == nil {
+	rfo := c.m.rfo
+	if !rfo && c.m.fault == nil {
 		return
 	}
-	c.recent[c.recentPos&15] = addr &^ 63
+	c.recent[c.recentPos&15] = uint32(addr / mem.LineSize)
 	c.recentPos++
-	if every == 0 {
+	if !rfo {
 		return
 	}
 	c.accessTick++
-	if c.accessTick < every {
+	if c.accessTick < c.m.cfg.SpecRFOEvery {
 		return
 	}
 	c.accessTick = 0
@@ -811,7 +847,7 @@ func (c *Ctx) noteAccess(addr uint64) {
 		n = 16
 	}
 	target := c.recent[(c.rfoRng>>33)%uint64(n)]
-	c.m.Caches.SpeculativeRFO(c.id, target)
+	c.m.Caches.SpeculativeRFO(c.id, uint64(target)*mem.LineSize)
 }
 
 // RecentLine picks one of this core's recently accessed cache-line
@@ -826,7 +862,7 @@ func (c *Ctx) RecentLine(sel uint64) (line uint64, ok bool) {
 	if n == 0 {
 		return 0, false
 	}
-	return c.recent[sel%uint64(n)], true
+	return uint64(c.recent[sel%uint64(n)]) * mem.LineSize, true
 }
 
 func (c *Ctx) accessCost(addr uint64, res cache.AccessResult) uint64 {
@@ -866,10 +902,12 @@ func (m *Machine) chargeAccess(core int, addr uint64, res cache.AccessResult) ui
 // Exec charges n ALU instructions. It is core-private: nothing it touches
 // is visible to another core, so unless a per-operation duty is armed it
 // takes no grant — it is counted, charged and tested against the horizon
-// where it stands, with no switch even when the lease is gone. Shared
-// operations keep their (pre-operation clock, id) grant keys, so the
-// simulated schedule is the one that grants every Exec. Host code after an
-// Exec must not read host state another core's Step writes; see Step.
+// where it stands, with no switch even when the lease is gone. Behind a
+// posted store it is posted too, and charged when that store retires.
+// Shared operations keep their (pre-operation clock, id) grant keys, so
+// the simulated schedule is the one that grants every Exec. Host code
+// after an Exec must not read host state another core's Step writes; see
+// Step.
 func (c *Ctx) Exec(n uint64) {
 	if n == 0 {
 		return
@@ -878,6 +916,9 @@ func (c *Ctx) Exec(n uint64) {
 		c.acquire()
 	} else {
 		c.m.sched.Grants++
+		if c.postLen != 0 && c.postExec(n*c.m.cfg.Lat.ALU) {
+			return
+		}
 	}
 	c.charge(n * c.m.cfg.Lat.ALU)
 	c.release()
@@ -906,14 +947,14 @@ func (c *Ctx) Load(addr uint64) uint64 {
 // (a Stats.Reset, say) although this core's clock is after it. An armed
 // machine and the reference scheduler run the loop as written. Otherwise a
 // core that loses its lease mid-spin parks in the run queue at the key of
-// its due poll or step, and pick runs each one inline on whichever
-// coroutine holds the grant — a grant, but no lease and no switch — until
-// a poll is due whose word already reads want. Only that last poll is
-// leased; it is this core's own Load.
+// its due poll or step (behind its posted stores), and pick runs each one
+// inline on whichever coroutine holds the grant — a grant, but no lease
+// and no switch — until a poll is due whose word already reads want. Only
+// that last poll is leased; it is this core's own Load.
 func (c *Ctx) SpinUntil(addr, want uint64) {
 	for poll := true; ; poll = !poll {
 		if !c.leased && !c.m.perOpDuties {
-			c.parked, c.spinPoll, c.spinAddr, c.spinWant = true, poll, addr, want
+			c.spinning, c.spinPoll, c.spinAddr, c.spinWant = true, poll, addr, want
 			c.m.handoff(c)
 			poll = true // woken: the due poll reads want
 		}
@@ -927,14 +968,24 @@ func (c *Ctx) SpinUntil(addr, want uint64) {
 
 func aluStep(m *Machine) uint64 { return m.cfg.Lat.ALU }
 
-// spinOp runs parked core c's due operation inline, as the grant holder,
-// and reports false — unless it is a poll whose word reads spinWant: then c
-// unparks and spinOp reports true, for pick to lease c and c to poll
-// itself. Either way the operation is granted at the (clock, id) c was
-// popped at, where the literal loop's would be.
-func (c *Ctx) spinOp() bool {
+// parked reports whether pick runs c's due operation inline: c has posted
+// stores or is spinning.
+func (c *Ctx) parked() bool { return c.postLen != 0 || c.spinning }
+
+// dueOp runs parked core c's due operation inline, as the grant holder, at
+// the (clock, id) c was popped at — where c's own grant would run it — and
+// reports whether pick may lease c now. The oldest posted store goes first,
+// with the Execs posted after it; once none is left c unparks unless it
+// spins, and is leased if it is still the least key. A spin's due
+// operation is its poll or step, unless it is a poll whose word reads
+// spinWant: then c unparks and dueOp reports true, for c to poll itself.
+func (c *Ctx) dueOp() bool {
+	if c.postLen != 0 {
+		c.retirePost()
+		return !c.parked() && (heapEntry{clock: c.clock, id: c.id}).less(c.m.runq.min())
+	}
 	if c.spinPoll && c.m.Mem.Load(c.spinAddr) == c.spinWant {
-		c.parked = false
+		c.spinning = false
 		return true
 	}
 	c.m.sched.Grants++
@@ -948,14 +999,76 @@ func (c *Ctx) spinOp() bool {
 	return false
 }
 
-// Store writes the word at addr.
+// Store writes the word at addr. A core that holds no lease on a machine
+// with no per-operation duty posts the store instead of waiting for a
+// grant: nothing it returns depends on the order, so the core runs on, and
+// the store (with the Execs after it) retires at its (clock, id) key when
+// the core next needs a result — a Load, CAS, Step or mark operation,
+// Clock, EmitTxn with a trace attached, or the program's end. So host code
+// after a Store, like host code after an Exec, runs at the position of the
+// last operation that returned a result.
 func (c *Ctx) Store(addr, val uint64) {
+	if !c.leased && !c.m.perOpDuties && c.post(addr, val) {
+		return
+	}
 	c.acquire()
+	c.store(c.cat, addr, val)
+	c.release()
+}
+
+// store is a granted Store's effect, charged to cat.
+func (c *Ctx) store(cat telemetry.Category, addr, val uint64) {
 	c.noteAccess(addr)
 	res := c.m.Caches.Access(c.id, addr, true)
 	c.m.Mem.Store(addr, val)
-	c.charge(c.accessCost(addr, res))
-	c.release()
+	c.chargeTo(cat, c.accessCost(addr, res))
+}
+
+// post queues a store and reports true, or reports false, for the caller
+// to take the granted path, when the queue is full or addr is misaligned
+// or unallocated: that store's panic must run on this core's coroutine,
+// not on the one that retires it. An allocation is never undone, so an
+// address valid now is valid when the store retires.
+func (c *Ctx) post(addr, val uint64) bool {
+	if c.postLen == postCap || addr%mem.WordSize != 0 || !c.m.Mem.Allocated(addr) {
+		return false
+	}
+	c.posts[c.postLen], c.postCat[c.postLen] = postedOp{addr, val}, uint8(c.cat)
+	c.postLen++
+	return true
+}
+
+// postExec queues an Exec charge behind the posted stores, folding it into
+// the last posted Exec when that charges the same category, and reports
+// false when the queue is full: then the posted operations have retired
+// and the core holds a lease, for the caller to charge it there.
+func (c *Ctx) postExec(cycles uint64) bool {
+	last := c.postLen - 1
+	if c.posts[last].addr == 0 && c.postCat[last] == uint8(c.cat) {
+		c.posts[last].val += cycles
+		return true
+	}
+	if c.postLen == postCap {
+		c.m.handoff(c)
+		return false
+	}
+	c.posts[c.postLen], c.postCat[c.postLen] = postedOp{0, cycles}, uint8(c.cat)
+	c.postLen++
+	return true
+}
+
+// retirePost runs c's oldest posted store and the Execs posted after it,
+// as dueOp's grant.
+func (c *Ctx) retirePost() {
+	c.m.sched.Grants++
+	op := c.posts[c.postHead]
+	c.store(telemetry.Category(c.postCat[c.postHead]), op.addr, op.val)
+	for c.postHead++; c.postHead < c.postLen && c.posts[c.postHead].addr == 0; c.postHead++ {
+		c.chargeTo(telemetry.Category(c.postCat[c.postHead]), c.posts[c.postHead].val)
+	}
+	if c.postHead == c.postLen {
+		c.postHead, c.postLen = 0, 0
+	}
 }
 
 // CAS atomically compares-and-swaps the word at addr, returning success and

@@ -10,13 +10,12 @@ func (m *Machine) SetTxnTrace(b *telemetry.TraceBuffer) { m.txnTrace = b }
 // TxnTrace returns the attached event buffer, or nil.
 func (m *Machine) TxnTrace() *telemetry.TraceBuffer { return m.txnTrace }
 
-// EmitTxn records one event, stamping it with this core's id and clock.
-// Free (no simulated cost) and a no-op without an attached buffer; the nil
-// check is the entire disabled-path cost, so emitters call it
-// unconditionally.
+// EmitTxn records one event, stamping it with this core's id and clock
+// (see Clock: posted stores retire first). Free (no simulated cost) and a
+// no-op without an attached buffer.
 func (c *Ctx) EmitTxn(ev telemetry.TxnEvent) {
 	if b := c.m.txnTrace; b != nil {
-		ev.Core, ev.Cycle = c.id, c.clock
+		ev.Core, ev.Cycle = c.id, c.Clock()
 		b.Add(ev)
 	}
 }

@@ -327,13 +327,17 @@ func (e *Engine) runBody(body func(Txn) error) (sig interface{}, err error) {
 func (e *Engine) begin() {
 	e.inTxn = true
 	attempt := e.fsm.Attempt()
-	e.emit(telemetry.TxnEvent{Kind: telemetry.EvBegin})
+	if e.tracing() {
+		e.emit(telemetry.TxnEvent{Kind: telemetry.EvBegin})
+	}
 	e.p.BeginAttempt(attempt)
 	if e.ctx == nil {
 		return
 	}
 	if e.irrevocable {
-		e.emit(telemetry.TxnEvent{Kind: telemetry.EvIrrevocable})
+		if e.tracing() {
+			e.emit(telemetry.TxnEvent{Kind: telemetry.EvIrrevocable})
+		}
 		e.ctx.SetStatus("irrevocable", attempt)
 	} else {
 		e.ctx.SetStatus(e.label, attempt)
@@ -348,7 +352,9 @@ func (e *Engine) committed() {
 	}
 	reads, writes, undo := e.p.ObserveSetSizes()
 	e.tb.ObserveMax(telemetry.RetryDepthHWM, uint64(e.fsm.Attempt()))
-	e.emit(telemetry.TxnEvent{Kind: telemetry.EvCommit, Reads: reads, Writes: writes, Undo: undo})
+	if e.tracing() {
+		e.emit(telemetry.TxnEvent{Kind: telemetry.EvCommit, Reads: reads, Writes: writes, Undo: undo})
+	}
 	e.end(true)
 }
 
@@ -361,7 +367,9 @@ func (e *Engine) committed() {
 // is the wait-set size of a retry-wait, 0 on every other exit.
 func (e *Engine) abandon(kind, cause string, watch int) {
 	reads, writes, undo := e.p.ObserveSetSizes()
-	e.emit(telemetry.TxnEvent{Kind: kind, Cause: cause, Reads: reads, Writes: writes, Undo: undo, Watch: watch})
+	if e.tracing() {
+		e.emit(telemetry.TxnEvent{Kind: kind, Cause: cause, Reads: reads, Writes: writes, Undo: undo, Watch: watch})
+	}
 	e.p.RollbackAll()
 	e.end(false)
 }
@@ -393,7 +401,9 @@ func (e *Engine) enterLadder() {
 	}
 	escalate := e.fsm.ShouldEscalate()
 	if escalate {
-		e.emit(telemetry.TxnEvent{Kind: telemetry.EvEscalate, Cause: "retry-budget"})
+		if e.tracing() {
+			e.emit(telemetry.TxnEvent{Kind: telemetry.EvEscalate, Cause: "retry-budget"})
+		}
 		e.tb.Inc(telemetry.Escalations)
 	}
 	e.p.EnterLadder(escalate)
@@ -411,13 +421,17 @@ func (e *Engine) exitLadder() {
 	e.irrevocable = false
 }
 
+// tracing reports whether a sink records life-cycle events: only a
+// simulated core with a trace attached. Callers check it before building
+// an event, so an untraced transaction copies none.
+func (e *Engine) tracing() bool { return e.ctx != nil && e.ctx.Machine().TxnTrace() != nil }
+
 // emit records one life-cycle event on the machine's trace, stamped with
 // the transaction id and attempt index: the one place the engine emits.
+// Call it only when tracing.
 func (e *Engine) emit(ev telemetry.TxnEvent) {
-	if e.ctx != nil {
-		ev.Txn, ev.Retry = e.txnSeq, e.fsm.Attempt()
-		e.ctx.EmitTxn(ev)
-	}
+	ev.Txn, ev.Retry = e.txnSeq, e.fsm.Attempt()
+	e.ctx.EmitTxn(ev)
 }
 
 // exec charges engine bookkeeping instructions to the simulated clock.
