@@ -69,7 +69,7 @@ func parseFlags() (*config, error) {
 	flag.Uint64Var(&seed, "seed", 1, "deterministic seed")
 	flag.IntVar(&c.workers, "j", runtime.GOMAXPROCS(0), "worker count for experiment cells (1 = serial); host cells always run serially")
 	flag.BoolVar(&c.progress, "progress", false, "print per-cell completion lines to stderr")
-	flag.StringVar(&c.trace, "trace", "", "write a per-transaction JSONL event trace to this file ('-' = stderr); analyse it with cmd/traceanalyze")
+	flag.StringVar(&c.trace, "trace", "", "write a per-transaction JSONL event trace to this file ('-' = stderr) once every cell's trace passes the attempt life-cycle check")
 	flag.IntVar(&traceMax, "trace-max", telemetry.DefaultTraceLimit, "per-cell transaction-event cap for -trace")
 	flag.BoolVar(&c.list, "list", false, "list experiment ids and suites, then exit")
 	flag.StringVar(&c.backend, "backend", "sim", "execution backend: sim (cycle-ordered simulator) or native (host-goroutine TL2 on real memory)")

@@ -113,9 +113,6 @@ func NewMachine(cfg MachineConfig) *Machine { return sim.New(cfg) }
 // and a shared 512 KB 8-way inclusive L2.
 func DefaultMachineConfig(cores int) MachineConfig { return sim.DefaultConfig(cores) }
 
-// DefaultLatencies returns the standard timing model.
-func DefaultLatencies() Latencies { return sim.DefaultLatencies() }
-
 // DefaultConfig returns the paper's standard HASTM configuration.
 func DefaultConfig(g Granularity) Config { return core.DefaultConfig(g) }
 
@@ -150,10 +147,6 @@ func NewHTM(machine *Machine) System { return htm.NewHTM(machine) }
 
 // NewLock creates the coarse-grained spinlock baseline.
 func NewLock(machine *Machine) System { return locksync.NewLock(machine) }
-
-// NewSequential creates the unsynchronised sequential baseline (single
-// core only).
-func NewSequential(machine *Machine) System { return locksync.NewSeq(machine) }
 
 // Memory is the flat word-addressed memory shared by the simulator and
 // the native backend (Machine.Mem is one of these).

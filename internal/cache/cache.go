@@ -57,21 +57,6 @@ const (
 	DropSiblingStore
 )
 
-func (r DropReason) String() string {
-	switch r {
-	case DropEvict:
-		return "evict"
-	case DropInvalidate:
-		return "invalidate"
-	case DropBackInvalidate:
-		return "back-invalidate"
-	case DropSiblingStore:
-		return "sibling-store"
-	default:
-		return fmt.Sprintf("DropReason(%d)", int(r))
-	}
-}
-
 // MaxSMT is the maximum number of hardware threads sharing one L1.
 const MaxSMT = 2
 

@@ -273,9 +273,21 @@ func Execute(plans []*Plan, cfg ExecConfig) []*Report {
 // JSONL, cells in plan/declaration order, each event stamped with its
 // "figure/label" cell id. Within one cell the simulator's one-op-at-a-time
 // grant order makes the event sequence deterministic, so the full file is
-// byte-identical for every worker count. Returns the number of events
-// written and the number dropped to buffer caps.
+// byte-identical for every worker count. Before anything is written, every
+// cell that did not fail must pass the life-cycle check
+// (telemetry.TraceBuffer.Check); the first violation is the error, naming
+// its cell. Returns the number of events written and the number dropped to
+// buffer caps.
 func WriteTxnTraces(plans []*Plan, w *telemetry.SyncWriter) (written, dropped uint64, err error) {
+	for _, p := range plans {
+		for _, c := range p.Cells {
+			if tb := c.Metrics().TxnTrace; tb != nil && c.Err == "" {
+				if err := tb.Check(); err != nil {
+					return 0, 0, fmt.Errorf("cell %s/%s: %w", c.Figure, c.Label, err)
+				}
+			}
+		}
+	}
 	for _, p := range plans {
 		for _, c := range p.Cells {
 			tb := c.Metrics().TxnTrace

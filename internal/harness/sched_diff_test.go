@@ -69,6 +69,12 @@ func compareSchedulers(t *testing.T, lease, ref RunMetrics) {
 	if !bytes.Equal(lb, rb) {
 		t.Errorf("transaction trace bytes diverge (%d vs %d bytes)", len(lb), len(rb))
 	}
+	if err := lease.TxnTrace.Check(); err != nil {
+		t.Errorf("lease trace: %v", err)
+	}
+	if err := ref.TxnTrace.Check(); err != nil {
+		t.Errorf("reference trace: %v", err)
+	}
 	if !reflect.DeepEqual(lease.Service, ref.Service) {
 		t.Errorf("service records diverge:\nlease: %+v\nreference: %+v", lease.Service, ref.Service)
 	}

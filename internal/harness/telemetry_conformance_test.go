@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -41,7 +42,36 @@ func TestTelemetryIdenticalAcrossWorkerCounts(t *testing.T) {
 				t.Errorf("%s: transaction event traces differ (-j1: %d events, -j8: %d events)",
 					id, st.TxnTrace.Len(), pt.TxnTrace.Len())
 			}
+			if err := st.TxnTrace.Check(); err != nil {
+				t.Errorf("%s: %v", id, err)
+			}
 		}
+	}
+}
+
+// A trace that breaks the attempt life cycle fails the write before a byte
+// is written, and the error names its cell. A failed cell's trace is not
+// checked: its cores stopped mid-attempt.
+func TestWriteTxnTracesChecksFirst(t *testing.T) {
+	dangling := telemetry.NewTraceBuffer(0)
+	dangling.Add(telemetry.TxnEvent{Core: 1, Cycle: 5, Kind: telemetry.EvBegin})
+	traced := func(label, err string) *Cell {
+		return &Cell{Figure: "fig", Label: label, Err: err, done: true, metrics: RunMetrics{TxnTrace: dangling}}
+	}
+	var buf bytes.Buffer
+	w := telemetry.NewSyncWriter(&buf)
+	failed := []*Plan{{Cells: []*Cell{traced("a", "core 1 panicked")}}}
+	if n, _, err := WriteTxnTraces(failed, w); err != nil || n != 1 {
+		t.Fatalf("failed cell: wrote %d events, err %v; want 1 event and no check", n, err)
+	}
+	buf.Reset()
+	plans := append(failed, &Plan{Cells: []*Cell{traced("b", "")}})
+	_, _, err := WriteTxnTraces(plans, w)
+	if want := "cell fig/b: core 1: begin at cycle 5 never terminated"; err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("%d bytes written before the check failed", buf.Len())
 	}
 }
 

@@ -101,11 +101,10 @@ func (h *history) push(x histVersion) {
 
 // System is a deferred-update TM instantiated on a machine.
 type System struct {
-	name    string
-	machine *sim.Machine
-	cfg     tm.Config
-	table   *stm.RecordTable
-	mvcc    bool
+	name  string
+	cfg   tm.Config
+	table *stm.RecordTable
+	mvcc  bool
 
 	// clock is the global commit clock's simulated address (MVCC only):
 	// CAS-incremented by every writer commit, loaded once per snapshot
@@ -154,11 +153,10 @@ func newSystem(name string, machine *sim.Machine, cfg tm.Config, mvcc bool) *Sys
 		cfg.Progress.Token = tm.NewIrrevocableToken(machine.Mem, machine.Config().Cores)
 	}
 	s := &System{
-		name:    name,
-		machine: machine,
-		cfg:     cfg,
-		table:   stm.NewRecordTable(machine.Mem),
-		mvcc:    mvcc,
+		name:  name,
+		cfg:   cfg,
+		table: stm.NewRecordTable(machine.Mem),
+		mvcc:  mvcc,
 	}
 	if mvcc {
 		// The clock gets its own cache line: every writer commit CASes it,
@@ -171,18 +169,11 @@ func newSystem(name string, machine *sim.Machine, cfg tm.Config, mvcc bool) *Sys
 	return s
 }
 
-// Progress returns the resolved progress configuration (including any
-// allocated token).
-func (s *System) Progress() tm.Progress { return s.cfg.Progress }
-
 // Name identifies the scheme ("lazy" or "mvcc").
 func (s *System) Name() string { return s.name }
 
 // Table returns the global transaction-record table.
 func (s *System) Table() *stm.RecordTable { return s.table }
-
-// Machine returns the machine this system runs on.
-func (s *System) Machine() *sim.Machine { return s.machine }
 
 // Thread binds the scheme to one core. The descriptor, TLS slot and the
 // read/write-buffer logs live in simulated memory so logging has real cache

@@ -163,14 +163,8 @@ func New(m *mem.Memory, cfg Config) *System {
 // Name identifies the scheme.
 func (s *System) Name() string { return "native-tl2" }
 
-// Memory returns the backing address space.
-func (s *System) Memory() *mem.Memory { return s.m }
-
 // Stats returns the per-thread metrics store.
 func (s *System) Stats() *telemetry.Machine { return s.stats }
-
-// Clock returns the current global version (even; 0 before any commit).
-func (s *System) Clock() uint64 { return s.clock.Load() }
 
 // Thread returns the handle for goroutine slot id (0 <= id < Threads).
 // Handles are cached: calling twice with one id returns the same handle.

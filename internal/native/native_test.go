@@ -115,7 +115,7 @@ func TestEscalationLadder(t *testing.T) {
 	if err := th.Atomic(func(tx tm.Txn) error {
 		attempts++
 		if attempts == 2 {
-			th.AbortConflictForTest()
+			panic(tm.AbortSignal{Cause: telemetry.AbortValidation}) // a failed validation
 		}
 		if th.Irrevocable() != (attempts == 3) {
 			t.Errorf("attempt %d: irrevocable = %v", attempts, th.Irrevocable())

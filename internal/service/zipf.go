@@ -26,7 +26,6 @@ import (
 // embedded in a per-op seeded stream replays identically on retry and in
 // the sequential oracle.
 type Zipf struct {
-	n   uint64
 	cum []float64 // cum[i] = P(X <= i); cum[n-1] == 1
 }
 
@@ -35,7 +34,7 @@ func NewZipf(n uint64, s float64) *Zipf {
 	if n == 0 {
 		panic("service: Zipf over an empty key space")
 	}
-	z := &Zipf{n: n, cum: make([]float64, n)}
+	z := &Zipf{cum: make([]float64, n)}
 	total := 0.0
 	for i := uint64(0); i < n; i++ {
 		total += math.Pow(float64(i+1), -s)
@@ -47,9 +46,6 @@ func NewZipf(n uint64, s float64) *Zipf {
 	z.cum[n-1] = 1 // exact, despite rounding
 	return z
 }
-
-// N returns the key-space size.
-func (z *Zipf) N() uint64 { return z.n }
 
 // Next draws one key, consuming one value from r.
 func (z *Zipf) Next(r *workloads.Rand) uint64 {

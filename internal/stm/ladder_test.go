@@ -23,7 +23,7 @@ func TestLadderEscalatesToTerminalCommit(t *testing.T) {
 		th := s.Thread(c).(*Thread)
 		if err := th.Atomic(func(tx tm.Txn) error {
 			if !th.Irrevocable() {
-				th.AbortConflictForTest()
+				panic(tm.AbortSignal{Cause: telemetry.AbortValidation}) // a failed validation
 			}
 			tx.Store(ctr, tx.Load(ctr)+1)
 			return nil

@@ -8,11 +8,10 @@ import (
 // System is a software TM instantiated on a machine: the base STM of §4,
 // or HASTM when its hastm configuration is set (NewHASTM).
 type System struct {
-	name    string
-	machine *sim.Machine
-	cfg     tm.Config
-	table   *RecordTable
-	hastm   *HASTMConfig
+	name  string
+	cfg   tm.Config
+	table *RecordTable
+	hastm *HASTMConfig
 }
 
 var _ tm.System = (*System)(nil)
@@ -33,10 +32,9 @@ func NewWithTable(name string, machine *sim.Machine, cfg tm.Config, table *Recor
 		cfg.Progress.Token = tm.NewIrrevocableToken(machine.Mem, machine.Config().Cores)
 	}
 	return &System{
-		name:    name,
-		machine: machine,
-		cfg:     cfg,
-		table:   table,
+		name:  name,
+		cfg:   cfg,
+		table: table,
 	}
 }
 
@@ -49,9 +47,6 @@ func (s *System) Name() string { return s.name }
 
 // Table returns the global transaction-record table.
 func (s *System) Table() *RecordTable { return s.table }
-
-// Machine returns the machine this system runs on.
-func (s *System) Machine() *sim.Machine { return s.machine }
 
 // Thread binds the STM to one core (see Base.Init for what is reserved in
 // simulated memory).

@@ -135,3 +135,90 @@ func TestEventsCanonicalOrder(t *testing.T) {
 		}
 	}
 }
+
+// Every kind of the vocabulary has its text rendering from the event's
+// fields alone, naming the kind, the cause and the sizes, and a validate
+// inside a begin/commit pair passes Check as informational.
+func TestEveryKindRendersAndValidateIsCheckClean(t *testing.T) {
+	for _, kind := range EventKinds {
+		ev := TxnEvent{Core: 3, Cycle: 1200, Retry: 2, Kind: kind, Cause: "why", Reads: 7, Watch: 2}
+		want := "      1200  core3  " + kind
+		detail := "why reads=7 watch=2"
+		if kind == EvBegin {
+			detail = "attempt=2"
+		}
+		if got := ev.Text(); !strings.HasPrefix(got, want) || !strings.HasSuffix(got, " "+detail) {
+			t.Errorf("%s renders %q, want prefix %q and detail %q", kind, got, want, detail)
+		}
+	}
+
+	b := NewTraceBuffer(0)
+	b.Add(TxnEvent{Cycle: 1, Txn: 1, Kind: EvBegin})
+	b.Add(TxnEvent{Cycle: 2, Txn: 1, Kind: EvValidate, Cause: "fast", Reads: 4})
+	b.Add(TxnEvent{Cycle: 3, Txn: 1, Kind: EvCommit, Reads: 4})
+	if err := b.Check(); err != nil {
+		t.Errorf("Check rejects a begin/validate/commit trace: %v", err)
+	}
+}
+
+// Check holds each core to the attempt life cycle: one case per rule, and
+// clean traces that exercise every legal path.
+func TestCheckLifeCycle(t *testing.T) {
+	// on is one core's events, stamped at cycles 1, 2, 3, ...
+	on := func(core int, kinds ...string) []TxnEvent {
+		evs := make([]TxnEvent, len(kinds))
+		for i, k := range kinds {
+			evs[i] = TxnEvent{Core: core, Cycle: uint64(i + 1), Kind: k}
+		}
+		return evs
+	}
+	for _, tc := range []struct {
+		name  string
+		limit int // buffer cap; 0 = the default
+		evs   []TxnEvent
+		want  string // "" = clean
+	}{
+		{name: "begin while a begin is pending", evs: on(1, EvBegin, EvBegin),
+			want: "core 1: begin at cycle 2 while the begin at cycle 1 is unterminated"},
+		{name: "terminal with no begin", evs: on(0, EvBegin, EvCommit, EvAbort),
+			want: "core 0: abort at cycle 3 with no begin pending"},
+		{name: "abort after an irrevocable marker", evs: on(2, EvBegin, EvIrrevocable, EvAbort),
+			want: "core 2: abort at cycle 3 ends the irrevocable attempt marked at cycle 2"},
+		{name: "retry after an irrevocable marker", evs: on(2, EvBegin, EvIrrevocable, EvRetry),
+			want: "core 2: retry at cycle 3 ends the irrevocable attempt marked at cycle 2"},
+		{name: "writer-restart after an irrevocable marker", evs: on(2, EvBegin, EvIrrevocable, EvWriterRestart),
+			want: "core 2: writer-restart at cycle 3 ends the irrevocable attempt marked at cycle 2"},
+		{name: "irrevocable marker with no begin", evs: on(0, EvEscalate, EvIrrevocable),
+			want: "core 0: irrevocable at cycle 2 with no begin pending"},
+		{name: "shed in the middle of an attempt", evs: on(3, EvBegin, EvShed),
+			want: "core 3: shed at cycle 2 while the begin at cycle 1 is unterminated"},
+		{name: "begin never terminated", evs: append(on(1, EvBegin, EvCommit, EvBegin), on(0, EvShed, EvBegin)...),
+			want: "core 0: begin at cycle 2 never terminated"},
+		{name: "unknown kind", evs: on(0, EvBegin, "bogus"),
+			want: "core 0: bogus at cycle 2: unknown event kind"},
+		{name: "negative retry", evs: []TxnEvent{{Core: 4, Cycle: 7, Retry: -1, Kind: EvBegin}},
+			want: "core 4: begin at cycle 7: negative retry index -1"},
+		{name: "every legal path", evs: append(on(0,
+			EvBegin, EvValidate, EvUpgrade, EvCommit, // informational kinds inside an attempt
+			EvBegin, EvAbort, EvBegin, EvRetry, EvBegin, EvWriterRestart, EvBegin, EvMode, EvFallback,
+			EvFallback, // a hybrid's attempts-exhausted fallback needs no begin
+			EvEscalate, EvBegin, EvIrrevocable, EvCommit, EvBegin, EvIrrevocable, EvError,
+			EvSerialize, EvShed, EvDegrade, EvBegin, EvError),
+			on(1, EvBegin, EvCommit)...)},
+		{name: "dropped tail with a dangling begin", limit: 3, evs: on(0, EvBegin, EvCommit, EvBegin, EvCommit)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewTraceBuffer(tc.limit)
+			for _, ev := range tc.evs {
+				b.Add(ev)
+			}
+			err := b.Check()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("Check = %v, want clean", err)
+			case tc.want != "" && (err == nil || err.Error() != tc.want):
+				t.Errorf("Check = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}

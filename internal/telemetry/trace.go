@@ -178,6 +178,76 @@ func (b *TraceBuffer) Dropped() uint64 {
 	return b.dropped
 }
 
+// Check verifies the attempt life cycle of every core in the buffer. Each
+// begin reaches exactly one terminal: commit, abort, retry, error or
+// writer-restart, or a fallback, which a hybrid scheme also emits with no
+// begin pending once its hardware attempts run out. An attempt marked
+// irrevocable has no abort path, so it ends in commit or a body error. A
+// shed request stands alone, outside any attempt. Every kind must be one of
+// EventKinds and no retry index negative. A buffer that dropped events
+// holds only a prefix of each core's program order, so for it a begin
+// still pending at the end is no violation. The error names the core and
+// the event.
+func (b *TraceBuffer) Check() error {
+	type attempt struct{ begin, irrevocable *TxnEvent }
+	open := map[int]attempt{} // core → its unterminated attempt
+	evs := b.Events()
+	for i := range evs {
+		ev := &evs[i]
+		if ev.Retry < 0 {
+			return violation(ev, ": negative retry index %d", ev.Retry)
+		}
+		a, pending := open[ev.Core]
+		switch ev.Kind {
+		case EvBegin, EvShed:
+			if pending {
+				return violation(ev, " while the begin at cycle %d is unterminated", a.begin.Cycle)
+			}
+			if ev.Kind == EvBegin {
+				open[ev.Core] = attempt{begin: ev}
+			}
+		case EvCommit, EvError, EvAbort, EvRetry, EvWriterRestart:
+			if !pending {
+				return violation(ev, " with no begin pending")
+			}
+			if a.irrevocable != nil && ev.Kind != EvCommit && ev.Kind != EvError {
+				return violation(ev, " ends the irrevocable attempt marked at cycle %d", a.irrevocable.Cycle)
+			}
+			delete(open, ev.Core)
+		case EvFallback:
+			delete(open, ev.Core)
+		case EvIrrevocable:
+			if !pending {
+				return violation(ev, " with no begin pending")
+			}
+			a.irrevocable = ev
+			open[ev.Core] = a
+		case EvMode, EvEscalate, EvSerialize, EvUpgrade, EvDegrade, EvValidate:
+			// Informational: no part of the life cycle.
+		default:
+			return violation(ev, ": unknown event kind")
+		}
+	}
+	if b.Dropped() > 0 {
+		return nil
+	}
+	var first *TxnEvent
+	for _, a := range open {
+		if first == nil || a.begin.Cycle < first.Cycle || a.begin.Cycle == first.Cycle && a.begin.Core < first.Core {
+			first = a.begin
+		}
+	}
+	if first != nil {
+		return violation(first, " never terminated")
+	}
+	return nil
+}
+
+// violation is Check's error: the core and the event, then what is wrong.
+func violation(ev *TxnEvent, format string, args ...any) error {
+	return fmt.Errorf("core %d: %s at cycle %d"+format, append([]any{ev.Core, ev.Kind, ev.Cycle}, args...)...)
+}
+
 // Text renders the event as one text line (hastm-bench -events, the
 // watchdog's recent-event tail): clock, core, kind, then attempt=<retry> for a begin
 // and the cause and non-zero sizes for every other kind.

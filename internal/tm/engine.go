@@ -245,13 +245,6 @@ func (e *Engine) Abort() {
 	panic(UserAbortSignal{})
 }
 
-// AbortConflictForTest forces a conflict-style abort of the current attempt
-// (failure injection in tests).
-func (e *Engine) AbortConflictForTest() {
-	e.RequireTxn()
-	panic(AbortSignal{Cause: telemetry.AbortValidation})
-}
-
 // Unwind restores the engine after a panic escaped Atomic mid-attempt: the
 // attempt is rolled back, the ladder side it held is released and the mode
 // flags are cleared. A backend that contains foreign panics as per-

@@ -34,8 +34,11 @@ type engineThread interface {
 	tm.Txn
 	AtomicSerialized(func(tm.Txn) error) error
 	Irrevocable() bool
-	AbortConflictForTest()
 }
+
+// abortConflict forces a conflict-style abort of the current attempt, as a
+// protocol's failed validation does.
+func abortConflict() { panic(tm.AbortSignal{Cause: telemetry.AbortValidation}) }
 
 // worker is one thread of a fixture plus raw, non-transactional access to
 // the shared memory, for cross-thread test choreography.
@@ -53,9 +56,10 @@ type fixture struct {
 	run   func(progs ...func(w worker))
 	stats func() *telemetry.Machine
 	// Simulator only (nil on the host backend): a thread's final clock, and
-	// the event trace.
+	// the event trace, which every case must leave passing its life-cycle
+	// check.
 	simTime func(thread int) uint64
-	trace   func() []telemetry.TxnEvent
+	trace   *telemetry.TraceBuffer
 }
 
 func (f *fixture) word(i uint64) uint64 { return f.words + i*mem.LineSize }
@@ -112,7 +116,7 @@ func simBackend(name string, lacks capability, mk func(*sim.Machine, tm.Config) 
 				m.Run(ps...)
 			},
 			simTime: func(thread int) uint64 { return clocks[thread] },
-			trace:   m.TxnTrace().Events,
+			trace:   m.TxnTrace(),
 		}
 	}}
 }
@@ -169,7 +173,13 @@ func forEachBackend(t *testing.T, threads int, cfg tm.Config, needs capability, 
 			if b.lacks&needs != 0 {
 				t.Skipf("%s lacks capability %#x", b.name, b.lacks&needs)
 			}
-			body(t, b, b.build(threads, cfg))
+			f := b.build(threads, cfg)
+			body(t, b, f)
+			if f.trace != nil {
+				if err := f.trace.Check(); err != nil {
+					t.Errorf("trace: %v", err)
+				}
+			}
 		})
 	}
 }
@@ -470,7 +480,7 @@ func TestEngineOrElseAllRetryWaitsOnUnion(t *testing.T) {
 				if f.trace == nil {
 					return
 				}
-				for _, ev := range f.trace() {
+				for _, ev := range f.trace.Events() {
 					if ev.Core == 0 && ev.Kind == telemetry.EvRetry {
 						if ev.Watch != 2 {
 							t.Fatalf("first retry-wait watched %d records, want both alternatives' reads", ev.Watch)
@@ -553,7 +563,7 @@ func TestEngineLadderEscalatesAtBudget(t *testing.T) {
 				}
 				tx.Store(f.word(0), tx.Load(f.word(0))+1)
 				if attempts <= 2 {
-					w.AbortConflictForTest()
+					abortConflict()
 				}
 				return nil
 			}); err != nil {
@@ -665,6 +675,7 @@ func TestEngineIrrevocableForbidsRetryAndAbort(t *testing.T) {
 						t.Error("containment left the thread irrevocable")
 					}
 				})
+				f.trace = nil // the panic left the attempt unterminated, as a failed cell's
 			})
 		})
 	}
@@ -712,6 +723,7 @@ func TestEngineForeignPanicPropagates(t *testing.T) {
 				t.Fatalf("word = %d, want 2: faulted stores rolled back, both follow-ups committed", got)
 			}
 		}
+		f.trace = nil // the panic left the attempt unterminated, as a failed cell's
 	})
 }
 

@@ -36,15 +36,6 @@ func NewMicro(m *mem.Memory, lines uint64) *Micro {
 	}
 }
 
-// Name identifies the workload.
-func (mi *Micro) Name() string { return "micro" }
-
-// KeySpace is the region size in lines.
-func (mi *Micro) KeySpace() uint64 { return mi.lines }
-
-// Populate is a no-op: the region is plain memory.
-func (mi *Micro) Populate(m *mem.Memory, r *Rand) {}
-
 // Op runs one critical section of the kernel. The update flag is ignored —
 // the load/store mix is governed by LoadPercent.
 func (mi *Micro) Op(tx tm.Txn, r *Rand, update bool) error {

@@ -3,6 +3,7 @@
 # workflow job of the same name runs them:
 #
 #   scripts/ci.sh <suite>   # fuzz faultstorm smoke native service progress scale chaos
+#   scripts/ci.sh reach     # the reach ledger; no workflow job runs it
 #
 # Reports and traces are left in ./ci-out (gitignored) for the job to upload.
 # The unit tests behind each suite are not repeated here: they run in
@@ -15,7 +16,7 @@ out="$root/ci-out"
 mkdir -p "$out"
 bin="$(mktemp -d)"
 trap 'rm -rf "$bin"' EXIT
-go build -o "$bin" ./cmd/hastm-bench ./cmd/traceanalyze
+go build -o "$bin" ./cmd/hastm-bench
 
 bench() { "$bin/hastm-bench" "$@"; }
 json_has() { # json_has <file> <substring…>: well-formed and carries every substring
@@ -61,14 +62,12 @@ smoke)
     json_has "$out/BENCH_quick.json" '"backend": "sim"' '"host_ns"' '"telemetry"' '"sched"' '"cycles_per_host_sec"'
     bench -backend native -quick -json > "$out/BENCH_native.json"
     json_has "$out/BENCH_native.json" '"backend": "native-tl2"' '"txns_per_sec"' '"host_ns"'
-    "$bin/traceanalyze" -strict -top 5 "$out/trace.jsonl"
     # Parallelism and the grant-lease fast path change only host time, never
     # the science: identical stdout and transaction trace.
     OUT="$out/figures" scripts/cmp-modes.sh -quick
     # One figure cell: its report and -events text, and its trace, which the
-    # hybrid scheme's fallbacks make a completeness check worth running.
+    # hybrid scheme's fallbacks make a life-cycle check worth running.
     OUT="$out/cell" scripts/cmp-modes.sh -cell hytm/btree/2 -events 200
-    "$bin/traceanalyze" -strict "$out/cell-j1.jsonl"
     ;;
 native)
     # Real goroutines on real memory, so -race is the point and the repetition
@@ -88,9 +87,9 @@ service)
     bench -quick -service -backend native -json > "$out/SVC_native.json"
     json_has "$out/SVC_native.json" '"backend": "native-tl2"' '"txns_per_sec"' '"latency_p999"'
     OUT="$out/svc" scripts/cmp-modes.sh -quick -service
-    # Admission-control events under the strict state machine: shed stands
-    # alone (no begin, no fake abort), serialize is informational.
-    "$bin/traceanalyze" -strict -top 5 "$out/svc-j1.jsonl"
+    # Admission control's events are in the trace, which passed the life-cycle
+    # check: shed stands alone (no begin, no fake abort), serialize is
+    # informational.
     grep -q '"ev":"shed"' "$out/svc-j1.jsonl"
     grep -q '"ev":"serialize"' "$out/svc-j1.jsonl"
     # The simulator's numbers are exact for a fixed seed, so the SLO gate is
@@ -128,7 +127,6 @@ progress)
 scale)
     # The 64-256 core mapping-policy figure on a quick cell budget.
     OUT="$out/numa" scripts/cmp-modes.sh -quick -fig ext-numa
-    "$bin/traceanalyze" -strict -top 5 "$out/numa-j1.jsonl"
     bench -quick -fig ext-numa -j 4 -json > "$out/NUMA_quick.json"
     json_has "$out/NUMA_quick.json" '"numa"' '"cross_socket_misses"' '"remote_dirty_fetches"' '"directory_invalidations"'
     ;;
@@ -148,6 +146,57 @@ chaos)
     cmp "$out/hash-a.txt" "$out/hash-b.txt"
     bench -quick -backend native -chaos abort=100,stall=200,seed=3 -json > "$out/CHAOS.json"
     json_has "$out/CHAOS.json" '"chaos"' '"schedule_hash"' '"planned"'
+    ;;
+reach)
+    # The reach ledger: per package, the non-test statements that the
+    # deterministic outputs reach (scripts/outputs.sh and the native smoke on
+    # a coverage build), those only tests or bench/'s tests reach, and those
+    # nothing reaches. bench/ and the go-run programs under examples/ are not
+    # counted. The blocks nothing reaches are listed in reach-neither.txt.
+    cov="$bin/cov"
+    mkdir -p "$cov/data"
+    go build -cover -coverpkg=./... -o "$bin" ./cmd/hastm-bench
+    GOFLAGS="-cover -coverpkg=./..." GOCOVERDIR="$cov/data" scripts/outputs.sh "$cov/outputs"
+    GOCOVERDIR="$cov/data" bench -backend native -quick -json > /dev/null
+    GOCOVERDIR="$cov/data" bench -quick -service -backend native -json > /dev/null
+    go tool covdata textfmt -i="$cov/data" -o "$cov/outputs.txt"
+    go test -coverpkg=./... -coverprofile="$cov/tests.txt" ./... > /dev/null
+    (cd bench && go test -coverpkg=hastm.dev/hastm/... -coverprofile="$cov/bench.txt" ./... > /dev/null)
+    python3 - "$cov" "$out/reach-neither.txt" <<'EOF'
+import collections, os, sys
+cov, neither_path = sys.argv[1:]
+mod = "hastm.dev/hastm/"
+
+def reached(name):  # block -> (statements, run at least once)
+    blocks = {}
+    for line in open(os.path.join(cov, name)):
+        if line.startswith(("mode:", mod + "bench/", mod + "examples/")):
+            continue
+        block, stmts, count = line.split()
+        blocks[block] = (int(stmts), blocks.get(block, (0, False))[1] or int(count) > 0)
+    return blocks
+
+# The coverage build holds only the packages hastm-bench links; tests reach
+# the others (the root package).
+outputs, tests, bench = reached("outputs.txt"), reached("tests.txt"), reached("bench.txt")
+rows = collections.defaultdict(lambda: [0, 0, 0])
+neither = []
+for block, (stmts, _) in (bench | tests | outputs).items():
+    hit = lambda profile: profile.get(block, (0, False))[1]
+    col = 0 if hit(outputs) else 1 if hit(tests) or hit(bench) else 2
+    path = block.removeprefix(mod)
+    rows[os.path.dirname(path) or "."][col] += stmts
+    if col == 2:
+        file, pos = path.split(":")
+        neither.append((file, int(pos.split(".")[0]), stmts))
+print(f"{'package':28} {'stmts':>6} {'outputs':>8} {'tests/bench only':>17} {'neither':>8}")
+for pkg in sorted(rows) + ["total"]:
+    r = rows[pkg] if pkg != "total" else [sum(c) for c in zip(*rows.values())]
+    print(f"{pkg:28} {sum(r):6} {r[0]:8} {r[1]:17} {r[2]:8}")
+with open(neither_path, "w") as f:
+    for file, line, stmts in sorted(neither):
+        print(f"{file}:{line} {stmts}", file=f)
+EOF
     ;;
 *)
     echo "scripts/ci.sh: unknown suite '$1'" >&2
