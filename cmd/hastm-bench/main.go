@@ -1,8 +1,8 @@
 // Command hastm-bench regenerates the paper's evaluation and runs the
 // suites built beside it (suites.go holds the table; -h and -list print it).
 //
-//	hastm-bench [-quick] [-fig ID] [-ext] [-json|-csv]   the paper's figures
-//	hastm-bench -service | -faults SPEC | -adversarial SET | -chaos SPEC
+//	hastm-bench [-quick] [-fig ID] [-ext] [-json]         the paper's figures
+//	hastm-bench -service | -faults SPEC | -adversarial SET
 //	hastm-bench -cell SCHEME/WORKLOAD/CORES [-events N]    one figure cell
 //	hastm-bench -backend native [-service | -chaos SPEC]
 //
@@ -43,8 +43,19 @@ type config struct {
 	events  int
 
 	fig, faults, adversarial, cell, trace, cpuProfile, memProfile string
-	ext, noLadder, json, csv, progress, list                      bool
+	ext, noLadder, json, progress, list                           bool
 }
+
+// The command arms every simulated run's watchdogs. They observe host-side
+// progress fields only — they never touch simulated memory — so arming them
+// keeps every report bit-identical while turning a hung or livelocked cell
+// into a structured failure with a nonzero exit. harness.DefaultOptions
+// leaves them off.
+const (
+	cycleBudget    = 2_000_000_000 // hard per-run simulated-cycle ceiling
+	watchdogWindow = 50_000_000    // cycles without a commit on any core
+	stallTimeout   = 2 * time.Minute
+)
 
 func (c *config) has(flag string) bool { return slices.Contains(c.set, flag) }
 
@@ -62,32 +73,28 @@ func parseFlags() (*config, error) {
 	c := &config{o: harness.DefaultOptions()}
 	var topology, mapping, placement, chaos string
 	var quick bool
-	var ops, traceMax int
-	var seed, cycleBudget, watchdogWindow uint64
+	var ops int
+	var seed uint64
 	flag.BoolVar(&quick, "quick", false, "use reduced experiment sizes")
 	flag.IntVar(&ops, "ops", 0, "override total data-structure operations per run")
 	flag.Uint64Var(&seed, "seed", 1, "deterministic seed")
 	flag.IntVar(&c.workers, "j", runtime.GOMAXPROCS(0), "worker count for experiment cells (1 = serial); host cells always run serially")
 	flag.BoolVar(&c.progress, "progress", false, "print per-cell completion lines to stderr")
-	flag.StringVar(&c.trace, "trace", "", "write a per-transaction JSONL event trace to this file ('-' = stderr) once every cell's trace passes the attempt life-cycle check")
-	flag.IntVar(&traceMax, "trace-max", telemetry.DefaultTraceLimit, "per-cell transaction-event cap for -trace")
+	flag.StringVar(&c.trace, "trace", "", fmt.Sprintf("write a per-transaction JSONL event trace, at most %d events a cell, to this file ('-' = stderr) once every cell's trace passes the attempt life-cycle check", telemetry.DefaultTraceLimit))
 	flag.BoolVar(&c.list, "list", false, "list experiment ids and suites, then exit")
 	flag.StringVar(&c.backend, "backend", "sim", "execution backend: sim (cycle-ordered simulator) or native (host-goroutine TL2 on real memory)")
 	flag.StringVar(&c.sched, "sched", "lease", "simulator scheduler: lease (grant-lease fast path) or reference (per-op handoff; identical reports, slower)")
 	flag.StringVar(&topology, "topology", "", "machine topology SxC (e.g. 4x16 = 4 sockets × 16 cores); empty = flat machine sized per cell")
 	flag.StringVar(&mapping, "mapping", "", "thread mapping on a multi-socket -topology: compact (default) or scatter")
 	flag.StringVar(&placement, "placement", "interleave", "page→home-socket policy on a multi-socket -topology: interleave or first-touch")
-	flag.Uint64Var(&cycleBudget, "cycle-budget", 2_000_000_000, "hard per-run simulated-cycle budget (0 = unlimited); a trip fails the cell with a diagnosis")
-	flag.Uint64Var(&watchdogWindow, "watchdog-window", 50_000_000, "commit-progress watchdog window in cycles (0 = off)")
 	flag.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&c.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
 	flag.StringVar(&c.fig, "fig", "", "figures: run a single experiment (e.g. fig16)")
 	flag.BoolVar(&c.ext, "ext", false, "figures: also run the extension experiments (ext-*)")
-	flag.BoolVar(&c.csv, "csv", false, "emit CSV (long format) instead of text tables")
 	flag.BoolVar(&c.json, "json", false, "emit a JSON report with per-cell host timings (schema "+harness.BenchSchema+")")
 	flag.Bool("service", false, "select the service suite") // read back through c.has, like every selector
 	flag.StringVar(&c.faults, "faults", "", "select the faultstorm suite; spec e.g. suspend=900,evict=600,seed=3")
-	flag.StringVar(&chaos, "chaos", "", "chaos spec, e.g. stall=200,abort=150,wakedelay=100,seed=3: selects the chaosstorm suite (native) or the faultstorm suite (sim)")
+	flag.StringVar(&chaos, "chaos", "", "chaos spec for -backend native, e.g. stall=200,abort=150,wakedelay=100,seed=3: selects the chaosstorm suite")
 	flag.StringVar(&c.adversarial, "adversarial", "", "select the adversarial suite: all, storm or starve")
 	flag.BoolVar(&c.noLadder, "no-ladder", false, "adversarial: disarm the escalation ladder (the watchdog must then trip)")
 	flag.StringVar(&c.cell, "cell", "", "select the cell suite: one figure cell SCHEME/WORKLOAD/CORES, SCHEME "+
@@ -116,20 +123,12 @@ func parseFlags() (*config, error) {
 	if quick {
 		c.o = harness.QuickOptions()
 	}
-	// The watchdogs observe host-side progress fields only — they never
-	// touch simulated memory — so arming them by default keeps every report
-	// bit-identical while turning a hung or livelocked cell into a
-	// structured failure with a nonzero exit.
-	c.o.Seed, c.o.CycleBudget, c.o.WatchdogWindow, c.o.StallTimeout = seed, cycleBudget, watchdogWindow, 2*time.Minute
+	c.o.Seed, c.o.CycleBudget, c.o.WatchdogWindow, c.o.StallTimeout = seed, cycleBudget, watchdogWindow, stallTimeout
 	switch {
 	case ops < 0:
 		return nil, flagErr("ops", "must be positive, got %d", ops)
 	case c.workers < 1:
 		return nil, flagErr("j", "must be at least 1, got %d", c.workers)
-	case traceMax < 1:
-		return nil, flagErr("trace-max", "must be positive, got %d", traceMax)
-	case c.trace == "" && slices.Contains(c.set, "trace-max"):
-		return nil, flagErr("trace-max", "applies only with -trace")
 	case c.events < 0:
 		return nil, flagErr("events", "must not be negative, got %d", c.events)
 	case ops > 0:
@@ -139,7 +138,7 @@ func parseFlags() (*config, error) {
 	// in append order but renders in canonical (cycle, core) order.
 	c.o.TxnTraceMax = 16 * c.events
 	if c.trace != "" {
-		c.o.TxnTraceMax = traceMax
+		c.o.TxnTraceMax = telemetry.DefaultTraceLimit
 	}
 	if !slices.Contains([]string{"sim", "native"}, c.backend) {
 		return nil, flagErr("backend", "%v", spec.Unknown("backend", c.backend, "sim", "native"))
@@ -247,11 +246,7 @@ func runSuite(c *config) error {
 		s.render(c, cells)
 	default:
 		for _, rep := range reports {
-			if c.csv {
-				err = errors.Join(err, rep.RenderCSV(os.Stdout))
-			} else {
-				rep.Render(os.Stdout)
-			}
+			rep.Render(os.Stdout)
 		}
 	}
 	if err != nil {
@@ -295,24 +290,43 @@ func printVerdicts(name, banner string, cells []*harness.Cell) {
 // writeTrace dumps every cell's transaction trace, in cell declaration
 // order, to the -trace destination ('-' is stderr's shared writer).
 func writeTrace(dest string, plans []*harness.Plan, stderr *telemetry.SyncWriter) error {
-	tw := stderr
-	var f *os.File
-	if dest != "-" {
-		var err error
-		if f, err = os.Create(dest); err != nil {
-			return err
-		}
-		tw = telemetry.NewSyncWriter(f)
+	var written, dropped uint64
+	write := func(w *telemetry.SyncWriter) (err error) {
+		written, dropped, err = harness.WriteTxnTraces(plans, w)
+		return err
 	}
-	written, dropped, err := harness.WriteTxnTraces(plans, tw)
-	if f != nil {
-		err = errors.Join(err, f.Close())
+	var err error
+	if dest == "-" {
+		err = write(stderr)
+	} else {
+		err = replaceFile(dest, func(f io.Writer) error { return write(telemetry.NewSyncWriter(f)) })
 	}
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "hastm-bench: trace: %d events written, %d dropped\n", written, dropped)
 	return nil
+}
+
+// replaceFile writes dest through write. A regular file is written to
+// dest.tmp and renamed over dest only once write and the close succeed, so a
+// failed write leaves the previous file as it was.
+func replaceFile(dest string, write func(io.Writer) error) error {
+	tmp := dest + ".tmp"
+	if st, err := os.Stat(dest); err == nil && !st.Mode().IsRegular() {
+		tmp = dest // a device or a pipe (/dev/null, a process substitution) is written in place
+	}
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if err = errors.Join(write(f), f.Close()); err == nil && tmp != dest {
+		err = os.Rename(tmp, dest)
+	}
+	if err != nil && tmp != dest {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // throughputSummary prints one stderr line per figure: total simulated

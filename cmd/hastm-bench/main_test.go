@@ -2,13 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"hastm.dev/hastm/internal/harness"
 )
@@ -139,9 +142,6 @@ func TestRejectedCommandLines(t *testing.T) {
 		{"-j:", []string{"-j", "0"}},
 		{"-j:", []string{"-j", "-2"}},
 		{"flag -j:", []string{"-j", "x"}},
-		{"-trace-max:", []string{"-trace-max", "-5"}},
-		{"-trace-max: must be positive, got 0", []string{"-quick", "-trace", "t.jsonl", "-trace-max", "0"}},
-		{"-trace-max: applies only with -trace", []string{"-quick", "-trace-max", "100"}},
 		{`unexpected argument "stray"`, []string{"stray"}},
 		{`unexpected argument "fig11"`, []string{"-quick", "fig11"}},
 		{"-bogus", []string{"-bogus"}},
@@ -163,8 +163,6 @@ func TestRejectedCommandLines(t *testing.T) {
 		{"-faults:", []string{"-service", "-faults", "suspend=900,seed=3", "-fig", "fig99"}},
 		{"-adversarial:", []string{"-service", "-adversarial", "all"}},
 		{"-adversarial:", []string{"-faults", "seed=3", "-adversarial", "all"}},
-		{"-chaos:", []string{"-faults", "seed=3", "-chaos", "abort=3"}},
-		{"-chaos:", []string{"-quick", "-service", "-chaos", "abort=3"}},
 		// a selector of a suite the backend cannot run
 		{"-adversarial:", []string{"-adversarial", "storm", "-backend", "native"}},
 		{"-faults:", []string{"-faults", "suspend=900", "-backend", "native"}},
@@ -175,16 +173,23 @@ func TestRejectedCommandLines(t *testing.T) {
 		{"-ext:", []string{"-faults", "seed=3", "-ext"}},
 		{"-ext:", []string{"-backend", "native", "-ext"}},
 		{"-json:", []string{"-faults", "seed=3", "-json"}},
-		{"-csv:", []string{"-adversarial", "all", "-csv"}},
-		{"-csv:", []string{"-backend", "native", "-chaos", "abort=3", "-csv"}},
-		{"-cycle-budget:", []string{"-adversarial", "all", "-cycle-budget", "5"}},
 		{"-events:", []string{"-quick", "-events", "5"}},
 		{"-json:", []string{"-cell", "stm/bst/2", "-json"}},
 		// a simulated-machine knob on the host backend
 		{"-topology:", []string{"-backend", "native", "-topology", "2x8"}},
 		{"-sched:", []string{"-backend", "native", "-service", "-sched", "reference"}},
-		{"-watchdog-window:", []string{"-backend", "native", "-watchdog-window", "0"}},
 		{"-cell:", []string{"-backend", "native", "-cell", "stm/bst/2"}},
+		// the chaos plane on the simulator, which runs the fault plane (-faults)
+		{"hastm-bench: -chaos: not honoured by the figures suite on -backend sim", []string{"-quick", "-chaos", "abort=3"}},
+		{"-chaos: not honoured by the faultstorm suite", []string{"-faults", "seed=3", "-chaos", "abort=3"}},
+		{"-chaos: the service suite arms the chaos plane with -backend native only", []string{"-quick", "-service", "-chaos", "abort=3"}},
+		// flags the command does not have: the watchdogs and the trace cap
+		// are constants (TestCommandLineArmsTheWatchdogs), -json carries the
+		// figure tables
+		{"flag provided but not defined: -cycle-budget", []string{"-quick", "-cycle-budget", "5"}},
+		{"flag provided but not defined: -watchdog-window", []string{"-quick", "-watchdog-window", "0"}},
+		{"flag provided but not defined: -trace-max", []string{"-quick", "-trace", "t.jsonl", "-trace-max", "100"}},
+		{"flag provided but not defined: -csv", []string{"-quick", "-csv"}},
 		// a multi-socket knob on a flat machine
 		{"-mapping: applies only on a multi-socket -topology", []string{"-quick", "-fig", "fig16", "-mapping", "scatter"}},
 		{"-placement: applies only on a multi-socket -topology", []string{"-quick", "-topology", "1x8", "-placement", "first-touch"}},
@@ -241,9 +246,8 @@ func TestDisabledChaosSelectsNoSuite(t *testing.T) {
 		{"figures suite, sim", []string{"-quick", "-fig", "fig11", "-chaos", "off"}},
 		{"figures suite, sim", []string{"-quick", "-fig", "fig11", "-chaos", "seed=3"}},
 		{"service suite, sim", []string{"-quick", "-service", "-chaos", "seed=3"}},
-		{"native suite, native", append(native, "-csv", "-chaos", "off")},
-		{"native suite, native", append(native, "-csv", "-chaos", "seed=3")},
-		{"faultstorm suite, sim", []string{"-quick", "-chaos", "abort=40,seed=3"}},
+		{"native suite, native", append(native, "-chaos", "off")},
+		{"native suite, native", append(native, "-chaos", "seed=3")},
 		{"chaosstorm suite, native", append(native, "-chaos", "abort=40,seed=3")},
 	} {
 		code, stdout, stderr := runMain(t, tc.args...)
@@ -251,6 +255,59 @@ func TestDisabledChaosSelectsNoSuite(t *testing.T) {
 		if code != 0 || !strings.Contains(stderr, "hastm-bench: "+tc.suite+" backend") || strings.Contains(stdout, "storm: ") != storm {
 			t.Errorf("%v: exit status %d, want 0 and the %s backend:\n%s%s", tc.args, code, tc.suite, stdout, stderr)
 		}
+	}
+}
+
+// Every run of the command arms the watchdogs at fixed values: the cycle
+// budget, the commit-progress window and the host stall timeout. No flag
+// sets them, and harness.DefaultOptions, which bench/ runs, leaves them off.
+func TestCommandLineArmsTheWatchdogs(t *testing.T) {
+	for _, args := range [][]string{nil, {"-quick"}, {"-quick", "-service", "-backend", "native"}} {
+		oldArgs, oldFlags := os.Args, flag.CommandLine
+		os.Args = append([]string{"hastm-bench"}, args...)
+		flag.CommandLine = flag.NewFlagSet("hastm-bench", flag.ContinueOnError)
+		c, err := parseFlags()
+		os.Args, flag.CommandLine = oldArgs, oldFlags
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if c.o.CycleBudget != 2_000_000_000 || c.o.WatchdogWindow != 50_000_000 || c.o.StallTimeout != 2*time.Minute {
+			t.Errorf("%v: cycle budget %d, watchdog window %d, stall timeout %v; want 2000000000, 50000000, 2m0s",
+				args, c.o.CycleBudget, c.o.WatchdogWindow, c.o.StallTimeout)
+		}
+	}
+	if o := harness.DefaultOptions(); o.CycleBudget != 0 || o.WatchdogWindow != 0 || o.StallTimeout != 0 {
+		t.Errorf("harness.DefaultOptions arms a watchdog: %d, %d, %v", o.CycleBudget, o.WatchdogWindow, o.StallTimeout)
+	}
+}
+
+// A -trace run that fails leaves the file of the last run byte for byte: the
+// trace is written beside it and renamed over it only on success.
+func TestFailedTraceWriteKeepsThePreviousFile(t *testing.T) {
+	dest := filepath.Join(t.TempDir(), "t.jsonl")
+	const previous = "{\"cell\":\"fig16/stm/bst/1\"}\n"
+	if err := os.WriteFile(dest, []byte(previous), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	failed := errors.New("check failed")
+	err := replaceFile(dest, func(w io.Writer) error {
+		fmt.Fprintln(w, "partial")
+		return failed
+	})
+	if !errors.Is(err, failed) {
+		t.Errorf("err = %v, want %v", err, failed)
+	}
+	if b, _ := os.ReadFile(dest); string(b) != previous {
+		t.Errorf("%s holds %q after a failed write, want %q", dest, b, previous)
+	}
+	if leftover, _ := filepath.Glob(dest + "*"); len(leftover) != 1 {
+		t.Errorf("files after a failed write: %v, want %s alone", leftover, dest)
+	}
+	if err := replaceFile(dest, func(w io.Writer) error { _, err := io.WriteString(w, "new\n"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(dest); string(b) != "new\n" {
+		t.Errorf("%s holds %q after a write, want \"new\\n\"", dest, b)
 	}
 }
 

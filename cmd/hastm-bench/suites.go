@@ -44,8 +44,8 @@ type suite struct {
 // can pass it to every suite); simOnlyFlags configure the simulated machine
 // and are rejected with -backend native, which builds none.
 const (
-	commonFlags  = "quick ops seed j progress trace trace-max backend cpuprofile memprofile sched topology mapping placement"
-	simOnlyFlags = "sched topology mapping placement cycle-budget watchdog-window"
+	commonFlags  = "quick ops seed j progress trace backend cpuprofile memprofile sched topology mapping placement"
+	simOnlyFlags = "sched topology mapping placement"
 )
 
 // suites is the table, in selection order: the first row selected by a set
@@ -54,13 +54,13 @@ const (
 var suites = []suite{
 	{
 		name: "service", how: "-service", selectors: []string{"service"}, backends: []string{"sim", "native"},
-		threads: harness.ServiceCores, honours: "service json csv chaos cycle-budget watchdog-window",
+		threads: harness.ServiceCores, honours: "service json chaos",
 		help: "open-loop bank service: latency percentiles, goodput and shed counts over offered load and key skew, every cell oracle-replayed",
 		plan: planService,
 	},
 	{
-		name: "faultstorm", how: "-faults SPEC, -chaos SPEC", selectors: []string{"faults", "chaos"}, backends: []string{"sim"},
-		threads: 4, honours: "faults chaos cycle-budget watchdog-window",
+		name: "faultstorm", how: "-faults SPEC", selectors: []string{"faults"}, backends: []string{"sim"},
+		threads: 4, honours: "faults",
 		help: "every scheme × structure under seeded suspensions, evictions, snoops and spurious HTM aborts, checked against the sequential oracle",
 		plan: planFaultstorm,
 	},
@@ -80,13 +80,13 @@ var suites = []suite{
 		// threads: the -cell value names the cell's thread count, and
 		// harness.CellPlan holds -topology to it.
 		name: "cell", how: "-cell SCHEME/WORKLOAD/CORES", selectors: []string{"cell"}, backends: []string{"sim"},
-		threads: 1, honours: "cell events cycle-budget watchdog-window",
+		threads: 1, honours: "cell events",
 		help: "one figure cell at the figures' sizes: cycle breakdown, abort causes, TM counters, cache; -events N prints its first N measured-phase trace events",
 		plan: planCell, render: printCell,
 	},
 	{
 		name: "native", how: "-backend native", backends: []string{"native"},
-		threads: harness.NativeThreadCounts[len(harness.NativeThreadCounts)-1], honours: "json csv",
+		threads: harness.NativeThreadCounts[len(harness.NativeThreadCounts)-1], honours: "json",
 		help: "every structure swept over 1–32 host goroutines on real memory: committed txns/s, host-dependent",
 		plan: func(_ *suite, c *config) ([]*harness.Plan, string, error) {
 			return []*harness.Plan{harness.NativePlan(c.o, harness.NativeThreadCounts)}, "", nil
@@ -94,7 +94,7 @@ var suites = []suite{
 	},
 	{
 		name: "figures", how: "(default)", backends: []string{"sim"},
-		threads: 16, honours: "fig ext json csv cycle-budget watchdog-window",
+		threads: 16, honours: "fig ext json",
 		help: "the paper's figures 11–22; -fig ID runs one experiment, -ext adds the ext-* experiments",
 		plan: planFigures,
 	},
@@ -160,28 +160,10 @@ func planService(_ *suite, c *config) ([]*harness.Plan, string, error) {
 	return []*harness.Plan{harness.ServicePlan(c.o)}, "", nil
 }
 
-// chaosSimCyclesPerTxn converts the native chaos spec's per-transaction
-// injection periods onto the simulator fault plane's per-cycle axis: a
-// structure transaction costs a few hundred simulated cycles, so one
-// native "every N transactions" period becomes N×512 cycles — the same
-// order-of-magnitude cadence on the other backend.
-const chaosSimCyclesPerTxn = 512
-
 func planFaultstorm(s *suite, c *config) ([]*harness.Plan, string, error) {
 	fs, err := faults.ParseSpec(c.faults)
-	switch {
-	case err != nil:
+	if err != nil {
 		return nil, "", flagErr("faults", "%v", err)
-	case c.has("faults") && c.has("chaos"):
-		return nil, "", flagErr("chaos", "-faults already names the fault plane's spec")
-	case c.has("chaos"):
-		fs = faults.Spec{
-			SuspendEvery:  c.o.Chaos.Stall * chaosSimCyclesPerTxn,
-			EvictEvery:    c.o.Chaos.Preempt * chaosSimCyclesPerTxn,
-			SnoopEvery:    c.o.Chaos.WakeDelay * chaosSimCyclesPerTxn,
-			HTMAbortEvery: c.o.Chaos.Abort * chaosSimCyclesPerTxn,
-			Seed:          c.o.Chaos.Seed,
-		}
 	}
 	plan := harness.FaultPlan(fs, c.o, s.threads)
 	return []*harness.Plan{plan}, fmt.Sprintf("faultstorm: %s (cores %d, ops %d, workload seed %d)", fs, s.threads, c.o.Ops, c.o.Seed), nil

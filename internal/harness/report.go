@@ -6,10 +6,8 @@
 package harness
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -70,31 +68,6 @@ func (r *Report) MustGet(table, row, col string) float64 {
 		panic(fmt.Sprintf("%s: no cell (%q, %q, %q)", r.ID, table, row, col))
 	}
 	return v
-}
-
-// RenderCSV writes the report as CSV: one record per cell, with the
-// figure id, table, row and column as keys — the long format plotting
-// tools want.
-func (r *Report) RenderCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"figure", "table", "row", "column", "value"}); err != nil {
-		return err
-	}
-	for _, t := range r.Tables {
-		for _, rw := range t.Rows {
-			for i, v := range rw.Cells {
-				if i >= len(t.Cols) {
-					break
-				}
-				rec := []string{r.ID, t.Name, rw.Name, t.Cols[i], strconv.FormatFloat(v, 'f', 6, 64)}
-				if err := cw.Write(rec); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Render writes the report as aligned text tables.
