@@ -178,17 +178,20 @@ const noTag = ^uint32(0)
 // lineOf returns addr's line number, the tag.
 func lineOf(addr uint64) uint32 {
 	if addr >= AddrLimit {
-		badAddr(addr)
+		panic(addrError(addr))
 	}
 	return uint32(addr / mem.LineSize)
 }
 
-// badAddr is the cold half of lineOf, kept out of line so lineOf inlines.
-//
-//go:noinline
-func badAddr(addr uint64) {
-	panic(fmt.Errorf("%w: %#x (limit %#x)", ErrAddrRange, addr, uint64(AddrLimit)))
+// addrError is lineOf's panic, an ErrAddrRange formatted only when read: a
+// panic is no call, so an access keeps nothing on its stack for one.
+type addrError uint64
+
+func (a addrError) Error() string {
+	return fmt.Sprintf("%v: %#x (limit %#x)", ErrAddrRange, uint64(a), uint64(AddrLimit))
 }
+
+func (a addrError) Unwrap() error { return ErrAddrRange }
 
 // addrOf returns the address of line number t.
 func addrOf(t uint32) uint64 { return uint64(t) * mem.LineSize }
@@ -611,38 +614,37 @@ type AccessResult struct {
 
 // Access simulates core's load or store of the line containing addr,
 // updating residency, coherence and inclusion. It returns where the access
-// hit so the caller can charge latency.
+// hit so the caller can charge latency. It serves a read hit, and a write
+// hit on a Modified line of an L1 no SMT sibling shares, itself: they move
+// nothing but the LRU stamp. Everything else is slowAccess's.
 func (h *Hierarchy) Access(thread int, addr uint64, write bool) AccessResult {
 	t := lineOf(addr)
 	l1 := h.l1Of(thread)
 	i := l1.find(t)
-	if i < 0 {
-		return h.miss(l1, thread, t, write)
+	if i < 0 || write && (h.tpc != 1 || l1.state[i].st != modified) {
+		return h.slowAccess(l1, thread, t, i, write)
 	}
 	l1.touch(i)
 	h.L1Hits++
-	if !write {
+	if !write && len(h.readListeners) != 0 {
 		h.notifyRemoteRead(thread, t)
-		return AccessResult{L1Hit: true}
 	}
-	if l1.state[i].st != modified {
-		h.upgrade(l1, thread, t, i)
-	}
-	h.siblingStore(l1, thread, i)
 	return AccessResult{L1Hit: true}
 }
 
-// upgrade makes way i of l1, a Shared copy of line t, Modified: every
-// other copy in the machine is invalidated.
-func (h *Hierarchy) upgrade(l1 *level, thread int, t uint32, i int) {
-	s := &l1.state[i]
-	h.invalidateOthers(l1, thread, t, h.l2[l1.sock].base(t)+int(s.l2way))
-	s.st = modified
-}
-
-// miss is Access for a line l1 does not hold: the demand fill and its
-// counts, then the next-line prefetches.
-func (h *Hierarchy) miss(l1 *level, thread int, t uint32, write bool) AccessResult {
+// slowAccess is Access for a write hit that must upgrade the line or clear
+// SMT siblings' marks, and for a miss, way i being -1: the demand fill and
+// its counts, then the next-line prefetches.
+func (h *Hierarchy) slowAccess(l1 *level, thread int, t uint32, i int, write bool) AccessResult {
+	if i >= 0 {
+		l1.touch(i)
+		h.L1Hits++
+		if l1.state[i].st != modified {
+			h.upgrade(l1, thread, t, i)
+		}
+		h.siblingStore(l1, thread, i)
+		return AccessResult{L1Hit: true}
+	}
 	h.L1Misses++
 	l2 := &h.l2[l1.sock]
 	// The one probe of the local L2 set; nothing moves the line between
@@ -692,6 +694,14 @@ func (h *Hierarchy) miss(l1 *level, thread int, t uint32, write bool) AccessResu
 		}
 	}
 	return res
+}
+
+// upgrade makes way i of l1, a Shared copy of line t, Modified: every
+// other copy in the machine is invalidated.
+func (h *Hierarchy) upgrade(l1 *level, thread int, t uint32, i int) {
+	s := &l1.state[i]
+	h.invalidateOthers(l1, thread, t, h.l2[l1.sock].base(t)+int(s.l2way))
+	s.st = modified
 }
 
 // fill installs line t, which l1 does not hold, Shared for a read and

@@ -6,6 +6,7 @@ import (
 
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/telemetry"
 )
 
 func testMachine(cores int) *sim.Machine {
@@ -96,29 +97,89 @@ func TestInjectionsFireAndAreSeeded(t *testing.T) {
 	}
 }
 
-// A plane with all rates zero must not perturb timing: wall cycles with
-// and without the hook installed are identical.
+// A plane with all rates zero must not perturb timing. Attached, it arms
+// the machine's per-operation duties, so every operation takes the
+// out-of-line path: granted one by one, Stores and Execs never posted,
+// spins never parked. Detached, the same programs take the inline fast
+// paths. Every op kind runs on a 2-core machine with the prefetcher and
+// speculative RFOs, and both runs must agree on every core's clock, every
+// value the programs read, the cache counters and the telemetry totals.
 func TestDisabledPlaneIsTimingNeutral(t *testing.T) {
-	wall := func(attach bool) uint64 {
-		m := testMachine(2)
+	type outcome struct {
+		clocks, reads [2]uint64
+		cache         [9]uint64
+		totals        telemetry.Block
+	}
+	run := func(attach bool) outcome {
+		cfg := sim.DefaultConfig(2)
+		cfg.L1 = cache.Config{SizeBytes: 4 << 10, Assoc: 2}
+		cfg.L2 = cache.Config{SizeBytes: 64 << 10, Assoc: 4}
+		cfg.Prefetch, cfg.SpecRFOEvery = true, 5
+		m := sim.New(cfg)
 		if attach {
 			Attach(m, Spec{Seed: 5})
 		}
 		base := m.Mem.Alloc(64*64, 64)
+		flag := m.Mem.AllocLines(1)
+		hot := flag + 8 // both cores load and store it every iteration
+		var out outcome
 		progs := make([]sim.Program, 2)
-		for i := 0; i < 2; i++ {
+		for i := range progs {
 			progs[i] = func(c *sim.Ctx) {
-				for j := 0; j < 400; j++ {
-					c.Load(base + uint64((j*5+c.ID())%64)*64)
-					c.Exec(1)
+				id := c.ID()
+				sum := &out.reads[id]
+				for j := 0; j < 300; j++ {
+					c.SetCat(telemetry.Category(j % 3))
+					a := base + uint64((j*5+id)%64)*64
+					*sum += c.Load(a) + c.Load(hot)
+					c.Store(a+8, uint64(j))
+					c.Store(hot, uint64(2*j+id))
+					c.Exec(uint64(j % 3))
+					ok, v := c.CAS(a+16, uint64(j-1), uint64(j))
+					*sum += v
+					if ok {
+						*sum++
+					}
+					c.Step(func(*sim.Machine) uint64 { return 2 })
+					*sum += c.LoadSetMarkP(j%2, a, 16)
+					v, marked := c.LoadTestMarkP(j%2, a+24, 16)
+					*sum += v
+					if marked {
+						*sum++
+					}
+					*sum += c.LoadResetMarkP(j%2, a+32, 32)
+					if j%7 == 0 {
+						c.ResetMarkAllP(1)
+					}
+					if j%11 == 0 {
+						c.ResetMarkCounterP(0)
+					}
+					*sum += c.ReadMarkCounterP(0) + c.ReadMarkCounterP(1)
+				}
+				if id == 0 {
+					c.Exec(2000)
+					c.Store(flag, 1)
+				} else {
+					c.SpinUntil(flag, 1)
 				}
 			}
 		}
 		m.Run(progs...)
-		return m.Core(0).Clock()
+		for i := range out.clocks {
+			out.clocks[i] = m.Core(i).Clock()
+		}
+		h := m.Caches
+		out.cache = [9]uint64{h.L1Hits, h.L1Misses, h.L2Hits, h.L2Misses, h.Invalidations,
+			h.BackInvalidations, h.Evictions, h.MarkedDrops, h.PrefetchFills}
+		out.totals = m.Stats.Totals()
+		return out
 	}
-	if a, b := wall(false), wall(true); a != b {
-		t.Fatalf("disabled fault plane changed timing: %d vs %d cycles", a, b)
+	fast, slow := run(false), run(true)
+	if fast != slow {
+		t.Fatalf("disabled fault plane changed the run:\nfast path %+v\nslow path %+v", fast, slow)
+	}
+	if fast.cache[4] == 0 || fast.totals == (telemetry.Block{}) {
+		t.Fatalf("no invalidation or no telemetry: the run shares nothing: %+v", fast)
 	}
 }
 

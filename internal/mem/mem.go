@@ -13,6 +13,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"hastm.dev/hastm/internal/spec"
@@ -319,19 +320,25 @@ func (m *Memory) Allocated(addr uint64) bool {
 	return addr >= base && addr < m.limit
 }
 
-// check is small enough to inline into the four accessors, so an access is
-// one call deep; fault holds the cold half.
+// check is one compare with no call, so the four accessors that call it
+// inline: the rotate moves a misaligned address's low bits to the top, and
+// an address below base wraps, so either fails as one beyond the limit
+// does. The panic's message is formatted only if someone reads it.
 func (m *Memory) check(addr uint64) {
-	if addr%WordSize != 0 || !m.Allocated(addr) {
-		m.fault(addr)
+	if bits.RotateLeft64(addr-base, -3) >= (m.limit-base)/WordSize {
+		panic(accessFault{addr, m.limit})
 	}
 }
 
-func (m *Memory) fault(addr uint64) {
-	if addr%WordSize != 0 {
-		panic(fmt.Sprintf("mem: unaligned access at %#x", addr))
+// accessFault is the panic of an access to a misaligned or unallocated
+// address; limit is the allocator's limit at the time.
+type accessFault struct{ addr, limit uint64 }
+
+func (f accessFault) Error() string {
+	if f.addr%WordSize != 0 {
+		return fmt.Sprintf("mem: unaligned access at %#x", f.addr)
 	}
-	panic(fmt.Sprintf("mem: access to unallocated address %#x (limit %#x)", addr, m.limit))
+	return fmt.Sprintf("mem: access to unallocated address %#x (limit %#x)", f.addr, f.limit)
 }
 
 // Placement selects how pages are assigned a home socket on a

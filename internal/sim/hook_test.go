@@ -55,3 +55,18 @@ func TestPeriodicInterrupts(t *testing.T) {
 		t.Fatal("periodic interrupts never discarded marks")
 	}
 }
+
+// Every demand load feeds the recently-accessed ring a fault hook aims its
+// evictions and snoops at, loadresetmark included.
+func TestLoadResetMarkFeedsRecentLines(t *testing.T) {
+	m := sim.New(sim.DefaultConfig(1))
+	m.SetFaultHook(newPeriodicHook(1, 0, 0))
+	addr := m.Mem.AllocLines(2) + mem.LineSize + 16
+	m.Run(func(c *sim.Ctx) {
+		c.LoadResetMarkP(0, addr, 16)
+		if line, ok := c.RecentLine(0); !ok || line != mem.LineAddr(addr) {
+			t.Errorf("RecentLine = %#x, %v after a loadresetmark of %#x; want %#x, true",
+				line, ok, addr, mem.LineAddr(addr))
+		}
+	})
+}

@@ -48,6 +48,12 @@
 // writes inside a Step with a granted operation (as the harness barrier
 // does), never with Exec.
 //
+// The hot-path contract: an operation of a leased core on an unarmed machine
+// that hits its L1 runs as inline code with one call, the cache access,
+// while an armed duty or a fault hook takes the out-of-line path
+// (acquireSlow, noteRecent, execSlow); scripts/ci.sh inline holds the
+// inline half.
+//
 // The Ctx exposes ordinary loads/stores/CAS, an Exec(n) charge for ALU
 // work, and the paper's six ISA extensions (loadsetmark, loadresetmark,
 // loadtestmark, resetmarkall, resetmarkcounter, readmarkcounter) over the
@@ -753,11 +759,21 @@ func (c *Ctx) chargeTo(cat telemetry.Category, cycles uint64) {
 	c.telem.Charge(cat, cycles)
 }
 
-// acquire obtains the grant for the next architectural operation — inline
-// when this core holds a live lease, otherwise by handing the grant on
-// until a pick leases this core again — then runs the per-operation
-// duties, if the machine has any.
+// acquire obtains the grant for the next architectural operation. Inline,
+// it only counts the grant of a core that holds a live lease on a machine
+// with no per-operation duty; acquireSlow does the rest.
 func (c *Ctx) acquire() {
+	if !c.leased || c.m.perOpDuties {
+		c.acquireSlow()
+		return
+	}
+	c.m.sched.Grants++
+}
+
+// acquireSlow is acquire's out-of-line case: it hands the grant on until a
+// pick leases this core again, unless it holds a lease, then counts the
+// grant and runs the per-operation duties, if the machine has any.
+func (c *Ctx) acquireSlow() {
 	if !c.leased {
 		c.m.handoff(c)
 	}
@@ -825,15 +841,18 @@ func (c *Ctx) bumpMarkCounter(plane int) {
 // a fault hook is installed (it targets evictions/snoops at lines the
 // core actually touched); ring upkeep is host-only work and charges
 // nothing, so an all-rates-zero fault plane stays timing-neutral. Must be
-// called while holding the grant.
+// called while holding the grant. Only noteRecent, out of line, does work.
 func (c *Ctx) noteAccess(addr uint64) {
-	rfo := c.m.rfo
-	if !rfo && c.m.fault == nil {
-		return
+	if c.m.rfo || c.m.fault != nil {
+		c.noteRecent(addr)
 	}
+}
+
+// noteRecent is noteAccess on a machine that keeps the ring.
+func (c *Ctx) noteRecent(addr uint64) {
 	c.recent[c.recentPos&15] = uint32(addr / mem.LineSize)
 	c.recentPos++
-	if !rfo {
+	if !c.m.rfo {
 		return
 	}
 	c.accessTick++
@@ -865,22 +884,25 @@ func (c *Ctx) RecentLine(sel uint64) (line uint64, ok bool) {
 	return uint64(c.recent[sel%uint64(n)]) * mem.LineSize, true
 }
 
-func (c *Ctx) accessCost(addr uint64, res cache.AccessResult) uint64 {
-	return c.m.chargeAccess(c.id, addr, res)
+// chargeAccess converts an access outcome into cycles: an L1 hit's inline,
+// the rest by missCost.
+func (m *Machine) chargeAccess(core int, addr uint64, res cache.AccessResult) uint64 {
+	if res.L1Hit {
+		return m.cfg.Lat.L1Hit
+	}
+	return m.missCost(core, addr, res)
 }
 
-// chargeAccess converts an access outcome into cycles. On a multi-socket
-// machine a miss served by another socket pays the cross-socket latency,
-// and a miss that reaches memory consults the placement policy: a
-// remote-homed page adds RemoteMem on top of Mem (and counts a
-// cross-socket miss). A 1-socket machine never sets the remote flags and
-// skips the placement branch entirely, so its costs are exactly the flat
-// model's.
-func (m *Machine) chargeAccess(core int, addr uint64, res cache.AccessResult) uint64 {
+// missCost is chargeAccess for an access that missed its L1. On a
+// multi-socket machine a miss served by another socket pays the
+// cross-socket latency, and a miss that reaches memory consults the
+// placement policy: a remote-homed page adds RemoteMem on top of Mem (and
+// counts a cross-socket miss). A 1-socket machine never sets the remote
+// flags and skips the placement branch entirely, so its costs are exactly
+// the flat model's.
+func (m *Machine) missCost(core int, addr uint64, res cache.AccessResult) uint64 {
 	lat := &m.cfg.Lat
 	switch {
-	case res.L1Hit:
-		return lat.L1Hit
 	case res.L2Hit:
 		return lat.L2Hit
 	case res.RemoteDirty:
@@ -912,11 +934,23 @@ func (c *Ctx) Exec(n uint64) {
 	if n == 0 {
 		return
 	}
+	if c.m.perOpDuties || c.postLen != 0 {
+		c.execSlow(n)
+		return
+	}
+	c.m.sched.Grants++
+	c.charge(n * c.m.cfg.Lat.ALU)
+	c.release()
+}
+
+// execSlow is Exec on an armed machine, which grants it, or behind a
+// posted store, which posts it.
+func (c *Ctx) execSlow(n uint64) {
 	if c.m.perOpDuties {
 		c.acquire()
 	} else {
 		c.m.sched.Grants++
-		if c.postLen != 0 && c.postExec(n*c.m.cfg.Lat.ALU) {
+		if c.postExec(n * c.m.cfg.Lat.ALU) {
 			return
 		}
 	}
@@ -930,7 +964,7 @@ func (c *Ctx) Load(addr uint64) uint64 {
 	c.noteAccess(addr)
 	res := c.m.Caches.Access(c.id, addr, false)
 	v := c.m.Mem.Load(addr)
-	c.charge(c.accessCost(addr, res))
+	c.charge(c.m.chargeAccess(c.id, addr, res))
 	c.release()
 	return v
 }
@@ -991,7 +1025,7 @@ func (c *Ctx) dueOp() bool {
 	c.m.sched.Grants++
 	if c.spinPoll {
 		c.noteAccess(c.spinAddr)
-		c.charge(c.accessCost(c.spinAddr, c.m.Caches.Access(c.id, c.spinAddr, false)))
+		c.charge(c.m.chargeAccess(c.id, c.spinAddr, c.m.Caches.Access(c.id, c.spinAddr, false)))
 	} else {
 		c.charge(c.m.cfg.Lat.ALU)
 	}
@@ -1021,7 +1055,7 @@ func (c *Ctx) store(cat telemetry.Category, addr, val uint64) {
 	c.noteAccess(addr)
 	res := c.m.Caches.Access(c.id, addr, true)
 	c.m.Mem.Store(addr, val)
-	c.chargeTo(cat, c.accessCost(addr, res))
+	c.chargeTo(cat, c.m.chargeAccess(c.id, addr, res))
 }
 
 // post queues a store and reports true, or reports false, for the caller
@@ -1082,7 +1116,7 @@ func (c *Ctx) CAS(addr, old, new uint64) (bool, uint64) {
 	if ok {
 		c.m.Mem.Store(addr, new)
 	}
-	c.charge(c.accessCost(addr, res) + c.m.cfg.Lat.CAS)
+	c.charge(c.m.chargeAccess(c.id, addr, res) + c.m.cfg.Lat.CAS)
 	c.release()
 	return ok, cur
 }
@@ -1142,7 +1176,7 @@ func (c *Ctx) LoadSetMarkP(plane int, addr, gran uint64) uint64 {
 	} else {
 		c.m.Caches.SetMark(c.id, plane, addr, gran)
 	}
-	c.charge(c.accessCost(addr, res) + c.m.cfg.Lat.StoreQ)
+	c.charge(c.m.chargeAccess(c.id, addr, res) + c.m.cfg.Lat.StoreQ)
 	c.release()
 	return v
 }
@@ -1154,12 +1188,13 @@ func (c *Ctx) LoadSetMark(addr, gran uint64) uint64 { return c.LoadSetMarkP(0, a
 // mark bits.
 func (c *Ctx) LoadResetMarkP(plane int, addr, gran uint64) uint64 {
 	c.acquire()
+	c.noteAccess(addr)
 	res := c.m.Caches.Access(c.id, addr, false)
 	v := c.m.Mem.Load(addr)
 	if !c.m.cfg.DefaultISA {
 		c.m.Caches.ClearMark(c.id, plane, addr, gran)
 	}
-	c.charge(c.accessCost(addr, res))
+	c.charge(c.m.chargeAccess(c.id, addr, res))
 	c.release()
 	return v
 }
@@ -1178,7 +1213,7 @@ func (c *Ctx) LoadTestMarkP(plane int, addr, gran uint64) (uint64, bool) {
 	}
 	res := c.m.Caches.Access(c.id, addr, false)
 	v := c.m.Mem.Load(addr)
-	c.charge(c.accessCost(addr, res) + c.m.cfg.Lat.TestMarkBranch)
+	c.charge(c.m.chargeAccess(c.id, addr, res) + c.m.cfg.Lat.TestMarkBranch)
 	c.release()
 	return v, marked
 }

@@ -4,6 +4,7 @@
 #
 #   scripts/ci.sh <suite>   # fuzz faultstorm smoke native service progress scale chaos
 #   scripts/ci.sh reach     # the reach ledger; no workflow job runs it
+#   scripts/ci.sh inline    # the inlining guard; job build-test runs it
 #
 # Reports and traces are left in ./ci-out (gitignored) for the job to upload.
 # The unit tests behind each suite are not repeated here: they run in
@@ -146,6 +147,36 @@ chaos)
     cmp "$out/hash-a.txt" "$out/hash-b.txt"
     bench -quick -backend native -chaos abort=100,stall=200,seed=3 -json > "$out/CHAOS.json"
     json_has "$out/CHAOS.json" '"chaos"' '"schedule_hash"' '"planned"'
+    ;;
+inline)
+    # A simulated access's common case is inline code: acquire, noteAccess,
+    # chargeAccess and release in sim, the L1 probe in cache, the bounds check
+    # and the load in mem. Each function below must still be reported "can
+    # inline", or an edit has pushed it over the budget and put a call back
+    # on every access; the step names it and fails.
+    report="$(go build -gcflags=-m ./internal/sim ./internal/cache ./internal/mem 2>&1 |
+        sed -E 's/:[0-9]+:[0-9]+: / /')" || { echo "$report" >&2; exit 1; }
+    status=0
+    while read -r file fn; do
+        if ! grep -qxF "$file can inline $fn" <<<"$report"; then
+            echo "scripts/ci.sh inline: $file: $fn is no longer inlinable" >&2
+            status=1
+        fi
+    done <<'EOF'
+internal/sim/sim.go (*Ctx).acquire
+internal/sim/sim.go (*Ctx).noteAccess
+internal/sim/sim.go (*Machine).chargeAccess
+internal/sim/sim.go (*Ctx).release
+internal/sim/sim.go (*Ctx).charge
+internal/cache/cache.go lineOf
+internal/cache/cache.go (*Hierarchy).l1Of
+internal/cache/cache.go (*level).find
+internal/cache/cache.go (*level).touch
+internal/mem/mem.go (*Memory).check
+internal/mem/mem.go (*Memory).Load
+internal/mem/mem.go (*Memory).LoadAtomic
+EOF
+    exit "$status"
     ;;
 reach)
     # The reach ledger: per package, the non-test statements that the
