@@ -195,7 +195,7 @@ func printSuites(w io.Writer) {
 // or the verdict table, then the footer and the failed cells. It returns a
 // usageError for a rejected command line and a plain error for a run that
 // did not pass.
-func runSuite(c *config) error {
+func runSuite(c *config) (err error) {
 	s := pick(c)
 	if err := s.validate(c); err != nil {
 		return err
@@ -208,7 +208,7 @@ func runSuite(c *config) error {
 	if err != nil {
 		return err
 	}
-	defer stop()
+	defer func() { err = errors.Join(err, stop()) }()
 
 	// Host cells run serially whatever -j says: each already fills the
 	// machine with goroutines, and concurrent cells would steal each
@@ -348,24 +348,25 @@ func throughputSummary(plans []*harness.Plan) {
 }
 
 // startProfiles starts the -cpuprofile and arranges the -memprofile; the
-// returned function finishes both.
-func startProfiles(c *config) (stop func(), err error) {
+// returned function finishes both. A profile that cannot be written fails
+// the run, naming its flag.
+func startProfiles(c *config) (stop func() error, err error) {
 	var cpu *os.File
 	if c.cpuProfile != "" {
 		if cpu, err = os.Create(c.cpuProfile); err == nil {
 			err = pprof.StartCPUProfile(cpu)
 		}
 		if err != nil {
-			return nil, usageError{fmt.Errorf("-cpuprofile: %w", err)}
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
 		}
 	}
-	return func() {
+	return func() error {
 		if cpu != nil {
 			pprof.StopCPUProfile()
 			cpu.Close()
 		}
 		if c.memProfile == "" {
-			return
+			return nil
 		}
 		f, err := os.Create(c.memProfile)
 		if err == nil {
@@ -373,8 +374,9 @@ func startProfiles(c *config) (stop func(), err error) {
 			err = errors.Join(pprof.WriteHeapProfile(f), f.Close())
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hastm-bench: memprofile: %v\n", err)
+			return fmt.Errorf("-memprofile: %w", err)
 		}
+		return nil
 	}, nil
 }
 

@@ -459,3 +459,69 @@ func TestCellEventsCoverTheMeasuredWindow(t *testing.T) {
 		}
 	}
 }
+
+// -cpuprofile and -memprofile write gzipped pprof files; -progress prints
+// one line per cell.
+func TestProfilesAreWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	code, _, stderr := runMain(t, "-cell", "stm/bst/1", "-ops", "64", "-progress", "-cpuprofile", cpu, "-memprofile", heap)
+	if code != 0 {
+		t.Fatalf("exit status %d: %s", code, stderr)
+	}
+	for _, f := range []string{cpu, heap} {
+		if b, err := os.ReadFile(f); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: %v, want a gzip file", f, err)
+		}
+	}
+	if !strings.Contains(stderr, "[  1/  1] cell") {
+		t.Errorf("no -progress line on stderr:\n%s", stderr)
+	}
+}
+
+// A profile or trace that cannot be written fails the run (exit 1) and
+// names its flag; a trace to '-' goes to stderr and one to a device is
+// written in place.
+func TestUnwritableOutputsFailTheRun(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "out")
+	for _, c := range []struct{ flag, want string }{
+		{"-cpuprofile", "hastm-bench: -cpuprofile: "},
+		{"-memprofile", "hastm-bench: -memprofile: "},
+		{"-trace", "hastm-bench: trace: "},
+	} {
+		code, _, stderr := runMain(t, "-cell", "stm/bst/1", "-ops", "64", c.flag, missing)
+		if code != 1 || !strings.Contains(stderr, c.want) {
+			t.Errorf("%s %s: exit %d, stderr %q; want 1 and %q", c.flag, missing, code, stderr, c.want)
+		}
+	}
+	code, _, stderr := runMain(t, "-cell", "stm/bst/1", "-ops", "64", "-trace", "-")
+	if code != 0 || !strings.Contains(stderr, `"ev":"begin"`) {
+		t.Errorf("-trace -: exit %d, stderr lacks the trace:\n%s", code, stderr)
+	}
+	if code, _, stderr := runMain(t, "-cell", "stm/bst/1", "-ops", "64", "-trace", os.DevNull); code != 0 {
+		t.Errorf("-trace %s: exit %d: %s", os.DevNull, code, stderr)
+	}
+}
+
+// A report that cannot be written to stdout fails the run.
+func TestUnwritableStdoutFailsTheRun(t *testing.T) {
+	ro, err := os.Open(os.DevNull) // read-only: every write fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	oldArgs, oldOut, oldErr, oldFlags := os.Args, os.Stdout, os.Stderr, flag.CommandLine
+	defer func() { os.Args, os.Stdout, os.Stderr, flag.CommandLine = oldArgs, oldOut, oldErr, oldFlags }()
+	stderr := filepath.Join(t.TempDir(), "stderr")
+	if os.Stderr, err = os.Create(stderr); err != nil {
+		t.Fatal(err)
+	}
+	os.Args = []string{"hastm-bench", "-quick", "-fig", "fig16", "-json"}
+	os.Stdout = ro
+	flag.CommandLine = flag.NewFlagSet("hastm-bench", flag.ContinueOnError)
+	code := realMain()
+	os.Stderr.Close()
+	if b, _ := os.ReadFile(stderr); code != 1 || !strings.Contains(string(b), "hastm-bench: report: ") {
+		t.Errorf("exit %d, stderr %q; want 1 and a report error", code, b)
+	}
+}

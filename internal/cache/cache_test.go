@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -359,8 +360,8 @@ func TestAddrLimitPanics(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				if err, _ := recover().(error); !errors.Is(err, ErrAddrRange) {
-					t.Errorf("%s(AddrLimit) panicked with %v, want ErrAddrRange", name, err)
+				if err, _ := recover().(error); !errors.Is(err, ErrAddrRange) || !strings.Contains(err.Error(), "limit") {
+					t.Errorf("%s(AddrLimit) panicked with %v, want ErrAddrRange naming the limit", name, err)
 				}
 			}()
 			call(AddrLimit)

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"hastm.dev/hastm/internal/mem"
@@ -251,6 +252,37 @@ func TestInvalidationProbesOnlySharers(t *testing.T) {
 		if want := uint64((rounds - 1) * pairs); loadProbes != want {
 			t.Errorf("%dx%d: loads made %d L1 lookups, want %d (one per load of a Modified line)",
 				tc.sockets, tc.perSocket, loadProbes, want)
+		}
+	}
+}
+
+// The hierarchy's own checks: an L2 of bad geometry, no hardware threads,
+// more SMT threads than an L1 serves, L1 groups that do not split over the
+// sockets, and more groups per socket than the directory names.
+func TestHierarchyValidateRejects(t *testing.T) {
+	l1, l2 := Config{SizeBytes: 4 << 10, Assoc: 4}, Config{SizeBytes: 64 << 10, Assoc: 8}
+	for _, c := range []struct {
+		cfg  HierarchyConfig
+		want string
+	}{
+		{HierarchyConfig{Cores: 1, L1: l1, L2: Config{SizeBytes: 3 << 10, Assoc: 2}}, "L2:"},
+		{HierarchyConfig{L1: l1, L2: l2}, "at least one hardware thread"},
+		{HierarchyConfig{Cores: 4, ThreadsPerCore: MaxSMT + 1, L1: l1, L2: l2}, "exceeds MaxSMT"},
+		{HierarchyConfig{Cores: 3, Sockets: 2, L1: l1, L2: l2}, "do not split evenly"},
+		{HierarchyConfig{Cores: MaxGroupsPerSocket + 1, L1: l1, L2: l2}, "exceeds the"},
+	} {
+		if err := c.cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Validate(%+v) = %v, want %q", c.cfg, err, c.want)
+		}
+	}
+}
+
+// A zero granularity marks what granularity 1 marks: the touched
+// sub-block, never an empty span.
+func TestMarkSpanZeroGranularity(t *testing.T) {
+	for _, addr := range []uint64{0, 24, 63} {
+		if got, want := markSpan(addr, 0), markSpan(addr, 1); got != want || got == 0 {
+			t.Errorf("markSpan(%d, 0) = %04b, want %04b", addr, got, want)
 		}
 	}
 }

@@ -220,3 +220,30 @@ func TestWriteFilterSurvivesGCPause(t *testing.T) {
 		t.Fatalf("rollback across GC pause failed: %d", machine.Mem.Load(addr))
 	}
 }
+
+// The write filter logs a store's whole 16-byte sub-block, but a word of it
+// past the last allocation is no data: logging it would load beyond the
+// memory's limit and fault. The last word allocated, alone in its
+// sub-block, stores and rolls back like any other.
+func TestWriteFilterSkipsPaddingWord(t *testing.T) {
+	machine := testMachine(1)
+	sys := NewNamed("hastm-wfilter", machine, wfilterCfg())
+	boom := errors.New("boom")
+	var addr uint64
+	machine.Run(func(c *sim.Ctx) {
+		th := sys.Thread(c)             // allocates the thread's logs
+		addr = machine.Mem.Alloc(8, 16) // the last allocation: addr+8 lies past the limit
+		if err := th.Atomic(func(tx tm.Txn) error { tx.Store(addr, 4); return boom }); !errors.Is(err, boom) {
+			t.Errorf("Atomic: %v", err)
+		}
+		if err := th.Atomic(func(tx tm.Txn) error { tx.Store(addr, 5); return nil }); err != nil {
+			t.Errorf("Atomic: %v", err)
+		}
+	})
+	if err := machine.CheckHealth(); err != nil {
+		t.Fatal(err)
+	}
+	if got := machine.Mem.Load(addr); got != 5 {
+		t.Fatalf("word = %d, want 5", got)
+	}
+}

@@ -211,3 +211,21 @@ func BenchmarkFaultPlaneOnGrant(b *testing.B) {
 		}
 	})
 }
+
+// An unknown kind still prints, and mix's splitmix finalizer, which maps
+// only 0 to 0, never hands a per-core stream the zero xorshift state: the
+// one seed whose sum is 0 for core 0 gets state 1.
+func TestKindStringAndZeroStreamSeed(t *testing.T) {
+	if got := Kind(9).String(); got != "Kind(9)" {
+		t.Errorf("Kind(9).String() = %q", got)
+	}
+	a, c := uint64(0x9e3779b97f4a7c15), uint64(0x94d049bb133111eb)
+	inv := a // Newton's iteration for the inverse mod 2^64
+	for i := 0; i < 5; i++ {
+		inv *= 2 - a*inv
+	}
+	seed := -c * inv // seed·a + c = 0
+	if got := mix(seed, 0); got != 1 {
+		t.Errorf("mix(%#x, 0) = %#x, want 1", seed, got)
+	}
+}

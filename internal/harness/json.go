@@ -236,8 +236,14 @@ func (b *BenchJSON) Write(w io.Writer) error {
 // gitRevision returns the VCS revision baked into the binary, or "" when
 // the build carries no VCS stamp (e.g. `go test`).
 func gitRevision() string {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
+	info, _ := debug.ReadBuildInfo()
+	return vcsRevision(info)
+}
+
+// vcsRevision is gitRevision over a given build: the revision, marked
+// "+dirty" when the tree had local modifications.
+func vcsRevision(info *debug.BuildInfo) string {
+	if info == nil {
 		return ""
 	}
 	var rev, modified string

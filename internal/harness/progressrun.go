@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -175,19 +176,15 @@ func ProgressRun(scheme, workload string, cores int, o Options, spec *faults.Spe
 	rep.Commits = metrics.Stats.Commits()
 	if err := res.verdict(verify); err != nil {
 		rep.Err = err.Error()
-		if v := c.m.Violation(); v != nil {
-			rep.Detail = v.String()
-		} else if fs := c.m.Faults(); len(fs) > 0 {
-			rep.Detail = renderFault(fs[0])
+		// The machine's health is its violation or first core fault: the
+		// full diagnosis, with per-core states or the captured stack.
+		if h, ok := res.health.(interface{ Render(io.Writer) }); ok {
+			var b strings.Builder
+			h.Render(&b)
+			rep.Detail = b.String()
 		}
 	}
 	return rep
-}
-
-func renderFault(f sim.CoreFault) string {
-	var b strings.Builder
-	f.Render(&b)
-	return b.String()
 }
 
 // ProgressPlan builds the adversarial sweep — every ProgressPlanSchemes

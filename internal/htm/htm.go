@@ -487,8 +487,14 @@ func (t *Thread) LoadObj(base, off uint64) uint64 { return t.Load(base + off) }
 // StoreObj writes a field of the object at base.
 func (t *Thread) StoreObj(base, off, val uint64) { t.Store(base+off, val) }
 
-// OrElse needs software: see softwareOnly.
-func (t *Thread) OrElse(...func(tm.Txn) error) error { return t.softwareOnly() }
+// OrElse needs software: see softwareOnly. Outside an atomic block it is
+// a transaction of its own, as the engine's OrElse is.
+func (t *Thread) OrElse(alternatives ...func(tm.Txn) error) error {
+	if !t.InTxn() {
+		return t.Atomic(func(tx tm.Txn) error { return tx.OrElse(alternatives...) })
+	}
+	return t.softwareOnly()
+}
 
 // Retry needs software: see softwareOnly.
 func (t *Thread) Retry() { t.softwareOnly() }

@@ -437,3 +437,24 @@ func TestCommittedTxnAllocatesNothing(t *testing.T) {
 		})
 	}
 }
+
+// HyTM's attempt bound defaults to 4 hardware attempts, and a pure HTM
+// thread, which has no software half to escalate on, runs a serialized
+// request as a plain hardware transaction.
+func TestHyTMDefaultsAndSerializedHTM(t *testing.T) {
+	if got := NewHyTM(testMachine(1), tm.Config{}, 0).maxAttempts; got != 4 {
+		t.Errorf("NewHyTM(..., 0) allows %d hardware attempts, want 4", got)
+	}
+	machine := testMachine(1)
+	sys := NewHTM(machine)
+	addr := machine.Mem.Alloc(64, 8)
+	machine.Run(func(c *sim.Ctx) {
+		th := sys.Thread(c).(*Thread)
+		if err := th.AtomicSerialized(func(tx tm.Txn) error { tx.Store(addr, 7); return nil }); err != nil {
+			t.Errorf("AtomicSerialized: %v", err)
+		}
+	})
+	if got := machine.Mem.Load(addr); got != 7 {
+		t.Errorf("word = %d, want 7", got)
+	}
+}

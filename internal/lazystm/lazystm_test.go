@@ -2,6 +2,7 @@ package lazystm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"hastm.dev/hastm/internal/cache"
@@ -354,4 +355,200 @@ func TestSchemeDeterminism(t *testing.T) {
 			t.Fatalf("mvcc=%v nondeterministic: (%d,%d) vs (%d,%d)", mvcc, w1, s1, w2, s2)
 		}
 	}
+}
+
+// The zombie bound: a lazy reader revalidates its read set every
+// ValidateEvery read barriers, so a transaction whose first read was
+// overwritten by a foreign commit aborts inside its body — before the
+// commit — instead of running on an inconsistent snapshot to the end.
+func TestPeriodicValidationAbortsAZombie(t *testing.T) {
+	machine := testMachine(1)
+	cfg := lineCfg()
+	s := New(machine, cfg)
+	in := machine.Mem.Alloc(64, 8)
+	other := machine.Mem.Alloc(64, 8)
+	inRec := s.Table().RecordFor(in)
+	attempt, reads, finished := 0, 0, []bool{}
+	machine.Run(func(c *sim.Ctx) {
+		th := s.Thread(c)
+		if err := th.Atomic(func(tx tm.Txn) error {
+			attempt++
+			finished = append(finished, false)
+			tx.Load(in)
+			if attempt == 1 {
+				// A foreign commit overwrites the first read.
+				machine.Mem.Store(inRec, stm.NextVersion(machine.Mem.Load(inRec)))
+			}
+			for i := 0; i < 2*cfg.ValidateEvery; i++ {
+				if attempt == 1 {
+					reads++
+				}
+				tx.Load(other)
+			}
+			finished[attempt-1] = true
+			return nil
+		}); err != nil {
+			t.Errorf("Atomic: %v", err)
+		}
+	})
+	if attempt != 2 || finished[0] || !finished[1] {
+		t.Fatalf("attempts %d, finished %v: want the first attempt cut short and the second to commit", attempt, finished)
+	}
+	if reads != cfg.ValidateEvery-1 {
+		t.Errorf("the zombie aborted in read %d after the stale one, want %d (the period's last barrier)", reads, cfg.ValidateEvery-1)
+	}
+	if got := machine.Stats.Aborts(telemetry.AbortValidation); got != 1 {
+		t.Errorf("validation aborts = %d, want 1", got)
+	}
+}
+
+// A record another core holds past WaitShared's bounded wait fails the
+// commit-time acquisition: the committer gives back the records it already
+// acquired, at their displaced versions, and aborts with a lock conflict
+// rather than wait on a core that may be waiting on it. Once the holder
+// releases, the retry commits and memory holds what a serial run gives.
+func TestCommitAcquisitionGivesUp(t *testing.T) {
+	machine := testMachine(2)
+	s := New(machine, lineCfg())
+	a := machine.Mem.Alloc(64, 64)
+	b := machine.Mem.Alloc(64, 64)
+	aRec, bRec := s.Table().RecordFor(a), s.Table().RecordFor(b)
+	if aRec > bRec {
+		a, b, aRec, bRec = b, a, bRec, aRec // a's record is acquired first
+	}
+	aVer, bVer := machine.Mem.Load(aRec), machine.Mem.Load(bRec)
+	const holder = 0xdead0 // an owner pointer: even, so not a version
+	machine.Run(
+		func(c *sim.Ctx) {
+			th := s.Thread(c)
+			c.Exec(100) // the holder takes b's record first
+			attempt := 0
+			if err := th.Atomic(func(tx tm.Txn) error {
+				if attempt++; attempt > 1 {
+					if v := c.Load(aRec); v != aVer {
+						return fmt.Errorf("attempt %d begins with a's record at %#x, want %#x", attempt, v, aVer)
+					}
+				}
+				tx.Store(a, tx.Load(a)+1)
+				tx.Store(b, 1) // blind: b's record is first touched at commit
+				return nil
+			}); err != nil {
+				t.Errorf("Atomic: %v", err)
+			}
+		},
+		func(c *sim.Ctx) { // the holder: owns b's record, then releases it
+			if ok, _ := c.CAS(bRec, bVer, holder); !ok {
+				t.Error("holder could not take b's record")
+			}
+			c.Exec(1_000_000)
+			c.Store(bRec, bVer)
+		},
+	)
+	if err := machine.CheckHealth(); err != nil {
+		t.Fatal(err)
+	}
+	if got := machine.Stats.Aborts(telemetry.AbortLockConflict); got == 0 {
+		t.Error("no lock-conflict abort: the committer never gave up on the held record")
+	}
+	if got, want := machine.Mem.Load(aRec), stm.NextVersion(aVer); got != want {
+		t.Errorf("a's record = %#x, want one bump to %#x: a failed acquisition must restore what it took", got, want)
+	}
+	if ga, gb := machine.Mem.Load(a), machine.Mem.Load(b); ga != 1 || gb != 1 {
+		t.Errorf("a, b = %d, %d, want 1, 1", ga, gb)
+	}
+}
+
+// A snapshot older than every version the history retains for a location
+// cannot be served: the read aborts (snapshot_aborts counts it) and the
+// retry reads from a fresh snapshot.
+func TestMVCCHistoryMissAborts(t *testing.T) {
+	machine := testMachine(2)
+	s := NewMVCC(machine, lineCfg())
+	addr := machine.Mem.Alloc(64, 64)
+	var seen []uint64
+	machine.Run(
+		func(c *sim.Ctx) { // writer: displaces more versions than the history keeps
+			th := s.Thread(c)
+			for i := 1; i <= histDepth+4; i++ {
+				if err := th.Atomic(func(tx tm.Txn) error { tx.Store(addr, uint64(i)); return nil }); err != nil {
+					t.Errorf("writer: %v", err)
+				}
+			}
+		},
+		func(c *sim.Ctx) { // reader: takes its snapshot first, reads after the writer is done
+			th := s.Thread(c)
+			attempt := 0
+			if err := th.Atomic(func(tx tm.Txn) error {
+				if attempt++; attempt == 1 {
+					c.Exec(10_000_000)
+				}
+				seen = append(seen, tx.Load(addr))
+				return nil
+			}); err != nil {
+				t.Errorf("reader: %v", err)
+			}
+		},
+	)
+	if err := machine.CheckHealth(); err != nil {
+		t.Fatal(err)
+	}
+	if got := machine.Stats.Count(telemetry.SnapshotAborts); got != 1 {
+		t.Errorf("snapshot_aborts = %d, want 1", got)
+	}
+	if len(seen) != 1 || seen[0] != histDepth+4 {
+		t.Errorf("reader saw %v, want only the retry's read of the last write %d", seen, histDepth+4)
+	}
+}
+
+// Object granularity: a field store is buffered under the object's header
+// record and read back through the buffer; an unwritten field is read
+// through the header record.
+func TestObjectFieldsReadOwnWrites(t *testing.T) {
+	for name, mk := range map[string]func(*sim.Machine, tm.Config) *System{"lazy": New, "mvcc": NewMVCC} {
+		machine := testMachine(1)
+		s := mk(machine, tm.Config{Granularity: tm.ObjectGranularity})
+		if s.Name() != name {
+			t.Errorf("Name() = %q, want %q", s.Name(), name)
+		}
+		obj := stm.AllocObject(machine.Mem, 16)
+		machine.Mem.Store(obj+16, 5)
+		machine.Run(func(c *sim.Ctx) {
+			if err := s.Thread(c).Atomic(func(tx tm.Txn) error {
+				tx.StoreObj(obj, 8, 7)
+				if v := tx.LoadObj(obj, 8); v != 7 {
+					t.Errorf("%s: buffered field read %d, want 7", name, v)
+				}
+				if v := tx.LoadObj(obj, 16); v != 5 {
+					t.Errorf("%s: unwritten field read %d, want 5", name, v)
+				}
+				return nil
+			}); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		})
+		if got := machine.Mem.Load(obj + 8); got != 7 {
+			t.Errorf("%s: field after commit = %d, want 7", name, got)
+		}
+	}
+}
+
+// The write buffer has room for stm.LogCap stores; one more fails loudly
+// rather than write past the simulated log.
+func TestWriteBufferOverflowPanics(t *testing.T) {
+	machine := testMachine(1)
+	s := New(machine, lineCfg())
+	addr := machine.Mem.Alloc(64, 8)
+	machine.Run(func(c *sim.Ctx) {
+		defer func() {
+			if recover() == nil {
+				t.Error("write-buffer overflow did not panic")
+			}
+		}()
+		_ = s.Thread(c).Atomic(func(tx tm.Txn) error {
+			for i := 0; i <= stm.LogCap; i++ {
+				tx.Store(addr, uint64(i))
+			}
+			return nil
+		})
+	})
 }

@@ -61,8 +61,6 @@ var (
 	_ tm.Txn    = (*thread)(nil)
 )
 
-func (t *thread) Ctx() *sim.Ctx { return t.ctx }
-
 // ID returns the simulated core id.
 func (t *thread) ID() int { return t.ctx.ID() }
 

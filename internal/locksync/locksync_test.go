@@ -1,6 +1,8 @@
 package locksync
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hastm.dev/hastm/internal/cache"
@@ -148,4 +150,25 @@ func TestLockSlowerThanSeqButCorrectObjects(t *testing.T) {
 			return nil
 		})
 	})
+}
+
+// orElse and an explicit abort need a transactional system too: a lock has
+// nothing to roll back.
+func TestLockRejectsOrElseAndAbort(t *testing.T) {
+	for name, body := range map[string]func(tm.Txn) error{
+		"orElse": func(tx tm.Txn) error { return tx.OrElse(func(tm.Txn) error { return nil }) },
+		"abort":  func(tx tm.Txn) error { tx.Abort(); return nil },
+	} {
+		machine := testMachine(1)
+		sys := NewLock(machine)
+		machine.Run(func(c *sim.Ctx) {
+			th := sys.Thread(c)
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), name+" requires a transactional system") {
+					t.Errorf("%s: recovered %v", name, r)
+				}
+			}()
+			_ = th.Atomic(body)
+		})
+	}
 }

@@ -158,9 +158,7 @@ func (m *Memory) Materialize() {
 // Alloc reserves size bytes aligned to align (which must be a power of two,
 // at least WordSize) and returns the base address. Memory is zeroed.
 func (m *Memory) Alloc(size, align uint64) uint64 {
-	if align < WordSize {
-		align = WordSize
-	}
+	align = max(align, WordSize)
 	if align&(align-1) != 0 {
 		panic(fmt.Sprintf("mem: alignment %d is not a power of two", align))
 	}
@@ -174,9 +172,7 @@ func (m *Memory) Alloc(size, align uint64) uint64 {
 // range that would reach past AddrLimit, or wrap, panics with
 // ErrAddressSpace rather than alias the next allocation.
 func (m *Memory) bump(size, align, unit uint64) uint64 {
-	if size == 0 {
-		size = WordSize
-	}
+	size = max(size, WordSize) // a zero-size allocation still gets an address of its own
 	addr := (m.next + align - 1) &^ (align - 1)
 	span := (size + unit - 1) &^ (unit - 1)
 	if addr < m.next || span < size || addr+span < addr || addr+span > AddrLimit {

@@ -432,3 +432,21 @@ func TestStoreAtomicBeforeMaterializePanics(t *testing.T) {
 		}()
 	}
 }
+
+// Alloc rounds a small alignment up to a word and rejects one that is not
+// a power of two; a zero-size allocation still gets a word of its own, and
+// backing an empty range is a no-op.
+func TestAllocAlignmentAndEmptyRanges(t *testing.T) {
+	m := New()
+	a, b := m.Alloc(0, 1), m.Alloc(8, 2)
+	if a%WordSize != 0 || b != a+WordSize {
+		t.Errorf("Alloc(0, 1) = %#x, Alloc(8, 2) = %#x: want word-aligned, one word apart", a, b)
+	}
+	m.Back(b, 0)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not a power of two") {
+			t.Errorf("Alloc(8, 24) recovered %v, want a power-of-two panic", r)
+		}
+	}()
+	m.Alloc(8, 24)
+}

@@ -77,3 +77,9 @@ func TestHomeSocketFirstTouch(t *testing.T) {
 		t.Errorf("first touch by socket 3 homed page on %d", h)
 	}
 }
+
+func TestPlacementStringUnknown(t *testing.T) {
+	if got := Placement(7).String(); got != "Placement(7)" {
+		t.Errorf("Placement(7).String() = %q", got)
+	}
+}

@@ -101,17 +101,6 @@ const (
 	ClassScan
 )
 
-func (c opClass) String() string {
-	switch c {
-	case ClassRead:
-		return "read"
-	case ClassTransfer:
-		return "transfer"
-	default:
-		return "scan"
-	}
-}
-
 // decode derives one request entirely from the per-op Rand — the single
 // source of truth shared by execution, the admission controller's key
 // preview and the sequential-oracle replay. The primary key is always a

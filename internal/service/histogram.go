@@ -74,13 +74,13 @@ func (h *Histogram) Percentile(q float64) uint64 {
 	}
 	rank := percentileRank(q, h.total)
 	var cum uint64
-	for i := range h.counts {
+	for i := range NumBuckets - 1 {
 		cum += h.counts[i]
 		if cum >= rank {
 			return BucketUpper(i)
 		}
 	}
-	return BucketUpper(NumBuckets - 1) // unreachable: cum reaches total
+	return BucketUpper(NumBuckets - 1) // cum reaches total in the last bucket
 }
 
 // percentileRank returns ceil(q·total) clamped to [1, total], computed
@@ -105,12 +105,11 @@ func percentileRank(q float64, total uint64) uint64 {
 	mant := uint64(frac * (1 << 53)) // exact: frac has at most 53 significant bits
 	shift := uint(53 - exp)          // q = mant/2^shift; q < 1 forces exp <= 0, so shift >= 53
 	hi, lo := bits.Mul64(total, mant)
+	// 0 < q < 1 and total >= 1, so the ceiling lies in [1, total].
 	var rank uint64
 	switch {
 	case shift >= 128:
-		if hi|lo != 0 {
-			rank = 1
-		}
+		rank = 1 // q < 2^-75, so q·total < 2^-11
 	case shift >= 64:
 		s := shift - 64 // < 64, so the mask shift below is in range
 		rank = hi >> s
@@ -122,12 +121,6 @@ func percentileRank(q float64, total uint64) uint64 {
 		if lo&(1<<shift-1) != 0 {
 			rank++
 		}
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
 	}
 	return rank
 }

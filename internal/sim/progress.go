@@ -297,10 +297,7 @@ func (m *Machine) driveWatched() bool {
 // closes stalled when it stagnates for the configured host-time window;
 // Run closes stop to retire it.
 func (m *Machine) stallMonitor(stalled chan<- struct{}, stop <-chan struct{}) {
-	interval := m.cfg.StallTimeout / 8
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
+	interval := max(m.cfg.StallTimeout/8, time.Millisecond)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	last := m.beat.Load()

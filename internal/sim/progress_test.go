@@ -456,3 +456,21 @@ func TestViolationRender(t *testing.T) {
 		}
 	}
 }
+
+// The host stall monitor restarts its window whenever the grant heartbeat
+// moves between two of its ticks: a program that keeps granting for several
+// ticks is never reported stalled.
+func TestStallMonitorFollowsTheHeartbeat(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.StallTimeout = time.Second // a tick every 125 ms
+	m := New(cfg)
+	addr := m.Mem.Alloc(64, 64)
+	m.Run(func(c *Ctx) {
+		for start := time.Now(); time.Since(start) < 300*time.Millisecond; {
+			c.Store(addr, c.Load(addr)+1)
+		}
+	})
+	if err := m.CheckHealth(); err != nil {
+		t.Fatal(err)
+	}
+}

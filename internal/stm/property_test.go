@@ -1,6 +1,8 @@
 package stm
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -332,4 +334,27 @@ func TestNestedOrElseInsideNestedAtomic(t *testing.T) {
 	if machine.Mem.Load(a) != 1 || machine.Mem.Load(a+mem.LineSize) != 4 {
 		t.Fatalf("state: %d, %d", machine.Mem.Load(a), machine.Mem.Load(a+mem.LineSize))
 	}
+}
+
+// TestUndoLogOverflowPanics: the undo log fills after LogCap-1 stores and
+// fails as loudly as the read log. Every record acquisition appends an undo
+// entry too, so the undo log also overflows before the write set can.
+func TestUndoLogOverflowPanics(t *testing.T) {
+	machine := testMachine(1)
+	s := New(machine, lineCfg())
+	addr := machine.Mem.Alloc(8, 8)
+	machine.Run(func(c *sim.Ctx) {
+		th := s.Thread(c)
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "undo log overflow") {
+				t.Errorf("undo log overflow: recovered %v", r)
+			}
+		}()
+		_ = th.Atomic(func(tx tm.Txn) error {
+			for i := 0; i < LogCap; i++ {
+				tx.Store(addr, uint64(i))
+			}
+			return nil
+		})
+	})
 }

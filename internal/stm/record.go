@@ -74,10 +74,7 @@ func InitObjectRecord(m *mem.Memory, base uint64) {
 // least 16 bytes, the paper's minimum non-empty object size for object-based
 // conflict detection.
 func AllocObject(m *mem.Memory, payloadBytes uint64) uint64 {
-	size := 8 + payloadBytes
-	if size < 16 {
-		size = 16
-	}
+	size := max(8+payloadBytes, 16)
 	base := m.Alloc(size, 16)
 	InitObjectRecord(m, base)
 	return base

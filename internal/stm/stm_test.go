@@ -366,3 +366,9 @@ func TestStatsBreakdownHasBarrierCosts(t *testing.T) {
 		}
 	}
 }
+
+func TestModePolicyStringUnknown(t *testing.T) {
+	if got := ModePolicy(9).String(); got != "mode?" {
+		t.Errorf("ModePolicy(9).String() = %q", got)
+	}
+}

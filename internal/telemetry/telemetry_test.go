@@ -222,3 +222,19 @@ func TestCheckLifeCycle(t *testing.T) {
 		})
 	}
 }
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// A trace larger than the block buffer reaches the writer mid-block; a
+// failed write stops the encoding and is returned, not dropped.
+func TestWriteJSONLReturnsWriteErrors(t *testing.T) {
+	b := NewTraceBuffer(0)
+	for i := 0; i < 200; i++ {
+		b.Add(TxnEvent{Cycle: uint64(i), Kind: EvAbort, Cause: "a cause long enough to fill the buffer quickly"})
+	}
+	if err := b.WriteJSONL(NewSyncWriter(failingWriter{}), "cell"); err != io.ErrClosedPipe {
+		t.Errorf("WriteJSONL = %v, want %v", err, io.ErrClosedPipe)
+	}
+}

@@ -838,3 +838,52 @@ func TestEngineZombieErrorBecomesAbort(t *testing.T) {
 		})
 	}
 }
+
+// OrElse outside an atomic block is a transaction of its own: it runs the
+// alternatives as the body of a top-level Atomic. HyTM's hardware thread
+// used to refuse it as a barrier outside an atomic block.
+func TestEngineTopLevelOrElse(t *testing.T) {
+	forEachBackend(t, 1, tm.Config{}, retry, func(t *testing.T, _ backend, f *fixture) {
+		out := f.word(8)
+		f.run(func(w worker) {
+			_ = w.Atomic(func(tx tm.Txn) error { tx.Store(f.word(1), 6); return nil })
+			if err := orElseOver(f, out, f.word(0), f.word(1))(w); err != nil {
+				t.Errorf("top-level orElse: %v", err)
+			}
+		})
+		if got := f.load(out); got != 6 {
+			t.Fatalf("orElse result = %d, want 6", got)
+		}
+	})
+}
+
+// A Retry in a nested atomic block that is not an orElse alternative
+// retries the whole transaction: the nested block has no alternative to
+// fall back on. With nothing read there is nothing to wait on, so the wait
+// is a backoff and the re-execution follows at once (HyTM's hardware
+// attempt falls back to software instead of waiting).
+func TestEngineNestedRetryRetriesTheTransaction(t *testing.T) {
+	forEachBackend(t, 1, tm.Config{}, retry, func(t *testing.T, b backend, f *fixture) {
+		if b.opaque {
+			t.Skip("an empty wait set parks a host thread until the wake deadline")
+		}
+		attempts := 0
+		f.run(func(w worker) {
+			if err := w.Atomic(func(tx tm.Txn) error {
+				attempts++
+				tx.Store(f.word(0), uint64(attempts))
+				return tx.Atomic(func(in tm.Txn) error {
+					if attempts == 1 {
+						in.Retry()
+					}
+					return nil
+				})
+			}); err != nil {
+				t.Errorf("Atomic: %v", err)
+			}
+		})
+		if attempts != 2 || f.load(f.word(0)) != 2 {
+			t.Fatalf("attempts %d, word %d: want the retry to re-execute the outer block once", attempts, f.load(f.word(0)))
+		}
+	})
+}

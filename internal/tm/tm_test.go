@@ -86,3 +86,17 @@ func TestBackoffDiffersAcrossCores(t *testing.T) {
 		t.Fatal("different cores produced identical jitter; contention would lockstep")
 	}
 }
+
+// The splitmix finalizer maps 0, and only 0, to 0, so exactly one core
+// number — 2654435761·core + 1 ≡ 0 (mod 2^64) — would seed xorshift with
+// the zero state it can never leave; that core gets state 1 instead.
+func TestBackoffSeedNeverZero(t *testing.T) {
+	inv := uint64(2654435761) // Newton's iteration for the inverse mod 2^64
+	for i := 0; i < 5; i++ {
+		inv *= 2 - 2654435761*inv
+	}
+	core := int(-inv) // 2654435761·core = -1
+	if b := NewBackoff(core); b.rng != 1 {
+		t.Errorf("NewBackoff(%d).rng = %#x, want 1", core, b.rng)
+	}
+}

@@ -262,12 +262,10 @@ func (t *BTree) CheckInvariants(m *mem.Memory) error {
 		return fmt.Errorf("btree: nil root")
 	}
 	leafDepth := -1
-	visited := 0
 	var walk func(node uint64, depth int, lo, hi uint64, hasLo, hasHi bool) error
 	walk = func(node uint64, depth int, lo, hi uint64, hasLo, hasHi bool) error {
-		visited++
-		if visited > maxTreeSteps {
-			return fmt.Errorf("btree: walk exceeded %d nodes (cycle or corruption)", maxTreeSteps)
+		if depth > maxTreeSteps {
+			return fmt.Errorf("btree: walk deeper than %d nodes (a cycle through an empty root)", maxTreeSteps)
 		}
 		n, leaf := btDecode(d.Load(node + btCount))
 		if n > btMaxKeys {

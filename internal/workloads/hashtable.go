@@ -66,10 +66,9 @@ func (h *Hashtable) KeySpace() uint64 { return h.keySpace }
 func (h *Hashtable) hash(key uint64) (start, stride uint64) {
 	x := key * 0x9e3779b97f4a7c15
 	start = (x >> 32) & (h.slots - 1)
-	stride = ((x >> 17) | 1) & (h.slots - 1) // odd => coprime with 2^k
-	if stride == 0 {
-		stride = 1
-	}
+	// Odd, so coprime with 2^k; 0 only for a one-slot table, whose every
+	// probe is slot 0 anyway.
+	stride = ((x >> 17) | 1) & (h.slots - 1)
 	return start, stride
 }
 

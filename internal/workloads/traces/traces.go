@@ -16,7 +16,6 @@ package traces
 
 import (
 	"hastm.dev/hastm/internal/mem"
-	"hastm.dev/hastm/internal/tm"
 	"hastm.dev/hastm/internal/workloads"
 )
 
@@ -174,7 +173,7 @@ func AnalyzeAll(sections int, seed uint64) []Result {
 // high.
 func MeasureStructureReuse(ds workloads.DataStructure, m *mem.Memory, ops int, updatePct int, seed uint64) Result {
 	r := workloads.NewRand(seed)
-	rec := &recordingTxn{m: m}
+	rec := &recordingTxn{Direct: workloads.Direct{M: m}}
 	for i := 0; i < ops; i++ {
 		rec.beginSection()
 		if err := ds.Op(rec, r, r.Percent(updatePct)); err != nil {
@@ -185,9 +184,11 @@ func MeasureStructureReuse(ds workloads.DataStructure, m *mem.Memory, ops int, u
 	return Analyze(ds.Name(), rec.sections)
 }
 
-// recordingTxn wraps Direct, recording the line trace of each operation.
+// recordingTxn is Direct with a recording Load and Store: it records the
+// line trace of each operation. Direct's Atomic would run a nested body on
+// the bare Direct, unrecorded, but no structure nests Atomic.
 type recordingTxn struct {
-	m        *mem.Memory
+	workloads.Direct
 	current  Section
 	sections []Section
 }
@@ -198,33 +199,14 @@ func (t *recordingTxn) endSection() { t.sections = append(t.sections, t.current)
 
 func (t *recordingTxn) Load(addr uint64) uint64 {
 	t.current = append(t.current, Access{IsLoad: true, Line: addr / mem.LineSize})
-	return t.m.Load(addr)
+	return t.M.Load(addr)
 }
 
 func (t *recordingTxn) Store(addr, val uint64) {
 	t.current = append(t.current, Access{IsLoad: false, Line: addr / mem.LineSize})
-	t.m.Store(addr, val)
+	t.M.Store(addr, val)
 }
 
 func (t *recordingTxn) LoadObj(base, off uint64) uint64 { return t.Load(base + off) }
 
 func (t *recordingTxn) StoreObj(base, off, val uint64) { t.Store(base+off, val) }
-
-func (t *recordingTxn) Atomic(body func(tm.Txn) error) error { return body(t) }
-
-func (t *recordingTxn) OrElse(alts ...func(tm.Txn) error) error {
-	if len(alts) == 0 {
-		return nil
-	}
-	return alts[0](t)
-}
-
-func (t *recordingTxn) Retry() { panic("traces: Retry on a recording handle") }
-
-func (t *recordingTxn) Exec(n uint64) {}
-
-func (t *recordingTxn) Alloc(size, align uint64) uint64 { return t.m.Alloc(size, align) }
-
-func (t *recordingTxn) StoreInit(addr, val uint64) { t.m.Store(addr, val) }
-
-func (t *recordingTxn) Abort() { panic("traces: Abort on a recording handle") }

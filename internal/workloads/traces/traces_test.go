@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hastm.dev/hastm/internal/mem"
+	"hastm.dev/hastm/internal/tm"
 	"hastm.dev/hastm/internal/workloads"
 )
 
@@ -102,5 +103,40 @@ func TestStructureReuseOrdering(t *testing.T) {
 	}
 	if rt.LoadReuse < 0.5 {
 		t.Errorf("btree reuse %.2f too low (paper: ~68%%)", rt.LoadReuse)
+	}
+}
+
+// failingDS's every operation fails, as a full structure's insert does.
+type failingDS struct{ workloads.DataStructure }
+
+func (failingDS) Name() string { return "failing" }
+
+func (failingDS) Op(tm.Txn, *workloads.Rand, bool) error { return workloads.ErrTableFull }
+
+// The reuse table has no row for a structure whose operations fail: the
+// measurement stops with the structure's error instead of counting half an
+// operation.
+func TestStructureReuseStopsOnAFailedOp(t *testing.T) {
+	defer func() {
+		if r := recover(); r != workloads.ErrTableFull {
+			t.Errorf("recovered %v, want %v", r, workloads.ErrTableFull)
+		}
+	}()
+	MeasureStructureReuse(failingDS{}, mem.New(), 1, 100, 1)
+}
+
+// The object-layout BST reaches memory through LoadObj and StoreObj, which
+// the recorder must record too: it measures the same loads and stores as
+// the line-layout tree it mirrors.
+func TestStructureReuseRecordsObjectFields(t *testing.T) {
+	measure := func(build func(*mem.Memory, uint64) *workloads.BST) Result {
+		m := mem.New()
+		ds := build(m, 64)
+		ds.Populate(m, workloads.NewRand(1))
+		return MeasureStructureReuse(ds, m, 200, 50, 2)
+	}
+	obj, line := measure(workloads.NewObjBST), measure(workloads.NewBST)
+	if obj.LoadFraction == 0 || obj.LoadFraction != line.LoadFraction {
+		t.Errorf("objbst load fraction %v, bst %v: want the same nonzero mix", obj.LoadFraction, line.LoadFraction)
 	}
 }

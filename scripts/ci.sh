@@ -3,7 +3,7 @@
 # workflow job of the same name runs them:
 #
 #   scripts/ci.sh <suite>   # fuzz faultstorm smoke native service progress scale chaos
-#   scripts/ci.sh reach     # the reach ledger; no workflow job runs it
+#   scripts/ci.sh reach     # the reach ledger and its gate; job reach runs it
 #   scripts/ci.sh inline    # the inlining guard; job build-test runs it
 #
 # Reports and traces are left in ./ci-out (gitignored) for the job to upload.
@@ -186,7 +186,10 @@ reach)
     # reached by their Example tests. Host timing picks which backoff, wake
     # and chaos paths the native runs take, so a host-timed package's row
     # moves run to run; the second total leaves those rows out and repeats.
-    # The blocks nothing reaches are listed in reach-neither.txt.
+    # The blocks nothing reaches are listed in reach-neither.txt under their
+    # enclosing func. The gate: outside the host-timed packages, every func's
+    # unreached statement count must equal its line in scripts/reach-allow.txt
+    # (none if it has no line), so new dead code and stale lines both fail.
     cov="$bin/cov"
     mkdir -p "$cov/data"
     go build -cover -coverpkg=./... -o "$bin" ./cmd/hastm-bench
@@ -196,9 +199,9 @@ reach)
     go tool covdata textfmt -i="$cov/data" -o "$cov/outputs.txt"
     go test -coverpkg=./... -coverprofile="$cov/tests.txt" ./... > /dev/null
     (cd bench && go test -coverpkg=hastm.dev/hastm/... -coverprofile="$cov/bench.txt" ./... > /dev/null)
-    python3 - "$cov" "$out/reach-neither.txt" <<'EOF'
-import collections, os, sys
-cov, neither_path = sys.argv[1:]
+    python3 - "$cov" "$out/reach-neither.txt" scripts/reach-allow.txt <<'EOF'
+import collections, os, re, sys
+cov, neither_path, allow_path = sys.argv[1:]
 mod = "hastm.dev/hastm/"
 host_timed = {"internal/native"}
 
@@ -211,6 +214,15 @@ def reached(name):  # block -> (statements, run at least once)
         blocks[block] = (int(stmts), blocks.get(block, (0, False))[1] or int(count) > 0)
     return blocks
 
+funcs = {}  # file -> [(line, name)] of its top-level func declarations
+def enclosing(file, line):  # "(*T).m" or "f" for the func declared last at or above line
+    if file not in funcs:
+        funcs[file] = []
+        for i, text in enumerate(open(file), 1):
+            if m := re.match(r"func (?:\((?:\w+ )?(\*?\w+)[^)]*\) )?(\w+)", text):
+                funcs[file].append((i, f"({m[1]}).{m[2]}" if m[1] else m[2]))
+    return max(((l, n) for l, n in funcs[file] if l <= line), default=(0, "-"))[1]
+
 # The coverage build holds only the packages hastm-bench links; tests reach
 # the others (the root package).
 outputs, tests, bench = reached("outputs.txt"), reached("tests.txt"), reached("bench.txt")
@@ -220,10 +232,12 @@ for block, (stmts, _) in (bench | tests | outputs).items():
     hit = lambda profile: profile.get(block, (0, False))[1]
     col = 0 if hit(outputs) else 1 if hit(tests) or hit(bench) else 2
     path = block.removeprefix(mod)
-    rows[os.path.dirname(path) or "."][col] += stmts
-    if col == 2:
+    pkg = os.path.dirname(path) or "."
+    rows[pkg][col] += stmts
+    if col == 2 and stmts > 0:
         file, pos = path.split(":")
-        neither.append((file, int(pos.split(".")[0]), stmts))
+        line = int(pos.split(".")[0])
+        neither.append((file, line, enclosing(file, line), stmts, pkg in host_timed))
 def row(name, r):
     print(f"{name:32} {sum(r):6} {r[0]:8} {r[1]:17} {r[2]:8}")
 print(f"{'package':32} {'stmts':>6} {'outputs':>8} {'tests/bench only':>17} {'neither':>8}")
@@ -231,9 +245,25 @@ for pkg in sorted(rows):
     row(pkg + " (host-timed)" * (pkg in host_timed), rows[pkg])
 row("total", [sum(c) for c in zip(*rows.values())])
 row("total without host-timed", [sum(c) for c in zip(*(r for p, r in rows.items() if p not in host_timed))])
+got = collections.Counter()
 with open(neither_path, "w") as f:
-    for file, line, stmts in sorted(neither):
-        print(f"{file}:{line} {stmts}", file=f)
+    for file, line, fn, stmts, timed in sorted(neither):
+        print(f"{file}:{line} {fn} {stmts}", file=f)
+        if not timed:
+            got[file, fn] += stmts
+allowed = {}
+for text in open(allow_path):
+    if text.strip() and not text.startswith("#"):
+        file, fn, stmts, reason = text.split(maxsplit=3)
+        allowed[file, fn] = int(stmts)
+fail = False
+for key in sorted(got.keys() | allowed.keys()):
+    n, want = got[key], allowed.get(key, 0)
+    if n != want:
+        what = "unreached statements" if n > want else "stale allow-list entry"
+        print(f"scripts/ci.sh reach: {what}: {key[0]} {key[1]}: {n} unreached, {allow_path} gives {want}", file=sys.stderr)
+        fail = True
+sys.exit(fail)
 EOF
     ;;
 *)
