@@ -10,7 +10,7 @@ import (
 )
 
 // reportCache memoises full report sets per worker count so the
-// equivalence and golden tests share runs instead of re-simulating.
+// equivalence and shape tests share runs instead of re-simulating.
 var reportCache = struct {
 	sync.Mutex
 	m map[int][]*Report
