@@ -272,9 +272,8 @@ func runSuite(c *config) (err error) {
 }
 
 // printVerdicts renders a verdict suite's stdout: the banner, one row per
-// cell under the suite's column header, and the cells/failed footer. All of
-// it derives from simulated state (or, on the host, from the spec), so it is
-// byte-identical across -j values and both schedulers.
+// cell under the suite's column header, and the cells/failed footer. It
+// derives from simulated state (or, on the host, from the spec) alone.
 func printVerdicts(name, banner string, cells []*harness.Cell) {
 	fmt.Printf("%s\n\n%s\n", banner, cells[0].Verdict.Header())
 	failures := 0

@@ -38,10 +38,9 @@ type Options struct {
 	// DefaultISA runs the experiment on a machine implementing only the
 	// Section 3.3 default behaviour of the mark instructions.
 	DefaultISA bool
-	// TxnTraceMax, if positive, attaches the event trace (begin/commit/
-	// abort-with-cause, txn id, retry index) holding at most this many
-	// events to every run (RunMetrics.TxnTrace); hastm-bench -trace and
-	// -events set it.
+	// TxnTraceMax, if positive, attaches an event trace (begin/commit/
+	// abort-with-cause, txn id, retry index) of at most this many events
+	// to every run (RunMetrics.TxnTrace); hastm-bench -trace and -events.
 	TxnTraceMax int
 	// ReferenceScheduler runs every cell on the simulator's original
 	// per-operation handoff scheduler instead of the grant-lease scheduler.
@@ -87,11 +86,10 @@ type Options struct {
 	// Topology: interleaved (default) or first-touch. A miss that reaches
 	// memory on a remote-homed page pays the remote-memory latency.
 	Placement mem.Placement
-	// Chaos arms the native backend's fault-injection plane on native
-	// cells: seeded stalls, preemption bursts, spurious commit aborts and
-	// delayed wakeups at named commit-protocol points (the -chaos flag).
-	// The zero value leaves the plane off. Simulator cells ignore it — the
-	// CLI maps -chaos onto the simulator's own fault plane instead.
+	// Chaos arms the native backend's fault-injection plane (-chaos):
+	// seeded stalls, preemption bursts, spurious commit aborts and delayed
+	// wakeups at named commit-protocol points; zero leaves it off. The CLI
+	// rejects -chaos on the simulator, whose fault plane is -faults.
 	Chaos native.ChaosSpec
 }
 

@@ -57,11 +57,11 @@ type HASTMConfig struct {
 	// mode after a transaction commits (§6).
 	SingleThread bool
 
-	// FilterWrites enables the §5 extension: the second filter plane
-	// marks acquired records (skipping re-acquisition checks) and
-	// undo-logged 16-byte sub-blocks (skipping duplicate old-value
-	// logging). The paper proposes but does not evaluate this; the
-	// ext-wfilter experiment measures it.
+	// FilterWrites enables the §5 extension at line granularity (NewHASTM
+	// panics at object granularity): the second filter plane marks acquired
+	// records (skipping re-acquisition checks) and undo-logged 16-byte
+	// sub-blocks (skipping duplicate old-value logging). The paper proposes
+	// but does not evaluate it; the ext-wfilter experiment measures it.
 	FilterWrites bool
 
 	// InterAtomic keeps mark bits across transactions, enabling the
@@ -89,6 +89,9 @@ const (
 // NewHASTM creates a HASTM system: the STM whose barriers run the mark-bit
 // steps cfg enables.
 func NewHASTM(name string, machine *sim.Machine, cfg HASTMConfig) *System {
+	if cfg.FilterWrites && cfg.TM.Granularity == tm.ObjectGranularity {
+		panic("stm: FilterWrites needs line granularity: at object granularity a field in the header's sub-block loses its undo entry")
+	}
 	s := NewWithTable(name, machine, cfg.TM, NewRecordTable(machine.Mem))
 	s.hastm = &cfg
 	return s

@@ -1,6 +1,9 @@
 package stm
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"hastm.dev/hastm/internal/cache"
@@ -170,6 +173,38 @@ func TestObjectGranularity(t *testing.T) {
 	}
 	if v := machine.Mem.Load(obj); !IsVersion(v) {
 		t.Fatalf("header record left owned: %#x", v)
+	}
+}
+
+// FilterWrites at object granularity lost an undo entry: the record barrier
+// marks the object header's 16-byte sub-block on the write plane, so the
+// store to the field at offset 8 found its sub-block "logged", and an aborted
+// body left 99 where 5 was. NewHASTM refuses the combination by name; were
+// the system built, the body below would show whether the undo holds.
+func TestFilterWritesRefusesObjectGranularity(t *testing.T) {
+	machine := testMachine(1)
+	obj := AllocObject(machine.Mem, 8)
+	machine.Mem.Store(obj+8, 5)
+	var s *System
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "FilterWrites needs line granularity") {
+				t.Errorf("NewHASTM recovered %v, want the FilterWrites granularity panic", r)
+			}
+		}()
+		s = NewHASTM("hastm-wfilter", machine, HASTMConfig{TM: objCfg(), Filter: true, FilterWrites: true})
+	}()
+	if s == nil {
+		return
+	}
+	failed := errors.New("abort")
+	machine.Run(func(c *sim.Ctx) {
+		if err := s.Thread(c).Atomic(func(tx tm.Txn) error { tx.StoreObj(obj, 8, 99); return failed }); err != failed {
+			t.Errorf("Atomic: %v, want the body's error", err)
+		}
+	})
+	if v := machine.Mem.Load(obj + 8); v != 5 {
+		t.Errorf("an aborted body left %d in the field, want 5", v)
 	}
 }
 
