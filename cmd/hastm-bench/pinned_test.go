@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -29,7 +30,6 @@ var pinnedRows = []struct {
 	text     bool     // stdout as text, not as a hash
 	trace    bool     // also pin the -trace file
 	traceHas []string // lines the trace must carry
-	serial   bool     // pinned under -j 1 only
 }{
 	{name: "quick-ext", args: []string{"-quick", "-ext"}, text: true, trace: true},
 	// Admission control's events are in the trace, which passed the life-cycle
@@ -46,9 +46,10 @@ var pinnedRows = []struct {
 	// The hybrid scheme's fallbacks make its trace a life-cycle check worth
 	// running.
 	{name: "cell-hytm", args: []string{"-cell", "hytm/btree/2", "-events", "2000"}, trace: true},
-	// The document's sched blocks, workers and options differ by mode by
-	// design; its host fields are dropped (withoutHostFields).
-	{name: "quick-json", args: []string{"-quick", "-json"}, serial: true},
+	// Pinned under -j 1 only: the document's sched blocks, workers and
+	// options differ by mode by design. Its host fields are dropped
+	// (withoutHostFields).
+	{name: "quick-json", args: []string{"-quick", "-json"}},
 }
 
 // pinModes are the execution modes every row must print identically in:
@@ -74,26 +75,28 @@ const fnvFile = "testdata/fnv.txt"
 //
 // rewrites the pins, and `git diff testdata/` is the change's delta table.
 func TestPinnedOutputs(t *testing.T) {
-	hashes := readHashes(t)
-	if *update {
-		hashes = map[string]uint64{}
+	hashes := map[string]uint64{}
+	if !*update {
+		hashes = readHashes(t)
 	}
 	for _, mode := range pinModes {
 		for _, r := range pinnedRows {
-			if r.serial && mode.name != "serial" {
+			jsonRow := slices.Contains(r.args, "-json")
+			if jsonRow && mode.name != "serial" {
 				continue
 			}
 			t.Run(mode.name+"/"+r.name, func(t *testing.T) {
 				args := append(slices.Clone(r.args), mode.args...)
-				trace := filepath.Join(t.TempDir(), "trace.jsonl")
+				var trace string
 				if r.trace {
+					trace = filepath.Join(t.TempDir(), "trace.jsonl")
 					args = append(args, "-trace", trace)
 				}
 				code, stdout, stderr := runMain(t, args...)
 				if code != 0 {
 					t.Fatalf("hastm-bench %s: exit status %d\n%s", strings.Join(args, " "), code, stderr)
 				}
-				if slices.Contains(r.args, "-json") {
+				if jsonRow {
 					stdout = withoutHostFields(t, stdout)
 				}
 				got := map[string]uint64{}
@@ -166,7 +169,7 @@ func movedLines(file, want, got string) string {
 	}
 	w, g = w[p:len(w)-s], g[p:len(g)-s]
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d lines moved", file, max(len(w), len(g)))
+	fmt.Fprintf(&b, "%s: moved lines: %d", file, max(len(w), len(g)))
 	for i := 0; i < max(len(w), len(g)) && i < 10; i++ {
 		fmt.Fprintf(&b, "\n%s:%d:", file, p+i+1)
 		if i < len(w) {
@@ -188,18 +191,23 @@ func fnvOf(b []byte) uint64 {
 // traceHashes hashes a JSONL trace per figure: each line goes to the figure
 // its "cell" names.
 func traceHashes(trace []byte) map[string]uint64 {
-	lines := map[string][]byte{}
+	figs := map[string]hash.Hash64{}
 	for _, line := range bytes.SplitAfter(trace, []byte("\n")) {
 		if len(line) == 0 {
 			continue
 		}
 		_, cell, _ := bytes.Cut(line, []byte(`"cell":"`))
 		fig, _, _ := bytes.Cut(cell, []byte("/"))
-		lines[string(fig)] = append(lines[string(fig)], line...)
+		h := figs[string(fig)]
+		if h == nil {
+			h = fnv.New64a()
+			figs[string(fig)] = h
+		}
+		h.Write(line)
 	}
 	hashes := map[string]uint64{}
-	for fig, b := range lines {
-		hashes[fig] = fnvOf(b)
+	for fig, h := range figs {
+		hashes[fig] = h.Sum64()
 	}
 	return hashes
 }
@@ -233,7 +241,7 @@ func withoutHostFields(t *testing.T, doc string) string {
 // readHashes reads testdata/fnv.txt: one "key hash" line per output.
 func readHashes(t *testing.T) map[string]uint64 {
 	b, err := os.ReadFile(fnvFile)
-	if err != nil && !*update {
+	if err != nil {
 		t.Fatal(err)
 	}
 	hashes := map[string]uint64{}

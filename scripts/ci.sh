@@ -1,6 +1,6 @@
 #!/bin/bash
-# One CI suite's command-line smoke and byte-identity steps, exactly as the
-# workflow job of the same name runs them:
+# One CI suite's command-line smoke steps, exactly as the workflow job of the
+# same name runs them:
 #
 #   scripts/ci.sh <suite>   # fuzz faultstorm smoke native service progress scale chaos
 #   scripts/ci.sh reach     # the reach ledger and its gate; job reach runs it
@@ -8,7 +8,9 @@
 #
 # Reports and traces are left in ./ci-out (gitignored) for the job to upload.
 # The unit tests behind each suite are not repeated here: they run in
-# `go test ./...` and `go test -race ./...` (jobs build-test and race).
+# `go test ./...` and `go test -race ./...` (jobs build-test and race). So
+# does byte identity: cmd/hastm-bench's TestPinnedOutputs checks every
+# deterministic output against testdata/ under -j 1 and -j 4 -sched reference.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -51,9 +53,9 @@ EOF
 faultstorm)
     # Every scheme x structure under injected suspensions, evictions, snoops
     # and spurious HTM aborts must pass the sequential oracle (exit 1
-    # otherwise), byte-identically across -j and schedulers.
+    # otherwise).
     spec=suspend=900,evict=600,snoop=1100,htmabort=1700,seed=3
-    OUT="$out/storm" scripts/cmp-modes.sh -quick -faults "$spec"
+    bench -quick -faults "$spec" -j 4 > "$out/storm.txt"
     bench -quick -faults "$spec" -seed 7 -j 4 > "$out/storm-seed7.txt"
     ;;
 smoke)
@@ -63,12 +65,6 @@ smoke)
     json_has "$out/BENCH_quick.json" '"backend": "sim"' '"host_ns"' '"telemetry"' '"sched"' '"cycles_per_host_sec"'
     bench -backend native -quick -json > "$out/BENCH_native.json"
     json_has "$out/BENCH_native.json" '"backend": "native-tl2"' '"txns_per_sec"' '"host_ns"'
-    # Parallelism and the grant-lease fast path change only host time, never
-    # the science: identical stdout and transaction trace.
-    OUT="$out/figures" scripts/cmp-modes.sh -quick
-    # One figure cell: its report and -events text, and its trace, which the
-    # hybrid scheme's fallbacks make a life-cycle check worth running.
-    OUT="$out/cell" scripts/cmp-modes.sh -cell hytm/btree/2 -events 200
     ;;
 native)
     # Real goroutines on real memory, so -race is the point and the repetition
@@ -87,12 +83,6 @@ service)
     json_has "$out/SVC_sim.json" '"latency_p99"' '"goodput"' '"shed"'
     bench -quick -service -backend native -json > "$out/SVC_native.json"
     json_has "$out/SVC_native.json" '"backend": "native-tl2"' '"txns_per_sec"' '"latency_p999"'
-    OUT="$out/svc" scripts/cmp-modes.sh -quick -service
-    # Admission control's events are in the trace, which passed the life-cycle
-    # check: shed stands alone (no begin, no fake abort), serialize is
-    # informational.
-    grep -q '"ev":"shed"' "$out/svc-j1.jsonl"
-    grep -q '"ev":"serialize"' "$out/svc-j1.jsonl"
     # The simulator's numbers are exact for a fixed seed, so the SLO gate is
     # exact: no contained failure, every request accounted for, and the
     # moderate-load cell sheds nothing and keeps p999 sojourn bounded.
@@ -114,7 +104,7 @@ EOF
     ;;
 progress)
     # Livelock/starvation cells that need the irrevocable ladder to finish.
-    OUT="$out/adv" scripts/cmp-modes.sh -adversarial all
+    bench -adversarial all -j 4 > "$out/adv.txt"
     # With -no-ladder the storm must NOT complete: exit 1, a structured
     # ProgressViolation naming the tripped watchdog, the last events on stderr.
     if bench -adversarial storm -no-ladder > "$out/noladder.txt" 2> "$out/noladder.err"; then
@@ -127,7 +117,6 @@ progress)
     ;;
 scale)
     # The 64-256 core mapping-policy figure on a quick cell budget.
-    OUT="$out/numa" scripts/cmp-modes.sh -quick -fig ext-numa
     bench -quick -fig ext-numa -j 4 -json > "$out/NUMA_quick.json"
     json_has "$out/NUMA_quick.json" '"numa"' '"cross_socket_misses"' '"remote_dirty_fetches"' '"directory_invalidations"'
     ;;
@@ -180,9 +169,9 @@ EOF
     ;;
 reach)
     # The reach ledger: per package, the non-test statements that the
-    # deterministic outputs reach (scripts/outputs.sh and the native smoke on
-    # a coverage build), those only tests or bench/'s tests reach, and those
-    # nothing reaches. bench/ is not counted; the programs under examples/ are
+    # deterministic outputs reach (TestPinnedOutputs, and the native smokes
+    # on a coverage build), those only tests or bench/'s tests reach, and
+    # those nothing reaches. bench/ is not counted; the programs under examples/ are
     # reached by their Example tests. Host timing picks which backoff, wake
     # and chaos paths the native runs take, so a host-timed package's row
     # moves run to run; the second total leaves those rows out and repeats.
@@ -193,10 +182,10 @@ reach)
     cov="$bin/cov"
     mkdir -p "$cov/data"
     go build -cover -coverpkg=./... -o "$bin" ./cmd/hastm-bench
-    GOFLAGS="-cover -coverpkg=./..." GOCOVERDIR="$cov/data" scripts/outputs.sh "$cov/outputs"
+    go test -coverpkg=./... -coverprofile="$cov/pinned.txt" -run '^TestPinnedOutputs$' ./cmd/hastm-bench > /dev/null
     GOCOVERDIR="$cov/data" bench -backend native -quick -json > /dev/null
     GOCOVERDIR="$cov/data" bench -quick -service -backend native -json > /dev/null
-    go tool covdata textfmt -i="$cov/data" -o "$cov/outputs.txt"
+    go tool covdata textfmt -i="$cov/data" -o "$cov/native.txt"
     go test -coverpkg=./... -coverprofile="$cov/tests.txt" ./... > /dev/null
     (cd bench && go test -coverpkg=hastm.dev/hastm/... -coverprofile="$cov/bench.txt" ./... > /dev/null)
     python3 - "$cov" "$out/reach-neither.txt" scripts/reach-allow.txt <<'EOF'
@@ -205,9 +194,9 @@ cov, neither_path, allow_path = sys.argv[1:]
 mod = "hastm.dev/hastm/"
 host_timed = {"internal/native"}
 
-def reached(name):  # block -> (statements, run at least once)
+def reached(*names):  # block -> (statements, run at least once in any profile)
     blocks = {}
-    for line in open(os.path.join(cov, name)):
+    for line in (line for name in names for line in open(os.path.join(cov, name))):
         if line.startswith(("mode:", mod + "bench/")):
             continue
         block, stmts, count = line.split()
@@ -223,9 +212,9 @@ def enclosing(file, line):  # "(*T).m" or "f" for the func declared last at or a
                 funcs[file].append((i, f"({m[1]}).{m[2]}" if m[1] else m[2]))
     return max(((l, n) for l, n in funcs[file] if l <= line), default=(0, "-"))[1]
 
-# The coverage build holds only the packages hastm-bench links; tests reach
-# the others (the root package).
-outputs, tests, bench = reached("outputs.txt"), reached("tests.txt"), reached("bench.txt")
+# The outputs' profiles hold only the packages hastm-bench links; tests
+# reach the others (the root package).
+outputs, tests, bench = reached("pinned.txt", "native.txt"), reached("tests.txt"), reached("bench.txt")
 rows = collections.defaultdict(lambda: [0, 0, 0])
 neither = []
 for block, (stmts, _) in (bench | tests | outputs).items():
