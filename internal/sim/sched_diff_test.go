@@ -292,6 +292,7 @@ func TestSchedulerDifferentialScale(t *testing.T) {
 			for _, fault := range []struct{ ie, hook uint64 }{{0, 0}, {700, 97}} {
 				name := fmt.Sprintf("%s/seed%d/ie%d/hook%d", tc.top, seed, fault.ie, fault.hook)
 				t.Run(name, func(t *testing.T) {
+					t.Parallel() // each case builds its own machines
 					lease := runRandom(t, seed, tc.cores, tc.top, fault.ie, fault.hook, false)
 					ref := runRandom(t, seed, tc.cores, tc.top, fault.ie, fault.hook, true)
 					diffCompare(t, lease, ref)

@@ -171,10 +171,11 @@ reach)
     # The reach ledger: per package, the non-test statements that the
     # deterministic outputs reach (TestPinnedOutputs, and the native smokes
     # on a coverage build), those only tests or bench/'s tests reach, and
-    # those nothing reaches. bench/ is not counted; the programs under examples/ are
-    # reached by their Example tests. Host timing picks which backoff, wake
-    # and chaos paths the native runs take, so a host-timed package's row
-    # moves run to run; the second total leaves those rows out and repeats.
+    # those nothing reaches. bench/ is not counted; the programs under
+    # examples/ are reached by their Example tests. Host timing picks which
+    # backoff, wake and chaos paths the native runs take, so a host-timed
+    # package's row moves run to run; the second total leaves those rows out
+    # and repeats.
     # The blocks nothing reaches are listed in reach-neither.txt under their
     # enclosing func. The gate: outside the host-timed packages, every func's
     # unreached statement count must equal its line in scripts/reach-allow.txt
