@@ -162,17 +162,15 @@ func TestFig11Shape(t *testing.T) {
 // workload, and rdbar+validate dominate.
 func TestFig12Shape(t *testing.T) {
 	rep := quickReport(t, "fig12")
-	tbl := rep.Tables[0]
-	for _, row := range tbl.Rows {
-		rd := rep.MustGet("breakdown", row.Name, "rdbar")
-		for i, col := range tbl.Cols {
-			if col != "rdbar" && row.Cells[i] >= rd {
-				t.Errorf("%s: %s (%.1f%%) >= rdbar (%.1f%%) — rdbar must be the largest bucket",
-					row.Name, col, row.Cells[i], rd)
+	for _, wl := range Workloads() {
+		rd := rep.MustGet("breakdown", wl, "rdbar")
+		for _, col := range rep.Tables[0].Cols {
+			if v := rep.MustGet("breakdown", wl, col); col != "rdbar" && v >= rd {
+				t.Errorf("%s: %s (%.1f%%) >= rdbar (%.1f%%) — rdbar must be the largest bucket", wl, col, v, rd)
 			}
 		}
-		if val := rep.MustGet("breakdown", row.Name, "validate"); rd+val < 35 {
-			t.Errorf("%s: rdbar+validate = %.1f%%, want the dominant share", row.Name, rd+val)
+		if val := rep.MustGet("breakdown", wl, "validate"); rd+val < 35 {
+			t.Errorf("%s: rdbar+validate = %.1f%%, want the dominant share", wl, rd+val)
 		}
 	}
 }
@@ -237,11 +235,11 @@ func TestFig15Shape(t *testing.T) {
 	if gapHigh >= gapLow {
 		t.Errorf("HASTM-vs-Hybrid gap should narrow with reuse and load fraction: %.3f -> %.3f", gapLow, gapHigh)
 	}
-	for _, tbl := range rep.Tables {
-		for _, load := range tbl.Cols {
-			hastm, caut := rep.MustGet(tbl.Name, "HASTM", load), rep.MustGet(tbl.Name, "Cautious", load)
+	for _, reuse := range []string{"40% cache reuse", "50% cache reuse", "60% cache reuse"} {
+		for _, load := range rep.Tables[0].Cols {
+			hastm, caut := rep.MustGet(reuse, "HASTM", load), rep.MustGet(reuse, "Cautious", load)
 			if hastm > caut {
-				t.Errorf("%s/%s: full HASTM (%.3f) slower than cautious-only (%.3f)", tbl.Name, load, hastm, caut)
+				t.Errorf("%s/%s: full HASTM (%.3f) slower than cautious-only (%.3f)", reuse, load, hastm, caut)
 			}
 		}
 	}
