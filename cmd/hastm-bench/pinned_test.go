@@ -128,6 +128,11 @@ func TestPinnedOutputs(t *testing.T) {
 						t.Errorf("%s: %s: %016x, pinned %016x", fnvFile, key, h, want)
 					}
 				}
+				for key := range hashes {
+					if _, ok := got[key]; !ok && strings.HasPrefix(key, r.name+"/") && !*update {
+						t.Errorf("%s: %s: pinned, but the run printed no such output", fnvFile, key)
+					}
+				}
 			})
 		}
 	}
