@@ -9,24 +9,28 @@ import (
 
 // The harness tests verify the SHAPES the paper reports — who wins, by
 // roughly what factor, where crossovers fall — at reduced experiment sizes
-// so the suite stays fast: one test per claim EXPERIMENTS.md reports as
-// reproduced. EXPERIMENTS.md records the full-size numbers; cmd/hastm-bench's
-// TestPinnedOutputs pins the bytes.
+// so the suite stays fast: one predicate per claim EXPERIMENTS.md reports as
+// reproduced, checked here on the serial run and in golden_test.go on the
+// parallel engine's. EXPERIMENTS.md records the full-size numbers;
+// cmd/hastm-bench's TestPinnedOutputs pins the bytes.
 
 func quick() Options { return QuickOptions() }
 
-// quickReport returns one experiment's report from the shared serial run at
-// QuickOptions.
-func quickReport(t *testing.T, id string) *Report {
+// reportAt returns one experiment's report from the shared run of every
+// experiment at QuickOptions with the given worker count.
+func reportAt(t *testing.T, workers int, id string) *Report {
 	t.Helper()
-	for _, r := range reportsAt(t, 1) {
+	for _, r := range reportsAt(t, workers) {
 		if r.ID == id {
 			return r
 		}
 	}
-	t.Fatalf("no report %q in the quick run", id)
+	t.Fatalf("no report %q in the -j %d quick run", id, workers)
 	return nil
 }
+
+// quickReport returns one experiment's report from the shared serial run.
+func quickReport(t *testing.T, id string) *Report { return reportAt(t, 1, id) }
 
 // figure regenerates one registered experiment serially.
 func figure(id string, o Options) *Report {
@@ -136,8 +140,10 @@ func TestRunOneDeterministic(t *testing.T) {
 
 // Fig 11 shape: STM has single-thread overhead but scales; the coarse lock
 // does not scale; STM undercuts the lock by 16 processors.
-func TestFig11Shape(t *testing.T) {
-	rep := quickReport(t, "fig11")
+func TestFig11Shape(t *testing.T) { claimFig11(t, 1) }
+
+func claimFig11(t *testing.T, workers int) {
+	rep := reportAt(t, workers, "fig11")
 	for _, wl := range Workloads() {
 		stm1 := rep.MustGet(wl, "stm", "1")
 		stm16 := rep.MustGet(wl, "stm", "16")
@@ -160,8 +166,10 @@ func TestFig11Shape(t *testing.T) {
 // Fig 12 shape: "the majority of the STM overhead arises from the read
 // barrier and validation" — rdbar is the single largest bucket on every
 // workload, and rdbar+validate dominate.
-func TestFig12Shape(t *testing.T) {
-	rep := quickReport(t, "fig12")
+func TestFig12Shape(t *testing.T) { claimFig12(t, 1) }
+
+func claimFig12(t *testing.T, workers int) {
+	rep := reportAt(t, workers, "fig12")
 	for _, wl := range Workloads() {
 		rd := rep.MustGet("breakdown", wl, "rdbar")
 		for _, col := range rep.Tables[0].Cols {
@@ -177,8 +185,10 @@ func TestFig12Shape(t *testing.T) {
 
 // Fig 13 shape: loads >= ~70% and load reuse >= ~50% for most workloads;
 // store reuse sits near the 40% the microbenchmarks hold constant.
-func TestFig13Shape(t *testing.T) {
-	rep := quickReport(t, "fig13")
+func TestFig13Shape(t *testing.T) { claimFig13(t, 1) }
+
+func claimFig13(t *testing.T, workers int) {
+	rep := reportAt(t, workers, "fig13")
 	tbl := rep.Tables[0]
 	highLoads, highReuse := 0, 0
 	for _, row := range tbl.Rows {
@@ -219,8 +229,10 @@ func TestFig13StructureReuseShape(t *testing.T) {
 
 // Fig 15 shape: every accelerated scheme beats the STM; HASTM beats
 // cautious; HASTM's gap to Hybrid narrows as load fraction and reuse grow.
-func TestFig15Shape(t *testing.T) {
-	rep := quickReport(t, "fig15")
+func TestFig15Shape(t *testing.T) { claimFig15(t, 1) }
+
+func claimFig15(t *testing.T, workers int) {
+	rep := reportAt(t, workers, "fig15")
 	for _, tbl := range rep.Tables {
 		for _, row := range tbl.Rows {
 			for i, v := range row.Cells {
@@ -247,8 +259,10 @@ func TestFig15Shape(t *testing.T) {
 
 // Fig 16 shape: HASTM comparable to HyTM (within ~35% at quick sizes),
 // both clearly faster than the STM on the trees; lock close to sequential.
-func TestFig16Shape(t *testing.T) {
-	rep := quickReport(t, "fig16")
+func TestFig16Shape(t *testing.T) { claimFig16(t, 1) }
+
+func claimFig16(t *testing.T, workers int) {
+	rep := reportAt(t, workers, "fig16")
 	for _, wl := range Workloads() {
 		hastm := rep.MustGet("single-thread", "hastm", wl)
 		hytm := rep.MustGet("single-thread", "hytm", wl)
@@ -280,8 +294,10 @@ func TestFig16Shape(t *testing.T) {
 // Fig 17 shape: full HASTM fastest; cautious-only loses the read-log
 // elimination (and on the hashtable is no better than the STM); no-reuse
 // still beats the STM on trees via validation elimination.
-func TestFig17Shape(t *testing.T) {
-	rep := quickReport(t, "fig17")
+func TestFig17Shape(t *testing.T) { claimFig17(t, 1) }
+
+func claimFig17(t *testing.T, workers int) {
+	rep := reportAt(t, workers, "fig17")
 	for _, wl := range Workloads() {
 		full := rep.MustGet("ablation", "hastm", wl)
 		caut := rep.MustGet("ablation", "hastm-cautious", wl)
@@ -313,12 +329,14 @@ func TestFig17Shape(t *testing.T) {
 
 // Figs 18–20 shape: lock flat; STM and HASTM scale; HASTM best TM; the
 // hashtable's HASTM crosses below the lock at 4 cores.
-func TestMulticoreScalingShapes(t *testing.T) {
+func TestMulticoreScalingShapes(t *testing.T) { claimMulticoreScaling(t, 1) }
+
+func claimMulticoreScaling(t *testing.T, workers int) {
 	for _, tc := range []struct {
 		fig string
 		wl  string
 	}{{"fig18", WorkloadBST}, {"fig19", WorkloadBTree}, {"fig20", WorkloadHash}} {
-		rep := quickReport(t, tc.fig)
+		rep := reportAt(t, workers, tc.fig)
 		h1 := rep.MustGet(tc.wl, "hastm", "1")
 		h4 := rep.MustGet(tc.wl, "hastm", "4")
 		s1 := rep.MustGet(tc.wl, "stm", "1")
@@ -345,12 +363,14 @@ func TestMulticoreScalingShapes(t *testing.T) {
 // Figs 21/22 shape: the naive always-aggressive scheme degrades with cores
 // and ends up worse than the pure STM at 4 cores, while HASTM (which stays
 // cautious under interference) remains the best.
-func TestNaiveAggressiveCollapses(t *testing.T) {
+func TestNaiveAggressiveCollapses(t *testing.T) { claimNaiveAggressiveCollapse(t, 1) }
+
+func claimNaiveAggressiveCollapse(t *testing.T, workers int) {
 	for _, tc := range []struct {
 		fig string
 		wl  string
 	}{{"fig21", WorkloadBST}, {"fig22", WorkloadBTree}} {
-		rep := quickReport(t, tc.fig)
+		rep := reportAt(t, workers, tc.fig)
 		n4 := rep.MustGet(tc.wl, "naive-aggressive", "4")
 		s4 := rep.MustGet(tc.wl, "stm", "4")
 		h4 := rep.MustGet(tc.wl, "hastm", "4")
@@ -408,8 +428,10 @@ func TestExtensionRegistry(t *testing.T) {
 
 // ext-interatomic: carrying marks across atomic blocks must produce
 // cross-block filtered reads and a clear speedup on block-repetitive code.
-func TestExtInterAtomicShape(t *testing.T) {
-	rep := quickReport(t, "ext-interatomic")
+func TestExtInterAtomicShape(t *testing.T) { claimExtInterAtomic(t, 1) }
+
+func claimExtInterAtomic(t *testing.T, workers int) {
+	rep := reportAt(t, workers, "ext-interatomic")
 	plain := rep.MustGet("repeated 16-line read-only blocks", "hastm", "rel time")
 	ia := rep.MustGet("repeated 16-line read-only blocks", "hastm-interatomic", "rel time")
 	filtered := rep.MustGet("repeated 16-line read-only blocks", "hastm-interatomic", "filtered reads")
@@ -435,8 +457,10 @@ func TestExtDefaultISAShape(t *testing.T) {
 
 // ext-granularity: object granularity avoids the record-table traffic and
 // should beat line granularity for both HASTM and the STM on the BST.
-func TestExtGranularityShape(t *testing.T) {
-	rep := quickReport(t, "ext-granularity")
+func TestExtGranularityShape(t *testing.T) { claimExtGranularity(t, 1) }
+
+func claimExtGranularity(t *testing.T, workers int) {
+	rep := reportAt(t, workers, "ext-granularity")
 	if obj, line := rep.MustGet("bst", "hastm/object", "1 core"), rep.MustGet("bst", "hastm/line", "1 core"); obj >= line {
 		t.Errorf("object-granularity HASTM (%.2f) should beat line granularity (%.2f)", obj, line)
 	}
@@ -448,8 +472,10 @@ func TestExtGranularityShape(t *testing.T) {
 // ext-wfilter: the honest finding — the write-filtering extension only
 // approaches profitability at extreme store locality; the overhead must at
 // least shrink monotonically with store reuse.
-func TestExtWFilterShape(t *testing.T) {
-	rep := quickReport(t, "ext-wfilter")
+func TestExtWFilterShape(t *testing.T) { claimExtWFilter(t, 1) }
+
+func claimExtWFilter(t *testing.T, workers int) {
+	rep := reportAt(t, workers, "ext-wfilter")
 	lo := rep.MustGet("write-heavy micro", "hastm-wfilter", "40%")
 	hi := rep.MustGet("write-heavy micro", "hastm-wfilter", "95%")
 	if hi >= lo {
