@@ -25,9 +25,7 @@ import (
 	"time"
 
 	"hastm.dev/hastm/internal/harness"
-	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/native"
-	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/spec"
 	"hastm.dev/hastm/internal/telemetry"
 )
@@ -46,17 +44,6 @@ type config struct {
 	ext, noLadder, json, progress, list                           bool
 }
 
-// The command arms every simulated run's watchdogs. They observe host-side
-// progress fields only — they never touch simulated memory — so arming them
-// keeps every report bit-identical while turning a hung or livelocked cell
-// into a structured failure with a nonzero exit. harness.DefaultOptions
-// leaves them off.
-const (
-	cycleBudget    = 2_000_000_000 // hard per-run simulated-cycle ceiling
-	watchdogWindow = 50_000_000    // cycles without a commit on any core
-	stallTimeout   = 2 * time.Minute
-)
-
 func (c *config) has(flag string) bool { return slices.Contains(c.set, flag) }
 
 // usageError is a rejected command line: exit status 2.
@@ -70,8 +57,8 @@ func flagErr(flag, format string, args ...any) error {
 // parseFlags declares the flags, parses the command line and checks every
 // value that can be checked without knowing the suite.
 func parseFlags() (*config, error) {
-	c := &config{o: harness.DefaultOptions()}
-	var topology, mapping, placement, chaos string
+	c := &config{}
+	var chaos string
 	var quick bool
 	var ops int
 	var seed uint64
@@ -84,9 +71,6 @@ func parseFlags() (*config, error) {
 	flag.BoolVar(&c.list, "list", false, "list experiment ids and suites, then exit")
 	flag.StringVar(&c.backend, "backend", "sim", "execution backend: sim (cycle-ordered simulator) or native (host-goroutine TL2 on real memory)")
 	flag.StringVar(&c.sched, "sched", "lease", "simulator scheduler: lease (grant-lease fast path) or reference (per-op handoff; identical reports, slower)")
-	flag.StringVar(&topology, "topology", "", "machine topology SxC (e.g. 4x16 = 4 sockets × 16 cores); empty = flat machine sized per cell")
-	flag.StringVar(&mapping, "mapping", "", "thread mapping on a multi-socket -topology: compact (default) or scatter")
-	flag.StringVar(&placement, "placement", "interleave", "page→home-socket policy on a multi-socket -topology: interleave or first-touch")
 	flag.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&c.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
 	flag.StringVar(&c.fig, "fig", "", "figures: run a single experiment (e.g. fig16)")
@@ -120,10 +104,8 @@ func parseFlags() (*config, error) {
 			c.set = append(c.set, f.Name)
 		}
 	})
-	if quick {
-		c.o = harness.QuickOptions()
-	}
-	c.o.Seed, c.o.CycleBudget, c.o.WatchdogWindow, c.o.StallTimeout = seed, cycleBudget, watchdogWindow, stallTimeout
+	c.o = harness.CommandOptions(quick)
+	c.o.Seed = seed
 	switch {
 	case ops < 0:
 		return nil, flagErr("ops", "must be positive, got %d", ops)
@@ -147,22 +129,6 @@ func parseFlags() (*config, error) {
 		return nil, flagErr("sched", "%v", spec.Unknown("scheduler", c.sched, "lease", "reference"))
 	}
 	c.o.ReferenceScheduler = c.sched == "reference"
-	if topology != "" {
-		if c.o.Topology, err = sim.ParseTopology(topology); err != nil {
-			return nil, flagErr("topology", "%v", err)
-		}
-	}
-	if c.o.Mapping, err = harness.ParseMapping(mapping); err != nil {
-		return nil, flagErr("mapping", "%v", err)
-	}
-	if c.o.Placement, err = mem.ParsePlacement(placement); err != nil {
-		return nil, flagErr("placement", "%v", err)
-	}
-	for _, name := range []string{"mapping", "placement"} {
-		if c.o.Topology.IsFlat() && slices.Contains(c.set, name) {
-			return nil, flagErr(name, "applies only on a multi-socket -topology")
-		}
-	}
 	if c.o.Chaos, err = native.ParseChaosSpec(chaos); err != nil {
 		return nil, flagErr("chaos", "%v", err)
 	}

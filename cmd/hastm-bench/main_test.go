@@ -61,30 +61,6 @@ func TestUnsplittableOpsFailsTheRun(t *testing.T) {
 	}
 }
 
-// The verdict suites honour -mapping on a multi-socket -topology: the same
-// sweep placed scatter must not print what it prints placed compact.
-func TestMappingReachesVerdictSuites(t *testing.T) {
-	for _, suite := range [][]string{
-		{"-quick", "-faults", "suspend=900,evict=600,seed=3"},
-		{"-adversarial", "storm"},
-	} {
-		args := func(mapping string) []string {
-			return append(append([]string{}, suite...), "-topology", "2x8", "-j", "2", "-mapping", mapping)
-		}
-		codeC, compact, _ := runMain(t, args("compact")...)
-		codeS, scatter, _ := runMain(t, args("scatter")...)
-		if codeC != 0 || codeS != 0 {
-			t.Errorf("%v: exit status %d (compact), %d (scatter)", suite, codeC, codeS)
-		}
-		if compact == scatter {
-			t.Errorf("%v: scatter output is byte-identical to compact", suite)
-		}
-		if !strings.Contains(compact, "0 failed") {
-			t.Errorf("%v: compact run did not pass:\n%s", suite, compact)
-		}
-	}
-}
-
 // A service cell that cannot run is a failed cell — zeros in the tables, its
 // diagnosis on stderr, exit 1 — where it used to crash the table assembly
 // with a nil dereference.
@@ -99,32 +75,6 @@ func TestFailedServiceCellIsAFailedCell(t *testing.T) {
 		}
 		if !strings.Contains(stderr, "FAILED") || !strings.Contains(stderr, "ops cannot be split over 8 threads") || strings.Contains(stderr, "goroutine ") {
 			t.Errorf("%s: stderr does not carry the cells' diagnosis (or carries a stack):\n%s", backend, stderr)
-		}
-	}
-}
-
-// Every suite checks -topology against its own largest cell: the 4-core
-// verdict suites run on the smallest two-socket machines, the figures still
-// need 16 cores, and the service 8.
-func TestTopologyCapIsPerSuite(t *testing.T) {
-	for _, args := range [][]string{
-		{"-quick", "-faults", "suspend=900,seed=3", "-topology", "2x2"},
-		{"-adversarial", "storm", "-topology", "2x2"},
-		{"-adversarial", "storm", "-topology", "1x4", "-trace", filepath.Join(t.TempDir(), "ignored.jsonl")},
-	} {
-		code, stdout, stderr := runMain(t, args...)
-		if code != 0 || !strings.Contains(stdout, " 0 failed") {
-			t.Errorf("%v: exit status %d\n%s%s", args, code, stdout, stderr)
-		}
-	}
-	for want, args := range map[string][]string{
-		"use up to 16 threads": {"-quick", "-fig", "fig11", "-topology", "2x2"},
-		"use up to 8 threads":  {"-quick", "-service", "-topology", "2x2"},
-		"use up to 4 threads":  {"-quick", "-faults", "seed=3", "-topology", "1x2"},
-	} {
-		code, stdout, stderr := runMain(t, args...)
-		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "hastm-bench: -topology: ") || !strings.Contains(stderr, want) {
-			t.Errorf("%v: exit status %d, want 2 and %q:\n%s%s", args, code, want, stdout, stderr)
 		}
 	}
 }
@@ -150,9 +100,6 @@ func TestRejectedCommandLines(t *testing.T) {
 		{`-adversarial: unknown cell set "most" (want all, storm or starve)`, []string{"-adversarial", "most"}},
 		{`-faults: faults: unknown key "frob" (want suspend, evict, snoop, htmabort or seed)`, []string{"-faults", "frob=1"}},
 		{`-chaos: chaos: "stall" is not key=value`, []string{"-chaos", "stall"}},
-		{"-topology:", []string{"-topology", "2by2"}},
-		{`-mapping: unknown thread mapping "spread" (want compact or scatter)`, []string{"-mapping", "spread"}},
-		{`-placement: mem: unknown placement policy "striped" (want interleave or first-touch)`, []string{"-placement", "striped"}},
 		{"-fig:", []string{"-fig", "fig99"}},
 		{"-events: must not be negative", []string{"-cell", "stm/bst/2", "-events", "-1"}},
 		// a -cell the figures do not label (more in TestCellRejectedInvocations)
@@ -176,7 +123,6 @@ func TestRejectedCommandLines(t *testing.T) {
 		{"-events:", []string{"-quick", "-events", "5"}},
 		{"-json:", []string{"-cell", "stm/bst/2", "-json"}},
 		// a simulated-machine knob on the host backend
-		{"-topology:", []string{"-backend", "native", "-topology", "2x8"}},
 		{"-sched:", []string{"-backend", "native", "-service", "-sched", "reference"}},
 		{"-cell:", []string{"-backend", "native", "-cell", "stm/bst/2"}},
 		// the chaos plane on the simulator, which runs the fault plane (-faults)
@@ -185,14 +131,14 @@ func TestRejectedCommandLines(t *testing.T) {
 		{"-chaos: the service suite arms the chaos plane with -backend native only", []string{"-quick", "-service", "-chaos", "abort=3"}},
 		// flags the command does not have: the watchdogs and the trace cap
 		// are constants (TestCommandLineArmsTheWatchdogs), -json carries the
-		// figure tables
+		// figure tables, and ext-numa sets its own machine shapes
 		{"flag provided but not defined: -cycle-budget", []string{"-quick", "-cycle-budget", "5"}},
 		{"flag provided but not defined: -watchdog-window", []string{"-quick", "-watchdog-window", "0"}},
 		{"flag provided but not defined: -trace-max", []string{"-quick", "-trace", "t.jsonl", "-trace-max", "100"}},
 		{"flag provided but not defined: -csv", []string{"-quick", "-csv"}},
-		// a multi-socket knob on a flat machine
-		{"-mapping: applies only on a multi-socket -topology", []string{"-quick", "-fig", "fig16", "-mapping", "scatter"}},
-		{"-placement: applies only on a multi-socket -topology", []string{"-quick", "-topology", "1x8", "-placement", "first-touch"}},
+		{"flag provided but not defined: -topology", []string{"-quick", "-topology", "2x8"}},
+		{"flag provided but not defined: -mapping", []string{"-quick", "-mapping", "scatter"}},
+		{"flag provided but not defined: -placement", []string{"-quick", "-placement", "first-touch"}},
 	} {
 		checkRejected(t, tc.names, tc.args...)
 	}
@@ -211,9 +157,9 @@ func checkRejected(t *testing.T, names string, args ...string) {
 	}
 }
 
-// A -cell the figures do not label, or one its machine cannot run, is
-// refused before any machine is built. TestRejectedCommandLines holds the
-// malformed label, zero cores and an unknown scheme.
+// A -cell the figures do not label is refused before any machine is built.
+// TestRejectedCommandLines holds the malformed label, zero cores and an
+// unknown scheme.
 func TestCellRejectedInvocations(t *testing.T) {
 	for _, tc := range []struct {
 		names string // what the one stderr line must name
@@ -222,7 +168,6 @@ func TestCellRejectedInvocations(t *testing.T) {
 		{`unexpected argument "btree"`, []string{"-cell", "stm/bst/2", "btree"}},
 		{`-cell: "stm/bst/x": cores "x" is not a number`, []string{"-cell", "stm/bst/x"}},
 		{`-cell: unknown workload "list"`, []string{"-cell", "stm/list/2"}},
-		{"-cell: topology 2x2 has 4 cores, run needs 8 threads", []string{"-cell", "hastm/btree/8", "-topology", "2x2"}},
 	} {
 		checkRejected(t, tc.names, tc.args...)
 	}
@@ -355,7 +300,7 @@ func TestSuiteTableIsTheDocumentation(t *testing.T) {
 				t.Errorf("the %s suite is selected by -%s, which its \"%s\" does not say", s.name, name, s.how)
 			}
 		}
-		for _, name := range append(strings.Fields(commonFlags+" "+simOnlyFlags+" "+s.honours), s.selectors...) {
+		for _, name := range append(strings.Fields(commonFlags+" "+s.honours), s.selectors...) {
 			if !strings.Contains(help, "\n  -"+name+" ") && !strings.Contains(help, "\n  -"+name+"\n") {
 				t.Errorf("the %s suite names a flag -%s that -h does not list", s.name, name)
 			}
@@ -394,6 +339,35 @@ func TestCellIsTheFigureCell(t *testing.T) {
 	i := slices.IndexFunc(doc.Cells, func(c cell) bool { return c.Label == "hastm/btree/2" })
 	if i < 0 || wall == 0 || doc.Cells[i].WallCycles != wall {
 		t.Errorf("-cell prints %d wall cycles, fig22's hastm/btree/2 cell %+v", wall, doc.Cells)
+	}
+}
+
+// The native suite's -json document names the host backend, on itself and
+// on every cell, and gives each cell its committed transactions per host
+// second in place of the simulator's cycles.
+func TestNativeJSONNamesTheBackend(t *testing.T) {
+	code, stdout, stderr := runMain(t, "-quick", "-backend", "native", "-ops", "400", "-json")
+	if code != 0 {
+		t.Fatalf("exit status %d: %s", code, stderr)
+	}
+	var doc struct {
+		Backend string `json:"backend"`
+		Cells   []struct {
+			Label      string  `json:"label"`
+			Backend    string  `json:"backend"`
+			TxnsPerSec float64 `json:"txns_per_sec"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Backend != "native-tl2" || len(doc.Cells) == 0 {
+		t.Fatalf("document backend %q with %d cells, want native-tl2 and every cell", doc.Backend, len(doc.Cells))
+	}
+	for _, c := range doc.Cells {
+		if c.Backend != "native-tl2" || c.TxnsPerSec <= 0 {
+			t.Errorf("%s: backend %q, %.0f txns/s; want native-tl2 and a positive rate", c.Label, c.Backend, c.TxnsPerSec)
+		}
 	}
 }
 

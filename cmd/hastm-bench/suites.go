@@ -24,8 +24,8 @@ type suite struct {
 	// backend runs when no selector is set.
 	selectors []string
 	backends  []string
-	// threads is the largest thread count of any cell: the least number of
-	// cores a -topology must have, the goroutines of a host cell.
+	// threads is the largest thread count of any cell: the cores of a
+	// verdict suite's cells, the goroutines of a host cell.
 	threads int
 	// honours lists the flags the suite acts on beyond commonFlags; any other
 	// flag set on the command line is rejected by name.
@@ -41,12 +41,9 @@ type suite struct {
 
 // commonFlags are honoured by every suite (-trace is written by the figure
 // and service suites on the simulator and accepted elsewhere, so one script
-// can pass it to every suite); simOnlyFlags configure the simulated machine
-// and are rejected with -backend native, which builds none.
-const (
-	commonFlags  = "quick ops seed j progress trace backend cpuprofile memprofile sched topology mapping placement"
-	simOnlyFlags = "sched topology mapping placement"
-)
+// can pass it to every suite), but -sched configures the simulated machine
+// and is rejected with -backend native, which builds none.
+const commonFlags = "quick ops seed j progress trace backend cpuprofile memprofile sched"
 
 // suites is the table, in selection order: the first row selected by a set
 // flag and running on the backend wins, and a backend's default row is
@@ -77,12 +74,10 @@ var suites = []suite{
 		plan: planAdversarial,
 	},
 	{
-		// threads: the -cell value names the cell's thread count, and
-		// harness.CellPlan holds -topology to it.
 		name: "cell", how: "-cell SCHEME/WORKLOAD/CORES", selectors: []string{"cell"}, backends: []string{"sim"},
-		threads: 1, honours: "cell events",
-		help: "one figure cell at the figures' sizes: cycle breakdown, abort causes, TM counters, cache; -events N prints its first N measured-phase trace events",
-		plan: planCell, render: printCell,
+		honours: "cell events",
+		help:    "one figure cell at the figures' sizes: cycle breakdown, abort causes, TM counters, cache; -events N prints its first N measured-phase trace events",
+		plan:    planCell, render: printCell,
 	},
 	{
 		name: "native", how: "-backend native", backends: []string{"native"},
@@ -94,9 +89,9 @@ var suites = []suite{
 	},
 	{
 		name: "figures", how: "(default)", backends: []string{"sim"},
-		threads: 16, honours: "fig ext json",
-		help: "the paper's figures 11–22; -fig ID runs one experiment, -ext adds the ext-* experiments",
-		plan: planFigures,
+		honours: "fig ext json",
+		help:    "the paper's figures 11–22; -fig ID runs one experiment, -ext adds the ext-* experiments",
+		plan:    planFigures,
 	},
 }
 
@@ -111,21 +106,16 @@ func pick(c *config) *suite {
 	})]
 }
 
-// validate rejects, by name, every set flag the suite cannot honour, and a
-// -topology too small for its cells.
+// validate rejects, by name, every set flag the suite cannot honour.
 func (s *suite) validate(c *config) error {
-	honoured, simOnly := strings.Fields(commonFlags+" "+s.honours), strings.Fields(simOnlyFlags)
+	honoured := strings.Fields(commonFlags + " " + s.honours)
 	for _, name := range c.set {
 		switch {
-		case c.backend == "native" && slices.Contains(simOnly, name):
+		case c.backend == "native" && name == "sched":
 			return flagErr(name, "configures the simulated machine, and -backend native builds none")
 		case !slices.Contains(honoured, name):
 			return flagErr(name, "not honoured by the %s suite on -backend %s", s.name, c.backend)
 		}
-	}
-	if top := c.o.Topology; c.has("topology") && top.Sockets*top.CoresPerSocket < s.threads {
-		return flagErr("topology", "%s has %d cores, but the %s suite's cells use up to %d threads",
-			top, top.Sockets*top.CoresPerSocket, s.name, s.threads)
 	}
 	return nil
 }

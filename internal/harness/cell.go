@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
@@ -105,9 +106,9 @@ type simCell struct {
 	ops   int           // o.Ops per thread, when workload is set
 }
 
-// validate rejects unknown schemes and workloads, bad thread counts, NUMA
-// misconfigurations and unsplittable totals before any machine is built,
-// and returns the cell's operations per thread.
+// validate rejects unknown schemes and workloads, bad thread counts, a
+// topology too small for the cell and unsplittable totals before any
+// machine is built, and returns the cell's operations per thread.
 func (s simSpec) validate() (ops int, err error) {
 	if s.threads < 1 {
 		return 0, fmt.Errorf("cores must be >= 1, got %d", s.threads)
@@ -115,16 +116,8 @@ func (s simSpec) validate() (ops int, err error) {
 	if _, ok := lookup(schemeTable, s.scheme); !ok {
 		return 0, fmt.Errorf("unknown scheme %q", s.scheme)
 	}
-	if _, err := ParseMapping(s.o.Mapping); err != nil {
-		return 0, err
-	}
-	if top := s.o.Topology; top != (sim.Topology{}) {
-		if top.Sockets <= 0 || top.CoresPerSocket <= 0 {
-			return 0, fmt.Errorf("topology %s needs positive sockets and cores per socket", top)
-		}
-		if total := s.o.machineCores(s.threads); s.threads > total {
-			return 0, fmt.Errorf("topology %s has %d cores, run needs %d threads", top, total, s.threads)
-		}
+	if total := s.o.machineCores(s.threads); s.threads > total {
+		return 0, fmt.Errorf("topology %s has %d cores, run needs %d threads", s.o.Topology, total, s.threads)
 	}
 	if s.workload == "" {
 		return 0, nil
@@ -252,7 +245,7 @@ func (c *simCell) run(end warmEnd, warm, measure simThreadFunc) (RunMetrics, out
 	if !m.Topology().IsFlat() {
 		metrics.Topology = m.Topology()
 		metrics.Placement = c.o.Placement
-		metrics.Mapping, _ = ParseMapping(c.o.Mapping)
+		metrics.Mapping = cmp.Or(c.o.Mapping, MapCompact)
 	}
 	return metrics, res
 }

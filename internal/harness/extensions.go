@@ -216,11 +216,8 @@ func planExtGranularity(o Options) *Plan {
 }
 
 // runSMT executes the §3.1 provision: four hardware threads run the B-tree
-// either as four full cores or as two cores with two SMT threads each. The
-// cell fixes its own geometry — four hardware threads on a flat machine —
-// so a Topology meant for the figure cells does not apply to it.
+// either as four full cores or as two cores with two SMT threads each.
 func runSMT(scheme string, smt bool, o Options) (RunMetrics, error) {
-	o.Topology = sim.Topology{}
 	spec := simSpec{scheme: scheme, workload: WorkloadBTree, threads: 4, o: o}
 	if smt {
 		spec.geometry = func(cfg *sim.Config) { cfg.ThreadsPerCore = 2 }

@@ -39,13 +39,11 @@ func TestRunnersRejectBadCells(t *testing.T) {
 		"RunOneNative":         second(RunOneNative("nope", 1, o, 20)),
 		"RunOneServiceScheme":  second(RunOneServiceScheme("nope", 1, sc, o)),
 		"RunOneServiceNative":  second(RunOneServiceNative(0, sc, o)),
-		"negative topology":    second(newSimCell(simSpec{scheme: SchemeSTM, threads: 1, o: Options{Topology: sim.Topology{Sockets: -1, CoresPerSocket: -1}}})),
 		"ProgressRun scheme":   errString(ProgressRun("nope", AdversarialStorm, 2, o, nil).Err),
 		"ProgressRun workload": errString(ProgressRun(SchemeSTM, "nope", 2, o, nil).Err),
 	} {
 		want := map[string]string{
 			"RunOneServiceNative":  "threads must be >= 1",
-			"negative topology":    "needs positive sockets",
 			"ProgressRun workload": "unknown adversarial workload",
 			"RunOneNative":         "unknown workload",
 		}[name]

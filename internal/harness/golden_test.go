@@ -33,4 +33,5 @@ func TestGoldenExtensions(t *testing.T) {
 	claimExtInterAtomic(t, goldenWorkers)
 	claimExtGranularity(t, goldenWorkers)
 	claimExtWFilter(t, goldenWorkers)
+	claimExtNUMA(t, goldenWorkers)
 }

@@ -132,9 +132,9 @@ func TestOneSocketEquivalenceConformance(t *testing.T) {
 	}
 }
 
-// TestTopologyConfigErrors pins the clear-error path for NUMA misconfigs:
-// over-subscribed topologies and unknown mapping policies fail RunOne with
-// a descriptive error instead of panicking inside the simulator.
+// TestTopologyConfigErrors pins the clear-error path for a NUMA misconfig:
+// an over-subscribed topology fails RunOne with a descriptive error instead
+// of panicking inside the simulator.
 func TestTopologyConfigErrors(t *testing.T) {
 	o := QuickOptions()
 	o.Topology = sim.Topology{Sockets: 2, CoresPerSocket: 2}
@@ -142,11 +142,6 @@ func TestTopologyConfigErrors(t *testing.T) {
 		t.Error("8 threads on a 2x2 topology accepted; want over-subscription error")
 	} else if got := err.Error(); !bytes.Contains([]byte(got), []byte("2x2")) {
 		t.Errorf("over-subscription error %q does not name the topology", got)
-	}
-	o = QuickOptions()
-	o.Mapping = "diagonal"
-	if _, err := RunOne(SchemeSTM, WorkloadHash, 2, o, 20); err == nil {
-		t.Error("unknown mapping accepted; want error")
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/native"
 	"hastm.dev/hastm/internal/sim"
-	"hastm.dev/hastm/internal/spec"
 	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
@@ -99,18 +98,6 @@ const (
 	MapScatter = "scatter"
 )
 
-// ParseMapping normalises a thread-mapping policy name ("" means compact).
-func ParseMapping(s string) (string, error) {
-	switch s {
-	case "", MapCompact:
-		return MapCompact, nil
-	case MapScatter:
-		return MapScatter, nil
-	default:
-		return "", spec.Unknown("thread mapping", s, MapCompact, MapScatter)
-	}
-}
-
 // machineCores returns the core count of the machine a cell with the given
 // thread count runs on: the topology's total when one is set, else the
 // thread count itself (the flat machine).
@@ -142,6 +129,7 @@ func DefaultOptions() Options {
 		HashSlots: 4096,
 		TreeKeys:  2048,
 		Seed:      1,
+		Mapping:   MapCompact,
 	}
 }
 
@@ -153,7 +141,30 @@ func QuickOptions() Options {
 		HashSlots: 256,
 		TreeKeys:  128,
 		Seed:      1,
+		Mapping:   MapCompact,
 	}
+}
+
+// hastm-bench arms every simulated run's watchdogs. They observe host-side
+// progress fields only — they never touch simulated memory — so arming them
+// keeps every report bit-identical while turning a hung or livelocked cell
+// into a structured failure with a nonzero exit. DefaultOptions and
+// QuickOptions leave them off.
+const (
+	armedCycleBudget    = 2_000_000_000 // hard per-run simulated-cycle ceiling
+	armedWatchdogWindow = 50_000_000    // cycles without a commit on any core
+	armedStallTimeout   = 2 * time.Minute
+)
+
+// CommandOptions returns QuickOptions (quick) or DefaultOptions with every
+// watchdog armed: the options hastm-bench runs its cells under.
+func CommandOptions(quick bool) Options {
+	o := DefaultOptions()
+	if quick {
+		o = QuickOptions()
+	}
+	o.CycleBudget, o.WatchdogWindow, o.StallTimeout = armedCycleBudget, armedWatchdogWindow, armedStallTimeout
+	return o
 }
 
 // machineFor builds the standard simulated machine of the evaluation:

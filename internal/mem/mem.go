@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
-
-	"hastm.dev/hastm/internal/spec"
 )
 
 // WordSize is the size in bytes of the addressable unit.
@@ -361,19 +359,6 @@ func (p Placement) String() string {
 		return "first-touch"
 	default:
 		return fmt.Sprintf("Placement(%d)", int(p))
-	}
-}
-
-// ParsePlacement converts a policy name ("interleave", "first-touch") to a
-// Placement.
-func ParsePlacement(s string) (Placement, error) {
-	switch s {
-	case "interleave":
-		return PlaceInterleave, nil
-	case "first-touch", "firsttouch":
-		return PlaceFirstTouch, nil
-	default:
-		return 0, fmt.Errorf("mem: %w", spec.Unknown("placement policy", s, "interleave", "first-touch"))
 	}
 }
 

@@ -2,26 +2,6 @@ package mem
 
 import "testing"
 
-func TestParsePlacement(t *testing.T) {
-	cases := map[string]Placement{
-		"interleave":  PlaceInterleave,
-		"first-touch": PlaceFirstTouch,
-		"firsttouch":  PlaceFirstTouch,
-	}
-	for s, want := range cases {
-		got, err := ParsePlacement(s)
-		if err != nil || got != want {
-			t.Errorf("ParsePlacement(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParsePlacement("striped"); err == nil {
-		t.Error("unknown placement accepted")
-	}
-	if PlaceInterleave.String() != "interleave" || PlaceFirstTouch.String() != "first-touch" {
-		t.Error("placement String() names changed")
-	}
-}
-
 func TestHomeSocketFlat(t *testing.T) {
 	m := New()
 	a := m.Alloc(1<<PlacementPageShift, 8)

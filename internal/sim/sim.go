@@ -64,8 +64,6 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,24 +144,6 @@ func (t Topology) IsFlat() bool { return t.Sockets <= 1 }
 
 func (t Topology) String() string {
 	return fmt.Sprintf("%dx%d", t.Sockets, t.CoresPerSocket)
-}
-
-// ParseTopology parses the CLI "SxC" form, e.g. "4x16" = 4 sockets × 16
-// cores.
-func ParseTopology(s string) (Topology, error) {
-	// ParseUint, not Sscanf: "%dx%d" accepts signs, inner spaces and
-	// trailing garbage ("4x16x2" scans as 4x16).
-	sockets, cps, ok := strings.Cut(s, "x")
-	ns, errS := strconv.ParseUint(sockets, 10, 31)
-	nc, errC := strconv.ParseUint(cps, 10, 31)
-	if !ok || errS != nil || errC != nil {
-		return Topology{}, fmt.Errorf("sim: topology %q is not SxC (e.g. 4x16)", s)
-	}
-	t := Topology{Sockets: int(ns), CoresPerSocket: int(nc)}
-	if t.Sockets <= 0 || t.CoresPerSocket <= 0 {
-		return Topology{}, fmt.Errorf("sim: topology %q needs positive sockets and cores per socket", s)
-	}
-	return t, nil
 }
 
 // resolve fills the zero value in for a machine with the given core count.
@@ -258,10 +238,10 @@ func DefaultConfig(cores int) Config {
 // markCounterMax saturates the per-thread mark counter: it is 16 bits wide.
 const markCounterMax = 1<<16 - 1
 
-// Validate checks the configuration without building a machine, so
-// callers (the CLI's -topology flag, the harness) can surface a clear
-// error instead of a construction panic: the topology must factor the core
-// count, and both cache levels must have power-of-two geometry.
+// Validate checks the configuration without building a machine, so a
+// caller handed one from outside the program (hastm.NewMachine) can surface
+// a clear error instead of a construction panic: the topology must factor
+// the core count, and both cache levels must have power-of-two geometry.
 func (cfg Config) Validate() error {
 	if cfg.Cores <= 0 {
 		return fmt.Errorf("sim: Config.Cores must be positive, got %d", cfg.Cores)

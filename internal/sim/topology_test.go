@@ -9,32 +9,6 @@ import (
 	"hastm.dev/hastm/internal/sim"
 )
 
-func TestParseTopology(t *testing.T) {
-	good := map[string]sim.Topology{
-		"1x4":  {Sockets: 1, CoresPerSocket: 4},
-		"4x16": {Sockets: 4, CoresPerSocket: 16},
-		"8x32": {Sockets: 8, CoresPerSocket: 32},
-	}
-	for s, want := range good {
-		got, err := sim.ParseTopology(s)
-		if err != nil {
-			t.Errorf("ParseTopology(%q): %v", s, err)
-		} else if got != want {
-			t.Errorf("ParseTopology(%q) = %v, want %v", s, got, want)
-		}
-		if got.String() != s {
-			t.Errorf("Topology.String() = %q, want %q", got.String(), s)
-		}
-	}
-	for _, s := range []string{"", "4", "4x", "x16", "0x16", "4x0", "-2x8", "axb",
-		// Sscanf("%dx%d") took all of these for 4x16.
-		"4x16x2", "4x16abc", "4x 16", " 4x16", "4x16 ", "+4x+16", "4X16", "99999999999x1"} {
-		if _, err := sim.ParseTopology(s); err == nil {
-			t.Errorf("ParseTopology(%q) accepted malformed topology", s)
-		}
-	}
-}
-
 func TestConfigValidateTopology(t *testing.T) {
 	cfg := sim.DefaultConfig(16)
 	if err := cfg.Validate(); err != nil {

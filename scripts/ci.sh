@@ -41,12 +41,9 @@ fuzz)
     done <<'EOF'
 FuzzParseSpec ./internal/faults
 FuzzParseChaosSpec ./internal/native
-FuzzParseTopology ./internal/sim
 FuzzSchedulerDifferential ./internal/sim
-FuzzParsePlacement ./internal/mem
 FuzzMemoryModel ./internal/mem
 FuzzStripeScan ./internal/native
-FuzzParseMapping ./internal/harness
 FuzzHierarchy ./internal/cache
 EOF
     ;;
@@ -169,13 +166,14 @@ EOF
     ;;
 reach)
     # The reach ledger: per package, the non-test statements that the
-    # deterministic outputs reach (TestPinnedOutputs, and the native smokes
-    # on a coverage build), those only tests or bench/'s tests reach, and
-    # those nothing reaches. bench/ is not counted; the programs under
-    # examples/ are reached by their Example tests. Host timing picks which
-    # backoff, wake and chaos paths the native runs take, so a host-timed
-    # package's row moves run to run; the second total leaves those rows out
-    # and repeats.
+    # deterministic outputs reach (TestPinnedOutputs; for the host-timed
+    # packages also the native smokes on a coverage build), those only tests
+    # or bench/'s tests reach, and those nothing reaches. bench/ is not
+    # counted; the programs under examples/ are reached by their Example
+    # tests. Host timing picks which backoff, wake, sleep and chaos paths the
+    # native runs take, so the smokes count only in the host-timed rows,
+    # which move run to run; the second total leaves those rows out and
+    # repeats.
     # The blocks nothing reaches are listed in reach-neither.txt under their
     # enclosing func. The gate: outside the host-timed packages, every func's
     # unreached statement count must equal its line in scripts/reach-allow.txt
@@ -214,15 +212,18 @@ def enclosing(file, line):  # "(*T).m" or "f" for the func declared last at or a
     return max(((l, n) for l, n in funcs[file] if l <= line), default=(0, "-"))[1]
 
 # The outputs' profiles hold only the packages hastm-bench links; tests
-# reach the others (the root package).
-outputs, tests, bench = reached("pinned.txt", "native.txt"), reached("tests.txt"), reached("bench.txt")
+# reach the others (the root package). The native smokes' profile counts
+# only in the host-timed packages.
+pinned, timed = reached("pinned.txt"), reached("pinned.txt", "native.txt")
+tests, bench = reached("tests.txt"), reached("bench.txt")
 rows = collections.defaultdict(lambda: [0, 0, 0])
 neither = []
-for block, (stmts, _) in (bench | tests | outputs).items():
+for block, (stmts, _) in (bench | tests | timed).items():
     hit = lambda profile: profile.get(block, (0, False))[1]
-    col = 0 if hit(outputs) else 1 if hit(tests) or hit(bench) else 2
     path = block.removeprefix(mod)
     pkg = os.path.dirname(path) or "."
+    outputs = timed if pkg in host_timed else pinned
+    col = 0 if hit(outputs) else 1 if hit(tests) or hit(bench) else 2
     rows[pkg][col] += stmts
     if col == 2 and stmts > 0:
         file, pos = path.split(":")
