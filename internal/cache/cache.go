@@ -622,7 +622,8 @@ func (h *Hierarchy) Access(thread int, addr uint64, write bool) AccessResult {
 	l1 := h.l1Of(thread)
 	i := l1.find(t)
 	if i < 0 || write && (h.tpc != 1 || l1.state[i].st != modified) {
-		return h.slowAccess(l1, thread, t, i, write)
+		res, _ := h.slowAccess(l1, thread, t, i, write)
+		return res
 	}
 	l1.touch(i)
 	h.L1Hits++
@@ -632,18 +633,23 @@ func (h *Hierarchy) Access(thread int, addr uint64, write bool) AccessResult {
 	return AccessResult{L1Hit: true}
 }
 
-// slowAccess is Access for a write hit that must upgrade the line or clear
-// SMT siblings' marks, and for a miss, way i being -1: the demand fill and
-// its counts, then the next-line prefetches.
-func (h *Hierarchy) slowAccess(l1 *level, thread int, t uint32, i int, write bool) AccessResult {
+// slowAccess is Access out of line, given t's way i or -1, for a write hit
+// that must upgrade the line or clear SMT siblings' marks, for a miss (the
+// demand fill and its counts, then the next-line prefetches) and for every
+// MarkAccess. It also returns the way the demand access left t in.
+func (h *Hierarchy) slowAccess(l1 *level, thread int, t uint32, i int, write bool) (AccessResult, int) {
 	if i >= 0 {
 		l1.touch(i)
 		h.L1Hits++
-		if l1.state[i].st != modified {
-			h.upgrade(l1, thread, t, i)
+		if !write {
+			h.notifyRemoteRead(thread, t)
+		} else {
+			if l1.state[i].st != modified {
+				h.upgrade(l1, thread, t, i)
+			}
+			h.siblingStore(l1, thread, i)
 		}
-		h.siblingStore(l1, thread, i)
-		return AccessResult{L1Hit: true}
+		return AccessResult{L1Hit: true}, i
 	}
 	h.L1Misses++
 	l2 := &h.l2[l1.sock]
@@ -656,7 +662,7 @@ func (h *Hierarchy) slowAccess(l1 *level, thread int, t uint32, i int, write boo
 	} else {
 		h.L2Misses++
 	}
-	res := h.fill(l1, thread, t, write, w2)
+	res, i := h.fill(l1, thread, t, write, w2)
 	if res.RemoteL2 {
 		sc := &h.Socket[l1.sock]
 		sc.CrossSocketMisses++
@@ -693,7 +699,7 @@ func (h *Hierarchy) slowAccess(l1 *level, thread int, t uint32, i int, write boo
 			h.PrefetchFills++
 		}
 	}
-	return res
+	return res, i
 }
 
 // upgrade makes way i of l1, a Shared copy of line t, Modified: every
@@ -711,7 +717,7 @@ func (h *Hierarchy) upgrade(l1 *level, thread int, t uint32, i int) {
 // invalidates every other copy. The new line's marks start clear ("when
 // the processor brings a line into the cache, it clears all the mark bits
 // for the new line"). Demand misses and prefetches share this one path.
-func (h *Hierarchy) fill(l1 *level, thread int, t uint32, write bool, w2 int) AccessResult {
+func (h *Hierarchy) fill(l1 *level, thread int, t uint32, write bool, w2 int) (AccessResult, int) {
 	res := AccessResult{L2Hit: w2 >= 0}
 	l2 := &h.l2[l1.sock]
 	// On one socket only the local directory entry can name a copy to
@@ -735,7 +741,7 @@ func (h *Hierarchy) fill(l1 *level, thread int, t uint32, write bool, w2 int) Ac
 	l1.state[vi] = lineState{st: st, l2way: uint8(w2 & (l2.assoc - 1))}
 	l1.touch(vi)
 	l2.dirEntry(w2).set(l1.bit)
-	return res
+	return res, vi // the way filled
 }
 
 // eachSharer calls fn with the L1 and way of every copy of line t that the
@@ -959,44 +965,41 @@ func markSpan(addr, gran uint64) uint8 {
 	return m
 }
 
-// SetMark sets plane's mark bits covering [addr, addr+size) in core's L1.
-// The line must be resident (the caller performs the access first); if it
-// is not — which cannot happen when called right after Access — this is a
-// no-op, matching hardware that simply loses the mark.
-func (h *Hierarchy) SetMark(thread, plane int, addr, size uint64) {
-	l1 := h.l1Of(thread)
-	if i := l1.find(lineOf(addr)); i >= 0 {
-		slot := h.slotOf(thread)
-		b, e := &l1.state[i].mark[slot][plane], l1.epoch[slot][plane]
-		if *b&epochBits != e {
-			*b = e
-		}
-		*b |= markSpan(addr, size)
-	}
-}
+// MarkOp is what a mark instruction does to the mark bits its load covers.
+type MarkOp uint8
 
-// ClearMark clears plane's mark bits covering [addr, addr+size).
-func (h *Hierarchy) ClearMark(thread, plane int, addr, size uint64) {
-	l1 := h.l1Of(thread)
-	if i := l1.find(lineOf(addr)); i >= 0 {
-		slot := h.slotOf(thread)
-		if b := &l1.state[i].mark[slot][plane]; *b&epochBits == l1.epoch[slot][plane] {
-			*b &^= markSpan(addr, size)
-		}
-	}
-}
+const (
+	MarkTest  MarkOp = iota // loadtestmark: report whether every covered bit is set
+	MarkSet                 // loadsetmark: set the covered bits
+	MarkReset               // loadresetmark: clear the covered bits
+)
 
-// TestMark reports whether ALL of plane's mark bits covering
-// [addr, addr+size) are set (the instruction puts the logical AND of the
-// covered bits in the carry flag).
-func (h *Hierarchy) TestMark(thread, plane int, addr, size uint64) bool {
-	l1 := h.l1Of(thread)
-	i := l1.find(lineOf(addr))
-	if i < 0 {
-		return false
-	}
+// MarkAccess is a mark instruction's load: Access for a read, and op on
+// plane's bits covering [addr, addr+size), on one probe of the L1 set.
+// MarkTest reports whether ALL covered bits were set as the load found the
+// line (the carry flag), so a miss reads unmarked. MarkSet and MarkReset
+// act on the way the access left the line in, unless its own prefetch has
+// back-invalidated the line: then the mark is lost, as hardware loses it.
+func (h *Hierarchy) MarkAccess(thread, plane int, addr, size uint64, op MarkOp) (AccessResult, bool) {
+	t := lineOf(addr)
+	l1, slot := h.l1Of(thread), h.slotOf(thread)
 	span := markSpan(addr, size)
-	return l1.marks(i, h.slotOf(thread))[plane]&span == span
+	i := l1.find(t)
+	marked := op == MarkTest && i >= 0 && l1.marks(i, slot)[plane]&span == span
+	res, i := h.slowAccess(l1, thread, t, i, false)
+	if op != MarkTest && l1.ways[i].tag == t {
+		b, e := &l1.state[i].mark[slot][plane], l1.epoch[slot][plane]
+		live := *b&epochBits == e // a byte of an earlier epoch reads as clear
+		if op == MarkSet {
+			if !live {
+				*b = e
+			}
+			*b |= span
+		} else if live {
+			*b &^= span
+		}
+	}
+	return res, marked
 }
 
 // ClearAllMarks clears every mark bit of one plane in core's L1

@@ -350,6 +350,7 @@ func TestAddrLimitPanics(t *testing.T) {
 	checkDirectory(t, h)
 	for name, call := range map[string]func(addr uint64){
 		"Access":             func(a uint64) { h.Access(0, a, true) },
+		"MarkAccess":         func(a uint64) { h.MarkAccess(0, 0, a, 16, MarkSet) },
 		"SpeculativeRFO":     func(a uint64) { h.SpeculativeRFO(0, a) },
 		"EvictLine":          func(a uint64) { h.EvictLine(0, a) },
 		"BackInvalidateLine": func(a uint64) { h.BackInvalidateLine(a) },

@@ -189,17 +189,13 @@ func TestAssemblyToleratesEmptyMetrics(t *testing.T) {
 	}
 }
 
-// Unknown names past validation and a topology smaller than the cell are
-// caller bugs: they panic naming what was asked for. So does MustGet of a
-// cell a report does not hold.
+// Unknown names past validation are caller bugs: they panic naming what
+// was asked for. So does MustGet of a cell a report does not hold.
 func TestCallerBugsPanic(t *testing.T) {
 	o := QuickOptions()
-	small := o
-	small.Topology = sim.Topology{Sockets: 1, CoresPerSocket: 2}
 	for want, f := range map[string]func(){
 		`unknown scheme "nope"`:   func() { buildScheme("nope", sim.New(sim.DefaultConfig(1)), 1, o) },
 		`unknown workload "nope"`: func() { buildStructure("nope", mem.New(), o) },
-		"cell needs 4 threads":    func() { machineFor(4, small, nil) },
 		`no cell ("t", "r", "c")`: func() { (&Report{ID: "fig"}).MustGet("t", "r", "c") },
 	} {
 		func() {
@@ -210,6 +206,18 @@ func TestCallerBugsPanic(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// A topology with no room for the cell's threads is an error of the cell
+// description, which validation names before any machine is built; the
+// machine builder trusts it.
+func TestTopologyTooSmallForCell(t *testing.T) {
+	o := QuickOptions()
+	o.Topology = sim.Topology{Sockets: 1, CoresPerSocket: 2}
+	_, err := newSimCell(simSpec{scheme: SchemeSTM, threads: 4, o: o})
+	if err == nil || !strings.Contains(err.Error(), "has 2 cores, run needs 4 threads") {
+		t.Errorf("newSimCell of 4 threads on %s: %v, want the topology error", o.Topology, err)
 	}
 }
 

@@ -172,14 +172,11 @@ func CommandOptions(quick bool) Options {
 // next-line prefetcher that §7.4 identifies as a source of destructive
 // interference between cores. o contributes only host-side and ISA-mode
 // switches (DefaultISA, ReferenceScheduler), never sizes. geometry, when
-// non-nil, adjusts the configuration before the machine is built.
+// non-nil, adjusts the configuration before the machine is built. A
+// topology must have room for cores; simSpec.validate checks that.
 func machineFor(cores int, o Options, geometry func(*sim.Config)) *sim.Machine {
 	cfg := sim.DefaultConfig(o.machineCores(cores))
 	if o.Topology != (sim.Topology{}) {
-		if cores > cfg.Cores {
-			panic(fmt.Sprintf("harness: topology %s has %d cores, cell needs %d threads",
-				o.Topology, cfg.Cores, cores))
-		}
 		cfg.Topology = o.Topology
 		cfg.Placement = o.Placement
 	}

@@ -135,11 +135,14 @@ func (m *Manager) LineRead(reader int, lineAddr uint64) {
 
 // System is a pure-HTM or hybrid TM scheme.
 type System struct {
-	name        string
 	mgr         *Manager
 	table       *stm.RecordTable // non-nil for HyTM
 	fallback    *stm.System      // non-nil for HyTM
 	maxAttempts int
+	// The cycles a hardware load and store add to their cache access,
+	// read from the machine's latencies once: tracking the line, and for
+	// a store also buffering the speculative value.
+	loadCost, storeCost uint64
 }
 
 var _ tm.System = (*System)(nil)
@@ -150,12 +153,14 @@ func (s *System) Manager() *Manager { return s.mgr }
 
 // NewHTM creates the pure hardware TM (no software coordination, no
 // fallback — Atomic spins with backoff until the hardware commits).
-func NewHTM(machine *sim.Machine) *System {
-	return &System{
-		name:        "htm",
-		mgr:         NewManager(machine),
-		maxAttempts: 1 << 30,
-	}
+func NewHTM(machine *sim.Machine) *System { return newSystem(machine, 1<<30) }
+
+// newSystem is what both schemes share: the manager hooked into machine,
+// the attempt limit and the per-access costs.
+func newSystem(machine *sim.Machine, maxAttempts int) *System {
+	lat := machine.Config().Lat
+	return &System{mgr: NewManager(machine), maxAttempts: maxAttempts,
+		loadCost: lat.HTMTrack, storeCost: lat.HTMTrack + lat.HTMSpecStore}
 }
 
 // NewHyTM creates the hybrid: hardware first with Fig 14 barriers against
@@ -166,17 +171,19 @@ func NewHyTM(machine *sim.Machine, cfg tm.Config, maxAttempts int) *System {
 		maxAttempts = 4
 	}
 	table := stm.NewRecordTable(machine.Mem)
-	return &System{
-		name:        "hytm",
-		mgr:         NewManager(machine),
-		table:       table,
-		fallback:    stm.NewWithTable("hytm-sw", machine, cfg, table),
-		maxAttempts: maxAttempts,
-	}
+	s := newSystem(machine, maxAttempts)
+	s.table, s.fallback = table, stm.NewWithTable("hytm-sw", machine, cfg, table)
+	return s
 }
 
-// Name identifies the scheme.
-func (s *System) Name() string { return s.name }
+// Name identifies the scheme: "hytm" for the hybrid, the one with a record
+// table, else "htm".
+func (s *System) Name() string {
+	if s.table != nil {
+		return "hytm"
+	}
+	return "htm"
+}
 
 // Thread binds the scheme to a core.
 func (s *System) Thread(ctx *sim.Ctx) tm.Thread {
@@ -397,7 +404,7 @@ func (t *Thread) Load(addr uint64) uint64 {
 				return cost
 			}
 		}
-		cost += m.AccessCost(t.ctx.ID(), addr, false) + m.Config().Lat.HTMTrack
+		cost += m.AccessCost(t.ctx.ID(), addr, false) + t.sys.loadCost
 		if bv, okb := txn.buf[addr]; okb {
 			v = bv
 		} else {
@@ -447,7 +454,7 @@ func (t *Thread) Store(addr, val uint64) {
 				cost += 2 // logWrite bookkeeping
 			}
 		}
-		cost += m.AccessCost(t.ctx.ID(), addr, true) + m.Config().Lat.HTMTrack + m.Config().Lat.HTMSpecStore
+		cost += m.AccessCost(t.ctx.ID(), addr, true) + t.sys.storeCost
 		la := mem.LineAddr(addr)
 		txn.writes[la] = true
 		if _, okb := txn.buf[addr]; !okb {

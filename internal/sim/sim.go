@@ -1143,21 +1143,37 @@ func (m *Machine) AccessCost(core int, addr uint64, write bool) uint64 {
 // filters concurrently with independent mark bits") and the plane-less
 // wrappers below operate on plane 0.
 
-// LoadSetMarkP loads the word at addr and sets the plane's mark bits
-// covering [addr, addr+gran). Under the default ISA it loads and
-// increments the plane's mark counter instead.
-func (c *Ctx) LoadSetMarkP(plane int, addr, gran uint64) uint64 {
+// markLoad is the one body of the three mark loads: it loads the word at
+// addr and applies op to the plane's mark bits covering [addr, addr+gran)
+// in the same cache access, charging extra cycles on top of the access.
+// Under the default ISA there are no mark bits: loadsetmark increments the
+// plane's mark counter instead and loadtestmark reports false. A load that
+// faults (Mem.Load panics on a misaligned or unallocated address) keeps its
+// cache access but changes no mark bit or counter.
+func (c *Ctx) markLoad(op cache.MarkOp, plane int, addr, gran, extra uint64) (uint64, bool) {
 	c.acquire()
 	c.noteAccess(addr)
-	res := c.m.Caches.Access(c.id, addr, false)
-	v := c.m.Mem.Load(addr)
-	if c.m.cfg.DefaultISA {
-		c.bumpMarkCounter(plane)
+	var res cache.AccessResult
+	marked := false
+	if c.m.cfg.DefaultISA || addr%mem.WordSize != 0 || !c.m.Mem.Allocated(addr) {
+		res = c.m.Caches.Access(c.id, addr, false)
 	} else {
-		c.m.Caches.SetMark(c.id, plane, addr, gran)
+		res, marked = c.m.Caches.MarkAccess(c.id, plane, addr, gran, op)
 	}
-	c.charge(c.m.chargeAccess(c.id, addr, res) + c.m.cfg.Lat.StoreQ)
+	v := c.m.Mem.Load(addr)
+	if c.m.cfg.DefaultISA && op == cache.MarkSet {
+		c.bumpMarkCounter(plane)
+	}
+	c.charge(c.m.chargeAccess(c.id, addr, res) + extra)
 	c.release()
+	return v, marked
+}
+
+// LoadSetMarkP loads the word at addr and sets the plane's mark bits
+// covering [addr, addr+gran). The charge includes the store-queue cost of
+// the mark update.
+func (c *Ctx) LoadSetMarkP(plane int, addr, gran uint64) uint64 {
+	v, _ := c.markLoad(cache.MarkSet, plane, addr, gran, c.m.cfg.Lat.StoreQ)
 	return v
 }
 
@@ -1167,35 +1183,15 @@ func (c *Ctx) LoadSetMark(addr, gran uint64) uint64 { return c.LoadSetMarkP(0, a
 // LoadResetMarkP loads the word at addr and clears the plane's covering
 // mark bits.
 func (c *Ctx) LoadResetMarkP(plane int, addr, gran uint64) uint64 {
-	c.acquire()
-	c.noteAccess(addr)
-	res := c.m.Caches.Access(c.id, addr, false)
-	v := c.m.Mem.Load(addr)
-	if !c.m.cfg.DefaultISA {
-		c.m.Caches.ClearMark(c.id, plane, addr, gran)
-	}
-	c.charge(c.m.chargeAccess(c.id, addr, res))
-	c.release()
+	v, _ := c.markLoad(cache.MarkReset, plane, addr, gran, 0)
 	return v
 }
 
 // LoadTestMarkP loads the word at addr and returns the AND of the plane's
-// covering mark bits (the carry flag). Under the default ISA the flag is
-// always false. The charge includes the dependent-branch resolve penalty.
+// covering mark bits as the load found the line (the carry flag). The
+// charge includes the dependent-branch resolve penalty.
 func (c *Ctx) LoadTestMarkP(plane int, addr, gran uint64) (uint64, bool) {
-	c.acquire()
-	c.noteAccess(addr)
-	marked := false
-	if !c.m.cfg.DefaultISA {
-		// Test before the access updates residency: the test asks about
-		// the line's state as the load finds it.
-		marked = c.m.Caches.TestMark(c.id, plane, addr, gran)
-	}
-	res := c.m.Caches.Access(c.id, addr, false)
-	v := c.m.Mem.Load(addr)
-	c.charge(c.m.chargeAccess(c.id, addr, res) + c.m.cfg.Lat.TestMarkBranch)
-	c.release()
-	return v, marked
+	return c.markLoad(cache.MarkTest, plane, addr, gran, c.m.cfg.Lat.TestMarkBranch)
 }
 
 // LoadTestMark is LoadTestMarkP on filter plane 0.

@@ -136,7 +136,8 @@ chaos)
     ;;
 inline)
     # A simulated access's common case is inline code: acquire, noteAccess,
-    # chargeAccess and release in sim, the L1 probe in cache, the bounds check
+    # chargeAccess and release in sim, the L1 probe in cache (and, in
+    # MarkAccess, the one probe's mark span and mark read), the bounds check
     # and the load in mem. Each function below must still be reported "can
     # inline", or an edit has pushed it over the budget and put a call back
     # on every access; the step names it and fails.
@@ -158,6 +159,9 @@ internal/cache/cache.go lineOf
 internal/cache/cache.go (*Hierarchy).l1Of
 internal/cache/cache.go (*level).find
 internal/cache/cache.go (*level).touch
+internal/cache/cache.go (*level).marks
+internal/cache/cache.go (*Hierarchy).slotOf
+internal/cache/cache.go markSpan
 internal/mem/mem.go (*Memory).check
 internal/mem/mem.go (*Memory).Load
 internal/mem/mem.go (*Memory).LoadAtomic
