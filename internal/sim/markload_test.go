@@ -94,11 +94,11 @@ func TestDefaultISAMarkLoads(t *testing.T) {
 					t.Fatalf("memory differs at %#x", a)
 				}
 			}
-			c1, c2 := one.Caches, two.Caches
-			if got, want := [9]uint64{c1.L1Hits, c1.L1Misses, c1.L2Hits, c1.L2Misses, c1.Invalidations,
-				c1.BackInvalidations, c1.Evictions, c1.MarkedDrops, c1.PrefetchFills},
-				[9]uint64{c2.L1Hits, c2.L1Misses, c2.L2Hits, c2.L2Misses, c2.Invalidations,
-					c2.BackInvalidations, c2.Evictions, c2.MarkedDrops, c2.PrefetchFills}; got != want {
+			counters := func(h *cache.Hierarchy) [9]uint64 {
+				return [9]uint64{h.L1Hits, h.L1Misses, h.L2Hits, h.L2Misses, h.Invalidations,
+					h.BackInvalidations, h.Evictions, h.MarkedDrops, h.PrefetchFills}
+			}
+			if got, want := counters(one.Caches), counters(two.Caches); got != want {
 				t.Errorf("cache counters %v, spelled out %v", got, want)
 			}
 			if one.Sched() != two.Sched() {
