@@ -101,11 +101,13 @@ func TestRejectedCommandLines(t *testing.T) {
 		{`-faults: faults: unknown key "frob" (want suspend, evict, snoop, htmabort or seed)`, []string{"-faults", "frob=1"}},
 		{`-chaos: chaos: "stall" is not key=value`, []string{"-chaos", "stall"}},
 		{"-fig:", []string{"-fig", "fig99"}},
+		{`-fig: unknown experiment "ext-numa" (try -list)`, []string{"-quick", "-fig", "ext-numa"}},
 		{"-events: must not be negative", []string{"-cell", "stm/bst/2", "-events", "-1"}},
 		// a -cell the figures do not label (more in TestCellRejectedInvocations)
 		{`-cell: "stm/bst" is not SCHEME/WORKLOAD/CORES`, []string{"-cell", "stm/bst"}},
 		{"-cell: cores must be >= 1, got 0", []string{"-cell", "stm/bst/0"}},
 		{`-cell: unknown scheme "tl3"`, []string{"-cell", "tl3/bst/2"}},
+		{"-cell: cache: 512 L1 groups exceeds the 256-entry directory", []string{"-cell", "stm/bst/512"}},
 		// two suite selectors at once
 		{"-faults:", []string{"-service", "-faults", "suspend=900,seed=3", "-fig", "fig99"}},
 		{"-adversarial:", []string{"-service", "-adversarial", "all"}},
@@ -131,7 +133,7 @@ func TestRejectedCommandLines(t *testing.T) {
 		{"-chaos: the service suite arms the chaos plane with -backend native only", []string{"-quick", "-service", "-chaos", "abort=3"}},
 		// flags the command does not have: the watchdogs and the trace cap
 		// are constants (TestCommandLineArmsTheWatchdogs), -json carries the
-		// figure tables, and ext-numa sets its own machine shapes
+		// figure tables, and the machine is the paper's flat one
 		{"flag provided but not defined: -cycle-budget", []string{"-quick", "-cycle-budget", "5"}},
 		{"flag provided but not defined: -watchdog-window", []string{"-quick", "-watchdog-window", "0"}},
 		{"flag provided but not defined: -trace-max", []string{"-quick", "-trace", "t.jsonl", "-trace-max", "100"}},

@@ -1,5 +1,5 @@
 // Package cache models the cache hierarchy of the simulated machine: one
-// private L1 data cache per core plus a shared, inclusive L2 per socket.
+// private L1 data cache per core plus one shared, inclusive L2.
 //
 // Data never lives here — the authoritative copy is in package mem. The
 // caches track only what the paper's hardware mechanisms need: line
@@ -8,15 +8,11 @@
 // of a 64-byte line, i.e. four bits per line).
 //
 // Coherence is directory-style: each L2 line carries a sharer set naming
-// the L1 groups of its socket that hold a copy, so a store invalidates
-// exactly the actual sharers instead of probing every L1 in the machine.
-// The sharer sets are precise — set when an L1 fills a line, cleared when
-// the copy drops — and they are walked in ascending group order, which
-// makes a 1-socket machine produce the exact event order of the broadcast
-// snoop it replaced. With more than one socket, misses that another
-// socket's L2 must serve (clean or dirty) are flagged on the AccessResult
-// so the simulator can charge cross-socket latency, and per-socket NUMA
-// counters record the interconnect traffic.
+// the L1 groups that hold a copy, so a store invalidates exactly the actual
+// sharers instead of probing every L1 in the machine. The sharer sets are
+// precise — set when an L1 fills a line, cleared when the copy drops — and
+// they are walked in ascending group order, which produces the exact event
+// order of the broadcast snoop they replaced.
 //
 // Mark bits are private per hardware thread (= per core here) and
 // non-persistent: they are cleared when a line is filled and they vanish
@@ -60,8 +56,8 @@ const (
 // MaxSMT is the maximum number of hardware threads sharing one L1.
 const MaxSMT = 2
 
-// MaxGroupsPerSocket bounds the L1 groups one socket's directory can name.
-const MaxGroupsPerSocket = 256
+// MaxGroups bounds the L1 groups the directory can name.
+const MaxGroups = 256
 
 // maxAssoc bounds the ways of a level: an L1 line records its L2 way in
 // one byte.
@@ -206,8 +202,7 @@ type way struct {
 // ways; an L2 way needs none of it.
 type lineState struct {
 	st state
-	// l2way is, on a valid line, the way of its copy in the socket's
-	// inclusive L2.
+	// l2way is, on a valid line, the way of its copy in the inclusive L2.
 	l2way uint8
 	// mark holds each hardware thread's private filter bits: per SMT thread
 	// sharing this L1, per plane, a 4-bit mask (one bit per 16B sub-block)
@@ -215,10 +210,10 @@ type lineState struct {
 	mark [MaxSMT]MarkMasks
 }
 
-// sharerMask is a directory entry's sharer set: one bit per L1 group of
-// the owning socket, in as many words as the socket's group count needs.
-// An L2 level keeps one per way in a flat array parallel to its ways, and
-// nothing else beside them. eachSharer is the one walk over them.
+// sharerMask is a directory entry's sharer set: one bit per L1 group, in as
+// many words as the group count needs. The L2 keeps one per way in a flat
+// array parallel to its ways, and nothing else beside them. eachSharer is
+// the one walk over them.
 type sharerMask []uint64
 
 func (m sharerMask) set(g int)   { m[g>>6] |= 1 << (g & 63) }
@@ -236,18 +231,17 @@ type level struct {
 	setMask uint32 // sets-1; Sets() guarantees a power of two
 	tick    uint32
 	assoc   int // ways per set
-	sock    int // the socket the level belongs to
 
 	// On L1 levels: the state of each way, the group's index in the
-	// machine, its sharer bit in the socket's directory, and each (thread
-	// slot, plane)'s current mark epoch, shifted like the mark bytes.
-	state   []lineState
-	id, bit int
-	epoch   [MaxSMT]MarkMasks
+	// machine (its sharer bit in the directory), and each (thread slot,
+	// plane)'s current mark epoch, shifted like the mark bytes.
+	state []lineState
+	id    int
+	epoch [MaxSMT]MarkMasks
 
-	// On L2 levels: stride directory words per way, indexed like ways.
+	// On the L2: stride directory words per way, indexed like ways.
 	sharers []uint64
-	stride  int // ceil(groups per socket / 64)
+	stride  int // ceil(groups / 64)
 }
 
 // base returns the index of the first way of line t's set.
@@ -337,39 +331,13 @@ func (l *level) marks(i, slot int) MarkMasks {
 	return m
 }
 
-// SocketCounters is one socket's NUMA traffic block. Each socket gets its
-// own cache-line-padded block (the per-thread telemetry idiom); counters
-// are plain increments under the simulator's grant lease and are merged at
-// report time. All three counters measure cross-socket interconnect
-// traffic, so a 1-socket machine leaves them structurally zero.
-type SocketCounters struct {
-	// CrossSocketMisses counts this socket's demand misses that left the
-	// socket: served by a remote socket's L2 (clean or dirty) or by a
-	// memory page whose home is another socket. A prefetch, which charges
-	// no latency, is not counted.
-	CrossSocketMisses uint64
-	// RemoteDirtyFetches counts this socket's demand misses served from a
-	// line another socket's core held modified (dirty-remote transfer).
-	RemoteDirtyFetches uint64
-	// DirectoryInvalidations counts invalidation messages this socket's
-	// writers sent across the interconnect, write prefetches and
-	// speculative RFOs included: one per remote L1 copy dropped plus one
-	// per remote L2 line invalidated.
-	DirectoryInvalidations uint64
-
-	_ [5]uint64 // pad to one host cache line
-}
-
 // Hierarchy is the full cache system: per-core L1s over one shared
-// inclusive L2 per socket, kept coherent by per-line directory sharer
-// sets.
+// inclusive L2, kept coherent by per-line directory sharer sets.
 type Hierarchy struct {
 	l1       []level
-	l2       []level // one per socket
-	tpc      int     // hardware threads per core (per L1): 1 or 2
-	tpcShift uint    // log2(tpc)
-	gps      int     // L1 groups per socket
-	sockets  int
+	l2       level
+	tpc      int  // hardware threads per core (per L1): 1 or 2
+	tpcShift uint // log2(tpc)
 
 	prefetch bool // next-line prefetch into L1 on L1 miss
 
@@ -388,25 +356,20 @@ type Hierarchy struct {
 	Evictions         uint64
 	MarkedDrops       uint64 // drops of lines that had mark bits set
 	PrefetchFills     uint64
-
-	// Socket holds the per-socket NUMA traffic blocks, indexed by socket.
-	Socket []SocketCounters
 }
 
 // HierarchyConfig configures New. Cores is the number of HARDWARE THREADS;
-// ThreadsPerCore > 1 groups them onto shared L1s (SMT); Sockets > 1 splits
-// the L1 groups evenly over per-socket L2s (0 means 1).
+// ThreadsPerCore > 1 groups them onto shared L1s (SMT).
 type HierarchyConfig struct {
 	Cores          int
 	ThreadsPerCore int // 0 or 1 = no SMT; at most MaxSMT
-	Sockets        int // 0 or 1 = flat single-socket machine
 	L1             Config
 	L2             Config
 	Prefetch       bool
 }
 
 // Validate checks the whole hierarchy configuration — both levels'
-// geometry (wrapping ErrBadGeometry) and the thread/socket factoring —
+// geometry (wrapping ErrBadGeometry) and the thread factoring —
 // without building anything, so callers can surface a clear error instead
 // of a construction panic.
 func (cfg HierarchyConfig) Validate() error {
@@ -429,16 +392,8 @@ func (cfg HierarchyConfig) Validate() error {
 	if cfg.Cores%tpc != 0 {
 		return errors.New("cache: thread count must be a multiple of ThreadsPerCore")
 	}
-	sockets := cfg.Sockets
-	if sockets <= 0 {
-		sockets = 1
-	}
-	groups := cfg.Cores / tpc
-	if groups%sockets != 0 {
-		return fmt.Errorf("cache: %d L1 groups do not split evenly over %d sockets", groups, sockets)
-	}
-	if gps := groups / sockets; gps > MaxGroupsPerSocket {
-		return fmt.Errorf("cache: %d L1 groups per socket exceeds the %d-entry directory", gps, MaxGroupsPerSocket)
+	if groups := cfg.Cores / tpc; groups > MaxGroups {
+		return fmt.Errorf("cache: %d L1 groups exceeds the %d-entry directory", groups, MaxGroups)
 	}
 	return nil
 }
@@ -452,45 +407,32 @@ func New(cfg HierarchyConfig) *Hierarchy {
 	if tpc <= 0 {
 		tpc = 1
 	}
-	sockets := cfg.Sockets
-	if sockets <= 0 {
-		sockets = 1
-	}
 	groups := cfg.Cores / tpc
-	gps := groups / sockets
-	stride := (gps + 63) / 64
+	stride := (groups + 63) / 64
 	sets1, sets2 := cfg.L1.Sets(), cfg.L2.Sets()
 	n1, n2 := sets1*cfg.L1.Assoc, sets2*cfg.L2.Assoc
 
 	// One allocation per array kind; every level carves its slice.
-	levels := make([]level, groups+sockets)
-	ways := make([]way, groups*n1+sockets*n2)
+	ways := make([]way, groups*n1+n2)
 	for i := range ways {
 		ways[i].tag = noTag
 	}
 	states := make([]lineState, groups*n1)
-	sharers := make([]uint64, sockets*n2*stride)
 	h := &Hierarchy{
-		l1:       levels[:groups:groups],
-		l2:       levels[groups:],
+		l1:       make([]level, groups),
 		tpc:      tpc,
 		tpcShift: uint(bits.TrailingZeros(uint(tpc))),
-		gps:      gps,
-		sockets:  sockets,
 		prefetch: cfg.Prefetch,
-		Socket:   make([]SocketCounters, sockets),
 	}
 	for g := range h.l1 {
 		h.l1[g] = level{
 			ways: carve(&ways, n1), setMask: uint32(sets1 - 1), assoc: cfg.L1.Assoc,
-			sock: g / gps, state: carve(&states, n1), id: g, bit: g % gps,
+			state: carve(&states, n1), id: g,
 		}
 	}
-	for s := range h.l2 {
-		h.l2[s] = level{
-			ways: carve(&ways, n2), setMask: uint32(sets2 - 1), assoc: cfg.L2.Assoc,
-			sock: s, sharers: carve(&sharers, n2*stride), stride: stride,
-		}
+	h.l2 = level{
+		ways: ways, setMask: uint32(sets2 - 1), assoc: cfg.L2.Assoc,
+		sharers: make([]uint64, n2*stride), stride: stride,
 	}
 	return h
 }
@@ -512,16 +454,6 @@ func (h *Hierarchy) slotOf(thread int) int { return thread & (h.tpc - 1) }
 // over ThreadsPerCore under SMT. With one, a SpeculativeRFO has no other L1
 // to reach and changes nothing.
 func (h *Hierarchy) L1Groups() int { return len(h.l1) }
-
-// SocketOf maps a hardware thread to its socket.
-func (h *Hierarchy) SocketOf(thread int) int { return h.l1Of(thread).sock }
-
-// NoteRemoteMemory records a miss of thread's socket that memory with a
-// remote home socket had to serve. The simulator calls this when the
-// placement policy homes the missed page on another socket.
-func (h *Hierarchy) NoteRemoteMemory(thread int) {
-	h.Socket[h.SocketOf(thread)].CrossSocketMisses++
-}
 
 // AddDropListener registers a listener for L1 line drops.
 func (h *Hierarchy) AddDropListener(l DropListener) {
@@ -552,8 +484,7 @@ func (h *Hierarchy) drop(l1 *level, i int, reason DropReason, byThread int) {
 			h.MarkedDrops++
 		}
 	}
-	l2 := &h.l2[l1.sock]
-	l2.dirEntry(l2.base(t) + int(s.l2way)).clear(l1.bit)
+	h.l2.dirEntry(h.l2.base(t) + int(s.l2way)).clear(l1.id)
 	l1.ways[i] = way{tag: noTag}
 	*s = lineState{}
 	switch reason {
@@ -600,16 +531,10 @@ func (h *Hierarchy) siblingStore(l1 *level, thread, i int) {
 }
 
 // AccessResult reports where an access hit.
+// When an access missed both levels, memory served the line.
 type AccessResult struct {
 	L1Hit bool
-	L2Hit bool // local-socket L2 hit; meaningful only when !L1Hit
-	// RemoteL2 marks a miss another socket's L2 served (clean or dirty);
-	// never set on a 1-socket machine. When it is false and the access
-	// missed both L1 and the local L2, memory served the line.
-	RemoteL2 bool
-	// RemoteDirty marks a RemoteL2 transfer sourced from a line a remote
-	// core held modified (dirty-remote fetch, the most expensive hop).
-	RemoteDirty bool
+	L2Hit bool // meaningful only when !L1Hit
 }
 
 // Access simulates core's load or store of the line containing addr,
@@ -652,9 +577,9 @@ func (h *Hierarchy) slowAccess(l1 *level, thread int, t uint32, i int, write boo
 		return AccessResult{L1Hit: true}, i
 	}
 	h.L1Misses++
-	l2 := &h.l2[l1.sock]
-	// The one probe of the local L2 set; nothing moves the line between
-	// ways before fill records it.
+	l2 := &h.l2
+	// The one probe of the L2 set; nothing moves the line between ways
+	// before fill records it.
 	w2 := l2.find(t)
 	if w2 >= 0 {
 		l2.touch(w2)
@@ -662,14 +587,7 @@ func (h *Hierarchy) slowAccess(l1 *level, thread int, t uint32, i int, write boo
 	} else {
 		h.L2Misses++
 	}
-	res, i := h.fill(l1, thread, t, write, w2)
-	if res.RemoteL2 {
-		sc := &h.Socket[l1.sock]
-		sc.CrossSocketMisses++
-		if res.RemoteDirty {
-			sc.RemoteDirtyFetches++
-		}
-	}
+	i = h.fill(l1, thread, t, write, w2)
 	if !write {
 		h.notifyRemoteRead(thread, t)
 	}
@@ -682,8 +600,8 @@ func (h *Hierarchy) slowAccess(l1 *level, thread int, t uint32, i int, write boo
 		// it if already held. A prefetch is the demand fill — it downgrades
 		// or invalidates other copies exactly as a demand miss does — but
 		// it costs the requester no latency, tells no remote-read listener
-		// and counts in PrefetchFills, not as a hit or (cross-socket)
-		// miss: its cost is pure pollution.
+		// and counts in PrefetchFills, not as a hit or miss: its cost is
+		// pure pollution.
 		degree := uint32(2)
 		if write {
 			degree = 1
@@ -699,36 +617,36 @@ func (h *Hierarchy) slowAccess(l1 *level, thread int, t uint32, i int, write boo
 			h.PrefetchFills++
 		}
 	}
-	return res, i
+	return AccessResult{L2Hit: w2 >= 0}, i
 }
 
 // upgrade makes way i of l1, a Shared copy of line t, Modified: every
 // other copy in the machine is invalidated.
 func (h *Hierarchy) upgrade(l1 *level, thread int, t uint32, i int) {
 	s := &l1.state[i]
-	h.invalidateOthers(l1, thread, t, h.l2[l1.sock].base(t)+int(s.l2way))
+	h.invalidateOthers(l1, thread, t, h.l2.base(t)+int(s.l2way))
 	s.st = modified
 }
 
 // fill installs line t, which l1 does not hold, Shared for a read and
-// Modified for a write; w2 is t's way in the socket's inclusive L2, or -1
-// and the L2 fills it first. A read downgrades any Modified copy to
-// Shared, so the old owner's next store must invalidate this one; a write
-// invalidates every other copy. The new line's marks start clear ("when
-// the processor brings a line into the cache, it clears all the mark bits
-// for the new line"). Demand misses and prefetches share this one path.
-func (h *Hierarchy) fill(l1 *level, thread int, t uint32, write bool, w2 int) (AccessResult, int) {
-	res := AccessResult{L2Hit: w2 >= 0}
-	l2 := &h.l2[l1.sock]
-	// On one socket only the local directory entry can name a copy to
-	// downgrade, and by inclusion there is none when the L2 missed.
-	remoteDirty := !write && (h.sockets > 1 || w2 >= 0 && !l2.dirEntry(w2).empty()) &&
-		h.downgradeModified(l1, t, w2)
+// Modified for a write, and returns the way it filled; w2 is t's way in the
+// inclusive L2, or -1 and the L2 fills it first. A read downgrades any
+// Modified copy to Shared, so the old owner's next store must invalidate
+// this one; a write invalidates every other copy. The new line's marks
+// start clear ("when the processor brings a line into the cache, it clears
+// all the mark bits for the new line"). Demand misses and prefetches share
+// this one path.
+func (h *Hierarchy) fill(l1 *level, thread int, t uint32, write bool, w2 int) int {
+	l2 := &h.l2
 	if w2 < 0 {
-		if h.sockets > 1 {
-			h.probeRemote(l1.sock, t, write, remoteDirty, &res)
-		}
-		w2 = h.fillL2(l2, t)
+		// By inclusion no L1 holds a line the L2 missed.
+		w2 = h.fillL2(t)
+	} else if !write {
+		h.eachSharer(l2.dirEntry(w2), t, l1, func(other *level, j int) {
+			if other.state[j].st == modified {
+				other.state[j].st = shared
+			}
+		})
 	}
 	vi := l1.victim(t)
 	h.drop(l1, vi, DropEvict, thread)
@@ -740,27 +658,26 @@ func (h *Hierarchy) fill(l1 *level, thread int, t uint32, write bool, w2 int) (A
 	l1.ways[vi].tag = t
 	l1.state[vi] = lineState{st: st, l2way: uint8(w2 & (l2.assoc - 1))}
 	l1.touch(vi)
-	l2.dirEntry(w2).set(l1.bit)
-	return res, vi // the way filled
+	l2.dirEntry(w2).set(l1.id)
+	return vi
 }
 
 // eachSharer calls fn with the L1 and way of every copy of line t that the
-// directory entry m of socket s names, skipping the L1 skip, in ascending
-// group order: the order the broadcast snoop the directory replaced
-// scanned. fn may drop the copy, which clears only the bit just visited.
-// It stays small enough to inline, so an empty entry, the common case,
-// costs no call.
-func (h *Hierarchy) eachSharer(m sharerMask, s int, t uint32, skip *level, fn func(l1 *level, j int)) {
+// directory entry m names, skipping the L1 skip, in ascending group order:
+// the order the broadcast snoop the directory replaced scanned. fn may drop
+// the copy, which clears only the bit just visited. It stays small enough
+// to inline, so an empty entry, the common case, costs no call.
+func (h *Hierarchy) eachSharer(m sharerMask, t uint32, skip *level, fn func(l1 *level, j int)) {
 	if !m.empty() {
-		h.walkSharers(m, s, t, skip, fn)
+		h.walkSharers(m, t, skip, fn)
 	}
 }
 
 // walkSharers is eachSharer's walk.
-func (h *Hierarchy) walkSharers(m sharerMask, s int, t uint32, skip *level, fn func(l1 *level, j int)) {
+func (h *Hierarchy) walkSharers(m sharerMask, t uint32, skip *level, fn func(l1 *level, j int)) {
 	for wi, word := range m {
 		for word != 0 {
-			l1 := &h.l1[s*h.gps+wi<<6+bits.TrailingZeros64(word)]
+			l1 := &h.l1[wi<<6+bits.TrailingZeros64(word)]
 			word &= word - 1
 			if l1 == skip {
 				continue
@@ -773,68 +690,15 @@ func (h *Hierarchy) walkSharers(m sharerMask, s int, t uint32, skip *level, fn f
 	}
 }
 
-// downgradeModified walks every socket's directory entry for line t and
-// downgrades a Modified copy to Shared, returning whether that copy lived
-// on a different socket than the accessor (a dirty-remote source). local
-// is t's way in the accessor's L2, or -1.
-func (h *Hierarchy) downgradeModified(l1 *level, t uint32, local int) bool {
-	remoteDirty := false
-	for s := range h.l2 {
-		l2 := &h.l2[s]
-		i := local
-		if s != l1.sock {
-			i = l2.find(t)
-		}
-		if i < 0 {
-			continue
-		}
-		h.eachSharer(l2.dirEntry(i), s, t, l1, func(other *level, j int) {
-			if other.state[j].st == modified {
-				other.state[j].st = shared
-				if s != l1.sock {
-					remoteDirty = true
-				}
-			}
-		})
-	}
-	return remoteDirty
-}
-
-// probeRemote resolves a local-L2 miss against the other sockets: if any
-// remote L2 holds the line the transfer is cross-socket (dirty when a
-// remote core holds — or, for a read, just held — the line modified), else
-// the miss falls through to memory. The remote copies themselves are left
-// alone (a write invalidates them moments later through invalidateOthers).
-func (h *Hierarchy) probeRemote(ownSock int, t uint32, write, readSawDirty bool, res *AccessResult) {
-	for s := range h.l2 {
-		if s == ownSock {
-			continue
-		}
-		l2 := &h.l2[s]
-		i := l2.find(t)
-		if i < 0 {
-			continue
-		}
-		res.RemoteL2 = true
-		dirty := readSawDirty
-		if write && !dirty {
-			h.eachSharer(l2.dirEntry(i), s, t, nil, func(other *level, j int) {
-				dirty = dirty || other.state[j].st == modified
-			})
-		}
-		res.RemoteDirty = dirty
-		return
-	}
-}
-
-// fillL2 installs line t into l2 and returns the way it filled; the
-// victim, if any, is back-invalidated out of the socket's L1s — exactly
-// the sharers its directory entry names — to preserve inclusion.
-func (h *Hierarchy) fillL2(l2 *level, t uint32) int {
+// fillL2 installs line t into the L2 and returns the way it filled; the
+// victim, if any, is back-invalidated out of the L1s — exactly the sharers
+// its directory entry names — to preserve inclusion.
+func (h *Hierarchy) fillL2(t uint32) int {
+	l2 := &h.l2
 	vi := l2.victim(t)
 	vm := l2.dirEntry(vi)
 	if evicted := l2.ways[vi].tag; evicted != noTag {
-		h.eachSharer(vm, l2.sock, evicted, nil, func(l1 *level, j int) {
+		h.eachSharer(vm, evicted, nil, func(l1 *level, j int) {
 			h.drop(l1, j, DropBackInvalidate, -1)
 		})
 	}
@@ -853,7 +717,7 @@ func (h *Hierarchy) fillL2(l2 *level, t uint32) int {
 func (h *Hierarchy) SpeculativeRFO(thread int, lineAddr uint64) {
 	t := lineOf(lineAddr)
 	l1 := h.l1Of(thread)
-	h.invalidateOthers(l1, thread, t, h.l2[l1.sock].find(t))
+	h.invalidateOthers(l1, thread, t, h.l2.find(t))
 }
 
 // EvictLine forces the line containing addr out of the thread's L1, as a
@@ -872,66 +736,36 @@ func (h *Hierarchy) EvictLine(thread int, addr uint64) bool {
 	return true
 }
 
-// BackInvalidateLine forces the line containing addr out of every socket's
-// L2 and — by inclusion — out of every sharing L1, exactly what an L2
-// victimisation does ("one core accidentally kicking out marked cache
-// lines of another core", §7.4), and returns how many L1 copies were
-// dropped. Fault injection uses this as an on-demand snoop/back-
-// invalidation.
+// BackInvalidateLine forces the line containing addr out of the L2 and —
+// by inclusion — out of every sharing L1, exactly what an L2 victimisation
+// does ("one core accidentally kicking out marked cache lines of another
+// core", §7.4), and returns how many L1 copies were dropped. Fault
+// injection uses this as an on-demand snoop/back-invalidation.
 func (h *Hierarchy) BackInvalidateLine(addr uint64) int {
 	t := lineOf(addr)
-	n := 0
-	for s := range h.l2 {
-		l2 := &h.l2[s]
-		i := l2.find(t)
-		if i < 0 {
-			continue
-		}
-		m := l2.dirEntry(i)
-		h.eachSharer(m, s, t, nil, func(l1 *level, j int) {
-			h.drop(l1, j, DropBackInvalidate, -1)
-			n++
-		})
-		l2.ways[i] = way{tag: noTag}
-		clear(m)
+	i := h.l2.find(t)
+	if i < 0 {
+		return 0
 	}
+	n := 0
+	m := h.l2.dirEntry(i)
+	h.eachSharer(m, t, nil, func(l1 *level, j int) {
+		h.drop(l1, j, DropBackInvalidate, -1)
+		n++
+	})
+	h.l2.ways[i] = way{tag: noTag}
+	clear(m)
 	return n
 }
 
 // invalidateOthers removes line t from every L1 except the writer's,
-// walking directory sharer sets instead of probing each L1: the writer's
-// own socket drops exactly its sharers, and any other socket holding the
-// line drops its sharers and gives up its L2 copy (exclusive ownership
-// moves to the writer's socket). local is t's way in the writer's L2, or
-// -1.
-func (h *Hierarchy) invalidateOthers(l1 *level, writer int, t uint32, local int) {
-	sock := l1.sock
-	if local >= 0 {
-		h.eachSharer(h.l2[sock].dirEntry(local), sock, t, l1, func(other *level, j int) {
+// walking the directory's sharer set instead of probing each L1. i2 is t's
+// way in the L2, or -1 and by inclusion no L1 holds t.
+func (h *Hierarchy) invalidateOthers(l1 *level, writer int, t uint32, i2 int) {
+	if i2 >= 0 {
+		h.eachSharer(h.l2.dirEntry(i2), t, l1, func(other *level, j int) {
 			h.drop(other, j, DropInvalidate, writer)
 		})
-	}
-	if h.sockets == 1 {
-		return
-	}
-	sc := &h.Socket[sock]
-	for s := range h.l2 {
-		if s == sock {
-			continue
-		}
-		l2 := &h.l2[s]
-		i := l2.find(t)
-		if i < 0 {
-			continue
-		}
-		m := l2.dirEntry(i)
-		h.eachSharer(m, s, t, nil, func(other *level, j int) {
-			h.drop(other, j, DropInvalidate, writer)
-			sc.DirectoryInvalidations++
-		})
-		l2.ways[i] = way{tag: noTag}
-		clear(m)
-		sc.DirectoryInvalidations++
 	}
 }
 

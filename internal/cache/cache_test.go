@@ -603,7 +603,7 @@ func TestQuickInclusionInvariant(t *testing.T) {
 		}
 		for _, l1 := range h.l1 {
 			for _, w := range l1.ways {
-				if w.tag != noTag && h.l2[0].find(w.tag) < 0 {
+				if w.tag != noTag && h.l2.find(w.tag) < 0 {
 					return false
 				}
 			}

@@ -1,8 +1,5 @@
 package cache
 
-// NumSockets returns the machine's socket count.
-func (h *Hierarchy) NumSockets() int { return h.sockets }
-
 // MarkedLines returns how many lines currently carry at least one mark bit
 // of the plane in core's L1.
 func (h *Hierarchy) MarkedLines(thread, plane int) int {

@@ -44,7 +44,7 @@ func FuzzHierarchy(f *testing.F) {
 	// Marked hot lines, prefetcher on: rounds in which thread a writes line
 	// x (one of 8), thread b reads the line below — its prefetch reaches x
 	// — and marks x, a writes x again and b tests its mark. The threads
-	// are four, across both sockets on 2x65.
+	// are four, spread evenly over the machine's threads.
 	for gi, g := range streamGeometries {
 		for _, flags := range []byte{0x80, 0xc0} {
 			data := []byte{byte(gi) | flags}

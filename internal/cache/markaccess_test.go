@@ -44,10 +44,10 @@ func stateOf(h *Hierarchy) Hierarchy {
 // fingerprint mix runs on both. After each operation the two must agree on
 // the returned result and flag, on every drop and remote-read event so far
 // (their fingerprints), and on their whole state (on 2x65, after every
-// 64th operation and at the end). The geometries cover 1
-// and 2 threads per L1 and two sockets. "lossy" has a one-set, two-way L2,
-// so a loadsetmark's own second prefetch back-invalidates the line it
-// loaded; the test checks that that happens.
+// 64th operation and at the end). The geometries cover 1 and 2 threads per
+// L1 and a two-word directory. "lossy" has a one-set, two-way L2, so a
+// loadsetmark's own second prefetch back-invalidates the line it loaded;
+// the test checks that that happens.
 func TestMarkAccessEqualsComposition(t *testing.T) {
 	lossy := func(tpc int) func(bool) *Hierarchy {
 		return func(prefetch bool) *Hierarchy {

@@ -11,19 +11,19 @@ func (m sharerMask) has(g int) bool { return m[g>>6]&(1<<(g&63)) != 0 }
 
 // checkDirectory asserts the invariants the directory and the host-side
 // data path stand on, on whatever state h is in: inclusion (an L1 line is
-// in its socket's L2, in the way the line recorded), single writer (a
-// modified line has no other copy), precision (an L2 way's sharer bit g
-// is set exactly when group g of that socket holds the line), one way per
-// line, and clean invalid ways (tag noTag, lru 0, no live mark).
+// in the L2, in the way the line recorded), single writer (a modified line
+// has no other copy), precision (an L2 way's sharer bit g is set exactly
+// when group g holds the line), one way per line, and clean invalid ways
+// (tag noTag, lru 0, no live mark).
 func checkDirectory(t *testing.T, h *Hierarchy) {
 	t.Helper()
 	holders := map[uint32][]state{}
 	for g := range h.l1 {
 		l1 := &h.l1[g]
-		if l1.id != g || l1.sock != g/h.gps || l1.bit != g%h.gps {
-			t.Fatalf("group %d is labelled id %d, socket %d, bit %d", g, l1.id, l1.sock, l1.bit)
+		if l1.id != g {
+			t.Fatalf("group %d is labelled id %d", g, l1.id)
 		}
-		l2 := &h.l2[l1.sock]
+		l2 := &h.l2
 		for i := range l1.ways {
 			w, s := l1.ways[i], l1.state[i]
 			if (w.tag == noTag) != (s.st == invalid) {
@@ -48,7 +48,7 @@ func checkDirectory(t *testing.T, h *Hierarchy) {
 			if l2.ways[at].tag != w.tag {
 				t.Fatalf("group %d holds %#x but its recorded L2 way %d holds %#x (inclusion)", g, w.tag, s.l2way, l2.ways[at].tag)
 			}
-			if !l2.dirEntry(at).has(l1.bit) {
+			if !l2.dirEntry(at).has(l1.id) {
 				t.Fatalf("group %d holds %#x but its sharer bit is clear", g, w.tag)
 			}
 		}
@@ -64,54 +64,51 @@ func checkDirectory(t *testing.T, h *Hierarchy) {
 			t.Fatalf("line %#x is modified in %d L1s and held by %d", la, owners, len(states))
 		}
 	}
-	for s := range h.l2 {
-		l2 := &h.l2[s]
-		if l2.sock != s || l2.state != nil {
-			t.Fatalf("socket %d's L2 is labelled socket %d, or carries L1 state", s, l2.sock)
+	l2 := &h.l2
+	if l2.state != nil {
+		t.Fatal("the L2 carries L1 state")
+	}
+	if want := (len(h.l1) + 63) / 64; l2.stride != want {
+		t.Fatalf("directory stride %d, want %d for %d groups", l2.stride, want, len(h.l1))
+	}
+	for i, w := range l2.ways {
+		if w.tag == noTag && w.lru != 0 || w.tag != noTag && w.lru == 0 {
+			t.Fatalf("L2 way %d has tag %#x, lru %d", i, w.tag, w.lru)
 		}
-		if want := (h.gps + 63) / 64; l2.stride != want {
-			t.Fatalf("socket %d: directory stride %d, want %d for %d groups", s, l2.stride, want, h.gps)
-		}
-		for i, w := range l2.ways {
-			if w.tag == noTag && w.lru != 0 || w.tag != noTag && w.lru == 0 {
-				t.Fatalf("socket %d: way %d has tag %#x, lru %d", s, i, w.tag, w.lru)
+		m := l2.dirEntry(i)
+		for g := 0; g < 64*l2.stride; g++ {
+			if !m.has(g) {
+				continue
 			}
-			m := l2.dirEntry(i)
-			for g := 0; g < 64*l2.stride; g++ {
-				if !m.has(g) {
-					continue
-				}
-				if w.tag == noTag || g >= h.gps || h.l1[s*h.gps+g].find(w.tag) < 0 {
-					t.Fatalf("socket %d: stale sharer bit %d on way holding %#x", s, g, w.tag)
-				}
+			if w.tag == noTag || g >= len(h.l1) || h.l1[g].find(w.tag) < 0 {
+				t.Fatalf("stale sharer bit %d on L2 way holding %#x", g, w.tag)
 			}
 		}
 	}
 }
 
 // The directory invariants hold at every entry width — one word for up to
-// 64 groups per socket, two at 65, four at the 256-group cap — flat, SMT
-// and multi-socket, under random traffic with evictions, upgrades and
-// back-invalidations.
+// 64 groups, two at 65, four at the 256-group cap — with and without SMT,
+// under random traffic with evictions, upgrades and back-invalidations.
 func TestDirectoryInvariantsAcrossStrides(t *testing.T) {
 	for _, c := range []struct {
-		name              string
-		sockets, gps, smt int
-		accesses          int
+		name        string
+		groups, smt int
+		accesses    int
 	}{
-		{"1-group", 1, 1, 1, 4000},
-		{"4-groups", 1, 4, 1, 4000},
-		{"4-groups-smt", 1, 4, 2, 4000},
-		{"64-groups", 1, 64, 1, 8000},
-		{"65-groups", 1, 65, 1, 8000},
-		{"2x65-groups", 2, 65, 1, 8000},
-		{"256-groups", 1, 256, 1, 12000},
-		{"2x256-groups-smt", 2, 256, 2, 12000},
+		{"1-group", 1, 1, 4000},
+		{"4-groups", 4, 1, 4000},
+		{"4-groups-smt", 4, 2, 4000},
+		{"64-groups", 64, 1, 8000},
+		{"65-groups", 65, 1, 8000},
+		{"65-groups-smt", 65, 2, 8000},
+		{"256-groups", 256, 1, 12000},
+		{"256-groups-smt", 256, 2, 12000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			threads := c.sockets * c.gps * c.smt
+			threads := c.groups * c.smt
 			h := New(HierarchyConfig{
-				Cores: threads, ThreadsPerCore: c.smt, Sockets: c.sockets,
+				Cores: threads, ThreadsPerCore: c.smt,
 				L1: Config{SizeBytes: 1 << 10, Assoc: 2},
 				L2: Config{SizeBytes: 4 << 10, Assoc: 4},
 			})

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"cmp"
 	"fmt"
 	"sync"
 	"time"
@@ -107,8 +106,9 @@ type simCell struct {
 }
 
 // validate rejects unknown schemes and workloads, bad thread counts, a
-// topology too small for the cell and unsplittable totals before any
-// machine is built, and returns the cell's operations per thread.
+// machine configuration sim.New would refuse and unsplittable totals
+// before any machine is built, and returns the cell's operations per
+// thread.
 func (s simSpec) validate() (ops int, err error) {
 	if s.threads < 1 {
 		return 0, fmt.Errorf("cores must be >= 1, got %d", s.threads)
@@ -116,8 +116,8 @@ func (s simSpec) validate() (ops int, err error) {
 	if _, ok := lookup(schemeTable, s.scheme); !ok {
 		return 0, fmt.Errorf("unknown scheme %q", s.scheme)
 	}
-	if total := s.o.machineCores(s.threads); s.threads > total {
-		return 0, fmt.Errorf("topology %s has %d cores, run needs %d threads", s.o.Topology, total, s.threads)
+	if err := machineConfig(s.threads, s.o, s.geometry).Validate(); err != nil {
+		return 0, err
 	}
 	if s.workload == "" {
 		return 0, nil
@@ -172,18 +172,17 @@ const (
 // simThreadFunc is one phase of one thread of a simulator cell.
 type simThreadFunc func(c *sim.Ctx, th tm.Thread, id int) error
 
-// simThread is a thread's slot, indexed by the core it is placed on.
+// simThread is a thread's slot, indexed by its core.
 type simThread struct {
-	id     int    // thread number
 	cycles uint64 // length of the measured phase on this thread's clock
 	err    error
 }
 
-// run drives the cell: one program per thread, placed on its core by the
-// mapping policy, each running the optional warm-up, the hand-over, and the
-// measured phase between two readings of its own clock. A cell with a
-// warm-up reports the longest measured phase; one without reports the
-// machine's wall clock, which also stands when a watchdog cut the run short.
+// run drives the cell: one program per core, each running the optional
+// warm-up, the hand-over, and the measured phase between two readings of
+// its own clock. A cell with a warm-up reports the longest measured phase;
+// one without reports the machine's wall clock, which also stands when a
+// watchdog cut the run short.
 func (c *simCell) run(end warmEnd, warm, measure simThreadFunc) (RunMetrics, outcome) {
 	m, sys, threads := c.m, c.sys, c.threads
 	var arrived, goFlag uint64
@@ -191,12 +190,12 @@ func (c *simCell) run(end warmEnd, warm, measure simThreadFunc) (RunMetrics, out
 		arrived = m.Mem.Alloc(mem.LineSize, mem.LineSize)
 		goFlag = m.Mem.Alloc(mem.LineSize, mem.LineSize)
 	}
-	slots := make([]simThread, m.Config().Cores)
+	slots := make([]simThread, threads)
 	prog := func(ctx *sim.Ctx) {
 		slot := &slots[ctx.ID()]
 		th := sys.Thread(ctx)
 		if warm != nil {
-			err := warm(ctx, th, slot.id)
+			err := warm(ctx, th, ctx.ID())
 			switch end {
 			case warmStep:
 				ctx.Step(func(m *sim.Machine) uint64 { resetMeasurement(m); return 1 })
@@ -212,21 +211,19 @@ func (c *simCell) run(end warmEnd, warm, measure simThreadFunc) (RunMetrics, out
 			}
 		}
 		start := ctx.Clock()
-		slot.err = measure(ctx, th, slot.id)
+		slot.err = measure(ctx, th, ctx.ID())
 		slot.cycles = ctx.Clock() - start
 	}
-	// On a flat machine threads and cores coincide and progs has no gaps.
-	progs := make([]sim.Program, len(slots))
-	for i := 0; i < threads; i++ {
-		core := c.o.threadCore(i)
-		slots[core].id, progs[core] = i, prog
+	progs := make([]sim.Program, threads)
+	for i := range progs {
+		progs[i] = prog
 	}
 	wall := m.Run(progs...)
 
 	res := outcome{health: m.CheckHealth()}
 	var measured uint64
-	for i := 0; i < threads; i++ {
-		slot := &slots[c.o.threadCore(i)]
+	for i := range slots {
+		slot := &slots[i]
 		measured = max(measured, slot.cycles)
 		if slot.err != nil && res.threadErr == nil {
 			res.threadErr = fmt.Errorf("thread %d: %w", i, slot.err)
@@ -235,19 +232,13 @@ func (c *simCell) run(end warmEnd, warm, measure simThreadFunc) (RunMetrics, out
 	if warm != nil {
 		wall = measured
 	}
-	metrics := RunMetrics{
+	return RunMetrics{
 		WallCycles: wall,
 		Stats:      m.Stats,
 		CacheStats: m.Caches,
 		TxnTrace:   m.TxnTrace(),
 		Sched:      m.Sched(),
-	}
-	if !m.Topology().IsFlat() {
-		metrics.Topology = m.Topology()
-		metrics.Placement = c.o.Placement
-		metrics.Mapping = cmp.Or(c.o.Mapping, MapCompact)
-	}
-	return metrics, res
+	}, res
 }
 
 // barrier is the warm-up barrier of every multi-core pipeline: each core

@@ -19,7 +19,7 @@ import (
 // fingerprint against a chaos-free twin of the same configuration —
 // injections may perturb timing and abort counts, never committed state.
 
-// ChaosRecord is the per-cell chaos block of the hastm-bench/9 JSON
+// ChaosRecord is the per-cell chaos block of the hastm-bench JSON
 // schema: the armed spec, the planned-schedule FNV-1a hash (a pure
 // function of seed × thread id × per-thread transaction index, so it is
 // byte-identical across runs of one configuration), and the per-kind

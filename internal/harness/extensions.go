@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
@@ -24,7 +23,6 @@ func Extensions() []Spec {
 		{"ext-smt", "SMT: four hardware threads on two shared L1s vs four full cores", planExtSMT},
 		{"ext-irrevocable", "Escalation-ladder cost when budgets never trip", planExtIrrevocable},
 		{"ext-lazy", "Eager vs deferred-update vs MVCC across the read-pct axis", planExtLazy},
-		{"ext-numa", "NUMA machine: thread mapping × scheme × structure at 64-256 cores", planExtNUMA},
 	}
 }
 
@@ -411,155 +409,6 @@ func planExtLazy(o Options) *Plan {
 			})
 		}
 		rep.Tables = append(rep.Tables, snapTbl)
-		return rep
-	}
-	return p
-}
-
-// numaTotals sums a run's per-socket traffic counters.
-func numaTotals(m RunMetrics) (cross, dirty, inval float64) {
-	if m.CacheStats == nil {
-		return 0, 0, 0
-	}
-	for _, s := range m.CacheStats.Socket {
-		cross += float64(s.CrossSocketMisses)
-		dirty += float64(s.RemoteDirtyFetches)
-		inval += float64(s.DirectoryInvalidations)
-	}
-	return cross, dirty, inval
-}
-
-// planExtNUMA sweeps thread-mapping policy × scheme × structure on the
-// socket-aware machine. The machine is held at a fixed topology and the
-// THREAD count swept below its capacity — at full occupancy compact and
-// scatter are the same placement up to relabeling, so the policy choice
-// only exists while sockets are partially filled. Compact keeps all
-// sharing inside one socket (no cross-socket coherence traffic, but one
-// L2's worth of capacity and 3/4 of interleaved pages remote); scatter
-// buys the aggregate L2 of every socket and spreads memory pressure at
-// the price of cross-socket sharer invalidations and dirty-remote
-// fetches. Which side wins depends on the scheme's sharing intensity and
-// the structure's footprint — the measured crossing is the figure's point.
-func planExtNUMA(o Options) *Plan {
-	top64 := sim.Topology{Sockets: 4, CoresPerSocket: 16}  // 64-core machine
-	top256 := sim.Topology{Sockets: 4, CoresPerSocket: 64} // 256-core machine
-	threads := []int{8, 16, 32}                            // below 64-core capacity
-	schemes := []string{SchemeSTM, SchemeHASTM, SchemeLazy, SchemeMVCC}
-	structures := []string{WorkloadHash, WorkloadBST}
-	mappings := []string{MapCompact, MapScatter}
-
-	p := newPlan("ext-numa")
-	mk := func(scheme, workload string, top sim.Topology, th int, mapping string, placement mem.Placement) *Cell {
-		oc := o
-		oc.Topology = top
-		oc.Mapping = mapping
-		oc.Placement = placement
-		label := fmt.Sprintf("%s/%s/%s/%dt/%s", scheme, workload, top, th, mapping)
-		if placement != mem.PlaceInterleave {
-			label += "/" + placement.String()
-		}
-		return p.cell(label, func() RunMetrics {
-			return runStructure(scheme, workload, th, oc)
-		})
-	}
-
-	// Main sweep on the 64-core machine.
-	sweep := make(map[string]*Cell)
-	key := func(scheme, workload string, th int, mapping string) string {
-		return fmt.Sprintf("%s/%s/%d/%s", scheme, workload, th, mapping)
-	}
-	for _, scheme := range schemes {
-		for _, workload := range structures {
-			for _, th := range threads {
-				for _, mp := range mappings {
-					sweep[key(scheme, workload, th, mp)] = mk(scheme, workload, top64, th, mp, mem.PlaceInterleave)
-				}
-			}
-		}
-	}
-	// 256-core machine: the low-contention structure at one thread count.
-	big := make(map[string]*Cell)
-	for _, scheme := range schemes {
-		for _, mp := range mappings {
-			big[scheme+"/"+mp] = mk(scheme, WorkloadHash, top256, 64, mp, mem.PlaceInterleave)
-		}
-	}
-	// Placement ablation: compact threads with every page homed by first
-	// touch (all on the threads' socket) vs. interleaved over the machine.
-	place := make(map[string]*Cell)
-	for _, workload := range structures {
-		for _, pl := range []mem.Placement{mem.PlaceInterleave, mem.PlaceFirstTouch} {
-			place[workload+"/"+pl.String()] = mk(SchemeHASTM, workload, top64, 16, MapCompact, pl)
-		}
-	}
-
-	var thCols []string
-	for _, th := range threads {
-		thCols = append(thCols, fmt.Sprint(th))
-	}
-	p.Assemble = func() *Report {
-		rep := &Report{
-			ID:    "ext-numa",
-			Title: "NUMA machine: thread mapping and data placement at 64-256 cores",
-			Notes: "4-socket machines (4x16 and 4x64), fixed total work; scatter/compact is scatter time over compact time for the same scheme (<1 = scatter wins, >1 = compact wins); traffic counters are machine totals at 32 threads on 4x16; placement table is relative to interleave",
-		}
-		for _, workload := range structures {
-			tbl := Table{
-				Name:      fmt.Sprintf("scatter/compact — %s (4x16)", workload),
-				ColHeader: "scheme \\ threads",
-				Unit:      "x of compact time",
-				Cols:      thCols,
-			}
-			for _, scheme := range schemes {
-				row := Row{Name: scheme}
-				for _, th := range threads {
-					sc := sweep[key(scheme, workload, th, MapScatter)].WallCycles()
-					co := sweep[key(scheme, workload, th, MapCompact)].WallCycles()
-					row.Cells = append(row.Cells, float64(sc)/float64(co))
-				}
-				tbl.Rows = append(tbl.Rows, row)
-			}
-			rep.Tables = append(rep.Tables, tbl)
-		}
-		bigTbl := Table{
-			Name:      "scatter/compact — hashtable (4x64, 64 threads)",
-			ColHeader: "scheme",
-			Unit:      "x of compact time",
-			Cols:      []string{"scatter/compact"},
-		}
-		for _, scheme := range schemes {
-			sc := big[scheme+"/"+MapScatter].WallCycles()
-			co := big[scheme+"/"+MapCompact].WallCycles()
-			bigTbl.Rows = append(bigTbl.Rows, Row{Name: scheme, Cells: []float64{float64(sc) / float64(co)}})
-		}
-		rep.Tables = append(rep.Tables, bigTbl)
-
-		traffic := Table{
-			Name:      "NUMA traffic — hashtable, 32 threads (4x16)",
-			ColHeader: "scheme/mapping",
-			Unit:      "count",
-			Cols:      []string{"cross-socket misses", "remote dirty fetches", "directory invalidations"},
-		}
-		for _, scheme := range schemes {
-			for _, mp := range mappings {
-				cross, dirty, inval := numaTotals(sweep[key(scheme, WorkloadHash, 32, mp)].Metrics())
-				traffic.Rows = append(traffic.Rows, Row{Name: scheme + "/" + mp, Cells: []float64{cross, dirty, inval}})
-			}
-		}
-		rep.Tables = append(rep.Tables, traffic)
-
-		placeTbl := Table{
-			Name:      "data placement — hastm, 16 compact threads (4x16)",
-			ColHeader: "structure",
-			Unit:      "x of interleave time",
-			Cols:      []string{"first-touch/interleave"},
-		}
-		for _, workload := range structures {
-			ft := place[workload+"/"+mem.PlaceFirstTouch.String()].WallCycles()
-			il := place[workload+"/"+mem.PlaceInterleave.String()].WallCycles()
-			placeTbl.Rows = append(placeTbl.Rows, Row{Name: workload, Cells: []float64{float64(ft) / float64(il)}})
-		}
-		rep.Tables = append(rep.Tables, placeTbl)
 		return rep
 	}
 	return p

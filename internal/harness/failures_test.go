@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/faults"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/native"
@@ -175,9 +176,6 @@ func TestAssemblyToleratesEmptyMetrics(t *testing.T) {
 			t.Errorf("abort causes of a failed cell: %v, want zeros", tbl.Rows[0].Cells)
 		}
 	}
-	if cross, dirty, inval := numaTotals(RunMetrics{}); cross+dirty+inval != 0 {
-		t.Errorf("numaTotals of no cache stats = %v, %v, %v", cross, dirty, inval)
-	}
 	if got := (RunMetrics{}).TxnsPerSec(); got != 0 {
 		t.Errorf("TxnsPerSec with no host time = %v", got)
 	}
@@ -209,15 +207,13 @@ func TestCallerBugsPanic(t *testing.T) {
 	}
 }
 
-// A topology with no room for the cell's threads is an error of the cell
-// description, which validation names before any machine is built; the
-// machine builder trusts it.
-func TestTopologyTooSmallForCell(t *testing.T) {
-	o := QuickOptions()
-	o.Topology = sim.Topology{Sockets: 1, CoresPerSocket: 2}
-	_, err := newSimCell(simSpec{scheme: SchemeSTM, threads: 4, o: o})
-	if err == nil || !strings.Contains(err.Error(), "has 2 cores, run needs 4 threads") {
-		t.Errorf("newSimCell of 4 threads on %s: %v, want the topology error", o.Topology, err)
+// A cell whose machine the cache cannot build — more cores than its
+// directory names — is an error of the cell description, which validation
+// names before any machine is built; the machine builder trusts it.
+func TestMachineTooLargeForCell(t *testing.T) {
+	_, err := newSimCell(simSpec{scheme: SchemeSTM, threads: cache.MaxGroups + 1, o: QuickOptions()})
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 256-entry directory") {
+		t.Errorf("newSimCell of %d threads: %v, want the directory error", cache.MaxGroups+1, err)
 	}
 }
 

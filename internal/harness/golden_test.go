@@ -33,5 +33,4 @@ func TestGoldenExtensions(t *testing.T) {
 	claimExtInterAtomic(t, goldenWorkers)
 	claimExtGranularity(t, goldenWorkers)
 	claimExtWFilter(t, goldenWorkers)
-	claimExtNUMA(t, goldenWorkers)
 }

@@ -499,38 +499,6 @@ func TestExtSMTShape(t *testing.T) {
 	}
 }
 
-// ext-numa, quick size: on the 256-core machine the hashtable's stm and
-// hastm run faster with 64 threads scattered than compact while mvcc prefers
-// compact; first touch beats interleaving for both structures; and at 32
-// threads on the 64-core machine scatter costs every scheme cross-socket
-// misses that compact keeps on one socket.
-func TestExtNUMAShape(t *testing.T) { claimExtNUMA(t, 1) }
-
-func claimExtNUMA(t *testing.T, workers int) {
-	rep := reportAt(t, workers, "ext-numa")
-	const big, traffic = "scatter/compact — hashtable (4x64, 64 threads)", "NUMA traffic — hashtable, 32 threads (4x16)"
-	for _, scheme := range []string{SchemeSTM, SchemeHASTM} {
-		if v := rep.MustGet(big, scheme, "scatter/compact"); v >= 1 {
-			t.Errorf("4x64, 64 threads: %s scatter/compact %.3f, want scatter to win (< 1)", scheme, v)
-		}
-	}
-	if v := rep.MustGet(big, SchemeMVCC, "scatter/compact"); v <= 1 {
-		t.Errorf("4x64, 64 threads: mvcc scatter/compact %.3f, want compact to win (> 1)", v)
-	}
-	for _, workload := range []string{WorkloadHash, WorkloadBST} {
-		if v := rep.MustGet("data placement — hastm, 16 compact threads (4x16)", workload, "first-touch/interleave"); v >= 1 {
-			t.Errorf("%s: first-touch/interleave %.3f, want first touch to win (< 1)", workload, v)
-		}
-	}
-	for _, scheme := range []string{SchemeSTM, SchemeHASTM, SchemeLazy, SchemeMVCC} {
-		compact := rep.MustGet(traffic, scheme+"/"+MapCompact, "cross-socket misses")
-		scatter := rep.MustGet(traffic, scheme+"/"+MapScatter, "cross-socket misses")
-		if scatter <= compact {
-			t.Errorf("%s at 32 threads: %.0f cross-socket misses scattered, %.0f compact; want more scattered", scheme, scatter, compact)
-		}
-	}
-}
-
 func TestRunOneTraceCapture(t *testing.T) {
 	o := quick()
 	o.TxnTraceMax = 256

@@ -57,7 +57,10 @@ import (
 // degrade_level_max). Cells without chaos armed carry no chaos block. (The
 // options dump lost its always-zero TraceMax key when the text trace folded
 // into TxnTraceMax; no consumer-visible field moved, so the version stands.)
-const BenchSchema = "hastm-bench/9"
+// hastm-bench/10: the multi-socket machine is gone. Options loses Topology,
+// Mapping and Placement, and no cell carries a numa block; every other
+// field is unchanged from /9.
+const BenchSchema = "hastm-bench/10"
 
 // SchedRecord is the host-side scheduler-efficiency block of a cell: how
 // many architectural ops the simulator granted and how many scheduler
@@ -67,26 +70,6 @@ type SchedRecord struct {
 	Grants          uint64 `json:"grants"`
 	Leases          uint64 `json:"leases"`
 	HandoffsAvoided uint64 `json:"handoffs_avoided"`
-}
-
-// SocketTraffic is one socket's NUMA traffic block: misses that crossed
-// the interconnect, attributed to the accessing socket, and invalidations
-// sent, attributed to the writing socket.
-type SocketTraffic struct {
-	CrossSocketMisses      uint64 `json:"cross_socket_misses"`
-	RemoteDirtyFetches     uint64 `json:"remote_dirty_fetches"`
-	DirectoryInvalidations uint64 `json:"directory_invalidations"`
-}
-
-// NUMARecord is the per-cell NUMA block of a multi-socket run: the machine
-// shape and policy knobs the cell ran under, the per-socket traffic blocks
-// merged at report time, and their machine-wide totals.
-type NUMARecord struct {
-	Topology  string          `json:"topology"`
-	Mapping   string          `json:"mapping"`
-	Placement string          `json:"placement"`
-	Sockets   []SocketTraffic `json:"sockets"`
-	Total     SocketTraffic   `json:"total"`
 }
 
 // CellRecord is the per-cell line of a benchmark run: the simulated result
@@ -116,8 +99,6 @@ type CellRecord struct {
 	// Service is the open-loop service block (latency percentiles, offered
 	// rate, goodput, shed counts); only on `-service` cells.
 	Service *ServiceRecord `json:"service,omitempty"`
-	// NUMA is the multi-socket traffic block; absent on flat-machine cells.
-	NUMA *NUMARecord `json:"numa,omitempty"`
 	// Chaos is the native fault-plane block; absent unless the cell ran on
 	// the native backend with -chaos armed.
 	Chaos *ChaosRecord `json:"chaos,omitempty"`
@@ -177,7 +158,6 @@ func NewBenchJSON(o Options, workers int, plans []*Plan, reports []*Report, elap
 				HostNS:     c.HostNS,
 				Report:     met.Stats.Totals().Report(),
 				Service:    met.Service,
-				NUMA:       numaRecord(met),
 				Chaos:      met.Chaos,
 				Error:      c.Err,
 			}
@@ -199,31 +179,6 @@ func NewBenchJSON(o Options, workers int, plans []*Plan, reports []*Report, elap
 		}
 	}
 	return b
-}
-
-// numaRecord builds a cell's NUMA block from its metrics, or nil for a
-// flat-machine run (whose per-socket counters are structurally zero).
-func numaRecord(m RunMetrics) *NUMARecord {
-	if m.Topology.IsFlat() || m.CacheStats == nil {
-		return nil
-	}
-	rec := &NUMARecord{
-		Topology:  m.Topology.String(),
-		Mapping:   m.Mapping,
-		Placement: m.Placement.String(),
-	}
-	for _, s := range m.CacheStats.Socket {
-		t := SocketTraffic{
-			CrossSocketMisses:      s.CrossSocketMisses,
-			RemoteDirtyFetches:     s.RemoteDirtyFetches,
-			DirectoryInvalidations: s.DirectoryInvalidations,
-		}
-		rec.Sockets = append(rec.Sockets, t)
-		rec.Total.CrossSocketMisses += t.CrossSocketMisses
-		rec.Total.RemoteDirtyFetches += t.RemoteDirtyFetches
-		rec.Total.DirectoryInvalidations += t.DirectoryInvalidations
-	}
-	return rec
 }
 
 // Write emits the document as indented JSON.

@@ -67,58 +67,11 @@ type Options struct {
 	// no abort path), which bounds retries under adversarial contention.
 	// 0 leaves the ladder off — the standard figure configuration.
 	RetryBudget int
-	// Topology, when non-zero, sizes every machine at Sockets ×
-	// CoresPerSocket cores with per-socket L2s, directory coherence and
-	// NUMA latencies, independent of the cell's thread count; threads are
-	// placed on cores by Mapping and must fit (threads ≤ total cores). The
-	// zero value keeps the flat machine whose core count equals the thread
-	// count. Topology{1, N} is byte-identical to the flat N-core machine
-	// (the 1-socket equivalence suite asserts it).
-	Topology sim.Topology
-	// Mapping places threads onto a multi-socket Topology's cores:
-	// MapCompact ("" or "compact", the default) fills sockets in core
-	// order, MapScatter ("scatter") round-robins threads across sockets.
-	// Irrelevant on a flat machine and at full occupancy, where the two
-	// policies coincide.
-	Mapping string
-	// Placement picks the page→home-socket policy on a multi-socket
-	// Topology: interleaved (default) or first-touch. A miss that reaches
-	// memory on a remote-homed page pays the remote-memory latency.
-	Placement mem.Placement
 	// Chaos arms the native backend's fault-injection plane (-chaos):
 	// seeded stalls, preemption bursts, spurious commit aborts and delayed
 	// wakeups at named commit-protocol points; zero leaves it off. The CLI
 	// rejects -chaos on the simulator, whose fault plane is -faults.
 	Chaos native.ChaosSpec
-}
-
-// Thread-mapping policy names (Options.Mapping).
-const (
-	MapCompact = "compact"
-	MapScatter = "scatter"
-)
-
-// machineCores returns the core count of the machine a cell with the given
-// thread count runs on: the topology's total when one is set, else the
-// thread count itself (the flat machine).
-func (o Options) machineCores(threads int) int {
-	if o.Topology == (sim.Topology{}) {
-		return threads
-	}
-	return o.Topology.Sockets * o.Topology.CoresPerSocket
-}
-
-// threadCore returns the machine core hosting the given thread. Compact
-// fills sockets in core order (thread t → core t); scatter deals threads
-// round-robin across sockets (thread t → socket t mod S, next free core
-// there). Thread 0 lands on core 0 under both policies, so the barrier
-// core that resets statistics is mapping-independent.
-func (o Options) threadCore(thread int) int {
-	t := o.Topology
-	if t.Sockets <= 1 || o.Mapping != MapScatter {
-		return thread
-	}
-	return (thread%t.Sockets)*t.CoresPerSocket + thread/t.Sockets
 }
 
 // DefaultOptions returns the full-size evaluation parameters.
@@ -129,7 +82,6 @@ func DefaultOptions() Options {
 		HashSlots: 4096,
 		TreeKeys:  2048,
 		Seed:      1,
-		Mapping:   MapCompact,
 	}
 }
 
@@ -141,7 +93,6 @@ func QuickOptions() Options {
 		HashSlots: 256,
 		TreeKeys:  128,
 		Seed:      1,
-		Mapping:   MapCompact,
 	}
 }
 
@@ -167,19 +118,21 @@ func CommandOptions(quick bool) Options {
 	return o
 }
 
-// machineFor builds the standard simulated machine of the evaluation:
-// 32 KB 8-way private L1s, a 256 KB 8-way shared inclusive L2, and the
-// next-line prefetcher that §7.4 identifies as a source of destructive
-// interference between cores. o contributes only host-side and ISA-mode
-// switches (DefaultISA, ReferenceScheduler), never sizes. geometry, when
-// non-nil, adjusts the configuration before the machine is built. A
-// topology must have room for cores; simSpec.validate checks that.
+// machineFor builds the standard simulated machine of the evaluation.
+// simSpec.validate checks its configuration first, so a cell the machine
+// cannot hold is an error, not sim.New's panic.
 func machineFor(cores int, o Options, geometry func(*sim.Config)) *sim.Machine {
-	cfg := sim.DefaultConfig(o.machineCores(cores))
-	if o.Topology != (sim.Topology{}) {
-		cfg.Topology = o.Topology
-		cfg.Placement = o.Placement
-	}
+	return sim.New(machineConfig(cores, o, geometry))
+}
+
+// machineConfig is the evaluation machine's configuration: 32 KB 8-way
+// private L1s, a 256 KB 8-way shared inclusive L2, and the next-line
+// prefetcher that §7.4 identifies as a source of destructive interference
+// between cores. o contributes only host-side and ISA-mode switches
+// (DefaultISA, ReferenceScheduler), never sizes. geometry, when non-nil,
+// adjusts the configuration.
+func machineConfig(cores int, o Options, geometry func(*sim.Config)) sim.Config {
+	cfg := sim.DefaultConfig(cores)
 	cfg.DefaultISA = o.DefaultISA
 	cfg.ReferenceScheduler = o.ReferenceScheduler
 	cfg.WatchdogWindow = o.WatchdogWindow
@@ -202,7 +155,7 @@ func machineFor(cores int, o Options, geometry func(*sim.Config)) *sim.Machine {
 	if geometry != nil {
 		geometry(&cfg)
 	}
-	return sim.New(cfg)
+	return cfg
 }
 
 // Scheme names used throughout the harness.
@@ -423,13 +376,6 @@ type RunMetrics struct {
 	// percentiles, offered rate, goodput, shed counts) of a service cell;
 	// nil on every other run.
 	Service *ServiceRecord
-	// Topology is the machine shape the run executed on; the zero value
-	// means the flat machine (no NUMA block in reports or JSON).
-	Topology sim.Topology
-	// Placement and Mapping echo the NUMA knobs of a multi-socket run for
-	// report labelling; empty/zero on flat runs.
-	Placement mem.Placement
-	Mapping   string
 	// Chaos is the native chaos plane's per-run report (spec, deterministic
 	// schedule hash, planned/fired injection counts, watchdog violation if
 	// any); nil unless the run was native with the plane armed.

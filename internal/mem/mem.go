@@ -77,11 +77,6 @@ type Memory struct {
 	// allocated tracks the extent of every allocation so out-of-bounds
 	// accesses can be detected in tests.
 	limit uint64
-
-	// NUMA placement state (SetPlacement); sockets == 0 means flat.
-	sockets   int
-	placement Placement
-	homes     []int8 // home socket per placement page; -1 = unassigned
 }
 
 // New returns an empty address space.
@@ -333,74 +328,6 @@ func (f accessFault) Error() string {
 		return fmt.Sprintf("mem: unaligned access at %#x", f.addr)
 	}
 	return fmt.Sprintf("mem: access to unallocated address %#x (limit %#x)", f.addr, f.limit)
-}
-
-// Placement selects how pages are assigned a home socket on a
-// multi-socket machine. The home socket matters only on misses that reach
-// memory: a miss whose page is homed on another socket pays the remote-
-// memory penalty.
-type Placement int
-
-const (
-	// PlaceInterleave homes placement pages round-robin over the sockets
-	// (page index mod sockets) — deterministic and access-order
-	// independent, so it is the default.
-	PlaceInterleave Placement = iota
-	// PlaceFirstTouch homes each page on the socket of the first core
-	// whose miss reaches it, the common OS default policy.
-	PlaceFirstTouch
-)
-
-func (p Placement) String() string {
-	switch p {
-	case PlaceInterleave:
-		return "interleave"
-	case PlaceFirstTouch:
-		return "first-touch"
-	default:
-		return fmt.Sprintf("Placement(%d)", int(p))
-	}
-}
-
-// PlacementPageShift sets the NUMA placement granularity: 4 KiB pages,
-// independent of the backing page table.
-const PlacementPageShift = 12
-
-// SetPlacement arms NUMA page-to-socket homing for a machine with the
-// given socket count. With sockets <= 1 the address space stays flat and
-// HomeSocket always answers 0.
-func (m *Memory) SetPlacement(sockets int, p Placement) {
-	if sockets <= 1 {
-		m.sockets, m.homes = 0, nil
-		return
-	}
-	m.sockets = sockets
-	m.placement = p
-	m.homes = nil
-}
-
-// HomeSocket returns the home socket of the placement page containing
-// addr, assigning it on first query: round-robin by page index under
-// PlaceInterleave, the querying socket under PlaceFirstTouch. The
-// simulator queries only on misses that reach memory, so "first touch"
-// means the first miss a page's data forces to memory.
-func (m *Memory) HomeSocket(addr uint64, socket int) int {
-	if m.sockets <= 1 {
-		return 0
-	}
-	idx := addr >> PlacementPageShift
-	for uint64(len(m.homes)) <= idx {
-		m.homes = append(m.homes, -1)
-	}
-	if h := m.homes[idx]; h >= 0 {
-		return int(h)
-	}
-	h := int(idx) % m.sockets
-	if m.placement == PlaceFirstTouch {
-		h = socket
-	}
-	m.homes[idx] = int8(h)
-	return h
 }
 
 // LineAddr returns the address of the cache line containing addr.

@@ -27,7 +27,7 @@ func defaultISAMarkLoad(c *Ctx, op cache.MarkOp, plane int, addr uint64) (uint64
 	case cache.MarkTest:
 		extra = c.m.cfg.Lat.TestMarkBranch
 	}
-	c.charge(c.m.chargeAccess(c.id, addr, res) + extra)
+	c.charge(c.m.chargeAccess(res) + extra)
 	c.release()
 	return v, false
 }

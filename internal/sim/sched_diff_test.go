@@ -46,10 +46,9 @@ type diffOutcome struct {
 
 // runRandom executes one randomized program mix under the given scheduler
 // and snapshots every observable simulated result.
-func runRandom(t *testing.T, seed uint64, cores int, top sim.Topology, interruptEvery uint64, hookEvery uint64, reference bool) diffOutcome {
+func runRandom(t *testing.T, seed uint64, cores int, interruptEvery uint64, hookEvery uint64, reference bool) diffOutcome {
 	t.Helper()
 	cfg := sim.DefaultConfig(cores)
-	cfg.Topology = top
 	cfg.ReferenceScheduler = reference
 	m := sim.New(cfg)
 	tb := telemetry.NewTraceBuffer(1 << 14)
@@ -235,8 +234,8 @@ func TestSchedulerDifferential(t *testing.T) {
 	for _, tc := range diffCases() {
 		name := fmt.Sprintf("seed%d/%dcore/ie%d/hook%d", tc.seed, tc.cores, tc.ie, tc.hook)
 		t.Run(name, func(t *testing.T) {
-			lease := runRandom(t, tc.seed, tc.cores, sim.Topology{}, tc.ie, tc.hook, false)
-			ref := runRandom(t, tc.seed, tc.cores, sim.Topology{}, tc.ie, tc.hook, true)
+			lease := runRandom(t, tc.seed, tc.cores, tc.ie, tc.hook, false)
+			ref := runRandom(t, tc.seed, tc.cores, tc.ie, tc.hook, true)
 			diffCompare(t, lease, ref)
 		})
 	}
@@ -269,32 +268,23 @@ func diffCompare(t *testing.T, lease, ref diffOutcome) {
 	}
 }
 
-// TestSchedulerDifferentialScale extends the differential to multi-socket
-// machines of 64/128/256 cores. The lease policy's one run-queue heap spans
-// every socket; the reference scheduler on the same machine is still the
-// executable spec, so identical outcomes prove the heap selects exactly the
-// global (clock, id) minimum on every grant at that scale.
+// TestSchedulerDifferentialScale extends the differential to machines of
+// 64/128/256 cores. The reference scheduler on the same machine is still
+// the executable spec, so identical outcomes prove the lease policy's
+// run-queue heap selects exactly the global (clock, id) minimum on every
+// grant at that scale.
 func TestSchedulerDifferentialScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-core differential is slow under -short")
 	}
-	cases := []struct {
-		cores int
-		top   sim.Topology
-	}{
-		{64, sim.Topology{Sockets: 2, CoresPerSocket: 32}},
-		{64, sim.Topology{Sockets: 4, CoresPerSocket: 16}},
-		{128, sim.Topology{Sockets: 8, CoresPerSocket: 16}},
-		{256, sim.Topology{Sockets: 4, CoresPerSocket: 64}},
-	}
-	for _, tc := range cases {
+	for _, cores := range []int{64, 128, 256} {
 		for seed := uint64(1); seed <= 2; seed++ {
 			for _, fault := range []struct{ ie, hook uint64 }{{0, 0}, {700, 97}} {
-				name := fmt.Sprintf("%s/seed%d/ie%d/hook%d", tc.top, seed, fault.ie, fault.hook)
+				name := fmt.Sprintf("%dcore/seed%d/ie%d/hook%d", cores, seed, fault.ie, fault.hook)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel() // each case builds its own machines
-					lease := runRandom(t, seed, tc.cores, tc.top, fault.ie, fault.hook, false)
-					ref := runRandom(t, seed, tc.cores, tc.top, fault.ie, fault.hook, true)
+					lease := runRandom(t, seed, cores, fault.ie, fault.hook, false)
+					ref := runRandom(t, seed, cores, fault.ie, fault.hook, true)
 					diffCompare(t, lease, ref)
 				})
 			}
@@ -687,7 +677,7 @@ func runSpinners(cfg sim.Config, spin func(c *sim.Ctx, addr, want uint64)) spinO
 	}
 	h := m.Caches
 	out.caches = fmt.Sprint(h.L1Hits, h.L1Misses, h.L2Hits, h.L2Misses, h.Invalidations,
-		h.BackInvalidations, h.Evictions, h.MarkedDrops, h.PrefetchFills, h.Socket)
+		h.BackInvalidations, h.Evictions, h.MarkedDrops, h.PrefetchFills)
 	for addr := flags; m.Mem.Allocated(addr); addr += 8 {
 		out.memory = append(out.memory, m.Mem.Load(addr))
 	}
@@ -699,14 +689,14 @@ func runSpinners(cfg sim.Config, spin func(c *sim.Ctx, addr, want uint64)) spinO
 // and steps inline; that run must equal the reference scheduler's and the
 // literal loop's on clocks, per-core per-category cycles, cache counters,
 // memory and grants, and spend fewer switches than the literal loop. The
-// speculative-RFO and two-socket machines make an inline poll's access and
+// speculative-RFO and SMT machines make an inline poll's access and
 // noteAccess observable.
 func TestSpinUntilMatchesLoop(t *testing.T) {
 	spinUntil := (*sim.Ctx).SpinUntil
 	machines := map[string]func(*sim.Config){
 		"flat":     func(*sim.Config) {},
 		"spec-rfo": func(c *sim.Config) { c.SpecRFOEvery = 3 },
-		"2x2":      func(c *sim.Config) { c.Topology = sim.Topology{Sockets: 2, CoresPerSocket: 2} },
+		"smt":      func(c *sim.Config) { c.ThreadsPerCore = 2 },
 	}
 	for name, arm := range machines {
 		t.Run(name, func(t *testing.T) {

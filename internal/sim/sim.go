@@ -94,16 +94,6 @@ type Latencies struct {
 	// immediately preceding load, so every loadtestmark pays this on top.
 	TestMarkBranch uint64
 	RingTransition uint64 // cost of a simulated interrupt / OS transition
-
-	// Cross-socket costs; charged only on a multi-socket Topology, so a
-	// 1-socket machine's timing is untouched by their values. RemoteL2 is a
-	// miss served clean from another socket's L2; RemoteDirty is a miss
-	// served from a line a remote core held modified (the expensive
-	// two-hop transfer); RemoteMem is the penalty ON TOP of Mem when the
-	// missed page's home socket is not the accessor's.
-	RemoteL2    uint64
-	RemoteDirty uint64
-	RemoteMem   uint64
 }
 
 // DefaultLatencies returns the timing model used by all experiments. L1
@@ -124,34 +114,7 @@ func DefaultLatencies() Latencies {
 		RingTransition: 500,
 		HTMTrack:       3,
 		HTMSpecStore:   4,
-		RemoteL2:       50,
-		RemoteDirty:    90,
-		RemoteMem:      150,
 	}
-}
-
-// Topology shapes the machine into sockets: Sockets per-socket L2s with
-// CoresPerSocket hardware threads each. The zero value means a flat
-// 1-socket machine over all cores — the model every experiment used before
-// sockets existed, and still byte-identical to it.
-type Topology struct {
-	Sockets        int
-	CoresPerSocket int
-}
-
-// IsFlat reports whether the topology is the single-socket default.
-func (t Topology) IsFlat() bool { return t.Sockets <= 1 }
-
-func (t Topology) String() string {
-	return fmt.Sprintf("%dx%d", t.Sockets, t.CoresPerSocket)
-}
-
-// resolve fills the zero value in for a machine with the given core count.
-func (t Topology) resolve(cores int) Topology {
-	if t.Sockets == 0 && t.CoresPerSocket == 0 {
-		return Topology{Sockets: 1, CoresPerSocket: cores}
-	}
-	return t
 }
 
 // Config describes a machine.
@@ -160,16 +123,6 @@ type Config struct {
 	L1    cache.Config
 	L2    cache.Config
 	Lat   Latencies
-
-	// Topology splits the cores over sockets, each with its own shared L2
-	// and directory. The zero value is the flat 1-socket machine. Sockets ×
-	// CoresPerSocket must equal Cores.
-	Topology Topology
-
-	// Placement picks how memory pages are homed on sockets (first-touch
-	// vs. interleaved); it matters only on a multi-socket Topology, where a
-	// miss to a remote-homed page pays Lat.RemoteMem on top of Lat.Mem.
-	Placement mem.Placement
 
 	// DefaultISA selects the Section 3.3 default implementation of the
 	// mark-bit instructions (no marking; loadsetmark and resetmarkall
@@ -240,27 +193,25 @@ const markCounterMax = 1<<16 - 1
 
 // Validate checks the configuration without building a machine, so a
 // caller handed one from outside the program (hastm.NewMachine) can surface
-// a clear error instead of a construction panic: the topology must factor
-// the core count, and both cache levels must have power-of-two geometry.
+// a clear error instead of a construction panic: the cores must be
+// positive and within the directory's reach, and both cache levels must
+// have power-of-two geometry.
 func (cfg Config) Validate() error {
 	if cfg.Cores <= 0 {
 		return fmt.Errorf("sim: Config.Cores must be positive, got %d", cfg.Cores)
 	}
-	t := cfg.Topology.resolve(cfg.Cores)
-	if t.Sockets <= 0 || t.CoresPerSocket <= 0 {
-		return fmt.Errorf("sim: topology %s needs positive sockets and cores per socket", t)
-	}
-	if t.Sockets*t.CoresPerSocket != cfg.Cores {
-		return fmt.Errorf("sim: topology %s covers %d cores, machine has %d",
-			t, t.Sockets*t.CoresPerSocket, cfg.Cores)
-	}
+	return cfg.hierarchy().Validate()
+}
+
+// hierarchy is the cache configuration of the machine cfg describes.
+func (cfg Config) hierarchy() cache.HierarchyConfig {
 	return cache.HierarchyConfig{
 		Cores:          cfg.Cores,
 		ThreadsPerCore: cfg.ThreadsPerCore,
-		Sockets:        t.Sockets,
 		L1:             cfg.L1,
 		L2:             cfg.L2,
-	}.Validate()
+		Prefetch:       cfg.Prefetch,
+	}
 }
 
 // Program is the code one core runs.
@@ -269,7 +220,6 @@ type Program func(*Ctx)
 // Machine is one simulated multi-core system.
 type Machine struct {
 	cfg    Config
-	top    Topology // resolved (never zero): cfg.Topology or {1, Cores}
 	Mem    *mem.Memory
 	Caches *cache.Hierarchy
 	Stats  *telemetry.Machine
@@ -369,22 +319,12 @@ func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	top := cfg.Topology.resolve(cfg.Cores)
 	m := &Machine{
-		cfg: cfg,
-		top: top,
-		Mem: mem.New(),
-		Caches: cache.New(cache.HierarchyConfig{
-			Cores:          cfg.Cores,
-			ThreadsPerCore: cfg.ThreadsPerCore,
-			Sockets:        top.Sockets,
-			L1:             cfg.L1,
-			L2:             cfg.L2,
-			Prefetch:       cfg.Prefetch,
-		}),
-		Stats: telemetry.NewMachine(cfg.Cores),
+		cfg:    cfg,
+		Mem:    mem.New(),
+		Caches: cache.New(cfg.hierarchy()),
+		Stats:  telemetry.NewMachine(cfg.Cores),
 	}
-	m.Mem.SetPlacement(top.Sockets, cfg.Placement)
 	m.rfo = cfg.SpecRFOEvery > 0 && m.Caches.L1Groups() > 1
 	m.watch = cfg.WatchdogWindow > 0 || cfg.CycleBudget > 0 || cfg.StallTimeout > 0
 	for i := 0; i < cfg.Cores; i++ {
@@ -413,10 +353,6 @@ func (d markDropper) LineDropped(core int, lineAddr uint64, marks cache.MarkMask
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
-
-// Topology returns the machine's resolved topology ({1, Cores} when the
-// configuration left it zero).
-func (m *Machine) Topology() Topology { return m.top }
 
 // Core returns core i's context (for registering listeners or inspecting
 // clocks after a run).
@@ -864,41 +800,16 @@ func (c *Ctx) RecentLine(sel uint64) (line uint64, ok bool) {
 	return uint64(c.recent[sel%uint64(n)]) * mem.LineSize, true
 }
 
-// chargeAccess converts an access outcome into cycles: an L1 hit's inline,
-// the rest by missCost.
-func (m *Machine) chargeAccess(core int, addr uint64, res cache.AccessResult) uint64 {
-	if res.L1Hit {
-		return m.cfg.Lat.L1Hit
-	}
-	return m.missCost(core, addr, res)
-}
-
-// missCost is chargeAccess for an access that missed its L1. On a
-// multi-socket machine a miss served by another socket pays the
-// cross-socket latency, and a miss that reaches memory consults the
-// placement policy: a remote-homed page adds RemoteMem on top of Mem (and
-// counts a cross-socket miss). A 1-socket machine never sets the remote
-// flags and skips the placement branch entirely, so its costs are exactly
-// the flat model's.
-func (m *Machine) missCost(core int, addr uint64, res cache.AccessResult) uint64 {
-	lat := &m.cfg.Lat
+// chargeAccess converts an access outcome into cycles: the L1, the L2 or
+// memory served it.
+func (m *Machine) chargeAccess(res cache.AccessResult) uint64 {
 	switch {
+	case res.L1Hit:
+		return m.cfg.Lat.L1Hit
 	case res.L2Hit:
-		return lat.L2Hit
-	case res.RemoteDirty:
-		return lat.RemoteDirty
-	case res.RemoteL2:
-		return lat.RemoteL2
-	default:
-		if m.top.Sockets > 1 {
-			sock := m.Caches.SocketOf(core)
-			if m.Mem.HomeSocket(addr, sock) != sock {
-				m.Caches.NoteRemoteMemory(core)
-				return lat.Mem + lat.RemoteMem
-			}
-		}
-		return lat.Mem
+		return m.cfg.Lat.L2Hit
 	}
+	return m.cfg.Lat.Mem
 }
 
 // Exec charges n ALU instructions. It is core-private: nothing it touches
@@ -944,7 +855,7 @@ func (c *Ctx) Load(addr uint64) uint64 {
 	c.noteAccess(addr)
 	res := c.m.Caches.Access(c.id, addr, false)
 	v := c.m.Mem.Load(addr)
-	c.charge(c.m.chargeAccess(c.id, addr, res))
+	c.charge(c.m.chargeAccess(res))
 	c.release()
 	return v
 }
@@ -1005,7 +916,7 @@ func (c *Ctx) dueOp() bool {
 	c.m.sched.Grants++
 	if c.spinPoll {
 		c.noteAccess(c.spinAddr)
-		c.charge(c.m.chargeAccess(c.id, c.spinAddr, c.m.Caches.Access(c.id, c.spinAddr, false)))
+		c.charge(c.m.chargeAccess(c.m.Caches.Access(c.id, c.spinAddr, false)))
 	} else {
 		c.charge(c.m.cfg.Lat.ALU)
 	}
@@ -1035,7 +946,7 @@ func (c *Ctx) store(cat telemetry.Category, addr, val uint64) {
 	c.noteAccess(addr)
 	res := c.m.Caches.Access(c.id, addr, true)
 	c.m.Mem.Store(addr, val)
-	c.chargeTo(cat, c.m.chargeAccess(c.id, addr, res))
+	c.chargeTo(cat, c.m.chargeAccess(res))
 }
 
 // post queues a store and reports true, or reports false, for the caller
@@ -1096,7 +1007,7 @@ func (c *Ctx) CAS(addr, old, new uint64) (bool, uint64) {
 	if ok {
 		c.m.Mem.Store(addr, new)
 	}
-	c.charge(c.m.chargeAccess(c.id, addr, res) + c.m.cfg.Lat.CAS)
+	c.charge(c.m.chargeAccess(res) + c.m.cfg.Lat.CAS)
 	c.release()
 	return ok, cur
 }
@@ -1132,8 +1043,7 @@ func (c *Ctx) Step(f func(m *Machine) uint64) {
 // AccessCost performs the cache access for core and returns its latency;
 // a helper for Step-based composite operations.
 func (m *Machine) AccessCost(core int, addr uint64, write bool) uint64 {
-	res := m.Caches.Access(core, addr, write)
-	return m.chargeAccess(core, addr, res)
+	return m.chargeAccess(m.Caches.Access(core, addr, write))
 }
 
 // --- The six proposed instructions (§3.1) ---------------------------------
@@ -1164,7 +1074,7 @@ func (c *Ctx) markLoad(op cache.MarkOp, plane int, addr, gran, extra uint64) (ui
 	if c.m.cfg.DefaultISA && op == cache.MarkSet {
 		c.bumpMarkCounter(plane)
 	}
-	c.charge(c.m.chargeAccess(c.id, addr, res) + extra)
+	c.charge(c.m.chargeAccess(res) + extra)
 	c.release()
 	return v, marked
 }

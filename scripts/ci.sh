@@ -2,7 +2,7 @@
 # One CI suite's command-line smoke steps, exactly as the workflow job of the
 # same name runs them:
 #
-#   scripts/ci.sh <suite>   # fuzz faultstorm smoke native service progress scale chaos
+#   scripts/ci.sh <suite>   # fuzz faultstorm smoke native service progress chaos
 #   scripts/ci.sh reach     # the reach ledger and its gate; job reach runs it
 #   scripts/ci.sh inline    # the inlining guard; job build-test runs it
 #
@@ -26,7 +26,7 @@ json_has() { # json_has <file> <substring…>: well-formed and carries every sub
     local file="$1" want
     shift
     python3 -m json.tool "$file" > /dev/null
-    for want in '"schema": "hastm-bench/9"' "$@"; do
+    for want in '"schema": "hastm-bench/10"' "$@"; do
         grep -q -- "$want" "$file" || { echo "$file lacks $want" >&2; return 1; }
     done
 }
@@ -111,11 +111,6 @@ progress)
     grep -q 'ProgressViolation' "$out/noladder.txt"
     grep -Eq 'cycle-budget|commit-stall' "$out/noladder.txt"
     grep -q 'last 16 trace events' "$out/noladder.err"
-    ;;
-scale)
-    # The 64-256 core mapping-policy figure on a quick cell budget.
-    bench -quick -fig ext-numa -j 4 -json > "$out/NUMA_quick.json"
-    json_has "$out/NUMA_quick.json" '"numa"' '"cross_socket_misses"' '"remote_dirty_fetches"' '"directory_invalidations"'
     ;;
 chaos)
     # Every cell must pass the sequential oracle AND match its chaos-free
