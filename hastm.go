@@ -43,7 +43,6 @@
 package hastm
 
 import (
-	"hastm.dev/hastm/internal/core"
 	"hastm.dev/hastm/internal/htm"
 	"hastm.dev/hastm/internal/locksync"
 	"hastm.dev/hastm/internal/mem"
@@ -81,7 +80,7 @@ type Thread = tm.Thread
 type Txn = tm.Txn
 
 // Config configures a HASTM instance.
-type Config = core.Config
+type Config = stm.HASTMConfig
 
 // TMConfig carries the options shared by the software TMs.
 type TMConfig = tm.Config
@@ -98,9 +97,9 @@ const (
 
 // Mode policies for HASTM's aggressive/cautious controller (§6).
 const (
-	CautiousOnly     = core.CautiousOnly
-	Watermark        = core.Watermark
-	AlwaysAggressive = core.AlwaysAggressive
+	CautiousOnly     = stm.CautiousOnly
+	Watermark        = stm.Watermark
+	AlwaysAggressive = stm.AlwaysAggressive
 )
 
 // ErrUserAbort is returned by Thread.Atomic when the body called Abort.
@@ -114,22 +113,29 @@ func NewMachine(cfg MachineConfig) *Machine { return sim.New(cfg) }
 func DefaultMachineConfig(cores int) MachineConfig { return sim.DefaultConfig(cores) }
 
 // DefaultConfig returns the paper's standard HASTM configuration.
-func DefaultConfig(g Granularity) Config { return core.DefaultConfig(g) }
+func DefaultConfig(g Granularity) Config { return stm.DefaultHASTMConfig(g) }
 
 // New creates a HASTM system (the paper's contribution) on machine.
-func New(machine *Machine, cfg Config) System { return core.New(machine, cfg) }
+func New(machine *Machine, cfg Config) System { return stm.NewHASTM("hastm", machine, cfg) }
 
 // NewCautious returns the HASTM-Cautious ablation (no read-log
 // elimination).
-func NewCautious(machine *Machine, cfg Config) System { return core.NewCautious(machine, cfg) }
+func NewCautious(machine *Machine, cfg Config) System {
+	cfg.Mode = CautiousOnly
+	return stm.NewHASTM("hastm-cautious", machine, cfg)
+}
 
 // NewNoReuse returns the HASTM-NoReuse ablation (no barrier filtering).
-func NewNoReuse(machine *Machine, cfg Config) System { return core.NewNoReuse(machine, cfg) }
+func NewNoReuse(machine *Machine, cfg Config) System {
+	cfg.Filter = false
+	return stm.NewHASTM("hastm-noreuse", machine, cfg)
+}
 
 // NewNaiveAggressive returns the Fig 21/22 strawman that always tries
 // aggressive mode first, like an HTM-first hybrid.
 func NewNaiveAggressive(machine *Machine, cfg Config) System {
-	return core.NewNaiveAggressive(machine, cfg)
+	cfg.Mode = AlwaysAggressive
+	return stm.NewHASTM("naive-aggressive", machine, cfg)
 }
 
 // NewSTM creates the base software TM of §4.

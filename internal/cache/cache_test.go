@@ -22,6 +22,17 @@ func testHierarchy(cores int) *Hierarchy {
 	})
 }
 
+// evalConfig is the evaluation machine's hierarchy: 32 KB 8-way L1s under
+// one 256 KB 8-way L2, with the prefetcher.
+func evalConfig(cores int) HierarchyConfig {
+	return HierarchyConfig{
+		Cores:    cores,
+		L1:       Config{SizeBytes: 32 << 10, Assoc: 8},
+		L2:       Config{SizeBytes: 256 << 10, Assoc: 8},
+		Prefetch: true,
+	}
+}
+
 // dropRecorder captures LineDropped events.
 type dropRecorder struct {
 	events []dropEvent

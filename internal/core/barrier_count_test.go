@@ -18,19 +18,19 @@ import (
 // HASTM's mode controller. A changed number is a changed barrier.
 func TestBarrierInstructionCounts(t *testing.T) {
 	line, obj := tm.LineGranularity, tm.ObjectGranularity
-	hastm := func(edit func(*Config)) func(*sim.Machine, tm.Granularity) tm.System {
+	hastm := func(edit func(*stm.HASTMConfig)) func(*sim.Machine, tm.Granularity) tm.System {
 		return func(m *sim.Machine, g tm.Granularity) tm.System {
 			cfg := singleThreadCfg(g)
 			if edit != nil {
 				edit(&cfg)
 			}
-			return New(m, cfg)
+			return stm.NewHASTM("hastm", m, cfg)
 		}
 	}
 	base := func(m *sim.Machine, g tm.Granularity) tm.System {
 		return stm.New(m, tm.Config{Granularity: g, ValidateEvery: 128})
 	}
-	cautious := func(c *Config) { c.Mode = CautiousOnly }
+	cautious := func(c *stm.HASTMConfig) { c.Mode = stm.CautiousOnly }
 	for _, tc := range []struct {
 		path          string
 		g             tm.Granularity
@@ -46,10 +46,10 @@ func TestBarrierInstructionCounts(t *testing.T) {
 		{"hastm-aggressive/object/load", obj, hastm(nil), false, 7, 3},
 		{"hastm-cautious/line/load", line, hastm(cautious), false, 18, 2},
 		{"hastm-cautious/object/load", obj, hastm(cautious), false, 14, 3},
-		{"hastm-noreuse/line/load", line, hastm(func(c *Config) { c.Filter = false }), false, 9, 9},
+		{"hastm-noreuse/line/load", line, hastm(func(c *stm.HASTMConfig) { c.Filter = false }), false, 9, 9},
 		{"hastm/line/store", line, hastm(nil), true, 26, 15},
 		{"hastm/object/store", obj, hastm(nil), true, 23, 12},
-		{"hastm-wfilter/line/store", line, hastm(func(c *Config) { c.FilterWrites = true }), true, 40, 8},
+		{"hastm-wfilter/line/store", line, hastm(func(c *stm.HASTMConfig) { c.FilterWrites = true }), true, 40, 8},
 	} {
 		first, repeat := measureBarrier(t, tc.g, tc.build, tc.store)
 		if first != tc.first || repeat != tc.repeat {

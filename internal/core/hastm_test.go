@@ -18,9 +18,15 @@ func testMachine(cores int) *sim.Machine {
 	return sim.New(cfg)
 }
 
-func singleThreadCfg(g tm.Granularity) Config {
-	c := DefaultConfig(g)
+func singleThreadCfg(g tm.Granularity) stm.HASTMConfig {
+	c := stm.DefaultHASTMConfig(g)
 	c.SingleThread = true
+	return c
+}
+
+// cautiousCfg is the HASTM-Cautious ablation of c: no read-log elimination.
+func cautiousCfg(c stm.HASTMConfig) stm.HASTMConfig {
+	c.Mode = stm.CautiousOnly
 	return c
 }
 
@@ -63,7 +69,7 @@ func TestHASTMCommitCorrectness(t *testing.T) {
 		g := g
 		t.Run(g.String(), func(t *testing.T) {
 			machine := testMachine(1)
-			sys := New(machine, singleThreadCfg(g))
+			sys := stm.NewHASTM("hastm", machine, singleThreadCfg(g))
 			addr := machine.Mem.Alloc(128, 64)
 			runSingle(t, machine, sys, 3, func(tx tm.Txn) error {
 				v := tx.Load(addr)
@@ -81,7 +87,7 @@ func TestFilteringReducesBarrierWork(t *testing.T) {
 	// Repeatedly re-reading the same locations: HASTM's second and later
 	// barriers must take the 2-instruction fast path.
 	machine := testMachine(1)
-	sys := New(machine, singleThreadCfg(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm", machine, singleThreadCfg(tm.LineGranularity))
 	addr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	runSingle(t, machine, sys, 1, func(tx tm.Txn) error {
 		for i := 0; i < 20; i++ {
@@ -121,7 +127,7 @@ func TestFilteredReadsAreCheaperThanSTM(t *testing.T) {
 		return stm.New(m, tm.Config{Granularity: tm.LineGranularity})
 	})
 	hastmWall := run(func(m *sim.Machine) tm.System {
-		return New(m, singleThreadCfg(tm.LineGranularity))
+		return stm.NewHASTM("hastm", m, singleThreadCfg(tm.LineGranularity))
 	})
 	if hastmWall >= stmWall {
 		t.Fatalf("HASTM (%d cycles) not faster than STM (%d) on a reuse-heavy transaction", hastmWall, stmWall)
@@ -130,7 +136,7 @@ func TestFilteredReadsAreCheaperThanSTM(t *testing.T) {
 
 func TestFastValidationWhenUndisturbed(t *testing.T) {
 	machine := testMachine(1)
-	sys := New(machine, singleThreadCfg(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm", machine, singleThreadCfg(tm.LineGranularity))
 	addr := machine.Mem.Alloc(4*mem.LineSize, mem.LineSize)
 	runSingle(t, machine, sys, 5, func(tx tm.Txn) error {
 		for i := uint64(0); i < 4; i++ {
@@ -149,7 +155,7 @@ func TestFastValidationWhenUndisturbed(t *testing.T) {
 
 func TestSingleThreadGoesAggressive(t *testing.T) {
 	machine := testMachine(1)
-	sys := New(machine, singleThreadCfg(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm", machine, singleThreadCfg(tm.LineGranularity))
 	addr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	runSingle(t, machine, sys, 10, func(tx tm.Txn) error {
 		tx.Load(addr)
@@ -171,8 +177,7 @@ func TestSingleThreadGoesAggressive(t *testing.T) {
 
 func TestCautiousOnlyNeverAggressive(t *testing.T) {
 	machine := testMachine(1)
-	cfg := singleThreadCfg(tm.LineGranularity)
-	sys := NewCautious(machine, cfg)
+	sys := stm.NewHASTM("hastm-cautious", machine, cautiousCfg(singleThreadCfg(tm.LineGranularity)))
 	addr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	runSingle(t, machine, sys, 5, func(tx tm.Txn) error {
 		tx.Load(addr)
@@ -189,7 +194,9 @@ func TestCautiousOnlyNeverAggressive(t *testing.T) {
 
 func TestNoReuseNeverFilters(t *testing.T) {
 	machine := testMachine(1)
-	sys := NewNoReuse(machine, singleThreadCfg(tm.LineGranularity))
+	cfg := singleThreadCfg(tm.LineGranularity)
+	cfg.Filter = false // the HASTM-NoReuse ablation
+	sys := stm.NewHASTM("hastm-noreuse", machine, cfg)
 	addr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	runSingle(t, machine, sys, 1, func(tx tm.Txn) error {
 		for i := 0; i < 10; i++ {
@@ -212,9 +219,9 @@ func TestAggressiveAbortFallsBackToCautious(t *testing.T) {
 	// marks are invalidated, and the re-execution must be cautious (and
 	// eventually commit).
 	machine := testMachine(2)
-	cfg := DefaultConfig(tm.LineGranularity)
-	cfg.Mode = AlwaysAggressive
-	sys := NewNamed("naive", machine, cfg)
+	cfg := stm.DefaultHASTMConfig(tm.LineGranularity)
+	cfg.Mode = stm.AlwaysAggressive
+	sys := stm.NewHASTM("naive", machine, cfg)
 	ctr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	const per = 40
 	prog := func(c *sim.Ctx) {
@@ -239,7 +246,7 @@ func TestAggressiveAbortFallsBackToCautious(t *testing.T) {
 
 func TestWatermarkStaysCautiousUnderContention(t *testing.T) {
 	machine := testMachine(4)
-	sys := New(machine, DefaultConfig(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm", machine, stm.DefaultHASTMConfig(tm.LineGranularity))
 	ctr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	prog := func(c *sim.Ctx) {
 		th := sys.Thread(c)
@@ -268,7 +275,7 @@ func TestHASTMCorrectUnderContention(t *testing.T) {
 		g := g
 		t.Run(g.String(), func(t *testing.T) {
 			machine := testMachine(4)
-			sys := New(machine, DefaultConfig(g))
+			sys := stm.NewHASTM("hastm", machine, stm.DefaultHASTMConfig(g))
 			var addrs []uint64
 			if g == tm.ObjectGranularity {
 				for i := 0; i < 4; i++ {
@@ -326,7 +333,7 @@ func TestHASTMCorrectUnderContention(t *testing.T) {
 
 func TestGCPauseForcesFullValidation(t *testing.T) {
 	machine := testMachine(1)
-	sys := NewCautious(machine, singleThreadCfg(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm-cautious", machine, cautiousCfg(singleThreadCfg(tm.LineGranularity)))
 	addr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {
 		th := sys.Thread(c).(*stm.Thread)
@@ -354,7 +361,7 @@ func TestAggressiveCommitFailsAfterInterruption(t *testing.T) {
 	// return wrong data.
 	machine := testMachine(1)
 	interruptEvery(machine, 2000)
-	sys := New(machine, singleThreadCfg(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm", machine, singleThreadCfg(tm.LineGranularity))
 	addr := machine.Mem.Alloc(8*mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {
 		th := sys.Thread(c)
@@ -388,7 +395,7 @@ func TestHASTMOnDefaultISA(t *testing.T) {
 	cfg.L2 = cache.Config{SizeBytes: 64 << 10, Assoc: 8}
 	cfg.DefaultISA = true
 	machine := sim.New(cfg)
-	sys := New(machine, DefaultConfig(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm", machine, stm.DefaultHASTMConfig(tm.LineGranularity))
 	ctr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	const per = 30
 	prog := func(c *sim.Ctx) {
@@ -421,7 +428,7 @@ func TestInterAtomicReuseFiltersAcrossBlocks(t *testing.T) {
 	machine := testMachine(1)
 	cfg := singleThreadCfg(tm.LineGranularity)
 	cfg.InterAtomic = true
-	sys := NewNamed("hastm-interatomic", machine, cfg)
+	sys := stm.NewHASTM("hastm-interatomic", machine, cfg)
 	addr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {
 		th := sys.Thread(c)
@@ -444,7 +451,7 @@ func TestNestedTransactionsAccelerated(t *testing.T) {
 	// §5: HASTM needs no extra mechanism for nesting; nested transactions
 	// with partial rollback must work and still commit with acceleration.
 	machine := testMachine(1)
-	sys := New(machine, singleThreadCfg(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm", machine, singleThreadCfg(tm.LineGranularity))
 	a := machine.Mem.Alloc(2*mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {
 		th := sys.Thread(c)
@@ -467,7 +474,7 @@ func TestNestedTransactionsAccelerated(t *testing.T) {
 }
 
 func TestModePolicyStrings(t *testing.T) {
-	if CautiousOnly.String() != "cautious-only" || Watermark.String() != "watermark" || AlwaysAggressive.String() != "always-aggressive" {
+	if stm.CautiousOnly.String() != "cautious-only" || stm.Watermark.String() != "watermark" || stm.AlwaysAggressive.String() != "always-aggressive" {
 		t.Fatal("ModePolicy String() mismatch")
 	}
 }
@@ -482,7 +489,7 @@ func TestHASTMCorrectOnSMT(t *testing.T) {
 	cfg.L1 = cache.Config{SizeBytes: 8 << 10, Assoc: 4}
 	cfg.L2 = cache.Config{SizeBytes: 64 << 10, Assoc: 8}
 	machine := sim.New(cfg)
-	sys := New(machine, DefaultConfig(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm", machine, stm.DefaultHASTMConfig(tm.LineGranularity))
 	ctr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	const per = 40
 	prog := func(c *sim.Ctx) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -43,7 +44,7 @@ func TestSuspensionDuringCommitValidation(t *testing.T) {
 	machine := testMachine(1)
 	hook := &phaseSuspender{target: telemetry.Validate, skip: 2, every: 5, limit: 3}
 	machine.SetFaultHook(hook)
-	sys := NewCautious(machine, singleThreadCfg(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm-cautious", machine, cautiousCfg(singleThreadCfg(tm.LineGranularity)))
 
 	const words = 24
 	addr := machine.Mem.Alloc(words*64, 64)
@@ -87,7 +88,7 @@ func TestSuspensionDuringRetryWait(t *testing.T) {
 	machine := testMachine(2)
 	hook := &phaseSuspender{target: telemetry.Validate, skip: 4, every: 8, limit: 10}
 	machine.SetFaultHook(hook)
-	sys := New(machine, DefaultConfig(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm", machine, stm.DefaultHASTMConfig(tm.LineGranularity))
 
 	flag := machine.Mem.Alloc(64, 64)
 	ack := machine.Mem.Alloc(64, 64)

@@ -6,6 +6,7 @@ import (
 	"hastm.dev/hastm/internal/cache"
 	"hastm.dev/hastm/internal/mem"
 	"hastm.dev/hastm/internal/sim"
+	"hastm.dev/hastm/internal/stm"
 	"hastm.dev/hastm/internal/telemetry"
 	"hastm.dev/hastm/internal/tm"
 )
@@ -24,7 +25,7 @@ func TestTransactionLargerThanL1Commits(t *testing.T) {
 	cfg.L1 = cache.Config{SizeBytes: 8 << 10, Assoc: 4} // 128 lines
 	cfg.L2 = cache.Config{SizeBytes: 512 << 10, Assoc: 8}
 	machine := sim.New(cfg)
-	sys := New(machine, singleThreadCfg(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm", machine, singleThreadCfg(tm.LineGranularity))
 	const lines = 512 // 4x the L1
 	base := machine.Mem.Alloc(lines*mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {
@@ -60,7 +61,7 @@ func TestTransactionLargerThanL1Commits(t *testing.T) {
 func TestLongTransactionSpansSchedulingQuanta(t *testing.T) {
 	machine := sim.New(sim.DefaultConfig(1))
 	interruptEvery(machine, 1500)
-	sys := NewCautious(machine, singleThreadCfg(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm-cautious", machine, cautiousCfg(singleThreadCfg(tm.LineGranularity)))
 	base := machine.Mem.Alloc(64*mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {
 		th := sys.Thread(c)
@@ -96,7 +97,7 @@ func TestLongTransactionSpansSchedulingQuanta(t *testing.T) {
 // again and subsequent barriers filter again.
 func TestResumedTransactionStillFilters(t *testing.T) {
 	machine := testMachine(1)
-	sys := NewCautious(machine, singleThreadCfg(tm.LineGranularity))
+	sys := stm.NewHASTM("hastm-cautious", machine, cautiousCfg(singleThreadCfg(tm.LineGranularity)))
 	addr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {
 		th := sys.Thread(c)
@@ -138,7 +139,7 @@ func TestDeadlockShapedContentionResolves(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			machine := testMachine(2)
-			sys := New(machine, DefaultConfig(tm.LineGranularity))
+			sys := stm.NewHASTM("hastm", machine, stm.DefaultHASTMConfig(tm.LineGranularity))
 			a := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 			b := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 			mk := func(first, second uint64) sim.Program {

@@ -11,8 +11,8 @@ import (
 	"hastm.dev/hastm/internal/tm"
 )
 
-func wfilterCfg() Config {
-	c := DefaultConfig(tm.LineGranularity)
+func wfilterCfg() stm.HASTMConfig {
+	c := stm.DefaultHASTMConfig(tm.LineGranularity)
 	c.SingleThread = true
 	c.FilterWrites = true
 	return c
@@ -20,7 +20,7 @@ func wfilterCfg() Config {
 
 func TestWriteFilterSkipsRedundantWork(t *testing.T) {
 	machine := testMachine(1)
-	sys := NewNamed("hastm-wfilter", machine, wfilterCfg())
+	sys := stm.NewHASTM("hastm-wfilter", machine, wfilterCfg())
 	addr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {
 		th := sys.Thread(c)
@@ -49,7 +49,7 @@ func TestWriteFilterRollbackRestoresSubBlock(t *testing.T) {
 	// The extension logs whole 16-byte sub-blocks; an abort must restore
 	// both words even when only one was stored before the duplicate-skips.
 	machine := testMachine(1)
-	sys := NewNamed("hastm-wfilter", machine, wfilterCfg())
+	sys := stm.NewHASTM("hastm-wfilter", machine, wfilterCfg())
 	addr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	machine.Mem.Store(addr, 100)
 	machine.Mem.Store(addr+8, 200) // same 16B sub-block
@@ -78,7 +78,7 @@ func TestWriteFilterNestedPartialRollbackIsSound(t *testing.T) {
 	// record. A later write in the OUTER transaction must NOT trust the
 	// stale plane-1 mark — it must re-acquire the record properly.
 	machine := testMachine(1)
-	sys := NewNamed("hastm-wfilter", machine, wfilterCfg())
+	sys := stm.NewHASTM("hastm-wfilter", machine, wfilterCfg())
 	a := machine.Mem.Alloc(2*mem.LineSize, mem.LineSize)
 	boom := errors.New("inner")
 	machine.Run(func(c *sim.Ctx) {
@@ -111,9 +111,9 @@ func TestWriteFilterNestedPartialRollbackIsSound(t *testing.T) {
 
 func TestWriteFilterConcurrentInvariant(t *testing.T) {
 	machine := testMachine(4)
-	cfg := DefaultConfig(tm.LineGranularity)
+	cfg := stm.DefaultHASTMConfig(tm.LineGranularity)
 	cfg.FilterWrites = true
-	sys := NewNamed("hastm-wfilter", machine, cfg)
+	sys := stm.NewHASTM("hastm-wfilter", machine, cfg)
 	a := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	b := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	machine.Mem.Store(a, 400)
@@ -145,7 +145,7 @@ func TestWriteFilterFasterOnWriteHeavyTxns(t *testing.T) {
 		machine := testMachine(1)
 		cfg := wfilterCfg()
 		cfg.FilterWrites = filterWrites
-		sys := NewNamed("x", machine, cfg)
+		sys := stm.NewHASTM("x", machine, cfg)
 		base := machine.Mem.Alloc(8*mem.LineSize, mem.LineSize)
 		var wall uint64
 		machine.Run(func(c *sim.Ctx) {
@@ -177,7 +177,7 @@ func TestWriteFilterOnDefaultISAStillCorrect(t *testing.T) {
 	cfg := sim.DefaultConfig(1)
 	cfg.DefaultISA = true
 	machine := sim.New(cfg)
-	sys := NewNamed("hastm-wfilter", machine, wfilterCfg())
+	sys := stm.NewHASTM("hastm-wfilter", machine, wfilterCfg())
 	addr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	machine.Run(func(c *sim.Ctx) {
 		th := sys.Thread(c)
@@ -201,7 +201,7 @@ func TestWriteFilterOnDefaultISAStillCorrect(t *testing.T) {
 
 func TestWriteFilterSurvivesGCPause(t *testing.T) {
 	machine := testMachine(1)
-	sys := NewNamed("hastm-wfilter", machine, wfilterCfg())
+	sys := stm.NewHASTM("hastm-wfilter", machine, wfilterCfg())
 	addr := machine.Mem.Alloc(mem.LineSize, mem.LineSize)
 	machine.Mem.Store(addr, 50)
 	machine.Run(func(c *sim.Ctx) {
@@ -227,7 +227,7 @@ func TestWriteFilterSurvivesGCPause(t *testing.T) {
 // sub-block, stores and rolls back like any other.
 func TestWriteFilterSkipsPaddingWord(t *testing.T) {
 	machine := testMachine(1)
-	sys := NewNamed("hastm-wfilter", machine, wfilterCfg())
+	sys := stm.NewHASTM("hastm-wfilter", machine, wfilterCfg())
 	boom := errors.New("boom")
 	var addr uint64
 	machine.Run(func(c *sim.Ctx) {

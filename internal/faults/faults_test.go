@@ -196,22 +196,6 @@ func TestHTMAborterSkippedWithoutTarget(t *testing.T) {
 	}
 }
 
-// The fault plane rides the hot acquire() path of every simulated
-// operation; this benchmark gates its per-grant overhead.
-func BenchmarkFaultPlaneOnGrant(b *testing.B) {
-	b.ReportAllocs()
-	m := testMachine(1)
-	p := Attach(m, Spec{SuspendEvery: 1 << 60, EvictEvery: 1 << 60, SnoopEvery: 1 << 60, Seed: 3})
-	base := m.Mem.Alloc(64, 64)
-	m.Run(func(c *sim.Ctx) {
-		c.Load(base)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.OnGrant(c)
-		}
-	})
-}
-
 // An unknown kind still prints, and mix's splitmix finalizer, which maps
 // only 0 to 0, never hands a per-core stream the zero xorshift state: the
 // one seed whose sum is 0 for core 0 gets state 1.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 )
 
@@ -125,6 +126,63 @@ func TestCellAllocCounts(t *testing.T) {
 	})
 }
 
+// programAllocs counts the heap objects f allocates outside package
+// runtime, from the memory profile at one record per allocation. The
+// runtime's own allocations (goroutine descriptors, sudogs, timer heaps, a
+// goroutine's sleep timer) depend on which P a goroutine ran on, so only the
+// program's count can repeat exactly across runs of a multi-goroutine cell.
+func programAllocs(f func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+4096)
+	before := programObjects(&recs)
+	f()
+	return programObjects(&recs) - before
+}
+
+// programObjects sums the profile's allocated objects whose allocating
+// frame is outside package runtime. It allocates only to grow *recs, after
+// the collections that publish what it reads.
+func programObjects(recs *[]runtime.MemProfileRecord) int64 {
+	runtime.GC() // a record is published by the cycle after the one
+	runtime.GC() // that follows its allocation
+	n, ok := runtime.MemProfile(*recs, true)
+	for !ok {
+		*recs = make([]runtime.MemProfileRecord, n+4096)
+		n, ok = runtime.MemProfile(*recs, true)
+	}
+	var objects int64
+	for _, r := range (*recs)[:n] {
+		if !strings.HasPrefix(runtime.FuncForPC(r.Stack0[0]-1).Name(), "runtime.") {
+			objects += r.AllocObjects
+		}
+	}
+	return objects
+}
+
+// A two-goroutine native cell allocates the same number of program objects
+// at every run, however its goroutines interleave: the TL2 logs start with
+// room for a BST operation's read and write sets, and the watchdog's stripe
+// scan keeps its holds on its stack.
+func TestNativeCellAllocsRepeat(t *testing.T) {
+	o := DefaultOptions()
+	o.Seed, o.Ops, o.Warmup = 1, 2000, 500
+	run := func() {
+		if _, err := RunOneNative(WorkloadBST, 2, o, 80); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fills the runtime's free lists
+	var counts []int64
+	for i := 0; i < 3; i++ {
+		counts = append(counts, programAllocs(run))
+	}
+	if counts[1] != counts[0] || counts[2] != counts[0] {
+		t.Errorf("native/bst/2g/u80 at seed 1: %v objects allocated in three runs, want one count", counts)
+	}
+}
+
 // The host bytes of the bench-shaped stm cells, held as TestCellAllocCounts
 // holds their counts: a second run with the collector off. The record
 // table's whole pages share one head page until a run writes a record on
@@ -154,22 +212,5 @@ func TestCellAllocBytes(t *testing.T) {
 		if got > tc.ceiling {
 			t.Errorf("%s: %d bytes allocated, ceiling %d", tc.name, got, tc.ceiling)
 		}
-	}
-}
-
-// BenchmarkCellSetup is the fixed cost of one cell — machine, scheme,
-// populate, warm-up, barrier — with the measured phase cut to one operation
-// per thread. TestCellAllocBytesCeiling holds its B/op: eagerly backing the
-// simulated memory again fails go test.
-func BenchmarkCellSetup(b *testing.B) {
-	for _, cores := range []int{1, 4} {
-		b.Run(fmt.Sprintf("%dcore", cores), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunOne("stm", "bst", cores, benchCell(cores), 20); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hastm.dev/hastm/internal/cache"
-	"hastm.dev/hastm/internal/core"
 	"hastm.dev/hastm/internal/htm"
 	"hastm.dev/hastm/internal/lazystm"
 	"hastm.dev/hastm/internal/locksync"
@@ -237,61 +236,52 @@ func stmConfig(o Options) tm.Config {
 }
 
 // hastmConfig is the line-granularity HASTM configuration.
-func hastmConfig(threads int, o Options) core.Config {
-	cfg := core.DefaultConfig(tm.LineGranularity)
+func hastmConfig(threads int, o Options) stm.HASTMConfig {
+	cfg := stm.DefaultHASTMConfig(tm.LineGranularity)
 	cfg.SingleThread = threads == 1
 	cfg.TM.Progress.RetryBudget = o.RetryBudget
 	return cfg
+}
+
+// hastmScheme is a HASTM scheme: hastmConfig with edit applied, built under
+// the scheme's name. The ablations are edits.
+func hastmScheme(name string, edit func(*stm.HASTMConfig)) named[schemeBuilder] {
+	return named[schemeBuilder]{name, func(m *sim.Machine, threads int, o Options) tm.System {
+		cfg := hastmConfig(threads, o)
+		edit(&cfg)
+		return stm.NewHASTM(name, m, cfg)
+	}}
 }
 
 var schemeTable = []named[schemeBuilder]{
 	{SchemeSeq, func(m *sim.Machine, _ int, _ Options) tm.System { return locksync.NewSeq(m) }},
 	{SchemeLock, func(m *sim.Machine, _ int, _ Options) tm.System { return locksync.NewLock(m) }},
 	{SchemeSTM, func(m *sim.Machine, _ int, o Options) tm.System { return stm.New(m, stmConfig(o)) }},
-	{SchemeHASTM, func(m *sim.Machine, threads int, o Options) tm.System {
-		return core.New(m, hastmConfig(threads, o))
-	}},
-	{SchemeCautious, func(m *sim.Machine, threads int, o Options) tm.System {
-		return core.NewCautious(m, hastmConfig(threads, o))
-	}},
-	{SchemeNoReuse, func(m *sim.Machine, threads int, o Options) tm.System {
-		return core.NewNoReuse(m, hastmConfig(threads, o))
-	}},
-	{SchemeNaive, func(m *sim.Machine, threads int, o Options) tm.System {
-		return core.NewNaiveAggressive(m, hastmConfig(threads, o))
-	}},
+	hastmScheme(SchemeHASTM, func(*stm.HASTMConfig) {}),
+	hastmScheme(SchemeCautious, func(c *stm.HASTMConfig) { c.Mode = stm.CautiousOnly }),
+	hastmScheme(SchemeNoReuse, func(c *stm.HASTMConfig) { c.Filter = false }),
+	hastmScheme(SchemeNaive, func(c *stm.HASTMConfig) { c.Mode = stm.AlwaysAggressive }),
 	{SchemeHyTM, func(m *sim.Machine, _ int, o Options) tm.System { return htm.NewHyTM(m, stmConfig(o), 4) }},
 	{SchemeHTM, func(m *sim.Machine, _ int, _ Options) tm.System { return htm.NewHTM(m) }},
 	{SchemeLazy, func(m *sim.Machine, _ int, o Options) tm.System { return lazystm.New(m, stmConfig(o)) }},
 	{SchemeMVCC, func(m *sim.Machine, _ int, o Options) tm.System { return lazystm.NewMVCC(m, stmConfig(o)) }},
-	{SchemeWFilter, func(m *sim.Machine, threads int, o Options) tm.System {
-		cfg := hastmConfig(threads, o)
-		cfg.FilterWrites = true
-		return core.NewNamed(SchemeWFilter, m, cfg)
-	}},
-	{SchemeInterAtomic, func(m *sim.Machine, threads int, o Options) tm.System {
-		cfg := hastmConfig(threads, o)
-		cfg.InterAtomic = true
-		return core.NewNamed(SchemeInterAtomic, m, cfg)
-	}},
+	hastmScheme(SchemeWFilter, func(c *stm.HASTMConfig) { c.FilterWrites = true }),
+	hastmScheme(SchemeInterAtomic, func(c *stm.HASTMConfig) { c.InterAtomic = true }),
 	{SchemeObjHASTM, func(m *sim.Machine, threads int, _ Options) tm.System {
-		cfg := core.DefaultConfig(tm.ObjectGranularity)
+		cfg := stm.DefaultHASTMConfig(tm.ObjectGranularity)
 		cfg.SingleThread = threads == 1
-		return core.NewNamed(SchemeObjHASTM, m, cfg)
+		return stm.NewHASTM(SchemeObjHASTM, m, cfg)
 	}},
 	{SchemeObjSTM, func(m *sim.Machine, _ int, _ Options) tm.System {
 		return stm.New(m, tm.Config{Granularity: tm.ObjectGranularity, ValidateEvery: 128})
 	}},
-	{SchemeWatermark, func(m *sim.Machine, threads int, o Options) tm.System {
-		cfg := hastmConfig(threads, o)
-		cfg.SingleThread = false // force the adaptive controller
-		return core.NewNamed(SchemeWatermark, m, cfg)
-	}},
+	// The adaptive controller even on one thread.
+	hastmScheme(SchemeWatermark, func(c *stm.HASTMConfig) { c.SingleThread = false }),
 	// Same hardware and policy as hastm plus a bounded retry budget; on
 	// uncontended figure workloads the budget never trips, so this must cost
 	// ~nothing — the ext-irrevocable ablation's claim.
 	{SchemeIrrevocable, func(m *sim.Machine, threads int, o Options) tm.System {
-		return core.NewNamed(SchemeIrrevocable, m, hastmConfig(threads, o.armed()))
+		return stm.NewHASTM(SchemeIrrevocable, m, hastmConfig(threads, o.armed()))
 	}},
 }
 

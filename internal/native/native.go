@@ -166,6 +166,16 @@ func (s *System) Name() string { return "native-tl2" }
 // Stats returns the per-thread metrics store.
 func (s *System) Stats() *telemetry.Machine { return s.stats }
 
+// A thread's logs start at these capacities, which hold the read and write
+// sets of a BST operation and of a hashtable lookup on short chains (a
+// B-tree split writes tens of words; a long chain reads hundreds). A log
+// grows by doubling up to the largest set its thread meets, and under
+// contention which thread meets which set is host timing.
+const (
+	readLogCap  = 64
+	writeLogCap = 4
+)
+
 // Thread returns the handle for goroutine slot id (0 <= id < Threads).
 // Handles are cached: calling twice with one id returns the same handle.
 // A handle must only ever be used from one goroutine at a time.
@@ -175,11 +185,15 @@ func (s *System) Thread(id int) tm.Thread {
 	}
 	if s.threads[id] == nil {
 		t := &Thread{
-			sys:      s,
-			id:       id,
-			lockWord: uint64(id)<<1 | 1,
-			tb:       s.stats.Block(id),
-			windex:   newWriteIndex(),
+			sys:        s,
+			id:         id,
+			lockWord:   uint64(id)<<1 | 1,
+			tb:         s.stats.Block(id),
+			reads:      make([]readEntry, 0, readLogCap),
+			writes:     make([]writeEntry, 0, writeLogCap),
+			windex:     newWriteIndex(),
+			stripeIdxs: make([]int, 0, writeLogCap),
+			owned:      make([]readEntry, 0, writeLogCap),
 		}
 		t.Bind(t, nil, t.tb, "", s.cfg.RetryBudget, s.armed)
 		t.boRng = chaosMix(0x626b6f666668a5a5, uint64(id))

@@ -185,7 +185,10 @@ func scanStripes(dst []stripeHold, stripes []stripe, prev []stripeHold, now time
 func (s *System) watchdogLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	wd := s.cfg.Watchdog
-	var holds, spare []stripeHold
+	// Two scans' holds on the goroutine's stack: a scan allocates only
+	// when more stripes are locked at once than holdBuf has room for.
+	var holdBuf [2][16]stripeHold
+	holds, spare := holdBuf[0][:0], holdBuf[1][:0]
 	lastSeq := s.commitSeq()
 	windowStart := time.Now()
 	opSnap := make([]uint64, len(s.threads))

@@ -465,8 +465,12 @@ func (m *Machine) pick() *Ctx {
 	} else if m.runq.len() > 0 {
 		c = m.cores[m.runq.pop().id]
 		for c.parked() && !c.dueOp() {
-			m.requeue(c)
-			c = m.cores[m.runq.pop().id]
+			// A core still parked and still ahead of the queue would be
+			// popped straight back: it runs its next due operation now.
+			if !c.parked() || !c.key().less(m.runq.min()) {
+				m.requeue(c)
+				c = m.cores[m.runq.pop().id]
+			}
 		}
 		horizon = m.runq.min()
 	}
@@ -485,7 +489,7 @@ func (m *Machine) pick() *Ctx {
 // queue; the reference policy's scan needs no queue.
 func (m *Machine) requeue(c *Ctx) {
 	if !m.cfg.ReferenceScheduler {
-		m.runq.push(heapEntry{clock: c.clock, id: c.id})
+		m.runq.push(c.key())
 	}
 }
 
@@ -740,7 +744,7 @@ func (c *Ctx) InjectSuspend() { c.ringTransitionNow() }
 // grant on. The program's host code (and any core-private Exec) up to that
 // acquire still runs before the switch.
 func (c *Ctx) release() {
-	if !(heapEntry{clock: c.clock, id: c.id}).less(c.horizon) {
+	if !c.key().less(c.horizon) {
 		c.leased = false
 	}
 }
@@ -897,6 +901,9 @@ func aluStep(m *Machine) uint64 { return m.cfg.Lat.ALU }
 // stores or is spinning.
 func (c *Ctx) parked() bool { return c.postLen != 0 || c.spinning }
 
+// key is c's place in the run queue's (clock, id) order.
+func (c *Ctx) key() heapEntry { return heapEntry{clock: c.clock, id: c.id} }
+
 // dueOp runs parked core c's due operation inline, as the grant holder, at
 // the (clock, id) c was popped at — where c's own grant would run it — and
 // reports whether pick may lease c now. The oldest posted store goes first,
@@ -907,7 +914,7 @@ func (c *Ctx) parked() bool { return c.postLen != 0 || c.spinning }
 func (c *Ctx) dueOp() bool {
 	if c.postLen != 0 {
 		c.retirePost()
-		return !c.parked() && (heapEntry{clock: c.clock, id: c.id}).less(c.m.runq.min())
+		return !c.parked() && c.key().less(c.m.runq.min())
 	}
 	if c.spinPoll && c.m.Mem.Load(c.spinAddr) == c.spinWant {
 		c.spinning = false

@@ -86,6 +86,17 @@ const (
 	subBlock = 16
 )
 
+// DefaultHASTMConfig returns the paper's standard HASTM configuration at the
+// given conflict-detection granularity: the watermark mode controller, the
+// read filter on, and read-set validation every 128 reads.
+func DefaultHASTMConfig(g tm.Granularity) HASTMConfig {
+	return HASTMConfig{
+		TM:     tm.Config{Granularity: g, ValidateEvery: 128},
+		Mode:   Watermark,
+		Filter: true,
+	}
+}
+
 // NewHASTM creates a HASTM system: the STM whose barriers run the mark-bit
 // steps cfg enables.
 func NewHASTM(name string, machine *sim.Machine, cfg HASTMConfig) *System {

@@ -4,9 +4,24 @@
 // version management), and eager conflict detection — the McRT-STM lineage
 // the paper builds on.
 //
-// The same barriers are HASTM (§5, §6): a thread bound with a HASTMConfig
-// runs the mark-bit steps written inline in Thread's barriers, validation,
-// begin and end; without one they are skipped and the base STM remains.
+// The same barriers are HASTM (§5, §6), the paper's contribution: a thread
+// bound with a HASTMConfig (NewHASTM) runs the mark-bit steps written inline
+// in Thread's barriers, validation, begin and end; without one they are
+// skipped and the base STM remains.
+//
+//   - Cautious mode (§5): loadtestmark filters redundant read barriers
+//     (Fig 5 object granularity, Fig 7 cache-line granularity) and the
+//     mark counter short-circuits read-set validation (Fig 6).
+//   - Aggressive mode (§6): the read barrier also skips read-set logging
+//     (Figs 8, 9); commit succeeds only if the mark counter stayed zero,
+//     otherwise the transaction aborts and re-executes cautiously.
+//
+// HASTM's ablations are HASTMConfig edits under their own scheme names:
+// HASTM-Cautious sets Mode to CautiousOnly, HASTM-NoReuse clears Filter and
+// the naive-aggressive strawman sets Mode to AlwaysAggressive.
+// Transactions always execute in software, so everything the STM supports
+// (nesting with partial rollback, retry/orElse, GC-pause suspension,
+// unbounded size and duration) is accelerated, never restricted.
 package stm
 
 import (

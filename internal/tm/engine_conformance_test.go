@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"hastm.dev/hastm/internal/cache"
-	"hastm.dev/hastm/internal/core"
 	"hastm.dev/hastm/internal/htm"
 	"hastm.dev/hastm/internal/lazystm"
 	"hastm.dev/hastm/internal/mem"
@@ -124,9 +123,9 @@ func simBackend(name string, lacks capability, mk func(*sim.Machine, tm.Config) 
 var backends = []backend{
 	simBackend("stm", 0, func(m *sim.Machine, c tm.Config) tm.System { return stm.New(m, c) }),
 	simBackend("hastm", 0, func(m *sim.Machine, c tm.Config) tm.System {
-		hc := core.DefaultConfig(tm.LineGranularity)
+		hc := stm.DefaultHASTMConfig(tm.LineGranularity)
 		hc.TM = c
-		return core.New(m, hc)
+		return stm.NewHASTM("hastm", m, hc)
 	}),
 	simBackend("lazy", 0, func(m *sim.Machine, c tm.Config) tm.System { return lazystm.New(m, c) }),
 	simBackend("mvcc", 0, func(m *sim.Machine, c tm.Config) tm.System { return lazystm.NewMVCC(m, c) }),

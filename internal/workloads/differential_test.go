@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hastm.dev/hastm/internal/cache"
-	"hastm.dev/hastm/internal/core"
 	"hastm.dev/hastm/internal/htm"
 	"hastm.dev/hastm/internal/lazystm"
 	"hastm.dev/hastm/internal/locksync"
@@ -65,9 +64,9 @@ func buildDiffScheme(name string, machine *sim.Machine, cores int) tm.System {
 	case "mvcc":
 		return lazystm.NewMVCC(machine, stmCfg)
 	case "hastm":
-		cfg := core.DefaultConfig(tm.LineGranularity)
+		cfg := stm.DefaultHASTMConfig(tm.LineGranularity)
 		cfg.SingleThread = cores == 1
-		return core.New(machine, cfg)
+		return stm.NewHASTM("hastm", machine, cfg)
 	case "hytm":
 		return htm.NewHyTM(machine, stmCfg, 4)
 	case "htm":
