@@ -207,7 +207,8 @@ func TestDisabledChaosSelectsNoSuite(t *testing.T) {
 
 // Every run of the command arms the watchdogs at fixed values: the cycle
 // budget, the commit-progress window and the host stall timeout. No flag
-// sets them, and harness.DefaultOptions, which bench/ runs, leaves them off.
+// sets them. harness.DefaultOptions, which bench/ runs, arms the first two
+// and leaves the stall timeout off.
 func TestCommandLineArmsTheWatchdogs(t *testing.T) {
 	for _, args := range [][]string{nil, {"-quick"}, {"-quick", "-service", "-backend", "native"}} {
 		oldArgs, oldFlags := os.Args, flag.CommandLine
@@ -223,8 +224,11 @@ func TestCommandLineArmsTheWatchdogs(t *testing.T) {
 				args, c.o.CycleBudget, c.o.WatchdogWindow, c.o.StallTimeout)
 		}
 	}
-	if o := harness.DefaultOptions(); o.CycleBudget != 0 || o.WatchdogWindow != 0 || o.StallTimeout != 0 {
-		t.Errorf("harness.DefaultOptions arms a watchdog: %d, %d, %v", o.CycleBudget, o.WatchdogWindow, o.StallTimeout)
+	// Every run arms the simulated-cycle watchdogs; only the command line
+	// adds the host stall monitor, whose goroutines a cell would pay for.
+	if o := harness.DefaultOptions(); o.CycleBudget != 2_000_000_000 || o.WatchdogWindow != 50_000_000 || o.StallTimeout != 0 {
+		t.Errorf("harness.DefaultOptions: cycle budget %d, watchdog window %d, stall timeout %v; want 2000000000, 50000000, 0s",
+			o.CycleBudget, o.WatchdogWindow, o.StallTimeout)
 	}
 }
 

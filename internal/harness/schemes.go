@@ -49,16 +49,21 @@ type Options struct {
 	// WatchdogWindow, when positive, arms the simulator's commit-progress
 	// watchdog: if no transaction commits on any core for this many
 	// simulated cycles, the run fails with a diagnosable
-	// sim.ProgressViolation instead of spinning forever.
+	// sim.ProgressViolation instead of spinning forever. DefaultOptions and
+	// QuickOptions arm it; the simulator checks it only where a core's
+	// clock reaches its threshold, so arming it costs a run nothing.
 	WatchdogWindow uint64
 	// CycleBudget, when positive, is a hard per-run ceiling on the
 	// simulated clock; exceeding it fails the run with a ProgressViolation.
+	// Armed like WatchdogWindow, and as free.
 	CycleBudget uint64
 	// StallTimeout, when positive, arms the host-deadlock detector: if the
-	// simulator grants no architectural operation for this much host wall
-	// time, the run is declared wedged and fails with a report instead of
-	// hanging the process. This is the only host-time-keyed knob; it never
-	// affects simulated results, only whether a wedged run is cut short.
+	// simulator's heartbeat (leases, commits, threshold checks) stays still
+	// for this much host wall time, the run is declared wedged and fails
+	// with a report instead of hanging the process. This is the only
+	// host-time-keyed knob; it never affects simulated results, only
+	// whether a wedged run is cut short. Its monitor is two goroutines per
+	// cell, so only CommandOptions sets it.
 	StallTimeout time.Duration
 	// RetryBudget, when positive, enables the irrevocable escalation
 	// ladder on the transactional schemes: a transaction that aborts
@@ -73,47 +78,48 @@ type Options struct {
 	Chaos native.ChaosSpec
 }
 
-// DefaultOptions returns the full-size evaluation parameters.
+// DefaultOptions returns the full-size evaluation parameters, with the
+// simulated-cycle watchdogs armed.
 func DefaultOptions() Options {
 	return Options{
-		Ops:       2048,
-		MicroTxns: 24,
-		HashSlots: 4096,
-		TreeKeys:  2048,
-		Seed:      1,
+		Ops:            2048,
+		MicroTxns:      24,
+		HashSlots:      4096,
+		TreeKeys:       2048,
+		Seed:           1,
+		CycleBudget:    armedCycleBudget,
+		WatchdogWindow: armedWatchdogWindow,
 	}
 }
 
-// QuickOptions returns reduced sizes for unit tests and testing.B benches.
+// QuickOptions returns reduced sizes for unit tests and testing.B benches,
+// with the simulated-cycle watchdogs armed.
 func QuickOptions() Options {
-	return Options{
-		Ops:       384,
-		MicroTxns: 8,
-		HashSlots: 256,
-		TreeKeys:  128,
-		Seed:      1,
-	}
+	o := DefaultOptions()
+	o.Ops, o.MicroTxns, o.HashSlots, o.TreeKeys = 384, 8, 256, 128
+	return o
 }
 
-// hastm-bench arms every simulated run's watchdogs. They observe host-side
-// progress fields only — they never touch simulated memory — so arming them
-// keeps every report bit-identical while turning a hung or livelocked cell
-// into a structured failure with a nonzero exit. DefaultOptions and
-// QuickOptions leave them off.
+// Every simulated run arms the cycle budget and the commit-progress window.
+// They observe host-side progress fields only — they never touch simulated
+// memory — so arming them keeps every report bit-identical while turning a
+// hung or livelocked cell into a structured failure with a nonzero exit.
+// hastm-bench adds the host stall timeout.
 const (
 	armedCycleBudget    = 2_000_000_000 // hard per-run simulated-cycle ceiling
 	armedWatchdogWindow = 50_000_000    // cycles without a commit on any core
 	armedStallTimeout   = 2 * time.Minute
 )
 
-// CommandOptions returns QuickOptions (quick) or DefaultOptions with every
-// watchdog armed: the options hastm-bench runs its cells under.
+// CommandOptions returns QuickOptions (quick) or DefaultOptions with the
+// host stall timeout armed as well: the options hastm-bench runs its cells
+// under.
 func CommandOptions(quick bool) Options {
 	o := DefaultOptions()
 	if quick {
 		o = QuickOptions()
 	}
-	o.CycleBudget, o.WatchdogWindow, o.StallTimeout = armedCycleBudget, armedWatchdogWindow, armedStallTimeout
+	o.StallTimeout = armedStallTimeout
 	return o
 }
 

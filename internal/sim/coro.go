@@ -20,26 +20,35 @@ func (c *Ctx) start(p Program) {
 		c.yield = yield
 		defer func() {
 			if r := recover(); r != nil && !IsStop(r) {
-				m.recordFault(c, r)
+				// The operations posted before the panic ran before it:
+				// retire them first, so the fault carries the clock the
+				// reference scheduler gives it — unless another core
+				// failed the machine meanwhile, which stops this one at
+				// the first of them.
+				if c.postLen != 0 {
+					m.handoff(c)
+				}
+				if !m.failed.Load() {
+					m.recordFault(c, r)
+				}
 			}
 			// One final grant to report completion deterministically. A
 			// core still holding a lease is below the horizon, so it IS
 			// the (clock, id)-minimum core and the completion grant is
-			// already its — consume it inline. With no per-operation duty
-			// armed nothing reads the completion order, so completion is
-			// core-private like Exec: counted, not waited for — once the
-			// core's posted stores have retired.
-			if !c.leased && (m.perOpDuties || c.postLen != 0) {
+			// already its — consume it inline. Without per-operation
+			// duties nothing reads the completion order, so below the
+			// watchdog threshold completion is core-private like Exec:
+			// counted, not waited for — once the core's posted stores
+			// have retired. Final progress publishes with it, so watchdog
+			// snapshots see it.
+			if !c.leased && (m.perOpDuties || c.postLen != 0 || !c.mayRunAhead()) {
 				m.handoff(c)
 			}
 			c.leased = false
-			if m.watch {
-				// Publish final per-core progress under the completion
-				// grant, so watchdog snapshots see it.
-				c.publishProgress()
-			}
+			c.publish()
 			m.sched.Grants++
 		}()
+		c.stopIfFailed()
 		p(c)
 	})
 }

@@ -20,13 +20,22 @@ import (
 // detector, whose Run goroutine gives up on a machine that may still be
 // running. Host code *between* grants runs outside the (clock, id) grant
 // order (after giving a lease up, a program runs on to its next acquire
-// before it hands the grant on), which is why NoteCommit and SetStatus write
-// core-local pending fields that progressDuties publishes at the next
-// grant, a deterministic point of that order.
+// before it hands the grant on), so NoteCommit and SetStatus take the key
+// of the core's next operation: they publish at once when that key is
+// below the watchdog threshold, which every check still to come is keyed
+// at or past, and otherwise at the core's next grant (grantDuties).
+//
+// The simulated-cycle watchdogs are one clock threshold, Machine.checkAt:
+// the budget, or the window past the latest published commit, whichever
+// is lower. Below it no grant can trip, so the lease path checks nothing
+// there; a lease's horizon stops at it, and nothing runs ahead of its
+// grant at or past it (Ctx.mayRunAhead). A commit published early raises
+// the threshold only past keys it is itself below, so every check that
+// does run sees exactly the commits keyed before it.
 
 // stopRun is the internal panic value that unwinds a core's program after
 // the machine has failed (watchdog trip or a sibling core's fault). It is
-// raised at grant points, recovered by the Run epilogue, and must be
+// raised at a core's next operation, recovered by the Run epilogue, and must be
 // re-raised by any engine-level recover that sees it.
 type stopRun struct{}
 
@@ -57,7 +66,7 @@ const (
 type CoreSnapshot struct {
 	Core    int
 	Clock   uint64
-	Commits uint64 // commits published at grant points
+	Commits uint64 // commits published before the trip's key
 	Status  string // engine-reported execution status ("stm attempt 3", ...)
 	Attempt int
 	Done    bool // program finished before the violation
@@ -151,32 +160,63 @@ func (f CoreFault) Render(w io.Writer) {
 }
 
 // NoteCommit records a committed transaction for the commit-progress
-// watchdog. Called by TM engines from host code (no grant held), so it
-// only touches core-local fields; the next grant publishes them. Cheap
-// enough to call unconditionally: two plain stores.
+// watchdog. Called by TM engines from host code, keyed at the core's next
+// operation: the commit's own clock, once the operations before it have
+// run. Cheap enough to call unconditionally.
 func (c *Ctx) NoteCommit() {
 	c.commits++
 	c.pendingCommit = true
+	c.note()
 }
 
 // SetStatus records the engine's execution status for watchdog reports
-// ("stm"/"irrevocable"/"htm", plus the attempt index). Host-side pending
-// write, published at the next grant. label should be a constant string —
-// this is hot-path adjacent and must not allocate.
+// ("stm"/"irrevocable"/"htm", plus the attempt index), keyed like
+// NoteCommit. label should be a constant string — this is hot-path
+// adjacent and must not allocate.
 func (c *Ctx) SetStatus(label string, attempt int) {
 	c.pendingLabel = label
-	c.pendingAttempt = attempt
+	c.pendingAttempt = int32(attempt)
 	c.statusDirty = true
+	c.note()
 }
 
-// publishProgress copies the pending host-side progress fields into the
-// published ones. Must be called while holding the grant.
-func (c *Ctx) publishProgress() {
+// note publishes the progress just noted if its key, that of this core's
+// next operation, is below the watchdog threshold; otherwise it stays
+// pending until the core's next grant. Behind posted operations the key's
+// clock is known only when they retire, so the commit's clock waits for
+// them (Ctx.settleCommit) while its count and the status publish now.
+func (c *Ctx) note() {
+	if c.postLen == 0 {
+		if c.clock < c.m.checkAt {
+			c.publish()
+		}
+		return
+	}
+	if c.postBound < c.m.checkAt {
+		if c.pendingCommit {
+			c.pendingCommit = false
+			c.pubCommits = c.commits
+			c.commitAt = c.postLen
+		}
+		c.publishStatus()
+	}
+}
+
+// publish copies the pending progress into the published fields, the
+// commit at this core's current clock.
+func (c *Ctx) publish() {
 	if c.pendingCommit {
 		c.pendingCommit = false
 		c.pubCommits = c.commits
-		c.m.lastCommit = c.clock
+		c.m.noteCommitClock(c.clock)
+		if c.leased && !c.m.cfg.ReferenceScheduler {
+			c.horizon = c.m.leaseHorizon() // the threshold may have risen
+		}
 	}
+	c.publishStatus()
+}
+
+func (c *Ctx) publishStatus() {
 	if c.statusDirty {
 		c.statusDirty = false
 		c.statLabel = c.pendingLabel
@@ -184,18 +224,35 @@ func (c *Ctx) publishProgress() {
 	}
 }
 
-// progressDuties runs at every grant when any watchdog is armed: stop if
-// the machine already failed, beat the host-stall heartbeat, publish this
-// core's pending progress, then evaluate the simulated-cycle watchdogs.
-// All checks key off simulated state only, so trips are deterministic and
-// identical under both schedulers and every -j level.
-func (c *Ctx) progressDuties() {
-	m := c.m
-	if m.failed.Load() {
-		panic(stopRun{})
+// noteCommitClock publishes a commit at clock and moves the watchdog
+// threshold past it.
+func (m *Machine) noteCommitClock(clock uint64) {
+	m.lastCommit = max(m.lastCommit, clock)
+	m.setCheckAt()
+	if m.cfg.StallTimeout > 0 {
+		m.beat.Add(1)
 	}
-	m.beat.Add(1)
-	c.publishProgress()
+}
+
+// setCheckAt recomputes the watchdog threshold: the least clock at which
+// a grant trips the budget or the window, ^0 with neither armed.
+func (m *Machine) setCheckAt() {
+	m.checkAt = ^uint64(0)
+	if b := m.cfg.CycleBudget; b > 0 {
+		m.checkAt = b + 1
+	}
+	if w := m.cfg.WatchdogWindow; w > 0 {
+		m.checkAt = min(m.checkAt, m.lastCommit+w+1)
+	}
+}
+
+// checkProgress evaluates the simulated-cycle watchdogs for this core's
+// grant, whose clock has reached the threshold.
+func (c *Ctx) checkProgress() {
+	m := c.m
+	if m.cfg.StallTimeout > 0 {
+		m.beat.Add(1)
+	}
 	if w := m.cfg.WatchdogWindow; w > 0 && c.clock > m.lastCommit && c.clock-m.lastCommit > w {
 		m.failProgress(c, KindCommitStall)
 	}
@@ -212,6 +269,18 @@ func (m *Machine) failProgress(c *Ctx, kind string) {
 	}
 	m.failed.Store(true)
 	panic(stopRun{})
+}
+
+// stopIfFailed unwinds this core, just leased outside an operation — at
+// its program's start, in Clock — if the machine has failed: its next
+// operation would run inline, where nothing checks. Every other place a
+// core resumes its program checks at its grant (grantDuties), and a parked
+// core's due operations are dropped (dueOp), so each core stops at its next
+// operation.
+func (c *Ctx) stopIfFailed() {
+	if c.m.failed.Load() {
+		panic(stopRun{})
+	}
 }
 
 // recentTraceTail is how many trace events a violation carries.
@@ -236,7 +305,7 @@ func (m *Machine) buildViolation(kind string, tripCore int, tripClock uint64, sk
 			s.Clock = c.clock
 			s.Commits = c.pubCommits
 			s.Status = c.statLabel
-			s.Attempt = c.statAttempt
+			s.Attempt = int(c.statAttempt)
 		}
 		v.Cores = append(v.Cores, s)
 	}
@@ -251,7 +320,7 @@ func (m *Machine) buildViolation(kind string, tripCore int, tripClock uint64, sk
 }
 
 // recordFault converts a recovered core panic into a CoreFault and fails
-// the machine so sibling cores stop at their next grant.
+// the machine so sibling cores stop at their next operation.
 func (m *Machine) recordFault(c *Ctx, r interface{}) {
 	f := CoreFault{
 		Core:  c.id,
@@ -293,9 +362,13 @@ func (m *Machine) driveWatched() bool {
 	}
 }
 
-// stallMonitor watches the grant heartbeat from its own goroutine and
+// stallMonitor watches the machine's heartbeat from its own goroutine and
 // closes stalled when it stagnates for the configured host-time window;
-// Run closes stop to retire it.
+// Run closes stop to retire it. The heartbeat moves where the lease path
+// already passes — each lease, each published commit, each threshold
+// check — so a core that runs on under one lease without committing (a
+// single-core zombie loop, say) reaches the threshold check of the armed
+// window or budget long before a realistic timeout.
 func (m *Machine) stallMonitor(stalled chan<- struct{}, stop <-chan struct{}) {
 	interval := max(m.cfg.StallTimeout/8, time.Millisecond)
 	ticker := time.NewTicker(interval)

@@ -207,6 +207,87 @@ func TestUnleasedBadStoreFaultsItsCore(t *testing.T) {
 	}
 }
 
+// A core that panics with a store still posted ran the store first: its
+// fault carries the clock the reference scheduler's grant gives it.
+func TestPanicBehindAPostedStore(t *testing.T) {
+	run := func(reference bool) (f CoreFault, posted bool) {
+		cfg := tinyConfig(2)
+		cfg.ReferenceScheduler = reference
+		m := New(cfg)
+		lines := m.Mem.AllocLines(2)
+		m.Run(func(c *Ctx) {
+			for i := 0; i < 40; i++ {
+				c.Load(lines)
+			}
+		}, func(c *Ctx) {
+			own := lines + mem.LineSize
+			for i := 0; i < 10; i++ {
+				c.Load(own)
+			}
+			c.Store(own, 7)
+			posted = c.postLen != 0
+			panic("behind a posted store")
+		})
+		fs := m.Faults()
+		if len(fs) != 1 {
+			t.Fatalf("reference=%v: faults %+v, want one", reference, fs)
+		}
+		return fs[0], posted
+	}
+	lease, posted := run(false)
+	ref, _ := run(true)
+	if !posted {
+		t.Fatal("the store was not posted: nothing to retire before the fault")
+	}
+	if lease.Core != ref.Core || lease.Clock != ref.Clock {
+		t.Errorf("fault at core %d clock %d, reference core %d clock %d", lease.Core, lease.Clock, ref.Core, ref.Clock)
+	}
+}
+
+// After a sibling's fault each core stops at its next operation, under the
+// lease scheduler as under the reference, though the lease may reach the
+// core outside an operation: at its program's start, or in a Clock that
+// waits for its posted store (which the fault then drops). Neither core 1
+// nor its store runs again, so both schedulers end it at the same clock.
+func TestSiblingStopsAtItsNextOperation(t *testing.T) {
+	for name, prog1 := range map[string]func(line uint64) Program{
+		"start": func(line uint64) Program { return func(c *Ctx) { c.Load(line) } },
+		"clock": func(line uint64) Program {
+			return func(c *Ctx) {
+				c.Load(line)
+				c.Exec(1000) // absorbed: core 1 runs ahead of core 0
+				c.Store(line, 1)
+				c.Clock()
+				c.Load(line)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(reference bool) (clock, grants uint64, stored uint64) {
+				cfg := tinyConfig(2)
+				cfg.ReferenceScheduler = reference
+				m := New(cfg)
+				line := m.Mem.AllocLines(2)
+				m.Run(func(c *Ctx) {
+					for i := 0; name == "clock" && i < 3; i++ {
+						c.Load(line)
+					}
+					panic("sibling fault")
+				}, prog1(line+mem.LineSize))
+				if fs := m.Faults(); len(fs) != 1 {
+					t.Fatalf("reference=%v: faults %+v, want one", reference, fs)
+				}
+				return m.Core(1).clock, m.Sched().Grants, m.Mem.Load(line + mem.LineSize)
+			}
+			lc, lg, ls := run(false)
+			rc, rg, rs := run(true)
+			if lc != rc || lg != rg || ls != rs {
+				t.Errorf("core 1 at clock %d, %d grants, stored %d; reference %d, %d, %d", lc, lg, ls, rc, rg, rs)
+			}
+		})
+	}
+}
+
 // A program that blocks forever in host code (not on simulated work) is a
 // host deadlock: the stall monitor must cut the run short with a
 // host-deadlock violation instead of hanging the process, and the report

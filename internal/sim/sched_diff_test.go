@@ -513,98 +513,205 @@ func spinCounters(t *testing.T) {
 	}
 }
 
-// TestArmedMachinesGrantEveryExec pins the other half of the Exec contract:
-// a machine with a per-operation duty — a fault hook (an interrupt cadence
-// is one), a watchdog — defines its ring transitions, OnGrant schedule and trip points
-// per grant, so it keeps granting every Exec under the lease scheduler too,
-// and the reference scheduler agrees with it on all of them.
+// TestArmedMachinesGrantEveryExec holds the watchdogs and the fault hook to
+// the reference scheduler, which grants every operation, Exec included. A
+// watchdog is a clock threshold on the lease path: a lease ends at it, and
+// nothing runs ahead of its grant past it, so each check runs where the
+// reference runs it. A fault hook still grants every operation, because
+// its OnGrant schedule is defined per grant. On 1 and 3 cores, an
+// Exec-dominated program that also stores, commits and sets its status
+// must give under both schedulers the same violation — kind, trip core and
+// clock, last commit and every core snapshot — the same faults and the
+// same OnGrant schedule; a run that does not fail, the same clocks and
+// grants too.
 func TestArmedMachinesGrantEveryExec(t *testing.T) {
-	const cores = 3
 	type outcome struct {
-		sched     sim.SchedCounters
-		clocks    [cores]uint64
-		onGrant   uint64
-		ringAt    string // "core@clock" of every Exec that absorbed a ring transition
 		violation *sim.ProgressViolation
+		faults    []string // core@clock: value, without the stack
+		onGrant   uint64   // OnGrant calls
+		schedule  uint64   // FNV-1a of each OnGrant's core and clock
+		ringAt    string   // "core@clock" of every Exec that absorbed a ring transition
+		clocks    []uint64
+		grants    uint64
 	}
+	// behind: each core notes its commits behind stores it posted, with
+	// gaps that grow past the window. late: the last core's one commit
+	// lands past the window, keyed after the grant at which the reference
+	// trips. early: core 0 ends its program past the budget, keyed after
+	// the trip. zombie: the last core commits a few times, then loops on
+	// Exec forever, reading nothing — only the commit-progress window ends
+	// it. panics: the last core panics mid-run, and its siblings stop at
+	// their next operation.
 	arms := []struct {
-		name   string
-		arm    func(*sim.Config)
-		hook   bool
-		period uint64 // the hook's interrupt cadence
-		trip   string
+		name                string
+		arm                 func(*sim.Config)
+		hook                bool
+		period              uint64 // the hook's interrupt cadence
+		behind, late, early bool
+		zombie, panics      bool
+		trip                string
 	}{
-		{name: "interrupt-every", arm: func(*sim.Config) {}, hook: true, period: 300},
-		{name: "fault-hook", arm: func(*sim.Config) {}, hook: true},
-		{name: "watchdog-window", arm: func(c *sim.Config) { c.WatchdogWindow = 900 }, trip: sim.KindCommitStall},
-		{name: "cycle-budget", arm: func(c *sim.Config) { c.CycleBudget = 700 }, trip: sim.KindCycleBudget},
+		{name: "interrupt-every", hook: true, period: 300},
+		{name: "fault-hook", hook: true},
+		{name: "watchdog-window", arm: func(c *sim.Config) { c.WatchdogWindow = 300 }, trip: sim.KindCommitStall},
+		{name: "commit-behind-posts", arm: func(c *sim.Config) { c.WatchdogWindow = 400 }, behind: true, trip: sim.KindCommitStall},
+		{name: "late-commit", arm: func(c *sim.Config) { c.WatchdogWindow = 300 }, late: true, trip: sim.KindCommitStall},
+		{name: "cycle-budget", arm: func(c *sim.Config) { c.CycleBudget = 900 }, early: true, trip: sim.KindCycleBudget},
+		{name: "zombie-loop", arm: func(c *sim.Config) { c.WatchdogWindow = 2500 }, zombie: true, trip: sim.KindCommitStall},
+		{name: "sibling-panic", arm: func(c *sim.Config) { c.WatchdogWindow = 1 << 40 }, panics: true},
 	}
 	for _, a := range arms {
-		t.Run(a.name, func(t *testing.T) {
-			run := func(reference bool) outcome {
-				cfg := sim.DefaultConfig(cores)
-				cfg.ReferenceScheduler = reference
-				a.arm(&cfg)
-				m := sim.New(cfg)
-				hook := newPeriodicHook(cores, a.period, 0) // counts OnGrant
-				if a.hook {
-					m.SetFaultHook(hook)
-				}
-				line := m.Mem.AllocLines(cores)
-				var out outcome
-				prog := func(c *sim.Ctx) {
-					// Exec-dominated, so trip points and ring transitions
-					// land on Execs — which a grant-free Exec would skip.
-					for i := 0; i < 400; i++ {
-						before := c.Clock()
-						n := uint64(1 + (i+c.ID())%4)
-						c.Exec(n)
-						if c.Clock()-before > n {
-							out.ringAt += fmt.Sprintf(" %d@%d", c.ID(), before)
+		for _, cores := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/%dcore", a.name, cores), func(t *testing.T) {
+				run := func(reference bool) outcome {
+					cfg := sim.DefaultConfig(cores)
+					cfg.ReferenceScheduler = reference
+					if a.arm != nil {
+						a.arm(&cfg)
+					}
+					m := sim.New(cfg)
+					hook := &scheduleHook{periodicHook: newPeriodicHook(cores, a.period, 0), schedule: 14695981039346656037}
+					if a.hook {
+						m.SetFaultHook(hook)
+					}
+					line := m.Mem.AllocLines(uint64(cores))
+					flags := m.Mem.AllocLines(uint64(cores))
+					var out outcome
+					prog := func(c *sim.Ctx) {
+						id := uint64(c.ID())
+						own := line + id*mem.LineSize
+						last := id == uint64(cores-1)
+						if last && a.late {
+							c.Exec(350)
+							c.NoteCommit()
 						}
-						if i%5 == 0 {
-							c.Load(line + uint64(c.ID())*mem.LineSize)
+						for gap := uint64(1); a.behind; gap++ {
+							c.Load(line + (id+1)%uint64(cores)*mem.LineSize) // the lease ends here
+							c.Store(own, gap)
+							c.Exec(gap % 3)
+							if gap > 60 {
+								continue // the last commit was noted behind a store
+							}
+							c.NoteCommit()
+							c.SetStatus("gap", int(gap))
+							c.Exec(1 + gap%2)
+							c.Store(own+8, gap)
+							c.Exec(gap * 7)
+						}
+						for i := uint64(0); i < 400; i++ {
+							if i%40 == 0 {
+								c.SetStatus("round", int(i/40))
+							}
+							before := c.Clock()
+							n := 1 + (i+id)%4
+							c.Exec(n)
+							if c.Clock()-before > n {
+								out.ringAt += fmt.Sprintf(" %d@%d", id, before)
+							}
+							switch {
+							case i%5 == 0:
+								c.Load(own)
+							case i%7 == 0:
+								c.Store(own+8*(i%4), i)
+								c.Exec(2 + 30*(i%3)) // posted behind the store, maybe across a threshold
+							}
+							// Commits stop at a different round on each core,
+							// so the window trips on whichever falls silent.
+							// (A commit after a store may be noted behind it.)
+							if (i%9 == 0 || i%14 == 0) && i < 120+60*id && !a.late {
+								c.NoteCommit()
+							}
+							if last && a.zombie && i == 50 {
+								for {
+									c.Exec(1)
+								}
+							}
+							if last && a.panics && i == 150 {
+								panic("injected core fault")
+							}
+							if id == 0 && !last && a.early && i == 150 {
+								c.Exec(600)
+								return
+							}
+							// Each core raises its flag and waits for the
+							// next core's: parked spins near the thresholds.
+							if i == 200 {
+								c.Store(flags+id*mem.LineSize, 1)
+								c.SpinUntil(flags+(id+1)%uint64(cores)*mem.LineSize, 1)
+							}
 						}
 					}
+					progs := make([]sim.Program, cores)
+					for i := range progs {
+						progs[i] = prog
+					}
+					m.Run(progs...)
+					out.violation, out.onGrant, out.schedule = m.Violation(), hook.grants, hook.schedule
+					for _, f := range m.Faults() {
+						out.faults = append(out.faults, fmt.Sprintf("%d@%d: %s", f.Core, f.Clock, f.Value))
+					}
+					for i := 0; i < cores; i++ {
+						out.clocks = append(out.clocks, m.Core(i).Clock())
+					}
+					out.grants = m.Sched().Grants
+					return out
 				}
-				m.Run(prog, prog, prog)
-				out.sched, out.onGrant, out.violation = m.Sched(), hook.grants, m.Violation()
-				for i := range out.clocks {
-					out.clocks[i] = m.Core(i).Clock()
+				lease, ref := run(false), run(true)
+				if !reflect.DeepEqual(lease.violation, ref.violation) {
+					t.Errorf("violation reports diverge:\nlease:     %+v\nreference: %+v", lease.violation, ref.violation)
 				}
-				return out
-			}
-			lease, ref := run(false), run(true)
-			if !reflect.DeepEqual(lease.violation, ref.violation) {
-				t.Errorf("violation reports diverge:\nlease:     %+v\nreference: %+v", lease.violation, ref.violation)
-			}
-			tripped, refSched := lease.violation, ref.sched
-			lease.violation, ref.violation = nil, nil
-			lease.sched.Leases, ref.sched.Leases = 0, 0
-			lease.sched.Switches, ref.sched.Switches = 0, 0
-			if lease != ref {
-				t.Errorf("armed run diverges:\nlease:     %+v\nreference: %+v", lease, ref)
-			}
-			// (A trip unwinds each core under the grant it already holds.)
-			if a.trip == "" && refSched.Leases != refSched.Grants {
-				t.Errorf("reference leases = %d, want %d (one per grant)", refSched.Leases, refSched.Grants)
-			}
-			switch {
-			case a.trip != "":
-				if tripped == nil || tripped.Kind != a.trip {
-					t.Errorf("violation = %+v, want a %s trip", tripped, a.trip)
+				if !reflect.DeepEqual(lease.faults, ref.faults) {
+					t.Errorf("faults diverge:\nlease:     %v\nreference: %v", lease.faults, ref.faults)
 				}
-			default:
-				// Every operation but the per-core completion grants.
-				if want := refSched.Grants - cores; lease.onGrant != want {
-					t.Errorf("OnGrant ran %d times, want %d (every Exec granted)", lease.onGrant, want)
+				if lease.onGrant != ref.onGrant || lease.schedule != ref.schedule || lease.ringAt != ref.ringAt {
+					t.Errorf("OnGrant schedules diverge: lease %d grants (%x)%s, reference %d (%x)%s",
+						lease.onGrant, lease.schedule, lease.ringAt, ref.onGrant, ref.schedule, ref.ringAt)
 				}
-				if a.period > 0 && lease.ringAt == "" {
-					t.Error("no Exec absorbed a ring transition: Exec took no grant on an armed machine")
+				// A core that ran ahead of a sibling's panic may have
+				// absorbed Execs keyed after it; no report shows them.
+				if !a.panics && (!reflect.DeepEqual(lease.clocks, ref.clocks) || lease.grants != ref.grants) {
+					t.Errorf("clocks %v, %d grants under the lease scheduler; reference %v, %d",
+						lease.clocks, lease.grants, ref.clocks, ref.grants)
 				}
-			}
-		})
+				switch v := lease.violation; {
+				case a.late && cores > 1 && v != nil && v.LastCommitClock != 0:
+					t.Errorf("violation = %+v, want a trip that sees no commit: the late one is keyed after it", v)
+				case a.trip != "":
+					if v == nil || v.Kind != a.trip {
+						t.Errorf("violation = %+v, want a %s trip", v, a.trip)
+					}
+				case v != nil:
+					t.Errorf("violation = %+v, want none", v)
+				case a.panics:
+					if len(lease.faults) != 1 {
+						t.Errorf("faults = %v, want the injected one", lease.faults)
+					}
+				case a.hook:
+					// Every operation but the per-core completion grants.
+					if want := ref.grants - uint64(cores); lease.onGrant != want {
+						t.Errorf("OnGrant ran %d times, want %d (every Exec granted)", lease.onGrant, want)
+					}
+					if a.period > 0 && lease.ringAt == "" {
+						t.Error("no Exec absorbed a ring transition: Exec took no grant under a fault hook")
+					}
+				}
+			})
+		}
 	}
+}
+
+// scheduleHook is a periodicHook that also hashes the (core, clock) of
+// every grant it sees: its OnGrant schedule.
+type scheduleHook struct {
+	*periodicHook
+	schedule uint64
+}
+
+func (h *scheduleHook) OnGrant(c *sim.Ctx) {
+	for _, v := range []uint64{uint64(c.ID()), c.Clock()} {
+		h.schedule = (h.schedule ^ v) * 1099511628211
+	}
+	h.periodicHook.OnGrant(c)
 }
 
 // spinLoop is SpinUntil's specification: the loop it stands for.

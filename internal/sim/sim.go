@@ -29,30 +29,37 @@
 // number of leases changes. A single runnable core (every 1-core cell, and
 // the tail of every multi-core run) executes with zero handoffs.
 //
-// On an unarmed machine two kinds of operation take no lease of their own
-// either: they are due operations, which pick runs inline as grants while
-// their core is parked in the run queue at the due one's key. A spin-wait
-// (Ctx.SpinUntil) parks its core, and pick runs each due poll or step,
-// waking the core only for the poll that ends the spin. A Store whose core
-// holds no lease is posted (Ctx.Store): the core runs on until it needs a
-// result, and pick retires the store, with the Execs posted after it.
+// Two kinds of operation take no lease of their own either: they are due
+// operations, which pick runs inline as grants while their core is parked
+// in the run queue at the due one's key. A spin-wait (Ctx.SpinUntil) parks
+// its core, and pick runs each due poll or step, waking the core only for
+// the poll that ends the spin. A Store whose core holds no lease is posted
+// (Ctx.Store): the core runs on until it needs a result, and pick retires
+// the store, with the Execs posted after it.
 //
 // Only operations on shared state need that order. Exec is core-private —
-// it adds to this core's clock and cycle counters and nothing else — so it
-// takes no grant unless a per-operation duty is armed (Machine.perOpDuties):
-// absorbing it early only moves the core to the clock it would have reached
-// anyway, and every shared operation is still granted at the same
-// (pre-operation clock, id) key. The corollary for harness authors: host
-// code after an Exec (or a posted Store) runs at the position of the last
-// operation that returned a result, so poll host state another core
-// writes inside a Step with a granted operation (as the harness barrier
-// does), never with Exec.
+// it adds to this core's clock and cycle counters and nothing else — so a
+// core without a lease absorbs it with no grant: absorbing it early only
+// moves the core to the clock it would have reached anyway, and every
+// shared operation is still granted at the same (pre-operation clock, id)
+// key. The corollary for harness authors: host code after an Exec (or a
+// posted Store) runs at the position of the last operation that returned a
+// result, so poll host state another core writes inside a Step with a
+// granted operation (as the harness barrier does), never with Exec.
 //
-// The hot-path contract: an operation of a leased core on an unarmed machine
-// that hits its L1 runs as inline code with one call, the cache access,
-// while an armed duty or a fault hook takes the out-of-line path
-// (acquireSlow, noteRecent, execSlow); scripts/ci.sh inline holds the
-// inline half.
+// The watchdogs (Config.WatchdogWindow, CycleBudget) ride the same path.
+// Together they are one clock threshold, Machine.checkAt: the first clock
+// at which a grant could trip one, given the commits published so far. A
+// lease's horizon never passes it, and a core runs nothing ahead of its
+// grant — no absorbed Exec, posted op or early completion — at or past it,
+// so every check runs at the (clock, id) position the reference scheduler
+// gives it. Only a fault hook and the reference scheduler grant every
+// operation (Machine.perOpDuties).
+//
+// The hot-path contract: an operation of a leased core that hits its L1
+// runs as inline code with one call, the cache access, while a fault hook
+// or the reference scheduler takes the out-of-line path (acquireSlow,
+// noteRecent, execSlow); scripts/ci.sh inline holds the inline half.
 //
 // The Ctx exposes ordinary loads/stores/CAS, an Exec(n) charge for ALU
 // work, and the paper's six ISA extensions (loadsetmark, loadresetmark,
@@ -160,20 +167,26 @@ type Config struct {
 	// WatchdogWindow, if non-zero, arms the commit-progress watchdog: when
 	// no core publishes a commit for this many simulated cycles, the run
 	// fails with a structured ProgressViolation instead of spinning
-	// forever. Checked at grant points, so the trip is deterministic.
+	// forever. The first operation whose (clock, id) key starts more than
+	// the window after the last commit keyed before it trips, under every
+	// scheduler, so the trip is deterministic. Arming it costs the lease
+	// scheduler nothing until a core's clock reaches the threshold.
 	WatchdogWindow uint64
 
 	// CycleBudget, if non-zero, is a hard cap on any core's simulated
-	// clock: the first granted operation starting beyond it fails the run
-	// with a ProgressViolation. A backstop against runaway cells.
+	// clock: the first operation starting beyond it, in (clock, id) order,
+	// fails the run with a ProgressViolation. A backstop against runaway
+	// cells; like the window, a clock threshold the lease path checks only
+	// where it is crossed.
 	CycleBudget uint64
 
 	// StallTimeout, if non-zero, arms the host-side deadlock detector: if
-	// no architectural operation is granted for this much host (wall) time,
-	// the run is declared stalled — the granted core is blocked in host
-	// code — and fails with a ProgressViolation instead of hanging. This is
-	// the only watchdog keyed to host time, so it fires only on true host
-	// deadlocks, never at a simulated-cycle-deterministic point.
+	// the machine's heartbeat — raised by each lease, each published commit
+	// and each threshold check — stays still for this much host (wall)
+	// time, the run is declared stalled — the granted core is blocked in
+	// host code — and fails with a ProgressViolation instead of hanging.
+	// This is the only watchdog keyed to host time, so it fires only on
+	// true host deadlocks, never at a simulated-cycle-deterministic point.
 	StallTimeout time.Duration
 }
 
@@ -225,30 +238,35 @@ type Machine struct {
 	Stats  *telemetry.Machine
 
 	cores    []*Ctx
-	ran      bool
 	sched    SchedCounters
 	txnTrace *telemetry.TraceBuffer
 	fault    FaultHook
 
 	// perOpDuties, fixed at Run, is true when every operation — Exec
-	// included — must be individually granted: a watchdog or fault hook is
-	// armed (their trip points and OnGrant schedules are defined per grant),
-	// or this is the reference scheduler. It is the one branch unarmed
-	// machines pay on the hot path.
+	// included — must be individually granted: a fault hook is installed
+	// (its OnGrant schedule is defined per grant), or this is the reference
+	// scheduler. It is the one branch a leased core pays on the hot path.
 	perOpDuties bool
 
 	// rfo is true when cores issue speculative RFOs: Config.SpecRFOEvery
 	// is set and the machine has more than one L1 for an RFO to reach.
 	rfo bool
 
-	// Progress-guarantee state (see progress.go). watch is true when any
-	// watchdog is armed.
-	watch      bool
-	failed     atomic.Bool
+	// ran, set by Run, refuses a second run; failed (progress.go) sits
+	// beside the flags, as granted sits beside faultsMu, so that no field
+	// pads a word of its own.
+	ran    bool
+	failed atomic.Bool
+
+	// Progress-guarantee state (see progress.go). checkAt is the least
+	// clock at which a granted operation could trip a watchdog, given
+	// lastCommit: a lease ends there, and nothing runs ahead of its grant
+	// there (^0 with neither the window nor the budget armed).
 	violation  *ProgressViolation // written once, under the grant (or by Run on stall)
-	lastCommit uint64             // clock of the most recently published commit; grant-holder only
-	beat       atomic.Uint64      // grant heartbeat for the host stall monitor
-	granted    atomic.Int32       // core last leased, for the stall report
+	lastCommit uint64             // clock of the latest published commit; grant-holder only
+	checkAt    uint64
+	beat       atomic.Uint64 // heartbeat for the host stall monitor
+	granted    atomic.Int32  // core last leased, for the stall report
 	faultsMu   sync.Mutex
 	faults     []CoreFault
 
@@ -326,13 +344,14 @@ func New(cfg Config) *Machine {
 		Stats:  telemetry.NewMachine(cfg.Cores),
 	}
 	m.rfo = cfg.SpecRFOEvery > 0 && m.Caches.L1Groups() > 1
-	m.watch = cfg.WatchdogWindow > 0 || cfg.CycleBudget > 0 || cfg.StallTimeout > 0
+	m.setCheckAt()
 	for i := 0; i < cfg.Cores; i++ {
 		m.cores = append(m.cores, &Ctx{
-			m:     m,
-			id:    i,
-			cat:   telemetry.App,
-			telem: m.Stats.Block(i),
+			m:        m,
+			id:       i,
+			cat:      telemetry.App,
+			telem:    m.Stats.Block(i),
+			commitAt: noCommit,
 		})
 	}
 	m.Caches.AddDropListener(markDropper{m})
@@ -366,7 +385,7 @@ func (m *Machine) Run(progs ...Program) uint64 {
 		panic("sim: Machine.Run called twice; build a fresh machine per run")
 	}
 	m.ran = true
-	m.perOpDuties = m.watch || m.fault != nil || m.cfg.ReferenceScheduler
+	m.perOpDuties = m.fault != nil || m.cfg.ReferenceScheduler
 	if len(progs) > m.cfg.Cores {
 		panic(fmt.Sprintf("sim: %d programs for %d cores", len(progs), m.cfg.Cores))
 	}
@@ -449,10 +468,11 @@ func (m *Machine) handoff(self *Ctx) {
 // ends it: a lease of length one. The lease policy pops the (clock, id)-least
 // core, running a parked core's due operations inline until one pops that
 // may run itself; its horizon is the least entry left, idleEntry when it
-// runs alone (see Ctx.release). No other core's clock changes while the
-// lease is out, so the horizon is exact, and a core that stays below it is
-// the one the reference scan would have picked — a clock tie stays with
-// the lower id, as in its scan.
+// runs alone (see Ctx.release), or the watchdog threshold if that comes
+// first. No other core's clock changes while the lease is out, so the
+// horizon is exact, and a core that stays below it is the one the
+// reference scan would have picked — a clock tie stays with the lower id,
+// as in its scan.
 func (m *Machine) pick() *Ctx {
 	var c *Ctx
 	var horizon heapEntry
@@ -472,7 +492,7 @@ func (m *Machine) pick() *Ctx {
 				c = m.cores[m.runq.pop().id]
 			}
 		}
-		horizon = m.runq.min()
+		horizon = m.leaseHorizon()
 	}
 	if c == nil {
 		return nil
@@ -481,8 +501,18 @@ func (m *Machine) pick() *Ctx {
 	c.horizon, c.leased = horizon, true
 	if m.cfg.StallTimeout > 0 {
 		m.granted.Store(int32(c.id))
+		m.beat.Add(1)
 	}
 	return c
+}
+
+// leaseHorizon is the horizon of a lease issued now: the least runnable
+// core's key, or the watchdog threshold if that comes first.
+func (m *Machine) leaseHorizon() heapEntry {
+	if h := m.runq.min(); h.clock < m.checkAt {
+		return h
+	}
+	return heapEntry{clock: m.checkAt}
 }
 
 // requeue puts c, whose lease has ended, back in the lease policy's run
@@ -583,8 +613,9 @@ type Ctx struct {
 
 	// Lease state. leased is true while this core holds a grant it may
 	// extend inline; horizon is the (clock, id) minimum of the other
-	// runnable cores; pick sets both when it issues the lease. Under the
-	// reference scheduler horizon stays zero, so release always hands back.
+	// runnable cores, capped at the watchdog threshold; pick sets both when
+	// it issues the lease. Under the reference scheduler horizon stays
+	// zero, so release always hands back.
 	// Beside them, in what would be padding, the chain state handoff
 	// reads — entered is true while a next of this core's is in progress,
 	// done once its program has returned — and the due-operation state
@@ -612,26 +643,34 @@ type Ctx struct {
 	cat   telemetry.Category
 	telem *telemetry.Block
 
-	// Progress-reporting state (see progress.go). NoteCommit/SetStatus run
-	// in host code between grants, so they write only the pending fields;
-	// progressDuties copies them to the published fields under the grant,
-	// where watchdog snapshots (always taken by a grant holder) can read
-	// them race-free via the scheduler's happens-before chain.
+	// Progress-reporting state (see progress.go). NoteCommit and SetStatus
+	// run in host code; they publish at once when the key of the core's
+	// next operation is below every check still to come, and otherwise
+	// leave the pending fields for the core's next grant (publish).
+	// Watchdog snapshots read the published fields.
 	commits        uint64 // core-local commit count (host-side)
 	pendingLabel   string
-	pendingAttempt int
-	pubCommits     uint64 // published under the grant
+	pubCommits     uint64 // published
 	statLabel      string
-	statAttempt    int
+	pendingAttempt int32
+	statAttempt    int32
 	pendingCommit  bool
 	statusDirty    bool
 
 	// The rest of the due-operation state, packed with the two flags
-	// above: postCat holds the category each posted operation charges.
+	// above: postCat holds the category each posted operation charges;
+	// commitAt is the post index a commit was noted before, whose clock
+	// the posts ahead of it decide (noCommit: none); postBound caps the
+	// clock the posted operations can reach.
 	postCat            [postCap]uint8
+	commitAt           uint8
+	postBound          uint64
 	spinAddr, spinWant uint64
 	posts              [postCap]postedOp
 }
+
+// noCommit is Ctx.commitAt with no commit waiting on the posted operations.
+const noCommit = 0xff
 
 // postCap bounds a core's posted operations: the AppendLog shape — three
 // stores and an Exec after the Load that ends a lease — and one more. A
@@ -650,6 +689,8 @@ func (c *Ctx) ID() int { return c.id }
 func (c *Ctx) Clock() uint64 {
 	if c.postLen != 0 {
 		c.m.handoff(c)
+		c.stopIfFailed()
+		c.publish()
 	}
 	return c.clock
 }
@@ -691,26 +732,35 @@ func (c *Ctx) acquire() {
 }
 
 // acquireSlow is acquire's out-of-line case: it hands the grant on until a
-// pick leases this core again, unless it holds a lease, then counts the
-// grant and runs the per-operation duties, if the machine has any.
+// pick leases this core again, unless it holds a lease, then runs the
+// grant's duties and counts the grant — unless they stopped the core,
+// whose operation then never runs.
 func (c *Ctx) acquireSlow() {
 	if !c.leased {
 		c.m.handoff(c)
 	}
+	c.grantDuties()
 	c.m.sched.Grants++
-	if c.m.perOpDuties {
-		c.opDuties()
-	}
 }
 
-// opDuties runs the watchdogs and the fault hook. An armed machine grants
-// every operation, Exec included, so both fire at the same deterministic
-// points of the global operation order under every scheduler.
-func (c *Ctx) opDuties() {
-	if c.m.watch {
-		c.progressDuties()
+// grantDuties runs where this core holds the grant at its own (clock, id)
+// position, for the operation about to run: at every grant of a machine
+// with per-operation duties, and wherever the lease path stops — after a
+// handoff, and for a parked core woken for its due operation. It stops the
+// core if the machine has failed, publishes its pending progress, checks
+// the watchdogs if the clock has reached their threshold, and runs the
+// fault hook. Every check of a watchdog thus runs at the same position of
+// the global operation order under every scheduler.
+func (c *Ctx) grantDuties() {
+	m := c.m
+	if m.failed.Load() {
+		panic(stopRun{})
 	}
-	if h := c.m.fault; h != nil {
+	c.publish()
+	if c.clock >= m.checkAt {
+		c.checkProgress()
+	}
+	if h := m.fault; h != nil {
 		h.OnGrant(c)
 	}
 }
@@ -817,19 +867,21 @@ func (m *Machine) chargeAccess(res cache.AccessResult) uint64 {
 }
 
 // Exec charges n ALU instructions. It is core-private: nothing it touches
-// is visible to another core, so unless a per-operation duty is armed it
-// takes no grant — it is counted, charged and tested against the horizon
-// where it stands, with no switch even when the lease is gone. Behind a
-// posted store it is posted too, and charged when that store retires.
-// Shared operations keep their (pre-operation clock, id) grant keys, so
-// the simulated schedule is the one that grants every Exec. Host code
-// after an Exec must not read host state another core's Step writes; see
-// Step.
+// is visible to another core, so unless the machine grants every operation
+// it takes no grant — it is counted, charged and tested against the
+// horizon where it stands, and a core without a lease absorbs it with no
+// switch. Behind a posted store it is posted too, and charged when that
+// store retires. Shared operations keep their (pre-operation clock, id)
+// grant keys, so the simulated schedule is the one that grants every Exec.
+// Only an Exec that would start at or past the watchdog threshold takes
+// its grant, so a check it may trip runs at the position the reference
+// scheduler gives it. Host code after an Exec must not read host state
+// another core's Step writes; see Step.
 func (c *Ctx) Exec(n uint64) {
 	if n == 0 {
 		return
 	}
-	if c.m.perOpDuties || c.postLen != 0 {
+	if !c.leased || c.m.perOpDuties {
 		c.execSlow(n)
 		return
 	}
@@ -838,19 +890,41 @@ func (c *Ctx) Exec(n uint64) {
 	c.release()
 }
 
-// execSlow is Exec on an armed machine, which grants it, or behind a
-// posted store, which posts it.
+// execSlow is Exec on a core without a lease, which absorbs it, posts it
+// behind its posted stores, or — past the watchdog threshold, or with the
+// post queue full — takes its grant, and on a machine that grants every
+// operation.
 func (c *Ctx) execSlow(n uint64) {
-	if c.m.perOpDuties {
-		c.acquire()
-	} else {
-		c.m.sched.Grants++
-		if c.postExec(n * c.m.cfg.Lat.ALU) {
+	cycles := n * c.m.cfg.Lat.ALU
+	if !c.m.perOpDuties && c.mayRunAhead() {
+		if c.postLen == 0 {
+			c.m.sched.Grants++
+			c.charge(cycles)
+			return
+		}
+		if c.postExec(cycles) {
+			c.m.sched.Grants++
 			return
 		}
 	}
-	c.charge(n * c.m.cfg.Lat.ALU)
+	c.acquire()
+	c.charge(cycles)
 	c.release()
+}
+
+// mayRunAhead reports whether this core, holding no lease, may run its next
+// operation ahead of its grant — absorb an Exec, post a Store or an Exec,
+// complete — because that operation's key is provably below the watchdog
+// threshold, so no check still to come is keyed before it. A pending
+// progress note waits for the core's next grant instead (see publish).
+func (c *Ctx) mayRunAhead() bool {
+	if c.pendingCommit || c.statusDirty {
+		return false
+	}
+	if c.postLen == 0 {
+		return c.clock < c.m.checkAt
+	}
+	return c.postBound < c.m.checkAt
 }
 
 // Load returns the word at addr.
@@ -873,19 +947,21 @@ func (c *Ctx) Load(addr uint64) uint64 {
 // with every grant, cycle and cache effect of it. The step between polls is
 // granted rather than an Exec because Exec is core-private and takes no
 // grant: in host order an Exec charge could land before another core's Step
-// (a Stats.Reset, say) although this core's clock is after it. An armed
-// machine and the reference scheduler run the loop as written. Otherwise a
-// core that loses its lease mid-spin parks in the run queue at the key of
-// its due poll or step (behind its posted stores), and pick runs each one
+// (a Stats.Reset, say) although this core's clock is after it. A machine
+// that grants every operation runs the loop as written. Otherwise a core
+// that loses its lease mid-spin parks in the run queue at the key of its
+// due poll or step (behind its posted stores), and pick runs each one
 // inline on whichever coroutine holds the grant — a grant, but no lease
-// and no switch — until a poll is due whose word already reads want. Only
-// that last poll is leased; it is this core's own Load.
+// and no switch — until a poll is due whose word already reads want, or a
+// due operation reaches the watchdog threshold. Only that last operation
+// is leased; it is this core's own, checked by its own grant duties.
 func (c *Ctx) SpinUntil(addr, want uint64) {
 	for poll := true; ; poll = !poll {
 		if !c.leased && !c.m.perOpDuties {
 			c.spinning, c.spinPoll, c.spinAddr, c.spinWant = true, poll, addr, want
 			c.m.handoff(c)
-			poll = true // woken: the due poll reads want
+			poll = c.spinPoll // woken for this due operation
+			c.grantDuties()
 		}
 		if !poll {
 			c.Step(aluStep)
@@ -910,16 +986,24 @@ func (c *Ctx) key() heapEntry { return heapEntry{clock: c.clock, id: c.id} }
 // with the Execs posted after it; once none is left c unparks unless it
 // spins, and is leased if it is still the least key. A spin's due
 // operation is its poll or step, unless it is a poll whose word reads
-// spinWant: then c unparks and dueOp reports true, for c to poll itself.
+// spinWant or an operation at or past the watchdog threshold: then c
+// unparks and dueOp reports true, for c to run it itself. On a failed
+// machine c's due operations are dropped — its next grant would stop it —
+// and c is woken to stop.
 func (c *Ctx) dueOp() bool {
+	if c.m.failed.Load() {
+		c.postHead, c.postLen, c.commitAt, c.spinning = 0, 0, noCommit, false
+		return true
+	}
 	if c.postLen != 0 {
 		c.retirePost()
 		return !c.parked() && c.key().less(c.m.runq.min())
 	}
-	if c.spinPoll && c.m.Mem.Load(c.spinAddr) == c.spinWant {
+	if c.clock >= c.m.checkAt || c.spinPoll && c.m.Mem.Load(c.spinAddr) == c.spinWant {
 		c.spinning = false
 		return true
 	}
+	c.publish()
 	c.m.sched.Grants++
 	if c.spinPoll {
 		c.noteAccess(c.spinAddr)
@@ -938,7 +1022,9 @@ func (c *Ctx) dueOp() bool {
 // the core next needs a result — a Load, CAS, Step or mark operation,
 // Clock, EmitTxn with a trace attached, or the program's end. So host code
 // after a Store, like host code after an Exec, runs at the position of the
-// last operation that returned a result.
+// last operation that returned a result. A store that might start at or
+// past the watchdog threshold is not posted (see mayRunAhead), so no
+// check trips behind host code that ran ahead of it.
 func (c *Ctx) Store(addr, val uint64) {
 	if !c.leased && !c.m.perOpDuties && c.post(addr, val) {
 		return
@@ -957,31 +1043,35 @@ func (c *Ctx) store(cat telemetry.Category, addr, val uint64) {
 }
 
 // post queues a store and reports true, or reports false, for the caller
-// to take the granted path, when the queue is full or addr is misaligned
-// or unallocated: that store's panic must run on this core's coroutine,
-// not on the one that retires it. An allocation is never undone, so an
-// address valid now is valid when the store retires.
+// to take the granted path, when the queue is full, the store might start
+// at or past the watchdog threshold, or addr is misaligned or unallocated:
+// that store's panic must run on this core's coroutine, not on the one
+// that retires it. An allocation is never undone, so an address valid now
+// is valid when the store retires.
 func (c *Ctx) post(addr, val uint64) bool {
-	if c.postLen == postCap || addr%mem.WordSize != 0 || !c.m.Mem.Allocated(addr) {
+	if c.postLen == postCap || !c.mayRunAhead() || addr%mem.WordSize != 0 || !c.m.Mem.Allocated(addr) {
 		return false
 	}
+	if c.postLen == 0 {
+		c.postBound = c.clock
+	}
+	c.postBound += max(c.m.cfg.Lat.L1Hit, c.m.cfg.Lat.L2Hit, c.m.cfg.Lat.Mem) // the most its access can charge
 	c.posts[c.postLen], c.postCat[c.postLen] = postedOp{addr, val}, uint8(c.cat)
 	c.postLen++
 	return true
 }
 
 // postExec queues an Exec charge behind the posted stores, folding it into
-// the last posted Exec when that charges the same category, and reports
-// false when the queue is full: then the posted operations have retired
-// and the core holds a lease, for the caller to charge it there.
+// the last posted Exec when that charges the same category and no commit
+// was noted between them, and reports false when the queue is full.
 func (c *Ctx) postExec(cycles uint64) bool {
+	c.postBound += cycles
 	last := c.postLen - 1
-	if c.posts[last].addr == 0 && c.postCat[last] == uint8(c.cat) {
+	if c.posts[last].addr == 0 && c.postCat[last] == uint8(c.cat) && c.commitAt != c.postLen {
 		c.posts[last].val += cycles
 		return true
 	}
 	if c.postLen == postCap {
-		c.m.handoff(c)
 		return false
 	}
 	c.posts[c.postLen], c.postCat[c.postLen] = postedOp{0, cycles}, uint8(c.cat)
@@ -990,16 +1080,28 @@ func (c *Ctx) postExec(cycles uint64) bool {
 }
 
 // retirePost runs c's oldest posted store and the Execs posted after it,
-// as dueOp's grant.
+// as dueOp's grant, and publishes the commit noted among them at the clock
+// its place in the queue gives it.
 func (c *Ctx) retirePost() {
 	c.m.sched.Grants++
 	op := c.posts[c.postHead]
 	c.store(telemetry.Category(c.postCat[c.postHead]), op.addr, op.val)
 	for c.postHead++; c.postHead < c.postLen && c.posts[c.postHead].addr == 0; c.postHead++ {
+		c.settleCommit()
 		c.chargeTo(telemetry.Category(c.postCat[c.postHead]), c.posts[c.postHead].val)
 	}
+	c.settleCommit()
 	if c.postHead == c.postLen {
 		c.postHead, c.postLen = 0, 0
+	}
+}
+
+// settleCommit publishes the commit noted before posts[postHead] — or after
+// the last post — once the posts ahead of it have retired.
+func (c *Ctx) settleCommit() {
+	if c.commitAt == c.postHead {
+		c.commitAt = noCommit
+		c.m.noteCommitClock(c.clock)
 	}
 }
 
