@@ -561,142 +561,144 @@ func TestArmedMachinesGrantEveryExec(t *testing.T) {
 		{name: "sibling-panic", arm: func(c *sim.Config) { c.WatchdogWindow = 1 << 40 }, panics: true},
 	}
 	for _, a := range arms {
-		for _, cores := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/%dcore", a.name, cores), func(t *testing.T) {
-				run := func(reference bool) outcome {
-					cfg := sim.DefaultConfig(cores)
-					cfg.ReferenceScheduler = reference
-					if a.arm != nil {
-						a.arm(&cfg)
-					}
-					m := sim.New(cfg)
-					hook := &scheduleHook{periodicHook: newPeriodicHook(cores, a.period, 0), schedule: 14695981039346656037}
-					if a.hook {
-						m.SetFaultHook(hook)
-					}
-					line := m.Mem.AllocLines(uint64(cores))
-					flags := m.Mem.AllocLines(uint64(cores))
-					var out outcome
-					prog := func(c *sim.Ctx) {
-						id := uint64(c.ID())
-						own := line + id*mem.LineSize
-						last := id == uint64(cores-1)
-						if last && a.late {
-							c.Exec(350)
-							c.NoteCommit()
+		t.Run(a.name, func(t *testing.T) {
+			for _, cores := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%dcore", cores), func(t *testing.T) {
+					run := func(reference bool) outcome {
+						cfg := sim.DefaultConfig(cores)
+						cfg.ReferenceScheduler = reference
+						if a.arm != nil {
+							a.arm(&cfg)
 						}
-						for gap := uint64(1); a.behind; gap++ {
-							c.Load(line + (id+1)%uint64(cores)*mem.LineSize) // the lease ends here
-							c.Store(own, gap)
-							c.Exec(gap % 3)
-							if gap > 60 {
-								continue // the last commit was noted behind a store
-							}
-							c.NoteCommit()
-							c.SetStatus("gap", int(gap))
-							c.Exec(1 + gap%2)
-							c.Store(own+8, gap)
-							c.Exec(gap * 7)
+						m := sim.New(cfg)
+						hook := &scheduleHook{periodicHook: newPeriodicHook(cores, a.period, 0), schedule: 14695981039346656037}
+						if a.hook {
+							m.SetFaultHook(hook)
 						}
-						for i := uint64(0); i < 400; i++ {
-							if i%40 == 0 {
-								c.SetStatus("round", int(i/40))
-							}
-							before := c.Clock()
-							n := 1 + (i+id)%4
-							c.Exec(n)
-							if c.Clock()-before > n {
-								out.ringAt += fmt.Sprintf(" %d@%d", id, before)
-							}
-							switch {
-							case i%5 == 0:
-								c.Load(own)
-							case i%7 == 0:
-								c.Store(own+8*(i%4), i)
-								c.Exec(2 + 30*(i%3)) // posted behind the store, maybe across a threshold
-							}
-							// Commits stop at a different round on each core,
-							// so the window trips on whichever falls silent.
-							// (A commit after a store may be noted behind it.)
-							if (i%9 == 0 || i%14 == 0) && i < 120+60*id && !a.late {
+						line := m.Mem.AllocLines(uint64(cores))
+						flags := m.Mem.AllocLines(uint64(cores))
+						var out outcome
+						prog := func(c *sim.Ctx) {
+							id := uint64(c.ID())
+							own := line + id*mem.LineSize
+							last := id == uint64(cores-1)
+							if last && a.late {
+								c.Exec(350)
 								c.NoteCommit()
 							}
-							if last && a.zombie && i == 50 {
-								for {
-									c.Exec(1)
+							for gap := uint64(1); a.behind; gap++ {
+								c.Load(line + (id+1)%uint64(cores)*mem.LineSize) // the lease ends here
+								c.Store(own, gap)
+								c.Exec(gap % 3)
+								if gap > 60 {
+									continue // the last commit was noted behind a store
+								}
+								c.NoteCommit()
+								c.SetStatus("gap", int(gap))
+								c.Exec(1 + gap%2)
+								c.Store(own+8, gap)
+								c.Exec(gap * 7)
+							}
+							for i := uint64(0); i < 400; i++ {
+								if i%40 == 0 {
+									c.SetStatus("round", int(i/40))
+								}
+								before := c.Clock()
+								n := 1 + (i+id)%4
+								c.Exec(n)
+								if c.Clock()-before > n {
+									out.ringAt += fmt.Sprintf(" %d@%d", id, before)
+								}
+								switch {
+								case i%5 == 0:
+									c.Load(own)
+								case i%7 == 0:
+									c.Store(own+8*(i%4), i)
+									c.Exec(2 + 30*(i%3)) // posted behind the store, maybe across a threshold
+								}
+								// Commits stop at a different round on each core,
+								// so the window trips on whichever falls silent.
+								// (A commit after a store may be noted behind it.)
+								if (i%9 == 0 || i%14 == 0) && i < 120+60*id && !a.late {
+									c.NoteCommit()
+								}
+								if last && a.zombie && i == 50 {
+									for {
+										c.Exec(1)
+									}
+								}
+								if last && a.panics && i == 150 {
+									panic("injected core fault")
+								}
+								if id == 0 && !last && a.early && i == 150 {
+									c.Exec(600)
+									return
+								}
+								// Each core raises its flag and waits for the
+								// next core's: parked spins near the thresholds.
+								if i == 200 {
+									c.Store(flags+id*mem.LineSize, 1)
+									c.SpinUntil(flags+(id+1)%uint64(cores)*mem.LineSize, 1)
 								}
 							}
-							if last && a.panics && i == 150 {
-								panic("injected core fault")
-							}
-							if id == 0 && !last && a.early && i == 150 {
-								c.Exec(600)
-								return
-							}
-							// Each core raises its flag and waits for the
-							// next core's: parked spins near the thresholds.
-							if i == 200 {
-								c.Store(flags+id*mem.LineSize, 1)
-								c.SpinUntil(flags+(id+1)%uint64(cores)*mem.LineSize, 1)
-							}
+						}
+						progs := make([]sim.Program, cores)
+						for i := range progs {
+							progs[i] = prog
+						}
+						m.Run(progs...)
+						out.violation, out.onGrant, out.schedule = m.Violation(), hook.grants, hook.schedule
+						for _, f := range m.Faults() {
+							out.faults = append(out.faults, fmt.Sprintf("%d@%d: %s", f.Core, f.Clock, f.Value))
+						}
+						for i := 0; i < cores; i++ {
+							out.clocks = append(out.clocks, m.Core(i).Clock())
+						}
+						out.grants = m.Sched().Grants
+						return out
+					}
+					lease, ref := run(false), run(true)
+					if !reflect.DeepEqual(lease.violation, ref.violation) {
+						t.Errorf("violation reports diverge:\nlease:     %+v\nreference: %+v", lease.violation, ref.violation)
+					}
+					if !reflect.DeepEqual(lease.faults, ref.faults) {
+						t.Errorf("faults diverge:\nlease:     %v\nreference: %v", lease.faults, ref.faults)
+					}
+					if lease.onGrant != ref.onGrant || lease.schedule != ref.schedule || lease.ringAt != ref.ringAt {
+						t.Errorf("OnGrant schedules diverge: lease %d grants (%x)%s, reference %d (%x)%s",
+							lease.onGrant, lease.schedule, lease.ringAt, ref.onGrant, ref.schedule, ref.ringAt)
+					}
+					// A core that ran ahead of a sibling's panic may have
+					// absorbed Execs keyed after it; no report shows them.
+					if !a.panics && (!reflect.DeepEqual(lease.clocks, ref.clocks) || lease.grants != ref.grants) {
+						t.Errorf("clocks %v, %d grants under the lease scheduler; reference %v, %d",
+							lease.clocks, lease.grants, ref.clocks, ref.grants)
+					}
+					switch v := lease.violation; {
+					case a.late && cores > 1 && v != nil && v.LastCommitClock != 0:
+						t.Errorf("violation = %+v, want a trip that sees no commit: the late one is keyed after it", v)
+					case a.trip != "":
+						if v == nil || v.Kind != a.trip {
+							t.Errorf("violation = %+v, want a %s trip", v, a.trip)
+						}
+					case v != nil:
+						t.Errorf("violation = %+v, want none", v)
+					case a.panics:
+						if len(lease.faults) != 1 {
+							t.Errorf("faults = %v, want the injected one", lease.faults)
+						}
+					case a.hook:
+						// Every operation but the per-core completion grants.
+						if want := ref.grants - uint64(cores); lease.onGrant != want {
+							t.Errorf("OnGrant ran %d times, want %d (every Exec granted)", lease.onGrant, want)
+						}
+						if a.period > 0 && lease.ringAt == "" {
+							t.Error("no Exec absorbed a ring transition: Exec took no grant under a fault hook")
 						}
 					}
-					progs := make([]sim.Program, cores)
-					for i := range progs {
-						progs[i] = prog
-					}
-					m.Run(progs...)
-					out.violation, out.onGrant, out.schedule = m.Violation(), hook.grants, hook.schedule
-					for _, f := range m.Faults() {
-						out.faults = append(out.faults, fmt.Sprintf("%d@%d: %s", f.Core, f.Clock, f.Value))
-					}
-					for i := 0; i < cores; i++ {
-						out.clocks = append(out.clocks, m.Core(i).Clock())
-					}
-					out.grants = m.Sched().Grants
-					return out
-				}
-				lease, ref := run(false), run(true)
-				if !reflect.DeepEqual(lease.violation, ref.violation) {
-					t.Errorf("violation reports diverge:\nlease:     %+v\nreference: %+v", lease.violation, ref.violation)
-				}
-				if !reflect.DeepEqual(lease.faults, ref.faults) {
-					t.Errorf("faults diverge:\nlease:     %v\nreference: %v", lease.faults, ref.faults)
-				}
-				if lease.onGrant != ref.onGrant || lease.schedule != ref.schedule || lease.ringAt != ref.ringAt {
-					t.Errorf("OnGrant schedules diverge: lease %d grants (%x)%s, reference %d (%x)%s",
-						lease.onGrant, lease.schedule, lease.ringAt, ref.onGrant, ref.schedule, ref.ringAt)
-				}
-				// A core that ran ahead of a sibling's panic may have
-				// absorbed Execs keyed after it; no report shows them.
-				if !a.panics && (!reflect.DeepEqual(lease.clocks, ref.clocks) || lease.grants != ref.grants) {
-					t.Errorf("clocks %v, %d grants under the lease scheduler; reference %v, %d",
-						lease.clocks, lease.grants, ref.clocks, ref.grants)
-				}
-				switch v := lease.violation; {
-				case a.late && cores > 1 && v != nil && v.LastCommitClock != 0:
-					t.Errorf("violation = %+v, want a trip that sees no commit: the late one is keyed after it", v)
-				case a.trip != "":
-					if v == nil || v.Kind != a.trip {
-						t.Errorf("violation = %+v, want a %s trip", v, a.trip)
-					}
-				case v != nil:
-					t.Errorf("violation = %+v, want none", v)
-				case a.panics:
-					if len(lease.faults) != 1 {
-						t.Errorf("faults = %v, want the injected one", lease.faults)
-					}
-				case a.hook:
-					// Every operation but the per-core completion grants.
-					if want := ref.grants - uint64(cores); lease.onGrant != want {
-						t.Errorf("OnGrant ran %d times, want %d (every Exec granted)", lease.onGrant, want)
-					}
-					if a.period > 0 && lease.ringAt == "" {
-						t.Error("no Exec absorbed a ring transition: Exec took no grant under a fault hook")
-					}
-				}
-			})
-		}
+				})
+			}
+		})
 	}
 }
 
