@@ -13,7 +13,10 @@ import "iter"
 // trip — becomes a CoreFault report, and the core still runs its completion
 // protocol, so the handoffs drive every coroutine to its end and need no
 // stop function: none is left parked at a yield (short of a host deadlock,
-// where Run abandons the machine itself).
+// where Run abandons the machine itself). A fault is recorded when its
+// panic runs, so of two panicking cores the first in host order wins: under
+// the lease policy that can be a core that ran ahead of its grant, not the
+// one the reference scheduler would have run first.
 func (c *Ctx) start(p Program) {
 	m := c.m
 	c.next, _ = iter.Pull(func(yield func(struct{}) bool) {

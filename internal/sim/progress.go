@@ -224,25 +224,38 @@ func (c *Ctx) publishStatus() {
 	}
 }
 
-// noteCommitClock publishes a commit at clock and moves the watchdog
-// threshold past it.
+// noteCommitClock publishes a commit at clock and, with the window armed,
+// moves the watchdog threshold past it.
 func (m *Machine) noteCommitClock(clock uint64) {
 	m.lastCommit = max(m.lastCommit, clock)
-	m.setCheckAt()
+	if m.cfg.WatchdogWindow > 0 {
+		m.setCheckAt(m.lastCommit)
+	}
 	if m.cfg.StallTimeout > 0 {
 		m.beat.Add(1)
 	}
 }
 
-// setCheckAt recomputes the watchdog threshold: the least clock at which
-// a grant trips the budget or the window, ^0 with neither armed.
-func (m *Machine) setCheckAt() {
+// stallBeat bounds the simulated cycles between two threshold checks of a
+// machine whose stall monitor has no commit-progress window to end a
+// silent stretch: each check beats the heartbeat, so a core that runs on
+// under one lease without committing is not taken for a host deadlock.
+const stallBeat = 1 << 16
+
+// setCheckAt recomputes the watchdog threshold from the clock a silent
+// stretch runs from — the latest published commit's with the window
+// armed, the last threshold check's otherwise: the least clock at which a
+// grant trips the budget or the window or, with only the stall monitor
+// watching, beats; ^0 with none armed.
+func (m *Machine) setCheckAt(from uint64) {
 	m.checkAt = ^uint64(0)
 	if b := m.cfg.CycleBudget; b > 0 {
 		m.checkAt = b + 1
 	}
 	if w := m.cfg.WatchdogWindow; w > 0 {
-		m.checkAt = min(m.checkAt, m.lastCommit+w+1)
+		m.checkAt = min(m.checkAt, from+w+1)
+	} else if m.cfg.StallTimeout > 0 {
+		m.checkAt = min(m.checkAt, from+stallBeat)
 	}
 }
 
@@ -259,6 +272,9 @@ func (c *Ctx) checkProgress() {
 	if b := m.cfg.CycleBudget; b > 0 && c.clock > b {
 		m.failProgress(c, KindCycleBudget)
 	}
+	if m.cfg.WatchdogWindow == 0 {
+		m.setCheckAt(c.clock) // the next beat
+	}
 }
 
 // failProgress records the violation (first trip wins), fails the machine
@@ -271,12 +287,12 @@ func (m *Machine) failProgress(c *Ctx, kind string) {
 	panic(stopRun{})
 }
 
-// stopIfFailed unwinds this core, just leased outside an operation — at
-// its program's start, in Clock — if the machine has failed: its next
-// operation would run inline, where nothing checks. Every other place a
-// core resumes its program checks at its grant (grantDuties), and a parked
-// core's due operations are dropped (dueOp), so each core stops at its next
-// operation.
+// stopIfFailed unwinds this core if the machine has failed: the one stop
+// rule, run wherever a core resumes its program holding the grant — at its
+// grant's duties (grantDuties), and where a lease reaches it outside an
+// operation, at its program's start and in Clock, whose next operation
+// would run inline where nothing checks. A parked core's due operations
+// are dropped instead (dueOp), so each core stops at its next operation.
 func (c *Ctx) stopIfFailed() {
 	if c.m.failed.Load() {
 		panic(stopRun{})
@@ -367,8 +383,9 @@ func (m *Machine) driveWatched() bool {
 // Run closes stop to retire it. The heartbeat moves where the lease path
 // already passes — each lease, each published commit, each threshold
 // check — so a core that runs on under one lease without committing (a
-// single-core zombie loop, say) reaches the threshold check of the armed
-// window or budget long before a realistic timeout.
+// single-core zombie loop, say) beats at the threshold: the window's, or
+// with no window stallBeat cycles on (setCheckAt), long before a
+// realistic timeout.
 func (m *Machine) stallMonitor(stalled chan<- struct{}, stop <-chan struct{}) {
 	interval := max(m.cfg.StallTimeout/8, time.Millisecond)
 	ticker := time.NewTicker(interval)

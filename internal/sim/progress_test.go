@@ -288,6 +288,52 @@ func TestSiblingStopsAtItsNextOperation(t *testing.T) {
 	}
 }
 
+// A posted operation is checked against the watchdog threshold where it
+// starts, so the posts a Clock waits for can end past the threshold. The
+// lease that Clock's wait ends in must not carry the core's next operation
+// past its check: core 0 posts a store that misses and an Exec that
+// crosses the window, reads its clock, and its Exec(1) trips at the key
+// the reference gives it — not one operation later.
+func TestClockAfterPostsChecksTheNextOperation(t *testing.T) {
+	run := func(reference bool) (*ProgressViolation, bool) {
+		cfg := tinyConfig(3)
+		cfg.ReferenceScheduler = reference
+		cfg.WatchdogWindow = 300
+		m := New(cfg)
+		lines := m.Mem.AllocLines(3)
+		var posted bool
+		m.Run(func(c *Ctx) {
+			c.Exec(50) // the lease ends here
+			c.Store(lines, 1)
+			c.Exec(100)
+			posted = c.postLen != 0
+			if got := c.Clock(); got != 350 {
+				t.Errorf("reference=%v: Clock() = %d, want 350", reference, got)
+			}
+			c.Exec(1)
+			c.Load(lines)
+		}, func(c *Ctx) {
+			c.Exec(400)
+			c.Load(lines + mem.LineSize)
+		}, func(c *Ctx) {
+			c.Exec(400)
+			c.Load(lines + 2*mem.LineSize)
+		})
+		return m.Violation(), posted
+	}
+	lease, posted := run(false)
+	ref, _ := run(true)
+	if !posted {
+		t.Fatal("core 0 posted nothing: Clock had nothing to wait for")
+	}
+	if ref == nil || ref.TripCore != 0 || ref.TripClock != 350 {
+		t.Fatalf("reference violation = %+v, want core 0's Exec(1) to trip at 350", ref)
+	}
+	if !reflect.DeepEqual(lease, ref) {
+		t.Errorf("violations differ between schedulers:\nlease:     %+v\nreference: %+v", lease, ref)
+	}
+}
+
 // A program that blocks forever in host code (not on simulated work) is a
 // host deadlock: the stall monitor must cut the run short with a
 // host-deadlock violation instead of hanging the process, and the report
@@ -553,5 +599,27 @@ func TestStallMonitorFollowsTheHeartbeat(t *testing.T) {
 	})
 	if err := m.CheckHealth(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// With the stall monitor armed alone — no window, no budget — a single
+// core that runs on under one lease without committing still beats: the
+// threshold stands stallBeat cycles past each check, so a run that lasts
+// several timeouts in host time is not taken for a host deadlock.
+func TestStallMonitorAloneBeatsOnALongLease(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.StallTimeout = 200 * time.Millisecond
+	m := New(cfg)
+	m.Run(func(c *Ctx) {
+		for i := 0; i < 40; i++ { // ~4 timeouts, a check every 4 rounds
+			c.Exec(stallBeat / 4)
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+	if err := m.CheckHealth(); err != nil {
+		t.Fatal(err)
+	}
+	if s := m.Sched(); s.Leases < 10 {
+		t.Errorf("%d leases over %d cycles: the lease did not end at each beat", s.Leases, 10*stallBeat)
 	}
 }

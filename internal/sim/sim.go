@@ -49,11 +49,12 @@
 //
 // The watchdogs (Config.WatchdogWindow, CycleBudget) ride the same path.
 // Together they are one clock threshold, Machine.checkAt: the first clock
-// at which a grant could trip one, given the commits published so far. A
-// lease's horizon never passes it, and a core runs nothing ahead of its
-// grant — no absorbed Exec, posted op or early completion — at or past it,
-// so every check runs at the (clock, id) position the reference scheduler
-// gives it. Only a fault hook and the reference scheduler grant every
+// at which a grant could trip one, given the commits published so far (or,
+// with only the host stall monitor armed, must beat its heartbeat). A
+// lease's horizon never passes it, a lease that a Clock's wait hands back
+// past it is given up, and a core runs nothing ahead of its grant — no
+// absorbed Exec, posted op or early completion — at or past it, so every
+// check runs at the (clock, id) position the reference scheduler gives it. Only a fault hook and the reference scheduler grant every
 // operation (Machine.perOpDuties).
 //
 // The hot-path contract: an operation of a leased core that hits its L1
@@ -185,8 +186,11 @@ type Config struct {
 	// and each threshold check — stays still for this much host (wall)
 	// time, the run is declared stalled — the granted core is blocked in
 	// host code — and fails with a ProgressViolation instead of hanging.
-	// This is the only watchdog keyed to host time, so it fires only on
-	// true host deadlocks, never at a simulated-cycle-deterministic point.
+	// A core that runs without committing reaches a threshold check within
+	// WatchdogWindow cycles or, with no window, within 2¹⁶ cycles, so pair
+	// it with a window the host covers well inside the timeout. This is
+	// the only watchdog keyed to host time, so it fires only on true host
+	// deadlocks, never at a simulated-cycle-deterministic point.
 	StallTimeout time.Duration
 }
 
@@ -260,8 +264,9 @@ type Machine struct {
 
 	// Progress-guarantee state (see progress.go). checkAt is the least
 	// clock at which a granted operation could trip a watchdog, given
-	// lastCommit: a lease ends there, and nothing runs ahead of its grant
-	// there (^0 with neither the window nor the budget armed).
+	// lastCommit, or must beat for the stall monitor (setCheckAt): a lease
+	// ends there, and nothing runs ahead of its grant there (^0 with no
+	// watchdog armed).
 	violation  *ProgressViolation // written once, under the grant (or by Run on stall)
 	lastCommit uint64             // clock of the latest published commit; grant-holder only
 	checkAt    uint64
@@ -344,7 +349,7 @@ func New(cfg Config) *Machine {
 		Stats:  telemetry.NewMachine(cfg.Cores),
 	}
 	m.rfo = cfg.SpecRFOEvery > 0 && m.Caches.L1Groups() > 1
-	m.setCheckAt()
+	m.setCheckAt(0)
 	for i := 0; i < cfg.Cores; i++ {
 		m.cores = append(m.cores, &Ctx{
 			m:        m,
@@ -685,12 +690,17 @@ type postedOp struct{ addr, val uint64 }
 func (c *Ctx) ID() int { return c.id }
 
 // Clock returns the core-local cycle count. It is a result, so it first
-// waits for the core's posted stores to retire.
+// waits for the core's posted stores to retire. Each posted operation
+// started below the watchdog threshold, but the last may end past it: the
+// lease the wait ends in is then given up, as release gives up any lease
+// at its horizon, so the core's next operation takes its grant and its
+// check.
 func (c *Ctx) Clock() uint64 {
 	if c.postLen != 0 {
 		c.m.handoff(c)
 		c.stopIfFailed()
 		c.publish()
+		c.release()
 	}
 	return c.clock
 }
@@ -753,9 +763,7 @@ func (c *Ctx) acquireSlow() {
 // the global operation order under every scheduler.
 func (c *Ctx) grantDuties() {
 	m := c.m
-	if m.failed.Load() {
-		panic(stopRun{})
-	}
+	c.stopIfFailed()
 	c.publish()
 	if c.clock >= m.checkAt {
 		c.checkProgress()
