@@ -348,9 +348,9 @@ func TestCellIsTheFigureCell(t *testing.T) {
 	}
 }
 
-// The native suite's -json document names the host backend, on itself and
-// on every cell, and gives each cell its committed transactions per host
-// second in place of the simulator's cycles.
+// The native suite's -json document names the host backend once, on
+// itself, and gives each cell its committed transactions per host second
+// in place of the simulator's cycles.
 func TestNativeJSONNamesTheBackend(t *testing.T) {
 	code, stdout, stderr := runMain(t, "-quick", "-backend", "native", "-ops", "400", "-json")
 	if code != 0 {
@@ -359,9 +359,9 @@ func TestNativeJSONNamesTheBackend(t *testing.T) {
 	var doc struct {
 		Backend string `json:"backend"`
 		Cells   []struct {
-			Label      string  `json:"label"`
-			Backend    string  `json:"backend"`
-			TxnsPerSec float64 `json:"txns_per_sec"`
+			Label      string          `json:"label"`
+			Backend    json.RawMessage `json:"backend"`
+			TxnsPerSec float64         `json:"txns_per_sec"`
 		} `json:"cells"`
 	}
 	if err := json.Unmarshal([]byte(stdout), &doc); err != nil {
@@ -371,8 +371,8 @@ func TestNativeJSONNamesTheBackend(t *testing.T) {
 		t.Fatalf("document backend %q with %d cells, want native-tl2 and every cell", doc.Backend, len(doc.Cells))
 	}
 	for _, c := range doc.Cells {
-		if c.Backend != "native-tl2" || c.TxnsPerSec <= 0 {
-			t.Errorf("%s: backend %q, %.0f txns/s; want native-tl2 and a positive rate", c.Label, c.Backend, c.TxnsPerSec)
+		if c.Backend != nil || c.TxnsPerSec <= 0 {
+			t.Errorf("%s: backend %s, %.0f txns/s; want the document's backend only and a positive rate", c.Label, c.Backend, c.TxnsPerSec)
 		}
 	}
 }

@@ -232,7 +232,7 @@ func withoutHostFields(t *testing.T, doc string) string {
 		delete(m, key)
 	}
 	for _, cell := range m["cells"].([]any) {
-		for _, key := range []string{"host_ms", "host_ns", "cycles_per_host_sec"} {
+		for _, key := range []string{"host_ns", "cycles_per_host_sec"} {
 			delete(cell.(map[string]any), key)
 		}
 	}

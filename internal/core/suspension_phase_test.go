@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"hastm.dev/hastm/internal/sim"
@@ -70,8 +71,9 @@ func TestSuspensionDuringCommitValidation(t *testing.T) {
 	}
 	st := machine.Stats.Block(0)
 	if st.Count(telemetry.Commits) != 1 || st.TotalAborts() != 0 {
+		stats, _ := json.Marshal(st)
 		t.Errorf("commits=%d aborts=%d (%s); suspension during validation must re-validate, not abort",
-			st.Count(telemetry.Commits), st.TotalAborts(), st.Report().Stats)
+			st.Count(telemetry.Commits), st.TotalAborts(), stats)
 	}
 	if st.Count(telemetry.FullValidations) == 0 {
 		t.Error("full validation never ran; the test did not exercise the target phase")

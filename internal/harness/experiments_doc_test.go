@@ -82,18 +82,43 @@ func docScalingCells(t *testing.T, doc string) map[docCell]string {
 	return cells
 }
 
-// extCell names one number of an ext-* section: the experiment, and the
-// table, row and column of its report.
-type extCell struct{ id, table, row, col string }
+// reportCell names one number of a report table in EXPERIMENTS.md: the
+// figure or experiment, and the table, row and column of its report.
+type reportCell struct{ id, table, row, col string }
 
-// docExtCells parses every table of each ext-* section: the first header
-// cell names the report table, the other headers its columns, the first
-// cell of a body row the report row. It also returns the experiments whose
-// section was measured at quick size: the section's first mention of
-// "quick size" or "full size" names it.
-func docExtCells(t *testing.T, doc string) (cells map[extCell]string, quickSize map[string]bool) {
+// tableFigures are the paper figures whose EXPERIMENTS.md section ("##
+// Figure N ") holds copies of their full-size report tables.
+var tableFigures = []string{"fig12", "fig15", "fig16", "fig17"}
+
+// docReportCells parses every table of one section as report id's: the
+// first header cell names the report table, the other headers its columns,
+// the first cell of a body row the report row.
+func docReportCells(t *testing.T, cells map[reportCell]string, id, section string) {
 	t.Helper()
-	cells, quickSize = map[extCell]string{}, map[string]bool{}
+	tables := docTables(section)
+	if len(tables) == 0 {
+		t.Fatalf("EXPERIMENTS.md %s has no table", id)
+	}
+	for _, tab := range tables {
+		for _, cols := range tab[1:] {
+			for i := 1; i < len(cols) && i < len(tab[0]); i++ {
+				cells[reportCell{id, tab[0][0], cols[0], tab[0][i]}] = cols[i]
+			}
+		}
+	}
+}
+
+// docReportTables parses the tables of every tableFigures section and of
+// each ext-* section. It also returns the experiments whose section was
+// measured at quick size: an ext-* section's first mention of "quick size"
+// or "full size" names it; the figures are full size.
+func docReportTables(t *testing.T, doc string) (cells map[reportCell]string, quickSize map[string]bool) {
+	t.Helper()
+	cells, quickSize = map[reportCell]string{}, map[string]bool{}
+	for _, id := range tableFigures {
+		docReportCells(t, cells, id, docSection(t, doc, "## Figure "+strings.TrimPrefix(id, "fig")+" "))
+		quickSize[id] = false
+	}
 	for _, s := range Extensions() {
 		section := docSection(t, doc, "### "+s.ID+" ")
 		quick, full := strings.Index(section, "quick size"), strings.Index(section, "full size")
@@ -101,17 +126,7 @@ func docExtCells(t *testing.T, doc string) (cells map[extCell]string, quickSize 
 			t.Fatalf("EXPERIMENTS.md %s names no size (quick size or full size)", s.ID)
 		}
 		quickSize[s.ID] = quick >= 0 && (full < 0 || quick < full)
-		tables := docTables(section)
-		if len(tables) == 0 {
-			t.Fatalf("EXPERIMENTS.md %s has no table", s.ID)
-		}
-		for _, tab := range tables {
-			for _, cols := range tab[1:] {
-				for i := 1; i < len(cols) && i < len(tab[0]); i++ {
-					cells[extCell{s.ID, tab[0][0], cols[0], tab[0][i]}] = cols[i]
-				}
-			}
-		}
+		docReportCells(t, cells, s.ID, section)
 	}
 	return cells, quickSize
 }
@@ -121,8 +136,9 @@ func docExtCells(t *testing.T, doc string) (cells map[extCell]string, quickSize 
 // three decimals, is the number the document gives for its workload, scheme
 // and core count, and the document gives no other. The tables share rows
 // (Figs 18–20's stm and lock rows are Fig 11's), so each printed cell is
-// looked up by what it measures, not by figure. Every cell of an ext-*
-// table is the report's, at the size its section names and rendered at the
+// looked up by what it measures, not by figure. Every cell of a Fig 12,
+// 15, 16 or 17 table is its full-size report's, and every cell of an ext-*
+// table the report's at the size its section names, each rendered at the
 // precision the document prints.
 func TestExperimentsFigureTables(t *testing.T) {
 	text, err := os.ReadFile("../../EXPERIMENTS.md")
@@ -131,15 +147,15 @@ func TestExperimentsFigureTables(t *testing.T) {
 	}
 	doc := string(text)
 	scaling := docScalingCells(t, doc)
-	ext, quickSize := docExtCells(t, doc)
+	tables, quickSize := docReportTables(t, doc)
 	figures := []string{"fig11", "fig18", "fig19", "fig20", "fig21", "fig22"}
 	var plans []*Plan
 	for _, id := range figures {
 		s, _ := ByID(id)
 		plans = append(plans, s.Plan(DefaultOptions()))
 	}
-	for _, s := range Extensions() {
-		if !quickSize[s.ID] {
+	for _, s := range append(All(), Extensions()...) {
+		if quick, ok := quickSize[s.ID]; ok && !quick {
 			plans = append(plans, s.Plan(DefaultOptions()))
 		}
 	}
@@ -182,7 +198,7 @@ func TestExperimentsFigureTables(t *testing.T) {
 			byID[id] = quickReport(t, id)
 		}
 	}
-	for key, want := range ext {
+	for key, want := range tables {
 		v, ok := byID[key.id].Get(key.table, key.row, key.col)
 		if !ok {
 			t.Errorf("EXPERIMENTS.md %s gives (%q, %q, %q) as %s; the report has no such cell", key.id, key.table, key.row, key.col, want)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -116,8 +117,8 @@ func TestHASTMSuspensionNeverAborts(t *testing.T) {
 		t.Fatal("no suspensions were injected; the test exercised nothing")
 	}
 	if got := rep.Totals.TotalAborts(); got != 0 {
-		t.Errorf("suspensions caused %d aborts (%s); §5 requires re-validation, not abort",
-			got, rep.Totals.Report().Stats)
+		stats, _ := json.Marshal(rep.Totals)
+		t.Errorf("suspensions caused %d aborts (%s); §5 requires re-validation, not abort", got, stats)
 	}
 	if rep.Totals.Count(telemetry.FullValidations) == 0 {
 		t.Errorf("no full validations recorded; suspensions should force the software validation path")

@@ -60,42 +60,43 @@ import (
 // hastm-bench/10: the multi-socket machine is gone. Options loses Topology,
 // Mapping and Placement, and no cell carries a numa block; every other
 // field is unchanged from /9.
-const BenchSchema = "hastm-bench/10"
+// hastm-bench/11: each number is stated once. A cell's stats and telemetry
+// blocks become one stats object with four name-keyed groups (cycles,
+// aborts, counters, gauges), so the former stats members move into
+// stats.counters and htm_fallbacks appears there once; wait_cycles, never
+// counted, is gone. Cells lose host_ms (host_ns / 1e6), sched loses
+// handoffs_avoided (grants - leases), native cells lose their backend (the
+// document's), and the document loses seed (options.Seed).
+const BenchSchema = "hastm-bench/11"
 
 // SchedRecord is the host-side scheduler-efficiency block of a cell: how
 // many architectural ops the simulator granted and how many scheduler
-// channel round-trips they cost. handoffs_avoided is the lease's win;
-// under -sched reference it is always 0.
+// channel round-trips they cost. grants - leases is the lease's win;
+// under -sched reference the two are equal.
 type SchedRecord struct {
-	Grants          uint64 `json:"grants"`
-	Leases          uint64 `json:"leases"`
-	HandoffsAvoided uint64 `json:"handoffs_avoided"`
+	Grants uint64 `json:"grants"`
+	Leases uint64 `json:"leases"`
 }
 
 // CellRecord is the per-cell line of a benchmark run: the simulated result
 // plus the host-side cost of producing it. Simulated fields are
 // deterministic for a given (options, seed); host fields are not.
 type CellRecord struct {
-	Figure     string  `json:"figure"`
-	Label      string  `json:"label"`
-	WallCycles uint64  `json:"wall_cycles"`
-	HostMS     float64 `json:"host_ms"`
-	// HostNS is the cell's host wall time in nanoseconds (the precise form
-	// of HostMS, for tooling that must not lose sub-ms cells).
+	Figure     string `json:"figure"`
+	Label      string `json:"label"`
+	WallCycles uint64 `json:"wall_cycles"`
+	// HostNS is the cell's host wall time in nanoseconds.
 	HostNS int64 `json:"host_ns"`
-	// Backend marks cells produced by a non-simulator backend
-	// ("native-tl2"); absent on simulator cells.
-	Backend string `json:"backend,omitempty"`
 	// TxnsPerSec is the native-backend commit rate over the measured
 	// phase; absent on simulator cells (host-throughput there is
 	// CyclesPerHostSec).
 	TxnsPerSec float64 `json:"txns_per_sec,omitempty"`
 	// CyclesPerHostSec is the cell's simulation throughput: simulated
-	// cycles advanced per host second. Host-dependent, like HostMS.
+	// cycles advanced per host second. Host-dependent, like HostNS.
 	CyclesPerHostSec float64 `json:"cycles_per_host_sec"`
-	// The stats and telemetry blocks of the cell's metrics store.
-	telemetry.Report
-	Sched *SchedRecord `json:"sched,omitempty"`
+	// Stats is the cell's merged metrics store.
+	Stats telemetry.Block `json:"stats"`
+	Sched *SchedRecord    `json:"sched,omitempty"`
 	// Service is the open-loop service block (latency percentiles, offered
 	// rate, goodput, shed counts); only on `-service` cells.
 	Service *ServiceRecord `json:"service,omitempty"`
@@ -120,7 +121,6 @@ type BenchJSON struct {
 	// "native-tl2" (host goroutines on real memory).
 	Backend     string       `json:"backend"`
 	Workers     int          `json:"workers"`
-	Seed        uint64       `json:"seed"`
 	Options     Options      `json:"options"`
 	HostSeconds float64      `json:"host_seconds"`
 	Figures     []*Report    `json:"figures"`
@@ -138,7 +138,6 @@ func NewBenchJSON(o Options, workers int, plans []*Plan, reports []*Report, elap
 		NumCPU:      runtime.NumCPU(),
 		Backend:     "sim",
 		Workers:     workers,
-		Seed:        o.Seed,
 		Options:     o,
 		HostSeconds: elapsed.Seconds(),
 	}
@@ -154,26 +153,20 @@ func NewBenchJSON(o Options, workers int, plans []*Plan, reports []*Report, elap
 				Figure:     c.Figure,
 				Label:      c.Label,
 				WallCycles: met.WallCycles,
-				HostMS:     float64(c.HostNS) / 1e6,
 				HostNS:     c.HostNS,
-				Report:     met.Stats.Totals().Report(),
+				Stats:      met.Stats.Totals(),
 				Service:    met.Service,
 				Chaos:      met.Chaos,
 				Error:      c.Err,
 			}
 			if met.Backend != "" {
 				b.Backend = met.Backend
-				rec.Backend = met.Backend
 				rec.TxnsPerSec = met.TxnsPerSec()
 			} else if c.HostNS > 0 {
 				rec.CyclesPerHostSec = float64(met.WallCycles) / (float64(c.HostNS) / 1e9)
 			}
 			if sc := met.Sched; sc.Grants > 0 {
-				rec.Sched = &SchedRecord{
-					Grants:          sc.Grants,
-					Leases:          sc.Leases,
-					HandoffsAvoided: sc.HandoffsAvoided(),
-				}
+				rec.Sched = &SchedRecord{Grants: sc.Grants, Leases: sc.Leases}
 			}
 			b.Cells = append(b.Cells, rec)
 		}

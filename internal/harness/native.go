@@ -11,7 +11,7 @@ import (
 // The native runner drives the host-goroutine TL2 backend through the same
 // workload cells as the simulator figures, but measures real wall-clock
 // throughput instead of simulated cycles. Nothing here is deterministic —
-// host numbers belong on the same axis as HostMS, never next to WallCycles
+// host numbers belong on the same axis as HostNS, never next to WallCycles
 // — so the native plan is its own figure ("native") rather than a scheme
 // row inside the paper's figures.
 

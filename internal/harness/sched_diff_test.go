@@ -81,8 +81,8 @@ func compareSchedulers(t *testing.T, lease, ref RunMetrics) {
 	if lease.Sched.Grants != ref.Sched.Grants {
 		t.Errorf("grants: lease %d, reference %d", lease.Sched.Grants, ref.Sched.Grants)
 	}
-	if ref.Sched.HandoffsAvoided() != 0 {
-		t.Errorf("reference scheduler avoided %d handoffs, want 0", ref.Sched.HandoffsAvoided())
+	if ref.Sched.Grants != ref.Sched.Leases {
+		t.Errorf("reference scheduler: %d grants, %d leases; want one lease per grant", ref.Sched.Grants, ref.Sched.Leases)
 	}
 }
 

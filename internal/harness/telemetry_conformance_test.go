@@ -150,12 +150,13 @@ func TestRetryEventsCarryFootprint(t *testing.T) {
 }
 
 // gaugeMax reads one gauge's maximum over every core from the machine's
-// telemetry report, where gauges merge by maximum.
+// stats object, where gauges merge by maximum.
 func gaugeMax(t *testing.T, m *telemetry.Machine, g telemetry.Gauge) uint64 {
 	t.Helper()
 	var rep struct{ Gauges map[string]uint64 }
-	if err := json.Unmarshal(m.Totals().Report().Telemetry, &rep); err != nil {
-		t.Fatalf("telemetry report: %v", err)
+	stats, _ := json.Marshal(m.Totals())
+	if err := json.Unmarshal(stats, &rep); err != nil {
+		t.Fatalf("stats object: %v", err)
 	}
 	return rep.Gauges[g.String()]
 }

@@ -308,11 +308,6 @@ type SchedCounters struct {
 	Switches uint64
 }
 
-// HandoffsAvoided returns how many grants executed inline under a lease —
-// or, for a core-private Exec or a due operation, under no lease at all —
-// without a lease of their own.
-func (s SchedCounters) HandoffsAvoided() uint64 { return s.Grants - s.Leases }
-
 // Sched returns the scheduler counters. Stable only after Run returns.
 func (m *Machine) Sched() SchedCounters { return m.sched }
 

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -144,8 +143,6 @@ const (
 	// HTMFallbacks counts hybrid transactions that abandoned hardware
 	// execution for the software path.
 	HTMFallbacks
-	// WaitCycles accumulates cycles spent spinning on locks/contention.
-	WaitCycles
 	// ModeSwitchAggressive counts cautious->aggressive transitions by the
 	// HASTM mode controller (§6).
 	ModeSwitchAggressive
@@ -211,58 +208,41 @@ const (
 	numCounters
 )
 
-// A counter is reported in the `-json` cell's "stats" block (one member per
-// counter, in declaration order), in its "telemetry" block's "counters"
-// map, or in both.
-const (
-	inStats = 1 << iota
-	inTelemetry
-)
-
-var counterTable = [numCounters]struct {
-	name   string
-	blocks int
-}{
-	Commits:               {"commits", inStats},
-	Retries:               {"retries", inStats},
-	FilteredReads:         {"filtered_reads", inStats},
-	UnfilteredReads:       {"unfiltered_reads", inStats},
-	FastValidations:       {"fast_validations", inStats},
-	FullValidations:       {"full_validations", inStats},
-	ReadsLogged:           {"reads_logged", inStats},
-	ReadLogsSkipped:       {"read_logs_skipped", inStats},
-	FilteredWrites:        {"filtered_writes", inStats},
-	UndoLogsSkipped:       {"undo_logs_skipped", inStats},
-	AggressiveCommits:     {"aggressive_commits", inStats},
-	CautiousCommits:       {"cautious_commits", inStats},
-	HTMFallbacks:          {"htm_fallbacks", inStats | inTelemetry},
-	WaitCycles:            {"wait_cycles", inStats},
-	ModeSwitchAggressive:  {"mode_switch_aggressive", inTelemetry},
-	ModeSwitchCautious:    {"mode_switch_cautious", inTelemetry},
-	MarkCounterNonZero:    {"mark_counter_nonzero", inTelemetry},
-	AggressiveAttempts:    {"aggressive_attempts", inTelemetry},
-	CautiousAttempts:      {"cautious_attempts", inTelemetry},
-	LockAcquires:          {"lock_acquires", inTelemetry},
-	Escalations:           {"escalations", inTelemetry},
-	IrrevocableEntries:    {"irrevocable_entries", inTelemetry},
-	IrrevocableCyclesHeld: {"irrevocable_cycles_held", inTelemetry},
-	WriteBufferHits:       {"write_buffer_hits", inTelemetry},
-	SnapshotReads:         {"snapshot_reads", inTelemetry},
-	VersionHistoryReads:   {"version_history_reads", inTelemetry},
-	MVCCUpgrades:          {"mvcc_upgrades", inTelemetry},
-	MVCCWriterRestarts:    {"mvcc_writer_restarts", inTelemetry},
-	SnapshotAborts:        {"snapshot_aborts", inTelemetry},
-	ChaosInjected:         {"chaos_injected", inTelemetry},
-	WakeupTimeouts:        {"wakeup_timeouts", inTelemetry},
-	ContainedFaults:       {"contained_faults", inTelemetry},
+var counterNames = [numCounters]string{
+	Commits:               "commits",
+	Retries:               "retries",
+	FilteredReads:         "filtered_reads",
+	UnfilteredReads:       "unfiltered_reads",
+	FastValidations:       "fast_validations",
+	FullValidations:       "full_validations",
+	ReadsLogged:           "reads_logged",
+	ReadLogsSkipped:       "read_logs_skipped",
+	FilteredWrites:        "filtered_writes",
+	UndoLogsSkipped:       "undo_logs_skipped",
+	AggressiveCommits:     "aggressive_commits",
+	CautiousCommits:       "cautious_commits",
+	HTMFallbacks:          "htm_fallbacks",
+	ModeSwitchAggressive:  "mode_switch_aggressive",
+	ModeSwitchCautious:    "mode_switch_cautious",
+	MarkCounterNonZero:    "mark_counter_nonzero",
+	AggressiveAttempts:    "aggressive_attempts",
+	CautiousAttempts:      "cautious_attempts",
+	LockAcquires:          "lock_acquires",
+	Escalations:           "escalations",
+	IrrevocableEntries:    "irrevocable_entries",
+	IrrevocableCyclesHeld: "irrevocable_cycles_held",
+	WriteBufferHits:       "write_buffer_hits",
+	SnapshotReads:         "snapshot_reads",
+	VersionHistoryReads:   "version_history_reads",
+	MVCCUpgrades:          "mvcc_upgrades",
+	MVCCWriterRestarts:    "mvcc_writer_restarts",
+	SnapshotAborts:        "snapshot_aborts",
+	ChaosInjected:         "chaos_injected",
+	WakeupTimeouts:        "wakeup_timeouts",
+	ContainedFaults:       "contained_faults",
 }
 
-func (c Counter) String() string {
-	if c >= 0 && c < numCounters {
-		return counterTable[c].name
-	}
-	return fmt.Sprintf("Counter(%d)", int(c))
-}
+func (c Counter) String() string { return nameOf(counterNames[:], "Counter", int(c)) }
 
 // Gauge is a high-water mark: merged by maximum, per thread and at report
 // time.
@@ -471,12 +451,6 @@ func (m *Machine) String() string {
 	return b.String()
 }
 
-// Report is the pair of `-json` cell blocks a merged Block renders to.
-type Report struct {
-	Stats     json.RawMessage `json:"stats"`
-	Telemetry json.RawMessage `json:"telemetry,omitempty"`
-}
-
 // named returns the non-zero vals keyed by their metric's name — as a map,
 // so encoding/json renders the group with sorted keys — or nil if all are
 // zero.
@@ -496,46 +470,15 @@ func named[T interface {
 	return m
 }
 
-// Report renders the block, zero values omitted so records stay readable
-// and stable as metrics are added. The stats block is the cycle breakdown
-// and the abort causes as name-keyed groups around the stats counters in
-// declaration order ({} when empty); the telemetry block is the event
-// counters and the gauges, each a name-keyed group (absent when empty).
-func (b Block) Report() Report {
-	stats := []byte{'{'}
-	member := func(name string, v any) {
-		if len(stats) > 1 {
-			stats = append(stats, ',')
-		}
-		raw, _ := json.Marshal(v) // a uint64 or a map of them: cannot fail
-		stats = append(strconv.AppendQuote(stats, name), ':')
-		stats = append(stats, raw...)
-	}
-	if cycles := named[Category](b.cycles[:]); cycles != nil {
-		member("cycles", cycles)
-	}
-	aborts, events := named[AbortCause](b.aborts[:]), b.counts
-	for c, row := range counterTable {
-		if row.blocks&inStats != 0 && b.counts[c] > 0 {
-			member(row.name, b.counts[c])
-		}
-		if Counter(c) == Commits && aborts != nil {
-			member("aborts", aborts)
-		}
-		if row.blocks&inTelemetry == 0 {
-			events[c] = 0
-		}
-	}
-	r := Report{Stats: append(stats, '}')}
-	t := struct {
+// MarshalJSON renders the block as the `-json` cell's stats object: the
+// cycle breakdown, the abort causes, the event counters and the gauges,
+// each a name-keyed group. Zero values and empty groups are omitted, so
+// records stay readable and stable as metrics are added.
+func (b Block) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Cycles   map[string]uint64 `json:"cycles,omitempty"`
+		Aborts   map[string]uint64 `json:"aborts,omitempty"`
 		Counters map[string]uint64 `json:"counters,omitempty"`
 		Gauges   map[string]uint64 `json:"gauges,omitempty"`
-	}{named[Counter](events[:]), named[Gauge](b.gauges[:])}
-	if t.Counters != nil || t.Gauges != nil {
-		r.Telemetry, _ = json.Marshal(t)
-	}
-	return r
+	}{named[Category](b.cycles[:]), named[AbortCause](b.aborts[:]), named[Counter](b.counts[:]), named[Gauge](b.gauges[:])})
 }
-
-// MarshalJSON renders both report blocks as one object.
-func (b Block) MarshalJSON() ([]byte, error) { return json.Marshal(b.Report()) }

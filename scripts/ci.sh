@@ -26,7 +26,7 @@ json_has() { # json_has <file> <substring…>: well-formed and carries every sub
     local file="$1" want
     shift
     python3 -m json.tool "$file" > /dev/null
-    for want in '"schema": "hastm-bench/10"' "$@"; do
+    for want in '"schema": "hastm-bench/11"' "$@"; do
         grep -q -- "$want" "$file" || { echo "$file lacks $want" >&2; return 1; }
     done
 }
@@ -59,7 +59,7 @@ smoke)
     # Stderr carries the per-figure simulated-cycles-per-second summary; it
     # stays in the job log for host-throughput trend spotting.
     bench -quick -ext -j 4 -json -trace "$out/trace.jsonl" > "$out/BENCH_quick.json"
-    json_has "$out/BENCH_quick.json" '"backend": "sim"' '"host_ns"' '"telemetry"' '"sched"' '"cycles_per_host_sec"'
+    json_has "$out/BENCH_quick.json" '"backend": "sim"' '"host_ns"' '"counters"' '"sched"' '"cycles_per_host_sec"'
     bench -backend native -quick -json > "$out/BENCH_native.json"
     json_has "$out/BENCH_native.json" '"backend": "native-tl2"' '"txns_per_sec"' '"host_ns"'
     ;;
